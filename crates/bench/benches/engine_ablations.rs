@@ -3,8 +3,9 @@
 //! the work-queue grain size of the parallel runtime.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use egraph_core::algo::pagerank::{self, PagerankConfig, PushSync};
+use egraph_core::algo::pagerank::{self, PagerankConfig};
 use egraph_core::layout::EdgeDirection;
+use egraph_core::metrics::SyncMode;
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use std::hint::black_box;
 
@@ -20,10 +21,10 @@ fn bench_sync_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("sync_strategy_ablation");
     group.throughput(Throughput::Elements(graph.num_edges() as u64));
     group.bench_function("push_locks", |b| {
-        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, PushSync::Locks).ranks[0]))
+        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, SyncMode::Locks).ranks[0]))
     });
     group.bench_function("push_atomics", |b| {
-        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, PushSync::Atomics).ranks[0]))
+        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, SyncMode::Atomics).ranks[0]))
     });
     group.bench_function("pull_no_sync", |b| {
         b.iter(|| black_box(pagerank::pull(adj.incoming(), &degrees, cfg).ranks[0]))
@@ -47,7 +48,9 @@ fn bench_grid_side(c: &mut Criterion) {
             .side(side)
             .build(&graph);
         group.bench_with_input(BenchmarkId::new("pagerank_step", side), &grid, |b, grid| {
-            b.iter(|| black_box(pagerank::grid_push(grid, &degrees, cfg, false).ranks[0]))
+            b.iter(|| {
+                black_box(pagerank::grid_push(grid, &degrees, cfg, SyncMode::Atomics).ranks[0])
+            })
         });
     }
     group.finish();

@@ -3,8 +3,9 @@
 //! cost behind Fig. 3 and Fig. 5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use egraph_core::algo::pagerank::{self, PagerankConfig, PushSync};
+use egraph_core::algo::pagerank::{self, PagerankConfig};
 use egraph_core::layout::EdgeDirection;
+use egraph_core::metrics::SyncMode;
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use std::hint::black_box;
 
@@ -26,15 +27,15 @@ fn bench_layouts(c: &mut Criterion) {
         b.iter(|| black_box(pagerank::pull(adj.incoming(), &degrees, cfg).ranks[0]))
     });
     group.bench_function(BenchmarkId::new("adj_push_atomics", scale), |b| {
-        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, PushSync::Atomics).ranks[0]))
+        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, SyncMode::Atomics).ranks[0]))
     });
     group.bench_function(BenchmarkId::new("edge_array_atomics", scale), |b| {
         b.iter(|| {
-            black_box(pagerank::edge_centric(&graph, &degrees, cfg, PushSync::Atomics).ranks[0])
+            black_box(pagerank::edge_centric(&graph, &degrees, cfg, SyncMode::Atomics).ranks[0])
         })
     });
     group.bench_function(BenchmarkId::new("grid_columns_nolock", scale), |b| {
-        b.iter(|| black_box(pagerank::grid_push(&grid, &degrees, cfg, false).ranks[0]))
+        b.iter(|| black_box(pagerank::grid_push(&grid, &degrees, cfg, SyncMode::Atomics).ranks[0]))
     });
     group.finish();
 }

@@ -9,6 +9,7 @@
 use egraph_bench::{fmt_secs, graphs, ExperimentCtx, ResultTable};
 use egraph_core::algo::{bfs, pagerank, spmv};
 use egraph_core::layout::EdgeDirection;
+use egraph_core::metrics::SyncMode;
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 
 fn main() {
@@ -70,12 +71,12 @@ fn main() {
 
     // --- PageRank (10 iterations) ---
     let ((), pr_adj) = egraph_bench::min_time(reps, || {
-        let r = pagerank::push(adj.out(), &degrees, pr_cfg, pagerank::PushSync::Atomics);
+        let r = pagerank::push(adj.out(), &degrees, pr_cfg, SyncMode::Atomics);
         ((), r.seconds)
     });
     push_row(&mut table, "pagerank", "adj", pre_secs, pr_adj);
     let ((), pr_edge) = egraph_bench::min_time(reps, || {
-        let r = pagerank::edge_centric(&graph, &degrees, pr_cfg, pagerank::PushSync::Atomics);
+        let r = pagerank::edge_centric(&graph, &degrees, pr_cfg, SyncMode::Atomics);
         ((), r.seconds)
     });
     push_row(&mut table, "pagerank", "edge-array", 0.0, pr_edge);

@@ -9,6 +9,7 @@
 use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
 use egraph_core::algo::pagerank;
 use egraph_core::layout::EdgeDirection;
+use egraph_core::metrics::SyncMode;
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 
 fn main() {
@@ -40,7 +41,7 @@ fn main() {
     });
 
     let (push_locks, _) = egraph_bench::min_time(reps, || {
-        let r = pagerank::push(adj_out.out(), &degrees, cfg, pagerank::PushSync::Locks);
+        let r = pagerank::push(adj_out.out(), &degrees, cfg, SyncMode::Locks);
         let s = r.seconds;
         (r, s)
     });
@@ -50,12 +51,12 @@ fn main() {
         (r, s)
     });
     let (grid_locks, _) = egraph_bench::min_time(reps, || {
-        let r = pagerank::grid_push(&grid, &degrees, cfg, true);
+        let r = pagerank::grid_push(&grid, &degrees, cfg, SyncMode::Locks);
         let s = r.seconds;
         (r, s)
     });
     let (grid_nolock, _) = egraph_bench::min_time(reps, || {
-        let r = pagerank::grid_push(&grid, &degrees, cfg, false);
+        let r = pagerank::grid_push(&grid, &degrees, cfg, SyncMode::Atomics);
         let s = r.seconds;
         (r, s)
     });

@@ -11,6 +11,7 @@
 use egraph_bench::{fmt_secs, graphs, min_time, reps, ExperimentCtx, ResultTable};
 use egraph_core::algo::{bfs, pagerank};
 use egraph_core::layout::EdgeDirection;
+use egraph_core::metrics::SyncMode;
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 
 fn main() {
@@ -108,7 +109,7 @@ fn main() {
             fmt_secs(pre_grid + pr_grid),
         ]);
         let ((), pr_edge) = min_time(reps, || {
-            let r = pagerank::edge_centric(&graph, &degrees, cfg, pagerank::PushSync::Atomics);
+            let r = pagerank::edge_centric(&graph, &degrees, cfg, SyncMode::Atomics);
             ((), r.seconds)
         });
         table.add_row(vec![

@@ -18,7 +18,7 @@ use egraph_cachesim::MemProbe;
 
 use crate::layout::Adjacency;
 use crate::linalg::cholesky_solve_in_place;
-use crate::metrics::{direction_cutoff, frontier_density, timed, DirectionDecision, StepMode};
+use crate::metrics::{timed, IterStat, StepMode};
 use crate::telemetry::{ExecContext, IterRecord, Recorder};
 use crate::types::{EdgeRecord, VertexId, WEdge};
 use crate::util::UnsyncSlice;
@@ -132,17 +132,11 @@ pub(crate) fn als_impl<P: MemProbe, R: Recorder>(
         total += seconds;
         if ctx.recorder.enabled() {
             let scanned = out.num_edges() + incoming.num_edges();
-            ctx.recorder.record_iteration(IterRecord {
-                step,
-                frontier_size: nv,
-                edges_scanned: scanned,
-                seconds,
-                mode: StepMode::Pull,
-                // Both bipartite halves stream all their edges; the
-                // pull direction is structural, never chosen.
-                density: frontier_density(nv + scanned, scanned),
-                decision: DirectionDecision::forced(nv + scanned, direction_cutoff(scanned)),
-            });
+            // Both bipartite halves stream all their edges; the pull
+            // direction is structural, never chosen.
+            let stat = IterStat::full_scan(nv, scanned, seconds, StepMode::Pull);
+            ctx.recorder
+                .record_iteration(IterRecord::from_stat(step, &stat));
         }
         rmse_history.push(rmse(&factors, out, k, num_users));
     }

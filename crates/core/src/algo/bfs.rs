@@ -2,34 +2,22 @@
 //! vertex-centric push (atomics or locks), vertex-centric pull with
 //! early termination, direction-optimizing push-pull (Beamer's
 //! heuristic, as in Ligra), edge-centric, and grid.
+//!
+//! This file holds BFS's state, its push/pull rules and the result
+//! conversion; the iteration loop — and the direction choice — live in
+//! `engine::edge_map`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use egraph_cachesim::MemProbe;
 
-use crate::engine::{self, PullOp, PushOp};
+use crate::engine::{self, FrontierAlgo, NoPull, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Adjacency, Grid, NeighborAccess, VertexLayout};
-use crate::metrics::{
-    direction_cutoff, frontier_density, timed, DirectionDecision, IterStat, StepMode,
-};
-use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::metrics::{timed, Direction, IterStat, SyncMode};
+use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId, INVALID_VERTEX};
-use crate::util::{AtomicBitmap, StripedLocks, UnsyncSlice};
-
-/// Appends `stat` to the run's iteration log and mirrors it to the
-/// context's recorder (free under the default `NullRecorder`).
-pub(crate) fn record_iter<P: MemProbe, R: Recorder>(
-    ctx: ExecContext<'_, P, R>,
-    iterations: &mut Vec<IterStat>,
-    stat: IterStat,
-) {
-    if ctx.recorder.enabled() {
-        ctx.recorder
-            .record_iteration(IterRecord::from_stat(iterations.len(), &stat));
-    }
-    iterations.push(stat);
-}
+use crate::util::{AtomicBitmap, StripedLocks};
 
 /// BFS metadata footprint: one byte of visited state per vertex ("a
 /// cache line only contains the metadata associated with very few
@@ -61,6 +49,8 @@ impl BfsResult {
 }
 
 /// Shared BFS state: atomically claimed parents plus discovery levels.
+/// As a [`PushOp`] it claims destinations with a compare-and-swap (the
+/// baseline "adj. push" configuration).
 struct BfsState {
     parent: Vec<AtomicU32>,
     level: Vec<AtomicU32>,
@@ -79,6 +69,13 @@ impl BfsState {
         state
     }
 
+    /// Records `dst` as discovered from `src` in the current round.
+    #[inline]
+    fn discover(&self, dst: usize, src: VertexId) {
+        self.parent[dst].store(src, Ordering::Relaxed);
+        self.level[dst].store(self.round.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
     fn into_result(self, iterations: Vec<IterStat>) -> BfsResult {
         BfsResult {
             parent: self.parent.into_iter().map(AtomicU32::into_inner).collect(),
@@ -88,21 +85,16 @@ impl BfsState {
     }
 }
 
-/// Push rule claiming destinations with a compare-and-swap.
-struct AtomicPushOp<'a> {
-    state: &'a BfsState,
-}
-
-impl<E: EdgeRecord> PushOp<E> for AtomicPushOp<'_> {
+impl<E: EdgeRecord> PushOp<E> for BfsState {
     const META_BYTES: u64 = BFS_META_BYTES;
 
     #[inline]
     fn push(&self, e: &E) -> bool {
         let dst = e.dst() as usize;
-        if self.state.parent[dst].load(Ordering::Relaxed) != INVALID_VERTEX {
+        if self.parent[dst].load(Ordering::Relaxed) != INVALID_VERTEX {
             return false;
         }
-        let won = self.state.parent[dst]
+        let won = self.parent[dst]
             .compare_exchange(
                 INVALID_VERTEX,
                 e.src(),
@@ -111,8 +103,7 @@ impl<E: EdgeRecord> PushOp<E> for AtomicPushOp<'_> {
             )
             .is_ok();
         if won {
-            self.state.level[dst]
-                .store(self.state.round.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.level[dst].store(self.round.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         won
     }
@@ -121,145 +112,44 @@ impl<E: EdgeRecord> PushOp<E> for AtomicPushOp<'_> {
     fn source_active(&self, src: VertexId) -> bool {
         // Edge-centric/grid scans: only sources discovered in the
         // previous round push this round.
-        let round = self.state.round.load(Ordering::Relaxed);
-        self.state.level[src as usize].load(Ordering::Relaxed) == round - 1
+        let round = self.round.load(Ordering::Relaxed);
+        self.level[src as usize].load(Ordering::Relaxed) == round - 1
     }
 }
 
-/// Vertex-centric push BFS with atomic parent claims (the baseline
-/// "adj. push" configuration). Runs on any [`VertexLayout`]
-/// (uncompressed CSR or ccsr).
-pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    push_impl(adj, root, &ExecContext::new())
-}
+impl<E: EdgeRecord> FrontierAlgo<E> for BfsState {
+    type Pull<'a> = BfsPull<'a>;
 
-pub(crate) fn push_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
-    adj: &L,
-    root: VertexId,
-    ctx: &ExecContext<'_, P, R>,
-) -> BfsResult {
-    let ctx = *ctx;
-    let out = adj.out();
-    let cutoff = direction_cutoff(out.num_edges());
-    let state = BfsState::new(out.num_vertices(), root);
-    let op = AtomicPushOp { state: &state };
-    let mut frontier = VertexSubset::single(root);
-    let mut iterations = Vec::new();
-    while !frontier.is_empty() {
-        state.round.fetch_add(1, Ordering::Relaxed);
-        let frontier_size = frontier.len();
-        let frontier_edges = frontier.out_edge_count(|v| out.degree(v));
-        let observed = frontier_edges + frontier_size;
-        let (next, seconds) =
-            timed(|| engine::vertex_push(out, &frontier, &op, ctx, FrontierKind::Sparse));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size,
-                edges_scanned: frontier_edges,
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(observed, out.num_edges()),
-                decision: DirectionDecision::forced(observed, cutoff),
-            },
-        );
-        frontier = next;
+    // A claim succeeds once per vertex, so activations need no dedup.
+    const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
+
+    fn begin_round(&self) {
+        self.round.fetch_add(1, Ordering::Relaxed);
     }
-    state.into_result(iterations)
-}
 
-/// Vertex-centric push BFS with per-vertex (striped) locks — the
-/// paper's "push (with locks)" configuration (§6.1.2).
-pub fn push_locked<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let out = adj.out();
-    let nv = out.num_vertices();
-    let mut parent = vec![INVALID_VERTEX; nv];
-    let mut level = vec![u32::MAX; nv];
-    parent[root as usize] = root;
-    level[root as usize] = 0;
-    let locks = StripedLocks::default();
-    let mut iterations = Vec::new();
-
-    struct LockedPushOp<'a> {
-        parent: UnsyncSlice<'a, VertexId>,
-        level: UnsyncSlice<'a, u32>,
-        locks: &'a StripedLocks,
-        round: u32,
-    }
-    impl<E: EdgeRecord> PushOp<E> for LockedPushOp<'_> {
-        const META_BYTES: u64 = BFS_META_BYTES;
-
-        #[inline]
-        fn push(&self, e: &E) -> bool {
-            let dst = e.dst();
-            self.locks.with(dst, || {
-                // SAFETY: every access to `parent[dst]`/`level[dst]`
-                // during the parallel step happens under the stripe
-                // lock of `dst`, so the element is never accessed
-                // concurrently.
-                unsafe {
-                    if self.parent.read(dst as usize) != INVALID_VERTEX {
-                        return false;
-                    }
-                    self.parent.write(dst as usize, e.src());
-                    self.level.write(dst as usize, self.round);
-                    true
-                }
-            })
+    fn pull_op<'a>(
+        &'a self,
+        in_frontier: &'a AtomicBitmap,
+        activated: &'a AtomicBitmap,
+    ) -> BfsPull<'a> {
+        BfsPull {
+            state: self,
+            in_frontier,
+            activated,
         }
-    }
-
-    let cutoff = direction_cutoff(out.num_edges());
-    let mut frontier = VertexSubset::single(root);
-    let mut round = 0u32;
-    while !frontier.is_empty() {
-        round += 1;
-        let frontier_size = frontier.len();
-        let frontier_edges = frontier.out_edge_count(|v| out.degree(v));
-        let observed = frontier_edges + frontier_size;
-        let op = LockedPushOp {
-            parent: UnsyncSlice::new(&mut parent),
-            level: UnsyncSlice::new(&mut level),
-            locks: &locks,
-            round,
-        };
-        let (next, seconds) = timed(|| {
-            engine::vertex_push(
-                out,
-                &frontier,
-                &op,
-                ExecContext::new(),
-                FrontierKind::Sparse,
-            )
-        });
-        iterations.push(IterStat {
-            frontier_size,
-            edges_scanned: frontier_edges,
-            seconds,
-            mode: StepMode::Push,
-            density: frontier_density(observed, out.num_edges()),
-            decision: DirectionDecision::forced(observed, cutoff),
-        });
-        frontier = next;
-    }
-    BfsResult {
-        parent,
-        level,
-        iterations,
     }
 }
 
 /// Pull rule: an undiscovered vertex scans its in-neighbors for a
 /// member of the previous frontier and stops at the first hit — no
 /// synchronization needed, since each vertex only writes itself.
-struct PullState<'a> {
+struct BfsPull<'a> {
     state: &'a BfsState,
     in_frontier: &'a AtomicBitmap,
     activated: &'a AtomicBitmap,
 }
 
-impl<E: EdgeRecord> PullOp<E> for PullState<'_> {
+impl<E: EdgeRecord> PullOp<E> for BfsPull<'_> {
     const META_BYTES: u64 = BFS_META_BYTES;
 
     #[inline]
@@ -272,9 +162,7 @@ impl<E: EdgeRecord> PullOp<E> for PullState<'_> {
         let u = e.src();
         if self.in_frontier.get(u as usize) {
             // Only this thread writes `dst`'s state in pull mode.
-            self.state.parent[dst as usize].store(u, Ordering::Relaxed);
-            self.state.level[dst as usize]
-                .store(self.state.round.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.state.discover(dst as usize, u);
             self.activated.set(dst as usize);
             return true; // Early termination (§6.1.1).
         }
@@ -294,58 +182,91 @@ impl<E: EdgeRecord> PullOp<E> for PullState<'_> {
     }
 }
 
-/// Vertex-centric pull BFS (lock free). Requires in-edges.
-pub fn pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    pull_impl(adj, root, &ExecContext::new())
+/// Push rule claiming destinations under per-vertex (striped) locks —
+/// the paper's "push (with locks)" configuration (§6.1.2). Every access
+/// to a destination's state happens under its stripe lock, so the
+/// relaxed loads and stores inside are plain memory operations.
+struct LockedBfs<'a> {
+    state: &'a BfsState,
+    locks: StripedLocks,
 }
 
-pub(crate) fn pull_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
+impl<E: EdgeRecord> PushOp<E> for LockedBfs<'_> {
+    const META_BYTES: u64 = BFS_META_BYTES;
+
+    #[inline]
+    fn push(&self, e: &E) -> bool {
+        let dst = e.dst();
+        self.locks.with(dst, || {
+            if self.state.parent[dst as usize].load(Ordering::Relaxed) != INVALID_VERTEX {
+                return false;
+            }
+            self.state.discover(dst as usize, e.src());
+            true
+        })
+    }
+}
+
+impl<E: EdgeRecord> FrontierAlgo<E> for LockedBfs<'_> {
+    type Pull<'a>
+        = NoPull
+    where
+        Self: 'a;
+
+    const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
+
+    fn begin_round(&self) {
+        self.state.round.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
+        unreachable!("locked BFS is push-only")
+    }
+}
+
+/// Vertex-centric BFS from `root` in the given `direction` — the body
+/// behind [`push`], [`push_locked`], [`pull`] and [`push_pull`]. `sync`
+/// picks the push rule; only pure push has a locked flavor.
+pub(crate) fn run<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
     adj: &L,
     root: VertexId,
+    direction: Direction,
+    sync: SyncMode,
     ctx: &ExecContext<'_, P, R>,
 ) -> BfsResult {
-    let ctx = *ctx;
-    let incoming = adj.incoming();
-    let nv = incoming.num_vertices();
-    let state = BfsState::new(nv, root);
-    let mut iterations = Vec::new();
-
-    let mut frontier = VertexSubset::single(root).into_dense(nv);
-    while !frontier.is_empty() {
-        state.round.fetch_add(1, Ordering::Relaxed);
-        let frontier_size = frontier.len();
-        let in_frontier = match &frontier {
-            VertexSubset::Dense { bitmap, .. } => bitmap,
-            VertexSubset::Sparse(_) => unreachable!("pull frontier is always dense"),
-        };
-        let activated = AtomicBitmap::new(nv);
-        let op = PullState {
+    let state = BfsState::new(adj.num_vertices(), root);
+    let frontier = VertexSubset::single(root);
+    let iterations = if (direction, sync) == (Direction::Push, SyncMode::Locks) {
+        let locked = LockedBfs {
             state: &state,
-            in_frontier,
-            activated: &activated,
+            locks: StripedLocks::default(),
         };
-        let (next, seconds) =
-            timed(|| engine::vertex_pull(incoming, &op, ctx, FrontierKind::Dense));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size,
-                edges_scanned: 0,
-                seconds,
-                mode: StepMode::Pull,
-                // Pure pull never sums frontier degrees, so the load
-                // estimate degrades to the vertex term alone.
-                density: frontier_density(frontier_size, incoming.num_edges()),
-                decision: DirectionDecision::forced(
-                    frontier_size,
-                    direction_cutoff(incoming.num_edges()),
-                ),
-            },
-        );
-        frontier = next;
-    }
+        engine::edge_map(adj, frontier, &locked, direction, *ctx)
+    } else {
+        engine::edge_map(adj, frontier, &state, direction, *ctx)
+    };
     state.into_result(iterations)
+}
+
+/// Vertex-centric push BFS with atomic parent claims (the baseline
+/// "adj. push" configuration). Runs on any [`VertexLayout`]
+/// (uncompressed CSR or ccsr).
+pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
+    let ctx = ExecContext::new();
+    run(adj, root, Direction::Push, SyncMode::Atomics, &ctx)
+}
+
+/// Vertex-centric push BFS with per-vertex (striped) locks — the
+/// paper's "push (with locks)" configuration (§6.1.2).
+pub fn push_locked<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
+    let ctx = ExecContext::new();
+    run(adj, root, Direction::Push, SyncMode::Locks, &ctx)
+}
+
+/// Vertex-centric pull BFS (lock free). Requires in-edges.
+pub fn pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
+    let ctx = ExecContext::new();
+    run(adj, root, Direction::Pull, SyncMode::Atomics, &ctx)
 }
 
 /// Direction-optimizing BFS: starts pushing, switches to pull while the
@@ -353,77 +274,8 @@ pub(crate) fn pull_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recor
 /// Ligra \[29\]). Requires both edge directions (hence the doubled
 /// pre-processing cost of Fig. 1).
 pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    push_pull_impl(adj, root, &ExecContext::new())
-}
-
-pub(crate) fn push_pull_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
-    adj: &L,
-    root: VertexId,
-    ctx: &ExecContext<'_, P, R>,
-) -> BfsResult {
-    let ctx = *ctx;
-    let out = adj.out();
-    let incoming = adj.incoming();
-    let nv = out.num_vertices();
-    // Beamer's switch threshold (|E| / 20) as adopted by Ligra.
-    let edge_threshold = direction_cutoff(out.num_edges());
-    let state = BfsState::new(nv, root);
-    let mut iterations = Vec::new();
-
-    let mut frontier = VertexSubset::single(root);
-    while !frontier.is_empty() {
-        state.round.fetch_add(1, Ordering::Relaxed);
-        let frontier_size = frontier.len();
-        let frontier_edges = frontier.out_edge_count(|v| out.degree(v));
-        let decision = DirectionDecision::heuristic(frontier_edges + frontier_size, edge_threshold);
-        let density = frontier_density(frontier_edges + frontier_size, out.num_edges());
-        if decision.says_pull() {
-            let dense = frontier.into_dense(nv);
-            let in_frontier = match &dense {
-                VertexSubset::Dense { bitmap, .. } => bitmap,
-                VertexSubset::Sparse(_) => unreachable!(),
-            };
-            let activated = AtomicBitmap::new(nv);
-            let op = PullState {
-                state: &state,
-                in_frontier,
-                activated: &activated,
-            };
-            let (next, seconds) =
-                timed(|| engine::vertex_pull(incoming, &op, ctx, FrontierKind::Dense));
-            record_iter(
-                ctx,
-                &mut iterations,
-                IterStat {
-                    frontier_size,
-                    edges_scanned: frontier_edges,
-                    seconds,
-                    mode: StepMode::Pull,
-                    density,
-                    decision,
-                },
-            );
-            frontier = next;
-        } else {
-            let op = AtomicPushOp { state: &state };
-            let (next, seconds) =
-                timed(|| engine::vertex_push(out, &frontier, &op, ctx, FrontierKind::Sparse));
-            record_iter(
-                ctx,
-                &mut iterations,
-                IterStat {
-                    frontier_size,
-                    edges_scanned: frontier_edges,
-                    seconds,
-                    mode: StepMode::Push,
-                    density,
-                    decision,
-                },
-            );
-            frontier = next;
-        }
-    }
-    state.into_result(iterations)
+    let ctx = ExecContext::new();
+    run(adj, root, Direction::PushPull, SyncMode::Atomics, &ctx)
 }
 
 /// Edge-centric BFS: every iteration streams the whole edge array and
@@ -437,36 +289,10 @@ pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
     root: VertexId,
     ctx: &ExecContext<'_, P, R>,
 ) -> BfsResult {
-    let ctx = *ctx;
     let nv = edges.num_vertices();
-    let state = BfsState::new(nv, root);
-    let op = AtomicPushOp { state: &state };
-    let mut iterations = Vec::new();
-    let mut active = 1usize;
-    while active > 0 {
-        state.round.fetch_add(1, Ordering::Relaxed);
-        let (next, seconds) =
-            timed(|| engine::edge_push(edges.edges(), nv, &op, ctx, FrontierKind::Dense));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size: active,
-                edges_scanned: edges.num_edges(),
-                seconds,
-                mode: StepMode::Push,
-                // Edge-centric scans everything every round: the load
-                // is the full edge array plus the active vertices.
-                density: frontier_density(edges.num_edges() + active, edges.num_edges()),
-                decision: DirectionDecision::forced(
-                    edges.num_edges() + active,
-                    direction_cutoff(edges.num_edges()),
-                ),
-            },
-        );
-        active = next.len();
-    }
-    state.into_result(iterations)
+    full_scan(nv, edges.num_edges(), root, ctx, |state| {
+        engine::edge_push(edges.edges(), nv, state, *ctx, FrontierKind::Dense)
+    })
 }
 
 /// Grid BFS: push over grid cells with column ownership; sources are
@@ -480,33 +306,27 @@ pub(crate) fn grid_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
     root: VertexId,
     ctx: &ExecContext<'_, P, R>,
 ) -> BfsResult {
-    let ctx = *ctx;
-    let nv = grid.num_vertices();
+    full_scan(grid.num_vertices(), grid.num_edges(), root, ctx, |state| {
+        engine::grid_push_columns(grid, state, *ctx, FrontierKind::Dense)
+    })
+}
+
+/// The edge-centric/grid body: `scan` streams every edge once per
+/// round; the state's `source_active` filters to last round's
+/// discoveries, so the frontier itself only says when to stop.
+fn full_scan<P: MemProbe, R: Recorder>(
+    nv: usize,
+    num_edges: usize,
+    root: VertexId,
+    ctx: &ExecContext<'_, P, R>,
+    scan: impl Fn(&BfsState) -> VertexSubset,
+) -> BfsResult {
     let state = BfsState::new(nv, root);
-    let op = AtomicPushOp { state: &state };
-    let mut iterations = Vec::new();
-    let mut active = 1usize;
-    while active > 0 {
+    let frontier = VertexSubset::single(root);
+    let iterations = engine::scan_map(num_edges, frontier, *ctx, |_| {
         state.round.fetch_add(1, Ordering::Relaxed);
-        let (next, seconds) =
-            timed(|| engine::grid_push_columns(grid, &op, ctx, FrontierKind::Dense));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size: active,
-                edges_scanned: grid.num_edges(),
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(grid.num_edges() + active, grid.num_edges()),
-                decision: DirectionDecision::forced(
-                    grid.num_edges() + active,
-                    direction_cutoff(grid.num_edges()),
-                ),
-            },
-        );
-        active = next.len();
-    }
+        scan(&state)
+    });
     state.into_result(iterations)
 }
 
@@ -621,21 +441,14 @@ impl IncrementalBfs {
         L: VertexLayout<E>,
     {
         let (outcome, seconds) = timed(|| self.apply_inner(merged, batch));
-        let step = self.batches_applied;
-        self.batches_applied += 1;
-        if ctx.recorder.enabled() {
-            let ne = merged.num_edges();
-            let cutoff = ((ne as f64 * super::INCREMENTAL_FALLBACK_FRACTION) as usize).max(1);
-            ctx.recorder.record_iteration(IterRecord {
-                step,
-                frontier_size: outcome.touched,
-                edges_scanned: batch.len(),
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(batch.len(), ne),
-                decision: DirectionDecision::heuristic(batch.len(), cutoff),
-            });
-        }
+        super::record_repair(
+            ctx,
+            &mut self.batches_applied,
+            outcome,
+            batch.len(),
+            merged.num_edges(),
+            seconds,
+        );
         outcome
     }
 
@@ -800,7 +613,9 @@ pub fn validate<E: EdgeRecord>(out: &Adjacency<E>, root: VertexId, result: &BfsR
 mod tests {
     use super::*;
     use crate::layout::{AdjacencyList, EdgeDirection};
+    use crate::metrics::StepMode;
     use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
+    use crate::telemetry::IterRecord;
     use crate::types::Edge;
 
     /// A deterministic pseudo-random graph with a giant component.
@@ -945,7 +760,13 @@ mod tests {
         .unwrap();
         let (adj, _) = layouts(&input);
         let recorder = crate::telemetry::TraceRecorder::new();
-        let result = push_impl(&adj, 0, &ExecContext::new().with_recorder(&recorder));
+        let result = run(
+            &adj,
+            0,
+            Direction::Push,
+            SyncMode::Atomics,
+            &ExecContext::new().with_recorder(&recorder),
+        );
         let recorded = recorder.iterations();
         assert_eq!(recorded.len(), result.iterations.len());
         for (step, (rec, stat)) in recorded.iter().zip(&result.iterations).enumerate() {
@@ -962,9 +783,15 @@ mod tests {
     fn null_recorder_results_identical_to_traced() {
         let input = test_graph(600, 4000, 31);
         let (adj, _) = layouts(&input);
-        let plain = push(&adj, 0);
+        // One thread: which frontier vertex claims a child is otherwise
+        // schedule-dependent, and the parents must match exactly.
+        let pool = egraph_parallel::ThreadPool::new(1);
         let recorder = crate::telemetry::TraceRecorder::new();
-        let traced = push_impl(&adj, 0, &ExecContext::new().with_recorder(&recorder));
+        let (plain, traced) = egraph_parallel::with_pool(&pool, || {
+            let ctx = ExecContext::new().with_recorder(&recorder);
+            let traced = run(&adj, 0, Direction::Push, SyncMode::Atomics, &ctx);
+            (push(&adj, 0), traced)
+        });
         assert_eq!(plain.parent, traced.parent);
         assert_eq!(plain.level, traced.level);
         assert!(recorder.counters()[crate::engine::EDGES_EXAMINED] > 0.0);

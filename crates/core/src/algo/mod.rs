@@ -20,6 +20,11 @@
 //! exceeds [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
 //! reporting which path ran via [`IncrementalOutcome`].
 
+use egraph_cachesim::MemProbe;
+
+use crate::metrics::{frontier_density, DirectionDecision, StepMode};
+use crate::telemetry::{ExecContext, IterRecord, Recorder};
+
 pub mod als;
 pub mod bfs;
 pub mod pagerank;
@@ -42,4 +47,34 @@ pub struct IncrementalOutcome {
     /// Vertices whose value was recomputed (the whole graph on
     /// fallback).
     pub touched: usize,
+}
+
+/// Reports one incremental batch repair as an iteration record — the
+/// touched vertices as the frontier, the batch size as the scanned
+/// edges, the repair-vs-fallback threshold as the decision log — and
+/// advances the engine's batch counter.
+pub(crate) fn record_repair<P: MemProbe, R: Recorder>(
+    ctx: &ExecContext<'_, P, R>,
+    batches_applied: &mut usize,
+    outcome: IncrementalOutcome,
+    batch_len: usize,
+    num_edges: usize,
+    seconds: f64,
+) {
+    if ctx.recorder.enabled() {
+        ctx.recorder.record_iteration(IterRecord {
+            step: *batches_applied,
+            frontier_size: outcome.touched,
+            edges_scanned: batch_len,
+            seconds,
+            mode: StepMode::Push,
+            density: frontier_density(batch_len, num_edges),
+            decision: DirectionDecision::repair(
+                batch_len,
+                num_edges,
+                INCREMENTAL_FALLBACK_FRACTION,
+            ),
+        });
+    }
+    *batches_applied += 1;
 }

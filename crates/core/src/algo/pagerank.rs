@@ -14,7 +14,7 @@ use std::sync::atomic::Ordering;
 use crate::engine::{self, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Adjacency, Grid, NeighborAccess};
-use crate::metrics::{direction_cutoff, frontier_density, timed, DirectionDecision, StepMode};
+use crate::metrics::{timed, IterStat, StepMode, SyncMode};
 use crate::telemetry::{ExecContext, IterRecord, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::{StripedLocks, UnsyncSlice};
@@ -130,10 +130,6 @@ where
     let mut ranks = vec![1.0 / nv.max(1) as f32; nv];
     let mut executed = 0usize;
     let mut total = 0.0f64;
-    // Power iteration activates every vertex every step; the direction
-    // is a property of the variant, never a per-iteration choice.
-    let observed = nv + edges_per_iter;
-    let cutoff = direction_cutoff(edges_per_iter);
     for _ in 0..cfg.iterations {
         let (new_ranks, seconds) = timed(|| {
             let contrib = contributions(&ranks, out_degrees);
@@ -142,15 +138,12 @@ where
         });
         total += seconds;
         if ctx.recorder.enabled() {
-            ctx.recorder.record_iteration(IterRecord {
-                step: executed,
-                frontier_size: nv,
-                edges_scanned: edges_per_iter,
-                seconds,
-                mode,
-                density: frontier_density(observed, edges_per_iter),
-                decision: DirectionDecision::forced(observed, cutoff),
-            });
+            // Power iteration activates every vertex every step; the
+            // direction is a property of the variant, never a
+            // per-iteration choice.
+            let stat = IterStat::full_scan(nv, edges_per_iter, seconds, mode);
+            ctx.recorder
+                .record_iteration(IterRecord::from_stat(executed, &stat));
         }
         executed += 1;
         let stop = converged(&cfg, &ranks, &new_ranks);
@@ -316,22 +309,13 @@ impl<E: EdgeRecord> PushOp<E> for PrPushExclusive<'_> {
     }
 }
 
-/// Synchronization flavor of a push-mode PageRank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushSync {
-    /// Striped per-vertex locks (the paper's baseline).
-    Locks,
-    /// Atomic compare-and-swap accumulation (ablation).
-    Atomics,
-}
-
 /// Vertex-centric push PageRank over an out-adjacency (Fig. 8, "adj.
 /// push (locks)"). Runs on any [`NeighborAccess`] out-adjacency.
 pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(
     out: &A,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    sync: PushSync,
+    sync: SyncMode,
 ) -> PagerankResult {
     push_impl(out, out_degrees, cfg, sync, &ExecContext::new())
 }
@@ -340,7 +324,7 @@ pub(crate) fn push_impl<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Rec
     out: &A,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    sync: PushSync,
+    sync: SyncMode,
     ctx: &ExecContext<'_, P, R>,
 ) -> PagerankResult {
     let ctx = *ctx;
@@ -370,7 +354,7 @@ pub fn edge_centric<E: EdgeRecord>(
     edges: &EdgeList<E>,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    sync: PushSync,
+    sync: SyncMode,
 ) -> PagerankResult {
     edge_centric_impl(edges, out_degrees, cfg, sync, &ExecContext::new())
 }
@@ -379,7 +363,7 @@ pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
     edges: &EdgeList<E>,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    sync: PushSync,
+    sync: SyncMode,
     ctx: &ExecContext<'_, P, R>,
 ) -> PagerankResult {
     let ctx = *ctx;
@@ -403,23 +387,24 @@ pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
     )
 }
 
-/// Grid-push PageRank. `locked = true` iterates cells in arbitrary
-/// parallel order with striped locks ("grid (locks)"); `locked = false`
-/// uses column ownership and plain writes ("grid (no lock)") — Fig. 8.
+/// Grid-push PageRank. [`SyncMode::Locks`] iterates cells in arbitrary
+/// parallel order with striped locks ("grid (locks)");
+/// [`SyncMode::Atomics`] uses column ownership and plain writes, which
+/// need no synchronization at all ("grid (no lock)") — Fig. 8.
 pub fn grid_push<E: EdgeRecord>(
     grid: &Grid<E>,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    locked: bool,
+    sync: SyncMode,
 ) -> PagerankResult {
-    grid_push_impl(grid, out_degrees, cfg, locked, &ExecContext::new())
+    grid_push_impl(grid, out_degrees, cfg, sync, &ExecContext::new())
 }
 
 pub(crate) fn grid_push_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
     grid: &Grid<E>,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    locked: bool,
+    sync: SyncMode,
     ctx: &ExecContext<'_, P, R>,
 ) -> PagerankResult {
     let ctx = *ctx;
@@ -432,15 +417,9 @@ pub(crate) fn grid_push_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
         out_degrees,
         cfg,
         |contrib| {
-            let driver = if locked {
-                PushDriver::<E, Adjacency<E>>::GridCells(grid)
-            } else {
-                PushDriver::<E, Adjacency<E>>::GridColumns(grid)
-            };
-            let sync = if locked {
-                PushSync::Locks
-            } else {
-                PushSync::Atomics // ignored by GridColumns (exclusive writes)
+            let driver = match sync {
+                SyncMode::Locks => PushDriver::<E, Adjacency<E>>::GridCells(grid),
+                SyncMode::Atomics => PushDriver::<E, Adjacency<E>>::GridColumns(grid),
             };
             run_push_step(driver, contrib, nv, sync, ctx)
         },
@@ -531,7 +510,7 @@ fn run_push_step<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Recorder>(
     driver: PushDriver<'_, E, A>,
     contrib: &[f32],
     nv: usize,
-    sync: PushSync,
+    sync: SyncMode,
     ctx: ExecContext<'_, P, R>,
 ) -> Vec<f32> {
     match (&driver, sync) {
@@ -546,13 +525,13 @@ fn run_push_step<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Recorder>(
             }
             acc
         }
-        (_, PushSync::Atomics) => {
+        (_, SyncMode::Atomics) => {
             let acc: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
             let op = PrPushAtomic { contrib, acc: &acc };
             dispatch_push(driver, &op, ctx);
             acc.into_iter().map(|a| a.load(Ordering::Relaxed)).collect()
         }
-        (_, PushSync::Locks) => {
+        (_, SyncMode::Locks) => {
             let locks = StripedLocks::default();
             let mut acc = vec![0.0f32; nv];
             {
@@ -749,21 +728,14 @@ impl IncrementalPagerank {
         L: crate::layout::VertexLayout<E>,
     {
         let (outcome, seconds) = timed(|| self.apply_inner(merged, degrees, batch));
-        let step = self.batches_applied;
-        self.batches_applied += 1;
-        if ctx.recorder.enabled() {
-            let ne = merged.num_edges();
-            let cutoff = ((ne as f64 * super::INCREMENTAL_FALLBACK_FRACTION) as usize).max(1);
-            ctx.recorder.record_iteration(IterRecord {
-                step,
-                frontier_size: outcome.touched,
-                edges_scanned: batch.len(),
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(batch.len(), ne),
-                decision: DirectionDecision::heuristic(batch.len(), cutoff),
-            });
-        }
+        super::record_repair(
+            ctx,
+            &mut self.batches_applied,
+            outcome,
+            batch.len(),
+            merged.num_edges(),
+            seconds,
+        );
         outcome
     }
 
@@ -1012,22 +984,28 @@ mod tests {
             ("pull", pull(adj.incoming(), &degrees, cfg)),
             (
                 "push-locks",
-                push(adj.out(), &degrees, cfg, PushSync::Locks),
+                push(adj.out(), &degrees, cfg, SyncMode::Locks),
             ),
             (
                 "push-atomics",
-                push(adj.out(), &degrees, cfg, PushSync::Atomics),
+                push(adj.out(), &degrees, cfg, SyncMode::Atomics),
             ),
             (
                 "edge-atomics",
-                edge_centric(&input, &degrees, cfg, PushSync::Atomics),
+                edge_centric(&input, &degrees, cfg, SyncMode::Atomics),
             ),
             (
                 "edge-locks",
-                edge_centric(&input, &degrees, cfg, PushSync::Locks),
+                edge_centric(&input, &degrees, cfg, SyncMode::Locks),
             ),
-            ("grid-nolock", grid_push(&grid_n, &degrees, cfg, false)),
-            ("grid-locks", grid_push(&grid_n, &degrees, cfg, true)),
+            (
+                "grid-nolock",
+                grid_push(&grid_n, &degrees, cfg, SyncMode::Atomics),
+            ),
+            (
+                "grid-locks",
+                grid_push(&grid_n, &degrees, cfg, SyncMode::Locks),
+            ),
             ("grid-pull", grid_pull(&grid_t, &degrees, cfg)),
         ];
         for (name, result) in variants {

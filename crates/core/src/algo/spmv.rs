@@ -15,7 +15,7 @@ use egraph_parallel::atomicf::AtomicF32;
 use crate::engine::{self, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::NeighborAccess;
-use crate::metrics::{direction_cutoff, frontier_density, timed, DirectionDecision, StepMode};
+use crate::metrics::{timed, IterStat, StepMode};
 use crate::telemetry::{ExecContext, IterRecord, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::UnsyncSlice;
@@ -29,16 +29,10 @@ fn record_pass<P: MemProbe, R: Recorder>(
     mode: StepMode,
 ) {
     if ctx.recorder.enabled() {
-        ctx.recorder.record_iteration(IterRecord {
-            step: 0,
-            frontier_size: nv,
-            edges_scanned: edges,
-            seconds,
-            mode,
-            // A single full pass: every vertex active, every edge read.
-            density: frontier_density(nv + edges, edges),
-            decision: DirectionDecision::forced(nv + edges, direction_cutoff(edges)),
-        });
+        // A single full pass: every vertex active, every edge read.
+        let stat = IterStat::full_scan(nv, edges, seconds, mode);
+        ctx.recorder
+            .record_iteration(IterRecord::from_stat(0, &stat));
     }
 }
 

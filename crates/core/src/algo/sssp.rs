@@ -5,21 +5,24 @@
 //! its path many times during the computation, leading to an increase
 //! both in the number of iterations and the number of vertices active
 //! in each iteration." (§8)
+//!
+//! This file holds the distance state, its relaxation rules and the
+//! result conversion; the frontier loop lives in `engine::edge_map`.
 
 use std::sync::atomic::Ordering;
 
 use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
 
-use super::bfs::record_iter;
-use crate::engine::{self, PushOp};
+use crate::engine::{self, FrontierAlgo, NoPull, PushOp};
 use crate::frontier::{FrontierKind, NextFrontier, VertexSubset};
-use crate::layout::{AdjacencyList, NeighborAccess, VertexLayout};
+use crate::layout::{AdjacencyList, VertexLayout};
 use crate::metrics::{
-    direction_cutoff, frontier_density, timed, DirectionDecision, IterStat, StepMode,
+    direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
 };
 use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
+use crate::util::AtomicBitmap;
 
 /// The result of an SSSP run.
 #[derive(Debug, Clone)]
@@ -43,11 +46,28 @@ impl SsspResult {
     }
 }
 
-struct SsspPushOp<'a> {
-    dist: &'a [AtomicF32],
+/// Tentative distances, all infinite but the source's. As a [`PushOp`]
+/// it relaxes an edge with an atomic minimum.
+struct SsspState {
+    dist: Vec<AtomicF32>,
 }
 
-impl<E: EdgeRecord> PushOp<E> for SsspPushOp<'_> {
+impl SsspState {
+    fn new(nv: usize, source: VertexId) -> Self {
+        let dist: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(f32::INFINITY)).collect();
+        dist[source as usize].store(0.0, Ordering::Relaxed);
+        Self { dist }
+    }
+
+    fn into_result(self, iterations: Vec<IterStat>) -> SsspResult {
+        SsspResult {
+            dist: (self.dist.iter().map(|d| d.load(Ordering::Relaxed))).collect(),
+            iterations,
+        }
+    }
+}
+
+impl<E: EdgeRecord> PushOp<E> for SsspState {
     const META_BYTES: u64 = 4; // one f32 distance per vertex
 
     #[inline]
@@ -57,6 +77,20 @@ impl<E: EdgeRecord> PushOp<E> for SsspPushOp<'_> {
             return false;
         }
         self.dist[e.dst() as usize].fetch_min(d + e.weight(), Ordering::Relaxed)
+    }
+}
+
+impl<E: EdgeRecord> FrontierAlgo<E> for SsspState {
+    type Pull<'a> = NoPull;
+
+    // Dense accumulation: a vertex improved several times in one step
+    // must appear once in the next frontier — which stays small, so it
+    // is re-listed for the next round.
+    const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
+    const RELIST: bool = true;
+
+    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
+        unreachable!("SSSP is push-only")
     }
 }
 
@@ -75,44 +109,10 @@ pub(crate) fn push_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recor
     source: VertexId,
     ctx: &ExecContext<'_, P, R>,
 ) -> SsspResult {
-    let ctx = *ctx;
-    let out = adj.out();
-    let nv = out.num_vertices();
-    let dist: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(f32::INFINITY)).collect();
-    dist[source as usize].store(0.0, Ordering::Relaxed);
-    let op = SsspPushOp { dist: &dist };
-    let mut frontier = VertexSubset::single(source);
-    let mut iterations = Vec::new();
-    let cutoff = direction_cutoff(out.num_edges());
-    while !frontier.is_empty() {
-        let frontier_size = frontier.len();
-        let frontier_edges = frontier.out_edge_count(|v| out.degree(v));
-        let observed = frontier_edges + frontier_size;
-        // Dense accumulation: a vertex improved several times in one
-        // step must appear once in the next frontier.
-        let (next, seconds) =
-            timed(|| engine::vertex_push(out, &frontier, &op, ctx, FrontierKind::Dense));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size,
-                edges_scanned: frontier_edges,
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(observed, out.num_edges()),
-                decision: DirectionDecision::forced(observed, cutoff),
-            },
-        );
-        frontier = next.into_sparse();
-    }
-    SsspResult {
-        dist: dist
-            .into_iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect(),
-        iterations,
-    }
+    let state = SsspState::new(adj.num_vertices(), source);
+    let frontier = VertexSubset::single(source);
+    let iterations = engine::edge_map(adj, frontier, &state, Direction::Push, *ctx);
+    state.into_result(iterations)
 }
 
 /// Edge-centric SSSP: every iteration streams the whole edge array,
@@ -126,15 +126,11 @@ pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
     source: VertexId,
     ctx: &ExecContext<'_, P, R>,
 ) -> SsspResult {
-    let ctx = *ctx;
-    let nv = edges.num_vertices();
-    let dist: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(f32::INFINITY)).collect();
-    dist[source as usize].store(0.0, Ordering::Relaxed);
-    let mut iterations = Vec::new();
-
+    /// The relaxation filtered to last round's improved sources (all of
+    /// which hold finite distances).
     struct ActiveOp<'a> {
         dist: &'a [AtomicF32],
-        active: &'a crate::util::AtomicBitmap,
+        active: &'a AtomicBitmap,
     }
     impl<E: EdgeRecord> PushOp<E> for ActiveOp<'_> {
         const META_BYTES: u64 = 4;
@@ -151,44 +147,20 @@ pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
         }
     }
 
-    let mut frontier = VertexSubset::single(source).into_dense(nv);
-    while !frontier.is_empty() {
-        let frontier_size = frontier.len();
-        let active = match &frontier {
-            VertexSubset::Dense { bitmap, .. } => bitmap,
-            VertexSubset::Sparse(_) => unreachable!("edge-centric frontier is dense"),
+    let nv = edges.num_vertices();
+    let state = SsspState::new(nv, source);
+    let frontier = VertexSubset::single(source).into_dense(nv);
+    let iterations = engine::scan_map(edges.num_edges(), frontier, *ctx, |frontier| {
+        let VertexSubset::Dense { bitmap, .. } = frontier else {
+            unreachable!("edge-centric frontiers are dense")
         };
         let op = ActiveOp {
-            dist: &dist,
-            active,
+            dist: &state.dist,
+            active: bitmap,
         };
-        let (next, seconds) =
-            timed(|| engine::edge_push(edges.edges(), nv, &op, ctx, FrontierKind::Dense));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size,
-                edges_scanned: edges.num_edges(),
-                seconds,
-                mode: StepMode::Push,
-                // Edge-centric streams the full edge array every round.
-                density: frontier_density(edges.num_edges() + frontier_size, edges.num_edges()),
-                decision: DirectionDecision::forced(
-                    edges.num_edges() + frontier_size,
-                    direction_cutoff(edges.num_edges()),
-                ),
-            },
-        );
-        frontier = next;
-    }
-    SsspResult {
-        dist: dist
-            .into_iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect(),
-        iterations,
-    }
+        engine::edge_push(edges.edges(), nv, &op, *ctx, FrontierKind::Dense)
+    });
+    state.into_result(iterations)
 }
 
 /// Delta-stepping SSSP (Meyer & Sanders) — an extension beyond the
@@ -212,8 +184,8 @@ pub fn delta_stepping<E: EdgeRecord>(
     assert!(delta > 0.0, "delta must be positive");
     let out = adj.out();
     let nv = out.num_vertices();
-    let dist: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(f32::INFINITY)).collect();
-    dist[source as usize].store(0.0, Ordering::Relaxed);
+    let state = SsspState::new(nv, source);
+    let dist = &state.dist;
     let mut iterations = Vec::new();
 
     let bucket_of = |d: f32| -> usize { (d / delta) as usize };
@@ -308,13 +280,7 @@ pub fn delta_stepping<E: EdgeRecord>(
         }
         current += 1;
     }
-    SsspResult {
-        dist: dist
-            .into_iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect(),
-        iterations,
-    }
+    state.into_result(iterations)
 }
 
 /// Serial Dijkstra reference for validation.

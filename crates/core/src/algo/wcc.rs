@@ -8,19 +8,20 @@
 //! on the diameter: low-diameter graphs converge in few iterations
 //! (edge array wins), high-diameter graphs need many (adjacency list
 //! wins).
+//!
+//! This file holds the label state, its push/pull rules and the result
+//! conversion; the vertex-centric iteration loop — and the direction
+//! choice — live in `engine::edge_map`.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use egraph_cachesim::MemProbe;
 
-use super::bfs::record_iter;
-use crate::engine::{self, PullOp, PushOp};
+use crate::engine::{self, FrontierAlgo, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{NeighborAccess, VertexLayout};
-use crate::metrics::{
-    direction_cutoff, frontier_density, timed, DirectionDecision, IterStat, StepMode,
-};
-use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::layout::VertexLayout;
+use crate::metrics::{timed, Direction, IterStat};
+use crate::telemetry::{ExecContext, Recorder};
 use crate::types::VertexId;
 use crate::types::{EdgeList, EdgeRecord};
 use crate::util::AtomicBitmap;
@@ -50,11 +51,68 @@ impl WccResult {
     }
 }
 
-struct WccPushOp<'a> {
-    label: &'a [AtomicU32],
+/// The label array, every vertex starting in its own component. As a
+/// [`PushOp`] it lowers the destination's label to the source's.
+struct WccState {
+    label: Vec<AtomicU32>,
 }
 
-impl<E: EdgeRecord> PushOp<E> for WccPushOp<'_> {
+impl WccState {
+    fn new(nv: usize) -> Self {
+        Self {
+            label: (0..nv as u32).map(AtomicU32::new).collect(),
+        }
+    }
+
+    /// Propagates the smaller label of `e`'s endpoints to the other one
+    /// (the direction-free rule of the edge-array and grid kernels);
+    /// returns whether a label moved.
+    #[inline]
+    fn relax_both<E: EdgeRecord>(&self, e: &E) -> bool {
+        let (s, d) = (e.src() as usize, e.dst() as usize);
+        let ls = self.label[s].load(Ordering::Relaxed);
+        let ld = self.label[d].load(Ordering::Relaxed);
+        if ls < ld {
+            self.label[d].fetch_min(ls, Ordering::Relaxed) > ls
+        } else if ld < ls {
+            self.label[s].fetch_min(ld, Ordering::Relaxed) > ld
+        } else {
+            false
+        }
+    }
+
+    /// Runs full-scan rounds until a pass moves no label; `pass` streams
+    /// every edge once (through [`Self::relax_both`]) and reports
+    /// whether anything changed. Every vertex counts as active each
+    /// round, and the final no-change pass is recorded too.
+    fn full_scan_rounds<P: MemProbe, R: Recorder>(
+        self,
+        num_edges: usize,
+        ctx: &ExecContext<'_, P, R>,
+        pass: impl Fn(&Self, &AtomicBool),
+    ) -> WccResult {
+        let nv = self.label.len();
+        let mut iterations = Vec::new();
+        loop {
+            let changed = AtomicBool::new(false);
+            let ((), seconds) = timed(|| pass(&self, &changed));
+            engine::record_full_scan(*ctx, &mut iterations, nv, num_edges, seconds);
+            if !changed.load(Ordering::Relaxed) {
+                break;
+            }
+        }
+        self.into_result(iterations)
+    }
+
+    fn into_result(self, iterations: Vec<IterStat>) -> WccResult {
+        WccResult {
+            label: self.label.into_iter().map(AtomicU32::into_inner).collect(),
+            iterations,
+        }
+    }
+}
+
+impl<E: EdgeRecord> PushOp<E> for WccState {
     const META_BYTES: u64 = 4;
 
     #[inline]
@@ -67,112 +125,23 @@ impl<E: EdgeRecord> PushOp<E> for WccPushOp<'_> {
     }
 }
 
-/// Vertex-centric push WCC over an **undirected** adjacency (build it
-/// from [`EdgeList::to_undirected`], which is what doubles the
-/// pre-processing cost). Runs on any [`VertexLayout`].
-pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    push_impl(adj, &ExecContext::new())
-}
+impl<E: EdgeRecord> FrontierAlgo<E> for WccState {
+    type Pull<'a> = WccPullOp<'a>;
 
-pub(crate) fn push_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
-    adj: &L,
-    ctx: &ExecContext<'_, P, R>,
-) -> WccResult {
-    let ctx = *ctx;
-    let out = adj.out();
-    let nv = out.num_vertices();
-    let label: Vec<AtomicU32> = (0..nv as u32).map(AtomicU32::new).collect();
-    let op = WccPushOp { label: &label };
-    let cutoff = direction_cutoff(out.num_edges());
-    let mut frontier = VertexSubset::all(nv);
-    let mut iterations = Vec::new();
-    while !frontier.is_empty() {
-        let frontier_size = frontier.len();
-        let (next, seconds) =
-            timed(|| engine::vertex_push(out, &frontier, &op, ctx, FrontierKind::Dense));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size,
-                edges_scanned: 0,
-                seconds,
-                // Pure push never sums frontier degrees here, so the
-                // load estimate degrades to the vertex term alone.
-                density: frontier_density(frontier_size, out.num_edges()),
-                mode: StepMode::Push,
-                decision: DirectionDecision::forced(frontier_size, cutoff),
-            },
-        );
-        frontier = next;
-    }
-    WccResult {
-        label: label.into_iter().map(AtomicU32::into_inner).collect(),
-        iterations,
-    }
-}
+    // A label can drop several times in one round.
+    const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
+    const SYMMETRIC: bool = true;
 
-/// Edge-centric WCC over the raw (directed) edge array: each stored
-/// edge propagates the smaller label to the other endpoint, so no
-/// undirected copy — and no pre-processing at all — is needed.
-pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>) -> WccResult {
-    edge_centric_impl(edges, &ExecContext::new())
-}
-
-pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    edges: &EdgeList<E>,
-    ctx: &ExecContext<'_, P, R>,
-) -> WccResult {
-    let ctx = *ctx;
-    let nv = edges.num_vertices();
-    let label: Vec<AtomicU32> = (0..nv as u32).map(AtomicU32::new).collect();
-    let mut iterations = Vec::new();
-    loop {
-        let changed = AtomicBool::new(false);
-        let (_, seconds) = timed(|| {
-            egraph_parallel::parallel_for(
-                0..edges.num_edges(),
-                egraph_parallel::DEFAULT_GRAIN,
-                |r| {
-                    let mut any = false;
-                    for e in &edges.edges()[r] {
-                        let (s, d) = (e.src() as usize, e.dst() as usize);
-                        let ls = label[s].load(Ordering::Relaxed);
-                        let ld = label[d].load(Ordering::Relaxed);
-                        if ls < ld {
-                            any |= label[d].fetch_min(ls, Ordering::Relaxed) > ls;
-                        } else if ld < ls {
-                            any |= label[s].fetch_min(ld, Ordering::Relaxed) > ld;
-                        }
-                    }
-                    if any {
-                        changed.store(true, Ordering::Relaxed);
-                    }
-                },
-            );
-        });
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size: nv,
-                edges_scanned: edges.num_edges(),
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(edges.num_edges() + nv, edges.num_edges()),
-                decision: DirectionDecision::forced(
-                    edges.num_edges() + nv,
-                    direction_cutoff(edges.num_edges()),
-                ),
-            },
-        );
-        if !changed.load(Ordering::Relaxed) {
-            break;
+    fn pull_op<'a>(
+        &'a self,
+        in_frontier: &'a AtomicBitmap,
+        activated: &'a AtomicBitmap,
+    ) -> WccPullOp<'a> {
+        WccPullOp {
+            label: &self.label,
+            activated,
+            in_frontier,
         }
-    }
-    WccResult {
-        label: label.into_iter().map(AtomicU32::into_inner).collect(),
-        iterations,
     }
 }
 
@@ -227,138 +196,64 @@ impl<E: EdgeRecord> PullOp<E> for WccPullOp<'_> {
     }
 }
 
+/// Vertex-centric WCC in the given `direction` over an **undirected**
+/// adjacency — the body behind [`push`], [`pull`] and [`push_pull`].
+/// Every vertex starts active.
+pub(crate) fn run<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
+    adj: &L,
+    direction: Direction,
+    ctx: &ExecContext<'_, P, R>,
+) -> WccResult {
+    let nv = adj.num_vertices();
+    let state = WccState::new(nv);
+    let iterations = engine::edge_map(adj, VertexSubset::all(nv), &state, direction, *ctx);
+    state.into_result(iterations)
+}
+
+/// Vertex-centric push WCC over an **undirected** adjacency (build it
+/// from [`EdgeList::to_undirected`], which is what doubles the
+/// pre-processing cost). Runs on any [`VertexLayout`].
+pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
+    run(adj, Direction::Push, &ExecContext::new())
+}
+
 /// Vertex-centric pull WCC over an **undirected** adjacency list: no
 /// locks, no CAS — each vertex writes only itself (§6.1.2 applied to
 /// label propagation).
 pub fn pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    pull_impl(adj, &ExecContext::new())
-}
-
-pub(crate) fn pull_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
-    adj: &L,
-    ctx: &ExecContext<'_, P, R>,
-) -> WccResult {
-    let ctx = *ctx;
-    let incoming = adj.incoming_opt().unwrap_or_else(|| adj.out());
-    let nv = incoming.num_vertices();
-    let label: Vec<AtomicU32> = (0..nv as u32).map(AtomicU32::new).collect();
-    let mut frontier = VertexSubset::all(nv);
-    let mut iterations = Vec::new();
-    while !frontier.is_empty() {
-        let frontier_size = frontier.len();
-        let dense = frontier.into_dense(nv);
-        let in_frontier = match &dense {
-            VertexSubset::Dense { bitmap, .. } => bitmap,
-            VertexSubset::Sparse(_) => unreachable!("converted above"),
-        };
-        let activated = AtomicBitmap::new(nv);
-        let op = WccPullOp {
-            label: &label,
-            activated: &activated,
-            in_frontier,
-        };
-        let (next, seconds) =
-            timed(|| engine::vertex_pull(incoming, &op, ctx, FrontierKind::Dense));
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size,
-                edges_scanned: incoming.num_edges(),
-                seconds,
-                mode: StepMode::Pull,
-                density: frontier_density(
-                    incoming.num_edges() + frontier_size,
-                    incoming.num_edges(),
-                ),
-                decision: DirectionDecision::forced(
-                    incoming.num_edges() + frontier_size,
-                    direction_cutoff(incoming.num_edges()),
-                ),
-            },
-        );
-        frontier = next;
-    }
-    WccResult {
-        label: label.into_iter().map(AtomicU32::into_inner).collect(),
-        iterations,
-    }
+    run(adj, Direction::Pull, &ExecContext::new())
 }
 
 /// Direction-optimizing WCC: push rounds while the active set is
 /// small, pull rounds while it is large (the Ligra recipe applied to
 /// label propagation). Requires an undirected adjacency list.
 pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    push_pull_impl(adj, &ExecContext::new())
+    run(adj, Direction::PushPull, &ExecContext::new())
 }
 
-pub(crate) fn push_pull_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
-    adj: &L,
+/// Edge-centric WCC over the raw (directed) edge array: each stored
+/// edge propagates the smaller label to the other endpoint, so no
+/// undirected copy — and no pre-processing at all — is needed.
+pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>) -> WccResult {
+    edge_centric_impl(edges, &ExecContext::new())
+}
+
+pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
+    edges: &EdgeList<E>,
     ctx: &ExecContext<'_, P, R>,
 ) -> WccResult {
-    let ctx = *ctx;
-    let out = adj.out();
-    let nv = out.num_vertices();
-    // Beamer's switch threshold (|E| / 20) as adopted by Ligra.
-    let edge_threshold = direction_cutoff(out.num_edges());
-    let label: Vec<AtomicU32> = (0..nv as u32).map(AtomicU32::new).collect();
-    let mut frontier = VertexSubset::all(nv);
-    let mut iterations = Vec::new();
-    while !frontier.is_empty() {
-        let frontier_size = frontier.len();
-        let frontier_edges = frontier.out_edge_count(|v| out.degree(v));
-        let decision = DirectionDecision::heuristic(frontier_edges + frontier_size, edge_threshold);
-        let density = frontier_density(frontier_edges + frontier_size, out.num_edges());
-        if decision.says_pull() {
-            // Pull round.
-            let dense = frontier.into_dense(nv);
-            let in_frontier = match &dense {
-                VertexSubset::Dense { bitmap, .. } => bitmap,
-                VertexSubset::Sparse(_) => unreachable!(),
-            };
-            let activated = AtomicBitmap::new(nv);
-            let op = WccPullOp {
-                label: &label,
-                activated: &activated,
-                in_frontier,
-            };
-            let (next, seconds) = timed(|| engine::vertex_pull(out, &op, ctx, FrontierKind::Dense));
-            record_iter(
-                ctx,
-                &mut iterations,
-                IterStat {
-                    frontier_size,
-                    edges_scanned: out.num_edges(),
-                    seconds,
-                    mode: StepMode::Pull,
-                    density,
-                    decision,
-                },
-            );
-            frontier = next;
-        } else {
-            let op = WccPushOp { label: &label };
-            let (next, seconds) =
-                timed(|| engine::vertex_push(out, &frontier, &op, ctx, FrontierKind::Dense));
-            record_iter(
-                ctx,
-                &mut iterations,
-                IterStat {
-                    frontier_size,
-                    edges_scanned: frontier_edges,
-                    seconds,
-                    mode: StepMode::Push,
-                    density,
-                    decision,
-                },
-            );
-            frontier = next;
-        }
-    }
-    WccResult {
-        label: label.into_iter().map(AtomicU32::into_inner).collect(),
-        iterations,
-    }
+    let ne = edges.num_edges();
+    WccState::new(edges.num_vertices()).full_scan_rounds(ne, ctx, |state, changed| {
+        egraph_parallel::parallel_for(0..ne, egraph_parallel::DEFAULT_GRAIN, |r| {
+            let mut any = false;
+            for e in &edges.edges()[r] {
+                any |= state.relax_both(e);
+            }
+            if any {
+                changed.store(true, Ordering::Relaxed);
+            }
+        });
+    })
 }
 
 /// Grid WCC: like [`edge_centric`] but iterating cells in grid order,
@@ -372,57 +267,20 @@ pub(crate) fn grid_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
     grid: &crate::layout::Grid<E>,
     ctx: &ExecContext<'_, P, R>,
 ) -> WccResult {
-    let ctx = *ctx;
-    let nv = grid.num_vertices();
-    let label: Vec<AtomicU32> = (0..nv as u32).map(AtomicU32::new).collect();
     let side = grid.side();
-    let mut iterations = Vec::new();
-    loop {
-        let changed = AtomicBool::new(false);
-        let (_, seconds) = timed(|| {
-            egraph_parallel::parallel_for(0..side * side, 1, |cells| {
-                let mut any = false;
-                for cell_id in cells {
-                    let (row, col) = (cell_id / side, cell_id % side);
-                    for e in grid.cell(row, col) {
-                        let (s, d) = (e.src() as usize, e.dst() as usize);
-                        let ls = label[s].load(Ordering::Relaxed);
-                        let ld = label[d].load(Ordering::Relaxed);
-                        if ls < ld {
-                            any |= label[d].fetch_min(ls, Ordering::Relaxed) > ls;
-                        } else if ld < ls {
-                            any |= label[s].fetch_min(ld, Ordering::Relaxed) > ld;
-                        }
-                    }
+    WccState::new(grid.num_vertices()).full_scan_rounds(grid.num_edges(), ctx, |state, changed| {
+        egraph_parallel::parallel_for(0..side * side, 1, |cells| {
+            let mut any = false;
+            for cell_id in cells {
+                for e in grid.cell(cell_id / side, cell_id % side) {
+                    any |= state.relax_both(e);
                 }
-                if any {
-                    changed.store(true, Ordering::Relaxed);
-                }
-            });
+            }
+            if any {
+                changed.store(true, Ordering::Relaxed);
+            }
         });
-        record_iter(
-            ctx,
-            &mut iterations,
-            IterStat {
-                frontier_size: nv,
-                edges_scanned: grid.num_edges(),
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(grid.num_edges() + nv, grid.num_edges()),
-                decision: DirectionDecision::forced(
-                    grid.num_edges() + nv,
-                    direction_cutoff(grid.num_edges()),
-                ),
-            },
-        );
-        if !changed.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-    WccResult {
-        label: label.into_iter().map(AtomicU32::into_inner).collect(),
-        iterations,
-    }
+    })
 }
 
 /// Serial union-find reference for validation.
@@ -510,21 +368,14 @@ impl IncrementalWcc {
         ctx: &ExecContext<'_, P, R>,
     ) -> super::IncrementalOutcome {
         let (outcome, seconds) = timed(|| self.apply_inner(merged, batch));
-        let step = self.batches_applied;
-        self.batches_applied += 1;
-        if ctx.recorder.enabled() {
-            let ne = merged.num_edges();
-            let cutoff = ((ne as f64 * super::INCREMENTAL_FALLBACK_FRACTION) as usize).max(1);
-            ctx.recorder.record_iteration(IterRecord {
-                step,
-                frontier_size: outcome.touched,
-                edges_scanned: batch.len(),
-                seconds,
-                mode: StepMode::Push,
-                density: frontier_density(batch.len(), ne),
-                decision: DirectionDecision::heuristic(batch.len(), cutoff),
-            });
-        }
+        super::record_repair(
+            ctx,
+            &mut self.batches_applied,
+            outcome,
+            batch.len(),
+            merged.num_edges(),
+            seconds,
+        );
         outcome
     }
 
@@ -584,6 +435,7 @@ impl IncrementalWcc {
 mod tests {
     use super::*;
     use crate::layout::EdgeDirection;
+    use crate::metrics::StepMode;
     use crate::preprocess::{CsrBuilder, Strategy};
     use crate::types::Edge;
 

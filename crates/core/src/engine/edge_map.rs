@@ -1,0 +1,232 @@
+//! The frontier driver — Ligra's `edgeMap` loop.
+//!
+//! Information flow is a dimension orthogonal to algorithm and layout
+//! (§4, §6.1), so the direction of a run is a *value* handed to one
+//! loop, not a property baked into a hand-written copy of it.
+//! [`edge_map`] owns every iteration of a frontier algorithm: the load
+//! estimate, the [`DirectionDecision`], the sparse/dense frontier
+//! conversion, the [`vertex_push`]/[`vertex_pull`] call, its timing and
+//! the one iteration record. It is the single place a direction is
+//! chosen and logged; [`scan_map`] runs the full-scan (edge-array, grid)
+//! rounds through the same record path.
+//!
+//! **The observed load** has one definition for every record (DESIGN.md
+//! §17.1): an edge term plus the frontier's vertex count. The edge term
+//! is the frontier's out-degree sum when the policy is the heuristic or
+//! the frontier is a sparse list (an O(|F|) reduction); `|E|` for a
+//! full scan; and omitted for a forced direction over a dense frontier,
+//! which would need an O(V) reduction nothing consumes. `edges_scanned`
+//! is that same edge term.
+
+use egraph_cachesim::MemProbe;
+
+use super::{vertex_pull, vertex_push, PullOp, PushOp};
+use crate::frontier::{FrontierKind, VertexSubset};
+use crate::layout::{NeighborAccess, VertexLayout};
+use crate::metrics::{
+    direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
+};
+use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::types::{EdgeRecord, VertexId};
+use crate::util::AtomicBitmap;
+
+/// What a frontier algorithm hands [`edge_map`]: its state *is* the
+/// push rule, and it builds the pull rule of a round from that round's
+/// frontier bitmaps.
+pub(crate) trait FrontierAlgo<E: EdgeRecord>: PushOp<E> {
+    /// The pull rule of one round.
+    type Pull<'a>: PullOp<E>
+    where
+        Self: 'a;
+
+    /// How push rounds collect the next frontier: `Sparse` when the
+    /// push rule activates each vertex at most once (BFS claims),
+    /// `Dense` when a vertex may improve several times in one round
+    /// (label and distance relaxations).
+    const PUSH_NEXT: FrontierKind;
+
+    /// Re-list a densely collected frontier before the next round —
+    /// for algorithms whose frontiers stay small (SSSP), iterating a
+    /// list beats scanning the bitmap.
+    const RELIST: bool = false;
+
+    /// The algorithm runs on a symmetrized graph, so pull rounds may
+    /// read the out-lists of a layout built without an in-direction
+    /// (WCC's undirected CSR).
+    const SYMMETRIC: bool = false;
+
+    /// Called at the start of every round (BFS advances its depth).
+    fn begin_round(&self) {}
+
+    /// The pull rule for a round whose frontier is `in_frontier`;
+    /// vertices it changes are marked in `activated`.
+    fn pull_op<'a>(
+        &'a self,
+        in_frontier: &'a AtomicBitmap,
+        activated: &'a AtomicBitmap,
+    ) -> Self::Pull<'a>;
+}
+
+/// The [`FrontierAlgo::Pull`] of a push-only algorithm (SSSP, locked
+/// BFS). Their callers only ever pass [`Direction::Push`], so no round
+/// uses it — which is why the driver stays crate-private: nothing in
+/// the types stops an outside caller handing such an algorithm
+/// [`Direction::Pull`].
+#[derive(Debug)]
+pub(crate) struct NoPull;
+
+impl<E: EdgeRecord> PullOp<E> for NoPull {
+    fn wants_pull(&self, _dst: VertexId) -> bool {
+        false
+    }
+
+    fn pull(&self, _dst: VertexId, _e: &E) -> bool {
+        true
+    }
+
+    fn activated(&self, _dst: VertexId) -> bool {
+        false
+    }
+}
+
+/// Appends `stat` to the run's iteration log and mirrors it to the
+/// context's recorder (free under the default `NullRecorder`).
+fn record_iter<P: MemProbe, R: Recorder>(
+    ctx: ExecContext<'_, P, R>,
+    iterations: &mut Vec<IterStat>,
+    stat: IterStat,
+) {
+    if ctx.recorder.enabled() {
+        ctx.recorder
+            .record_iteration(IterRecord::from_stat(iterations.len(), &stat));
+    }
+    iterations.push(stat);
+}
+
+/// Runs `algo` from `frontier` until no vertex is active and returns
+/// the per-iteration log.
+///
+/// `policy` is the run's direction: [`Direction::Push`] and
+/// [`Direction::Pull`] force every round (the comparison against the
+/// Ligra `|E| / 20` cutoff is still logged as the counterfactual),
+/// [`Direction::PushPull`] lets the comparison choose per round.
+/// Forced pull never touches the out-direction and forced push never
+/// the in-direction, so single-direction layouts run.
+///
+/// Statically dispatched over layout and rule, and no more work per
+/// round than a hand-written loop: forced directions over a dense
+/// frontier skip the degree reduction (see the module docs).
+pub(crate) fn edge_map<E, L, A, P, R>(
+    layout: &L,
+    mut frontier: VertexSubset,
+    algo: &A,
+    policy: Direction,
+    ctx: ExecContext<'_, P, R>,
+) -> Vec<IterStat>
+where
+    E: EdgeRecord,
+    L: VertexLayout<E>,
+    A: FrontierAlgo<E>,
+    P: MemProbe,
+    R: Recorder,
+{
+    let nv = layout.num_vertices();
+    let num_edges = layout.num_edges();
+    let cutoff = direction_cutoff(num_edges);
+    let mut iterations = Vec::new();
+    while !frontier.is_empty() {
+        algo.begin_round();
+        let frontier_size = frontier.len();
+        let sum_degrees = match policy {
+            Direction::PushPull => true,
+            Direction::Push => matches!(frontier, VertexSubset::Sparse(_)),
+            Direction::Pull => false,
+        };
+        let frontier_edges = if sum_degrees {
+            let out = layout.out();
+            frontier.out_edge_count(|v| out.degree(v))
+        } else {
+            0
+        };
+        let observed = frontier_edges + frontier_size;
+        let (decision, mode) = match policy {
+            Direction::Push => (DirectionDecision::forced(observed, cutoff), StepMode::Push),
+            Direction::Pull => (DirectionDecision::forced(observed, cutoff), StepMode::Pull),
+            Direction::PushPull => {
+                let decision = DirectionDecision::heuristic(observed, cutoff);
+                let mode = if decision.says_pull() {
+                    StepMode::Pull
+                } else {
+                    StepMode::Push
+                };
+                (decision, mode)
+            }
+        };
+        let (next, seconds) = match mode {
+            StepMode::Pull => {
+                frontier = frontier.into_dense(nv);
+                let VertexSubset::Dense { bitmap, .. } = &frontier else {
+                    unreachable!("converted above")
+                };
+                let incoming = if A::SYMMETRIC {
+                    layout.incoming_opt().unwrap_or_else(|| layout.out())
+                } else {
+                    layout.incoming()
+                };
+                let activated = AtomicBitmap::new(nv);
+                let op = algo.pull_op(bitmap, &activated);
+                timed(|| vertex_pull(incoming, &op, ctx, FrontierKind::Dense))
+            }
+            StepMode::Push => {
+                timed(|| vertex_push(layout.out(), &frontier, algo, ctx, A::PUSH_NEXT))
+            }
+        };
+        record_iter(
+            ctx,
+            &mut iterations,
+            IterStat {
+                frontier_size,
+                edges_scanned: frontier_edges,
+                seconds,
+                mode,
+                density: frontier_density(observed, num_edges),
+                decision,
+            },
+        );
+        frontier = if A::RELIST { next.into_sparse() } else { next };
+    }
+    iterations
+}
+
+/// The full-scan counterpart of [`edge_map`] for layouts without
+/// per-vertex access (edge array, grid): every round `scan` streams all
+/// `num_edges` edges, pushing from the current frontier, and returns
+/// the next one. Direction is structurally push, recorded as forced.
+pub(crate) fn scan_map<P: MemProbe, R: Recorder>(
+    num_edges: usize,
+    mut frontier: VertexSubset,
+    ctx: ExecContext<'_, P, R>,
+    mut scan: impl FnMut(&VertexSubset) -> VertexSubset,
+) -> Vec<IterStat> {
+    let mut iterations = Vec::new();
+    while !frontier.is_empty() {
+        let (next, seconds) = timed(|| scan(&frontier));
+        record_full_scan(ctx, &mut iterations, frontier.len(), num_edges, seconds);
+        frontier = next;
+    }
+    iterations
+}
+
+/// Records one full-scan push round (see [`IterStat::full_scan`]) —
+/// for kernels whose rounds are not frontier-shaped (WCC's
+/// changed-flag passes over the edge array and grid).
+pub(crate) fn record_full_scan<P: MemProbe, R: Recorder>(
+    ctx: ExecContext<'_, P, R>,
+    iterations: &mut Vec<IterStat>,
+    frontier_size: usize,
+    num_edges: usize,
+    seconds: f64,
+) {
+    let stat = IterStat::full_scan(frontier_size, num_edges, seconds, StepMode::Push);
+    record_iter(ctx, iterations, stat);
+}

@@ -5,11 +5,13 @@
 //! edge-centric over edge arrays, or cell-centric over grids — and *how
 //! information flows* — **push** (an active vertex writes its
 //! out-neighbors) or **pull** (a vertex reads its in-neighbors and
-//! updates itself). This module provides one driver per combination;
-//! algorithms supply the per-edge semantics through the [`PushOp`] /
-//! [`PullOp`] traits and own their vertex state (atomics, locked
-//! arrays, or exclusive writes, depending on the synchronization
-//! strategy being measured).
+//! updates itself). This module provides one step driver per
+//! combination; algorithms supply the per-edge semantics through the
+//! [`PushOp`] / [`PullOp`] traits and own their vertex state (atomics,
+//! locked arrays, or exclusive writes, depending on the synchronization
+//! strategy being measured). Frontier algorithms hand whole runs to
+//! `edge_map`, the one loop that picks and records a direction per
+//! iteration.
 //!
 //! Every driver takes an [`ExecContext`] bundling a [`MemProbe`] (so
 //! the same code path can run under the LLC simulator) and a
@@ -17,6 +19,10 @@
 //! the default [`NullProbe`](egraph_cachesim::NullProbe) /
 //! [`NullRecorder`](crate::telemetry::NullRecorder) specializations
 //! compile both kinds of instrumentation away.
+
+mod edge_map;
+
+pub(crate) use edge_map::{edge_map, record_full_scan, scan_map, FrontierAlgo, NoPull};
 
 use egraph_cachesim::probe::regions;
 use egraph_cachesim::MemProbe;

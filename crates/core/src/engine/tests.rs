@@ -2,12 +2,13 @@
 //! operators (the algorithms provide end-to-end coverage; these tests
 //! pin the driver contracts themselves).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use egraph_cachesim::{AccessKind, CacheConfig, LlcProbe};
 
 use super::*;
 use crate::layout::EdgeDirection;
+use crate::metrics::{Direction, DirectionDecision, IterStat, StepMode};
 use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use crate::telemetry::TraceRecorder;
 use crate::types::{Edge, EdgeList};
@@ -307,4 +308,180 @@ fn empty_graph_drivers_are_noops() {
     .is_empty());
     assert!(grid_push_columns(&grid, &op, ExecContext::new(), FrontierKind::Sparse).is_empty());
     assert_eq!(op.pushes.load(Ordering::Relaxed), 0);
+}
+
+/// A toy frontier algorithm for the driver tests: every vertex ends up
+/// with the smallest id that reaches it along edge direction.
+struct MinLabel {
+    label: Vec<AtomicU32>,
+}
+
+impl MinLabel {
+    fn new(nv: usize) -> Self {
+        Self {
+            label: (0..nv as u32).map(AtomicU32::new).collect(),
+        }
+    }
+
+    fn labels(&self) -> Vec<u32> {
+        (self.label.iter().map(|l| l.load(Ordering::Relaxed))).collect()
+    }
+}
+
+impl<E: EdgeRecord> PushOp<E> for MinLabel {
+    fn push(&self, e: &E) -> bool {
+        let l = self.label[e.src() as usize].load(Ordering::Relaxed);
+        self.label[e.dst() as usize].fetch_min(l, Ordering::Relaxed) > l
+    }
+}
+
+struct MinLabelPull<'a> {
+    label: &'a [AtomicU32],
+    in_frontier: &'a AtomicBitmap,
+    activated: &'a AtomicBitmap,
+}
+
+impl<E: EdgeRecord> PullOp<E> for MinLabelPull<'_> {
+    fn wants_pull(&self, _dst: VertexId) -> bool {
+        true
+    }
+
+    fn pull(&self, dst: VertexId, e: &E) -> bool {
+        if self.in_frontier.get(e.src() as usize) {
+            let l = self.label[e.src() as usize].load(Ordering::Relaxed);
+            if self.label[dst as usize].fetch_min(l, Ordering::Relaxed) > l {
+                self.activated.set(dst as usize);
+            }
+        }
+        false
+    }
+
+    fn activated(&self, dst: VertexId) -> bool {
+        self.activated.get(dst as usize)
+    }
+}
+
+impl<E: EdgeRecord> FrontierAlgo<E> for MinLabel {
+    type Pull<'a> = MinLabelPull<'a>;
+
+    const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
+
+    fn pull_op<'a>(
+        &'a self,
+        in_frontier: &'a AtomicBitmap,
+        activated: &'a AtomicBitmap,
+    ) -> MinLabelPull<'a> {
+        MinLabelPull {
+            label: &self.label,
+            in_frontier,
+            activated,
+        }
+    }
+}
+
+const POLICIES: [Direction; 3] = [Direction::Push, Direction::Pull, Direction::PushPull];
+
+/// Runs [`MinLabel`] over `graph` from `frontier` under `policy`.
+fn min_label_run(
+    graph: &EdgeList<Edge>,
+    frontier: VertexSubset,
+    policy: Direction,
+) -> (Vec<u32>, Vec<IterStat>) {
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(graph);
+    let algo = MinLabel::new(graph.num_vertices());
+    let log = edge_map(&adj, frontier, &algo, policy, ExecContext::new());
+    (algo.labels(), log)
+}
+
+#[test]
+fn edge_map_reaches_one_fixpoint_under_every_policy() {
+    // A hub (0 -> 1 -> 300 spokes -> sink) next to an unreached pair,
+    // and a chain next to a second, shorter one.
+    let mut hub = vec![Edge::new(0, 1), Edge::new(310, 311)];
+    for spoke in 2..302 {
+        hub.push(Edge::new(1, spoke));
+        hub.push(Edge::new(spoke, 302));
+    }
+    let hub = EdgeList::new(312, hub).unwrap();
+    let mut hub_expected = vec![0u32; 312];
+    for (v, l) in hub_expected.iter_mut().enumerate().skip(303) {
+        *l = if v == 311 { 310 } else { v as u32 };
+    }
+    let mut chain: Vec<Edge> = (0..60).map(|v| Edge::new(v, v + 1)).collect();
+    chain.extend((70..75).map(|v| Edge::new(v, v + 1)));
+    let chain = EdgeList::new(76, chain).unwrap();
+    let mut chain_expected = vec![0u32; 76];
+    for (v, l) in chain_expected.iter_mut().enumerate().skip(61) {
+        *l = if v < 70 { v as u32 } else { 70 };
+    }
+
+    for (graph, expected) in [(&hub, &hub_expected), (&chain, &chain_expected)] {
+        for threads in [1, 2, 4] {
+            let pool = egraph_parallel::ThreadPool::new(threads);
+            for policy in POLICIES {
+                let all = || VertexSubset::all(graph.num_vertices());
+                let (labels, log) =
+                    egraph_parallel::with_pool(&pool, || min_label_run(graph, all(), policy));
+                assert_eq!(&labels, expected, "{policy:?} at {threads} threads");
+                assert!(!log.is_empty());
+            }
+        }
+    }
+}
+
+/// Vertex 0 fans out to `fan` vertices; a far-away chain pads the graph
+/// to exactly 200 edges, so the switch cutoff is 10.
+fn fan_graph(fan: u32) -> EdgeList<Edge> {
+    let mut edges: Vec<Edge> = (1..=fan).map(|v| Edge::new(0, v)).collect();
+    edges.extend((0..200 - fan).map(|i| Edge::new(100 + i, 101 + i)));
+    EdgeList::new(400, edges).unwrap()
+}
+
+#[test]
+fn heuristic_flips_exactly_above_the_cutoff_and_forced_policies_never_flip() {
+    // observed = out-degree + 1: fan 9 sits on the cutoff, fan 10 is
+    // one above it.
+    for (fan, first_mode) in [(9, StepMode::Push), (10, StepMode::Pull)] {
+        let graph = fan_graph(fan);
+        let (_, log) = min_label_run(&graph, VertexSubset::single(0), Direction::PushPull);
+        assert_eq!(log[0].mode, first_mode, "fan {fan}");
+        assert_eq!(
+            log[0].decision,
+            DirectionDecision::heuristic(fan as usize + 1, 10)
+        );
+        for stat in &log {
+            let says_pull = stat.decision.observed > stat.decision.cutoff;
+            assert_eq!(stat.mode == StepMode::Pull, says_pull, "{stat:?}");
+            assert!(!stat.decision.forced);
+        }
+        for (policy, mode) in [
+            (Direction::Push, StepMode::Push),
+            (Direction::Pull, StepMode::Pull),
+        ] {
+            // Every vertex active: far above the cutoff, yet forced
+            // push never pulls; a lone vertex never makes forced pull
+            // push.
+            for frontier in [VertexSubset::all(400), VertexSubset::single(0)] {
+                let (_, log) = min_label_run(&graph, frontier, policy);
+                assert!(log.iter().all(|s| s.mode == mode && s.decision.forced));
+                assert!(log.iter().all(|s| s.decision.cutoff == 10));
+            }
+        }
+    }
+}
+
+#[test]
+fn forced_directions_skip_the_degree_sum_on_dense_frontiers() {
+    let graph = fan_graph(10);
+    // Dense frontier, forced direction: the vertex term alone.
+    let (_, log) = min_label_run(&graph, VertexSubset::all(400), Direction::Push);
+    assert_eq!((log[0].edges_scanned, log[0].decision.observed), (0, 400));
+    let (_, log) = min_label_run(&graph, VertexSubset::single(0), Direction::Pull);
+    assert_eq!((log[0].edges_scanned, log[0].decision.observed), (0, 1));
+    // Sparse frontier under forced push, and any frontier under the
+    // heuristic: the out-degree sum joins the vertex term.
+    let (_, log) = min_label_run(&graph, VertexSubset::single(0), Direction::Push);
+    assert_eq!((log[0].edges_scanned, log[0].decision.observed), (10, 11));
+    let (_, log) = min_label_run(&graph, VertexSubset::all(400), Direction::PushPull);
+    assert_eq!((log[0].edges_scanned, log[0].decision.observed), (200, 600));
 }

@@ -70,6 +70,24 @@ pub struct IterStat {
     pub decision: DirectionDecision,
 }
 
+impl IterStat {
+    /// A fixed-direction step that streams all `num_edges` edges
+    /// whatever the `frontier_size` (edge-centric and grid rounds, and
+    /// the all-active passes of PageRank/SpMV/ALS): the observed load
+    /// is the edge array plus the active vertices.
+    pub fn full_scan(frontier_size: usize, num_edges: usize, seconds: f64, mode: StepMode) -> Self {
+        let observed = num_edges + frontier_size;
+        Self {
+            frontier_size,
+            edges_scanned: num_edges,
+            seconds,
+            mode,
+            density: frontier_density(observed, num_edges),
+            decision: DirectionDecision::forced(observed, direction_cutoff(num_edges)),
+        }
+    }
+}
+
 /// The structured direction-decision log of one step: the Ligra-style
 /// threshold comparison (Beamer's heuristic as adopted by Ligra \[29\])
 /// that picked push or pull, kept per iteration so traces can replay
@@ -112,6 +130,24 @@ impl DirectionDecision {
         }
     }
 
+    /// The repair-vs-recompute comparison of an incremental engine,
+    /// logged in the same shape: a batch of `batch_len` ops against
+    /// `fallback_fraction` of the merged edge count (floored at 1).
+    ///
+    /// Deliberately a separate constructor from [`heuristic`](Self::heuristic):
+    /// no push/pull direction is chosen here (the record's mode is
+    /// always push), the cutoff is the fallback fraction rather than
+    /// `|E| / 20`, and exceeding it means "recomputed from scratch".
+    /// Keeping the names apart lets `scripts/lint.sh` hold `heuristic`
+    /// to the one frontier driver.
+    pub fn repair(batch_len: usize, num_edges: usize, fallback_fraction: f64) -> Self {
+        Self {
+            observed: batch_len,
+            cutoff: ((num_edges as f64 * fallback_fraction) as usize).max(1),
+            forced: false,
+        }
+    }
+
     /// What the Ligra comparison says: pull when the observed load
     /// exceeds the cutoff.
     pub fn says_pull(&self) -> bool {
@@ -136,6 +172,53 @@ pub fn direction_cutoff(num_edges: usize) -> usize {
 /// 1/20 = 0.05).
 pub fn frontier_density(observed: usize, num_edges: usize) -> f64 {
     observed as f64 / num_edges.max(1) as f64
+}
+
+/// The information-flow directions of the study: a variant's fixed
+/// direction, and the policy value the frontier driver
+/// (`engine::edge_map`) takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Direction {
+    /// Sources scatter to destinations.
+    Push,
+    /// Destinations gather from sources.
+    Pull,
+    /// Direction-optimizing hybrid (Beamer's heuristic).
+    PushPull,
+}
+
+impl Direction {
+    /// All directions, in report order.
+    pub const ALL: [Direction; 3] = [Direction::Push, Direction::Pull, Direction::PushPull];
+
+    /// The CLI spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Direction::Push => "push",
+            Direction::Pull => "pull",
+            Direction::PushPull => "push-pull",
+        }
+    }
+}
+
+/// How push variants synchronize concurrent writes to a destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SyncMode {
+    /// Atomic claims / accumulation (the default).
+    #[default]
+    Atomics,
+    /// Per-vertex striped locks.
+    Locks,
+}
+
+impl SyncMode {
+    /// The CLI spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            SyncMode::Atomics => "atomics",
+            SyncMode::Locks => "locks",
+        }
+    }
 }
 
 /// Information-flow direction of one computation step.

@@ -28,7 +28,7 @@ use crate::layout::{
     Grid, VertexLayout,
 };
 use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
-use crate::types::{Edge, EdgeList, VertexId, WEdge};
+use crate::types::{Edge, EdgeList, EdgeRecord, VertexId, WEdge};
 use crate::variant::{default_grid_side, Algo, Layout, VariantError};
 
 use super::journal::{EventOutcome, QueryEvent, QueryJournal};
@@ -120,89 +120,93 @@ impl ServeGraph {
 /// rebuilt by [`ServeEngine::compact`] (published via an epoch flip so
 /// in-flight waves keep their snapshot).
 enum Resident {
-    AdjUnweighted(AdjacencyList<Edge>),
-    AdjWeighted(AdjacencyList<WEdge>),
-    GridUnweighted(Grid<Edge>),
-    GridWeighted(Grid<WEdge>),
-    CcsrUnweighted(CcsrList<Edge>),
-    CcsrWeighted(CcsrList<WEdge>),
-    DeltaUnweighted(DeltaList<Edge>),
-    DeltaWeighted(DeltaList<WEdge>),
+    Unweighted(ResidentLayout<Edge>),
+    Weighted(ResidentLayout<WEdge>),
 }
 
 impl Resident {
-    /// Builds the configured layout (radix sort, the §5 pick for large
-    /// inputs; neighbor-sorted so adj and ccsr traverse identical
-    /// orders).
-    fn build_unweighted(g: &EdgeList<Edge>, layout: Layout) -> Self {
-        match layout {
-            Layout::Adjacency => Resident::AdjUnweighted(
-                CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
-                    .sort_neighbors(true)
-                    .build(g),
-            ),
-            Layout::Grid => Resident::GridUnweighted(
-                GridBuilder::new(Strategy::RadixSort)
-                    .side(default_grid_side(g.num_vertices()))
-                    .build(g),
-            ),
-            Layout::Ccsr => Resident::CcsrUnweighted(
-                CcsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(g),
-            ),
-            Layout::Delta => {
-                let (out, inc) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
-                    .sort_neighbors(true)
-                    .build(g)
-                    .into_parts();
-                Resident::DeltaUnweighted(DeltaList::new(out, inc, &DeltaLog::new()))
-            }
-            Layout::EdgeList => {
-                panic!("the edge layout has no servable per-vertex index; use adj, grid or ccsr")
-            }
-        }
-    }
-
-    fn build_weighted(g: &EdgeList<WEdge>, layout: Layout) -> Self {
-        match layout {
-            Layout::Adjacency => Resident::AdjWeighted(
-                CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
-                    .sort_neighbors(true)
-                    .build(g),
-            ),
-            Layout::Grid => Resident::GridWeighted(
-                GridBuilder::new(Strategy::RadixSort)
-                    .side(default_grid_side(g.num_vertices()))
-                    .build(g),
-            ),
-            Layout::Ccsr => Resident::CcsrWeighted(
-                CcsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(g),
-            ),
-            Layout::Delta => {
-                let (out, inc) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
-                    .sort_neighbors(true)
-                    .build(g)
-                    .into_parts();
-                Resident::DeltaWeighted(DeltaList::new(out, inc, &DeltaLog::new()))
-            }
-            Layout::EdgeList => {
-                panic!("the edge layout has no servable per-vertex index; use adj, grid or ccsr")
-            }
-        }
-    }
-
     /// Resident heap bytes of the built layout — reported by
     /// `/healthz`.
     fn resident_bytes(&self) -> u64 {
         match self {
-            Resident::AdjUnweighted(a) => a.resident_bytes(),
-            Resident::AdjWeighted(a) => a.resident_bytes(),
-            Resident::GridUnweighted(g) => g.resident_bytes(),
-            Resident::GridWeighted(g) => g.resident_bytes(),
-            Resident::CcsrUnweighted(c) => c.resident_bytes(),
-            Resident::CcsrWeighted(c) => c.resident_bytes(),
-            Resident::DeltaUnweighted(d) => d.resident_bytes(),
-            Resident::DeltaWeighted(d) => d.resident_bytes(),
+            Resident::Unweighted(layout) => layout.resident_bytes(),
+            Resident::Weighted(layout) => layout.resident_bytes(),
         }
+    }
+}
+
+/// One servable layout over edges of type `E`.
+enum ResidentLayout<E: EdgeRecord> {
+    Adj(AdjacencyList<E>),
+    Grid(Grid<E>),
+    Ccsr(CcsrList<E>),
+    Delta(DeltaList<E>),
+}
+
+impl<E: EdgeRecord> ResidentLayout<E> {
+    /// Builds the configured layout (radix sort, the §5 pick for large
+    /// inputs; neighbor-sorted so adj and ccsr traverse identical
+    /// orders).
+    fn build(g: &EdgeList<E>, layout: Layout) -> Self {
+        let csr = || {
+            CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
+                .sort_neighbors(true)
+                .build(g)
+        };
+        match layout {
+            Layout::Adjacency => Self::Adj(csr()),
+            Layout::Grid => Self::Grid(
+                GridBuilder::new(Strategy::RadixSort)
+                    .side(default_grid_side(g.num_vertices()))
+                    .build(g),
+            ),
+            Layout::Ccsr => {
+                Self::Ccsr(CcsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(g))
+            }
+            Layout::Delta => {
+                let (out, inc) = csr().into_parts();
+                Self::Delta(DeltaList::new(out, inc, &DeltaLog::new()))
+            }
+            Layout::EdgeList => {
+                panic!("the edge layout has no servable per-vertex index; use adj, grid or ccsr")
+            }
+        }
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        match self {
+            Self::Adj(a) => a.resident_bytes(),
+            Self::Grid(g) => g.resident_bytes(),
+            Self::Ccsr(c) => c.resident_bytes(),
+            Self::Delta(d) => d.resident_bytes(),
+        }
+    }
+
+    /// One multi-source BFS / k-hop wave: levels per lane.
+    fn bfs_wave(
+        &self,
+        sources: &[VertexId],
+        max_depth: u32,
+        ctx: &ExecCtx<'_>,
+    ) -> Vec<QueryValues> {
+        let levels = match self {
+            Self::Adj(a) => multi_bfs(a.out(), sources, max_depth, ctx),
+            Self::Grid(g) => multi_bfs_grid(g, sources, max_depth, ctx),
+            Self::Ccsr(c) => multi_bfs(c.out(), sources, max_depth, ctx),
+            Self::Delta(d) => multi_bfs(d.out(), sources, max_depth, ctx),
+        };
+        levels.into_iter().map(QueryValues::Levels).collect()
+    }
+
+    /// One multi-source SSSP wave: distances per lane.
+    fn sssp_wave(&self, sources: &[VertexId], ctx: &ExecCtx<'_>) -> Vec<QueryValues> {
+        let dists = match self {
+            Self::Adj(a) => multi_sssp(a.out(), sources, ctx),
+            Self::Grid(g) => multi_sssp_grid(g, sources, ctx),
+            Self::Ccsr(c) => multi_sssp(c.out(), sources, ctx),
+            Self::Delta(d) => multi_sssp(d.out(), sources, ctx),
+        };
+        dists.into_iter().map(QueryValues::Dists).collect()
     }
 }
 
@@ -210,76 +214,71 @@ impl Resident {
 /// array plus the pending (applied but not yet compacted) delta log.
 /// Updates lock this; query waves never do — they read the epoch cell.
 enum MutableGraph {
-    Unweighted {
-        edges: EdgeList<Edge>,
-        log: DeltaLog<Edge>,
-    },
-    Weighted {
-        edges: EdgeList<WEdge>,
-        log: DeltaLog<WEdge>,
-    },
+    Unweighted(Merged<Edge>),
+    Weighted(Merged<WEdge>),
 }
 
-impl MutableGraph {
-    fn new(graph: ServeGraph) -> Self {
-        match graph {
-            ServeGraph::Unweighted(edges) => MutableGraph::Unweighted {
-                edges,
-                log: DeltaLog::new(),
-            },
-            ServeGraph::Weighted(edges) => MutableGraph::Weighted {
-                edges,
-                log: DeltaLog::new(),
-            },
-        }
-    }
+/// The merged edge array and pending log for one edge type.
+struct Merged<E: EdgeRecord> {
+    edges: EdgeList<E>,
+    log: DeltaLog<E>,
+}
 
-    fn pending_ops(&self) -> usize {
-        match self {
-            MutableGraph::Unweighted { log, .. } => log.len(),
-            MutableGraph::Weighted { log, .. } => log.len(),
+impl<E: EdgeRecord> Merged<E> {
+    fn new(edges: EdgeList<E>) -> Self {
+        Self {
+            edges,
+            log: DeltaLog::new(),
         }
     }
 
     /// Parses and appends an NDJSON delta stream; all-or-nothing — a
     /// malformed or out-of-range line rejects the whole text.
     fn apply(&mut self, ndjson: &str) -> Result<usize, DeltaError> {
-        match self {
-            MutableGraph::Unweighted { edges, log } => {
-                let batch = DeltaBatch::<Edge>::parse_ndjson(ndjson)?;
-                batch.validate(edges.num_vertices())?;
-                log.append(&batch);
-                Ok(batch.len())
-            }
-            MutableGraph::Weighted { edges, log } => {
-                let batch = DeltaBatch::<WEdge>::parse_ndjson(ndjson)?;
-                batch.validate(edges.num_vertices())?;
-                log.append(&batch);
-                Ok(batch.len())
-            }
-        }
+        let batch = DeltaBatch::<E>::parse_ndjson(ndjson)?;
+        batch.validate(self.edges.num_vertices())?;
+        self.log.append(&batch);
+        Ok(batch.len())
     }
 
     /// Replays the pending log into the edge array and clears it,
     /// returning how many ops were merged.
     fn merge_pending(&mut self) -> usize {
+        let merged_ops = self.log.len();
+        if merged_ops > 0 {
+            self.edges = self.log.merge_into(&self.edges);
+            self.log = DeltaLog::new();
+        }
+        merged_ops
+    }
+}
+
+impl MutableGraph {
+    fn new(graph: ServeGraph) -> Self {
+        match graph {
+            ServeGraph::Unweighted(edges) => MutableGraph::Unweighted(Merged::new(edges)),
+            ServeGraph::Weighted(edges) => MutableGraph::Weighted(Merged::new(edges)),
+        }
+    }
+
+    fn pending_ops(&self) -> usize {
         match self {
-            MutableGraph::Unweighted { edges, log } => {
-                let merged_ops = log.len();
-                if merged_ops > 0 {
-                    *edges = log.merge_into(edges);
-                    *log = DeltaLog::new();
-                }
-                merged_ops
-            }
-            MutableGraph::Weighted { edges, log } => {
-                let merged_ops = log.len();
-                if merged_ops > 0 {
-                    *edges = log.merge_into(edges);
-                    *log = DeltaLog::new();
-                }
-                merged_ops
-            }
+            MutableGraph::Unweighted(m) => m.log.len(),
+            MutableGraph::Weighted(m) => m.log.len(),
+        }
+    }
+
+    fn apply(&mut self, ndjson: &str) -> Result<usize, DeltaError> {
+        match self {
+            MutableGraph::Unweighted(m) => m.apply(ndjson),
+            MutableGraph::Weighted(m) => m.apply(ndjson),
+        }
+    }
+
+    fn merge_pending(&mut self) -> usize {
+        match self {
+            MutableGraph::Unweighted(m) => m.merge_pending(),
+            MutableGraph::Weighted(m) => m.merge_pending(),
         }
     }
 
@@ -287,8 +286,12 @@ impl MutableGraph {
     /// pending log ignored — callers merge first).
     fn build_resident(&self, layout: Layout) -> Resident {
         match self {
-            MutableGraph::Unweighted { edges, .. } => Resident::build_unweighted(edges, layout),
-            MutableGraph::Weighted { edges, .. } => Resident::build_weighted(edges, layout),
+            MutableGraph::Unweighted(m) => {
+                Resident::Unweighted(ResidentLayout::build(&m.edges, layout))
+            }
+            MutableGraph::Weighted(m) => {
+                Resident::Weighted(ResidentLayout::build(&m.edges, layout))
+            }
         }
     }
 }
@@ -1012,67 +1015,12 @@ impl WaveRunner<'_> {
         let phase = self.perf.phase();
         let started = Instant::now();
         let mut results: Vec<QueryValues> = ctx.scoped(|| match (kind, resident) {
-            (QueryKind::Sssp, Resident::AdjWeighted(adj)) => multi_sssp(adj.out(), &sources, &ctx)
-                .into_iter()
-                .map(QueryValues::Dists)
-                .collect(),
-            (QueryKind::Sssp, Resident::CcsrWeighted(ccsr)) => {
-                multi_sssp(ccsr.out(), &sources, &ctx)
-                    .into_iter()
-                    .map(QueryValues::Dists)
-                    .collect()
-            }
-            (QueryKind::Sssp, Resident::GridWeighted(grid)) => {
-                multi_sssp_grid(grid, &sources, &ctx)
-                    .into_iter()
-                    .map(QueryValues::Dists)
-                    .collect()
-            }
-            (QueryKind::Sssp, Resident::DeltaWeighted(dl)) => multi_sssp(dl.out(), &sources, &ctx)
-                .into_iter()
-                .map(QueryValues::Dists)
-                .collect(),
-            (
-                QueryKind::Sssp,
-                Resident::AdjUnweighted(_)
-                | Resident::GridUnweighted(_)
-                | Resident::CcsrUnweighted(_)
-                | Resident::DeltaUnweighted(_),
-            ) => {
+            (QueryKind::Sssp, Resident::Weighted(layout)) => layout.sssp_wave(&sources, &ctx),
+            (QueryKind::Sssp, Resident::Unweighted(_)) => {
                 unreachable!("submit rejects sssp on unweighted graphs")
             }
-            (_, Resident::AdjUnweighted(adj)) => multi_bfs(adj.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::AdjWeighted(adj)) => multi_bfs(adj.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::CcsrUnweighted(ccsr)) => multi_bfs(ccsr.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::CcsrWeighted(ccsr)) => multi_bfs(ccsr.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::GridUnweighted(grid)) => multi_bfs_grid(grid, &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::GridWeighted(grid)) => multi_bfs_grid(grid, &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::DeltaUnweighted(dl)) => multi_bfs(dl.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::DeltaWeighted(dl)) => multi_bfs(dl.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
+            (_, Resident::Unweighted(layout)) => layout.bfs_wave(&sources, max_depth, &ctx),
+            (_, Resident::Weighted(layout)) => layout.bfs_wave(&sources, max_depth, &ctx),
         });
         let executed = Instant::now();
         let exec_seconds = (executed - started).as_secs_f64();

@@ -28,9 +28,12 @@
 //! data-driven callers (the conformance matrix, shell completion) stay
 //! in sync with the resolver by construction.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
+
+use egraph_cachesim::MemProbe;
 
 use crate::algo::{bfs, pagerank, spmv, sssp, wcc};
 use crate::exec::ExecCtx;
@@ -38,7 +41,9 @@ use crate::layout::{
     AdjacencyList, CcsrList, DeltaList, DeltaLog, EdgeDirection, Grid, NeighborAccess, VertexLayout,
 };
 use crate::metrics::timed;
+pub use crate::metrics::{Direction, SyncMode};
 use crate::preprocess::{compress_sorted_csr, CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
+use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 
 /// The algorithms of the study.
@@ -114,51 +119,6 @@ impl Layout {
             Layout::Grid => "grid",
             Layout::Ccsr => "ccsr",
             Layout::Delta => "delta",
-        }
-    }
-}
-
-/// The information-flow directions of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Sources scatter to destinations.
-    Push,
-    /// Destinations gather from sources.
-    Pull,
-    /// Direction-optimizing hybrid (Beamer's heuristic).
-    PushPull,
-}
-
-impl Direction {
-    /// All directions, in report order.
-    pub const ALL: [Direction; 3] = [Direction::Push, Direction::Pull, Direction::PushPull];
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Direction::Push => "push",
-            Direction::Pull => "pull",
-            Direction::PushPull => "push-pull",
-        }
-    }
-}
-
-/// How push variants synchronize concurrent writes to a destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SyncMode {
-    /// Atomic claims / accumulation (the default).
-    #[default]
-    Atomics,
-    /// Per-vertex striped locks.
-    Locks,
-}
-
-impl SyncMode {
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            SyncMode::Atomics => "atomics",
-            SyncMode::Locks => "locks",
         }
     }
 }
@@ -459,6 +419,37 @@ pub struct RunParams<'a> {
     pub x: Option<&'a [f32]>,
 }
 
+/// Which view of the graph a vertex-centric layout is built over: one
+/// traversal direction of the directed input, or the symmetrized copy
+/// WCC runs on (out-lists only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Dir(EdgeDirection),
+    Undirected,
+}
+
+/// The per-layout cache of a [`PreparedGraph`]: one lazily built
+/// `(layout, build seconds)` per [`Slot`].
+struct SlotCache<T>([OnceLock<(T, f64)>; 4]);
+
+impl<T> Default for SlotCache<T> {
+    fn default() -> Self {
+        Self(std::array::from_fn(|_| OnceLock::new()))
+    }
+}
+
+impl<T> SlotCache<T> {
+    fn get(&self, slot: Slot, build: impl FnOnce() -> (T, f64)) -> &(T, f64) {
+        let index = match slot {
+            Slot::Dir(EdgeDirection::Out) => 0,
+            Slot::Dir(EdgeDirection::In) => 1,
+            Slot::Dir(EdgeDirection::Both) => 2,
+            Slot::Undirected => 3,
+        };
+        self.0[index].get_or_init(build)
+    }
+}
+
 /// A graph plus lazily built, cached layouts. Each layout (per-
 /// direction CSR, undirected CSR for WCC, grid, transposed grid) is
 /// built at most once, on first use, under whatever pool/profiler the
@@ -473,12 +464,9 @@ pub struct PreparedGraph<'a, E: EdgeRecord> {
     sorted: bool,
     side: Option<usize>,
     deltas: Option<&'a DeltaLog<E>>,
-    csr: [OnceLock<(AdjacencyList<E>, f64)>; 3],
-    und_csr: OnceLock<(AdjacencyList<E>, f64)>,
-    ccsr: [OnceLock<(CcsrList<E>, f64)>; 3],
-    und_ccsr: OnceLock<(CcsrList<E>, f64)>,
-    dcsr: [OnceLock<(DeltaList<E>, f64)>; 3],
-    und_dcsr: OnceLock<(DeltaList<E>, f64)>,
+    csr: SlotCache<AdjacencyList<E>>,
+    ccsr: SlotCache<CcsrList<E>>,
+    dcsr: SlotCache<DeltaList<E>>,
     grid: OnceLock<(Grid<E>, f64)>,
     tgrid: OnceLock<(Grid<E>, f64)>,
     degrees: OnceLock<Vec<u32>>,
@@ -496,12 +484,9 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             sorted: false,
             side: None,
             deltas: None,
-            csr: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
-            und_csr: OnceLock::new(),
-            ccsr: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
-            und_ccsr: OnceLock::new(),
-            dcsr: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
-            und_dcsr: OnceLock::new(),
+            csr: SlotCache::default(),
+            ccsr: SlotCache::default(),
+            dcsr: SlotCache::default(),
             grid: OnceLock::new(),
             tgrid: OnceLock::new(),
             degrees: OnceLock::new(),
@@ -561,129 +546,89 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             .get_or_init(|| self.edges.out_degrees().iter().map(|&d| d as u32).collect())
     }
 
-    fn csr(&self, dir: EdgeDirection) -> &(AdjacencyList<E>, f64) {
-        let slot = match dir {
-            EdgeDirection::Out => &self.csr[0],
-            EdgeDirection::In => &self.csr[1],
-            EdgeDirection::Both => &self.csr[2],
-        };
-        slot.get_or_init(|| {
-            let (adj, stats) = CsrBuilder::new(self.strategy, dir)
-                .sort_neighbors(self.sorted)
-                .build_timed(self.edges);
-            (adj, stats.seconds)
-        })
+    /// Runs `build` over the edge list `slot` traverses: the input
+    /// itself, or its symmetrized copy — whose construction is part of
+    /// WCC's preprocessing cost, so it counts towards the seconds.
+    fn build_slot<T>(
+        &self,
+        slot: Slot,
+        build: impl FnOnce(&EdgeList<E>, EdgeDirection) -> (T, f64),
+    ) -> (T, f64) {
+        match slot {
+            Slot::Dir(dir) => build(self.edges, dir),
+            Slot::Undirected => {
+                let ((layout, seconds), wall) =
+                    timed(|| build(&self.edges.to_undirected(), EdgeDirection::Out));
+                (layout, wall.max(seconds))
+            }
+        }
     }
 
-    fn und_csr(&self) -> &(AdjacencyList<E>, f64) {
-        self.und_csr.get_or_init(|| {
-            let ((adj, stats), wall) = timed(|| {
-                let undirected = self.edges.to_undirected();
-                CsrBuilder::new(self.strategy, EdgeDirection::Out)
+    fn csr(&self, slot: Slot) -> &(AdjacencyList<E>, f64) {
+        self.csr.get(slot, || {
+            self.build_slot(slot, |edges, dir| {
+                let (adj, stats) = CsrBuilder::new(self.strategy, dir)
                     .sort_neighbors(self.sorted)
-                    .build_timed(&undirected)
-            });
-            // The undirected copy is part of WCC's preprocessing cost.
-            (adj, wall.max(stats.seconds))
+                    .build_timed(edges);
+                (adj, stats.seconds)
+            })
         })
     }
 
-    fn ccsr(&self, dir: EdgeDirection) -> &(CcsrList<E>, f64) {
-        let slot = match dir {
-            EdgeDirection::Out => &self.ccsr[0],
-            EdgeDirection::In => &self.ccsr[1],
-            EdgeDirection::Both => &self.ccsr[2],
-        };
-        slot.get_or_init(|| {
+    fn ccsr(&self, slot: Slot) -> &(CcsrList<E>, f64) {
+        self.ccsr.get(slot, || {
             if self.sorted {
                 // The cached CSR is already neighbor-sorted — compress
                 // it directly (and share one build between both
                 // layouts, which also guarantees identical neighbor
                 // order for the conformance oracle).
-                let (csr, csr_seconds) = {
-                    let cached = self.csr(dir);
-                    (&cached.0, cached.1)
-                };
+                let (csr, csr_seconds) = self.csr(slot);
                 let (list, compress_seconds) = timed(|| compress_sorted_csr(csr));
                 (list, csr_seconds + compress_seconds)
             } else {
-                let (list, stats) = CcsrBuilder::new(self.strategy, dir).build_timed(self.edges);
-                (list, stats.seconds)
+                self.build_slot(slot, |edges, dir| {
+                    let (list, stats) = CcsrBuilder::new(self.strategy, dir).build_timed(edges);
+                    (list, stats.seconds)
+                })
             }
         })
     }
 
-    fn und_ccsr(&self) -> &(CcsrList<E>, f64) {
-        self.und_ccsr.get_or_init(|| {
-            if self.sorted {
-                let (csr, csr_seconds) = {
-                    let cached = self.und_csr();
-                    (&cached.0, cached.1)
-                };
-                let (list, compress_seconds) = timed(|| compress_sorted_csr(csr));
-                (list, csr_seconds + compress_seconds)
-            } else {
-                let ((list, stats), wall) = timed(|| {
-                    let undirected = self.edges.to_undirected();
-                    CcsrBuilder::new(self.strategy, EdgeDirection::Out).build_timed(&undirected)
-                });
-                // The undirected copy is part of WCC's preprocessing
-                // cost.
-                (list, wall.max(stats.seconds))
-            }
-        })
-    }
-
-    fn dcsr(&self, dir: EdgeDirection) -> &(DeltaList<E>, f64) {
-        let slot = match dir {
-            EdgeDirection::Out => &self.dcsr[0],
-            EdgeDirection::In => &self.dcsr[1],
-            EdgeDirection::Both => &self.dcsr[2],
-        };
-        slot.get_or_init(|| {
+    fn dcsr(&self, slot: Slot) -> &(DeltaList<E>, f64) {
+        self.dcsr.get(slot, || {
             // The delta layout owns its base CSR (it outlives this
             // call's borrows), so it builds one rather than borrowing
             // the cached `csr` slot; base build plus overlay layering
             // is the layout's preprocessing cost.
-            let (list, wall) = timed(|| {
+            timed(|| {
+                let log = self
+                    .deltas
+                    .map_or_else(|| Cow::Owned(DeltaLog::new()), Cow::Borrowed);
+                let (edges, log, dir) = match slot {
+                    Slot::Dir(dir) => (Cow::Borrowed(self.edges), log, dir),
+                    // Deletes are multiset-wide per *directed* edge, but
+                    // the symmetrized view holds copies of (s, d) from
+                    // both the directed (s, d) and (d, s) edges — a
+                    // tombstone cannot tell them apart and would
+                    // over-delete. Merge first in that case; insert-only
+                    // logs overlay exactly.
+                    Slot::Undirected if log.as_batch().has_deletes() => (
+                        Cow::Owned(log.merge_into(self.edges).to_undirected()),
+                        Cow::Owned(DeltaLog::new()),
+                        EdgeDirection::Out,
+                    ),
+                    Slot::Undirected => (
+                        Cow::Owned(self.edges.to_undirected()),
+                        Cow::Owned(log.to_undirected()),
+                        EdgeDirection::Out,
+                    ),
+                };
                 let (out, inc) = CsrBuilder::new(self.strategy, dir)
                     .sort_neighbors(self.sorted)
-                    .build(self.edges)
-                    .into_parts();
-                let empty = DeltaLog::new();
-                DeltaList::new(out, inc, self.deltas.unwrap_or(&empty))
-            });
-            (list, wall)
-        })
-    }
-
-    fn und_dcsr(&self) -> &(DeltaList<E>, f64) {
-        self.und_dcsr.get_or_init(|| {
-            let (list, wall) = timed(|| {
-                // Deletes are multiset-wide per *directed* edge, but the
-                // symmetrized view holds copies of (s, d) from both the
-                // directed (s, d) and (d, s) edges — a tombstone cannot
-                // tell them apart and would over-delete. Merge first in
-                // that case; insert-only logs overlay exactly.
-                let has_deletes = self.deltas.is_some_and(|log| log.as_batch().has_deletes());
-                let (undirected, log) = if has_deletes {
-                    let merged = self.deltas.expect("has_deletes").merge_into(self.edges);
-                    (merged.to_undirected(), DeltaLog::new())
-                } else {
-                    (
-                        self.edges.to_undirected(),
-                        self.deltas
-                            .map(DeltaLog::to_undirected)
-                            .unwrap_or_else(DeltaLog::new),
-                    )
-                };
-                let (out, inc) = CsrBuilder::new(self.strategy, EdgeDirection::Out)
-                    .sort_neighbors(self.sorted)
-                    .build(&undirected)
+                    .build(&edges)
                     .into_parts();
                 DeltaList::new(out, inc, &log)
-            });
-            (list, wall)
+            })
         })
     }
 
@@ -691,7 +636,7 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
     /// the normalization input of the delta PageRank variants.
     pub fn delta_degrees(&self) -> &[u32] {
         self.delta_degrees.get_or_init(|| {
-            let out = self.dcsr(EdgeDirection::Out).0.out();
+            let out = self.dcsr(Slot::Dir(EdgeDirection::Out)).0.out();
             (0..self.num_vertices() as VertexId)
                 .map(|v| out.degree(v) as u32)
                 .collect()
@@ -716,16 +661,12 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
     /// accumulated build seconds. Zero for the edge-list layout, which
     /// runs straight off the input.
     fn prepare(&self, id: &VariantId) -> f64 {
-        match (id.algo, id.layout) {
-            (_, Layout::EdgeList) => 0.0,
-            (Algo::Wcc, Layout::Adjacency) => self.und_csr().1,
-            (_, Layout::Adjacency) => self.csr(csr_direction(id)).1,
-            (Algo::Wcc, Layout::Ccsr) => self.und_ccsr().1,
-            (_, Layout::Ccsr) => self.ccsr(csr_direction(id)).1,
-            (Algo::Wcc, Layout::Delta) => self.und_dcsr().1,
-            (_, Layout::Delta) => self.dcsr(csr_direction(id)).1,
-            (Algo::Pagerank, Layout::Grid) if id.direction == Direction::Pull => self.grid(true).1,
-            (_, Layout::Grid) => self.grid(false).1,
+        match id.layout {
+            Layout::EdgeList => 0.0,
+            Layout::Adjacency => self.csr(layout_slot(id)).1,
+            Layout::Ccsr => self.ccsr(layout_slot(id)).1,
+            Layout::Delta => self.dcsr(layout_slot(id)).1,
+            Layout::Grid => self.grid(grid_transposed(id)).1,
         }
     }
 }
@@ -741,14 +682,21 @@ impl<E: EdgeRecord> fmt::Debug for PreparedGraph<'_, E> {
     }
 }
 
-/// The CSR direction a variant traverses: push reads out-edges, pull
-/// reads in-edges, the hybrid needs both.
-fn csr_direction(id: &VariantId) -> EdgeDirection {
-    match id.direction {
-        Direction::Push => EdgeDirection::Out,
-        Direction::Pull => EdgeDirection::In,
-        Direction::PushPull => EdgeDirection::Both,
+/// The view a variant's vertex-centric layout is built over: WCC runs
+/// on the symmetrized graph; otherwise push reads out-edges, pull reads
+/// in-edges and the hybrid needs both.
+fn layout_slot(id: &VariantId) -> Slot {
+    match (id.algo, id.direction) {
+        (Algo::Wcc, _) => Slot::Undirected,
+        (_, Direction::Push) => Slot::Dir(EdgeDirection::Out),
+        (_, Direction::Pull) => Slot::Dir(EdgeDirection::In),
+        (_, Direction::PushPull) => Slot::Dir(EdgeDirection::Both),
     }
+}
+
+/// Grid pull (PageRank only) runs over the transposed grid.
+fn grid_transposed(id: &VariantId) -> bool {
+    id.algo == Algo::Pagerank && id.direction == Direction::Pull
 }
 
 /// The typed result of a variant run.
@@ -875,224 +823,113 @@ pub fn run_variant<E: EdgeRecord>(
     })
 }
 
-/// The resolver body: every `(algo, layout, direction)` arm calls the
-/// matching kernel. Only reached for supported combinations.
+/// The resolver body: dispatches on algorithm × layout *family*. The
+/// vertex-centric layouts (adj, ccsr, delta) share one generic arm set
+/// in [`run_vertex_centric`], where BFS/WCC/SSSP take the direction as
+/// a run-time value; the edge array and grid have one kernel per
+/// algorithm. Only reached for supported combinations.
 fn execute<E: EdgeRecord>(
     id: &VariantId,
     ctx: &ExecCtx<'_>,
     graph: &PreparedGraph<'_, E>,
     params: &RunParams<'_>,
 ) -> VariantOutput {
-    use Direction as D;
-    use Layout as L;
     let c = ctx.context();
-    let root = params.root;
+    let (root, cfg, sync) = (params.root, params.pagerank, params.sync);
     let edges = graph.edges();
-    let ones;
-    let x: &[f32] = match params.x {
-        Some(x) => x,
-        None => {
-            ones = vec![1.0f32; graph.num_vertices()];
-            &ones
-        }
+    let slot = layout_slot(id);
+    let x = || match params.x {
+        Some(x) => Cow::Borrowed(x),
+        None => Cow::Owned(vec![1.0f32; graph.num_vertices()]),
     };
-    match (id.algo, id.layout, id.direction) {
-        (Algo::Bfs, L::Adjacency, D::Push) => VariantOutput::Bfs(match params.sync {
-            SyncMode::Atomics => bfs::push_impl(&graph.csr(EdgeDirection::Out).0, root, &c),
-            SyncMode::Locks => bfs::push_locked(&graph.csr(EdgeDirection::Out).0, root),
-        }),
-        (Algo::Bfs, L::Adjacency, D::Pull) => {
-            VariantOutput::Bfs(bfs::pull_impl(&graph.csr(EdgeDirection::In).0, root, &c))
+    match (id.layout, id.algo) {
+        (Layout::Adjacency, _) => {
+            run_vertex_centric(id, &graph.csr(slot).0, || graph.degrees(), x, params, &c)
         }
-        (Algo::Bfs, L::Adjacency, D::PushPull) => VariantOutput::Bfs(bfs::push_pull_impl(
-            &graph.csr(EdgeDirection::Both).0,
-            root,
-            &c,
-        )),
-        (Algo::Bfs, L::EdgeList, D::Push) => {
+        (Layout::Ccsr, _) => {
+            run_vertex_centric(id, &graph.ccsr(slot).0, || graph.degrees(), x, params, &c)
+        }
+        (Layout::Delta, _) => {
+            let degrees = || graph.delta_degrees();
+            run_vertex_centric(id, &graph.dcsr(slot).0, degrees, x, params, &c)
+        }
+
+        (Layout::EdgeList, Algo::Bfs) => {
             VariantOutput::Bfs(bfs::edge_centric_impl(edges, root, &c))
         }
-        (Algo::Bfs, L::Grid, D::Push) => {
-            VariantOutput::Bfs(bfs::grid_impl(&graph.grid(false).0, root, &c))
-        }
-        (Algo::Bfs, L::Ccsr, D::Push) => VariantOutput::Bfs(match params.sync {
-            SyncMode::Atomics => bfs::push_impl(&graph.ccsr(EdgeDirection::Out).0, root, &c),
-            SyncMode::Locks => bfs::push_locked(&graph.ccsr(EdgeDirection::Out).0, root),
-        }),
-        (Algo::Bfs, L::Ccsr, D::Pull) => {
-            VariantOutput::Bfs(bfs::pull_impl(&graph.ccsr(EdgeDirection::In).0, root, &c))
-        }
-        (Algo::Bfs, L::Ccsr, D::PushPull) => VariantOutput::Bfs(bfs::push_pull_impl(
-            &graph.ccsr(EdgeDirection::Both).0,
-            root,
-            &c,
-        )),
-        (Algo::Bfs, L::Delta, D::Push) => VariantOutput::Bfs(match params.sync {
-            SyncMode::Atomics => bfs::push_impl(&graph.dcsr(EdgeDirection::Out).0, root, &c),
-            SyncMode::Locks => bfs::push_locked(&graph.dcsr(EdgeDirection::Out).0, root),
-        }),
-        (Algo::Bfs, L::Delta, D::Pull) => {
-            VariantOutput::Bfs(bfs::pull_impl(&graph.dcsr(EdgeDirection::In).0, root, &c))
-        }
-        (Algo::Bfs, L::Delta, D::PushPull) => VariantOutput::Bfs(bfs::push_pull_impl(
-            &graph.dcsr(EdgeDirection::Both).0,
-            root,
-            &c,
-        )),
-
-        (Algo::Pagerank, L::Adjacency, D::Push) => VariantOutput::Pagerank(pagerank::push_impl(
-            graph.csr(EdgeDirection::Out).0.out(),
+        (Layout::EdgeList, Algo::Pagerank) => VariantOutput::Pagerank(pagerank::edge_centric_impl(
+            edges,
             graph.degrees(),
-            params.pagerank,
-            pagerank_sync(params.sync),
+            cfg,
+            sync,
             &c,
         )),
-        (Algo::Pagerank, L::Adjacency, D::Pull) => VariantOutput::Pagerank(pagerank::pull_impl(
-            graph.csr(EdgeDirection::In).0.incoming(),
-            graph.degrees(),
-            params.pagerank,
-            &c,
-        )),
-        (Algo::Pagerank, L::EdgeList, D::Push) => {
-            VariantOutput::Pagerank(pagerank::edge_centric_impl(
-                edges,
-                graph.degrees(),
-                params.pagerank,
-                pagerank_sync(params.sync),
-                &c,
-            ))
-        }
-        (Algo::Pagerank, L::Grid, D::Push) => VariantOutput::Pagerank(pagerank::grid_push_impl(
-            &graph.grid(false).0,
-            graph.degrees(),
-            params.pagerank,
-            params.sync == SyncMode::Locks,
-            &c,
-        )),
-        (Algo::Pagerank, L::Grid, D::Pull) => VariantOutput::Pagerank(pagerank::grid_pull_impl(
-            &graph.grid(true).0,
-            graph.degrees(),
-            params.pagerank,
-            &c,
-        )),
-        (Algo::Pagerank, L::Ccsr, D::Push) => VariantOutput::Pagerank(pagerank::push_impl(
-            graph.ccsr(EdgeDirection::Out).0.out(),
-            graph.degrees(),
-            params.pagerank,
-            pagerank_sync(params.sync),
-            &c,
-        )),
-        (Algo::Pagerank, L::Ccsr, D::Pull) => VariantOutput::Pagerank(pagerank::pull_impl(
-            graph.ccsr(EdgeDirection::In).0.incoming(),
-            graph.degrees(),
-            params.pagerank,
-            &c,
-        )),
-        (Algo::Pagerank, L::Delta, D::Push) => VariantOutput::Pagerank(pagerank::push_impl(
-            graph.dcsr(EdgeDirection::Out).0.out(),
-            graph.delta_degrees(),
-            params.pagerank,
-            pagerank_sync(params.sync),
-            &c,
-        )),
-        (Algo::Pagerank, L::Delta, D::Pull) => VariantOutput::Pagerank(pagerank::pull_impl(
-            graph.dcsr(EdgeDirection::In).0.incoming(),
-            graph.delta_degrees(),
-            params.pagerank,
-            &c,
-        )),
-
-        (Algo::Sssp, L::Adjacency, D::Push) => {
-            VariantOutput::Sssp(sssp::push_impl(&graph.csr(EdgeDirection::Out).0, root, &c))
-        }
-        (Algo::Sssp, L::EdgeList, D::Push) => {
+        (Layout::EdgeList, Algo::Sssp) => {
             VariantOutput::Sssp(sssp::edge_centric_impl(edges, root, &c))
         }
-        (Algo::Sssp, L::Ccsr, D::Push) => {
-            VariantOutput::Sssp(sssp::push_impl(&graph.ccsr(EdgeDirection::Out).0, root, &c))
-        }
-        (Algo::Sssp, L::Delta, D::Push) => {
-            VariantOutput::Sssp(sssp::push_impl(&graph.dcsr(EdgeDirection::Out).0, root, &c))
+        (Layout::EdgeList, Algo::Wcc) => VariantOutput::Wcc(wcc::edge_centric_impl(edges, &c)),
+        (Layout::EdgeList, Algo::Spmv) => {
+            VariantOutput::Spmv(spmv::edge_centric_impl(edges, &x(), &c))
         }
 
-        (Algo::Wcc, L::Adjacency, D::Push) => {
-            VariantOutput::Wcc(wcc::push_impl(&graph.und_csr().0, &c))
+        (Layout::Grid, Algo::Bfs) => {
+            VariantOutput::Bfs(bfs::grid_impl(&graph.grid(false).0, root, &c))
         }
-        (Algo::Wcc, L::Adjacency, D::Pull) => {
-            VariantOutput::Wcc(wcc::pull_impl(&graph.und_csr().0, &c))
+        (Layout::Grid, Algo::Pagerank) => {
+            let grid = &graph.grid(grid_transposed(id)).0;
+            VariantOutput::Pagerank(match id.direction {
+                Direction::Pull => pagerank::grid_pull_impl(grid, graph.degrees(), cfg, &c),
+                _ => pagerank::grid_push_impl(grid, graph.degrees(), cfg, sync, &c),
+            })
         }
-        (Algo::Wcc, L::Adjacency, D::PushPull) => {
-            VariantOutput::Wcc(wcc::push_pull_impl(&graph.und_csr().0, &c))
+        (Layout::Grid, Algo::Wcc) => VariantOutput::Wcc(wcc::grid_impl(&graph.grid(false).0, &c)),
+        (Layout::Grid, Algo::Spmv) => {
+            VariantOutput::Spmv(spmv::grid_impl(&graph.grid(false).0, &x(), &c))
         }
-        (Algo::Wcc, L::EdgeList, D::Push) => VariantOutput::Wcc(wcc::edge_centric_impl(edges, &c)),
-        (Algo::Wcc, L::Grid, D::Push) => {
-            VariantOutput::Wcc(wcc::grid_impl(&graph.grid(false).0, &c))
-        }
-        (Algo::Wcc, L::Ccsr, D::Push) => {
-            VariantOutput::Wcc(wcc::push_impl(&graph.und_ccsr().0, &c))
-        }
-        (Algo::Wcc, L::Ccsr, D::Pull) => {
-            VariantOutput::Wcc(wcc::pull_impl(&graph.und_ccsr().0, &c))
-        }
-        (Algo::Wcc, L::Ccsr, D::PushPull) => {
-            VariantOutput::Wcc(wcc::push_pull_impl(&graph.und_ccsr().0, &c))
-        }
-        (Algo::Wcc, L::Delta, D::Push) => {
-            VariantOutput::Wcc(wcc::push_impl(&graph.und_dcsr().0, &c))
-        }
-        (Algo::Wcc, L::Delta, D::Pull) => {
-            VariantOutput::Wcc(wcc::pull_impl(&graph.und_dcsr().0, &c))
-        }
-        (Algo::Wcc, L::Delta, D::PushPull) => {
-            VariantOutput::Wcc(wcc::push_pull_impl(&graph.und_dcsr().0, &c))
-        }
-
-        (Algo::Spmv, L::Adjacency, D::Push) => VariantOutput::Spmv(spmv::push_impl(
-            graph.csr(EdgeDirection::Out).0.out(),
-            x,
-            &c,
-        )),
-        (Algo::Spmv, L::Adjacency, D::Pull) => VariantOutput::Spmv(spmv::pull_impl(
-            graph.csr(EdgeDirection::In).0.incoming(),
-            x,
-            &c,
-        )),
-        (Algo::Spmv, L::EdgeList, D::Push) => {
-            VariantOutput::Spmv(spmv::edge_centric_impl(edges, x, &c))
-        }
-        (Algo::Spmv, L::Grid, D::Push) => {
-            VariantOutput::Spmv(spmv::grid_impl(&graph.grid(false).0, x, &c))
-        }
-        (Algo::Spmv, L::Ccsr, D::Push) => VariantOutput::Spmv(spmv::push_impl(
-            graph.ccsr(EdgeDirection::Out).0.out(),
-            x,
-            &c,
-        )),
-        (Algo::Spmv, L::Ccsr, D::Pull) => VariantOutput::Spmv(spmv::pull_impl(
-            graph.ccsr(EdgeDirection::In).0.incoming(),
-            x,
-            &c,
-        )),
-        (Algo::Spmv, L::Delta, D::Push) => VariantOutput::Spmv(spmv::push_impl(
-            graph.dcsr(EdgeDirection::Out).0.out(),
-            x,
-            &c,
-        )),
-        (Algo::Spmv, L::Delta, D::Pull) => VariantOutput::Spmv(spmv::pull_impl(
-            graph.dcsr(EdgeDirection::In).0.incoming(),
-            x,
-            &c,
-        )),
-
         // `is_supported` rejected everything else before we got here.
-        _ => unreachable!("run_variant checked is_supported"),
+        (Layout::Grid, Algo::Sssp) => unreachable!("run_variant checked is_supported"),
     }
 }
 
-fn pagerank_sync(sync: SyncMode) -> pagerank::PushSync {
-    match sync {
-        SyncMode::Atomics => pagerank::PushSync::Atomics,
-        SyncMode::Locks => pagerank::PushSync::Locks,
+/// Every algorithm over one vertex-centric layout — the single arm set
+/// behind the adj/ccsr/delta triplets. `degrees` yields the out-degrees
+/// PageRank normalizes by (of the merged graph for the delta layout)
+/// and `x` the SpMV input; both are only computed when consumed.
+fn run_vertex_centric<'a, E, L, P, R>(
+    id: &VariantId,
+    layout: &L,
+    degrees: impl FnOnce() -> &'a [u32],
+    x: impl FnOnce() -> Cow<'a, [f32]>,
+    params: &RunParams<'_>,
+    c: &ExecContext<'_, P, R>,
+) -> VariantOutput
+where
+    E: EdgeRecord,
+    L: VertexLayout<E>,
+    P: MemProbe,
+    R: Recorder,
+{
+    let (root, cfg) = (params.root, params.pagerank);
+    match (id.algo, id.direction) {
+        (Algo::Bfs, direction) => {
+            VariantOutput::Bfs(bfs::run(layout, root, direction, params.sync, c))
+        }
+        (Algo::Wcc, direction) => VariantOutput::Wcc(wcc::run(layout, direction, c)),
+        (Algo::Sssp, _) => VariantOutput::Sssp(sssp::push_impl(layout, root, c)),
+        (Algo::Pagerank, Direction::Pull) => {
+            VariantOutput::Pagerank(pagerank::pull_impl(layout.incoming(), degrees(), cfg, c))
+        }
+        (Algo::Pagerank, _) => VariantOutput::Pagerank(pagerank::push_impl(
+            layout.out(),
+            degrees(),
+            cfg,
+            params.sync,
+            c,
+        )),
+        (Algo::Spmv, Direction::Pull) => {
+            VariantOutput::Spmv(spmv::pull_impl(layout.incoming(), &x(), c))
+        }
+        (Algo::Spmv, _) => VariantOutput::Spmv(spmv::push_impl(layout.out(), &x(), c)),
     }
 }
 
@@ -1267,9 +1104,45 @@ mod tests {
     fn prepared_graph_caches_layouts() {
         let g = diamond();
         let pg = PreparedGraph::new(&g);
-        let a = &pg.csr(EdgeDirection::Out).0 as *const _;
-        let b = &pg.csr(EdgeDirection::Out).0 as *const _;
+        let a = &pg.csr(Slot::Dir(EdgeDirection::Out)).0 as *const _;
+        let b = &pg.csr(Slot::Dir(EdgeDirection::Out)).0 as *const _;
         assert_eq!(a, b);
+        // The undirected slot is its own build, shared by repeat calls.
+        let u = &pg.csr(Slot::Undirected).0 as *const _;
+        assert_ne!(a, u);
+        assert_eq!(u, &pg.csr(Slot::Undirected).0 as *const _);
+    }
+
+    #[test]
+    fn push_bfs_records_every_iteration_under_both_sync_modes() {
+        // Both push rules must run on the caller's context: a rule on
+        // a private one answers correctly but records nothing.
+        let g = diamond();
+        let pg = PreparedGraph::new(&g);
+        for layout in [Layout::Adjacency, Layout::Ccsr, Layout::Delta] {
+            for sync in [SyncMode::Atomics, SyncMode::Locks] {
+                let recorder = crate::telemetry::TraceRecorder::new();
+                let run = run_variant(
+                    &VariantId::new(Algo::Bfs, layout, Direction::Push),
+                    &ExecCtx::new(None).recorder(&recorder),
+                    &pg,
+                    &RunParams {
+                        sync,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                let result = run.output.as_bfs().unwrap();
+                assert_eq!(result.level, [0, 1, 1, 2], "{layout}/{sync}");
+                assert_eq!(result.iterations.len(), 3, "{layout}/{sync}");
+                assert_eq!(
+                    recorder.iterations().len(),
+                    result.iterations.len(),
+                    "{layout}/{sync}"
+                );
+                assert!(recorder.counters()[crate::engine::EDGES_EXAMINED] > 0.0);
+            }
+        }
     }
 
     #[test]

@@ -251,7 +251,8 @@ impl ThreadPool {
     ///
     /// Nested calls from inside a region run `f` inline on the current
     /// worker instead of deadlocking, so parallel operations compose
-    /// (they merely lose parallelism when nested).
+    /// (they merely lose parallelism when nested). Calls from different
+    /// threads on one pool take turns, one region at a time.
     ///
     /// # Panics
     ///
@@ -290,7 +291,12 @@ impl ThreadPool {
 
         {
             let mut slot = self.shared.slot.lock();
-            debug_assert!(slot.job.is_none(), "overlapping parallel regions");
+            // Regions from different caller threads (concurrent tests
+            // sharing the global pool) take turns: wait out the one in
+            // flight instead of overwriting its job.
+            while slot.job.is_some() {
+                self.shared.done_cv.wait(&mut slot);
+            }
             slot.epoch += 1;
             slot.job = Some(job);
             slot.remaining = self.shared.num_threads - 1;
@@ -312,6 +318,7 @@ impl ThreadPool {
                 self.shared.done_cv.wait(&mut slot);
             }
             slot.job = None;
+            self.shared.done_cv.notify_all();
             slot.panic.take()
         };
         if let Err(payload) = caller_result {
@@ -477,6 +484,27 @@ mod tests {
             });
         }
         assert_eq!(count.load(Ordering::SeqCst), 400);
+    }
+
+    #[test]
+    fn concurrent_callers_take_turns() {
+        // Two threads broadcasting on one pool (test threads sharing
+        // the global pool): every region must still run exactly once
+        // per worker, never overwritten by the other caller's job.
+        let pool = ThreadPool::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        let count = AtomicUsize::new(0);
+                        pool.broadcast(&|_| {
+                            count.fetch_add(1, Ordering::SeqCst);
+                        });
+                        assert_eq!(count.load(Ordering::SeqCst), 4);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

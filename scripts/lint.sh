@@ -6,6 +6,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The frontier driver (crates/core/src/engine/edge_map.rs) is the one
+# place a push/pull direction is chosen; a heuristic decision built
+# anywhere else in non-test core code is a hand-rolled loop coming back.
+echo "== direction decisions stay in the engine =="
+offenders=$(find crates/core/src -name '*.rs' \
+    ! -path 'crates/core/src/engine/*' ! -name metrics.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// && /DirectionDecision::heuristic\(/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "DirectionDecision::heuristic( outside engine/ and metrics.rs:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

@@ -4,6 +4,7 @@
 
 use everything_graph::core::algo::{bfs, pagerank, sssp, wcc};
 use everything_graph::core::layout::EdgeDirection;
+use everything_graph::core::metrics::SyncMode;
 use everything_graph::core::preprocess::{CsrBuilder, GridBuilder, Strategy as Build};
 use everything_graph::core::types::{Edge, EdgeList, WEdge};
 use everything_graph::storage::{read_edge_list, write_edge_list};
@@ -145,7 +146,7 @@ proptest! {
         let cfg = pagerank::PagerankConfig { iterations: 3, ..Default::default() };
         let adj = CsrBuilder::new(Build::RadixSort, EdgeDirection::Both).build(&graph);
         let pull = pagerank::pull(adj.incoming(), &degrees, cfg);
-        let push = pagerank::push(adj.out(), &degrees, cfg, pagerank::PushSync::Atomics);
+        let push = pagerank::push(adj.out(), &degrees, cfg, SyncMode::Atomics);
         let total: f32 = pull.ranks.iter().sum();
         prop_assert!(total <= 1.0 + 1e-3, "rank mass {}", total);
         for v in 0..pull.ranks.len() {

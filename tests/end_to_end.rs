@@ -77,15 +77,15 @@ fn pagerank_all_layouts_agree() {
         ("pull", pagerank::pull(adj.incoming(), &degrees, cfg).ranks),
         (
             "push-locks",
-            pagerank::push(adj.out(), &degrees, cfg, pagerank::PushSync::Locks).ranks,
+            pagerank::push(adj.out(), &degrees, cfg, SyncMode::Locks).ranks,
         ),
         (
             "edge",
-            pagerank::edge_centric(&graph, &degrees, cfg, pagerank::PushSync::Atomics).ranks,
+            pagerank::edge_centric(&graph, &degrees, cfg, SyncMode::Atomics).ranks,
         ),
         (
             "grid-cols",
-            pagerank::grid_push(&grid, &degrees, cfg, false).ranks,
+            pagerank::grid_push(&grid, &degrees, cfg, SyncMode::Atomics).ranks,
         ),
         (
             "grid-pull",
