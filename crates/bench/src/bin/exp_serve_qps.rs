@@ -13,6 +13,16 @@
 //! throughput grows with concurrency because up to 64 queries share
 //! one bit-packed edge scan. The acceptance bar is ≥2× qps at 64
 //! clients on RMAT-18 (`--scale 18`).
+//!
+//! A second section measures **query coalescing** under skewed roots:
+//! one seeded burst of 1024 BFS queries whose roots are Zipf(1.0) over
+//! 128 candidates (the standing benchmark's `serve_mixed` shape),
+//! answered (a) by the engine, where queries naming a root that already
+//! has a lane ride it, and (b) by the wave kernel driven directly the
+//! way the engine drove it before duplicates collapsed: 64 queries per
+//! wave in admission order, one lane and one checksum per query. Side
+//! (b) pays no queueing or channel cost, so the reported ratio is a
+//! floor. Every checksum must agree between the two.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -20,11 +30,175 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use egraph_bench::{fmt_ratio, graphs, ExperimentCtx, ResultTable};
-use egraph_core::serve::{ServeConfig, ServeDaemon, ServeGraph, MAX_WAVE};
+use egraph_bench::{fmt_ratio, graphs, min_time, reps, ExperimentCtx, ResultTable};
+use egraph_core::exec::ExecCtx;
+use egraph_core::layout::{AdjacencyList, EdgeDirection};
+use egraph_core::preprocess::{CsrBuilder, Strategy};
+use egraph_core::serve::{
+    multi_bfs, Query, QueryKind, QueryValues, ServeConfig, ServeDaemon, ServeEngine, ServeGraph,
+    MAX_WAVE,
+};
+use egraph_core::types::{Edge, EdgeList};
+use egraph_graphgen::Zipf;
+use egraph_parallel::ThreadPool;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Queries issued per client-count level (split across the clients).
 const TOTAL_QUERIES: usize = 256;
+
+/// The Zipf-rooted burst: queries, candidate roots and schedule seed.
+const ZIPF_QUERIES: usize = 1024;
+const ZIPF_ROOTS: usize = 128;
+const ZIPF_SEED: u64 = 2017;
+
+/// What one pass over the Zipf burst produced.
+struct ZipfPass {
+    checksums: Vec<u64>,
+    waves: f64,
+    lanes: usize,
+}
+
+/// The burst through the engine: everything submitted at once, answers
+/// collected in order. Lanes come from the flight recorder.
+fn zipf_coalesced(engine: &ServeEngine, schedule: &[u32]) -> (ZipfPass, f64) {
+    let recorded = engine.journal().recorded();
+    let start = Instant::now();
+    let receivers: Vec<_> = schedule
+        .iter()
+        .map(|&source| {
+            let query = Query {
+                kind: QueryKind::Bfs,
+                source,
+                depth: 0,
+            };
+            engine.submit(query).expect("schedule roots are in range")
+        })
+        .collect();
+    let mut checksums = Vec::with_capacity(schedule.len());
+    let mut waves = 0.0;
+    for rx in receivers {
+        let outcome = rx.recv().expect("engine answers every query");
+        checksums.push(outcome.checksum);
+        waves += 1.0 / outcome.wave_size as f64;
+    }
+    let secs = start.elapsed().as_secs_f64();
+    // The recorder trails the last send by one deposit.
+    while engine.journal().recorded() < recorded + schedule.len() as u64 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut lanes_of_wave = BTreeMap::new();
+    for event in engine.journal().dump(schedule.len()) {
+        lanes_of_wave.insert(event.wave, event.lanes as usize);
+    }
+    let pass = ZipfPass {
+        checksums,
+        waves,
+        lanes: lanes_of_wave.values().sum(),
+    };
+    (pass, secs)
+}
+
+/// The same burst with a lane per query: the wave kernel called
+/// directly on 64-query chunks in admission order, duplicates included,
+/// and every lane's answer hashed.
+fn zipf_lane_per_query(
+    adj: &AdjacencyList<Edge>,
+    pool: &ThreadPool,
+    schedule: &[u32],
+) -> (ZipfPass, f64) {
+    let ctx = ExecCtx::new(pool);
+    let start = Instant::now();
+    let mut checksums = Vec::with_capacity(schedule.len());
+    for chunk in schedule.chunks(MAX_WAVE) {
+        let levels = ctx.scoped(|| multi_bfs(adj.out(), chunk, u32::MAX, &ctx));
+        checksums.extend(
+            levels
+                .into_iter()
+                .map(|l| QueryValues::Levels(l).checksum()),
+        );
+    }
+    let secs = start.elapsed().as_secs_f64();
+    let pass = ZipfPass {
+        checksums,
+        waves: schedule.len().div_ceil(MAX_WAVE) as f64,
+        lanes: schedule.len(),
+    };
+    (pass, secs)
+}
+
+/// Runs the Zipf-rooted burst both ways and appends its two rows.
+fn zipf_section(ctx: &ExperimentCtx, graph: &EdgeList<Edge>, table: &mut ResultTable) {
+    // Candidates are the highest-degree vertices (all in the giant
+    // component), most popular first.
+    let degree = graphs::out_degrees_u32(graph);
+    let mut candidates: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    candidates.sort_by_key(|&v| (std::cmp::Reverse(degree[v as usize]), v));
+    candidates.truncate(ZIPF_ROOTS);
+    let zipf = Zipf::new(candidates.len(), 1.0);
+    let mut rng = StdRng::seed_from_u64(ZIPF_SEED);
+    let schedule: Vec<u32> = (0..ZIPF_QUERIES)
+        .map(|_| candidates[zipf.sample(&mut rng)])
+        .collect();
+    let mut distinct = schedule.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+
+    let threads = egraph_parallel::current_num_threads();
+    let engine = ServeEngine::start(
+        ServeGraph::Unweighted(graph.clone()),
+        ServeConfig {
+            threads,
+            metrics: false,
+            journal_capacity: ZIPF_QUERIES,
+            ..ServeConfig::default()
+        },
+    );
+    engine.wait_ready();
+    let pool = ThreadPool::new(threads);
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
+        .sort_neighbors(true)
+        .build(graph);
+    let (coalesced, coalesced_secs) = min_time(reps(), || zipf_coalesced(&engine, &schedule));
+    let (per_query, per_query_secs) =
+        min_time(reps(), || zipf_lane_per_query(&adj, &pool, &schedule));
+    engine.shutdown();
+    assert_eq!(
+        coalesced.checksums, per_query.checksums,
+        "coalesced answers must be bit-identical to lane-per-query answers"
+    );
+
+    println!(
+        "\nZipf(1.0) burst: {ZIPF_QUERIES} bfs queries over {ZIPF_ROOTS} roots ({} distinct), seed {ZIPF_SEED}",
+        distinct.len()
+    );
+    for (mode, pass, secs) in [
+        ("zipf lane-per-query", &per_query, per_query_secs),
+        ("zipf coalesced", &coalesced, coalesced_secs),
+    ] {
+        let qps = ZIPF_QUERIES as f64 / secs;
+        println!(
+            "  {mode:<20} {qps:>9.1} qps  ({:.0} waves, {} lanes, {:.1} queries/scan)",
+            pass.waves,
+            pass.lanes,
+            ZIPF_QUERIES as f64 / pass.waves
+        );
+        table.add_row(vec![
+            mode.into(),
+            "burst".into(),
+            ZIPF_QUERIES.to_string(),
+            format!("{qps:.1}"),
+            "-".into(),
+            "-".into(),
+        ]);
+    }
+    let speedup = per_query_secs / coalesced_secs.max(1e-9);
+    println!(
+        "  coalescing speedup on the Zipf burst: {} (checksums bit-identical)",
+        fmt_ratio(speedup)
+    );
+    ctx.headline("exp_serve_qps", "zipf_coalescing_speedup", speedup);
+}
 
 /// One client session: `count` sequential BFS queries starting at
 /// `first`, returning per-query latencies and (root, checksum) pairs.
@@ -188,9 +362,10 @@ fn main() {
         "batching speedup at 64 clients: {}  (acceptance bar: >=2x on RMAT-18)",
         fmt_ratio(speedup_at_max)
     );
-    table.print();
-    ctx.save(&table);
-
     batched.shutdown();
     unbatched.shutdown();
+
+    zipf_section(&ctx, &graph, &mut table);
+    table.print();
+    ctx.save(&table);
 }

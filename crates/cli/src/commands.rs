@@ -80,7 +80,8 @@ SERVE OPTIONS:
   --listen H:P     query daemon address (required); port 0 picks a
                    free port — the bound address is printed either way
   --threads N      worker threads for wave execution (default: all)
-  --max-wave N     most queries batched into one multi-source wave
+  --max-wave N     most lanes (distinct sources) in one multi-source
+                   wave; queries naming one source share its lane
                    (default 64, the bit-packed frontier width)
   --batch-window-ms MS   how long an admitted query waits for
                    companions before its wave launches anyway (default 2)

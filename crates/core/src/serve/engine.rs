@@ -5,14 +5,20 @@
 //! Life of a query: [`ServeEngine::submit`] validates it, enqueues a
 //! pending entry and wakes the scheduler. The scheduler waits up to the
 //! configured batching window for more same-kind queries (or until
-//! [`ServeConfig::max_wave`] are pending), extracts them as one wave,
-//! runs the matching multi-source kernel from [`super::wave`] under the
-//! engine's thread pool, and sends each lane's result back through the
-//! per-query channel. Callers block on their receiver — typically one
-//! connection-handler thread per client — so the engine is naturally
-//! concurrent without any async machinery.
+//! [`ServeConfig::max_wave`] distinct sources are pending), extracts
+//! them as one wave, runs the matching multi-source kernel from
+//! [`super::wave`] under the engine's thread pool, and sends each
+//! lane's result back through the per-query channel. Callers block on
+//! their receiver — typically one connection-handler thread per client
+//! — so the engine is naturally concurrent without any async machinery.
+//!
+//! The unit of kernel work is the *lane*, not the query: a wave holds
+//! one lane per distinct source, and every queued query of the wave's
+//! kind naming that source rides the lane. The lane's answer is cut
+//! and checksummed once and fanned out to its riders at demux, so N
+//! identical in-flight queries cost one traversal and one hash.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -39,7 +45,10 @@ use super::wave::{multi_bfs, multi_bfs_grid, multi_sssp, multi_sssp_grid, MAX_WA
 pub struct ServeConfig {
     /// Worker threads for wave execution (0 = all hardware threads).
     pub threads: usize,
-    /// Largest wave the scheduler forms; clamped to `1..=`[`MAX_WAVE`].
+    /// Most lanes — distinct sources — the scheduler packs into one
+    /// wave; clamped to `1..=`[`MAX_WAVE`]. Queries naming a source
+    /// that already has a lane ride it, so a wave may answer more
+    /// queries than it has lanes.
     pub max_wave: usize,
     /// How long an admitted query may wait for companions before its
     /// wave is launched anyway.
@@ -333,8 +342,9 @@ impl QueryKind {
     }
 
     /// Queries of different kinds never share a wave; k-hop queries
-    /// with different depth bounds may (the kernel runs to the deepest
-    /// bound and each lane is truncated afterwards).
+    /// with different depth bounds may, even on one lane (the kernel
+    /// runs to the deepest bound and each rider's answer is cut at its
+    /// own).
     fn batch_key(&self) -> u8 {
         match self {
             QueryKind::Bfs => 0,
@@ -392,6 +402,22 @@ impl QueryValues {
         }
         h
     }
+
+    /// Marks every level beyond `bound` hops unreached: a lane runs to
+    /// the deepest bound among its wave's k-hop riders, and this cuts
+    /// the shared result back to one rider's own depth.
+    fn cut_levels(&mut self, bound: u32) {
+        if bound == u32::MAX {
+            return;
+        }
+        if let QueryValues::Levels(levels) = self {
+            for level in levels.iter_mut() {
+                if *level != u32::MAX && *level > bound {
+                    *level = u32::MAX;
+                }
+            }
+        }
+    }
 }
 
 /// What a completed query hands back to its submitter.
@@ -403,14 +429,15 @@ pub struct QueryOutcome {
     /// computed once at demux so the daemon and the flight recorder
     /// agree without rehashing.
     pub checksum: u64,
-    /// How many queries shared this wave's edge scan.
+    /// How many queries shared this wave's edge scan. Riders of one
+    /// lane all count, so this may exceed [`MAX_WAVE`].
     pub wave_size: usize,
     /// Seconds spent queued before the wave launched.
     pub wait_seconds: f64,
     /// Seconds of kernel execution for the whole wave.
     pub exec_seconds: f64,
     /// Seconds between kernel completion and this query's result send
-    /// (k-hop truncation, checksumming and earlier lanes' demux).
+    /// (k-hop truncation, checksumming and earlier riders' demux).
     pub demux_seconds: f64,
 }
 
@@ -419,6 +446,141 @@ struct Pending {
     query: Query,
     enqueued: Instant,
     tx: mpsc::Sender<QueryOutcome>,
+}
+
+/// One formed wave: the distinct sources the kernel runs, one bit lane
+/// each, and every query riding them.
+struct Wave {
+    sources: Vec<VertexId>,
+    /// `(lane, query)` in admission order.
+    riders: Vec<(usize, Pending)>,
+}
+
+impl Wave {
+    /// Takes from `queue` the longest admission-order run of the oldest
+    /// query's kind that fits in `max_lanes` lanes: each new source
+    /// opens a lane, each repeat rides the lane its source already has,
+    /// and the run ends at the first query that would need one lane too
+    /// many. Queries of other kinds, and of this kind from that query
+    /// on, stay queued in order — so answers of one kind never overtake
+    /// each other, and a client collecting them in the order it asked
+    /// never leaves a later answer parked in its channel. (Letting
+    /// repeats behind that query ride too would pack tighter waves, but
+    /// every overtaking answer — a `|V|`-word array — then sits in its
+    /// channel until the overtaken query is served: DESIGN.md §13.3
+    /// has the measurement.)
+    fn extract(queue: &mut VecDeque<Pending>, max_lanes: usize) -> Self {
+        let key = queue[0].query.kind.batch_key();
+        let mut lane_of: HashMap<VertexId, usize> = HashMap::with_capacity(max_lanes);
+        let mut wave = Wave {
+            sources: Vec::with_capacity(max_lanes),
+            riders: Vec::new(),
+        };
+        let mut rest = VecDeque::with_capacity(queue.len());
+        let mut full = false;
+        for pending in queue.drain(..) {
+            if full || pending.query.kind.batch_key() != key {
+                rest.push_back(pending);
+                continue;
+            }
+            let source = pending.query.source;
+            let lane = match lane_of.get(&source) {
+                Some(&lane) => lane,
+                None if wave.sources.len() < max_lanes => {
+                    lane_of.insert(source, wave.sources.len());
+                    wave.sources.push(source);
+                    wave.sources.len() - 1
+                }
+                None => {
+                    full = true;
+                    rest.push_back(pending);
+                    continue;
+                }
+            };
+            wave.riders.push((lane, pending));
+        }
+        *queue = rest;
+        wave
+    }
+}
+
+/// The depth a query's answer is cut at: its own bound for k-hop, none
+/// for the full traversals (whose `depth` field is ignored).
+fn depth_bound(query: &Query) -> u32 {
+    match query.kind {
+        QueryKind::KHop => query.depth,
+        QueryKind::Bfs | QueryKind::Sssp => u32::MAX,
+    }
+}
+
+/// One distinct answer a lane hands out: the lane's kernel result cut
+/// at one depth bound, built when its first rider is reached.
+struct Answer {
+    bound: u32,
+    riders_left: usize,
+    built: Option<(QueryValues, u64)>,
+}
+
+/// One lane's kernel result on its way to the lane's riders. Almost
+/// every lane has a single [`Answer`]; only k-hop riders of one source
+/// with different depth bounds need more.
+struct LaneFanout {
+    /// The kernel output, held until the last answer is cut from it.
+    raw: Option<QueryValues>,
+    answers: Vec<Answer>,
+}
+
+impl LaneFanout {
+    fn new(raw: QueryValues) -> Self {
+        Self {
+            raw: Some(raw),
+            answers: Vec::new(),
+        }
+    }
+
+    /// Registers one rider with depth bound `bound`.
+    fn expect_rider(&mut self, bound: u32) {
+        match self.answers.iter_mut().find(|a| a.bound == bound) {
+            Some(answer) => answer.riders_left += 1,
+            None => self.answers.push(Answer {
+                bound,
+                riders_left: 1,
+                built: None,
+            }),
+        }
+    }
+
+    /// The values and checksum for the next rider with bound `bound`.
+    /// Truncation and the FNV pass run once per answer; every rider but
+    /// the answer's last gets a clone made here, at send time, and the
+    /// last takes the original — so a lane never holds more copies than
+    /// it has distinct bounds.
+    fn next_answer(&mut self, bound: u32) -> (QueryValues, u64) {
+        let unbuilt = self.answers.iter().filter(|a| a.built.is_none()).count();
+        let answer = self
+            .answers
+            .iter_mut()
+            .find(|a| a.bound == bound)
+            .expect("every rider was registered before the fan-out");
+        if answer.built.is_none() {
+            let raw = if unbuilt == 1 {
+                self.raw.take()
+            } else {
+                self.raw.clone()
+            };
+            let mut values = raw.expect("the raw result outlives its unbuilt answers");
+            values.cut_levels(bound);
+            let checksum = values.checksum();
+            answer.built = Some((values, checksum));
+        }
+        answer.riders_left -= 1;
+        let built = if answer.riders_left == 0 {
+            answer.built.take()
+        } else {
+            answer.built.clone()
+        };
+        built.expect("built above")
+    }
 }
 
 #[derive(Default)]
@@ -547,9 +709,12 @@ impl WaveCounterHists {
 
 struct Metrics {
     queries_total: [egraph_metrics::Counter; 3],
+    /// Queries answered by riding a lane another query opened.
+    coalesced_total: [egraph_metrics::Counter; 3],
     /// Stage histograms indexed by [`QueryKind::batch_key`].
     stages: [StageHists; 3],
     wave_size: egraph_metrics::Histogram,
+    wave_lanes: egraph_metrics::Histogram,
     waves_total: egraph_metrics::Counter,
     inflight: egraph_metrics::Gauge,
     queue_depth: egraph_metrics::Gauge,
@@ -566,14 +731,28 @@ impl Metrics {
                 &[("algo", k.name())],
             )
         });
+        let coalesced_total = kinds.map(|k| {
+            r.counter_with_labels(
+                "egraph_serve_coalesced_queries_total",
+                "Queries answered by riding a wave lane another query opened.",
+                &[("algo", k.name()), ("layout", layout)],
+            )
+        });
         Self {
             queries_total,
+            coalesced_total,
             stages: kinds.map(|k| StageHists::new(k.name(), layout)),
             wave_size: r.histogram_with_bounds(
                 "egraph_serve_wave_size",
                 "Queries sharing one multi-source wave.",
                 &[],
-                vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+                egraph_metrics::Histogram::log2_bounds(0, 12),
+            ),
+            wave_lanes: r.histogram_with_bounds(
+                "egraph_serve_wave_lanes",
+                "Distinct sources (bit lanes) one multi-source wave ran.",
+                &[],
+                egraph_metrics::Histogram::log2_bounds(0, 6),
             ),
             waves_total: r.counter(
                 "egraph_serve_waves_total",
@@ -936,16 +1115,21 @@ fn scheduler_loop(
                 admission = shared.wake.wait(admission).expect("admission poisoned");
             }
             // Batching window: give companions of the oldest query a
-            // chance to arrive, up to a full wave of its kind.
+            // chance to arrive, up to a full wave of lanes — distinct
+            // sources — of its kind. The queue only grows at the back
+            // while we wait, so each wake-up scans just the arrivals.
             let key = admission.queue[0].query.kind.batch_key();
             let deadline = admission.queue[0].enqueued + config.batch_window;
+            let mut sources: HashSet<VertexId> = HashSet::with_capacity(config.max_wave);
+            let mut scanned = 0;
             loop {
-                let same: usize = admission
-                    .queue
-                    .iter()
-                    .filter(|p| p.query.kind.batch_key() == key)
-                    .count();
-                if same >= config.max_wave || admission.stopping {
+                for pending in admission.queue.range(scanned..) {
+                    if sources.len() < config.max_wave && pending.query.kind.batch_key() == key {
+                        sources.insert(pending.query.source);
+                    }
+                }
+                scanned = admission.queue.len();
+                if sources.len() >= config.max_wave || admission.stopping {
                     break;
                 }
                 let now = Instant::now();
@@ -961,19 +1145,7 @@ fn scheduler_loop(
                     break;
                 }
             }
-            // Extract up to max_wave queries of the chosen kind, in
-            // admission order, leaving the rest queued.
-            let mut wave = Vec::with_capacity(config.max_wave);
-            let mut rest = VecDeque::with_capacity(admission.queue.len());
-            for pending in admission.queue.drain(..) {
-                if wave.len() < config.max_wave && pending.query.kind.batch_key() == key {
-                    wave.push(pending);
-                } else {
-                    rest.push_back(pending);
-                }
-            }
-            admission.queue = rest;
-            wave
+            Wave::extract(&mut admission.queue, config.max_wave)
         };
         // Pin this wave to the currently published snapshot; a compact
         // racing us flips the pointer for *later* waves only. The epoch
@@ -1001,20 +1173,20 @@ struct WaveRunner<'a> {
 }
 
 impl WaveRunner<'_> {
-    fn run(&self, resident: &Resident, wave: Vec<Pending>, wave_id: u64, epoch: u64) {
+    fn run(&self, resident: &Resident, wave: Wave, wave_id: u64, epoch: u64) {
         let metrics = self.metrics;
         let journal = self.journal;
-        let kind = wave[0].query.kind;
+        let Wave { sources, riders } = wave;
+        let kind = riders[0].1.query.kind;
         let algo_idx = kind.batch_key() as usize;
-        let sources: Vec<VertexId> = wave.iter().map(|p| p.query.source).collect();
         let max_depth = match kind {
             QueryKind::Bfs | QueryKind::Sssp => u32::MAX,
-            QueryKind::KHop => wave.iter().map(|p| p.query.depth).max().unwrap_or(0),
+            QueryKind::KHop => riders.iter().map(|(_, p)| p.query.depth).max().unwrap_or(0),
         };
         let ctx = ExecCtx::new(self.pool);
         let phase = self.perf.phase();
         let started = Instant::now();
-        let mut results: Vec<QueryValues> = ctx.scoped(|| match (kind, resident) {
+        let results: Vec<QueryValues> = ctx.scoped(|| match (kind, resident) {
             (QueryKind::Sssp, Resident::Weighted(layout)) => layout.sssp_wave(&sources, &ctx),
             (QueryKind::Sssp, Resident::Unweighted(_)) => {
                 unreachable!("submit rejects sssp on unweighted graphs")
@@ -1026,29 +1198,23 @@ impl WaveRunner<'_> {
         let exec_seconds = (executed - started).as_secs_f64();
         let sample = phase.finish();
 
-        // Lanes ran to the deepest bound in the wave; truncate each
-        // k-hop lane at its own depth so batching is invisible to the
-        // client.
-        if kind == QueryKind::KHop {
-            for (pending, values) in wave.iter().zip(results.iter_mut()) {
-                if let QueryValues::Levels(levels) = values {
-                    let bound = pending.query.depth;
-                    for level in levels.iter_mut() {
-                        if *level != u32::MAX && *level > bound {
-                            *level = u32::MAX;
-                        }
-                    }
-                }
-            }
+        let mut fanout: Vec<LaneFanout> = results.into_iter().map(LaneFanout::new).collect();
+        for (lane, pending) in &riders {
+            fanout[*lane].expect_rider(depth_bound(&pending.query));
         }
 
-        let wave_size = wave.len();
-        for (lane, (pending, values)) in wave.into_iter().zip(results).enumerate() {
+        // Fan out in admission order, not lane by lane: a client that
+        // collects its answers in the order it asked drains each result
+        // as it is cloned, so the clones of a hot lane never pile up
+        // behind a colder lane's first rider.
+        let lanes = sources.len();
+        let wave_size = riders.len();
+        for (lane, pending) in riders {
             let wait_seconds = (started - pending.enqueued).as_secs_f64();
-            let checksum = values.checksum();
+            let (values, checksum) = fanout[lane].next_answer(depth_bound(&pending.query));
             let demux_seconds = executed.elapsed().as_secs_f64();
             // A disconnected receiver (client went away mid-flight)
-            // just discards this lane; the rest of the wave is
+            // just discards this rider's copy; the rest of the wave is
             // unaffected.
             let delivered = pending
                 .tx
@@ -1067,7 +1233,8 @@ impl WaveRunner<'_> {
                 id: pending.id,
                 wave: wave_id,
                 lane: lane as u8,
-                wave_size: wave_size as u8,
+                lanes: lanes as u8,
+                wave_size: u32::try_from(wave_size).unwrap_or(u32::MAX),
                 kind,
                 epoch,
                 source: pending.query.source,
@@ -1101,6 +1268,8 @@ impl WaveRunner<'_> {
         if let Some(m) = metrics {
             m.waves_total.inc();
             m.wave_size.observe(wave_size as f64);
+            m.wave_lanes.observe(lanes as f64);
+            m.coalesced_total[algo_idx].add((wave_size - lanes) as u64);
             m.inflight
                 .set(self.shared.inflight.load(Ordering::Relaxed) as f64);
             let depth = {
@@ -1272,29 +1441,242 @@ mod tests {
             ServeGraph::Unweighted(chain_graph(32)),
             ServeConfig {
                 threads: 1,
-                batch_window: Duration::from_millis(100),
+                batch_window: Duration::from_millis(300),
                 metrics: false,
                 ..ServeConfig::default()
             },
         );
         engine.wait_ready();
-        let keep = engine
-            .submit(Query {
-                kind: QueryKind::Bfs,
-                source: 0,
+        let bfs_from = |source| {
+            engine
+                .submit(Query {
+                    kind: QueryKind::Bfs,
+                    source,
+                    depth: 0,
+                })
+                .unwrap()
+        };
+        // Source 0 has three riders on one lane and the middle one goes
+        // away; source 1 is a lane of its own whose only rider does.
+        let first = bfs_from(0);
+        drop(bfs_from(0));
+        drop(bfs_from(1));
+        let last = bfs_from(0);
+        for keep in [first, last] {
+            let outcome = keep.recv().expect("surviving rider still answered");
+            assert_eq!(outcome.values.reachable(), 32);
+            assert_eq!(outcome.wave_size, 4);
+        }
+        engine.shutdown();
+    }
+
+    /// A queue entry whose answer nobody collects.
+    fn queued(id: u64, kind: QueryKind, source: VertexId) -> Pending {
+        Pending {
+            id,
+            query: Query {
+                kind,
+                source,
                 depth: 0,
+            },
+            enqueued: Instant::now(),
+            tx: mpsc::channel().0,
+        }
+    }
+
+    #[test]
+    fn a_wave_is_the_longest_run_of_its_kind_that_fits_the_lanes() {
+        // bfs 5, sssp 9, bfs 5, bfs 6, bfs 7 (needs a third lane), bfs 5.
+        let mut queue: VecDeque<Pending> = [
+            (QueryKind::Bfs, 5),
+            (QueryKind::Sssp, 9),
+            (QueryKind::Bfs, 5),
+            (QueryKind::Bfs, 6),
+            (QueryKind::Bfs, 7),
+            (QueryKind::Bfs, 5),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, (kind, source))| queued(id as u64, kind, source))
+        .collect();
+        let wave = Wave::extract(&mut queue, 2);
+        assert_eq!(wave.sources, vec![5, 6]);
+        let riders: Vec<(usize, u64)> = wave.riders.iter().map(|(l, p)| (*l, p.id)).collect();
+        assert_eq!(riders, vec![(0, 0), (0, 2), (1, 3)]);
+        // The run ended at id 4; id 5 names a source that has a lane but
+        // stays behind it, so bfs answers never overtake each other.
+        let left: Vec<u64> = queue.iter().map(|p| p.id).collect();
+        assert_eq!(left, vec![1, 4, 5]);
+
+        let wave = Wave::extract(&mut queue, 2);
+        assert_eq!(wave.sources, vec![9], "the oldest query picks the kind");
+        let wave = Wave::extract(&mut queue, 2);
+        assert_eq!(wave.sources, vec![7, 5]);
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn lane_fanout_hashes_once_and_hands_the_original_to_the_last_rider() {
+        let ptr_of = |values: &QueryValues| match values {
+            QueryValues::Levels(l) => l.as_ptr(),
+            QueryValues::Dists(_) => unreachable!(),
+        };
+        let raw = QueryValues::Levels(vec![0, 1, 2, 3, u32::MAX]);
+        let kernel_output = raw.clone();
+        let original = ptr_of(&kernel_output);
+        let mut lane = LaneFanout::new(kernel_output);
+        for _ in 0..3 {
+            lane.expect_rider(u32::MAX);
+        }
+        let answers: Vec<_> = (0..3).map(|_| lane.next_answer(u32::MAX)).collect();
+        for (values, checksum) in &answers {
+            assert_eq!(values, &raw);
+            assert_eq!(*checksum, raw.checksum());
+        }
+        assert_ne!(ptr_of(&answers[0].0), original, "early riders get clones");
+        assert_eq!(ptr_of(&answers[2].0), original, "the last takes the result");
+        assert!(lane.raw.is_none() && lane.answers[0].built.is_none());
+    }
+
+    /// Levels of a BFS from `source`, cut at `bound` hops.
+    fn khop_levels(adj: &AdjacencyList<Edge>, source: VertexId, bound: u32) -> QueryValues {
+        let mut values = QueryValues::Levels(bfs::push(adj, source).level);
+        values.cut_levels(bound);
+        values
+    }
+
+    #[test]
+    fn identical_simultaneous_queries_share_one_lane() {
+        let graph = chain_graph(64);
+        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
+            .sort_neighbors(true)
+            .build(&graph);
+        let engine = ServeEngine::start(
+            ServeGraph::Unweighted(graph),
+            ServeConfig {
+                threads: 2,
+                batch_window: Duration::from_millis(300),
+                metrics: false,
+                journal_capacity: 256,
+                ..ServeConfig::default()
+            },
+        );
+        engine.wait_ready();
+        const N: usize = 100;
+        let receivers: Vec<_> = (0..N)
+            .map(|_| {
+                engine
+                    .submit(Query {
+                        kind: QueryKind::Bfs,
+                        source: 11,
+                        depth: 0,
+                    })
+                    .unwrap()
             })
-            .unwrap();
-        let drop_me = engine
-            .submit(Query {
-                kind: QueryKind::Bfs,
-                source: 1,
-                depth: 0,
+            .collect();
+        let want = QueryValues::Levels(bfs::push(&adj, 11).level);
+        for rx in receivers {
+            let outcome = rx.recv().unwrap();
+            assert_eq!(outcome.wave_size, N, "one wave answered all of them");
+            assert_eq!(outcome.values, want);
+            assert_eq!(outcome.checksum, want.checksum());
+        }
+        wait_recorded(&engine, N as u64);
+        for event in engine.journal().dump(N) {
+            assert_eq!(
+                (event.wave, event.lane, event.lanes),
+                (0, 0, 1),
+                "{event:?}"
+            );
+            assert_eq!(event.wave_size as usize, N);
+        }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn khop_riders_of_one_source_share_a_lane_and_keep_their_own_depth() {
+        let graph = chain_graph(32);
+        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
+            .sort_neighbors(true)
+            .build(&graph);
+        let engine = ServeEngine::start(
+            ServeGraph::Unweighted(graph),
+            ServeConfig {
+                threads: 1,
+                batch_window: Duration::from_millis(300),
+                metrics: false,
+                journal_capacity: 16,
+                ..ServeConfig::default()
+            },
+        );
+        engine.wait_ready();
+        // Two riders at depth 2 so one answer is both cloned and taken.
+        let depths = [1u32, 3, 2, 2];
+        let receivers: Vec<_> = depths
+            .iter()
+            .map(|&depth| {
+                engine
+                    .submit(Query {
+                        kind: QueryKind::KHop,
+                        source: 4,
+                        depth,
+                    })
+                    .unwrap()
             })
-            .unwrap();
-        drop(drop_me);
-        let outcome = keep.recv().expect("surviving query still answered");
-        assert_eq!(outcome.values.reachable(), 32);
+            .collect();
+        for (rx, &depth) in receivers.into_iter().zip(&depths) {
+            let outcome = rx.recv().unwrap();
+            let want = khop_levels(&adj, 4, depth);
+            assert_eq!(outcome.values, want, "depth {depth}");
+            assert_eq!(outcome.values.reachable(), depth as usize + 1);
+            assert_eq!(outcome.checksum, want.checksum());
+            assert_eq!(outcome.wave_size, depths.len());
+        }
+        wait_recorded(&engine, depths.len() as u64);
+        for event in engine.journal().dump(16) {
+            assert_eq!((event.lane, event.lanes), (0, 1), "{event:?}");
+        }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn duplicates_ride_existing_lanes_so_65_sources_need_exactly_two_waves() {
+        let engine = ServeEngine::start(
+            ServeGraph::Unweighted(chain_graph(128)),
+            ServeConfig {
+                threads: 2,
+                batch_window: Duration::from_millis(300),
+                metrics: false,
+                ..ServeConfig::default()
+            },
+        );
+        engine.wait_ready();
+        // Sources 0..=62 once each, then 200 repeats of the first ten:
+        // 63 lanes, so the window keeps the wave open. Source 63 fills
+        // the 64th lane (the wave may launch) and source 64 is the one
+        // that cannot fit, whichever of the two the scheduler sees last.
+        let mut sources: Vec<VertexId> = (0..63).collect();
+        sources.extend((0..200).map(|i| i % 10));
+        sources.extend([63, 64]);
+        let receivers: Vec<_> = sources
+            .iter()
+            .map(|&source| {
+                engine
+                    .submit(Query {
+                        kind: QueryKind::Bfs,
+                        source,
+                        depth: 0,
+                    })
+                    .unwrap()
+            })
+            .collect();
+        let sizes: Vec<usize> = receivers
+            .into_iter()
+            .map(|rx| rx.recv().unwrap().wave_size)
+            .collect();
+        let (last, first_wave) = sizes.split_last().unwrap();
+        assert!(first_wave.iter().all(|&s| s == 264), "{sizes:?}");
+        assert_eq!(*last, 1, "{sizes:?}");
         engine.shutdown();
     }
 
@@ -1524,6 +1906,8 @@ mod tests {
             "egraph_serve_demux_seconds",
             "egraph_serve_query_seconds",
             "egraph_serve_queue_depth",
+            "egraph_serve_coalesced_queries_total",
+            "egraph_serve_wave_lanes",
         ] {
             assert!(rendered.contains(name), "missing {name} in exposition");
         }

@@ -51,10 +51,14 @@ pub struct QueryEvent {
     pub id: u64,
     /// The wave that answered this query.
     pub wave: u64,
-    /// This query's bit lane within the wave.
+    /// The bit lane this query rode within the wave (shared with every
+    /// other query of the wave naming the same source).
     pub lane: u8,
-    /// How many queries shared the wave.
-    pub wave_size: u8,
+    /// Distinct lanes the wave ran (at most `MAX_WAVE`).
+    pub lanes: u8,
+    /// How many queries shared the wave; riders of one lane all count,
+    /// so this may exceed `lanes`.
+    pub wave_size: u32,
     /// The algorithm run.
     pub kind: QueryKind,
     /// The graph epoch the wave executed against (bumps on every
@@ -107,7 +111,7 @@ impl QueryEvent {
         format!(
             concat!(
                 r#"{{"id":{},"kind":"{}","source":{},"depth":{},"wave":{},"lane":{},"#,
-                r#""wave_size":{},"epoch":{},"enqueued_us":{},"queue_us":{},"exec_us":{},"#,
+                r#""lanes":{},"wave_size":{},"epoch":{},"enqueued_us":{},"queue_us":{},"exec_us":{},"#,
                 r#""demux_us":{},"total_us":{},"checksum":"{:#018x}","outcome":"{}"}}"#
             ),
             self.id,
@@ -116,6 +120,7 @@ impl QueryEvent {
             self.depth,
             self.wave,
             self.lane,
+            self.lanes,
             self.wave_size,
             self.epoch,
             self.enqueued_us,
@@ -145,7 +150,11 @@ fn encode(e: &QueryEvent) -> [u64; WORDS] {
     [
         e.id,
         e.wave,
-        u64::from(e.lane) | (u64::from(e.wave_size) << 8) | (kind << 16) | (outcome << 24),
+        u64::from(e.lane)
+            | (u64::from(e.lanes) << 8)
+            | (kind << 16)
+            | (outcome << 24)
+            | (u64::from(e.wave_size) << 32),
         u64::from(e.source) | (u64::from(e.depth) << 32),
         e.enqueued_us,
         e.started_us,
@@ -161,7 +170,8 @@ fn decode(w: [u64; WORDS]) -> QueryEvent {
         id: w[0],
         wave: w[1],
         lane: (w[2] & 0xff) as u8,
-        wave_size: ((w[2] >> 8) & 0xff) as u8,
+        lanes: ((w[2] >> 8) & 0xff) as u8,
+        wave_size: (w[2] >> 32) as u32,
         kind: match (w[2] >> 16) & 0xff {
             1 => QueryKind::Sssp,
             2 => QueryKind::KHop,
@@ -333,6 +343,7 @@ mod tests {
             id,
             wave: id / 4,
             lane: (id % 4) as u8,
+            lanes: 4,
             wave_size: 4,
             kind: QueryKind::Bfs,
             epoch: 1 + id % 3,
@@ -356,6 +367,15 @@ mod tests {
             ..event(77)
         };
         assert_eq!(decode(encode(&e)), e);
+        // A coalesced wave carries far more riders than lanes; neither
+        // field may bleed into its word-2 neighbours.
+        let wide = QueryEvent {
+            lane: 63,
+            lanes: 64,
+            wave_size: u32::MAX,
+            ..e
+        };
+        assert_eq!(decode(encode(&wide)), wide);
     }
 
     #[test]
@@ -402,6 +422,7 @@ mod tests {
         assert!(line.contains(r#""queue_us":3"#), "{line}");
         assert!(line.contains(r#""exec_us":4"#), "{line}");
         assert!(line.contains(r#""demux_us":1"#), "{line}");
+        assert!(line.contains(r#""lanes":4,"wave_size":4"#), "{line}");
         assert!(line.contains(r#""epoch":3"#), "{line}");
         assert!(line.contains(r#""outcome":"ok""#), "{line}");
     }

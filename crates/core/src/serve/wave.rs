@@ -69,8 +69,9 @@ pub fn multi_bfs<E: EdgeRecord, A: NeighborAccess<E>>(
         let mut frontier_words: Vec<u64> = vec![0; nv];
         let level_cells = UnsyncSlice::new(&mut levels);
 
-        // Seed the lanes. Duplicate sources coexist: each lane tracks
-        // its own bit.
+        // Seed the lanes. The serve engine passes distinct sources (its
+        // duplicate queries ride one lane); a direct caller's duplicates
+        // coexist, each lane tracking its own bit.
         let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
         for (q, &s) in sources.iter().enumerate() {
             let v = s as usize;
@@ -526,6 +527,18 @@ mod tests {
         let waves = multi_bfs(adj.out(), &[7, 7, 7], u32::MAX, &ExecCtx::new(None));
         assert_eq!(waves[0], waves[1]);
         assert_eq!(waves[1], waves[2]);
+    }
+
+    #[test]
+    fn multi_sssp_handles_duplicate_sources() {
+        let g = weighted_ring(60);
+        let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
+        let waves = multi_sssp(adj.out(), &[9, 4, 9, 9], &ExecCtx::new(None));
+        let single = sssp::push(&adj, 9);
+        assert_eq!(waves[0], single.dist);
+        assert_eq!(waves[2], single.dist);
+        assert_eq!(waves[3], single.dist);
+        assert_eq!(waves[1], sssp::push(&adj, 4).dist);
     }
 
     #[test]

@@ -16,7 +16,15 @@ fn event_for(id: u64) -> QueryEvent {
         id,
         wave: id >> 2,
         lane: (id % 64) as u8,
-        wave_size: 64,
+        lanes: 1 + (id % 64) as u8,
+        // Coalesced waves carry more riders than lanes: exercise sizes
+        // on both sides of the old one-byte field, up to the full u32.
+        wave_size: match id % 4 {
+            0 => 1 + (id % 64) as u32,
+            1 => 256 + id as u32,
+            2 => 70_000 + id as u32,
+            _ => u32::MAX - id as u32,
+        },
         kind: match id % 3 {
             0 => QueryKind::Bfs,
             1 => QueryKind::Sssp,

@@ -57,6 +57,17 @@ fn serve_style_labelled_registrations_pass_the_naming_lint() {
         "lint shape check",
         &[("algo", "bfs")],
     );
+    r.counter_with_labels(
+        "egraph_serve_coalesced_queries_total",
+        "lint shape check",
+        &[("algo", "bfs"), ("layout", "adj")],
+    );
+    r.histogram_with_bounds(
+        "egraph_serve_wave_lanes",
+        "lint shape check",
+        &[],
+        egraph_metrics::Histogram::log2_bounds(0, 6),
+    );
     let violations = r.lint_names();
     assert!(violations.is_empty(), "naming violations: {violations:?}");
 }
