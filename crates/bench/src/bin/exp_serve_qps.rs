@@ -111,7 +111,7 @@ fn zipf_lane_per_query(
     let start = Instant::now();
     let mut checksums = Vec::with_capacity(schedule.len());
     for chunk in schedule.chunks(MAX_WAVE) {
-        let levels = ctx.scoped(|| multi_bfs(adj.out(), chunk, u32::MAX, &ctx));
+        let levels = ctx.scoped(|| multi_bfs(adj, chunk, u32::MAX, &ctx));
         checksums.extend(
             levels
                 .into_iter()

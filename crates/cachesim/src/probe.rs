@@ -38,7 +38,9 @@ impl AccessKind {
 /// instrumentation.
 pub trait MemProbe: Sync {
     /// Reports whether this probe records anything. Engines may skip
-    /// address computation when `false`.
+    /// address computation when `false`. The answer must stay the same
+    /// for the probe's whole lifetime: the engine's drivers read it once
+    /// per call, not once per edge.
     #[inline]
     fn enabled(&self) -> bool {
         true

@@ -123,7 +123,7 @@ impl<E: EdgeRecord> FrontierAlgo<E> for BfsState {
     // A claim succeeds once per vertex, so activations need no dedup.
     const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
 
-    fn begin_round(&self) {
+    fn begin_round(&self, _frontier: &VertexSubset) {
         self.round.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -215,7 +215,7 @@ impl<E: EdgeRecord> FrontierAlgo<E> for LockedBfs<'_> {
 
     const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
 
-    fn begin_round(&self) {
+    fn begin_round(&self, _frontier: &VertexSubset) {
         self.state.round.fetch_add(1, Ordering::Relaxed);
     }
 

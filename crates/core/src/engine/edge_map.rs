@@ -55,8 +55,10 @@ pub(crate) trait FrontierAlgo<E: EdgeRecord>: PushOp<E> {
     /// (WCC's undirected CSR).
     const SYMMETRIC: bool = false;
 
-    /// Called at the start of every round (BFS advances its depth).
-    fn begin_round(&self) {}
+    /// Called at the start of every round with the frontier the round
+    /// is about to scan (BFS advances its depth; the serve tier's lane
+    /// rules install that frontier's lane words).
+    fn begin_round(&self, _frontier: &VertexSubset) {}
 
     /// The pull rule for a round whose frontier is `in_frontier`;
     /// vertices it changes are marked in `activated`.
@@ -135,7 +137,7 @@ where
     let cutoff = direction_cutoff(num_edges);
     let mut iterations = Vec::new();
     while !frontier.is_empty() {
-        algo.begin_round();
+        algo.begin_round(&frontier);
         let frontier_size = frontier.len();
         let sum_degrees = match policy {
             Direction::PushPull => true,

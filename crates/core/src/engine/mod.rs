@@ -18,7 +18,10 @@
 //! [`Recorder`] (so a traced run can report edges examined per step);
 //! the default [`NullProbe`](egraph_cachesim::NullProbe) /
 //! [`NullRecorder`](crate::telemetry::NullRecorder) specializations
-//! compile both kinds of instrumentation away.
+//! compile both kinds of instrumentation away. Each driver reads
+//! `probe.enabled()` once per call (it is constant for a probe's
+//! lifetime), so a probe erased behind
+//! [`ExecCtx`](crate::exec::ExecCtx) costs no virtual call per edge.
 
 mod edge_map;
 
@@ -165,6 +168,7 @@ where
     let _step = timeline::span(timeline::SpanKind::Step, "vertex_push", "push");
     let next = NextFrontier::new(next_kind, out.num_vertices());
     let probe = ctx.probe;
+    let probed = probe.enabled();
     // Each chunk borrows its worker's activation sink once and pushes
     // straight into the persistent per-worker buffer — no per-chunk
     // allocation, no shared-state flush.
@@ -174,12 +178,12 @@ where
             out.for_each_span(v, |span| {
                 *examined += span.len();
                 for e in span {
-                    if probe.enabled() {
+                    if probed {
                         touch_edge(probe, out.edge_sim_addr(v, k));
                         touch_src(probe, v, O::META_BYTES);
                         touch_dst(probe, e.dst(), O::META_BYTES);
+                        k += 1;
                     }
-                    k += 1;
                     if op.push(e) {
                         sink.add(e.dst());
                     }
@@ -234,17 +238,18 @@ where
     let next = NextFrontier::new(next_kind, num_vertices);
     let esize = std::mem::size_of::<E>() as u64;
     let probe = ctx.probe;
+    let probed = probe.enabled();
     egraph_parallel::parallel_for(0..edges.len(), egraph_parallel::DEFAULT_GRAIN, |r| {
         let mut sink = next.sink(r.start as u64);
         let examined = r.len();
         for i in r {
             let e = &edges[i];
-            if probe.enabled() {
+            if probed {
                 touch_edge(probe, regions::EDGES + i as u64 * esize);
                 touch_src(probe, e.src(), O::META_BYTES);
             }
             if op.source_active(e.src()) {
-                if probe.enabled() {
+                if probed {
                     touch_dst(probe, e.dst(), O::META_BYTES);
                 }
                 if op.push(e) {
@@ -283,6 +288,7 @@ where
     let nv = incoming.num_vertices();
     let next = NextFrontier::new(next_kind, nv);
     let probe = ctx.probe;
+    let probed = probe.enabled();
     egraph_parallel::parallel_for(0..nv, 1024, |r| {
         let mut sink = next.sink(r.start as u64);
         let mut examined = 0;
@@ -290,13 +296,13 @@ where
             let v = v as VertexId;
             // The pass over all vertices to check activity is the
             // inherent pull overhead the paper describes.
-            if probe.enabled() {
+            if probed {
                 touch_dst(probe, v, O::META_BYTES);
             }
             if !op.wants_pull(v) {
                 continue;
             }
-            if probe.enabled() {
+            if probed {
                 let mut k = 0usize;
                 incoming.for_each_span(v, |span| {
                     let mut consumed = 0;
@@ -348,6 +354,7 @@ where
     let side = grid.side();
     let esize = std::mem::size_of::<E>() as u64;
     let probe = ctx.probe;
+    let probed = probe.enabled();
     egraph_parallel::parallel_for(0..side, 1, |cols| {
         let mut sink = next.sink(cols.start as u64);
         let mut examined = 0;
@@ -357,12 +364,12 @@ where
                 let cell = grid.cell(row, col);
                 examined += cell.len();
                 for (k, e) in cell.iter().enumerate() {
-                    if probe.enabled() {
+                    if probed {
                         touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
                         touch_src(probe, e.src(), O::META_BYTES);
                     }
                     if op.source_active(e.src()) {
-                        if probe.enabled() {
+                        if probed {
                             touch_dst(probe, e.dst(), O::META_BYTES);
                         }
                         if op.push(e) {
@@ -397,6 +404,7 @@ where
     let side = grid.side();
     let esize = std::mem::size_of::<E>() as u64;
     let probe = ctx.probe;
+    let probed = probe.enabled();
     egraph_parallel::parallel_for(0..side * side, 1, |cells| {
         let mut sink = next.sink(cells.start as u64);
         let mut examined = 0;
@@ -406,12 +414,12 @@ where
             let cell = grid.cell(row, col);
             examined += cell.len();
             for (k, e) in cell.iter().enumerate() {
-                if probe.enabled() {
+                if probed {
                     touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
                     touch_src(probe, e.src(), O::META_BYTES);
                 }
                 if op.source_active(e.src()) {
-                    if probe.enabled() {
+                    if probed {
                         touch_dst(probe, e.dst(), O::META_BYTES);
                     }
                     if op.push(e) {
@@ -449,6 +457,7 @@ where
     let side = grid.side();
     let esize = std::mem::size_of::<E>() as u64;
     let probe = ctx.probe;
+    let probed = probe.enabled();
     egraph_parallel::parallel_for(0..side, 1, |rows| {
         let mut sink = next.sink(rows.start as u64);
         let mut examined = 0;
@@ -459,14 +468,14 @@ where
                 examined += cell.len();
                 for (k, e) in cell.iter().enumerate() {
                     let receiver = e.src();
-                    if probe.enabled() {
+                    if probed {
                         touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
                         touch_dst(probe, receiver, O::META_BYTES);
                     }
                     if !op.wants_pull(receiver) {
                         continue;
                     }
-                    if probe.enabled() {
+                    if probed {
                         touch_src(probe, e.dst(), O::META_BYTES);
                     }
                     let _ = op.pull(receiver, e);

@@ -3,6 +3,7 @@
 //! pin the driver contracts themselves).
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use egraph_cachesim::{AccessKind, CacheConfig, LlcProbe};
 
@@ -311,16 +312,26 @@ fn empty_graph_drivers_are_noops() {
 }
 
 /// A toy frontier algorithm for the driver tests: every vertex ends up
-/// with the smallest id that reaches it along edge direction.
+/// with the smallest id that reaches it along edge direction. It also
+/// checks the `begin_round` contract: the frontier it is handed is the
+/// one the round then scans.
 struct MinLabel {
     label: Vec<AtomicU32>,
+    /// The sorted frontier of every round begun so far.
+    frontiers: Mutex<Vec<Vec<VertexId>>>,
 }
 
 impl MinLabel {
     fn new(nv: usize) -> Self {
         Self {
             label: (0..nv as u32).map(AtomicU32::new).collect(),
+            frontiers: Mutex::new(Vec::new()),
         }
+    }
+
+    fn in_round_frontier(&self, v: VertexId) -> bool {
+        let frontiers = self.frontiers.lock().unwrap();
+        frontiers.last().unwrap().binary_search(&v).is_ok()
     }
 
     fn labels(&self) -> Vec<u32> {
@@ -330,6 +341,7 @@ impl MinLabel {
 
 impl<E: EdgeRecord> PushOp<E> for MinLabel {
     fn push(&self, e: &E) -> bool {
+        assert!(self.in_round_frontier(e.src()), "pushed from {}", e.src());
         let l = self.label[e.src() as usize].load(Ordering::Relaxed);
         self.label[e.dst() as usize].fetch_min(l, Ordering::Relaxed) > l
     }
@@ -366,11 +378,22 @@ impl<E: EdgeRecord> FrontierAlgo<E> for MinLabel {
 
     const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
 
+    fn begin_round(&self, frontier: &VertexSubset) {
+        let mut members = match frontier {
+            VertexSubset::Sparse(list) => list.clone(),
+            VertexSubset::Dense { bitmap, .. } => bitmap.to_vec(),
+        };
+        members.sort_unstable();
+        self.frontiers.lock().unwrap().push(members);
+    }
+
     fn pull_op<'a>(
         &'a self,
         in_frontier: &'a AtomicBitmap,
         activated: &'a AtomicBitmap,
     ) -> MinLabelPull<'a> {
+        let frontiers = self.frontiers.lock().unwrap();
+        assert_eq!(frontiers.last(), Some(&in_frontier.to_vec()));
         MinLabelPull {
             label: &self.label,
             in_frontier,
@@ -390,6 +413,11 @@ fn min_label_run(
     let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(graph);
     let algo = MinLabel::new(graph.num_vertices());
     let log = edge_map(&adj, frontier, &algo, policy, ExecContext::new());
+    // One `begin_round` per recorded round, each handed that round's
+    // frontier.
+    let begun: Vec<usize> = (algo.frontiers.lock().unwrap().iter().map(Vec::len)).collect();
+    let scanned: Vec<usize> = log.iter().map(|stat| stat.frontier_size).collect();
+    assert_eq!(begun, scanned, "{policy:?}");
     (algo.labels(), log)
 }
 

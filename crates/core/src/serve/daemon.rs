@@ -17,7 +17,8 @@
 //! (levels for bfs/khop, distances for sssp — large!). `id` is echoed
 //! verbatim so clients may pipeline. Errors come back on the same line
 //! slot: `{"id":1,"ok":false,"error":"..."}`. The connection stays
-//! open until the client closes it.
+//! open until the client closes it — or sends more than 1 MiB without a
+//! newline, which is answered with one error and a close.
 //!
 //! Lines carrying an `op` field instead of `algo` mutate the served
 //! graph (DESIGN.md §16):
@@ -49,7 +50,7 @@
 //!   oldest first: every live daemon can always explain its recent
 //!   queries.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -179,6 +180,11 @@ fn accept_loop(listener: TcpListener, engine: &Arc<ServeEngine>, stop: &Arc<Atom
     }
 }
 
+/// Longest request line the daemon buffers (newline excluded). A
+/// client that sends more without a newline gets one error and is
+/// disconnected, so a connection holds at most this much.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 fn handle_connection(
     stream: TcpStream,
     engine: &ServeEngine,
@@ -192,15 +198,19 @@ fn handle_connection(
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Bytes, not a `String`: a timeout may split a multi-byte character.
+    let mut line: Vec<u8> = Vec::new();
     loop {
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
+        let budget = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return Ok(()), // client closed
             Ok(_) => {}
+            // A request may arrive in segments further apart than the
+            // timeout: what was read stays in `line` and the next read
+            // appends to it.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -209,10 +219,20 @@ fn handle_connection(
             }
             Err(e) => return Err(e),
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+        // Body and newline leave in one write: split, the newline would
+        // be a second segment queued behind the first one's ACK.
+        let mut send = |mut response: String| {
+            response.push('\n');
+            writer.write_all(response.as_bytes())
+        };
+        if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            return send(error_response("null", &message));
         }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return send(error_response("null", "request is not valid utf-8"));
+        };
+        let trimmed = text.trim();
         // HTTP probes reuse the query port: answer one request and
         // close, exactly what a load balancer (or curl) expects.
         if trimmed.starts_with("GET ") {
@@ -224,11 +244,11 @@ fn handle_connection(
             );
             return writer.write_all(response.as_bytes());
         }
-        // Body and newline leave in one write: split, the newline would
-        // be a second segment queued behind the first one's ACK.
-        let mut response = answer(trimmed, engine);
-        response.push('\n');
-        writer.write_all(response.as_bytes())?;
+        if !trimmed.is_empty() {
+            send(answer(trimmed, engine))?;
+        }
+        // Only now: the whole line has been handled.
+        line.clear();
     }
 }
 
@@ -287,17 +307,30 @@ fn http_get(path: &str, engine: &ServeEngine) -> (&'static str, &'static str, St
     }
 }
 
-/// Parses one request line and produces the response line (no trailing
-/// newline).
+/// Parses one request line — once — and produces the response line (no
+/// trailing newline). A line carrying a string `op` mutates the graph;
+/// every other line is a query and needs `algo`.
 fn answer(line: &str, engine: &ServeEngine) -> String {
-    if let Some(response) = answer_update(line, engine) {
-        return response;
-    }
-    let (id, parsed) = match parse_request(line) {
-        Ok(x) => x,
-        Err((id, msg)) => return error_response(&id, &msg),
+    let value = match json::parse(line) {
+        Ok(value) => value,
+        Err(e) => return error_response("null", &format!("bad json: {e}")),
     };
-    let (query, want_values) = parsed;
+    let Some(obj) = value.as_object() else {
+        return error_response("null", "request must be a json object");
+    };
+    let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let id = match field("id") {
+        Some(Value::Number(n)) => json::number(*n),
+        Some(Value::String(s)) => json::string(s),
+        _ => "null".to_string(),
+    };
+    if let Some(op) = field("op").and_then(Value::as_str) {
+        return answer_update(op, &id, line, engine);
+    }
+    let (query, want_values) = match parse_query(field) {
+        Ok(parsed) => parsed,
+        Err(message) => return error_response(&id, &message),
+    };
     let rx = match engine.submit(query) {
         Ok(rx) => rx,
         Err(e) => return error_response(&id, &e.to_string()),
@@ -308,93 +341,61 @@ fn answer(line: &str, engine: &ServeEngine) -> String {
     }
 }
 
-/// Handles a graph-mutation line (one with an `op` field); `None`
-/// routes the line to the query path.
-fn answer_update(line: &str, engine: &ServeEngine) -> Option<String> {
-    let value = json::parse(line).ok()?;
-    let obj = value.as_object()?;
-    let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let op = field("op").and_then(Value::as_str)?;
-    let id = match field("id") {
-        Some(Value::Number(n)) => json::number(*n),
-        Some(Value::String(s)) => json::string(s),
-        _ => "null".to_string(),
-    };
+/// Handles a graph-mutation line whose `op` field is `op`.
+fn answer_update(op: &str, id: &str, line: &str, engine: &ServeEngine) -> String {
     if op == "compact" {
         let c = engine.compact();
-        return Some(format!(
+        return format!(
             "{{\"id\":{id},\"ok\":true,\"op\":\"compact\",\"epoch\":{},\"merged_ops\":{},\"resident_bytes\":{}}}",
             c.epoch, c.merged_ops, c.resident_bytes
-        ));
+        );
     }
     // insert/delete lines (and unknown ops, which come back as the
-    // typed parse error) are handed to the engine verbatim.
-    Some(match engine.apply_update(line) {
+    // typed parse error) are handed to the engine's delta codec
+    // verbatim.
+    match engine.apply_update(line) {
         Ok(applied) => format!(
             "{{\"id\":{id},\"ok\":true,\"op\":\"update\",\"applied\":{applied},\"pending\":{}}}",
             engine.pending_ops()
         ),
-        Err(e) => error_response(&id, &e.to_string()),
-    })
+        Err(e) => error_response(id, &e.to_string()),
+    }
 }
 
-/// `(id-as-json, ((query, want_values)))` or `(id-as-json, message)`.
-#[allow(clippy::type_complexity)]
-fn parse_request(line: &str) -> Result<(String, (Query, bool)), (String, String)> {
-    let value = json::parse(line).map_err(|e| ("null".to_string(), format!("bad json: {e}")))?;
-    let obj = match value.as_object() {
-        Some(o) => o,
-        None => {
-            return Err((
-                "null".to_string(),
-                "request must be a json object".to_string(),
-            ))
-        }
-    };
-    let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let id = match field("id") {
-        Some(Value::Number(n)) => json::number(*n),
-        Some(Value::String(s)) => json::string(s),
-        _ => "null".to_string(),
-    };
-    let fail = |msg: String| (id.clone(), msg);
+/// Reads a query and its `values` flag out of a request object's
+/// fields; the error is the message for the client.
+fn parse_query<'a>(field: impl Fn(&str) -> Option<&'a Value>) -> Result<(Query, bool), String> {
     let algo = field("algo")
         .and_then(Value::as_str)
-        .ok_or_else(|| fail("missing field: algo".to_string()))?;
+        .ok_or("missing field: algo")?;
     let kind = match algo {
         "bfs" => QueryKind::Bfs,
         "sssp" => QueryKind::Sssp,
         "khop" => QueryKind::KHop,
         other => {
-            return Err(fail(format!(
+            return Err(format!(
                 "unknown algo '{other}' (expected bfs, sssp or khop)"
-            )))
+            ))
         }
     };
     let source = field("source")
         .and_then(Value::as_number)
-        .ok_or_else(|| fail("missing field: source".to_string()))?;
+        .ok_or("missing field: source")?;
     if source < 0.0 || source.fract() != 0.0 || source > f64::from(u32::MAX) {
-        return Err(fail(format!("source must be a vertex id, got {source}")));
+        return Err(format!("source must be a vertex id, got {source}"));
     }
     let depth = match (kind, field("depth").and_then(Value::as_number)) {
         (QueryKind::KHop, Some(d)) if d >= 0.0 && d.fract() == 0.0 => d as u32,
-        (QueryKind::KHop, Some(d)) => return Err(fail(format!("bad depth {d}"))),
-        (QueryKind::KHop, None) => return Err(fail("khop needs a depth field".to_string())),
+        (QueryKind::KHop, Some(d)) => return Err(format!("bad depth {d}")),
+        (QueryKind::KHop, None) => return Err("khop needs a depth field".to_string()),
         _ => 0,
     };
-    let want_values = matches!(field("values"), Some(Value::Bool(true)));
-    Ok((
-        id,
-        (
-            Query {
-                kind,
-                source: source as VertexId,
-                depth,
-            },
-            want_values,
-        ),
-    ))
+    let query = Query {
+        kind,
+        source: source as VertexId,
+        depth,
+    };
+    Ok((query, matches!(field("values"), Some(Value::Bool(true)))))
 }
 
 fn ok_response(id: &str, query: Query, outcome: &QueryOutcome, want_values: bool) -> String {
@@ -540,6 +541,55 @@ mod tests {
             elapsed < Duration::from_millis(30 * 20),
             "30 sequential round trips took {elapsed:?}"
         );
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_request_split_across_the_read_timeout_is_answered_whole() {
+        let daemon = daemon_on_chain(16);
+        daemon.wait_ready();
+        let mut stream = TcpStream::connect(daemon.addr()).expect("connect");
+        stream.write_all(br#"{"id":1,"algo":"bfs","#).unwrap();
+        // Longer than the handler's 250 ms read timeout.
+        std::thread::sleep(Duration::from_millis(400));
+        stream.write_all(b"\"source\":3}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        let response = json::parse(line.trim()).expect("valid json response");
+        assert_eq!(get_field(&response, "ok"), &Value::Bool(true), "{line}");
+        assert_eq!(get_field(&response, "id").as_number(), Some(1.0));
+        assert_eq!(get_field(&response, "source").as_number(), Some(3.0));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_request_line_is_refused_and_the_connection_closed() {
+        let daemon = daemon_on_chain(16);
+        daemon.wait_ready();
+        let mut stream = TcpStream::connect(daemon.addr()).expect("connect");
+        // A daemon that buffers without limit never answers: fail, not
+        // hang.
+        let patience = Duration::from_secs(20);
+        stream.set_read_timeout(Some(patience)).unwrap();
+        // One byte over the cap and no newline: exactly what the daemon
+        // is willing to buffer before it gives up on the line.
+        stream
+            .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let response = json::parse(line.trim()).expect("valid json response");
+        assert_eq!(get_field(&response, "ok"), &Value::Bool(false), "{line}");
+        assert!(get_field(&response, "error")
+            .as_str()
+            .unwrap()
+            .contains("exceeds 1048576 bytes"));
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "closed");
+        // The daemon itself is unharmed.
+        let response = roundtrip(daemon.addr(), r#"{"id":2,"algo":"bfs","source":0}"#);
+        assert_eq!(get_field(&response, "ok"), &Value::Bool(true));
         daemon.shutdown();
     }
 

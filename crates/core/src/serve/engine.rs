@@ -28,17 +28,19 @@ use std::time::{Duration, Instant};
 use egraph_parallel::ThreadPool;
 use egraph_perf::{CounterKind, PerfCounters};
 
+use crate::engine::FrontierAlgo;
 use crate::exec::ExecCtx;
 use crate::layout::{
     AdjacencyList, CcsrList, DeltaBatch, DeltaError, DeltaList, DeltaLog, EdgeDirection, EpochCell,
-    Grid, VertexLayout,
+    Grid,
 };
+use crate::metrics::IterStat;
 use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
 use crate::types::{Edge, EdgeList, EdgeRecord, VertexId, WEdge};
 use crate::variant::{default_grid_side, Algo, Layout, VariantError};
 
 use super::journal::{EventOutcome, QueryEvent, QueryJournal};
-use super::wave::{multi_bfs, multi_bfs_grid, multi_sssp, multi_sssp_grid, MAX_WAVE};
+use super::wave::{BfsLanes, Lanes, SsspLanes, MAX_WAVE};
 
 /// Tuning knobs for the serve engine.
 #[derive(Debug, Clone)]
@@ -142,6 +144,16 @@ impl Resident {
             Resident::Weighted(layout) => layout.resident_bytes(),
         }
     }
+
+    fn run_wave<V>(&self, wave: &Lanes<V>, ctx: &ExecCtx<'_>) -> Vec<IterStat>
+    where
+        Lanes<V>: FrontierAlgo<Edge> + FrontierAlgo<WEdge>,
+    {
+        match self {
+            Resident::Unweighted(layout) => layout.run_wave(wave, ctx),
+            Resident::Weighted(layout) => layout.run_wave(wave, ctx),
+        }
+    }
 }
 
 /// One servable layout over edges of type `E`.
@@ -191,31 +203,17 @@ impl<E: EdgeRecord> ResidentLayout<E> {
         }
     }
 
-    /// One multi-source BFS / k-hop wave: levels per lane.
-    fn bfs_wave(
-        &self,
-        sources: &[VertexId],
-        max_depth: u32,
-        ctx: &ExecCtx<'_>,
-    ) -> Vec<QueryValues> {
-        let levels = match self {
-            Self::Adj(a) => multi_bfs(a.out(), sources, max_depth, ctx),
-            Self::Grid(g) => multi_bfs_grid(g, sources, max_depth, ctx),
-            Self::Ccsr(c) => multi_bfs(c.out(), sources, max_depth, ctx),
-            Self::Delta(d) => multi_bfs(d.out(), sources, max_depth, ctx),
-        };
-        levels.into_iter().map(QueryValues::Levels).collect()
-    }
-
-    /// One multi-source SSSP wave: distances per lane.
-    fn sssp_wave(&self, sources: &[VertexId], ctx: &ExecCtx<'_>) -> Vec<QueryValues> {
-        let dists = match self {
-            Self::Adj(a) => multi_sssp(a.out(), sources, ctx),
-            Self::Grid(g) => multi_sssp_grid(g, sources, ctx),
-            Self::Ccsr(c) => multi_sssp(c.out(), sources, ctx),
-            Self::Delta(d) => multi_sssp(d.out(), sources, ctx),
-        };
-        dists.into_iter().map(QueryValues::Dists).collect()
+    /// One wave: every round of its rule on the shared frontier drivers.
+    fn run_wave<V>(&self, wave: &Lanes<V>, ctx: &ExecCtx<'_>) -> Vec<IterStat>
+    where
+        Lanes<V>: FrontierAlgo<E>,
+    {
+        match self {
+            Self::Adj(a) => wave.run(a, ctx),
+            Self::Grid(g) => wave.run_grid(g, ctx),
+            Self::Ccsr(c) => wave.run(c, ctx),
+            Self::Delta(d) => wave.run(d, ctx),
+        }
     }
 }
 
@@ -715,6 +713,10 @@ struct Metrics {
     stages: [StageHists; 3],
     wave_size: egraph_metrics::Histogram,
     wave_lanes: egraph_metrics::Histogram,
+    /// Rounds per wave, from the wave's iteration records.
+    wave_rounds: [egraph_metrics::Histogram; 3],
+    /// Σ `edges_scanned` over a wave's iteration records.
+    wave_edges_scanned: [egraph_metrics::Histogram; 3],
     waves_total: egraph_metrics::Counter,
     inflight: egraph_metrics::Gauge,
     queue_depth: egraph_metrics::Gauge,
@@ -754,6 +756,22 @@ impl Metrics {
                 &[],
                 egraph_metrics::Histogram::log2_bounds(0, 6),
             ),
+            wave_rounds: kinds.map(|k| {
+                r.histogram_with_bounds(
+                    "egraph_serve_wave_rounds",
+                    "Frontier rounds one multi-source wave ran.",
+                    &[("algo", k.name()), ("layout", layout)],
+                    egraph_metrics::Histogram::log2_bounds(0, 12),
+                )
+            }),
+            wave_edges_scanned: kinds.map(|k| {
+                r.histogram_with_bounds(
+                    "egraph_serve_wave_edges_scanned",
+                    "Edges one multi-source wave scanned, summed over its rounds.",
+                    &[("algo", k.name()), ("layout", layout)],
+                    egraph_metrics::Histogram::log2_bounds(4, 34),
+                )
+            }),
             waves_total: r.counter(
                 "egraph_serve_waves_total",
                 "Multi-source waves executed by the serve engine.",
@@ -775,6 +793,8 @@ impl Metrics {
 /// graph plus the epoch-published resident snapshot. Waves only touch
 /// the epoch cell, so updates and compaction never block readers.
 struct GraphState {
+    /// Fixed for the engine's lifetime: deltas add and remove edges only.
+    num_vertices: usize,
     mutated: Mutex<MutableGraph>,
     resident: EpochCell<Option<Resident>>,
 }
@@ -785,7 +805,6 @@ pub struct ServeEngine {
     shared: Arc<Shared>,
     state: Arc<GraphState>,
     scheduler: Option<JoinHandle<()>>,
-    num_vertices: usize,
     weighted: bool,
     layout: Layout,
     resident_bytes: Arc<AtomicU64>,
@@ -798,7 +817,7 @@ pub struct ServeEngine {
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
-            .field("num_vertices", &self.num_vertices)
+            .field("num_vertices", &self.state.num_vertices)
             .field("weighted", &self.weighted)
             .field("layout", &self.layout)
             .finish()
@@ -818,7 +837,6 @@ impl ServeEngine {
             config.layout != Layout::EdgeList,
             "the edge layout has no servable per-vertex index; use adj, grid or ccsr"
         );
-        let num_vertices = graph.num_vertices();
         let weighted = graph.weighted();
         let layout = config.layout;
         let max_wave = config.max_wave.clamp(1, MAX_WAVE);
@@ -832,6 +850,7 @@ impl ServeEngine {
         let journal = Arc::new(QueryJournal::new(config.journal_capacity));
         let wave_perf = Arc::new(OnceLock::new());
         let state = Arc::new(GraphState {
+            num_vertices: graph.num_vertices(),
             mutated: Mutex::new(MutableGraph::new(graph)),
             resident: EpochCell::new(None),
         });
@@ -862,7 +881,6 @@ impl ServeEngine {
             shared,
             state,
             scheduler: Some(scheduler),
-            num_vertices,
             weighted,
             layout,
             resident_bytes,
@@ -875,7 +893,7 @@ impl ServeEngine {
 
     /// Number of vertices in the served graph.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.state.num_vertices
     }
 
     /// Whether the served graph carries edge weights.
@@ -997,10 +1015,10 @@ impl ServeEngine {
     /// [`VariantError::RootOutOfRange`] for a bad source and
     /// [`VariantError::NeedsWeights`] for SSSP on an unweighted graph.
     pub fn submit(&self, query: Query) -> Result<mpsc::Receiver<QueryOutcome>, VariantError> {
-        if (query.source as usize) >= self.num_vertices {
+        if (query.source as usize) >= self.state.num_vertices {
             return Err(VariantError::RootOutOfRange {
                 root: query.source,
-                num_vertices: self.num_vertices,
+                num_vertices: self.state.num_vertices,
             });
         }
         if query.kind == QueryKind::Sssp && !self.weighted {
@@ -1095,6 +1113,7 @@ fn scheduler_loop(
     ready.store(true, Ordering::Release);
 
     let runner = WaveRunner {
+        num_vertices: state.num_vertices,
         pool: &pool,
         metrics: metrics.as_ref(),
         wave_counters: &wave_counters,
@@ -1163,6 +1182,7 @@ fn scheduler_loop(
 /// Everything one wave execution needs, bundled so the scheduler loop
 /// stays readable.
 struct WaveRunner<'a> {
+    num_vertices: usize,
     pool: &'a ThreadPool,
     metrics: Option<&'a Metrics>,
     wave_counters: &'a WaveCounterHists,
@@ -1186,13 +1206,20 @@ impl WaveRunner<'_> {
         let ctx = ExecCtx::new(self.pool);
         let phase = self.perf.phase();
         let started = Instant::now();
-        let results: Vec<QueryValues> = ctx.scoped(|| match (kind, resident) {
-            (QueryKind::Sssp, Resident::Weighted(layout)) => layout.sssp_wave(&sources, &ctx),
-            (QueryKind::Sssp, Resident::Unweighted(_)) => {
-                unreachable!("submit rejects sssp on unweighted graphs")
+        let nv = self.num_vertices;
+        let (results, iterations): (Vec<QueryValues>, _) = ctx.scoped(|| match kind {
+            QueryKind::Sssp => {
+                let wave = SsspLanes::new(nv, &sources);
+                let iterations = resident.run_wave(&wave, &ctx);
+                let dists = wave.into_lanes().into_iter().map(QueryValues::Dists);
+                (dists.collect(), iterations)
             }
-            (_, Resident::Unweighted(layout)) => layout.bfs_wave(&sources, max_depth, &ctx),
-            (_, Resident::Weighted(layout)) => layout.bfs_wave(&sources, max_depth, &ctx),
+            QueryKind::Bfs | QueryKind::KHop => {
+                let wave = BfsLanes::new(nv, &sources, max_depth);
+                let iterations = resident.run_wave(&wave, &ctx);
+                let levels = wave.into_lanes().into_iter().map(QueryValues::Levels);
+                (levels.collect(), iterations)
+            }
         });
         let executed = Instant::now();
         let exec_seconds = (executed - started).as_secs_f64();
@@ -1269,6 +1296,9 @@ impl WaveRunner<'_> {
             m.waves_total.inc();
             m.wave_size.observe(wave_size as f64);
             m.wave_lanes.observe(lanes as f64);
+            m.wave_rounds[algo_idx].observe(iterations.len() as f64);
+            let edges_scanned: usize = iterations.iter().map(|it| it.edges_scanned).sum();
+            m.wave_edges_scanned[algo_idx].observe(edges_scanned as f64);
             m.coalesced_total[algo_idx].add((wave_size - lanes) as u64);
             m.inflight
                 .set(self.shared.inflight.load(Ordering::Relaxed) as f64);
@@ -1908,6 +1938,8 @@ mod tests {
             "egraph_serve_queue_depth",
             "egraph_serve_coalesced_queries_total",
             "egraph_serve_wave_lanes",
+            "egraph_serve_wave_rounds",
+            "egraph_serve_wave_edges_scanned",
         ] {
             assert!(rendered.contains(name), "missing {name} in exposition");
         }

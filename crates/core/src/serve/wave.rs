@@ -1,4 +1,4 @@
-//! Multi-source wave kernels with bit-packed frontiers.
+//! Multi-source waves: lane rules on the shared frontier drivers.
 //!
 //! One wave answers up to [`MAX_WAVE`] point queries with a *single*
 //! traversal: every vertex carries one `u64` lane word, one bit per
@@ -7,6 +7,14 @@
 //! the fork-processing-patterns line of work applied to the paper's
 //! push kernels.
 //!
+//! A wave is an ordinary frontier algorithm whose per-vertex state is a
+//! lane word, so this file holds only the two *rules* — [`BfsLanes`]
+//! (BFS and k-hop) and [`SsspLanes`] — and no loop: rounds run on
+//! `engine::edge_map` (adj, ccsr, delta) or `engine::scan_map` over
+//! `grid_push_cells` (grid), which also write the per-round
+//! [`IterStat`] records every batch kernel emits. The frontier of a
+//! wave round is the *union* of its lanes' frontiers.
+//!
 //! Determinism: the per-lane results are bit-identical to the
 //! single-query kernels. BFS levels are exact hop distances (the round
 //! a bit first reaches a vertex), independent of scan order; SSSP
@@ -14,30 +22,303 @@
 //! equations under `f32` `fetch_min`, which is order-independent. The
 //! conformance tests in this module assert both properties.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use egraph_parallel::atomicf::AtomicF32;
-use egraph_parallel::{parallel_collect, parallel_for, WorkerLocal};
 
+use crate::engine::{self, FrontierAlgo, NoPull, PushOp};
 use crate::exec::ExecCtx;
-use crate::layout::{Grid, NeighborAccess};
-use crate::telemetry::Recorder;
+use crate::frontier::{FrontierKind, VertexSubset};
+use crate::layout::{Grid, VertexLayout};
+use crate::metrics::{Direction, IterStat};
 use crate::types::{EdgeRecord, VertexId};
-use crate::util::UnsyncSlice;
+use crate::util::AtomicBitmap;
 
 /// Lane capacity of one wave: the width of the frontier word.
 pub const MAX_WAVE: usize = 64;
 
-/// Chunk grain for the per-round scans.
-const GRAIN: usize = 256;
+/// One wave's state: the bit-packed frontier — bit `q` of a vertex's
+/// word says lane `q`'s frontier holds the vertex — plus a rule's
+/// per-lane values `V`. `Lanes<V>` is the rule: a [`PushOp`] per `V`,
+/// and for every `V` a push-only [`FrontierAlgo`].
+pub(crate) struct Lanes<V> {
+    lanes: usize,
+    /// The running round's frontier words.
+    current: Vec<AtomicU64>,
+    /// Bits that reached a vertex during the running round.
+    next: Vec<AtomicU64>,
+    /// The distinct source vertices.
+    seeds: Vec<VertexId>,
+    /// Rounds begun.
+    round: AtomicU32,
+    values: V,
+}
 
-/// Telemetry counter: wave rounds executed.
-pub const WAVE_ROUNDS: &str = "serve.wave_rounds";
-/// Telemetry counter: edges examined across all wave rounds.
-pub const WAVE_EDGES: &str = "serve.wave_edges";
+/// Multi-source BFS / k-hop: a lane's level at a vertex is the round
+/// its bit first arrives, `u32::MAX` where it never does within the
+/// depth bound.
+pub(crate) type BfsLanes = Lanes<Levels>;
 
-/// Multi-source BFS over any out-[`NeighborAccess`] (uncompressed CSR
-/// or ccsr): one lane per source, levels truncated at `max_depth`
+/// Multi-source SSSP: label-correcting relaxation with per-lane `f32`
+/// `fetch_min` over `(vertex, lane)`-major tentative distances; a
+/// vertex's word holds the lanes whose distance improved last round.
+pub(crate) type SsspLanes = Lanes<Vec<AtomicF32>>;
+
+/// `n` atomics, each `init()`.
+fn atomics<A>(n: usize, init: impl Fn() -> A) -> Vec<A> {
+    (0..n).map(|_| init()).collect()
+}
+
+impl<V> Lanes<V> {
+    /// One lane per source, each source holding its lanes' bits for the
+    /// first round. The serve engine passes distinct sources (its
+    /// duplicate queries ride one lane); a direct caller's duplicates
+    /// coexist, each lane tracking its own bit.
+    ///
+    /// `values` holds a wave's one large allocation, the `(vertex,
+    /// lane)`-major array, and the caller has made it before the lane
+    /// words are made here; `into_lanes` frees the words before [`demux`]
+    /// allocates the per-lane vectors. In that order the allocator
+    /// hands the next wave this wave's block back, where any other
+    /// order grows the heap by the block every wave (measured on
+    /// RMAT-15: 3 ms of page faults per 64-lane wave).
+    fn with_values(nv: usize, sources: &[VertexId], values: V) -> Self {
+        let lanes = sources.len();
+        assert!(
+            (1..=MAX_WAVE).contains(&lanes),
+            "wave size {lanes} outside 1..={MAX_WAVE}"
+        );
+        let next = atomics(nv, || AtomicU64::new(0));
+        let mut seeds = Vec::with_capacity(lanes);
+        for (q, &s) in sources.iter().enumerate() {
+            assert!((s as usize) < nv, "source {s} out of range ({nv} vertices)");
+            if next[s as usize].fetch_or(1 << q, Ordering::Relaxed) == 0 {
+                seeds.push(s);
+            }
+        }
+        Self {
+            lanes,
+            current: atomics(nv, || AtomicU64::new(0)),
+            next,
+            seeds,
+            round: AtomicU32::new(0),
+            values,
+        }
+    }
+
+    /// Runs the wave over a vertex-centric layout, one `edge_map` push
+    /// round per wave round.
+    pub(crate) fn run<E, L>(&self, layout: &L, ctx: &ExecCtx<'_>) -> Vec<IterStat>
+    where
+        E: EdgeRecord,
+        L: VertexLayout<E>,
+        Self: FrontierAlgo<E>,
+    {
+        let seeds = VertexSubset::from_vec(self.seeds.clone());
+        engine::edge_map(layout, seeds, self, Direction::Push, ctx.context())
+    }
+
+    /// Runs the wave over a grid. The grid has no per-vertex neighbor
+    /// index, so every round is a full cell scan that the rule's
+    /// `source_active` filters to the frontier. Levels and distances do
+    /// not depend on scan order, so the per-lane results are
+    /// bit-identical to [`Self::run`]'s.
+    pub(crate) fn run_grid<E>(&self, grid: &Grid<E>, ctx: &ExecCtx<'_>) -> Vec<IterStat>
+    where
+        E: EdgeRecord,
+        Self: FrontierAlgo<E>,
+    {
+        let ctx = ctx.context();
+        let seeds = VertexSubset::from_vec(self.seeds.clone());
+        engine::scan_map(grid.num_edges(), seeds, ctx, |frontier| {
+            self.begin_round(frontier);
+            let next = engine::grid_push_cells(grid, self, ctx, FrontierKind::Sparse);
+            // A full scan tests every source's word, so a word left
+            // standing would push again next round. (`edge_map` only
+            // reads the words of the frontier it was just handed.)
+            frontier.for_each(|v| self.current[v as usize].store(0, Ordering::Relaxed));
+            next
+        })
+    }
+
+    #[inline]
+    fn word(&self, v: VertexId) -> u64 {
+        self.current[v as usize].load(Ordering::Relaxed)
+    }
+
+    /// Adds `bits` to `v`'s next-round word; `true` for the first bits
+    /// of the round, so each vertex is activated once.
+    #[inline]
+    fn reach(&self, v: usize, bits: u64) -> bool {
+        self.next[v].fetch_or(bits, Ordering::Relaxed) == 0
+    }
+}
+
+/// Splits the `(vertex, lane)`-major `flat` into per-lane vectors. Its
+/// callers free the lane words first (see [`Lanes::with_values`]).
+fn demux<A, T>(lanes: usize, flat: &[A], load: impl Fn(&A) -> T) -> Vec<Vec<T>> {
+    (0..lanes)
+        .map(|q| flat.iter().skip(q).step_by(lanes).map(&load).collect())
+        .collect()
+}
+
+impl<E: EdgeRecord, V> FrontierAlgo<E> for Lanes<V>
+where
+    Self: PushOp<E>,
+{
+    type Pull<'a>
+        = NoPull
+    where
+        Self: 'a;
+
+    // `reach` reports a vertex once per round: no dedup.
+    const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
+
+    /// Moves each frontier member's `next` word to `current`.
+    fn begin_round(&self, frontier: &VertexSubset) {
+        self.round.fetch_add(1, Ordering::Relaxed);
+        frontier.for_each(|v| {
+            let word = self.next[v as usize].swap(0, Ordering::Relaxed);
+            self.current[v as usize].store(word, Ordering::Relaxed);
+        });
+    }
+
+    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
+        unreachable!("lane rules are push-only")
+    }
+}
+
+/// [`BfsLanes`]' values.
+pub(crate) struct Levels {
+    /// Lanes that have reached each vertex.
+    visited: Vec<AtomicU64>,
+    /// `(vertex, lane)`-major levels.
+    level: Vec<AtomicU32>,
+    max_depth: u32,
+}
+
+impl BfsLanes {
+    /// Lanes from `sources`, cut at `max_depth` rounds (`u32::MAX` for
+    /// a full traversal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, longer than [`MAX_WAVE`], or
+    /// contains a vertex `>= nv` — the serve engine validates queries
+    /// before forming waves.
+    pub(crate) fn new(nv: usize, sources: &[VertexId], max_depth: u32) -> Self {
+        let level = atomics(nv * sources.len(), || AtomicU32::new(u32::MAX));
+        let visited = atomics(nv, || AtomicU64::new(0));
+        let values = Levels {
+            visited,
+            level,
+            max_depth,
+        };
+        let mut wave = Self::with_values(nv, sources, values);
+        for (q, &s) in sources.iter().enumerate() {
+            wave.values.visited[s as usize].fetch_or(1 << q, Ordering::Relaxed);
+            wave.values.level[s as usize * wave.lanes + q].store(0, Ordering::Relaxed);
+        }
+        if max_depth == 0 {
+            wave.seeds.clear();
+        }
+        wave
+    }
+
+    /// One level vector per source.
+    pub(crate) fn into_lanes(self) -> Vec<Vec<u32>> {
+        drop((self.current, self.next, self.values.visited));
+        demux(self.lanes, &self.values.level, |l| {
+            l.load(Ordering::Relaxed)
+        })
+    }
+}
+
+impl<E: EdgeRecord> PushOp<E> for BfsLanes {
+    #[inline]
+    fn push(&self, e: &E) -> bool {
+        let Levels { visited, level, .. } = &self.values;
+        let v = e.dst() as usize;
+        let prop = self.word(e.src()) & !visited[v].load(Ordering::Relaxed);
+        if prop == 0 {
+            return false;
+        }
+        // `fetch_or` admits exactly one winner per (vertex, lane) bit,
+        // so each level below is stored once.
+        let mut won = prop & !visited[v].fetch_or(prop, Ordering::Relaxed);
+        if won == 0 {
+            return false;
+        }
+        let depth = self.round.load(Ordering::Relaxed);
+        let first = self.reach(v, won);
+        while won != 0 {
+            let q = won.trailing_zeros() as usize;
+            level[v * self.lanes + q].store(depth, Ordering::Relaxed);
+            won &= won - 1;
+        }
+        // The depth bound lives here, not in the driver: vertices found
+        // in the last round are not activated, so a depth-`d` wave runs
+        // exactly `d` rounds instead of scanning a frontier whose
+        // discoveries nobody wants.
+        first && depth < self.values.max_depth
+    }
+
+    #[inline]
+    fn source_active(&self, src: VertexId) -> bool {
+        self.word(src) != 0
+    }
+}
+
+impl SsspLanes {
+    /// Lanes from `sources`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`BfsLanes::new`].
+    pub(crate) fn new(nv: usize, sources: &[VertexId]) -> Self {
+        let dist = atomics(nv * sources.len(), || AtomicF32::new(f32::INFINITY));
+        let wave = Self::with_values(nv, sources, dist);
+        for (q, &s) in sources.iter().enumerate() {
+            wave.values[s as usize * wave.lanes + q].store(0.0, Ordering::Relaxed);
+        }
+        wave
+    }
+
+    /// One distance vector per source (`f32::INFINITY` = unreachable).
+    pub(crate) fn into_lanes(self) -> Vec<Vec<f32>> {
+        drop((self.current, self.next));
+        demux(self.lanes, &self.values, |d| d.load(Ordering::Relaxed))
+    }
+}
+
+impl<E: EdgeRecord> PushOp<E> for SsspLanes {
+    #[inline]
+    fn push(&self, e: &E) -> bool {
+        let (lanes, dist) = (self.lanes, &self.values);
+        let (u, v) = (e.src() as usize * lanes, e.dst() as usize * lanes);
+        let (du, dv) = (&dist[u..u + lanes], &dist[v..v + lanes]);
+        let weight = e.weight();
+        let mut improved = 0u64;
+        let mut active = self.word(e.src());
+        while active != 0 {
+            let q = active.trailing_zeros() as usize;
+            let nd = du[q].load(Ordering::Relaxed) + weight;
+            if dv[q].fetch_min(nd, Ordering::Relaxed) {
+                improved |= 1 << q;
+            }
+            active &= active - 1;
+        }
+        improved != 0 && self.reach(e.dst() as usize, improved)
+    }
+
+    #[inline]
+    fn source_active(&self, src: VertexId) -> bool {
+        self.word(src) != 0
+    }
+}
+
+/// Multi-source BFS over any [`VertexLayout`] (uncompressed CSR, ccsr
+/// or delta): one lane per source, levels truncated at `max_depth`
 /// rounds (pass `u32::MAX` for a full traversal). Returns one level
 /// vector per source, `u32::MAX` marking vertices not reached within
 /// the depth bound.
@@ -45,424 +326,33 @@ pub const WAVE_EDGES: &str = "serve.wave_edges";
 /// # Panics
 ///
 /// Panics if `sources` is empty, longer than [`MAX_WAVE`], or contains
-/// an out-of-range vertex — the serve engine validates queries before
-/// forming waves.
-pub fn multi_bfs<E: EdgeRecord, A: NeighborAccess<E>>(
-    out: &A,
+/// an out-of-range vertex.
+pub fn multi_bfs<E: EdgeRecord, L: VertexLayout<E>>(
+    layout: &L,
     sources: &[VertexId],
     max_depth: u32,
     ctx: &ExecCtx<'_>,
 ) -> Vec<Vec<u32>> {
-    let nv = out.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let mut levels = vec![u32::MAX; nv * lanes];
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
-    {
-        let visited: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let mut frontier_words: Vec<u64> = vec![0; nv];
-        let level_cells = UnsyncSlice::new(&mut levels);
-
-        // Seed the lanes. The serve engine passes distinct sources (its
-        // duplicate queries ride one lane); a direct caller's duplicates
-        // coexist, each lane tracking its own bit.
-        let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
-        for (q, &s) in sources.iter().enumerate() {
-            let v = s as usize;
-            assert!(v < nv, "source {s} out of range ({nv} vertices)");
-            // SAFETY: seeding runs before any parallel region.
-            unsafe { level_cells.write(v * lanes + q, 0) };
-            if visited[v].fetch_or(1 << q, Ordering::Relaxed) == 0 {
-                active.push(s);
-            }
-            frontier_words[v] |= 1 << q;
-        }
-
-        let mut depth = 0u32;
-        let mut edges_examined = 0u64;
-        let mut rounds = 0u64;
-        while !active.is_empty() && depth < max_depth {
-            depth += 1;
-            rounds += 1;
-            if recorder.enabled() {
-                edges_examined += active.iter().map(|&v| out.degree(v) as u64).sum::<u64>();
-            }
-            let frontier = &frontier_words;
-            let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-            parallel_for(0..active.len(), GRAIN, |range| {
-                let mut buf = locals.borrow();
-                for i in range {
-                    let u = active[i] as usize;
-                    let word = frontier[u];
-                    out.for_each_span(u as VertexId, |span| {
-                        for e in span {
-                            let v = e.dst() as usize;
-                            let prop = word & !visited[v].load(Ordering::Relaxed);
-                            if prop == 0 {
-                                continue;
-                            }
-                            let old = visited[v].fetch_or(prop, Ordering::Relaxed);
-                            let mut won = prop & !old;
-                            if won == 0 {
-                                continue;
-                            }
-                            if next[v].fetch_or(won, Ordering::Relaxed) == 0 {
-                                buf.push(v as VertexId);
-                            }
-                            while won != 0 {
-                                let q = won.trailing_zeros() as usize;
-                                // SAFETY: `fetch_or` on `visited[v]`
-                                // admits exactly one winner per
-                                // (vertex, lane) bit, so no other
-                                // thread writes this element.
-                                unsafe { level_cells.write(v * lanes + q, depth) };
-                                won &= won - 1;
-                            }
-                        }
-                        span.len()
-                    });
-                }
-            });
-            active = parallel_collect(locals);
-            for &v in &active {
-                let v = v as usize;
-                frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-            }
-        }
-        if recorder.enabled() {
-            recorder.record_counter(WAVE_ROUNDS, rounds);
-            recorder.record_counter(WAVE_EDGES, edges_examined);
-        }
-    }
-
-    demux(&levels, nv, lanes)
+    let wave = BfsLanes::new(layout.num_vertices(), sources, max_depth);
+    wave.run(layout, ctx);
+    wave.into_lanes()
 }
 
-/// Multi-source SSSP over any out-[`NeighborAccess`]: label-correcting
-/// relaxation with per-lane `f32` `fetch_min`, one lane per source.
-/// Returns one distance vector per source (`f32::INFINITY` for
-/// unreachable vertices), bit-identical to the single-source kernel.
+/// Multi-source SSSP over any [`VertexLayout`]. Returns one distance
+/// vector per source (`f32::INFINITY` for unreachable vertices),
+/// bit-identical to the single-source kernel.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`multi_bfs`].
-pub fn multi_sssp<E: EdgeRecord, A: NeighborAccess<E>>(
-    out: &A,
+pub fn multi_sssp<E: EdgeRecord, L: VertexLayout<E>>(
+    layout: &L,
     sources: &[VertexId],
     ctx: &ExecCtx<'_>,
 ) -> Vec<Vec<f32>> {
-    let nv = out.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
-    let dist: Vec<AtomicF32> = (0..nv * lanes)
-        .map(|_| AtomicF32::new(f32::INFINITY))
-        .collect();
-    let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-    let mut frontier_words: Vec<u64> = vec![0; nv];
-
-    let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
-    for (q, &s) in sources.iter().enumerate() {
-        let v = s as usize;
-        assert!(v < nv, "source {s} out of range ({nv} vertices)");
-        dist[v * lanes + q].store(0.0, Ordering::Relaxed);
-        if frontier_words[v] == 0 {
-            active.push(s);
-        }
-        frontier_words[v] |= 1 << q;
-    }
-
-    let mut edges_examined = 0u64;
-    let mut rounds = 0u64;
-    while !active.is_empty() {
-        rounds += 1;
-        if recorder.enabled() {
-            edges_examined += active.iter().map(|&v| out.degree(v) as u64).sum::<u64>();
-        }
-        let frontier = &frontier_words;
-        let dist_ref = &dist;
-        let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-        parallel_for(0..active.len(), GRAIN, |range| {
-            let mut buf = locals.borrow();
-            let mut du = [0.0f32; MAX_WAVE];
-            for i in range {
-                let u = active[i] as usize;
-                let mut word = frontier[u];
-                // Snapshot the active lanes' distances once per source
-                // vertex; the edge loop below reuses them.
-                let mut w = word;
-                while w != 0 {
-                    let q = w.trailing_zeros() as usize;
-                    du[q] = dist_ref[u * lanes + q].load(Ordering::Relaxed);
-                    w &= w - 1;
-                }
-                out.for_each_span(u as VertexId, |span| {
-                    for e in span {
-                        let v = e.dst() as usize;
-                        let weight = e.weight();
-                        word = frontier[u];
-                        let mut improved = 0u64;
-                        let mut w = word;
-                        while w != 0 {
-                            let q = w.trailing_zeros() as usize;
-                            let nd = du[q] + weight;
-                            if dist_ref[v * lanes + q].fetch_min(nd, Ordering::Relaxed) {
-                                improved |= 1 << q;
-                            }
-                            w &= w - 1;
-                        }
-                        if improved != 0 && next[v].fetch_or(improved, Ordering::Relaxed) == 0 {
-                            buf.push(v as VertexId);
-                        }
-                    }
-                    span.len()
-                });
-            }
-        });
-        active = parallel_collect(locals);
-        for &v in &active {
-            let v = v as usize;
-            frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-        }
-    }
-    if recorder.enabled() {
-        recorder.record_counter(WAVE_ROUNDS, rounds);
-        recorder.record_counter(WAVE_EDGES, edges_examined);
-    }
-
-    let flat: Vec<f32> = dist
-        .into_iter()
-        .map(|d| d.load(Ordering::Relaxed))
-        .collect();
-    (0..lanes)
-        .map(|q| (0..nv).map(|v| flat[v * lanes + q]).collect())
-        .collect()
-}
-
-/// Multi-source BFS over a grid layout. The grid has no per-vertex
-/// neighbor index, so every round is a full cell scan that only
-/// propagates from frontier sources. A level is the round a lane's bit
-/// first reaches a vertex — scan-order independent — so the per-lane
-/// results are bit-identical to [`multi_bfs`] on an adjacency.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`multi_bfs`].
-pub fn multi_bfs_grid<E: EdgeRecord>(
-    grid: &Grid<E>,
-    sources: &[VertexId],
-    max_depth: u32,
-    ctx: &ExecCtx<'_>,
-) -> Vec<Vec<u32>> {
-    let nv = grid.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let mut levels = vec![u32::MAX; nv * lanes];
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
-    {
-        let visited: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let mut frontier_words: Vec<u64> = vec![0; nv];
-        let level_cells = UnsyncSlice::new(&mut levels);
-
-        let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
-        for (q, &s) in sources.iter().enumerate() {
-            let v = s as usize;
-            assert!(v < nv, "source {s} out of range ({nv} vertices)");
-            // SAFETY: seeding runs before any parallel region.
-            unsafe { level_cells.write(v * lanes + q, 0) };
-            if visited[v].fetch_or(1 << q, Ordering::Relaxed) == 0 {
-                active.push(s);
-            }
-            frontier_words[v] |= 1 << q;
-        }
-
-        let side = grid.side();
-        let num_cells = side * side;
-        let mut depth = 0u32;
-        let mut edges_examined = 0u64;
-        let mut rounds = 0u64;
-        while !active.is_empty() && depth < max_depth {
-            depth += 1;
-            rounds += 1;
-            if recorder.enabled() {
-                edges_examined += grid.num_edges() as u64;
-            }
-            let frontier = &frontier_words;
-            let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-            parallel_for(0..num_cells, 1, |cells| {
-                let mut buf = locals.borrow();
-                for c in cells {
-                    for e in grid.cell(c / side, c % side) {
-                        let word = frontier[e.src() as usize];
-                        if word == 0 {
-                            continue;
-                        }
-                        let v = e.dst() as usize;
-                        let prop = word & !visited[v].load(Ordering::Relaxed);
-                        if prop == 0 {
-                            continue;
-                        }
-                        let old = visited[v].fetch_or(prop, Ordering::Relaxed);
-                        let mut won = prop & !old;
-                        if won == 0 {
-                            continue;
-                        }
-                        if next[v].fetch_or(won, Ordering::Relaxed) == 0 {
-                            buf.push(v as VertexId);
-                        }
-                        while won != 0 {
-                            let q = won.trailing_zeros() as usize;
-                            // SAFETY: `fetch_or` on `visited[v]` admits
-                            // exactly one winner per (vertex, lane)
-                            // bit, so no other thread writes this
-                            // element.
-                            unsafe { level_cells.write(v * lanes + q, depth) };
-                            won &= won - 1;
-                        }
-                    }
-                }
-            });
-            for &v in &active {
-                frontier_words[v as usize] = 0;
-            }
-            active = parallel_collect(locals);
-            for &v in &active {
-                let v = v as usize;
-                frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-            }
-        }
-        if recorder.enabled() {
-            recorder.record_counter(WAVE_ROUNDS, rounds);
-            recorder.record_counter(WAVE_EDGES, edges_examined);
-        }
-    }
-
-    demux(&levels, nv, lanes)
-}
-
-/// Multi-source SSSP over a grid layout: full cell scans per round,
-/// per-lane `f32` `fetch_min` relaxation. Distances converge to the
-/// same least fixpoint as [`multi_sssp`], so per-lane results are
-/// bit-identical to the adjacency kernels.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`multi_bfs`].
-pub fn multi_sssp_grid<E: EdgeRecord>(
-    grid: &Grid<E>,
-    sources: &[VertexId],
-    ctx: &ExecCtx<'_>,
-) -> Vec<Vec<f32>> {
-    let nv = grid.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
-    let dist: Vec<AtomicF32> = (0..nv * lanes)
-        .map(|_| AtomicF32::new(f32::INFINITY))
-        .collect();
-    let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-    let mut frontier_words: Vec<u64> = vec![0; nv];
-
-    let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
-    for (q, &s) in sources.iter().enumerate() {
-        let v = s as usize;
-        assert!(v < nv, "source {s} out of range ({nv} vertices)");
-        dist[v * lanes + q].store(0.0, Ordering::Relaxed);
-        if frontier_words[v] == 0 {
-            active.push(s);
-        }
-        frontier_words[v] |= 1 << q;
-    }
-
-    let side = grid.side();
-    let num_cells = side * side;
-    let mut edges_examined = 0u64;
-    let mut rounds = 0u64;
-    while !active.is_empty() {
-        rounds += 1;
-        if recorder.enabled() {
-            edges_examined += grid.num_edges() as u64;
-        }
-        let frontier = &frontier_words;
-        let dist_ref = &dist;
-        let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-        parallel_for(0..num_cells, 1, |cells| {
-            let mut buf = locals.borrow();
-            for c in cells {
-                for e in grid.cell(c / side, c % side) {
-                    let u = e.src() as usize;
-                    let word = frontier[u];
-                    if word == 0 {
-                        continue;
-                    }
-                    let v = e.dst() as usize;
-                    let weight = e.weight();
-                    let mut improved = 0u64;
-                    let mut w = word;
-                    while w != 0 {
-                        let q = w.trailing_zeros() as usize;
-                        let nd = dist_ref[u * lanes + q].load(Ordering::Relaxed) + weight;
-                        if dist_ref[v * lanes + q].fetch_min(nd, Ordering::Relaxed) {
-                            improved |= 1 << q;
-                        }
-                        w &= w - 1;
-                    }
-                    if improved != 0 && next[v].fetch_or(improved, Ordering::Relaxed) == 0 {
-                        buf.push(v as VertexId);
-                    }
-                }
-            }
-        });
-        for &v in &active {
-            frontier_words[v as usize] = 0;
-        }
-        active = parallel_collect(locals);
-        for &v in &active {
-            let v = v as usize;
-            frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-        }
-    }
-    if recorder.enabled() {
-        recorder.record_counter(WAVE_ROUNDS, rounds);
-        recorder.record_counter(WAVE_EDGES, edges_examined);
-    }
-
-    let flat: Vec<f32> = dist
-        .into_iter()
-        .map(|d| d.load(Ordering::Relaxed))
-        .collect();
-    (0..lanes)
-        .map(|q| (0..nv).map(|v| flat[v * lanes + q]).collect())
-        .collect()
-}
-
-/// Splits the `(vertex, lane)`-major flat array into per-lane vectors.
-fn demux(flat: &[u32], nv: usize, lanes: usize) -> Vec<Vec<u32>> {
-    (0..lanes)
-        .map(|q| (0..nv).map(|v| flat[v * lanes + q]).collect())
-        .collect()
+    let wave = SsspLanes::new(layout.num_vertices(), sources);
+    wave.run(layout, ctx);
+    wave.into_lanes()
 }
 
 #[cfg(test)]
@@ -470,7 +360,8 @@ mod tests {
     use super::*;
     use crate::algo::{bfs, sssp};
     use crate::layout::EdgeDirection;
-    use crate::preprocess::{CsrBuilder, Strategy};
+    use crate::metrics::StepMode;
+    use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
     use crate::types::{Edge, EdgeList, WEdge};
 
     fn ring_with_chords(nv: usize) -> EdgeList<Edge> {
@@ -498,7 +389,7 @@ mod tests {
         let g = ring_with_chords(300);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
         let sources: Vec<VertexId> = (0..64).map(|q| (q * 5) % 300).collect();
-        let waves = multi_bfs(adj.out(), &sources, u32::MAX, &ExecCtx::new(None));
+        let waves = multi_bfs(&adj, &sources, u32::MAX, &ExecCtx::new(None));
         assert_eq!(waves.len(), sources.len());
         for (q, &s) in sources.iter().enumerate() {
             let single = bfs::push(&adj, s);
@@ -510,7 +401,7 @@ mod tests {
     fn multi_bfs_truncates_at_max_depth() {
         let g = ring_with_chords(100);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
-        let waves = multi_bfs(adj.out(), &[0, 3], 2, &ExecCtx::new(None));
+        let waves = multi_bfs(&adj, &[0, 3], 2, &ExecCtx::new(None));
         for lane in &waves {
             assert!(lane.iter().all(|&l| l == u32::MAX || l <= 2));
             assert!(lane.contains(&1));
@@ -524,7 +415,7 @@ mod tests {
     fn multi_bfs_handles_duplicate_sources() {
         let g = ring_with_chords(50);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
-        let waves = multi_bfs(adj.out(), &[7, 7, 7], u32::MAX, &ExecCtx::new(None));
+        let waves = multi_bfs(&adj, &[7, 7, 7], u32::MAX, &ExecCtx::new(None));
         assert_eq!(waves[0], waves[1]);
         assert_eq!(waves[1], waves[2]);
     }
@@ -533,7 +424,7 @@ mod tests {
     fn multi_sssp_handles_duplicate_sources() {
         let g = weighted_ring(60);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
-        let waves = multi_sssp(adj.out(), &[9, 4, 9, 9], &ExecCtx::new(None));
+        let waves = multi_sssp(&adj, &[9, 4, 9, 9], &ExecCtx::new(None));
         let single = sssp::push(&adj, 9);
         assert_eq!(waves[0], single.dist);
         assert_eq!(waves[2], single.dist);
@@ -546,7 +437,7 @@ mod tests {
         let g = weighted_ring(200);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
         let sources: Vec<VertexId> = (0..32).map(|q| (q * 11) % 200).collect();
-        let waves = multi_sssp(adj.out(), &sources, &ExecCtx::new(None));
+        let waves = multi_sssp(&adj, &sources, &ExecCtx::new(None));
         for (q, &s) in sources.iter().enumerate() {
             let single = sssp::push(&adj, s);
             assert_eq!(waves[q], single.dist, "lane {q} source {s}");
@@ -554,14 +445,53 @@ mod tests {
     }
 
     #[test]
-    fn wave_records_telemetry_when_enabled() {
+    fn a_traced_wave_emits_one_forced_push_record_per_union_frontier() {
         let g = ring_with_chords(64);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
+        let sources = [0, 1, 2, 40];
+        let singles: Vec<_> = sources.iter().map(|&s| bfs::push(&adj, s)).collect();
         let recorder = crate::telemetry::TraceRecorder::new();
         let ctx = ExecCtx::new(None).recorder(&recorder);
-        multi_bfs(adj.out(), &[0, 1, 2], u32::MAX, &ctx);
-        let counters = recorder.counters();
-        assert!(counters.get(WAVE_ROUNDS).copied().unwrap_or(0.0) > 0.0);
-        assert!(counters.get(WAVE_EDGES).copied().unwrap_or(0.0) > 0.0);
+        multi_bfs(&adj, &sources, u32::MAX, &ctx);
+        let records = recorder.iterations();
+
+        // As many rounds as the deepest lane needs on its own.
+        let deepest = singles.iter().map(|s| s.iterations.len()).max().unwrap();
+        assert_eq!(records.len(), deepest);
+        // Round `r` scans the union of the lanes' depth-`r` frontiers.
+        for (r, record) in records.iter().enumerate() {
+            let union: Vec<VertexId> = (0..64)
+                .filter(|&v| singles.iter().any(|s| s.level[v as usize] == r as u32))
+                .collect();
+            let degrees: usize = union.iter().map(|&v| adj.out().degree(v)).sum();
+            assert_eq!(record.frontier_size, union.len(), "round {r}");
+            assert_eq!(record.edges_scanned, degrees, "round {r}");
+            assert_eq!(record.decision.observed, degrees + union.len());
+            assert!(record.decision.forced && record.mode == StepMode::Push);
+        }
+    }
+
+    #[test]
+    fn a_depth_d_wave_runs_exactly_d_rounds_on_adj_and_grid() {
+        // Full traversals from these sources take eight rounds or more.
+        let g = ring_with_chords(300);
+        let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
+        let grid = GridBuilder::new(Strategy::CountSort).side(4).build(&g);
+        let sources = [0, 3, 150];
+        for depth in [0, 1, 3] {
+            let recorder = crate::telemetry::TraceRecorder::new();
+            let ctx = ExecCtx::new(None).recorder(&recorder);
+            let on_adj = multi_bfs(&adj, &sources, depth, &ctx);
+            assert_eq!(recorder.iterations().len(), depth as usize, "adj");
+
+            let recorder = crate::telemetry::TraceRecorder::new();
+            let ctx = ExecCtx::new(None).recorder(&recorder);
+            let rule = BfsLanes::new(300, &sources, depth);
+            let log = rule.run_grid(&grid, &ctx);
+            assert_eq!(recorder.iterations().len(), depth as usize, "grid");
+            assert_eq!(log.len(), depth as usize, "returned without a recorder too");
+            assert!(log.iter().all(|it| it.edges_scanned == g.num_edges()));
+            assert_eq!(rule.into_lanes(), on_adj);
+        }
     }
 }

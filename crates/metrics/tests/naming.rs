@@ -68,6 +68,17 @@ fn serve_style_labelled_registrations_pass_the_naming_lint() {
         &[],
         egraph_metrics::Histogram::log2_bounds(0, 6),
     );
+    for (name, lo, hi) in [
+        ("egraph_serve_wave_rounds", 0, 12),
+        ("egraph_serve_wave_edges_scanned", 4, 34),
+    ] {
+        r.histogram_with_bounds(
+            name,
+            "lint shape check",
+            &[("algo", "bfs"), ("layout", "adj")],
+            egraph_metrics::Histogram::log2_bounds(lo, hi),
+        );
+    }
     let violations = r.lint_names();
     assert!(violations.is_empty(), "naming violations: {violations:?}");
 }

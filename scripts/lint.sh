@@ -23,6 +23,24 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# Rounds belong to the engine: the serve tier states lane rules and
+# hands every round to `edge_map` / `scan_map`. A parallel region or a
+# racy-slice write in non-test code under serve/ is a private round
+# loop coming back.
+echo "== serve waves stay on the engine's drivers =="
+offenders=$(find crates/core/src/serve -name '*.rs' \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            /parallel_for\(|parallel_collect\(|WorkerLocal|UnsyncSlice/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "hand-rolled round machinery in crates/core/src/serve/ (rounds belong to the engine):"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
