@@ -53,8 +53,8 @@ fn main() {
     println!("where each technique lives in this reproduction:");
     println!("  push-pull (Ligra/Beamer)        -> egraph_core::algo::bfs::push_pull");
     println!("  radix-sort CSR building (Ligra) -> egraph_core::preprocess + egraph_sort::radix");
-    println!("  edge-centric model (X-Stream)   -> egraph_core::engine::edge_push");
-    println!("  grid layout (GridGraph)         -> egraph_core::layout::Grid + engine::grid_*");
+    println!("  edge-centric model (X-Stream)   -> egraph_core::engine::scan_push over EdgeList");
+    println!("  grid layout (GridGraph)         -> egraph_core::layout::{{Grid, GridCells}}");
     println!("  NUMA partitioning (Polymer/Gemini) -> egraph_core::numa_sim::partition_by_target");
     println!("  lock removal (all of the above) -> engine column/row ownership + pull mode");
     let _ = table.save_csv(std::path::Path::new("bench_results"));

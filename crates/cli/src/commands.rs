@@ -702,14 +702,12 @@ fn dispatch_run<R: Recorder>(
         spec.flow.parse::<Direction>()?,
     );
     let sync = spec.sync.parse::<SyncMode>()?;
+    // Every kernel is generic over the edge record: an algorithm that
+    // needs no weights ignores them, one that does gets `run_variant`'s
+    // typed `NeedsWeights` error on an unweighted file.
     match any {
         AnyGraph::Unweighted(graph) => run_one(spec, &id, sync, &graph, recorder),
-        AnyGraph::Weighted(graph) if id.algo.needs_weights() => {
-            run_one(spec, &id, sync, &graph, recorder)
-        }
-        AnyGraph::Weighted(_) => {
-            Err("this build of the command expects an unweighted graph for that algorithm".into())
-        }
+        AnyGraph::Weighted(graph) => run_one(spec, &id, sync, &graph, recorder),
     }
 }
 

@@ -67,6 +67,70 @@ fn weighted_pipeline() {
 }
 
 #[test]
+fn weightless_algorithms_run_on_a_weighted_file() {
+    // The kernels are generic over the edge record: bfs, wcc and
+    // pagerank ignore the weights of a weighted file and answer what
+    // they answer on the unweighted file of the same seed.
+    let (plain, weighted) = (tmp("smoke_w_plain.egr"), tmp("smoke_w_weighted.egr"));
+    for (path, flag) in [(&plain, "false"), (&weighted, "true")] {
+        dispatch(&argv(&[
+            "generate",
+            "rmat",
+            "--scale",
+            "9",
+            "--seed",
+            "11",
+            "--out",
+            path,
+            "--weighted",
+            flag,
+        ]))
+        .expect("generate");
+    }
+    let (parents, trace) = (tmp("smoke_w_parents.bin"), tmp("smoke_w_trace.json"));
+    let rounds = |trace: &str| {
+        let text = std::fs::read_to_string(trace).expect("trace file written");
+        let parsed = egraph_core::telemetry::RunTrace::from_json(&text).expect("valid trace");
+        parsed.iterations.len()
+    };
+    let answers: Vec<(usize, usize, usize)> = [&plain, &weighted]
+        .into_iter()
+        .map(|graph| {
+            dispatch(&argv(&[
+                "run",
+                "bfs",
+                graph,
+                "--save",
+                &parents,
+                "--trace-out",
+                &trace,
+            ]))
+            .expect("bfs");
+            let reached = egraph_storage::read_u32_result(std::fs::File::open(&parents).unwrap())
+                .expect("readable parents")
+                .iter()
+                .filter(|&&p| p != u32::MAX)
+                .count();
+            let bfs_rounds = rounds(&trace);
+            dispatch(&argv(&[
+                "run",
+                "pagerank",
+                graph,
+                "--iters",
+                "3",
+                "--trace-out",
+                &trace,
+            ]))
+            .expect("pagerank");
+            dispatch(&argv(&["run", "wcc", graph, "--layout", "edge"])).expect("wcc");
+            (reached, bfs_rounds, rounds(&trace))
+        })
+        .collect();
+    assert!(answers[0].0 > 1 && answers[0].2 == 3, "{answers:?}");
+    assert_eq!(answers[0], answers[1]);
+}
+
+#[test]
 fn netflix_generator() {
     let path = tmp("smoke_netflix.egr");
     dispatch(&argv(&[

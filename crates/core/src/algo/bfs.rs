@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use egraph_cachesim::MemProbe;
 
-use crate::engine::{self, FrontierAlgo, NoPull, PullOp, PushOp};
+use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Adjacency, Grid, NeighborAccess, VertexLayout};
 use crate::metrics::{timed, Direction, IterStat, SyncMode};
@@ -106,14 +106,6 @@ impl<E: EdgeRecord> PushOp<E> for BfsState {
             self.level[dst].store(self.round.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         won
-    }
-
-    #[inline]
-    fn source_active(&self, src: VertexId) -> bool {
-        // Edge-centric/grid scans: only sources discovered in the
-        // previous round push this round.
-        let round = self.round.load(Ordering::Relaxed);
-        self.level[src as usize].load(Ordering::Relaxed) == round - 1
     }
 }
 
@@ -224,10 +216,10 @@ impl<E: EdgeRecord> FrontierAlgo<E> for LockedBfs<'_> {
     }
 }
 
-/// Vertex-centric BFS from `root` in the given `direction` — the body
-/// behind [`push`], [`push_locked`], [`pull`] and [`push_pull`]. `sync`
-/// picks the push rule; only pure push has a locked flavor.
-pub(crate) fn run<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
+/// BFS from `root` in the given `direction` on any layout — the body
+/// behind every public entry point of this file. `sync` picks the push
+/// rule; only pure push has a locked flavor.
+pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
     adj: &L,
     root: VertexId,
     direction: Direction,
@@ -281,53 +273,15 @@ pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> 
 /// Edge-centric BFS: every iteration streams the whole edge array and
 /// pushes from last round's discoveries (§4.1's "full scan" drawback).
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, root: VertexId) -> BfsResult {
-    edge_centric_impl(edges, root, &ExecContext::new())
-}
-
-pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    edges: &EdgeList<E>,
-    root: VertexId,
-    ctx: &ExecContext<'_, P, R>,
-) -> BfsResult {
-    let nv = edges.num_vertices();
-    full_scan(nv, edges.num_edges(), root, ctx, |state| {
-        engine::edge_push(edges.edges(), nv, state, *ctx, FrontierKind::Dense)
-    })
+    let ctx = ExecContext::new();
+    run(edges, root, Direction::Push, SyncMode::Atomics, &ctx)
 }
 
 /// Grid BFS: push over grid cells with column ownership; sources are
 /// filtered to last round's discoveries.
 pub fn grid<E: EdgeRecord>(grid: &Grid<E>, root: VertexId) -> BfsResult {
-    grid_impl(grid, root, &ExecContext::new())
-}
-
-pub(crate) fn grid_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    grid: &Grid<E>,
-    root: VertexId,
-    ctx: &ExecContext<'_, P, R>,
-) -> BfsResult {
-    full_scan(grid.num_vertices(), grid.num_edges(), root, ctx, |state| {
-        engine::grid_push_columns(grid, state, *ctx, FrontierKind::Dense)
-    })
-}
-
-/// The edge-centric/grid body: `scan` streams every edge once per
-/// round; the state's `source_active` filters to last round's
-/// discoveries, so the frontier itself only says when to stop.
-fn full_scan<P: MemProbe, R: Recorder>(
-    nv: usize,
-    num_edges: usize,
-    root: VertexId,
-    ctx: &ExecContext<'_, P, R>,
-    scan: impl Fn(&BfsState) -> VertexSubset,
-) -> BfsResult {
-    let state = BfsState::new(nv, root);
-    let frontier = VertexSubset::single(root);
-    let iterations = engine::scan_map(num_edges, frontier, *ctx, |_| {
-        state.round.fetch_add(1, Ordering::Relaxed);
-        scan(&state)
-    });
-    state.into_result(iterations)
+    let ctx = ExecContext::new();
+    run(grid, root, Direction::Push, SyncMode::Atomics, &ctx)
 }
 
 /// A serial reference BFS used by tests and result validation.

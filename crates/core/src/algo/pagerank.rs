@@ -11,9 +11,9 @@ use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
 use std::sync::atomic::Ordering;
 
-use crate::engine::{self, PullOp, PushOp};
+use crate::engine::{self, EngineLayout, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{Adjacency, Grid, NeighborAccess};
+use crate::layout::{Grid, NeighborAccess, OutOnly};
 use crate::metrics::{timed, IterStat, StepMode, SyncMode};
 use crate::telemetry::{ExecContext, IterRecord, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
@@ -286,8 +286,9 @@ impl<E: EdgeRecord> PushOp<E> for PrPushLocked<'_> {
     }
 }
 
-/// Push rule with *plain* writes, for drivers that guarantee exclusive
-/// destination ownership (grid columns).
+/// Push rule with *plain* writes, for layouts whose push rounds
+/// guarantee exclusive destination ownership
+/// ([`EngineLayout::DST_EXCLUSIVE`]: grid columns).
 struct PrPushExclusive<'a> {
     contrib: &'a [f32],
     acc: UnsyncSlice<'a, f32>,
@@ -298,9 +299,9 @@ impl<E: EdgeRecord> PushOp<E> for PrPushExclusive<'_> {
 
     #[inline]
     fn push(&self, e: &E) -> bool {
-        // SAFETY: only used with `grid_push_columns`, which gives this
-        // worker exclusive ownership of every destination in its
-        // columns.
+        // SAFETY: only used on `DST_EXCLUSIVE` layouts, whose push
+        // rounds give this worker exclusive ownership of every
+        // destination it sees.
         unsafe {
             self.acc
                 .update(e.dst() as usize, |a| *a += self.contrib[e.src() as usize]);
@@ -317,34 +318,56 @@ pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(
     cfg: PagerankConfig,
     sync: SyncMode,
 ) -> PagerankResult {
-    push_impl(out, out_degrees, cfg, sync, &ExecContext::new())
+    push_impl(&OutOnly(out), out_degrees, cfg, sync, &ExecContext::new())
 }
 
-pub(crate) fn push_impl<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Recorder>(
-    out: &A,
+/// Push PageRank on any layout: every power iteration is one push
+/// round from the full vertex set. `sync` picks atomic or locked
+/// accumulation; a layout whose rounds own their destinations
+/// ([`EngineLayout::DST_EXCLUSIVE`]) needs neither and gets plain
+/// writes.
+pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+    layout: &L,
     out_degrees: &[u32],
     cfg: PagerankConfig,
     sync: SyncMode,
     ctx: &ExecContext<'_, P, R>,
 ) -> PagerankResult {
     let ctx = *ctx;
-    let nv = out.num_vertices();
+    let nv = layout.num_vertices();
     let all = VertexSubset::all(nv);
     run_power(
         ctx,
         nv,
-        out.num_edges(),
+        layout.num_edges(),
         StepMode::Push,
         out_degrees,
         cfg,
         |contrib| {
-            run_push_step(
-                PushDriver::Vertex { out, all: &all },
-                contrib,
-                nv,
-                sync,
-                ctx,
-            )
+            if sync == SyncMode::Atomics && !L::DST_EXCLUSIVE {
+                let acc: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
+                let op = PrPushAtomic { contrib, acc: &acc };
+                layout.push_round(&all, &op, ctx, FrontierKind::Sparse);
+                return acc.into_iter().map(|a| a.load(Ordering::Relaxed)).collect();
+            }
+            let mut acc = vec![0.0f32; nv];
+            let slots = UnsyncSlice::new(&mut acc);
+            if L::DST_EXCLUSIVE {
+                let op = PrPushExclusive {
+                    contrib,
+                    acc: slots,
+                };
+                layout.push_round(&all, &op, ctx, FrontierKind::Sparse);
+            } else {
+                let locks = StripedLocks::default();
+                let op = PrPushLocked {
+                    contrib,
+                    acc: slots,
+                    locks: &locks,
+                };
+                layout.push_round(&all, &op, ctx, FrontierKind::Sparse);
+            }
+            acc
         },
     )
 }
@@ -356,35 +379,7 @@ pub fn edge_centric<E: EdgeRecord>(
     cfg: PagerankConfig,
     sync: SyncMode,
 ) -> PagerankResult {
-    edge_centric_impl(edges, out_degrees, cfg, sync, &ExecContext::new())
-}
-
-pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    edges: &EdgeList<E>,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-    sync: SyncMode,
-    ctx: &ExecContext<'_, P, R>,
-) -> PagerankResult {
-    let ctx = *ctx;
-    let nv = edges.num_vertices();
-    run_power(
-        ctx,
-        nv,
-        edges.num_edges(),
-        StepMode::Push,
-        out_degrees,
-        cfg,
-        |contrib| {
-            run_push_step(
-                PushDriver::<E, Adjacency<E>>::EdgeArray(edges),
-                contrib,
-                nv,
-                sync,
-                ctx,
-            )
-        },
-    )
+    push_impl(edges, out_degrees, cfg, sync, &ExecContext::new())
 }
 
 /// Grid-push PageRank. [`SyncMode::Locks`] iterates cells in arbitrary
@@ -397,33 +392,11 @@ pub fn grid_push<E: EdgeRecord>(
     cfg: PagerankConfig,
     sync: SyncMode,
 ) -> PagerankResult {
-    grid_push_impl(grid, out_degrees, cfg, sync, &ExecContext::new())
-}
-
-pub(crate) fn grid_push_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    grid: &Grid<E>,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-    sync: SyncMode,
-    ctx: &ExecContext<'_, P, R>,
-) -> PagerankResult {
-    let ctx = *ctx;
-    let nv = grid.num_vertices();
-    run_power(
-        ctx,
-        nv,
-        grid.num_edges(),
-        StepMode::Push,
-        out_degrees,
-        cfg,
-        |contrib| {
-            let driver = match sync {
-                SyncMode::Locks => PushDriver::<E, Adjacency<E>>::GridCells(grid),
-                SyncMode::Atomics => PushDriver::<E, Adjacency<E>>::GridColumns(grid),
-            };
-            run_push_step(driver, contrib, nv, sync, ctx)
-        },
-    )
+    let ctx = &ExecContext::new();
+    match sync {
+        SyncMode::Locks => push_impl(&grid.cells(), out_degrees, cfg, sync, ctx),
+        SyncMode::Atomics => push_impl(grid, out_degrees, cfg, sync, ctx),
+    }
 }
 
 /// Grid-pull PageRank over a **transposed** grid: row ownership makes
@@ -494,84 +467,6 @@ pub(crate) fn grid_pull_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
             acc
         },
     )
-}
-
-/// Which driver a push step runs on.
-enum PushDriver<'a, E: EdgeRecord, A> {
-    Vertex { out: &'a A, all: &'a VertexSubset },
-    EdgeArray(&'a EdgeList<E>),
-    GridCells(&'a Grid<E>),
-    GridColumns(&'a Grid<E>),
-}
-
-/// Runs one accumulation step with the chosen driver/synchronization
-/// and returns the accumulator as plain floats.
-fn run_push_step<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Recorder>(
-    driver: PushDriver<'_, E, A>,
-    contrib: &[f32],
-    nv: usize,
-    sync: SyncMode,
-    ctx: ExecContext<'_, P, R>,
-) -> Vec<f32> {
-    match (&driver, sync) {
-        (PushDriver::GridColumns(grid), _) => {
-            let mut acc = vec![0.0f32; nv];
-            {
-                let op = PrPushExclusive {
-                    contrib,
-                    acc: UnsyncSlice::new(&mut acc),
-                };
-                engine::grid_push_columns(*grid, &op, ctx, FrontierKind::Sparse);
-            }
-            acc
-        }
-        (_, SyncMode::Atomics) => {
-            let acc: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
-            let op = PrPushAtomic { contrib, acc: &acc };
-            dispatch_push(driver, &op, ctx);
-            acc.into_iter().map(|a| a.load(Ordering::Relaxed)).collect()
-        }
-        (_, SyncMode::Locks) => {
-            let locks = StripedLocks::default();
-            let mut acc = vec![0.0f32; nv];
-            {
-                let op = PrPushLocked {
-                    contrib,
-                    acc: UnsyncSlice::new(&mut acc),
-                    locks: &locks,
-                };
-                dispatch_push(driver, &op, ctx);
-            }
-            acc
-        }
-    }
-}
-
-fn dispatch_push<E: EdgeRecord, A: NeighborAccess<E>, O: PushOp<E>, P: MemProbe, R: Recorder>(
-    driver: PushDriver<'_, E, A>,
-    op: &O,
-    ctx: ExecContext<'_, P, R>,
-) {
-    match driver {
-        PushDriver::Vertex { out, all } => {
-            engine::vertex_push(out, all, op, ctx, FrontierKind::Sparse);
-        }
-        PushDriver::EdgeArray(edges) => {
-            engine::edge_push(
-                edges.edges(),
-                edges.num_vertices(),
-                op,
-                ctx,
-                FrontierKind::Sparse,
-            );
-        }
-        PushDriver::GridCells(grid) => {
-            engine::grid_push_cells(grid, op, ctx, FrontierKind::Sparse);
-        }
-        PushDriver::GridColumns(grid) => {
-            engine::grid_push_columns(grid, op, ctx, FrontierKind::Sparse);
-        }
-    }
 }
 
 /// Serial reference PageRank for validation.

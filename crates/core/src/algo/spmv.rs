@@ -12,9 +12,9 @@ use std::sync::atomic::Ordering;
 use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
 
-use crate::engine::{self, PullOp, PushOp};
+use crate::engine::{self, EngineLayout, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::NeighborAccess;
+use crate::layout::{NeighborAccess, OutOnly};
 use crate::metrics::{timed, IterStat, StepMode};
 use crate::telemetry::{ExecContext, IterRecord, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
@@ -45,6 +45,7 @@ pub struct SpmvResult {
     pub seconds: f64,
 }
 
+/// Push rule accumulating into atomic floats.
 struct SpmvPushOp<'a> {
     x: &'a [f32],
     y: &'a [AtomicF32],
@@ -61,6 +62,31 @@ impl<E: EdgeRecord> PushOp<E> for SpmvPushOp<'_> {
     }
 }
 
+/// Push rule with plain writes (no locks, no atomics), for layouts
+/// whose push rounds own their destinations
+/// ([`EngineLayout::DST_EXCLUSIVE`]: grid columns).
+struct SpmvPushExclusive<'a> {
+    x: &'a [f32],
+    y: UnsyncSlice<'a, f32>,
+}
+
+impl<E: EdgeRecord> PushOp<E> for SpmvPushExclusive<'_> {
+    const META_BYTES: u64 = 4;
+
+    #[inline]
+    fn push(&self, e: &E) -> bool {
+        // SAFETY: only used on `DST_EXCLUSIVE` layouts, whose push
+        // rounds give this worker exclusive ownership of every
+        // destination it sees.
+        unsafe {
+            self.y.update(e.dst() as usize, |a| {
+                *a += e.weight() * self.x[e.src() as usize]
+            });
+        }
+        false
+    }
+}
+
 /// Edge-centric SpMV: one streaming pass over the edge array, atomic
 /// accumulation into `y`.
 ///
@@ -68,55 +94,52 @@ impl<E: EdgeRecord> PushOp<E> for SpmvPushOp<'_> {
 ///
 /// Panics if `x.len() != edges.num_vertices()`.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, x: &[f32]) -> SpmvResult {
-    edge_centric_impl(edges, x, &ExecContext::new())
-}
-
-pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    edges: &EdgeList<E>,
-    x: &[f32],
-    ctx: &ExecContext<'_, P, R>,
-) -> SpmvResult {
-    let ctx = *ctx;
-    let nv = edges.num_vertices();
-    assert_eq!(x.len(), nv, "input vector length");
-    let y: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
-    let op = SpmvPushOp { x, y: &y };
-    let (_, seconds) = timed(|| {
-        engine::edge_push(edges.edges(), nv, &op, ctx, FrontierKind::Sparse);
-    });
-    record_pass(ctx, nv, edges.num_edges(), seconds, StepMode::Push);
-    SpmvResult {
-        y: y.into_iter().map(|v| v.load(Ordering::Relaxed)).collect(),
-        seconds,
-    }
+    push_impl(edges, x, &ExecContext::new())
 }
 
 /// Vertex-centric push SpMV over an out-adjacency (the "adj" bar of
 /// Fig. 3c — its pre-processing is what never pays off). Runs on any
 /// [`NeighborAccess`] out-adjacency (uncompressed CSR or ccsr).
 pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(out: &A, x: &[f32]) -> SpmvResult {
-    push_impl(out, x, &ExecContext::new())
+    push_impl(&OutOnly(out), x, &ExecContext::new())
 }
 
-pub(crate) fn push_impl<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Recorder>(
-    out: &A,
+/// Grid SpMV: column-exclusive push with plain writes (no locks, no
+/// atomics) — the grid's structural synchronization applied to the
+/// single-pass kernel.
+pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>, x: &[f32]) -> SpmvResult {
+    push_impl(grid, x, &ExecContext::new())
+}
+
+/// Push SpMV on any layout: one push round from the full vertex set,
+/// accumulating atomically — or with plain writes where the layout's
+/// rounds own their destinations.
+pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+    layout: &L,
     x: &[f32],
     ctx: &ExecContext<'_, P, R>,
 ) -> SpmvResult {
     let ctx = *ctx;
-    let nv = out.num_vertices();
+    let nv = layout.num_vertices();
     assert_eq!(x.len(), nv, "input vector length");
-    let y: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
-    let op = SpmvPushOp { x, y: &y };
     let all = VertexSubset::all(nv);
-    let (_, seconds) = timed(|| {
-        engine::vertex_push(out, &all, &op, ctx, FrontierKind::Sparse);
-    });
-    record_pass(ctx, nv, out.num_edges(), seconds, StepMode::Push);
-    SpmvResult {
-        y: y.into_iter().map(|v| v.load(Ordering::Relaxed)).collect(),
-        seconds,
-    }
+    let (y, seconds) = if L::DST_EXCLUSIVE {
+        let mut y = vec![0.0f32; nv];
+        let op = SpmvPushExclusive {
+            x,
+            y: UnsyncSlice::new(&mut y),
+        };
+        let (_, seconds) = timed(|| layout.push_round(&all, &op, ctx, FrontierKind::Sparse));
+        (y, seconds)
+    } else {
+        let y: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
+        let op = SpmvPushOp { x, y: &y };
+        let (_, seconds) = timed(|| layout.push_round(&all, &op, ctx, FrontierKind::Sparse));
+        let y = y.into_iter().map(|v| v.load(Ordering::Relaxed)).collect();
+        (y, seconds)
+    };
+    record_pass(ctx, nv, layout.num_edges(), seconds, StepMode::Push);
+    SpmvResult { y, seconds }
 }
 
 /// Vertex-centric pull SpMV over an in-adjacency: each output element
@@ -184,53 +207,6 @@ pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Rec
         engine::vertex_pull(incoming, &op, ctx, FrontierKind::Sparse);
     });
     record_pass(ctx, nv, incoming.num_edges(), seconds, StepMode::Pull);
-    SpmvResult { y, seconds }
-}
-
-/// Grid SpMV: column-exclusive push with plain writes (no locks, no
-/// atomics) — the grid's structural synchronization applied to the
-/// single-pass kernel.
-pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>, x: &[f32]) -> SpmvResult {
-    grid_impl(grid, x, &ExecContext::new())
-}
-
-pub(crate) fn grid_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    grid: &crate::layout::Grid<E>,
-    x: &[f32],
-    ctx: &ExecContext<'_, P, R>,
-) -> SpmvResult {
-    let ctx = *ctx;
-    let nv = grid.num_vertices();
-    assert_eq!(x.len(), nv, "input vector length");
-    let mut y = vec![0.0f32; nv];
-    let (_, seconds) = timed(|| {
-        struct GridOp<'a> {
-            x: &'a [f32],
-            y: UnsyncSlice<'a, f32>,
-        }
-        impl<E: EdgeRecord> PushOp<E> for GridOp<'_> {
-            const META_BYTES: u64 = 4;
-
-            #[inline]
-            fn push(&self, e: &E) -> bool {
-                // SAFETY: `grid_push_columns` gives this worker
-                // exclusive ownership of every destination in its
-                // columns.
-                unsafe {
-                    self.y.update(e.dst() as usize, |a| {
-                        *a += e.weight() * self.x[e.src() as usize]
-                    });
-                }
-                false
-            }
-        }
-        let op = GridOp {
-            x,
-            y: UnsyncSlice::new(&mut y),
-        };
-        engine::grid_push_columns(grid, &op, ctx, FrontierKind::Sparse);
-    });
-    record_pass(ctx, nv, grid.num_edges(), seconds, StepMode::Push);
     SpmvResult { y, seconds }
 }
 

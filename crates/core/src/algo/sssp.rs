@@ -14,7 +14,7 @@ use std::sync::atomic::Ordering;
 use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
 
-use crate::engine::{self, FrontierAlgo, NoPull, PushOp};
+use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
 use crate::frontier::{FrontierKind, NextFrontier, VertexSubset};
 use crate::layout::{AdjacencyList, VertexLayout};
 use crate::metrics::{
@@ -104,7 +104,10 @@ pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, source: VertexId) -> Sss
     push_impl(adj, source, &ExecContext::new())
 }
 
-pub(crate) fn push_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
+/// Frontier Bellman-Ford on any layout: an indexed layout relaxes the
+/// out-edges of the vertices that improved last round, a scanning one
+/// streams every edge and relaxes those whose source did.
+pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
     adj: &L,
     source: VertexId,
     ctx: &ExecContext<'_, P, R>,
@@ -118,49 +121,7 @@ pub(crate) fn push_impl<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recor
 /// Edge-centric SSSP: every iteration streams the whole edge array,
 /// relaxing edges whose source improved last round.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, source: VertexId) -> SsspResult {
-    edge_centric_impl(edges, source, &ExecContext::new())
-}
-
-pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    edges: &EdgeList<E>,
-    source: VertexId,
-    ctx: &ExecContext<'_, P, R>,
-) -> SsspResult {
-    /// The relaxation filtered to last round's improved sources (all of
-    /// which hold finite distances).
-    struct ActiveOp<'a> {
-        dist: &'a [AtomicF32],
-        active: &'a AtomicBitmap,
-    }
-    impl<E: EdgeRecord> PushOp<E> for ActiveOp<'_> {
-        const META_BYTES: u64 = 4;
-
-        #[inline]
-        fn push(&self, e: &E) -> bool {
-            let d = self.dist[e.src() as usize].load(Ordering::Relaxed);
-            self.dist[e.dst() as usize].fetch_min(d + e.weight(), Ordering::Relaxed)
-        }
-
-        #[inline]
-        fn source_active(&self, src: VertexId) -> bool {
-            self.active.get(src as usize)
-        }
-    }
-
-    let nv = edges.num_vertices();
-    let state = SsspState::new(nv, source);
-    let frontier = VertexSubset::single(source).into_dense(nv);
-    let iterations = engine::scan_map(edges.num_edges(), frontier, *ctx, |frontier| {
-        let VertexSubset::Dense { bitmap, .. } = frontier else {
-            unreachable!("edge-centric frontiers are dense")
-        };
-        let op = ActiveOp {
-            dist: &state.dist,
-            active: bitmap,
-        };
-        engine::edge_push(edges.edges(), nv, &op, *ctx, FrontierKind::Dense)
-    });
-    state.into_result(iterations)
+    push_impl(edges, source, &ExecContext::new())
 }
 
 /// Delta-stepping SSSP (Meyer & Sanders) — an extension beyond the

@@ -19,7 +19,7 @@ use egraph_cachesim::MemProbe;
 
 use crate::engine::{self, FrontierAlgo, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::VertexLayout;
+use crate::layout::{EdgeStream, VertexLayout};
 use crate::metrics::{timed, Direction, IterStat};
 use crate::telemetry::{ExecContext, Recorder};
 use crate::types::VertexId;
@@ -79,29 +79,6 @@ impl WccState {
         } else {
             false
         }
-    }
-
-    /// Runs full-scan rounds until a pass moves no label; `pass` streams
-    /// every edge once (through [`Self::relax_both`]) and reports
-    /// whether anything changed. Every vertex counts as active each
-    /// round, and the final no-change pass is recorded too.
-    fn full_scan_rounds<P: MemProbe, R: Recorder>(
-        self,
-        num_edges: usize,
-        ctx: &ExecContext<'_, P, R>,
-        pass: impl Fn(&Self, &AtomicBool),
-    ) -> WccResult {
-        let nv = self.label.len();
-        let mut iterations = Vec::new();
-        loop {
-            let changed = AtomicBool::new(false);
-            let ((), seconds) = timed(|| pass(&self, &changed));
-            engine::record_full_scan(*ctx, &mut iterations, nv, num_edges, seconds);
-            if !changed.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        self.into_result(iterations)
     }
 
     fn into_result(self, iterations: Vec<IterStat>) -> WccResult {
@@ -235,52 +212,48 @@ pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
 /// edge propagates the smaller label to the other endpoint, so no
 /// undirected copy — and no pre-processing at all — is needed.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>) -> WccResult {
-    edge_centric_impl(edges, &ExecContext::new())
-}
-
-pub(crate) fn edge_centric_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    edges: &EdgeList<E>,
-    ctx: &ExecContext<'_, P, R>,
-) -> WccResult {
-    let ne = edges.num_edges();
-    WccState::new(edges.num_vertices()).full_scan_rounds(ne, ctx, |state, changed| {
-        egraph_parallel::parallel_for(0..ne, egraph_parallel::DEFAULT_GRAIN, |r| {
-            let mut any = false;
-            for e in &edges.edges()[r] {
-                any |= state.relax_both(e);
-            }
-            if any {
-                changed.store(true, Ordering::Relaxed);
-            }
-        });
-    })
+    scan_impl(edges, &ExecContext::new())
 }
 
 /// Grid WCC: like [`edge_centric`] but iterating cells in grid order,
 /// so the labels of a cell's two vertex ranges stay cache-resident —
 /// the §5 locality argument applied to label propagation.
 pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>) -> WccResult {
-    grid_impl(grid, &ExecContext::new())
+    scan_impl(&grid.cells(), &ExecContext::new())
 }
 
-pub(crate) fn grid_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
-    grid: &crate::layout::Grid<E>,
+/// Direction-free WCC over any streamed layout: full-scan rounds, each
+/// streaming every edge once through [`WccState::relax_both`], until a
+/// pass moves no label. Every vertex counts as active each round, and
+/// the final no-change pass is recorded too.
+pub(crate) fn scan_impl<E: EdgeRecord, S: EdgeStream<E>, P: MemProbe, R: Recorder>(
+    stream: &S,
     ctx: &ExecContext<'_, P, R>,
 ) -> WccResult {
-    let side = grid.side();
-    WccState::new(grid.num_vertices()).full_scan_rounds(grid.num_edges(), ctx, |state, changed| {
-        egraph_parallel::parallel_for(0..side * side, 1, |cells| {
-            let mut any = false;
-            for cell_id in cells {
-                for e in grid.cell(cell_id / side, cell_id % side) {
-                    any |= state.relax_both(e);
+    let nv = stream.num_vertices();
+    let state = WccState::new(nv);
+    let mut iterations = Vec::new();
+    loop {
+        let changed = AtomicBool::new(false);
+        let ((), seconds) = timed(|| {
+            egraph_parallel::parallel_for(0..stream.num_units(), S::GRAIN, |units| {
+                let mut any = false;
+                for (_, run) in stream.runs(units) {
+                    for e in run {
+                        any |= state.relax_both(e);
+                    }
                 }
-            }
-            if any {
-                changed.store(true, Ordering::Relaxed);
-            }
+                if any {
+                    changed.store(true, Ordering::Relaxed);
+                }
+            });
         });
-    })
+        engine::record_full_scan(*ctx, &mut iterations, nv, stream.num_edges(), seconds);
+        if !changed.load(Ordering::Relaxed) {
+            break;
+        }
+    }
+    state.into_result(iterations)
 }
 
 /// Serial union-find reference for validation.

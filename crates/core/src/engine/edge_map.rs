@@ -3,26 +3,24 @@
 //! Information flow is a dimension orthogonal to algorithm and layout
 //! (§4, §6.1), so the direction of a run is a *value* handed to one
 //! loop, not a property baked into a hand-written copy of it.
-//! [`edge_map`] owns every iteration of a frontier algorithm: the load
-//! estimate, the [`DirectionDecision`], the sparse/dense frontier
-//! conversion, the [`vertex_push`]/[`vertex_pull`] call, its timing and
-//! the one iteration record. It is the single place a direction is
-//! chosen and logged; [`scan_map`] runs the full-scan (edge-array, grid)
-//! rounds through the same record path.
+//! [`edge_map`] owns every iteration of a frontier algorithm on every
+//! [`EngineLayout`]: the load estimate, the [`DirectionDecision`], the
+//! sparse/dense frontier conversion, the layout's push or pull round,
+//! its timing and the one iteration record. It is the single round loop
+//! and the single place a direction is chosen and logged.
 //!
 //! **The observed load** has one definition for every record (DESIGN.md
 //! §17.1): an edge term plus the frontier's vertex count. The edge term
-//! is the frontier's out-degree sum when the policy is the heuristic or
-//! the frontier is a sparse list (an O(|F|) reduction); `|E|` for a
-//! full scan; and omitted for a forced direction over a dense frontier,
-//! which would need an O(V) reduction nothing consumes. `edges_scanned`
-//! is that same edge term.
+//! is the layout's [`push_load`](EngineLayout::push_load) — the
+//! frontier's out-degree sum on an indexed layout, `|E|` on a scanning
+//! one — except that an indexed layout omits it for a forced direction
+//! over a dense frontier, where it would be an O(V) reduction nothing
+//! consumes. `edges_scanned` is that same edge term.
 
 use egraph_cachesim::MemProbe;
 
-use super::{vertex_pull, vertex_push, PullOp, PushOp};
+use super::{EngineLayout, PullOp, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{NeighborAccess, VertexLayout};
 use crate::metrics::{
     direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
 };
@@ -42,12 +40,13 @@ pub(crate) trait FrontierAlgo<E: EdgeRecord>: PushOp<E> {
     /// How push rounds collect the next frontier: `Sparse` when the
     /// push rule activates each vertex at most once (BFS claims),
     /// `Dense` when a vertex may improve several times in one round
-    /// (label and distance relaxations).
+    /// (label and distance relaxations). Scanning layouts collect
+    /// densely either way.
     const PUSH_NEXT: FrontierKind;
 
     /// Re-list a densely collected frontier before the next round —
     /// for algorithms whose frontiers stay small (SSSP), iterating a
-    /// list beats scanning the bitmap.
+    /// list beats scanning the bitmap. Scanning layouts never do.
     const RELIST: bool = false;
 
     /// The algorithm runs on a symmetrized graph, so pull rounds may
@@ -113,12 +112,13 @@ fn record_iter<P: MemProbe, R: Recorder>(
 /// Ligra `|E| / 20` cutoff is still logged as the counterfactual),
 /// [`Direction::PushPull`] lets the comparison choose per round.
 /// Forced pull never touches the out-direction and forced push never
-/// the in-direction, so single-direction layouts run.
+/// the in-direction, so single-direction layouts run — scanning layouts
+/// ([`EngineLayout::SCANS`]) under forced push only.
 ///
 /// Statically dispatched over layout and rule, and no more work per
 /// round than a hand-written loop: forced directions over a dense
 /// frontier skip the degree reduction (see the module docs).
-pub(crate) fn edge_map<E, L, A, P, R>(
+pub(crate) fn edge_map<E, F, L, A, P, R>(
     layout: &L,
     mut frontier: VertexSubset,
     algo: &A,
@@ -127,7 +127,7 @@ pub(crate) fn edge_map<E, L, A, P, R>(
 ) -> Vec<IterStat>
 where
     E: EdgeRecord,
-    L: VertexLayout<E>,
+    L: EngineLayout<E, F>,
     A: FrontierAlgo<E>,
     P: MemProbe,
     R: Recorder,
@@ -135,18 +135,28 @@ where
     let nv = layout.num_vertices();
     let num_edges = layout.num_edges();
     let cutoff = direction_cutoff(num_edges);
+    // A scanning round tests a dense frontier once per edge, so it is
+    // handed one, collects the next one densely and never re-lists it.
+    let (push_next, relist) = if L::SCANS {
+        (FrontierKind::Dense, false)
+    } else {
+        (A::PUSH_NEXT, A::RELIST)
+    };
     let mut iterations = Vec::new();
     while !frontier.is_empty() {
+        if L::SCANS {
+            frontier = frontier.into_dense(nv);
+        }
         algo.begin_round(&frontier);
         let frontier_size = frontier.len();
-        let sum_degrees = match policy {
-            Direction::PushPull => true,
-            Direction::Push => matches!(frontier, VertexSubset::Sparse(_)),
-            Direction::Pull => false,
-        };
-        let frontier_edges = if sum_degrees {
-            let out = layout.out();
-            frontier.out_edge_count(|v| out.degree(v))
+        let load_wanted = L::SCANS
+            || match policy {
+                Direction::PushPull => true,
+                Direction::Push => matches!(frontier, VertexSubset::Sparse(_)),
+                Direction::Pull => false,
+            };
+        let frontier_edges = if load_wanted {
+            layout.push_load(&frontier)
         } else {
             0
         };
@@ -170,18 +180,11 @@ where
                 let VertexSubset::Dense { bitmap, .. } = &frontier else {
                     unreachable!("converted above")
                 };
-                let incoming = if A::SYMMETRIC {
-                    layout.incoming_opt().unwrap_or_else(|| layout.out())
-                } else {
-                    layout.incoming()
-                };
                 let activated = AtomicBitmap::new(nv);
                 let op = algo.pull_op(bitmap, &activated);
-                timed(|| vertex_pull(incoming, &op, ctx, FrontierKind::Dense))
+                timed(|| layout.pull_round(&op, ctx, FrontierKind::Dense, A::SYMMETRIC))
             }
-            StepMode::Push => {
-                timed(|| vertex_push(layout.out(), &frontier, algo, ctx, A::PUSH_NEXT))
-            }
+            StepMode::Push => timed(|| layout.push_round(&frontier, algo, ctx, push_next)),
         };
         record_iter(
             ctx,
@@ -195,33 +198,14 @@ where
                 decision,
             },
         );
-        frontier = if A::RELIST { next.into_sparse() } else { next };
-    }
-    iterations
-}
-
-/// The full-scan counterpart of [`edge_map`] for layouts without
-/// per-vertex access (edge array, grid): every round `scan` streams all
-/// `num_edges` edges, pushing from the current frontier, and returns
-/// the next one. Direction is structurally push, recorded as forced.
-pub(crate) fn scan_map<P: MemProbe, R: Recorder>(
-    num_edges: usize,
-    mut frontier: VertexSubset,
-    ctx: ExecContext<'_, P, R>,
-    mut scan: impl FnMut(&VertexSubset) -> VertexSubset,
-) -> Vec<IterStat> {
-    let mut iterations = Vec::new();
-    while !frontier.is_empty() {
-        let (next, seconds) = timed(|| scan(&frontier));
-        record_full_scan(ctx, &mut iterations, frontier.len(), num_edges, seconds);
-        frontier = next;
+        frontier = if relist { next.into_sparse() } else { next };
     }
     iterations
 }
 
 /// Records one full-scan push round (see [`IterStat::full_scan`]) —
 /// for kernels whose rounds are not frontier-shaped (WCC's
-/// changed-flag passes over the edge array and grid).
+/// changed-flag passes over a streamed layout).
 pub(crate) fn record_full_scan<P: MemProbe, R: Recorder>(
     ctx: ExecContext<'_, P, R>,
     iterations: &mut Vec<IterStat>,

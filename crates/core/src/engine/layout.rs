@@ -1,0 +1,180 @@
+//! The one trait a layout shows the engine.
+//!
+//! Iteration model, layout and information flow are independent axes
+//! (§4.1, §5.1, §6.1), so the round loop (`edge_map`) and the all-active
+//! kernels (PageRank, SpMV) are written once against [`EngineLayout`]
+//! and every layout supplies the rounds. There are two families, each
+//! implemented once: layouts with a per-vertex index
+//! ([`VertexLayout`]: adj, ccsr, delta) run `vertex_push` /
+//! `vertex_pull`, and layouts that can only be streamed
+//! ([`EdgeStream`]: the edge array, the grid by columns or by cells) run
+//! `scan_push`. A new layout implements one of those two traits and
+//! inherits every frontier algorithm and the serve waves.
+//!
+//! **The frontier is the activity.** A push round is handed the round's
+//! frontier and pushes from its members only; an indexed layout iterates
+//! them, a scanning layout streams every edge and tests the (dense)
+//! frontier for each source. No push rule answers "is this source
+//! active" itself, so rule state left over from earlier rounds (BFS
+//! levels, a wave's lane words) can never push.
+
+use egraph_cachesim::MemProbe;
+
+use super::{scan_push, vertex_pull, vertex_push, PullOp, PushOp};
+use crate::frontier::{FrontierKind, VertexSubset};
+use crate::layout::{EdgeStream, NeighborAccess, VertexLayout};
+use crate::telemetry::{ExecContext, Recorder};
+use crate::types::EdgeRecord;
+
+/// Family marker of [`EngineLayout`]: layouts with a per-vertex index.
+#[derive(Debug)]
+pub struct Indexed;
+
+/// Family marker of [`EngineLayout`]: layouts that are streamed whole.
+#[derive(Debug)]
+pub struct Scanned;
+
+/// What the engine needs of a layout: its size and one round in each
+/// direction.
+///
+/// `Family` ([`Indexed`] or [`Scanned`]) only keeps the two blanket
+/// implementations apart; callers stay generic over it and the compiler
+/// infers it from the layout type.
+pub trait EngineLayout<E: EdgeRecord, Family>: Sync {
+    /// Push rounds stream every edge, whatever the frontier: they need
+    /// it dense (one bit test per edge), collect the next one densely
+    /// and always examine `|E|` edges.
+    const SCANS: bool;
+
+    /// Push rounds give every destination a single writer, so a push
+    /// rule may use plain writes.
+    const DST_EXCLUSIVE: bool;
+
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+
+    /// Number of edges.
+    fn num_edges(&self) -> usize;
+
+    /// Edges a push round from `frontier` examines: the frontier's
+    /// out-degree sum on an indexed layout, `|E|` on a scanning one.
+    fn push_load(&self, frontier: &VertexSubset) -> usize;
+
+    /// One push round: applies `op` to every edge whose source is in
+    /// `frontier` and returns the activated destinations.
+    fn push_round<O: PushOp<E>, P: MemProbe, R: Recorder>(
+        &self,
+        frontier: &VertexSubset,
+        op: &O,
+        ctx: ExecContext<'_, P, R>,
+        next_kind: FrontierKind,
+    ) -> VertexSubset;
+
+    /// One pull round over the in-direction — or, when `symmetric`
+    /// (the algorithm runs on a symmetrized graph), over the
+    /// out-direction of a layout built without one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a layout without the direction it needs.
+    fn pull_round<O: PullOp<E>, P: MemProbe, R: Recorder>(
+        &self,
+        op: &O,
+        ctx: ExecContext<'_, P, R>,
+        next_kind: FrontierKind,
+        symmetric: bool,
+    ) -> VertexSubset;
+}
+
+impl<E: EdgeRecord, L: VertexLayout<E>> EngineLayout<E, Indexed> for L {
+    const SCANS: bool = false;
+    const DST_EXCLUSIVE: bool = false;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        VertexLayout::num_vertices(self)
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        VertexLayout::num_edges(self)
+    }
+
+    fn push_load(&self, frontier: &VertexSubset) -> usize {
+        let out = self.out();
+        frontier.out_edge_count(|v| out.degree(v))
+    }
+
+    fn push_round<O: PushOp<E>, P: MemProbe, R: Recorder>(
+        &self,
+        frontier: &VertexSubset,
+        op: &O,
+        ctx: ExecContext<'_, P, R>,
+        next_kind: FrontierKind,
+    ) -> VertexSubset {
+        vertex_push(self.out(), frontier, op, ctx, next_kind)
+    }
+
+    fn pull_round<O: PullOp<E>, P: MemProbe, R: Recorder>(
+        &self,
+        op: &O,
+        ctx: ExecContext<'_, P, R>,
+        next_kind: FrontierKind,
+        symmetric: bool,
+    ) -> VertexSubset {
+        let incoming = if symmetric {
+            self.incoming_opt().unwrap_or_else(|| self.out())
+        } else {
+            self.incoming()
+        };
+        vertex_pull(incoming, op, ctx, next_kind)
+    }
+}
+
+impl<E: EdgeRecord, S: EdgeStream<E>> EngineLayout<E, Scanned> for S {
+    const SCANS: bool = true;
+    const DST_EXCLUSIVE: bool = S::DST_EXCLUSIVE;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        EdgeStream::num_vertices(self)
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        EdgeStream::num_edges(self)
+    }
+
+    #[inline]
+    fn push_load(&self, _frontier: &VertexSubset) -> usize {
+        EdgeStream::num_edges(self)
+    }
+
+    fn push_round<O: PushOp<E>, P: MemProbe, R: Recorder>(
+        &self,
+        frontier: &VertexSubset,
+        op: &O,
+        ctx: ExecContext<'_, P, R>,
+        next_kind: FrontierKind,
+    ) -> VertexSubset {
+        let VertexSubset::Dense { bitmap, count } = frontier else {
+            panic!("a scanning round tests a dense frontier once per edge")
+        };
+        if *count == EdgeStream::num_vertices(self) {
+            // Every vertex is active (PageRank, SpMV): no test at all.
+            scan_push(self, |_| true, op, ctx, next_kind)
+        } else {
+            scan_push(self, |v| bitmap.get(v as usize), op, ctx, next_kind)
+        }
+    }
+
+    fn pull_round<O: PullOp<E>, P: MemProbe, R: Recorder>(
+        &self,
+        _op: &O,
+        _ctx: ExecContext<'_, P, R>,
+        _next_kind: FrontierKind,
+        _symmetric: bool,
+    ) -> VertexSubset {
+        panic!("a streamed layout has no per-vertex in-direction to pull over")
+    }
+}

@@ -5,13 +5,15 @@
 //! edge-centric over edge arrays, or cell-centric over grids — and *how
 //! information flows* — **push** (an active vertex writes its
 //! out-neighbors) or **pull** (a vertex reads its in-neighbors and
-//! updates itself). This module provides one step driver per
-//! combination; algorithms supply the per-edge semantics through the
+//! updates itself). This module provides the step drivers — one per
+//! direction for indexed layouts, one `scan_push` for every streamed
+//! one — and [`EngineLayout`], the trait that puts a layout's rounds
+//! behind them; algorithms supply the per-edge semantics through the
 //! [`PushOp`] / [`PullOp`] traits and own their vertex state (atomics,
 //! locked arrays, or exclusive writes, depending on the synchronization
 //! strategy being measured). Frontier algorithms hand whole runs to
 //! `edge_map`, the one loop that picks and records a direction per
-//! iteration.
+//! iteration, on any layout.
 //!
 //! Every driver takes an [`ExecContext`] bundling a [`MemProbe`] (so
 //! the same code path can run under the LLC simulator) and a
@@ -24,15 +26,17 @@
 //! [`ExecCtx`](crate::exec::ExecCtx) costs no virtual call per edge.
 
 mod edge_map;
+mod layout;
 
-pub(crate) use edge_map::{edge_map, record_full_scan, scan_map, FrontierAlgo, NoPull};
+pub(crate) use edge_map::{edge_map, record_full_scan, FrontierAlgo, NoPull};
+pub use layout::{EngineLayout, Indexed, Scanned};
 
 use egraph_cachesim::probe::regions;
 use egraph_cachesim::MemProbe;
 use egraph_parallel::timeline;
 
 use crate::frontier::{FrontierKind, NextFrontier, VertexSubset};
-use crate::layout::{Grid, NeighborAccess};
+use crate::layout::{EdgeStream, Grid, NeighborAccess};
 use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeRecord, VertexId};
 
@@ -41,8 +45,9 @@ pub const EDGES_EXAMINED: &str = "engine.edges_examined";
 
 /// Per-edge semantics of a push-mode step.
 ///
-/// `push` is called once per edge whose source is active; it updates
-/// the destination's state (with whatever synchronization the
+/// `push` is called once per edge whose source is in the round's
+/// frontier — the driver decides that, never the rule; it updates the
+/// destination's state (with whatever synchronization the
 /// implementation chose) and reports whether the destination was
 /// *newly* activated, in which case the engine adds it to the next
 /// frontier.
@@ -55,14 +60,6 @@ pub trait PushOp<E: EdgeRecord>: Sync {
     /// Processes one edge; returns `true` if the destination became
     /// active for the next step.
     fn push(&self, e: &E) -> bool;
-
-    /// Whether `src` is active (used by edge-centric and grid drivers,
-    /// which scan edges regardless of activity). Defaults to `true`
-    /// (all-active algorithms such as PageRank and SpMV).
-    #[inline]
-    fn source_active(&self, _src: VertexId) -> bool {
-        true
-    }
 }
 
 /// Per-edge semantics of a pull-mode step.
@@ -218,42 +215,48 @@ where
     next.finish()
 }
 
-/// Edge-centric push: streams the entire edge array, applying `op` to
-/// every edge whose source is active. "At every iteration of the
-/// computation the whole edge array is scanned" (§4.1).
-pub fn edge_push<E, O, P, R>(
-    edges: &[E],
-    num_vertices: usize,
+/// Push over a streamed layout (the edge array, the grid by columns or
+/// by cells): every task streams its units of `stream`, applying `op`
+/// to each edge whose source `active` admits. The scan itself does not
+/// depend on `active` — the "full scan" drawback of §4.1. Rounds reach
+/// it through [`EngineLayout::push_round`], where `active` is
+/// membership in the round's frontier.
+pub(crate) fn scan_push<E, S, O, P, R>(
+    stream: &S,
+    active: impl Fn(VertexId) -> bool + Sync,
     op: &O,
     ctx: ExecContext<'_, P, R>,
     next_kind: FrontierKind,
 ) -> VertexSubset
 where
     E: EdgeRecord,
+    S: EdgeStream<E>,
     O: PushOp<E>,
     P: MemProbe,
     R: Recorder,
 {
-    let _step = timeline::span(timeline::SpanKind::Step, "edge_push", "push");
-    let next = NextFrontier::new(next_kind, num_vertices);
+    let _step = timeline::span(timeline::SpanKind::Step, S::PUSH_SPAN, "push");
+    let next = NextFrontier::new(next_kind, stream.num_vertices());
     let esize = std::mem::size_of::<E>() as u64;
     let probe = ctx.probe;
     let probed = probe.enabled();
-    egraph_parallel::parallel_for(0..edges.len(), egraph_parallel::DEFAULT_GRAIN, |r| {
-        let mut sink = next.sink(r.start as u64);
-        let examined = r.len();
-        for i in r {
-            let e = &edges[i];
-            if probed {
-                touch_edge(probe, regions::EDGES + i as u64 * esize);
-                touch_src(probe, e.src(), O::META_BYTES);
-            }
-            if op.source_active(e.src()) {
+    egraph_parallel::parallel_for(0..stream.num_units(), S::GRAIN, |units| {
+        let mut sink = next.sink(units.start as u64);
+        let mut examined = 0;
+        for (base, run) in stream.runs(units) {
+            examined += run.len();
+            for (k, e) in run.iter().enumerate() {
                 if probed {
-                    touch_dst(probe, e.dst(), O::META_BYTES);
+                    touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
+                    touch_src(probe, e.src(), O::META_BYTES);
                 }
-                if op.push(e) {
-                    sink.add(e.dst());
+                if active(e.src()) {
+                    if probed {
+                        touch_dst(probe, e.dst(), O::META_BYTES);
+                    }
+                    if op.push(e) {
+                        sink.add(e.dst());
+                    }
                 }
             }
         }
@@ -327,105 +330,6 @@ where
             }
             if op.activated(v) {
                 sink.add(v);
-            }
-        }
-        flush_examined(ctx.recorder, examined);
-    });
-    next.finish()
-}
-
-/// Grid push with **column ownership**: each worker owns whole columns,
-/// so all writes to a destination range come from one worker and need
-/// no locks (§6.1.2). `op.push` may therefore use plain writes.
-pub fn grid_push_columns<E, O, P, R>(
-    grid: &Grid<E>,
-    op: &O,
-    ctx: ExecContext<'_, P, R>,
-    next_kind: FrontierKind,
-) -> VertexSubset
-where
-    E: EdgeRecord,
-    O: PushOp<E>,
-    P: MemProbe,
-    R: Recorder,
-{
-    let _step = timeline::span(timeline::SpanKind::Step, "grid_push_columns", "push");
-    let next = NextFrontier::new(next_kind, grid.num_vertices());
-    let side = grid.side();
-    let esize = std::mem::size_of::<E>() as u64;
-    let probe = ctx.probe;
-    let probed = probe.enabled();
-    egraph_parallel::parallel_for(0..side, 1, |cols| {
-        let mut sink = next.sink(cols.start as u64);
-        let mut examined = 0;
-        for col in cols {
-            for row in 0..side {
-                let base = grid.cell_base_index(row, col);
-                let cell = grid.cell(row, col);
-                examined += cell.len();
-                for (k, e) in cell.iter().enumerate() {
-                    if probed {
-                        touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
-                        touch_src(probe, e.src(), O::META_BYTES);
-                    }
-                    if op.source_active(e.src()) {
-                        if probed {
-                            touch_dst(probe, e.dst(), O::META_BYTES);
-                        }
-                        if op.push(e) {
-                            sink.add(e.dst());
-                        }
-                    }
-                }
-            }
-        }
-        flush_examined(ctx.recorder, examined);
-    });
-    next.finish()
-}
-
-/// Grid push over individual cells, in arbitrary parallel order: the
-/// "grid (locks)" configuration of Fig. 8 — `op.push` must synchronize
-/// its destination updates.
-pub fn grid_push_cells<E, O, P, R>(
-    grid: &Grid<E>,
-    op: &O,
-    ctx: ExecContext<'_, P, R>,
-    next_kind: FrontierKind,
-) -> VertexSubset
-where
-    E: EdgeRecord,
-    O: PushOp<E>,
-    P: MemProbe,
-    R: Recorder,
-{
-    let _step = timeline::span(timeline::SpanKind::Step, "grid_push_cells", "push");
-    let next = NextFrontier::new(next_kind, grid.num_vertices());
-    let side = grid.side();
-    let esize = std::mem::size_of::<E>() as u64;
-    let probe = ctx.probe;
-    let probed = probe.enabled();
-    egraph_parallel::parallel_for(0..side * side, 1, |cells| {
-        let mut sink = next.sink(cells.start as u64);
-        let mut examined = 0;
-        for cell_id in cells {
-            let (row, col) = (cell_id / side, cell_id % side);
-            let base = grid.cell_base_index(row, col);
-            let cell = grid.cell(row, col);
-            examined += cell.len();
-            for (k, e) in cell.iter().enumerate() {
-                if probed {
-                    touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
-                    touch_src(probe, e.src(), O::META_BYTES);
-                }
-                if op.source_active(e.src()) {
-                    if probed {
-                        touch_dst(probe, e.dst(), O::META_BYTES);
-                    }
-                    if op.push(e) {
-                        sink.add(e.dst());
-                    }
-                }
             }
         }
         flush_examined(ctx.recorder, examined);

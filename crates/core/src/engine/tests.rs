@@ -34,7 +34,6 @@ fn diamond() -> EdgeList<Edge> {
 struct CountingOp {
     pushes: AtomicUsize,
     activated: AtomicBitmap,
-    active_sources: Option<AtomicBitmap>,
 }
 
 impl CountingOp {
@@ -42,19 +41,6 @@ impl CountingOp {
         Self {
             pushes: AtomicUsize::new(0),
             activated: AtomicBitmap::new(nv),
-            active_sources: None,
-        }
-    }
-
-    fn with_sources(nv: usize, sources: &[u32]) -> Self {
-        let bitmap = AtomicBitmap::new(nv);
-        for &s in sources {
-            bitmap.set(s as usize);
-        }
-        Self {
-            pushes: AtomicUsize::new(0),
-            activated: AtomicBitmap::new(nv),
-            active_sources: Some(bitmap),
         }
     }
 }
@@ -64,13 +50,12 @@ impl<E: EdgeRecord> PushOp<E> for CountingOp {
         self.pushes.fetch_add(1, Ordering::Relaxed);
         self.activated.set(e.dst() as usize)
     }
+}
 
-    fn source_active(&self, src: VertexId) -> bool {
-        self.active_sources
-            .as_ref()
-            .map(|b| b.get(src as usize))
-            .unwrap_or(true)
-    }
+/// A dense frontier of `members` over `nv` vertices — what a scanning
+/// round takes.
+fn dense(nv: usize, members: &[u32]) -> VertexSubset {
+    VertexSubset::from_vec(members.to_vec()).into_dense(nv)
 }
 
 #[test]
@@ -114,44 +99,53 @@ fn vertex_push_dense_frontier_equivalent() {
 }
 
 #[test]
-fn edge_push_respects_source_active() {
+fn scan_push_pushes_only_from_the_frontier() {
     let graph = diamond();
-    let op = CountingOp::with_sources(4, &[1, 2]);
-    let next = edge_push(
-        graph.edges(),
-        4,
-        &op,
-        ExecContext::new(),
-        FrontierKind::Dense,
-    );
-    // Only edges out of 1 and 2 fire: (1,3) and (2,3).
-    assert_eq!(op.pushes.load(Ordering::Relaxed), 2);
-    assert_eq!(next.len(), 1, "3 activated once (dense dedup)");
-    assert!(next.contains(3));
+    let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
+    // Only edges out of 1 and 2 fire — (1,3) and (2,3) — on every cut.
+    let frontier = dense(4, &[1, 2]);
+    let ctx = ExecContext::new();
+    let (edge, columns, cells) = (CountingOp::new(4), CountingOp::new(4), CountingOp::new(4));
+    for (op, next) in [
+        (
+            &edge,
+            graph.push_round(&frontier, &edge, ctx, FrontierKind::Dense),
+        ),
+        (
+            &columns,
+            grid.push_round(&frontier, &columns, ctx, FrontierKind::Dense),
+        ),
+        (
+            &cells,
+            (grid.cells()).push_round(&frontier, &cells, ctx, FrontierKind::Dense),
+        ),
+    ] {
+        assert_eq!(op.pushes.load(Ordering::Relaxed), 2);
+        assert_eq!(next.len(), 1, "3 activated once (dense dedup)");
+        assert!(next.contains(3));
+    }
 }
 
 #[test]
-fn grid_push_columns_covers_all_edges_once() {
+fn scan_push_from_every_vertex_covers_all_edges_once() {
     let graph = diamond();
     let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
-    let op = CountingOp::new(4);
-    let next = grid_push_columns(&grid, &op, ExecContext::new(), FrontierKind::Dense);
-    assert_eq!(op.pushes.load(Ordering::Relaxed), graph.num_edges());
+    let all = VertexSubset::all(4);
+    let ctx = ExecContext::new();
+    let (columns, cells) = (CountingOp::new(4), CountingOp::new(4));
+    let next = grid.push_round(&all, &columns, ctx, FrontierKind::Dense);
+    assert_eq!(columns.pushes.load(Ordering::Relaxed), graph.num_edges());
     assert_eq!(next.len(), 4);
+    (grid.cells()).push_round(&all, &cells, ctx, FrontierKind::Dense);
+    assert_eq!(cells.pushes.load(Ordering::Relaxed), graph.num_edges());
 }
 
 #[test]
-fn grid_push_cells_equals_columns() {
-    let graph = diamond();
-    let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
-    let a = CountingOp::new(4);
-    grid_push_cells(&grid, &a, ExecContext::new(), FrontierKind::Dense);
-    let b = CountingOp::new(4);
-    grid_push_columns(&grid, &b, ExecContext::new(), FrontierKind::Dense);
-    assert_eq!(
-        a.pushes.load(Ordering::Relaxed),
-        b.pushes.load(Ordering::Relaxed)
-    );
+#[should_panic(expected = "dense frontier")]
+fn scan_push_rejects_a_sparse_frontier() {
+    let frontier = VertexSubset::from_vec(vec![1, 2]);
+    let op = CountingOp::new(4);
+    diamond().push_round(&frontier, &op, ExecContext::new(), FrontierKind::Dense);
 }
 
 /// Pull operator that records scan lengths and stops after the first
@@ -213,6 +207,16 @@ fn probe_sees_three_touches_per_processed_edge() {
     assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
     assert_eq!(report.kind(AccessKind::SrcMeta).accesses, edges);
     assert_eq!(report.kind(AccessKind::DstMeta).accesses, edges);
+
+    // A scan reads every edge and its source; it touches a destination
+    // only where the source is in the frontier.
+    let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
+    let ctx = ExecContext::new().with_probe(&probe);
+    graph.push_round(&dense(4, &[1, 2]), &op, ctx, FrontierKind::Dense);
+    let report = probe.report();
+    assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
+    assert_eq!(report.kind(AccessKind::SrcMeta).accesses, edges);
+    assert_eq!(report.kind(AccessKind::DstMeta).accesses, 2);
 }
 
 #[test]
@@ -271,13 +275,8 @@ fn recorder_counts_edges_examined() {
     );
 
     let recorder = TraceRecorder::new();
-    edge_push(
-        graph.edges(),
-        4,
-        &op,
-        ExecContext::new().with_recorder(&recorder),
-        FrontierKind::Dense,
-    );
+    let ctx = ExecContext::new().with_recorder(&recorder);
+    graph.push_round(&dense(4, &[0]), &op, ctx, FrontierKind::Dense);
     assert_eq!(
         recorder.counters()[EDGES_EXAMINED],
         graph.num_edges() as f64,
@@ -299,15 +298,10 @@ fn empty_graph_drivers_are_noops() {
         FrontierKind::Sparse
     )
     .is_empty());
-    assert!(edge_push(
-        graph.edges(),
-        0,
-        &op,
-        ExecContext::new(),
-        FrontierKind::Sparse
-    )
-    .is_empty());
-    assert!(grid_push_columns(&grid, &op, ExecContext::new(), FrontierKind::Sparse).is_empty());
+    let none = dense(0, &[]);
+    let ctx = ExecContext::new();
+    assert!((graph.push_round(&none, &op, ctx, FrontierKind::Sparse)).is_empty());
+    assert!((grid.push_round(&none, &op, ctx, FrontierKind::Sparse)).is_empty());
     assert_eq!(op.pushes.load(Ordering::Relaxed), 0);
 }
 
@@ -404,25 +398,34 @@ impl<E: EdgeRecord> FrontierAlgo<E> for MinLabel {
 
 const POLICIES: [Direction; 3] = [Direction::Push, Direction::Pull, Direction::PushPull];
 
-/// Runs [`MinLabel`] over `graph` from `frontier` under `policy`.
-fn min_label_run(
-    graph: &EdgeList<Edge>,
+/// Runs [`MinLabel`] over `layout` from `frontier` under `policy`.
+fn min_label_on<F, L: EngineLayout<Edge, F>>(
+    layout: &L,
     frontier: VertexSubset,
     policy: Direction,
 ) -> (Vec<u32>, Vec<IterStat>) {
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(graph);
-    let algo = MinLabel::new(graph.num_vertices());
-    let log = edge_map(&adj, frontier, &algo, policy, ExecContext::new());
+    let algo = MinLabel::new(layout.num_vertices());
+    let log = edge_map(layout, frontier, &algo, policy, ExecContext::new());
     // One `begin_round` per recorded round, each handed that round's
-    // frontier.
+    // frontier (and `MinLabel::push` saw no source outside it).
     let begun: Vec<usize> = (algo.frontiers.lock().unwrap().iter().map(Vec::len)).collect();
     let scanned: Vec<usize> = log.iter().map(|stat| stat.frontier_size).collect();
     assert_eq!(begun, scanned, "{policy:?}");
     (algo.labels(), log)
 }
 
+/// [`min_label_on`] the two-direction CSR of `graph`.
+fn min_label_run(
+    graph: &EdgeList<Edge>,
+    frontier: VertexSubset,
+    policy: Direction,
+) -> (Vec<u32>, Vec<IterStat>) {
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(graph);
+    min_label_on(&adj, frontier, policy)
+}
+
 #[test]
-fn edge_map_reaches_one_fixpoint_under_every_policy() {
+fn edge_map_reaches_one_fixpoint_under_every_policy_and_on_every_layout() {
     // A hub (0 -> 1 -> 300 spokes -> sink) next to an unreached pair,
     // and a chain next to a second, shorter one.
     let mut hub = vec![Edge::new(0, 1), Edge::new(310, 311)];
@@ -452,6 +455,24 @@ fn edge_map_reaches_one_fixpoint_under_every_policy() {
                     egraph_parallel::with_pool(&pool, || min_label_run(graph, all(), policy));
                 assert_eq!(&labels, expected, "{policy:?} at {threads} threads");
                 assert!(!log.is_empty());
+            }
+            // Forced push over the streamed layouts: the same fixpoint
+            // from rounds that each scan every edge.
+            let grid = GridBuilder::new(Strategy::RadixSort).side(4).build(graph);
+            let streamed = egraph_parallel::with_pool(&pool, || {
+                let all = || VertexSubset::all(graph.num_vertices());
+                [
+                    ("edge", min_label_on(graph, all(), Direction::Push)),
+                    ("columns", min_label_on(&grid, all(), Direction::Push)),
+                    ("cells", min_label_on(&grid.cells(), all(), Direction::Push)),
+                ]
+            });
+            for (cut, (labels, log)) in streamed {
+                assert_eq!(&labels, expected, "{cut} at {threads} threads");
+                for stat in &log {
+                    assert_eq!(stat.edges_scanned, graph.num_edges(), "{cut}");
+                    assert!(stat.mode == StepMode::Push && stat.decision.forced);
+                }
             }
         }
     }

@@ -758,16 +758,6 @@ impl<E: EdgeRecord> super::VertexLayout<E> for CcsrList<E> {
     }
 
     #[inline]
-    fn out(&self) -> &CcsrAdjacency<E> {
-        self.out()
-    }
-
-    #[inline]
-    fn incoming(&self) -> &CcsrAdjacency<E> {
-        self.incoming()
-    }
-
-    #[inline]
     fn out_opt(&self) -> Option<&CcsrAdjacency<E>> {
         self.out_opt()
     }

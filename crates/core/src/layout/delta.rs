@@ -598,22 +598,12 @@ impl<E: EdgeRecord> VertexLayout<E> for DeltaList<E> {
             .map_or(0, |d| d.num_edges())
     }
 
-    fn out(&self) -> &DeltaAdjacency<E> {
-        self.out
-            .as_ref()
-            .expect("delta layout built without out-edges")
-    }
-
-    fn incoming(&self) -> &DeltaAdjacency<E> {
-        self.incoming
-            .as_ref()
-            .expect("delta layout built without in-edges")
-    }
-
+    #[inline]
     fn out_opt(&self) -> Option<&DeltaAdjacency<E>> {
         self.out.as_ref()
     }
 
+    #[inline]
     fn incoming_opt(&self) -> Option<&DeltaAdjacency<E>> {
         self.incoming.as_ref()
     }

@@ -12,6 +12,7 @@
 //! assigning whole columns to cores makes push updates exclusive and
 //! assigning whole rows makes source-side (pull) updates exclusive.
 
+use super::EdgeStream;
 use crate::types::{EdgeRecord, VertexId};
 use std::ops::Range;
 
@@ -134,11 +135,84 @@ impl<E: EdgeRecord> Grid<E> {
         &self.edges
     }
 
+    /// The grid cut into individual cells (see [`GridCells`]).
+    pub fn cells(&self) -> GridCells<'_, E> {
+        GridCells(self)
+    }
+
     /// Resident heap bytes of the layout (cell offsets + edge array) —
     /// what the serve daemon's `/healthz` and the compression
     /// experiment report.
     pub fn resident_bytes(&self) -> u64 {
         (self.cell_offsets.len() * 8 + self.edges.len() * std::mem::size_of::<E>()) as u64
+    }
+}
+
+/// The grid streamed with **column ownership**: a unit is one column,
+/// so all writes to a destination range come from one task and need no
+/// locks (§6.1.2) — push rules may use plain writes.
+impl<E: EdgeRecord> EdgeStream<E> for Grid<E> {
+    const PUSH_SPAN: &'static str = "grid_push_columns";
+    const GRAIN: usize = 1;
+    const DST_EXCLUSIVE: bool = true;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    #[inline]
+    fn num_units(&self) -> usize {
+        self.side
+    }
+
+    #[inline]
+    fn runs(&self, units: Range<usize>) -> impl Iterator<Item = (u64, &[E])> {
+        // Column-major over the cells of the claimed columns.
+        (units.start * self.side..units.end * self.side).map(move |i| {
+            let (col, row) = (i / self.side, i % self.side);
+            (self.cell_base_index(row, col), self.cell(row, col))
+        })
+    }
+}
+
+/// The grid streamed cell by cell, in arbitrary parallel order: the
+/// "grid (locks)" configuration of Fig. 8 — `side²` units balance
+/// better than `side` columns, and push rules must synchronize their
+/// destination updates.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCells<'a, E>(&'a Grid<E>);
+
+impl<E: EdgeRecord> EdgeStream<E> for GridCells<'_, E> {
+    const PUSH_SPAN: &'static str = "grid_push_cells";
+    const GRAIN: usize = 1;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.0.num_vertices
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.0.edges.len()
+    }
+
+    #[inline]
+    fn num_units(&self) -> usize {
+        self.0.side * self.0.side
+    }
+
+    #[inline]
+    fn runs(&self, units: Range<usize>) -> impl Iterator<Item = (u64, &[E])> {
+        // Cells are stored row-major, so consecutive cells are one run.
+        let offsets = &self.0.cell_offsets;
+        let (lo, hi) = (offsets[units.start], offsets[units.end]);
+        std::iter::once((lo, &self.0.edges[lo as usize..hi as usize]))
     }
 }
 

@@ -30,9 +30,11 @@ pub use delta::{
     for_each_neighbor, CompactStats, DeltaAdjacency, DeltaBatch, DeltaError, DeltaGraph, DeltaList,
     DeltaLog, DeltaOp, EpochCell, GraphSnapshot,
 };
-pub use grid::Grid;
+pub use grid::{Grid, GridCells};
 
-use crate::types::{EdgeRecord, VertexId};
+use std::ops::Range;
+
+use crate::types::{EdgeList, EdgeRecord, VertexId};
 
 /// Maximum edges per iteration span (and per ccsr chunk).
 ///
@@ -99,6 +101,69 @@ impl<E: EdgeRecord> NeighborAccess<E> for Adjacency<E> {
     }
 }
 
+/// Uniform streaming access for the scanning engine driver: a layout
+/// without a per-vertex index hands out its whole edge stream, cut into
+/// *units* that parallel tasks claim [`GRAIN`](Self::GRAIN) at a time.
+/// The three cuts of the study: the edge array in fixed-grain chunks
+/// ([`EdgeList`]), the grid by columns ([`Grid`]) and by cells
+/// ([`GridCells`]).
+pub trait EdgeStream<E: EdgeRecord>: Sync {
+    /// Timeline span name of a push round over this cut.
+    const PUSH_SPAN: &'static str;
+
+    /// Units per parallel task.
+    const GRAIN: usize;
+
+    /// Every edge into a destination lies in units of one task, so a
+    /// push round gives each destination a single writer. The
+    /// plain-write push rules (`unsafe` slice updates in PageRank and
+    /// SpMV) run on exactly the layouts that declare this, so declare
+    /// it only for a cut that partitions the destinations.
+    const DST_EXCLUSIVE: bool = false;
+
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+
+    /// Number of edges in the stream.
+    fn num_edges(&self) -> usize;
+
+    /// Number of units the stream is cut into.
+    fn num_units(&self) -> usize;
+
+    /// The contiguous runs of edges in `units`, in stream order, as
+    /// `(i, run)` — `i` being the stream index of the run's first edge
+    /// (the simulated cache address of edge `k` of the run derives
+    /// from `i + k`).
+    fn runs(&self, units: Range<usize>) -> impl Iterator<Item = (u64, &[E])>;
+}
+
+/// The edge array, one edge per unit: "at every iteration of the
+/// computation the whole edge array is scanned" (§4.1).
+impl<E: EdgeRecord> EdgeStream<E> for EdgeList<E> {
+    const PUSH_SPAN: &'static str = "edge_push";
+    const GRAIN: usize = egraph_parallel::DEFAULT_GRAIN;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.num_edges()
+    }
+
+    #[inline]
+    fn num_units(&self) -> usize {
+        self.num_edges()
+    }
+
+    #[inline]
+    fn runs(&self, units: Range<usize>) -> impl Iterator<Item = (u64, &[E])> {
+        std::iter::once((units.start as u64, &self.edges()[units]))
+    }
+}
+
 /// A vertex-centric layout holding up to two [`NeighborAccess`]
 /// directions — implemented by [`AdjacencyList`] (CSR) and
 /// [`ccsr::CcsrList`] (compressed), so the algorithm drivers run on
@@ -118,14 +183,20 @@ pub trait VertexLayout<E: EdgeRecord>: Sync {
     /// # Panics
     ///
     /// Panics if the layout was built without out-edges.
-    fn out(&self) -> &Self::Dir;
+    #[inline]
+    fn out(&self) -> &Self::Dir {
+        (self.out_opt()).expect("layout was built without out-edges")
+    }
 
     /// The in-direction.
     ///
     /// # Panics
     ///
     /// Panics if the layout was built without in-edges.
-    fn incoming(&self) -> &Self::Dir;
+    #[inline]
+    fn incoming(&self) -> &Self::Dir {
+        (self.incoming_opt()).expect("layout was built without in-edges")
+    }
 
     /// The out-direction, if present.
     fn out_opt(&self) -> Option<&Self::Dir>;
@@ -148,16 +219,6 @@ impl<E: EdgeRecord> VertexLayout<E> for AdjacencyList<E> {
     }
 
     #[inline]
-    fn out(&self) -> &Adjacency<E> {
-        self.out()
-    }
-
-    #[inline]
-    fn incoming(&self) -> &Adjacency<E> {
-        self.incoming()
-    }
-
-    #[inline]
     fn out_opt(&self) -> Option<&Adjacency<E>> {
         self.out_opt()
     }
@@ -165,5 +226,34 @@ impl<E: EdgeRecord> VertexLayout<E> for AdjacencyList<E> {
     #[inline]
     fn incoming_opt(&self) -> Option<&Adjacency<E>> {
         self.incoming_opt()
+    }
+}
+
+/// A lone out-direction as a [`VertexLayout`], for the push kernels
+/// whose public entry points take one [`NeighborAccess`].
+#[derive(Debug)]
+pub struct OutOnly<'a, A>(pub &'a A);
+
+impl<E: EdgeRecord, A: NeighborAccess<E>> VertexLayout<E> for OutOnly<'_, A> {
+    type Dir = A;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.0.num_vertices()
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.0.num_edges()
+    }
+
+    #[inline]
+    fn out_opt(&self) -> Option<&A> {
+        Some(self.0)
+    }
+
+    #[inline]
+    fn incoming_opt(&self) -> Option<&A> {
+        None
     }
 }

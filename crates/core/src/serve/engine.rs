@@ -58,9 +58,9 @@ pub struct ServeConfig {
     /// Publish per-query metrics on the global registry.
     pub metrics: bool,
     /// The resident layout waves traverse: [`Layout::Adjacency`]
-    /// (default), [`Layout::Grid`] or [`Layout::Ccsr`].
-    /// [`Layout::EdgeList`] has no servable index and panics at
-    /// start-up.
+    /// (default), [`Layout::Grid`], [`Layout::Ccsr`] or
+    /// [`Layout::Delta`]. [`Layout::EdgeList`] has no servable index
+    /// and panics at start-up.
     pub layout: Layout,
     /// Flight-recorder ring capacity in events (0 disables recording —
     /// only the overhead-measurement mode of `exp_serve_latency` does).
@@ -188,9 +188,7 @@ impl<E: EdgeRecord> ResidentLayout<E> {
                 let (out, inc) = csr().into_parts();
                 Self::Delta(DeltaList::new(out, inc, &DeltaLog::new()))
             }
-            Layout::EdgeList => {
-                panic!("the edge layout has no servable per-vertex index; use adj, grid or ccsr")
-            }
+            Layout::EdgeList => unreachable!("ServeEngine::start rejects the edge layout"),
         }
     }
 
@@ -210,7 +208,7 @@ impl<E: EdgeRecord> ResidentLayout<E> {
     {
         match self {
             Self::Adj(a) => wave.run(a, ctx),
-            Self::Grid(g) => wave.run_grid(g, ctx),
+            Self::Grid(g) => wave.run(&g.cells(), ctx),
             Self::Ccsr(c) => wave.run(c, ctx),
             Self::Delta(d) => wave.run(d, ctx),
         }
@@ -835,7 +833,7 @@ impl ServeEngine {
     pub fn start(graph: ServeGraph, config: ServeConfig) -> Self {
         assert!(
             config.layout != Layout::EdgeList,
-            "the edge layout has no servable per-vertex index; use adj, grid or ccsr"
+            "the edge layout has no servable per-vertex index; use adj, grid, ccsr or delta"
         );
         let weighted = graph.weighted();
         let layout = config.layout;

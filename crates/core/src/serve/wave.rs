@@ -10,10 +10,11 @@
 //! A wave is an ordinary frontier algorithm whose per-vertex state is a
 //! lane word, so this file holds only the two *rules* — [`BfsLanes`]
 //! (BFS and k-hop) and [`SsspLanes`] — and no loop: rounds run on
-//! `engine::edge_map` (adj, ccsr, delta) or `engine::scan_map` over
-//! `grid_push_cells` (grid), which also write the per-round
-//! [`IterStat`] records every batch kernel emits. The frontier of a
-//! wave round is the *union* of its lanes' frontiers.
+//! `engine::edge_map` over whatever [`EngineLayout`] is resident, which
+//! also writes the per-round [`IterStat`] records every batch kernel
+//! emits. The frontier of a wave round is the *union* of its lanes'
+//! frontiers, and it alone says which sources push: a lane word left
+//! standing from an earlier round is never read, so nothing clears it.
 //!
 //! Determinism: the per-lane results are bit-identical to the
 //! single-query kernels. BFS levels are exact hop distances (the round
@@ -26,10 +27,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use egraph_parallel::atomicf::AtomicF32;
 
-use crate::engine::{self, FrontierAlgo, NoPull, PushOp};
+use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{Grid, VertexLayout};
 use crate::metrics::{Direction, IterStat};
 use crate::types::{EdgeRecord, VertexId};
 use crate::util::AtomicBitmap;
@@ -43,7 +43,9 @@ pub const MAX_WAVE: usize = 64;
 /// and for every `V` a push-only [`FrontierAlgo`].
 pub(crate) struct Lanes<V> {
     lanes: usize,
-    /// The running round's frontier words.
+    /// The running round's frontier words — current for the members
+    /// of the round's frontier only; other vertices keep a stale word
+    /// no driver reads.
     current: Vec<AtomicU64>,
     /// Bits that reached a vertex during the running round.
     next: Vec<AtomicU64>,
@@ -106,39 +108,17 @@ impl<V> Lanes<V> {
         }
     }
 
-    /// Runs the wave over a vertex-centric layout, one `edge_map` push
-    /// round per wave round.
-    pub(crate) fn run<E, L>(&self, layout: &L, ctx: &ExecCtx<'_>) -> Vec<IterStat>
+    /// Runs the wave over any layout, one `edge_map` push round per
+    /// wave round. Levels and distances do not depend on scan order, so
+    /// the per-lane results are bit-identical on every layout.
+    pub(crate) fn run<E, F, L>(&self, layout: &L, ctx: &ExecCtx<'_>) -> Vec<IterStat>
     where
         E: EdgeRecord,
-        L: VertexLayout<E>,
+        L: EngineLayout<E, F>,
         Self: FrontierAlgo<E>,
     {
         let seeds = VertexSubset::from_vec(self.seeds.clone());
         engine::edge_map(layout, seeds, self, Direction::Push, ctx.context())
-    }
-
-    /// Runs the wave over a grid. The grid has no per-vertex neighbor
-    /// index, so every round is a full cell scan that the rule's
-    /// `source_active` filters to the frontier. Levels and distances do
-    /// not depend on scan order, so the per-lane results are
-    /// bit-identical to [`Self::run`]'s.
-    pub(crate) fn run_grid<E>(&self, grid: &Grid<E>, ctx: &ExecCtx<'_>) -> Vec<IterStat>
-    where
-        E: EdgeRecord,
-        Self: FrontierAlgo<E>,
-    {
-        let ctx = ctx.context();
-        let seeds = VertexSubset::from_vec(self.seeds.clone());
-        engine::scan_map(grid.num_edges(), seeds, ctx, |frontier| {
-            self.begin_round(frontier);
-            let next = engine::grid_push_cells(grid, self, ctx, FrontierKind::Sparse);
-            // A full scan tests every source's word, so a word left
-            // standing would push again next round. (`edge_map` only
-            // reads the words of the frontier it was just handed.)
-            frontier.for_each(|v| self.current[v as usize].store(0, Ordering::Relaxed));
-            next
-        })
     }
 
     #[inline]
@@ -262,11 +242,6 @@ impl<E: EdgeRecord> PushOp<E> for BfsLanes {
         // discoveries nobody wants.
         first && depth < self.values.max_depth
     }
-
-    #[inline]
-    fn source_active(&self, src: VertexId) -> bool {
-        self.word(src) != 0
-    }
 }
 
 impl SsspLanes {
@@ -310,16 +285,12 @@ impl<E: EdgeRecord> PushOp<E> for SsspLanes {
         }
         improved != 0 && self.reach(e.dst() as usize, improved)
     }
-
-    #[inline]
-    fn source_active(&self, src: VertexId) -> bool {
-        self.word(src) != 0
-    }
 }
 
-/// Multi-source BFS over any [`VertexLayout`] (uncompressed CSR, ccsr
-/// or delta): one lane per source, levels truncated at `max_depth`
-/// rounds (pass `u32::MAX` for a full traversal). Returns one level
+/// Multi-source BFS over any [`EngineLayout`] (uncompressed CSR, ccsr,
+/// delta, or a streamed view such as the grid's cells): one lane per
+/// source, levels truncated at `max_depth` rounds (pass `u32::MAX` for
+/// a full traversal). Returns one level
 /// vector per source, `u32::MAX` marking vertices not reached within
 /// the depth bound.
 ///
@@ -327,7 +298,7 @@ impl<E: EdgeRecord> PushOp<E> for SsspLanes {
 ///
 /// Panics if `sources` is empty, longer than [`MAX_WAVE`], or contains
 /// an out-of-range vertex.
-pub fn multi_bfs<E: EdgeRecord, L: VertexLayout<E>>(
+pub fn multi_bfs<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
     sources: &[VertexId],
     max_depth: u32,
@@ -338,14 +309,14 @@ pub fn multi_bfs<E: EdgeRecord, L: VertexLayout<E>>(
     wave.into_lanes()
 }
 
-/// Multi-source SSSP over any [`VertexLayout`]. Returns one distance
+/// Multi-source SSSP over any [`EngineLayout`]. Returns one distance
 /// vector per source (`f32::INFINITY` for unreachable vertices),
 /// bit-identical to the single-source kernel.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`multi_bfs`].
-pub fn multi_sssp<E: EdgeRecord, L: VertexLayout<E>>(
+pub fn multi_sssp<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
     sources: &[VertexId],
     ctx: &ExecCtx<'_>,
@@ -471,6 +442,47 @@ mod tests {
         }
     }
 
+    /// Edges leaving the frontiers of a traced wave, summed over its
+    /// rounds (an indexed layout scans exactly those).
+    fn frontier_edges(run: impl FnOnce(&ExecCtx<'_>)) -> u64 {
+        let recorder = crate::telemetry::TraceRecorder::new();
+        run(&ExecCtx::new(None).recorder(&recorder));
+        let records = recorder.iterations();
+        assert!(records.len() > 2);
+        records.iter().map(|r| r.edges_scanned as u64).sum()
+    }
+
+    /// Destination touches the simulated cache sees during a wave: one
+    /// per edge pushed.
+    fn pushed_edges(run: impl FnOnce(&ExecCtx<'_>)) -> u64 {
+        use egraph_cachesim::{AccessKind, CacheConfig, LlcProbe};
+        let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
+        run(&ExecCtx::new(None).probe(&probe));
+        probe.report().kind(AccessKind::DstMeta).accesses
+    }
+
+    #[test]
+    fn a_grid_wave_pushes_only_from_the_running_round_s_frontier() {
+        // Source 0 is in the first round's frontier and in no later
+        // one, and nothing clears its lane word: were the word what
+        // makes a source push, every later scan would push from it again.
+        let sources = [0, 3, 150];
+        let g = ring_with_chords(300);
+        let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
+        let grid = GridBuilder::new(Strategy::CountSort).side(4).build(&g);
+        assert_eq!(
+            pushed_edges(|ctx| drop(multi_bfs(&grid.cells(), &sources, u32::MAX, ctx))),
+            frontier_edges(|ctx| drop(multi_bfs(&adj, &sources, u32::MAX, ctx))),
+        );
+        let w = weighted_ring(300);
+        let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&w);
+        let grid = GridBuilder::new(Strategy::CountSort).side(4).build(&w);
+        assert_eq!(
+            pushed_edges(|ctx| drop(multi_sssp(&grid.cells(), &sources, ctx))),
+            frontier_edges(|ctx| drop(multi_sssp(&adj, &sources, ctx))),
+        );
+    }
+
     #[test]
     fn a_depth_d_wave_runs_exactly_d_rounds_on_adj_and_grid() {
         // Full traversals from these sources take eight rounds or more.
@@ -487,7 +499,7 @@ mod tests {
             let recorder = crate::telemetry::TraceRecorder::new();
             let ctx = ExecCtx::new(None).recorder(&recorder);
             let rule = BfsLanes::new(300, &sources, depth);
-            let log = rule.run_grid(&grid, &ctx);
+            let log = rule.run(&grid.cells(), &ctx);
             assert_eq!(recorder.iterations().len(), depth as usize, "grid");
             assert_eq!(log.len(), depth as usize, "returned without a recorder too");
             assert!(log.iter().all(|it| it.edges_scanned == g.num_edges()));

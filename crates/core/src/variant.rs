@@ -38,7 +38,8 @@ use egraph_cachesim::MemProbe;
 use crate::algo::{bfs, pagerank, spmv, sssp, wcc};
 use crate::exec::ExecCtx;
 use crate::layout::{
-    AdjacencyList, CcsrList, DeltaList, DeltaLog, EdgeDirection, Grid, NeighborAccess, VertexLayout,
+    AdjacencyList, CcsrList, DeltaList, DeltaLog, EdgeDirection, EdgeStream, Grid, NeighborAccess,
+    VertexLayout,
 };
 use crate::metrics::timed;
 pub use crate::metrics::{Direction, SyncMode};
@@ -823,11 +824,11 @@ pub fn run_variant<E: EdgeRecord>(
     })
 }
 
-/// The resolver body: dispatches on algorithm × layout *family*. The
-/// vertex-centric layouts (adj, ccsr, delta) share one generic arm set
-/// in [`run_vertex_centric`], where BFS/WCC/SSSP take the direction as
-/// a run-time value; the edge array and grid have one kernel per
-/// algorithm. Only reached for supported combinations.
+/// The resolver body: names each layout once and hands it to its
+/// family's arm set — [`run_indexed`] for the layouts with a per-vertex
+/// index (adj, ccsr, delta), [`run_streamed`] for the ones that are
+/// scanned whole (edge array, grid). Only reached for supported
+/// combinations.
 fn execute<E: EdgeRecord>(
     id: &VariantId,
     ctx: &ExecCtx<'_>,
@@ -835,67 +836,39 @@ fn execute<E: EdgeRecord>(
     params: &RunParams<'_>,
 ) -> VariantOutput {
     let c = ctx.context();
-    let (root, cfg, sync) = (params.root, params.pagerank, params.sync);
     let edges = graph.edges();
     let slot = layout_slot(id);
+    let degrees = || graph.degrees();
     let x = || match params.x {
         Some(x) => Cow::Borrowed(x),
         None => Cow::Owned(vec![1.0f32; graph.num_vertices()]),
     };
-    match (id.layout, id.algo) {
-        (Layout::Adjacency, _) => {
-            run_vertex_centric(id, &graph.csr(slot).0, || graph.degrees(), x, params, &c)
-        }
-        (Layout::Ccsr, _) => {
-            run_vertex_centric(id, &graph.ccsr(slot).0, || graph.degrees(), x, params, &c)
-        }
-        (Layout::Delta, _) => {
+    match id.layout {
+        Layout::Adjacency => run_indexed(id, &graph.csr(slot).0, degrees, x, params, &c),
+        Layout::Ccsr => run_indexed(id, &graph.ccsr(slot).0, degrees, x, params, &c),
+        Layout::Delta => {
             let degrees = || graph.delta_degrees();
-            run_vertex_centric(id, &graph.dcsr(slot).0, degrees, x, params, &c)
+            run_indexed(id, &graph.dcsr(slot).0, degrees, x, params, &c)
         }
-
-        (Layout::EdgeList, Algo::Bfs) => {
-            VariantOutput::Bfs(bfs::edge_centric_impl(edges, root, &c))
-        }
-        (Layout::EdgeList, Algo::Pagerank) => VariantOutput::Pagerank(pagerank::edge_centric_impl(
-            edges,
+        Layout::EdgeList => run_streamed(id, edges, edges, degrees, x, params, &c),
+        Layout::Grid if grid_transposed(id) => VariantOutput::Pagerank(pagerank::grid_pull_impl(
+            &graph.grid(true).0,
             graph.degrees(),
-            cfg,
-            sync,
+            params.pagerank,
             &c,
         )),
-        (Layout::EdgeList, Algo::Sssp) => {
-            VariantOutput::Sssp(sssp::edge_centric_impl(edges, root, &c))
+        Layout::Grid => {
+            let grid = &graph.grid(false).0;
+            run_streamed(id, grid, &grid.cells(), degrees, x, params, &c)
         }
-        (Layout::EdgeList, Algo::Wcc) => VariantOutput::Wcc(wcc::edge_centric_impl(edges, &c)),
-        (Layout::EdgeList, Algo::Spmv) => {
-            VariantOutput::Spmv(spmv::edge_centric_impl(edges, &x(), &c))
-        }
-
-        (Layout::Grid, Algo::Bfs) => {
-            VariantOutput::Bfs(bfs::grid_impl(&graph.grid(false).0, root, &c))
-        }
-        (Layout::Grid, Algo::Pagerank) => {
-            let grid = &graph.grid(grid_transposed(id)).0;
-            VariantOutput::Pagerank(match id.direction {
-                Direction::Pull => pagerank::grid_pull_impl(grid, graph.degrees(), cfg, &c),
-                _ => pagerank::grid_push_impl(grid, graph.degrees(), cfg, sync, &c),
-            })
-        }
-        (Layout::Grid, Algo::Wcc) => VariantOutput::Wcc(wcc::grid_impl(&graph.grid(false).0, &c)),
-        (Layout::Grid, Algo::Spmv) => {
-            VariantOutput::Spmv(spmv::grid_impl(&graph.grid(false).0, &x(), &c))
-        }
-        // `is_supported` rejected everything else before we got here.
-        (Layout::Grid, Algo::Sssp) => unreachable!("run_variant checked is_supported"),
     }
 }
 
-/// Every algorithm over one vertex-centric layout — the single arm set
-/// behind the adj/ccsr/delta triplets. `degrees` yields the out-degrees
+/// Every algorithm over one indexed layout — the single arm set behind
+/// the adj/ccsr/delta triplets. `degrees` yields the out-degrees
 /// PageRank normalizes by (of the merged graph for the delta layout)
 /// and `x` the SpMV input; both are only computed when consumed.
-fn run_vertex_centric<'a, E, L, P, R>(
+fn run_indexed<'a, E, L, P, R>(
     id: &VariantId,
     layout: &L,
     degrees: impl FnOnce() -> &'a [u32],
@@ -919,17 +892,53 @@ where
         (Algo::Pagerank, Direction::Pull) => {
             VariantOutput::Pagerank(pagerank::pull_impl(layout.incoming(), degrees(), cfg, c))
         }
-        (Algo::Pagerank, _) => VariantOutput::Pagerank(pagerank::push_impl(
-            layout.out(),
-            degrees(),
-            cfg,
-            params.sync,
-            c,
-        )),
+        (Algo::Pagerank, _) => {
+            VariantOutput::Pagerank(pagerank::push_impl(layout, degrees(), cfg, params.sync, c))
+        }
         (Algo::Spmv, Direction::Pull) => {
             VariantOutput::Spmv(spmv::pull_impl(layout.incoming(), &x(), c))
         }
-        (Algo::Spmv, _) => VariantOutput::Spmv(spmv::push_impl(layout.out(), &x(), c)),
+        (Algo::Spmv, _) => VariantOutput::Spmv(spmv::push_impl(layout, &x(), c)),
+    }
+}
+
+/// Every algorithm over one streamed layout, all of them push. A
+/// streamed layout may come in two cuts: `owned`, whose push rounds own
+/// their destinations where the layout can arrange that (grid columns),
+/// and `shared`, the finest cut (grid cells) — taken by the kernels
+/// that synchronize anyway: locked PageRank and WCC's two-sided
+/// relaxation. The edge array is its own both.
+fn run_streamed<'a, E, S, C, P, R>(
+    id: &VariantId,
+    owned: &S,
+    shared: &C,
+    degrees: impl FnOnce() -> &'a [u32],
+    x: impl FnOnce() -> Cow<'a, [f32]>,
+    params: &RunParams<'_>,
+    c: &ExecContext<'_, P, R>,
+) -> VariantOutput
+where
+    E: EdgeRecord,
+    S: EdgeStream<E>,
+    C: EdgeStream<E>,
+    P: MemProbe,
+    R: Recorder,
+{
+    let (root, cfg, sync) = (params.root, params.pagerank, params.sync);
+    match (id.algo, sync) {
+        // No locked flavor off the indexed layouts.
+        (Algo::Bfs, _) => {
+            VariantOutput::Bfs(bfs::run(owned, root, Direction::Push, SyncMode::Atomics, c))
+        }
+        (Algo::Wcc, _) => VariantOutput::Wcc(wcc::scan_impl(shared, c)),
+        (Algo::Sssp, _) => VariantOutput::Sssp(sssp::push_impl(owned, root, c)),
+        (Algo::Pagerank, SyncMode::Locks) => {
+            VariantOutput::Pagerank(pagerank::push_impl(shared, degrees(), cfg, sync, c))
+        }
+        (Algo::Pagerank, SyncMode::Atomics) => {
+            VariantOutput::Pagerank(pagerank::push_impl(owned, degrees(), cfg, sync, c))
+        }
+        (Algo::Spmv, _) => VariantOutput::Spmv(spmv::push_impl(owned, &x(), c)),
     }
 }
 

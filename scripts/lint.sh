@@ -23,10 +23,29 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# `edge_map` is the one round loop, `scan_push` the one driver of the
+# streamed layouts, and the round's frontier the one definition of an
+# active source: the second loop (`scan_map`), the per-cut push drivers,
+# PageRank's driver switch and a rule-side activity test are what this
+# stage keeps from coming back.
+echo "== one round loop, one scan driver, one activity definition =="
+offenders=$(find crates/core/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            /scan_map\(|source_active|fn edge_push|fn grid_push_columns|fn grid_push_cells|PushDriver/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a second round loop, scan driver or activity test in crates/core/src:"
+    echo "$offenders"
+    exit 1
+fi
+
 # Rounds belong to the engine: the serve tier states lane rules and
-# hands every round to `edge_map` / `scan_map`. A parallel region or a
-# racy-slice write in non-test code under serve/ is a private round
-# loop coming back.
+# hands every round to `edge_map`. A parallel region or a racy-slice
+# write in non-test code under serve/ is a private round loop coming
+# back.
 echo "== serve waves stay on the engine's drivers =="
 offenders=$(find crates/core/src/serve -name '*.rs' \
     -exec awk 'FNR == 1 { in_tests = 0 }
@@ -37,6 +56,22 @@ offenders=$(find crates/core/src/serve -name '*.rs' \
         }' {} +)
 if [ -n "$offenders" ]; then
     echo "hand-rolled round machinery in crates/core/src/serve/ (rounds belong to the engine):"
+    echo "$offenders"
+    exit 1
+fi
+
+# The round loop and the lane rules are written against `EngineLayout`:
+# a concrete layout type named in either file is a per-layout path
+# coming back.
+echo "== the round loop and the lane rules name no layout =="
+offenders=$(awk 'FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// &&
+        /Grid<|EdgeList<|AdjacencyList<|CcsrList<|DeltaList</ {
+        print FILENAME ":" FNR ": " $0
+    }' crates/core/src/serve/wave.rs crates/core/src/engine/edge_map.rs)
+if [ -n "$offenders" ]; then
+    echo "a concrete layout type in serve/wave.rs or engine/edge_map.rs:"
     echo "$offenders"
     exit 1
 fi
