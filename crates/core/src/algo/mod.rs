@@ -5,8 +5,8 @@
 //! | Algorithm | Kind | Active set per step | Layout variants |
 //! |---|---|---|---|
 //! | [`bfs`] | traversal | small subset | adj push/pull/push-pull, edge array, grid |
-//! | [`wcc`] | traversal (undirected) | shrinking subset | adj push, edge array |
-//! | [`sssp`] | traversal (weighted) | subset, re-activation | adj push, edge array |
+//! | [`wcc`] | union-find (undirected) | every edge once, every vertex once | adj, edge array, grid |
+//! | [`sssp`] | traversal (weighted) | lowest distance bucket, re-activation | adj push, edge array |
 //! | [`pagerank`] | ranking | whole graph | adj push/pull, edge array, grid push/pull |
 //! | [`spmv`] | single pass | whole graph | adj push, edge array, adj pull |
 //! | [`als`] | machine learning (bipartite) | one side per half-step | adj pull |

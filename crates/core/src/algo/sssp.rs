@@ -1,4 +1,4 @@
-//! Single-source shortest paths (frontier-driven Bellman-Ford).
+//! Single-source shortest paths: bucketed (Δ-stepping) frontiers.
 //!
 //! "SSSP is very similar to BFS […] The only difference is that BFS
 //! discovers a vertex only once, whereas in SSSP a vertex may update
@@ -6,23 +6,58 @@
 //! both in the number of iterations and the number of vertices active
 //! in each iteration." (§8)
 //!
-//! This file holds the distance state, its relaxation rules and the
-//! result conversion; the frontier loop lives in `engine::edge_map`.
+//! That increase is the cost of relaxing in *arrival* order: frontier
+//! Bellman-Ford pushes from every vertex that improved last round,
+//! however far its tentative distance still is from final. Δ-stepping
+//! (Meyer & Sanders) relaxes in *distance* order instead: improved
+//! vertices wait in buckets of width Δ by `⌊dist / Δ⌋`, and a round
+//! pushes from the lowest non-empty bucket only, so a vertex is rarely
+//! relaxed before its distance has settled to within Δ. Δ = ∞ is one
+//! bucket — frontier Bellman-Ford, which is what a scanning layout
+//! runs, since each of its rounds costs `|E|` whatever the frontier.
+//!
+//! This file holds the distance state, the one relaxation rule
+//! ([`SsspState::push`]) and the binning of activated vertices
+//! ([`FrontierAlgo::next_frontier`] over a
+//! [`BucketQueue`](egraph_parallel::buckets::BucketQueue)); the round
+//! loop is `engine::edge_map`.
+//!
+//! **Every round is a Jacobi step.** `begin_round` copies the frontier's
+//! distances aside and `push` reads the copy, so a round computes
+//! `min(dist[v], min over frontier edges (u, v) of old[u] + w)` — a
+//! function of the state the round started from, whatever the schedule.
+//! The activated *set* (vertices whose distance fell) follows, the bins
+//! are filled from it in id order, and so the distances **and** the
+//! iteration records are the same at every thread count. The distances
+//! are also exactly Dijkstra's: `f32` addition is monotone, so the
+//! least fixpoint of the relaxation is the same left-to-right path sum
+//! whichever order reaches it.
 
 use std::sync::atomic::Ordering;
 
 use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
+use egraph_parallel::buckets::BucketQueue;
+use parking_lot::Mutex;
 
 use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
-use crate::frontier::{FrontierKind, NextFrontier, VertexSubset};
-use crate::layout::{AdjacencyList, VertexLayout};
-use crate::metrics::{
-    direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
-};
+use crate::frontier::{FrontierKind, VertexSubset};
+use crate::layout::{AdjacencyList, NeighborAccess, VertexLayout};
+use crate::metrics::{Direction, IterStat};
 use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::AtomicBitmap;
+
+/// Run counter: the bucket width Δ in thousandths (counters are
+/// integers); saturated for Δ = ∞.
+pub const DELTA_MILLI: &str = "sssp.delta_milli";
+
+/// Run counter: distinct buckets drained.
+pub const BUCKETS_OPENED: &str = "sssp.buckets_opened";
+
+/// Run counter: vertices the bucket queue moved out of its overflow
+/// bucket when its window of open buckets advanced.
+pub const REBINNED: &str = "sssp.rebinned";
 
 /// The result of an SSSP run.
 #[derive(Debug, Clone)]
@@ -32,6 +67,11 @@ pub struct SsspResult {
     pub dist: Vec<f32>,
     /// Per-iteration statistics.
     pub iterations: Vec<IterStat>,
+    /// The bucket each iteration drained (`⌊dist / delta⌋` of its
+    /// frontier), one per entry of `iterations`.
+    pub buckets: Vec<u64>,
+    /// The bucket width the run used.
+    pub delta: f32,
 }
 
 impl SsspResult {
@@ -46,23 +86,59 @@ impl SsspResult {
     }
 }
 
+/// The bins activated vertices wait in, and the bucket of every round
+/// handed out so far.
+struct Bins {
+    queue: BucketQueue,
+    round_buckets: Vec<u64>,
+}
+
 /// Tentative distances, all infinite but the source's. As a [`PushOp`]
 /// it relaxes an edge with an atomic minimum.
 struct SsspState {
     dist: Vec<AtomicF32>,
+    /// The current frontier's distances as of the round's start — what
+    /// [`push`](PushOp::push) reads, so no relaxation sees another of
+    /// the same round.
+    round_dist: Vec<AtomicF32>,
+    delta: f32,
+    bins: Mutex<Bins>,
 }
 
 impl SsspState {
-    fn new(nv: usize, source: VertexId) -> Self {
-        let dist: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(f32::INFINITY)).collect();
-        dist[source as usize].store(0.0, Ordering::Relaxed);
-        Self { dist }
+    fn new(nv: usize, source: VertexId, delta: f32) -> Self {
+        let infinite = || -> Vec<AtomicF32> {
+            egraph_parallel::parallel_init(nv, 1 << 14, |_| AtomicF32::new(f32::INFINITY))
+        };
+        let state = Self {
+            dist: infinite(),
+            round_dist: infinite(),
+            delta,
+            bins: Mutex::new(Bins {
+                queue: BucketQueue::new(nv),
+                round_buckets: Vec::new(),
+            }),
+        };
+        state.dist[source as usize].store(0.0, Ordering::Relaxed);
+        state
     }
 
-    fn into_result(self, iterations: Vec<IterStat>) -> SsspResult {
-        SsspResult {
-            dist: (self.dist.iter().map(|d| d.load(Ordering::Relaxed))).collect(),
-            iterations,
+    /// Files `activated` under their current distances and hands out
+    /// the lowest non-empty bucket (empty when every bucket is).
+    fn bin_and_pop(&self, activated: Vec<VertexId>) -> VertexSubset {
+        let mut bins = self.bins.lock();
+        for v in activated {
+            let d = self.dist[v as usize].load(Ordering::Relaxed);
+            // Saturating: a quotient past `u64` (or Δ = ∞'s zero) is
+            // still a bucket.
+            bins.queue.insert(v, (d / self.delta) as u64);
+        }
+        match bins.queue.pop_lowest() {
+            Some((bucket, members)) => {
+                bins.round_buckets.push(bucket);
+                VertexSubset::Sparse(members)
+            }
+            None => VertexSubset::empty(),
         }
     }
 }
@@ -72,10 +148,7 @@ impl<E: EdgeRecord> PushOp<E> for SsspState {
 
     #[inline]
     fn push(&self, e: &E) -> bool {
-        let d = self.dist[e.src() as usize].load(Ordering::Relaxed);
-        if !d.is_finite() {
-            return false;
-        }
+        let d = self.round_dist[e.src() as usize].load(Ordering::Relaxed);
         self.dist[e.dst() as usize].fetch_min(d + e.weight(), Ordering::Relaxed)
     }
 }
@@ -83,165 +156,127 @@ impl<E: EdgeRecord> PushOp<E> for SsspState {
 impl<E: EdgeRecord> FrontierAlgo<E> for SsspState {
     type Pull<'a> = NoPull;
 
-    // Dense accumulation: a vertex improved several times in one step
-    // must appear once in the next frontier — which stays small, so it
-    // is re-listed for the next round.
+    // Dense accumulation: a vertex improved several times in one round
+    // must be binned once, and the bitmap lists it in id order.
     const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
-    const RELIST: bool = true;
+
+    fn begin_round(&self, frontier: &VertexSubset) {
+        frontier.for_each(|u| {
+            let d = self.dist[u as usize].load(Ordering::Relaxed);
+            self.round_dist[u as usize].store(d, Ordering::Relaxed);
+        });
+    }
+
+    fn next_frontier(&self, activated: VertexSubset) -> VertexSubset {
+        self.bin_and_pop(match activated {
+            VertexSubset::Sparse(list) => list,
+            VertexSubset::Dense { bitmap, .. } => bitmap.to_vec(),
+        })
+    }
 
     fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
-        unreachable!("SSSP is push-only")
+        NoPull
     }
 }
 
-/// Vertex-centric push SSSP over an out-adjacency. Distances relax via
-/// atomic minimum; re-activated vertices re-enter the (deduplicated)
-/// frontier.
+/// Vertex-centric push SSSP over an out-adjacency, with the bucket
+/// width [`derive_delta`] reads off the graph.
 ///
 /// Negative edge weights are a caller bug (the relaxation still
 /// terminates only for non-negative weights).
 pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, source: VertexId) -> SsspResult {
-    push_impl(adj, source, &ExecContext::new())
+    push_impl(adj, source, derive_delta(adj), &ExecContext::new())
 }
 
-/// Frontier Bellman-Ford on any layout: an indexed layout relaxes the
-/// out-edges of the vertices that improved last round, a scanning one
-/// streams every edge and relaxes those whose source did.
+/// Bucketed SSSP on any layout with bucket width `delta`: an indexed
+/// layout relaxes the out-edges of the lowest bucket's members, a
+/// scanning one (which callers give `delta = ∞`) streams every edge and
+/// relaxes those whose source improved last round.
 pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
     adj: &L,
     source: VertexId,
+    delta: f32,
     ctx: &ExecContext<'_, P, R>,
 ) -> SsspResult {
-    let state = SsspState::new(adj.num_vertices(), source);
-    let frontier = VertexSubset::single(source);
+    let state = SsspState::new(adj.num_vertices(), source, delta);
+    // The first frontier is a popped bucket like every other.
+    let frontier = state.bin_and_pop(vec![source]);
     let iterations = engine::edge_map(adj, frontier, &state, Direction::Push, *ctx);
-    state.into_result(iterations)
+    let bins = state.bins.into_inner();
+    if ctx.recorder.enabled() {
+        let recorder = ctx.recorder;
+        recorder.record_counter(DELTA_MILLI, (delta * 1e3).round() as u64);
+        recorder.record_counter(BUCKETS_OPENED, bins.queue.buckets_opened());
+        recorder.record_counter(REBINNED, bins.queue.rebinned());
+    }
+    SsspResult {
+        dist: (state.dist.iter().map(|d| d.load(Ordering::Relaxed))).collect(),
+        iterations,
+        buckets: bins.round_buckets,
+        delta,
+    }
 }
 
 /// Edge-centric SSSP: every iteration streams the whole edge array,
-/// relaxing edges whose source improved last round.
+/// relaxing edges whose source improved last round. A round costs `|E|`
+/// however few vertices it serves, so there is one bucket (Δ = ∞) and
+/// the fewest rounds.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, source: VertexId) -> SsspResult {
-    push_impl(edges, source, &ExecContext::new())
+    push_impl(edges, source, f32::INFINITY, &ExecContext::new())
 }
 
-/// Delta-stepping SSSP (Meyer & Sanders) — an extension beyond the
-/// paper's frontier Bellman-Ford, provided for the ablation benches.
-///
-/// Vertices are bucketed by `floor(dist / delta)`; each bucket is
-/// settled by repeated *light*-edge relaxations (weight ≤ delta, which
-/// can re-activate within the bucket) followed by one round of *heavy*
-/// relaxations into later buckets. Small deltas approach Dijkstra
-/// (little wasted work, many rounds); large deltas approach
-/// Bellman-Ford.
-///
-/// # Panics
-///
-/// Panics if `delta` is not strictly positive.
+/// [`push`] with an explicit bucket width, for the Δ ablation: small
+/// deltas approach Dijkstra (little wasted work, many rounds), large
+/// ones frontier Bellman-Ford. A width that is not a positive number
+/// means no bucketing (Δ = ∞).
 pub fn delta_stepping<E: EdgeRecord>(
     adj: &AdjacencyList<E>,
     source: VertexId,
     delta: f32,
 ) -> SsspResult {
-    assert!(delta > 0.0, "delta must be positive");
+    let delta = if delta > 0.0 { delta } else { f32::INFINITY };
+    push_impl(adj, source, delta, &ExecContext::new())
+}
+
+/// How many vertices [`derive_delta`] samples.
+const DELTA_SAMPLE: usize = 1024;
+
+/// Out-edges per vertex [`derive_delta`] aims to keep inside one bucket.
+const LIGHT_EDGES: f64 = 4.0;
+
+/// The bucket width for `adj`, read off the graph: the Δ at which a
+/// vertex has about [`LIGHT_EDGES`] out-edges no heavier than Δ
+/// (Meyer & Sanders' `Δ = Θ(max weight / degree)`), taking weights as
+/// uniform up to twice their mean — `Δ = 2 · LIGHT_EDGES · mean weight
+/// / mean out-degree`. The mean weight comes from the first span of
+/// every `|V| / 1024`-th vertex, the mean degree from the layout's
+/// counts, so the pass costs microseconds and its answer depends on
+/// nothing but the graph. High-degree graphs get narrow buckets (their
+/// rounds are few and each wasted relaxation is one of many), sparse
+/// high-diameter ones wide buckets (their rounds are many and nearly
+/// empty); EXPERIMENTS.md "PR 16" has the sweep behind the constant.
+/// A graph whose sampled weights are all zero has nothing to order: ∞.
+pub fn derive_delta<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> f32 {
     let out = adj.out();
     let nv = out.num_vertices();
-    let state = SsspState::new(nv, source);
-    let dist = &state.dist;
-    let mut iterations = Vec::new();
-
-    let bucket_of = |d: f32| -> usize { (d / delta) as usize };
-    let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
-    let mut current = 0usize;
-
-    while current < buckets.len() {
-        // Settle this bucket with light-edge rounds.
-        loop {
-            let frontier: Vec<VertexId> = {
-                let b = &mut buckets[current];
-                // A vertex may have been re-bucketed upward after
-                // insertion; only process ones still in range.
-                let members: Vec<VertexId> = b
-                    .drain(..)
-                    .filter(|&v| {
-                        let d = dist[v as usize].load(Ordering::Relaxed);
-                        d.is_finite() && bucket_of(d) == current
-                    })
-                    .collect();
-                members
-            };
-            if frontier.is_empty() {
-                break;
-            }
-            let (light_activations, seconds) = timed(|| {
-                let next = NextFrontier::new(FrontierKind::Dense, nv);
-                egraph_parallel::parallel_for(0..frontier.len(), 64, |r| {
-                    for &u in &frontier[r] {
-                        let du = dist[u as usize].load(Ordering::Relaxed);
-                        for e in out.neighbors(u) {
-                            if e.weight() <= delta
-                                && dist[e.dst() as usize]
-                                    .fetch_min(du + e.weight(), Ordering::Relaxed)
-                            {
-                                next.add(e.dst());
-                            }
-                        }
-                    }
-                });
-                next.finish()
-            });
-            iterations.push(IterStat {
-                frontier_size: frontier.len(),
-                edges_scanned: 0,
-                seconds,
-                mode: StepMode::Push,
-                // Bucketed relaxation has no pull alternative; the
-                // bucket membership alone is the observed load.
-                density: frontier_density(frontier.len(), out.num_edges()),
-                decision: DirectionDecision::forced(
-                    frontier.len(),
-                    direction_cutoff(out.num_edges()),
-                ),
-            });
-            // Re-bucket light activations (serially — `buckets` is not
-            // shared); heavy edges are handled after the round.
-            if let VertexSubset::Dense { bitmap, .. } = &light_activations {
-                for v in bitmap.to_vec() {
-                    let d = dist[v as usize].load(Ordering::Relaxed);
-                    let b = bucket_of(d);
-                    if b >= buckets.len() {
-                        buckets.resize(b + 1, Vec::new());
-                    }
-                    buckets[b].push(v);
-                }
-            }
-            // Heavy relaxations of this round's frontier.
-            let next = NextFrontier::new(FrontierKind::Dense, nv);
-            egraph_parallel::parallel_for(0..frontier.len(), 64, |r| {
-                for &u in &frontier[r] {
-                    let du = dist[u as usize].load(Ordering::Relaxed);
-                    for e in out.neighbors(u) {
-                        if e.weight() > delta
-                            && dist[e.dst() as usize].fetch_min(du + e.weight(), Ordering::Relaxed)
-                        {
-                            next.add(e.dst());
-                        }
-                    }
-                }
-            });
-            if let VertexSubset::Dense { bitmap, .. } = &next.finish() {
-                for v in bitmap.to_vec() {
-                    let d = dist[v as usize].load(Ordering::Relaxed);
-                    let b = bucket_of(d);
-                    if b >= buckets.len() {
-                        buckets.resize(b + 1, Vec::new());
-                    }
-                    buckets[b].push(v);
-                }
-            }
-        }
-        current += 1;
+    let stride = nv.div_ceil(DELTA_SAMPLE).max(1);
+    let (mut sum, mut count) = (0.0f64, 0usize);
+    for v in (0..nv).step_by(stride) {
+        // Stopping after the first span bounds the cost on a hub.
+        out.for_each_span(v as VertexId, |span| {
+            sum += span.iter().map(|e| f64::from(e.weight())).sum::<f64>();
+            count += span.len();
+            0
+        });
     }
-    state.into_result(iterations)
+    let mean_weight = sum / count as f64;
+    let mean_degree = out.num_edges() as f64 / nv as f64;
+    let delta = (2.0 * LIGHT_EDGES * mean_weight / mean_degree) as f32;
+    if delta > 0.0 {
+        delta
+    } else {
+        f32::INFINITY
+    }
 }
 
 /// Serial Dijkstra reference for validation.
@@ -302,64 +337,71 @@ mod tests {
     use crate::layout::EdgeDirection;
     use crate::preprocess::{CsrBuilder, Strategy};
     use crate::types::WEdge;
+    use proptest::prelude::*;
 
-    fn weighted_graph(nv: usize, ne: usize, seed: u64) -> EdgeList<WEdge> {
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// A half-chain plus `ne` random edges, weighted by `weight(r)` of a
+    /// random `r`.
+    fn weighted_graph(
+        nv: usize,
+        ne: usize,
+        seed: u64,
+        weight: impl Fn(u64) -> f32,
+    ) -> EdgeList<WEdge> {
         let mut state = seed | 1;
         let mut edges = Vec::with_capacity(ne + nv / 2);
         for v in 0..nv as u32 / 2 {
-            edges.push(WEdge::new(v, v + 1, 1.0 + (v % 7) as f32));
+            edges.push(WEdge::new(v, v + 1, weight(lcg(&mut state))));
         }
         for _ in 0..ne {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let src = ((state >> 33) % nv as u64) as u32;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let dst = ((state >> 33) % nv as u64) as u32;
-            let w = 0.5 + ((state >> 16) % 100) as f32 / 10.0;
-            edges.push(WEdge::new(src, dst, w));
+            let src = (lcg(&mut state) % nv as u64) as u32;
+            let dst = (lcg(&mut state) % nv as u64) as u32;
+            edges.push(WEdge::new(src, dst, weight(lcg(&mut state))));
         }
         EdgeList::new(nv, edges).unwrap()
     }
 
-    fn assert_dists_match(got: &[f32], expected: &[f32]) {
-        for v in 0..got.len() {
-            if expected[v].is_infinite() {
-                assert!(got[v].is_infinite(), "vertex {v} should be unreachable");
-            } else {
-                assert!(
-                    (got[v] - expected[v]).abs() < 1e-3,
-                    "vertex {v}: {} vs {}",
-                    got[v],
-                    expected[v]
-                );
-            }
+    fn tenths(r: u64) -> f32 {
+        0.5 + (r % 100) as f32 / 10.0
+    }
+
+    fn out_csr(input: &EdgeList<WEdge>) -> AdjacencyList<WEdge> {
+        CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(input)
+    }
+
+    fn assert_bit_equal(got: &[f32], expected: &[f32], what: &str) {
+        assert_eq!(got.len(), expected.len(), "{what}");
+        for (v, (g, e)) in got.iter().zip(expected).enumerate() {
+            assert_eq!(g.to_bits(), e.to_bits(), "{what}: vertex {v}: {g} vs {e}");
         }
     }
 
     #[test]
-    fn push_matches_dijkstra() {
-        let input = weighted_graph(400, 3000, 77);
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
-        let result = push(&adj, 0);
-        assert_dists_match(&result.dist, &reference(&input, 0));
+    fn push_and_edge_centric_equal_dijkstra() {
+        let input = weighted_graph(400, 3000, 77, tenths);
+        let expected = reference(&input, 0);
+        let result = push(&out_csr(&input), 0);
+        assert_bit_equal(&result.dist, &expected, "push");
         assert!(result.reachable_count() > 100);
-    }
-
-    #[test]
-    fn edge_centric_matches_dijkstra() {
-        let input = weighted_graph(300, 2000, 33);
-        let result = edge_centric(&input, 0);
-        assert_dists_match(&result.dist, &reference(&input, 0));
+        assert_eq!(result.buckets.len(), result.iterations.len());
+        assert!(result.buckets.windows(2).all(|w| w[0] <= w[1]));
+        let scanned = edge_centric(&input, 0);
+        assert_bit_equal(&scanned.dist, &expected, "edge_centric");
+        assert!(scanned.buckets.iter().all(|&b| b == 0), "one bucket");
+        let ne = input.num_edges();
+        assert!(scanned.iterations.iter().all(|s| s.edges_scanned == ne));
     }
 
     #[test]
     fn unreachable_vertices_stay_infinite() {
         let input = EdgeList::new(4, vec![WEdge::new(0, 1, 2.0)]).unwrap();
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
-        let result = push(&adj, 0);
+        let result = push(&out_csr(&input), 0);
         assert_eq!(result.dist[1], 2.0);
         assert!(result.dist[2].is_infinite());
         assert_eq!(result.reachable_count(), 2);
@@ -377,47 +419,101 @@ mod tests {
             ],
         )
         .unwrap();
-        let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&input);
-        let result = push(&adj, 0);
-        assert_eq!(result.dist[2], 3.0);
+        assert_eq!(push(&out_csr(&input), 0).dist[2], 3.0);
     }
 
     #[test]
-    fn delta_stepping_matches_dijkstra() {
-        let input = weighted_graph(400, 3000, 88);
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
+    fn small_delta_walks_a_chain_bucket_by_bucket() {
+        let edges: Vec<WEdge> = (0..50u32).map(|v| WEdge::new(v, v + 1, 1.5)).collect();
+        let input = EdgeList::new(51, edges).unwrap();
+        let result = delta_stepping(&out_csr(&input), 0, 1.0);
+        assert_eq!(result.dist[50], 75.0);
+        // Vertex k waits in bucket ⌊1.5 k⌋ and is drained alone.
+        let expected: Vec<u64> = (0..=50u64).map(|k| k * 3 / 2).collect();
+        assert_eq!(result.buckets, expected);
+        assert!(result.iterations.iter().all(|s| s.frontier_size == 1));
+    }
+
+    #[test]
+    fn a_delta_that_is_not_a_positive_number_means_one_bucket() {
+        let input = weighted_graph(60, 200, 1, tenths);
+        let adj = out_csr(&input);
         let expected = reference(&input, 0);
-        for delta in [0.5f32, 2.0, 8.0, 100.0] {
+        for delta in [0.0, -3.0, f32::NAN, f32::INFINITY] {
             let result = delta_stepping(&adj, 0, delta);
-            assert_dists_match(&result.dist, &expected);
+            assert_bit_equal(&result.dist, &expected, "no bucketing");
+            assert!(result.delta.is_infinite());
+            assert!(result.buckets.iter().all(|&b| b == 0));
         }
     }
 
     #[test]
-    fn delta_stepping_small_delta_on_chain() {
-        // A weighted chain exercises many buckets.
-        let edges: Vec<WEdge> = (0..50u32).map(|v| WEdge::new(v, v + 1, 1.5)).collect();
-        let input = EdgeList::new(51, edges).unwrap();
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
-        let result = delta_stepping(&adj, 0, 1.0);
-        assert_eq!(result.dist[50], 75.0);
+    fn extreme_weight_ranges_run_in_bounded_memory() {
+        // Twelve orders of magnitude between the lightest and the
+        // heaviest edge, zero-weight edges, and vertices nothing
+        // reaches: ⌊dist / Δ⌋ runs to ~1e12, which a bucket *vector*
+        // would try to allocate. The queue holds 128 open buckets.
+        let spread = |r: u64| match r % 5 {
+            0 => 0.0,
+            1 => 1e-3,
+            2 => 1.0 + (r % 7) as f32,
+            3 => 1e4,
+            _ => 1e9,
+        };
+        let mut edges = weighted_graph(300, 1200, 9, spread).edges().to_vec();
+        edges.retain(|e| e.dst() < 290 && e.src() < 290);
+        let input = EdgeList::new(300, edges).unwrap();
+        let adj = out_csr(&input);
+        let expected = reference(&input, 0);
+        assert!(expected[295].is_infinite());
+        for delta in [1e-3, 0.5, 1e9] {
+            let result = delta_stepping(&adj, 0, delta);
+            assert_bit_equal(&result.dist, &expected, &format!("delta {delta}"));
+        }
+        assert_bit_equal(&push(&adj, 0).dist, &expected, "derived delta");
+
+        // All-equal weights with Δ above every distance: one bucket.
+        let flat = weighted_graph(200, 800, 3, |_| 2.0);
+        let result = delta_stepping(&out_csr(&flat), 0, 1e6);
+        assert_bit_equal(&result.dist, &reference(&flat, 0), "equal weights");
+        assert!(result.buckets.iter().all(|&b| b == 0));
     }
 
     #[test]
-    #[should_panic(expected = "delta must be positive")]
-    fn delta_stepping_rejects_zero_delta() {
-        let input = weighted_graph(10, 10, 1);
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
-        let _ = delta_stepping(&adj, 0, 0.0);
+    fn counters_say_how_the_run_was_bucketed() {
+        let input = weighted_graph(400, 3000, 5, tenths);
+        let recorder = crate::telemetry::TraceRecorder::new();
+        let ctx = ExecContext::new().with_recorder(&recorder);
+        let result = push_impl(&out_csr(&input), 0, 2.0, &ctx);
+        let counters = recorder.counters();
+        assert_eq!(counters[DELTA_MILLI], 2000.0);
+        let mut distinct = result.buckets.clone();
+        distinct.dedup();
+        assert_eq!(counters[BUCKETS_OPENED], distinct.len() as f64);
+        assert!(counters.contains_key(REBINNED));
+        assert_eq!(recorder.iterations().len(), result.iterations.len());
     }
 
-    #[test]
-    fn sssp_runs_more_iterations_than_bfs_levels() {
-        // Weighted relaxations revisit vertices; iterations recorded.
-        let input = weighted_graph(200, 1500, 11);
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
-        let result = push(&adj, 0);
-        assert!(!result.iterations.is_empty());
-        assert!(result.algorithm_seconds() >= 0.0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Integer weights, every bucket width: exactly Dijkstra.
+        #[test]
+        fn bucketed_sssp_bit_equals_dijkstra(
+            nv in 2usize..120,
+            ne in 0usize..600,
+            seed in any::<u64>(),
+            max_weight in 1u64..40,
+        ) {
+            let input = weighted_graph(nv, ne, seed, |r| (r % (max_weight + 1)) as f32);
+            let adj = out_csr(&input);
+            let expected = reference(&input, 0);
+            for delta in [derive_delta(&adj), 0.5, 8.0, f32::INFINITY] {
+                let result = delta_stepping(&adj, 0, delta);
+                for (g, e) in result.dist.iter().zip(&expected) {
+                    prop_assert_eq!(g.to_bits(), e.to_bits(), "delta {}", delta);
+                }
+            }
+        }
     }
 }

@@ -1,30 +1,50 @@
-//! Weakly connected components via label propagation.
+//! Weakly connected components: one concurrent union-find pass.
 //!
-//! WCC runs on the undirected view of the graph. The paper's §8
-//! observation: adjacency lists must be built from a doubled
-//! (undirected) edge list — extra pre-processing — while the
-//! edge-centric kernel simply propagates labels in both directions of
-//! each stored edge at no pre-processing cost. Which side wins depends
-//! on the diameter: low-diameter graphs converge in few iterations
-//! (edge array wins), high-diameter graphs need many (adjacency list
-//! wins).
+//! The paper runs WCC as label propagation, and its §8 warning is what
+//! that costs: a label travels one hop per round, so a high-diameter
+//! graph pays thousands of rounds and re-activates every vertex many
+//! times over, and adjacency lists must first be built from a doubled
+//! (undirected) edge list. Connectivity does not need rounds. A
+//! union-find forest hooked once over the stored edges — in either
+//! direction, an edge joins its endpoints — and flattened once over the
+//! vertices is `O(|E| α(|V|))` work on every layout, with no
+//! symmetrized copy and no direction to choose (the work-efficient
+//! connectivity of GBBS, PAPERS.md).
 //!
-//! This file holds the label state, its push/pull rules and the result
-//! conversion; the vertex-centric iteration loop — and the direction
-//! choice — live in `engine::edge_map`.
+//! [`UnionFind`] is the forest: `parent[v] <= v` always, `find` halves
+//! paths as it walks, and `unite` hooks the *larger* root under the
+//! *smaller* with one CAS. Ids fall towards the root, so no cycle can
+//! form, and the vertex left as a component's root is its minimum id —
+//! which makes the labels a function of the graph alone: bit-identical
+//! to [`reference`] at every thread count and on every schedule.
+//!
+//! A run is two passes, each one iteration record: the **hook** pass is
+//! a single `engine::edge_map` push round from the full frontier whose
+//! rule unites the endpoints and activates nothing (so the engine's
+//! loop ends after it, on any `EngineLayout`), and the **label** pass
+//! writes `find(v)` per vertex.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use egraph_cachesim::MemProbe;
 
-use crate::engine::{self, FrontierAlgo, PullOp, PushOp};
+use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{EdgeStream, VertexLayout};
-use crate::metrics::{timed, Direction, IterStat};
+use crate::layout::VertexLayout;
+use crate::metrics::{
+    direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
+};
 use crate::telemetry::{ExecContext, Recorder};
-use crate::types::VertexId;
 use crate::types::{EdgeList, EdgeRecord};
 use crate::util::AtomicBitmap;
+
+/// Run counter: successful hooks, `|V|` minus the component count.
+pub const UNIONS: &str = "wcc.unions";
+
+/// Run counter: path-halving hops `find` took during the hook pass —
+/// the forest's depth as the pass met it (schedule-dependent, unlike
+/// everything else a run reports).
+pub const FIND_STEPS: &str = "wcc.find_steps";
 
 /// The result of a WCC run.
 #[derive(Debug, Clone)]
@@ -32,17 +52,18 @@ pub struct WccResult {
     /// Component label per vertex (the minimum vertex id in the
     /// component).
     pub label: Vec<u32>,
-    /// Per-iteration statistics.
+    /// The hook pass and the label pass.
     pub iterations: Vec<IterStat>,
 }
 
 impl WccResult {
     /// Number of distinct components.
     pub fn component_count(&self) -> usize {
-        let mut labels: Vec<u32> = self.label.clone();
-        labels.sort_unstable();
-        labels.dedup();
-        labels.len()
+        // A component's label is its root's id, and only the root
+        // carries its own id.
+        (self.label.iter().enumerate())
+            .filter(|&(v, &l)| l as usize == v)
+            .count()
     }
 
     /// Total algorithm seconds.
@@ -51,209 +72,154 @@ impl WccResult {
     }
 }
 
-/// The label array, every vertex starting in its own component. As a
-/// [`PushOp`] it lowers the destination's label to the source's.
-struct WccState {
-    label: Vec<AtomicU32>,
+/// A concurrent union-find forest over vertex ids, every vertex
+/// starting as its own root. As a [`PushOp`] it unites the endpoints of
+/// each edge it is shown.
+///
+/// Every value ever stored in `parent[v]` is `v` itself or a vertex
+/// `v` has been united with that has a smaller id, so a reader that
+/// sees a stale parent still walks towards the root, and all accesses
+/// can be `Relaxed`: the pool's join is what publishes the finished
+/// forest to the label pass.
+struct UnionFind {
+    parent: Vec<AtomicU32>,
+    /// Where `find` counts its hops, on a traced run.
+    find_steps: Option<AtomicU64>,
 }
 
-impl WccState {
-    fn new(nv: usize) -> Self {
+impl UnionFind {
+    fn new(nv: usize, traced: bool) -> Self {
         Self {
-            label: (0..nv as u32).map(AtomicU32::new).collect(),
+            parent: egraph_parallel::parallel_init(nv, 1 << 14, |v| AtomicU32::new(v as u32)),
+            find_steps: traced.then(|| AtomicU64::new(0)),
         }
     }
 
-    /// Propagates the smaller label of `e`'s endpoints to the other one
-    /// (the direction-free rule of the edge-array and grid kernels);
-    /// returns whether a label moved.
+    /// The root of `v`'s tree, halving the path on the way: every
+    /// vertex visited is re-pointed at its grandparent. A non-root
+    /// never becomes a root again, so the plain store cannot undo a
+    /// hook.
     #[inline]
-    fn relax_both<E: EdgeRecord>(&self, e: &E) -> bool {
-        let (s, d) = (e.src() as usize, e.dst() as usize);
-        let ls = self.label[s].load(Ordering::Relaxed);
-        let ld = self.label[d].load(Ordering::Relaxed);
-        if ls < ld {
-            self.label[d].fetch_min(ls, Ordering::Relaxed) > ls
-        } else if ld < ls {
-            self.label[s].fetch_min(ld, Ordering::Relaxed) > ld
-        } else {
-            false
+    fn find(&self, mut v: u32) -> u32 {
+        let mut hops = 0u64;
+        let root = loop {
+            let p = self.parent[v as usize].load(Ordering::Relaxed);
+            if p == v {
+                break v;
+            }
+            let gp = self.parent[p as usize].load(Ordering::Relaxed);
+            if gp == p {
+                break p;
+            }
+            self.parent[v as usize].store(gp, Ordering::Relaxed);
+            v = gp;
+            hops += 1;
+        };
+        if let (Some(steps), true) = (&self.find_steps, hops > 0) {
+            steps.fetch_add(hops, Ordering::Relaxed);
         }
+        root
     }
 
-    fn into_result(self, iterations: Vec<IterStat>) -> WccResult {
-        WccResult {
-            label: self.label.into_iter().map(AtomicU32::into_inner).collect(),
-            iterations,
+    /// Joins the trees of `a` and `b`; returns whether this call hooked
+    /// one root under the other. The CAS only succeeds on a vertex that
+    /// is still a root, and losing it to a concurrent hook just means
+    /// finding the new roots and trying again.
+    #[inline]
+    fn unite(&self, mut a: u32, mut b: u32) -> bool {
+        // A shared parent is a shared tree (and covers self-loops and,
+        // once the forest is flat, almost every edge) in two loads.
+        if self.parent[a as usize].load(Ordering::Relaxed)
+            == self.parent[b as usize].load(Ordering::Relaxed)
+        {
+            return false;
+        }
+        loop {
+            a = self.find(a);
+            b = self.find(b);
+            if a == b {
+                return false;
+            }
+            let (hi, lo) = if a > b { (a, b) } else { (b, a) };
+            if self.parent[hi as usize]
+                .compare_exchange(hi, lo, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                return true;
+            }
         }
     }
 }
 
-impl<E: EdgeRecord> PushOp<E> for WccState {
+impl<E: EdgeRecord> PushOp<E> for UnionFind {
     const META_BYTES: u64 = 4;
 
     #[inline]
     fn push(&self, e: &E) -> bool {
-        let l = self.label[e.src() as usize].load(Ordering::Relaxed);
-        // `fetch_min` returns the previous value; the label moved (and
-        // the destination re-activates) iff the previous value was
-        // larger.
-        self.label[e.dst() as usize].fetch_min(l, Ordering::Relaxed) > l
-    }
-}
-
-impl<E: EdgeRecord> FrontierAlgo<E> for WccState {
-    type Pull<'a> = WccPullOp<'a>;
-
-    // A label can drop several times in one round.
-    const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
-    const SYMMETRIC: bool = true;
-
-    fn pull_op<'a>(
-        &'a self,
-        in_frontier: &'a AtomicBitmap,
-        activated: &'a AtomicBitmap,
-    ) -> WccPullOp<'a> {
-        WccPullOp {
-            label: &self.label,
-            activated,
-            in_frontier,
-        }
-    }
-}
-
-/// Pull rule for label propagation: a vertex folds the minimum of its
-/// neighbors' labels into its own slot — single writer per vertex, no
-/// synchronization beyond atomic loads/stores. Labels only decrease,
-/// so racing with a neighbor's concurrent update can only read an
-/// *earlier or newer-but-smaller* value; both preserve convergence.
-struct WccPullOp<'a> {
-    label: &'a [AtomicU32],
-    activated: &'a AtomicBitmap,
-    in_frontier: &'a AtomicBitmap,
-}
-
-impl<E: EdgeRecord> PullOp<E> for WccPullOp<'_> {
-    const META_BYTES: u64 = 4;
-
-    #[inline]
-    fn wants_pull(&self, _dst: VertexId) -> bool {
-        true
-    }
-
-    #[inline]
-    fn pull(&self, dst: VertexId, e: &E) -> bool {
-        // Works over an in-adjacency (neighbor = src) or, for
-        // undirected graphs, an out-adjacency (neighbor = dst).
-        let u = if e.src() == dst { e.dst() } else { e.src() };
-        // Only labels that moved last round can lower ours.
-        if !self.in_frontier.get(u as usize) {
-            return false;
-        }
-        let lu = self.label[u as usize].load(Ordering::Relaxed);
-        if lu < self.label[dst as usize].load(Ordering::Relaxed) {
-            self.label[dst as usize].store(lu, Ordering::Relaxed);
-            self.activated.set(dst as usize);
-        }
+        self.unite(e.src(), e.dst());
         false
     }
+}
 
-    #[inline]
-    fn prefetch_src(&self, e: &E) {
-        // The hot random read is the frontier bit of the neighbor; the
-        // neighbor is `src` over an in-adjacency and `dst` over an
-        // undirected out-adjacency, so hint both endpoints.
-        self.in_frontier.prefetch(e.src() as usize);
-        self.in_frontier.prefetch(e.dst() as usize);
-    }
+impl<E: EdgeRecord> FrontierAlgo<E> for UnionFind {
+    type Pull<'a> = NoPull;
 
-    #[inline]
-    fn activated(&self, dst: VertexId) -> bool {
-        self.activated.get(dst as usize)
+    // Nothing is ever activated.
+    const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
+
+    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
+        NoPull
     }
 }
 
-/// Vertex-centric WCC in the given `direction` over an **undirected**
-/// adjacency — the body behind [`push`], [`pull`] and [`push_pull`].
-/// Every vertex starts active.
-pub(crate) fn run<E: EdgeRecord, L: VertexLayout<E>, P: MemProbe, R: Recorder>(
-    adj: &L,
-    direction: Direction,
+/// WCC on any layout — the body behind [`push`], [`edge_centric`],
+/// [`grid`] and every `wcc/*/push` variant. Stored edges are read as
+/// undirected, whichever way (and however many times) they are stored.
+pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+    layout: &L,
     ctx: &ExecContext<'_, P, R>,
 ) -> WccResult {
-    let nv = adj.num_vertices();
-    let state = WccState::new(nv);
-    let iterations = engine::edge_map(adj, VertexSubset::all(nv), &state, direction, *ctx);
-    state.into_result(iterations)
+    let nv = layout.num_vertices();
+    let forest = UnionFind::new(nv, ctx.recorder.enabled());
+    // Hook: the rule activates nothing, so this is exactly one round.
+    let frontier = VertexSubset::all(nv);
+    let mut iterations = engine::edge_map(layout, frontier, &forest, Direction::Push, *ctx);
+    let (label, seconds) =
+        timed(|| egraph_parallel::parallel_init(nv, 1 << 12, |v| forest.find(v as u32)));
+    // Label: every vertex, no edge.
+    let num_edges = layout.num_edges();
+    let label_pass = IterStat {
+        frontier_size: nv,
+        edges_scanned: 0,
+        seconds,
+        mode: StepMode::Push,
+        density: frontier_density(nv, num_edges),
+        decision: DirectionDecision::forced(nv, direction_cutoff(num_edges)),
+    };
+    engine::record_iter(*ctx, &mut iterations, label_pass);
+    let result = WccResult { label, iterations };
+    if let Some(steps) = forest.find_steps {
+        let unions = nv - result.component_count();
+        ctx.recorder.record_counter(UNIONS, unions as u64);
+        ctx.recorder.record_counter(FIND_STEPS, steps.into_inner());
+    }
+    result
 }
 
-/// Vertex-centric push WCC over an **undirected** adjacency (build it
-/// from [`EdgeList::to_undirected`], which is what doubles the
-/// pre-processing cost). Runs on any [`VertexLayout`].
+/// WCC over an adjacency's out-lists — of the directed input as it is:
+/// no symmetrized copy, no in-direction. Runs on any [`VertexLayout`].
 pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    run(adj, Direction::Push, &ExecContext::new())
+    run(adj, &ExecContext::new())
 }
 
-/// Vertex-centric pull WCC over an **undirected** adjacency list: no
-/// locks, no CAS — each vertex writes only itself (§6.1.2 applied to
-/// label propagation).
-pub fn pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    run(adj, Direction::Pull, &ExecContext::new())
-}
-
-/// Direction-optimizing WCC: push rounds while the active set is
-/// small, pull rounds while it is large (the Ligra recipe applied to
-/// label propagation). Requires an undirected adjacency list.
-pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    run(adj, Direction::PushPull, &ExecContext::new())
-}
-
-/// Edge-centric WCC over the raw (directed) edge array: each stored
-/// edge propagates the smaller label to the other endpoint, so no
-/// undirected copy — and no pre-processing at all — is needed.
+/// WCC over the raw edge array: no pre-processing at all.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>) -> WccResult {
-    scan_impl(edges, &ExecContext::new())
+    run(edges, &ExecContext::new())
 }
 
-/// Grid WCC: like [`edge_centric`] but iterating cells in grid order,
-/// so the labels of a cell's two vertex ranges stay cache-resident —
-/// the §5 locality argument applied to label propagation.
+/// WCC over a grid, cell by cell.
 pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>) -> WccResult {
-    scan_impl(&grid.cells(), &ExecContext::new())
-}
-
-/// Direction-free WCC over any streamed layout: full-scan rounds, each
-/// streaming every edge once through [`WccState::relax_both`], until a
-/// pass moves no label. Every vertex counts as active each round, and
-/// the final no-change pass is recorded too.
-pub(crate) fn scan_impl<E: EdgeRecord, S: EdgeStream<E>, P: MemProbe, R: Recorder>(
-    stream: &S,
-    ctx: &ExecContext<'_, P, R>,
-) -> WccResult {
-    let nv = stream.num_vertices();
-    let state = WccState::new(nv);
-    let mut iterations = Vec::new();
-    loop {
-        let changed = AtomicBool::new(false);
-        let ((), seconds) = timed(|| {
-            egraph_parallel::parallel_for(0..stream.num_units(), S::GRAIN, |units| {
-                let mut any = false;
-                for (_, run) in stream.runs(units) {
-                    for e in run {
-                        any |= state.relax_both(e);
-                    }
-                }
-                if any {
-                    changed.store(true, Ordering::Relaxed);
-                }
-            });
-        });
-        engine::record_full_scan(*ctx, &mut iterations, nv, stream.num_edges(), seconds);
-        if !changed.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-    state.into_result(iterations)
+    run(&grid.cells(), &ExecContext::new())
 }
 
 /// Serial union-find reference for validation.
@@ -293,12 +259,12 @@ pub fn reference<E: EdgeRecord>(edges: &EdgeList<E>) -> Vec<u32> {
 /// [`reference`] emits) and repairs them per applied batch.
 ///
 /// Edge insertions only ever merge components, so an insert-only batch
-/// is a union-find pass over the *labels* of the inserted endpoints
+/// is a [`UnionFind`] pass over the *labels* of the inserted endpoints
 /// followed by a relabel — no graph traversal at all. Deletions can
 /// split components, which connectivity labels cannot repair locally,
 /// so any batch with a delete (or one exceeding
 /// [`super::INCREMENTAL_FALLBACK_FRACTION`]) recomputes from scratch on
-/// the merged edge list.
+/// the merged edge list, with the same kernel every `wcc` variant runs.
 #[derive(Debug, Clone)]
 pub struct IncrementalWcc {
     labels: Vec<u32>,
@@ -310,7 +276,7 @@ impl IncrementalWcc {
     /// variant).
     pub fn new<E: EdgeRecord>(edges: &EdgeList<E>) -> Self {
         Self {
-            labels: reference(edges),
+            labels: edge_centric(edges).label,
             batches_applied: 0,
         }
     }
@@ -359,43 +325,27 @@ impl IncrementalWcc {
     ) -> super::IncrementalOutcome {
         let fraction = batch.len() as f64 / merged.num_edges().max(1) as f64;
         if batch.has_deletes() || fraction > super::INCREMENTAL_FALLBACK_FRACTION {
-            self.labels = reference(merged);
+            self.labels = edge_centric(merged).label;
             return super::IncrementalOutcome {
                 fallback: true,
                 touched: merged.num_vertices(),
             };
         }
-        // Union-find over label values: labels are component minima, so
-        // unioning toward the smaller root keeps them minima.
-        let nv = self.labels.len();
-        let mut parent: Vec<u32> = (0..nv as u32).collect();
-        fn find(parent: &mut [u32], v: u32) -> u32 {
-            let mut root = v;
-            while parent[root as usize] != root {
-                root = parent[root as usize];
-            }
-            let mut cur = v;
-            while parent[cur as usize] != root {
-                let next = parent[cur as usize];
-                parent[cur as usize] = root;
-                cur = next;
-            }
-            root
-        }
-        let mut merged_components = 0usize;
-        for op in &batch.ops {
-            let (src, dst) = op.endpoints();
-            let a = find(&mut parent, self.labels[src as usize]);
-            let b = find(&mut parent, self.labels[dst as usize]);
-            if a != b {
-                parent[a.max(b) as usize] = a.min(b);
-                merged_components += 1;
-            }
-        }
+        // Union-find over label values: labels are component minima, and
+        // hooking towards the smaller root keeps them minima.
+        let forest = UnionFind::new(self.labels.len(), false);
+        let merged_components = (batch.ops.iter())
+            .filter(|op| {
+                let (src, dst) = op.endpoints();
+                forest.unite(self.labels[src as usize], self.labels[dst as usize])
+            })
+            .count();
         if merged_components > 0 {
-            for label in self.labels.iter_mut() {
-                *label = find(&mut parent, *label);
-            }
+            egraph_parallel::for_each_chunk_mut(&mut self.labels, 1 << 12, |_, chunk| {
+                for label in chunk {
+                    *label = forest.find(*label);
+                }
+            });
         }
         super::IncrementalOutcome {
             fallback: false,
@@ -408,162 +358,148 @@ impl IncrementalWcc {
 mod tests {
     use super::*;
     use crate::layout::EdgeDirection;
-    use crate::metrics::StepMode;
-    use crate::preprocess::{CsrBuilder, Strategy};
+    use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
     use crate::types::Edge;
 
-    fn components_graph() -> EdgeList<Edge> {
-        // Component {0,1,2,3}, component {4,5}, isolated {6}.
-        EdgeList::new(
-            7,
-            vec![
-                Edge::new(1, 0),
-                Edge::new(2, 1),
-                Edge::new(3, 2),
-                Edge::new(5, 4),
-            ],
-        )
-        .unwrap()
+    fn graph(nv: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> EdgeList<Edge> {
+        let edges = edges.into_iter().map(|(s, d)| Edge::new(s, d)).collect();
+        EdgeList::new(nv, edges).unwrap()
+    }
+
+    fn random_graph(nv: usize, ne: usize, seed: u64) -> EdgeList<Edge> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % nv as u64) as u32
+        };
+        graph(nv, (0..ne).map(|_| (next(), next())))
+    }
+
+    /// Runs the kernel over the adjacency (out-lists of the directed
+    /// input), the edge array and a grid, checks each against
+    /// [`reference`] and for the two pass records, and returns the
+    /// labels.
+    fn check_all_layouts(input: &EdgeList<Edge>) -> Vec<u32> {
+        let expected = reference(input);
+        let (nv, ne) = (input.num_vertices(), input.num_edges());
+        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(input);
+        let cells = GridBuilder::new(Strategy::CountSort).side(4).build(input);
+        for (layout, result) in [
+            ("adj", push(&adj)),
+            ("edge", edge_centric(input)),
+            ("grid", grid(&cells)),
+        ] {
+            assert_eq!(result.label, expected, "{layout}");
+            let passes: Vec<_> = (result.iterations.iter())
+                .map(|s| (s.frontier_size, s.edges_scanned, s.mode))
+                .collect();
+            let expected_passes = [(nv, ne, StepMode::Push), (nv, 0, StepMode::Push)];
+            assert_eq!(passes, expected_passes, "{layout}: hook pass, label pass");
+        }
+        expected
     }
 
     #[test]
     fn reference_labels() {
-        let labels = reference(&components_graph());
-        assert_eq!(labels, vec![0, 0, 0, 0, 4, 4, 6]);
-    }
-
-    #[test]
-    fn push_matches_reference() {
-        let input = components_graph();
-        let undirected = input.to_undirected();
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&undirected);
-        let result = push(&adj);
+        // Component {0,1,2,3}, component {4,5}, isolated {6}.
+        let input = graph(7, [(1, 0), (2, 1), (3, 2), (5, 4)]);
+        assert_eq!(reference(&input), vec![0, 0, 0, 0, 4, 4, 6]);
+        let result = edge_centric(&input);
         assert_eq!(result.label, reference(&input));
         assert_eq!(result.component_count(), 3);
     }
 
     #[test]
-    fn edge_centric_matches_reference() {
-        let input = components_graph();
-        let result = edge_centric(&input);
-        assert_eq!(result.label, reference(&input));
+    fn random_graphs_agree_on_every_layout() {
+        for (nv, ne, seed) in [(600, 900, 21), (500, 1200, 31), (400, 700, 77)] {
+            check_all_layouts(&random_graph(nv, ne, seed));
+        }
     }
 
     #[test]
-    fn random_graph_agreement() {
-        let nv = 600usize;
-        let mut state = 21u64;
-        let mut edges = Vec::new();
-        for _ in 0..900 {
+    fn chain_stored_against_the_scan_order_takes_two_passes() {
+        // The minimum id sits at the far end of every stored edge — the
+        // order that cost label propagation one round per hop (§8).
+        let n = 4096u32;
+        let input = graph(n as usize, (0..n - 1).rev().map(|v| (v + 1, v)));
+        let labels = check_all_layouts(&input);
+        assert!(labels.iter().all(|&l| l == 0));
+    }
+
+    #[test]
+    fn star_hooks_every_leaf_under_one_contended_root() {
+        let n = 5000u32;
+        // The hub is the *largest* id, so it is re-hooked again and
+        // again while the leaves race to link under it.
+        let input = graph(n as usize, (0..n - 1).map(|v| (n - 1, v)));
+        let labels = check_all_layouts(&input);
+        assert!(labels.iter().all(|&l| l == 0));
+    }
+
+    #[test]
+    fn many_small_components_stay_apart() {
+        // 10 000 vertices: pairs (4k, 4k+1) and singletons.
+        let input = graph(10_000, (0..2_500u32).map(|k| (4 * k + 1, 4 * k)));
+        let labels = check_all_layouts(&input);
+        let result = edge_centric(&input);
+        assert_eq!(result.component_count(), 7_500);
+        assert_eq!(labels[4001], 4000);
+        assert_eq!(labels[4002], 4002);
+    }
+
+    #[test]
+    fn self_loops_duplicates_and_no_edges() {
+        let input = graph(6, [(3, 3), (1, 2), (2, 1), (1, 2), (1, 2), (5, 5), (4, 5)]);
+        assert_eq!(check_all_layouts(&input), vec![0, 1, 1, 3, 4, 4]);
+        let no_edges = graph(5, []);
+        assert_eq!(check_all_layouts(&no_edges), vec![0, 1, 2, 3, 4]);
+        let no_vertices = graph(0, []);
+        let result = edge_centric(&no_vertices);
+        assert!(result.label.is_empty());
+        assert_eq!(result.component_count(), 0);
+    }
+
+    #[test]
+    fn four_workers_race_the_hook_and_the_halving_to_the_same_labels() {
+        // Long chains under a shuffled edge order keep `find` walking
+        // (and halving) paths other workers are hooking into.
+        let pool = egraph_parallel::ThreadPool::new(4);
+        let nv = 20_000u32;
+        let mut edges: Vec<(u32, u32)> = (0..nv - 1)
+            .filter(|v| v % 5_000 != 4_999)
+            .map(|v| (v + 1, v))
+            .collect();
+        let mut state = 7u64;
+        for i in (1..edges.len()).rev() {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let src = ((state >> 33) % nv as u64) as u32;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let dst = ((state >> 33) % nv as u64) as u32;
-            edges.push(Edge::new(src, dst));
+            edges.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let input = EdgeList::new(nv, edges).unwrap();
+        let input = graph(nv as usize, edges);
         let expected = reference(&input);
-        let undirected = input.to_undirected();
-        let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&undirected);
-        assert_eq!(push(&adj).label, expected);
-        assert_eq!(edge_centric(&input).label, expected);
-    }
-
-    #[test]
-    fn pull_matches_reference() {
-        let input = components_graph();
-        let undirected = input.to_undirected();
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&undirected);
-        let result = pull(&adj);
-        assert_eq!(result.label, reference(&input));
-        assert!(result.iterations.iter().all(|s| s.mode == StepMode::Pull));
-    }
-
-    #[test]
-    fn push_pull_matches_reference_random() {
-        let nv = 500usize;
-        let mut state = 31u64;
-        let mut edges = Vec::new();
-        for _ in 0..1200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let src = ((state >> 33) % nv as u64) as u32;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let dst = ((state >> 33) % nv as u64) as u32;
-            edges.push(Edge::new(src, dst));
+        for round in 0..50 {
+            let label = egraph_parallel::with_pool(&pool, || edge_centric(&input).label);
+            assert_eq!(label, expected, "round {round}");
         }
-        let input = EdgeList::new(nv, edges).unwrap();
-        let expected = reference(&input);
-        let undirected = input.to_undirected();
-        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&undirected);
-        assert_eq!(pull(&adj).label, expected, "pull");
-        let pp = push_pull(&adj);
-        assert_eq!(pp.label, expected, "push-pull");
-        // A dense random graph starts with a full frontier: the first
-        // round must be a pull.
-        assert_eq!(pp.iterations[0].mode, StepMode::Pull);
     }
 
     #[test]
-    fn grid_matches_reference() {
-        use crate::preprocess::GridBuilder;
-        let input = components_graph();
-        let g = GridBuilder::new(Strategy::RadixSort).side(2).build(&input);
-        assert_eq!(grid(&g).label, reference(&input));
-    }
-
-    #[test]
-    fn grid_matches_reference_random() {
-        use crate::preprocess::GridBuilder;
-        let nv = 400usize;
-        let mut state = 77u64;
-        let mut edges = Vec::new();
-        for _ in 0..700 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let src = ((state >> 33) % nv as u64) as u32;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let dst = ((state >> 33) % nv as u64) as u32;
-            edges.push(Edge::new(src, dst));
-        }
-        let input = EdgeList::new(nv, edges).unwrap();
-        let g = GridBuilder::new(Strategy::CountSort).side(8).build(&input);
-        assert_eq!(grid(&g).label, reference(&input));
-    }
-
-    #[test]
-    fn empty_graph_has_all_singletons() {
-        let input: EdgeList<Edge> = EdgeList::new(5, vec![]).unwrap();
-        let result = edge_centric(&input);
-        assert_eq!(result.component_count(), 5);
-    }
-
-    #[test]
-    fn chain_needs_many_iterations_edge_centric() {
-        // A long path whose edges are stored *against* the scan order,
-        // so the minimum label travels roughly one hop per pass — the
-        // high-diameter behaviour that §8 says favours adjacency lists.
-        let n = 64u32;
-        let edges: Vec<Edge> = (0..n - 1).rev().map(|v| Edge::new(v, v + 1)).collect();
-        let input = EdgeList::new(n as usize, edges).unwrap();
-        let result = edge_centric(&input);
-        assert_eq!(result.component_count(), 1);
-        assert!(result.label.iter().all(|&l| l == 0));
-        assert!(
-            result.iterations.len() > 5,
-            "{} iterations",
-            result.iterations.len()
-        );
+    fn all_time_is_inside_the_two_records() {
+        let input = random_graph(2000, 6000, 5);
+        let recorder = crate::telemetry::TraceRecorder::new();
+        let ctx = ExecContext::new().with_recorder(&recorder);
+        let result = run(&input, &ctx);
+        assert!(result.algorithm_seconds() > 0.0);
+        let recorded: f64 = recorder.iterations().iter().map(|r| r.seconds).sum();
+        assert_eq!(result.algorithm_seconds(), recorded);
+        let counters = recorder.counters();
+        let components = result.component_count();
+        assert_eq!(counters[UNIONS], (2000 - components) as f64);
+        assert!(counters.contains_key(FIND_STEPS));
+        assert_eq!(counters[engine::EDGES_EXAMINED], 6000.0);
     }
 
     #[test]

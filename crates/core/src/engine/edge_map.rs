@@ -14,8 +14,13 @@
 //! is the layout's [`push_load`](EngineLayout::push_load) — the
 //! frontier's out-degree sum on an indexed layout, `|E|` on a scanning
 //! one — except that an indexed layout omits it for a forced direction
-//! over a dense frontier, where it would be an O(V) reduction nothing
-//! consumes. `edges_scanned` is that same edge term.
+//! over a partial dense frontier, where it would be an O(V) reduction
+//! nothing consumes. `edges_scanned` is that same edge term.
+//!
+//! **The next frontier** is the activated set unless the algorithm says
+//! otherwise through [`FrontierAlgo::next_frontier`] — the one hook by
+//! which an algorithm orders its work (SSSP's distance buckets) without
+//! owning a loop.
 
 use egraph_cachesim::MemProbe;
 
@@ -44,20 +49,21 @@ pub(crate) trait FrontierAlgo<E: EdgeRecord>: PushOp<E> {
     /// densely either way.
     const PUSH_NEXT: FrontierKind;
 
-    /// Re-list a densely collected frontier before the next round —
-    /// for algorithms whose frontiers stay small (SSSP), iterating a
-    /// list beats scanning the bitmap. Scanning layouts never do.
-    const RELIST: bool = false;
-
-    /// The algorithm runs on a symmetrized graph, so pull rounds may
-    /// read the out-lists of a layout built without an in-direction
-    /// (WCC's undirected CSR).
-    const SYMMETRIC: bool = false;
-
     /// Called at the start of every round with the frontier the round
     /// is about to scan (BFS advances its depth; the serve tier's lane
     /// rules install that frontier's lane words).
     fn begin_round(&self, _frontier: &VertexSubset) {}
+
+    /// Turns the vertices a round activated into the next round's
+    /// frontier; the run ends when it is empty. The default is the
+    /// activated set itself. An algorithm that processes vertices in
+    /// priority order (bucketed SSSP) files `activated` away and hands
+    /// back the members of its lowest non-empty bucket instead — which
+    /// must be a function of the activated *sets* alone, so that the
+    /// rounds repeat at every thread count.
+    fn next_frontier(&self, activated: VertexSubset) -> VertexSubset {
+        activated
+    }
 
     /// The pull rule for a round whose frontier is `in_frontier`;
     /// vertices it changes are marked in `activated`.
@@ -91,8 +97,10 @@ impl<E: EdgeRecord> PullOp<E> for NoPull {
 }
 
 /// Appends `stat` to the run's iteration log and mirrors it to the
-/// context's recorder (free under the default `NullRecorder`).
-fn record_iter<P: MemProbe, R: Recorder>(
+/// context's recorder (free under the default `NullRecorder`). Every
+/// round of [`edge_map`] comes through here; so does a pass that is not
+/// a frontier round (union-find WCC's label pass over the vertices).
+pub(crate) fn record_iter<P: MemProbe, R: Recorder>(
     ctx: ExecContext<'_, P, R>,
     iterations: &mut Vec<IterStat>,
     stat: IterStat,
@@ -136,11 +144,11 @@ where
     let num_edges = layout.num_edges();
     let cutoff = direction_cutoff(num_edges);
     // A scanning round tests a dense frontier once per edge, so it is
-    // handed one, collects the next one densely and never re-lists it.
-    let (push_next, relist) = if L::SCANS {
-        (FrontierKind::Dense, false)
+    // handed one and collects the next one densely.
+    let push_next = if L::SCANS {
+        FrontierKind::Dense
     } else {
-        (A::PUSH_NEXT, A::RELIST)
+        A::PUSH_NEXT
     };
     let mut iterations = Vec::new();
     while !frontier.is_empty() {
@@ -152,7 +160,11 @@ where
         let load_wanted = L::SCANS
             || match policy {
                 Direction::PushPull => true,
-                Direction::Push => matches!(frontier, VertexSubset::Sparse(_)),
+                // A full frontier (the one pass of union-find WCC) is
+                // the whole graph: worth one reduction per run.
+                Direction::Push => {
+                    matches!(frontier, VertexSubset::Sparse(_)) || frontier_size == nv
+                }
                 Direction::Pull => false,
             };
         let frontier_edges = if load_wanted {
@@ -182,7 +194,7 @@ where
                 };
                 let activated = AtomicBitmap::new(nv);
                 let op = algo.pull_op(bitmap, &activated);
-                timed(|| layout.pull_round(&op, ctx, FrontierKind::Dense, A::SYMMETRIC))
+                timed(|| layout.pull_round(&op, ctx, FrontierKind::Dense))
             }
             StepMode::Push => timed(|| layout.push_round(&frontier, algo, ctx, push_next)),
         };
@@ -198,21 +210,7 @@ where
                 decision,
             },
         );
-        frontier = if relist { next.into_sparse() } else { next };
+        frontier = algo.next_frontier(next);
     }
     iterations
-}
-
-/// Records one full-scan push round (see [`IterStat::full_scan`]) —
-/// for kernels whose rounds are not frontier-shaped (WCC's
-/// changed-flag passes over a streamed layout).
-pub(crate) fn record_full_scan<P: MemProbe, R: Recorder>(
-    ctx: ExecContext<'_, P, R>,
-    iterations: &mut Vec<IterStat>,
-    frontier_size: usize,
-    num_edges: usize,
-    seconds: f64,
-) {
-    let stat = IterStat::full_scan(frontier_size, num_edges, seconds, StepMode::Push);
-    record_iter(ctx, iterations, stat);
 }

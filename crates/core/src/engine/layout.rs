@@ -70,19 +70,16 @@ pub trait EngineLayout<E: EdgeRecord, Family>: Sync {
         next_kind: FrontierKind,
     ) -> VertexSubset;
 
-    /// One pull round over the in-direction — or, when `symmetric`
-    /// (the algorithm runs on a symmetrized graph), over the
-    /// out-direction of a layout built without one.
+    /// One pull round over the in-direction.
     ///
     /// # Panics
     ///
-    /// Panics on a layout without the direction it needs.
+    /// Panics on a layout without one.
     fn pull_round<O: PullOp<E>, P: MemProbe, R: Recorder>(
         &self,
         op: &O,
         ctx: ExecContext<'_, P, R>,
         next_kind: FrontierKind,
-        symmetric: bool,
     ) -> VertexSubset;
 }
 
@@ -120,14 +117,8 @@ impl<E: EdgeRecord, L: VertexLayout<E>> EngineLayout<E, Indexed> for L {
         op: &O,
         ctx: ExecContext<'_, P, R>,
         next_kind: FrontierKind,
-        symmetric: bool,
     ) -> VertexSubset {
-        let incoming = if symmetric {
-            self.incoming_opt().unwrap_or_else(|| self.out())
-        } else {
-            self.incoming()
-        };
-        vertex_pull(incoming, op, ctx, next_kind)
+        vertex_pull(self.incoming(), op, ctx, next_kind)
     }
 }
 
@@ -173,7 +164,6 @@ impl<E: EdgeRecord, S: EdgeStream<E>> EngineLayout<E, Scanned> for S {
         _op: &O,
         _ctx: ExecContext<'_, P, R>,
         _next_kind: FrontierKind,
-        _symmetric: bool,
     ) -> VertexSubset {
         panic!("a streamed layout has no per-vertex in-direction to pull over")
     }

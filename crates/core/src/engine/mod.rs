@@ -28,7 +28,7 @@
 mod edge_map;
 mod layout;
 
-pub(crate) use edge_map::{edge_map, record_full_scan, FrontierAlgo, NoPull};
+pub(crate) use edge_map::{edge_map, record_iter, FrontierAlgo, NoPull};
 pub use layout::{EngineLayout, Indexed, Scanned};
 
 use egraph_cachesim::probe::regions;

@@ -522,9 +522,13 @@ fn heuristic_flips_exactly_above_the_cutoff_and_forced_policies_never_flip() {
 #[test]
 fn forced_directions_skip_the_degree_sum_on_dense_frontiers() {
     let graph = fan_graph(10);
-    // Dense frontier, forced direction: the vertex term alone.
+    // Partial dense frontier, forced direction: the vertex term alone.
+    let chain_only: Vec<u32> = (100..400).collect();
+    let (_, log) = min_label_run(&graph, dense(400, &chain_only), Direction::Push);
+    assert_eq!((log[0].edges_scanned, log[0].decision.observed), (0, 300));
+    // The full frontier under forced push is the whole graph.
     let (_, log) = min_label_run(&graph, VertexSubset::all(400), Direction::Push);
-    assert_eq!((log[0].edges_scanned, log[0].decision.observed), (0, 400));
+    assert_eq!((log[0].edges_scanned, log[0].decision.observed), (200, 600));
     let (_, log) = min_label_run(&graph, VertexSubset::single(0), Direction::Pull);
     assert_eq!((log[0].edges_scanned, log[0].decision.observed), (0, 1));
     // Sparse frontier under forced push, and any frontier under the

@@ -197,7 +197,43 @@ pub fn explain(trace: &RunTrace) -> String {
             let _ = writeln!(out, "  {}", s.sentence);
         }
     }
+    for line in kernel_counters(trace) {
+        let _ = writeln!(out, "\n{line}");
+    }
     out
+}
+
+/// What the work-efficient kernels recorded about themselves, one
+/// sentence per kernel whose counters the trace carries: why an SSSP
+/// run took the rounds it did, and how little a WCC run had to do.
+fn kernel_counters(trace: &RunTrace) -> Vec<String> {
+    use crate::algo::{sssp, wcc};
+    let get = |name: &str| trace.counters.get(name).copied();
+    let mut lines = Vec::new();
+    if let (Some(milli), Some(opened), Some(rebinned)) = (
+        get(sssp::DELTA_MILLI),
+        get(sssp::BUCKETS_OPENED),
+        get(sssp::REBINNED),
+    ) {
+        // The counter saturates for an infinite width.
+        let delta = if milli >= u64::MAX as f64 {
+            "∞ (one bucket: frontier Bellman-Ford)".to_string()
+        } else {
+            format!("{}", milli / 1e3)
+        };
+        lines.push(format!(
+            "sssp: bucket width Δ = {delta}; {} rounds drained {opened} distance buckets, \
+             {rebinned} vertices re-binned from the overflow bucket.",
+            trace.iterations.len()
+        ));
+    }
+    if let (Some(unions), Some(steps)) = (get(wcc::UNIONS), get(wcc::FIND_STEPS)) {
+        lines.push(format!(
+            "wcc: one union-find hook pass and one label pass: {unions} unions, \
+             {steps} path-halving hops."
+        ));
+    }
+    lines
 }
 
 #[cfg(test)]
@@ -297,6 +333,27 @@ mod tests {
         assert!(text.contains("2 direction switches:"), "{text}");
         assert!(text.contains("switched push -> pull"), "{text}");
         assert!(text.contains("switched pull -> push"), "{text}");
+    }
+
+    #[test]
+    fn kernel_counters_are_narrated_when_present() {
+        let mut t = switching_trace();
+        assert!(!explain(&t).contains("bucket width"));
+        t.counters.insert("sssp.delta_milli".into(), 2500.0);
+        t.counters.insert("sssp.buckets_opened".into(), 7.0);
+        t.counters.insert("sssp.rebinned".into(), 3.0);
+        t.counters.insert("wcc.unions".into(), 41.0);
+        t.counters.insert("wcc.find_steps".into(), 9.0);
+        let text = explain(&t);
+        assert!(text.contains("Δ = 2.5; "), "{text}");
+        assert!(
+            text.contains("drained 7 distance buckets, 3 vertices"),
+            "{text}"
+        );
+        assert!(text.contains("41 unions, 9 path-halving hops"), "{text}");
+        t.counters
+            .insert("sssp.delta_milli".into(), u64::MAX as f64);
+        assert!(explain(&t).contains("Δ = ∞"));
     }
 
     #[test]

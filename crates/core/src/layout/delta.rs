@@ -55,17 +55,6 @@ impl<E: EdgeRecord> DeltaOp<E> {
             DeltaOp::Delete { src, dst } => (*src, *dst),
         }
     }
-
-    /// The same op on the reversed edge (for undirected views).
-    pub fn reversed(&self) -> Self {
-        match self {
-            DeltaOp::Insert(e) => DeltaOp::Insert(e.reversed()),
-            DeltaOp::Delete { src, dst } => DeltaOp::Delete {
-                src: *dst,
-                dst: *src,
-            },
-        }
-    }
 }
 
 /// A typed delta-stream error. Malformed NDJSON input yields one of
@@ -310,17 +299,6 @@ impl<E: EdgeRecord> DeltaLog<E> {
         DeltaBatch {
             ops: self.ops.clone(),
         }
-    }
-
-    /// The undirected double of this log: every op also applied to the
-    /// reversed edge, matching [`EdgeList::to_undirected`].
-    pub fn to_undirected(&self) -> Self {
-        let mut ops = Vec::with_capacity(self.ops.len() * 2);
-        for op in &self.ops {
-            ops.push(*op);
-            ops.push(op.reversed());
-        }
-        Self { ops }
     }
 
     /// Folds the log into `base`, producing the merged edge list: base

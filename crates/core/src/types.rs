@@ -262,24 +262,6 @@ impl<E: EdgeRecord> EdgeList<E> {
         Some((v as VertexId, *d))
     }
 
-    /// Returns an undirected version of this graph: every edge appears
-    /// in both directions.
-    ///
-    /// WCC runs on undirected graphs; the paper notes this doubles the
-    /// pre-processing cost of adjacency lists ("an edge has to be
-    /// inserted in both the outgoing edge array of its source and its
-    /// destination", §8) while edge arrays and grids need nothing —
-    /// their kernels can simply process each edge in both directions.
-    pub fn to_undirected(&self) -> Self {
-        let mut edges = Vec::with_capacity(self.edges.len() * 2);
-        edges.extend_from_slice(&self.edges);
-        edges.extend(self.edges.iter().map(|e| e.reversed()));
-        Self {
-            num_vertices: self.num_vertices,
-            edges,
-        }
-    }
-
     /// Maps the records into a different edge type (e.g. attach unit
     /// weights to an unweighted graph).
     pub fn map_records<F: EdgeRecord>(&self, f: impl Fn(&E) -> F + Sync) -> EdgeList<F> {
@@ -362,14 +344,6 @@ mod tests {
         .unwrap();
         assert_eq!(list.out_degrees(), vec![2, 1, 0, 1]);
         assert_eq!(list.in_degrees(), vec![1, 1, 2, 0]);
-    }
-
-    #[test]
-    fn undirected_doubles_edges() {
-        let list = EdgeList::new(3, vec![Edge::new(0, 1)]).unwrap();
-        let undirected = list.to_undirected();
-        assert_eq!(undirected.num_edges(), 2);
-        assert!(undirected.edges().contains(&Edge::new(1, 0)));
     }
 
     #[test]

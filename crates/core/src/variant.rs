@@ -326,8 +326,11 @@ pub fn is_supported(id: &VariantId) -> bool {
         // iterate on uncompressed CSR, and the delta layout overlays
         // the same spans over a frozen CSR, so both support sets
         // mirror `Adjacency` exactly.
-        (Algo::Bfs | Algo::Wcc, Adjacency | Ccsr | Delta) => &[Push, Pull, PushPull],
-        (Algo::Bfs | Algo::Wcc, EdgeList | Grid) => &[Push],
+        (Algo::Bfs, Adjacency | Ccsr | Delta) => &[Push, Pull, PushPull],
+        (Algo::Bfs, EdgeList | Grid) => &[Push],
+        // One union-find pass reads each stored edge once, in whatever
+        // direction it is stored: direction is not an axis of WCC.
+        (Algo::Wcc, _) => &[Push],
         (Algo::Pagerank, Adjacency | Ccsr | Delta) => &[Push, Pull],
         (Algo::Pagerank, EdgeList) => &[Push],
         (Algo::Pagerank, Grid) => &[Push, Pull],
@@ -376,14 +379,16 @@ pub fn sync_matters(id: &VariantId) -> bool {
     )
 }
 
-/// Whether the variant is bit-identical across thread counts:
-/// single-writer float accumulation in a fixed order (or integer /
-/// min-based results, which are order-independent). Schedule-dependent
-/// `f32` reordering (atomic or locked push accumulation) returns
-/// `false`. DESIGN.md §11 derives the classification.
+/// Whether the variant's *answer* is bit-identical across thread
+/// counts: single-writer float accumulation in a fixed order (or
+/// integer / min-based results, which are order-independent).
+/// Schedule-dependent `f32` reordering (atomic or locked push
+/// accumulation) returns `false`. DESIGN.md §11 derives the
+/// classification. (BFS, WCC and SSSP also repeat their iteration
+/// records exactly.)
 pub fn cross_thread_deterministic(id: &VariantId, sync: SyncMode) -> bool {
     match id.algo {
-        // Integer fixpoints (BFS levels, WCC labels) and SSSP's
+        // BFS levels, union-find's component minima and SSSP's
         // min-over-path-sums are order-independent on every schedule.
         Algo::Bfs | Algo::Wcc | Algo::Sssp => true,
         Algo::Pagerank => match (id.layout, id.direction) {
@@ -420,18 +425,9 @@ pub struct RunParams<'a> {
     pub x: Option<&'a [f32]>,
 }
 
-/// Which view of the graph a vertex-centric layout is built over: one
-/// traversal direction of the directed input, or the symmetrized copy
-/// WCC runs on (out-lists only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Dir(EdgeDirection),
-    Undirected,
-}
-
 /// The per-layout cache of a [`PreparedGraph`]: one lazily built
-/// `(layout, build seconds)` per [`Slot`].
-struct SlotCache<T>([OnceLock<(T, f64)>; 4]);
+/// `(layout, build seconds)` per traversal direction.
+struct SlotCache<T>([OnceLock<(T, f64)>; 3]);
 
 impl<T> Default for SlotCache<T> {
     fn default() -> Self {
@@ -440,19 +436,18 @@ impl<T> Default for SlotCache<T> {
 }
 
 impl<T> SlotCache<T> {
-    fn get(&self, slot: Slot, build: impl FnOnce() -> (T, f64)) -> &(T, f64) {
-        let index = match slot {
-            Slot::Dir(EdgeDirection::Out) => 0,
-            Slot::Dir(EdgeDirection::In) => 1,
-            Slot::Dir(EdgeDirection::Both) => 2,
-            Slot::Undirected => 3,
+    fn get(&self, dir: EdgeDirection, build: impl FnOnce() -> (T, f64)) -> &(T, f64) {
+        let index = match dir {
+            EdgeDirection::Out => 0,
+            EdgeDirection::In => 1,
+            EdgeDirection::Both => 2,
         };
         self.0[index].get_or_init(build)
     }
 }
 
 /// A graph plus lazily built, cached layouts. Each layout (per-
-/// direction CSR, undirected CSR for WCC, grid, transposed grid) is
+/// direction CSR, grid, transposed grid) is
 /// built at most once, on first use, under whatever pool/profiler the
 /// requesting [`run_variant`] call supplies — so one `PreparedGraph`
 /// can serve many variant runs without rebuilding, while a
@@ -547,56 +542,34 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             .get_or_init(|| self.edges.out_degrees().iter().map(|&d| d as u32).collect())
     }
 
-    /// Runs `build` over the edge list `slot` traverses: the input
-    /// itself, or its symmetrized copy — whose construction is part of
-    /// WCC's preprocessing cost, so it counts towards the seconds.
-    fn build_slot<T>(
-        &self,
-        slot: Slot,
-        build: impl FnOnce(&EdgeList<E>, EdgeDirection) -> (T, f64),
-    ) -> (T, f64) {
-        match slot {
-            Slot::Dir(dir) => build(self.edges, dir),
-            Slot::Undirected => {
-                let ((layout, seconds), wall) =
-                    timed(|| build(&self.edges.to_undirected(), EdgeDirection::Out));
-                (layout, wall.max(seconds))
-            }
-        }
-    }
-
-    fn csr(&self, slot: Slot) -> &(AdjacencyList<E>, f64) {
-        self.csr.get(slot, || {
-            self.build_slot(slot, |edges, dir| {
-                let (adj, stats) = CsrBuilder::new(self.strategy, dir)
-                    .sort_neighbors(self.sorted)
-                    .build_timed(edges);
-                (adj, stats.seconds)
-            })
+    fn csr(&self, dir: EdgeDirection) -> &(AdjacencyList<E>, f64) {
+        self.csr.get(dir, || {
+            let (adj, stats) = CsrBuilder::new(self.strategy, dir)
+                .sort_neighbors(self.sorted)
+                .build_timed(self.edges);
+            (adj, stats.seconds)
         })
     }
 
-    fn ccsr(&self, slot: Slot) -> &(CcsrList<E>, f64) {
-        self.ccsr.get(slot, || {
+    fn ccsr(&self, dir: EdgeDirection) -> &(CcsrList<E>, f64) {
+        self.ccsr.get(dir, || {
             if self.sorted {
                 // The cached CSR is already neighbor-sorted — compress
                 // it directly (and share one build between both
                 // layouts, which also guarantees identical neighbor
                 // order for the conformance oracle).
-                let (csr, csr_seconds) = self.csr(slot);
+                let (csr, csr_seconds) = self.csr(dir);
                 let (list, compress_seconds) = timed(|| compress_sorted_csr(csr));
                 (list, csr_seconds + compress_seconds)
             } else {
-                self.build_slot(slot, |edges, dir| {
-                    let (list, stats) = CcsrBuilder::new(self.strategy, dir).build_timed(edges);
-                    (list, stats.seconds)
-                })
+                let (list, stats) = CcsrBuilder::new(self.strategy, dir).build_timed(self.edges);
+                (list, stats.seconds)
             }
         })
     }
 
-    fn dcsr(&self, slot: Slot) -> &(DeltaList<E>, f64) {
-        self.dcsr.get(slot, || {
+    fn dcsr(&self, dir: EdgeDirection) -> &(DeltaList<E>, f64) {
+        self.dcsr.get(dir, || {
             // The delta layout owns its base CSR (it outlives this
             // call's borrows), so it builds one rather than borrowing
             // the cached `csr` slot; base build plus overlay layering
@@ -605,28 +578,9 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
                 let log = self
                     .deltas
                     .map_or_else(|| Cow::Owned(DeltaLog::new()), Cow::Borrowed);
-                let (edges, log, dir) = match slot {
-                    Slot::Dir(dir) => (Cow::Borrowed(self.edges), log, dir),
-                    // Deletes are multiset-wide per *directed* edge, but
-                    // the symmetrized view holds copies of (s, d) from
-                    // both the directed (s, d) and (d, s) edges — a
-                    // tombstone cannot tell them apart and would
-                    // over-delete. Merge first in that case; insert-only
-                    // logs overlay exactly.
-                    Slot::Undirected if log.as_batch().has_deletes() => (
-                        Cow::Owned(log.merge_into(self.edges).to_undirected()),
-                        Cow::Owned(DeltaLog::new()),
-                        EdgeDirection::Out,
-                    ),
-                    Slot::Undirected => (
-                        Cow::Owned(self.edges.to_undirected()),
-                        Cow::Owned(log.to_undirected()),
-                        EdgeDirection::Out,
-                    ),
-                };
                 let (out, inc) = CsrBuilder::new(self.strategy, dir)
                     .sort_neighbors(self.sorted)
-                    .build(&edges)
+                    .build(self.edges)
                     .into_parts();
                 DeltaList::new(out, inc, &log)
             })
@@ -637,7 +591,7 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
     /// the normalization input of the delta PageRank variants.
     pub fn delta_degrees(&self) -> &[u32] {
         self.delta_degrees.get_or_init(|| {
-            let out = self.dcsr(Slot::Dir(EdgeDirection::Out)).0.out();
+            let out = self.dcsr(EdgeDirection::Out).0.out();
             (0..self.num_vertices() as VertexId)
                 .map(|v| out.degree(v) as u32)
                 .collect()
@@ -683,15 +637,13 @@ impl<E: EdgeRecord> fmt::Debug for PreparedGraph<'_, E> {
     }
 }
 
-/// The view a variant's vertex-centric layout is built over: WCC runs
-/// on the symmetrized graph; otherwise push reads out-edges, pull reads
-/// in-edges and the hybrid needs both.
-fn layout_slot(id: &VariantId) -> Slot {
-    match (id.algo, id.direction) {
-        (Algo::Wcc, _) => Slot::Undirected,
-        (_, Direction::Push) => Slot::Dir(EdgeDirection::Out),
-        (_, Direction::Pull) => Slot::Dir(EdgeDirection::In),
-        (_, Direction::PushPull) => Slot::Dir(EdgeDirection::Both),
+/// The direction a variant's vertex-centric layout is built in: push
+/// reads out-edges, pull reads in-edges and the hybrid needs both.
+fn layout_slot(id: &VariantId) -> EdgeDirection {
+    match id.direction {
+        Direction::Push => EdgeDirection::Out,
+        Direction::Pull => EdgeDirection::In,
+        Direction::PushPull => EdgeDirection::Both,
     }
 }
 
@@ -887,8 +839,10 @@ where
         (Algo::Bfs, direction) => {
             VariantOutput::Bfs(bfs::run(layout, root, direction, params.sync, c))
         }
-        (Algo::Wcc, direction) => VariantOutput::Wcc(wcc::run(layout, direction, c)),
-        (Algo::Sssp, _) => VariantOutput::Sssp(sssp::push_impl(layout, root, c)),
+        (Algo::Wcc, _) => VariantOutput::Wcc(wcc::run(layout, c)),
+        (Algo::Sssp, _) => {
+            VariantOutput::Sssp(sssp::push_impl(layout, root, sssp::derive_delta(layout), c))
+        }
         (Algo::Pagerank, Direction::Pull) => {
             VariantOutput::Pagerank(pagerank::pull_impl(layout.incoming(), degrees(), cfg, c))
         }
@@ -906,8 +860,8 @@ where
 /// streamed layout may come in two cuts: `owned`, whose push rounds own
 /// their destinations where the layout can arrange that (grid columns),
 /// and `shared`, the finest cut (grid cells) — taken by the kernels
-/// that synchronize anyway: locked PageRank and WCC's two-sided
-/// relaxation. The edge array is its own both.
+/// that synchronize anyway: locked PageRank and WCC's union-find
+/// hooks. The edge array is its own both.
 fn run_streamed<'a, E, S, C, P, R>(
     id: &VariantId,
     owned: &S,
@@ -930,8 +884,9 @@ where
         (Algo::Bfs, _) => {
             VariantOutput::Bfs(bfs::run(owned, root, Direction::Push, SyncMode::Atomics, c))
         }
-        (Algo::Wcc, _) => VariantOutput::Wcc(wcc::scan_impl(shared, c)),
-        (Algo::Sssp, _) => VariantOutput::Sssp(sssp::push_impl(owned, root, c)),
+        (Algo::Wcc, _) => VariantOutput::Wcc(wcc::run(shared, c)),
+        // A scanning round costs |E| whatever it serves: one bucket.
+        (Algo::Sssp, _) => VariantOutput::Sssp(sssp::push_impl(owned, root, f32::INFINITY, c)),
         (Algo::Pagerank, SyncMode::Locks) => {
             VariantOutput::Pagerank(pagerank::push_impl(shared, degrees(), cfg, sync, c))
         }
@@ -985,6 +940,28 @@ mod tests {
             run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("sssp") && msg.contains("grid"), "{msg}");
+    }
+
+    #[test]
+    fn wcc_has_one_direction_on_every_layout() {
+        // One union-find pass: `push` is the only id per layout, the
+        // other two are the typed error, and the table is 37 ids.
+        assert_eq!(supported_variants().len(), 37);
+        let graph = diamond();
+        let prepared = PreparedGraph::new(&graph);
+        for layout in Layout::ALL {
+            for direction in Direction::ALL {
+                let id = VariantId::new(Algo::Wcc, layout, direction);
+                let run = run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default());
+                match direction {
+                    Direction::Push => {
+                        let label = run.unwrap().output.as_wcc().unwrap().label.clone();
+                        assert_eq!(label, [0, 0, 0, 0], "{id}");
+                    }
+                    _ => assert!(matches!(run, Err(VariantError::Unsupported(e)) if e == id)),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1113,13 +1090,13 @@ mod tests {
     fn prepared_graph_caches_layouts() {
         let g = diamond();
         let pg = PreparedGraph::new(&g);
-        let a = &pg.csr(Slot::Dir(EdgeDirection::Out)).0 as *const _;
-        let b = &pg.csr(Slot::Dir(EdgeDirection::Out)).0 as *const _;
+        let a = &pg.csr(EdgeDirection::Out).0 as *const _;
+        let b = &pg.csr(EdgeDirection::Out).0 as *const _;
         assert_eq!(a, b);
-        // The undirected slot is its own build, shared by repeat calls.
-        let u = &pg.csr(Slot::Undirected).0 as *const _;
+        // Each direction is its own build, shared by repeat calls.
+        let u = &pg.csr(EdgeDirection::In).0 as *const _;
         assert_ne!(a, u);
-        assert_eq!(u, &pg.csr(Slot::Undirected).0 as *const _);
+        assert_eq!(u, &pg.csr(EdgeDirection::In).0 as *const _);
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //!   prefix-sum [`parallel_collect`] and its order-preserving sibling
 //!   [`parallel_collect_ordered`], which replace shared locked
 //!   collections on the frontier and pre-processing hot paths, and
-//! * atomic float adapters ([`atomicf`]) used by PageRank, SpMV and ALS.
+//! * atomic float adapters ([`atomicf`]) used by PageRank, SpMV and ALS,
+//!   and
+//! * a bounded bucket queue ([`buckets`]) for algorithms that process
+//!   vertices in priority order between parallel rounds (bucketed
+//!   SSSP).
 //!
 //! The number of workers defaults to the machine's available parallelism
 //! and can be overridden with the `EGRAPH_THREADS` environment variable
@@ -42,6 +46,7 @@
 //! ```
 
 pub mod atomicf;
+pub mod buckets;
 pub mod dynamic;
 pub mod fault;
 pub mod ops;

@@ -402,8 +402,8 @@ fn run_variants(
         }
     }
 
-    // Delta-stepping is an extra SSSP implementation outside the
-    // algo × layout × direction space; it keeps its explicit call.
+    // The SSSP kernel once more at an explicit bucket width, far from
+    // the one the variants derive.
     if nv > 0 {
         let wcsr = CsrBuilder::new(strategy, EdgeDirection::Out)
             .sort_neighbors(true)

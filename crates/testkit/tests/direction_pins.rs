@@ -1,14 +1,20 @@
-//! Pins the per-step direction decisions of the two direction-
-//! optimizing variants on corpus graphs. The literals were captured
-//! from the hand-written push-pull loops the frontier driver
-//! (`egraph_core::engine::edge_map`) replaced: the driver must execute
-//! the same push/pull sequence from the same `{observed, cutoff}`
-//! comparison at every step.
+//! Pins the per-step direction decisions of direction-optimizing BFS
+//! on corpus graphs. The literals were captured from the hand-written
+//! push-pull loops the frontier driver (`egraph_core::engine::edge_map`)
+//! replaced: the driver must execute the same push/pull sequence from
+//! the same `{observed, cutoff}` comparison at every step.
 //!
 //! The forced-push entries pin the scanning layouts (edge array, grid)
-//! the same way: captured from the `scan_map` rounds that `edge_map`
-//! replaced, every round a full scan of `|E|` edges from the same
-//! frontier.
+//! the same way, every round a full scan of `|E|` edges from the same
+//! frontier. The BFS ones were captured from the `scan_map` rounds that
+//! `edge_map` replaced; the `sssp/edge/push` ones were re-captured when
+//! SSSP rounds became Jacobi steps (PR 16): the old literals were what
+//! one worker relaxing in stream order happened to produce, these hold
+//! at every thread count.
+//!
+//! `sssp/adj/push` is pinned by what its rounds drain: the frontier size
+//! and the distance bucket of every round, under the bucket width the
+//! kernel derives from the graph.
 
 use egraph_core::exec::ExecCtx;
 use egraph_core::metrics::StepMode::{self, Pull, Push};
@@ -30,7 +36,7 @@ type Pinned = (
     &'static [usize],
 );
 
-const PINS: [Pinned; 10] = [
+const PINS: [Pinned; 8] = [
     (
         "rmat_s8",
         "bfs/adj/push-pull",
@@ -42,13 +48,6 @@ const PINS: [Pinned; 10] = [
             (Push, 27, 102),
         ],
         &[1, 84, 95, 11],
-    ),
-    (
-        "rmat_s8",
-        "wcc/adj/push-pull",
-        false,
-        &[(Pull, 4352, 204), (Pull, 3835, 204), (Push, 25, 204)],
-        &[256, 203, 8],
     ),
     (
         "rmat_s8",
@@ -81,12 +80,13 @@ const PINS: [Pinned; 10] = [
         &[
             (Push, 2049, 102),
             (Push, 2132, 102),
-            (Push, 2195, 102),
-            (Push, 2122, 102),
-            (Push, 2066, 102),
+            (Push, 2190, 102),
+            (Push, 2164, 102),
+            (Push, 2107, 102),
+            (Push, 2064, 102),
             (Push, 2050, 102),
         ],
-        &[1, 84, 147, 74, 18, 2],
+        &[1, 84, 142, 116, 59, 16, 2],
     ),
     (
         "small_world_512",
@@ -102,13 +102,6 @@ const PINS: [Pinned; 10] = [
             (Push, 26, 307),
         ],
         &[1, 12, 33, 123, 232, 109, 2],
-    ),
-    (
-        "small_world_512",
-        "wcc/adj/push-pull",
-        false,
-        &[(Pull, 12800, 614), (Pull, 12774, 614)],
-        &[512, 511],
     ),
     (
         "small_world_512",
@@ -148,26 +141,31 @@ const PINS: [Pinned; 10] = [
             (Push, 6145, 307),
             (Push, 6156, 307),
             (Push, 6182, 307),
-            (Push, 6284, 307),
-            (Push, 6464, 307),
-            (Push, 6472, 307),
-            (Push, 6374, 307),
-            (Push, 6267, 307),
-            (Push, 6198, 307),
-            (Push, 6169, 307),
+            (Push, 6287, 307),
+            (Push, 6487, 307),
+            (Push, 6529, 307),
+            (Push, 6459, 307),
+            (Push, 6384, 307),
+            (Push, 6316, 307),
+            (Push, 6272, 307),
+            (Push, 6244, 307),
+            (Push, 6214, 307),
+            (Push, 6188, 307),
+            (Push, 6175, 307),
             (Push, 6159, 307),
             (Push, 6154, 307),
-            (Push, 6150, 307),
-            (Push, 6149, 307),
+            (Push, 6151, 307),
+            (Push, 6148, 307),
+            (Push, 6145, 307),
         ],
-        &[1, 12, 38, 140, 320, 328, 230, 123, 54, 25, 15, 10, 6, 5],
+        &[
+            1, 12, 38, 143, 343, 385, 315, 240, 172, 128, 100, 70, 44, 31, 15, 10, 7, 4, 1,
+        ],
     ),
 ];
 
 /// The iteration records of one traced single-worker run.
 fn trace<E: EdgeRecord>(id: &VariantId, graph: &EdgeList<E>) -> Vec<IterRecord> {
-    // One worker keeps WCC's racy label reads (and so its frontier
-    // sizes) deterministic.
     let pool = ThreadPool::new(1);
     let recorder = TraceRecorder::new();
     run_variant(
@@ -202,5 +200,77 @@ fn decisions_match_the_replaced_loops() {
         assert_eq!(log, expected, "{spec}");
         let sizes: Vec<usize> = records.iter().map(|r| r.frontier_size).collect();
         assert_eq!(sizes, frontiers, "{spec}");
+    }
+}
+
+/// `(frontier size, bucket)` of every `sssp/adj/push` round.
+const SSSP_ADJ_ROUNDS: [(&str, &[(usize, u64)]); 2] = [
+    (
+        "rmat_s8",
+        &[
+            (1, 0),
+            (35, 0),
+            (58, 0),
+            (59, 0),
+            (25, 0),
+            (6, 0),
+            (1, 0),
+            (50, 1),
+            (4, 1),
+            (11, 2),
+        ],
+    ),
+    (
+        "small_world_512",
+        &[
+            (1, 0),
+            (4, 0),
+            (7, 0),
+            (1, 0),
+            (18, 1),
+            (18, 1),
+            (18, 1),
+            (10, 1),
+            (6, 1),
+            (1, 1),
+            (69, 2),
+            (54, 2),
+            (46, 2),
+            (24, 2),
+            (16, 2),
+            (8, 2),
+            (3, 2),
+            (2, 2),
+            (146, 3),
+            (98, 3),
+            (45, 3),
+            (21, 3),
+            (6, 3),
+            (1, 3),
+            (16, 4),
+            (3, 4),
+        ],
+    ),
+];
+
+#[test]
+fn sssp_adj_rounds_drain_the_pinned_buckets() {
+    let corpus = exhaustive_corpus(DEFAULT_SEED);
+    let id: VariantId = "sssp/adj/push".parse().unwrap();
+    for (name, expected) in SSSP_ADJ_ROUNDS {
+        let graph = weighted(&corpus.iter().find(|g| g.name == name).unwrap().graph);
+        let run = run_variant(
+            &id,
+            &ExecCtx::new(None),
+            &PreparedGraph::new(&graph).sort_neighbors(true),
+            &RunParams::default(),
+        )
+        .unwrap();
+        let result = run.output.as_sssp().unwrap();
+        let rounds: Vec<(usize, u64)> = (result.iterations.iter())
+            .map(|s| s.frontier_size)
+            .zip(result.buckets.iter().copied())
+            .collect();
+        assert_eq!(rounds, expected, "{name}");
     }
 }

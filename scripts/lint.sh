@@ -76,6 +76,28 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# Connectivity is one concurrent union-find (`algo/wcc.rs`:
+# `UnionFind::find`, plus the serial `reference` oracle's own): a `find`
+# anywhere else in the product crates is a second forest coming back,
+# and a `fetch_min` over a label array is label propagation coming
+# back.
+echo "== one union-find, no label propagation =="
+offenders=$(find crates/*/src src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            (/fn find\(/ || /label[a-z_]*(\[[^]]*\])?\.fetch_min\(/) {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+allowed=$(printf '%s\n' "$offenders" | grep -c '^crates/core/src/algo/wcc.rs:.*fn find(' || true)
+others=$(printf '%s\n' "$offenders" | grep -v '^crates/core/src/algo/wcc.rs:.*fn find(' || true)
+if [ -n "$others" ] || [ "$allowed" -ne 2 ]; then
+    echo "expected exactly two 'fn find(' (UnionFind::find and reference's), both in"
+    echo "crates/core/src/algo/wcc.rs, and no fetch_min over labels; found:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

@@ -113,8 +113,7 @@ proptest! {
     fn wcc_equals_union_find(graph in arb_graph()) {
         let expected = wcc::reference(&graph);
         prop_assert_eq!(&wcc::edge_centric(&graph).label, &expected);
-        let undirected = graph.to_undirected();
-        let adj = CsrBuilder::new(Build::CountSort, EdgeDirection::Out).build(&undirected);
+        let adj = CsrBuilder::new(Build::CountSort, EdgeDirection::Out).build(&graph);
         prop_assert_eq!(&wcc::push(&adj).label, &expected);
     }
 

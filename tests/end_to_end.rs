@@ -147,8 +147,7 @@ fn weighted_pipeline_sssp_and_spmv() {
 fn wcc_push_and_edge_agree_with_union_find() {
     let graph = rmat_graph();
     let expected = wcc::reference(&graph);
-    let undirected = graph.to_undirected();
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&undirected);
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
     assert_eq!(wcc::push(&adj).label, expected);
     assert_eq!(wcc::edge_centric(&graph).label, expected);
 }
