@@ -400,8 +400,13 @@ fn finish_metrics(server: Option<egraph_metrics::MetricsServer>, linger: f64) {
 /// forwarding everything to the wrapped recorder, so a `/metrics`
 /// scrape mid-run reports the same counter totals the final `RunTrace`
 /// records (both read the identical stream of deltas).
-struct MetricsRecorder<'a, R: Recorder> {
-    inner: &'a R,
+struct MetricsRecorder<'a> {
+    inner: &'a dyn Recorder,
+    /// Engine counters seen so far, each resolved to its registry
+    /// family once: drivers flush `engine.edges_examined` once per
+    /// chunk from every worker, which must not format a name and take
+    /// the registry's lock each time.
+    counters: std::sync::RwLock<Vec<(&'static str, egraph_metrics::Counter)>>,
     iterations: egraph_metrics::Counter,
     edges: egraph_metrics::Counter,
     step_seconds: egraph_metrics::Histogram,
@@ -416,11 +421,12 @@ struct MetricsRecorder<'a, R: Recorder> {
     last_mode: std::sync::atomic::AtomicU8,
 }
 
-impl<'a, R: Recorder> MetricsRecorder<'a, R> {
-    fn new(inner: &'a R) -> Self {
+impl<'a> MetricsRecorder<'a> {
+    fn new(inner: &'a dyn Recorder) -> Self {
         let reg = egraph_metrics::global();
         Self {
             inner,
+            counters: std::sync::RwLock::new(Vec::new()),
             iterations: reg.counter("egraph_algo_iterations_total", "Algorithm steps executed."),
             edges: reg.counter(
                 "egraph_algo_edges_scanned_total",
@@ -456,17 +462,26 @@ impl<'a, R: Recorder> MetricsRecorder<'a, R> {
     }
 }
 
-impl<R: Recorder> Recorder for MetricsRecorder<'_, R> {
+impl Recorder for MetricsRecorder<'_> {
     fn record_counter(&self, name: &'static str, delta: u64) {
-        egraph_metrics::global()
-            .counter(
+        const POISONED: &str = "a panic while the counter list was locked";
+        let seen = self.counters.read().expect(POISONED);
+        if let Some((_, counter)) = seen.iter().find(|(n, _)| *n == name) {
+            counter.add(delta);
+        } else {
+            drop(seen);
+            // Two workers may both miss; the registry hands both the
+            // same family, so a duplicate entry here is harmless.
+            let counter = egraph_metrics::global().counter(
                 &format!(
                     "egraph_{}_total",
                     egraph_metrics::sanitize_metric_name(name)
                 ),
                 "Engine counter teed from the run recorder.",
-            )
-            .add(delta);
+            );
+            counter.add(delta);
+            self.counters.write().expect(POISONED).push((name, counter));
+        }
         self.inner.record_counter(name, delta);
     }
 
@@ -577,25 +592,26 @@ fn cmd_run(args: &Args) -> CliResult {
         prof: &profiler,
         args,
     };
+    // With `--metrics-addr`, whatever recorder the run uses is teed
+    // into the live registry.
+    let live = metrics_server.is_some();
+    let run = |recorder: &dyn Recorder| {
+        if live {
+            dispatch_run(&spec, any, &MetricsRecorder::new(recorder))
+        } else {
+            dispatch_run(&spec, any, recorder)
+        }
+    };
     match &trace_out {
         None => {
-            let null = egraph_core::telemetry::NullRecorder;
-            if metrics_server.is_some() {
-                dispatch_run(&spec, any, &MetricsRecorder::new(&null))?;
-            } else {
-                dispatch_run(&spec, any, &null)?;
-            }
+            run(&egraph_core::telemetry::NullRecorder)?;
         }
         Some(out_path) => {
             let recorder = match iter_counters.take() {
                 Some(counters) => TraceRecorder::with_iteration_perf(counters),
                 None => TraceRecorder::new(),
             };
-            let breakdown = if metrics_server.is_some() {
-                dispatch_run(&spec, any, &MetricsRecorder::new(&recorder))?
-            } else {
-                dispatch_run(&spec, any, &recorder)?
-            };
+            let breakdown = run(&recorder)?;
             egraph_parallel::telemetry::disable();
             egraph_storage::counters::disable();
             let mut trace = RunTrace::new(&algo);
@@ -691,10 +707,10 @@ struct RunSpec<'a> {
 /// end-to-end time breakdown. All dispatch goes through
 /// [`run_variant`]; this function only bridges CLI strings and the
 /// weighted/unweighted input split.
-fn dispatch_run<R: Recorder>(
+fn dispatch_run(
     spec: &RunSpec<'_>,
     any: AnyGraph,
-    recorder: &R,
+    recorder: &dyn Recorder,
 ) -> Result<TimeBreakdown, Box<dyn Error>> {
     let id = VariantId::new(
         spec.algo.parse::<Algo>()?,
@@ -711,12 +727,12 @@ fn dispatch_run<R: Recorder>(
     }
 }
 
-fn run_one<E: EdgeRecord, R: Recorder>(
+fn run_one<E: EdgeRecord>(
     spec: &RunSpec<'_>,
     id: &VariantId,
     sync: SyncMode,
     graph: &EdgeList<E>,
-    recorder: &R,
+    recorder: &dyn Recorder,
 ) -> Result<TimeBreakdown, Box<dyn Error>> {
     let side: usize =
         spec.args
@@ -1347,4 +1363,45 @@ fn cmd_convert(args: &Args) -> CliResult {
     };
     println!("converted {input} ({from}) -> {output} ({to}): {nv} vertices, {ne} edges");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use egraph_core::engine::EDGES_EXAMINED;
+
+    /// Drivers flush `engine.edges_examined` once per chunk from every
+    /// worker; all of it must land in one family, and the wrapped
+    /// recorder must see the same total.
+    #[test]
+    fn many_counter_flushes_land_in_one_family() {
+        const FAMILY: &str = "egraph_engine_edges_examined_total";
+        let trace = TraceRecorder::new();
+        let tee = MetricsRecorder::new(&trace);
+        let before = egraph_metrics::global().counter(FAMILY, "").get();
+        let (workers, flushes) = (4u64, 5_000u64);
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                let tee = &tee;
+                s.spawn(move || {
+                    for i in 0..flushes {
+                        tee.record_counter(EDGES_EXAMINED, w + i);
+                    }
+                });
+            }
+        });
+        let sum: u64 = (0..workers)
+            .map(|w| (0..flushes).map(|i| w + i).sum::<u64>())
+            .sum();
+        let after = egraph_metrics::global().counter(FAMILY, "").get();
+        assert_eq!(after - before, sum);
+        assert_eq!(trace.counters()[EDGES_EXAMINED], sum as f64);
+        let text = egraph_metrics::global().render();
+        let type_line = format!("# TYPE {FAMILY} counter");
+        assert_eq!(text.matches(&type_line).count(), 1, "{text}");
+        // Every flush after the first found the name already resolved.
+        let seen = tee.counters.read().unwrap();
+        assert!((1..=workers as usize).contains(&seen.len()));
+        assert!(seen.iter().all(|(name, _)| *name == EDGES_EXAMINED));
+    }
 }

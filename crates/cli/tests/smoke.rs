@@ -504,6 +504,14 @@ fn run_with_metrics_addr_serves_and_matches_trace() {
         .parse::<f64>()
         .unwrap();
     assert_eq!(iterations as usize, parsed.iterations.len());
+    // Engine counters are teed name by name: one family, same total.
+    let family = "egraph_engine_edges_examined_total";
+    let examined: Vec<f64> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix(family)?.strip_prefix(' '))
+        .map(|v| v.trim().parse().unwrap())
+        .collect();
+    assert_eq!(examined, [parsed.counters["engine.edges_examined"]]);
 }
 
 #[test]

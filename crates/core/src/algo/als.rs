@@ -14,12 +14,11 @@
 //! from [`crate::linalg`]. Both half-steps are pull-style: a vertex
 //! reads its neighbors' factors and writes only its own — lock free.
 
-use egraph_cachesim::MemProbe;
-
+use crate::exec::ExecCtx;
 use crate::layout::Adjacency;
 use crate::linalg::cholesky_solve_in_place;
 use crate::metrics::{timed, IterStat, StepMode};
-use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::telemetry::IterRecord;
 use crate::types::{EdgeRecord, VertexId, WEdge};
 use crate::util::UnsyncSlice;
 
@@ -89,18 +88,17 @@ pub fn als(
     num_users: usize,
     cfg: AlsConfig,
 ) -> AlsResult {
-    als_impl(out, incoming, num_users, cfg, &ExecContext::new())
+    als_impl(out, incoming, num_users, cfg, &ExecCtx::default())
 }
 
-pub(crate) fn als_impl<P: MemProbe, R: Recorder>(
+pub(crate) fn als_impl(
     out: &Adjacency<WEdge>,
     incoming: &Adjacency<WEdge>,
     num_users: usize,
     cfg: AlsConfig,
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> AlsResult {
-    let ctx = *ctx;
-    let probe = ctx.probe;
+    let probe = ctx.live_probe();
     let nv = out.num_vertices();
     assert_eq!(nv, incoming.num_vertices(), "direction vertex counts");
     assert!(num_users <= nv, "num_users exceeds vertex count");
@@ -151,14 +149,14 @@ pub(crate) fn als_impl<P: MemProbe, R: Recorder>(
 /// Solves the normal equations for every vertex in `range`, reading
 /// neighbor factors and writing only the vertex's own factor row.
 #[allow(clippy::too_many_arguments)]
-fn solve_side<P: MemProbe>(
+fn solve_side(
     factors: &mut [f32],
     adj: &Adjacency<WEdge>,
     range: std::ops::Range<usize>,
     k: usize,
     lambda: f64,
     neighbors_are_sources: bool,
-    probe: &P,
+    probe: Option<&dyn egraph_cachesim::MemProbe>,
 ) {
     let shared = UnsyncSlice::new(factors);
     egraph_parallel::parallel_for(range, 64, |vs| {
@@ -178,7 +176,7 @@ fn solve_side<P: MemProbe>(
                 } else {
                     e.dst()
                 } as usize;
-                if probe.enabled() {
+                if let Some(probe) = probe {
                     probe.touch(
                         egraph_cachesim::AccessKind::Edge,
                         adj.edge_sim_addr(v as VertexId, idx),

@@ -9,13 +9,11 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use egraph_cachesim::MemProbe;
-
 use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PullOp, PushOp};
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Adjacency, Grid, NeighborAccess, VertexLayout};
 use crate::metrics::{timed, Direction, IterStat, SyncMode};
-use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId, INVALID_VERTEX};
 use crate::util::{AtomicBitmap, StripedLocks};
 
@@ -219,12 +217,12 @@ impl<E: EdgeRecord> FrontierAlgo<E> for LockedBfs<'_> {
 /// BFS from `root` in the given `direction` on any layout — the body
 /// behind every public entry point of this file. `sync` picks the push
 /// rule; only pure push has a locked flavor.
-pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     adj: &L,
     root: VertexId,
     direction: Direction,
     sync: SyncMode,
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> BfsResult {
     let state = BfsState::new(adj.num_vertices(), root);
     let frontier = VertexSubset::single(root);
@@ -233,9 +231,9 @@ pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recor
             state: &state,
             locks: StripedLocks::default(),
         };
-        engine::edge_map(adj, frontier, &locked, direction, *ctx)
+        engine::edge_map(adj, frontier, &locked, direction, ctx)
     } else {
-        engine::edge_map(adj, frontier, &state, direction, *ctx)
+        engine::edge_map(adj, frontier, &state, direction, ctx)
     };
     state.into_result(iterations)
 }
@@ -244,20 +242,20 @@ pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recor
 /// "adj. push" configuration). Runs on any [`VertexLayout`]
 /// (uncompressed CSR or ccsr).
 pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecContext::new();
+    let ctx = ExecCtx::default();
     run(adj, root, Direction::Push, SyncMode::Atomics, &ctx)
 }
 
 /// Vertex-centric push BFS with per-vertex (striped) locks — the
 /// paper's "push (with locks)" configuration (§6.1.2).
 pub fn push_locked<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecContext::new();
+    let ctx = ExecCtx::default();
     run(adj, root, Direction::Push, SyncMode::Locks, &ctx)
 }
 
 /// Vertex-centric pull BFS (lock free). Requires in-edges.
 pub fn pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecContext::new();
+    let ctx = ExecCtx::default();
     run(adj, root, Direction::Pull, SyncMode::Atomics, &ctx)
 }
 
@@ -266,21 +264,21 @@ pub fn pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsRe
 /// Ligra \[29\]). Requires both edge directions (hence the doubled
 /// pre-processing cost of Fig. 1).
 pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecContext::new();
+    let ctx = ExecCtx::default();
     run(adj, root, Direction::PushPull, SyncMode::Atomics, &ctx)
 }
 
 /// Edge-centric BFS: every iteration streams the whole edge array and
 /// pushes from last round's discoveries (§4.1's "full scan" drawback).
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, root: VertexId) -> BfsResult {
-    let ctx = ExecContext::new();
+    let ctx = ExecCtx::default();
     run(edges, root, Direction::Push, SyncMode::Atomics, &ctx)
 }
 
 /// Grid BFS: push over grid cells with column ownership; sources are
 /// filtered to last round's discoveries.
 pub fn grid<E: EdgeRecord>(grid: &Grid<E>, root: VertexId) -> BfsResult {
-    let ctx = ExecContext::new();
+    let ctx = ExecCtx::default();
     run(grid, root, Direction::Push, SyncMode::Atomics, &ctx)
 }
 
@@ -377,18 +375,18 @@ impl IncrementalBfs {
         E: EdgeRecord,
         L: VertexLayout<E>,
     {
-        self.apply_ctx(merged, batch, &ExecContext::new())
+        self.apply_ctx(merged, batch, &ExecCtx::default())
     }
 
     /// [`apply`](Self::apply) with telemetry: each batch repair is
     /// recorded as one iteration — the touched vertices as the
     /// frontier, the batch size as the scanned edges, and the
     /// repair-vs-fallback threshold as the decision log.
-    pub fn apply_ctx<E, L, P: MemProbe, R: Recorder>(
+    pub fn apply_ctx<E, L>(
         &mut self,
         merged: &L,
         batch: &crate::layout::DeltaBatch<E>,
-        ctx: &ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
@@ -719,7 +717,7 @@ mod tests {
             0,
             Direction::Push,
             SyncMode::Atomics,
-            &ExecContext::new().with_recorder(&recorder),
+            &ExecCtx::default().recorder(&recorder),
         );
         let recorded = recorder.iterations();
         assert_eq!(recorded.len(), result.iterations.len());
@@ -742,7 +740,7 @@ mod tests {
         let pool = egraph_parallel::ThreadPool::new(1);
         let recorder = crate::telemetry::TraceRecorder::new();
         let (plain, traced) = egraph_parallel::with_pool(&pool, || {
-            let ctx = ExecContext::new().with_recorder(&recorder);
+            let ctx = ExecCtx::default().recorder(&recorder);
             let traced = run(&adj, 0, Direction::Push, SyncMode::Atomics, &ctx);
             (push(&adj, 0), traced)
         });

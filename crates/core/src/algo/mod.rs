@@ -20,10 +20,9 @@
 //! exceeds [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
 //! reporting which path ran via [`IncrementalOutcome`].
 
-use egraph_cachesim::MemProbe;
-
+use crate::exec::ExecCtx;
 use crate::metrics::{frontier_density, DirectionDecision, StepMode};
-use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::telemetry::IterRecord;
 
 pub mod als;
 pub mod bfs;
@@ -53,8 +52,8 @@ pub struct IncrementalOutcome {
 /// touched vertices as the frontier, the batch size as the scanned
 /// edges, the repair-vs-fallback threshold as the decision log — and
 /// advances the engine's batch counter.
-pub(crate) fn record_repair<P: MemProbe, R: Recorder>(
-    ctx: &ExecContext<'_, P, R>,
+pub(crate) fn record_repair(
+    ctx: &ExecCtx<'_>,
     batches_applied: &mut usize,
     outcome: IncrementalOutcome,
     batch_len: usize,
@@ -77,4 +76,103 @@ pub(crate) fn record_repair<P: MemProbe, R: Recorder>(
         });
     }
     *batches_applied += 1;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::{
+        DeltaBatch, DeltaList, DeltaLog, DeltaOp, EdgeDirection, NeighborAccess, VertexLayout,
+    };
+    use crate::preprocess::{CsrBuilder, Strategy};
+    use crate::telemetry::TraceRecorder;
+    use crate::types::{Edge, EdgeList};
+
+    /// The merged both-direction view the engines repair over, with its
+    /// out-degrees.
+    fn view(base: &EdgeList<Edge>, log: &DeltaLog<Edge>) -> (DeltaList<Edge>, Vec<u32>) {
+        let (out, inc) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both)
+            .build(base)
+            .into_parts();
+        let view = DeltaList::new(out, inc, log);
+        let degrees = (0..base.num_vertices() as u32)
+            .map(|v| view.out().degree(v) as u32)
+            .collect();
+        (view, degrees)
+    }
+
+    /// Every incremental engine reports each applied batch as one
+    /// iteration record: a small batch (repair) and an oversized one
+    /// (fallback), numbered by batch, with the threshold comparison as
+    /// the decision log.
+    #[test]
+    fn every_incremental_engine_records_one_iteration_per_batch() {
+        type Apply<'a> = Box<
+            dyn FnMut(
+                    &EdgeList<Edge>,
+                    &DeltaLog<Edge>,
+                    &DeltaBatch<Edge>,
+                    &ExecCtx<'_>,
+                ) -> IncrementalOutcome
+                + 'a,
+        >;
+        // Two chains of 100 vertices: 198 edges, fallback above 9 ops.
+        let edges = (0..99)
+            .chain(100..199)
+            .map(|v| Edge::new(v, v + 1))
+            .collect();
+        let base = EdgeList::new(200, edges).unwrap();
+        let (initial, degrees) = view(&base, &DeltaLog::new());
+        let mut bfs = bfs::IncrementalBfs::new(&initial, 0);
+        let mut pagerank = pagerank::IncrementalPagerank::new(&initial, &degrees, 0.85);
+        let mut wcc = wcc::IncrementalWcc::new(&base);
+        let engines: [(&str, Apply<'_>); 3] = [
+            (
+                "bfs",
+                Box::new(|base, log, batch, ctx| bfs.apply_ctx(&view(base, log).0, batch, ctx)),
+            ),
+            (
+                "pagerank",
+                Box::new(|base, log, batch, ctx| {
+                    let (merged, degrees) = view(base, log);
+                    pagerank.apply_ctx(&merged, &degrees, batch, ctx)
+                }),
+            ),
+            (
+                "wcc",
+                Box::new(|base, log, batch, ctx| wcc.apply_ctx(&log.merge_into(base), batch, ctx)),
+            ),
+        ];
+        let batches = [
+            vec![Edge::new(50, 150)],
+            (0..30).map(|v| Edge::new(v, v + 100)).collect(),
+        ];
+        for (name, mut apply) in engines {
+            let recorder = TraceRecorder::new();
+            let ctx = ExecCtx::default().recorder(&recorder);
+            let mut log = DeltaLog::new();
+            let mut num_edges = base.num_edges();
+            for (step, inserts) in batches.iter().enumerate() {
+                let mut batch = DeltaBatch::new();
+                for &e in inserts {
+                    batch.ops.push(DeltaOp::Insert(e));
+                    log.push(DeltaOp::Insert(e));
+                }
+                num_edges += inserts.len();
+                let outcome = apply(&base, &log, &batch, &ctx);
+                assert_eq!(outcome.fallback, step == 1, "{name} batch {step}");
+                let records = recorder.iterations();
+                assert_eq!(records.len(), step + 1, "{name}: one record per batch");
+                let record = records[step];
+                assert_eq!(record.step, step, "{name}");
+                assert_eq!(record.frontier_size, outcome.touched, "{name}");
+                assert_eq!(record.edges_scanned, inserts.len(), "{name}");
+                let cutoff = (INCREMENTAL_FALLBACK_FRACTION * num_edges as f64) as usize;
+                assert_eq!(record.decision.cutoff, cutoff, "{name}");
+                assert_eq!(record.decision.observed, inserts.len(), "{name}");
+                assert!(!record.decision.forced, "{name}");
+                assert_eq!(record.decision.says_pull(), outcome.fallback, "{name}");
+            }
+        }
+    }
 }

@@ -7,15 +7,15 @@
 //! paper uses 10) with damping 0.85 and produce identical ranks up to
 //! floating-point reassociation.
 
-use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
 use std::sync::atomic::Ordering;
 
 use crate::engine::{self, EngineLayout, PullOp, PushOp};
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Grid, NeighborAccess, OutOnly};
 use crate::metrics::{timed, IterStat, StepMode, SyncMode};
-use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::telemetry::IterRecord;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::{StripedLocks, UnsyncSlice};
 
@@ -113,8 +113,8 @@ fn finalize(acc: &[f32], damping: f32, nv: usize) -> Vec<f32> {
 /// the context's recorder (every vertex is active each step, so the
 /// frontier size is `nv`), and handles the optional tolerance.
 /// `accumulate` runs one contribution-gathering step.
-fn run_power<P, R, F>(
-    ctx: ExecContext<'_, P, R>,
+fn run_power<F>(
+    ctx: &ExecCtx<'_>,
     nv: usize,
     edges_per_iter: usize,
     mode: StepMode,
@@ -123,8 +123,6 @@ fn run_power<P, R, F>(
     mut accumulate: F,
 ) -> PagerankResult
 where
-    P: MemProbe,
-    R: Recorder,
     F: FnMut(&[f32]) -> Vec<f32>,
 {
     let mut ranks = vec![1.0 / nv.max(1) as f32; nv];
@@ -168,16 +166,15 @@ pub fn pull<E: EdgeRecord, A: NeighborAccess<E>>(
     out_degrees: &[u32],
     cfg: PagerankConfig,
 ) -> PagerankResult {
-    pull_impl(incoming, out_degrees, cfg, &ExecContext::new())
+    pull_impl(incoming, out_degrees, cfg, &ExecCtx::default())
 }
 
-pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Recorder>(
+pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
     incoming: &A,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> PagerankResult {
-    let ctx = *ctx;
     let nv = incoming.num_vertices();
     run_power(
         ctx,
@@ -318,7 +315,7 @@ pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(
     cfg: PagerankConfig,
     sync: SyncMode,
 ) -> PagerankResult {
-    push_impl(&OutOnly(out), out_degrees, cfg, sync, &ExecContext::new())
+    push_impl(&OutOnly(out), out_degrees, cfg, sync, &ExecCtx::default())
 }
 
 /// Push PageRank on any layout: every power iteration is one push
@@ -326,14 +323,13 @@ pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(
 /// accumulation; a layout whose rounds own their destinations
 /// ([`EngineLayout::DST_EXCLUSIVE`]) needs neither and gets plain
 /// writes.
-pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
     out_degrees: &[u32],
     cfg: PagerankConfig,
     sync: SyncMode,
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> PagerankResult {
-    let ctx = *ctx;
     let nv = layout.num_vertices();
     let all = VertexSubset::all(nv);
     run_power(
@@ -379,7 +375,7 @@ pub fn edge_centric<E: EdgeRecord>(
     cfg: PagerankConfig,
     sync: SyncMode,
 ) -> PagerankResult {
-    push_impl(edges, out_degrees, cfg, sync, &ExecContext::new())
+    push_impl(edges, out_degrees, cfg, sync, &ExecCtx::default())
 }
 
 /// Grid-push PageRank. [`SyncMode::Locks`] iterates cells in arbitrary
@@ -392,7 +388,7 @@ pub fn grid_push<E: EdgeRecord>(
     cfg: PagerankConfig,
     sync: SyncMode,
 ) -> PagerankResult {
-    let ctx = &ExecContext::new();
+    let ctx = &ExecCtx::default();
     match sync {
         SyncMode::Locks => push_impl(&grid.cells(), out_degrees, cfg, sync, ctx),
         SyncMode::Atomics => push_impl(grid, out_degrees, cfg, sync, ctx),
@@ -406,16 +402,15 @@ pub fn grid_pull<E: EdgeRecord>(
     out_degrees: &[u32],
     cfg: PagerankConfig,
 ) -> PagerankResult {
-    grid_pull_impl(transposed, out_degrees, cfg, &ExecContext::new())
+    grid_pull_impl(transposed, out_degrees, cfg, &ExecCtx::default())
 }
 
-pub(crate) fn grid_pull_impl<E: EdgeRecord, P: MemProbe, R: Recorder>(
+pub(crate) fn grid_pull_impl<E: EdgeRecord>(
     transposed: &Grid<E>,
     out_degrees: &[u32],
     cfg: PagerankConfig,
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> PagerankResult {
-    let ctx = *ctx;
     let nv = transposed.num_vertices();
     run_power(
         ctx,
@@ -605,18 +600,18 @@ impl IncrementalPagerank {
         E: EdgeRecord,
         L: crate::layout::VertexLayout<E>,
     {
-        self.apply_ctx(merged, degrees, batch, &ExecContext::new())
+        self.apply_ctx(merged, degrees, batch, &ExecCtx::default())
     }
 
     /// [`Self::apply`] with an execution context: each applied batch is
     /// reported to the recorder as one iteration (the decision log
     /// shows the batch size against the full-solve fallback cutoff).
-    pub fn apply_ctx<E, L, P: MemProbe, R: Recorder>(
+    pub fn apply_ctx<E, L>(
         &mut self,
         merged: &L,
         degrees: &[u32],
         batch: &crate::layout::DeltaBatch<E>,
-        ctx: &ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,

@@ -9,25 +9,19 @@
 
 use std::sync::atomic::Ordering;
 
-use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
 
 use crate::engine::{self, EngineLayout, PullOp, PushOp};
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{NeighborAccess, OutOnly};
 use crate::metrics::{timed, IterStat, StepMode};
-use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::telemetry::IterRecord;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::UnsyncSlice;
 
 /// Reports the single SpMV pass as one iteration record.
-fn record_pass<P: MemProbe, R: Recorder>(
-    ctx: ExecContext<'_, P, R>,
-    nv: usize,
-    edges: usize,
-    seconds: f64,
-    mode: StepMode,
-) {
+fn record_pass(ctx: &ExecCtx<'_>, nv: usize, edges: usize, seconds: f64, mode: StepMode) {
     if ctx.recorder.enabled() {
         // A single full pass: every vertex active, every edge read.
         let stat = IterStat::full_scan(nv, edges, seconds, mode);
@@ -94,32 +88,31 @@ impl<E: EdgeRecord> PushOp<E> for SpmvPushExclusive<'_> {
 ///
 /// Panics if `x.len() != edges.num_vertices()`.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, x: &[f32]) -> SpmvResult {
-    push_impl(edges, x, &ExecContext::new())
+    push_impl(edges, x, &ExecCtx::default())
 }
 
 /// Vertex-centric push SpMV over an out-adjacency (the "adj" bar of
 /// Fig. 3c — its pre-processing is what never pays off). Runs on any
 /// [`NeighborAccess`] out-adjacency (uncompressed CSR or ccsr).
 pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(out: &A, x: &[f32]) -> SpmvResult {
-    push_impl(&OutOnly(out), x, &ExecContext::new())
+    push_impl(&OutOnly(out), x, &ExecCtx::default())
 }
 
 /// Grid SpMV: column-exclusive push with plain writes (no locks, no
 /// atomics) — the grid's structural synchronization applied to the
 /// single-pass kernel.
 pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>, x: &[f32]) -> SpmvResult {
-    push_impl(grid, x, &ExecContext::new())
+    push_impl(grid, x, &ExecCtx::default())
 }
 
 /// Push SpMV on any layout: one push round from the full vertex set,
 /// accumulating atomically — or with plain writes where the layout's
 /// rounds own their destinations.
-pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
     x: &[f32],
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> SpmvResult {
-    let ctx = *ctx;
     let nv = layout.num_vertices();
     assert_eq!(x.len(), nv, "input vector length");
     let all = VertexSubset::all(nv);
@@ -145,15 +138,14 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R:
 /// Vertex-centric pull SpMV over an in-adjacency: each output element
 /// is summed by its own vertex — no synchronization at all.
 pub fn pull<E: EdgeRecord, A: NeighborAccess<E>>(incoming: &A, x: &[f32]) -> SpmvResult {
-    pull_impl(incoming, x, &ExecContext::new())
+    pull_impl(incoming, x, &ExecCtx::default())
 }
 
-pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>, P: MemProbe, R: Recorder>(
+pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
     incoming: &A,
     x: &[f32],
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> SpmvResult {
-    let ctx = *ctx;
     let nv = incoming.num_vertices();
     assert_eq!(x.len(), nv, "input vector length");
     let mut y = vec![0.0f32; nv];

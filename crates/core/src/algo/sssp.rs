@@ -35,16 +35,15 @@
 
 use std::sync::atomic::Ordering;
 
-use egraph_cachesim::MemProbe;
 use egraph_parallel::atomicf::AtomicF32;
 use egraph_parallel::buckets::BucketQueue;
 use parking_lot::Mutex;
 
 use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{AdjacencyList, NeighborAccess, VertexLayout};
 use crate::metrics::{Direction, IterStat};
-use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::AtomicBitmap;
 
@@ -185,23 +184,23 @@ impl<E: EdgeRecord> FrontierAlgo<E> for SsspState {
 /// Negative edge weights are a caller bug (the relaxation still
 /// terminates only for non-negative weights).
 pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, source: VertexId) -> SsspResult {
-    push_impl(adj, source, derive_delta(adj), &ExecContext::new())
+    push_impl(adj, source, derive_delta(adj), &ExecCtx::default())
 }
 
 /// Bucketed SSSP on any layout with bucket width `delta`: an indexed
 /// layout relaxes the out-edges of the lowest bucket's members, a
 /// scanning one (which callers give `delta = ∞`) streams every edge and
 /// relaxes those whose source improved last round.
-pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     adj: &L,
     source: VertexId,
     delta: f32,
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> SsspResult {
     let state = SsspState::new(adj.num_vertices(), source, delta);
     // The first frontier is a popped bucket like every other.
     let frontier = state.bin_and_pop(vec![source]);
-    let iterations = engine::edge_map(adj, frontier, &state, Direction::Push, *ctx);
+    let iterations = engine::edge_map(adj, frontier, &state, Direction::Push, ctx);
     let bins = state.bins.into_inner();
     if ctx.recorder.enabled() {
         let recorder = ctx.recorder;
@@ -222,7 +221,7 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R:
 /// however few vertices it serves, so there is one bucket (Δ = ∞) and
 /// the fewest rounds.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, source: VertexId) -> SsspResult {
-    push_impl(edges, source, f32::INFINITY, &ExecContext::new())
+    push_impl(edges, source, f32::INFINITY, &ExecCtx::default())
 }
 
 /// [`push`] with an explicit bucket width, for the Δ ablation: small
@@ -235,7 +234,7 @@ pub fn delta_stepping<E: EdgeRecord>(
     delta: f32,
 ) -> SsspResult {
     let delta = if delta > 0.0 { delta } else { f32::INFINITY };
-    push_impl(adj, source, delta, &ExecContext::new())
+    push_impl(adj, source, delta, &ExecCtx::default())
 }
 
 /// How many vertices [`derive_delta`] samples.
@@ -483,7 +482,7 @@ mod tests {
     fn counters_say_how_the_run_was_bucketed() {
         let input = weighted_graph(400, 3000, 5, tenths);
         let recorder = crate::telemetry::TraceRecorder::new();
-        let ctx = ExecContext::new().with_recorder(&recorder);
+        let ctx = ExecCtx::default().recorder(&recorder);
         let result = push_impl(&out_csr(&input), 0, 2.0, &ctx);
         let counters = recorder.counters();
         assert_eq!(counters[DELTA_MILLI], 2000.0);

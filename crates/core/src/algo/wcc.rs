@@ -26,15 +26,13 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use egraph_cachesim::MemProbe;
-
 use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::VertexLayout;
 use crate::metrics::{
     direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
 };
-use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord};
 use crate::util::AtomicBitmap;
 
@@ -175,15 +173,15 @@ impl<E: EdgeRecord> FrontierAlgo<E> for UnionFind {
 /// WCC on any layout — the body behind [`push`], [`edge_centric`],
 /// [`grid`] and every `wcc/*/push` variant. Stored edges are read as
 /// undirected, whichever way (and however many times) they are stored.
-pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recorder>(
+pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
-    ctx: &ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> WccResult {
     let nv = layout.num_vertices();
     let forest = UnionFind::new(nv, ctx.recorder.enabled());
     // Hook: the rule activates nothing, so this is exactly one round.
     let frontier = VertexSubset::all(nv);
-    let mut iterations = engine::edge_map(layout, frontier, &forest, Direction::Push, *ctx);
+    let mut iterations = engine::edge_map(layout, frontier, &forest, Direction::Push, ctx);
     let (label, seconds) =
         timed(|| egraph_parallel::parallel_init(nv, 1 << 12, |v| forest.find(v as u32)));
     // Label: every vertex, no edge.
@@ -196,7 +194,7 @@ pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recor
         density: frontier_density(nv, num_edges),
         decision: DirectionDecision::forced(nv, direction_cutoff(num_edges)),
     };
-    engine::record_iter(*ctx, &mut iterations, label_pass);
+    engine::record_iter(ctx, &mut iterations, label_pass);
     let result = WccResult { label, iterations };
     if let Some(steps) = forest.find_steps {
         let unions = nv - result.component_count();
@@ -209,17 +207,17 @@ pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>, P: MemProbe, R: Recor
 /// WCC over an adjacency's out-lists — of the directed input as it is:
 /// no symmetrized copy, no in-direction. Runs on any [`VertexLayout`].
 pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    run(adj, &ExecContext::new())
+    run(adj, &ExecCtx::default())
 }
 
 /// WCC over the raw edge array: no pre-processing at all.
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>) -> WccResult {
-    run(edges, &ExecContext::new())
+    run(edges, &ExecCtx::default())
 }
 
 /// WCC over a grid, cell by cell.
 pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>) -> WccResult {
-    run(&grid.cells(), &ExecContext::new())
+    run(&grid.cells(), &ExecCtx::default())
 }
 
 /// Serial union-find reference for validation.
@@ -293,18 +291,18 @@ impl IncrementalWcc {
         merged: &EdgeList<E>,
         batch: &crate::layout::DeltaBatch<E>,
     ) -> super::IncrementalOutcome {
-        self.apply_ctx(merged, batch, &ExecContext::new())
+        self.apply_ctx(merged, batch, &ExecCtx::default())
     }
 
     /// [`apply`](Self::apply) with telemetry: each batch repair is
     /// recorded as one iteration, with the batch-size-vs-fallback
     /// threshold as the decision log (deletes force the fallback
     /// regardless of the comparison).
-    pub fn apply_ctx<E: EdgeRecord, P: MemProbe, R: Recorder>(
+    pub fn apply_ctx<E: EdgeRecord>(
         &mut self,
         merged: &EdgeList<E>,
         batch: &crate::layout::DeltaBatch<E>,
-        ctx: &ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome {
         let (outcome, seconds) = timed(|| self.apply_inner(merged, batch));
         super::record_repair(
@@ -490,7 +488,7 @@ mod tests {
     fn all_time_is_inside_the_two_records() {
         let input = random_graph(2000, 6000, 5);
         let recorder = crate::telemetry::TraceRecorder::new();
-        let ctx = ExecContext::new().with_recorder(&recorder);
+        let ctx = ExecCtx::default().recorder(&recorder);
         let result = run(&input, &ctx);
         assert!(result.algorithm_seconds() > 0.0);
         let recorded: f64 = recorder.iterations().iter().map(|r| r.seconds).sum();

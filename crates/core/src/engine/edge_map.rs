@@ -22,14 +22,13 @@
 //! which an algorithm orders its work (SSSP's distance buckets) without
 //! owning a loop.
 
-use egraph_cachesim::MemProbe;
-
 use super::{EngineLayout, PullOp, PushOp};
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::metrics::{
     direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
 };
-use crate::telemetry::{ExecContext, IterRecord, Recorder};
+use crate::telemetry::IterRecord;
 use crate::types::{EdgeRecord, VertexId};
 use crate::util::AtomicBitmap;
 
@@ -97,14 +96,10 @@ impl<E: EdgeRecord> PullOp<E> for NoPull {
 }
 
 /// Appends `stat` to the run's iteration log and mirrors it to the
-/// context's recorder (free under the default `NullRecorder`). Every
-/// round of [`edge_map`] comes through here; so does a pass that is not
-/// a frontier round (union-find WCC's label pass over the vertices).
-pub(crate) fn record_iter<P: MemProbe, R: Recorder>(
-    ctx: ExecContext<'_, P, R>,
-    iterations: &mut Vec<IterStat>,
-    stat: IterStat,
-) {
+/// context's recorder. Every round of [`edge_map`] comes through here;
+/// so does a pass that is not a frontier round (union-find WCC's label
+/// pass over the vertices).
+pub(crate) fn record_iter(ctx: &ExecCtx<'_>, iterations: &mut Vec<IterStat>, stat: IterStat) {
     if ctx.recorder.enabled() {
         ctx.recorder
             .record_iteration(IterRecord::from_stat(iterations.len(), &stat));
@@ -126,19 +121,17 @@ pub(crate) fn record_iter<P: MemProbe, R: Recorder>(
 /// Statically dispatched over layout and rule, and no more work per
 /// round than a hand-written loop: forced directions over a dense
 /// frontier skip the degree reduction (see the module docs).
-pub(crate) fn edge_map<E, F, L, A, P, R>(
+pub(crate) fn edge_map<E, F, L, A>(
     layout: &L,
     mut frontier: VertexSubset,
     algo: &A,
     policy: Direction,
-    ctx: ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
 ) -> Vec<IterStat>
 where
     E: EdgeRecord,
     L: EngineLayout<E, F>,
     A: FrontierAlgo<E>,
-    P: MemProbe,
-    R: Recorder,
 {
     let nv = layout.num_vertices();
     let num_edges = layout.num_edges();

@@ -18,12 +18,10 @@
 //! active" itself, so rule state left over from earlier rounds (BFS
 //! levels, a wave's lane words) can never push.
 
-use egraph_cachesim::MemProbe;
-
 use super::{scan_push, vertex_pull, vertex_push, PullOp, PushOp};
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{EdgeStream, NeighborAccess, VertexLayout};
-use crate::telemetry::{ExecContext, Recorder};
 use crate::types::EdgeRecord;
 
 /// Family marker of [`EngineLayout`]: layouts with a per-vertex index.
@@ -62,11 +60,11 @@ pub trait EngineLayout<E: EdgeRecord, Family>: Sync {
 
     /// One push round: applies `op` to every edge whose source is in
     /// `frontier` and returns the activated destinations.
-    fn push_round<O: PushOp<E>, P: MemProbe, R: Recorder>(
+    fn push_round<O: PushOp<E>>(
         &self,
         frontier: &VertexSubset,
         op: &O,
-        ctx: ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
         next_kind: FrontierKind,
     ) -> VertexSubset;
 
@@ -75,10 +73,10 @@ pub trait EngineLayout<E: EdgeRecord, Family>: Sync {
     /// # Panics
     ///
     /// Panics on a layout without one.
-    fn pull_round<O: PullOp<E>, P: MemProbe, R: Recorder>(
+    fn pull_round<O: PullOp<E>>(
         &self,
         op: &O,
-        ctx: ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
         next_kind: FrontierKind,
     ) -> VertexSubset;
 }
@@ -102,20 +100,20 @@ impl<E: EdgeRecord, L: VertexLayout<E>> EngineLayout<E, Indexed> for L {
         frontier.out_edge_count(|v| out.degree(v))
     }
 
-    fn push_round<O: PushOp<E>, P: MemProbe, R: Recorder>(
+    fn push_round<O: PushOp<E>>(
         &self,
         frontier: &VertexSubset,
         op: &O,
-        ctx: ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
         next_kind: FrontierKind,
     ) -> VertexSubset {
         vertex_push(self.out(), frontier, op, ctx, next_kind)
     }
 
-    fn pull_round<O: PullOp<E>, P: MemProbe, R: Recorder>(
+    fn pull_round<O: PullOp<E>>(
         &self,
         op: &O,
-        ctx: ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
         next_kind: FrontierKind,
     ) -> VertexSubset {
         vertex_pull(self.incoming(), op, ctx, next_kind)
@@ -141,11 +139,11 @@ impl<E: EdgeRecord, S: EdgeStream<E>> EngineLayout<E, Scanned> for S {
         EdgeStream::num_edges(self)
     }
 
-    fn push_round<O: PushOp<E>, P: MemProbe, R: Recorder>(
+    fn push_round<O: PushOp<E>>(
         &self,
         frontier: &VertexSubset,
         op: &O,
-        ctx: ExecContext<'_, P, R>,
+        ctx: &ExecCtx<'_>,
         next_kind: FrontierKind,
     ) -> VertexSubset {
         let VertexSubset::Dense { bitmap, count } = frontier else {
@@ -159,10 +157,10 @@ impl<E: EdgeRecord, S: EdgeStream<E>> EngineLayout<E, Scanned> for S {
         }
     }
 
-    fn pull_round<O: PullOp<E>, P: MemProbe, R: Recorder>(
+    fn pull_round<O: PullOp<E>>(
         &self,
         _op: &O,
-        _ctx: ExecContext<'_, P, R>,
+        _ctx: &ExecCtx<'_>,
         _next_kind: FrontierKind,
     ) -> VertexSubset {
         panic!("a streamed layout has no per-vertex in-direction to pull over")

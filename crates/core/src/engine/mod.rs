@@ -15,15 +15,15 @@
 //! `edge_map`, the one loop that picks and records a direction per
 //! iteration, on any layout.
 //!
-//! Every driver takes an [`ExecContext`] bundling a [`MemProbe`] (so
-//! the same code path can run under the LLC simulator) and a
-//! [`Recorder`] (so a traced run can report edges examined per step);
-//! the default [`NullProbe`](egraph_cachesim::NullProbe) /
-//! [`NullRecorder`](crate::telemetry::NullRecorder) specializations
-//! compile both kinds of instrumentation away. Each driver reads
-//! `probe.enabled()` once per call (it is constant for a probe's
-//! lifetime), so a probe erased behind
-//! [`ExecCtx`](crate::exec::ExecCtx) costs no virtual call per edge.
+//! Every driver takes an [`ExecCtx`] carrying a [`MemProbe`] (so the
+//! same code path can run under the LLC simulator) and a [`Recorder`]
+//! (so a traced run can report edges examined per step), both as trait
+//! objects: a driver is compiled once per layout and rule, whatever the
+//! instrumentation. Each driver reads `probe.enabled()` once per call
+//! (it is constant for a probe's lifetime; `ExecCtx::live_probe` turns
+//! it into an `Option` the per-edge code tests) and
+//! `recorder.enabled()` once per chunk, so neither costs a virtual call
+//! per edge.
 
 mod edge_map;
 mod layout;
@@ -35,9 +35,10 @@ use egraph_cachesim::probe::regions;
 use egraph_cachesim::MemProbe;
 use egraph_parallel::timeline;
 
+use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, NextFrontier, VertexSubset};
 use crate::layout::{EdgeStream, Grid, NeighborAccess};
-use crate::telemetry::{ExecContext, Recorder};
+use crate::telemetry::Recorder;
 use crate::types::{EdgeRecord, VertexId};
 
 /// Counter name drivers report examined edges under.
@@ -116,12 +117,12 @@ pub trait PullOp<E: EdgeRecord>: Sync {
 }
 
 #[inline]
-fn touch_edge<P: MemProbe>(probe: &P, addr: u64) {
+fn touch_edge(probe: &dyn MemProbe, addr: u64) {
     probe.touch(egraph_cachesim::AccessKind::Edge, addr);
 }
 
 #[inline]
-fn touch_src<P: MemProbe>(probe: &P, v: VertexId, stride: u64) {
+fn touch_src(probe: &dyn MemProbe, v: VertexId, stride: u64) {
     probe.touch(
         egraph_cachesim::AccessKind::SrcMeta,
         regions::SRC_META + v as u64 * stride,
@@ -129,17 +130,16 @@ fn touch_src<P: MemProbe>(probe: &P, v: VertexId, stride: u64) {
 }
 
 #[inline]
-fn touch_dst<P: MemProbe>(probe: &P, v: VertexId, stride: u64) {
+fn touch_dst(probe: &dyn MemProbe, v: VertexId, stride: u64) {
     probe.touch(
         egraph_cachesim::AccessKind::DstMeta,
         regions::DST_META + v as u64 * stride,
     );
 }
 
-/// Flushes one chunk's examined-edge count to the recorder; a no-op
-/// under `NullRecorder` (the `enabled()` branch folds to `false`).
+/// Flushes one chunk's examined-edge count to the recorder.
 #[inline]
-fn flush_examined<R: Recorder>(recorder: &R, examined: usize) {
+fn flush_examined(recorder: &dyn Recorder, examined: usize) {
     if recorder.enabled() && examined > 0 {
         recorder.record_counter(EDGES_EXAMINED, examined as u64);
     }
@@ -148,24 +148,21 @@ fn flush_examined<R: Recorder>(recorder: &R, examined: usize) {
 /// Vertex-centric push over an out-direction (uncompressed or ccsr):
 /// processes the out-edges of every frontier vertex and returns the
 /// next frontier.
-pub fn vertex_push<E, A, O, P, R>(
+pub fn vertex_push<E, A, O>(
     out: &A,
     frontier: &VertexSubset,
     op: &O,
-    ctx: ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
     next_kind: FrontierKind,
 ) -> VertexSubset
 where
     E: EdgeRecord,
     A: NeighborAccess<E>,
     O: PushOp<E>,
-    P: MemProbe,
-    R: Recorder,
 {
     let _step = timeline::span(timeline::SpanKind::Step, "vertex_push", "push");
     let next = NextFrontier::new(next_kind, out.num_vertices());
-    let probe = ctx.probe;
-    let probed = probe.enabled();
+    let probe = ctx.live_probe();
     // Each chunk borrows its worker's activation sink once and pushes
     // straight into the persistent per-worker buffer — no per-chunk
     // allocation, no shared-state flush.
@@ -175,7 +172,7 @@ where
             out.for_each_span(v, |span| {
                 *examined += span.len();
                 for e in span {
-                    if probed {
+                    if let Some(probe) = probe {
                         touch_edge(probe, out.edge_sim_addr(v, k));
                         touch_src(probe, v, O::META_BYTES);
                         touch_dst(probe, e.dst(), O::META_BYTES);
@@ -221,37 +218,34 @@ where
 /// depend on `active` — the "full scan" drawback of §4.1. Rounds reach
 /// it through [`EngineLayout::push_round`], where `active` is
 /// membership in the round's frontier.
-pub(crate) fn scan_push<E, S, O, P, R>(
+pub(crate) fn scan_push<E, S, O>(
     stream: &S,
     active: impl Fn(VertexId) -> bool + Sync,
     op: &O,
-    ctx: ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
     next_kind: FrontierKind,
 ) -> VertexSubset
 where
     E: EdgeRecord,
     S: EdgeStream<E>,
     O: PushOp<E>,
-    P: MemProbe,
-    R: Recorder,
 {
     let _step = timeline::span(timeline::SpanKind::Step, S::PUSH_SPAN, "push");
     let next = NextFrontier::new(next_kind, stream.num_vertices());
     let esize = std::mem::size_of::<E>() as u64;
-    let probe = ctx.probe;
-    let probed = probe.enabled();
+    let probe = ctx.live_probe();
     egraph_parallel::parallel_for(0..stream.num_units(), S::GRAIN, |units| {
         let mut sink = next.sink(units.start as u64);
         let mut examined = 0;
         for (base, run) in stream.runs(units) {
             examined += run.len();
             for (k, e) in run.iter().enumerate() {
-                if probed {
+                if let Some(probe) = probe {
                     touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
                     touch_src(probe, e.src(), O::META_BYTES);
                 }
                 if active(e.src()) {
-                    if probed {
+                    if let Some(probe) = probe {
                         touch_dst(probe, e.dst(), O::META_BYTES);
                     }
                     if op.push(e) {
@@ -274,24 +268,21 @@ where
 /// operator span by span through [`PullOp::pull_span`] — the
 /// vectorized/prefetched fast path. Probed runs keep the exact
 /// per-edge loop so every simulated edge touch is still issued.
-pub fn vertex_pull<E, A, O, P, R>(
+pub fn vertex_pull<E, A, O>(
     incoming: &A,
     op: &O,
-    ctx: ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
     next_kind: FrontierKind,
 ) -> VertexSubset
 where
     E: EdgeRecord,
     A: NeighborAccess<E>,
     O: PullOp<E>,
-    P: MemProbe,
-    R: Recorder,
 {
     let _step = timeline::span(timeline::SpanKind::Step, "vertex_pull", "pull");
     let nv = incoming.num_vertices();
     let next = NextFrontier::new(next_kind, nv);
-    let probe = ctx.probe;
-    let probed = probe.enabled();
+    let probe = ctx.live_probe();
     egraph_parallel::parallel_for(0..nv, 1024, |r| {
         let mut sink = next.sink(r.start as u64);
         let mut examined = 0;
@@ -299,13 +290,13 @@ where
             let v = v as VertexId;
             // The pass over all vertices to check activity is the
             // inherent pull overhead the paper describes.
-            if probed {
+            if let Some(probe) = probe {
                 touch_dst(probe, v, O::META_BYTES);
             }
             if !op.wants_pull(v) {
                 continue;
             }
-            if probed {
+            if let Some(probe) = probe {
                 let mut k = 0usize;
                 incoming.for_each_span(v, |span| {
                     let mut consumed = 0;
@@ -344,24 +335,21 @@ where
 /// reads `(receiver, provider)`: rows group by receiver, making the
 /// receiver updates of a row exclusive to its worker — pull without
 /// locks (§6.1.2).
-pub fn grid_pull_rows<E, O, P, R>(
+pub fn grid_pull_rows<E, O>(
     grid: &Grid<E>,
     op: &O,
-    ctx: ExecContext<'_, P, R>,
+    ctx: &ExecCtx<'_>,
     next_kind: FrontierKind,
 ) -> VertexSubset
 where
     E: EdgeRecord,
     O: PullOp<E>,
-    P: MemProbe,
-    R: Recorder,
 {
     let _step = timeline::span(timeline::SpanKind::Step, "grid_pull_rows", "pull");
     let next = NextFrontier::new(next_kind, grid.num_vertices());
     let side = grid.side();
     let esize = std::mem::size_of::<E>() as u64;
-    let probe = ctx.probe;
-    let probed = probe.enabled();
+    let probe = ctx.live_probe();
     egraph_parallel::parallel_for(0..side, 1, |rows| {
         let mut sink = next.sink(rows.start as u64);
         let mut examined = 0;
@@ -372,14 +360,14 @@ where
                 examined += cell.len();
                 for (k, e) in cell.iter().enumerate() {
                     let receiver = e.src();
-                    if probed {
+                    if let Some(probe) = probe {
                         touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
                         touch_dst(probe, receiver, O::META_BYTES);
                     }
                     if !op.wants_pull(receiver) {
                         continue;
                     }
-                    if probed {
+                    if let Some(probe) = probe {
                         touch_src(probe, e.dst(), O::META_BYTES);
                     }
                     let _ = op.pull(receiver, e);

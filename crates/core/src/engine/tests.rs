@@ -68,7 +68,7 @@ fn vertex_push_processes_only_frontier_edges() {
         adj.out(),
         &frontier,
         &op,
-        ExecContext::new(),
+        &ExecCtx::default(),
         FrontierKind::Sparse,
     );
     assert_eq!(op.pushes.load(Ordering::Relaxed), 2, "only 0's out-edges");
@@ -91,7 +91,7 @@ fn vertex_push_dense_frontier_equivalent() {
         adj.out(),
         &frontier,
         &op,
-        ExecContext::new(),
+        &ExecCtx::default(),
         FrontierKind::Dense,
     );
     assert_eq!(op.pushes.load(Ordering::Relaxed), 2);
@@ -104,7 +104,7 @@ fn scan_push_pushes_only_from_the_frontier() {
     let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
     // Only edges out of 1 and 2 fire — (1,3) and (2,3) — on every cut.
     let frontier = dense(4, &[1, 2]);
-    let ctx = ExecContext::new();
+    let ctx = &ExecCtx::default();
     let (edge, columns, cells) = (CountingOp::new(4), CountingOp::new(4), CountingOp::new(4));
     for (op, next) in [
         (
@@ -131,7 +131,7 @@ fn scan_push_from_every_vertex_covers_all_edges_once() {
     let graph = diamond();
     let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
     let all = VertexSubset::all(4);
-    let ctx = ExecContext::new();
+    let ctx = &ExecCtx::default();
     let (columns, cells) = (CountingOp::new(4), CountingOp::new(4));
     let next = grid.push_round(&all, &columns, ctx, FrontierKind::Dense);
     assert_eq!(columns.pushes.load(Ordering::Relaxed), graph.num_edges());
@@ -145,7 +145,7 @@ fn scan_push_from_every_vertex_covers_all_edges_once() {
 fn scan_push_rejects_a_sparse_frontier() {
     let frontier = VertexSubset::from_vec(vec![1, 2]);
     let op = CountingOp::new(4);
-    diamond().push_round(&frontier, &op, ExecContext::new(), FrontierKind::Dense);
+    diamond().push_round(&frontier, &op, &ExecCtx::default(), FrontierKind::Dense);
 }
 
 /// Pull operator that records scan lengths and stops after the first
@@ -179,7 +179,7 @@ fn vertex_pull_early_termination_and_filtering() {
     let next = vertex_pull(
         adj.incoming(),
         &op,
-        ExecContext::new(),
+        &ExecCtx::default(),
         FrontierKind::Sparse,
     );
     // Vertex 3 has two in-edges but stops after one.
@@ -199,7 +199,7 @@ fn probe_sees_three_touches_per_processed_edge() {
         adj.out(),
         &frontier,
         &op,
-        ExecContext::new().with_probe(&probe),
+        &ExecCtx::default().probe(&probe),
         FrontierKind::Dense,
     );
     let report = probe.report();
@@ -211,7 +211,7 @@ fn probe_sees_three_touches_per_processed_edge() {
     // A scan reads every edge and its source; it touches a destination
     // only where the source is in the frontier.
     let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
-    let ctx = ExecContext::new().with_probe(&probe);
+    let ctx = &ExecCtx::default().probe(&probe);
     graph.push_round(&dense(4, &[1, 2]), &op, ctx, FrontierKind::Dense);
     let report = probe.report();
     assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
@@ -245,7 +245,7 @@ fn grid_pull_rows_sees_transposed_receivers() {
     let op = RecordingPull {
         per_vertex: (0..4).map(|_| AtomicUsize::new(0)).collect(),
     };
-    grid_pull_rows(&grid, &op, ExecContext::new(), FrontierKind::Sparse);
+    grid_pull_rows(&grid, &op, &ExecCtx::default(), FrontierKind::Sparse);
     let counts: Vec<usize> = op
         .per_vertex
         .iter()
@@ -266,7 +266,7 @@ fn recorder_counts_edges_examined() {
         adj.out(),
         &frontier,
         &op,
-        ExecContext::new().with_recorder(&recorder),
+        &ExecCtx::default().recorder(&recorder),
         FrontierKind::Dense,
     );
     assert_eq!(
@@ -275,7 +275,7 @@ fn recorder_counts_edges_examined() {
     );
 
     let recorder = TraceRecorder::new();
-    let ctx = ExecContext::new().with_recorder(&recorder);
+    let ctx = &ExecCtx::default().recorder(&recorder);
     graph.push_round(&dense(4, &[0]), &op, ctx, FrontierKind::Dense);
     assert_eq!(
         recorder.counters()[EDGES_EXAMINED],
@@ -294,12 +294,12 @@ fn empty_graph_drivers_are_noops() {
         adj.out(),
         &VertexSubset::empty(),
         &op,
-        ExecContext::new(),
+        &ExecCtx::default(),
         FrontierKind::Sparse
     )
     .is_empty());
     let none = dense(0, &[]);
-    let ctx = ExecContext::new();
+    let ctx = &ExecCtx::default();
     assert!((graph.push_round(&none, &op, ctx, FrontierKind::Sparse)).is_empty());
     assert!((grid.push_round(&none, &op, ctx, FrontierKind::Sparse)).is_empty());
     assert_eq!(op.pushes.load(Ordering::Relaxed), 0);
@@ -405,7 +405,7 @@ fn min_label_on<F, L: EngineLayout<Edge, F>>(
     policy: Direction,
 ) -> (Vec<u32>, Vec<IterStat>) {
     let algo = MinLabel::new(layout.num_vertices());
-    let log = edge_map(layout, frontier, &algo, policy, ExecContext::new());
+    let log = edge_map(layout, frontier, &algo, policy, &ExecCtx::default());
     // One `begin_round` per recorded round, each handed that round's
     // frontier (and `MinLabel::push` saw no source outside it).
     let begun: Vec<usize> = (algo.frontiers.lock().unwrap().iter().map(Vec::len)).collect();

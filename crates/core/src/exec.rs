@@ -1,13 +1,8 @@
 //! The unified execution context for algorithm dispatch.
 //!
-//! Historically every algorithm entry point came in two flavors: a
-//! plain function and a `*_ctx` twin generic over `<E: EdgeRecord,
-//! P: MemProbe, R: Recorder>`. Every new instrumentation hook widened
-//! that signature for ~25 functions at once, and callers that only
-//! wanted a recorder still had to spell the whole parameter list.
-//!
-//! [`ExecCtx`] collapses the sprawl behind one borrowed parameter
-//! struct with a builder:
+//! Every driver, kernel and algorithm entry point takes one borrowed
+//! [`ExecCtx`]: an optional scoped pool, a cache probe, a telemetry
+//! recorder and an optional phase profiler, set through a builder:
 //!
 //! ```
 //! use egraph_core::exec::ExecCtx;
@@ -18,20 +13,21 @@
 //! assert!(ctx.pool().is_none());
 //! ```
 //!
-//! Internally the context erases the probe and recorder behind trait
-//! objects and re-enters the generic engine through thin adapter
-//! wrappers, so the monomorphized kernels are shared by every caller
-//! of [`run_variant`](crate::variant::run_variant). The dynamic
-//! dispatch happens once per instrumentation call, which is noise next
-//! to the edge scans it brackets; timing-critical uninstrumented runs
-//! keep the statically-dispatched `NullProbe`/`NullRecorder` path via
-//! the plain entry points (`bfs::push`, ...), whose instrumentation
-//! folds away entirely.
+//! The probe and the recorder are trait objects, so each kernel is
+//! compiled once per layout and per-edge rule ([`PushOp`] / [`PullOp`]
+//! stay monomorphized) and an uninstrumented run executes the same
+//! machine code as a traced one. Drivers read `probe.enabled()` once
+//! per call and `recorder.enabled()` once per chunk, so neither handle
+//! costs a virtual call per edge. The plain entry points (`bfs::push`,
+//! ...) pass `&ExecCtx::default()`.
+//!
+//! [`PushOp`]: crate::engine::PushOp
+//! [`PullOp`]: crate::engine::PullOp
 
-use egraph_cachesim::{AccessKind, MemProbe, NullProbe};
+use egraph_cachesim::{MemProbe, NullProbe};
 use egraph_parallel::{with_pool, ThreadPool};
 
-use crate::telemetry::{ExecContext, IterRecord, NullRecorder, PhaseProfiler, Recorder};
+use crate::telemetry::{NullRecorder, PhaseProfiler, Recorder};
 
 /// Phase label for layout construction under [`ExecCtx::profile`].
 pub const PHASE_PREPROCESS: &str = "preprocess";
@@ -50,11 +46,32 @@ pub const PHASE_COMPACT: &str = "compact";
 /// Built with [`ExecCtx::new`] plus the builder methods; everything
 /// defaults to "off" (global pool, null probe, null recorder, no
 /// profiler).
+///
+/// # Examples
+///
+/// ```
+/// use egraph_core::prelude::*;
+///
+/// let input = EdgeList::new(3, vec![Edge::new(0, 1), Edge::new(1, 2)]).unwrap();
+/// let prepared = PreparedGraph::new(&input).strategy(Strategy::RadixSort);
+/// let id: VariantId = "bfs/adj/push".parse().unwrap();
+///
+/// // Uninstrumented run (null probe, null recorder):
+/// let plain = run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default()).unwrap();
+///
+/// // Traced run:
+/// let recorder = TraceRecorder::new();
+/// let ctx = ExecCtx::new(None).recorder(&recorder);
+/// let traced = run_variant(&id, &ctx, &prepared, &RunParams::default()).unwrap();
+/// let (plain, traced) = (plain.output.as_bfs().unwrap(), traced.output.as_bfs().unwrap());
+/// assert_eq!(plain.level, traced.level);
+/// assert_eq!(recorder.iterations().len(), traced.iterations.len());
+/// ```
 #[derive(Clone, Copy)]
 pub struct ExecCtx<'a> {
     pool: Option<&'a ThreadPool>,
-    probe: DynProbe<'a>,
-    recorder: DynRecorder<'a>,
+    pub(crate) probe: &'a dyn MemProbe,
+    pub(crate) recorder: &'a dyn Recorder,
     profiler: Option<&'a PhaseProfiler>,
 }
 
@@ -75,21 +92,21 @@ impl<'a> ExecCtx<'a> {
     pub fn new(pool: impl Into<Option<&'a ThreadPool>>) -> Self {
         Self {
             pool: pool.into(),
-            probe: DynProbe(&NullProbe),
-            recorder: DynRecorder(&NullRecorder),
+            probe: &NullProbe,
+            recorder: &NullRecorder,
             profiler: None,
         }
     }
 
     /// This context with a telemetry recorder.
     pub fn recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = DynRecorder(recorder);
+        self.recorder = recorder;
         self
     }
 
     /// This context with a cache probe.
     pub fn probe(mut self, probe: &'a dyn MemProbe) -> Self {
-        self.probe = DynProbe(probe);
+        self.probe = probe;
         self
     }
 
@@ -99,6 +116,12 @@ impl<'a> ExecCtx<'a> {
     pub fn profiler(mut self, profiler: &'a PhaseProfiler) -> Self {
         self.profiler = Some(profiler);
         self
+    }
+
+    /// The probe if it is recording. Drivers read this once per call, so
+    /// per-edge code tests a local instead of making a virtual call.
+    pub(crate) fn live_probe(&self) -> Option<&'a dyn MemProbe> {
+        self.probe.enabled().then_some(self.probe)
     }
 
     /// The scoped pool, if one was set.
@@ -122,62 +145,11 @@ impl<'a> ExecCtx<'a> {
             None => f(),
         }
     }
-
-    /// The generic-engine view of this context (adapter wrappers around
-    /// the erased probe and recorder).
-    pub(crate) fn context(&self) -> ExecContext<'_, DynProbe<'a>, DynRecorder<'a>> {
-        ExecContext {
-            probe: &self.probe,
-            recorder: &self.recorder,
-        }
-    }
 }
 
 impl Default for ExecCtx<'static> {
     fn default() -> Self {
         Self::new(None)
-    }
-}
-
-/// Adapter that re-enters the generic engine with an erased probe.
-#[derive(Clone, Copy)]
-pub(crate) struct DynProbe<'a>(&'a dyn MemProbe);
-
-impl MemProbe for DynProbe<'_> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.0.enabled()
-    }
-
-    #[inline]
-    fn touch(&self, kind: AccessKind, addr: u64) {
-        self.0.touch(kind, addr);
-    }
-}
-
-/// Adapter that re-enters the generic engine with an erased recorder.
-#[derive(Clone, Copy)]
-pub(crate) struct DynRecorder<'a>(&'a dyn Recorder);
-
-impl Recorder for DynRecorder<'_> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.0.enabled()
-    }
-
-    #[inline]
-    fn record_counter(&self, name: &'static str, delta: u64) {
-        self.0.record_counter(name, delta);
-    }
-
-    #[inline]
-    fn record_iteration(&self, record: IterRecord) {
-        self.0.record_iteration(record);
-    }
-
-    #[inline]
-    fn record_span(&self, name: &'static str, seconds: f64) {
-        self.0.record_span(name, seconds);
     }
 }
 
@@ -190,8 +162,8 @@ mod tests {
     fn builder_defaults_are_off() {
         let ctx = ExecCtx::new(None);
         assert!(ctx.pool().is_none());
-        assert!(!ctx.context().probe.enabled());
-        assert!(!ctx.context().recorder.enabled());
+        assert!(!ctx.probe.enabled());
+        assert!(!ctx.recorder.enabled());
     }
 
     #[test]
@@ -201,9 +173,9 @@ mod tests {
         let pool = ThreadPool::new(2);
         let ctx = ExecCtx::new(&pool).recorder(&recorder).probe(&probe);
         assert_eq!(ctx.pool().map(ThreadPool::num_threads), Some(2));
-        assert!(ctx.context().probe.enabled());
-        assert!(ctx.context().recorder.enabled());
-        ctx.context().recorder.record_counter("x", 3);
+        assert!(ctx.probe.enabled());
+        assert!(ctx.recorder.enabled());
+        ctx.recorder.record_counter("x", 3);
         assert_eq!(recorder.counters().get("x"), Some(&3.0));
     }
 

@@ -118,7 +118,7 @@ impl<V> Lanes<V> {
         Self: FrontierAlgo<E>,
     {
         let seeds = VertexSubset::from_vec(self.seeds.clone());
-        engine::edge_map(layout, seeds, self, Direction::Push, ctx.context())
+        engine::edge_map(layout, seeds, self, Direction::Push, ctx)
     }
 
     #[inline]

@@ -1,20 +1,21 @@
 //! Run-wide telemetry: counters, per-iteration records and phase spans
-//! behind a zero-cost recording interface.
+//! behind one recording interface.
 //!
 //! The paper's central methodological claim is that graph systems must
 //! be measured *end-to-end* (§1): load + pre-process + partition +
 //! algorithm, not just the kernel. This module is the machinery that
 //! makes those measurements first-class: every engine driver and
-//! algorithm entry point threads an [`ExecContext`] carrying a memory
-//! [`MemProbe`] and a [`Recorder`], and a run can be serialized as one
-//! machine-readable [`RunTrace`] document (JSON or CSV).
+//! algorithm entry point takes an [`ExecCtx`](crate::exec::ExecCtx)
+//! carrying a memory [`MemProbe`] and a [`Recorder`], and a run can be
+//! serialized as one machine-readable [`RunTrace`] document (JSON or
+//! CSV).
 //!
 //! Three recorder implementations matter:
 //!
-//! * [`NullRecorder`] — the default; compiles away (see the trait docs),
+//! * [`NullRecorder`] — the default; stores nothing (see the trait docs),
 //! * [`TraceRecorder`] — collects everything for `--trace-out`,
-//! * anything user-provided — the trait is public and object-safe-free
-//!   by design (generics, so the optimizer can specialize).
+//! * anything user-provided — the trait is public and object-safe; the
+//!   engine holds it as `&dyn Recorder`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -41,12 +42,9 @@ pub struct IterRecord {
     pub seconds: f64,
     /// Direction the step ran in.
     pub mode: StepMode,
-    /// Measured frontier density at the start of the step (schema v4;
-    /// 0 for records parsed from older documents).
+    /// Measured frontier density at the start of the step.
     pub density: f64,
-    /// The threshold comparison that chose `mode` (schema v4; the
-    /// default forced decision for records parsed from older
-    /// documents).
+    /// The threshold comparison that chose `mode`.
     pub decision: DirectionDecision,
 }
 
@@ -66,9 +64,9 @@ impl IterRecord {
 }
 
 /// One entry of [`RunTrace::iterations`]: the per-step record plus the
-/// hardware-counter deltas sampled over that step's window (schema v4;
-/// empty for older documents, hosts without counters, or recorders
-/// built without [`TraceRecorder::with_iteration_perf`]).
+/// hardware-counter deltas sampled over that step's window (empty on
+/// hosts without counters and for recorders built without
+/// [`TraceRecorder::with_iteration_perf`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceIteration {
     /// The per-step record.
@@ -107,18 +105,16 @@ pub struct Span {
 /// Sink for run-wide telemetry: named counters, per-iteration records
 /// and phase spans.
 ///
-/// # The zero-cost `NullRecorder` contract
+/// # The `enabled()` contract
 ///
-/// All engine drivers and algorithm entry points are *generic* over
-/// `R: Recorder` rather than taking a trait object. For
-/// [`NullRecorder`], `enabled()` is a constant `false` and every sink
-/// method is an inlinable no-op, so after monomorphization the
-/// instrumentation branches fold away and the hot path is *identical*
-/// to an uninstrumented build — the same technique [`MemProbe`] /
-/// [`NullProbe`] use for cache simulation. Instrumentation sites must
-/// uphold the contract from their side: any work beyond calling the
+/// Engine drivers and algorithm entry points hold the recorder as a
+/// trait object ([`ExecCtx`](crate::exec::ExecCtx)) and run the same
+/// machine code whether or not anything is recorded. What keeps an
+/// unrecorded run cheap is the call sites: they read `enabled()` once
+/// per chunk of work, never per edge, and any work beyond calling the
 /// sink methods (counter arithmetic, address math, allocation) must be
-/// guarded by `if recorder.enabled()`.
+/// guarded by `if recorder.enabled()` — the same discipline
+/// [`MemProbe`] sites follow for cache simulation.
 pub trait Recorder: Sync {
     /// Whether this recorder stores anything. Instrumentation sites
     /// skip counter bookkeeping when `false`.
@@ -137,8 +133,8 @@ pub trait Recorder: Sync {
     fn record_span(&self, name: &'static str, seconds: f64);
 }
 
-/// The zero-cost recorder used when telemetry is off; see the
-/// [`Recorder`] docs for the contract that makes it free.
+/// The recorder used when telemetry is off: `enabled()` is `false` and
+/// every sink method does nothing; see the [`Recorder`] docs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 
@@ -260,89 +256,10 @@ impl Recorder for TraceRecorder {
     }
 }
 
-/// The execution context threaded through every engine driver and
-/// algorithm entry point: a cache [`MemProbe`] plus a telemetry
-/// [`Recorder`]. Both default to their null implementations, which
-/// compile the instrumentation away.
-///
-/// Callers build an [`ExecCtx`](crate::exec::ExecCtx) and go through
-/// [`run_variant`](crate::variant::run_variant); the kernels receive
-/// the erased context this type carries.
-///
-/// # Examples
-///
-/// ```
-/// use egraph_core::prelude::*;
-///
-/// let input = EdgeList::new(3, vec![Edge::new(0, 1), Edge::new(1, 2)]).unwrap();
-/// let prepared = PreparedGraph::new(&input).strategy(Strategy::RadixSort);
-/// let id: VariantId = "bfs/adj/push".parse().unwrap();
-///
-/// // Uninstrumented run (NullProbe + NullRecorder):
-/// let plain = run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default()).unwrap();
-///
-/// // Traced run:
-/// let recorder = TraceRecorder::new();
-/// let ctx = ExecCtx::new(None).recorder(&recorder);
-/// let traced = run_variant(&id, &ctx, &prepared, &RunParams::default()).unwrap();
-/// let (plain, traced) = (plain.output.as_bfs().unwrap(), traced.output.as_bfs().unwrap());
-/// assert_eq!(plain.level, traced.level);
-/// assert_eq!(recorder.iterations().len(), traced.iterations.len());
-/// ```
-#[derive(Debug)]
-pub struct ExecContext<'a, P: MemProbe = NullProbe, R: Recorder = NullRecorder> {
-    /// Memory-access instrumentation hook.
-    pub probe: &'a P,
-    /// Telemetry sink.
-    pub recorder: &'a R,
-}
-
-impl<'a, P: MemProbe, R: Recorder> Clone for ExecContext<'a, P, R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<'a, P: MemProbe, R: Recorder> Copy for ExecContext<'a, P, R> {}
-
-impl ExecContext<'static> {
-    /// The uninstrumented context: [`NullProbe`] + [`NullRecorder`].
-    pub fn new() -> Self {
-        Self {
-            probe: &NullProbe,
-            recorder: &NullRecorder,
-        }
-    }
-}
-
-impl Default for ExecContext<'static> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a, P: MemProbe, R: Recorder> ExecContext<'a, P, R> {
-    /// This context with a different probe.
-    pub fn with_probe<P2: MemProbe>(self, probe: &'a P2) -> ExecContext<'a, P2, R> {
-        ExecContext {
-            probe,
-            recorder: self.recorder,
-        }
-    }
-
-    /// This context with a different recorder.
-    pub fn with_recorder<R2: Recorder>(self, recorder: &'a R2) -> ExecContext<'a, P, R2> {
-        ExecContext {
-            probe: self.probe,
-            recorder,
-        }
-    }
-}
-
 /// Per-phase profile: wall time plus the hardware counters and/or
 /// simulated cache statistics measured over that phase's window.
 ///
-/// This is the schema-v2 record that puts the paper's two measurement
+/// This is the record that puts the paper's two measurement
 /// modes side by side — real PMU counts (when the host allows
 /// `perf_event_open`) and the LLC simulator's numbers — attributed to
 /// the same named phase of the same run.
@@ -359,12 +276,11 @@ pub struct PhaseProfile {
     /// Simulated cache statistics for the phase, when the run also went
     /// through the LLC simulator.
     pub simulated: Option<CacheStats>,
-    /// Memory accounting for the phase (schema v3; `None` for traces
-    /// parsed from v1/v2 documents).
+    /// Memory accounting for the phase.
     pub memory: Option<PhaseMemory>,
 }
 
-/// Per-phase memory accounting (schema v3): what the tracking allocator
+/// Per-phase memory accounting: what the tracking allocator
 /// attributed to the phase window plus an end-of-phase RSS sample.
 ///
 /// When the binary does not install
@@ -407,15 +323,13 @@ impl PhaseProfile {
 /// Serializes to JSON ([`RunTrace::to_json`], schema
 /// `egraph-trace/4`) and CSV ([`RunTrace::to_csv`]); parses back from
 /// its own JSON ([`RunTrace::from_json`]) and CSV
-/// ([`RunTrace::from_csv`]). Schema-v1 documents (which predate
-/// [`PhaseProfile`]), v2 documents (which predate [`PhaseMemory`]) and
-/// v3 documents (which predate per-iteration density/decision/hardware)
-/// still parse, with the missing sections empty/defaulted.
+/// ([`RunTrace::from_csv`]). A document declaring any other schema tag
+/// is refused with [`TraceError::UnsupportedSchema`]: re-export it with
+/// the build that wrote it or re-run the measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
-    /// The schema tag the document declared when parsed (one of
-    /// [`ACCEPTED_SCHEMAS`]); [`TRACE_SCHEMA`] for freshly built
-    /// traces. Serialization always writes the current schema.
+    /// The schema tag of the document: [`TRACE_SCHEMA`], the one tag
+    /// this build writes and reads.
     pub schema: String,
     /// Algorithm name (e.g. `"bfs"`).
     pub algorithm: String,
@@ -424,14 +338,13 @@ pub struct RunTrace {
     /// End-to-end phase timings.
     pub breakdown: TimeBreakdown,
     /// One record per computation step, with its per-step hardware
-    /// counter deltas (schema v4).
+    /// counter deltas.
     pub iterations: Vec<TraceIteration>,
     /// Named counters from all layers (engine, pool, storage).
     pub counters: BTreeMap<String, f64>,
     /// Named phase spans beyond the fixed breakdown phases.
     pub spans: Vec<Span>,
-    /// Per-phase hardware/simulated profiles (schema v2; empty for
-    /// traces parsed from v1 documents).
+    /// Per-phase hardware/simulated profiles.
     pub phases: Vec<PhaseProfile>,
 }
 
@@ -450,27 +363,9 @@ impl Default for RunTrace {
     }
 }
 
-/// Schema tag embedded in every JSON trace this version writes.
+/// Schema tag of every trace this version writes, and the only one it
+/// reads.
 pub const TRACE_SCHEMA: &str = "egraph-trace/4";
-
-/// The v3 schema tag (iterations without density, decision log, or
-/// per-iteration hardware); still accepted by the parsers.
-pub const TRACE_SCHEMA_V3: &str = "egraph-trace/3";
-
-/// The v2 schema tag (phases without memory); still accepted by the
-/// parsers.
-pub const TRACE_SCHEMA_V2: &str = "egraph-trace/2";
-
-/// The original schema tag (no phases); still accepted by the parsers.
-pub const TRACE_SCHEMA_V1: &str = "egraph-trace/1";
-
-/// The schema tags this build reads, newest first.
-pub const ACCEPTED_SCHEMAS: [&str; 4] = [
-    TRACE_SCHEMA,
-    TRACE_SCHEMA_V3,
-    TRACE_SCHEMA_V2,
-    TRACE_SCHEMA_V1,
-];
 
 /// Output format for a [`RunTrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -497,8 +392,8 @@ impl TraceFormat {
 pub enum TraceError {
     /// The document is not a structurally valid trace.
     Malformed(String),
-    /// The document declared a schema tag this build does not read
-    /// (e.g. a future `egraph-trace/4`); carries the offending tag.
+    /// The document declared a schema tag other than [`TRACE_SCHEMA`]
+    /// (an older or a future generation); carries the offending tag.
     UnsupportedSchema(String),
 }
 
@@ -508,8 +403,7 @@ impl fmt::Display for TraceError {
             TraceError::Malformed(msg) => write!(f, "invalid trace: {msg}"),
             TraceError::UnsupportedSchema(tag) => write!(
                 f,
-                "unsupported trace schema '{tag}' (this build reads {})",
-                ACCEPTED_SCHEMAS.join(", ")
+                "unsupported trace schema '{tag}' (this build reads {TRACE_SCHEMA})"
             ),
         }
     }
@@ -699,7 +593,7 @@ impl RunTrace {
         let schema = get(obj, "schema")?
             .as_str()
             .ok_or_else(|| err("schema is not a string"))?;
-        if !ACCEPTED_SCHEMAS.contains(&schema) {
+        if schema != TRACE_SCHEMA {
             return Err(TraceError::UnsupportedSchema(schema.to_string()));
         }
         let mut trace = RunTrace::new(
@@ -707,7 +601,6 @@ impl RunTrace {
                 .as_str()
                 .ok_or_else(|| err("algorithm is not a string"))?,
         );
-        trace.schema = schema.to_string();
         for (k, v) in get(obj, "config")?
             .as_object()
             .ok_or_else(|| err("config is not an object"))?
@@ -747,44 +640,31 @@ impl RunTrace {
                         .ok_or_else(|| err("mode is not a string"))?,
                 )
                 .ok_or_else(|| err("unknown step mode"))?,
-                // `density` and `decision` arrived with schema v4;
-                // tolerate their absence in older documents.
-                density: match get(o, "density") {
-                    Err(_) => 0.0,
-                    Ok(v) => v
-                        .as_number()
-                        .ok_or_else(|| err("density is not a number"))?,
-                },
-                decision: match get(o, "decision") {
-                    Err(_) => DirectionDecision::default(),
-                    Ok(d) => {
-                        let d = d
-                            .as_object()
-                            .ok_or_else(|| err("decision is not an object"))?;
-                        DirectionDecision {
-                            observed: num_field(d, "observed")? as usize,
-                            cutoff: num_field(d, "cutoff")? as usize,
-                            forced: match get(d, "forced")? {
-                                json::Value::Bool(b) => *b,
-                                _ => return Err(err("decision forced is not a bool")),
-                            },
-                        }
+                density: num_field(o, "density")?,
+                decision: {
+                    let d = get(o, "decision")?
+                        .as_object()
+                        .ok_or_else(|| err("decision is not an object"))?;
+                    DirectionDecision {
+                        observed: num_field(d, "observed")? as usize,
+                        cutoff: num_field(d, "cutoff")? as usize,
+                        forced: match get(d, "forced")? {
+                            json::Value::Bool(b) => *b,
+                            _ => return Err(err("decision forced is not a bool")),
+                        },
                     }
                 },
             };
             let mut iteration = TraceIteration::from(record);
-            // `hardware` is also v4-only; missing means empty.
-            if let Ok(hw) = get(o, "hardware") {
-                for (k, v) in hw
-                    .as_object()
-                    .ok_or_else(|| err("iteration hardware is not an object"))?
-                {
-                    iteration.hardware.insert(
-                        k.clone(),
-                        v.as_number()
-                            .ok_or_else(|| err("hardware counter is not a number"))?,
-                    );
-                }
+            for (k, v) in get(o, "hardware")?
+                .as_object()
+                .ok_or_else(|| err("iteration hardware is not an object"))?
+            {
+                iteration.hardware.insert(
+                    k.clone(),
+                    v.as_number()
+                        .ok_or_else(|| err("hardware counter is not a number"))?,
+                );
             }
             trace.iterations.push(iteration);
         }
@@ -811,61 +691,56 @@ impl RunTrace {
                 seconds: num_field(o, "seconds")?,
             });
         }
-        // `phases` arrived with schema v2; a v1 document simply has none.
-        if let Ok(phases) = get(obj, "phases") {
-            for p in phases
-                .as_array()
-                .ok_or_else(|| err("phases is not an array"))?
+        for p in get(obj, "phases")?
+            .as_array()
+            .ok_or_else(|| err("phases is not an array"))?
+        {
+            let o = p.as_object().ok_or_else(|| err("phase is not an object"))?;
+            let mut profile = PhaseProfile {
+                name: get(o, "name")?
+                    .as_str()
+                    .ok_or_else(|| err("phase name is not a string"))?
+                    .to_string(),
+                seconds: num_field(o, "seconds")?,
+                ..PhaseProfile::default()
+            };
+            for (k, v) in get(o, "hardware")?
+                .as_object()
+                .ok_or_else(|| err("phase hardware is not an object"))?
             {
-                let o = p.as_object().ok_or_else(|| err("phase is not an object"))?;
-                let mut profile = PhaseProfile {
-                    name: get(o, "name")?
-                        .as_str()
-                        .ok_or_else(|| err("phase name is not a string"))?
-                        .to_string(),
-                    seconds: num_field(o, "seconds")?,
-                    ..PhaseProfile::default()
-                };
-                for (k, v) in get(o, "hardware")?
-                    .as_object()
-                    .ok_or_else(|| err("phase hardware is not an object"))?
-                {
-                    profile.hardware.insert(
-                        k.clone(),
-                        v.as_number()
-                            .ok_or_else(|| err("hardware counter is not a number"))?,
-                    );
-                }
-                match get(o, "simulated")? {
-                    json::Value::Null => {}
-                    sim => {
-                        let so = sim
-                            .as_object()
-                            .ok_or_else(|| err("phase simulated is not an object"))?;
-                        profile.simulated = Some(CacheStats {
-                            accesses: num_field(so, "accesses")? as u64,
-                            misses: num_field(so, "misses")? as u64,
-                        });
-                    }
-                }
-                // `memory` arrived with schema v3; tolerate both a
-                // missing key (v2 document) and an explicit null.
-                match get(o, "memory") {
-                    Err(_) | Ok(json::Value::Null) => {}
-                    Ok(mem) => {
-                        let mo = mem
-                            .as_object()
-                            .ok_or_else(|| err("phase memory is not an object"))?;
-                        profile.memory = Some(PhaseMemory {
-                            allocated_bytes: num_field(mo, "allocated_bytes")? as u64,
-                            freed_bytes: num_field(mo, "freed_bytes")? as u64,
-                            peak_bytes: num_field(mo, "peak_bytes")? as u64,
-                            end_rss_bytes: num_field(mo, "end_rss_bytes")? as u64,
-                        });
-                    }
-                }
-                trace.phases.push(profile);
+                profile.hardware.insert(
+                    k.clone(),
+                    v.as_number()
+                        .ok_or_else(|| err("hardware counter is not a number"))?,
+                );
             }
+            match get(o, "simulated")? {
+                json::Value::Null => {}
+                sim => {
+                    let so = sim
+                        .as_object()
+                        .ok_or_else(|| err("phase simulated is not an object"))?;
+                    profile.simulated = Some(CacheStats {
+                        accesses: num_field(so, "accesses")? as u64,
+                        misses: num_field(so, "misses")? as u64,
+                    });
+                }
+            }
+            match get(o, "memory")? {
+                json::Value::Null => {}
+                mem => {
+                    let mo = mem
+                        .as_object()
+                        .ok_or_else(|| err("phase memory is not an object"))?;
+                    profile.memory = Some(PhaseMemory {
+                        allocated_bytes: num_field(mo, "allocated_bytes")? as u64,
+                        freed_bytes: num_field(mo, "freed_bytes")? as u64,
+                        peak_bytes: num_field(mo, "peak_bytes")? as u64,
+                        end_rss_bytes: num_field(mo, "end_rss_bytes")? as u64,
+                    });
+                }
+            }
+            trace.phases.push(profile);
         }
         Ok(trace)
     }
@@ -874,8 +749,8 @@ impl RunTrace {
     /// record type (`meta`, `breakdown`, `iteration`, `iter_decision`,
     /// `iter_hw`, `counter`, `span`, `phase`, `phase_hw`, `phase_sim`,
     /// `phase_mem`); unused columns are left empty. An `iteration` row
-    /// carries its density in the `value` column (schema v4; empty in
-    /// older documents); `iter_decision`/`iter_hw` rows attach to the
+    /// carries its density in the `value` column;
+    /// `iter_decision`/`iter_hw` rows attach to the
     /// preceding `iteration` row via the `step` column. Fields
     /// containing separators are quoted per RFC 4180, and
     /// [`RunTrace::from_csv`] parses the result back.
@@ -995,10 +870,9 @@ impl RunTrace {
                 "meta" => match col(1) {
                     "schema" => {
                         let schema = col(7);
-                        if !ACCEPTED_SCHEMAS.contains(&schema) {
+                        if schema != TRACE_SCHEMA {
                             return Err(TraceError::UnsupportedSchema(schema.to_string()));
                         }
-                        trace.schema = schema.to_string();
                         saw_schema = true;
                     }
                     "algorithm" => trace.algorithm = col(7).to_string(),
@@ -1026,8 +900,7 @@ impl RunTrace {
                     edges_scanned: numcol(4)? as usize,
                     seconds: numcol(5)?,
                     mode: StepMode::parse(col(6)).ok_or_else(|| err("unknown step mode"))?,
-                    // The `value` column is empty in pre-v4 documents.
-                    density: if col(7).is_empty() { 0.0 } else { numcol(7)? },
+                    density: numcol(7)?,
                     decision: DirectionDecision::default(),
                 })),
                 "iter_decision" => {
@@ -1141,7 +1014,7 @@ fn num_field(obj: &[(String, json::Value)], key: &str) -> Result<f64, TraceError
 }
 
 /// Profiles named run phases with hardware perf counters, producing
-/// the [`PhaseProfile`] records of a schema-v2 [`RunTrace`].
+/// the [`PhaseProfile`] records of a [`RunTrace`].
 ///
 /// Construction follows the [`PerfCounters`] graceful-degradation
 /// contract: [`PhaseProfiler::enabled`] never fails — on a restricted
@@ -1668,14 +1541,6 @@ mod tests {
         assert_eq!(keys[1], keys[2]);
     }
 
-    #[test]
-    fn exec_context_composes() {
-        let recorder = TraceRecorder::new();
-        let ctx = ExecContext::new().with_recorder(&recorder);
-        assert!(!ctx.probe.enabled());
-        assert!(ctx.recorder.enabled());
-    }
-
     fn sample_trace() -> RunTrace {
         let mut t = RunTrace::new("bfs");
         t.config.insert("layout".into(), "adjacency".into());
@@ -1810,102 +1675,10 @@ mod tests {
         // phase_hw without its phase row.
         assert!(RunTrace::from_csv(
             "record,key,step,frontier_size,edges_scanned,seconds,mode,value\n\
-             meta,schema,,,,,,egraph-trace/2\n\
+             meta,schema,,,,,,egraph-trace/4\n\
              phase_hw,ghost,,,,,cycles,1\n"
         )
         .is_err());
-    }
-
-    #[test]
-    fn schema_v1_documents_still_parse() {
-        // A v1 producer never wrote `phases`; both parsers must accept
-        // the old tag and leave `phases` empty.
-        let mut v1 = sample_trace();
-        v1.phases.clear();
-        let json_text = v1.to_json().replacen(TRACE_SCHEMA, TRACE_SCHEMA_V1, 1);
-        // Drop the phases key entirely, as a real v1 document would.
-        let json_text = json_text.replace(",\n  \"phases\": []\n}", "\n}");
-        assert!(json_text.contains(TRACE_SCHEMA_V1));
-        assert!(!json_text.contains("\"phases\""));
-        v1.schema = TRACE_SCHEMA_V1.to_string();
-        let parsed = RunTrace::from_json(&json_text).unwrap();
-        assert_eq!(parsed, v1);
-
-        v1.schema = TRACE_SCHEMA.to_string();
-        let csv_text = v1.to_csv().replacen(TRACE_SCHEMA, TRACE_SCHEMA_V1, 1);
-        v1.schema = TRACE_SCHEMA_V1.to_string();
-        let parsed = RunTrace::from_csv(&csv_text).unwrap();
-        assert_eq!(parsed, v1);
-    }
-
-    #[test]
-    fn schema_v2_documents_still_parse() {
-        // A v2 producer wrote `phases` but no `memory` key inside them;
-        // both parsers must accept the tag and leave `memory` `None`.
-        let mut v2 = sample_trace();
-        for p in &mut v2.phases {
-            p.memory = None;
-        }
-        let json_text = v2.to_json().replacen(TRACE_SCHEMA, TRACE_SCHEMA_V2, 1);
-        // Drop the memory keys entirely, as a real v2 document would.
-        let json_text = json_text.replace(", \"memory\": null", "");
-        assert!(json_text.contains(TRACE_SCHEMA_V2));
-        assert!(!json_text.contains("\"memory\""));
-        v2.schema = TRACE_SCHEMA_V2.to_string();
-        let parsed = RunTrace::from_json(&json_text).unwrap();
-        assert_eq!(parsed, v2);
-
-        v2.schema = TRACE_SCHEMA.to_string();
-        let csv_text = v2.to_csv().replacen(TRACE_SCHEMA, TRACE_SCHEMA_V2, 1);
-        v2.schema = TRACE_SCHEMA_V2.to_string();
-        let parsed = RunTrace::from_csv(&csv_text).unwrap();
-        assert_eq!(parsed, v2);
-    }
-
-    #[test]
-    fn schema_v3_documents_still_parse() {
-        // A v3 producer wrote iterations without density, decision or
-        // per-iteration hardware; both parsers must accept the tag and
-        // leave those at their defaults.
-        let mut v3 = sample_trace();
-        for it in &mut v3.iterations {
-            it.record.density = 0.0;
-            it.record.decision = DirectionDecision::default();
-            it.hardware.clear();
-        }
-        let json_text = v3.to_json().replacen(TRACE_SCHEMA, TRACE_SCHEMA_V3, 1);
-        // Drop the v4 keys entirely, as a real v3 document would.
-        let json_text = json_text.replace(
-            ", \"density\": 0, \"decision\": {\"observed\": 0, \"cutoff\": 0, \
-             \"forced\": true}, \"hardware\": {}",
-            "",
-        );
-        assert!(json_text.contains(TRACE_SCHEMA_V3));
-        assert!(!json_text.contains("\"density\""));
-        assert!(!json_text.contains("\"decision\""));
-        v3.schema = TRACE_SCHEMA_V3.to_string();
-        let parsed = RunTrace::from_json(&json_text).unwrap();
-        assert_eq!(parsed, v3);
-
-        v3.schema = TRACE_SCHEMA.to_string();
-        let csv_v4 = v3.to_csv().replacen(TRACE_SCHEMA, TRACE_SCHEMA_V3, 1);
-        // A v3 document has no iter_* rows and an empty value column on
-        // iteration rows.
-        let csv_text: String = csv_v4
-            .lines()
-            .filter(|l| !l.starts_with("iter_decision") && !l.starts_with("iter_hw"))
-            .map(|l| {
-                if let Some(stripped) = l.strip_prefix("iteration") {
-                    format!("iteration{}\n", stripped.strip_suffix('0').unwrap())
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        assert!(!csv_text.contains("iter_decision"));
-        v3.schema = TRACE_SCHEMA_V3.to_string();
-        let parsed = RunTrace::from_csv(&csv_text).unwrap();
-        assert_eq!(parsed, v3);
     }
 
     #[test]

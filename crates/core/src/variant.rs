@@ -33,8 +33,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-use egraph_cachesim::MemProbe;
-
 use crate::algo::{bfs, pagerank, spmv, sssp, wcc};
 use crate::exec::ExecCtx;
 use crate::layout::{
@@ -44,7 +42,6 @@ use crate::layout::{
 use crate::metrics::timed;
 pub use crate::metrics::{Direction, SyncMode};
 use crate::preprocess::{compress_sorted_csr, CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
-use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 
 /// The algorithms of the study.
@@ -787,7 +784,6 @@ fn execute<E: EdgeRecord>(
     graph: &PreparedGraph<'_, E>,
     params: &RunParams<'_>,
 ) -> VariantOutput {
-    let c = ctx.context();
     let edges = graph.edges();
     let slot = layout_slot(id);
     let degrees = || graph.degrees();
@@ -796,22 +792,22 @@ fn execute<E: EdgeRecord>(
         None => Cow::Owned(vec![1.0f32; graph.num_vertices()]),
     };
     match id.layout {
-        Layout::Adjacency => run_indexed(id, &graph.csr(slot).0, degrees, x, params, &c),
-        Layout::Ccsr => run_indexed(id, &graph.ccsr(slot).0, degrees, x, params, &c),
+        Layout::Adjacency => run_indexed(id, &graph.csr(slot).0, degrees, x, params, ctx),
+        Layout::Ccsr => run_indexed(id, &graph.ccsr(slot).0, degrees, x, params, ctx),
         Layout::Delta => {
             let degrees = || graph.delta_degrees();
-            run_indexed(id, &graph.dcsr(slot).0, degrees, x, params, &c)
+            run_indexed(id, &graph.dcsr(slot).0, degrees, x, params, ctx)
         }
-        Layout::EdgeList => run_streamed(id, edges, edges, degrees, x, params, &c),
+        Layout::EdgeList => run_streamed(id, edges, edges, degrees, x, params, ctx),
         Layout::Grid if grid_transposed(id) => VariantOutput::Pagerank(pagerank::grid_pull_impl(
             &graph.grid(true).0,
             graph.degrees(),
             params.pagerank,
-            &c,
+            ctx,
         )),
         Layout::Grid => {
             let grid = &graph.grid(false).0;
-            run_streamed(id, grid, &grid.cells(), degrees, x, params, &c)
+            run_streamed(id, grid, &grid.cells(), degrees, x, params, ctx)
         }
     }
 }
@@ -820,19 +816,17 @@ fn execute<E: EdgeRecord>(
 /// the adj/ccsr/delta triplets. `degrees` yields the out-degrees
 /// PageRank normalizes by (of the merged graph for the delta layout)
 /// and `x` the SpMV input; both are only computed when consumed.
-fn run_indexed<'a, E, L, P, R>(
+fn run_indexed<'a, E, L>(
     id: &VariantId,
     layout: &L,
     degrees: impl FnOnce() -> &'a [u32],
     x: impl FnOnce() -> Cow<'a, [f32]>,
     params: &RunParams<'_>,
-    c: &ExecContext<'_, P, R>,
+    c: &ExecCtx<'_>,
 ) -> VariantOutput
 where
     E: EdgeRecord,
     L: VertexLayout<E>,
-    P: MemProbe,
-    R: Recorder,
 {
     let (root, cfg) = (params.root, params.pagerank);
     match (id.algo, id.direction) {
@@ -862,21 +856,19 @@ where
 /// and `shared`, the finest cut (grid cells) — taken by the kernels
 /// that synchronize anyway: locked PageRank and WCC's union-find
 /// hooks. The edge array is its own both.
-fn run_streamed<'a, E, S, C, P, R>(
+fn run_streamed<'a, E, S, C>(
     id: &VariantId,
     owned: &S,
     shared: &C,
     degrees: impl FnOnce() -> &'a [u32],
     x: impl FnOnce() -> Cow<'a, [f32]>,
     params: &RunParams<'_>,
-    c: &ExecContext<'_, P, R>,
+    c: &ExecCtx<'_>,
 ) -> VariantOutput
 where
     E: EdgeRecord,
     S: EdgeStream<E>,
     C: EdgeStream<E>,
-    P: MemProbe,
-    R: Recorder,
 {
     let (root, cfg, sync) = (params.root, params.pagerank, params.sync);
     match (id.algo, sync) {

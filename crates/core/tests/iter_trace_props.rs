@@ -1,9 +1,9 @@
 //! Property and compatibility tests for the schema-v4 iteration
 //! telemetry: whatever per-iteration records a run produces must
-//! survive both serializations bit-for-bit, older schema generations
-//! must keep parsing (with the v4-only sections defaulted), a foreign
-//! schema must stay a *typed* error, and the decision log itself must
-//! be a pure function of the graph — identical across thread counts.
+//! survive both serializations bit-for-bit, any other schema
+//! generation — retired or future — must stay a *typed* error, and the
+//! decision log itself must be a pure function of the graph — identical
+//! across thread counts.
 
 use std::collections::BTreeMap;
 
@@ -143,108 +143,20 @@ proptest! {
     }
 }
 
+/// Generations 1–3 of the schema are no longer read: a document that
+/// is well-formed in every other respect is refused by its tag, from
+/// both codecs, with the tag in the error.
 #[test]
-fn v1_fixture_parses_with_empty_v2_plus_sections() {
-    // A pre-phases document: no `phases` key at all, iterations without
-    // density/decision/hardware.
-    let doc = r#"{
-        "schema": "egraph-trace/1",
-        "algorithm": "bfs",
-        "config": {"layout": "adj"},
-        "breakdown": {"load": 0.1, "preprocess": 0.2, "partition": 0,
-                      "algorithm": 0.5, "store": 0, "total": 0.8},
-        "iterations": [
-            {"step": 0, "frontier_size": 1, "edges_scanned": 5,
-             "seconds": 0.01, "mode": "push"}
-        ],
-        "counters": {"pool.tasks": 4},
-        "spans": []
-    }"#;
-    let trace = RunTrace::from_json(doc).expect("v1 parses");
-    assert_eq!(trace.schema, "egraph-trace/1");
-    assert!(trace.phases.is_empty());
-    assert_eq!(trace.iterations.len(), 1);
-    let it = &trace.iterations[0];
-    assert_eq!(it.record.frontier_size, 1);
-    assert_eq!(it.record.density, 0.0);
-    assert_eq!(it.record.decision, DirectionDecision::default());
-    assert!(it.hardware.is_empty());
-}
-
-#[test]
-fn v2_fixture_parses_with_phase_memory_absent() {
-    // Phases arrived in v2, per-phase memory in v3: a v2 phase object
-    // has no `memory` key.
-    let doc = r#"{
-        "schema": "egraph-trace/2",
-        "algorithm": "pagerank",
-        "config": {},
-        "breakdown": {"load": 0, "preprocess": 0, "partition": 0,
-                      "algorithm": 1.0, "store": 0, "total": 1.0},
-        "iterations": [],
-        "counters": {},
-        "spans": [],
-        "phases": [
-            {"name": "algorithm", "seconds": 1.0,
-             "hardware": {"cycles": 100.0}, "simulated": null}
-        ]
-    }"#;
-    let trace = RunTrace::from_json(doc).expect("v2 parses");
-    assert_eq!(trace.schema, "egraph-trace/2");
-    assert_eq!(trace.phases.len(), 1);
-    assert!(trace.phases[0].memory.is_none());
-    assert_eq!(trace.phases[0].hardware["cycles"], 100.0);
-}
-
-#[test]
-fn v3_fixtures_parse_with_default_decision_log() {
-    let doc = r#"{
-        "schema": "egraph-trace/3",
-        "algorithm": "wcc",
-        "config": {"flow": "push-pull"},
-        "breakdown": {"load": 0, "preprocess": 0, "partition": 0,
-                      "algorithm": 0.3, "store": 0, "total": 0.3},
-        "iterations": [
-            {"step": 0, "frontier_size": 10, "edges_scanned": 40,
-             "seconds": 0.01, "mode": "push"},
-            {"step": 1, "frontier_size": 900, "edges_scanned": 4000,
-             "seconds": 0.02, "mode": "pull"}
-        ],
-        "counters": {},
-        "spans": [],
-        "phases": [
-            {"name": "algorithm", "seconds": 0.3, "hardware": {},
-             "simulated": null,
-             "memory": {"allocated_bytes": 10, "freed_bytes": 5,
-                        "peak_bytes": 10, "end_rss_bytes": 100}}
-        ]
-    }"#;
-    let trace = RunTrace::from_json(doc).expect("v3 JSON parses");
-    assert_eq!(trace.schema, "egraph-trace/3");
-    assert_eq!(trace.iterations.len(), 2);
-    for it in &trace.iterations {
-        assert_eq!(it.record.density, 0.0);
-        assert_eq!(it.record.decision, DirectionDecision::default());
-        assert!(it.hardware.is_empty());
+fn retired_schema_generations_are_typed_errors() {
+    let trace = v4_trace(vec![iteration(0, (1, 5), 10, (6, 97, false), 1)]);
+    for generation in 1..=3 {
+        let tag = format!("egraph-trace/{generation}");
+        let expected = Err(TraceError::UnsupportedSchema(tag.clone()));
+        let json = trace.to_json().replacen(TRACE_SCHEMA, &tag, 1);
+        assert_eq!(RunTrace::from_json(&json), expected, "{tag} JSON");
+        let csv = trace.to_csv().replacen(TRACE_SCHEMA, &tag, 1);
+        assert_eq!(RunTrace::from_csv(&csv), expected, "{tag} CSV");
     }
-    assert!(trace.phases[0].memory.is_some());
-
-    // The CSV form of the same generation: iteration rows with an
-    // empty `value` column and no iter_decision/iter_hw rows.
-    let csv = "record,key,step,frontier_size,edges_scanned,seconds,mode,value\n\
-               meta,schema,,,,,,egraph-trace/3\n\
-               meta,algorithm,,,,,,wcc\n\
-               iteration,,0,10,40,0.01,push,\n\
-               iteration,,1,900,4000,0.02,pull,\n";
-    let trace = RunTrace::from_csv(csv).expect("v3 CSV parses");
-    assert_eq!(trace.schema, "egraph-trace/3");
-    assert_eq!(trace.iterations.len(), 2);
-    assert_eq!(trace.iterations[1].record.mode, StepMode::Pull);
-    assert_eq!(trace.iterations[0].record.density, 0.0);
-    assert_eq!(
-        trace.iterations[0].record.decision,
-        DirectionDecision::default()
-    );
 }
 
 /// A density-skewed graph: a short lead-in chain, a hub step that

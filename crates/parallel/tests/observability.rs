@@ -11,10 +11,11 @@ use egraph_parallel::stealing::stealing_for;
 use egraph_parallel::telemetry;
 use egraph_parallel::timeline::{self, SpanKind};
 
-/// Serializes the tests that flip the process-global telemetry gate, so
-/// one test's `enable()` (which zeroes the counters) cannot wipe the
-/// counts another test is accumulating.
-static TELEMETRY_GATE: Mutex<()> = Mutex::new(());
+/// Serializes every test here: each flips a process-global gate
+/// (telemetry or timeline) and reads what was recorded while it was
+/// on, so one test's `enable()` / `disable()` / `reset()` must not land
+/// inside another's regions.
+static GATE: Mutex<()> = Mutex::new(());
 
 /// Pins the global pool to 4 workers before any test touches it, so
 /// the per-worker assertions are meaningful regardless of host size.
@@ -29,8 +30,9 @@ fn init() {
 #[test]
 fn timeline_records_region_spans_per_worker() {
     init();
-    timeline::enable();
+    let _gate = GATE.lock().unwrap();
     timeline::reset();
+    timeline::enable();
     egraph_parallel::parallel_for(0..100_000, 1024, |_r| {
         std::hint::black_box(0u64);
     });
@@ -57,9 +59,8 @@ fn timeline_records_region_spans_per_worker() {
     );
     let step = spans
         .iter()
-        .find(|s| s.kind == SpanKind::Step)
+        .find(|s| s.kind == SpanKind::Step && s.name == "test_step")
         .expect("step span recorded");
-    assert_eq!(step.name, "test_step");
     assert_eq!(step.detail, "push");
     assert_eq!(step.worker, 0);
     assert_eq!(timeline::dropped_spans(), 0);
@@ -68,6 +69,8 @@ fn timeline_records_region_spans_per_worker() {
 #[test]
 fn chrome_trace_export_has_tracks_and_directions() {
     init();
+    let _gate = GATE.lock().unwrap();
+    timeline::reset();
     timeline::enable();
     {
         let _step = timeline::span(SpanKind::Step, "export_step", "pull");
@@ -99,7 +102,7 @@ fn chrome_trace_export_has_tracks_and_directions() {
 #[test]
 fn skewed_workload_shows_up_in_steals_and_imbalance() {
     init();
-    let _gate = TELEMETRY_GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap();
     telemetry::enable();
     // All the real work sits in the first quarter of the range — the
     // slice seeded to worker 0's deque — so the other workers run dry
@@ -148,7 +151,7 @@ fn skewed_workload_shows_up_in_steals_and_imbalance() {
 #[test]
 fn enable_resets_per_worker_steal_counters_between_runs() {
     init();
-    let _gate = TELEMETRY_GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap();
 
     // Run 1: the same skewed workload as above forces steals. The pool
     // is persistent (and reusable after panics since the fault-injection

@@ -98,6 +98,23 @@ if [ -n "$others" ] || [ "$allowed" -ne 2 ]; then
     exit 1
 fi
 
+# Instrumentation has one seam: every driver and kernel takes
+# `&ExecCtx`, whose probe and recorder are trait objects. A kernel
+# generic over its probe or recorder is a second instantiation of every
+# layout x rule coming back, one that no benchmark workload times.
+echo "== one execution context =="
+offenders=$(find crates/core/src crates/cli/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /ExecContext|DynProbe|DynRecorder|P: MemProbe|R: Recorder/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a probe- or recorder-generic context in crates/core/src or crates/cli/src:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
