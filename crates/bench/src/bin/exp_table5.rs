@@ -88,15 +88,14 @@ fn main() {
         ]);
 
         // PageRank: grid pull (no lock) vs edge array.
-        let (grid_t, pre_grid) = min_time(reps, || {
+        let (grid, pre_grid) = min_time(reps, || {
             let (g, s) = GridBuilder::new(Strategy::RadixSort)
                 .side(side)
-                .transposed(true)
                 .build_timed(&graph);
             (g, s.seconds)
         });
         let ((), pr_grid) = min_time(reps, || {
-            let r = pagerank::grid_pull(&grid_t, &degrees, cfg);
+            let r = pagerank::grid_pull(&grid, &degrees, cfg);
             ((), r.seconds)
         });
         table.add_row(vec![

@@ -15,8 +15,8 @@ use egraph_core::telemetry::{PhaseProfiler, Recorder, RunTrace, TraceFormat, Tra
 use egraph_core::trace_diff::{diff_traces, DiffOptions};
 use egraph_core::types::{Edge, EdgeList, EdgeRecord, WEdge};
 use egraph_core::variant::{
-    run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, SyncMode, VariantId,
-    VariantOutput,
+    default_grid_side, run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, SyncMode,
+    VariantId, VariantOutput,
 };
 use egraph_numa::Topology;
 use egraph_parallel::timeline;
@@ -59,7 +59,7 @@ RUN OPTIONS:
   --strategy radix|count|dynamic   pre-processing (default radix)
   --root N     source vertex for bfs/sssp (default 0)
   --iters N    PageRank iterations (default 10)
-  --side N     grid side (default 256 clamped to the graph)
+  --side N     grid side, 1..=min(|V|, 4096) (default 256 clamped to the graph)
   --sorted true    sort per-vertex neighbor arrays
   --save FILE  store the result array (the end-to-end 'store' phase)
   --threads N  worker threads (or EGRAPH_THREADS)
@@ -734,13 +734,13 @@ fn run_one<E: EdgeRecord>(
     graph: &EdgeList<E>,
     recorder: &dyn Recorder,
 ) -> Result<TimeBreakdown, Box<dyn Error>> {
-    let side: usize =
-        spec.args
-            .get_parsed_or("side", default_side(graph.num_vertices()), "integer")?;
+    // `run_variant` validates the side: a bad `--side` is its typed
+    // error, not a panic in the grid builder.
+    let side = default_grid_side(graph.num_vertices());
     let prepared = PreparedGraph::new(graph)
         .strategy(spec.strategy)
         .sort_neighbors(spec.sorted)
-        .side(side);
+        .side(spec.args.get_parsed_or("side", side, "integer")?);
     let params = RunParams {
         root: spec.root,
         pagerank: pagerank::PagerankConfig {
@@ -1299,10 +1299,6 @@ fn cmd_conformance(args: &Args) -> CliResult {
         report.mismatches.len() + update_report.mismatches.len(),
         report.combos_run + update_report.checks_run
     ))))
-}
-
-fn default_side(num_vertices: usize) -> usize {
-    (num_vertices / (1 << 18)).clamp(8, 256)
 }
 
 /// Guesses a text/binary format from a file extension.

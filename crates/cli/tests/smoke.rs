@@ -192,6 +192,40 @@ fn errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn a_bad_grid_side_is_a_typed_error_not_a_panic_or_an_abort() {
+    // 1 024 vertices: `--side 0` used to panic in the grid builder and
+    // `--side 200000` to abort on a 320 GB offset table.
+    let path = tmp("smoke_side.egr");
+    dispatch(&argv(&[
+        "generate", "rmat", "--scale", "10", "--out", &path,
+    ]))
+    .unwrap();
+    for side in ["0", "200000", "1025"] {
+        for algo in ["bfs", "pagerank"] {
+            let err = dispatch(&argv(&[
+                "run", algo, &path, "--layout", "grid", "--side", side,
+            ]))
+            .expect_err(side);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!(
+                    "grid side {side} out of range (expected 1..=1024)"
+                )),
+                "{msg}"
+            );
+        }
+    }
+    for side in ["1", "1024"] {
+        dispatch(&argv(&[
+            "run", "bfs", &path, "--layout", "grid", "--side", side,
+        ]))
+        .expect(side);
+    }
+    // Off the grid the flag is read and ignored, as before.
+    dispatch(&argv(&["run", "bfs", &path, "--side", "0"])).expect("adj ignores --side");
+}
+
+#[test]
 fn trace_out_writes_full_document() {
     let graph = tmp("smoke_trace.egr");
     let trace = tmp("smoke_trace.json");

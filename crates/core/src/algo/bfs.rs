@@ -9,7 +9,9 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PullOp, PushOp};
+use crate::engine::{
+    self, EngineLayout, Flow, FrontierAlgo, Policy, PullAlgo, PullOp, PushOnly, PushOp,
+};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Adjacency, Grid, NeighborAccess, VertexLayout};
@@ -49,7 +51,7 @@ impl BfsResult {
 /// Shared BFS state: atomically claimed parents plus discovery levels.
 /// As a [`PushOp`] it claims destinations with a compare-and-swap (the
 /// baseline "adj. push" configuration).
-struct BfsState {
+pub(crate) struct BfsState {
     parent: Vec<AtomicU32>,
     level: Vec<AtomicU32>,
     round: AtomicU32,
@@ -108,14 +110,16 @@ impl<E: EdgeRecord> PushOp<E> for BfsState {
 }
 
 impl<E: EdgeRecord> FrontierAlgo<E> for BfsState {
-    type Pull<'a> = BfsPull<'a>;
-
     // A claim succeeds once per vertex, so activations need no dedup.
     const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
 
     fn begin_round(&self, _frontier: &VertexSubset) {
         self.round.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+impl<E: EdgeRecord> PullAlgo<E> for BfsState {
+    type Pull<'a> = BfsPull<'a>;
 
     fn pull_op<'a>(
         &'a self,
@@ -133,7 +137,7 @@ impl<E: EdgeRecord> FrontierAlgo<E> for BfsState {
 /// Pull rule: an undiscovered vertex scans its in-neighbors for a
 /// member of the previous frontier and stops at the first hit — no
 /// synchronization needed, since each vertex only writes itself.
-struct BfsPull<'a> {
+pub(crate) struct BfsPull<'a> {
     state: &'a BfsState,
     in_frontier: &'a AtomicBitmap,
     activated: &'a AtomicBitmap,
@@ -198,42 +202,39 @@ impl<E: EdgeRecord> PushOp<E> for LockedBfs<'_> {
 }
 
 impl<E: EdgeRecord> FrontierAlgo<E> for LockedBfs<'_> {
-    type Pull<'a>
-        = NoPull
-    where
-        Self: 'a;
-
     const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
 
     fn begin_round(&self, _frontier: &VertexSubset) {
         self.state.round.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
-        unreachable!("locked BFS is push-only")
-    }
 }
 
-/// BFS from `root` in the given `direction` on any layout — the body
-/// behind every public entry point of this file. `sync` picks the push
-/// rule; only pure push has a locked flavor.
-pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>>(
+/// BFS from `root` under `policy` on any layout — the body behind every
+/// public entry point of this file: a [`Direction`] on a layout that
+/// can pull, [`PushOnly`] on any. `sync` picks the push rule; only pure
+/// push has a locked flavor.
+pub(crate) fn run<E, F, L, P>(
     adj: &L,
     root: VertexId,
-    direction: Direction,
+    policy: P,
     sync: SyncMode,
     ctx: &ExecCtx<'_>,
-) -> BfsResult {
+) -> BfsResult
+where
+    E: EdgeRecord,
+    L: EngineLayout<E, F>,
+    P: Policy<E, F, L, BfsState>,
+{
     let state = BfsState::new(adj.num_vertices(), root);
     let frontier = VertexSubset::single(root);
-    let iterations = if (direction, sync) == (Direction::Push, SyncMode::Locks) {
+    let iterations = if sync == SyncMode::Locks && matches!(policy.flow(), Flow::Push) {
         let locked = LockedBfs {
             state: &state,
             locks: StripedLocks::default(),
         };
-        engine::edge_map(adj, frontier, &locked, direction, ctx)
+        engine::edge_map(adj, frontier, &locked, PushOnly, ctx)
     } else {
-        engine::edge_map(adj, frontier, &state, direction, ctx)
+        engine::edge_map(adj, frontier, &state, policy, ctx)
     };
     state.into_result(iterations)
 }
@@ -272,14 +273,14 @@ pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> 
 /// pushes from last round's discoveries (§4.1's "full scan" drawback).
 pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, root: VertexId) -> BfsResult {
     let ctx = ExecCtx::default();
-    run(edges, root, Direction::Push, SyncMode::Atomics, &ctx)
+    run(edges, root, PushOnly, SyncMode::Atomics, &ctx)
 }
 
 /// Grid BFS: push over grid cells with column ownership; sources are
 /// filtered to last round's discoveries.
 pub fn grid<E: EdgeRecord>(grid: &Grid<E>, root: VertexId) -> BfsResult {
     let ctx = ExecCtx::default();
-    run(grid, root, Direction::Push, SyncMode::Atomics, &ctx)
+    run(grid, root, PushOnly, SyncMode::Atomics, &ctx)
 }
 
 /// A serial reference BFS used by tests and result validation.

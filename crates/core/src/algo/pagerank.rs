@@ -1,7 +1,7 @@
 //! PageRank \[24\] in every configuration of Fig. 3, Fig. 5 and Fig. 8:
 //! vertex-centric push (locks or atomics), vertex-centric pull (no
 //! locks), edge-centric, grid push (cells+locks or columns without
-//! locks) and grid pull (rows without locks).
+//! locks) and grid pull (the same columns, receiver-side).
 //!
 //! All variants run the same fixed number of power iterations (the
 //! paper uses 10) with damping 0.85 and produce identical ranks up to
@@ -10,10 +10,10 @@
 use egraph_parallel::atomicf::AtomicF32;
 use std::sync::atomic::Ordering;
 
-use crate::engine::{self, EngineLayout, PullOp, PushOp};
+use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{Grid, NeighborAccess, OutOnly};
+use crate::layout::{Grid, NeighborAccess, OneWay};
 use crate::metrics::{timed, IterStat, StepMode, SyncMode};
 use crate::telemetry::IterRecord;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
@@ -166,20 +166,25 @@ pub fn pull<E: EdgeRecord, A: NeighborAccess<E>>(
     out_degrees: &[u32],
     cfg: PagerankConfig,
 ) -> PagerankResult {
-    pull_impl(incoming, out_degrees, cfg, &ExecCtx::default())
+    let incoming = OneWay::incoming(incoming);
+    pull_impl(&incoming, out_degrees, cfg, &ExecCtx::default())
 }
 
-pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
-    incoming: &A,
+/// Pull PageRank on any layout that can pull: every power iteration is
+/// one pull round in which each vertex's accumulator has a single
+/// writer — the vertex's own task on an indexed layout, its column's on
+/// the grid.
+pub(crate) fn pull_impl<E: EdgeRecord, F, L: PullLayout<E, F>>(
+    layout: &L,
     out_degrees: &[u32],
     cfg: PagerankConfig,
     ctx: &ExecCtx<'_>,
 ) -> PagerankResult {
-    let nv = incoming.num_vertices();
+    let nv = layout.num_vertices();
     run_power(
         ctx,
         nv,
-        incoming.num_edges(),
+        layout.num_edges(),
         StepMode::Pull,
         out_degrees,
         cfg,
@@ -200,7 +205,7 @@ pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
 
                     #[inline]
                     fn pull(&self, dst: VertexId, e: &E) -> bool {
-                        // SAFETY: `vertex_pull` assigns each `dst` to
+                        // SAFETY: a pull round assigns each `dst` to
                         // exactly one worker, so `acc[dst]` has a single
                         // writer.
                         unsafe {
@@ -233,7 +238,7 @@ pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
                     contrib,
                     acc: UnsyncSlice::new(&mut acc),
                 };
-                engine::vertex_pull(incoming, &op, ctx, FrontierKind::Sparse);
+                layout.pull_round(&op, ctx, FrontierKind::Sparse);
             }
             acc
         },
@@ -315,7 +320,13 @@ pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(
     cfg: PagerankConfig,
     sync: SyncMode,
 ) -> PagerankResult {
-    push_impl(&OutOnly(out), out_degrees, cfg, sync, &ExecCtx::default())
+    push_impl(
+        &OneWay::out(out),
+        out_degrees,
+        cfg,
+        sync,
+        &ExecCtx::default(),
+    )
 }
 
 /// Push PageRank on any layout: every power iteration is one push
@@ -395,73 +406,17 @@ pub fn grid_push<E: EdgeRecord>(
     }
 }
 
-/// Grid-pull PageRank over a **transposed** grid: row ownership makes
-/// the receiving vertex exclusive, so no locks are needed.
+/// Grid-pull PageRank over the grid's columns: a column holds every
+/// edge into its vertex range, so its worker owns the receivers and no
+/// locks are needed ("grid pull (no lock)", Fig. 8). The same edges in
+/// the same order as unlocked [`grid_push`], so the same ranks bit for
+/// bit.
 pub fn grid_pull<E: EdgeRecord>(
-    transposed: &Grid<E>,
+    grid: &Grid<E>,
     out_degrees: &[u32],
     cfg: PagerankConfig,
 ) -> PagerankResult {
-    grid_pull_impl(transposed, out_degrees, cfg, &ExecCtx::default())
-}
-
-pub(crate) fn grid_pull_impl<E: EdgeRecord>(
-    transposed: &Grid<E>,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-    ctx: &ExecCtx<'_>,
-) -> PagerankResult {
-    let nv = transposed.num_vertices();
-    run_power(
-        ctx,
-        nv,
-        transposed.num_edges(),
-        StepMode::Pull,
-        out_degrees,
-        cfg,
-        |contrib| {
-            let mut acc = vec![0.0f32; nv];
-            {
-                struct PrGridPull<'a> {
-                    contrib: &'a [f32],
-                    acc: UnsyncSlice<'a, f32>,
-                }
-                impl<E: EdgeRecord> PullOp<E> for PrGridPull<'_> {
-                    const META_BYTES: u64 = PR_META_BYTES;
-
-                    #[inline]
-                    fn wants_pull(&self, _dst: VertexId) -> bool {
-                        true
-                    }
-
-                    #[inline]
-                    fn pull(&self, receiver: VertexId, e: &E) -> bool {
-                        // SAFETY: `grid_pull_rows` gives this worker
-                        // exclusive ownership of every receiver in its
-                        // rows (the grid is transposed, so receivers
-                        // group by row).
-                        unsafe {
-                            self.acc.update(receiver as usize, |a| {
-                                *a += self.contrib[e.dst() as usize]
-                            });
-                        }
-                        false
-                    }
-
-                    #[inline]
-                    fn activated(&self, _dst: VertexId) -> bool {
-                        false
-                    }
-                }
-                let op = PrGridPull {
-                    contrib,
-                    acc: UnsyncSlice::new(&mut acc),
-                };
-                engine::grid_pull_rows(transposed, &op, ctx, FrontierKind::Sparse);
-            }
-            acc
-        },
-    )
+    pull_impl(grid, out_degrees, cfg, &ExecCtx::default())
 }
 
 /// Serial reference PageRank for validation.
@@ -864,11 +819,7 @@ mod tests {
         let expected = reference(&input, &degrees, cfg);
 
         let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&input);
-        let grid_n = GridBuilder::new(Strategy::RadixSort).side(4).build(&input);
-        let grid_t = GridBuilder::new(Strategy::RadixSort)
-            .side(4)
-            .transposed(true)
-            .build(&input);
+        let grid = GridBuilder::new(Strategy::RadixSort).side(4).build(&input);
 
         let variants: Vec<(&str, PagerankResult)> = vec![
             ("pull", pull(adj.incoming(), &degrees, cfg)),
@@ -890,13 +841,13 @@ mod tests {
             ),
             (
                 "grid-nolock",
-                grid_push(&grid_n, &degrees, cfg, SyncMode::Atomics),
+                grid_push(&grid, &degrees, cfg, SyncMode::Atomics),
             ),
             (
                 "grid-locks",
-                grid_push(&grid_n, &degrees, cfg, SyncMode::Locks),
+                grid_push(&grid, &degrees, cfg, SyncMode::Locks),
             ),
-            ("grid-pull", grid_pull(&grid_t, &degrees, cfg)),
+            ("grid-pull", grid_pull(&grid, &degrees, cfg)),
         ];
         for (name, result) in variants {
             assert_eq!(result.iterations, 5);

@@ -11,10 +11,10 @@ use std::sync::atomic::Ordering;
 
 use egraph_parallel::atomicf::AtomicF32;
 
-use crate::engine::{self, EngineLayout, PullOp, PushOp};
+use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{NeighborAccess, OutOnly};
+use crate::layout::{NeighborAccess, OneWay};
 use crate::metrics::{timed, IterStat, StepMode};
 use crate::telemetry::IterRecord;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
@@ -95,7 +95,7 @@ pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, x: &[f32]) -> SpmvResult
 /// Fig. 3c — its pre-processing is what never pays off). Runs on any
 /// [`NeighborAccess`] out-adjacency (uncompressed CSR or ccsr).
 pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(out: &A, x: &[f32]) -> SpmvResult {
-    push_impl(&OutOnly(out), x, &ExecCtx::default())
+    push_impl(&OneWay::out(out), x, &ExecCtx::default())
 }
 
 /// Grid SpMV: column-exclusive push with plain writes (no locks, no
@@ -138,15 +138,17 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
 /// Vertex-centric pull SpMV over an in-adjacency: each output element
 /// is summed by its own vertex — no synchronization at all.
 pub fn pull<E: EdgeRecord, A: NeighborAccess<E>>(incoming: &A, x: &[f32]) -> SpmvResult {
-    pull_impl(incoming, x, &ExecCtx::default())
+    pull_impl(&OneWay::incoming(incoming), x, &ExecCtx::default())
 }
 
-pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
-    incoming: &A,
+/// Pull SpMV on any layout that can pull: one pull round in which each
+/// output element has a single writer.
+pub(crate) fn pull_impl<E: EdgeRecord, F, L: PullLayout<E, F>>(
+    layout: &L,
     x: &[f32],
     ctx: &ExecCtx<'_>,
 ) -> SpmvResult {
-    let nv = incoming.num_vertices();
+    let nv = layout.num_vertices();
     assert_eq!(x.len(), nv, "input vector length");
     let mut y = vec![0.0f32; nv];
     let (_, seconds) = timed(|| {
@@ -164,7 +166,7 @@ pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
 
             #[inline]
             fn pull(&self, dst: VertexId, e: &E) -> bool {
-                // SAFETY: `vertex_pull` gives `dst` a single writer.
+                // SAFETY: a pull round gives `dst` a single writer.
                 unsafe {
                     self.y.update(dst as usize, |a| {
                         *a += e.weight() * self.x[e.src() as usize]
@@ -196,9 +198,9 @@ pub(crate) fn pull_impl<E: EdgeRecord, A: NeighborAccess<E>>(
             x,
             y: UnsyncSlice::new(&mut y),
         };
-        engine::vertex_pull(incoming, &op, ctx, FrontierKind::Sparse);
+        layout.pull_round(&op, ctx, FrontierKind::Sparse);
     });
-    record_pass(ctx, nv, incoming.num_edges(), seconds, StepMode::Pull);
+    record_pass(ctx, nv, layout.num_edges(), seconds, StepMode::Pull);
     SpmvResult { y, seconds }
 }
 

@@ -39,13 +39,12 @@ use egraph_parallel::atomicf::AtomicF32;
 use egraph_parallel::buckets::BucketQueue;
 use parking_lot::Mutex;
 
-use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
+use crate::engine::{self, EngineLayout, FrontierAlgo, PushOnly, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{AdjacencyList, NeighborAccess, VertexLayout};
-use crate::metrics::{Direction, IterStat};
+use crate::metrics::IterStat;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
-use crate::util::AtomicBitmap;
 
 /// Run counter: the bucket width Δ in thousandths (counters are
 /// integers); saturated for Δ = ∞.
@@ -153,8 +152,6 @@ impl<E: EdgeRecord> PushOp<E> for SsspState {
 }
 
 impl<E: EdgeRecord> FrontierAlgo<E> for SsspState {
-    type Pull<'a> = NoPull;
-
     // Dense accumulation: a vertex improved several times in one round
     // must be binned once, and the bitmap lists it in id order.
     const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
@@ -171,10 +168,6 @@ impl<E: EdgeRecord> FrontierAlgo<E> for SsspState {
             VertexSubset::Sparse(list) => list,
             VertexSubset::Dense { bitmap, .. } => bitmap.to_vec(),
         })
-    }
-
-    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
-        NoPull
     }
 }
 
@@ -200,7 +193,7 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     let state = SsspState::new(adj.num_vertices(), source, delta);
     // The first frontier is a popped bucket like every other.
     let frontier = state.bin_and_pop(vec![source]);
-    let iterations = engine::edge_map(adj, frontier, &state, Direction::Push, ctx);
+    let iterations = engine::edge_map(adj, frontier, &state, PushOnly, ctx);
     let bins = state.bins.into_inner();
     if ctx.recorder.enabled() {
         let recorder = ctx.recorder;

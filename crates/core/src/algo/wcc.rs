@@ -26,15 +26,14 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
+use crate::engine::{self, EngineLayout, FrontierAlgo, PushOnly, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::VertexLayout;
 use crate::metrics::{
-    direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
+    direction_cutoff, frontier_density, timed, DirectionDecision, IterStat, StepMode,
 };
 use crate::types::{EdgeList, EdgeRecord};
-use crate::util::AtomicBitmap;
 
 /// Run counter: successful hooks, `|V|` minus the component count.
 pub const UNIONS: &str = "wcc.unions";
@@ -160,14 +159,8 @@ impl<E: EdgeRecord> PushOp<E> for UnionFind {
 }
 
 impl<E: EdgeRecord> FrontierAlgo<E> for UnionFind {
-    type Pull<'a> = NoPull;
-
     // Nothing is ever activated.
     const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
-
-    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
-        NoPull
-    }
 }
 
 /// WCC on any layout — the body behind [`push`], [`edge_centric`],
@@ -181,7 +174,7 @@ pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     let forest = UnionFind::new(nv, ctx.recorder.enabled());
     // Hook: the rule activates nothing, so this is exactly one round.
     let frontier = VertexSubset::all(nv);
-    let mut iterations = engine::edge_map(layout, frontier, &forest, Direction::Push, ctx);
+    let mut iterations = engine::edge_map(layout, frontier, &forest, PushOnly, ctx);
     let (label, seconds) =
         timed(|| egraph_parallel::parallel_init(nv, 1 << 12, |v| forest.find(v as u32)));
     // Label: every vertex, no edge.

@@ -1,15 +1,23 @@
-//! The one trait a layout shows the engine.
+//! What a layout shows the engine: [`EngineLayout`], and [`PullLayout`]
+//! where it can pull.
 //!
 //! Iteration model, layout and information flow are independent axes
 //! (§4.1, §5.1, §6.1), so the round loop (`edge_map`) and the all-active
-//! kernels (PageRank, SpMV) are written once against [`EngineLayout`]
-//! and every layout supplies the rounds. There are two families, each
+//! kernels (PageRank, SpMV) are written once against these traits and
+//! every layout supplies the rounds. There are two families, each
 //! implemented once: layouts with a per-vertex index
-//! ([`VertexLayout`]: adj, ccsr, delta) run `vertex_push` /
-//! `vertex_pull`, and layouts that can only be streamed
-//! ([`EdgeStream`]: the edge array, the grid by columns or by cells) run
-//! `scan_push`. A new layout implements one of those two traits and
-//! inherits every frontier algorithm and the serve waves.
+//! ([`VertexLayout`]: adj, ccsr, delta) run `vertex_push`, and layouts
+//! that can only be streamed ([`EdgeStream`]: the edge array, the grid
+//! by columns or by cells) run `scan_push`. A new layout implements one
+//! of those two traits and inherits every frontier algorithm and the
+//! serve waves.
+//!
+//! **Pulling is a capability, stated as a trait.** [`PullLayout`] is
+//! implemented by the indexed family (`vertex_pull` over the
+//! in-direction) and by the grid over its column cut (`scan_pull`) —
+//! the layouts whose rounds can give every receiver one writer. The edge
+//! array and the grid's cells are not `PullLayout`s, so a pull over them
+//! is not a panic at run time but a call that does not compile.
 //!
 //! **The frontier is the activity.** A push round is handed the round's
 //! frontier and pushes from its members only; an indexed layout iterates
@@ -18,10 +26,10 @@
 //! active" itself, so rule state left over from earlier rounds (BFS
 //! levels, a wave's lane words) can never push.
 
-use super::{scan_push, vertex_pull, vertex_push, PullOp, PushOp};
+use super::{scan_pull, scan_push, vertex_pull, vertex_push, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{EdgeStream, NeighborAccess, VertexLayout};
+use crate::layout::{EdgeStream, Grid, NeighborAccess, VertexLayout};
 use crate::types::EdgeRecord;
 
 /// Family marker of [`EngineLayout`]: layouts with a per-vertex index.
@@ -32,8 +40,7 @@ pub struct Indexed;
 #[derive(Debug)]
 pub struct Scanned;
 
-/// What the engine needs of a layout: its size and one round in each
-/// direction.
+/// What the engine needs of every layout: its size and a push round.
 ///
 /// `Family` ([`Indexed`] or [`Scanned`]) only keeps the two blanket
 /// implementations apart; callers stay generic over it and the compiler
@@ -67,12 +74,17 @@ pub trait EngineLayout<E: EdgeRecord, Family>: Sync {
         ctx: &ExecCtx<'_>,
         next_kind: FrontierKind,
     ) -> VertexSubset;
+}
 
-    /// One pull round over the in-direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a layout without one.
+/// A layout that can also run a pull round: every receiving vertex is
+/// updated by one worker only, so pull rules write without
+/// synchronization (§6.1.2). The indexed layouts have one (their
+/// in-direction); of the streamed cuts only the grid's columns do —
+/// the edge array and the grid's cells own no destination, and simply
+/// do not implement this.
+pub trait PullLayout<E: EdgeRecord, Family>: EngineLayout<E, Family> {
+    /// One pull round: `op` pulls over the in-edges of every vertex
+    /// that wants to, and the vertices it activated are returned.
     fn pull_round<O: PullOp<E>>(
         &self,
         op: &O,
@@ -109,7 +121,9 @@ impl<E: EdgeRecord, L: VertexLayout<E>> EngineLayout<E, Indexed> for L {
     ) -> VertexSubset {
         vertex_push(self.out(), frontier, op, ctx, next_kind)
     }
+}
 
+impl<E: EdgeRecord, L: VertexLayout<E>> PullLayout<E, Indexed> for L {
     fn pull_round<O: PullOp<E>>(
         &self,
         op: &O,
@@ -156,13 +170,17 @@ impl<E: EdgeRecord, S: EdgeStream<E>> EngineLayout<E, Scanned> for S {
             scan_push(self, |v| bitmap.get(v as usize), op, ctx, next_kind)
         }
     }
+}
 
+/// The grid pulls over the cut it pushes over: a column holds every
+/// edge into its vertex range, so its worker owns the receivers.
+impl<E: EdgeRecord> PullLayout<E, Scanned> for Grid<E> {
     fn pull_round<O: PullOp<E>>(
         &self,
-        _op: &O,
-        _ctx: &ExecCtx<'_>,
-        _next_kind: FrontierKind,
+        op: &O,
+        ctx: &ExecCtx<'_>,
+        next_kind: FrontierKind,
     ) -> VertexSubset {
-        panic!("a streamed layout has no per-vertex in-direction to pull over")
+        scan_pull(self, op, ctx, next_kind)
     }
 }

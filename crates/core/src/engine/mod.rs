@@ -7,13 +7,17 @@
 //! out-neighbors) or **pull** (a vertex reads its in-neighbors and
 //! updates itself). This module provides the step drivers — one per
 //! direction for indexed layouts, one `scan_push` for every streamed
-//! one — and [`EngineLayout`], the trait that puts a layout's rounds
-//! behind them; algorithms supply the per-edge semantics through the
-//! [`PushOp`] / [`PullOp`] traits and own their vertex state (atomics,
-//! locked arrays, or exclusive writes, depending on the synchronization
-//! strategy being measured). Frontier algorithms hand whole runs to
-//! `edge_map`, the one loop that picks and records a direction per
-//! iteration, on any layout.
+//! one and one `scan_pull` for the streamed cut that owns its
+//! destinations (the grid's columns) — and the traits that put a
+//! layout's rounds behind them: [`EngineLayout`] (the push side, every
+//! layout) and [`PullLayout`] (the layouts that can also pull).
+//! Algorithms supply the per-edge semantics through the [`PushOp`] /
+//! [`PullOp`] traits and own their vertex state (atomics, locked arrays,
+//! or exclusive writes, depending on the synchronization strategy being
+//! measured). Frontier algorithms hand whole runs to [`edge_map`], the
+//! one loop that picks and records a direction per iteration, on any
+//! layout — under a [`Policy`] that can only ask for a pull where the
+//! layout is a [`PullLayout`] and the rule a [`PullAlgo`].
 //!
 //! Every driver takes an [`ExecCtx`] carrying a [`MemProbe`] (so the
 //! same code path can run under the LLC simulator) and a [`Recorder`]
@@ -28,8 +32,9 @@
 mod edge_map;
 mod layout;
 
-pub(crate) use edge_map::{edge_map, record_iter, FrontierAlgo, NoPull};
-pub use layout::{EngineLayout, Indexed, Scanned};
+pub(crate) use edge_map::record_iter;
+pub use edge_map::{edge_map, Flow, FrontierAlgo, Policy, PullAlgo, PushOnly};
+pub use layout::{EngineLayout, Indexed, PullLayout, Scanned};
 
 use egraph_cachesim::probe::regions;
 use egraph_cachesim::MemProbe;
@@ -328,14 +333,14 @@ where
     next.finish()
 }
 
-/// Grid pull with **row ownership** over a *transposed* grid.
-///
-/// The grid must have been built with
-/// [`crate::preprocess::GridBuilder::transposed`], so each stored edge
-/// reads `(receiver, provider)`: rows group by receiver, making the
-/// receiver updates of a row exclusive to its worker — pull without
-/// locks (§6.1.2).
-pub fn grid_pull_rows<E, O>(
+/// Pull over the grid's columns: a column holds every edge into its
+/// vertex range, so the task that streams it owns those receivers and
+/// `op` updates them without locks (§6.1.2). Each stored edge is offered
+/// once — `pull(e.dst(), e)`, `e.src()` providing — to a receiver that
+/// `wants_pull`; a receiver's in-edges are spread over its column's
+/// cells, so a `pull` that asks to stop only ends that receiver's turn
+/// where `wants_pull` then says so (BFS: once discovered).
+pub(crate) fn scan_pull<E, O>(
     grid: &Grid<E>,
     op: &O,
     ctx: &ExecCtx<'_>,
@@ -345,39 +350,40 @@ where
     E: EdgeRecord,
     O: PullOp<E>,
 {
-    let _step = timeline::span(timeline::SpanKind::Step, "grid_pull_rows", "pull");
+    let _step = timeline::span(timeline::SpanKind::Step, "grid_pull_columns", "pull");
     let next = NextFrontier::new(next_kind, grid.num_vertices());
-    let side = grid.side();
     let esize = std::mem::size_of::<E>() as u64;
     let probe = ctx.live_probe();
-    egraph_parallel::parallel_for(0..side, 1, |rows| {
-        let mut sink = next.sink(rows.start as u64);
+    egraph_parallel::parallel_for(0..grid.side(), 1, |columns| {
+        let mut sink = next.sink(columns.start as u64);
         let mut examined = 0;
-        for row in rows {
-            for col in 0..side {
-                let base = grid.cell_base_index(row, col);
-                let cell = grid.cell(row, col);
-                examined += cell.len();
-                for (k, e) in cell.iter().enumerate() {
-                    let receiver = e.src();
-                    if let Some(probe) = probe {
-                        touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
-                        touch_dst(probe, receiver, O::META_BYTES);
+        for (base, run) in grid.runs(columns.clone()) {
+            examined += run.len();
+            // The unprobed case is its own plain loop: with the probe
+            // test inside it the same per-edge code ran 10-20 % slower
+            // (EXPERIMENTS.md "PR 18").
+            let Some(probe) = probe else {
+                for e in run {
+                    if op.wants_pull(e.dst()) {
+                        let _ = op.pull(e.dst(), e);
                     }
-                    if !op.wants_pull(receiver) {
-                        continue;
-                    }
-                    if let Some(probe) = probe {
-                        touch_src(probe, e.dst(), O::META_BYTES);
-                    }
+                }
+                continue;
+            };
+            for (k, e) in run.iter().enumerate() {
+                let receiver = e.dst();
+                touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
+                touch_dst(probe, receiver, O::META_BYTES);
+                if op.wants_pull(receiver) {
+                    touch_src(probe, e.src(), O::META_BYTES);
                     let _ = op.pull(receiver, e);
                 }
             }
-            // Collect activations for this row's exclusive range.
-            for v in grid.vertex_range(row) {
-                if op.activated(v) {
-                    sink.add(v);
-                }
+        }
+        // Collect activations inside the owned columns' vertex ranges.
+        for v in columns.flat_map(|col| grid.vertex_range(col)) {
+            if op.activated(v) {
+                sink.add(v);
             }
         }
         flush_examined(ctx.recorder, examined);

@@ -217,42 +217,79 @@ fn probe_sees_three_touches_per_processed_edge() {
     assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
     assert_eq!(report.kind(AccessKind::SrcMeta).accesses, edges);
     assert_eq!(report.kind(AccessKind::DstMeta).accesses, 2);
+
+    // A grid pull reads every edge and its receiver; it touches the
+    // provider only where the receiver wants to pull. Vertex 3's two
+    // in-edges lie in different cells, so both are offered: a `pull`
+    // that asks to stop cannot end a scan the grid does not keep
+    // together.
+    let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
+    let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
+    let ctx = &ExecCtx::default().probe(&probe);
+    let pull = EarlyStopPull {
+        scanned: AtomicUsize::new(0),
+    };
+    grid.pull_round(&pull, ctx, FrontierKind::Sparse);
+    let report = probe.report();
+    assert_eq!(pull.scanned.load(Ordering::Relaxed), 2);
+    assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
+    assert_eq!(report.kind(AccessKind::DstMeta).accesses, edges);
+    assert_eq!(report.kind(AccessKind::SrcMeta).accesses, 2);
 }
 
 #[test]
-fn grid_pull_rows_sees_transposed_receivers() {
+fn grid_pull_round_offers_each_edge_to_its_receiver_inside_its_column() {
     let graph = diamond();
-    let grid = GridBuilder::new(Strategy::RadixSort)
-        .side(2)
-        .transposed(true)
-        .build(&graph);
-    // Receiver = original dst. Count pulls per receiver.
-    struct RecordingPull {
+    let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
+    // Counts pulls per receiver, checks the provider, and logs which
+    // worker task asked each vertex whether it activated.
+    struct RecordingPull<'a> {
+        graph: &'a EdgeList<Edge>,
         per_vertex: Vec<AtomicUsize>,
+        asked: Mutex<Vec<VertexId>>,
     }
-    impl<E: EdgeRecord> PullOp<E> for RecordingPull {
+    impl PullOp<Edge> for RecordingPull<'_> {
         fn wants_pull(&self, _dst: VertexId) -> bool {
             true
         }
-        fn pull(&self, receiver: VertexId, _e: &E) -> bool {
+        fn pull(&self, receiver: VertexId, e: &Edge) -> bool {
+            assert_eq!(receiver, e.dst(), "the receiver is the edge's destination");
+            assert!(self.graph.edges().contains(e), "stored as given: {e:?}");
             self.per_vertex[receiver as usize].fetch_add(1, Ordering::Relaxed);
             false
         }
-        fn activated(&self, _dst: VertexId) -> bool {
-            false
+        fn activated(&self, dst: VertexId) -> bool {
+            self.asked.lock().unwrap().push(dst);
+            dst % 2 == 1
         }
     }
-    let op = RecordingPull {
-        per_vertex: (0..4).map(|_| AtomicUsize::new(0)).collect(),
-    };
-    grid_pull_rows(&grid, &op, &ExecCtx::default(), FrontierKind::Sparse);
-    let counts: Vec<usize> = op
-        .per_vertex
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .collect();
-    // In-degrees of the diamond: 0<-3 (1), 1<-0 (1), 2<-0 (1), 3<-1,2 (2).
-    assert_eq!(counts, vec![1, 1, 1, 2]);
+    for threads in [1, 2] {
+        let op = RecordingPull {
+            graph: &graph,
+            per_vertex: (0..4).map(|_| AtomicUsize::new(0)).collect(),
+            asked: Mutex::new(Vec::new()),
+        };
+        let pool = egraph_parallel::ThreadPool::new(threads);
+        let next = egraph_parallel::with_pool(&pool, || {
+            grid.pull_round(&op, &ExecCtx::default(), FrontierKind::Sparse)
+        });
+        let counts: Vec<usize> = (op.per_vertex.iter())
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        // In-degrees of the diamond: 0<-3 (1), 1<-0 (1), 2<-0 (1), 3<-1,2 (2).
+        assert_eq!(counts, vec![1, 1, 1, 2]);
+        // Activations are collected per owned column range — column 0
+        // holds {0, 1}, column 1 holds {2, 3} — so every vertex is asked
+        // exactly once, and the round returns what the rule reported.
+        let mut asked = op.asked.into_inner().unwrap();
+        asked.sort_unstable();
+        assert_eq!(asked, vec![0, 1, 2, 3]);
+        let VertexSubset::Sparse(mut activated) = next else {
+            panic!("sparse requested")
+        };
+        activated.sort_unstable();
+        assert_eq!(activated, vec![1, 3]);
+    }
 }
 
 #[test]
@@ -368,8 +405,6 @@ impl<E: EdgeRecord> PullOp<E> for MinLabelPull<'_> {
 }
 
 impl<E: EdgeRecord> FrontierAlgo<E> for MinLabel {
-    type Pull<'a> = MinLabelPull<'a>;
-
     const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
 
     fn begin_round(&self, frontier: &VertexSubset) {
@@ -380,6 +415,10 @@ impl<E: EdgeRecord> FrontierAlgo<E> for MinLabel {
         members.sort_unstable();
         self.frontiers.lock().unwrap().push(members);
     }
+}
+
+impl<E: EdgeRecord> PullAlgo<E> for MinLabel {
+    type Pull<'a> = MinLabelPull<'a>;
 
     fn pull_op<'a>(
         &'a self,
@@ -399,11 +438,11 @@ impl<E: EdgeRecord> FrontierAlgo<E> for MinLabel {
 const POLICIES: [Direction; 3] = [Direction::Push, Direction::Pull, Direction::PushPull];
 
 /// Runs [`MinLabel`] over `layout` from `frontier` under `policy`.
-fn min_label_on<F, L: EngineLayout<Edge, F>>(
-    layout: &L,
-    frontier: VertexSubset,
-    policy: Direction,
-) -> (Vec<u32>, Vec<IterStat>) {
+fn min_label_on<F, L, P>(layout: &L, frontier: VertexSubset, policy: P) -> (Vec<u32>, Vec<IterStat>)
+where
+    L: EngineLayout<Edge, F>,
+    P: Policy<Edge, F, L, MinLabel> + std::fmt::Debug,
+{
     let algo = MinLabel::new(layout.num_vertices());
     let log = edge_map(layout, frontier, &algo, policy, &ExecCtx::default());
     // One `begin_round` per recorded round, each handed that round's
@@ -456,15 +495,15 @@ fn edge_map_reaches_one_fixpoint_under_every_policy_and_on_every_layout() {
                 assert_eq!(&labels, expected, "{policy:?} at {threads} threads");
                 assert!(!log.is_empty());
             }
-            // Forced push over the streamed layouts: the same fixpoint
-            // from rounds that each scan every edge.
+            // Push over the streamed layouts: the same fixpoint from
+            // rounds that each scan every edge.
             let grid = GridBuilder::new(Strategy::RadixSort).side(4).build(graph);
             let streamed = egraph_parallel::with_pool(&pool, || {
                 let all = || VertexSubset::all(graph.num_vertices());
                 [
-                    ("edge", min_label_on(graph, all(), Direction::Push)),
-                    ("columns", min_label_on(&grid, all(), Direction::Push)),
-                    ("cells", min_label_on(&grid.cells(), all(), Direction::Push)),
+                    ("edge", min_label_on(graph, all(), PushOnly)),
+                    ("columns", min_label_on(&grid, all(), PushOnly)),
+                    ("cells", min_label_on(&grid.cells(), all(), PushOnly)),
                 ]
             });
             for (cut, (labels, log)) in streamed {
@@ -472,6 +511,18 @@ fn edge_map_reaches_one_fixpoint_under_every_policy_and_on_every_layout() {
                 for stat in &log {
                     assert_eq!(stat.edges_scanned, graph.num_edges(), "{cut}");
                     assert!(stat.mode == StepMode::Push && stat.decision.forced);
+                }
+            }
+            // The grid's columns can pull too: every run-time policy,
+            // the same fixpoint, and the forced ones hold their mode.
+            for policy in POLICIES {
+                let all = VertexSubset::all(graph.num_vertices());
+                let (labels, log) =
+                    egraph_parallel::with_pool(&pool, || min_label_on(&grid, all, policy));
+                assert_eq!(&labels, expected, "grid {policy:?} at {threads} threads");
+                for stat in &log {
+                    assert_eq!(stat.edges_scanned, graph.num_edges(), "grid {policy:?}");
+                    assert_eq!(stat.mode == StepMode::Push, policy == Direction::Push);
                 }
             }
         }

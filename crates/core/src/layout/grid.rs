@@ -7,10 +7,11 @@
 //! therefore be reused."
 //!
 //! The grid also partitions the graph for lock-free execution (§6.1.2):
-//! edges in different **rows** have different source vertices, edges in
-//! different **columns** have different destination vertices, so
-//! assigning whole columns to cores makes push updates exclusive and
-//! assigning whole rows makes source-side (pull) updates exclusive.
+//! edges in different **columns** have different destination vertices,
+//! so a core that is assigned whole columns owns every vertex its edges
+//! write — whether a push rule writes `e.dst()` or a pull rule updates
+//! the receiver `e.dst()` from `e.src()`. Both directions run over that
+//! one column cut.
 
 use super::EdgeStream;
 use crate::types::{EdgeRecord, VertexId};
@@ -150,7 +151,8 @@ impl<E: EdgeRecord> Grid<E> {
 
 /// The grid streamed with **column ownership**: a unit is one column,
 /// so all writes to a destination range come from one task and need no
-/// locks (§6.1.2) — push rules may use plain writes.
+/// locks (§6.1.2) — push rules may use plain writes, and the engine's
+/// pull round over the grid streams the same units.
 impl<E: EdgeRecord> EdgeStream<E> for Grid<E> {
     const PUSH_SPAN: &'static str = "grid_push_columns";
     const GRAIN: usize = 1;

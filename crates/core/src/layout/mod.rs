@@ -12,8 +12,8 @@
 //!   (DESIGN.md §14).
 //! * **Grid** ([`Grid`]) — a P×P matrix of edge cells (GridGraph's
 //!   layout adapted to in-memory processing); improves cache locality
-//!   and enables lock-free push (column ownership) and pull (row
-//!   ownership).
+//!   and enables lock-free push and pull (column ownership: a column
+//!   holds every edge into its vertex range).
 //! * **Delta** ([`delta::DeltaAdjacency`], [`delta::DeltaList`]) — a
 //!   frozen CSR plus an append-only insert/delete log overlay; the
 //!   mutable layout, compacted into fresh snapshots behind an
@@ -229,31 +229,53 @@ impl<E: EdgeRecord> VertexLayout<E> for AdjacencyList<E> {
     }
 }
 
-/// A lone out-direction as a [`VertexLayout`], for the push kernels
-/// whose public entry points take one [`NeighborAccess`].
+/// A lone direction as a [`VertexLayout`], for the kernels whose public
+/// entry points take one [`NeighborAccess`]: the out-direction for the
+/// push kernels, the in-direction for the pull ones.
 #[derive(Debug)]
-pub struct OutOnly<'a, A>(pub &'a A);
+pub struct OneWay<'a, A> {
+    dir: &'a A,
+    incoming: bool,
+}
 
-impl<E: EdgeRecord, A: NeighborAccess<E>> VertexLayout<E> for OutOnly<'_, A> {
+impl<'a, A> OneWay<'a, A> {
+    /// `dir` as a layout's out-direction.
+    pub fn out(dir: &'a A) -> Self {
+        Self {
+            dir,
+            incoming: false,
+        }
+    }
+
+    /// `dir` as a layout's in-direction.
+    pub fn incoming(dir: &'a A) -> Self {
+        Self {
+            dir,
+            incoming: true,
+        }
+    }
+}
+
+impl<E: EdgeRecord, A: NeighborAccess<E>> VertexLayout<E> for OneWay<'_, A> {
     type Dir = A;
 
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.0.num_vertices()
+        self.dir.num_vertices()
     }
 
     #[inline]
     fn num_edges(&self) -> usize {
-        self.0.num_edges()
+        self.dir.num_edges()
     }
 
     #[inline]
     fn out_opt(&self) -> Option<&A> {
-        Some(self.0)
+        (!self.incoming).then_some(self.dir)
     }
 
     #[inline]
     fn incoming_opt(&self) -> Option<&A> {
-        None
+        self.incoming.then_some(self.dir)
     }
 }

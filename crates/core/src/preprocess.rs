@@ -281,13 +281,12 @@ fn dynamic_cells<E: EdgeRecord>(
     edges: &[E],
     num_cells: usize,
     cell_of: impl Fn(&E) -> usize + Sync,
-    map_edge: impl Fn(&E) -> E + Sync,
 ) -> (Vec<u64>, Vec<E>) {
     let workers = current_num_threads();
     if edges.len() < DYNAMIC_SERIAL_CUTOFF || workers == 1 || current_worker_index().is_some() {
         let mut cells: Vec<Vec<E>> = (0..num_cells).map(|_| Vec::new()).collect();
         for e in edges {
-            cells[cell_of(e)].push(map_edge(e));
+            cells[cell_of(e)].push(*e);
         }
         let mut offsets = Vec::with_capacity(num_cells + 1);
         let mut out = Vec::with_capacity(edges.len());
@@ -314,7 +313,7 @@ fn dynamic_cells<E: EdgeRecord>(
             // top-level region, so row `w` has a single writer.
             let row = unsafe { &mut *rows_ptr.get().add(w) };
             for e in &edges[start..end] {
-                row[cell_of(e)].push(map_edge(e));
+                row[cell_of(e)].push(*e);
             }
         });
     }
@@ -394,7 +393,6 @@ fn offsets_from_sorted<E: EdgeRecord>(
 pub struct GridBuilder {
     strategy: Strategy,
     side: usize,
-    transposed: bool,
 }
 
 impl GridBuilder {
@@ -403,7 +401,6 @@ impl GridBuilder {
         Self {
             strategy,
             side: crate::layout::grid::DEFAULT_GRID_SIDE,
-            transposed: false,
         }
     }
 
@@ -411,15 +408,6 @@ impl GridBuilder {
     pub fn side(mut self, side: usize) -> Self {
         assert!(side > 0, "grid side must be positive");
         self.side = side;
-        self
-    }
-
-    /// Stores every edge reversed. A transposed grid makes row
-    /// iteration exclusive over the *receiving* vertex of the original
-    /// graph, which is how pull-mode grid computation runs without
-    /// locks (§6.1.2).
-    pub fn transposed(mut self, yes: bool) -> Self {
-        self.transposed = yes;
         self
     }
 
@@ -440,31 +428,14 @@ impl GridBuilder {
         let side = self.side;
         let range_len = nv.div_ceil(side).max(1);
         let num_cells = side * side;
-        let transposed = self.transposed;
-        let cell_key = move |e: &E| -> u64 {
-            let (src, dst) = if transposed {
-                (e.dst(), e.src())
-            } else {
-                (e.src(), e.dst())
-            };
-            (src as usize / range_len * side + dst as usize / range_len) as u64
-        };
-        let map_edge = move |e: &E| -> E {
-            if transposed {
-                e.reversed()
-            } else {
-                *e
-            }
+        let key = move |e: &E| -> u64 {
+            (e.src() as usize / range_len * side + e.dst() as usize / range_len) as u64
         };
 
         let grid = match self.strategy {
             Strategy::RadixSort => {
-                let mut edges: Vec<E> = input.edges().iter().map(map_edge).collect();
+                let mut edges = input.edges().to_vec();
                 let bits = egraph_sort::key_bits(num_cells);
-                // After mapping, the key no longer needs transposition.
-                let key = move |e: &E| -> u64 {
-                    (e.src() as usize / range_len * side + e.dst() as usize / range_len) as u64
-                };
                 egraph_sort::radix_sort_by_key(&mut edges, bits, key);
                 let offsets = parallel_init(num_cells + 1, 1024, |c| {
                     edges.partition_point(|e| key(e) < c as u64) as u64
@@ -472,16 +443,11 @@ impl GridBuilder {
                 Grid::from_parts(nv, side, offsets, edges)
             }
             Strategy::CountSort => {
-                let mapped: Vec<E> = input.edges().iter().map(map_edge).collect();
-                let key = move |e: &E| -> u64 {
-                    (e.src() as usize / range_len * side + e.dst() as usize / range_len) as u64
-                };
-                let sorted = egraph_sort::count_sort_by_key(&mapped, num_cells, key);
+                let sorted = egraph_sort::count_sort_by_key(input.edges(), num_cells, key);
                 Grid::from_parts(nv, side, sorted.offsets, sorted.sorted)
             }
             Strategy::Dynamic => {
-                let (offsets, edges) =
-                    dynamic_cells(input.edges(), num_cells, |e| cell_key(e) as usize, map_edge);
+                let (offsets, edges) = dynamic_cells(input.edges(), num_cells, |e| key(e) as usize);
                 Grid::from_parts(nv, side, offsets, edges)
             }
         };
@@ -757,18 +723,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn transposed_grid_reverses_edges() {
-        let input = EdgeList::new(4, vec![Edge::new(0, 3)]).unwrap();
-        let grid = GridBuilder::new(Strategy::RadixSort)
-            .side(2)
-            .transposed(true)
-            .build(&input);
-        // The reversed edge (3, 0) lives in cell (1, 0).
-        assert_eq!(grid.cell(1, 0), &[Edge::new(3, 0)]);
-        assert!(grid.cell(0, 1).is_empty());
     }
 
     #[test]

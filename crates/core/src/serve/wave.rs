@@ -27,12 +27,11 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use egraph_parallel::atomicf::AtomicF32;
 
-use crate::engine::{self, EngineLayout, FrontierAlgo, NoPull, PushOp};
+use crate::engine::{self, EngineLayout, FrontierAlgo, PushOnly, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::metrics::{Direction, IterStat};
+use crate::metrics::IterStat;
 use crate::types::{EdgeRecord, VertexId};
-use crate::util::AtomicBitmap;
 
 /// Lane capacity of one wave: the width of the frontier word.
 pub const MAX_WAVE: usize = 64;
@@ -118,7 +117,7 @@ impl<V> Lanes<V> {
         Self: FrontierAlgo<E>,
     {
         let seeds = VertexSubset::from_vec(self.seeds.clone());
-        engine::edge_map(layout, seeds, self, Direction::Push, ctx)
+        engine::edge_map(layout, seeds, self, PushOnly, ctx)
     }
 
     #[inline]
@@ -146,11 +145,6 @@ impl<E: EdgeRecord, V> FrontierAlgo<E> for Lanes<V>
 where
     Self: PushOp<E>,
 {
-    type Pull<'a>
-        = NoPull
-    where
-        Self: 'a;
-
     // `reach` reports a vertex once per round: no dedup.
     const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
 
@@ -161,10 +155,6 @@ where
             let word = self.next[v as usize].swap(0, Ordering::Relaxed);
             self.current[v as usize].store(word, Ordering::Relaxed);
         });
-    }
-
-    fn pull_op<'a>(&'a self, _: &'a AtomicBitmap, _: &'a AtomicBitmap) -> NoPull {
-        unreachable!("lane rules are push-only")
     }
 }
 

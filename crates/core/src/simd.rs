@@ -1,6 +1,6 @@
 //! Explicitly vectorized hot-path helpers for the pull kernels:
 //! gather/sum over span-sized edge batches and software prefetch of
-//! source metadata (`prev[src]`) a configurable distance ahead.
+//! source metadata (`prev[src]`) a fixed distance ahead.
 //!
 //! Everything here is **feature-gated and bit-exact**: the AVX2 paths
 //! (behind the `simd` cargo feature, runtime-detected, disabled under
@@ -10,36 +10,23 @@
 //! FMA contraction — so enabling the feature never changes results.
 //! DESIGN.md §14 documents the flags.
 
-use std::sync::OnceLock;
-
 use crate::types::EdgeRecord;
 
 /// Lanes of the fixed-association accumulator.
 pub const GATHER_LANES: usize = 8;
 
-/// Environment variable overriding the prefetch distance (in edges).
-/// `0` disables software prefetch.
-pub const PREFETCH_DIST_ENV: &str = "EGRAPH_PREFETCH_DIST";
-
-/// Default software-prefetch distance, in edges ahead of the current
-/// one. Far enough to cover an L2 miss at pull-loop issue rates,
-/// near enough not to thrash the fill buffers.
+/// Software-prefetch distance, in edges ahead of the current one. Far
+/// enough to cover an L2 miss at pull-loop issue rates, near enough not
+/// to thrash the fill buffers.
 pub const DEFAULT_PREFETCH_DIST: usize = 8;
 
-/// The configured prefetch distance: [`PREFETCH_DIST_ENV`] if set,
-/// otherwise [`DEFAULT_PREFETCH_DIST`]; always `0` (off) without the
-/// `simd` feature and under miri, matching the feature gate of
-/// [`prefetch_read`].
+/// The prefetch distance in use: [`DEFAULT_PREFETCH_DIST`], or `0`
+/// (off) without the `simd` feature and under miri, matching the
+/// feature gate of [`prefetch_read`].
 #[inline]
 pub fn prefetch_distance() -> usize {
     if cfg!(all(feature = "simd", not(miri))) {
-        static DIST: OnceLock<usize> = OnceLock::new();
-        *DIST.get_or_init(|| {
-            std::env::var(PREFETCH_DIST_ENV)
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(DEFAULT_PREFETCH_DIST)
-        })
+        DEFAULT_PREFETCH_DIST
     } else {
         0
     }

@@ -35,11 +35,6 @@ pub trait EdgeRecord: Copy + Send + Sync + 'static {
     fn dst(&self) -> VertexId;
     /// The weight (1.0 for unweighted records).
     fn weight(&self) -> f32;
-
-    /// The same edge with source and destination swapped.
-    fn reversed(&self) -> Self {
-        Self::new(self.dst(), self.src(), self.weight())
-    }
 }
 
 /// An unweighted edge: two 32-bit vertex ids, 8 bytes.
@@ -344,13 +339,6 @@ mod tests {
         .unwrap();
         assert_eq!(list.out_degrees(), vec![2, 1, 0, 1]);
         assert_eq!(list.in_degrees(), vec![1, 1, 2, 0]);
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints_and_keeps_weight() {
-        let e = WEdge::new(1, 2, 3.5);
-        let r = e.reversed();
-        assert_eq!((r.src, r.dst, r.weight), (2, 1, 3.5));
     }
 
     #[test]

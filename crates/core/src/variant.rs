@@ -34,6 +34,7 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use crate::algo::{bfs, pagerank, spmv, sssp, wcc};
+use crate::engine::PushOnly;
 use crate::exec::ExecCtx;
 use crate::layout::{
     AdjacencyList, CcsrList, DeltaList, DeltaLog, EdgeDirection, EdgeStream, Grid, NeighborAccess,
@@ -267,6 +268,14 @@ pub enum VariantError {
     Unsupported(VariantId),
     /// The algorithm consumes weights but the graph is unweighted.
     NeedsWeights(Algo),
+    /// A requested grid side the graph cannot be cut into (see
+    /// [`max_grid_side`]).
+    GridSide {
+        /// The requested side.
+        side: usize,
+        /// The largest side this graph accepts.
+        max: usize,
+    },
     /// A traversal root outside the vertex range.
     RootOutOfRange {
         /// The requested root.
@@ -297,6 +306,9 @@ impl fmt::Display for VariantError {
                 f,
                 "{algo} needs a weighted graph (generate with --weighted true)"
             ),
+            VariantError::GridSide { side, max } => {
+                write!(f, "grid side {side} out of range (expected 1..={max})")
+            }
             VariantError::RootOutOfRange { root, num_vertices } => {
                 write!(
                     f,
@@ -340,22 +352,21 @@ pub fn is_supported(id: &VariantId) -> bool {
     dirs.contains(&id.direction)
 }
 
+/// Every algorithm × layout × direction id, supported or not, in stable
+/// report order.
+fn all_ids() -> impl Iterator<Item = VariantId> {
+    Algo::ALL.into_iter().flat_map(|algo| {
+        Layout::ALL.into_iter().flat_map(move |layout| {
+            (Direction::ALL.into_iter()).map(move |dir| VariantId::new(algo, layout, dir))
+        })
+    })
+}
+
 /// Every implemented combination, in stable report order. The
 /// conformance matrix iterates this list, so a variant added to the
 /// resolver is automatically covered.
 pub fn supported_variants() -> Vec<VariantId> {
-    let mut out = Vec::new();
-    for algo in Algo::ALL {
-        for layout in Layout::ALL {
-            for direction in Direction::ALL {
-                let id = VariantId::new(algo, layout, direction);
-                if is_supported(&id) {
-                    out.push(id);
-                }
-            }
-        }
-    }
-    out
+    all_ids().filter(is_supported).collect()
 }
 
 /// Whether [`RunParams::sync`] selects between distinct
@@ -402,9 +413,20 @@ pub fn cross_thread_deterministic(id: &VariantId, sync: SyncMode) -> bool {
 }
 
 /// The default grid side for a graph of `nv` vertices (the CLI's
-/// historical heuristic: one column per 256k vertices, clamped).
+/// historical heuristic: one column per 256k vertices, clamped — and
+/// never past [`max_grid_side`], so the default is a side every caller
+/// may also ask for).
 pub fn default_grid_side(nv: usize) -> usize {
-    (nv / (1 << 18)).clamp(8, 256)
+    (nv / (1 << 18)).clamp(8, 256).min(max_grid_side(nv))
+}
+
+/// The largest side a requested grid over `nv` vertices may have. A
+/// side beyond the vertex count only adds empty rows and columns, and
+/// the grid keeps `side² + 1` cell offsets of 8 bytes each whatever the
+/// graph holds, so the side is also capped at 4 096: 128 MiB of
+/// offsets, 16× the side the paper found best (256).
+pub fn max_grid_side(nv: usize) -> usize {
+    nv.clamp(1, 4096)
 }
 
 /// Everything a variant run needs besides the graph: traversal root,
@@ -444,7 +466,7 @@ impl<T> SlotCache<T> {
 }
 
 /// A graph plus lazily built, cached layouts. Each layout (per-
-/// direction CSR, grid, transposed grid) is
+/// direction CSR, the grid) is
 /// built at most once, on first use, under whatever pool/profiler the
 /// requesting [`run_variant`] call supplies — so one `PreparedGraph`
 /// can serve many variant runs without rebuilding, while a
@@ -461,7 +483,6 @@ pub struct PreparedGraph<'a, E: EdgeRecord> {
     ccsr: SlotCache<CcsrList<E>>,
     dcsr: SlotCache<DeltaList<E>>,
     grid: OnceLock<(Grid<E>, f64)>,
-    tgrid: OnceLock<(Grid<E>, f64)>,
     degrees: OnceLock<Vec<u32>>,
     delta_degrees: OnceLock<Vec<u32>>,
 }
@@ -481,7 +502,6 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             ccsr: SlotCache::default(),
             dcsr: SlotCache::default(),
             grid: OnceLock::new(),
-            tgrid: OnceLock::new(),
             degrees: OnceLock::new(),
             delta_degrees: OnceLock::new(),
         }
@@ -595,15 +615,13 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
         })
     }
 
-    fn grid(&self, transposed: bool) -> &(Grid<E>, f64) {
-        let slot = if transposed { &self.tgrid } else { &self.grid };
-        slot.get_or_init(|| {
+    fn grid(&self) -> &(Grid<E>, f64) {
+        self.grid.get_or_init(|| {
             let side = self
                 .side
                 .unwrap_or_else(|| default_grid_side(self.num_vertices()));
             let (grid, stats) = GridBuilder::new(self.grid_strategy.unwrap_or(self.strategy))
                 .side(side)
-                .transposed(transposed)
                 .build_timed(self.edges);
             (grid, stats.seconds)
         })
@@ -618,7 +636,7 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             Layout::Adjacency => self.csr(layout_slot(id)).1,
             Layout::Ccsr => self.ccsr(layout_slot(id)).1,
             Layout::Delta => self.dcsr(layout_slot(id)).1,
-            Layout::Grid => self.grid(grid_transposed(id)).1,
+            Layout::Grid => self.grid().1,
         }
     }
 }
@@ -642,11 +660,6 @@ fn layout_slot(id: &VariantId) -> EdgeDirection {
         Direction::Pull => EdgeDirection::In,
         Direction::PushPull => EdgeDirection::Both,
     }
-}
-
-/// Grid pull (PageRank only) runs over the transposed grid.
-fn grid_transposed(id: &VariantId) -> bool {
-    id.algo == Algo::Pagerank && id.direction == Direction::Pull
 }
 
 /// The typed result of a variant run.
@@ -750,6 +763,12 @@ pub fn run_variant<E: EdgeRecord>(
         return Err(VariantError::NeedsWeights(id.algo));
     }
     let nv = graph.num_vertices();
+    if let (Layout::Grid, Some(side)) = (id.layout, graph.side) {
+        let max = max_grid_side(nv);
+        if !(1..=max).contains(&side) {
+            return Err(VariantError::GridSide { side, max });
+        }
+    }
     if matches!(id.algo, Algo::Bfs | Algo::Sssp) && params.root as usize >= nv {
         return Err(VariantError::RootOutOfRange {
             root: params.root,
@@ -799,15 +818,19 @@ fn execute<E: EdgeRecord>(
             run_indexed(id, &graph.dcsr(slot).0, degrees, x, params, ctx)
         }
         Layout::EdgeList => run_streamed(id, edges, edges, degrees, x, params, ctx),
-        Layout::Grid if grid_transposed(id) => VariantOutput::Pagerank(pagerank::grid_pull_impl(
-            &graph.grid(true).0,
-            graph.degrees(),
-            params.pagerank,
-            ctx,
-        )),
         Layout::Grid => {
-            let grid = &graph.grid(false).0;
-            run_streamed(id, grid, &grid.cells(), degrees, x, params, ctx)
+            let grid = &graph.grid().0;
+            match (id.algo, id.direction) {
+                // Of the streamed cuts only the grid's columns can
+                // pull; of the study's kernels only PageRank does.
+                (Algo::Pagerank, Direction::Pull) => VariantOutput::Pagerank(pagerank::pull_impl(
+                    grid,
+                    degrees(),
+                    params.pagerank,
+                    ctx,
+                )),
+                _ => run_streamed(id, grid, &grid.cells(), degrees, x, params, ctx),
+            }
         }
     }
 }
@@ -838,14 +861,12 @@ where
             VariantOutput::Sssp(sssp::push_impl(layout, root, sssp::derive_delta(layout), c))
         }
         (Algo::Pagerank, Direction::Pull) => {
-            VariantOutput::Pagerank(pagerank::pull_impl(layout.incoming(), degrees(), cfg, c))
+            VariantOutput::Pagerank(pagerank::pull_impl(layout, degrees(), cfg, c))
         }
         (Algo::Pagerank, _) => {
             VariantOutput::Pagerank(pagerank::push_impl(layout, degrees(), cfg, params.sync, c))
         }
-        (Algo::Spmv, Direction::Pull) => {
-            VariantOutput::Spmv(spmv::pull_impl(layout.incoming(), &x(), c))
-        }
+        (Algo::Spmv, Direction::Pull) => VariantOutput::Spmv(spmv::pull_impl(layout, &x(), c)),
         (Algo::Spmv, _) => VariantOutput::Spmv(spmv::push_impl(layout, &x(), c)),
     }
 }
@@ -873,9 +894,7 @@ where
     let (root, cfg, sync) = (params.root, params.pagerank, params.sync);
     match (id.algo, sync) {
         // No locked flavor off the indexed layouts.
-        (Algo::Bfs, _) => {
-            VariantOutput::Bfs(bfs::run(owned, root, Direction::Push, SyncMode::Atomics, c))
-        }
+        (Algo::Bfs, _) => VariantOutput::Bfs(bfs::run(owned, root, PushOnly, SyncMode::Atomics, c)),
         (Algo::Wcc, _) => VariantOutput::Wcc(wcc::run(shared, c)),
         // A scanning round costs |E| whatever it serves: one bucket.
         (Algo::Sssp, _) => VariantOutput::Sssp(sssp::push_impl(owned, root, f32::INFINITY, c)),
@@ -1001,12 +1020,23 @@ mod tests {
         let pw = PreparedGraph::new(&w).side(2);
         let ctx = ExecCtx::new(None);
         let params = RunParams::default();
-        for id in supported_variants() {
+        // All 5 x 5 x 3 ids: `run_variant` answers exactly where
+        // `is_supported` says so and names the id elsewhere — total,
+        // no panic.
+        assert_eq!(all_ids().count(), 75);
+        for id in all_ids() {
             let run = if id.algo.needs_weights() {
                 run_variant(&id, &ctx, &pw, &params)
             } else {
                 run_variant(&id, &ctx, &pg, &params)
             };
+            if !is_supported(&id) {
+                assert!(
+                    matches!(run, Err(VariantError::Unsupported(e)) if e == id),
+                    "{id}"
+                );
+                continue;
+            }
             let run = run.unwrap_or_else(|e| panic!("{id}: {e}"));
             match id.algo {
                 Algo::Bfs => assert_eq!(run.output.as_bfs().unwrap().reachable_count(), 4, "{id}"),
@@ -1021,6 +1051,42 @@ mod tests {
                 Algo::Spmv => assert_eq!(run.output.as_spmv().unwrap().y.len(), 4, "{id}"),
             }
         }
+    }
+
+    #[test]
+    fn a_grid_side_out_of_range_is_a_typed_error() {
+        let g = diamond();
+        let id = VariantId::new(Algo::Bfs, Layout::Grid, Direction::Push);
+        let run = |pg: PreparedGraph<'_, Edge>| {
+            run_variant(&id, &ExecCtx::new(None), &pg, &RunParams::default())
+        };
+        for side in [0, 5, 200_000] {
+            let err = run(PreparedGraph::new(&g).side(side)).unwrap_err();
+            assert!(
+                matches!(err, VariantError::GridSide { side: s, max: 4 } if s == side),
+                "{err}"
+            );
+        }
+        for side in 1..=4 {
+            assert!(
+                run(PreparedGraph::new(&g).side(side)).is_ok(),
+                "side {side}"
+            );
+        }
+        // The default is a side a caller may ask for, whatever the graph.
+        for nv in [0, 1, 4, 1 << 20, 1 << 30] {
+            assert!((1..=max_grid_side(nv)).contains(&default_grid_side(nv)));
+        }
+        assert!(run(PreparedGraph::new(&g)).is_ok());
+        // A side only matters where a grid is built.
+        let id = VariantId::new(Algo::Bfs, Layout::Adjacency, Direction::Push);
+        let run = run_variant(
+            &id,
+            &ExecCtx::new(None),
+            &PreparedGraph::new(&g).side(0),
+            &RunParams::default(),
+        );
+        assert!(run.is_ok());
     }
 
     #[test]
@@ -1089,6 +1155,18 @@ mod tests {
         let u = &pg.csr(EdgeDirection::In).0 as *const _;
         assert_ne!(a, u);
         assert_eq!(u, &pg.csr(EdgeDirection::In).0 as *const _);
+        // Both PageRank grid variants run on one grid: each reports the
+        // build seconds of the same cached build, to the bit.
+        let ctx = ExecCtx::new(None);
+        let run =
+            |id: &str| run_variant(&id.parse().unwrap(), &ctx, &pg, &RunParams::default()).unwrap();
+        let (pull, push) = (run("pagerank/grid/pull"), run("pagerank/grid/push"));
+        assert_eq!(pull.preprocess_seconds, pg.grid().1);
+        assert_eq!(push.preprocess_seconds, pull.preprocess_seconds);
+        assert_eq!(
+            pull.output.as_pagerank().unwrap().ranks,
+            push.output.as_pagerank().unwrap().ranks
+        );
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! could be checked. Union-find WCC is two passes whatever the schedule,
 //! and bucketed SSSP rounds are Jacobi steps over buckets filled in id
 //! order.
+//!
+//! PageRank on the grid repeats too, and in both directions at once:
+//! pull and unlocked push stream the same columns of the same grid.
 
 use egraph_core::exec::ExecCtx;
 use egraph_core::metrics::{IterStat, StepMode};
+use egraph_core::preprocess::Strategy;
 use egraph_core::types::{Edge, EdgeList, EdgeRecord};
 use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId, VariantOutput};
 use egraph_parallel::ThreadPool;
@@ -55,16 +59,64 @@ fn outcome<E: EdgeRecord>(id: &VariantId, graph: &EdgeList<E>, threads: usize) -
     }
 }
 
-#[test]
-fn wcc_and_sssp_repeat_answers_and_records_at_every_thread_count() {
-    let seed = test_seed();
+/// The exhaustive corpus plus the shuffled lattice.
+fn corpus(seed: u64) -> Vec<NamedGraph> {
     let mut graphs = exhaustive_corpus(seed);
     let lattice = egraph_graphgen::shuffle_edges(&egraph_graphgen::road_like(64, 256), seed);
     graphs.push(NamedGraph {
         name: "road_64x256_shuffled".to_string(),
         graph: lattice,
     });
-    for NamedGraph { name, graph } in &graphs {
+    graphs
+}
+
+/// The grid pulls over the columns it pushes over, so `pagerank/grid/pull`
+/// and unlocked `pagerank/grid/push` are one stream of plain writes over
+/// one grid: the same rank bits from both, at every thread count.
+#[test]
+fn pagerank_grid_pull_and_push_are_one_path() {
+    let seed = test_seed();
+    let (pull, push): (VariantId, VariantId) = (
+        "pagerank/grid/pull".parse().unwrap(),
+        "pagerank/grid/push".parse().unwrap(),
+    );
+    for NamedGraph { name, graph } in &corpus(seed) {
+        if graph.num_vertices() == 0 {
+            continue;
+        }
+        let ranks_at = |threads: usize| {
+            let pool = ThreadPool::new(threads);
+            let ctx = ExecCtx::new(&pool);
+            // Count sort keeps the within-cell edge order at every
+            // worker count; both variants run on the one cached grid.
+            let prepared = PreparedGraph::new(graph)
+                .grid_strategy(Strategy::CountSort)
+                .side(graph.num_vertices().clamp(1, 8));
+            let bits = |id: &VariantId| -> Vec<u32> {
+                let run = run_variant(id, &ctx, &prepared, &RunParams::default()).unwrap();
+                let ranks = &run.output.as_pagerank().unwrap().ranks;
+                ranks.iter().map(|r| r.to_bits()).collect()
+            };
+            (bits(&pull), bits(&push))
+        };
+        let one = ranks_at(1);
+        assert!(
+            one.0 == one.1,
+            "{name}: pull and push ranks differ (seed {seed:#x})"
+        );
+        for threads in [2, 4] {
+            assert!(
+                ranks_at(threads) == one,
+                "{name}: ranks differ at {threads} threads (seed {seed:#x})"
+            );
+        }
+    }
+}
+
+#[test]
+fn wcc_and_sssp_repeat_answers_and_records_at_every_thread_count() {
+    let seed = test_seed();
+    for NamedGraph { name, graph } in &corpus(seed) {
         if graph.num_vertices() == 0 {
             continue;
         }

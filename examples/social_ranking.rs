@@ -29,8 +29,7 @@ fn main() {
     let degrees: Vec<u32> = followers.out_degrees().iter().map(|&d| d as u32).collect();
     let side = 16;
     let (grid, pre) = GridBuilder::new(Strategy::RadixSort)
-        .side(side)
-        .transposed(true) // pull runs over rows of the transposed grid
+        .side(side) // pull runs over the grid's columns, one owner each
         .build_timed(&followers);
     let ranks = pagerank::grid_pull(&grid, &degrees, pagerank::PagerankConfig::default());
     println!(

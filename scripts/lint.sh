@@ -23,17 +23,18 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
-# `edge_map` is the one round loop, `scan_push` the one driver of the
-# streamed layouts, and the round's frontier the one definition of an
-# active source: the second loop (`scan_map`), the per-cut push drivers,
-# PageRank's driver switch and a rule-side activity test are what this
-# stage keeps from coming back.
+# `edge_map` is the one round loop, `scan_push` the one push driver of
+# the streamed layouts and `scan_pull` their one pull driver, and the
+# round's frontier the one definition of an active source: the second
+# loop (`scan_map`), the per-cut push and pull drivers, PageRank's
+# driver switch and a rule-side activity test are what this stage keeps
+# from coming back.
 echo "== one round loop, one scan driver, one activity definition =="
 offenders=$(find crates/core/src -name '*.rs' ! -name tests.rs \
     -exec awk 'FNR == 1 { in_tests = 0 }
         /^#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests && !/^[[:space:]]*\/\// &&
-            /scan_map\(|source_active|fn edge_push|fn grid_push_columns|fn grid_push_cells|PushDriver/ {
+            /scan_map\(|source_active|fn edge_push|fn grid_push_columns|fn grid_push_cells|PushDriver|fn edge_pull|fn grid_pull_|fn cells_pull|PullDriver/ {
             print FILENAME ":" FNR ": " $0
         }' {} +)
 if [ -n "$offenders" ]; then
@@ -94,6 +95,36 @@ others=$(printf '%s\n' "$offenders" | grep -v '^crates/core/src/algo/wcc.rs:.*fn
 if [ -n "$others" ] || [ "$allowed" -ne 2 ]; then
     echo "expected exactly two 'fn find(' (UnionFind::find and reference's), both in"
     echo "crates/core/src/algo/wcc.rs, and no fetch_min over labels; found:"
+    echo "$offenders"
+    exit 1
+fi
+
+# Capability is a type: a layout that can pull is a `PullLayout`, a rule
+# that can pull a `PullAlgo`, and `edge_map` takes a pulling policy for
+# such a pair only. The stand-ins this replaced — the `NoPull` stub, a
+# `pull_round` / `pull_op` whose body is a panic, and the transposed
+# second grid with its own `grid_pull_rows` driver — are what this stage
+# keeps from coming back.
+echo "== capability is a type =="
+offenders=$(find crates examples tests -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0; in_fn = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*\/\// { next }
+        /NoPull|grid_pull_rows|grid_pull_impl|\.transposed\(|tgrid/ {
+            print FILENAME ":" FNR ": " $0
+        }
+        !in_fn && /fn (pull_round|pull_op)[<(]/ {
+            in_fn = 1; opened = 0
+            match($0, /^ */); close_brace = "^" substr($0, 1, RLENGTH) "}"
+        }
+        in_fn {
+            if ($0 ~ /\{[[:space:]]*$/) opened = 1
+            if (!opened && $0 ~ /;[[:space:]]*$/) { in_fn = 0; next }
+            if (/panic!\(|unreachable!\(/) print FILENAME ":" FNR ": " $0
+            if (opened && $0 ~ close_brace) in_fn = 0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a missing capability stood in for by a stub, a panic or a second grid:"
     echo "$offenders"
     exit 1
 fi
