@@ -23,7 +23,46 @@ pub const INVALID_VERTEX: VertexId = VertexId::MAX;
 /// Keeping the weight inline preserves the memory-traffic
 /// characteristics the paper measures: unweighted algorithms never
 /// touch (or pay bandwidth for) weights they do not need.
-pub trait EdgeRecord: Copy + Send + Sync + 'static {
+///
+/// # Sealed
+///
+/// The trait cannot be implemented outside this crate: [`Edge`] and
+/// [`WEdge`] are its only implementations. Both are padding-free
+/// `#[repr(C)]` structs of `u32` / `f32` fields, so on a little-endian
+/// target the bytes of a `[E]` *are* the records of the binary edge
+/// file, and every bit pattern is a valid record. `egraph-storage`
+/// reads files straight into a `Vec<E>` and writes the byte view of a
+/// `&[E]` on the strength of exactly that; an outside implementation
+/// with padding, a `bool` or a reference field would make that view
+/// undefined behaviour, so it is rejected at compile time:
+///
+/// ```compile_fail,E0277
+/// use egraph_core::types::{EdgeRecord, VertexId};
+///
+/// #[derive(Clone, Copy)]
+/// struct Tagged {
+///     src: VertexId,
+///     dst: VertexId,
+///     live: bool,
+/// }
+///
+/// impl EdgeRecord for Tagged {
+///     const WEIGHTED: bool = false;
+///     fn new(src: VertexId, dst: VertexId, _weight: f32) -> Self {
+///         Self { src, dst, live: true }
+///     }
+///     fn src(&self) -> VertexId {
+///         self.src
+///     }
+///     fn dst(&self) -> VertexId {
+///         self.dst
+///     }
+///     fn weight(&self) -> f32 {
+///         1.0
+///     }
+/// }
+/// ```
+pub trait EdgeRecord: sealed::Sealed + Copy + Send + Sync + 'static {
     /// Whether this record carries a weight.
     const WEIGHTED: bool;
 
@@ -35,6 +74,14 @@ pub trait EdgeRecord: Copy + Send + Sync + 'static {
     fn dst(&self) -> VertexId;
     /// The weight (1.0 for unweighted records).
     fn weight(&self) -> f32;
+}
+
+mod sealed {
+    /// Private supertrait of [`super::EdgeRecord`]: the list of
+    /// implementations below is the whole list.
+    pub trait Sealed {}
+    impl Sealed for super::Edge {}
+    impl Sealed for super::WEdge {}
 }
 
 /// An unweighted edge: two 32-bit vertex ids, 8 bytes.

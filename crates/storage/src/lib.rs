@@ -11,8 +11,12 @@
 //! This crate provides:
 //!
 //! * [`format`](mod@format) — a validated binary edge-array format ("the layout of
-//!   edge arrays matches the format of the input file", §3.2), with
-//!   whole-file and chunked readers;
+//!   edge arrays matches the format of the input file", §3.2, taken
+//!   literally: records are read straight into the vector the loader
+//!   returns and written as the bytes of the slice, with no decode
+//!   step), with whole-file and chunked readers that allocate for what
+//!   has arrived rather than for what the header claims;
+//! * [`results`] — per-vertex result arrays, the same way;
 //! * [`medium`] — storage-medium presets (memory / SSD / HDD);
 //! * [`throttle`] — a real token-bucket throttled reader, for
 //!   integration tests that exercise actual streaming;
@@ -26,6 +30,7 @@ pub mod fault;
 pub mod format;
 pub mod medium;
 pub mod pipeline;
+mod pod;
 pub mod results;
 pub mod text;
 pub mod throttle;

@@ -6,13 +6,22 @@
 //! Results are per-vertex arrays: BFS parents and WCC labels are
 //! `u32`, SSSP distances / PageRank ranks / SpMV outputs are `f32`.
 //! The format mirrors the edge format: a small validated header plus
-//! raw little-endian values.
+//! raw little-endian values, moved by the same byte view — and read
+//! with the same distrust of the header's length field — as the edge
+//! records (see [`crate::format`]).
+//!
+//! ```text
+//! offset  size  field
+//! 0       4     magic "EGRR"
+//! 4       4     dtype (0: u32, 1: f32)
+//! 8       8     len
+//! 16      …     values × len
+//! ```
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut};
-
-use crate::format::FormatError;
+use crate::format::{field, FormatError};
+use crate::pod::Pod;
 
 /// Result-file magic.
 pub const RESULT_MAGIC: [u8; 4] = *b"EGRR";
@@ -25,28 +34,40 @@ enum Dtype {
     F32 = 1,
 }
 
-fn write_header<W: Write>(w: &mut W, dtype: Dtype, len: usize) -> std::io::Result<()> {
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.put_slice(&RESULT_MAGIC);
-    header.put_u32_le(dtype as u32);
-    header.put_u64_le(len as u64);
-    w.write_all(&header)
+fn write_result<T: Copy, W: Write>(
+    mut w: W,
+    dtype: Dtype,
+    pod: Pod<T>,
+    values: &[T],
+) -> std::io::Result<()> {
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&RESULT_MAGIC);
+    header[4..8].copy_from_slice(&(dtype as u32).to_le_bytes());
+    header[8..16].copy_from_slice(&(values.len() as u64).to_le_bytes());
+    w.write_all(&header)?;
+    pod.write_all(&mut w, values)?;
+    w.flush()
 }
 
-fn read_header<R: Read>(r: &mut R, expect: Dtype) -> Result<u64, FormatError> {
+fn read_result<T: Copy, R: Read>(
+    mut r: R,
+    expect: Dtype,
+    pod: Pod<T>,
+) -> Result<Vec<T>, FormatError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let mut buf = &header[..];
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    let magic: [u8; 4] = field(&header, 0);
     if magic != RESULT_MAGIC {
         return Err(FormatError::BadMagic(magic));
     }
-    let dtype = buf.get_u32_le();
+    let dtype = u32::from_le_bytes(field(&header, 4));
     if dtype != expect as u32 {
         return Err(FormatError::UnsupportedVersion(dtype));
     }
-    Ok(buf.get_u64_le())
+    let len = u64::from_le_bytes(field(&header, 8));
+    let mut values = Vec::new();
+    pod.land(&mut r, len, &mut values, |_, _| {})?;
+    Ok(values)
 }
 
 /// Writes a `u32` per-vertex result array (BFS parents, WCC labels).
@@ -54,17 +75,8 @@ fn read_header<R: Read>(r: &mut R, expect: Dtype) -> Result<u64, FormatError> {
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_u32_result<W: Write>(mut w: W, values: &[u32]) -> std::io::Result<()> {
-    write_header(&mut w, Dtype::U32, values.len())?;
-    let mut buf = Vec::with_capacity(4 * 64 * 1024);
-    for chunk in values.chunks(64 * 1024) {
-        buf.clear();
-        for &v in chunk {
-            buf.put_u32_le(v);
-        }
-        w.write_all(&buf)?;
-    }
-    w.flush()
+pub fn write_u32_result<W: Write>(w: W, values: &[u32]) -> std::io::Result<()> {
+    write_result(w, Dtype::U32, Pod::U32, values)
 }
 
 /// Reads a `u32` result array.
@@ -72,21 +84,8 @@ pub fn write_u32_result<W: Write>(mut w: W, values: &[u32]) -> std::io::Result<(
 /// # Errors
 ///
 /// Returns a [`FormatError`] on malformed input.
-pub fn read_u32_result<R: Read>(mut r: R) -> Result<Vec<u32>, FormatError> {
-    let len = read_header(&mut r, Dtype::U32)? as usize;
-    let mut raw = vec![0u8; len * 4];
-    r.read_exact(&mut raw).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FormatError::Truncated {
-                expected_edges: len as u64,
-                found_edges: 0,
-            }
-        } else {
-            FormatError::Io(e)
-        }
-    })?;
-    let mut buf = &raw[..];
-    Ok((0..len).map(|_| buf.get_u32_le()).collect())
+pub fn read_u32_result<R: Read>(r: R) -> Result<Vec<u32>, FormatError> {
+    read_result(r, Dtype::U32, Pod::U32)
 }
 
 /// Writes an `f32` per-vertex result array (distances, ranks).
@@ -94,17 +93,8 @@ pub fn read_u32_result<R: Read>(mut r: R) -> Result<Vec<u32>, FormatError> {
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_f32_result<W: Write>(mut w: W, values: &[f32]) -> std::io::Result<()> {
-    write_header(&mut w, Dtype::F32, values.len())?;
-    let mut buf = Vec::with_capacity(4 * 64 * 1024);
-    for chunk in values.chunks(64 * 1024) {
-        buf.clear();
-        for &v in chunk {
-            buf.put_f32_le(v);
-        }
-        w.write_all(&buf)?;
-    }
-    w.flush()
+pub fn write_f32_result<W: Write>(w: W, values: &[f32]) -> std::io::Result<()> {
+    write_result(w, Dtype::F32, Pod::F32, values)
 }
 
 /// Reads an `f32` result array.
@@ -112,21 +102,8 @@ pub fn write_f32_result<W: Write>(mut w: W, values: &[f32]) -> std::io::Result<(
 /// # Errors
 ///
 /// Returns a [`FormatError`] on malformed input.
-pub fn read_f32_result<R: Read>(mut r: R) -> Result<Vec<f32>, FormatError> {
-    let len = read_header(&mut r, Dtype::F32)? as usize;
-    let mut raw = vec![0u8; len * 4];
-    r.read_exact(&mut raw).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FormatError::Truncated {
-                expected_edges: len as u64,
-                found_edges: 0,
-            }
-        } else {
-            FormatError::Io(e)
-        }
-    })?;
-    let mut buf = &raw[..];
-    Ok((0..len).map(|_| buf.get_f32_le()).collect())
+pub fn read_f32_result<R: Read>(r: R) -> Result<Vec<f32>, FormatError> {
+    read_result(r, Dtype::F32, Pod::F32)
 }
 
 #[cfg(test)]
@@ -149,22 +126,53 @@ mod tests {
         assert_eq!(read_f32_result(&file[..]).unwrap(), values);
     }
 
+    // The bytes on disk, not just a round trip: 1.5 is 0x3FC0_0000,
+    // infinity 0x7F80_0000.
     #[test]
-    fn dtype_mismatch_detected() {
+    fn format_is_pinned_by_bytes() {
+        #[rustfmt::skip]
+        const U32_FILE: [u8; 16 + 8] = [
+            b'E', b'G', b'R', b'R',  0, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,
+            7, 0, 0, 0,  0xEF, 0xBE, 0xAD, 0xDE,
+        ];
+        #[rustfmt::skip]
+        const F32_FILE: [u8; 16 + 8] = [
+            b'E', b'G', b'R', b'R',  1, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0xC0, 0x3F,  0, 0, 0x80, 0x7F,
+        ];
         let mut file = Vec::new();
-        write_u32_result(&mut file, &[1, 2, 3]).unwrap();
-        assert!(read_f32_result(&file[..]).is_err());
+        write_u32_result(&mut file, &[7, 0xDEAD_BEEF]).unwrap();
+        assert_eq!(file, U32_FILE);
+        assert_eq!(read_u32_result(&U32_FILE[..]).unwrap(), [7, 0xDEAD_BEEF]);
+
+        file.clear();
+        write_f32_result(&mut file, &[1.5, f32::INFINITY]).unwrap();
+        assert_eq!(file, F32_FILE);
+        assert_eq!(
+            read_f32_result(&F32_FILE[..]).unwrap(),
+            [1.5, f32::INFINITY]
+        );
     }
 
     #[test]
-    fn truncated_result_detected() {
+    fn truncation_reports_the_values_received() {
         let mut file = Vec::new();
         write_u32_result(&mut file, &[1, 2, 3]).unwrap();
         file.truncate(file.len() - 2);
         assert!(matches!(
             read_u32_result(&file[..]),
-            Err(FormatError::Truncated { .. })
+            Err(FormatError::Truncated {
+                expected_edges: 3,
+                found_edges: 2
+            })
         ));
+    }
+
+    #[test]
+    fn dtype_mismatch_detected() {
+        let mut file = Vec::new();
+        write_u32_result(&mut file, &[1, 2, 3]).unwrap();
+        assert!(read_f32_result(&file[..]).is_err());
     }
 
     #[test]

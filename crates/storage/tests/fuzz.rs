@@ -3,7 +3,10 @@
 //! corruption of a valid file.
 
 use egraph_core::types::{Edge, EdgeList, WEdge};
-use egraph_storage::{read_edge_list, write_edge_list, FormatError};
+use egraph_storage::{
+    read_edge_list, read_f32_result, read_u32_result, write_edge_list, write_f32_result,
+    write_u32_result, FormatError,
+};
 use proptest::prelude::*;
 
 fn valid_file() -> Vec<u8> {
@@ -74,6 +77,59 @@ proptest! {
             Err(FormatError::Truncated { .. })
         );
         prop_assert!(truncated);
+    }
+}
+
+/// A valid 400-value result file of each dtype (16-byte header, 1600
+/// payload bytes).
+fn valid_results() -> (Vec<u8>, Vec<u8>) {
+    let (mut u, mut f) = (Vec::new(), Vec::new());
+    let values: Vec<u32> = (0..400).map(|i| i * 3).collect();
+    write_u32_result(&mut u, &values).unwrap();
+    let values: Vec<f32> = values.iter().map(|&v| v as f32 * 0.5).collect();
+    write_f32_result(&mut f, &values).unwrap();
+    (u, f)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn result_random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let _ = read_u32_result(&data[..]);
+        let _ = read_f32_result(&data[..]);
+    }
+
+    #[test]
+    fn result_single_byte_corruption_never_panics(pos in 0usize..1616, val in any::<u8>()) {
+        // Byte 15 is the top of the length field: `val << 56` values is
+        // an allocation the reader must not attempt.
+        let (mut u, mut f) = valid_results();
+        u[pos] = val;
+        f[pos] = val;
+        if let Ok(values) = read_u32_result(&u[..]) {
+            prop_assert!(values.len() <= 400);
+        }
+        if let Ok(values) = read_f32_result(&f[..]) {
+            prop_assert!(values.len() <= 400);
+        }
+    }
+
+    #[test]
+    fn result_length_inflation_is_truncation(shift in 0u32..55) {
+        // The length lives at offset 8, little endian; claims run from
+        // 401 values up to 2^62 (whose byte count overflows a usize).
+        let claimed = 400 + (1u64 << shift) + (1u64 << (shift + 8));
+        let (mut u, mut f) = valid_results();
+        u[8..16].copy_from_slice(&claimed.to_le_bytes());
+        f[8..16].copy_from_slice(&claimed.to_le_bytes());
+        let truncated = |r: Result<usize, FormatError>| matches!(
+            r,
+            Err(FormatError::Truncated { expected_edges, found_edges: 400 })
+                if expected_edges == claimed
+        );
+        prop_assert!(truncated(read_u32_result(&u[..]).map(|v| v.len())));
+        prop_assert!(truncated(read_f32_result(&f[..]).map(|v| v.len())));
     }
 }
 

@@ -13,7 +13,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use egraph_core::types::{Edge, EdgeList, WEdge};
+use egraph_core::types::{Edge, EdgeList, EdgeRecord, WEdge};
 use egraph_parallel::fault::{FaultGuard, FaultPlan};
 use egraph_parallel::{parallel_for, parallel_reduce, with_pool, ThreadPool};
 use egraph_storage::{
@@ -53,25 +53,36 @@ fn short_reads_deliver_identical_binary_graphs() {
     }
 }
 
-#[test]
-fn truncated_binary_is_always_a_typed_error() {
-    let graph = sample_graph();
+/// Every truncation point — mid-magic, mid-header, mid-record — must
+/// produce a typed error, never a panic or a silently shorter graph;
+/// past the header that error is `Truncated` and counts exactly the
+/// whole records that arrived.
+fn truncation_is_typed_and_exact<E: EdgeRecord + std::fmt::Debug>(graph: &EdgeList<E>) {
     let mut bytes = Vec::new();
-    write_edge_list(&mut bytes, &graph).unwrap();
-    // Every truncation point — mid-magic, mid-header, mid-record — must
-    // produce a typed error, never a panic or a silently shorter graph.
+    write_edge_list(&mut bytes, graph).unwrap();
+    let record_len = (bytes.len() as u64 - 32) / graph.num_edges() as u64;
     for offset in 0..bytes.len() as u64 {
         let reader = FaultedReader::new(&bytes[..], IoFault::TruncateAt { offset });
-        let err = read_edge_list::<Edge, _>(reader)
+        let err = read_edge_list::<E, _>(reader)
             .expect_err(&format!("truncation at byte {offset} must fail"));
-        assert!(
-            matches!(
-                err,
-                FormatError::Io(_) | FormatError::Truncated { .. } | FormatError::BadMagic(_)
-            ),
-            "unexpected error class at byte {offset}: {err}"
-        );
+        match err {
+            FormatError::Truncated {
+                expected_edges,
+                found_edges,
+            } if offset >= 32 => {
+                assert_eq!(expected_edges, graph.num_edges() as u64);
+                assert_eq!(found_edges, (offset - 32) / record_len, "at byte {offset}");
+            }
+            FormatError::Truncated { .. } if offset < 32 => {}
+            other => panic!("unexpected error class at byte {offset}: {other}"),
+        }
     }
+}
+
+#[test]
+fn truncated_binary_is_always_a_typed_error() {
+    truncation_is_typed_and_exact(&sample_graph());
+    truncation_is_typed_and_exact(&weighted(&sample_graph()));
 }
 
 #[test]

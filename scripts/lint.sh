@@ -146,6 +146,33 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# The binary formats are the memory layout: the codec reads a file into
+# the vector it returns and writes the bytes of the slice it is given,
+# through the byte views of `pod.rs`. A per-field decode or encode call
+# is the per-record loop (and the `bytes` stub) coming back; `unsafe` in
+# a second file is a second place that has to be right about layout.
+echo "== records move once =="
+offenders=$(find crates/storage/src -name '*.rs' \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            /get_u32_le|get_f32_le|put_u32_le|put_f32_le|use bytes/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a per-field codec call or the bytes crate in crates/storage/src:"
+    echo "$offenders"
+    exit 1
+fi
+unsafe_files=$(find crates/storage/src -name '*.rs' \
+    -exec awk '!/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ { print FILENAME }' {} + |
+    sort -u)
+if [ "$unsafe_files" != "crates/storage/src/pod.rs" ]; then
+    echo "unsafe in crates/storage/src belongs to pod.rs alone; found it in:"
+    echo "${unsafe_files:-(no file)}"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
