@@ -94,7 +94,8 @@ fn main() {
     println!();
     println!(
         "paper context: the grid's per-block metadata makes it the heaviest \
-         build; CSR's radix scratch doubles the edge array transiently"
+         layout; a radix build holds the input and the output it returns \
+         (plus one staged bucket per worker), nothing array-sized in between"
     );
     ctx.save(&table);
 }

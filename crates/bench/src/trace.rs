@@ -4,8 +4,8 @@
 //! Each function drives the LLC simulator with the exact address
 //! stream the corresponding builder issues — sequential input scans,
 //! per-vertex scattered appends (dynamic), random counter increments
-//! and offset scatters (count sort), or sequential bucket writes
-//! (radix sort). The paper's explanation (§3.3) is that radix sort
+//! and offset scatters (count sort), or the radix partition's passes
+//! (sequential bucket streams through a cache-resident cursor row). The paper's explanation (§3.3) is that radix sort
 //! wins *because* of this difference, so the replay makes the
 //! explanation measurable.
 
@@ -75,84 +75,66 @@ pub fn trace_count_sort<E: EdgeRecord, P: MemProbe>(edges: &[E], nv: usize, prob
     }
 }
 
-const RADIX_BITS: u32 = 8;
-const RADIX_SEQ_THRESHOLD: usize = 4 * 1024;
-
-/// Replays the recursive MSD radix sort: every level reads its range
-/// sequentially and writes 256 *sequential* bucket streams — the
+/// Replays the radix partition the builders run
+/// (`egraph_sort::radix_partition_by_key`, one worker's view), level by
+/// level with the kernel's own [`egraph_sort::digit_plan`]: level 1
+/// reads the input twice (histogram, scatter) and writes one sequential
+/// stream per bucket into the output; every later level takes one
+/// bucket of the output at a time — copy it to the staging buffer,
+/// histogram the copy, scatter it back over the bucket's own range.
+/// The cursor row and the staging buffer are reused by every bucket, so
+/// they stay cache-resident; that, and the sequential streams, is the
 /// locality that makes radix the fastest builder (Table 2).
 pub fn trace_radix_sort<E: EdgeRecord, P: MemProbe>(edges: &[E], nv: usize, probe: &P) {
-    let key_bits = egraph_sort::key_bits(nv);
-    let digits = key_bits.div_ceil(RADIX_BITS);
-    let top_shift = (digits - 1) * RADIX_BITS;
-    let keys: Vec<u32> = edges.iter().map(|e| e.src()).collect();
+    /// The staging buffer, apart from the cursor row at `SRC_META`.
+    const STAGE: u64 = regions::SRC_META + (1 << 32);
     let esize = std::mem::size_of::<E>() as u64;
-    trace_radix_level(&keys, 0, top_shift, false, esize, probe);
-}
-
-fn trace_radix_level<P: MemProbe>(
-    keys: &[u32],
-    start: u64,
-    shift: u32,
-    in_scratch: bool,
-    esize: u64,
-    probe: &P,
-) {
-    let (src_region, dst_region) = if in_scratch {
-        (regions::DST_META, regions::EDGES)
-    } else {
-        (regions::EDGES, regions::DST_META)
-    };
-    if keys.len() <= RADIX_SEQ_THRESHOLD {
-        // Small bucket: comparison sort — sequential reads and writes
-        // of a cache-resident range.
-        for k in 0..keys.len() as u64 {
-            probe.touch(AccessKind::Edge, src_region + (start + k) * esize);
+    let plan = egraph_sort::digit_plan(egraph_sort::key_bits(nv));
+    let mut keys: Vec<u32> = edges.iter().map(|e| e.src()).collect();
+    let mut bounds = vec![0usize, keys.len()];
+    let mut shift: u32 = plan.iter().sum();
+    for (level, &bits) in plan.iter().enumerate() {
+        shift -= bits;
+        let digit = |key: u32| ((key >> shift) & ((1 << bits) - 1)) as usize;
+        let cursor_at = |d: usize| regions::SRC_META + d as u64 * 8;
+        let out_at = |k: usize| regions::DST_META + k as u64 * esize;
+        // Level 1 reads the input, later levels the staged bucket.
+        let src_at = |k: usize| match level {
+            0 => regions::EDGES + k as u64 * esize,
+            _ => STAGE + k as u64 * esize,
+        };
+        let mut partitioned = keys.clone();
+        let mut next = vec![0usize];
+        for range in bounds.windows(2) {
+            let (lo, bucket) = (range[0], &keys[range[0]..range[1]]);
+            if level > 0 {
+                for k in 0..bucket.len() {
+                    probe.touch(AccessKind::Edge, out_at(lo + k));
+                    probe.touch(AccessKind::Edge, src_at(k));
+                }
+            }
+            let mut cursors = vec![0usize; 1 << bits];
+            for (k, &key) in bucket.iter().enumerate() {
+                probe.touch(AccessKind::Edge, src_at(k));
+                probe.touch(AccessKind::SrcMeta, cursor_at(digit(key)));
+                cursors[digit(key)] += 1;
+            }
+            let mut start = lo;
+            for (d, cursor) in cursors.iter_mut().enumerate() {
+                probe.touch(AccessKind::SrcMeta, cursor_at(d));
+                start += std::mem::replace(cursor, start);
+                next.push(start);
+            }
+            for (k, &key) in bucket.iter().enumerate() {
+                probe.touch(AccessKind::Edge, src_at(k));
+                probe.touch(AccessKind::SrcMeta, cursor_at(digit(key)));
+                probe.touch(AccessKind::DstMeta, out_at(cursors[digit(key)]));
+                partitioned[cursors[digit(key)]] = key;
+                cursors[digit(key)] += 1;
+            }
         }
-        return;
-    }
-    // Histogram pass: sequential read.
-    let mut counts = [0u64; 256];
-    for (k, key) in keys.iter().enumerate() {
-        probe.touch(AccessKind::Edge, src_region + (start + k as u64) * esize);
-        counts[((key >> shift) & 0xFF) as usize] += 1;
-    }
-    // Scatter pass: sequential read, 256 sequential write cursors.
-    let mut offsets = [0u64; 256];
-    let mut run = 0u64;
-    for b in 0..256 {
-        offsets[b] = run;
-        run += counts[b];
-    }
-    let mut cursors = offsets;
-    for (k, key) in keys.iter().enumerate() {
-        probe.touch(AccessKind::Edge, src_region + (start + k as u64) * esize);
-        let b = ((key >> shift) & 0xFF) as usize;
-        probe.touch(
-            AccessKind::DstMeta,
-            dst_region + (start + cursors[b]) * esize,
-        );
-        cursors[b] += 1;
-    }
-    if shift == 0 {
-        return;
-    }
-    // Recurse per bucket, with the buckets' actual contents.
-    let mut grouped: Vec<Vec<u32>> = vec![Vec::new(); 256];
-    for key in keys {
-        grouped[((key >> shift) & 0xFF) as usize].push(*key);
-    }
-    for b in 0..256 {
-        if !grouped[b].is_empty() {
-            trace_radix_level(
-                &grouped[b],
-                start + offsets[b],
-                shift - RADIX_BITS,
-                !in_scratch,
-                esize,
-                probe,
-            );
-        }
+        keys = partitioned;
+        bounds = next;
     }
 }
 

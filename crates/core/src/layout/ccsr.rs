@@ -230,15 +230,18 @@ fn next_varint_trusted(bytes: &[u8], pos: &mut usize) -> u64 {
 }
 
 /// Encoded byte length of one sorted neighbor list (including its skip
-/// table), without materializing the stream.
-pub(crate) fn encoded_len(v: VertexId, neighbors: &[u32]) -> usize {
+/// table), without materializing the ids or the stream.
+pub(crate) fn encoded_len(v: VertexId, neighbors: impl ExactSizeIterator<Item = u32>) -> usize {
     let nchunks = neighbors.len().div_ceil(SPAN_EDGES);
     let mut len = nchunks.saturating_sub(1) * 4;
-    for chunk in neighbors.chunks(SPAN_EDGES) {
-        len += varint_len(zigzag(chunk[0] as i64 - v as i64));
-        for w in chunk.windows(2) {
-            len += varint_len((w[1] - w[0]) as u64);
-        }
+    let mut prev = 0u32;
+    for (i, id) in neighbors.enumerate() {
+        len += if i % SPAN_EDGES == 0 {
+            varint_len(zigzag(id as i64 - v as i64))
+        } else {
+            varint_len(id.wrapping_sub(prev) as u64)
+        };
+        prev = id;
     }
     len
 }
@@ -249,25 +252,33 @@ pub(crate) fn encoded_len(v: VertexId, neighbors: &[u32]) -> usize {
 ///
 /// Panics if `neighbors` is not sorted ascending — the delta encoding
 /// is only defined on sorted lists.
-pub(crate) fn encode_vertex(v: VertexId, neighbors: &[u32], out: &mut Vec<u8>) {
-    assert!(
-        neighbors.windows(2).all(|w| w[0] <= w[1]),
-        "ccsr requires sorted neighbor lists (vertex {v})"
-    );
+pub(crate) fn encode_vertex(
+    v: VertexId,
+    neighbors: impl ExactSizeIterator<Item = u32>,
+    out: &mut Vec<u8>,
+) {
     let nchunks = neighbors.len().div_ceil(SPAN_EDGES);
     let table_at = out.len();
     // Reserve the skip table; chunk offsets are filled in as they land.
     out.resize(table_at + nchunks.saturating_sub(1) * 4, 0);
     let data_at = out.len();
-    for (c, chunk) in neighbors.chunks(SPAN_EDGES).enumerate() {
-        if c > 0 {
-            let rel = (out.len() - data_at) as u32;
-            out[table_at + (c - 1) * 4..table_at + c * 4].copy_from_slice(&rel.to_le_bytes());
+    let mut prev = 0u32;
+    for (i, id) in neighbors.enumerate() {
+        assert!(
+            prev <= id,
+            "ccsr requires sorted neighbor lists (vertex {v})"
+        );
+        if i % SPAN_EDGES == 0 {
+            let c = i / SPAN_EDGES;
+            if c > 0 {
+                let rel = (out.len() - data_at) as u32;
+                out[table_at + (c - 1) * 4..table_at + c * 4].copy_from_slice(&rel.to_le_bytes());
+            }
+            write_varint(out, zigzag(id as i64 - v as i64));
+        } else {
+            write_varint(out, (id - prev) as u64);
         }
-        write_varint(out, zigzag(chunk[0] as i64 - v as i64));
-        for w in chunk.windows(2) {
-            write_varint(out, (w[1] - w[0]) as u64);
-        }
+        prev = id;
     }
 }
 
@@ -781,7 +792,7 @@ mod tests {
         let mut bytes = Vec::new();
         for v in 0..nv {
             let list = lists.get(v).unwrap_or(&EMPTY);
-            encode_vertex(v as VertexId, list, &mut bytes);
+            encode_vertex(v as VertexId, list.iter().copied(), &mut bytes);
             edge_offsets[v + 1] = edge_offsets[v] + list.len() as u64;
             byte_offsets[v + 1] = bytes.len() as u64;
         }
@@ -843,7 +854,7 @@ mod tests {
     #[test]
     fn weighted_records_read_the_side_array() {
         let mut bytes = Vec::new();
-        encode_vertex(0, &[3, 9], &mut bytes);
+        encode_vertex(0, [3, 9].into_iter(), &mut bytes);
         let total = bytes.len() as u64;
         let mut edge_offsets = vec![2u64; 11];
         edge_offsets[0] = 0;

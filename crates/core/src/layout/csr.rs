@@ -185,6 +185,12 @@ impl<E: EdgeRecord> Adjacency<E> {
     /// Sorts every per-vertex edge array by neighbor id — the "adj.
     /// sorted" variant of §5.1, whose extra pre-processing the paper
     /// shows never pays off.
+    ///
+    /// The sort is unstable: records with equal neighbor id (parallel
+    /// edges) end up in no particular order. The order is still a pure
+    /// function of the vertex's list as it was before the call, so
+    /// layouts built from the same input by any of the (stable)
+    /// construction strategies, at any thread count, sort identically.
     pub fn sort_neighbor_arrays(&mut self) {
         let by_dst = self.by_dst;
         let key = move |e: &E| {

@@ -47,8 +47,11 @@ pub enum Strategy {
     /// Pass-optimal but cache-hostile; the counting pass can overlap
     /// with loading.
     CountSort,
-    /// Parallel 8-bit-digit radix sort; sequential bucket writes give
-    /// the best locality (Table 2) but nothing overlaps with loading.
+    /// Most-significant-digit-first radix partition of the borrowed
+    /// input (`egraph_sort::radix_partition_by_key`): every pass writes
+    /// a few hundred sequential streams through an L1-resident cursor
+    /// table, which gives the best locality (Table 2), but nothing
+    /// overlaps with loading.
     RadixSort,
 }
 
@@ -106,7 +109,10 @@ impl CsrBuilder {
     }
 
     /// Additionally sorts each per-vertex array by neighbor id (the
-    /// "adj. sorted" variant of §5).
+    /// "adj. sorted" variant of §5). Parallel edges — records with
+    /// equal neighbor id — keep no particular order, but the same one
+    /// for every strategy and thread count (see
+    /// [`Adjacency::sort_neighbor_arrays`]).
     pub fn sort_neighbors(mut self, yes: bool) -> Self {
         self.sort_neighbors = yes;
         self
@@ -177,21 +183,16 @@ pub fn build_one_direction<E: EdgeRecord>(
             let lists = dynamic_group(input.edges(), nv, key);
             Adjacency::from_per_vertex(nv, lists, by_dst)
         }
+        // The two sorts hand back the same thing — records grouped by
+        // key in input order plus the `nv + 1` group offsets — from the
+        // borrowed input.
         Strategy::CountSort => {
-            let sorted = egraph_sort::count_sort_by_key(input.edges(), nv.max(1), key);
-            let mut offsets = sorted.offsets;
-            offsets.truncate(nv + 1);
-            if nv == 0 {
-                offsets = vec![0];
-            }
-            Adjacency::from_csr(nv, offsets, sorted.sorted, by_dst)
+            let grouped = egraph_sort::count_sort_by_key(input.edges(), nv, key);
+            Adjacency::from_csr(nv, grouped.offsets, grouped.sorted, by_dst)
         }
         Strategy::RadixSort => {
-            let mut edges = input.edges().to_vec();
-            let bits = egraph_sort::key_bits(nv);
-            egraph_sort::radix_sort_by_key(&mut edges, bits, key);
-            let offsets = offsets_from_sorted(&edges, nv, key);
-            Adjacency::from_csr(nv, offsets, edges, by_dst)
+            let grouped = egraph_sort::radix_partition_by_key(input.edges(), nv, key);
+            Adjacency::from_csr(nv, grouped.offsets, grouped.sorted, by_dst)
         }
     }
 }
@@ -363,19 +364,6 @@ fn dynamic_cells<E: EdgeRecord>(
     (offsets, out)
 }
 
-/// Computes the CSR offset table of an already-sorted edge array by
-/// binary-searching each vertex boundary (cache-friendly and parallel,
-/// unlike a histogram pass).
-fn offsets_from_sorted<E: EdgeRecord>(
-    edges: &[E],
-    nv: usize,
-    key: impl Fn(&E) -> u64 + Sync,
-) -> Vec<u64> {
-    parallel_init(nv + 1, 4096, |v| {
-        edges.partition_point(|e| key(e) < v as u64) as u64
-    })
-}
-
 /// Builder for grid layouts.
 ///
 /// # Examples
@@ -434,17 +422,12 @@ impl GridBuilder {
 
         let grid = match self.strategy {
             Strategy::RadixSort => {
-                let mut edges = input.edges().to_vec();
-                let bits = egraph_sort::key_bits(num_cells);
-                egraph_sort::radix_sort_by_key(&mut edges, bits, key);
-                let offsets = parallel_init(num_cells + 1, 1024, |c| {
-                    edges.partition_point(|e| key(e) < c as u64) as u64
-                });
-                Grid::from_parts(nv, side, offsets, edges)
+                let grouped = egraph_sort::radix_partition_by_key(input.edges(), num_cells, key);
+                Grid::from_parts(nv, side, grouped.offsets, grouped.sorted)
             }
             Strategy::CountSort => {
-                let sorted = egraph_sort::count_sort_by_key(input.edges(), num_cells, key);
-                Grid::from_parts(nv, side, sorted.offsets, sorted.sorted)
+                let grouped = egraph_sort::count_sort_by_key(input.edges(), num_cells, key);
+                Grid::from_parts(nv, side, grouped.offsets, grouped.sorted)
             }
             Strategy::Dynamic => {
                 let (offsets, edges) = dynamic_cells(input.edges(), num_cells, |e| key(e) as usize);
@@ -466,7 +449,9 @@ impl GridBuilder {
 ///
 /// Neighbor lists are always sorted — gap encoding requires it — so a
 /// ccsr build is exactly a `CsrBuilder::sort_neighbors(true)` build
-/// followed by [`compress_adjacency`] on each direction.
+/// followed by [`compress_adjacency`] on each direction. The weight
+/// side array follows that sort: among parallel edges the weights keep
+/// no particular order, only a deterministic one.
 ///
 /// # Examples
 ///
@@ -559,8 +544,7 @@ pub fn compress_adjacency<E: EdgeRecord>(adj: &Adjacency<E>) -> CcsrAdjacency<E>
     // for the byte and edge offset tables (O(nv) additions — cheap
     // next to the encode passes).
     let lens = parallel_init(nv, 1 << 12, |v| {
-        let ids: Vec<u32> = adj.neighbors(v as u32).iter().map(nbr).collect();
-        encoded_len(v as u32, &ids) as u64
+        encoded_len(v as u32, adj.neighbors(v as u32).iter().map(nbr)) as u64
     });
     let mut byte_offsets = Vec::with_capacity(nv + 1);
     byte_offsets.push(0u64);
@@ -579,13 +563,10 @@ pub fn compress_adjacency<E: EdgeRecord>(adj: &Adjacency<E>) -> CcsrAdjacency<E>
         let out_ptr = SendPtr(bytes.as_mut_ptr());
         let byte_offsets = &byte_offsets;
         parallel_for(0..nv, 1 << 10, |vs| {
-            let mut ids: Vec<u32> = Vec::new();
             let mut buf: Vec<u8> = Vec::new();
             for v in vs {
-                ids.clear();
-                ids.extend(adj.neighbors(v as u32).iter().map(nbr));
                 buf.clear();
-                encode_vertex(v as u32, &ids, &mut buf);
+                encode_vertex(v as u32, adj.neighbors(v as u32).iter().map(nbr), &mut buf);
                 debug_assert_eq!(buf.len() as u64, byte_offsets[v + 1] - byte_offsets[v]);
                 // SAFETY: vertex `v` is processed by exactly one loop
                 // iteration, and `byte_offsets[v]..byte_offsets[v + 1]`
@@ -704,35 +685,64 @@ mod tests {
 
     #[test]
     fn grid_strategies_agree() {
+        // Every strategy is stable, so cells agree in order, not just
+        // as multisets.
         let input = sample_input();
         let reference = GridBuilder::new(Strategy::RadixSort).side(2).build(&input);
         for strategy in [Strategy::CountSort, Strategy::Dynamic] {
             let grid = GridBuilder::new(strategy).side(2).build(&input);
             for r in 0..2 {
                 for c in 0..2 {
-                    let mut a: Vec<(u32, u32)> = reference
-                        .cell(r, c)
-                        .iter()
-                        .map(|e| (e.src, e.dst))
-                        .collect();
-                    let mut b: Vec<(u32, u32)> =
-                        grid.cell(r, c).iter().map(|e| (e.src, e.dst)).collect();
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "{strategy:?} cell ({r},{c})");
+                    assert_eq!(
+                        grid.cell(r, c),
+                        reference.cell(r, c),
+                        "{strategy:?} cell ({r},{c})"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn empty_graph_builds() {
-        let input: EdgeList<Edge> = EdgeList::new(0, vec![]).unwrap();
-        for strategy in Strategy::ALL {
-            let adj = CsrBuilder::new(strategy, EdgeDirection::Out).build(&input);
-            assert_eq!(adj.num_vertices(), 0);
-            assert_eq!(adj.num_edges(), 0);
+    fn empty_graphs_build() {
+        // No vertices, and vertices without edges, on every builder.
+        for nv in [0usize, 5] {
+            let input: EdgeList<Edge> = EdgeList::new(nv, vec![]).unwrap();
+            for strategy in Strategy::ALL {
+                let adj = CsrBuilder::new(strategy, EdgeDirection::Both).build(&input);
+                assert_eq!(adj.num_vertices(), nv, "{strategy:?}");
+                assert_eq!(adj.num_edges(), 0, "{strategy:?}");
+                assert!((0..nv as u32).all(|v| adj.out().degree(v) == 0));
+                let grid = GridBuilder::new(strategy).side(2).build(&input);
+                assert!((0..2).all(|r| (0..2).all(|c| grid.cell(r, c).is_empty())));
+                let ccsr = CcsrBuilder::new(strategy, EdgeDirection::Both).build(&input);
+                assert_eq!(ccsr.num_vertices(), nv, "{strategy:?}");
+                assert_eq!(ccsr.num_edges(), 0, "{strategy:?}");
+            }
         }
+    }
+
+    #[test]
+    fn sparse_giant_id_space_builds_in_time_linear_in_it() {
+        // 23-bit keys are a three-level digit plan in which almost
+        // every bucket of every level is empty.
+        let nv = (1usize << 22) + 3;
+        let edges: Vec<Edge> = (0..10u32)
+            .map(|i| Edge::new((nv as u32 - 1) / 9 * (i % 10), (i * 419_431) % nv as u32))
+            .collect();
+        let input = EdgeList::new(nv, edges.clone()).unwrap();
+        let reference = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Both).build(&input);
+        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&input);
+        assert_eq!(adj.num_edges(), 10);
+        for e in &edges {
+            assert_eq!(adj.out().neighbors(e.src), reference.out().neighbors(e.src));
+            assert_eq!(
+                adj.incoming().neighbors(e.dst),
+                reference.incoming().neighbors(e.dst)
+            );
+        }
+        assert_eq!(adj.out().degrees(), reference.out().degrees());
+        assert_eq!(adj.incoming().degrees(), reference.incoming().degrees());
     }
 
     #[test]
@@ -868,25 +878,59 @@ mod tests {
         let input = EdgeList::new(3, edges).unwrap();
         let ccsr = CcsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&input);
         assert_eq!(ccsr.out().decode_neighbors(0).unwrap(), vec![1, 1, 2]);
-        // Sorting by neighbor id is stable, so the duplicate (0→1)
-        // edges keep input order: 1.5 then 7.0.
-        assert_eq!(ccsr.out().weights_of(0), &[1.5, 7.0, 2.5]);
+        // Weights follow their edges through the neighbor sort, which
+        // promises no order among the duplicate (0→1) edges.
+        let weights = ccsr.out().weights_of(0);
+        assert!(weights[..2] == [1.5, 7.0] || weights[..2] == [7.0, 1.5]);
+        assert_eq!(weights[2], 2.5);
         assert_eq!(ccsr.out().weights_of(2), &[9.0]);
     }
 
     #[test]
-    fn ccsr_empty_graph_builds() {
-        let input: EdgeList<Edge> = EdgeList::new(0, vec![]).unwrap();
-        let ccsr = CcsrBuilder::new(Strategy::Dynamic, EdgeDirection::Both).build(&input);
-        assert_eq!(ccsr.num_vertices(), 0);
-        assert_eq!(ccsr.num_edges(), 0);
+    fn neighbor_sort_of_a_hub_is_unordered_within_an_id_but_deterministic() {
+        // 200 parallel edges from vertex 0 to neighbors {1, 2, 3},
+        // weight = input position. The neighbor sort is unstable, so
+        // within a neighbor id the weights need not come out in input
+        // order; what holds is that none is lost, and that the order is
+        // a function of the vertex's input-order list alone — every
+        // (stable) builder at every pool width produces the same one.
+        use crate::types::WEdge;
+        let edges: Vec<WEdge> = (0..200u32)
+            .map(|i| WEdge::new(0, 1 + (i * 7 + i / 3) % 3, i as f32))
+            .collect();
+        let input = EdgeList::new(4, edges.clone()).unwrap();
+        let mut builds = Vec::new();
+        for strategy in Strategy::ALL {
+            for threads in [1, 2, 4] {
+                let pool = egraph_parallel::ThreadPool::new(threads);
+                let ccsr = egraph_parallel::with_pool(&pool, || {
+                    CcsrBuilder::new(strategy, EdgeDirection::Out).build(&input)
+                });
+                let ids = ccsr.out().decode_neighbors(0).unwrap();
+                assert!(ids.windows(2).all(|w| w[0] <= w[1]));
+                builds.push((ids, ccsr.out().weights_of(0).to_vec()));
+            }
+        }
+        let (ids, weights) = &builds[0];
+        for id in 1..=3u32 {
+            let mut got: Vec<u32> = ids
+                .iter()
+                .zip(weights)
+                .filter(|(&n, _)| n == id)
+                .map(|(_, &w)| w as u32)
+                .collect();
+            got.sort_unstable();
+            let want: Vec<u32> = (0..200).filter(|&i| edges[i as usize].dst == id).collect();
+            assert_eq!(got, want, "weights of neighbor {id}");
+        }
+        assert!(builds.iter().all(|b| b == &builds[0]));
     }
 
     #[test]
     fn large_random_graph_all_strategies_equal() {
         // Deterministic pseudo-random multigraph with self-loops and
-        // duplicates; every strategy must produce identical neighbor
-        // multisets.
+        // duplicates; every strategy is stable, so every strategy must
+        // produce identical neighbor lists, order included.
         let nv = 1000usize;
         let mut state = 12345u64;
         let mut edges = Vec::new();
@@ -902,15 +946,20 @@ mod tests {
             edges.push(Edge::new(src, dst));
         }
         let input = EdgeList::new(nv, edges).unwrap();
-        let reference = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
+        let reference = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&input);
         for strategy in [Strategy::CountSort, Strategy::Dynamic] {
-            let adj = CsrBuilder::new(strategy, EdgeDirection::Out).build(&input);
+            let adj = CsrBuilder::new(strategy, EdgeDirection::Both).build(&input);
             for v in 0..nv as u32 {
-                let mut a: Vec<u32> = reference.out().neighbors(v).iter().map(|e| e.dst).collect();
-                let mut b: Vec<u32> = adj.out().neighbors(v).iter().map(|e| e.dst).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{strategy:?} vertex {v}");
+                assert_eq!(
+                    adj.out().neighbors(v),
+                    reference.out().neighbors(v),
+                    "{strategy:?} out {v}"
+                );
+                assert_eq!(
+                    adj.incoming().neighbors(v),
+                    reference.incoming().neighbors(v),
+                    "{strategy:?} in {v}"
+                );
             }
         }
     }

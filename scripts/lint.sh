@@ -173,6 +173,29 @@ if [ "$unsafe_files" != "crates/storage/src/pod.rs" ]; then
     exit 1
 fi
 
+# Builders partition the input they are given: the sorting strategies
+# read the caller's borrowed edge array and get their offset table from
+# the last level's histograms. A defensive copy in front of a sort, an
+# offset table re-derived by searching the sorted array, or a recursive
+# per-bucket sort beside the level routine of `crates/sort/src/radix.rs`
+# is the copy + recursive sort + searched offsets coming back.
+echo "== builders partition the input they are given =="
+offenders=$(awk 'FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /edges\(\)\.to_vec\(\)|partition_point\(/ {
+        print FILENAME ":" FNR ": " $0
+    }' crates/core/src/preprocess.rs
+    find crates/sort/src -name '*.rs' \
+        -exec awk '!/^[[:space:]]*\/\// &&
+            /fn scatter_level_seq|fn sort_task|fn finish_small|fn copy_back_parallel/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a copy of the input, searched offsets, or the MSD recursion in a builder:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
