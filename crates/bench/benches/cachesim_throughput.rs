@@ -1,6 +1,6 @@
-//! Throughput of the LLC simulator itself — how much a probed
-//! measurement run costs per simulated access, and the relative price
-//! of sequential vs random streams.
+//! Throughput of the LLC simulator itself — how much a replayed
+//! measurement costs per simulated access, and the relative price of
+//! sequential vs random streams.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use egraph_cachesim::{AccessKind, CacheConfig, LlcProbe, MemProbe, SetAssocCache};
@@ -46,15 +46,6 @@ fn bench_probe_overhead(c: &mut Criterion) {
                 probe.touch(AccessKind::Edge, i * 8);
             }
             black_box(probe.report().total().accesses)
-        })
-    });
-    group.bench_function("null_probe", |b| {
-        let null = egraph_cachesim::NullProbe;
-        b.iter(|| {
-            for i in 0..N {
-                null.touch(AccessKind::Edge, i * 8);
-            }
-            black_box(null.enabled())
         })
     });
     group.finish();

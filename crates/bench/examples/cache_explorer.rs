@@ -1,0 +1,88 @@
+//! Explore how data layout drives LLC behaviour: replay BFS and
+//! PageRank's push rounds on every layout through the cache simulator
+//! and print the per-access-kind breakdown (edges vs source metadata vs
+//! destination metadata) — §5's three miss sources made visible. The
+//! replay is serial, so the output is the same at every pool width.
+//!
+//! Run with: `cargo run --release -p egraph-bench --example cache_explorer`
+
+use egraph_bench::trace::{self, ReplayLayout};
+use egraph_cachesim::{AccessKind, CacheConfig, CacheHierarchy, HierarchyProbe};
+use egraph_core::prelude::*;
+
+fn probe() -> HierarchyProbe {
+    // A small hierarchy so the graph's metadata clearly exceeds it,
+    // like RMAT-26 vs machine B's 16 MB LLC.
+    HierarchyProbe::new(CacheHierarchy::new(
+        CacheConfig {
+            capacity: 16 * 1024,
+            ways: 16,
+            line_size: 64,
+        },
+        CacheConfig {
+            capacity: 128 * 1024,
+            ways: 16,
+            line_size: 64,
+        },
+    ))
+}
+
+fn print_report(name: &str, probe: &HierarchyProbe) {
+    let r = probe.report();
+    println!(
+        "{name:<22} overall {:>3.0}%  | edges {:>3.0}%  src-meta {:>3.0}%  dst-meta {:>3.0}%  (LLC accesses {})",
+        100.0 * r.overall_miss_ratio(),
+        100.0 * r.kind(AccessKind::Edge).miss_ratio(),
+        100.0 * r.kind(AccessKind::SrcMeta).miss_ratio(),
+        100.0 * r.kind(AccessKind::DstMeta).miss_ratio(),
+        r.total().accesses,
+    );
+    let counts = r.per_kind.map(|s| (s.accesses, s.misses));
+    println!("{:<22} (accesses, misses) per kind: {counts:?}", "");
+}
+
+fn main() {
+    let graph = egraph_graphgen::rmat(14, 16, 77);
+    let root = 0u32;
+
+    // The layouts the variants `{bfs,pagerank}/{adj,edge,grid}/push`
+    // run on: the radix-built out-CSR, the edge array and the 32x32
+    // grid (by columns).
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
+    let grid = GridBuilder::new(Strategy::RadixSort).side(32).build(&graph);
+    let layouts = [
+        ("adjacency list", ReplayLayout::Adj(adj.out())),
+        ("edge array", ReplayLayout::Edges(&graph)),
+        ("grid 32x32", ReplayLayout::Grid(&grid)),
+    ];
+
+    println!(
+        "graph: {} vertices, {} edges; simulated LLC: 128 KB\n",
+        graph.num_vertices(),
+        graph.num_edges()
+    );
+    println!("LLC miss ratio per access kind (lower is better):\n");
+
+    println!("--- BFS ---");
+    for (name, layout) in &layouts {
+        let p = probe();
+        trace::replay_bfs(layout, root, &p);
+        print_report(name, &p);
+    }
+
+    println!("\n--- PageRank (1 iteration) ---");
+    for (name, layout) in &layouts {
+        let p = probe();
+        trace::replay_pagerank_round(layout, &p);
+        print_report(name, &p);
+    }
+
+    println!();
+    println!("what to look for (§5):");
+    println!(" - edge fetches stream: their miss ratio stays low everywhere");
+    println!("   (the stream prefetcher covers them);");
+    println!(" - destination metadata is the expensive access: random on the");
+    println!("   edge array and adjacency list, range-bounded on the grid;");
+    println!(" - the grid's overall ratio is roughly half the others' — the");
+    println!("   Table 4 effect.");
+}

@@ -10,13 +10,9 @@
 //! PageRank iteration on the edge array vs the grid, on both graph
 //! shapes, and reports the miss-ratio reduction each enjoys.
 
+use egraph_bench::trace::ReplayLayout;
 use egraph_bench::{fmt_pct, graphs, llc, ExperimentCtx, ResultTable};
-use egraph_core::algo::pagerank;
-use egraph_core::exec::ExecCtx;
-use egraph_core::preprocess::Strategy;
-use egraph_core::variant::{
-    run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, VariantId,
-};
+use egraph_core::preprocess::{GridBuilder, Strategy};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -25,16 +21,6 @@ fn main() {
         "ablation: grid miss-ratio gain by graph shape (supports Table 5)",
     );
 
-    let cfg = pagerank::PagerankConfig {
-        iterations: 1,
-        ..Default::default()
-    };
-    let params = RunParams {
-        pagerank: cfg,
-        ..RunParams::default()
-    };
-    let edge_id = VariantId::new(Algo::Pagerank, Layout::EdgeList, Direction::Push);
-    let grid_id = VariantId::new(Algo::Pagerank, Layout::Grid, Direction::Push);
     let mut table = ResultTable::new(
         "ablation_grid_shape",
         &[
@@ -57,34 +43,11 @@ fn main() {
         let avg = graph.num_edges() as f64 / graph.num_vertices() as f64;
 
         // Grid side matched to the simulated LLC (as in exp_fig5_table4).
-        let side = {
-            let cap = llc::scaled_machine_b(graph.num_vertices() * 12).capacity;
-            let range = (cap / (2 * 12)).max(64);
-            graph.num_vertices().div_ceil(range).clamp(8, 256)
-        };
-        let prepared = PreparedGraph::new(&graph)
-            .strategy(Strategy::RadixSort)
-            .side(side);
-
-        let probe = llc::probe_for(graph.num_vertices(), 12);
-        run_variant(
-            &edge_id,
-            &ExecCtx::new(None).probe(&probe),
-            &prepared,
-            &params,
-        )
-        .expect("variant is in the support matrix");
-        let edge_miss = probe.report().overall_miss_ratio();
-
-        let probe = llc::probe_for(graph.num_vertices(), 12);
-        run_variant(
-            &grid_id,
-            &ExecCtx::new(None).probe(&probe),
-            &prepared,
-            &params,
-        )
-        .expect("variant is in the support matrix");
-        let grid_miss = probe.report().overall_miss_ratio();
+        let grid = GridBuilder::new(Strategy::RadixSort)
+            .side(llc::matched_grid_side(graph.num_vertices()))
+            .build(&graph);
+        let edge_miss = llc::pagerank_miss_ratio(&ReplayLayout::Edges(&graph));
+        let grid_miss = llc::pagerank_miss_ratio(&ReplayLayout::Grid(&grid));
 
         let reduction = if edge_miss < 0.01 {
             "— (nothing to improve)".to_string()

@@ -13,54 +13,21 @@
 //! re-imposes locality structurally — barely moves. This is the
 //! mechanism behind the paper's "no approach fits every graph" (§9).
 
+use egraph_bench::trace::ReplayLayout;
 use egraph_bench::{fmt_pct, graphs, llc, ExperimentCtx, ResultTable};
-use egraph_core::algo::pagerank;
-use egraph_core::exec::ExecCtx;
-use egraph_core::preprocess::Strategy;
+use egraph_core::preprocess::{GridBuilder, Strategy};
 use egraph_core::types::{Edge, EdgeList};
-use egraph_core::variant::{
-    run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, VariantId,
-};
 
+/// One PageRank iteration's simulated miss ratio on the edge array and
+/// on the grid sized to the simulated LLC.
 fn miss_ratios(graph: &EdgeList<Edge>) -> (f64, f64) {
-    let cfg = pagerank::PagerankConfig {
-        iterations: 1,
-        ..Default::default()
-    };
-    let params = RunParams {
-        pagerank: cfg,
-        ..RunParams::default()
-    };
-    let side = {
-        let cap = llc::scaled_machine_b(graph.num_vertices() * 12).capacity;
-        let range = (cap / (2 * 12)).max(64);
-        graph.num_vertices().div_ceil(range).clamp(8, 256)
-    };
-    let prepared = PreparedGraph::new(graph)
-        .strategy(Strategy::RadixSort)
-        .side(side);
-
-    let edge_id = VariantId::new(Algo::Pagerank, Layout::EdgeList, Direction::Push);
-    let probe = llc::probe_for(graph.num_vertices(), 12);
-    run_variant(
-        &edge_id,
-        &ExecCtx::new(None).probe(&probe),
-        &prepared,
-        &params,
+    let grid = GridBuilder::new(Strategy::RadixSort)
+        .side(llc::matched_grid_side(graph.num_vertices()))
+        .build(graph);
+    (
+        llc::pagerank_miss_ratio(&ReplayLayout::Edges(graph)),
+        llc::pagerank_miss_ratio(&ReplayLayout::Grid(&grid)),
     )
-    .expect("variant is in the support matrix");
-    let edge_miss = probe.report().overall_miss_ratio();
-
-    let grid_id = VariantId::new(Algo::Pagerank, Layout::Grid, Direction::Push);
-    let probe = llc::probe_for(graph.num_vertices(), 12);
-    run_variant(
-        &grid_id,
-        &ExecCtx::new(None).probe(&probe),
-        &prepared,
-        &params,
-    )
-    .expect("variant is in the support matrix");
-    (edge_miss, probe.report().overall_miss_ratio())
 }
 
 fn main() {

@@ -1,7 +1,9 @@
 //! Figure 5 + Table 4: cache-locality optimizations. BFS and PageRank
 //! on four layouts — unsorted adjacency list, neighbor-sorted
 //! adjacency list, edge array, and grid — with times (Fig. 5) and
-//! simulated LLC miss ratios (Table 4).
+//! LLC miss ratios (Table 4), simulated by replaying the push rounds'
+//! access order through the cache model, plus hardware counters where
+//! the host opens them.
 //!
 //! Expected shape: the grid halves the miss ratio and wins PageRank
 //! end-to-end despite its pre-processing; for BFS the grid's algorithm
@@ -9,10 +11,12 @@
 //! sorting the per-vertex arrays never pays (same miss ratio, more
 //! pre-processing).
 
+use egraph_bench::trace::ReplayLayout;
 use egraph_bench::{fmt_pct, fmt_secs, graphs, llc, ExperimentCtx, ResultTable};
 use egraph_core::algo::pagerank;
 use egraph_core::exec::ExecCtx;
-use egraph_core::preprocess::Strategy;
+use egraph_core::layout::EdgeDirection;
+use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use egraph_core::telemetry::{CounterKind, PhaseProfiler};
 use egraph_core::types::Edge;
 use egraph_core::variant::{
@@ -60,7 +64,7 @@ fn main() {
     );
 
     // One PreparedGraph per build configuration; each caches its
-    // layouts so the timing, probed and hardware passes share builds.
+    // layouts so the timing and hardware passes share builds.
     let prep = PreparedGraph::new(&graph).strategy(Strategy::RadixSort);
     let prep_sorted = PreparedGraph::new(&graph)
         .strategy(Strategy::RadixSort)
@@ -100,7 +104,7 @@ fn main() {
         &["layout", "source", "BFS", "Pagerank"],
     );
 
-    // --- timing runs (no probe, full speed) ---
+    // --- timing runs ---
     let plain = ExecCtx::new(None);
     let bfs_adj = run(bfs_adj_id, &plain, &prep, &bfs_params);
     let bfs_sorted = run(bfs_adj_id, &plain, &prep_sorted, &bfs_params);
@@ -136,63 +140,47 @@ fn main() {
     }
     fig5.print();
 
-    // --- miss-ratio runs (probed, one PR iteration / full BFS) ---
-    println!("\nmeasuring LLC miss ratios (scaled machine-B cache)…");
-    let pr_probe_params = RunParams {
+    // --- miss-ratio replays (one PR iteration / full BFS) ---
+    // The cache model replays the push rounds' access order over its
+    // own copies of the layouts, built as the PreparedGraphs built
+    // theirs; the grid is sized to the *simulated* LLC, exactly as the
+    // paper's 256x256 was sized to machine B's 16 MB.
+    println!("\nreplaying LLC miss ratios (scaled machine-B cache)…");
+    let pr_one_params = RunParams {
         pagerank: pagerank::PagerankConfig {
             iterations: 1,
             ..pr_cfg
         },
         ..RunParams::default()
     };
-    let mut add_llc = |name: &str, bfs_miss: f64, pr_miss: f64| {
+    let csr = |sorted: bool| {
+        CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
+            .sort_neighbors(sorted)
+            .build(&graph)
+    };
+    let (unsorted, sorted) = (csr(false), csr(true));
+    let replay_side = llc::matched_grid_side(graph.num_vertices());
+    let replay_grid = GridBuilder::new(Strategy::RadixSort)
+        .side(replay_side)
+        .build(&graph);
+    println!("(replayed grid uses side {replay_side}, matched to the scaled LLC)");
+    for (name, layout) in [
+        ("adj. unsorted", ReplayLayout::Adj(unsorted.out())),
+        ("adj. sorted", ReplayLayout::Adj(sorted.out())),
+        ("edge array", ReplayLayout::Edges(&graph)),
+        ("grid", ReplayLayout::Grid(&replay_grid)),
+    ] {
         table4.add_row(vec![
             name.into(),
             "simulated".into(),
-            fmt_pct(bfs_miss),
-            fmt_pct(pr_miss),
+            fmt_pct(llc::bfs_miss_ratio(&layout, root)),
+            fmt_pct(llc::pagerank_miss_ratio(&layout)),
         ]);
-    };
-    // The layouts are already cached in the PreparedGraphs, so the
-    // probe observes only the algorithm's accesses.
-    let probed = |id: VariantId, g: &PreparedGraph<'_, Edge>, params: &RunParams<'_>| {
-        let words = if id.algo == Algo::Bfs { 1 } else { 12 };
-        let probe = llc::probe_for(graph.num_vertices(), words);
-        run(id, &ExecCtx::new(None).probe(&probe), g, params);
-        probe.report().overall_miss_ratio()
-    };
-
-    let b = probed(bfs_adj_id, &prep, &bfs_params);
-    let p = probed(pr_adj_id, &prep, &pr_probe_params);
-    add_llc("adj. unsorted", b, p);
-
-    let b = probed(bfs_adj_id, &prep_sorted, &bfs_params);
-    let p = probed(pr_adj_id, &prep_sorted, &pr_probe_params);
-    add_llc("adj. sorted", b, p);
-
-    let b = probed(bfs_edge_id, &prep, &bfs_params);
-    let p = probed(pr_edge_id, &prep, &pr_probe_params);
-    add_llc("edge array", b, p);
-
-    // The probed grid must be sized to the *simulated* LLC, exactly as
-    // the paper's 256x256 was sized to machine B's 16 MB: two vertex
-    // ranges of metadata should fit the scaled cache.
-    let probe_side = {
-        let cap = llc::scaled_machine_b(graph.num_vertices() * 12).capacity;
-        let range = (cap / (2 * 12)).max(64);
-        graph.num_vertices().div_ceil(range).clamp(8, 256)
-    };
-    let prep_probe_grid = PreparedGraph::new(&graph)
-        .strategy(Strategy::RadixSort)
-        .side(probe_side);
-    println!("(probed grid uses side {probe_side}, matched to the scaled LLC)");
-    let b = probed(bfs_grid_id, &prep_probe_grid, &bfs_params);
-    let p = probed(pr_grid_id, &prep_probe_grid, &pr_probe_params);
-    add_llc("grid", b, p);
+    }
 
     // --- hardware miss ratios (real PMU, full-speed runs) ---
-    // Same layouts and configs as the simulated pass, measured with
-    // perf LLC-loads / LLC-load-misses instead of the cache model. On
+    // The configs of the simulated pass, measured with perf LLC-loads /
+    // LLC-load-misses instead of the cache model. On
     // hosts that restrict perf_event_open the table simply keeps its
     // simulated rows.
     let kinds = prof.available_counters();
@@ -210,7 +198,7 @@ fn main() {
                 run(bfs_id, &plain, g, &bfs_params);
             });
             let pr_hw = hw_llc_ratio(&prof, || {
-                run(pr_id, &plain, g, &pr_probe_params);
+                run(pr_id, &plain, g, &pr_one_params);
             });
             table4.add_row(vec![
                 name.into(),

@@ -11,6 +11,9 @@
 //! substitution in `DESIGN.md` §4.
 
 use egraph_cachesim::{CacheConfig, CacheHierarchy, HierarchyProbe, LlcProbe};
+use egraph_core::types::{EdgeRecord, VertexId};
+
+use crate::trace::{self, ReplayLayout, BFS_STRIDE, PAGERANK_STRIDE};
 
 /// Footprint-to-LLC ratio of the paper's measurement setup: RMAT-26
 /// PageRank metadata (2^26 vertices × 12 B ≈ 800 MB) on machine B's
@@ -49,6 +52,31 @@ pub fn probe_for(num_vertices: usize, meta_bytes_per_vertex: usize) -> Hierarchy
 /// kept for ablations against [`probe_for`].
 pub fn flat_probe_for(num_vertices: usize, meta_bytes_per_vertex: usize) -> LlcProbe {
     LlcProbe::new(scaled_machine_b(num_vertices * meta_bytes_per_vertex))
+}
+
+/// A grid side matched to the scaled LLC of a graph with `num_vertices`
+/// vertices, exactly as the paper's 256x256 was sized to machine B's
+/// 16 MB: two vertex ranges of PageRank metadata fit the cache.
+pub fn matched_grid_side(num_vertices: usize) -> usize {
+    let meta = PAGERANK_STRIDE as usize;
+    let cap = scaled_machine_b(num_vertices * meta).capacity;
+    let range = (cap / (2 * meta)).max(64);
+    num_vertices.div_ceil(range).clamp(8, 256)
+}
+
+/// The simulated LLC miss ratio of `bfs/{layout}/push` from `root`.
+pub fn bfs_miss_ratio<E: EdgeRecord>(layout: &ReplayLayout<'_, E>, root: VertexId) -> f64 {
+    let probe = probe_for(layout.num_vertices(), BFS_STRIDE as usize);
+    trace::replay_bfs(layout, root, &probe);
+    probe.report().overall_miss_ratio()
+}
+
+/// The simulated LLC miss ratio of one `pagerank/{layout}/push`
+/// iteration.
+pub fn pagerank_miss_ratio<E: EdgeRecord>(layout: &ReplayLayout<'_, E>) -> f64 {
+    let probe = probe_for(layout.num_vertices(), PAGERANK_STRIDE as usize);
+    trace::replay_pagerank_round(layout, &probe);
+    probe.report().overall_miss_ratio()
 }
 
 #[cfg(test)]

@@ -1,17 +1,178 @@
-//! Memory-access replay of the three adjacency-list construction
-//! techniques, used to reproduce Table 2's "LLC misses" column.
+//! Offline replays of the kernels' memory-access order, the input of
+//! the LLC model (`egraph-cachesim`). Nothing in the product is
+//! instrumented: each function here walks a layout in the order the
+//! corresponding code touches memory and hands every access to a
+//! [`MemProbe`], serially — so a replay prints the same numbers at every
+//! pool width.
 //!
-//! Each function drives the LLC simulator with the exact address
-//! stream the corresponding builder issues — sequential input scans,
-//! per-vertex scattered appends (dynamic), random counter increments
-//! and offset scatters (count sort), or the radix partition's passes
-//! (sequential bucket streams through a cache-resident cursor row). The paper's explanation (§3.3) is that radix sort
-//! wins *because* of this difference, so the replay makes the
-//! explanation measurable.
+//! * **Construction (Table 2's "LLC misses" column).** The three
+//!   adjacency-list building techniques: sequential input scans,
+//!   per-vertex scattered appends (dynamic), random counter increments
+//!   and offset scatters (count sort), or the radix partition's passes
+//!   (sequential bucket streams through a cache-resident cursor row).
+//!   The paper's explanation (§3.3) is that radix sort wins *because* of
+//!   this difference, so the replay makes the explanation measurable.
+//! * **Push rounds (Table 4 and §5's grid ablations).** The engine's two
+//!   push drivers: `vertex_push` goes over a CSR direction in frontier
+//!   order — the edge at its CSR offset, then the source's metadata,
+//!   then the destination's; `scan_push` streams an [`EdgeStream`]'s
+//!   runs — the edge, then the source, then the destination only for an
+//!   active source. Around them sit the rounds of `bfs/*/push`
+//!   ([`replay_bfs`], over a serial BFS that yields the engine's
+//!   per-round frontiers) and the all-active PageRank round
+//!   ([`replay_pagerank_round`]), each with its algorithm's metadata
+//!   stride (§5.2).
 
 use egraph_cachesim::probe::regions;
 use egraph_cachesim::{AccessKind, MemProbe};
-use egraph_core::types::EdgeRecord;
+use egraph_core::layout::{Adjacency, EdgeStream, Grid, Storage};
+use egraph_core::types::{EdgeList, EdgeRecord, VertexId};
+
+/// BFS metadata footprint: one byte of visited state per vertex ("a
+/// cache line only contains the metadata associated with very few
+/// vertices (64 in the case of BFS)", §5.2).
+pub(crate) const BFS_STRIDE: u64 = 1;
+
+/// PageRank metadata footprint: rank + degree + accumulator ≈ 12 bytes
+/// ("a cache line can fit at most 6 vertices for Pagerank", §5.2 —
+/// 64 / 6 ≈ 11).
+pub(crate) const PAGERANK_STRIDE: u64 = 12;
+
+/// A layout whose push rounds the replay reproduces: the three of
+/// Table 4, each to be built as `PreparedGraph` builds it.
+#[derive(Debug, Clone, Copy)]
+pub enum ReplayLayout<'a, E: EdgeRecord> {
+    /// A CSR out-direction (`bfs/adj/push`, `pagerank/adj/push`).
+    Adj(&'a Adjacency<E>),
+    /// The edge array, streamed in stream order.
+    Edges(&'a EdgeList<E>),
+    /// The grid by columns — the cut its push rounds run on.
+    Grid(&'a Grid<E>),
+}
+
+impl<E: EdgeRecord> ReplayLayout<'_, E> {
+    /// Number of vertices.
+    pub(crate) fn num_vertices(&self) -> usize {
+        match self {
+            Self::Adj(out) => out.num_vertices(),
+            Self::Edges(edges) => edges.num_vertices(),
+            Self::Grid(grid) => grid.num_vertices(),
+        }
+    }
+
+    /// Calls `visit(i, e, active)` for every edge a push round from
+    /// `frontier` examines, in the order the layout's driver examines
+    /// them on one worker: `i` is the edge's index in the layout's edge
+    /// storage, `active` whether its source is in `frontier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an adjacency without CSR storage (a `Dynamic`-built
+    /// list has no edge offsets to address).
+    fn for_each_examined(&self, frontier: &[VertexId], mut visit: impl FnMut(u64, &E, bool)) {
+        match self {
+            Self::Adj(out) => {
+                let Storage::Csr { offsets, edges } = out.storage() else {
+                    panic!("the push replay addresses edges by their CSR offset")
+                };
+                for &v in frontier {
+                    let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
+                    for (i, e) in (lo..).zip(&edges[lo as usize..hi as usize]) {
+                        visit(i, e, true);
+                    }
+                }
+            }
+            Self::Edges(edges) => scan(*edges, frontier, visit),
+            Self::Grid(grid) => scan(*grid, frontier, visit),
+        }
+    }
+}
+
+/// [`ReplayLayout::for_each_examined`] of a streamed layout: every edge,
+/// in the order of `runs(0..num_units)`.
+fn scan<E: EdgeRecord, S: EdgeStream<E>>(
+    stream: &S,
+    frontier: &[VertexId],
+    mut visit: impl FnMut(u64, &E, bool),
+) {
+    let mut active = vec![false; stream.num_vertices()];
+    for &v in frontier {
+        active[v as usize] = true;
+    }
+    for (base, run) in stream.runs(0..stream.num_units()) {
+        for (i, e) in (base..).zip(run) {
+            visit(i, e, active[e.src() as usize]);
+        }
+    }
+}
+
+/// Replays one push round from `frontier` (in the order given) with
+/// `stride` bytes of metadata per vertex: per examined edge the edge
+/// itself, then its source's metadata, then — where the source is in
+/// the frontier — its destination's.
+fn replay_push_round<E: EdgeRecord, P: MemProbe>(
+    layout: &ReplayLayout<'_, E>,
+    frontier: &[VertexId],
+    stride: u64,
+    probe: &P,
+) {
+    let esize = std::mem::size_of::<E>() as u64;
+    layout.for_each_examined(frontier, |i, e, active| {
+        probe.touch(AccessKind::Edge, regions::EDGES + i * esize);
+        probe.touch(
+            AccessKind::SrcMeta,
+            regions::SRC_META + e.src() as u64 * stride,
+        );
+        if active {
+            probe.touch(
+                AccessKind::DstMeta,
+                regions::DST_META + e.dst() as u64 * stride,
+            );
+        }
+    });
+}
+
+/// The frontiers of `bfs/{layout}/push` from `root`, one per round. A
+/// round's frontier lists the vertices the previous round discovered in
+/// discovery order — the order the engine collects a sparse frontier in
+/// (by chunk, whichever worker ran it), so on the CSR it is the order
+/// the next round visits them.
+fn bfs_frontiers<E: EdgeRecord>(
+    layout: &ReplayLayout<'_, E>,
+    root: VertexId,
+) -> Vec<Vec<VertexId>> {
+    let mut seen = vec![false; layout.num_vertices()];
+    seen[root as usize] = true;
+    let (mut frontiers, mut frontier) = (Vec::new(), vec![root]);
+    while !frontier.is_empty() {
+        let mut next = Vec::new();
+        layout.for_each_examined(&frontier, |_, e, active| {
+            if active && !std::mem::replace(&mut seen[e.dst() as usize], true) {
+                next.push(e.dst());
+            }
+        });
+        frontiers.push(std::mem::replace(&mut frontier, next));
+    }
+    frontiers
+}
+
+/// Replays a whole `bfs/{layout}/push` run from `root`.
+pub fn replay_bfs<E: EdgeRecord, P: MemProbe>(
+    layout: &ReplayLayout<'_, E>,
+    root: VertexId,
+    probe: &P,
+) {
+    for frontier in bfs_frontiers(layout, root) {
+        replay_push_round(layout, &frontier, BFS_STRIDE, probe);
+    }
+}
+
+/// Replays one power iteration of `pagerank/{layout}/push`: a push
+/// round from every vertex.
+pub fn replay_pagerank_round<E: EdgeRecord, P: MemProbe>(layout: &ReplayLayout<'_, E>, probe: &P) {
+    let all: Vec<VertexId> = (0..layout.num_vertices() as VertexId).collect();
+    replay_push_round(layout, &all, PAGERANK_STRIDE, probe);
+}
 
 /// Replays the dynamic per-vertex building pass: a sequential input
 /// scan plus one append (and occasional reallocation copy) per edge
@@ -142,7 +303,134 @@ pub fn trace_radix_sort<E: EdgeRecord, P: MemProbe>(edges: &[E], nv: usize, prob
 mod tests {
     use super::*;
     use crate::llc;
+    use egraph_cachesim::{CacheConfig, LlcProbe};
+    use egraph_core::algo::pagerank::PagerankConfig;
+    use egraph_core::exec::ExecCtx;
+    use egraph_core::layout::EdgeDirection;
+    use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
+    use egraph_core::telemetry::{IterRecord, TraceRecorder};
     use egraph_core::types::Edge;
+    use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantRun};
+
+    /// The graphs the replay is pinned to the product on, each with a
+    /// BFS root.
+    fn corpus() -> Vec<(&'static str, EdgeList<Edge>, VertexId)> {
+        let rmat = egraph_graphgen::rmat(9, 8, 5);
+        let root = crate::graphs::best_root(&rmat);
+        let spokes = (1..33).map(|v| Edge::new(0, v));
+        let star = spokes.clone().chain(spokes.map(|e| Edge::new(e.dst, 0)));
+        vec![
+            ("rmat", rmat, root),
+            ("ordered road", egraph_graphgen::road_like(8, 16), 0),
+            ("star", EdgeList::new(33, star.collect()).unwrap(), 0),
+            ("edgeless", EdgeList::new(6, Vec::new()).unwrap(), 2),
+            ("single vertex", EdgeList::new(1, Vec::new()).unwrap(), 0),
+        ]
+    }
+
+    /// Runs `spec` on `graph` under a recorder; returns the run and its
+    /// iteration records.
+    fn traced(
+        spec: &str,
+        graph: &PreparedGraph<'_, Edge>,
+        params: &RunParams<'_>,
+    ) -> (VariantRun, Vec<IterRecord>) {
+        let recorder = TraceRecorder::new();
+        let ctx = ExecCtx::new(None).recorder(&recorder);
+        let run = run_variant(&spec.parse().unwrap(), &ctx, graph, params).unwrap();
+        (run, recorder.iterations())
+    }
+
+    /// `[Edge, SrcMeta, DstMeta]` accesses of a replay: an LLC probe
+    /// counts every touch.
+    fn touches(replay: impl FnOnce(&LlcProbe)) -> [u64; 3] {
+        let probe = LlcProbe::new(CacheConfig::tiny(4096, 4));
+        replay(&probe);
+        probe.report().per_kind.map(|s| s.accesses)
+    }
+
+    #[test]
+    fn the_replay_runs_the_rounds_the_product_runs() {
+        for (name, graph, root) in corpus() {
+            let side = graph.num_vertices().min(4);
+            let prepared = PreparedGraph::new(&graph)
+                .strategy(Strategy::RadixSort)
+                .side(side);
+            let csr = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
+            let grid = GridBuilder::new(Strategy::RadixSort)
+                .side(side)
+                .build(&graph);
+            let degrees = graph.out_degrees();
+            let bfs_params = RunParams {
+                root,
+                ..RunParams::default()
+            };
+            let pr_params = RunParams {
+                pagerank: PagerankConfig {
+                    iterations: 1,
+                    ..PagerankConfig::default()
+                },
+                ..RunParams::default()
+            };
+            for (cut, layout) in [
+                ("adj", ReplayLayout::Adj(csr.out())),
+                ("edge", ReplayLayout::Edges(&graph)),
+                ("grid", ReplayLayout::Grid(&grid)),
+            ] {
+                let (run, rounds) = traced(&format!("bfs/{cut}/push"), &prepared, &bfs_params);
+                let frontiers = bfs_frontiers(&layout, root);
+                assert_eq!(frontiers.len(), rounds.len(), "{name}: bfs/{cut}");
+                let mut level = vec![u32::MAX; graph.num_vertices()];
+                for (depth, (frontier, round)) in frontiers.iter().zip(&rounds).enumerate() {
+                    let at = format!("{name}: bfs/{cut} round {depth}");
+                    assert_eq!(frontier.len(), round.frontier_size, "{at}");
+                    let [edge, src, dst] =
+                        touches(|p| replay_push_round(&layout, frontier, BFS_STRIDE, p));
+                    let scanned = round.edges_scanned as u64;
+                    assert_eq!((edge, src), (scanned, scanned), "{at}");
+                    let out: u64 = frontier.iter().map(|&v| degrees[v as usize]).sum();
+                    assert_eq!(dst, out, "{at}");
+                    for &v in frontier {
+                        level[v as usize] = depth as u32;
+                    }
+                }
+                assert_eq!(
+                    level,
+                    run.output.as_bfs().unwrap().level,
+                    "{name}: bfs/{cut}"
+                );
+
+                let (_, rounds) = traced(&format!("pagerank/{cut}/push"), &prepared, &pr_params);
+                let [round] = &rounds[..] else {
+                    panic!("{name}: pagerank/{cut} ran {} rounds", rounds.len())
+                };
+                let scanned = round.edges_scanned as u64;
+                assert_eq!(scanned, graph.num_edges() as u64);
+                let counts = touches(|p| replay_pagerank_round(&layout, p));
+                assert_eq!(counts, [scanned; 3], "{name}: pagerank/{cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_reproduces_grid_cache_advantage() {
+        // Table 4's direction: the grid's PageRank miss ratio is lower
+        // than the edge array's.
+        let graph = egraph_graphgen::rmat(13, 16, 21);
+        let grid = GridBuilder::new(Strategy::RadixSort).side(16).build(&graph);
+        let miss_ratio = |layout: ReplayLayout<'_, Edge>| {
+            // A small simulated LLC so the metadata does not fit.
+            let probe = LlcProbe::new(CacheConfig::tiny(16 * 1024, 16));
+            replay_pagerank_round(&layout, &probe);
+            probe.report().overall_miss_ratio()
+        };
+        let edge_miss = miss_ratio(ReplayLayout::Edges(&graph));
+        let grid_miss = miss_ratio(ReplayLayout::Grid(&grid));
+        assert!(
+            grid_miss < 0.8 * edge_miss,
+            "grid {grid_miss} should clearly beat edge array {edge_miss}"
+        );
+    }
 
     fn skewed_edges(nv: usize, ne: usize) -> Vec<Edge> {
         let mut state = 11u64;

@@ -1,5 +1,6 @@
-//! The instrumentation interface between the execution engine and the
-//! cache model.
+//! The interface between a replayed access stream and the cache model:
+//! [`MemProbe`] takes one access at a time, and the probes here drive a
+//! cache or a hierarchy with it and keep per-kind statistics.
 
 use parking_lot::Mutex;
 
@@ -30,38 +31,11 @@ impl AccessKind {
     }
 }
 
-/// Memory-access instrumentation hook.
-///
-/// The engine is generic over this trait; the [`NullProbe`]
-/// implementation is a no-op that the optimizer removes entirely, so
-/// production runs are not slowed down by the existence of the
-/// instrumentation.
+/// The sink of a replayed access stream: one call per simulated memory
+/// access, in program order.
 pub trait MemProbe: Sync {
-    /// Reports whether this probe records anything. Engines may skip
-    /// address computation when `false`. The answer must stay the same
-    /// for the probe's whole lifetime: the engine's drivers read it once
-    /// per call, not once per edge.
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Records one access of `kind` at simulated byte address `addr`.
     fn touch(&self, kind: AccessKind, addr: u64);
-}
-
-/// The zero-cost probe used for timing runs.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullProbe;
-
-impl MemProbe for NullProbe {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn touch(&self, _kind: AccessKind, _addr: u64) {}
 }
 
 /// Per-kind and overall miss statistics produced by an [`LlcProbe`].
@@ -97,8 +71,8 @@ impl MissReport {
 /// A probe that drives a shared [`SetAssocCache`], modelling the LLC
 /// that all cores of a socket share.
 ///
-/// The cache sits behind a mutex: measurement runs trade speed for
-/// fidelity. Use [`NullProbe`] for timing runs.
+/// The cache sits behind a mutex, so a probe can be shared by
+/// reference.
 pub struct LlcProbe {
     inner: Mutex<ProbeInner>,
 }
@@ -211,9 +185,9 @@ impl MemProbe for HierarchyProbe {
     }
 }
 
-/// Well-separated base addresses for the simulated regions, so the
-/// engine can place edges and vertex metadata in non-overlapping parts
-/// of the simulated address space.
+/// Well-separated base addresses for the simulated regions, so a replay
+/// can place edges and vertex metadata in non-overlapping parts of the
+/// simulated address space.
 pub mod regions {
     /// Base address of the edge storage region.
     pub const EDGES: u64 = 0x0100_0000_0000;
@@ -228,13 +202,6 @@ pub mod regions {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_probe_is_disabled() {
-        let p = NullProbe;
-        assert!(!p.enabled());
-        p.touch(AccessKind::Edge, 0);
-    }
 
     #[test]
     fn llc_probe_counts_per_kind() {

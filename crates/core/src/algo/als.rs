@@ -98,7 +98,6 @@ pub(crate) fn als_impl(
     cfg: AlsConfig,
     ctx: &ExecCtx<'_>,
 ) -> AlsResult {
-    let probe = ctx.live_probe();
     let nv = out.num_vertices();
     assert_eq!(nv, incoming.num_vertices(), "direction vertex counts");
     assert!(num_users <= nv, "num_users exceeds vertex count");
@@ -116,16 +115,8 @@ pub(crate) fn als_impl(
         // Solve users from item factors (users read their out-edges),
         // then items from user factors (items read their in-edges).
         let (_, seconds) = timed(|| {
-            solve_side(&mut factors, out, 0..num_users, k, cfg.lambda, false, probe);
-            solve_side(
-                &mut factors,
-                incoming,
-                num_users..nv,
-                k,
-                cfg.lambda,
-                true,
-                probe,
-            );
+            solve_side(&mut factors, out, 0..num_users, k, cfg.lambda, false);
+            solve_side(&mut factors, incoming, num_users..nv, k, cfg.lambda, true);
         });
         total += seconds;
         if ctx.recorder.enabled() {
@@ -148,7 +139,6 @@ pub(crate) fn als_impl(
 
 /// Solves the normal equations for every vertex in `range`, reading
 /// neighbor factors and writing only the vertex's own factor row.
-#[allow(clippy::too_many_arguments)]
 fn solve_side(
     factors: &mut [f32],
     adj: &Adjacency<WEdge>,
@@ -156,7 +146,6 @@ fn solve_side(
     k: usize,
     lambda: f64,
     neighbors_are_sources: bool,
-    probe: Option<&dyn egraph_cachesim::MemProbe>,
 ) {
     let shared = UnsyncSlice::new(factors);
     egraph_parallel::parallel_for(range, 64, |vs| {
@@ -170,22 +159,12 @@ fn solve_side(
             }
             a.fill(0.0);
             b.fill(0.0);
-            for (idx, e) in edges.iter().enumerate() {
+            for e in edges {
                 let n = if neighbors_are_sources {
                     e.src()
                 } else {
                     e.dst()
                 } as usize;
-                if let Some(probe) = probe {
-                    probe.touch(
-                        egraph_cachesim::AccessKind::Edge,
-                        adj.edge_sim_addr(v as VertexId, idx),
-                    );
-                    probe.touch(
-                        egraph_cachesim::AccessKind::SrcMeta,
-                        egraph_cachesim::probe::regions::SRC_META + (n * k * 4) as u64,
-                    );
-                }
                 for (j, qj) in q.iter_mut().enumerate() {
                     // SAFETY: neighbor rows belong to the *other* side
                     // of the bipartite graph, which this half-step

@@ -19,11 +19,6 @@ use crate::metrics::{timed, Direction, IterStat, SyncMode};
 use crate::types::{EdgeList, EdgeRecord, VertexId, INVALID_VERTEX};
 use crate::util::{AtomicBitmap, StripedLocks};
 
-/// BFS metadata footprint: one byte of visited state per vertex ("a
-/// cache line only contains the metadata associated with very few
-/// vertices (64 in the case of BFS)", §5.2).
-const BFS_META_BYTES: u64 = 1;
-
 /// The result of a BFS run.
 #[derive(Debug, Clone)]
 pub struct BfsResult {
@@ -86,8 +81,6 @@ impl BfsState {
 }
 
 impl<E: EdgeRecord> PushOp<E> for BfsState {
-    const META_BYTES: u64 = BFS_META_BYTES;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         let dst = e.dst() as usize;
@@ -144,8 +137,6 @@ pub(crate) struct BfsPull<'a> {
 }
 
 impl<E: EdgeRecord> PullOp<E> for BfsPull<'_> {
-    const META_BYTES: u64 = BFS_META_BYTES;
-
     #[inline]
     fn wants_pull(&self, dst: VertexId) -> bool {
         self.state.parent[dst as usize].load(Ordering::Relaxed) == INVALID_VERTEX
@@ -186,8 +177,6 @@ struct LockedBfs<'a> {
 }
 
 impl<E: EdgeRecord> PushOp<E> for LockedBfs<'_> {
-    const META_BYTES: u64 = BFS_META_BYTES;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         let dst = e.dst();

@@ -19,11 +19,6 @@ use crate::telemetry::IterRecord;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::{StripedLocks, UnsyncSlice};
 
-/// PageRank metadata footprint: rank + degree + accumulator ≈ 12 bytes
-/// ("a cache line can fit at most 6 vertices for Pagerank", §5.2 —
-/// 64 / 6 ≈ 11).
-const PR_META_BYTES: u64 = 12;
-
 /// Configuration of a PageRank run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PagerankConfig {
@@ -196,8 +191,6 @@ pub(crate) fn pull_impl<E: EdgeRecord, F, L: PullLayout<E, F>>(
                     acc: UnsyncSlice<'a, f32>,
                 }
                 impl<E: EdgeRecord> PullOp<E> for PrPull<'_> {
-                    const META_BYTES: u64 = PR_META_BYTES;
-
                     #[inline]
                     fn wants_pull(&self, _dst: VertexId) -> bool {
                         true
@@ -252,8 +245,6 @@ struct PrPushAtomic<'a> {
 }
 
 impl<E: EdgeRecord> PushOp<E> for PrPushAtomic<'_> {
-    const META_BYTES: u64 = PR_META_BYTES;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         self.acc[e.dst() as usize].fetch_add(self.contrib[e.src() as usize], Ordering::Relaxed);
@@ -271,8 +262,6 @@ struct PrPushLocked<'a> {
 }
 
 impl<E: EdgeRecord> PushOp<E> for PrPushLocked<'_> {
-    const META_BYTES: u64 = PR_META_BYTES;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         let dst = e.dst();
@@ -297,8 +286,6 @@ struct PrPushExclusive<'a> {
 }
 
 impl<E: EdgeRecord> PushOp<E> for PrPushExclusive<'_> {
-    const META_BYTES: u64 = PR_META_BYTES;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         // SAFETY: only used on `DST_EXCLUSIVE` layouts, whose push

@@ -46,8 +46,6 @@ struct SpmvPushOp<'a> {
 }
 
 impl<E: EdgeRecord> PushOp<E> for SpmvPushOp<'_> {
-    const META_BYTES: u64 = 4;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         self.y[e.dst() as usize]
@@ -65,8 +63,6 @@ struct SpmvPushExclusive<'a> {
 }
 
 impl<E: EdgeRecord> PushOp<E> for SpmvPushExclusive<'_> {
-    const META_BYTES: u64 = 4;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         // SAFETY: only used on `DST_EXCLUSIVE` layouts, whose push
@@ -157,8 +153,6 @@ pub(crate) fn pull_impl<E: EdgeRecord, F, L: PullLayout<E, F>>(
             y: UnsyncSlice<'a, f32>,
         }
         impl<E: EdgeRecord> PullOp<E> for SpmvPull<'_> {
-            const META_BYTES: u64 = 4;
-
             #[inline]
             fn wants_pull(&self, _dst: VertexId) -> bool {
                 true

@@ -142,8 +142,6 @@ impl SsspState {
 }
 
 impl<E: EdgeRecord> PushOp<E> for SsspState {
-    const META_BYTES: u64 = 4; // one f32 distance per vertex
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         let d = self.round_dist[e.src() as usize].load(Ordering::Relaxed);

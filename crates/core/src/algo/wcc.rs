@@ -149,8 +149,6 @@ impl UnionFind {
 }
 
 impl<E: EdgeRecord> PushOp<E> for UnionFind {
-    const META_BYTES: u64 = 4;
-
     #[inline]
     fn push(&self, e: &E) -> bool {
         self.unite(e.src(), e.dst());

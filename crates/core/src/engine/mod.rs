@@ -19,15 +19,13 @@
 //! layout — under a [`Policy`] that can only ask for a pull where the
 //! layout is a [`PullLayout`] and the rule a [`PullAlgo`].
 //!
-//! Every driver takes an [`ExecCtx`] carrying a [`MemProbe`] (so the
-//! same code path can run under the LLC simulator) and a [`Recorder`]
-//! (so a traced run can report edges examined per step), both as trait
-//! objects: a driver is compiled once per layout and rule, whatever the
-//! instrumentation. Each driver reads `probe.enabled()` once per call
-//! (it is constant for a probe's lifetime; `ExecCtx::live_probe` turns
-//! it into an `Option` the per-edge code tests) and
-//! `recorder.enabled()` once per chunk, so neither costs a virtual call
-//! per edge.
+//! Every driver takes an [`ExecCtx`] carrying a [`Recorder`] (so a
+//! traced run can report edges examined per step) as a trait object: a
+//! driver is compiled once per layout and rule, whatever the
+//! instrumentation, and reads `recorder.enabled()` once per chunk, so
+//! tracing costs no virtual call per edge. Each driver has one inner
+//! loop. The LLC model of §5 is not fed from here: `egraph-bench`
+//! replays the push drivers' access order offline (its `trace` module).
 
 mod edge_map;
 mod layout;
@@ -36,8 +34,6 @@ pub(crate) use edge_map::record_iter;
 pub use edge_map::{edge_map, Flow, FrontierAlgo, Policy, PullAlgo, PushOnly};
 pub use layout::{EngineLayout, Indexed, PullLayout, Scanned};
 
-use egraph_cachesim::probe::regions;
-use egraph_cachesim::MemProbe;
 use egraph_parallel::timeline;
 
 use crate::exec::ExecCtx;
@@ -58,11 +54,6 @@ pub const EDGES_EXAMINED: &str = "engine.edges_examined";
 /// *newly* activated, in which case the engine adds it to the next
 /// frontier.
 pub trait PushOp<E: EdgeRecord>: Sync {
-    /// Bytes of per-vertex metadata this algorithm touches per access —
-    /// the stride used for simulated cache addresses (e.g. 1 byte for
-    /// BFS's visited map, 12 bytes for PageRank's rank/degree records).
-    const META_BYTES: u64 = 8;
-
     /// Processes one edge; returns `true` if the destination became
     /// active for the next step.
     fn push(&self, e: &E) -> bool;
@@ -70,9 +61,6 @@ pub trait PushOp<E: EdgeRecord>: Sync {
 
 /// Per-edge semantics of a pull-mode step.
 pub trait PullOp<E: EdgeRecord>: Sync {
-    /// See [`PushOp::META_BYTES`].
-    const META_BYTES: u64 = 8;
-
     /// Whether `dst` should scan its in-edges this step (e.g. BFS skips
     /// already-discovered vertices).
     fn wants_pull(&self, dst: VertexId) -> bool;
@@ -93,8 +81,7 @@ pub trait PullOp<E: EdgeRecord>: Sync {
     /// [`Self::prefetch_src`] for the edge [`prefetch distance`]
     /// (crate::simd::prefetch_distance) ahead. Vectorized operators
     /// (PageRank/SpMV pull) override it with a whole-span gather.
-    /// Drivers only take this fast path when the cache probe is off —
-    /// probed runs keep the exact per-edge [`Self::pull`] loop.
+    /// `vertex_pull` hands every neighbor list over through this alone.
     #[inline]
     fn pull_span(&self, dst: VertexId, edges: &[E]) -> usize {
         let dist = crate::simd::prefetch_distance();
@@ -119,27 +106,6 @@ pub trait PullOp<E: EdgeRecord>: Sync {
 
     /// After the scan: did `dst` activate for the next step?
     fn activated(&self, dst: VertexId) -> bool;
-}
-
-#[inline]
-fn touch_edge(probe: &dyn MemProbe, addr: u64) {
-    probe.touch(egraph_cachesim::AccessKind::Edge, addr);
-}
-
-#[inline]
-fn touch_src(probe: &dyn MemProbe, v: VertexId, stride: u64) {
-    probe.touch(
-        egraph_cachesim::AccessKind::SrcMeta,
-        regions::SRC_META + v as u64 * stride,
-    );
-}
-
-#[inline]
-fn touch_dst(probe: &dyn MemProbe, v: VertexId, stride: u64) {
-    probe.touch(
-        egraph_cachesim::AccessKind::DstMeta,
-        regions::DST_META + v as u64 * stride,
-    );
 }
 
 /// Flushes one chunk's examined-edge count to the recorder.
@@ -167,22 +133,14 @@ where
 {
     let _step = timeline::span(timeline::SpanKind::Step, "vertex_push", "push");
     let next = NextFrontier::new(next_kind, out.num_vertices());
-    let probe = ctx.live_probe();
     // Each chunk borrows its worker's activation sink once and pushes
     // straight into the persistent per-worker buffer — no per-chunk
     // allocation, no shared-state flush.
     let process =
         |v: VertexId, sink: &mut crate::frontier::FrontierSink<'_>, examined: &mut usize| {
-            let mut k = 0usize;
             out.for_each_span(v, |span| {
                 *examined += span.len();
                 for e in span {
-                    if let Some(probe) = probe {
-                        touch_edge(probe, out.edge_sim_addr(v, k));
-                        touch_src(probe, v, O::META_BYTES);
-                        touch_dst(probe, e.dst(), O::META_BYTES);
-                        k += 1;
-                    }
                     if op.push(e) {
                         sink.add(e.dst());
                     }
@@ -237,25 +195,14 @@ where
 {
     let _step = timeline::span(timeline::SpanKind::Step, S::PUSH_SPAN, "push");
     let next = NextFrontier::new(next_kind, stream.num_vertices());
-    let esize = std::mem::size_of::<E>() as u64;
-    let probe = ctx.live_probe();
     egraph_parallel::parallel_for(0..stream.num_units(), S::GRAIN, |units| {
         let mut sink = next.sink(units.start as u64);
         let mut examined = 0;
-        for (base, run) in stream.runs(units) {
+        for (_, run) in stream.runs(units) {
             examined += run.len();
-            for (k, e) in run.iter().enumerate() {
-                if let Some(probe) = probe {
-                    touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
-                    touch_src(probe, e.src(), O::META_BYTES);
-                }
-                if active(e.src()) {
-                    if let Some(probe) = probe {
-                        touch_dst(probe, e.dst(), O::META_BYTES);
-                    }
-                    if op.push(e) {
-                        sink.add(e.dst());
-                    }
+            for e in run {
+                if active(e.src()) && op.push(e) {
+                    sink.add(e.dst());
                 }
             }
         }
@@ -267,12 +214,9 @@ where
 /// Vertex-centric pull over an in-direction (uncompressed or ccsr):
 /// every vertex that `wants_pull` scans its in-edges (with early
 /// termination) and updates only its own state — no synchronization
-/// required (§6.1.2).
-///
-/// When the cache probe is off, each neighbor list is handed to the
-/// operator span by span through [`PullOp::pull_span`] — the
-/// vectorized/prefetched fast path. Probed runs keep the exact
-/// per-edge loop so every simulated edge touch is still issued.
+/// required (§6.1.2). Each neighbor list is handed to the operator span
+/// by span through [`PullOp::pull_span`] — the vectorized/prefetched
+/// path, and the only one.
 pub fn vertex_pull<E, A, O>(
     incoming: &A,
     op: &O,
@@ -287,7 +231,6 @@ where
     let _step = timeline::span(timeline::SpanKind::Step, "vertex_pull", "pull");
     let nv = incoming.num_vertices();
     let next = NextFrontier::new(next_kind, nv);
-    let probe = ctx.live_probe();
     egraph_parallel::parallel_for(0..nv, 1024, |r| {
         let mut sink = next.sink(r.start as u64);
         let mut examined = 0;
@@ -295,35 +238,14 @@ where
             let v = v as VertexId;
             // The pass over all vertices to check activity is the
             // inherent pull overhead the paper describes.
-            if let Some(probe) = probe {
-                touch_dst(probe, v, O::META_BYTES);
-            }
             if !op.wants_pull(v) {
                 continue;
             }
-            if let Some(probe) = probe {
-                let mut k = 0usize;
-                incoming.for_each_span(v, |span| {
-                    let mut consumed = 0;
-                    for e in span {
-                        examined += 1;
-                        touch_edge(probe, incoming.edge_sim_addr(v, k));
-                        touch_src(probe, e.src(), O::META_BYTES);
-                        k += 1;
-                        consumed += 1;
-                        if op.pull(v, e) {
-                            break;
-                        }
-                    }
-                    consumed
-                });
-            } else {
-                incoming.for_each_span(v, |span| {
-                    let consumed = op.pull_span(v, span);
-                    examined += consumed;
-                    consumed
-                });
-            }
+            incoming.for_each_span(v, |span| {
+                let consumed = op.pull_span(v, span);
+                examined += consumed;
+                consumed
+            });
             if op.activated(v) {
                 sink.add(v);
             }
@@ -352,31 +274,14 @@ where
 {
     let _step = timeline::span(timeline::SpanKind::Step, "grid_pull_columns", "pull");
     let next = NextFrontier::new(next_kind, grid.num_vertices());
-    let esize = std::mem::size_of::<E>() as u64;
-    let probe = ctx.live_probe();
     egraph_parallel::parallel_for(0..grid.side(), 1, |columns| {
         let mut sink = next.sink(columns.start as u64);
         let mut examined = 0;
-        for (base, run) in grid.runs(columns.clone()) {
+        for (_, run) in grid.runs(columns.clone()) {
             examined += run.len();
-            // The unprobed case is its own plain loop: with the probe
-            // test inside it the same per-edge code ran 10-20 % slower
-            // (EXPERIMENTS.md "PR 18").
-            let Some(probe) = probe else {
-                for e in run {
-                    if op.wants_pull(e.dst()) {
-                        let _ = op.pull(e.dst(), e);
-                    }
-                }
-                continue;
-            };
-            for (k, e) in run.iter().enumerate() {
-                let receiver = e.dst();
-                touch_edge(probe, regions::EDGES + (base + k as u64) * esize);
-                touch_dst(probe, receiver, O::META_BYTES);
-                if op.wants_pull(receiver) {
-                    touch_src(probe, e.src(), O::META_BYTES);
-                    let _ = op.pull(receiver, e);
+            for e in run {
+                if op.wants_pull(e.dst()) {
+                    let _ = op.pull(e.dst(), e);
                 }
             }
         }

@@ -5,8 +5,6 @@
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use egraph_cachesim::{AccessKind, CacheConfig, LlcProbe};
-
 use super::*;
 use crate::layout::EdgeDirection;
 use crate::metrics::{Direction, DirectionDecision, IterStat, StepMode};
@@ -30,9 +28,10 @@ fn diamond() -> EdgeList<Edge> {
     .unwrap()
 }
 
-/// Counts pushes; activates every destination exactly once.
+/// Counts and logs pushes; activates every destination exactly once.
 struct CountingOp {
     pushes: AtomicUsize,
+    pushed: Mutex<Vec<(VertexId, VertexId)>>,
     activated: AtomicBitmap,
 }
 
@@ -40,16 +39,38 @@ impl CountingOp {
     fn new(nv: usize) -> Self {
         Self {
             pushes: AtomicUsize::new(0),
+            pushed: Mutex::new(Vec::new()),
             activated: AtomicBitmap::new(nv),
         }
+    }
+
+    /// The pushed edges as sorted `(src, dst)` pairs.
+    fn pushed_edges(&self) -> Vec<(VertexId, VertexId)> {
+        let mut pushed = self.pushed.lock().unwrap().clone();
+        pushed.sort_unstable();
+        pushed
     }
 }
 
 impl<E: EdgeRecord> PushOp<E> for CountingOp {
     fn push(&self, e: &E) -> bool {
         self.pushes.fetch_add(1, Ordering::Relaxed);
+        self.pushed.lock().unwrap().push((e.src(), e.dst()));
         self.activated.set(e.dst() as usize)
     }
+}
+
+/// The sorted `(src, dst)` pairs of `graph` whose source `keep` admits.
+fn edges_from(
+    graph: &EdgeList<Edge>,
+    keep: impl Fn(VertexId) -> bool,
+) -> Vec<(VertexId, VertexId)> {
+    let mut edges: Vec<_> = (graph.edges().iter())
+        .filter(|e| keep(e.src()))
+        .map(|e| (e.src(), e.dst()))
+        .collect();
+    edges.sort_unstable();
+    edges
 }
 
 /// A dense frontier of `members` over `nv` vertices — what a scanning
@@ -99,10 +120,31 @@ fn vertex_push_dense_frontier_equivalent() {
 }
 
 #[test]
+fn vertex_push_processes_every_out_edge_of_every_frontier_member() {
+    let graph = diamond();
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
+    for frontier in [
+        VertexSubset::from_vec(vec![3, 1, 0, 2]),
+        VertexSubset::all(4),
+    ] {
+        let op = CountingOp::new(4);
+        vertex_push(
+            adj.out(),
+            &frontier,
+            &op,
+            &ExecCtx::default(),
+            FrontierKind::Dense,
+        );
+        assert_eq!(op.pushed_edges(), edges_from(&graph, |_| true));
+    }
+}
+
+#[test]
 fn scan_push_pushes_only_from_the_frontier() {
     let graph = diamond();
     let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
-    // Only edges out of 1 and 2 fire — (1,3) and (2,3) — on every cut.
+    // Exactly the edges out of 1 and 2 fire — (1,3) and (2,3) — on
+    // every cut.
     let frontier = dense(4, &[1, 2]);
     let ctx = &ExecCtx::default();
     let (edge, columns, cells) = (CountingOp::new(4), CountingOp::new(4), CountingOp::new(4));
@@ -121,6 +163,7 @@ fn scan_push_pushes_only_from_the_frontier() {
         ),
     ] {
         assert_eq!(op.pushes.load(Ordering::Relaxed), 2);
+        assert_eq!(op.pushed_edges(), edges_from(&graph, |v| v == 1 || v == 2));
         assert_eq!(next.len(), 1, "3 activated once (dense dedup)");
         assert!(next.contains(3));
     }
@@ -159,7 +202,12 @@ impl<E: EdgeRecord> PullOp<E> for EarlyStopPull {
         dst == 3
     }
 
-    fn pull(&self, _dst: VertexId, _e: &E) -> bool {
+    fn pull(&self, dst: VertexId, e: &E) -> bool {
+        assert_eq!(
+            (dst, e.dst()),
+            (3, 3),
+            "offered to a receiver that does not pull"
+        );
         self.scanned.fetch_add(1, Ordering::Relaxed);
         true // stop immediately
     }
@@ -189,52 +237,17 @@ fn vertex_pull_early_termination_and_filtering() {
 }
 
 #[test]
-fn probe_sees_three_touches_per_processed_edge() {
+fn grid_pull_reads_a_provider_only_where_the_receiver_wants_to_pull() {
+    // Only vertex 3 wants to pull. Its two in-edges lie in different
+    // cells, so both are offered: a `pull` that asks to stop cannot end
+    // a scan the grid does not keep together.
     let graph = diamond();
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
-    let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
-    let op = CountingOp::new(4);
-    let frontier = VertexSubset::from_vec(vec![0, 1, 2, 3]);
-    vertex_push(
-        adj.out(),
-        &frontier,
-        &op,
-        &ExecCtx::default().probe(&probe),
-        FrontierKind::Dense,
-    );
-    let report = probe.report();
-    let edges = graph.num_edges() as u64;
-    assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
-    assert_eq!(report.kind(AccessKind::SrcMeta).accesses, edges);
-    assert_eq!(report.kind(AccessKind::DstMeta).accesses, edges);
-
-    // A scan reads every edge and its source; it touches a destination
-    // only where the source is in the frontier.
-    let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
-    let ctx = &ExecCtx::default().probe(&probe);
-    graph.push_round(&dense(4, &[1, 2]), &op, ctx, FrontierKind::Dense);
-    let report = probe.report();
-    assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
-    assert_eq!(report.kind(AccessKind::SrcMeta).accesses, edges);
-    assert_eq!(report.kind(AccessKind::DstMeta).accesses, 2);
-
-    // A grid pull reads every edge and its receiver; it touches the
-    // provider only where the receiver wants to pull. Vertex 3's two
-    // in-edges lie in different cells, so both are offered: a `pull`
-    // that asks to stop cannot end a scan the grid does not keep
-    // together.
     let grid = GridBuilder::new(Strategy::RadixSort).side(2).build(&graph);
-    let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
-    let ctx = &ExecCtx::default().probe(&probe);
     let pull = EarlyStopPull {
         scanned: AtomicUsize::new(0),
     };
-    grid.pull_round(&pull, ctx, FrontierKind::Sparse);
-    let report = probe.report();
+    grid.pull_round(&pull, &ExecCtx::default(), FrontierKind::Sparse);
     assert_eq!(pull.scanned.load(Ordering::Relaxed), 2);
-    assert_eq!(report.kind(AccessKind::Edge).accesses, edges);
-    assert_eq!(report.kind(AccessKind::DstMeta).accesses, edges);
-    assert_eq!(report.kind(AccessKind::SrcMeta).accesses, 2);
 }
 
 #[test]

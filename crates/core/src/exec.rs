@@ -1,8 +1,8 @@
 //! The unified execution context for algorithm dispatch.
 //!
 //! Every driver, kernel and algorithm entry point takes one borrowed
-//! [`ExecCtx`]: an optional scoped pool, a cache probe, a telemetry
-//! recorder and an optional phase profiler, set through a builder:
+//! [`ExecCtx`]: an optional scoped pool, a telemetry recorder and an
+//! optional phase profiler, set through a builder:
 //!
 //! ```
 //! use egraph_core::exec::ExecCtx;
@@ -13,18 +13,18 @@
 //! assert!(ctx.pool().is_none());
 //! ```
 //!
-//! The probe and the recorder are trait objects, so each kernel is
-//! compiled once per layout and per-edge rule ([`PushOp`] / [`PullOp`]
-//! stay monomorphized) and an uninstrumented run executes the same
-//! machine code as a traced one. Drivers read `probe.enabled()` once
-//! per call and `recorder.enabled()` once per chunk, so neither handle
-//! costs a virtual call per edge. The plain entry points (`bfs::push`,
-//! ...) pass `&ExecCtx::default()`.
+//! The recorder is a trait object, so each kernel is compiled once per
+//! layout and per-edge rule ([`PushOp`] / [`PullOp`] stay
+//! monomorphized) and an uninstrumented run executes the same machine
+//! code as a traced one. Drivers read `recorder.enabled()` once per
+//! chunk, so the handle costs no virtual call per edge. The plain entry
+//! points (`bfs::push`, ...) pass `&ExecCtx::default()`. Nothing here
+//! feeds the cache model: `egraph-bench` replays the kernels' access
+//! order offline.
 //!
 //! [`PushOp`]: crate::engine::PushOp
 //! [`PullOp`]: crate::engine::PullOp
 
-use egraph_cachesim::{MemProbe, NullProbe};
 use egraph_parallel::{with_pool, ThreadPool};
 
 use crate::telemetry::{NullRecorder, PhaseProfiler, Recorder};
@@ -41,11 +41,10 @@ pub const PHASE_ALGORITHM: &str = "algorithm";
 pub const PHASE_COMPACT: &str = "compact";
 
 /// The unified execution context: an optional scoped [`ThreadPool`], a
-/// cache probe, a telemetry recorder and an optional phase profiler.
+/// telemetry recorder and an optional phase profiler.
 ///
 /// Built with [`ExecCtx::new`] plus the builder methods; everything
-/// defaults to "off" (global pool, null probe, null recorder, no
-/// profiler).
+/// defaults to "off" (global pool, null recorder, no profiler).
 ///
 /// # Examples
 ///
@@ -56,7 +55,7 @@ pub const PHASE_COMPACT: &str = "compact";
 /// let prepared = PreparedGraph::new(&input).strategy(Strategy::RadixSort);
 /// let id: VariantId = "bfs/adj/push".parse().unwrap();
 ///
-/// // Uninstrumented run (null probe, null recorder):
+/// // Uninstrumented run (null recorder):
 /// let plain = run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default()).unwrap();
 ///
 /// // Traced run:
@@ -70,7 +69,6 @@ pub const PHASE_COMPACT: &str = "compact";
 #[derive(Clone, Copy)]
 pub struct ExecCtx<'a> {
     pool: Option<&'a ThreadPool>,
-    pub(crate) probe: &'a dyn MemProbe,
     pub(crate) recorder: &'a dyn Recorder,
     profiler: Option<&'a PhaseProfiler>,
 }
@@ -79,7 +77,6 @@ impl std::fmt::Debug for ExecCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecCtx")
             .field("pool", &self.pool.map(ThreadPool::num_threads))
-            .field("probe_enabled", &self.probe.enabled())
             .field("recorder_enabled", &self.recorder.enabled())
             .field("profiler", &self.profiler.is_some())
             .finish()
@@ -92,7 +89,6 @@ impl<'a> ExecCtx<'a> {
     pub fn new(pool: impl Into<Option<&'a ThreadPool>>) -> Self {
         Self {
             pool: pool.into(),
-            probe: &NullProbe,
             recorder: &NullRecorder,
             profiler: None,
         }
@@ -104,24 +100,12 @@ impl<'a> ExecCtx<'a> {
         self
     }
 
-    /// This context with a cache probe.
-    pub fn probe(mut self, probe: &'a dyn MemProbe) -> Self {
-        self.probe = probe;
-        self
-    }
-
     /// This context with a phase profiler: layout construction and the
     /// algorithm run are attributed to `"preprocess"` / `"algorithm"`
     /// windows by [`run_variant`](crate::variant::run_variant).
     pub fn profiler(mut self, profiler: &'a PhaseProfiler) -> Self {
         self.profiler = Some(profiler);
         self
-    }
-
-    /// The probe if it is recording. Drivers read this once per call, so
-    /// per-edge code tests a local instead of making a virtual call.
-    pub(crate) fn live_probe(&self) -> Option<&'a dyn MemProbe> {
-        self.probe.enabled().then_some(self.probe)
     }
 
     /// The scoped pool, if one was set.
@@ -162,18 +146,15 @@ mod tests {
     fn builder_defaults_are_off() {
         let ctx = ExecCtx::new(None);
         assert!(ctx.pool().is_none());
-        assert!(!ctx.probe.enabled());
         assert!(!ctx.recorder.enabled());
     }
 
     #[test]
     fn builder_attaches_instrumentation() {
         let recorder = TraceRecorder::new();
-        let probe = egraph_cachesim::LlcProbe::new(egraph_cachesim::CacheConfig::tiny(4096, 4));
         let pool = ThreadPool::new(2);
-        let ctx = ExecCtx::new(&pool).recorder(&recorder).probe(&probe);
+        let ctx = ExecCtx::new(&pool).recorder(&recorder);
         assert_eq!(ctx.pool().map(ThreadPool::num_threads), Some(2));
-        assert!(ctx.probe.enabled());
         assert!(ctx.recorder.enabled());
         ctx.recorder.record_counter("x", 3);
         assert_eq!(recorder.counters().get("x"), Some(&3.0));

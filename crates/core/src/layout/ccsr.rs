@@ -555,18 +555,6 @@ impl<E: EdgeRecord> NeighborAccess<E> for CcsrAdjacency<E> {
         self.degree(v)
     }
 
-    /// A simulated address for edge `k` of `v`: the stream is byte
-    /// packed, so the per-edge position is approximated as a linear
-    /// interpolation over the vertex's byte range — O(1), monotone
-    /// within the vertex, and faithful to the smaller footprint the
-    /// cache simulator should see.
-    #[inline]
-    fn edge_sim_addr(&self, v: VertexId, k: usize) -> u64 {
-        let lo = self.byte_offsets[v as usize];
-        let deg = self.degree(v).max(1) as u64;
-        egraph_cachesim::probe::regions::EDGES + lo + k as u64 * self.byte_len(v) as u64 / deg
-    }
-
     #[inline]
     fn for_each_span<F: FnMut(&[E]) -> usize>(&self, v: VertexId, mut f: F) {
         let deg = self.degree(v);

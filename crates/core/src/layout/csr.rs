@@ -135,29 +135,6 @@ impl<E: EdgeRecord> Adjacency<E> {
         self.neighbors(v).len()
     }
 
-    /// A simulated byte address for edge `k` of vertex `v`, used by the
-    /// cache-miss instrumentation.
-    ///
-    /// CSR storage is contiguous; per-vertex storage scatters each
-    /// vertex's array to its own (hashed) heap location, reproducing
-    /// the locality difference between the two construction techniques.
-    #[inline]
-    pub fn edge_sim_addr(&self, v: VertexId, k: usize) -> u64 {
-        let esize = std::mem::size_of::<E>() as u64;
-        match &self.storage {
-            Storage::Csr { offsets, .. } => {
-                egraph_cachesim::probe::regions::EDGES + (offsets[v as usize] + k as u64) * esize
-            }
-            Storage::PerVertex(_) => {
-                // Scatter per-vertex arrays pseudo-randomly over a heap
-                // region sized ~2x the edge data.
-                let slot = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    % (2 * self.num_edges.max(1) as u64);
-                egraph_cachesim::probe::regions::EDGES + slot * esize + (k as u64) * esize
-            }
-        }
-    }
-
     /// Degrees of all vertices, as `u64` (for partitioners). Computed
     /// in parallel: each worker fills a disjoint range of the output.
     pub fn degrees(&self) -> Vec<u64> {
@@ -419,13 +396,5 @@ mod tests {
     fn missing_direction_panics_with_message() {
         let list = AdjacencyList::new(Some(sample_csr()), None);
         let _ = list.incoming();
-    }
-
-    #[test]
-    fn sim_addresses_are_contiguous_for_csr() {
-        let adj = sample_csr();
-        let a0 = adj.edge_sim_addr(0, 0);
-        let a1 = adj.edge_sim_addr(0, 1);
-        assert_eq!(a1 - a0, std::mem::size_of::<Edge>() as u64);
     }
 }

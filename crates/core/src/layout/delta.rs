@@ -469,22 +469,6 @@ impl<E: EdgeRecord> NeighborAccess<E> for DeltaAdjacency<E> {
         self.base.degree(v) - removed + self.added[v as usize].len()
     }
 
-    #[inline]
-    fn edge_sim_addr(&self, v: VertexId, k: usize) -> u64 {
-        // Base edges keep their CSR address; overlay edges get a
-        // distinct synthetic region so the cache simulation sees them
-        // as separate (non-contiguous) lines, which is what a
-        // per-vertex spill allocation would look like.
-        let base_deg = self.base.degree(v);
-        if k < base_deg {
-            self.base.edge_sim_addr(v, k)
-        } else {
-            0x4000_0000_0000u64
-                + (v as u64 * SPAN_EDGES as u64 + (k - base_deg) as u64)
-                    * std::mem::size_of::<E>() as u64
-        }
-    }
-
     fn for_each_span<F: FnMut(&[E]) -> usize>(&self, v: VertexId, mut f: F) {
         let added = &self.added[v as usize];
         match self.removed.get(&v) {

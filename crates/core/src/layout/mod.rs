@@ -58,10 +58,6 @@ pub trait NeighborAccess<E: EdgeRecord>: Sync {
     /// Degree of vertex `v` in this direction.
     fn degree(&self, v: VertexId) -> usize;
 
-    /// A simulated byte address for edge `k` of vertex `v`, used by the
-    /// cache-miss instrumentation.
-    fn edge_sim_addr(&self, v: VertexId, k: usize) -> u64;
-
     /// Visits `v`'s neighbor list in spans of at most [`SPAN_EDGES`]
     /// edges. `f` returns how many edges it consumed; returning fewer
     /// than the span's length stops the iteration (early termination).
@@ -84,11 +80,6 @@ impl<E: EdgeRecord> NeighborAccess<E> for Adjacency<E> {
     #[inline]
     fn degree(&self, v: VertexId) -> usize {
         self.degree(v)
-    }
-
-    #[inline]
-    fn edge_sim_addr(&self, v: VertexId, k: usize) -> u64 {
-        self.edge_sim_addr(v, k)
     }
 
     #[inline]
@@ -131,9 +122,9 @@ pub trait EdgeStream<E: EdgeRecord>: Sync {
     fn num_units(&self) -> usize;
 
     /// The contiguous runs of edges in `units`, in stream order, as
-    /// `(i, run)` — `i` being the stream index of the run's first edge
-    /// (the simulated cache address of edge `k` of the run derives
-    /// from `i + k`).
+    /// `(i, run)` — `i` being the stream index of the run's first edge,
+    /// by which the offline cache replay of `egraph-bench` addresses
+    /// edge `k` of the run (`i + k`).
     fn runs(&self, units: Range<usize>) -> impl Iterator<Item = (u64, &[E])>;
 }
 

@@ -73,8 +73,7 @@ pub mod prelude {
     pub use crate::metrics::{timed, IterStat, StepMode, TimeBreakdown};
     pub use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, PreprocessStats, Strategy};
     pub use crate::telemetry::{
-        IterRecord, MemProbe, NullProbe, NullRecorder, Recorder, RunTrace, Span, TraceFormat,
-        TraceRecorder,
+        IterRecord, NullRecorder, Recorder, RunTrace, Span, TraceFormat, TraceRecorder,
     };
     pub use crate::types::{Edge, EdgeList, EdgeRecord, VertexId, WEdge, INVALID_VERTEX};
     pub use crate::variant::{

@@ -442,13 +442,47 @@ mod tests {
         records.iter().map(|r| r.edges_scanned as u64).sum()
     }
 
-    /// Destination touches the simulated cache sees during a wave: one
-    /// per edge pushed.
-    fn pushed_edges(run: impl FnOnce(&ExecCtx<'_>)) -> u64 {
-        use egraph_cachesim::{AccessKind, CacheConfig, LlcProbe};
-        let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
-        run(&ExecCtx::new(None).probe(&probe));
-        probe.report().kind(AccessKind::DstMeta).accesses
+    /// A lane rule that counts its pushes: every hook forwards to the
+    /// wrapped rule, so `edge_map` runs the same rounds.
+    struct Counted<'a, R> {
+        rule: &'a R,
+        pushes: AtomicU64,
+    }
+
+    impl<E: EdgeRecord, R: PushOp<E>> PushOp<E> for Counted<'_, R> {
+        fn push(&self, e: &E) -> bool {
+            self.pushes.fetch_add(1, Ordering::Relaxed);
+            self.rule.push(e)
+        }
+    }
+
+    impl<E: EdgeRecord, R: FrontierAlgo<E>> FrontierAlgo<E> for Counted<'_, R> {
+        const PUSH_NEXT: FrontierKind = R::PUSH_NEXT;
+
+        fn begin_round(&self, frontier: &VertexSubset) {
+            self.rule.begin_round(frontier);
+        }
+
+        fn next_frontier(&self, activated: VertexSubset) -> VertexSubset {
+            self.rule.next_frontier(activated)
+        }
+    }
+
+    /// Edges pushed during `wave`'s run over `layout`, which is
+    /// [`Lanes::run`] with the rule wrapped in [`Counted`].
+    fn pushed_edges<E, F, L, V>(wave: &Lanes<V>, layout: &L) -> u64
+    where
+        E: EdgeRecord,
+        L: EngineLayout<E, F>,
+        Lanes<V>: FrontierAlgo<E>,
+    {
+        let counted = Counted {
+            rule: wave,
+            pushes: AtomicU64::new(0),
+        };
+        let seeds = VertexSubset::from_vec(wave.seeds.clone());
+        engine::edge_map(layout, seeds, &counted, PushOnly, &ExecCtx::new(None));
+        counted.pushes.into_inner()
     }
 
     #[test]
@@ -461,14 +495,14 @@ mod tests {
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
         let grid = GridBuilder::new(Strategy::CountSort).side(4).build(&g);
         assert_eq!(
-            pushed_edges(|ctx| drop(multi_bfs(&grid.cells(), &sources, u32::MAX, ctx))),
+            pushed_edges(&BfsLanes::new(300, &sources, u32::MAX), &grid.cells()),
             frontier_edges(|ctx| drop(multi_bfs(&adj, &sources, u32::MAX, ctx))),
         );
         let w = weighted_ring(300);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&w);
         let grid = GridBuilder::new(Strategy::CountSort).side(4).build(&w);
         assert_eq!(
-            pushed_edges(|ctx| drop(multi_sssp(&grid.cells(), &sources, ctx))),
+            pushed_edges(&SsspLanes::new(300, &sources), &grid.cells()),
             frontier_edges(|ctx| drop(multi_sssp(&adj, &sources, ctx))),
         );
     }

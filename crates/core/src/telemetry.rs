@@ -6,9 +6,8 @@
 //! algorithm, not just the kernel. This module is the machinery that
 //! makes those measurements first-class: every engine driver and
 //! algorithm entry point takes an [`ExecCtx`](crate::exec::ExecCtx)
-//! carrying a memory [`MemProbe`] and a [`Recorder`], and a run can be
-//! serialized as one machine-readable [`RunTrace`] document (JSON or
-//! CSV).
+//! carrying a [`Recorder`], and a run can be serialized as one
+//! machine-readable [`RunTrace`] document (JSON or CSV).
 //!
 //! Three recorder implementations matter:
 //!
@@ -23,7 +22,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-pub use egraph_cachesim::{CacheStats, MemProbe, NullProbe};
+pub use egraph_cachesim::CacheStats;
 pub use egraph_perf::{CounterKind, CounterReading, PerfCounters};
 
 use crate::metrics::{DirectionDecision, IterStat, StepMode, TimeBreakdown};
@@ -113,8 +112,7 @@ pub struct Span {
 /// unrecorded run cheap is the call sites: they read `enabled()` once
 /// per chunk of work, never per edge, and any work beyond calling the
 /// sink methods (counter arithmetic, address math, allocation) must be
-/// guarded by `if recorder.enabled()` — the same discipline
-/// [`MemProbe`] sites follow for cache simulation.
+/// guarded by `if recorder.enabled()`.
 pub trait Recorder: Sync {
     /// Whether this recorder stores anything. Instrumentation sites
     /// skip counter bookkeeping when `false`.

@@ -4,9 +4,8 @@
 //! The counters are process-global atomics behind a single `enabled`
 //! gate, so the instrumented fast paths pay one relaxed load when
 //! telemetry is off — the same zero-cost contract as the
-//! `NullProbe`/`NullRecorder` pair in the core crate, adapted to a
-//! crate that the core depends on (so it cannot use those traits
-//! directly). Enable with [`enable`], read a consistent-enough view
+//! `NullRecorder` in the core crate, adapted to a crate that the core
+//! depends on (so it cannot use that trait directly). Enable with [`enable`], read a consistent-enough view
 //! with [`snapshot`], and clear between runs with [`reset`].
 //!
 //! Relaxed orderings are deliberate: the counters feed end-of-run

@@ -130,18 +130,43 @@ if [ -n "$offenders" ]; then
 fi
 
 # Instrumentation has one seam: every driver and kernel takes
-# `&ExecCtx`, whose probe and recorder are trait objects. A kernel
-# generic over its probe or recorder is a second instantiation of every
-# layout x rule coming back, one that no benchmark workload times.
+# `&ExecCtx`, whose recorder is a trait object. A kernel generic over
+# its recorder is a second instantiation of every layout x rule coming
+# back, one that no benchmark workload times.
 echo "== one execution context =="
 offenders=$(find crates/core/src crates/cli/src -name '*.rs' ! -name tests.rs \
     -exec awk 'FNR == 1 { in_tests = 0 }
         /^#\[cfg\(test\)\]/ { in_tests = 1 }
-        !in_tests && /ExecContext|DynProbe|DynRecorder|P: MemProbe|R: Recorder/ {
+        !in_tests && /ExecContext|DynProbe|DynRecorder|R: Recorder/ {
             print FILENAME ":" FNR ": " $0
         }' {} +)
 if [ -n "$offenders" ]; then
-    echo "a probe- or recorder-generic context in crates/core/src or crates/cli/src:"
+    echo "a recorder-generic context in crates/core/src or crates/cli/src:"
+    echo "$offenders"
+    exit 1
+fi
+
+# The simulator is offline: the LLC model is fed by `egraph-bench`'s
+# replays of the kernels' access order, never from inside the product.
+# A probe handle, a simulated-address method, a metadata stride or a
+# touch call in the product is a probed branch beside a plain loop
+# coming back; the cache crate may reach the core only as the
+# `CacheStats` a trace phase carries.
+echo "== the simulator is offline =="
+offenders=$(find crates/core/src crates/cli/src src examples -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /MemProbe|NullProbe|live_probe|edge_sim_addr|META_BYTES|touch_edge|touch_src|touch_dst|\.probe\(/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +
+    find crates/core/src -name '*.rs' ! -name tests.rs \
+        -exec awk 'FNR == 1 { in_tests = 0 }
+            /^#\[cfg\(test\)\]/ { in_tests = 1 }
+            !in_tests && /egraph_cachesim/ && !/egraph_cachesim::CacheStats;/ {
+                print FILENAME ":" FNR ": " $0
+            }' {} +)
+if [ -n "$offenders" ]; then
+    echo "the cache model fed from inside the product (crates/core/src, crates/cli/src, src, examples):"
     echo "$offenders"
     exit 1
 fi

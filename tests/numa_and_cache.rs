@@ -1,8 +1,8 @@
-//! Integration of the measurement substrates: NUMA partitioning +
-//! locality modeling, and the cache simulator driving real engine runs.
+//! Integration of the NUMA measurement substrate: partitioning +
+//! locality modeling. (The cache simulator is driven by replayed access
+//! streams; its integration tests live with the replay, in
+//! `egraph-bench`'s `trace` module.)
 
-use everything_graph::cachesim::{CacheConfig, LlcProbe};
-use everything_graph::core::algo::pagerank;
 use everything_graph::core::numa_sim::{
     bfs_locality, pagerank_locality, partition_by_target, DataPolicy,
 };
@@ -99,72 +99,4 @@ fn road_bfs_contention_punishes_numa_awareness() {
         inter.modeled_seconds
     );
     assert!(aware.contention_factor > 1.2, "hotspot contention expected");
-}
-
-#[test]
-fn probed_runs_reproduce_grid_cache_advantage() {
-    // Table 4's direction on real engine runs: the grid's PageRank
-    // miss ratio is lower than the edge array's.
-    let graph = graphgen::rmat(13, 16, 21);
-    let cfg = pagerank::PagerankConfig {
-        iterations: 1,
-        ..Default::default()
-    };
-    let params = RunParams {
-        pagerank: cfg,
-        ..RunParams::default()
-    };
-    let prepared = PreparedGraph::new(&graph)
-        .strategy(Strategy::RadixSort)
-        .side(16);
-    // A small simulated LLC so the metadata does not fit.
-    let cache = CacheConfig::tiny(16 * 1024, 16);
-
-    let edge_id: VariantId = "pagerank/edge/push".parse().unwrap();
-    let probe = LlcProbe::new(cache);
-    run_variant(
-        &edge_id,
-        &ExecCtx::new(None).probe(&probe),
-        &prepared,
-        &params,
-    )
-    .unwrap();
-    let edge_miss = probe.report().overall_miss_ratio();
-
-    let grid_id: VariantId = "pagerank/grid/push".parse().unwrap();
-    let probe = LlcProbe::new(cache);
-    run_variant(
-        &grid_id,
-        &ExecCtx::new(None).probe(&probe),
-        &prepared,
-        &params,
-    )
-    .unwrap();
-    let grid_miss = probe.report().overall_miss_ratio();
-
-    assert!(
-        grid_miss < 0.8 * edge_miss,
-        "grid {grid_miss} should clearly beat edge array {edge_miss}"
-    );
-}
-
-#[test]
-fn probed_and_unprobed_runs_compute_identical_results() {
-    let graph = test_graph();
-    let prepared = PreparedGraph::new(&graph).strategy(Strategy::RadixSort);
-    let id: VariantId = "bfs/adj/push".parse().unwrap();
-    let probe = LlcProbe::new(CacheConfig::tiny(64 * 1024, 8));
-    let probed = run_variant(
-        &id,
-        &ExecCtx::new(None).probe(&probe),
-        &prepared,
-        &RunParams::default(),
-    )
-    .unwrap();
-    let plain = run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default()).unwrap();
-    assert_eq!(
-        probed.output.as_bfs().unwrap().level,
-        plain.output.as_bfs().unwrap().level
-    );
-    assert!(probe.report().total().accesses > 0, "probe saw traffic");
 }
