@@ -22,7 +22,7 @@ use egraph_bench::{fmt_ratio, fmt_secs, graphs, min_time, reps, ExperimentCtx, R
 use egraph_core::exec::ExecCtx;
 use egraph_core::layout::EdgeDirection;
 use egraph_core::preprocess::{compress_sorted_csr, CsrBuilder, Strategy};
-use egraph_core::telemetry::{RunTrace, TraceRecorder};
+use egraph_core::telemetry::{PhaseProfiler, RunTrace, TraceRecorder};
 use egraph_core::types::Edge;
 use egraph_core::variant::{
     run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, VariantId, VariantOutput,
@@ -202,18 +202,19 @@ fn main() {
         );
 
         // Trace evidence: replay the largest scale's PageRank-pull on
-        // each layout under a recorder, one trace file per layout, so
-        // `egraph trace diff <adj> <ccsr>` surfaces the
-        // phase.*.peak_bytes rows.
+        // each layout under a recorder and a phase profiler, one trace
+        // file per layout, so `egraph trace diff <adj> <ccsr>` surfaces
+        // the phase.*.peak_bytes rows of the build and the run.
         if ctx.tracing() && scale == ctx.scale + 4 {
             for (layout, id) in [("adj", pr_adj_id), ("ccsr", pr_ccsr_id)] {
                 let recorder = TraceRecorder::new();
+                let profiler = PhaseProfiler::enabled();
                 let fresh = PreparedGraph::new(&graph)
                     .strategy(Strategy::RadixSort)
                     .sort_neighbors(true);
-                let traced = run(
+                run(
                     id,
-                    &ExecCtx::new(&pool).recorder(&recorder),
+                    &ExecCtx::new(&pool).recorder(&recorder).profiler(&profiler),
                     &fresh,
                     &pr_params,
                 );
@@ -224,9 +225,8 @@ fn main() {
                 trace.config.insert("layout".into(), layout.into());
                 trace.config.insert("scale".into(), scale.to_string());
                 trace.config.insert("threads".into(), THREADS.to_string());
-                trace.breakdown.preprocess = traced.preprocess_seconds;
-                trace.breakdown.algorithm = traced.algorithm_seconds;
                 trace.absorb(&recorder);
+                trace.phases = profiler.take_phases();
                 let suffixed = ExperimentCtx {
                     trace_out: ctx.trace_out.as_ref().map(|p| {
                         let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("json");

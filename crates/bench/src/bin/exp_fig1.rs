@@ -7,9 +7,8 @@ use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
 use egraph_core::algo::bfs;
 use egraph_core::exec::ExecCtx;
 use egraph_core::layout::EdgeDirection;
-use egraph_core::metrics::TimeBreakdown;
 use egraph_core::preprocess::{CsrBuilder, Strategy};
-use egraph_core::telemetry::{RunTrace, TraceRecorder};
+use egraph_core::telemetry::{PhaseProfiler, RunTrace, TraceRecorder};
 use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId};
 
 fn main() {
@@ -104,21 +103,23 @@ fn main() {
     );
 
     // With --trace-out, replay the winning push-pull run once more
-    // with a recorder attached and emit the same machine-readable
-    // document the CLI's `run --trace-out` produces.
+    // with a recorder and a phase profiler attached and emit the same
+    // machine-readable document the CLI's `run --trace-out` produces:
+    // its `preprocess` and `algorithm` phases, with memory.
     if ctx.tracing() {
         egraph_parallel::telemetry::reset();
         egraph_parallel::telemetry::enable();
         let recorder = TraceRecorder::new();
+        let profiler = PhaseProfiler::enabled();
         let prepared = PreparedGraph::new(&graph).strategy(Strategy::RadixSort);
         let id: VariantId = "bfs/adj/push-pull".parse().expect("valid variant spec");
         let params = RunParams {
             root,
             ..RunParams::default()
         };
-        let traced = run_variant(
+        run_variant(
             &id,
-            &ExecCtx::new(None).recorder(&recorder),
+            &ExecCtx::new(None).recorder(&recorder).profiler(&profiler),
             &prepared,
             &params,
         )
@@ -134,12 +135,8 @@ fn main() {
             "threads".into(),
             egraph_parallel::current_num_threads().to_string(),
         );
-        trace.breakdown = TimeBreakdown {
-            preprocess: pre_pp_secs,
-            algorithm: traced.algorithm_seconds,
-            ..TimeBreakdown::default()
-        };
         trace.absorb(&recorder);
+        trace.phases = profiler.take_phases();
         trace
             .counters
             .insert("pool.regions".into(), pool.regions as f64);

@@ -308,7 +308,7 @@ mod tests {
     use egraph_core::exec::ExecCtx;
     use egraph_core::layout::EdgeDirection;
     use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
-    use egraph_core::telemetry::{IterRecord, TraceRecorder};
+    use egraph_core::telemetry::{TraceIteration, TraceRecorder};
     use egraph_core::types::Edge;
     use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantRun};
 
@@ -334,7 +334,7 @@ mod tests {
         spec: &str,
         graph: &PreparedGraph<'_, Edge>,
         params: &RunParams<'_>,
-    ) -> (VariantRun, Vec<IterRecord>) {
+    ) -> (VariantRun, Vec<TraceIteration>) {
         let recorder = TraceRecorder::new();
         let ctx = ExecCtx::new(None).recorder(&recorder);
         let run = run_variant(&spec.parse().unwrap(), &ctx, graph, params).unwrap();
@@ -383,10 +383,11 @@ mod tests {
                 let mut level = vec![u32::MAX; graph.num_vertices()];
                 for (depth, (frontier, round)) in frontiers.iter().zip(&rounds).enumerate() {
                     let at = format!("{name}: bfs/{cut} round {depth}");
-                    assert_eq!(frontier.len(), round.frontier_size, "{at}");
+                    assert_eq!(round.step, depth, "{at}");
+                    assert_eq!(frontier.len(), round.stat.frontier_size, "{at}");
                     let [edge, src, dst] =
                         touches(|p| replay_push_round(&layout, frontier, BFS_STRIDE, p));
-                    let scanned = round.edges_scanned as u64;
+                    let scanned = round.stat.edges_scanned as u64;
                     assert_eq!((edge, src), (scanned, scanned), "{at}");
                     let out: u64 = frontier.iter().map(|&v| degrees[v as usize]).sum();
                     assert_eq!(dst, out, "{at}");
@@ -404,7 +405,7 @@ mod tests {
                 let [round] = &rounds[..] else {
                     panic!("{name}: pagerank/{cut} ran {} rounds", rounds.len())
                 };
-                let scanned = round.edges_scanned as u64;
+                let scanned = round.stat.edges_scanned as u64;
                 assert_eq!(scanned, graph.num_edges() as u64);
                 let counts = touches(|p| replay_pagerank_round(&layout, p));
                 assert_eq!(counts, [scanned; 3], "{name}: pagerank/{cut}");

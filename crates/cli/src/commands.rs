@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use egraph_core::algo::pagerank;
 use egraph_core::exec::ExecCtx;
-use egraph_core::metrics::{StepMode, TimeBreakdown};
+use egraph_core::metrics::{IterStat, StepMode, TimeBreakdown};
 use egraph_core::preprocess::Strategy;
 use egraph_core::roadmap;
 use egraph_core::serve::{ServeConfig, ServeDaemon, ServeGraph};
@@ -63,9 +63,10 @@ RUN OPTIONS:
   --sorted true    sort per-vertex neighbor arrays
   --save FILE  store the result array (the end-to-end 'store' phase)
   --threads N  worker threads (or EGRAPH_THREADS)
-  --trace-out FILE     write a run-wide telemetry trace (time breakdown,
-                       per-iteration records, pool and storage counters,
-                       per-phase hardware counters when the host allows)
+  --trace-out FILE     write a run-wide telemetry trace (each phase's
+                       time and memory, per-iteration records, pool and
+                       storage counters, per-phase hardware counters
+                       when the host allows)
   --trace-format json|csv   trace file format (default json)
   --timeline-out FILE  write per-worker timeline spans as Chrome
                        trace-event JSON (open in about:tracing/Perfetto)
@@ -321,9 +322,6 @@ fn print_breakdown(b: &TimeBreakdown, extra: &str) {
     println!();
     println!("  load:         {:>8.3}s", b.load);
     println!("  pre-process:  {:>8.3}s", b.preprocess);
-    if b.partition > 0.0 {
-        println!("  partition:    {:>8.3}s", b.partition);
-    }
     println!("  algorithm:    {:>8.3}s", b.algorithm);
     if b.store > 0.0 {
         println!("  store:        {:>8.3}s", b.store);
@@ -485,15 +483,15 @@ impl Recorder for MetricsRecorder<'_> {
         self.inner.record_counter(name, delta);
     }
 
-    fn record_iteration(&self, record: egraph_core::telemetry::IterRecord) {
+    fn record_iteration(&self, step: usize, stat: &IterStat) {
         self.iterations.inc();
-        self.edges.add(record.edges_scanned as u64);
-        self.step_seconds.observe(record.seconds);
-        self.iter_seconds.observe(record.seconds);
-        self.iter_density.observe(record.density);
-        self.iter_frontier.observe(record.frontier_size as f64);
-        self.current_iter.set(record.step as f64);
-        let mode = match record.mode {
+        self.edges.add(stat.edges_scanned as u64);
+        self.step_seconds.observe(stat.seconds);
+        self.iter_seconds.observe(stat.seconds);
+        self.iter_density.observe(stat.density);
+        self.iter_frontier.observe(stat.frontier_size as f64);
+        self.current_iter.set(step as f64);
+        let mode = match stat.mode {
             StepMode::Push => 1,
             StepMode::Pull => 2,
         };
@@ -503,11 +501,7 @@ impl Recorder for MetricsRecorder<'_> {
         if prev != 0 && prev != mode {
             self.direction_flips.inc();
         }
-        self.inner.record_iteration(record);
-    }
-
-    fn record_span(&self, name: &'static str, seconds: f64) {
-        self.inner.record_span(name, seconds);
+        self.inner.record_iteration(step, stat);
     }
 }
 
@@ -611,7 +605,7 @@ fn cmd_run(args: &Args) -> CliResult {
                 Some(counters) => TraceRecorder::with_iteration_perf(counters),
                 None => TraceRecorder::new(),
             };
-            let breakdown = run(&recorder)?;
+            run(&recorder)?;
             egraph_parallel::telemetry::disable();
             egraph_storage::counters::disable();
             let mut trace = RunTrace::new(&algo);
@@ -643,7 +637,6 @@ fn cmd_run(args: &Args) -> CliResult {
             ] {
                 trace.config.insert(key.to_string(), value.to_string());
             }
-            trace.breakdown = breakdown;
             trace.absorb(&recorder);
             trace.phases = profiler.take_phases();
             let pool = egraph_parallel::telemetry::snapshot();
@@ -703,15 +696,11 @@ struct RunSpec<'a> {
     args: &'a Args,
 }
 
-/// Runs the requested variant with the given recorder and returns the
+/// Runs the requested variant with the given recorder and prints the
 /// end-to-end time breakdown. All dispatch goes through
 /// [`run_variant`]; this function only bridges CLI strings and the
 /// weighted/unweighted input split.
-fn dispatch_run(
-    spec: &RunSpec<'_>,
-    any: AnyGraph,
-    recorder: &dyn Recorder,
-) -> Result<TimeBreakdown, Box<dyn Error>> {
+fn dispatch_run(spec: &RunSpec<'_>, any: AnyGraph, recorder: &dyn Recorder) -> CliResult {
     let id = VariantId::new(
         spec.algo.parse::<Algo>()?,
         spec.layout.parse::<Layout>()?,
@@ -733,7 +722,7 @@ fn run_one<E: EdgeRecord>(
     sync: SyncMode,
     graph: &EdgeList<E>,
     recorder: &dyn Recorder,
-) -> Result<TimeBreakdown, Box<dyn Error>> {
+) -> CliResult {
     // `run_variant` validates the side: a bad `--side` is its typed
     // error, not a panic in the grid builder.
     let side = default_grid_side(graph.num_vertices());
@@ -799,7 +788,7 @@ fn run_one<E: EdgeRecord>(
         }
     }
     print_breakdown(&breakdown, "");
-    Ok(breakdown)
+    Ok(())
 }
 
 /// Set by the signal handlers / stdin watcher; polled by `cmd_serve`.
@@ -956,16 +945,18 @@ fn cmd_update(args: &Args) -> CliResult {
         PhaseProfiler::disabled()
     };
     let started = Instant::now();
-    let any = profiler.profile("load", || load_any(&path))?;
-    let ndjson = std::fs::read_to_string(&deltas_path)?;
-    let load = started.elapsed().as_secs_f64();
+    // Each phase is timed once, by the profiler: the graph and the delta
+    // stream are both read under "load".
+    let (any, ndjson) = profiler.profile("load", || -> Result<_, Box<dyn Error>> {
+        Ok((load_any(&path)?, std::fs::read_to_string(&deltas_path)?))
+    })?;
 
     fn merge_and_store<E: EdgeRecord>(
         graph: &EdgeList<E>,
         ndjson: &str,
         out: &str,
         profiler: &PhaseProfiler,
-    ) -> Result<(usize, EdgeList<E>, f64), Box<dyn Error>> {
+    ) -> Result<(usize, EdgeList<E>), Box<dyn Error>> {
         let batch = egraph_core::layout::DeltaBatch::<E>::parse_ndjson(ndjson)
             .map_err(|e| format!("delta stream: {e}"))?;
         batch
@@ -974,35 +965,27 @@ fn cmd_update(args: &Args) -> CliResult {
         let mut log = egraph_core::layout::DeltaLog::new();
         log.append(&batch);
         let merged = profiler.profile(egraph_core::exec::PHASE_COMPACT, || log.merge_into(graph));
-        let (res, store) = egraph_core::metrics::timed(|| -> Result<(), Box<dyn Error>> {
+        profiler.profile("store", || -> Result<(), Box<dyn Error>> {
             let mut w = BufWriter::new(File::create(out)?);
             write_edge_list(&mut w, &merged)?;
             Ok(())
-        });
-        res?;
-        Ok((batch.len(), merged, store))
+        })?;
+        Ok((batch.len(), merged))
     }
 
-    let (applied, nv, ne, store) = match &any {
+    let (applied, nv, ne) = match &any {
         AnyGraph::Unweighted(g) => {
-            let (applied, merged, store) = merge_and_store(g, &ndjson, &out, &profiler)?;
-            (applied, merged.num_vertices(), merged.num_edges(), store)
+            let (applied, merged) = merge_and_store(g, &ndjson, &out, &profiler)?;
+            (applied, merged.num_vertices(), merged.num_edges())
         }
         AnyGraph::Weighted(g) => {
-            let (applied, merged, store) = merge_and_store(g, &ndjson, &out, &profiler)?;
-            (applied, merged.num_vertices(), merged.num_edges(), store)
+            let (applied, merged) = merge_and_store(g, &ndjson, &out, &profiler)?;
+            (applied, merged.num_vertices(), merged.num_edges())
         }
     };
     if let Some(out_path) = &trace_out {
         let mut trace = RunTrace::new("update");
-        trace.breakdown.load = load;
-        trace.breakdown.store = store;
         trace.phases = profiler.take_phases();
-        for phase in &trace.phases {
-            if phase.name == egraph_core::exec::PHASE_COMPACT {
-                trace.breakdown.preprocess = phase.seconds;
-            }
-        }
         trace.config.insert("input".to_string(), path.to_string());
         trace.config.insert("deltas".to_string(), deltas_path);
         std::fs::write(out_path, trace.render(trace_format))?;
@@ -1148,9 +1131,8 @@ fn load_trace(path: &str) -> Result<RunTrace, Box<dyn Error>> {
 }
 
 /// Renders a trace's iteration telemetry as a human-readable report;
-/// exits non-zero when the file predates schema v4 only if it cannot be
-/// parsed at all (an old trace simply reports "no per-iteration
-/// records").
+/// exits non-zero only when the file is not a trace this build reads (a
+/// run that recorded no steps reports "no per-iteration records").
 fn cmd_explain(args: &Args) -> CliResult {
     let path = args.positional(1, "trace file")?.to_string();
     args.reject_unknown()?;

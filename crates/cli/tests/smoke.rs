@@ -244,10 +244,6 @@ fn trace_out_writes_full_document() {
     ]))
     .expect("bfs with --trace-out");
     let text = std::fs::read_to_string(&trace).expect("trace file written");
-    // TimeBreakdown phases.
-    for key in ["\"load\"", "\"preprocess\"", "\"algorithm\"", "\"total\""] {
-        assert!(text.contains(key), "breakdown key {key} missing: {text}");
-    }
     // At least one per-iteration record with the direction fields.
     for key in ["\"frontier_size\"", "\"edges_scanned\"", "\"mode\""] {
         assert!(text.contains(key), "iteration key {key} missing: {text}");
@@ -265,24 +261,22 @@ fn trace_out_writes_full_document() {
     let parsed = egraph_core::telemetry::RunTrace::from_json(&text).expect("valid trace json");
     assert_eq!(parsed.algorithm, "bfs");
     assert!(!parsed.iterations.is_empty(), "no iteration records");
-    // Schema v2: per-phase profiles plus a record of which hardware
-    // counters opened ("unavailable" on restricted hosts — the run must
-    // still succeed there).
+    // The run's phases, each profiled once, plus a record of which
+    // hardware counters opened ("unavailable" on restricted hosts — the
+    // run must still succeed there).
     assert!(
         parsed.config.contains_key("hw_counters"),
         "missing hw_counters config entry: {text}"
     );
-    for phase in ["load", "preprocess", "algorithm"] {
-        let p = parsed
-            .phases
-            .iter()
-            .find(|p| p.name == phase)
-            .unwrap_or_else(|| panic!("missing phase profile '{phase}': {text}"));
+    let names: Vec<&str> = parsed.phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(names, ["load", "preprocess", "algorithm"], "{text}");
+    for p in &parsed.phases {
         assert!(p.seconds >= 0.0);
         if parsed.config["hw_counters"] != "unavailable" {
             assert!(
                 !p.hardware.is_empty(),
-                "counters opened but phase '{phase}' recorded none"
+                "counters opened but phase '{}' recorded none",
+                p.name
             );
         }
     }
@@ -347,10 +341,14 @@ fn trace_diff_gates_on_regression() {
     let mut old =
         egraph_core::telemetry::RunTrace::from_json(&std::fs::read_to_string(&old_path).unwrap())
             .unwrap();
-    old.breakdown.algorithm = 1.0;
+    let set_algorithm = |trace: &mut egraph_core::telemetry::RunTrace, seconds: f64| {
+        let phase = trace.phases.iter_mut().find(|p| p.name == "algorithm");
+        phase.expect("algorithm phase profiled").seconds = seconds;
+    };
+    set_algorithm(&mut old, 1.0);
     std::fs::write(&old_path, old.to_json()).unwrap();
     let mut new = old.clone();
-    new.breakdown.algorithm = 2.0;
+    set_algorithm(&mut new, 2.0);
     std::fs::write(&new_path, new.to_json()).unwrap();
     assert!(
         dispatch(&argv(&["trace", "diff", &old_path, &new_path])).is_err(),
@@ -380,9 +378,9 @@ fn trace_diff_gates_on_regression() {
 }
 
 #[test]
-fn trace_out_emits_v4_schema_with_memory_section() {
-    let graph = tmp("smoke_v4.egr");
-    let trace = tmp("smoke_v4.json");
+fn trace_out_emits_v5_schema_with_memory_section() {
+    let graph = tmp("smoke_v5.egr");
+    let trace = tmp("smoke_v5.json");
     dispatch(&argv(&[
         "generate", "rmat", "--scale", "9", "--out", &graph,
     ]))
@@ -390,8 +388,8 @@ fn trace_out_emits_v4_schema_with_memory_section() {
     dispatch(&argv(&["run", "bfs", &graph, "--trace-out", &trace])).expect("bfs with trace");
     let text = std::fs::read_to_string(&trace).unwrap();
     assert!(
-        text.contains("egraph-trace/4"),
-        "trace must declare the v4 schema: {text}"
+        text.contains("egraph-trace/5"),
+        "trace must declare the v5 schema: {text}"
     );
     let parsed = egraph_core::telemetry::RunTrace::from_json(&text).unwrap();
     assert_eq!(parsed.schema, egraph_core::telemetry::TRACE_SCHEMA);
@@ -488,9 +486,45 @@ fn trace_diff_rejects_unknown_schema_with_its_tag() {
         "error must name the offending schema tag: {msg}"
     );
     assert!(
-        msg.contains("egraph-trace/4"),
+        msg.contains("egraph-trace/5"),
         "error must list what this build reads: {msg}"
     );
+}
+
+/// `update --trace-out` states each of its phases once: reading the
+/// graph and the delta stream, merging, writing the merged file.
+#[test]
+fn update_trace_states_each_phase_once() {
+    let graph = tmp("smoke_update.egr");
+    let ops = tmp("smoke_update.ndjson");
+    let merged = tmp("smoke_update_merged.egr");
+    let trace = tmp("smoke_update.json");
+    dispatch(&argv(&[
+        "generate", "rmat", "--scale", "9", "--out", &graph,
+    ]))
+    .unwrap();
+    std::fs::write(
+        &ops,
+        "{\"op\":\"insert\",\"src\":1,\"dst\":2}\n{\"op\":\"delete\",\"src\":1,\"dst\":2}\n",
+    )
+    .unwrap();
+    dispatch(&argv(&[
+        "update",
+        &graph,
+        "--deltas",
+        &ops,
+        "--out",
+        &merged,
+        "--trace-out",
+        &trace,
+    ]))
+    .expect("offline update with a trace");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let parsed = egraph_core::telemetry::RunTrace::from_json(&text).expect("valid trace");
+    let names: Vec<&str> = parsed.phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(names, ["load", "compact", "store"], "{text}");
+    // The trace gates against itself without complaint.
+    dispatch(&argv(&["trace", "diff", &trace, &trace])).expect("identical traces");
 }
 
 #[test]

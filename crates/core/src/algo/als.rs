@@ -18,7 +18,6 @@ use crate::exec::ExecCtx;
 use crate::layout::Adjacency;
 use crate::linalg::cholesky_solve_in_place;
 use crate::metrics::{timed, IterStat, StepMode};
-use crate::telemetry::IterRecord;
 use crate::types::{EdgeRecord, VertexId, WEdge};
 use crate::util::UnsyncSlice;
 
@@ -124,8 +123,7 @@ pub(crate) fn als_impl(
             // Both bipartite halves stream all their edges; the pull
             // direction is structural, never chosen.
             let stat = IterStat::full_scan(nv, scanned, seconds, StepMode::Pull);
-            ctx.recorder
-                .record_iteration(IterRecord::from_stat(step, &stat));
+            ctx.recorder.record_iteration(step, &stat);
         }
         rmse_history.push(rmse(&factors, out, k, num_users));
     }

@@ -557,7 +557,6 @@ mod tests {
     use crate::layout::{AdjacencyList, EdgeDirection};
     use crate::metrics::StepMode;
     use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
-    use crate::telemetry::IterRecord;
     use crate::types::Edge;
 
     /// A deterministic pseudo-random graph with a giant component.
@@ -712,13 +711,12 @@ mod tests {
         let recorded = recorder.iterations();
         assert_eq!(recorded.len(), result.iterations.len());
         for (step, (rec, stat)) in recorded.iter().zip(&result.iterations).enumerate() {
-            assert_eq!(rec.step, step);
-            assert_eq!(*rec, IterRecord::from_stat(step, stat));
+            assert_eq!((rec.step, &rec.stat), (step, stat));
         }
         // Diamond levels: 0, 1, 1, 2 — three push steps discover, the
         // fourth finds an empty next frontier.
-        assert_eq!(recorded[0].frontier_size, 1);
-        assert_eq!(recorded[0].edges_scanned, 2);
+        assert_eq!(recorded[0].stat.frontier_size, 1);
+        assert_eq!(recorded[0].stat.edges_scanned, 2);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! reporting which path ran via [`IncrementalOutcome`].
 
 use crate::exec::ExecCtx;
-use crate::metrics::{frontier_density, DirectionDecision, StepMode};
-use crate::telemetry::IterRecord;
+use crate::metrics::{frontier_density, DirectionDecision, IterStat, StepMode};
 
 pub mod als;
 pub mod bfs;
@@ -61,8 +60,7 @@ pub(crate) fn record_repair(
     seconds: f64,
 ) {
     if ctx.recorder.enabled() {
-        ctx.recorder.record_iteration(IterRecord {
-            step: *batches_applied,
+        let stat = IterStat {
             frontier_size: outcome.touched,
             edges_scanned: batch_len,
             seconds,
@@ -73,7 +71,8 @@ pub(crate) fn record_repair(
                 num_edges,
                 INCREMENTAL_FALLBACK_FRACTION,
             ),
-        });
+        };
+        ctx.recorder.record_iteration(*batches_applied, &stat);
     }
     *batches_applied += 1;
 }
@@ -163,8 +162,8 @@ mod tests {
                 assert_eq!(outcome.fallback, step == 1, "{name} batch {step}");
                 let records = recorder.iterations();
                 assert_eq!(records.len(), step + 1, "{name}: one record per batch");
-                let record = records[step];
-                assert_eq!(record.step, step, "{name}");
+                assert_eq!(records[step].step, step, "{name}");
+                let record = records[step].stat;
                 assert_eq!(record.frontier_size, outcome.touched, "{name}");
                 assert_eq!(record.edges_scanned, inserts.len(), "{name}");
                 let cutoff = (INCREMENTAL_FALLBACK_FRACTION * num_edges as f64) as usize;

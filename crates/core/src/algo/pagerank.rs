@@ -15,7 +15,6 @@ use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Grid, NeighborAccess, OneWay};
 use crate::metrics::{timed, IterStat, StepMode, SyncMode};
-use crate::telemetry::IterRecord;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::{StripedLocks, UnsyncSlice};
 
@@ -135,8 +134,7 @@ where
             // direction is a property of the variant, never a
             // per-iteration choice.
             let stat = IterStat::full_scan(nv, edges_per_iter, seconds, mode);
-            ctx.recorder
-                .record_iteration(IterRecord::from_stat(executed, &stat));
+            ctx.recorder.record_iteration(executed, &stat);
         }
         executed += 1;
         let stop = converged(&cfg, &ranks, &new_ranks);

@@ -16,7 +16,6 @@ use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{NeighborAccess, OneWay};
 use crate::metrics::{timed, IterStat, StepMode};
-use crate::telemetry::IterRecord;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::UnsyncSlice;
 
@@ -25,8 +24,7 @@ fn record_pass(ctx: &ExecCtx<'_>, nv: usize, edges: usize, seconds: f64, mode: S
     if ctx.recorder.enabled() {
         // A single full pass: every vertex active, every edge read.
         let stat = IterStat::full_scan(nv, edges, seconds, mode);
-        ctx.recorder
-            .record_iteration(IterRecord::from_stat(0, &stat));
+        ctx.recorder.record_iteration(0, &stat);
     }
 }
 

@@ -482,7 +482,7 @@ mod tests {
         let ctx = ExecCtx::default().recorder(&recorder);
         let result = run(&input, &ctx);
         assert!(result.algorithm_seconds() > 0.0);
-        let recorded: f64 = recorder.iterations().iter().map(|r| r.seconds).sum();
+        let recorded: f64 = recorder.iterations().iter().map(|r| r.stat.seconds).sum();
         assert_eq!(result.algorithm_seconds(), recorded);
         let counters = recorder.counters();
         let components = result.component_count();

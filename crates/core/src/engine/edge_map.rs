@@ -33,7 +33,6 @@ use crate::frontier::{FrontierKind, VertexSubset};
 use crate::metrics::{
     direction_cutoff, frontier_density, timed, Direction, DirectionDecision, IterStat, StepMode,
 };
-use crate::telemetry::IterRecord;
 use crate::types::EdgeRecord;
 use crate::util::AtomicBitmap;
 
@@ -183,8 +182,7 @@ impl<E: EdgeRecord, F, L: PullLayout<E, F>, A: PullAlgo<E>> Policy<E, F, L, A> f
 /// pass over the vertices).
 pub(crate) fn record_iter(ctx: &ExecCtx<'_>, iterations: &mut Vec<IterStat>, stat: IterStat) {
     if ctx.recorder.enabled() {
-        ctx.recorder
-            .record_iteration(IterRecord::from_stat(iterations.len(), &stat));
+        ctx.recorder.record_iteration(iterations.len(), &stat);
     }
     iterations.push(stat);
 }

@@ -4,7 +4,7 @@
 //! The direction-optimization literature (Beamer's hybrid BFS, Ligra's
 //! `|frontier edges| > |E|/20` rule) describes *why* an engine switches
 //! between push and pull, but a finished run only leaves numbers
-//! behind. This module reconstructs the narrative from the schema-v4
+//! behind. This module reconstructs the narrative from the trace's
 //! per-iteration records alone — no access to the graph or the kernel
 //! is needed: a table of every step, a density sparkline showing the
 //! frontier's rise and fall, and one English sentence per direction
@@ -60,10 +60,11 @@ pub fn direction_switches(trace: &RunTrace) -> Vec<DirectionSwitch> {
     let mut switches = Vec::new();
     for w in trace.iterations.windows(2) {
         let (prev, cur) = (&w[0], &w[1]);
-        if prev.record.mode == cur.record.mode {
+        let (p, c) = (&prev.stat, &cur.stat);
+        if p.mode == c.mode {
             continue;
         }
-        let d = cur.record.decision;
+        let d = c.decision;
         let relation = if d.says_pull() {
             "exceeds"
         } else {
@@ -72,8 +73,8 @@ pub fn direction_switches(trace: &RunTrace) -> Vec<DirectionSwitch> {
         let sentence = if d.forced {
             format!(
                 "step {}: direction forced to {} by the variant (observed load {}, cutoff {}).",
-                cur.record.step,
-                cur.record.mode.as_str(),
+                cur.step,
+                c.mode.as_str(),
                 d.observed,
                 d.cutoff,
             )
@@ -81,20 +82,20 @@ pub fn direction_switches(trace: &RunTrace) -> Vec<DirectionSwitch> {
             format!(
                 "step {}: switched {} -> {} because the observed load {} ({} vertices + {} \
                  frontier edges) {} the cutoff {} (|E|/20 rule).",
-                cur.record.step,
-                prev.record.mode.as_str(),
-                cur.record.mode.as_str(),
+                cur.step,
+                p.mode.as_str(),
+                c.mode.as_str(),
                 d.observed,
-                cur.record.frontier_size,
-                d.observed.saturating_sub(cur.record.frontier_size),
+                c.frontier_size,
+                d.observed.saturating_sub(c.frontier_size),
                 relation,
                 d.cutoff,
             )
         };
         switches.push(DirectionSwitch {
-            step: cur.record.step,
-            from: prev.record.mode,
-            to: cur.record.mode,
+            step: cur.step,
+            from: p.mode,
+            to: c.mode,
             sentence,
         });
     }
@@ -142,8 +143,7 @@ pub fn explain(trace: &RunTrace) -> String {
     if trace.iterations.is_empty() {
         let _ = writeln!(
             out,
-            "\nno per-iteration records: the trace predates schema v4 or the \
-             run recorded no steps."
+            "\nno per-iteration records: the run recorded no steps."
         );
         return out;
     }
@@ -154,11 +154,11 @@ pub fn explain(trace: &RunTrace) -> String {
         "step", "mode", "frontier", "edges", "density", "observed", "cutoff", "seconds"
     );
     for iter in &trace.iterations {
-        let r = &iter.record;
+        let r = &iter.stat;
         let _ = writeln!(
             out,
             "{:>5} {:>5} {:>12} {:>12} {:>9.4} {:>10} {:>10} {:>10.6}  {}",
-            r.step,
+            iter.step,
             r.mode.as_str(),
             r.frontier_size,
             r.edges_scanned,
@@ -170,9 +170,9 @@ pub fn explain(trace: &RunTrace) -> String {
         );
     }
 
-    let densities: Vec<f64> = trace.iterations.iter().map(|i| i.record.density).collect();
+    let densities: Vec<f64> = trace.iterations.iter().map(|i| i.stat.density).collect();
     let _ = writeln!(out, "\ndensity  {}", sparkline(&densities));
-    let seconds: Vec<f64> = trace.iterations.iter().map(|i| i.record.seconds).collect();
+    let seconds: Vec<f64> = trace.iterations.iter().map(|i| i.stat.seconds).collect();
     let _ = writeln!(out, "seconds  {}", sparkline(&seconds));
 
     let switches = direction_switches(trace);
@@ -183,7 +183,7 @@ pub fn explain(trace: &RunTrace) -> String {
             trace
                 .iterations
                 .first()
-                .map(|i| i.record.mode.as_str())
+                .map(|i| i.stat.mode.as_str())
                 .unwrap_or("in one mode")
         );
     } else {
@@ -239,20 +239,27 @@ fn kernel_counters(trace: &RunTrace) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::DirectionDecision;
-    use crate::telemetry::IterRecord;
+    use crate::metrics::{DirectionDecision, IterStat};
 
-    fn iter(step: usize, mode: StepMode, observed: usize, cutoff: usize) -> TraceIteration {
-        IterRecord {
-            step,
+    fn stat(mode: StepMode, observed: usize, decision: DirectionDecision) -> IterStat {
+        IterStat {
             frontier_size: observed / 2,
             edges_scanned: observed,
-            seconds: 0.001 * (step + 1) as f64,
+            seconds: 0.001,
             mode,
             density: observed as f64 / 1000.0,
-            decision: DirectionDecision::heuristic(observed, cutoff),
+            decision,
         }
-        .into()
+    }
+
+    fn iter(step: usize, mode: StepMode, observed: usize, cutoff: usize) -> TraceIteration {
+        let mut stat = stat(
+            mode,
+            observed,
+            DirectionDecision::heuristic(observed, cutoff),
+        );
+        stat.seconds *= (step + 1) as f64;
+        TraceIteration::new(step, stat)
     }
 
     fn switching_trace() -> RunTrace {
@@ -289,30 +296,14 @@ mod tests {
     #[test]
     fn forced_switches_say_so() {
         let mut t = RunTrace::new("bfs");
-        t.iterations.push(
-            IterRecord {
-                step: 0,
-                frontier_size: 1,
-                edges_scanned: 5,
-                seconds: 0.0,
-                mode: StepMode::Push,
-                density: 0.1,
-                decision: DirectionDecision::forced(6, 50),
-            }
-            .into(),
-        );
-        t.iterations.push(
-            IterRecord {
-                step: 1,
-                frontier_size: 9,
-                edges_scanned: 0,
-                seconds: 0.0,
-                mode: StepMode::Pull,
-                density: 0.2,
-                decision: DirectionDecision::forced(9, 50),
-            }
-            .into(),
-        );
+        for (step, (mode, observed)) in [(StepMode::Push, 6), (StepMode::Pull, 9)]
+            .into_iter()
+            .enumerate()
+        {
+            let decision = DirectionDecision::forced(observed, 50);
+            t.iterations
+                .push(TraceIteration::new(step, stat(mode, observed, decision)));
+        }
         let switches = direction_switches(&t);
         assert_eq!(switches.len(), 1);
         assert!(

@@ -9,8 +9,6 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
-
 /// Times a closure, returning its result and the elapsed seconds.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
@@ -19,16 +17,16 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 }
 
 /// The end-to-end breakdown of one graph-processing run, matching the
-/// stacked bars of the paper's figures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+/// stacked bars of the paper's figures: the summary a run prints. A
+/// trace records the same phases as its
+/// [`PhaseProfile`](crate::telemetry::PhaseProfile)s.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimeBreakdown {
     /// Seconds loading the edge array from storage (0 when the input is
     /// already in memory).
     pub load: f64,
     /// Seconds building the data layout (0 for edge arrays).
     pub preprocess: f64,
-    /// Seconds spent in NUMA partitioning (0 when not NUMA-aware).
-    pub partition: f64,
     /// Seconds executing the algorithm itself.
     pub algorithm: f64,
     /// Seconds storing the results (0 when results stay in memory).
@@ -38,7 +36,7 @@ pub struct TimeBreakdown {
 impl TimeBreakdown {
     /// The end-to-end time.
     pub fn total(&self) -> f64 {
-        self.load + self.preprocess + self.partition + self.algorithm + self.store
+        self.load + self.preprocess + self.algorithm + self.store
     }
 
     /// A breakdown with only an algorithm component (edge-array runs on
@@ -52,8 +50,10 @@ impl TimeBreakdown {
 }
 
 /// Timing of one iteration (computation step) of a frontier algorithm,
-/// used by the per-iteration analysis of Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// used by the per-iteration analysis of Fig. 6 — and the record a
+/// trace keeps of the step
+/// ([`TraceIteration`](crate::telemetry::TraceIteration)).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterStat {
     /// Active vertices at the start of the step.
     pub frontier_size: usize,
@@ -97,7 +97,7 @@ impl IterStat {
 /// direction (pure push, pure pull, edge-centric, grid) still fill in
 /// both sides but set `forced`, so an offline reader can tell "the
 /// heuristic chose this" from "the variant had no choice".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectionDecision {
     /// The observed load estimate: frontier out-edges + frontier
     /// vertices (Ligra's `m_f + n_f`).
@@ -222,7 +222,7 @@ impl SyncMode {
 }
 
 /// Information-flow direction of one computation step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepMode {
     /// Active vertices wrote their out-neighbors.
     Push,
@@ -258,11 +258,10 @@ mod tests {
         let b = TimeBreakdown {
             load: 1.0,
             preprocess: 2.0,
-            partition: 0.5,
             algorithm: 3.0,
             store: 0.25,
         };
-        assert!((b.total() - 6.75).abs() < 1e-12);
+        assert!((b.total() - 6.25).abs() < 1e-12);
     }
 
     #[test]

@@ -420,7 +420,7 @@ mod tests {
         let deepest = singles.iter().map(|s| s.iterations.len()).max().unwrap();
         assert_eq!(records.len(), deepest);
         // Round `r` scans the union of the lanes' depth-`r` frontiers.
-        for (r, record) in records.iter().enumerate() {
+        for (r, record) in records.iter().map(|it| it.stat).enumerate() {
             let union: Vec<VertexId> = (0..64)
                 .filter(|&v| singles.iter().any(|s| s.level[v as usize] == r as u32))
                 .collect();
@@ -439,7 +439,7 @@ mod tests {
         run(&ExecCtx::new(None).recorder(&recorder));
         let records = recorder.iterations();
         assert!(records.len() > 2);
-        records.iter().map(|r| r.edges_scanned as u64).sum()
+        records.iter().map(|r| r.stat.edges_scanned as u64).sum()
     }
 
     /// A lane rule that counts its pushes: every hook forwards to the

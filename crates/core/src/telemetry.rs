@@ -1,13 +1,14 @@
-//! Run-wide telemetry: counters, per-iteration records and phase spans
-//! behind one recording interface.
+//! Run-wide telemetry: counters, per-iteration records and phase
+//! profiles behind one recording interface.
 //!
 //! The paper's central methodological claim is that graph systems must
-//! be measured *end-to-end* (§1): load + pre-process + partition +
-//! algorithm, not just the kernel. This module is the machinery that
-//! makes those measurements first-class: every engine driver and
-//! algorithm entry point takes an [`ExecCtx`](crate::exec::ExecCtx)
-//! carrying a [`Recorder`], and a run can be serialized as one
-//! machine-readable [`RunTrace`] document (JSON or CSV).
+//! be measured *end-to-end* (§1): load + pre-process + algorithm + store,
+//! not just the kernel. This module is the machinery that makes those
+//! measurements first-class: every engine driver and algorithm entry
+//! point takes an [`ExecCtx`](crate::exec::ExecCtx) carrying a
+//! [`Recorder`], phases are timed by a [`PhaseProfiler`], and a run can
+//! be serialized as one machine-readable [`RunTrace`] document (JSON or
+//! CSV) in which every fact is recorded once.
 //!
 //! Three recorder implementations matter:
 //!
@@ -22,87 +23,38 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-pub use egraph_cachesim::CacheStats;
 pub use egraph_perf::{CounterKind, CounterReading, PerfCounters};
 
-use crate::metrics::{DirectionDecision, IterStat, StepMode, TimeBreakdown};
+use crate::metrics::{DirectionDecision, IterStat, StepMode};
 
-/// One record per computation step of a frontier algorithm, as captured
-/// by a [`Recorder`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IterRecord {
-    /// Zero-based step index.
-    pub step: usize,
-    /// Active vertices at the start of the step.
-    pub frontier_size: usize,
-    /// Edges examined during the step.
-    pub edges_scanned: usize,
-    /// Wall-clock seconds of the step.
-    pub seconds: f64,
-    /// Direction the step ran in.
-    pub mode: StepMode,
-    /// Measured frontier density at the start of the step.
-    pub density: f64,
-    /// The threshold comparison that chose `mode`.
-    pub decision: DirectionDecision,
-}
-
-impl IterRecord {
-    /// Builds a record from a step index and an [`IterStat`].
-    pub fn from_stat(step: usize, stat: &IterStat) -> Self {
-        Self {
-            step,
-            frontier_size: stat.frontier_size,
-            edges_scanned: stat.edges_scanned,
-            seconds: stat.seconds,
-            mode: stat.mode,
-            density: stat.density,
-            decision: stat.decision,
-        }
-    }
-}
-
-/// One entry of [`RunTrace::iterations`]: the per-step record plus the
-/// hardware-counter deltas sampled over that step's window (empty on
-/// hosts without counters and for recorders built without
-/// [`TraceRecorder::with_iteration_perf`]).
+/// One entry of [`RunTrace::iterations`]: a computation step's
+/// [`IterStat`], its index, and the hardware-counter deltas sampled over
+/// that step's window (empty on hosts without counters and for
+/// recorders built without [`TraceRecorder::with_iteration_perf`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceIteration {
-    /// The per-step record.
-    pub record: IterRecord,
+    /// Zero-based step index.
+    pub step: usize,
+    /// What the step did.
+    pub stat: IterStat,
     /// Hardware counter deltas over the step window, by canonical
     /// counter name.
     pub hardware: BTreeMap<String, f64>,
 }
 
-impl From<IterRecord> for TraceIteration {
-    fn from(record: IterRecord) -> Self {
+impl TraceIteration {
+    /// Step `step` with no hardware samples.
+    pub fn new(step: usize, stat: IterStat) -> Self {
         Self {
-            record,
+            step,
+            stat,
             hardware: BTreeMap::new(),
         }
     }
 }
 
-impl std::ops::Deref for TraceIteration {
-    type Target = IterRecord;
-
-    fn deref(&self) -> &IterRecord {
-        &self.record
-    }
-}
-
-/// A named phase duration (e.g. `"load"`, `"factor_users"`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Phase name.
-    pub name: String,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-}
-
-/// Sink for run-wide telemetry: named counters, per-iteration records
-/// and phase spans.
+/// Sink for run-wide telemetry: named counters and per-iteration
+/// records.
 ///
 /// # The `enabled()` contract
 ///
@@ -124,11 +76,8 @@ pub trait Recorder: Sync {
     /// Adds `delta` to the named counter.
     fn record_counter(&self, name: &'static str, delta: u64);
 
-    /// Appends one per-iteration record.
-    fn record_iteration(&self, record: IterRecord);
-
-    /// Appends one phase span.
-    fn record_span(&self, name: &'static str, seconds: f64);
+    /// Appends the record of computation step `step`.
+    fn record_iteration(&self, step: usize, stat: &IterStat);
 }
 
 /// The recorder used when telemetry is off: `enabled()` is `false` and
@@ -146,10 +95,7 @@ impl Recorder for NullRecorder {
     fn record_counter(&self, _name: &'static str, _delta: u64) {}
 
     #[inline]
-    fn record_iteration(&self, _record: IterRecord) {}
-
-    #[inline]
-    fn record_span(&self, _name: &'static str, _seconds: f64) {}
+    fn record_iteration(&self, _step: usize, _stat: &IterStat) {}
 }
 
 /// A recorder that collects everything into memory, for `--trace-out`
@@ -168,10 +114,8 @@ pub struct TraceRecorder {
 
 #[derive(Debug, Default)]
 struct TraceInner {
-    iterations: Vec<IterRecord>,
-    iteration_hardware: Vec<BTreeMap<String, f64>>,
+    iterations: Vec<TraceIteration>,
     counters: BTreeMap<&'static str, u64>,
-    spans: Vec<Span>,
     last_reading: Option<CounterReading>,
 }
 
@@ -197,17 +141,11 @@ impl TraceRecorder {
         }
     }
 
-    /// The per-iteration records collected so far.
-    pub fn iterations(&self) -> Vec<IterRecord> {
+    /// The per-iteration records collected so far; their hardware maps
+    /// are empty without [`with_iteration_perf`](Self::with_iteration_perf)
+    /// or on restricted hosts.
+    pub fn iterations(&self) -> Vec<TraceIteration> {
         self.inner.lock().iterations.clone()
-    }
-
-    /// Per-iteration hardware counter deltas, parallel to
-    /// [`iterations`](Self::iterations); maps are empty without
-    /// [`with_iteration_perf`](Self::with_iteration_perf) or on
-    /// restricted hosts.
-    pub fn iteration_hardware(&self) -> Vec<BTreeMap<String, f64>> {
-        self.inner.lock().iteration_hardware.clone()
     }
 
     /// The counters collected so far.
@@ -219,11 +157,6 @@ impl TraceRecorder {
             .map(|(k, v)| (k.to_string(), *v as f64))
             .collect()
     }
-
-    /// The phase spans collected so far.
-    pub fn spans(&self) -> Vec<Span> {
-        self.inner.lock().spans.clone()
-    }
 }
 
 impl Recorder for TraceRecorder {
@@ -231,36 +164,26 @@ impl Recorder for TraceRecorder {
         *self.inner.lock().counters.entry(name).or_insert(0) += delta;
     }
 
-    fn record_iteration(&self, record: IterRecord) {
+    fn record_iteration(&self, step: usize, stat: &IterStat) {
         let mut inner = self.inner.lock();
-        let mut hardware = BTreeMap::new();
+        let mut iteration = TraceIteration::new(step, *stat);
         if let Some(perf) = &self.perf {
             if let Some(prev) = &inner.last_reading {
                 for (kind, value) in perf.delta_since(prev).iter() {
-                    hardware.insert(kind.name().to_string(), value as f64);
+                    iteration
+                        .hardware
+                        .insert(kind.name().to_string(), value as f64);
                 }
             }
             inner.last_reading = Some(perf.reading());
         }
-        inner.iterations.push(record);
-        inner.iteration_hardware.push(hardware);
-    }
-
-    fn record_span(&self, name: &'static str, seconds: f64) {
-        self.inner.lock().spans.push(Span {
-            name: name.to_string(),
-            seconds,
-        });
+        inner.iterations.push(iteration);
     }
 }
 
-/// Per-phase profile: wall time plus the hardware counters and/or
-/// simulated cache statistics measured over that phase's window.
-///
-/// This is the record that puts the paper's two measurement
-/// modes side by side — real PMU counts (when the host allows
-/// `perf_event_open`) and the LLC simulator's numbers — attributed to
-/// the same named phase of the same run.
+/// Per-phase profile: wall time plus the hardware counters and memory
+/// measured over that phase's window — the one place a trace records
+/// how long a phase took.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseProfile {
     /// Phase name (`"load"`, `"preprocess"`, `"algorithm"`, ...).
@@ -271,9 +194,6 @@ pub struct PhaseProfile {
     /// `"llc_load_misses"`, ...). Empty when the host exposes no usable
     /// counters — the graceful-degradation marker, not an error.
     pub hardware: BTreeMap<String, f64>,
-    /// Simulated cache statistics for the phase, when the run also went
-    /// through the LLC simulator.
-    pub simulated: Option<CacheStats>,
     /// Memory accounting for the phase.
     pub memory: Option<PhaseMemory>,
 }
@@ -314,12 +234,13 @@ impl PhaseProfile {
     }
 }
 
-/// The machine-readable document describing one end-to-end run:
-/// the [`TimeBreakdown`], per-iteration records, per-phase profiles,
-/// and whatever counters the engine, pool and storage layers reported.
+/// The machine-readable document describing one end-to-end run: its
+/// per-phase profiles (the only record of phase time), per-iteration
+/// records, and whatever counters the engine, pool and storage layers
+/// reported.
 ///
 /// Serializes to JSON ([`RunTrace::to_json`], schema
-/// `egraph-trace/4`) and CSV ([`RunTrace::to_csv`]); parses back from
+/// [`TRACE_SCHEMA`]) and CSV ([`RunTrace::to_csv`]); parses back from
 /// its own JSON ([`RunTrace::from_json`]) and CSV
 /// ([`RunTrace::from_csv`]). A document declaring any other schema tag
 /// is refused with [`TraceError::UnsupportedSchema`]: re-export it with
@@ -333,16 +254,12 @@ pub struct RunTrace {
     pub algorithm: String,
     /// Free-form run configuration (layout, flow, sync, threads, …).
     pub config: BTreeMap<String, String>,
-    /// End-to-end phase timings.
-    pub breakdown: TimeBreakdown,
     /// One record per computation step, with its per-step hardware
     /// counter deltas.
     pub iterations: Vec<TraceIteration>,
     /// Named counters from all layers (engine, pool, storage).
     pub counters: BTreeMap<String, f64>,
-    /// Named phase spans beyond the fixed breakdown phases.
-    pub spans: Vec<Span>,
-    /// Per-phase hardware/simulated profiles.
+    /// Per-phase profiles, in the order the phases ran.
     pub phases: Vec<PhaseProfile>,
 }
 
@@ -352,10 +269,8 @@ impl Default for RunTrace {
             schema: TRACE_SCHEMA.to_string(),
             algorithm: String::new(),
             config: BTreeMap::new(),
-            breakdown: TimeBreakdown::default(),
             iterations: Vec::new(),
             counters: BTreeMap::new(),
-            spans: Vec::new(),
             phases: Vec::new(),
         }
     }
@@ -363,7 +278,7 @@ impl Default for RunTrace {
 
 /// Schema tag of every trace this version writes, and the only one it
 /// reads.
-pub const TRACE_SCHEMA: &str = "egraph-trace/4";
+pub const TRACE_SCHEMA: &str = "egraph-trace/5";
 
 /// Output format for a [`RunTrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -420,15 +335,8 @@ impl RunTrace {
 
     /// Merges everything a [`TraceRecorder`] collected into this trace.
     pub fn absorb(&mut self, recorder: &TraceRecorder) {
-        self.iterations.extend(
-            recorder
-                .iterations()
-                .into_iter()
-                .zip(recorder.iteration_hardware())
-                .map(|(record, hardware)| TraceIteration { record, hardware }),
-        );
+        self.iterations.extend(recorder.iterations());
         self.counters.extend(recorder.counters());
-        self.spans.extend(recorder.spans());
     }
 
     /// Counts the direction flips in the iteration sequence: steps
@@ -436,7 +344,7 @@ impl RunTrace {
     pub fn direction_flips(&self) -> usize {
         self.iterations
             .windows(2)
-            .filter(|w| w[0].record.mode != w[1].record.mode)
+            .filter(|w| w[0].stat.mode != w[1].stat.mode)
             .count()
     }
 
@@ -465,29 +373,18 @@ impl RunTrace {
             out.push_str(&format!("{}: {}", json::string(k), json::string(v)));
         }
         out.push_str("},\n");
-        let b = &self.breakdown;
-        out.push_str(&format!(
-            "  \"breakdown\": {{\"load\": {}, \"preprocess\": {}, \"partition\": {}, \
-             \"algorithm\": {}, \"store\": {}, \"total\": {}}},\n",
-            json::number(b.load),
-            json::number(b.preprocess),
-            json::number(b.partition),
-            json::number(b.algorithm),
-            json::number(b.store),
-            json::number(b.total()),
-        ));
         out.push_str("  \"iterations\": [");
         for (i, it) in self.iterations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let r = &it.record;
+            let r = &it.stat;
             out.push_str(&format!(
                 "\n    {{\"step\": {}, \"frontier_size\": {}, \"edges_scanned\": {}, \
                  \"seconds\": {}, \"mode\": {}, \"density\": {}, \
                  \"decision\": {{\"observed\": {}, \"cutoff\": {}, \"forced\": {}}}, \
                  \"hardware\": {{",
-                r.step,
+                it.step,
                 r.frontier_size,
                 r.edges_scanned,
                 json::number(r.seconds),
@@ -520,21 +417,6 @@ impl RunTrace {
             out.push_str("\n  ");
         }
         out.push_str("},\n");
-        out.push_str("  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": {}, \"seconds\": {}}}",
-                json::string(&s.name),
-                json::number(s.seconds)
-            ));
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
         out.push_str("  \"phases\": [");
         for (i, p) in self.phases.iter().enumerate() {
             if i > 0 {
@@ -551,15 +433,7 @@ impl RunTrace {
                 }
                 out.push_str(&format!("{}: {}", json::string(k), json::number(*v)));
             }
-            out.push_str("}, \"simulated\": ");
-            match &p.simulated {
-                None => out.push_str("null"),
-                Some(sim) => out.push_str(&format!(
-                    "{{\"accesses\": {}, \"misses\": {}}}",
-                    sim.accesses, sim.misses
-                )),
-            }
-            out.push_str(", \"memory\": ");
+            out.push_str("}, \"memory\": ");
             match &p.memory {
                 None => out.push_str("null"),
                 Some(m) => out.push_str(&format!(
@@ -610,16 +484,6 @@ impl RunTrace {
                     .to_string(),
             );
         }
-        let b = get(obj, "breakdown")?
-            .as_object()
-            .ok_or_else(|| err("breakdown is not an object"))?;
-        trace.breakdown = TimeBreakdown {
-            load: num_field(b, "load")?,
-            preprocess: num_field(b, "preprocess")?,
-            partition: num_field(b, "partition")?,
-            algorithm: num_field(b, "algorithm")?,
-            store: num_field(b, "store")?,
-        };
         for it in get(obj, "iterations")?
             .as_array()
             .ok_or_else(|| err("iterations is not an array"))?
@@ -627,8 +491,7 @@ impl RunTrace {
             let o = it
                 .as_object()
                 .ok_or_else(|| err("iteration is not an object"))?;
-            let record = IterRecord {
-                step: num_field(o, "step")? as usize,
+            let stat = IterStat {
                 frontier_size: num_field(o, "frontier_size")? as usize,
                 edges_scanned: num_field(o, "edges_scanned")? as usize,
                 seconds: num_field(o, "seconds")?,
@@ -653,7 +516,7 @@ impl RunTrace {
                     }
                 },
             };
-            let mut iteration = TraceIteration::from(record);
+            let mut iteration = TraceIteration::new(num_field(o, "step")? as usize, stat);
             for (k, v) in get(o, "hardware")?
                 .as_object()
                 .ok_or_else(|| err("iteration hardware is not an object"))?
@@ -675,19 +538,6 @@ impl RunTrace {
                 v.as_number()
                     .ok_or_else(|| err("counter is not a number"))?,
             );
-        }
-        for s in get(obj, "spans")?
-            .as_array()
-            .ok_or_else(|| err("spans is not an array"))?
-        {
-            let o = s.as_object().ok_or_else(|| err("span is not an object"))?;
-            trace.spans.push(Span {
-                name: get(o, "name")?
-                    .as_str()
-                    .ok_or_else(|| err("span name is not a string"))?
-                    .to_string(),
-                seconds: num_field(o, "seconds")?,
-            });
         }
         for p in get(obj, "phases")?
             .as_array()
@@ -712,18 +562,6 @@ impl RunTrace {
                         .ok_or_else(|| err("hardware counter is not a number"))?,
                 );
             }
-            match get(o, "simulated")? {
-                json::Value::Null => {}
-                sim => {
-                    let so = sim
-                        .as_object()
-                        .ok_or_else(|| err("phase simulated is not an object"))?;
-                    profile.simulated = Some(CacheStats {
-                        accesses: num_field(so, "accesses")? as u64,
-                        misses: num_field(so, "misses")? as u64,
-                    });
-                }
-            }
             match get(o, "memory")? {
                 json::Value::Null => {}
                 mem => {
@@ -744,9 +582,9 @@ impl RunTrace {
     }
 
     /// Serializes to flat CSV. The first column discriminates the
-    /// record type (`meta`, `breakdown`, `iteration`, `iter_decision`,
-    /// `iter_hw`, `counter`, `span`, `phase`, `phase_hw`, `phase_sim`,
-    /// `phase_mem`); unused columns are left empty. An `iteration` row
+    /// record type (`meta`, `iteration`, `iter_decision`, `iter_hw`,
+    /// `counter`, `phase`, `phase_hw`, `phase_mem`); unused columns are
+    /// left empty. An `iteration` row
     /// carries its density in the `value` column;
     /// `iter_decision`/`iter_hw` rows attach to the
     /// preceding `iteration` row via the `step` column. Fields
@@ -764,22 +602,11 @@ impl RunTrace {
         for (k, v) in &self.config {
             out.push_str(&format!("meta,{},,,,,,{}\n", q(k), q(v)));
         }
-        let b = &self.breakdown;
-        for (name, secs) in [
-            ("load", b.load),
-            ("preprocess", b.preprocess),
-            ("partition", b.partition),
-            ("algorithm", b.algorithm),
-            ("store", b.store),
-            ("total", b.total()),
-        ] {
-            out.push_str(&format!("breakdown,{name},,,,{secs},,\n"));
-        }
         for it in &self.iterations {
-            let r = &it.record;
+            let r = &it.stat;
             out.push_str(&format!(
                 "iteration,,{},{},{},{},{},{}\n",
-                r.step,
+                it.step,
                 r.frontier_size,
                 r.edges_scanned,
                 r.seconds,
@@ -791,34 +618,19 @@ impl RunTrace {
                 ("cutoff", r.decision.cutoff as u64),
                 ("forced", r.decision.forced as u64),
             ] {
-                out.push_str(&format!("iter_decision,,{},,,,{field},{value}\n", r.step));
+                out.push_str(&format!("iter_decision,,{},,,,{field},{value}\n", it.step));
             }
             for (k, v) in &it.hardware {
-                out.push_str(&format!("iter_hw,,{},,,,{},{v}\n", r.step, q(k)));
+                out.push_str(&format!("iter_hw,,{},,,,{},{v}\n", it.step, q(k)));
             }
         }
         for (k, v) in &self.counters {
             out.push_str(&format!("counter,{},,,,,,{v}\n", q(k)));
         }
-        for s in &self.spans {
-            out.push_str(&format!("span,{},,,,{},,\n", q(&s.name), s.seconds));
-        }
         for p in &self.phases {
             out.push_str(&format!("phase,{},,,,{},,\n", q(&p.name), p.seconds));
             for (k, v) in &p.hardware {
                 out.push_str(&format!("phase_hw,{},,,,,{},{v}\n", q(&p.name), q(k)));
-            }
-            if let Some(sim) = &p.simulated {
-                out.push_str(&format!(
-                    "phase_sim,{},,,,,accesses,{}\n",
-                    q(&p.name),
-                    sim.accesses
-                ));
-                out.push_str(&format!(
-                    "phase_sim,{},,,,,misses,{}\n",
-                    q(&p.name),
-                    sim.misses
-                ));
             }
             if let Some(mem) = &p.memory {
                 for (field, value) in [
@@ -878,36 +690,24 @@ impl RunTrace {
                         trace.config.insert(key.to_string(), col(7).to_string());
                     }
                 },
-                "breakdown" => {
-                    let secs = numcol(5)?;
-                    match col(1) {
-                        "load" => trace.breakdown.load = secs,
-                        "preprocess" => trace.breakdown.preprocess = secs,
-                        "partition" => trace.breakdown.partition = secs,
-                        "algorithm" => trace.breakdown.algorithm = secs,
-                        "store" => trace.breakdown.store = secs,
-                        "total" => {} // derived, not stored
-                        other => {
-                            return Err(err(&format!("unknown breakdown phase '{other}'")));
-                        }
-                    }
-                }
-                "iteration" => trace.iterations.push(TraceIteration::from(IterRecord {
-                    step: numcol(2)? as usize,
-                    frontier_size: numcol(3)? as usize,
-                    edges_scanned: numcol(4)? as usize,
-                    seconds: numcol(5)?,
-                    mode: StepMode::parse(col(6)).ok_or_else(|| err("unknown step mode"))?,
-                    density: numcol(7)?,
-                    decision: DirectionDecision::default(),
-                })),
+                "iteration" => trace.iterations.push(TraceIteration::new(
+                    numcol(2)? as usize,
+                    IterStat {
+                        frontier_size: numcol(3)? as usize,
+                        edges_scanned: numcol(4)? as usize,
+                        seconds: numcol(5)?,
+                        mode: StepMode::parse(col(6)).ok_or_else(|| err("unknown step mode"))?,
+                        density: numcol(7)?,
+                        decision: DirectionDecision::default(),
+                    },
+                )),
                 "iter_decision" => {
                     let value = numcol(7)?;
                     let it = iteration_mut(&mut trace, numcol(2)? as usize)?;
                     match col(6) {
-                        "observed" => it.record.decision.observed = value as usize,
-                        "cutoff" => it.record.decision.cutoff = value as usize,
-                        "forced" => it.record.decision.forced = value != 0.0,
+                        "observed" => it.stat.decision.observed = value as usize,
+                        "cutoff" => it.stat.decision.cutoff = value as usize,
+                        "forced" => it.stat.decision.forced = value != 0.0,
                         other => {
                             return Err(err(&format!("unknown iter_decision field '{other}'")));
                         }
@@ -921,10 +721,6 @@ impl RunTrace {
                 "counter" => {
                     trace.counters.insert(col(1).to_string(), numcol(7)?);
                 }
-                "span" => trace.spans.push(Span {
-                    name: col(1).to_string(),
-                    seconds: numcol(5)?,
-                }),
                 "phase" => trace.phases.push(PhaseProfile {
                     name: col(1).to_string(),
                     seconds: numcol(5)?,
@@ -934,18 +730,6 @@ impl RunTrace {
                     let value = numcol(7)?;
                     let phase = phase_mut(&mut trace, col(1))?;
                     phase.hardware.insert(col(6).to_string(), value);
-                }
-                "phase_sim" => {
-                    let value = numcol(7)? as u64;
-                    let phase = phase_mut(&mut trace, col(1))?;
-                    let sim = phase.simulated.get_or_insert_with(CacheStats::default);
-                    match col(6) {
-                        "accesses" => sim.accesses = value,
-                        "misses" => sim.misses = value,
-                        other => {
-                            return Err(err(&format!("unknown phase_sim field '{other}'")));
-                        }
-                    }
                 }
                 "phase_mem" => {
                     let value = numcol(7)? as u64;
@@ -979,11 +763,11 @@ fn iteration_mut(trace: &mut RunTrace, step: usize) -> Result<&mut TraceIteratio
         .iterations
         .iter_mut()
         .rev()
-        .find(|it| it.record.step == step)
+        .find(|it| it.step == step)
         .ok_or_else(|| err(&format!("iteration row for undeclared step {step}")))
 }
 
-/// Finds the already-declared phase a `phase_hw`/`phase_sim` row refers
+/// Finds the already-declared phase a `phase_hw`/`phase_mem` row refers
 /// to (rows are emitted in phase order, so it is the last one).
 fn phase_mut<'a>(trace: &'a mut RunTrace, name: &str) -> Result<&'a mut PhaseProfile, TraceError> {
     trace
@@ -1095,15 +879,6 @@ impl PhaseProfiler {
         });
         self.phases.lock().push(profile);
         out
-    }
-
-    /// Attaches simulated cache statistics to the most recent phase
-    /// with this name (used by benches that run the same phase through
-    /// the LLC simulator).
-    pub fn attach_simulated(&self, name: &str, stats: CacheStats) {
-        if let Some(p) = self.phases.lock().iter_mut().rev().find(|p| p.name == name) {
-            p.simulated = Some(stats);
-        }
     }
 
     /// Takes the recorded phases, leaving the profiler empty.
@@ -1462,21 +1237,23 @@ pub mod json {
 mod tests {
     use super::*;
 
+    fn stat(frontier_size: usize, mode: StepMode, decision: DirectionDecision) -> IterStat {
+        IterStat {
+            frontier_size,
+            edges_scanned: frontier_size * 3,
+            seconds: 0.001,
+            mode,
+            density: 0.125,
+            decision,
+        }
+    }
+
     #[test]
     fn null_recorder_is_disabled() {
         let r = NullRecorder;
         assert!(!r.enabled());
         r.record_counter("x", 1);
-        r.record_iteration(IterRecord {
-            step: 0,
-            frontier_size: 0,
-            edges_scanned: 0,
-            seconds: 0.0,
-            mode: StepMode::Push,
-            density: 0.0,
-            decision: DirectionDecision::default(),
-        });
-        r.record_span("x", 0.0);
+        r.record_iteration(0, &stat(0, StepMode::Push, DirectionDecision::default()));
     }
 
     #[test]
@@ -1485,27 +1262,17 @@ mod tests {
         assert!(r.enabled());
         r.record_counter("edges", 10);
         r.record_counter("edges", 5);
-        r.record_span("load", 0.25);
-        r.record_iteration(IterRecord {
-            step: 0,
-            frontier_size: 1,
-            edges_scanned: 2,
-            seconds: 0.5,
-            mode: StepMode::Pull,
-            density: 0.125,
-            decision: DirectionDecision::heuristic(3, 2),
-        });
+        let pulled = stat(1, StepMode::Pull, DirectionDecision::heuristic(3, 2));
+        r.record_iteration(0, &pulled);
         assert_eq!(r.counters()["edges"], 15.0);
-        assert_eq!(r.spans()[0].name, "load");
-        assert_eq!(r.iterations()[0].mode, StepMode::Pull);
-        assert!(r.iterations()[0].decision.says_pull());
-        // Without `with_iteration_perf` the hardware maps exist but
-        // stay empty, keeping the two vectors parallel.
-        assert_eq!(r.iteration_hardware(), vec![BTreeMap::new()]);
+        // Without `with_iteration_perf` the hardware map exists but
+        // stays empty.
+        assert_eq!(r.iterations(), vec![TraceIteration::new(0, pulled)]);
+        assert!(r.iterations()[0].stat.decision.says_pull());
     }
 
     #[test]
-    fn iteration_perf_recorder_keeps_vectors_parallel() {
+    fn iteration_perf_recorder_samples_every_window() {
         let r = TraceRecorder::with_iteration_perf(PerfCounters::open());
         for step in 0..3 {
             let mut x = 1u64;
@@ -1513,21 +1280,13 @@ mod tests {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
             }
             std::hint::black_box(x);
-            r.record_iteration(IterRecord {
-                step,
-                frontier_size: 1,
-                edges_scanned: 1,
-                seconds: 0.001,
-                mode: StepMode::Push,
-                density: 0.0,
-                decision: DirectionDecision::default(),
-            });
+            r.record_iteration(step, &stat(1, StepMode::Push, DirectionDecision::default()));
         }
-        assert_eq!(r.iterations().len(), 3);
-        assert_eq!(r.iteration_hardware().len(), 3);
         let mut trace = RunTrace::new("bfs");
         trace.absorb(&r);
-        assert_eq!(trace.iterations.len(), 3);
+        assert_eq!(trace.iterations, r.iterations());
+        let steps: Vec<usize> = trace.iterations.iter().map(|it| it.step).collect();
+        assert_eq!(steps, [0, 1, 2]);
         // Every iteration window samples the same counter set (which is
         // legitimately empty on restricted hosts).
         let keys: Vec<Vec<&String>> = trace
@@ -1543,41 +1302,34 @@ mod tests {
         let mut t = RunTrace::new("bfs");
         t.config.insert("layout".into(), "adjacency".into());
         t.config.insert("flow".into(), "push".into());
-        t.breakdown = TimeBreakdown {
-            load: 0.5,
-            preprocess: 0.25,
-            partition: 0.0,
-            algorithm: 0.125,
-            store: 0.0625,
-        };
-        let mut first = TraceIteration::from(IterRecord {
-            step: 0,
-            frontier_size: 1,
-            edges_scanned: 3,
-            seconds: 0.001,
-            mode: StepMode::Push,
-            density: 0.002,
-            decision: DirectionDecision::heuristic(4, 97),
-        });
+        let mut first = TraceIteration::new(
+            0,
+            IterStat {
+                frontier_size: 1,
+                edges_scanned: 3,
+                seconds: 0.001,
+                mode: StepMode::Push,
+                density: 0.002,
+                decision: DirectionDecision::heuristic(4, 97),
+            },
+        );
         first.hardware.insert("cycles".into(), 1.5e6);
         t.iterations = vec![
             first,
-            TraceIteration::from(IterRecord {
-                step: 1,
-                frontier_size: 42,
-                edges_scanned: 977,
-                seconds: 0.0025,
-                mode: StepMode::Pull,
-                density: 0.52,
-                decision: DirectionDecision::heuristic(1019, 97),
-            }),
+            TraceIteration::new(
+                1,
+                IterStat {
+                    frontier_size: 42,
+                    edges_scanned: 977,
+                    seconds: 0.0025,
+                    mode: StepMode::Pull,
+                    density: 0.52,
+                    decision: DirectionDecision::heuristic(1019, 97),
+                },
+            ),
         ];
         t.counters.insert("pool.steals".into(), 7.0);
         t.counters.insert("storage.bytes_read".into(), 65536.0);
-        t.spans.push(Span {
-            name: "warmup \"quoted\"".into(),
-            seconds: 0.75,
-        });
         let mut algo_phase = PhaseProfile {
             name: "algorithm".into(),
             seconds: 0.125,
@@ -1585,10 +1337,6 @@ mod tests {
         };
         algo_phase.hardware.insert("cycles".into(), 1.25e9);
         algo_phase.hardware.insert("llc_load_misses".into(), 3.0e6);
-        algo_phase.simulated = Some(CacheStats {
-            accesses: 1000,
-            misses: 250,
-        });
         algo_phase.memory = Some(PhaseMemory {
             allocated_bytes: 4_194_304,
             freed_bytes: 1_048_576,
@@ -1598,7 +1346,7 @@ mod tests {
         t.phases.push(algo_phase);
         // No memory section on this one: both states must round-trip.
         t.phases.push(PhaseProfile {
-            name: "load, restricted".into(), // comma exercises CSV quoting
+            name: "load, \"restricted\"".into(), // exercises CSV quoting
             seconds: 0.5,
             ..PhaseProfile::default()
         });
@@ -1608,8 +1356,13 @@ mod tests {
     #[test]
     fn json_round_trip_is_lossless() {
         let trace = sample_trace();
-        let parsed = RunTrace::from_json(&trace.to_json()).unwrap();
+        let text = trace.to_json();
+        let parsed = RunTrace::from_json(&text).unwrap();
         assert_eq!(parsed, trace);
+        // Phase time is stated once, in `phases`.
+        for retired in ["breakdown", "spans", "simulated", "total"] {
+            assert!(!text.contains(retired), "{retired} in:\n{text}");
+        }
     }
 
     #[test]
@@ -1631,27 +1384,20 @@ mod tests {
         for tag in [
             "record,",
             "meta,algorithm",
-            "breakdown,total",
             "iteration,",
             "iter_decision,,0,,,,observed,4",
             "iter_decision,,1,,,,forced,0",
             "iter_hw,,0,,,,cycles",
             "counter,pool.steals",
-            "span,",
             "phase,algorithm",
             "phase_hw,algorithm,,,,,cycles",
-            "phase_sim,algorithm,,,,,misses",
             "phase_mem,algorithm,,,,,peak_bytes",
         ] {
             assert!(text.contains(tag), "missing {tag} in:\n{text}");
         }
-        // header + 2 meta + 2 config + 6 breakdown + 2 iterations
-        // + 6 iter_decision + 1 iter_hw + 2 counters + 1 span
-        // + 2 phases + 2 phase_hw + 2 phase_sim + 4 phase_mem.
-        assert_eq!(
-            text.lines().count(),
-            1 + 2 + 2 + 6 + 2 + 6 + 1 + 2 + 1 + 2 + 2 + 2 + 4
-        );
+        // header + 2 meta + 2 config + 2 iterations + 6 iter_decision
+        // + 1 iter_hw + 2 counters + 2 phases + 2 phase_hw + 4 phase_mem.
+        assert_eq!(text.lines().count(), 1 + 2 + 2 + 2 + 6 + 1 + 2 + 2 + 2 + 4);
     }
 
     #[test]
@@ -1673,7 +1419,7 @@ mod tests {
         // phase_hw without its phase row.
         assert!(RunTrace::from_csv(
             "record,key,step,frontier_size,edges_scanned,seconds,mode,value\n\
-             meta,schema,,,,,,egraph-trace/4\n\
+             meta,schema,,,,,,egraph-trace/5\n\
              phase_hw,ghost,,,,,cycles,1\n"
         )
         .is_err());
@@ -1683,15 +1429,10 @@ mod tests {
     fn direction_flips_counts_mode_changes() {
         let mut t = sample_trace();
         assert_eq!(t.direction_flips(), 1); // push → pull
-        t.iterations.push(TraceIteration::from(IterRecord {
-            step: 2,
-            frontier_size: 9,
-            edges_scanned: 12,
-            seconds: 0.001,
-            mode: StepMode::Push,
-            density: 0.006,
-            decision: DirectionDecision::heuristic(21, 97),
-        }));
+        t.iterations.push(TraceIteration::new(
+            2,
+            stat(9, StepMode::Push, DirectionDecision::heuristic(21, 97)),
+        ));
         assert_eq!(t.direction_flips(), 2); // ... → push again
         t.iterations.clear();
         assert_eq!(t.direction_flips(), 0);
@@ -1742,24 +1483,10 @@ mod tests {
             std::hint::black_box(x)
         });
         assert_ne!(value, 0);
-        profiler.attach_simulated(
-            "algorithm",
-            CacheStats {
-                accesses: 10,
-                misses: 5,
-            },
-        );
         let phases = profiler.take_phases();
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].name, "algorithm");
         assert!(phases[0].seconds > 0.0);
-        assert_eq!(
-            phases[0].simulated,
-            Some(CacheStats {
-                accesses: 10,
-                misses: 5
-            })
-        );
         // Hardware values only when the host grants counters — and then
         // the busy loop must have registered on every open counter.
         for kind in profiler.available_counters() {

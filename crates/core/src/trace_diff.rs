@@ -6,9 +6,9 @@
 //! pre-processing cost (§2). The same discipline applies to guarding a
 //! codebase against performance regressions: a diff that only checks
 //! total time hides a pre-processing slowdown behind an algorithm
-//! speedup. This module therefore compares traces phase by phase
-//! (breakdown phases, schema-v2 [`PhaseProfile`]s, and per-phase cache
-//! miss ratios) and flags each metric independently.
+//! speedup. This module therefore compares traces phase by phase (each
+//! [`PhaseProfile`]'s seconds, hardware LLC miss ratio and peak memory,
+//! plus the sum of the phases) and flags each metric independently.
 //!
 //! Time metrics gate on a *relative* slowdown above a caller-chosen
 //! threshold, with an absolute floor (`min_seconds`) so that a 2 ms
@@ -17,21 +17,22 @@
 //! reported for context but never gate — they scale with the input, not
 //! with code quality.
 
-use crate::telemetry::{CounterKind, RunTrace};
+use crate::telemetry::{CounterKind, PhaseProfile, RunTrace};
 
 /// Phases that legitimately come and go between runs. `compact`
 /// ([`crate::exec::PHASE_COMPACT`]) only exists when a run merged a
 /// delta log into a fresh snapshot, so a baseline recorded before any
 /// updates carries it at zero seconds — the "appeared from zero" rule
-/// must not turn the candidate's first compaction into a regression.
-/// Optional phases still gate on relative slowdown once both traces
-/// spend real time in them.
+/// must not turn the candidate's first compaction into a regression —
+/// neither on its own row nor through the sum of the phases. Optional
+/// phases still gate on relative slowdown once both traces spend real
+/// time in them.
 pub const OPTIONAL_PHASES: &[&str] = &["compact"];
 
 /// One compared metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
-    /// Metric label, e.g. `"breakdown.algorithm"` or
+    /// Metric label, e.g. `"phase.algorithm.seconds"` or
     /// `"phase.load.llc_miss_ratio(hw)"`.
     pub metric: String,
     /// Value in the old (baseline) trace.
@@ -113,14 +114,19 @@ impl Default for DiffOptions {
     }
 }
 
+/// Label of the row comparing the sum of each trace's phase seconds —
+/// the end-to-end time of the run as its phases recorded it.
+pub const PHASES_TOTAL: &str = "phases.total_seconds";
+
 /// Compares `new` against the `old` baseline.
 ///
-/// Gating metrics: the five breakdown phases plus the derived total,
-/// each schema-v2 phase's wall seconds, and each phase's hardware and
-/// simulated LLC miss ratio (when both traces carry one). Everything
-/// else (hardware counts, run counters) is informational, unless
-/// [`DiffOptions::gate_serve_latency`] promotes `serve.latency.*`
-/// percentile counters to gating status.
+/// Gating metrics: the sum of the phases' seconds
+/// ([`PHASES_TOTAL`]), each phase present in both traces — its wall
+/// seconds, its hardware LLC miss ratio (when both carry one) and its
+/// peak bytes (when both tracked allocations) — and the iteration count
+/// and direction flips. Everything else (hardware counts, run counters)
+/// is informational, unless [`DiffOptions::gate_serve_latency`] promotes
+/// `serve.latency.*` percentile counters to gating status.
 pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceDiff {
     let mut diff = TraceDiff::default();
 
@@ -161,28 +167,33 @@ pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceD
         new_v > old_v * (1.0 + opts.threshold_pct / 100.0)
     };
 
-    let ob = &old.breakdown;
-    let nb = &new.breakdown;
-    for (name, old_v, new_v) in [
-        ("load", ob.load, nb.load),
-        ("preprocess", ob.preprocess, nb.preprocess),
-        ("partition", ob.partition, nb.partition),
-        ("algorithm", ob.algorithm, nb.algorithm),
-        ("store", ob.store, nb.store),
-        ("total", ob.total(), nb.total()),
-    ] {
-        push_row(
-            &mut diff,
-            format!("breakdown.{name}"),
-            old_v,
-            new_v,
-            true,
-            time_regressed(old_v, new_v),
-            "s",
-        );
-    }
+    // An optional phase the baseline spent no time in is exempt: it
+    // neither gates on its own row nor counts towards the candidate's
+    // total.
+    let exempt = |phase: &PhaseProfile| {
+        OPTIONAL_PHASES.contains(&phase.name.as_str())
+            && old
+                .phases
+                .iter()
+                .find(|p| p.name == phase.name)
+                .is_none_or(|p| p.seconds <= 0.0)
+    };
+    let old_total: f64 = old.phases.iter().map(|p| p.seconds).sum();
+    let new_total: f64 = (new.phases.iter())
+        .filter(|p| !exempt(p))
+        .map(|p| p.seconds)
+        .sum();
+    push_row(
+        &mut diff,
+        PHASES_TOTAL.to_string(),
+        old_total,
+        new_total,
+        true,
+        time_regressed(old_total, new_total),
+        "s",
+    );
 
-    // Schema-v4 iteration telemetry. Two derived metrics gate:
+    // Iteration telemetry. Two derived metrics gate:
     //
     // * `iterations.count` — convergence regressions (a kernel change
     //   that makes BFS take 40 levels instead of 8) hide inside the
@@ -195,8 +206,8 @@ pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceD
     //   baseline is a decision-logic regression, no matter how fast the
     //   run was.
     //
-    // A baseline recorded before schema v4 carries no iterations, so
-    // the candidate's records are reported for context but cannot gate.
+    // A baseline without iteration records (a run that recorded no
+    // steps) leaves the candidate's reported for context only.
     if new.iterations.is_empty() || old.iterations.is_empty() {
         if !new.iterations.is_empty() {
             for (metric, value) in [
@@ -237,8 +248,8 @@ pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceD
         );
     }
 
-    // Schema-v2 phases, matched by name; a phase present on only one
-    // side is reported but cannot gate (there is nothing to compare).
+    // Phases, matched by name; a phase present on only one side is
+    // reported but cannot gate (there is nothing to compare).
     for new_phase in &new.phases {
         let Some(old_phase) = old.phases.iter().find(|p| p.name == new_phase.name) else {
             diff.rows.push(DiffRow {
@@ -250,15 +261,14 @@ pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceD
             });
             continue;
         };
-        let appeared_from_zero = old_phase.seconds <= 0.0;
-        let exempt = appeared_from_zero && OPTIONAL_PHASES.contains(&new_phase.name.as_str());
+        let gates = !exempt(new_phase);
         push_row(
             &mut diff,
             format!("phase.{}.seconds", new_phase.name),
             old_phase.seconds,
             new_phase.seconds,
-            !exempt,
-            !exempt && time_regressed(old_phase.seconds, new_phase.seconds),
+            gates,
+            gates && time_regressed(old_phase.seconds, new_phase.seconds),
             "s",
         );
         if let (Some(old_r), Some(new_r)) = (
@@ -275,19 +285,7 @@ pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceD
                 "",
             );
         }
-        if let (Some(old_sim), Some(new_sim)) = (&old_phase.simulated, &new_phase.simulated) {
-            let (old_r, new_r) = (old_sim.miss_ratio(), new_sim.miss_ratio());
-            push_row(
-                &mut diff,
-                format!("phase.{}.llc_miss_ratio(sim)", new_phase.name),
-                old_r,
-                new_r,
-                true,
-                ratio_regressed(old_r, new_r),
-                "",
-            );
-        }
-        // Schema-v3 memory: peak bytes gate, but only when both runs
+        // Memory: peak bytes gate, but only when both runs
         // actually tracked allocations — an untracked build reports a
         // zero peak and must not fake an "appeared from zero"
         // regression against a tracked one (or vice versa).
@@ -409,26 +407,27 @@ fn push_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{CacheStats, PhaseProfile};
+    use crate::metrics::{DirectionDecision, IterStat, StepMode};
+    use crate::telemetry::TraceIteration;
 
+    fn phase(name: &str, seconds: f64) -> PhaseProfile {
+        PhaseProfile {
+            name: name.into(),
+            seconds,
+            ..PhaseProfile::default()
+        }
+    }
+
+    /// A half-second load phase, then an algorithm phase of
+    /// `algorithm_secs` with LLC counters.
     fn trace_with(algorithm_secs: f64, miss_ratio_pct: u64) -> RunTrace {
         let mut t = RunTrace::new("bfs");
-        t.breakdown.load = 0.5;
-        t.breakdown.algorithm = algorithm_secs;
-        let mut phase = PhaseProfile {
-            name: "algorithm".into(),
-            seconds: algorithm_secs,
-            ..PhaseProfile::default()
-        };
-        phase.hardware.insert("llc_loads".into(), 100.0);
-        phase
+        let mut algorithm = phase("algorithm", algorithm_secs);
+        algorithm.hardware.insert("llc_loads".into(), 100.0);
+        algorithm
             .hardware
             .insert("llc_load_misses".into(), miss_ratio_pct as f64);
-        phase.simulated = Some(CacheStats {
-            accesses: 100,
-            misses: miss_ratio_pct,
-        });
-        t.phases.push(phase);
+        t.phases = vec![phase("load", 0.5), algorithm];
         t.counters.insert("pool.steals".into(), 3.0);
         t
     }
@@ -439,7 +438,7 @@ mod tests {
         let diff = diff_traces(&t, &t, &DiffOptions::default());
         assert!(!diff.has_regressions());
         assert!(diff.rows.iter().all(|r| !r.regressed));
-        assert!(diff.rows.iter().any(|r| r.metric == "breakdown.total"));
+        assert!(diff.rows.iter().any(|r| r.metric == PHASES_TOTAL));
         assert!(diff
             .rows
             .iter()
@@ -459,10 +458,31 @@ mod tests {
             .filter(|r| r.regressed)
             .map(|r| r.metric.as_str())
             .collect();
-        assert!(metrics.contains(&"breakdown.algorithm"));
-        assert!(metrics.contains(&"phase.algorithm.seconds"));
-        // The untouched load phase must not be dragged in.
-        assert!(!metrics.contains(&"breakdown.load"));
+        // A phase slowed 1.5x gates on its own row and on the total.
+        assert_eq!(metrics, ["phases.total_seconds", "phase.algorithm.seconds"]);
+        let total = diff.rows.iter().find(|r| r.metric == PHASES_TOTAL).unwrap();
+        assert_eq!((total.old, total.new), (1.5, 2.0));
+    }
+
+    /// The rows of a two-phase trace with nothing else recorded: one
+    /// total, then each phase's seconds. A second copy of the phase
+    /// times (a `breakdown.*` row) coming back fails this.
+    #[test]
+    fn a_two_phase_trace_diffs_to_one_total_and_its_phase_rows() {
+        let mut t = RunTrace::new("bfs");
+        t.phases = vec![phase("preprocess", 0.25), phase("algorithm", 0.5)];
+        let diff = diff_traces(&t, &t, &DiffOptions::default());
+        let rows: Vec<(&str, f64, bool)> = (diff.rows.iter())
+            .map(|r| (r.metric.as_str(), r.new, r.gating))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("phases.total_seconds", 0.75, true),
+                ("phase.preprocess.seconds", 0.25, true),
+                ("phase.algorithm.seconds", 0.5, true),
+            ]
+        );
     }
 
     #[test]
@@ -496,8 +516,7 @@ mod tests {
             .filter(|r| r.regressed)
             .map(|r| r.metric.as_str())
             .collect();
-        assert!(metrics.contains(&"phase.algorithm.llc_miss_ratio(hw)"));
-        assert!(metrics.contains(&"phase.algorithm.llc_miss_ratio(sim)"));
+        assert_eq!(metrics, ["phase.algorithm.llc_miss_ratio(hw)"]);
     }
 
     #[test]
@@ -547,9 +566,9 @@ mod tests {
         let old = trace_with(1.0, 20);
         let mut new = trace_with(1.0, 20);
         // Doubling cycle counts alone (e.g. a bigger input) must not gate.
-        new.phases[0].hardware.insert("cycles".into(), 2.0e9);
+        new.phases[1].hardware.insert("cycles".into(), 2.0e9);
         let mut old2 = old.clone();
-        old2.phases[0].hardware.insert("cycles".into(), 1.0e9);
+        old2.phases[1].hardware.insert("cycles".into(), 1.0e9);
         let diff = diff_traces(&old2, &new, &DiffOptions::default());
         assert!(!diff.has_regressions());
         assert!(diff
@@ -560,7 +579,7 @@ mod tests {
 
     fn trace_with_peak(peak_bytes: u64) -> RunTrace {
         let mut t = trace_with(1.0, 20);
-        t.phases[0].memory = Some(crate::telemetry::PhaseMemory {
+        t.phases[1].memory = Some(crate::telemetry::PhaseMemory {
             allocated_bytes: peak_bytes * 2,
             freed_bytes: peak_bytes,
             peak_bytes,
@@ -635,7 +654,7 @@ mod tests {
     #[test]
     fn memory_missing_on_either_side_is_ignored() {
         let with_mem = trace_with_peak(100 << 20);
-        let without_mem = trace_with(1.0, 20); // v2-style phase, memory None
+        let without_mem = trace_with(1.0, 20); // memory None
         let diff = diff_traces(&without_mem, &with_mem, &DiffOptions::default());
         assert!(!diff.has_regressions());
         assert!(!diff
@@ -646,95 +665,73 @@ mod tests {
 
     #[test]
     fn optional_compact_phase_may_appear_from_zero() {
-        // Baseline recorded before any updates: compact phase at zero.
-        let old = trace_with(1.0, 20);
-        let mut old2 = old.clone();
-        old2.phases.push(PhaseProfile {
-            name: "compact".into(),
-            seconds: 0.0,
-            ..PhaseProfile::default()
-        });
-        let mut new = trace_with(1.0, 20);
-        new.phases.push(PhaseProfile {
-            name: "compact".into(),
-            seconds: 0.25,
-            ..PhaseProfile::default()
-        });
-        let diff = diff_traces(&old2, &new, &DiffOptions::default());
-        assert!(
-            !diff.has_regressions(),
-            "compact appearing from zero must not gate: {:?}",
-            diff.regressions
-        );
-        let row = diff
-            .rows
-            .iter()
-            .find(|r| r.metric == "phase.compact.seconds")
-            .expect("compact row still reported for context");
-        assert!(!row.gating && !row.regressed);
+        let regressed = |old: &RunTrace, new: &RunTrace| -> Vec<String> {
+            (diff_traces(old, new, &DiffOptions::default())
+                .rows
+                .into_iter())
+            .filter(|r| r.regressed)
+            .map(|r| r.metric)
+            .collect()
+        };
+        let with = |extra: &str, seconds: f64| {
+            let mut t = trace_with(1.0, 20);
+            t.phases.push(phase(extra, seconds));
+            t
+        };
+        // A baseline recorded before any updates carries the compact
+        // phase at zero, or not at all: the candidate's first compaction
+        // gates neither on its own row nor on the total.
+        let new = with("compact", 0.25);
+        for old in [with("compact", 0.0), trace_with(1.0, 20)] {
+            let diff = diff_traces(&old, &new, &DiffOptions::default());
+            assert!(
+                !diff.has_regressions(),
+                "compact appearing from zero must not gate: {:?}",
+                diff.regressions
+            );
+            let row = (diff.rows.iter())
+                .find(|r| r.metric == "phase.compact.seconds")
+                .expect("compact row still reported for context");
+            assert!(!row.gating && !row.regressed);
+        }
 
-        // A non-optional phase appearing from zero still gates.
-        let mut old3 = old.clone();
-        old3.phases.push(PhaseProfile {
-            name: "partition".into(),
-            seconds: 0.0,
-            ..PhaseProfile::default()
-        });
-        let mut new3 = trace_with(1.0, 20);
-        new3.phases.push(PhaseProfile {
-            name: "partition".into(),
-            seconds: 0.25,
-            ..PhaseProfile::default()
-        });
-        assert!(diff_traces(&old3, &new3, &DiffOptions::default()).has_regressions());
+        // A non-optional phase appearing from zero still gates, on its
+        // row and on the total.
+        assert_eq!(
+            regressed(&with("partition", 0.0), &with("partition", 0.25)),
+            ["phases.total_seconds", "phase.partition.seconds"]
+        );
 
         // And compact itself still gates on relative slowdown once both
         // runs spend real time compacting.
-        let mut old4 = old.clone();
-        old4.phases.push(PhaseProfile {
-            name: "compact".into(),
-            seconds: 0.1,
-            ..PhaseProfile::default()
-        });
-        let mut new4 = trace_with(1.0, 20);
-        new4.phases.push(PhaseProfile {
-            name: "compact".into(),
-            seconds: 0.5,
-            ..PhaseProfile::default()
-        });
-        let diff = diff_traces(&old4, &new4, &DiffOptions::default());
-        assert!(diff.has_regressions());
-        assert!(diff
-            .rows
-            .iter()
-            .any(|r| r.metric == "phase.compact.seconds" && r.gating && r.regressed));
+        assert_eq!(
+            regressed(&with("compact", 0.1), &with("compact", 0.5)),
+            ["phases.total_seconds", "phase.compact.seconds"]
+        );
     }
 
     /// `trace` plus one iteration record per entry of `modes`.
-    fn with_iterations(modes: &[crate::metrics::StepMode]) -> RunTrace {
-        use crate::metrics::DirectionDecision;
-        use crate::telemetry::IterRecord;
+    fn with_iterations(modes: &[StepMode]) -> RunTrace {
         let mut t = trace_with(1.0, 20);
         for (step, &mode) in modes.iter().enumerate() {
-            t.iterations.push(
-                IterRecord {
-                    step,
+            t.iterations.push(TraceIteration::new(
+                step,
+                IterStat {
                     frontier_size: 10,
                     edges_scanned: 100,
                     seconds: 0.01,
                     mode,
                     density: 0.1,
                     decision: DirectionDecision::heuristic(110, 50),
-                }
-                .into(),
-            );
+                },
+            ));
         }
         t
     }
 
     #[test]
     fn iteration_count_blowup_gates_but_small_growth_passes() {
-        use crate::metrics::StepMode::Push;
+        use StepMode::Push;
         let old = with_iterations(&[Push; 8]);
         // +2 steps is inside the absolute slack even though it exceeds
         // the 10% relative threshold.
@@ -752,7 +749,7 @@ mod tests {
 
     #[test]
     fn direction_flapping_gates() {
-        use crate::metrics::StepMode::{Pull, Push};
+        use StepMode::{Pull, Push};
         // Healthy run: push, two pull steps in the dense middle, push.
         let old = with_iterations(&[Push, Pull, Pull, Push]);
         // One extra flip is tolerated (data-dependent frontier shapes).
@@ -769,9 +766,9 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_baseline_keeps_iteration_metrics_informational() {
-        use crate::metrics::StepMode::{Pull, Push};
-        let old = trace_with(1.0, 20); // no iteration records (v3 era)
+    fn a_baseline_without_iterations_keeps_iteration_metrics_informational() {
+        use StepMode::{Pull, Push};
+        let old = trace_with(1.0, 20); // no iteration records
         let new = with_iterations(&[Push, Pull, Push, Pull, Push, Pull]);
         let diff = diff_traces(&old, &new, &DiffOptions::default());
         assert!(!diff.has_regressions());

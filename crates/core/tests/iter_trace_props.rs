@@ -1,4 +1,4 @@
-//! Property and compatibility tests for the schema-v4 iteration
+//! Property and compatibility tests for the schema-v5 iteration
 //! telemetry: whatever per-iteration records a run produces must
 //! survive both serializations bit-for-bit, any other schema
 //! generation — retired or future — must stay a *typed* error, and the
@@ -8,9 +8,9 @@
 use std::collections::BTreeMap;
 
 use egraph_core::exec::ExecCtx;
-use egraph_core::metrics::{DirectionDecision, StepMode};
+use egraph_core::metrics::{DirectionDecision, IterStat, StepMode};
 use egraph_core::telemetry::{
-    IterRecord, RunTrace, TraceError, TraceIteration, TraceRecorder, TRACE_SCHEMA,
+    PhaseProfile, RunTrace, TraceError, TraceIteration, TraceRecorder, TRACE_SCHEMA,
 };
 use egraph_core::types::{Edge, EdgeList};
 use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId};
@@ -18,7 +18,7 @@ use egraph_parallel::ThreadPool;
 use proptest::prelude::*;
 
 /// Builds one iteration entry from raw integer draws, with every
-/// v4 field (density, decision, hardware) populated. Seconds and
+/// field (density, decision, hardware) populated. Seconds and
 /// density go through f64 `Display`, whose shortest-round-trip
 /// formatting both parsers read back exactly.
 #[allow(clippy::cast_precision_loss)]
@@ -43,8 +43,8 @@ fn iteration(
         hardware.insert(key.to_string(), (step * 1000 + i) as f64 * 0.5);
     }
     TraceIteration {
-        record: IterRecord {
-            step,
+        step,
+        stat: IterStat {
             frontier_size: frontier,
             edges_scanned: edges,
             seconds: f64::from(secs_us) * 1e-6,
@@ -60,13 +60,18 @@ fn iteration(
     }
 }
 
-/// A full v4 trace around the given iterations.
-fn v4_trace(iterations: Vec<TraceIteration>) -> RunTrace {
+/// A full v5 trace around the given iterations.
+fn v5_trace(iterations: Vec<TraceIteration>) -> RunTrace {
     let mut t = RunTrace::new("bfs");
     t.config.insert("layout".into(), "adj".into());
     t.config.insert("flow".into(), "push-pull".into());
-    t.breakdown.load = 0.25;
-    t.breakdown.algorithm = 1.5;
+    for (name, seconds) in [("load", 0.25), ("algorithm", 1.5)] {
+        t.phases.push(PhaseProfile {
+            name: name.into(),
+            seconds,
+            ..PhaseProfile::default()
+        });
+    }
     t.iterations = iterations;
     t
 }
@@ -87,8 +92,8 @@ fn iterations_strategy() -> impl Strategy<Value = Vec<IterDraw>> {
 
 proptest! {
     #[test]
-    fn v4_iterations_round_trip_through_json(draws in iterations_strategy()) {
-        let trace = v4_trace(
+    fn v5_iterations_round_trip_through_json(draws in iterations_strategy()) {
+        let trace = v5_trace(
             draws
                 .iter()
                 .enumerate()
@@ -101,8 +106,8 @@ proptest! {
     }
 
     #[test]
-    fn v4_iterations_round_trip_through_csv(draws in iterations_strategy()) {
-        let trace = v4_trace(
+    fn v5_iterations_round_trip_through_csv(draws in iterations_strategy()) {
+        let trace = v5_trace(
             draws
                 .iter()
                 .enumerate()
@@ -110,18 +115,15 @@ proptest! {
                 .collect(),
         );
         let parsed = RunTrace::from_csv(&trace.to_csv()).expect("own CSV parses");
-        prop_assert_eq!(parsed.iterations, trace.iterations);
-        prop_assert_eq!(parsed.config, trace.config);
+        prop_assert_eq!(parsed, trace);
     }
 
     #[test]
-    fn foreign_schema_versions_stay_typed_errors(version in 5u32..10_000) {
+    fn foreign_schema_versions_stay_typed_errors(version in 6u32..10_000) {
         let tag = format!("egraph-trace/{version}");
         let doc = format!(
             r#"{{"schema": "{tag}", "algorithm": "bfs", "config": {{}},
-                "breakdown": {{"load": 0, "preprocess": 0, "partition": 0,
-                               "algorithm": 0, "store": 0, "total": 0}},
-                "iterations": [], "counters": {{}}, "spans": []}}"#
+                "iterations": [], "counters": {{}}, "phases": []}}"#
         );
         match RunTrace::from_json(&doc) {
             Err(TraceError::UnsupportedSchema(got)) => prop_assert_eq!(got, tag.clone()),
@@ -143,13 +145,13 @@ proptest! {
     }
 }
 
-/// Generations 1–3 of the schema are no longer read: a document that
+/// Generations 1–4 of the schema are no longer read: a document that
 /// is well-formed in every other respect is refused by its tag, from
 /// both codecs, with the tag in the error.
 #[test]
 fn retired_schema_generations_are_typed_errors() {
-    let trace = v4_trace(vec![iteration(0, (1, 5), 10, (6, 97, false), 1)]);
-    for generation in 1..=3 {
+    let trace = v5_trace(vec![iteration(0, (1, 5), 10, (6, 97, false), 1)]);
+    for generation in 1..=4 {
         let tag = format!("egraph-trace/{generation}");
         let expected = Err(TraceError::UnsupportedSchema(tag.clone()));
         let json = trace.to_json().replacen(TRACE_SCHEMA, &tag, 1);
@@ -195,11 +197,11 @@ fn decision_log(threads: usize) -> Vec<(usize, usize, usize, StepMode, u64, Dire
         .map(|r| {
             (
                 r.step,
-                r.frontier_size,
-                r.edges_scanned,
-                r.mode,
-                r.density.to_bits(),
-                r.decision,
+                r.stat.frontier_size,
+                r.stat.edges_scanned,
+                r.stat.mode,
+                r.stat.density.to_bits(),
+                r.stat.decision,
             )
         })
         .collect()

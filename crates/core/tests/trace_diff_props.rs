@@ -13,7 +13,6 @@ use proptest::prelude::*;
 /// carries LLC counters.
 fn trace(algorithm_secs: f64, llc: Option<(f64, f64)>) -> RunTrace {
     let mut t = RunTrace::new("bfs");
-    t.breakdown.algorithm = algorithm_secs;
     let mut phase = PhaseProfile {
         name: "algorithm".into(),
         seconds: algorithm_secs,

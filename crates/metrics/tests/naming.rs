@@ -21,9 +21,9 @@ fn built_in_metric_families_pass_the_naming_lint() {
 #[test]
 fn iteration_telemetry_families_pass_the_naming_lint() {
     // The exact shapes `egraph run --metrics-addr` registers for the
-    // per-iteration stream (schema-v4 telemetry): histograms for the
-    // step distributions, a counter for direction flips, and a gauge
-    // for the live iteration index.
+    // per-iteration stream: histograms for the step distributions, a
+    // counter for direction flips, and a gauge for the live iteration
+    // index.
     let r = global();
     r.histogram_seconds("egraph_iter_seconds", "lint shape check");
     r.histogram_with_bounds(

@@ -18,7 +18,7 @@
 
 use egraph_core::exec::ExecCtx;
 use egraph_core::metrics::StepMode::{self, Pull, Push};
-use egraph_core::telemetry::{IterRecord, TraceRecorder};
+use egraph_core::telemetry::{TraceIteration, TraceRecorder};
 use egraph_core::types::{EdgeList, EdgeRecord};
 use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId};
 use egraph_parallel::ThreadPool;
@@ -165,7 +165,7 @@ const PINS: [Pinned; 8] = [
 ];
 
 /// The iteration records of one traced single-worker run.
-fn trace<E: EdgeRecord>(id: &VariantId, graph: &EdgeList<E>) -> Vec<IterRecord> {
+fn trace<E: EdgeRecord>(id: &VariantId, graph: &EdgeList<E>) -> Vec<TraceIteration> {
     let pool = ThreadPool::new(1);
     let recorder = TraceRecorder::new();
     run_variant(
@@ -191,14 +191,16 @@ fn decisions_match_the_replaced_loops() {
         } else {
             trace(&id, graph)
         };
-        let log: Vec<Pin> = (records.iter())
-            .map(|r| {
-                assert_eq!(r.decision.forced, forced, "{spec}: who chose");
-                (r.mode, r.decision.observed, r.decision.cutoff)
+        let log: Vec<Pin> = (records.iter().enumerate())
+            .map(|(step, r)| {
+                assert_eq!(r.step, step, "{spec}: step index");
+                let d = r.stat.decision;
+                assert_eq!(d.forced, forced, "{spec}: who chose");
+                (r.stat.mode, d.observed, d.cutoff)
             })
             .collect();
         assert_eq!(log, expected, "{spec}");
-        let sizes: Vec<usize> = records.iter().map(|r| r.frontier_size).collect();
+        let sizes: Vec<usize> = records.iter().map(|r| r.stat.frontier_size).collect();
         assert_eq!(sizes, frontiers, "{spec}");
     }
 }

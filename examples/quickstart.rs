@@ -60,10 +60,10 @@ fn main() {
         println!(
             "  level {:>2}: frontier {:>6}, edges scanned {:>8}, {:.4}s ({})",
             rec.step,
-            rec.frontier_size,
-            rec.edges_scanned,
-            rec.seconds,
-            rec.mode.as_str()
+            rec.stat.frontier_size,
+            rec.stat.edges_scanned,
+            rec.stat.seconds,
+            rec.stat.mode.as_str()
         );
     }
 
@@ -90,7 +90,6 @@ fn main() {
     let breakdown = TimeBreakdown {
         load: 0.0,
         preprocess: bfs_run.preprocess_seconds + pr_run.preprocess_seconds,
-        partition: 0.0,
         algorithm: bfs_run.algorithm_seconds + pr_run.algorithm_seconds,
         store: 0.0,
     };

@@ -150,8 +150,7 @@ fi
 # replays of the kernels' access order, never from inside the product.
 # A probe handle, a simulated-address method, a metadata stride or a
 # touch call in the product is a probed branch beside a plain loop
-# coming back; the cache crate may reach the core only as the
-# `CacheStats` a trace phase carries.
+# coming back, and the core does not depend on the cache crate at all.
 echo "== the simulator is offline =="
 offenders=$(find crates/core/src crates/cli/src src examples -name '*.rs' ! -name tests.rs \
     -exec awk 'FNR == 1 { in_tests = 0 }
@@ -162,11 +161,30 @@ offenders=$(find crates/core/src crates/cli/src src examples -name '*.rs' ! -nam
     find crates/core/src -name '*.rs' ! -name tests.rs \
         -exec awk 'FNR == 1 { in_tests = 0 }
             /^#\[cfg\(test\)\]/ { in_tests = 1 }
-            !in_tests && /egraph_cachesim/ && !/egraph_cachesim::CacheStats;/ {
+            !in_tests && /egraph_cachesim/ {
                 print FILENAME ":" FNR ": " $0
             }' {} +)
 if [ -n "$offenders" ]; then
     echo "the cache model fed from inside the product (crates/core/src, crates/cli/src, src, examples):"
+    echo "$offenders"
+    exit 1
+fi
+
+# A trace says each thing once: phase time lives only in its phase
+# profiles, a step is recorded as its `IterStat`, and nothing is written
+# that no producer fills. A breakdown copy of the phases, a span sink, a
+# simulated-cache slot on a phase or a second iteration-record type is
+# a second answer to the same question coming back.
+echo "== a trace says each thing once =="
+offenders=$(find crates/core/src crates/cli/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            /record_span|attach_simulated|trace\.breakdown|IterRecord|egraph_cachesim/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a second record of a trace fact in crates/core/src or crates/cli/src:"
     echo "$offenders"
     exit 1
 fi
