@@ -184,13 +184,6 @@ fn main() {
         };
         row("adj", adj_bytes, adj_peak, pr_adj_s, bfs_adj_s);
         row("ccsr", ccsr_bytes, ccsr_peak, pr_ccsr_s, bfs_ccsr_s);
-        if scale == ctx.scale {
-            ctx.headline(
-                "exp_compress",
-                "ccsr_vs_adj_bytes",
-                ccsr_bytes as f64 / adj_bytes as f64,
-            );
-        }
         println!(
             "  resident bytes: adj {adj_bytes}, ccsr {ccsr_bytes} ({}); \
              pagerank-pull {} vs {}, bfs-pull {} vs {}",

@@ -95,12 +95,6 @@ fn main() {
         fmt_ratio(pre_pp_secs / pre_push_secs.max(1e-9))
     );
     ctx.save(&table);
-    ctx.headline("exp_fig1", "algo_gain", algo_gain);
-    ctx.headline(
-        "exp_fig1",
-        "end_to_end_ratio",
-        total_pp / total_push.max(1e-9),
-    );
 
     // With --trace-out, replay the winning push-pull run once more
     // with a recorder and a phase profiler attached and emit the same

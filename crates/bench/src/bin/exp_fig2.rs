@@ -62,7 +62,6 @@ fn main() {
             ctx.scale,
             fmt_ratio(secs[2] / secs[0].max(1e-9))
         );
-        ctx.headline("exp_fig2", "radix_vs_count", secs[2] / secs[0].max(1e-9));
         println!(
             "radix vs dynamic at RMAT{}: {} (paper: 3.8x)",
             ctx.scale,

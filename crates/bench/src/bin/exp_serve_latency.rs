@@ -22,7 +22,7 @@
 //!
 //! With `--trace-out FILE`, the batched-mode percentiles are exported
 //! as `serve.latency.<stage>.p<N>_seconds` run counters, which
-//! `egraph trace diff --serve-latency true` gates on.
+//! `egraph trace diff` gates on whenever both traces carry them.
 
 use std::time::Instant;
 

@@ -128,7 +128,7 @@ fn zipf_lane_per_query(
 }
 
 /// Runs the Zipf-rooted burst both ways and appends its two rows.
-fn zipf_section(ctx: &ExperimentCtx, graph: &EdgeList<Edge>, table: &mut ResultTable) {
+fn zipf_section(graph: &EdgeList<Edge>, table: &mut ResultTable) {
     // Candidates are the highest-degree vertices (all in the giant
     // component), most popular first.
     let degree = graphs::out_degrees_u32(graph);
@@ -197,7 +197,6 @@ fn zipf_section(ctx: &ExperimentCtx, graph: &EdgeList<Edge>, table: &mut ResultT
         "  coalescing speedup on the Zipf burst: {} (checksums bit-identical)",
         fmt_ratio(speedup)
     );
-    ctx.headline("exp_serve_qps", "zipf_coalescing_speedup", speedup);
 }
 
 /// One client session: `count` sequential BFS queries starting at
@@ -365,7 +364,7 @@ fn main() {
     batched.shutdown();
     unbatched.shutdown();
 
-    zipf_section(&ctx, &graph, &mut table);
+    zipf_section(&graph, &mut table);
     table.print();
     ctx.save(&table);
 }

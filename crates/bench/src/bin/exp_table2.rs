@@ -81,14 +81,4 @@ fn main() {
     );
     println!("paper reference (Twitter, machine B): dynamic 20.0/27.2 69% | count 19.5/23.9 71% | radix 4.0/8.5 26%");
     ctx.save(&table);
-    ctx.headline(
-        "exp_table2",
-        "radix_vs_count",
-        count_out / radix_out.max(1e-9),
-    );
-    ctx.headline(
-        "exp_table2",
-        "radix_vs_dynamic",
-        dynamic_out / radix_out.max(1e-9),
-    );
 }

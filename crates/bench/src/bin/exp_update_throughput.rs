@@ -291,14 +291,6 @@ fn main() {
             fmt_secs(wcc_inc_s),
             fmt_secs(wcc_full_s),
         );
-        // The acceptance-bar row is the trajectory headline.
-        if (fraction - 0.01).abs() < 1e-9 {
-            ctx.headline(
-                "exp_update_throughput",
-                "pagerank_repair_speedup",
-                pr_full_s / pr_inc_s.max(1e-12),
-            );
-        }
     }
 
     table.print();

@@ -23,7 +23,7 @@ pub mod trace;
 
 use std::path::PathBuf;
 
-use egraph_core::telemetry::{RunTrace, TraceFormat};
+use egraph_core::telemetry::RunTrace;
 
 pub use table::ResultTable;
 
@@ -36,16 +36,12 @@ pub struct ExperimentCtx {
     pub out_dir: PathBuf,
     /// Where a machine-readable [`RunTrace`] is written, if requested
     /// with `--trace-out FILE` (same document the CLI's `run
-    /// --trace-out` emits; a `.csv` extension selects the CSV form).
+    /// --trace-out` emits).
     pub trace_out: Option<PathBuf>,
     /// Live `/metrics` endpoint, if requested with `--metrics-addr
     /// HOST:PORT`. Held so the accept thread survives for the whole
     /// experiment; the last clone dropping shuts it down.
     pub metrics: Option<std::sync::Arc<egraph_metrics::MetricsServer>>,
-    /// PR (or commit-sequence) number stamped into trajectory records,
-    /// from `--pr N` or the `EGRAPH_PR` environment variable. `None`
-    /// renders as JSON `null` — local runs still append, just unpinned.
-    pub pr: Option<u64>,
 }
 
 impl ExperimentCtx {
@@ -60,7 +56,6 @@ impl ExperimentCtx {
         let mut out_dir = PathBuf::from("bench_results");
         let mut trace_out = None;
         let mut metrics_addr: Option<String> = None;
-        let mut pr: Option<u64> = std::env::var("EGRAPH_PR").ok().and_then(|s| s.parse().ok());
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
         while i < args.len() {
@@ -79,10 +74,6 @@ impl ExperimentCtx {
                 }
                 "--metrics-addr" if i + 1 < args.len() => {
                     metrics_addr = Some(args[i + 1].clone());
-                    i += 2;
-                }
-                "--pr" if i + 1 < args.len() => {
-                    pr = args[i + 1].parse().ok();
                     i += 2;
                 }
                 other => {
@@ -111,7 +102,6 @@ impl ExperimentCtx {
             out_dir,
             trace_out,
             metrics,
-            pr,
         }
     }
 
@@ -120,17 +110,11 @@ impl ExperimentCtx {
         self.trace_out.is_some()
     }
 
-    /// Writes a run trace to the `--trace-out` path (no-op when the
-    /// flag was not given). The format follows the file extension:
-    /// `.csv` selects CSV, anything else JSON. I/O failures are
-    /// reported, not fatal.
+    /// Writes a run trace as JSON to the `--trace-out` path (no-op when
+    /// the flag was not given). I/O failures are reported, not fatal.
     pub fn save_trace(&self, trace: &RunTrace) {
         let Some(path) = &self.trace_out else { return };
-        let format = match path.extension().and_then(|e| e.to_str()) {
-            Some("csv") => TraceFormat::Csv,
-            _ => TraceFormat::Json,
-        };
-        match std::fs::write(path, trace.render(format)) {
+        match std::fs::write(path, trace.to_json()) {
             Ok(()) => println!("\nwrote trace to {}", path.display()),
             Err(e) => eprintln!("\ncould not write trace: {e}"),
         }
@@ -155,36 +139,6 @@ impl ExperimentCtx {
         match table.save_csv(&self.out_dir) {
             Ok(path) => println!("\nsaved: {}", path.display()),
             Err(e) => eprintln!("\ncould not save CSV: {e}"),
-        }
-    }
-
-    /// Appends one headline metric of this experiment to
-    /// `<out_dir>/trajectory.ndjson` — the cross-PR performance ledger
-    /// `scripts/bench_trajectory.sh` builds. One self-contained JSON
-    /// object per line, so successive PRs (each appending its own
-    /// stamped lines) accumulate into a plottable time series without
-    /// any of them parsing what came before. I/O failures are reported,
-    /// not fatal.
-    pub fn headline(&self, experiment: &str, metric: &str, value: f64) {
-        let pr = match self.pr {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        };
-        let line = format!(
-            r#"{{"pr":{pr},"experiment":"{experiment}","metric":"{metric}","value":{value},"scale":{}}}"#,
-            self.scale
-        );
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&self.out_dir)?;
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.out_dir.join("trajectory.ndjson"))?;
-            writeln!(f, "{line}")
-        };
-        if let Err(e) = write() {
-            eprintln!("could not append trajectory record: {e}");
         }
     }
 }

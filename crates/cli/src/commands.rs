@@ -11,7 +11,7 @@ use egraph_core::metrics::{IterStat, StepMode, TimeBreakdown};
 use egraph_core::preprocess::Strategy;
 use egraph_core::roadmap;
 use egraph_core::serve::{ServeConfig, ServeDaemon, ServeGraph};
-use egraph_core::telemetry::{PhaseProfiler, Recorder, RunTrace, TraceFormat, TraceRecorder};
+use egraph_core::telemetry::{PhaseProfiler, Recorder, RunTrace, TraceRecorder};
 use egraph_core::trace_diff::{diff_traces, DiffOptions};
 use egraph_core::types::{Edge, EdgeList, EdgeRecord, WEdge};
 use egraph_core::variant::{
@@ -63,11 +63,10 @@ RUN OPTIONS:
   --sorted true    sort per-vertex neighbor arrays
   --save FILE  store the result array (the end-to-end 'store' phase)
   --threads N  worker threads (or EGRAPH_THREADS)
-  --trace-out FILE     write a run-wide telemetry trace (each phase's
-                       time and memory, per-iteration records, pool and
-                       storage counters, per-phase hardware counters
-                       when the host allows)
-  --trace-format json|csv   trace file format (default json)
+  --trace-out FILE     write a run-wide telemetry trace as JSON (each
+                       phase's time and memory, per-iteration records,
+                       pool and storage counters, per-phase hardware
+                       counters when the host allows)
   --timeline-out FILE  write per-worker timeline spans as Chrome
                        trace-event JSON (open in about:tracing/Perfetto)
   --metrics-addr H:P   serve live Prometheus metrics at
@@ -119,8 +118,8 @@ UPDATE OPTIONS:
                    `egraph serve` daemon instead of merging locally
   --compact true|false   streaming mode: finish with a {\"op\":\"compact\"}
                    so the daemon republishes at a new epoch (default true)
-  --trace-out / --trace-format   offline mode: write a telemetry trace
-                   whose 'compact' phase times the merge
+  --trace-out FILE offline mode: write a telemetry trace whose
+                   'compact' phase times the merge
 
 TRACE DIFF OPTIONS:
   --threshold PCT   relative slowdown that counts as a regression
@@ -129,9 +128,8 @@ TRACE DIFF OPTIONS:
                     S seconds (default 0.001)
   --min-bytes B     ignore peak-memory metrics where both runs stayed
                     under B bytes (default 1048576)
-  --serve-latency true|false   also gate on serve.latency.* percentile
-                    counters exported by exp_serve_latency traces
-                    (default false; absent counters never gate)
+  Time rules also gate the serve.latency.* percentile counters
+  (written by exp_serve_latency) when both traces carry them.
 
 CONFORMANCE OPTIONS:
   --threads LIST   comma-separated thread counts (default 1,4,8)
@@ -536,7 +534,6 @@ fn cmd_run(args: &Args) -> CliResult {
     let _ = args.get("side"); // consumed later by grid layouts
     let save = args.get("save").map(str::to_string);
     let trace_out = args.get("trace-out").map(str::to_string);
-    let trace_format = TraceFormat::parse(args.get_or("trace-format", "json"))?;
     let timeline_out = args.get("timeline-out").map(str::to_string);
     let (metrics_server, metrics_linger) = maybe_serve_metrics(args)?;
     args.reject_unknown()?;
@@ -659,7 +656,7 @@ fn cmd_run(args: &Args) -> CliResult {
             ] {
                 trace.counters.insert(name.to_string(), value);
             }
-            std::fs::write(out_path, trace.render(trace_format))?;
+            std::fs::write(out_path, trace.to_json())?;
             println!("wrote trace to {out_path}");
         }
     }
@@ -936,7 +933,6 @@ fn cmd_update(args: &Args) -> CliResult {
         .ok_or("update needs --out FILE (or --to HOST:PORT to stream to a daemon)")?
         .to_string();
     let trace_out = args.get("trace-out").map(str::to_string);
-    let trace_format = TraceFormat::parse(args.get_or("trace-format", "json"))?;
     args.reject_unknown()?;
 
     let profiler = if trace_out.is_some() {
@@ -988,7 +984,7 @@ fn cmd_update(args: &Args) -> CliResult {
         trace.phases = profiler.take_phases();
         trace.config.insert("input".to_string(), path.to_string());
         trace.config.insert("deltas".to_string(), deltas_path);
-        std::fs::write(out_path, trace.render(trace_format))?;
+        std::fs::write(out_path, trace.to_json())?;
         println!("wrote trace to {out_path}");
     }
     println!(
@@ -1118,16 +1114,9 @@ fn cmd_trace(args: &Args) -> CliResult {
     }
 }
 
-/// Reads a [`RunTrace`] back from either serialization, sniffing the
-/// format from the first non-blank character.
+/// Reads a JSON [`RunTrace`] back from `path`.
 fn load_trace(path: &str) -> Result<RunTrace, Box<dyn Error>> {
-    let text = std::fs::read_to_string(path)?;
-    let trace = if text.trim_start().starts_with('{') {
-        RunTrace::from_json(&text)?
-    } else {
-        RunTrace::from_csv(&text)?
-    };
-    Ok(trace)
+    Ok(RunTrace::from_json(&std::fs::read_to_string(path)?)?)
 }
 
 /// Renders a trace's iteration telemetry as a human-readable report;
@@ -1149,7 +1138,6 @@ fn cmd_trace_diff(args: &Args) -> CliResult {
         threshold_pct: args.get_parsed_or("threshold", defaults.threshold_pct, "percent")?,
         min_seconds: args.get_parsed_or("min-seconds", defaults.min_seconds, "seconds")?,
         min_bytes: args.get_parsed_or("min-bytes", defaults.min_bytes, "bytes")?,
-        gate_serve_latency: args.get_or("serve-latency", "false") == "true",
     };
     args.reject_unknown()?;
 

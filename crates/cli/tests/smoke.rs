@@ -282,46 +282,57 @@ fn trace_out_writes_full_document() {
     }
 }
 
+/// A trace has one encoding: asking `run` or `update` for another is
+/// an unknown flag, not a second writer.
 #[test]
-fn trace_out_csv_format() {
-    let graph = tmp("smoke_trace_csv.egr");
-    let trace = tmp("smoke_trace.csv");
+fn trace_format_is_an_unknown_flag() {
+    let graph = tmp("smoke_trace_format.egr");
+    let ops = tmp("smoke_trace_format.ndjson");
+    let trace = tmp("smoke_trace_format.json");
     dispatch(&argv(&[
         "generate", "rmat", "--scale", "9", "--out", &graph,
     ]))
     .unwrap();
-    dispatch(&argv(&[
-        "run",
-        "pagerank",
-        &graph,
-        "--iters",
-        "3",
-        "--trace-out",
-        &trace,
-        "--trace-format",
-        "csv",
-    ]))
-    .expect("pagerank with csv trace");
-    let text = std::fs::read_to_string(&trace).expect("trace file written");
-    let mut lines = text.lines();
-    assert!(lines.next().unwrap().starts_with("record,"), "csv header");
-    assert!(
-        text.lines().filter(|l| l.starts_with("iteration,")).count() >= 3,
-        "expected one csv row per pagerank iteration: {text}"
-    );
-    assert!(
-        dispatch(&argv(&[
-            "run",
-            "bfs",
-            &graph,
-            "--trace-out",
-            &trace,
-            "--trace-format",
-            "bogus",
-        ]))
-        .is_err(),
-        "unknown trace format"
-    );
+    std::fs::write(&ops, "{\"op\":\"insert\",\"src\":1,\"dst\":2}\n").unwrap();
+    let merged = tmp("smoke_trace_format_merged.egr");
+    for mut command in [
+        argv(&["run", "pagerank", &graph, "--iters", "3"]),
+        argv(&["update", &graph, "--deltas", &ops, "--out", &merged]),
+    ] {
+        command.extend(argv(&["--trace-out", &trace, "--trace-format", "csv"]));
+        let err = dispatch(&command).expect_err("--trace-format is gone");
+        assert_eq!(
+            err.to_string(),
+            "unknown flags: --trace-format",
+            "{command:?}"
+        );
+    }
+}
+
+/// A CSV trace an older build wrote is not a trace this build reads:
+/// `explain` and `trace diff` report `invalid trace`.
+#[test]
+fn a_csv_trace_is_an_invalid_trace() {
+    let csv = tmp("smoke_old_format.csv");
+    std::fs::write(
+        &csv,
+        "record,key,step,frontier_size,edges_scanned,seconds,mode,value\n\
+         meta,schema,,,,,,egraph-trace/5\n\
+         meta,algorithm,,,,,,bfs\n\
+         iteration,,0,1,3,0.001,push,0.002\n\
+         phase,algorithm,,,,0.125,,\n",
+    )
+    .unwrap();
+    for command in [
+        argv(&["explain", &csv]),
+        argv(&["trace", "diff", &csv, &csv]),
+    ] {
+        let err = dispatch(&command).expect_err("a CSV trace is refused");
+        assert!(
+            err.to_string().starts_with("invalid trace"),
+            "{command:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -364,13 +375,6 @@ fn trace_diff_gates_on_regression() {
         "150",
     ]))
     .expect("150% threshold tolerates a 100% slowdown");
-    // The gate reads CSV baselines too, sniffing the format.
-    let old_csv = tmp("smoke_diff_old.csv");
-    std::fs::write(&old_csv, old.to_csv()).unwrap();
-    assert!(
-        dispatch(&argv(&["trace", "diff", &old_csv, &new_path])).is_err(),
-        "csv baseline vs json candidate"
-    );
     assert!(
         dispatch(&argv(&["trace", "frobnicate"])).is_err(),
         "unknown trace subcommand"

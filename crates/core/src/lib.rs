@@ -72,7 +72,7 @@ pub mod prelude {
     };
     pub use crate::metrics::{timed, IterStat, StepMode, TimeBreakdown};
     pub use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, PreprocessStats, Strategy};
-    pub use crate::telemetry::{NullRecorder, Recorder, RunTrace, TraceFormat, TraceRecorder};
+    pub use crate::telemetry::{NullRecorder, Recorder, RunTrace, TraceRecorder};
     pub use crate::types::{Edge, EdgeList, EdgeRecord, VertexId, WEdge, INVALID_VERTEX};
     pub use crate::variant::{
         run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, SyncMode, VariantError,

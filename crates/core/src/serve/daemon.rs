@@ -16,7 +16,8 @@
 //! `"values":true` asks for the full per-vertex array in the response
 //! (levels for bfs/khop, distances for sssp — large!). `id` is echoed
 //! verbatim so clients may pipeline. Errors come back on the same line
-//! slot: `{"id":1,"ok":false,"error":"..."}`. The connection stays
+//! slot: `{"id":1,"ok":false,"error":"..."}` — including a line that is
+//! not JSON or nests deeper than 128 arrays/objects. The connection stays
 //! open until the client closes it — or sends more than 1 MiB without a
 //! newline, which is answered with one error and a close.
 //!
@@ -590,6 +591,42 @@ mod tests {
         // The daemon itself is unharmed.
         let response = roundtrip(daemon.addr(), r#"{"id":2,"algo":"bfs","source":0}"#);
         assert_eq!(get_field(&response, "ok"), &Value::Bool(true));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
+        let daemon = daemon_on_chain(16);
+        daemon.wait_ready();
+        // 300 000 open brackets, well under the line cap: without a
+        // depth limit the parse overflowed the connection thread's stack
+        // and aborted the whole process.
+        let nested = format!(r#"{{"id":2,"algo":{}"#, "[".repeat(300_000));
+        let response = roundtrip(daemon.addr(), &nested);
+        assert_eq!(get_field(&response, "ok"), &Value::Bool(false));
+        assert!(get_field(&response, "error")
+            .as_str()
+            .unwrap()
+            .contains("nesting deeper than 128"));
+        // A request carrying a 900 KB string is parsed in one pass, not
+        // one re-scan of the rest of the line per character (which held
+        // the connection for seconds).
+        let started = std::time::Instant::now();
+        let padded = format!(
+            r#"{{"id":3,"algo":"bfs","source":0,"pad":"{}"}}"#,
+            "x".repeat(900_000)
+        );
+        let response = roundtrip(daemon.addr(), &padded);
+        assert_eq!(get_field(&response, "ok"), &Value::Bool(true));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            started.elapsed()
+        );
+        // The next query, on a new connection, is answered.
+        let response = roundtrip(daemon.addr(), r#"{"id":4,"algo":"bfs","source":0}"#);
+        assert_eq!(get_field(&response, "ok"), &Value::Bool(true));
+        assert_eq!(get_field(&response, "id").as_number(), Some(4.0));
         daemon.shutdown();
     }
 

@@ -7,8 +7,8 @@
 //! measurements first-class: every engine driver and algorithm entry
 //! point takes an [`ExecCtx`](crate::exec::ExecCtx) carrying a
 //! [`Recorder`], phases are timed by a [`PhaseProfiler`], and a run can
-//! be serialized as one machine-readable [`RunTrace`] document (JSON or
-//! CSV) in which every fact is recorded once.
+//! be serialized as one machine-readable JSON [`RunTrace`] document in
+//! which every fact is recorded once.
 //!
 //! Three recorder implementations matter:
 //!
@@ -239,12 +239,11 @@ impl PhaseProfile {
 /// records, and whatever counters the engine, pool and storage layers
 /// reported.
 ///
-/// Serializes to JSON ([`RunTrace::to_json`], schema
-/// [`TRACE_SCHEMA`]) and CSV ([`RunTrace::to_csv`]); parses back from
-/// its own JSON ([`RunTrace::from_json`]) and CSV
-/// ([`RunTrace::from_csv`]). A document declaring any other schema tag
-/// is refused with [`TraceError::UnsupportedSchema`]: re-export it with
-/// the build that wrote it or re-run the measurement.
+/// Serializes to JSON ([`RunTrace::to_json`], schema [`TRACE_SCHEMA`])
+/// and parses back from it ([`RunTrace::from_json`]). A document
+/// declaring any other schema tag is refused with
+/// [`TraceError::UnsupportedSchema`]: re-export it with the build that
+/// wrote it or re-run the measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// The schema tag of the document: [`TRACE_SCHEMA`], the one tag
@@ -279,26 +278,6 @@ impl Default for RunTrace {
 /// Schema tag of every trace this version writes, and the only one it
 /// reads.
 pub const TRACE_SCHEMA: &str = "egraph-trace/5";
-
-/// Output format for a [`RunTrace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object (schema [`TRACE_SCHEMA`]).
-    Json,
-    /// Flat CSV with a `record` discriminator column.
-    Csv,
-}
-
-impl TraceFormat {
-    /// Parses a format name (`"json"` / `"csv"`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "json" => Ok(TraceFormat::Json),
-            "csv" => Ok(TraceFormat::Csv),
-            other => Err(format!("unknown trace format '{other}' (json|csv)")),
-        }
-    }
-}
 
 /// Error produced when parsing a trace back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,14 +325,6 @@ impl RunTrace {
             .windows(2)
             .filter(|w| w[0].stat.mode != w[1].stat.mode)
             .count()
-    }
-
-    /// Renders the trace in `format`.
-    pub fn render(&self, format: TraceFormat) -> String {
-        match format {
-            TraceFormat::Json => self.to_json(),
-            TraceFormat::Csv => self.to_csv(),
-        }
     }
 
     /// Serializes to a JSON object (schema [`TRACE_SCHEMA`]).
@@ -580,202 +551,6 @@ impl RunTrace {
         }
         Ok(trace)
     }
-
-    /// Serializes to flat CSV. The first column discriminates the
-    /// record type (`meta`, `iteration`, `iter_decision`, `iter_hw`,
-    /// `counter`, `phase`, `phase_hw`, `phase_mem`); unused columns are
-    /// left empty. An `iteration` row
-    /// carries its density in the `value` column;
-    /// `iter_decision`/`iter_hw` rows attach to the
-    /// preceding `iteration` row via the `step` column. Fields
-    /// containing separators are quoted per RFC 4180, and
-    /// [`RunTrace::from_csv`] parses the result back.
-    pub fn to_csv(&self) -> String {
-        let q = csv::field;
-        let mut out = String::new();
-        out.push_str("record,key,step,frontier_size,edges_scanned,seconds,mode,value\n");
-        out.push_str(&format!(
-            "meta,schema,,,,,,{}\nmeta,algorithm,,,,,,{}\n",
-            TRACE_SCHEMA,
-            q(&self.algorithm)
-        ));
-        for (k, v) in &self.config {
-            out.push_str(&format!("meta,{},,,,,,{}\n", q(k), q(v)));
-        }
-        for it in &self.iterations {
-            let r = &it.stat;
-            out.push_str(&format!(
-                "iteration,,{},{},{},{},{},{}\n",
-                it.step,
-                r.frontier_size,
-                r.edges_scanned,
-                r.seconds,
-                r.mode.as_str(),
-                r.density
-            ));
-            for (field, value) in [
-                ("observed", r.decision.observed as u64),
-                ("cutoff", r.decision.cutoff as u64),
-                ("forced", r.decision.forced as u64),
-            ] {
-                out.push_str(&format!("iter_decision,,{},,,,{field},{value}\n", it.step));
-            }
-            for (k, v) in &it.hardware {
-                out.push_str(&format!("iter_hw,,{},,,,{},{v}\n", it.step, q(k)));
-            }
-        }
-        for (k, v) in &self.counters {
-            out.push_str(&format!("counter,{},,,,,,{v}\n", q(k)));
-        }
-        for p in &self.phases {
-            out.push_str(&format!("phase,{},,,,{},,\n", q(&p.name), p.seconds));
-            for (k, v) in &p.hardware {
-                out.push_str(&format!("phase_hw,{},,,,,{},{v}\n", q(&p.name), q(k)));
-            }
-            if let Some(mem) = &p.memory {
-                for (field, value) in [
-                    ("allocated_bytes", mem.allocated_bytes),
-                    ("freed_bytes", mem.freed_bytes),
-                    ("peak_bytes", mem.peak_bytes),
-                    ("end_rss_bytes", mem.end_rss_bytes),
-                ] {
-                    out.push_str(&format!("phase_mem,{},,,,,{field},{value}\n", q(&p.name)));
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses a trace previously produced by [`RunTrace::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] on a malformed document, an unknown
-    /// record discriminator, or a missing/foreign schema row.
-    pub fn from_csv(text: &str) -> Result<Self, TraceError> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| err("empty document"))?;
-        if csv::split(header)
-            .map_err(TraceError::Malformed)?
-            .first()
-            .map(String::as_str)
-            != Some("record")
-        {
-            return Err(err("missing CSV header"));
-        }
-        let mut trace = RunTrace::default();
-        let mut saw_schema = false;
-        for (lineno, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let f = csv::split(line).map_err(TraceError::Malformed)?;
-            let col = |i: usize| f.get(i).map(String::as_str).unwrap_or("");
-            let numcol = |i: usize| -> Result<f64, TraceError> {
-                col(i)
-                    .parse::<f64>()
-                    .map_err(|_| err(&format!("bad number '{}' on line {}", col(i), lineno + 2)))
-            };
-            match col(0) {
-                "meta" => match col(1) {
-                    "schema" => {
-                        let schema = col(7);
-                        if schema != TRACE_SCHEMA {
-                            return Err(TraceError::UnsupportedSchema(schema.to_string()));
-                        }
-                        saw_schema = true;
-                    }
-                    "algorithm" => trace.algorithm = col(7).to_string(),
-                    key => {
-                        trace.config.insert(key.to_string(), col(7).to_string());
-                    }
-                },
-                "iteration" => trace.iterations.push(TraceIteration::new(
-                    numcol(2)? as usize,
-                    IterStat {
-                        frontier_size: numcol(3)? as usize,
-                        edges_scanned: numcol(4)? as usize,
-                        seconds: numcol(5)?,
-                        mode: StepMode::parse(col(6)).ok_or_else(|| err("unknown step mode"))?,
-                        density: numcol(7)?,
-                        decision: DirectionDecision::default(),
-                    },
-                )),
-                "iter_decision" => {
-                    let value = numcol(7)?;
-                    let it = iteration_mut(&mut trace, numcol(2)? as usize)?;
-                    match col(6) {
-                        "observed" => it.stat.decision.observed = value as usize,
-                        "cutoff" => it.stat.decision.cutoff = value as usize,
-                        "forced" => it.stat.decision.forced = value != 0.0,
-                        other => {
-                            return Err(err(&format!("unknown iter_decision field '{other}'")));
-                        }
-                    }
-                }
-                "iter_hw" => {
-                    let value = numcol(7)?;
-                    let it = iteration_mut(&mut trace, numcol(2)? as usize)?;
-                    it.hardware.insert(col(6).to_string(), value);
-                }
-                "counter" => {
-                    trace.counters.insert(col(1).to_string(), numcol(7)?);
-                }
-                "phase" => trace.phases.push(PhaseProfile {
-                    name: col(1).to_string(),
-                    seconds: numcol(5)?,
-                    ..PhaseProfile::default()
-                }),
-                "phase_hw" => {
-                    let value = numcol(7)?;
-                    let phase = phase_mut(&mut trace, col(1))?;
-                    phase.hardware.insert(col(6).to_string(), value);
-                }
-                "phase_mem" => {
-                    let value = numcol(7)? as u64;
-                    let phase = phase_mut(&mut trace, col(1))?;
-                    let mem = phase.memory.get_or_insert_with(PhaseMemory::default);
-                    match col(6) {
-                        "allocated_bytes" => mem.allocated_bytes = value,
-                        "freed_bytes" => mem.freed_bytes = value,
-                        "peak_bytes" => mem.peak_bytes = value,
-                        "end_rss_bytes" => mem.end_rss_bytes = value,
-                        other => {
-                            return Err(err(&format!("unknown phase_mem field '{other}'")));
-                        }
-                    }
-                }
-                other => return Err(err(&format!("unknown record type '{other}'"))),
-            }
-        }
-        if !saw_schema {
-            return Err(err("missing schema row"));
-        }
-        Ok(trace)
-    }
-}
-
-/// Finds the already-declared iteration an `iter_decision`/`iter_hw`
-/// row refers to (rows follow their `iteration` row, so it is the last
-/// one with that step).
-fn iteration_mut(trace: &mut RunTrace, step: usize) -> Result<&mut TraceIteration, TraceError> {
-    trace
-        .iterations
-        .iter_mut()
-        .rev()
-        .find(|it| it.step == step)
-        .ok_or_else(|| err(&format!("iteration row for undeclared step {step}")))
-}
-
-/// Finds the already-declared phase a `phase_hw`/`phase_mem` row refers
-/// to (rows are emitted in phase order, so it is the last one).
-fn phase_mut<'a>(trace: &'a mut RunTrace, name: &str) -> Result<&'a mut PhaseProfile, TraceError> {
-    trace
-        .phases
-        .iter_mut()
-        .rev()
-        .find(|p| p.name == name)
-        .ok_or_else(|| err(&format!("phase row for undeclared phase '{name}'")))
 }
 
 fn err(msg: &str) -> TraceError {
@@ -887,82 +662,19 @@ impl PhaseProfiler {
     }
 }
 
-pub mod csv {
-    //! CSV field quoting and line splitting (RFC 4180 subset) for
-    //! [`RunTrace::to_csv`] / [`RunTrace::from_csv`].
-    //!
-    //! [`RunTrace::to_csv`]: super::RunTrace::to_csv
-    //! [`RunTrace::from_csv`]: super::RunTrace::from_csv
-
-    /// Renders one field, quoting it when it contains a separator,
-    /// quote, or newline.
-    pub fn field(s: &str) -> String {
-        if s.contains([',', '"', '\n', '\r']) {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                if c == '"' {
-                    out.push('"');
-                }
-                out.push(c);
-            }
-            out.push('"');
-            out
-        } else {
-            s.to_string()
-        }
-    }
-
-    /// Splits one CSV line into its fields, undoing [`field`] quoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unterminated quoted field or stray
-    /// quote.
-    pub fn split(line: &str) -> Result<Vec<String>, String> {
-        let mut fields = Vec::new();
-        let mut cur = String::new();
-        let mut chars = line.chars().peekable();
-        loop {
-            match chars.peek() {
-                Some('"') if cur.is_empty() => {
-                    chars.next();
-                    loop {
-                        match chars.next() {
-                            Some('"') => {
-                                if chars.peek() == Some(&'"') {
-                                    chars.next();
-                                    cur.push('"');
-                                } else {
-                                    break;
-                                }
-                            }
-                            Some(c) => cur.push(c),
-                            None => return Err("unterminated quoted field".to_string()),
-                        }
-                    }
-                }
-                Some(',') => {
-                    chars.next();
-                    fields.push(std::mem::take(&mut cur));
-                }
-                Some(_) => cur.push(chars.next().expect("peeked")),
-                None => {
-                    fields.push(cur);
-                    return Ok(fields);
-                }
-            }
-        }
-    }
-}
-
 pub mod json {
     //! A minimal JSON reader/writer covering exactly what [`RunTrace`]
     //! emits (the workspace deliberately carries no serialization
     //! dependency). Strings, finite numbers, booleans, null, arrays
-    //! and objects; no depth limit; objects preserve insertion order.
+    //! and objects; objects preserve insertion order. Parsing is linear
+    //! in the document's length and refuses nesting deeper than 128
+    //! arrays/objects, so no input can exhaust the stack.
     //!
     //! [`RunTrace`]: super::RunTrace
+
+    /// The deepest array/object nesting [`parse`] accepts. A run trace
+    /// nests 4 deep and a daemon request 1 deep.
+    pub(crate) const MAX_DEPTH: usize = 128;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -1051,11 +763,12 @@ pub mod json {
     /// Returns a human-readable message on malformed input.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing data at byte {}", p.pos));
@@ -1064,6 +777,7 @@ pub mod json {
     }
 
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
     }
@@ -1092,10 +806,16 @@ pub mod json {
             }
         }
 
-        fn value(&mut self) -> Result<Value, String> {
+        /// Parses the value at the cursor, which sits inside `depth`
+        /// open arrays/objects.
+        fn value(&mut self, depth: usize) -> Result<Value, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                )),
+                Some(b'{') => self.object(depth + 1),
+                Some(b'[') => self.array(depth + 1),
                 Some(b'"') => Ok(Value::String(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -1114,7 +834,7 @@ pub mod json {
             }
         }
 
-        fn object(&mut self) -> Result<Value, String> {
+        fn object(&mut self, depth: usize) -> Result<Value, String> {
             self.expect(b'{')?;
             let mut pairs = Vec::new();
             self.skip_ws();
@@ -1128,7 +848,7 @@ pub mod json {
                 self.skip_ws();
                 self.expect(b':')?;
                 self.skip_ws();
-                let value = self.value()?;
+                let value = self.value(depth)?;
                 pairs.push((key, value));
                 self.skip_ws();
                 match self.peek() {
@@ -1142,7 +862,7 @@ pub mod json {
             }
         }
 
-        fn array(&mut self) -> Result<Value, String> {
+        fn array(&mut self, depth: usize) -> Result<Value, String> {
             self.expect(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
@@ -1152,7 +872,7 @@ pub mod json {
             }
             loop {
                 self.skip_ws();
-                items.push(self.value()?);
+                items.push(self.value(depth)?);
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.pos += 1,
@@ -1203,12 +923,16 @@ pub mod json {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid UTF-8")?;
-                        let c = rest.chars().next().ok_or("unexpected end in string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        // Copy the run up to the next quote or escape in
+                        // one step. Both delimiters are ASCII, so the run
+                        // starts and ends on character boundaries.
+                        let run = self.bytes[self.pos..]
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .unwrap_or(self.bytes.len() - self.pos);
+                        let end = self.pos + run;
+                        out.push_str(self.text.get(self.pos..end).ok_or("invalid UTF-8")?);
+                        self.pos = end;
                     }
                     None => return Err("unterminated string".to_string()),
                 }
@@ -1346,7 +1070,7 @@ mod tests {
         t.phases.push(algo_phase);
         // No memory section on this one: both states must round-trip.
         t.phases.push(PhaseProfile {
-            name: "load, \"restricted\"".into(), // exercises CSV quoting
+            name: "load, \"restricted\"".into(), // exercises string escapes
             seconds: 0.5,
             ..PhaseProfile::default()
         });
@@ -1378,51 +1102,26 @@ mod tests {
         assert!(RunTrace::from_json("{\"schema\": 3}").is_err());
     }
 
+    /// A document nested past [`json::MAX_DEPTH`] — here 200 000 open
+    /// brackets, which used to overflow the stack and abort the process
+    /// — is a typed `Malformed` error.
     #[test]
-    fn csv_has_all_record_types() {
-        let text = sample_trace().to_csv();
-        for tag in [
-            "record,",
-            "meta,algorithm",
-            "iteration,",
-            "iter_decision,,0,,,,observed,4",
-            "iter_decision,,1,,,,forced,0",
-            "iter_hw,,0,,,,cycles",
-            "counter,pool.steals",
-            "phase,algorithm",
-            "phase_hw,algorithm,,,,,cycles",
-            "phase_mem,algorithm,,,,,peak_bytes",
-        ] {
-            assert!(text.contains(tag), "missing {tag} in:\n{text}");
+    fn deep_nesting_is_malformed_not_a_stack_overflow() {
+        let text = format!("{{\"schema\":{}", "[".repeat(200_000));
+        match RunTrace::from_json(&text) {
+            Err(TraceError::Malformed(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
         }
-        // header + 2 meta + 2 config + 2 iterations + 6 iter_decision
-        // + 1 iter_hw + 2 counters + 2 phases + 2 phase_hw + 4 phase_mem.
-        assert_eq!(text.lines().count(), 1 + 2 + 2 + 2 + 6 + 1 + 2 + 2 + 2 + 4);
     }
 
     #[test]
-    fn csv_round_trip_is_lossless() {
-        let trace = sample_trace();
-        let parsed = RunTrace::from_csv(&trace.to_csv()).unwrap();
-        assert_eq!(parsed, trace);
-    }
-
-    #[test]
-    fn csv_rejects_malformed_input() {
-        assert!(RunTrace::from_csv("").is_err());
-        assert!(RunTrace::from_csv("not,a,trace\n").is_err());
-        // Valid header but no schema row.
-        assert!(RunTrace::from_csv(
-            "record,key,step,frontier_size,edges_scanned,seconds,mode,value\n"
-        )
-        .is_err());
-        // phase_hw without its phase row.
-        assert!(RunTrace::from_csv(
-            "record,key,step,frontier_size,edges_scanned,seconds,mode,value\n\
-             meta,schema,,,,,,egraph-trace/5\n\
-             phase_hw,ghost,,,,,cycles,1\n"
-        )
-        .is_err());
+    fn json_nesting_limit_is_exact() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1)).is_err());
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(json::parse(&objects(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&objects(json::MAX_DEPTH + 1)).is_err());
     }
 
     #[test]
@@ -1449,27 +1148,11 @@ mod tests {
         assert!(msg.contains("egraph-trace/9"), "offending tag in: {msg}");
         assert!(msg.contains(TRACE_SCHEMA), "accepted tags in: {msg}");
 
-        let csv_text = sample_trace()
-            .to_csv()
-            .replacen(TRACE_SCHEMA, "egraph-trace/9", 1);
-        let e = RunTrace::from_csv(&csv_text).unwrap_err();
-        assert_eq!(e, TraceError::UnsupportedSchema("egraph-trace/9".into()));
-
         // Structural failures stay in the Malformed variant.
         assert!(matches!(
             RunTrace::from_json("{").unwrap_err(),
             TraceError::Malformed(_)
         ));
-    }
-
-    #[test]
-    fn csv_quoting_round_trips() {
-        assert_eq!(csv::field("plain"), "plain");
-        assert_eq!(csv::field("a,b"), "\"a,b\"");
-        assert_eq!(csv::field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        let line = format!("{},{},x", csv::field("a,b"), csv::field("q\"q"));
-        assert_eq!(csv::split(&line).unwrap(), vec!["a,b", "q\"q", "x"]);
-        assert!(csv::split("\"unterminated").is_err());
     }
 
     #[test]
@@ -1532,5 +1215,9 @@ mod tests {
         assert_eq!(arr[1].as_number(), Some(-2500.0));
         assert_eq!(arr[2].as_str(), Some("x\nλA"));
         assert_eq!(obj[1].1.as_object().unwrap()[1].1, json::Value::Null);
+        // Multi-byte runs between escapes are copied whole.
+        let s = json::parse(r#""héllo \"wörld\"\\☃\u00e9""#).unwrap();
+        assert_eq!(s.as_str(), Some("héllo \"wörld\"\\☃é"));
+        assert!(json::parse("\"unterminated ☃").is_err());
     }
 }

@@ -95,12 +95,6 @@ pub struct DiffOptions {
     /// Memory metrics where both runs stayed under this many bytes are
     /// never flagged — allocator noise dominates tiny footprints.
     pub min_bytes: f64,
-    /// Gate on serve latency percentiles: `serve.latency.*_seconds`
-    /// run counters (exported by `exp_serve_latency`) regress under the
-    /// same threshold/floor rule as phase times instead of staying
-    /// informational. Off by default — batch traces carry no serve
-    /// percentiles and an absent counter never gates either way.
-    pub gate_serve_latency: bool,
 }
 
 impl Default for DiffOptions {
@@ -109,7 +103,6 @@ impl Default for DiffOptions {
             threshold_pct: 10.0,
             min_seconds: 1e-3,
             min_bytes: (1u64 << 20) as f64,
-            gate_serve_latency: false,
         }
     }
 }
@@ -124,9 +117,10 @@ pub const PHASES_TOTAL: &str = "phases.total_seconds";
 /// ([`PHASES_TOTAL`]), each phase present in both traces — its wall
 /// seconds, its hardware LLC miss ratio (when both carry one) and its
 /// peak bytes (when both tracked allocations) — and the iteration count
-/// and direction flips. Everything else (hardware counts, run counters)
-/// is informational, unless [`DiffOptions::gate_serve_latency`] promotes
-/// `serve.latency.*` percentile counters to gating status.
+/// and direction flips, and the `serve.latency.*_seconds` percentile
+/// counters both traces carry (which only `exp_serve_latency` writes).
+/// Everything else (hardware counts, other run counters) is
+/// informational.
 pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceDiff {
     let mut diff = TraceDiff::default();
 
@@ -340,12 +334,10 @@ pub fn diff_traces(old: &RunTrace, new: &RunTrace, opts: &DiffOptions) -> TraceD
     }
 
     // Run counters shared by both traces: context only — except serve
-    // latency percentiles, which gate like phase times when asked.
+    // latency percentiles, which gate like phase times.
     for (key, new_v) in &new.counters {
         if let Some(old_v) = old.counters.get(key) {
-            let gates = opts.gate_serve_latency
-                && key.starts_with("serve.latency.")
-                && key.ends_with("_seconds");
+            let gates = key.starts_with("serve.latency.") && key.ends_with("_seconds");
             if gates {
                 push_row(
                     &mut diff,
@@ -520,45 +512,38 @@ mod tests {
     }
 
     #[test]
-    fn serve_latency_counters_gate_only_when_opted_in() {
-        let old = trace_with(1.0, 20);
-        let mut new = trace_with(1.0, 20);
-        let mut old2 = old.clone();
-        old2.counters
-            .insert("serve.latency.p99_seconds".into(), 0.010);
-        new.counters
-            .insert("serve.latency.p99_seconds".into(), 0.020);
-        // Off by default: the doubled p99 stays informational.
-        let diff = diff_traces(&old2, &new, &DiffOptions::default());
-        assert!(!diff.has_regressions());
-        assert!(diff
-            .rows
-            .iter()
-            .any(|r| r.metric == "counter.serve.latency.p99_seconds" && !r.gating));
-        // Opted in: it gates like a phase time.
-        let opts = DiffOptions {
-            gate_serve_latency: true,
-            ..DiffOptions::default()
+    fn serve_latency_counters_gate_when_both_traces_carry_them() {
+        let with_p99 = |seconds: f64| {
+            let mut t = trace_with(1.0, 20);
+            t.counters
+                .insert("serve.latency.p99_seconds".into(), seconds);
+            t
         };
-        let diff = diff_traces(&old2, &new, &opts);
+        let (old, new) = (with_p99(0.010), with_p99(0.020));
+        // A doubled p99 gates like a phase time.
+        let diff = diff_traces(&old, &new, &DiffOptions::default());
         assert!(diff.has_regressions());
         assert!(diff
             .rows
             .iter()
             .any(|r| r.metric == "counter.serve.latency.p99_seconds" && r.gating && r.regressed));
-        // Other counters (pool.steals) remain informational even opted in.
+        // Other counters (pool.steals) remain informational.
         assert!(diff
             .rows
             .iter()
             .any(|r| r.metric == "counter.pool.steals" && !r.gating));
+        // A percentile on only one side has nothing to compare: the
+        // shared counters are reported, and nothing gates.
+        let batch = trace_with(1.0, 20);
+        for (old, new) in [(&batch, &new), (&new, &batch)] {
+            let diff = diff_traces(old, new, &DiffOptions::default());
+            assert!(!diff.has_regressions(), "{:?}", diff.regressions);
+            assert!(!diff.rows.iter().any(|r| r.metric.contains("serve.latency")));
+            assert!(diff.rows.iter().any(|r| r.metric == "counter.pool.steals"));
+        }
         // Sub-noise serve latencies never gate.
-        let mut old3 = old.clone();
-        let mut new3 = trace_with(1.0, 20);
-        old3.counters
-            .insert("serve.latency.p50_seconds".into(), 1e-5);
-        new3.counters
-            .insert("serve.latency.p50_seconds".into(), 5e-5);
-        assert!(!diff_traces(&old3, &new3, &opts).has_regressions());
+        let (old, new) = (with_p99(1e-5), with_p99(5e-5));
+        assert!(!diff_traces(&old, &new, &DiffOptions::default()).has_regressions());
     }
 
     #[test]

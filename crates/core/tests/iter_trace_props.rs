@@ -1,9 +1,9 @@
 //! Property and compatibility tests for the schema-v5 iteration
 //! telemetry: whatever per-iteration records a run produces must
-//! survive both serializations bit-for-bit, any other schema
-//! generation — retired or future — must stay a *typed* error, and the
-//! decision log itself must be a pure function of the graph — identical
-//! across thread counts.
+//! survive the JSON encoding bit-for-bit, any other schema generation —
+//! retired or future — and any cut or corrupted document must stay a
+//! *typed* error, and the decision log itself must be a pure function
+//! of the graph — identical across thread counts.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 /// Builds one iteration entry from raw integer draws, with every
 /// field (density, decision, hardware) populated. Seconds and
 /// density go through f64 `Display`, whose shortest-round-trip
-/// formatting both parsers read back exactly.
+/// formatting the parser reads back exactly.
 #[allow(clippy::cast_precision_loss)]
 fn iteration(
     step: usize,
@@ -106,19 +106,6 @@ proptest! {
     }
 
     #[test]
-    fn v5_iterations_round_trip_through_csv(draws in iterations_strategy()) {
-        let trace = v5_trace(
-            draws
-                .iter()
-                .enumerate()
-                .map(|(step, &(fe, us, d, hw))| iteration(step, fe, us, d, hw))
-                .collect(),
-        );
-        let parsed = RunTrace::from_csv(&trace.to_csv()).expect("own CSV parses");
-        prop_assert_eq!(parsed, trace);
-    }
-
-    #[test]
     fn foreign_schema_versions_stay_typed_errors(version in 6u32..10_000) {
         let tag = format!("egraph-trace/{version}");
         let doc = format!(
@@ -126,15 +113,6 @@ proptest! {
                 "iterations": [], "counters": {{}}, "phases": []}}"#
         );
         match RunTrace::from_json(&doc) {
-            Err(TraceError::UnsupportedSchema(got)) => prop_assert_eq!(got, tag.clone()),
-            other => {
-                return Err(TestCaseError::fail(format!(
-                    "expected UnsupportedSchema, got {other:?}"
-                )))
-            }
-        }
-        let csv = format!("record,key,step,frontier_size,edges_scanned,seconds,mode,value\nmeta,schema,,,,,,{tag}\n");
-        match RunTrace::from_csv(&csv) {
             Err(TraceError::UnsupportedSchema(got)) => prop_assert_eq!(got, tag),
             other => {
                 return Err(TestCaseError::fail(format!(
@@ -143,11 +121,46 @@ proptest! {
             }
         }
     }
+
+    /// A cut or corrupted trace file is a typed error (or, for a byte
+    /// the format does not care about, still a trace), never a panic:
+    /// the document is cut at a drawn offset or has one drawn byte
+    /// replaced.
+    #[test]
+    fn a_trace_file_is_never_a_panic(
+        draws in iterations_strategy(),
+        at in any::<prop::sample::Index>(),
+        cut in any::<bool>(),
+        byte in any::<u8>(),
+    ) {
+        let trace = v5_trace(
+            draws
+                .iter()
+                .enumerate()
+                .map(|(step, &(fe, us, d, hw))| iteration(step, fe, us, d, hw))
+                .collect(),
+        );
+        let whole = trace.to_json();
+        let mut bytes = whole.clone().into_bytes();
+        let at = at.index(bytes.len());
+        if cut {
+            bytes.truncate(at);
+        } else {
+            bytes[at] = byte;
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let parsed = RunTrace::from_json(&text);
+        // Everything up to the closing brace is structure: a cut there
+        // is always malformed.
+        if cut && text.trim_end().len() < whole.trim_end().len() {
+            prop_assert!(matches!(parsed, Err(TraceError::Malformed(_))), "{parsed:?}");
+        }
+    }
 }
 
 /// Generations 1–4 of the schema are no longer read: a document that
-/// is well-formed in every other respect is refused by its tag, from
-/// both codecs, with the tag in the error.
+/// is well-formed in every other respect is refused by its tag, with
+/// the tag in the error.
 #[test]
 fn retired_schema_generations_are_typed_errors() {
     let trace = v5_trace(vec![iteration(0, (1, 5), 10, (6, 97, false), 1)]);
@@ -155,10 +168,30 @@ fn retired_schema_generations_are_typed_errors() {
         let tag = format!("egraph-trace/{generation}");
         let expected = Err(TraceError::UnsupportedSchema(tag.clone()));
         let json = trace.to_json().replacen(TRACE_SCHEMA, &tag, 1);
-        assert_eq!(RunTrace::from_json(&json), expected, "{tag} JSON");
-        let csv = trace.to_csv().replacen(TRACE_SCHEMA, &tag, 1);
-        assert_eq!(RunTrace::from_csv(&csv), expected, "{tag} CSV");
+        assert_eq!(RunTrace::from_json(&json), expected, "{tag}");
     }
+}
+
+/// Parsing is linear in the document: a 20 000-iteration trace
+/// round-trips in well under the time a reader that re-scans the rest
+/// of the document per string character needs (minutes).
+#[test]
+fn a_long_trace_parses_in_linear_time() {
+    let trace = v5_trace(
+        (0..20_000)
+            .map(|step| iteration(step, (step % 977, step * 3), 125, (step, 97, false), 3))
+            .collect(),
+    );
+    let text = trace.to_json();
+    let started = std::time::Instant::now();
+    let parsed = RunTrace::from_json(&text).expect("own JSON parses");
+    let elapsed = started.elapsed();
+    assert_eq!(parsed, trace);
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "{} bytes took {elapsed:?}",
+        text.len()
+    );
 }
 
 /// A density-skewed graph: a short lead-in chain, a hub step that
