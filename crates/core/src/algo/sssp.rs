@@ -151,7 +151,8 @@ impl<E: EdgeRecord> PushOp<E> for SsspState {
 
 impl<E: EdgeRecord> FrontierAlgo<E> for SsspState {
     // Dense accumulation: a vertex improved several times in one round
-    // must be binned once, and the bitmap lists it in id order.
+    // must be binned once, and the bitmap lists it in id order (as does
+    // the sorted, deduplicated list of a round under the grain).
     const PUSH_NEXT: FrontierKind = FrontierKind::Dense;
 
     fn begin_round(&self, frontier: &VertexSubset) {

@@ -24,10 +24,20 @@
 //! otherwise through [`FrontierAlgo::next_frontier`] — the one hook by
 //! which an algorithm orders its work (SSSP's distance buckets) without
 //! owning a loop.
+//!
+//! **A small round runs where it is decided.** A push round on an
+//! indexed layout whose load was taken this round and is at most
+//! [`INLINE_GRAIN`] runs on the calling thread
+//! ([`egraph_parallel::run_inline`]): its `begin_round`, the layout's
+//! push and the collection of its successor open no parallel region.
+//! It pushes from a sparse list (a dense frontier is listed first, a
+//! word at a time) and collects sparsely; a rule that collects densely
+//! gets that list sorted and deduplicated — the id-ordered set its
+//! bitmap would have listed — so answers and records do not change.
 
 use std::convert::Infallible;
 
-use super::{EngineLayout, PullLayout, PullOp, PushOp};
+use super::{EngineLayout, PullLayout, PullOp, PushOp, INLINE_ROUNDS};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
 use crate::metrics::{
@@ -35,6 +45,12 @@ use crate::metrics::{
 };
 use crate::types::EdgeRecord;
 use crate::util::AtomicBitmap;
+
+/// The largest observed load (frontier out-edges + frontier vertices)
+/// of a push round that [`edge_map`] runs on the calling thread. Below
+/// it a parallel region's wake-up costs more than splitting the round
+/// saves; DESIGN.md §3.4 has the sweep it was read from.
+pub const INLINE_GRAIN: usize = 4096;
 
 /// What a frontier algorithm hands [`edge_map`]: its state *is* the
 /// push rule, and the hooks below are all it says about rounds. A rule
@@ -44,7 +60,8 @@ pub trait FrontierAlgo<E: EdgeRecord>: PushOp<E> {
     /// push rule activates each vertex at most once (BFS claims),
     /// `Dense` when a vertex may improve several times in one round
     /// (label and distance relaxations). Scanning layouts collect
-    /// densely either way.
+    /// densely either way; a round under [`INLINE_GRAIN`] collects
+    /// sparsely either way, deduplicating a `Dense` rule's list.
     const PUSH_NEXT: FrontierKind;
 
     /// Called at the start of every round with the frontier the round
@@ -386,11 +403,11 @@ where
         A::PUSH_NEXT
     };
     let mut iterations = Vec::new();
+    let mut inline_rounds = 0;
     while !frontier.is_empty() {
         if L::SCANS {
             frontier = frontier.into_dense(nv);
         }
-        algo.begin_round(&frontier);
         let frontier_size = frontier.len();
         let load_wanted = L::SCANS
             || match flow {
@@ -416,8 +433,11 @@ where
                 (decision, decision.says_pull().then_some(can))
             }
         };
+        // Only a load taken this round can vouch for the round's size.
+        let inline = !L::SCANS && load_wanted && observed <= INLINE_GRAIN;
         let (mode, (next, seconds)) = match pull {
             Some(can) => {
+                algo.begin_round(&frontier);
                 frontier = frontier.into_dense(nv);
                 let VertexSubset::Dense { bitmap, .. } = &frontier else {
                     unreachable!("converted above")
@@ -426,7 +446,30 @@ where
                 let round = || P::pull_round(can, layout, algo, bitmap, &activated, ctx);
                 (StepMode::Pull, timed(round))
             }
+            None if inline => {
+                inline_rounds += 1;
+                let round = egraph_parallel::run_inline(|| {
+                    let frontier = frontier.into_sparse();
+                    algo.begin_round(&frontier);
+                    timed(|| {
+                        let mut next =
+                            layout.push_round(&frontier, algo, ctx, FrontierKind::Sparse);
+                        // A rule that collects densely may list a vertex
+                        // twice; its bitmap would have listed it once, in
+                        // id order, and been counted inside the round.
+                        if let (FrontierKind::Dense, VertexSubset::Sparse(list)) =
+                            (A::PUSH_NEXT, &mut next)
+                        {
+                            list.sort_unstable();
+                            list.dedup();
+                        }
+                        next
+                    })
+                });
+                (StepMode::Push, round)
+            }
             None => {
+                algo.begin_round(&frontier);
                 let round = || layout.push_round(&frontier, algo, ctx, push_next);
                 (StepMode::Push, timed(round))
             }
@@ -444,6 +487,9 @@ where
             },
         );
         frontier = algo.next_frontier(next);
+    }
+    if ctx.recorder.enabled() {
+        ctx.recorder.record_counter(INLINE_ROUNDS, inline_rounds);
     }
     iterations
 }

@@ -31,7 +31,7 @@ mod edge_map;
 mod layout;
 
 pub(crate) use edge_map::record_iter;
-pub use edge_map::{edge_map, Flow, FrontierAlgo, Policy, PullAlgo, PushOnly};
+pub use edge_map::{edge_map, Flow, FrontierAlgo, Policy, PullAlgo, PushOnly, INLINE_GRAIN};
 pub use layout::{EngineLayout, Indexed, PullLayout, Scanned};
 
 use egraph_parallel::timeline;
@@ -44,6 +44,10 @@ use crate::types::{EdgeRecord, VertexId};
 
 /// Counter name drivers report examined edges under.
 pub const EDGES_EXAMINED: &str = "engine.edges_examined";
+
+/// Run counter: rounds [`edge_map`] ran on the calling thread because
+/// their load was at most [`INLINE_GRAIN`].
+pub const INLINE_ROUNDS: &str = "engine.inline_rounds";
 
 /// Per-edge semantics of a push-mode step.
 ///

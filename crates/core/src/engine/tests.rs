@@ -583,6 +583,150 @@ fn heuristic_flips_exactly_above_the_cutoff_and_forced_policies_never_flip() {
     }
 }
 
+/// [`MinLabel`] with a log: every edge it pushes, and what each round
+/// hands `next_frontier` — `(sparse?, members in the order given)`.
+struct Logged {
+    rule: MinLabel,
+    pushed: Mutex<Vec<(VertexId, VertexId)>>,
+    activated: Mutex<Vec<(bool, Vec<VertexId>)>>,
+}
+
+impl Logged {
+    fn new(nv: usize) -> Self {
+        Self {
+            rule: MinLabel::new(nv),
+            pushed: Mutex::new(Vec::new()),
+            activated: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl PushOp<Edge> for Logged {
+    fn push(&self, e: &Edge) -> bool {
+        self.pushed.lock().unwrap().push((e.src(), e.dst()));
+        PushOp::<Edge>::push(&self.rule, e)
+    }
+}
+
+impl FrontierAlgo<Edge> for Logged {
+    const PUSH_NEXT: FrontierKind = <MinLabel as FrontierAlgo<Edge>>::PUSH_NEXT;
+
+    fn begin_round(&self, frontier: &VertexSubset) {
+        FrontierAlgo::<Edge>::begin_round(&self.rule, frontier);
+    }
+
+    fn next_frontier(&self, activated: VertexSubset) -> VertexSubset {
+        let entry = match &activated {
+            VertexSubset::Sparse(list) => (true, list.clone()),
+            VertexSubset::Dense { bitmap, .. } => (false, bitmap.to_vec()),
+        };
+        self.activated.lock().unwrap().push(entry);
+        activated
+    }
+}
+
+impl PullAlgo<Edge> for Logged {
+    type Pull<'a> = MinLabelPull<'a>;
+
+    fn pull_op<'a>(
+        &'a self,
+        in_frontier: &'a AtomicBitmap,
+        activated: &'a AtomicBitmap,
+    ) -> MinLabelPull<'a> {
+        PullAlgo::<Edge>::pull_op(&self.rule, in_frontier, activated)
+    }
+}
+
+#[test]
+fn a_small_round_of_a_dense_rule_lists_its_successor_sorted_and_once() {
+    // 7 and then 4 lower vertex 9's label in one round, so 9 is
+    // activated twice; 8 once.
+    let graph = EdgeList::new(10, vec![Edge::new(7, 9), Edge::new(4, 9), Edge::new(7, 8)]).unwrap();
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
+    let seed = || VertexSubset::from_vec(vec![7, 4]);
+    // What the bitmap a large round collects into lists.
+    let bitmap = MinLabel::new(10);
+    FrontierAlgo::<Edge>::begin_round(&bitmap, &seed());
+    let listed = vertex_push(
+        adj.out(),
+        &seed(),
+        &bitmap,
+        &ExecCtx::default(),
+        FrontierKind::Dense,
+    );
+    let VertexSubset::Sparse(listed) = listed.into_sparse() else {
+        unreachable!("into_sparse lists")
+    };
+    assert_eq!(listed, [8, 9]);
+    for threads in [1, 2] {
+        let pool = egraph_parallel::ThreadPool::new(threads);
+        let logged = Logged::new(10);
+        let log = egraph_parallel::with_pool(&pool, || {
+            edge_map(&adj, seed(), &logged, PushOnly, &ExecCtx::default())
+        });
+        assert_eq!(log.len(), 2);
+        let activated = logged.activated.into_inner().unwrap();
+        assert_eq!(activated[0], (true, listed.clone()), "{threads} threads");
+        assert_eq!(logged.rule.labels()[8..], [7, 4]);
+    }
+}
+
+#[test]
+fn a_small_push_round_after_a_pull_pushes_from_the_listed_members() {
+    // Twelve sources (0..12) over a 200-edge graph: load 2 + 12 above
+    // the cutoff of 10, so round 0 pulls and hands round 1 a dense
+    // frontier {50, 51}, whose load 3 + 2 is pushed inline.
+    let mut edges = vec![
+        Edge::new(0, 50),
+        Edge::new(1, 51),
+        Edge::new(50, 60),
+        Edge::new(50, 61),
+        Edge::new(51, 61),
+    ];
+    edges.extend((0..195).map(|i| Edge::new(200 + i, 201 + i)));
+    let graph = EdgeList::new(400, edges).unwrap();
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&graph);
+    let logged = Logged::new(400);
+    let recorder = TraceRecorder::new();
+    let ctx = ExecCtx::default().recorder(&recorder);
+    let frontier = VertexSubset::from_vec((0..12).collect());
+    let log = edge_map(&adj, frontier, &logged, Direction::PushPull, &ctx);
+    let rounds: Vec<_> = (log.iter())
+        .map(|s| (s.frontier_size, s.edges_scanned, s.mode))
+        .collect();
+    assert_eq!(
+        rounds,
+        [
+            (12, 2, StepMode::Pull),
+            (2, 3, StepMode::Push),
+            (2, 0, StepMode::Push),
+        ]
+    );
+    // The pull round collected densely; the push rounds after it
+    // pushed the out-edges of the listed members and nothing else.
+    let activated = logged.activated.into_inner().unwrap();
+    assert_eq!(activated[0], (false, vec![50, 51]));
+    let mut pushed = logged.pushed.into_inner().unwrap();
+    pushed.sort_unstable();
+    assert_eq!(pushed, edges_from(&graph, |v| v == 50 || v == 51));
+    assert_eq!(recorder.counters()[INLINE_ROUNDS], 2.0);
+    assert_eq!(logged.rule.labels()[60..62], [0, 0]);
+}
+
+#[test]
+fn scanning_and_pulling_rounds_never_run_inline() {
+    let graph = diamond();
+    let recorder = TraceRecorder::new();
+    let ctx = ExecCtx::default().recorder(&recorder);
+    let rule = MinLabel::new(4);
+    edge_map(&graph, VertexSubset::single(0), &rule, PushOnly, &ctx);
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&graph);
+    let rule = MinLabel::new(4);
+    edge_map(&adj, VertexSubset::single(0), &rule, Direction::Pull, &ctx);
+    assert!(!recorder.iterations().is_empty());
+    assert_eq!(recorder.counters()[INLINE_ROUNDS], 0.0);
+}
+
 #[test]
 fn forced_directions_skip_the_degree_sum_on_dense_frontiers() {
     let graph = fan_graph(10);

@@ -203,13 +203,21 @@ pub fn explain(trace: &RunTrace) -> String {
     out
 }
 
-/// What the work-efficient kernels recorded about themselves, one
-/// sentence per kernel whose counters the trace carries: why an SSSP
-/// run took the rounds it did, and how little a WCC run had to do.
+/// What the engine and the work-efficient kernels recorded about
+/// themselves, one sentence per counter set the trace carries: how many
+/// rounds were too small to split, why an SSSP run took the rounds it
+/// did, and how little a WCC run had to do.
 fn kernel_counters(trace: &RunTrace) -> Vec<String> {
     use crate::algo::{sssp, wcc};
     let get = |name: &str| trace.counters.get(name).copied();
     let mut lines = Vec::new();
+    if let Some(inline) = get(crate::engine::INLINE_ROUNDS) {
+        lines.push(format!(
+            "engine: {inline} of {} rounds ran inline (load ≤ grain), on the calling \
+             thread with no parallel region.",
+            trace.iterations.len()
+        ));
+    }
     if let (Some(milli), Some(opened), Some(rebinned)) = (
         get(sssp::DELTA_MILLI),
         get(sssp::BUCKETS_OPENED),
@@ -329,7 +337,9 @@ mod tests {
     #[test]
     fn kernel_counters_are_narrated_when_present() {
         let mut t = switching_trace();
-        assert!(!explain(&t).contains("bucket width"));
+        let text = explain(&t);
+        assert!(!text.contains("bucket width") && !text.contains("inline"));
+        t.counters.insert("engine.inline_rounds".into(), 3.0);
         t.counters.insert("sssp.delta_milli".into(), 2500.0);
         t.counters.insert("sssp.buckets_opened".into(), 7.0);
         t.counters.insert("sssp.rebinned".into(), 3.0);
@@ -342,6 +352,9 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("41 unions, 9 path-halving hops"), "{text}");
+        let rounds = t.iterations.len();
+        let inline = format!("3 of {rounds} rounds ran inline (load ≤ grain)");
+        assert!(text.contains(&inline), "{text}");
         t.counters
             .insert("sssp.delta_milli".into(), u64::MAX as f64);
         assert!(explain(&t).contains("Δ = ∞"));

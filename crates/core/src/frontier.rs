@@ -188,7 +188,9 @@ impl NextFrontier {
 
     /// Records one activated vertex. For sparse accumulation the caller
     /// must guarantee each vertex is recorded at most once (push rules
-    /// do this by claiming the vertex atomically before reporting it).
+    /// do this by claiming the vertex atomically before reporting it),
+    /// or deduplicate the finished list (`edge_map`'s inline rounds do,
+    /// for a rule that collects densely).
     ///
     /// Inside a chunk loop, prefer [`sink`](NextFrontier::sink), which
     /// amortizes the worker-buffer borrow over the whole chunk and

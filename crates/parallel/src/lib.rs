@@ -62,8 +62,8 @@ pub use ops::{
     for_each_chunk, for_each_chunk_mut, parallel_for, parallel_init, parallel_reduce, DEFAULT_GRAIN,
 };
 pub use pool::{
-    broadcast_current, current_num_threads, current_worker_index, global_pool, with_pool,
-    ThreadPool, WorkerId,
+    broadcast_current, current_num_threads, current_worker_index, global_pool, run_inline,
+    with_pool, ThreadPool, WorkerId,
 };
 pub use scan::{exclusive_prefix_sum, inclusive_prefix_sum};
 pub use worker_local::{

@@ -183,6 +183,34 @@ pub fn broadcast_current(f: &(dyn Fn(WorkerId) + Sync)) {
     global_pool().broadcast(f);
 }
 
+/// Runs `f` on the calling thread as worker 0 of a one-wide region that
+/// no pool is asked to open. Every parallel operation inside `f` takes
+/// the nested-region path and runs inline, [`current_num_threads`] is 1
+/// (so a [`crate::WorkerLocal`] created inside has one slot), and no
+/// worker wakes, so nothing is counted as a region or as busy time.
+/// Inside a region already, `f` simply runs on the current worker.
+///
+/// This is granularity control for work that is known to be small
+/// before it starts (Ligra / GBBS): a region costs a wake-up of every
+/// background worker, which a few hundred vertices of work does not
+/// repay.
+///
+/// # Examples
+///
+/// ```
+/// let slots = egraph_parallel::run_inline(|| {
+///     egraph_parallel::WorkerLocal::new(Vec::<u32>::new).num_slots()
+/// });
+/// assert_eq!(slots, 1);
+/// ```
+pub fn run_inline<R>(f: impl FnOnce() -> R) -> R {
+    if CURRENT_WORKER.with(Cell::get).is_some() {
+        return f();
+    }
+    let _scope = WorkerScope::enter(0, 1);
+    f()
+}
+
 /// A fixed-size fork-join worker pool.
 ///
 /// # Examples
@@ -472,6 +500,31 @@ mod tests {
             });
         });
         assert_eq!(count.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn run_inline_is_a_one_wide_region_on_the_caller() {
+        let pool = ThreadPool::new(4);
+        let caller = std::thread::current().id();
+        with_pool(&pool, || {
+            let calls = AtomicUsize::new(0);
+            run_inline(|| {
+                assert_eq!(current_num_threads(), 1);
+                assert_eq!(current_worker_index(), Some(0));
+                broadcast_current(&|w| {
+                    assert_eq!((w.index(), std::thread::current().id()), (0, caller));
+                    calls.fetch_add(1, Ordering::SeqCst);
+                });
+            });
+            assert_eq!(calls.load(Ordering::SeqCst), 1);
+            // The scope is gone again: full-width regions resume.
+            assert_eq!(current_num_threads(), 4);
+            assert!(current_worker_index().is_none());
+        });
+        // Inside a region it keeps the worker it runs on.
+        pool.broadcast(&|w| {
+            run_inline(|| assert_eq!(current_worker_index(), Some(w.index())));
+        });
     }
 
     #[test]

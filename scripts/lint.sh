@@ -43,6 +43,28 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# Granularity control is one rule: `edge_map` decides which rounds are
+# small, against the one constant `INLINE_GRAIN`, and is the only caller
+# of the pool's inline entry point; the engine keeps no pool of its own.
+# A second caller, a second grain or a private pool under engine/ is a
+# second scheduling rule coming back.
+echo "== one inline rule =="
+offenders=$(find crates/core/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            ((/run_inline\(/ && FILENAME != "crates/core/src/engine/edge_map.rs") ||
+             (FILENAME ~ /^crates\/core\/src\/engine\// && /with_pool\(|ThreadPool::new\(/)) {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+grains=$(grep -rE 'const INLINE_GRAIN: usize =' crates src | wc -l)
+if [ -n "$offenders" ] || [ "$grains" -ne 1 ]; then
+    echo "expected run_inline( only in engine/edge_map.rs, no pool built under engine/,"
+    echo "and one 'const INLINE_GRAIN' (found $grains); offending lines:"
+    echo "$offenders"
+    exit 1
+fi
+
 # Rounds belong to the engine: the serve tier states lane rules and
 # hands every round to `edge_map`. A parallel region or a racy-slice
 # write in non-test code under serve/ is a private round loop coming
