@@ -30,10 +30,9 @@
 //! [`INLINE_GRAIN`] runs on the calling thread
 //! ([`egraph_parallel::run_inline`]): its `begin_round`, the layout's
 //! push and the collection of its successor open no parallel region.
-//! It pushes from a sparse list (a dense frontier is listed first, a
-//! word at a time) and collects sparsely; a rule that collects densely
-//! gets that list sorted and deduplicated — the id-ordered set its
-//! bitmap would have listed — so answers and records do not change.
+//! It collects sparsely; a rule that collects densely gets that list
+//! sorted and deduplicated — the id-ordered set its bitmap would have
+//! listed — so answers and records do not change.
 
 use std::convert::Infallible;
 
@@ -446,32 +445,36 @@ where
                 let round = || P::pull_round(can, layout, algo, bitmap, &activated, ctx);
                 (StepMode::Pull, timed(round))
             }
-            None if inline => {
-                inline_rounds += 1;
-                let round = egraph_parallel::run_inline(|| {
-                    let frontier = frontier.into_sparse();
+            None => {
+                // A `|V|`-bit collection would cost an inline round more
+                // than its pushes, so it collects sparsely; a rule that
+                // collects densely may then list a vertex twice, and gets
+                // the id-ordered set its bitmap would have listed.
+                let kind = if inline {
+                    FrontierKind::Sparse
+                } else {
+                    push_next
+                };
+                let round = || {
                     algo.begin_round(&frontier);
                     timed(|| {
-                        let mut next =
-                            layout.push_round(&frontier, algo, ctx, FrontierKind::Sparse);
-                        // A rule that collects densely may list a vertex
-                        // twice; its bitmap would have listed it once, in
-                        // id order, and been counted inside the round.
+                        let mut next = layout.push_round(&frontier, algo, ctx, kind);
                         if let (FrontierKind::Dense, VertexSubset::Sparse(list)) =
-                            (A::PUSH_NEXT, &mut next)
+                            (push_next, &mut next)
                         {
                             list.sort_unstable();
                             list.dedup();
                         }
                         next
                     })
-                });
+                };
+                inline_rounds += u64::from(inline);
+                let round = if inline {
+                    egraph_parallel::run_inline(round)
+                } else {
+                    round()
+                };
                 (StepMode::Push, round)
-            }
-            None => {
-                algo.begin_round(&frontier);
-                let round = || layout.push_round(&frontier, algo, ctx, push_next);
-                (StepMode::Push, timed(round))
             }
         };
         record_iter(

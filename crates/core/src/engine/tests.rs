@@ -672,10 +672,11 @@ fn a_small_round_of_a_dense_rule_lists_its_successor_sorted_and_once() {
 }
 
 #[test]
-fn a_small_push_round_after_a_pull_pushes_from_the_listed_members() {
+fn a_small_push_round_after_a_pull_pushes_exactly_its_members() {
     // Twelve sources (0..12) over a 200-edge graph: load 2 + 12 above
     // the cutoff of 10, so round 0 pulls and hands round 1 a dense
-    // frontier {50, 51}, whose load 3 + 2 is pushed inline.
+    // frontier {50, 51}, whose load 3 + 2 is pushed inline from the
+    // bitmap.
     let mut edges = vec![
         Edge::new(0, 50),
         Edge::new(1, 51),
@@ -703,7 +704,7 @@ fn a_small_push_round_after_a_pull_pushes_from_the_listed_members() {
         ]
     );
     // The pull round collected densely; the push rounds after it
-    // pushed the out-edges of the listed members and nothing else.
+    // pushed the out-edges of its members and nothing else.
     let activated = logged.activated.into_inner().unwrap();
     assert_eq!(activated[0], (false, vec![50, 51]));
     let mut pushed = logged.pushed.into_inner().unwrap();

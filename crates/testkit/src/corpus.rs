@@ -132,7 +132,20 @@ pub fn quick_corpus(seed: u64) -> Vec<NamedGraph> {
         "road_8x8",
         egraph_graphgen::road_like(8, 8),
     ));
+    graphs.push(wide_rounds(seed));
     graphs
+}
+
+/// A graph whose BFS and SSSP runs have push rounds on both sides of
+/// `egraph_core::engine::INLINE_GRAIN`. Every other quick graph is so
+/// small that all its rounds run on the calling thread; this one keeps
+/// the parallel push path and its frontier collection under every
+/// multi-thread check that runs the quick corpus.
+pub fn wide_rounds(seed: u64) -> NamedGraph {
+    NamedGraph::new(
+        "small_world_2048",
+        egraph_graphgen::small_world(2048, 6, 0.1, seed ^ 0x3),
+    )
 }
 
 /// The exhaustive corpus: the quick corpus plus larger instances of
@@ -228,6 +241,7 @@ mod tests {
             "rmat_s6",
             "small_world_128",
             "road_8x8",
+            "small_world_2048",
         ] {
             assert!(names.iter().any(|n| n == required), "missing {required}");
         }

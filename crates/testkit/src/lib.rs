@@ -32,7 +32,8 @@ pub mod matrix;
 pub mod update;
 
 pub use corpus::{
-    exhaustive_corpus, quick_corpus, ratings_graph, test_seed, weighted, NamedGraph, DEFAULT_SEED,
+    exhaustive_corpus, quick_corpus, ratings_graph, test_seed, weighted, wide_rounds, NamedGraph,
+    DEFAULT_SEED,
 };
 pub use matrix::{run_matrix, MatrixConfig, MatrixReport, Mismatch};
 pub use update::{run_update_matrix, UpdateConfig, UpdateReport};

@@ -20,7 +20,9 @@ use egraph_storage::{
     read_dimacs, read_edge_list, read_snap, write_edge_list, write_snap, FaultedReader,
     FormatError, IoFault, TextError,
 };
-use egraph_testkit::{quick_corpus, run_matrix, test_seed, weighted, MatrixConfig, NamedGraph};
+use egraph_testkit::{
+    quick_corpus, run_matrix, test_seed, weighted, wide_rounds, MatrixConfig, NamedGraph,
+};
 
 /// Serializes tests that install the global scheduler fault plan.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -156,14 +158,19 @@ fn dimacs_mid_stream_error_surfaces_as_io() {
 
 // -------------------------------------------------------------- scheduler
 
-/// A one-graph conformance matrix: the full oracle (serial reference +
-/// single-thread baseline) under whatever fault plan is installed.
+/// A two-graph conformance matrix: the full oracle (serial reference +
+/// single-thread baseline) under whatever fault plan is installed. The
+/// second graph has rounds above the engine's inline grain, so the
+/// faults reach the parallel push path as well as the inline one.
 fn mini_matrix() {
     let seed = test_seed();
-    let graphs = vec![NamedGraph {
-        name: "fault/rmat_s5".to_string(),
-        graph: egraph_graphgen::rmat(5, 8, seed),
-    }];
+    let graphs = vec![
+        NamedGraph {
+            name: "fault/rmat_s5".to_string(),
+            graph: egraph_graphgen::rmat(5, 8, seed),
+        },
+        wide_rounds(seed),
+    ];
     let cfg = MatrixConfig {
         thread_counts: vec![1, 4],
         seed,
