@@ -1,30 +1,44 @@
-//! Compressed CSR (`ccsr`): sorted neighbor lists stored as byte-varint
-//! delta streams, chunked so a worker decodes one vertex's list without
-//! touching neighboring chunks.
+//! Compressed CSR (`ccsr`): sorted neighbor lists stored as delta
+//! streams packed at one bit width per chunk, chunked so a worker decodes
+//! one vertex's list without touching neighboring chunks.
 //!
-//! The encoding follows the byte-delta scheme popularized by Ligra+ and
-//! GBBS (see PAPERS.md): within each chunk of at most
-//! [`SPAN_EDGES`](super::SPAN_EDGES) neighbors, the first neighbor is a
-//! **zigzag varint of `first - v`** (delta from the owning vertex, which
-//! may be negative) and every subsequent neighbor is an **unsigned
-//! varint gap** from its predecessor (lists are sorted, so gaps are
-//! non-negative; duplicates encode as gap `0`). Vertices with more than
-//! one chunk prefix their stream with a **skip table** of
-//! `nchunks - 1` little-endian `u32` byte offsets (relative to the end
-//! of the table), so any chunk can be located and decoded independently
-//! — the hook the out-of-core roadmap items build on.
+//! The lists are cut and delta-coded the way Ligra+ and GBBS do it (see
+//! PAPERS.md): each chunk holds at most [`SPAN_EDGES`](super::SPAN_EDGES)
+//! neighbors. A chunk is
+//!
+//! * one **header byte** `(first_len − 1) | width << 2`;
+//! * the first neighbor as **`zigzag32(first − v)`** (wrapping; the delta
+//!   from the owning vertex may be negative) in `first_len` (1–4)
+//!   little-endian bytes;
+//! * the chunk's **gaps** between consecutive neighbors (lists are
+//!   sorted, so gaps are non-negative; duplicates are gap `0`), packed
+//!   LSB-first at `width` bits each and padded to a byte. `width`
+//!   (0..=32) is the bit width of the chunk's largest gap.
+//!
+//! Every gap of a chunk is one 8-byte load, one shift and one mask at
+//! the same width, so decoding has no per-gap length and no
+//! data-dependent branch. Vertices with more than one chunk prefix their
+//! stream with a **skip table** of `nchunks - 1` little-endian `u32`
+//! byte offsets (relative to the end of the table), so any chunk can be
+//! located and decoded independently — the hook the out-of-core roadmap
+//! items build on.
 //!
 //! ```text
 //! byte_offsets[v] .. byte_offsets[v+1]:
 //! ┌────────────────────────┬─────────┬─────────┬───┐
 //! │ skip table (nc-1)×u32  │ chunk 0 │ chunk 1 │ … │   nc = ⌈deg/64⌉
 //! └────────────────────────┴─────────┴─────────┴───┘
-//! chunk: zigzag(first−v) gap gap gap …           (≤ 64 neighbors)
+//! chunk (≤ 64 neighbors):
+//! ┌────────┬────────────────────────┬─────────────────────────────┐
+//! │ header │ zigzag32(first − v)    │ (len−1) gaps × width bits   │
+//! │ 1 byte │ first_len bytes, LE    │ LSB-first, padded to a byte │
+//! └────────┴────────────────────────┴─────────────────────────────┘
+//! header = (first_len − 1) | width << 2
 //! ```
 //!
 //! Weights are *not* delta-encoded: a weighted graph keeps its `f32`
 //! weights in a flat side array indexed by `edge_offsets[v] + k`, so
-//! the neighbor stream stays byte-dense and the weight read stays one
+//! the neighbor stream stays dense and the weight read stays one
 //! indexed load.
 
 use std::marker::PhantomData;
@@ -35,29 +49,30 @@ use super::{NeighborAccess, SPAN_EDGES};
 
 /// A typed decode failure. Corrupt or truncated chunk bytes surface as
 /// one of these — never a panic — from the checked decode entry points
-/// ([`CcsrAdjacency::decode_neighbors`], [`CcsrAdjacency::validate`]).
+/// ([`CcsrAdjacency::decode_neighbors`], [`CcsrAdjacency::decode_chunk`],
+/// [`CcsrAdjacency::validate`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CcsrError {
-    /// The byte stream ended inside a varint or skip table.
+    /// The byte stream ended inside a chunk or skip table.
     Truncated {
         /// Owning vertex.
         vertex: VertexId,
         /// Byte offset (within the vertex's stream) of the failure.
         offset: usize,
     },
-    /// A varint ran past 10 bytes / 64 value bits.
-    VarintOverflow {
+    /// A chunk header declared gaps wider than 32 bits.
+    BadWidth {
         /// Owning vertex.
         vertex: VertexId,
-        /// Byte offset (within the vertex's stream) of the failure.
+        /// Byte offset (within the vertex's stream) of the header.
         offset: usize,
     },
     /// A decoded neighbor id falls outside `0..num_vertices`.
     NeighborOutOfRange {
         /// Owning vertex.
         vertex: VertexId,
-        /// The out-of-range decoded value (widened; negative first
-        /// deltas map below zero and report as wrapped `i64`).
+        /// The out-of-range decoded value (widened, so a gap that runs
+        /// past `u32::MAX` reports its true sum).
         neighbor: i64,
     },
     /// A chunk did not start where the skip table said it would.
@@ -74,6 +89,15 @@ pub enum CcsrError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
+    /// A chunk index at or past the vertex's chunk count.
+    ChunkOutOfRange {
+        /// Owning vertex.
+        vertex: VertexId,
+        /// The requested chunk.
+        chunk: usize,
+        /// The vertex's chunk count, `⌈degree / 64⌉`.
+        chunks: usize,
+    },
 }
 
 impl std::fmt::Display for CcsrError {
@@ -85,10 +109,10 @@ impl std::fmt::Display for CcsrError {
                     "ccsr stream of vertex {vertex} truncated at byte {offset}"
                 )
             }
-            Self::VarintOverflow { vertex, offset } => {
+            Self::BadWidth { vertex, offset } => {
                 write!(
                     f,
-                    "ccsr varint overflow in vertex {vertex} at byte {offset}"
+                    "ccsr vertex {vertex}: chunk header at byte {offset} declares gaps wider than 32 bits"
                 )
             }
             Self::NeighborOutOfRange { vertex, neighbor } => {
@@ -109,6 +133,16 @@ impl std::fmt::Display for CcsrError {
                     "ccsr vertex {vertex}: {extra} trailing bytes after the last chunk"
                 )
             }
+            Self::ChunkOutOfRange {
+                vertex,
+                chunk,
+                chunks,
+            } => {
+                write!(
+                    f,
+                    "ccsr vertex {vertex} has {chunks} chunks; chunk {chunk} is out of range"
+                )
+            }
         }
     }
 }
@@ -116,133 +150,105 @@ impl std::fmt::Display for CcsrError {
 impl std::error::Error for CcsrError {}
 
 #[inline]
-pub(crate) fn zigzag(x: i64) -> u64 {
-    ((x << 1) ^ (x >> 63)) as u64
+fn zigzag32(x: i32) -> u32 {
+    ((x << 1) ^ (x >> 31)) as u32
 }
 
 #[inline]
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
+fn unzigzag32(z: u32) -> i32 {
+    ((z >> 1) as i32) ^ -((z & 1) as i32)
 }
 
-/// Encoded length of one unsigned varint.
-#[inline]
-pub(crate) fn varint_len(x: u64) -> usize {
-    // ⌈significant_bits / 7⌉, with 0 taking one byte.
-    (64 - (x | 1).leading_zeros() as usize).div_ceil(7)
-}
-
-#[inline]
-pub(crate) fn write_varint(out: &mut Vec<u8>, mut x: u64) {
-    while x >= 0x80 {
-        out.push((x as u8) | 0x80);
-        x >>= 7;
-    }
-    out.push(x as u8);
-}
-
-/// Checked varint read; errors instead of panicking on malformed input.
-fn read_varint(v: VertexId, bytes: &[u8], pos: &mut usize) -> Result<u64, CcsrError> {
-    let mut x = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err(CcsrError::Truncated {
-                vertex: v,
-                offset: *pos,
-            });
-        };
-        if shift > 63 || (shift == 63 && (b & 0x7f) > 1) {
-            return Err(CcsrError::VarintOverflow {
-                vertex: v,
-                offset: *pos,
-            });
+/// The 8 bytes of `bytes` from `at` as a little-endian `u64`,
+/// zero-filled past the end of the array, so a chunk at the very end
+/// needs no padding after it.
+#[inline(always)]
+fn load8(bytes: &[u8], at: usize) -> u64 {
+    let tail = bytes.get(at..).unwrap_or_default();
+    let window = match tail.first_chunk::<8>() {
+        Some(w) => *w,
+        None => {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            w
         }
-        *pos += 1;
-        x |= ((b & 0x7f) as u64) << shift;
-        if b < 0x80 {
-            return Ok(x);
-        }
-        shift += 7;
-    }
+    };
+    u64::from_le_bytes(window)
 }
 
-/// Trusted varint read for the hot decode path: the stream is encoder
-/// output, whose well-formedness [`CcsrAdjacency`] guarantees by
-/// construction (corrupt external bytes must go through the checked
-/// [`CcsrAdjacency::decode_neighbors`] instead).
+/// Splits a header byte into `(first_len, width)`.
+#[inline(always)]
+fn header(h: u8) -> (usize, usize) {
+    (usize::from(h & 3) + 1, usize::from(h >> 2))
+}
+
+/// Byte length of a chunk of `len` neighbors: header, first delta and
+/// the gaps packed at `width` bits.
+#[inline(always)]
+fn chunk_len(first_len: usize, width: usize, len: usize) -> usize {
+    1 + first_len + ((len - 1) * width).div_ceil(8)
+}
+
+/// The first neighbor of a chunk of vertex `v` whose zigzagged delta
+/// is the `first_len` bytes at `at`.
+#[inline(always)]
+fn first_neighbor(v: VertexId, bytes: &[u8], at: usize, first_len: usize) -> VertexId {
+    let z = load8(bytes, at) & (u64::MAX >> (64 - 8 * first_len));
+    v.wrapping_add(unzigzag32(z as u32) as u32)
+}
+
+/// The gap starting `bit` bits into packed gaps at byte `base`, of the
+/// width whose low bits `mask` keeps.
+#[inline(always)]
+fn gap(bytes: &[u8], base: usize, bit: usize, mask: u64) -> u64 {
+    (load8(bytes, base + bit / 8) >> (bit % 8)) & mask
+}
+
+/// Where chunk `c` starts in a vertex stream whose skip table is
+/// `table_len` bytes long (0 for chunk 0, which follows the table).
 #[inline]
-fn read_varint_trusted(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut x = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        x |= ((b & 0x7f) as u64) << shift;
-        if b < 0x80 {
-            return x;
-        }
-        shift += 7;
+fn chunk_start(bytes: &[u8], table_len: usize, c: usize) -> usize {
+    match c {
+        0 => table_len,
+        _ => table_len + load8(bytes, (c - 1) * 4) as u32 as usize,
     }
 }
 
-/// Compacts the low 7 bits of each byte of `w` into one value — the
-/// varint payload of a window whose bytes past the terminator are
-/// already zeroed. Five groups cover the 5 bytes any varint this
-/// layout writes can span (u32 gaps, zigzagged 33-bit first deltas).
-#[inline(always)]
-fn compact7(w: u64) -> u64 {
-    (w & 0x7f)
-        | ((w >> 1) & (0x7f << 7))
-        | ((w >> 2) & (0x7f << 14))
-        | ((w >> 3) & (0x7f << 21))
-        | ((w >> 4) & (0x7f << 28))
+/// The header fields of chunk `ids` of vertex `v`:
+/// `(zigzag32(first − v), first_len, width)`.
+fn chunk_shape(v: VertexId, ids: &[u32]) -> (u32, usize, usize) {
+    let first = zigzag32(ids[0].wrapping_sub(v) as i32);
+    let gaps = ids.windows(2).fold(0, |or, w| or | w[1].wrapping_sub(w[0]));
+    let first_len = (32 - (first | 1).leading_zeros() as usize).div_ceil(8);
+    (first, first_len, 32 - gaps.leading_zeros() as usize)
 }
 
-/// Decodes one varint out of an 8-byte little-endian window without a
-/// per-byte loop or a data-dependent branch. Every varint this layout
-/// writes fits in 5 bytes, so a u64 window always contains the whole
-/// varint.
-///
-/// Returns `(value, bytes_consumed)`.
-#[inline(always)]
-fn decode_varint_window(w: u64) -> (u64, usize) {
-    // The terminating byte is the first with its high bit clear.
-    let stops = !w & 0x8080_8080_8080_8080;
-    let n = (stops.trailing_zeros() as usize >> 3) + 1;
-    // Drop the bytes past the terminator, then compact the 7-bit
-    // groups: byte k carries value bits 7k.. at bit position 8k.
-    (compact7(w & (u64::MAX >> (64 - 8 * n))), n)
-}
-
-/// Reads the next varint via the windowed decoder when 8 bytes remain,
-/// falling back to the byte loop near the end of the stream.
-#[inline(always)]
-fn next_varint_trusted(bytes: &[u8], pos: &mut usize) -> u64 {
-    if let Some(window) = bytes.get(*pos..*pos + 8) {
-        let w = u64::from_le_bytes(window.try_into().expect("8-byte window"));
-        let (x, n) = decode_varint_window(w);
-        *pos += n;
-        x
-    } else {
-        read_varint_trusted(bytes, pos)
+/// Hands `f` the neighbor list in chunks of at most `SPAN_EDGES` ids,
+/// each buffered on the stack.
+fn for_each_chunk(neighbors: impl Iterator<Item = u32>, mut f: impl FnMut(&[u32])) {
+    let mut buf = [0u32; SPAN_EDGES];
+    let mut n = 0;
+    for id in neighbors {
+        buf[n] = id;
+        n += 1;
+        if n == SPAN_EDGES {
+            f(&buf);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        f(&buf[..n]);
     }
 }
 
 /// Encoded byte length of one sorted neighbor list (including its skip
-/// table), without materializing the ids or the stream.
+/// table), without materializing the stream.
 pub(crate) fn encoded_len(v: VertexId, neighbors: impl ExactSizeIterator<Item = u32>) -> usize {
-    let nchunks = neighbors.len().div_ceil(SPAN_EDGES);
-    let mut len = nchunks.saturating_sub(1) * 4;
-    let mut prev = 0u32;
-    for (i, id) in neighbors.enumerate() {
-        len += if i % SPAN_EDGES == 0 {
-            varint_len(zigzag(id as i64 - v as i64))
-        } else {
-            varint_len(id.wrapping_sub(prev) as u64)
-        };
-        prev = id;
-    }
+    let mut len = neighbors.len().div_ceil(SPAN_EDGES).saturating_sub(1) * 4;
+    for_each_chunk(neighbors, |ids| {
+        let (_, first_len, width) = chunk_shape(v, ids);
+        len += chunk_len(first_len, width, ids.len());
+    });
     len
 }
 
@@ -263,23 +269,35 @@ pub(crate) fn encode_vertex(
     out.resize(table_at + nchunks.saturating_sub(1) * 4, 0);
     let data_at = out.len();
     let mut prev = 0u32;
-    for (i, id) in neighbors.enumerate() {
+    let mut c = 0usize;
+    for_each_chunk(neighbors, |ids| {
         assert!(
-            prev <= id,
+            prev <= ids[0] && ids.is_sorted(),
             "ccsr requires sorted neighbor lists (vertex {v})"
         );
-        if i % SPAN_EDGES == 0 {
-            let c = i / SPAN_EDGES;
-            if c > 0 {
-                let rel = (out.len() - data_at) as u32;
-                out[table_at + (c - 1) * 4..table_at + c * 4].copy_from_slice(&rel.to_le_bytes());
-            }
-            write_varint(out, zigzag(id as i64 - v as i64));
-        } else {
-            write_varint(out, (id - prev) as u64);
+        prev = ids[ids.len() - 1];
+        if c > 0 {
+            let rel = (out.len() - data_at) as u32;
+            out[table_at + (c - 1) * 4..table_at + c * 4].copy_from_slice(&rel.to_le_bytes());
         }
-        prev = id;
-    }
+        c += 1;
+        let (first, first_len, width) = chunk_shape(v, ids);
+        out.push((first_len - 1) as u8 | (width << 2) as u8);
+        out.extend_from_slice(&first.to_le_bytes()[..first_len]);
+        let (mut acc, mut bits) = (0u64, 0usize);
+        for w in ids.windows(2) {
+            acc |= u64::from(w[1] - w[0]) << bits;
+            bits += width;
+            while bits >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                bits -= 8;
+            }
+        }
+        if bits > 0 {
+            out.push(acc as u8);
+        }
+    });
 }
 
 /// One direction of compressed adjacency (out-edges or in-edges).
@@ -407,57 +425,17 @@ impl<E: EdgeRecord> CcsrAdjacency<E> {
     pub fn decode_neighbors(&self, v: VertexId) -> Result<Vec<VertexId>, CcsrError> {
         let deg = self.degree(v);
         let bytes = self.stream(v);
+        let table_len = self.table_len(v, bytes)?;
         let mut out = Vec::with_capacity(deg);
-        if deg == 0 {
-            return if bytes.is_empty() {
-                Ok(out)
-            } else {
-                Err(CcsrError::TrailingBytes {
-                    vertex: v,
-                    extra: bytes.len(),
-                })
-            };
-        }
-        let nchunks = deg.div_ceil(SPAN_EDGES);
-        let table_len = (nchunks - 1) * 4;
-        if bytes.len() < table_len {
-            return Err(CcsrError::Truncated {
-                vertex: v,
-                offset: bytes.len(),
-            });
-        }
         let mut pos = table_len;
-        for c in 0..nchunks {
-            if c > 0 {
-                let rel = u32::from_le_bytes(bytes[(c - 1) * 4..c * 4].try_into().unwrap());
-                if pos != table_len + rel as usize {
-                    return Err(CcsrError::SkipTableMismatch {
-                        vertex: v,
-                        chunk: c,
-                    });
-                }
-            }
-            let clen = SPAN_EDGES.min(deg - c * SPAN_EDGES);
-            let first = v as i64 + unzigzag(read_varint(v, bytes, &mut pos)?);
-            if first < 0 || first >= self.num_vertices as i64 {
-                return Err(CcsrError::NeighborOutOfRange {
+        for c in 0..deg.div_ceil(SPAN_EDGES) {
+            if pos != chunk_start(bytes, table_len, c) {
+                return Err(CcsrError::SkipTableMismatch {
                     vertex: v,
-                    neighbor: first,
+                    chunk: c,
                 });
             }
-            let mut prev = first as u64;
-            out.push(prev as VertexId);
-            for _ in 1..clen {
-                let next = prev + read_varint(v, bytes, &mut pos)?;
-                if next >= self.num_vertices as u64 {
-                    return Err(CcsrError::NeighborOutOfRange {
-                        vertex: v,
-                        neighbor: next as i64,
-                    });
-                }
-                prev = next;
-                out.push(prev as VertexId);
-            }
+            pos = self.decode_checked(v, bytes, pos, c, &mut out)?;
         }
         if pos != bytes.len() {
             return Err(CcsrError::TrailingBytes {
@@ -472,53 +450,80 @@ impl<E: EdgeRecord> CcsrAdjacency<E> {
     /// random-access path that lets a worker read chunk `c` without
     /// decoding chunks `0..c`.
     pub fn decode_chunk(&self, v: VertexId, chunk: usize) -> Result<Vec<VertexId>, CcsrError> {
-        let deg = self.degree(v);
-        let nchunks = deg.div_ceil(SPAN_EDGES);
-        assert!(chunk < nchunks, "chunk {chunk} out of {nchunks}");
+        let chunks = self.degree(v).div_ceil(SPAN_EDGES);
+        if chunk >= chunks {
+            return Err(CcsrError::ChunkOutOfRange {
+                vertex: v,
+                chunk,
+                chunks,
+            });
+        }
         let bytes = self.stream(v);
-        let table_len = (nchunks - 1) * 4;
-        if bytes.len() < table_len {
+        let at = chunk_start(bytes, self.table_len(v, bytes)?, chunk);
+        let mut out = Vec::with_capacity(SPAN_EDGES);
+        self.decode_checked(v, bytes, at, chunk, &mut out)?;
+        Ok(out)
+    }
+
+    /// Length of vertex `v`'s skip table, checked against its stream.
+    fn table_len(&self, v: VertexId, bytes: &[u8]) -> Result<usize, CcsrError> {
+        let len = self.degree(v).div_ceil(SPAN_EDGES).saturating_sub(1) * 4;
+        if bytes.len() < len {
             return Err(CcsrError::Truncated {
                 vertex: v,
                 offset: bytes.len(),
             });
         }
-        let mut pos = if chunk == 0 {
-            table_len
-        } else {
-            let rel = u32::from_le_bytes(bytes[(chunk - 1) * 4..chunk * 4].try_into().unwrap());
-            let at = table_len + rel as usize;
-            if at > bytes.len() {
-                return Err(CcsrError::Truncated {
-                    vertex: v,
-                    offset: bytes.len(),
-                });
-            }
-            at
-        };
-        let clen = SPAN_EDGES.min(deg - chunk * SPAN_EDGES);
-        let mut out = Vec::with_capacity(clen);
-        let first = v as i64 + unzigzag(read_varint(v, bytes, &mut pos)?);
-        if first < 0 || first >= self.num_vertices as i64 {
-            return Err(CcsrError::NeighborOutOfRange {
+        Ok(len)
+    }
+
+    /// Decodes chunk `c` of vertex `v`, which starts at byte `at` of the
+    /// vertex's stream `bytes`, onto `out` with every bound and id
+    /// checked; returns the byte after the chunk.
+    fn decode_checked(
+        &self,
+        v: VertexId,
+        bytes: &[u8],
+        at: usize,
+        c: usize,
+        out: &mut Vec<VertexId>,
+    ) -> Result<usize, CcsrError> {
+        let len = SPAN_EDGES.min(self.degree(v) - c * SPAN_EDGES);
+        let Some(&h) = bytes.get(at) else {
+            return Err(CcsrError::Truncated {
                 vertex: v,
-                neighbor: first,
+                offset: bytes.len(),
+            });
+        };
+        let (first_len, width) = header(h);
+        if width > 32 {
+            return Err(CcsrError::BadWidth {
+                vertex: v,
+                offset: at,
             });
         }
-        let mut prev = first as u64;
-        out.push(prev as VertexId);
-        for _ in 1..clen {
-            let next = prev + read_varint(v, bytes, &mut pos)?;
-            if next >= self.num_vertices as u64 {
+        let end = at + chunk_len(first_len, width, len);
+        if end > bytes.len() {
+            return Err(CcsrError::Truncated {
+                vertex: v,
+                offset: bytes.len(),
+            });
+        }
+        let (base, mask) = (at + 1 + first_len, (1u64 << width) - 1);
+        let mut nbr = u64::from(first_neighbor(v, bytes, at + 1, first_len));
+        for j in 0..len {
+            if j > 0 {
+                nbr += gap(bytes, base, (j - 1) * width, mask);
+            }
+            if nbr >= self.num_vertices as u64 {
                 return Err(CcsrError::NeighborOutOfRange {
                     vertex: v,
-                    neighbor: next as i64,
+                    neighbor: nbr as i64,
                 });
             }
-            prev = next;
-            out.push(prev as VertexId);
+            out.push(nbr as VertexId);
         }
-        Ok(out)
+        Ok(end)
     }
 
     /// Validates every vertex's stream; the first failure is returned.
@@ -561,88 +566,36 @@ impl<E: EdgeRecord> NeighborAccess<E> for CcsrAdjacency<E> {
         if deg == 0 {
             return;
         }
-        let bytes = self.stream(v);
-        let nchunks = deg.div_ceil(SPAN_EDGES);
-        let mut pos = (nchunks - 1) * 4; // skip table is only for random access
+        // The skip table is only for random access. Positions index the
+        // whole array, so `load8` zero-fills only at the array's last
+        // chunk.
+        let bytes = &self.bytes[..];
+        let mut pos = self.byte_offsets[v as usize] as usize + (deg.div_ceil(SPAN_EDGES) - 1) * 4;
         let ebase = self.edge_offsets[v as usize] as usize;
         let mut buf = [E::new(0, 0, 0.0); SPAN_EDGES];
         let mut done = 0usize;
         while done < deg {
-            let clen = SPAN_EDGES.min(deg - done);
-            let mut nbr = (v as i64 + unzigzag(next_varint_trusted(bytes, &mut pos))) as VertexId;
-            let w0 = if E::WEIGHTED {
-                self.weights[ebase + done]
-            } else {
-                0.0
-            };
-            buf[0] = self.materialize(v, nbr, w0);
-            // Phase 1 — gap decoding into a flat array. Keeping this
-            // loop free of edge materialization lets the only serial
-            // chains be the byte position and the stop mask; one
-            // 8-byte load yields every gap varint wholly inside it
-            // (2–3 on average, often 8).
-            let gneed = clen - 1;
-            let mut gaps = [0u32; SPAN_EDGES];
-            let mut g = 0usize;
-            while g < gneed {
-                let window = bytes
-                    .get(pos..pos + 8)
-                    .map(|s| u64::from_le_bytes(s.try_into().expect("8-byte window")));
-                if let Some(w) = window {
-                    // One bit per terminator byte; a varint is the
-                    // bytes from the previous terminator (exclusive)
-                    // to its own.
-                    let mut stops = !w & 0x8080_8080_8080_8080;
-                    let complete = stops.count_ones() as usize;
-                    if g + complete <= gneed {
-                        if stops == 0x8080_8080_8080_8080 {
-                            // Dense run: eight one-byte gaps — the
-                            // common case inside hub vertices' lists,
-                            // where sorted neighbors sit close.
-                            for k in 0..8 {
-                                gaps[g + k] = ((w >> (8 * k)) & 0x7f) as u32;
-                            }
-                            g += 8;
-                            pos += 8;
-                            continue;
-                        }
-                        // Mixed lengths: peel varints off the window;
-                        // no per-varint bound checks needed since all
-                        // `complete` of them are wanted.
-                        let mut start = 0usize;
-                        while stops != 0 {
-                            let s = (stops.trailing_zeros() >> 3) as usize;
-                            stops &= stops - 1;
-                            let len = s + 1 - start;
-                            let part = (w >> (8 * start)) & (u64::MAX >> (64 - 8 * len));
-                            gaps[g] = compact7(part) as u32;
-                            g += 1;
-                            start = s + 1;
-                        }
-                        pos += start;
-                        continue;
-                    }
-                }
-                // Chunk end or stream end: take one varint at a time.
-                gaps[g] = read_varint_trusted(bytes, &mut pos) as u32;
-                g += 1;
-            }
-            // Phase 2 — prefix-sum the gaps and materialize records; a
-            // clean two-op chain per edge the compiler can schedule
-            // around the stores.
-            for (j, &gap) in gaps[..gneed].iter().enumerate() {
-                nbr += gap;
-                let wt = if E::WEIGHTED {
-                    self.weights[ebase + done + j + 1]
+            let len = SPAN_EDGES.min(deg - done);
+            let (first_len, width) = header(bytes[pos]);
+            let (base, mask) = (pos + 1 + first_len, (1u64 << width) - 1);
+            let mut nbr = first_neighbor(v, bytes, pos + 1, first_len);
+            let weight = |k: usize| {
+                if E::WEIGHTED {
+                    self.weights[ebase + done + k]
                 } else {
                     0.0
-                };
-                buf[j + 1] = self.materialize(v, nbr, wt);
+                }
+            };
+            buf[0] = self.materialize(v, nbr, weight(0));
+            for (j, slot) in buf[1..len].iter_mut().enumerate() {
+                nbr = nbr.wrapping_add(gap(bytes, base, j * width, mask) as u32);
+                *slot = self.materialize(v, nbr, weight(j + 1));
             }
-            if f(&buf[..clen]) < clen {
+            pos += chunk_len(first_len, width, len);
+            if f(&buf[..len]) < len {
                 return;
             }
-            done += clen;
+            done += len;
         }
     }
 }
@@ -886,31 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_gap_is_out_of_range_not_a_panic() {
-        let mut adj = encode(16, &[vec![1, 2]], false);
-        // Overwrite the gap byte with a huge single-byte varint.
-        let last = adj.bytes.len() - 1;
-        adj.bytes[last] = 0x7f;
-        assert!(matches!(
-            adj.decode_neighbors(0),
-            Err(CcsrError::NeighborOutOfRange { vertex: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn unterminated_varint_overflows() {
-        let nv = 1;
-        // 11 continuation bytes: overflows before running out of input.
-        let bytes = vec![0x80u8; 12];
-        let adj: CcsrAdjacency<Edge> =
-            CcsrAdjacency::from_parts(nv, false, vec![0, 1], vec![0, 12], bytes, Vec::new());
-        assert!(matches!(
-            adj.decode_neighbors(0),
-            Err(CcsrError::VarintOverflow { vertex: 0, .. })
-        ));
-    }
-
-    #[test]
     fn corrupt_skip_table_is_detected() {
         let list: Vec<u32> = (0..100).collect();
         let mut adj = encode(100, &[list], false);
@@ -949,12 +877,170 @@ mod tests {
         );
     }
 
-    #[test]
-    fn varint_len_matches_write() {
-        for x in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, x);
-            assert_eq!(buf.len(), varint_len(x), "x = {x}");
+    /// Vertex `v` alone in a graph of 2^32 vertices, so ids and gaps of
+    /// every width are in range; only `v`'s offsets are materialized and
+    /// its stream is the whole byte array.
+    fn lone(v: VertexId, list: &[u32]) -> CcsrAdjacency<Edge> {
+        let mut bytes = Vec::new();
+        encode_vertex(v, list.iter().copied(), &mut bytes);
+        let mut edge_offsets = vec![0u64; v as usize + 2];
+        edge_offsets[v as usize + 1] = list.len() as u64;
+        let mut byte_offsets = vec![0u64; v as usize + 2];
+        byte_offsets[v as usize + 1] = bytes.len() as u64;
+        CcsrAdjacency {
+            num_vertices: 1 << 32,
+            num_edges: list.len(),
+            by_dst: false,
+            edge_offsets,
+            byte_offsets,
+            bytes,
+            weights: Vec::new(),
+            _marker: PhantomData,
         }
+    }
+
+    #[test]
+    fn every_width_and_first_len_round_trips() {
+        let v: VertexId = 200;
+        // zigzag32(first − v) of one to four bytes; the first two
+        // deltas are negative.
+        let firsts = [v - 2, v - 129, v + 32_768, v + (1 << 23)];
+        for (first_len, &first) in (1..=4).zip(&firsts) {
+            for width in 0..=32usize {
+                // One gap of exactly `width` bits, the rest 0 or 1 (all
+                // duplicates at width 0).
+                let top = if width == 0 { 0 } else { 1u32 << (width - 1) };
+                let small = u32::from(width > 0);
+                for len in [2, 37, 64] {
+                    let mut list = vec![first];
+                    for j in 1..len {
+                        let g = if j == len / 2 {
+                            top
+                        } else {
+                            small * (j as u32 % 2)
+                        };
+                        list.push(list[j - 1] + g);
+                    }
+                    let adj = lone(v, &list);
+                    let case = format!("first_len {first_len}, width {width}, len {len}");
+                    assert_eq!(
+                        adj.bytes[0],
+                        (first_len - 1) as u8 | (width << 2) as u8,
+                        "{case}"
+                    );
+                    assert_eq!(adj.bytes.len(), chunk_len(first_len, width, len), "{case}");
+                    assert_eq!(encoded_len(v, list.iter().copied()), adj.bytes.len());
+                    assert_eq!(adj.decode_neighbors(v).unwrap(), list, "{case}");
+                    assert_eq!(collect_spans(&adj, v), list, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_ending_on_the_arrays_last_byte_decodes() {
+        // Two chunks; the second holds 6 neighbors with 26-bit gaps, and
+        // its last gap is read through a window that runs past the end
+        // of the byte array.
+        let list: Vec<u32> = (0..70u32).map(|i| i * 60_000_000).collect();
+        let adj = lone(3, &list);
+        let second = chunk_start(&adj.bytes, 4, 1);
+        let (first_len, width) = header(adj.bytes[second]);
+        assert_eq!(second + chunk_len(first_len, width, 6), adj.bytes.len());
+        let last_window = second + 1 + first_len + 4 * width / 8;
+        assert!(last_window + 8 > adj.bytes.len());
+        assert_eq!(adj.decode_neighbors(3).unwrap(), list);
+        assert_eq!(collect_spans(&adj, 3), list);
+        assert_eq!(adj.decode_chunk(3, 1).unwrap(), &list[64..]);
+    }
+
+    #[test]
+    fn golden_bytes_pin_the_format() {
+        // Vertex 5, neighbors 3 4 6 6 13: first − v = −2, zigzag 3, one
+        // byte; gaps 1 2 0 7 need 3 bits each, 12 bits packed LSB-first.
+        let adj = lone(5, &[3, 4, 6, 6, 13]);
+        assert_eq!(adj.bytes, [0x0c, 0x03, 0x11, 0x0e]);
+    }
+
+    #[test]
+    fn unsorted_lists_are_refused() {
+        // Out of order inside a chunk, and across a chunk boundary.
+        let across: Vec<u32> = (10..74).chain([0]).collect();
+        for list in [vec![5, 3], across] {
+            let refused = std::panic::catch_unwind(|| {
+                encode_vertex(0, list.iter().copied(), &mut Vec::new());
+            });
+            assert!(refused.is_err(), "{list:?}");
+        }
+    }
+
+    /// A one-vertex graph of `nv` vertices whose vertex 0 has `degree`
+    /// edges and the stream `bytes`.
+    fn raw(nv: usize, degree: u64, bytes: Vec<u8>) -> CcsrAdjacency<Edge> {
+        let mut edge_offsets = vec![degree; nv + 1];
+        edge_offsets[0] = 0;
+        let mut byte_offsets = vec![bytes.len() as u64; nv + 1];
+        byte_offsets[0] = 0;
+        CcsrAdjacency::from_parts(nv, false, edge_offsets, byte_offsets, bytes, Vec::new())
+    }
+
+    #[test]
+    fn width_past_32_is_bad_width() {
+        let adj = raw(1, 2, vec![33 << 2, 0, 0]);
+        assert_eq!(
+            adj.decode_neighbors(0),
+            Err(CcsrError::BadWidth {
+                vertex: 0,
+                offset: 0
+            })
+        );
+    }
+
+    #[test]
+    fn packed_gaps_past_the_stream_are_truncated() {
+        // Width 8, three neighbors: two gap bytes are due, one is there.
+        let adj = raw(16, 3, vec![8 << 2, 0, 0]);
+        assert_eq!(
+            adj.decode_neighbors(0),
+            Err(CcsrError::Truncated {
+                vertex: 0,
+                offset: 3
+            })
+        );
+    }
+
+    #[test]
+    fn gap_past_the_vertex_count_is_out_of_range() {
+        // First neighbor 1 (zigzag 2), then a gap of 127 in 16 vertices.
+        let adj = raw(16, 2, vec![8 << 2, 2, 0x7f]);
+        assert_eq!(
+            adj.decode_neighbors(0),
+            Err(CcsrError::NeighborOutOfRange {
+                vertex: 0,
+                neighbor: 128
+            })
+        );
+    }
+
+    #[test]
+    fn chunk_past_the_last_is_a_typed_error() {
+        let list: Vec<u32> = (0..150).collect();
+        let adj = encode(150, &[list, vec![]], false);
+        assert_eq!(
+            adj.decode_chunk(0, 3),
+            Err(CcsrError::ChunkOutOfRange {
+                vertex: 0,
+                chunk: 3,
+                chunks: 3
+            })
+        );
+        assert_eq!(
+            adj.decode_chunk(1, 0),
+            Err(CcsrError::ChunkOutOfRange {
+                vertex: 1,
+                chunk: 0,
+                chunks: 0
+            })
+        );
     }
 }

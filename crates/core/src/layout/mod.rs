@@ -7,9 +7,9 @@
 //!   per-vertex allocated (built dynamically); enables vertex-centric
 //!   computation on the active subset.
 //! * **Compressed CSR** ([`ccsr::CcsrAdjacency`], [`ccsr::CcsrList`]) —
-//!   sorted neighbor lists as byte-varint delta streams with chunked
-//!   random access; trades decode cycles for memory bandwidth
-//!   (DESIGN.md §14).
+//!   sorted neighbor lists as delta streams bit-packed at one width per
+//!   chunk, with chunked random access; trades decode cycles for memory
+//!   bandwidth (DESIGN.md §14).
 //! * **Grid** ([`Grid`]) — a P×P matrix of edge cells (GridGraph's
 //!   layout adapted to in-memory processing); improves cache locality
 //!   and enables lock-free push and pull (column ownership: a column

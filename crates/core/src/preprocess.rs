@@ -442,10 +442,10 @@ impl GridBuilder {
     }
 }
 
-/// Builder for compressed-CSR layouts (§ccsr of DESIGN.md): sorted
-/// neighbor lists encoded as first-neighbor-delta plus byte-varint
-/// gaps, chunked so workers decode one vertex without touching its
-/// neighbors' chunks.
+/// Builder for compressed-CSR layouts (DESIGN.md §14): sorted neighbor
+/// lists encoded per chunk as a header byte, the first-neighbor delta
+/// and gaps bit-packed at one width, chunked so workers decode one
+/// vertex without touching its neighbors' chunks.
 ///
 /// Neighbor lists are always sorted — gap encoding requires it — so a
 /// ccsr build is exactly a `CsrBuilder::sort_neighbors(true)` build

@@ -91,8 +91,8 @@ pub enum Layout {
     EdgeList,
     /// The 2-D grid of edge blocks.
     Grid,
-    /// Compressed CSR: delta/varint-encoded sorted neighbor lists,
-    /// decoded on the fly (DESIGN.md §14).
+    /// Compressed CSR: sorted neighbor lists delta-coded and bit-packed
+    /// at one width per chunk, decoded on the fly (DESIGN.md §14).
     Ccsr,
     /// The mutable layout: a frozen CSR plus an append-only
     /// insert/delete log overlay (DESIGN.md §16). With an empty log it

@@ -245,6 +245,27 @@ if [ "$unsafe_files" != "crates/storage/src/pod.rs" ]; then
     exit 1
 fi
 
+# The compressed layout has one codec: a header byte per chunk, then
+# gaps bit-packed at the chunk's one width and read through a safe
+# zero-filled window. A byte-varint reader or writer, its 7-bit
+# compaction or its windowed decoder in non-test core code is the second
+# codec coming back; `unsafe` in the codec file is a padding invariant
+# coming back.
+echo "== one ccsr codec =="
+offenders=$(find crates/core/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && tolower($0) ~ /varint|compact7|decode_varint_window/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +
+    awk '/(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/core/src/layout/ccsr.rs)
+if [ -n "$offenders" ]; then
+    echo "a second ccsr codec in crates/core/src, or unsafe in layout/ccsr.rs:"
+    echo "$offenders"
+    exit 1
+fi
+
 # Builders partition the input they are given: the sorting strategies
 # read the caller's borrowed edge array and get their offset table from
 # the last level's histograms. A defensive copy in front of a sort, an
