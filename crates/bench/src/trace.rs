@@ -36,6 +36,12 @@ pub(crate) const BFS_STRIDE: u64 = 1;
 /// PageRank metadata footprint: rank + degree + accumulator ≈ 12 bytes
 /// ("a cache line can fit at most 6 vertices for Pagerank", §5.2 —
 /// 64 / 6 ≈ 11).
+///
+/// The replay models the paper's one shared accumulator per vertex,
+/// not the product's: `SyncMode::Atomics` push on a layout that does
+/// not own its destinations adds into one `f32` stripe per worker and
+/// sums the stripes after the round (DESIGN.md §9), which this serial
+/// replay of the paper's access order leaves out.
 pub(crate) const PAGERANK_STRIDE: u64 = 12;
 
 /// A layout whose push rounds the replay reproduces: the three of

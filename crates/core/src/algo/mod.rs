@@ -20,8 +20,11 @@
 //! exceeds [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
 //! reporting which path ran via [`IncrementalOutcome`].
 
+use crate::engine::PushOp;
 use crate::exec::ExecCtx;
 use crate::metrics::{frontier_density, DirectionDecision, IterStat, StepMode};
+use crate::types::EdgeRecord;
+use crate::util::UnsyncSlice;
 
 pub mod als;
 pub mod bfs;
@@ -75,6 +78,72 @@ pub(crate) fn record_repair(
         ctx.recorder.record_iteration(*batches_applied, &stat);
     }
     *batches_applied += 1;
+}
+
+/// Per-worker partial sums for all-active push accumulation on layouts
+/// whose rounds do not own their destinations (DESIGN.md §9): one
+/// `nv`-long `f32` stripe per worker of the active pool, written with
+/// plain adds, so no edge touches a cache line another worker writes.
+/// Allocated once per run; [`Self::drain`] reduces and re-zeroes it.
+pub(crate) struct Stripes {
+    cells: Vec<f32>,
+    nv: usize,
+}
+
+/// The push rule of [`Stripes::add`]: adds `value(e)` into the calling
+/// worker's cell for `e.dst()`.
+pub(crate) struct StripedAdd<'a, F> {
+    cells: UnsyncSlice<'a, f32>,
+    nv: usize,
+    value: F,
+}
+
+impl<E: EdgeRecord, F: Fn(&E) -> f32 + Sync> PushOp<E> for StripedAdd<'_, F> {
+    #[inline]
+    fn push(&self, e: &E) -> bool {
+        let i = egraph_parallel::current_worker_index().unwrap_or(0) * self.nv + e.dst() as usize;
+        // SAFETY: this rule is built only by `Stripes::add` over
+        // stripes no other run shares, and handed only to one push
+        // round, whose chunks run on the workers of one region (or on
+        // the calling thread alone, as worker 0). Worker ids are dense
+        // in `0..current_num_threads()` and each id is one thread
+        // inside a region (a nested region runs inline on the outer
+        // worker's id), so stripe `w` has one writer. `i` is
+        // bounds-checked: an id past the width the stripes were sized
+        // for panics instead of aliasing.
+        unsafe { self.cells.update(i, |a| *a += (self.value)(e)) };
+        false
+    }
+}
+
+impl Stripes {
+    /// Zeroed stripes for `nv` vertices, one per worker of the calling
+    /// thread's active pool.
+    pub(crate) fn new(nv: usize) -> Self {
+        let cells = vec![0.0; egraph_parallel::current_num_threads() * nv];
+        Self { cells, nv }
+    }
+
+    /// The push rule adding `value(e)` for every edge it is handed.
+    pub(crate) fn add<F>(&mut self, value: F) -> StripedAdd<'_, F> {
+        let (nv, cells) = (self.nv, UnsyncSlice::new(&mut self.cells));
+        StripedAdd { cells, nv, value }
+    }
+
+    /// One parallel pass returning `Σ_w stripe[w][v]` for every `v`,
+    /// summed in fixed worker order, zeroing each cell it reads.
+    pub(crate) fn drain(&mut self) -> Vec<f32> {
+        let (nv, cells) = (self.nv, UnsyncSlice::new(&mut self.cells));
+        egraph_parallel::ops::parallel_init(nv, 1 << 14, |v| {
+            let mut sum = 0.0;
+            for i in (v..cells.len()).step_by(nv) {
+                // SAFETY: `v` is one task's, so column `v` of every
+                // stripe has one reader and writer in this pass.
+                unsafe { cells.update(i, |c| sum += std::mem::take(c)) };
+            }
+            sum
+        })
+    }
 }
 
 #[cfg(test)]

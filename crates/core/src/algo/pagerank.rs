@@ -7,9 +7,7 @@
 //! paper uses 10) with damping 0.85 and produce identical ranks up to
 //! floating-point reassociation.
 
-use egraph_parallel::atomicf::AtomicF32;
-use std::sync::atomic::Ordering;
-
+use super::Stripes;
 use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
@@ -236,20 +234,6 @@ pub(crate) fn pull_impl<E: EdgeRecord, F, L: PullLayout<E, F>>(
     )
 }
 
-/// Push rule accumulating into atomic floats (CAS loops).
-struct PrPushAtomic<'a> {
-    contrib: &'a [f32],
-    acc: &'a [AtomicF32],
-}
-
-impl<E: EdgeRecord> PushOp<E> for PrPushAtomic<'_> {
-    #[inline]
-    fn push(&self, e: &E) -> bool {
-        self.acc[e.dst() as usize].fetch_add(self.contrib[e.src() as usize], Ordering::Relaxed);
-        false
-    }
-}
-
 /// Push rule accumulating under striped per-vertex locks — the paper's
 /// lock-based synchronization ("40% of the algorithm execution time is
 /// spent in code protected by locks", §6.1.2).
@@ -315,10 +299,11 @@ pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(
 }
 
 /// Push PageRank on any layout: every power iteration is one push
-/// round from the full vertex set. `sync` picks atomic or locked
-/// accumulation; a layout whose rounds own their destinations
-/// ([`EngineLayout::DST_EXCLUSIVE`]) needs neither and gets plain
-/// writes.
+/// round from the full vertex set. A layout whose rounds own their
+/// destinations ([`EngineLayout::DST_EXCLUSIVE`]) gets plain writes;
+/// elsewhere [`SyncMode::Atomics`] adds into per-worker [`Stripes`]
+/// reduced once per iteration, and [`SyncMode::Locks`] into one vector
+/// under striped locks.
 pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
     out_degrees: &[u32],
@@ -328,6 +313,7 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
 ) -> PagerankResult {
     let nv = layout.num_vertices();
     let all = VertexSubset::all(nv);
+    let mut stripes = (sync == SyncMode::Atomics && !L::DST_EXCLUSIVE).then(|| Stripes::new(nv));
     run_power(
         ctx,
         nv,
@@ -336,30 +322,26 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
         out_degrees,
         cfg,
         |contrib| {
-            if sync == SyncMode::Atomics && !L::DST_EXCLUSIVE {
-                let acc: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
-                let op = PrPushAtomic { contrib, acc: &acc };
+            if let Some(stripes) = &mut stripes {
+                let op = stripes.add(|e: &E| contrib[e.src() as usize]);
                 layout.push_round(&all, &op, ctx, FrontierKind::Sparse);
-                return acc.into_iter().map(|a| a.load(Ordering::Relaxed)).collect();
+                return stripes.drain();
             }
-            let mut acc = vec![0.0f32; nv];
-            let slots = UnsyncSlice::new(&mut acc);
+            let mut sums = vec![0.0f32; nv];
+            let acc = UnsyncSlice::new(&mut sums);
             if L::DST_EXCLUSIVE {
-                let op = PrPushExclusive {
-                    contrib,
-                    acc: slots,
-                };
+                let op = PrPushExclusive { contrib, acc };
                 layout.push_round(&all, &op, ctx, FrontierKind::Sparse);
             } else {
                 let locks = StripedLocks::default();
                 let op = PrPushLocked {
                     contrib,
-                    acc: slots,
+                    acc,
                     locks: &locks,
                 };
                 layout.push_round(&all, &op, ctx, FrontierKind::Sparse);
             }
-            acc
+            sums
         },
     )
 }

@@ -7,10 +7,7 @@
 //! execution is not amortized by any gains in algorithm execution
 //! time." (§4.2)
 
-use std::sync::atomic::Ordering;
-
-use egraph_parallel::atomicf::AtomicF32;
-
+use super::Stripes;
 use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
@@ -37,21 +34,6 @@ pub struct SpmvResult {
     pub seconds: f64,
 }
 
-/// Push rule accumulating into atomic floats.
-struct SpmvPushOp<'a> {
-    x: &'a [f32],
-    y: &'a [AtomicF32],
-}
-
-impl<E: EdgeRecord> PushOp<E> for SpmvPushOp<'_> {
-    #[inline]
-    fn push(&self, e: &E) -> bool {
-        self.y[e.dst() as usize]
-            .fetch_add(e.weight() * self.x[e.src() as usize], Ordering::Relaxed);
-        false
-    }
-}
-
 /// Push rule with plain writes (no locks, no atomics), for layouts
 /// whose push rounds own their destinations
 /// ([`EngineLayout::DST_EXCLUSIVE`]: grid columns).
@@ -75,8 +57,8 @@ impl<E: EdgeRecord> PushOp<E> for SpmvPushExclusive<'_> {
     }
 }
 
-/// Edge-centric SpMV: one streaming pass over the edge array, atomic
-/// accumulation into `y`.
+/// Edge-centric SpMV: one streaming pass over the edge array into
+/// per-worker stripes, then one pass summing them into `y`.
 ///
 /// # Panics
 ///
@@ -100,8 +82,9 @@ pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>, x: &[f32]) -> SpmvResu
 }
 
 /// Push SpMV on any layout: one push round from the full vertex set,
-/// accumulating atomically — or with plain writes where the layout's
-/// rounds own their destinations.
+/// accumulating into per-worker [`Stripes`] reduced into `y` — or with
+/// plain writes into `y` where the layout's rounds own their
+/// destinations.
 pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
     x: &[f32],
@@ -119,11 +102,12 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
         let (_, seconds) = timed(|| layout.push_round(&all, &op, ctx, FrontierKind::Sparse));
         (y, seconds)
     } else {
-        let y: Vec<AtomicF32> = (0..nv).map(|_| AtomicF32::new(0.0)).collect();
-        let op = SpmvPushOp { x, y: &y };
-        let (_, seconds) = timed(|| layout.push_round(&all, &op, ctx, FrontierKind::Sparse));
-        let y = y.into_iter().map(|v| v.load(Ordering::Relaxed)).collect();
-        (y, seconds)
+        let mut stripes = Stripes::new(nv);
+        timed(|| {
+            let op = stripes.add(|e: &E| e.weight() * x[e.src() as usize]);
+            layout.push_round(&all, &op, ctx, FrontierKind::Sparse);
+            stripes.drain()
+        })
     };
     record_pass(ctx, nv, layout.num_edges(), seconds, StepMode::Push);
     SpmvResult { y, seconds }

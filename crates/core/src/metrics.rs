@@ -204,7 +204,11 @@ impl Direction {
 /// How push variants synchronize concurrent writes to a destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SyncMode {
-    /// Atomic claims / accumulation (the default).
+    /// The default; per kernel: CAS claims for the traversals (BFS's
+    /// parent claim, SSSP's `fetch_min`, union-find's hook), per-worker
+    /// stripes summed after the round for all-active push (PageRank,
+    /// SpMV) on layouts that do not own their destinations, and column
+    /// ownership with plain writes on the grid (DESIGN.md §3.4, §9).
     #[default]
     Atomics,
     /// Per-vertex striped locks.

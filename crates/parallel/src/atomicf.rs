@@ -1,11 +1,15 @@
 //! Atomic floating-point cells.
 //!
-//! PageRank, SpMV and ALS accumulate `f32`/`f64` contributions from many
-//! threads. Rust's standard library has no atomic floats, so these
-//! wrappers store the bit pattern in an atomic integer and implement
-//! read-modify-write operations with compare-exchange loops — the
-//! "atomics" synchronization strategy the engine offers as an
-//! alternative to the paper's per-vertex locks.
+//! Rust's standard library has no atomic floats, so these wrappers store
+//! the bit pattern in an atomic integer. Their one read-modify-write is
+//! [`AtomicF32::fetch_min`], a compare-exchange loop that only ever
+//! lowers the cell: SSSP's relaxations and the serve tier's SSSP lanes,
+//! where a tentative distance only decreases.
+//!
+//! Accumulation does not go through here. All-active push sums
+//! (PageRank, SpMV) add into per-worker stripes with plain writes and
+//! reduce them once per round, and pull kernels and ALS give every
+//! output cell a single writer (DESIGN.md §9).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -36,25 +40,6 @@ macro_rules! atomic_float {
             #[inline]
             pub fn store(&self, value: $float, order: Ordering) {
                 self.bits.store(value.to_bits(), order);
-            }
-
-            /// Atomically adds `delta` and returns the previous value.
-            ///
-            /// Implemented as a compare-exchange loop; under contention
-            /// it retries until the update lands.
-            #[inline]
-            pub fn fetch_add(&self, delta: $float, order: Ordering) -> $float {
-                let mut current = self.bits.load(Ordering::Relaxed);
-                loop {
-                    let new = (<$float>::from_bits(current) + delta).to_bits();
-                    match self
-                        .bits
-                        .compare_exchange_weak(current, new, order, Ordering::Relaxed)
-                    {
-                        Ok(prev) => return <$float>::from_bits(prev),
-                        Err(observed) => current = observed,
-                    }
-                }
             }
 
             /// Atomically lowers the cell to `min(current, value)` and
@@ -111,18 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_fetch_add_is_exact_for_representable_sums() {
-        // 0.25 sums exactly in f64; concurrency must not lose updates.
-        let a = AtomicF64::new(0.0);
-        parallel_for(0..10_000, 64, |r| {
-            for _ in r {
-                a.fetch_add(0.25, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(a.load(Ordering::SeqCst), 2500.0);
-    }
-
-    #[test]
     fn fetch_min_keeps_minimum() {
         let a = AtomicF32::new(f32::INFINITY);
         assert!(a.fetch_min(10.0, Ordering::Relaxed));
@@ -140,13 +113,6 @@ mod tests {
             }
         });
         assert_eq!(a.load(Ordering::SeqCst), 0.0);
-    }
-
-    #[test]
-    fn fetch_add_returns_previous() {
-        let a = AtomicF32::new(1.0);
-        assert_eq!(a.fetch_add(2.0, Ordering::SeqCst), 1.0);
-        assert_eq!(a.load(Ordering::SeqCst), 3.0);
     }
 
     #[test]

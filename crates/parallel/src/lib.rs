@@ -21,8 +21,8 @@
 //!   prefix-sum [`parallel_collect`] and its order-preserving sibling
 //!   [`parallel_collect_ordered`], which replace shared locked
 //!   collections on the frontier and pre-processing hot paths, and
-//! * atomic float adapters ([`atomicf`]) used by PageRank, SpMV and ALS,
-//!   and
+//! * atomic float cells ([`atomicf`]) whose `fetch_min` SSSP and the
+//!   serve tier's distance lanes relax through, and
 //! * a bounded bucket queue ([`buckets`]) for algorithms that process
 //!   vertices in priority order between parallel rounds (bucketed
 //!   SSSP).

@@ -121,6 +121,48 @@ if [ -n "$others" ] || [ "$allowed" -ne 2 ]; then
     exit 1
 fi
 
+# All-active push sums (PageRank, SpMV) add into per-worker stripes
+# with plain writes and reduce them once per round (`algo::Stripes`):
+# the CAS rules (`PrPushAtomic`, `SpmvPushOp`), a `.fetch_add(` whose
+# receiver is a name declared with an atomic-float type (the receiver
+# may end the line before), or a `fetch_add` defined on the atomic
+# floats themselves is a shared cache line per edge coming back. Each
+# file is read twice: the first pass collects the declared names.
+echo "== no CAS accumulation =="
+offenders=$(find crates/core/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { pass++; in_tests = 0; prev = "" }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*\/\// { next }
+        pass == 1 {
+            rest = $0
+            while (match(rest, /[a-z_][a-z0-9_]*:[^:;,=]*AtomicF(32|64)/)) {
+                name = substr(rest, RSTART, RLENGTH)
+                sub(/:.*/, "", name)
+                floats[name] = 1
+                rest = substr(rest, RSTART + RLENGTH)
+            }
+            next
+        }
+        /PrPushAtomic|SpmvPushOp/ { print FILENAME ":" FNR ": " $0 }
+        /\.fetch_add\(/ {
+            receiver = $0
+            sub(/\.fetch_add\(.*/, "", receiver)
+            if (receiver ~ /^[[:space:]]*$/) receiver = prev
+            for (name in floats)
+                if (receiver ~ ("(^|[^a-z0-9_])" name "([^a-z0-9_]|$)")) {
+                    print FILENAME ":" FNR ": " $0
+                    break
+                }
+        }
+        { prev = $0 }' {} {} \;
+    awk '!/^[[:space:]]*\/\// && /fn fetch_add\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/parallel/src/atomicf.rs)
+if [ -n "$offenders" ]; then
+    echo "CAS accumulation in crates/core/src or a fetch_add on the atomic floats:"
+    echo "$offenders"
+    exit 1
+fi
+
 # Capability is a type: a layout that can pull is a `PullLayout`, a rule
 # that can pull a `PullAlgo`, and `edge_map` takes a pulling policy for
 # such a pair only. The stand-ins this replaced — the `NoPull` stub, a
