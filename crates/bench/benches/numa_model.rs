@@ -2,7 +2,7 @@
 //! locality-profile computation the §7 experiments run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use egraph_core::numa_sim::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
+use egraph_bench::numa::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
 use std::hint::black_box;
 
 fn bench_partitioning(c: &mut Criterion) {

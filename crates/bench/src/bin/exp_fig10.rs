@@ -6,10 +6,10 @@
 //! BFS, and the localized wavefront turns the partitioned layout into
 //! a serial sequence of memory-controller hotspots.
 
+use egraph_bench::numa::{bfs_locality, partition_by_target, DataPolicy};
 use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
 use egraph_core::algo::bfs;
 use egraph_core::layout::EdgeDirection;
-use egraph_core::numa_sim::{bfs_locality, partition_by_target, DataPolicy};
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 use egraph_numa::{CostModel, MemoryBoundness, Topology};
 

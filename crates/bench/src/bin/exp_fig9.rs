@@ -1,17 +1,17 @@
 //! Figure 9: NUMA-aware data placement vs interleaving, for BFS and
 //! PageRank on machines A (2 NUMA nodes) and B (4 nodes).
 //!
-//! Partitioning cost is measured for real (`numa_sim::partition_by_target`);
+//! Partitioning cost is measured for real (`egraph_bench::numa::partition_by_target`);
 //! the algorithm bar is the measured single-node time scaled by the
 //! locality cost model (DESIGN.md §4). Expected shape: NUMA-awareness
 //! pays end-to-end only for PageRank and only on machine B; for BFS it
 //! loses on both machines (partitioning dwarfs the run, and frontier
 //! concentration causes memory contention).
 
+use egraph_bench::numa::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
 use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
 use egraph_core::algo::{bfs, pagerank};
 use egraph_core::layout::EdgeDirection;
-use egraph_core::numa_sim::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 use egraph_numa::{CostModel, MemoryBoundness, Topology};
 

@@ -55,7 +55,7 @@ fn main() {
     println!("  radix-sort CSR building (Ligra) -> egraph_core::preprocess + egraph_sort::radix");
     println!("  edge-centric model (X-Stream)   -> egraph_core::engine::scan_push over EdgeList");
     println!("  grid layout (GridGraph)         -> egraph_core::layout::{{Grid, GridCells}}");
-    println!("  NUMA partitioning (Polymer/Gemini) -> egraph_core::numa_sim::partition_by_target");
+    println!("  NUMA partitioning (Polymer/Gemini) -> egraph_bench::numa::partition_by_target");
     println!("  lock removal (all of the above) -> engine column/row ownership + pull mode");
     let _ = table.save_csv(std::path::Path::new("bench_results"));
 }

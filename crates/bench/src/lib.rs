@@ -18,6 +18,7 @@
 
 pub mod graphs;
 pub mod llc;
+pub mod numa;
 pub mod table;
 pub mod trace;
 

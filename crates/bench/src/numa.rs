@@ -1,5 +1,5 @@
-//! NUMA-aware partitioning and the locality simulation behind the §7
-//! experiments.
+//! NUMA-aware partitioning and the locality model behind the §7
+//! experiments (Fig. 9 and 10).
 //!
 //! The **partitioning work is real**: [`partition_by_target`] splits
 //! vertices into edge-balanced contiguous ranges (one per NUMA node)
@@ -8,8 +8,8 @@
 //! into local writes. Its cost is measured with a wall clock and
 //! reported as the "Partitioning" bar of Fig. 9/10.
 //!
-//! The **timing consequences are modeled**: this host has one NUMA
-//! node, so instead of timing remote accesses we *count* them.
+//! The **timing consequences are modeled**: a one-node host cannot time
+//! remote accesses, so they are *counted* instead.
 //! [`pagerank_locality`] and [`bfs_locality`] replay the exact access
 //! pattern of the respective algorithm against a [`Placement`] and
 //! produce the node-to-node traffic matrix that
@@ -19,15 +19,17 @@
 //! busier nodes is spread over idle ones — which is how a concentrated
 //! BFS frontier ends up with every core hammering one memory
 //! controller (§7.2).
+//!
+//! Like the LLC model ([`crate::llc`]), this is a modeled substrate: it
+//! lives with the experiments, and the product crates do not link it.
 
 use std::ops::Range;
 use std::time::Instant;
 
+use egraph_core::types::{EdgeList, EdgeRecord};
 use egraph_numa::{
     edge_balanced_ranges, CostModel, LocalityStats, MemoryBoundness, ModeledTime, Placement,
 };
-
-use crate::types::{EdgeList, EdgeRecord};
 
 /// The locality summary of one algorithm execution under a placement.
 ///
@@ -178,22 +180,20 @@ pub fn partition_by_target<E: EdgeRecord>(
     );
     let vertex_ranges = edge_balanced_ranges(&in_degrees, num_nodes);
     // O(1) ownership lookups through a dense owner table.
-    let mut owner = vec![0u8; nv];
+    let mut owner = vec![0u32; nv];
     for (node, range) in vertex_ranges.iter().enumerate() {
-        owner[range.clone()].fill(node as u8);
+        owner[range.clone()].fill(node as u32);
     }
-    // Physically group the edges per owner node: a single-digit radix
-    // pass (sequential bucket writes, like the CSR builders).
-    let mut grouped = input.edges().to_vec();
-    let owner_key = |e: &E| owner[e.dst() as usize] as u64;
-    egraph_sort::radix_sort_by_key(&mut grouped, egraph_sort::key_bits(num_nodes), owner_key);
-    let mut per_node_edges = Vec::with_capacity(num_nodes);
-    for node in 0..num_nodes {
-        let head_len = grouped.partition_point(|e| owner_key(e) <= node as u64);
-        let tail = grouped.split_off(head_len);
-        per_node_edges.push(std::mem::replace(&mut grouped, tail));
-    }
-    debug_assert!(grouped.is_empty());
+    // Physically group the edges per owner node: one stable radix
+    // partition of the borrowed edge array, split at its offsets.
+    let grouped = egraph_sort::radix_partition_by_key(input.edges(), num_nodes, |e| {
+        owner[e.dst() as usize] as u64
+    });
+    let per_node_edges = grouped
+        .offsets
+        .windows(2)
+        .map(|w| grouped.sorted[w[0] as usize..w[1] as usize].to_vec())
+        .collect();
     NumaPartition {
         vertex_ranges,
         per_node_edges,
@@ -440,7 +440,7 @@ pub fn bfs_locality<E: EdgeRecord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Edge;
+    use egraph_core::types::Edge;
 
     fn random_graph(nv: usize, ne: usize, seed: u64) -> EdgeList<Edge> {
         let mut state = seed | 1;
@@ -484,6 +484,29 @@ mod tests {
         let max = *sizes.iter().max().unwrap() as f64;
         let min = *sizes.iter().min().unwrap() as f64;
         assert!(max / min.max(1.0) < 1.5, "imbalanced: {sizes:?}");
+    }
+
+    #[test]
+    fn every_edge_is_stored_with_the_owner_of_its_target() {
+        // 300 nodes puts owner ids past 255, where a byte-wide owner
+        // table wraps.
+        let input = egraph_graphgen::rmat(12, 16, 4);
+        for nodes in [1usize, 2, 4, 8, 300] {
+            let p = partition_by_target(&input, nodes);
+            for (n, (range, edges)) in p.vertex_ranges.iter().zip(&p.per_node_edges).enumerate() {
+                let strays = edges.iter().filter(|e| !range.contains(&(e.dst as usize)));
+                assert_eq!(strays.count(), 0, "node {n} of {nodes}");
+                // The partition is stable: a node keeps its edges in
+                // input order.
+                let expected: Vec<Edge> = input
+                    .edges()
+                    .iter()
+                    .copied()
+                    .filter(|e| range.contains(&(e.dst as usize)))
+                    .collect();
+                assert_eq!(edges, &expected, "node {n} of {nodes}");
+            }
+        }
     }
 
     #[test]

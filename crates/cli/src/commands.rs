@@ -18,7 +18,6 @@ use egraph_core::variant::{
     default_grid_side, run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, SyncMode,
     VariantId, VariantOutput,
 };
-use egraph_numa::Topology;
 use egraph_parallel::timeline;
 use egraph_storage::{read_edge_list, write_edge_list, FormatError};
 
@@ -35,8 +34,9 @@ USAGE:
   egraph serve <FILE> --listen H:P [options]
   egraph update <FILE> --deltas FILE.ndjson --out FILE  (offline merge)
   egraph update --to H:P --deltas FILE.ndjson [--compact false]
-  egraph advise [--algo A] [--vertices N] [--edges M] [--machine a|b|single]
-  egraph partition <FILE> [--nodes N]
+  egraph advise <FILE> --algo <bfs|pagerank|sssp|wcc|spmv>
+                           (the §9 roadmap's pick for the file's average
+                            degree, printed as algo/layout/direction)
   egraph convert <IN> <OUT> [--from snap|dimacs|bin] [--to snap|bin] [--weighted true]
   egraph trace diff <OLD> <NEW> [--threshold PCT] [--min-seconds S] [--min-bytes B]
   egraph explain <TRACE>   (per-iteration report: table, density sparkline,
@@ -170,7 +170,6 @@ pub fn dispatch(argv: &[String]) -> CliResult {
         "serve" => cmd_serve(&args),
         "update" => cmd_update(&args),
         "advise" => cmd_advise(&args),
-        "partition" => cmd_partition(&args),
         "convert" => cmd_convert(&args),
         "trace" => cmd_trace(&args),
         "explain" => cmd_explain(&args),
@@ -1039,70 +1038,23 @@ fn cmd_update_stream(args: &Args, addr: &str) -> CliResult {
 }
 
 fn cmd_advise(args: &Args) -> CliResult {
-    let algo_name = args.get_or("algo", "bfs").to_string();
-    let vertices: usize = args.get_parsed_or("vertices", 1 << 26, "integer")?;
-    let edges: usize = args.get_parsed_or("edges", 1 << 30, "integer")?;
-    let high_diameter = args.get_or("high-diameter", "false") == "true";
-    let seconds: f64 = args.get_parsed_or("seconds", 5.0, "number")?;
-    let machine = match args.get_or("machine", "b") {
-        "a" => Topology::machine_a(),
-        "b" => Topology::machine_b(),
-        "single" => Topology::single_node(),
-        other => return Err(format!("unknown machine '{other}' (a|b|single)").into()),
-    };
+    let path = args.positional(1, "input file")?;
+    let algo: Algo = args.get("algo").ok_or("advise needs --algo A")?.parse()?;
     args.reject_unknown()?;
-
-    let algo = match algo_name.as_str() {
-        "bfs" | "sssp" | "wcc" => roadmap::AlgorithmTraits::traversal(seconds),
-        "pagerank" | "als" => roadmap::AlgorithmTraits::full_graph_iterative(seconds),
-        "spmv" => roadmap::AlgorithmTraits::single_pass(),
-        other => return Err(format!("unknown algorithm '{other}'").into()),
+    let (num_vertices, num_edges) = match load_any(path)? {
+        AnyGraph::Unweighted(g) => (g.num_vertices(), g.num_edges()),
+        AnyGraph::Weighted(g) => (g.num_vertices(), g.num_edges()),
     };
-    let graph = roadmap::GraphTraits::new(vertices, edges, high_diameter);
-    let r = roadmap::recommend(&algo, &graph, &machine);
+    let avg_degree = num_edges as f64 / num_vertices.max(1) as f64;
+    let r = roadmap::recommend(algo, avg_degree);
+    let id = r.variant;
+    println!("{id}  ({num_vertices} vertices, {num_edges} edges, avg degree {avg_degree:.2})");
     println!(
-        "recommendation for {algo_name} on {} ({} nodes):",
-        machine.name, machine.num_nodes
-    );
-    println!(
-        "  layout {:?}, flow {:?}, lock-free {}, NUMA-aware {}, build with {}",
-        r.layout,
-        r.flow,
-        r.lock_free,
-        r.numa_aware,
-        r.preprocessing.name()
+        "  run with: egraph run {} {path} --layout {} --flow {}",
+        id.algo, id.layout, id.direction
     );
     for line in &r.rationale {
         println!("  * {line}");
-    }
-    Ok(())
-}
-
-fn cmd_partition(args: &Args) -> CliResult {
-    let path = args.positional(1, "input file")?;
-    let nodes: usize = args.get_parsed_or("nodes", 4, "integer")?;
-    args.reject_unknown()?;
-    let graph = match load_any(path)? {
-        AnyGraph::Unweighted(g) => g,
-        AnyGraph::Weighted(g) => g.map_records(|e| Edge::new(e.src, e.dst)),
-    };
-    let partition = egraph_core::numa_sim::partition_by_target(&graph, nodes);
-    println!(
-        "partitioned into {nodes} nodes in {:.3}s:",
-        partition.seconds
-    );
-    for (node, (range, edges)) in partition
-        .vertex_ranges
-        .iter()
-        .zip(&partition.per_node_edges)
-        .enumerate()
-    {
-        println!(
-            "  node {node}: vertices {:>9}..{:<9}  edges {:>9}",
-            range.start,
-            range.end,
-            edges.len()
-        );
     }
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! egraph generate rmat --scale 20 --out graph.egr
 //! egraph info graph.egr
 //! egraph run bfs graph.egr --layout adj --flow push --strategy radix
-//! egraph advise --algo pagerank --vertices 62000000 --edges 1468000000 --machine b
+//! egraph advise graph.egr --algo pagerank
 //! ```
 
 use std::process::ExitCode;

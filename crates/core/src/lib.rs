@@ -18,9 +18,12 @@
 //!   exclusivity (lock free),
 //! * the six study **algorithms** ([`algo`]): BFS, WCC, SSSP, PageRank,
 //!   SpMV and ALS,
-//! * **NUMA-aware partitioning and execution modeling** ([`numa_sim`]),
 //! * end-to-end **time accounting** ([`metrics`]) and the §9 decision
-//!   **roadmap** ([`roadmap`]).
+//!   **roadmap** ([`roadmap`]), which names a runnable
+//!   [`variant::VariantId`].
+//!
+//! The NUMA partitioner and locality model of the §7 experiments are a
+//! modeled substrate and live with them, in `egraph-bench`.
 //!
 //! # Examples
 //!
@@ -49,7 +52,6 @@ pub mod inspect;
 pub mod layout;
 pub mod linalg;
 pub mod metrics;
-pub mod numa_sim;
 pub mod preprocess;
 pub mod roadmap;
 pub mod serve;

@@ -8,274 +8,132 @@
 //! execution without locking […] it is always beneficial to remove
 //! locks. Finally, when pre-processing cannot be avoided […] it should
 //! be optimized by using appropriate sorting techniques."
+//!
+//! [`recommend`] answers the first, third and fourth steps with a
+//! [`VariantId`] that [`run_variant`](crate::variant::run_variant)
+//! runs. The second step has nothing to decide on a one-node host; its
+//! model lives with the Fig. 9/10 experiments in `egraph-bench`.
 
-use egraph_numa::Topology;
-
-use crate::preprocess::Strategy;
-
-/// Workload characteristics the roadmap reasons about.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlgorithmTraits {
-    /// The algorithm finishes in a single pass over the graph (SpMV).
-    pub single_pass: bool,
-    /// Average fraction of vertices active per computation step
-    /// (≈1.0 for PageRank, ≪1 for BFS/SSSP).
-    pub active_fraction: f64,
-    /// Rough expected algorithm execution time in seconds (drives the
-    /// NUMA amortization decision).
-    pub expected_seconds: f64,
-}
-
-impl AlgorithmTraits {
-    /// Traits of a BFS-like traversal.
-    pub fn traversal(expected_seconds: f64) -> Self {
-        Self {
-            single_pass: false,
-            active_fraction: 0.1,
-            expected_seconds,
-        }
-    }
-
-    /// Traits of a PageRank-like full-graph iterative algorithm.
-    pub fn full_graph_iterative(expected_seconds: f64) -> Self {
-        Self {
-            single_pass: false,
-            active_fraction: 1.0,
-            expected_seconds,
-        }
-    }
-
-    /// Traits of a single-pass kernel (SpMV).
-    pub fn single_pass() -> Self {
-        Self {
-            single_pass: true,
-            active_fraction: 1.0,
-            expected_seconds: 1.0,
-        }
-    }
-}
-
-/// Graph characteristics the roadmap reasons about.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GraphTraits {
-    /// Average out-degree (edges / vertices).
-    pub avg_degree: f64,
-    /// Whether the graph has a high diameter with low-degree vertices
-    /// (US-Road-like rather than power-law).
-    pub high_diameter: bool,
-}
-
-impl GraphTraits {
-    /// Derives traits from basic counts.
-    pub fn new(num_vertices: usize, num_edges: usize, high_diameter: bool) -> Self {
-        Self {
-            avg_degree: num_edges as f64 / num_vertices.max(1) as f64,
-            high_diameter,
-        }
-    }
-}
-
-/// Data layout recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutChoice {
-    /// Raw edge array (zero pre-processing).
-    EdgeArray,
-    /// Adjacency list (CSR).
-    AdjacencyList,
-    /// P×P grid.
-    Grid,
-}
-
-/// Information-flow recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowChoice {
-    /// Push along out-edges.
-    Push,
-    /// Pull along in-edges (lock free on adjacency lists).
-    Pull,
-}
+use crate::variant::{sync_matters, Algo, Direction, Layout, VariantId};
 
 /// The roadmap's output.
 #[derive(Debug, Clone)]
 pub struct Recommendation {
-    /// Which layout to build.
-    pub layout: LayoutChoice,
-    /// Which direction information should flow.
-    pub flow: FlowChoice,
-    /// Whether lock-free execution is available with this combination.
-    pub lock_free: bool,
-    /// Whether NUMA-aware partitioning is predicted to pay off.
-    pub numa_aware: bool,
-    /// Which pre-processing strategy to use when a layout must be
-    /// built and the input is already in memory.
-    pub preprocessing: Strategy,
+    /// The combination to run, in the variant table's own terms.
+    pub variant: VariantId,
     /// Human-readable reasoning, one line per decision.
     pub rationale: Vec<String>,
 }
 
-/// Threshold (seconds) above which NUMA partitioning cost is treated
-/// as amortizable.
-const NUMA_AMORTIZATION_SECONDS: f64 = 10.0;
-/// Average degree above which the grid's cache reuse wins for
-/// full-graph algorithms.
+/// Average degree at and above which the grid's cache reuse wins for
+/// full-graph algorithms. Every graph this repo generates falls clearly
+/// on one side: road lattices sit near 4 (US-Road 2.4), RMAT and
+/// Twitter-like at 16 and 24.
 const GRID_DEGREE_THRESHOLD: f64 = 8.0;
 
-/// Applies the §9 roadmap.
-pub fn recommend(
-    algo: &AlgorithmTraits,
-    graph: &GraphTraits,
-    machine: &Topology,
-) -> Recommendation {
-    let mut rationale = Vec::new();
-
-    // Step 1: data layout.
-    let (layout, flow) = if algo.single_pass {
-        rationale
-            .push("single-pass algorithm: edge array avoids all pre-processing (SpMV rule)".into());
-        (LayoutChoice::EdgeArray, FlowChoice::Push)
-    } else if algo.active_fraction < 0.5 {
-        rationale.push(
+/// Applies the §9 roadmap to `algo` on a graph of average out-degree
+/// `avg_degree` (edges / vertices).
+pub fn recommend(algo: Algo, avg_degree: f64) -> Recommendation {
+    use Direction::{Pull, Push};
+    use Layout::{Adjacency, EdgeList, Grid};
+    // Step 1: data layout and direction.
+    let (layout, direction, why) = match algo {
+        Algo::Spmv => (
+            EdgeList,
+            Push,
+            "single-pass algorithm: the edge array avoids all pre-processing (SpMV rule)".into(),
+        ),
+        Algo::Wcc => (
+            EdgeList,
+            Push,
+            "one union-find pass: no layout earns its build back, the adjacency list ends \
+             1.7x (road) and 4.4x (RMAT) behind the edge array end to end \
+             (EXPERIMENTS.md, 'The Table 6 reading this changes')"
+                .into(),
+        ),
+        Algo::Bfs | Algo::Sssp => (
+            Adjacency,
+            Push,
             "small active subset per step: adjacency list in push mode skips inactive vertices"
                 .into(),
-        );
-        (LayoutChoice::AdjacencyList, FlowChoice::Push)
-    } else if graph.avg_degree >= GRID_DEGREE_THRESHOLD && !graph.high_diameter {
-        rationale.push(format!(
-            "full-graph iterations on a high-degree graph (avg {:.1}): grid improves cache reuse",
-            graph.avg_degree
-        ));
-        (LayoutChoice::Grid, FlowChoice::Pull)
-    } else {
-        rationale.push(
-            "full-graph iterations on a low-degree graph: grid cells too sparse to amortize, \
-             edge array wins (US-Road PageRank rule)"
-                .into(),
-        );
-        (LayoutChoice::EdgeArray, FlowChoice::Pull)
+        ),
+        Algo::Pagerank if avg_degree >= GRID_DEGREE_THRESHOLD => (
+            Grid,
+            Pull,
+            format!(
+                "full-graph iterations on a high-degree graph (avg {avg_degree:.1}): \
+                 the grid improves cache reuse"
+            ),
+        ),
+        Algo::Pagerank => (
+            EdgeList,
+            Push,
+            format!(
+                "full-graph iterations on a low-degree graph (avg {avg_degree:.1}): grid cells \
+                 too sparse to amortize, the edge array wins (US-Road PageRank rule)"
+            ),
+        ),
     };
+    let variant = VariantId::new(algo, layout, direction);
+    let mut rationale = vec![why];
 
-    // Step 2: NUMA.
-    let numa_aware = machine.num_nodes >= 4
-        && algo.expected_seconds >= NUMA_AMORTIZATION_SECONDS
-        && algo.active_fraction >= 0.5;
-    if numa_aware {
-        rationale.push(format!(
-            "large NUMA machine ({} nodes) and long full-graph run: partitioning amortizes",
-            machine.num_nodes
-        ));
-    } else if machine.num_nodes > 1 {
-        rationale.push(
-            "NUMA partitioning skipped: machine too small, run too short, or frontier too \
-             concentrated (contention risk)"
-                .into(),
-        );
-    }
-
-    // Step 3: lock removal.
-    let lock_free = matches!(
-        (layout, flow),
-        (LayoutChoice::AdjacencyList, FlowChoice::Pull) | (LayoutChoice::Grid, _)
-    );
-    if lock_free {
-        rationale.push("chosen combination runs without locks: always beneficial".into());
-    }
+    // Step 3: lock removal, read from the variant table.
+    rationale.push(if sync_matters(&variant) {
+        "push writes to shared targets: the default `--sync atomics`, not locks".into()
+    } else {
+        "the combination runs without locks: always beneficial".into()
+    });
 
     // Step 4: pre-processing technique.
-    let preprocessing = Strategy::RadixSort;
-    if layout != LayoutChoice::EdgeArray {
+    if layout != EdgeList {
         rationale.push(
-            "layout must be built: radix sort is fastest for in-memory input (Table 2)".into(),
+            "the layout must be built: radix sort, the default, is fastest for in-memory input \
+             (Table 2)"
+                .into(),
         );
     }
 
-    Recommendation {
-        layout,
-        flow,
-        lock_free,
-        numa_aware,
-        preprocessing,
-        rationale,
-    }
+    Recommendation { variant, rationale }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rmat_like() -> GraphTraits {
-        GraphTraits::new(1 << 26, 1 << 30, false)
-    }
-
-    fn road_like() -> GraphTraits {
-        GraphTraits::new(24_000_000, 58_000_000, true)
+    fn pick(algo: Algo, avg_degree: f64) -> String {
+        recommend(algo, avg_degree).variant.to_string()
     }
 
     #[test]
     fn spmv_gets_edge_array() {
-        let r = recommend(
-            &AlgorithmTraits::single_pass(),
-            &rmat_like(),
-            &Topology::machine_b(),
-        );
-        assert_eq!(r.layout, LayoutChoice::EdgeArray);
-        assert!(!r.numa_aware);
+        assert_eq!(pick(Algo::Spmv, 16.0), "spmv/edge/push");
     }
 
     #[test]
     fn bfs_gets_adjacency_push() {
-        let r = recommend(
-            &AlgorithmTraits::traversal(2.0),
-            &rmat_like(),
-            &Topology::machine_b(),
-        );
-        assert_eq!(r.layout, LayoutChoice::AdjacencyList);
-        assert_eq!(r.flow, FlowChoice::Push);
-        assert!(!r.numa_aware, "BFS frontier concentration: no NUMA");
+        assert_eq!(pick(Algo::Bfs, 16.0), "bfs/adj/push");
+        assert_eq!(pick(Algo::Sssp, 2.4), "sssp/adj/push");
     }
 
     #[test]
     fn pagerank_power_law_gets_grid_lock_free() {
-        let r = recommend(
-            &AlgorithmTraits::full_graph_iterative(40.0),
-            &rmat_like(),
-            &Topology::machine_b(),
-        );
-        assert_eq!(r.layout, LayoutChoice::Grid);
-        assert!(r.lock_free);
-        assert!(r.numa_aware, "long PR run on 4 nodes: NUMA pays (Fig 9b)");
+        let r = recommend(Algo::Pagerank, 16.0);
+        assert_eq!(r.variant.to_string(), "pagerank/grid/pull");
+        assert!(!sync_matters(&r.variant));
     }
 
     #[test]
     fn pagerank_on_road_gets_edge_array() {
-        let r = recommend(
-            &AlgorithmTraits::full_graph_iterative(2.0),
-            &road_like(),
-            &Topology::machine_b(),
-        );
-        assert_eq!(r.layout, LayoutChoice::EdgeArray, "Table 5 US-Road rule");
-    }
-
-    #[test]
-    fn small_machine_never_numa() {
-        let r = recommend(
-            &AlgorithmTraits::full_graph_iterative(100.0),
-            &rmat_like(),
-            &Topology::machine_a(),
-        );
-        assert!(
-            !r.numa_aware,
-            "2-node machine: end-to-end never benefits (Fig 9)"
+        assert_eq!(
+            pick(Algo::Pagerank, 2.4),
+            "pagerank/edge/push",
+            "Table 5 US-Road rule"
         );
     }
 
     #[test]
     fn rationale_is_populated() {
-        let r = recommend(
-            &AlgorithmTraits::traversal(1.0),
-            &rmat_like(),
-            &Topology::single_node(),
-        );
+        let r = recommend(Algo::Bfs, 16.0);
         assert!(!r.rationale.is_empty());
-        assert_eq!(r.preprocessing, Strategy::RadixSort);
     }
 }

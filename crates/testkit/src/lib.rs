@@ -35,7 +35,7 @@ pub use corpus::{
     exhaustive_corpus, quick_corpus, ratings_graph, test_seed, weighted, wide_rounds, NamedGraph,
     DEFAULT_SEED,
 };
-pub use matrix::{run_matrix, MatrixConfig, MatrixReport, Mismatch};
+pub use matrix::{check_variant, run_matrix, MatrixConfig, MatrixReport, Mismatch};
 pub use update::{run_update_matrix, UpdateConfig, UpdateReport};
 
 /// Thread counts exercised by the quick tier (inside `cargo test -q`).

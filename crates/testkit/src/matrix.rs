@@ -215,8 +215,7 @@ pub fn run_matrix(graphs: &[NamedGraph], cfg: &MatrixConfig) -> MatrixReport {
         let g = &named.graph;
         let w = weighted(g);
         let x = spmv_input(g.num_vertices());
-        let degrees: Vec<u32> = g.out_degrees().iter().map(|&d| d as u32).collect();
-        let refs = compute_references(g, &w, &degrees, &x, pr_cfg);
+        let refs = compute_references(g, &w, &x, pr_cfg);
 
         let baseline_pool = ThreadPool::new(1);
         let baseline = with_pool(&baseline_pool, || {
@@ -258,13 +257,49 @@ pub fn run_matrix(graphs: &[NamedGraph], cfg: &MatrixConfig) -> MatrixReport {
     report
 }
 
+/// Runs one variant on one graph under the current pool and checks it
+/// against the serial reference: the matrix's first oracle, for a
+/// caller that picked one combination (the §9 roadmap's picks).
+pub fn check_variant(named: &NamedGraph, id: &VariantId, cfg: &MatrixConfig) -> MatrixReport {
+    let mut report = MatrixReport {
+        combos_run: 1,
+        mismatches: Vec::new(),
+        seed: cfg.seed,
+    };
+    let pr_cfg = pagerank::PagerankConfig {
+        iterations: cfg.pagerank_iterations,
+        ..Default::default()
+    };
+    let g = &named.graph;
+    let w = weighted(g);
+    let x = spmv_input(g.num_vertices());
+    let refs = compute_references(g, &w, &x, pr_cfg);
+    let params = RunParams {
+        root: 0,
+        pagerank: pr_cfg,
+        sync: SyncMode::Atomics,
+        x: Some(&x),
+    };
+    let ctx = ExecCtx::new(None);
+    let run = if id.algo.needs_weights() {
+        run_variant(id, &ctx, &PreparedGraph::new(&w), &params)
+    } else {
+        run_variant(id, &ctx, &PreparedGraph::new(g), &params)
+    }
+    .unwrap_or_else(|e| panic!("{id} on {}: {e}", named.name));
+    let v = classify(id, SyncMode::Atomics, run.output);
+    let threads = egraph_parallel::current_num_threads();
+    check_reference(&mut report, &named.name, threads, &v, &refs);
+    report
+}
+
 fn compute_references(
     g: &EdgeList<Edge>,
     w: &EdgeList<WEdge>,
-    degrees: &[u32],
     x: &[f32],
     pr_cfg: pagerank::PagerankConfig,
 ) -> References {
+    let degrees: Vec<u32> = g.out_degrees().iter().map(|&d| d as u32).collect();
     let has_root = g.num_vertices() > 0;
     let bfs = has_root.then(|| {
         let csr = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(g);
@@ -274,7 +309,7 @@ fn compute_references(
         bfs,
         wcc: wcc::reference(g),
         sssp: has_root.then(|| sssp::reference(w, 0)),
-        pagerank: pagerank::reference(g, degrees, pr_cfg),
+        pagerank: pagerank::reference(g, &degrees, pr_cfg),
         spmv: spmv::reference(w, x),
     }
 }

@@ -4,12 +4,10 @@
 //!
 //! Run with: `cargo run --release --example dataset_importer`
 
-use everything_graph::core::algo::bfs;
 use everything_graph::core::inspect;
 use everything_graph::core::prelude::*;
 use everything_graph::core::roadmap;
 use everything_graph::graphgen;
-use everything_graph::numa::Topology;
 use everything_graph::storage::{read_snap, write_edge_list, write_snap};
 
 fn main() {
@@ -51,29 +49,30 @@ fn main() {
     );
 
     // 4. Ask the roadmap, then follow it.
-    let advice = roadmap::recommend(
-        &roadmap::AlgorithmTraits::traversal(1.0),
-        &roadmap::GraphTraits::new(summary.num_vertices, summary.num_edges, false),
-        &Topology::single_node(),
-    );
-    println!(
-        "\nroadmap: {:?} + {:?} built with {}",
-        advice.layout,
-        advice.flow,
-        advice.preprocessing.name()
-    );
+    let advice = roadmap::recommend(Algo::Bfs, summary.avg_degree);
+    println!("\nroadmap: {}", advice.variant);
+    for line in &advice.rationale {
+        println!("    * {line}");
+    }
 
-    let (adj, pre) = CsrBuilder::new(advice.preprocessing, EdgeDirection::Out).build_timed(&graph);
-    let root = (0..summary.num_vertices as u32)
-        .max_by_key(|&v| adj.out().degree(v))
-        .unwrap_or(0);
-    let result = bfs::push(&adj, root);
+    let (root, _) = graph.max_degree_vertex().unwrap_or((0, 0));
+    let run = run_variant(
+        &advice.variant,
+        &ExecCtx::new(None),
+        &PreparedGraph::new(&graph),
+        &RunParams {
+            root,
+            ..RunParams::default()
+        },
+    )
+    .expect("the roadmap names a runnable variant");
+    let result = run.output.as_bfs().expect("bfs output");
     println!(
         "BFS from {}: {} reachable in {} levels (pre {:.3}s + algo {:.3}s)",
         root,
         result.reachable_count(),
         result.iterations.len(),
-        pre.seconds,
-        result.algorithm_seconds()
+        run.preprocess_seconds,
+        run.algorithm_seconds
     );
 }

@@ -1,62 +1,48 @@
-//! The §9 roadmap as an interactive advisor: for a set of workload
-//! descriptions, print the layout/flow/synchronization/NUMA
-//! recommendation and its reasoning.
+//! The §9 roadmap as an advisor: for a set of workloads, read the
+//! average degree off the generated graph, print the variant the
+//! roadmap picks and its reasoning, then run that variant.
 //!
-//! Run with: `cargo run --example layout_advisor`
+//! Run with: `cargo run --release --example layout_advisor`
 
-use everything_graph::core::roadmap::{recommend, AlgorithmTraits, GraphTraits};
-use everything_graph::numa::Topology;
+use everything_graph::core::prelude::*;
+use everything_graph::core::roadmap::recommend;
+use everything_graph::graphgen;
 
 fn main() {
-    let machines = [Topology::machine_a(), Topology::machine_b()];
-    let workloads: Vec<(&str, AlgorithmTraits, GraphTraits)> = vec![
-        (
-            "BFS on Twitter",
-            AlgorithmTraits::traversal(2.3),
-            GraphTraits::new(62_000_000, 1_468_000_000, false),
-        ),
-        (
-            "PageRank (10 iters) on Twitter",
-            AlgorithmTraits::full_graph_iterative(38.0),
-            GraphTraits::new(62_000_000, 1_468_000_000, false),
-        ),
-        (
-            "PageRank on US-Road",
-            AlgorithmTraits::full_graph_iterative(1.6),
-            GraphTraits::new(23_900_000, 58_000_000, true),
-        ),
-        (
-            "SpMV on RMAT-26",
-            AlgorithmTraits::single_pass(),
-            GraphTraits::new(1 << 26, 1 << 30, false),
-        ),
-        (
-            "SSSP on US-Road",
-            AlgorithmTraits::traversal(30.0),
-            GraphTraits::new(23_900_000, 58_000_000, true),
-        ),
+    // Unit weights, so SSSP and SpMV run on the same graphs as the
+    // unweighted algorithms (which ignore the weights).
+    let unit = |g: EdgeList<Edge>| g.map_records(|e| WEdge::new(e.src, e.dst, 1.0));
+    let twitter = unit(graphgen::twitter_like(12, 7));
+    let rmat = unit(graphgen::rmat(12, 16, 7));
+    let road = unit(graphgen::road_like(64, 64));
+    let workloads: [(&str, Algo, &EdgeList<WEdge>); 6] = [
+        ("BFS on Twitter-like", Algo::Bfs, &twitter),
+        ("PageRank on Twitter-like", Algo::Pagerank, &twitter),
+        ("PageRank on a road lattice", Algo::Pagerank, &road),
+        ("WCC on RMAT", Algo::Wcc, &rmat),
+        ("SpMV on RMAT", Algo::Spmv, &rmat),
+        ("SSSP on a road lattice", Algo::Sssp, &road),
     ];
 
-    for machine in &machines {
-        println!(
-            "================ {} ({} NUMA nodes) ================",
-            machine.name, machine.num_nodes
-        );
-        for (name, algo, graph) in &workloads {
-            let r = recommend(algo, graph, machine);
-            println!("\n{name}");
-            println!(
-                "  -> layout {:?}, flow {:?}, lock-free {}, NUMA-aware {}, build with {}",
-                r.layout,
-                r.flow,
-                r.lock_free,
-                r.numa_aware,
-                r.preprocessing.name()
-            );
-            for line in &r.rationale {
-                println!("     * {line}");
-            }
+    for (name, algo, graph) in workloads {
+        let avg_degree = graph.num_edges() as f64 / graph.num_vertices() as f64;
+        let r = recommend(algo, avg_degree);
+        println!("\n{name} (avg degree {avg_degree:.1})");
+        println!("  -> {}", r.variant);
+        for line in &r.rationale {
+            println!("     * {line}");
         }
-        println!();
+        let run = run_variant(
+            &r.variant,
+            &ExecCtx::new(None),
+            &PreparedGraph::new(graph),
+            &RunParams::default(),
+        )
+        .expect("the roadmap names a runnable variant");
+        println!(
+            "     ran: pre-process {:.2} ms + algorithm {:.2} ms",
+            run.preprocess_seconds * 1e3,
+            run.algorithm_seconds * 1e3
+        );
     }
 }

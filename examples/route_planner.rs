@@ -1,14 +1,12 @@
 //! Route planning on a road-network-shaped graph: single-source
-//! shortest paths with travel-time weights, on the layout the §9
-//! roadmap picks for high-diameter/low-degree graphs.
+//! shortest paths with travel-time weights, run as the variant the §9
+//! roadmap picks for this graph.
 //!
 //! Run with: `cargo run --release --example route_planner`
 
-use everything_graph::core::algo::sssp;
 use everything_graph::core::prelude::*;
 use everything_graph::core::roadmap;
 use everything_graph::graphgen;
-use everything_graph::numa::Topology;
 
 fn main() {
     // A 256x128 road lattice: intersections connected to their
@@ -27,31 +25,33 @@ fn main() {
         weighted.num_edges()
     );
 
-    // Ask the roadmap which layout to use for a traversal on a
-    // high-diameter graph.
-    let advice = roadmap::recommend(
-        &roadmap::AlgorithmTraits::traversal(1.0),
-        &roadmap::GraphTraits::new(weighted.num_vertices(), weighted.num_edges(), true),
-        &Topology::single_node(),
-    );
-    println!(
-        "\nroadmap advice: {:?} + {:?} (lock-free: {})",
-        advice.layout, advice.flow, advice.lock_free
-    );
+    // Ask the roadmap which variant to run for shortest paths on a
+    // graph of this average degree.
+    let avg_degree = weighted.num_edges() as f64 / weighted.num_vertices() as f64;
+    let advice = roadmap::recommend(Algo::Sssp, avg_degree);
+    println!("\nroadmap advice: {}", advice.variant);
     for line in &advice.rationale {
         println!("  - {line}");
     }
 
-    // Follow the advice: adjacency list (radix-built), push mode.
-    let (adj, pre) =
-        CsrBuilder::new(advice.preprocessing, EdgeDirection::Out).build_timed(&weighted);
+    // Follow the advice.
     let depot = 0u32; // top-left corner of the map
-    let result = sssp::push(&adj, depot);
+    let run = run_variant(
+        &advice.variant,
+        &ExecCtx::new(None),
+        &PreparedGraph::new(&weighted),
+        &RunParams {
+            root: depot,
+            ..RunParams::default()
+        },
+    )
+    .expect("the roadmap names a runnable variant");
+    let result = run.output.as_sssp().expect("sssp output");
     println!(
         "\nSSSP from depot {}: pre-process {:.3}s, algorithm {:.3}s, {} iterations",
         depot,
-        pre.seconds,
-        result.algorithm_seconds(),
+        run.preprocess_seconds,
+        run.algorithm_seconds,
         result.iterations.len()
     );
 

@@ -234,6 +234,27 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# The NUMA model is offline: a one-node host has nothing to decide with
+# it, so the partitioner and locality model live with the Fig. 9/10
+# experiments in `egraph-bench` (`crates/bench/src/numa.rs`), and the
+# roadmap names its picks with the variant table's `VariantId`. A
+# dependency on the topology crate, the model's module or a second set
+# of layout / direction enums in the core is the modeled substrate
+# coming back into the product.
+echo "== the NUMA model is offline =="
+offenders=$(grep -n 'egraph-numa' crates/core/Cargo.toml | sed 's|^|crates/core/Cargo.toml:|'
+    find crates/core/src -name '*.rs' ! -name tests.rs \
+        -exec awk 'FNR == 1 { in_tests = 0 }
+            /^#\[cfg\(test\)\]/ { in_tests = 1 }
+            !in_tests && /egraph_numa|numa_sim|Topology|LayoutChoice|FlowChoice/ {
+                print FILENAME ":" FNR ": " $0
+            }' {} +)
+if [ -n "$offenders" ]; then
+    echo "the NUMA model or a second set of roadmap enums in egraph-core:"
+    echo "$offenders"
+    exit 1
+fi
+
 # A trace says each thing once: phase time lives only in its phase
 # profiles, a step is recorded as its `IterStat`, and nothing is written
 # that no producer fills. A breakdown copy of the phases, a span sink, a
@@ -319,14 +340,14 @@ offenders=$(awk 'FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && !/^[[:space:]]*\/\// && /edges\(\)\.to_vec\(\)|partition_point\(/ {
         print FILENAME ":" FNR ": " $0
-    }' crates/core/src/preprocess.rs
+    }' crates/core/src/preprocess.rs crates/bench/src/numa.rs
     find crates/sort/src -name '*.rs' \
         -exec awk '!/^[[:space:]]*\/\// &&
             /fn scatter_level_seq|fn sort_task|fn finish_small|fn copy_back_parallel/ {
             print FILENAME ":" FNR ": " $0
         }' {} +)
 if [ -n "$offenders" ]; then
-    echo "a copy of the input, searched offsets, or the MSD recursion in a builder:"
+    echo "a copy of the input, searched offsets, or the MSD recursion in a builder or the NUMA partitioner:"
     echo "$offenders"
     exit 1
 fi

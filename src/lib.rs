@@ -18,8 +18,9 @@
 //!   (SSD/HDD loading, overlap of loading with pre-processing).
 //! * [`cachesim`] — a set-associative LLC simulator for miss-ratio
 //!   measurements.
-//! * [`numa`] — NUMA topology models, the Polymer/Gemini partitioner
-//!   and the locality cost model.
+//! * [`numa`] — NUMA topology models, edge-balanced range partitioning
+//!   and the locality cost model: the substrate of the Fig. 9/10 model,
+//!   whose partitioner and locality replay live in `egraph-bench`.
 //!
 //! # Examples
 //!

@@ -3,9 +3,7 @@
 //! streams; its integration tests live with the replay, in
 //! `egraph-bench`'s `trace` module.)
 
-use everything_graph::core::numa_sim::{
-    bfs_locality, pagerank_locality, partition_by_target, DataPolicy,
-};
+use egraph_bench::numa::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
 use everything_graph::core::prelude::*;
 use everything_graph::graphgen;
 use everything_graph::numa::{CostModel, MemoryBoundness, Topology};
