@@ -298,9 +298,10 @@ pub fn reference<E: EdgeRecord>(out: &Adjacency<E>, root: VertexId) -> Vec<u32> 
 /// repair: first an *invalidation* fix-point — a vertex whose every
 /// in-neighbor at `level-1` has itself been invalidated loses its
 /// level, cascading down the tree — then a unit-weight Dijkstra over
-/// the invalid region seeded from the still-valid boundary. Batches
-/// over [`super::INCREMENTAL_FALLBACK_FRACTION`] recompute from
-/// scratch.
+/// the invalid region seeded from the still-valid boundary. The initial
+/// levels, and the levels after a batch over
+/// [`super::INCREMENTAL_FALLBACK_FRACTION`], are a direction-optimizing
+/// batch run ([`push_pull`]) on the merged view.
 #[derive(Debug, Clone)]
 pub struct IncrementalBfs {
     root: VertexId,
@@ -309,17 +310,18 @@ pub struct IncrementalBfs {
 }
 
 impl IncrementalBfs {
-    /// Runs the initial full BFS from `root` on `merged` (any layout
-    /// exposing both directions — the delta layout in the intended
-    /// use).
+    /// Runs the initial direction-optimizing BFS from `root` on
+    /// `merged` (any layout exposing both directions — the delta layout
+    /// in the intended use).
     pub fn new<E, L>(merged: &L, root: VertexId) -> Self
     where
         E: EdgeRecord,
         L: VertexLayout<E>,
     {
+        let ctx = ExecCtx::default();
         Self {
             root,
-            level: Self::from_scratch(merged, root),
+            level: run(merged, root, Direction::PushPull, SyncMode::Atomics, &ctx).level,
             batches_applied: 0,
         }
     }
@@ -327,31 +329,6 @@ impl IncrementalBfs {
     /// The current shortest-hop levels (`u32::MAX` = unreached).
     pub fn level(&self) -> &[u32] {
         &self.level
-    }
-
-    fn from_scratch<E, L>(merged: &L, root: VertexId) -> Vec<u32>
-    where
-        E: EdgeRecord,
-        L: VertexLayout<E>,
-    {
-        let nv = merged.num_vertices();
-        let mut level = vec![u32::MAX; nv];
-        level[root as usize] = 0;
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(u) = queue.pop_front() {
-            let next = level[u as usize] + 1;
-            merged.out().for_each_span(u, |span| {
-                for e in span {
-                    let v = e.dst();
-                    if level[v as usize] == u32::MAX {
-                        level[v as usize] = next;
-                        queue.push_back(v);
-                    }
-                }
-                span.len()
-            });
-        }
-        level
     }
 
     /// Repairs the levels after `batch` was applied; `merged` is the
@@ -382,7 +359,7 @@ impl IncrementalBfs {
         E: EdgeRecord,
         L: VertexLayout<E>,
     {
-        let (outcome, seconds) = timed(|| self.apply_inner(merged, batch));
+        let (outcome, seconds) = timed(|| self.apply_inner(merged, batch, ctx));
         super::record_repair(
             ctx,
             &mut self.batches_applied,
@@ -398,6 +375,7 @@ impl IncrementalBfs {
         &mut self,
         merged: &L,
         batch: &crate::layout::DeltaBatch<E>,
+        ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
@@ -405,7 +383,11 @@ impl IncrementalBfs {
     {
         let fraction = batch.len() as f64 / merged.num_edges().max(1) as f64;
         if fraction > super::INCREMENTAL_FALLBACK_FRACTION {
-            self.level = Self::from_scratch(merged, self.root);
+            // Unrecorded, so the batch stays one iteration record.
+            let quiet = ExecCtx::new(ctx.pool());
+            let policy = Direction::PushPull;
+            self.level =
+                quiet.scoped(|| run(merged, self.root, policy, SyncMode::Atomics, &quiet).level);
             return super::IncrementalOutcome {
                 fallback: true,
                 touched: merged.num_vertices(),

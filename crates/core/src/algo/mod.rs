@@ -16,8 +16,10 @@
 //! (residual propagation from the endpoints of changed edges),
 //! [`wcc::IncrementalWcc`] (union-find over inserted edges) and
 //! [`bfs::IncrementalBfs`] (affected-subgraph invalidation + repair).
-//! Each falls back to from-scratch recompute when the applied batch
-//! exceeds [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
+//! Each solves from scratch with its batch kernel (pull PageRank to a
+//! tolerance, direction-optimizing BFS, the concurrent union-find) at
+//! construction and when the applied batch exceeds
+//! [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
 //! reporting which path ran via [`IncrementalOutcome`].
 
 use crate::engine::PushOp;

@@ -449,58 +449,97 @@ pub fn reference_converged<E: EdgeRecord>(
     ranks.into_iter().map(|r| r as f32).collect()
 }
 
-/// Per-entry convergence threshold of the f64 solvers — far below the
-/// testkit's f32 comparison tolerance, so both routes to the fixed
-/// point agree after rounding.
+/// Per-entry convergence threshold of [`reference_converged`] — far
+/// below the testkit's f32 comparison tolerance, so the reference is
+/// the fixed point to f32 precision.
 const CONVERGED_EPS: f64 = 1e-12;
 
-/// Iteration cap of [`reference_converged`]; at damping 0.85 the power
+/// Iteration cap of the converging solves; at damping 0.85 the power
 /// method contracts by ~0.85/iter, so 1e-12 needs ~170 iterations.
 const CONVERGED_MAX_ITERS: usize = 1000;
 
+/// L1 change of one power iteration at which [`IncrementalPagerank`]'s
+/// from-scratch solve stops. The pull kernel iterates in f32, whose
+/// rounding leaves an L1 floor near 1.2e-7 on a rank vector summing to
+/// at most 1; the ranks it stops at are within `d/(1-d)` times this
+/// (≈ 5.7e-6 at d = 0.85) of the fixed point in L1.
+const SOLVE_TOLERANCE: f32 = 1e-6;
+
 /// Residual push threshold of [`IncrementalPagerank`]'s repair path.
 ///
-/// Looser than [`CONVERGED_EPS`] on purpose: each abandoned residual
-/// bounds that vertex's rank error by `REPAIR_EPS/(1-d)` per batch —
-/// orders of magnitude inside the testkit's 1e-4 conformance tolerance
-/// even accumulated over many batches — while keeping the pushed
-/// frontier proportional to the batch instead of the graph.
+/// Each abandoned residual bounds that vertex's rank error by
+/// `REPAIR_EPS/(1-d)` per batch — orders of magnitude inside the
+/// testkit's 1e-4 conformance tolerance even accumulated over many
+/// batches — while keeping the pushed frontier proportional to the
+/// batch instead of the graph.
 const REPAIR_EPS: f64 = 1e-8;
 
 /// Incremental PageRank over the delta layout (DESIGN.md §16): keeps
 /// the f64 rank vector of the previous graph and, per applied batch,
-/// re-solves only the region the changed edges perturb.
+/// repairs only the region the changed edges perturb.
 ///
-/// Seeds are the endpoints of every changed edge plus the out-neighbors
-/// of every changed source (their in-sum term `r_src/deg_src` moved
-/// even when `r_src` did not). From the seeds a Gauss–Seidel worklist
-/// recomputes `r_v = (1-d)/n + d·Σ r_u/deg_u` and propagates to
-/// out-neighbors only while the change exceeds [`CONVERGED_EPS`] — on
-/// small deltas the perturbation decays geometrically and the worklist
-/// stays near the changed region.
+/// The initial ranks, and the ranks after a batch above
+/// [`super::INCREMENTAL_FALLBACK_FRACTION`], are the batch pull kernel
+/// run on the merged view until an iteration's L1 change drops under
+/// [`SOLVE_TOLERANCE`], widened to f64. Any other batch is repaired by
+/// a Gauss–Southwell residual push seeded at the endpoints of every
+/// changed edge and the out-neighbors of every changed source (their
+/// in-sum term `r_src/deg_src` moved even when `r_src` did not): on
+/// small deltas the residual decays geometrically and the pushes stay
+/// near the changed region.
 #[derive(Debug, Clone)]
 pub struct IncrementalPagerank {
     damping: f64,
     ranks: Vec<f64>,
+    /// The repair's per-vertex state, allocated once; each repair
+    /// resets the slots it listed.
+    slots: Vec<RepairSlot>,
     batches_applied: usize,
 }
 
+/// One vertex's state during [`IncrementalPagerank`]'s repair.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct RepairSlot {
+    /// Residual of the vertex's fixed-point equation.
+    res: f64,
+    /// In use this batch: the residual was computed exactly while
+    /// seeding, or pushed mass arrived. Listed for the reset.
+    listed: bool,
+    /// On the worklist.
+    queued: bool,
+}
+
 impl IncrementalPagerank {
-    /// Solves the initial graph to convergence. `merged` must expose
-    /// both directions; `degrees` are its out-degrees.
+    /// Solves the initial graph with the pull kernel, to
+    /// [`SOLVE_TOLERANCE`]. `merged` must expose both directions;
+    /// `degrees` are its out-degrees.
     pub fn new<E, L>(merged: &L, degrees: &[u32], damping: f32) -> Self
     where
         E: EdgeRecord,
         L: crate::layout::VertexLayout<E>,
     {
-        let nv = merged.num_vertices();
-        let mut engine = Self {
+        Self {
             damping: f64::from(damping),
-            ranks: vec![1.0 / nv.max(1) as f64; nv],
+            ranks: Self::fixed_point(merged, degrees, damping, &ExecCtx::default()),
+            slots: vec![RepairSlot::default(); merged.num_vertices()],
             batches_applied: 0,
+        }
+    }
+
+    /// The pull kernel on `merged`, stopped at [`SOLVE_TOLERANCE`] and
+    /// widened to f64.
+    fn fixed_point<E, L>(merged: &L, degrees: &[u32], damping: f32, ctx: &ExecCtx<'_>) -> Vec<f64>
+    where
+        E: EdgeRecord,
+        L: crate::layout::VertexLayout<E>,
+    {
+        let cfg = PagerankConfig {
+            iterations: CONVERGED_MAX_ITERS,
+            damping,
+            tolerance: Some(SOLVE_TOLERANCE),
         };
-        engine.solve(merged, degrees, (0..nv as VertexId).collect());
-        engine
+        let ranks = ctx.scoped(|| pull_impl(merged, degrees, cfg, ctx).ranks);
+        ranks.into_iter().map(f64::from).collect()
     }
 
     /// The current ranks, rounded to the f32 the batch variants emit.
@@ -539,7 +578,7 @@ impl IncrementalPagerank {
         E: EdgeRecord,
         L: crate::layout::VertexLayout<E>,
     {
-        let (outcome, seconds) = timed(|| self.apply_inner(merged, degrees, batch));
+        let (outcome, seconds) = timed(|| self.apply_inner(merged, degrees, batch, ctx));
         super::record_repair(
             ctx,
             &mut self.batches_applied,
@@ -556,19 +595,20 @@ impl IncrementalPagerank {
         merged: &L,
         degrees: &[u32],
         batch: &crate::layout::DeltaBatch<E>,
+        ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
         L: crate::layout::VertexLayout<E>,
     {
-        let nv = merged.num_vertices();
         let fraction = batch.len() as f64 / merged.num_edges().max(1) as f64;
         if fraction > super::INCREMENTAL_FALLBACK_FRACTION {
-            self.ranks = vec![1.0 / nv.max(1) as f64; nv];
-            let touched = self.solve(merged, degrees, (0..nv as VertexId).collect());
+            // Unrecorded, so the batch stays one iteration record.
+            let quiet = ExecCtx::new(ctx.pool());
+            self.ranks = Self::fixed_point(merged, degrees, self.damping as f32, &quiet);
             return super::IncrementalOutcome {
                 fallback: true,
-                touched,
+                touched: merged.num_vertices(),
             };
         }
         let touched = self.repair(merged, degrees, batch);
@@ -590,9 +630,9 @@ impl IncrementalPagerank {
     /// to each out-neighbor — until every residual is under
     /// [`REPAIR_EPS`]. Each push destroys at least `(1-d)·|res_v|` of
     /// residual mass, so the work is proportional to the perturbation,
-    /// not the graph: a solver-threshold sweep (see [`Self::solve`])
-    /// would re-relax the whole graph on low-diameter inputs, where
-    /// every vertex moves by more than [`CONVERGED_EPS`].
+    /// not the graph: a worklist that re-relaxes every vertex moving by
+    /// more than a threshold re-relaxes the whole graph on
+    /// low-diameter inputs.
     fn repair<E, L>(
         &mut self,
         merged: &L,
@@ -607,135 +647,89 @@ impl IncrementalPagerank {
         if nv == 0 {
             return 0;
         }
-        let base = (1.0 - self.damping) / nv as f64;
-        let mut res = vec![0.0f64; nv];
-        let mut exact = vec![false; nv];
-        let mut queued = vec![false; nv];
+        let (damping, ranks, slots) = (self.damping, &mut self.ranks, &mut self.slots[..nv]);
+        let base = (1.0 - damping) / nv as f64;
+        let mut listed = Vec::new();
         let mut worklist = std::collections::VecDeque::new();
-        let mut affect =
-            |v: VertexId,
-             exact: &mut Vec<bool>,
-             res: &mut Vec<f64>,
-             worklist: &mut std::collections::VecDeque<VertexId>| {
-                if exact[v as usize] {
-                    return;
-                }
-                exact[v as usize] = true;
-                let mut sum = 0.0f64;
-                merged.incoming().for_each_span(v, |span| {
-                    for e in span {
-                        // In-adjacency records keep their original
-                        // orientation: the in-neighbor is `src`.
-                        let d = degrees[e.src() as usize];
-                        if d > 0 {
-                            sum += self.ranks[e.src() as usize] / f64::from(d);
-                        }
+        let affect = |v: VertexId,
+                      slots: &mut [RepairSlot],
+                      listed: &mut Vec<VertexId>,
+                      worklist: &mut std::collections::VecDeque<VertexId>| {
+            if slots[v as usize].listed {
+                return;
+            }
+            let mut sum = 0.0f64;
+            merged.incoming().for_each_span(v, |span| {
+                for e in span {
+                    // In-adjacency records keep their original
+                    // orientation: the in-neighbor is `src`.
+                    let d = degrees[e.src() as usize];
+                    if d > 0 {
+                        sum += ranks[e.src() as usize] / f64::from(d);
                     }
-                    span.len()
-                });
-                res[v as usize] = base + self.damping * sum - self.ranks[v as usize];
-                if res[v as usize].abs() > REPAIR_EPS && !queued[v as usize] {
-                    queued[v as usize] = true;
-                    worklist.push_back(v);
                 }
-            };
+                span.len()
+            });
+            let slot = &mut slots[v as usize];
+            slot.listed = true;
+            listed.push(v);
+            slot.res = base + damping * sum - ranks[v as usize];
+            if slot.res.abs() > REPAIR_EPS {
+                slot.queued = true;
+                worklist.push_back(v);
+            }
+        };
         for op in &batch.ops {
             let (src, dst) = op.endpoints();
-            affect(src, &mut exact, &mut res, &mut worklist);
-            affect(dst, &mut exact, &mut res, &mut worklist);
+            affect(src, slots, &mut listed, &mut worklist);
+            affect(dst, slots, &mut listed, &mut worklist);
             merged.out().for_each_span(src, |span| {
                 for e in span {
-                    affect(e.dst(), &mut exact, &mut res, &mut worklist);
+                    affect(e.dst(), slots, &mut listed, &mut worklist);
                 }
                 span.len()
             });
         }
         let mut pushes = 0usize;
         while let Some(v) = worklist.pop_front() {
-            queued[v as usize] = false;
-            let r = res[v as usize];
+            let slot = &mut slots[v as usize];
+            slot.queued = false;
+            let r = slot.res;
             if r.abs() <= REPAIR_EPS {
                 continue;
             }
             pushes += 1;
-            self.ranks[v as usize] += r;
+            ranks[v as usize] += r;
             // Zero before distributing so a self-loop's share lands.
-            res[v as usize] = 0.0;
+            slot.res = 0.0;
             let deg = degrees[v as usize];
             if deg == 0 {
                 // Dangling source: its mass teleports, like in the
                 // batch kernels and the serial reference.
                 continue;
             }
-            let share = self.damping * r / f64::from(deg);
+            let share = damping * r / f64::from(deg);
             merged.out().for_each_span(v, |span| {
                 for e in span {
-                    let w = e.dst() as usize;
-                    res[w] += share;
-                    if res[w].abs() > REPAIR_EPS && !queued[w] {
-                        queued[w] = true;
-                        worklist.push_back(w as VertexId);
+                    let w = e.dst();
+                    let slot = &mut slots[w as usize];
+                    slot.res += share;
+                    if !slot.listed {
+                        slot.listed = true;
+                        listed.push(w);
+                    }
+                    if slot.res.abs() > REPAIR_EPS && !slot.queued {
+                        slot.queued = true;
+                        worklist.push_back(w);
                     }
                 }
                 span.len()
             });
+        }
+        for v in listed {
+            slots[v as usize] = RepairSlot::default();
         }
         pushes
-    }
-
-    /// Gauss–Seidel worklist solve from `seeds`; returns how many
-    /// relaxations ran.
-    fn solve<E, L>(&mut self, merged: &L, degrees: &[u32], seeds: Vec<VertexId>) -> usize
-    where
-        E: EdgeRecord,
-        L: crate::layout::VertexLayout<E>,
-    {
-        let nv = merged.num_vertices();
-        if nv == 0 {
-            return 0;
-        }
-        let base = (1.0 - self.damping) / nv as f64;
-        let mut queued = vec![false; nv];
-        let mut worklist = std::collections::VecDeque::with_capacity(seeds.len());
-        for v in seeds {
-            if !queued[v as usize] {
-                queued[v as usize] = true;
-                worklist.push_back(v);
-            }
-        }
-        let mut relaxations = 0usize;
-        while let Some(v) = worklist.pop_front() {
-            queued[v as usize] = false;
-            relaxations += 1;
-            let mut sum = 0.0f64;
-            merged.incoming().for_each_span(v, |span| {
-                for e in span {
-                    // In-adjacency records keep their original
-                    // orientation: the in-neighbor is `src`.
-                    let u = e.src() as usize;
-                    let d = degrees[u];
-                    if d > 0 {
-                        sum += self.ranks[u] / f64::from(d);
-                    }
-                }
-                span.len()
-            });
-            let next = base + self.damping * sum;
-            if (next - self.ranks[v as usize]).abs() > CONVERGED_EPS {
-                self.ranks[v as usize] = next;
-                merged.out().for_each_span(v, |span| {
-                    for e in span {
-                        let w = e.dst();
-                        if !queued[w as usize] {
-                            queued[w as usize] = true;
-                            worklist.push_back(w);
-                        }
-                    }
-                    span.len()
-                });
-            }
-        }
-        relaxations
     }
 }
 
@@ -947,6 +941,11 @@ mod tests {
         let (dl, degrees) = delta_view(&base, &log);
         let outcome = engine.apply(&dl, &degrees, &batch);
         assert!(!outcome.fallback, "3 ops on 400 edges stays incremental");
+        let idle = RepairSlot::default();
+        assert!(
+            engine.slots.iter().all(|s| *s == idle),
+            "a repair resets its slots"
+        );
         let want = reference_converged(&merged, &degrees, 0.85);
         assert_close(&engine.ranks(), &want, 1e-4, "after small batch");
 
@@ -962,6 +961,10 @@ mod tests {
         let (dl, degrees) = delta_view(&base, &log);
         let outcome = engine.apply(&dl, &degrees, &big);
         assert!(outcome.fallback, "30 ops on ~400 edges exceeds 5%");
+        assert_eq!(
+            outcome.touched, 64,
+            "a fallback recomputes each vertex once"
+        );
         let want = reference_converged(&merged, &degrees, 0.85);
         assert_close(&engine.ranks(), &want, 1e-4, "after fallback");
     }

@@ -9,9 +9,10 @@
 //! graph — and after **every** applied batch checks three things:
 //!
 //! 1. the incremental engines ([`pagerank::IncrementalPagerank`],
-//!    [`wcc::IncrementalWcc`], [`bfs::IncrementalBfs`]) agree with the
-//!    serial reference on the merged graph, whichever path (repair or
-//!    fallback) they took;
+//!    [`wcc::IncrementalWcc`], [`bfs::IncrementalBfs`]) — one set per
+//!    configured thread count, built and repaired under its own pool —
+//!    agree with the serial reference on the merged graph, whichever
+//!    path (repair or fallback) they took;
 //! 2. every `Layout::Delta` variant — all directions, both sync modes,
 //!    at every configured thread count — agrees with the same algorithm
 //!    run from scratch on the merged graph (integer results exactly,
@@ -247,13 +248,43 @@ fn floats_close(got: &[f32], want: &[f32], tol: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// The three incremental engines, built and repaired under one pool.
+struct Engines {
+    threads: usize,
+    pool: ThreadPool,
+    pagerank: pagerank::IncrementalPagerank,
+    wcc: wcc::IncrementalWcc,
+    bfs: bfs::IncrementalBfs,
+}
+
+impl Engines {
+    fn new(threads: usize, base: &EdgeList<Edge>, damping: f32) -> Self {
+        let pool = ThreadPool::new(threads);
+        let (view, degrees) = merged_view(base, &DeltaLog::new());
+        let (pagerank, wcc, bfs) = with_pool(&pool, || {
+            (
+                pagerank::IncrementalPagerank::new(&view, &degrees, damping),
+                wcc::IncrementalWcc::new(base),
+                bfs::IncrementalBfs::new(&view, 0),
+            )
+        });
+        Self {
+            threads,
+            pool,
+            pagerank,
+            wcc,
+            bfs,
+        }
+    }
+}
+
 /// Runs the update oracle over `graphs`.
 ///
 /// Per graph: keeps one [`DeltaGraph`] (the epoch-published mutable
-/// form), one growing [`DeltaLog`] and the three incremental engines
-/// alive across `cfg.batches` seeded batches, checking after each batch
-/// and once more after compaction. Empty graphs are skipped — there is
-/// nothing to mutate.
+/// form), one growing [`DeltaLog`] and, per thread count, the three
+/// incremental engines alive across `cfg.batches` seeded batches,
+/// checking after each batch and once more after compaction. Empty
+/// graphs are skipped — there is nothing to mutate.
 pub fn run_update_matrix(graphs: &[NamedGraph], cfg: &UpdateConfig) -> UpdateReport {
     let mut report = UpdateReport {
         checks_run: 0,
@@ -275,11 +306,12 @@ pub fn run_update_matrix(graphs: &[NamedGraph], cfg: &UpdateConfig) -> UpdateRep
 
         let dgraph = DeltaGraph::new(base.clone());
         let mut log = DeltaLog::new();
-        let (view0, degrees0) = merged_view(base, &log);
         let damping = pagerank::PagerankConfig::default().damping;
-        let mut inc_pr = pagerank::IncrementalPagerank::new(&view0, &degrees0, damping);
-        let mut inc_wcc = wcc::IncrementalWcc::new(base);
-        let mut inc_bfs = bfs::IncrementalBfs::new(&view0, 0);
+        let mut engines: Vec<Engines> = cfg
+            .thread_counts
+            .iter()
+            .map(|&threads| Engines::new(threads, base, damping))
+            .collect();
 
         for batch_no in 0..cfg.batches {
             let merged_before = log.merge_into(base);
@@ -299,9 +331,7 @@ pub fn run_update_matrix(graphs: &[NamedGraph], cfg: &UpdateConfig) -> UpdateRep
                 &merged,
                 &batch,
                 damping,
-                &mut inc_pr,
-                &mut inc_wcc,
-                &mut inc_bfs,
+                &mut engines,
             );
             check_variants(&mut report, name, base, &log, &merged, cfg);
         }
@@ -367,8 +397,8 @@ pub fn run_update_matrix(graphs: &[NamedGraph], cfg: &UpdateConfig) -> UpdateRep
     report
 }
 
-/// Check 1: the three incremental engines against serial references on
-/// the merged graph.
+/// Check 1: every set of incremental engines, under its own pool,
+/// against serial references on the merged graph.
 #[allow(clippy::too_many_arguments)]
 fn check_incremental(
     report: &mut UpdateReport,
@@ -379,50 +409,63 @@ fn check_incremental(
     merged: &EdgeList<Edge>,
     batch: &DeltaBatch<Edge>,
     damping: f32,
-    inc_pr: &mut pagerank::IncrementalPagerank,
-    inc_wcc: &mut wcc::IncrementalWcc,
-    inc_bfs: &mut bfs::IncrementalBfs,
+    engines: &mut [Engines],
 ) {
     let (view, degrees) = merged_view(base, log);
-
-    let outcome = inc_pr.apply(&view, &degrees, batch);
-    let want = pagerank::reference_converged(merged, &degrees, damping);
-    report.checks_run += 1;
-    if let Err(detail) = floats_close(&inc_pr.ranks(), &want, REORDER_TOL) {
-        report.mismatches.push(mismatch(
-            name,
-            "pagerank",
-            &format!("incremental/batch{batch_no}(fallback={})", outcome.fallback),
-            1,
-            format!("vs converged reference: {detail}"),
-        ));
-    }
-
-    let outcome = inc_wcc.apply(merged, batch);
-    report.checks_run += 1;
-    if let Err(detail) = ints_equal(inc_wcc.labels(), &wcc::reference(merged)) {
-        report.mismatches.push(mismatch(
-            name,
-            "wcc",
-            &format!("incremental/batch{batch_no}(fallback={})", outcome.fallback),
-            1,
-            format!("vs union-find reference: {detail}"),
-        ));
-    }
-
-    let outcome = inc_bfs.apply(&view, batch);
+    let want_pr = pagerank::reference_converged(merged, &degrees, damping);
+    let want_wcc = wcc::reference(merged);
     let merged_csr = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
         .sort_neighbors(true)
         .build(merged);
-    report.checks_run += 1;
-    if let Err(detail) = ints_equal(inc_bfs.level(), &bfs::reference(merged_csr.out(), 0)) {
-        report.mismatches.push(mismatch(
-            name,
-            "bfs",
-            &format!("incremental/batch{batch_no}(fallback={})", outcome.fallback),
-            1,
-            format!("vs serial reference: {detail}"),
-        ));
+    let want_bfs = bfs::reference(merged_csr.out(), 0);
+
+    for engines in engines {
+        let Engines {
+            threads,
+            pool,
+            pagerank,
+            wcc,
+            bfs,
+        } = engines;
+        let (pr_outcome, wcc_outcome, bfs_outcome) = with_pool(pool, || {
+            (
+                pagerank.apply(&view, &degrees, batch),
+                wcc.apply(merged, batch),
+                bfs.apply(&view, batch),
+            )
+        });
+        let checks = [
+            (
+                "pagerank",
+                pr_outcome,
+                floats_close(&pagerank.ranks(), &want_pr, REORDER_TOL),
+                "converged",
+            ),
+            (
+                "wcc",
+                wcc_outcome,
+                ints_equal(wcc.labels(), &want_wcc),
+                "union-find",
+            ),
+            (
+                "bfs",
+                bfs_outcome,
+                ints_equal(bfs.level(), &want_bfs),
+                "serial",
+            ),
+        ];
+        for (algo, outcome, check, reference) in checks {
+            report.checks_run += 1;
+            if let Err(detail) = check {
+                report.mismatches.push(mismatch(
+                    name,
+                    algo,
+                    &format!("incremental/batch{batch_no}(fallback={})", outcome.fallback),
+                    *threads,
+                    format!("vs {reference} reference: {detail}"),
+                ));
+            }
+        }
     }
 }
 

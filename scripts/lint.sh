@@ -121,6 +121,24 @@ if [ -n "$others" ] || [ "$allowed" -ne 2 ]; then
     exit 1
 fi
 
+# The incremental engines solve from scratch with the batch kernels:
+# `IncrementalPagerank` runs the pull kernel (`pagerank::pull_impl`) to
+# a tolerance and `IncrementalBfs` runs `bfs::run`, for the initial
+# answer and for a fallback alike. A private `solve` or `from_scratch`
+# in non-test code under algo/ is a serial second solver coming back.
+echo "== incremental engines solve with the batch kernels =="
+offenders=$(find crates/core/src/algo -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// && /fn (solve|from_scratch)[<(]/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a private from-scratch solver in crates/core/src/algo:"
+    echo "$offenders"
+    exit 1
+fi
+
 # All-active push sums (PageRank, SpMV) add into per-worker stripes
 # with plain writes and reduce them once per round (`algo::Stripes`):
 # the CAS rules (`PrPushAtomic`, `SpmvPushOp`), a `.fetch_add(` whose
