@@ -82,52 +82,10 @@ fn bench_grain_size(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_schedulers(c: &mut Criterion) {
-    // Shared-counter chunk queue vs per-worker-deque work stealing, on
-    // an even loop and on a pathologically skewed one.
-    let n = 1usize << 18;
-    let mut group = c.benchmark_group("scheduler_ablation");
-    group.throughput(Throughput::Elements(n as u64));
-
-    let even_work = |r: std::ops::Range<usize>| {
-        let mut acc = 0u64;
-        for i in r {
-            acc = acc.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9));
-        }
-        black_box(acc);
-    };
-    group.bench_function("chunk_queue_even", |b| {
-        b.iter(|| egraph_parallel::parallel_for(0..n, 1024, even_work))
-    });
-    group.bench_function("work_stealing_even", |b| {
-        b.iter(|| egraph_parallel::stealing::stealing_for(0..n, 1024, even_work))
-    });
-
-    let skewed_work = |r: std::ops::Range<usize>| {
-        let mut acc = 0u64;
-        for i in r {
-            // The first 64 indices cost ~1000x the rest.
-            let reps = if i < 64 { 1000 } else { 1 };
-            for _ in 0..reps {
-                acc = acc.wrapping_add(i as u64);
-            }
-        }
-        black_box(acc);
-    };
-    group.bench_function("chunk_queue_skewed", |b| {
-        b.iter(|| egraph_parallel::parallel_for(0..n, 1024, skewed_work))
-    });
-    group.bench_function("work_stealing_skewed", |b| {
-        b.iter(|| egraph_parallel::stealing::stealing_for(0..n, 1024, skewed_work))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sync_strategies,
     bench_grid_side,
-    bench_grain_size,
-    bench_schedulers
+    bench_grain_size
 );
 criterion_main!(benches);

@@ -11,12 +11,11 @@
 //! written, so every timing in the CSV is for a verified-identical
 //! answer.
 //!
-//! Build with `--features alloc-track` for real build-peak numbers and
-//! `--features simd` for the vectorized pull inner loops the
-//! compressed rows are meant to showcase. With `--trace-out FILE` the
-//! RMAT-20 PageRank-pull run on each layout is replayed under a trace
-//! recorder and written as `<stem>_adj.<ext>` / `<stem>_ccsr.<ext>`,
-//! ready for `egraph trace diff` to compare phase peak-memory rows.
+//! Build with `--features alloc-track` for real build-peak numbers.
+//! With `--trace-out FILE` the RMAT-20 PageRank-pull run on each layout
+//! is replayed under a trace recorder and written as
+//! `<stem>_adj.<ext>` / `<stem>_ccsr.<ext>`, ready for `egraph trace
+//! diff` to compare phase peak-memory rows.
 
 use egraph_bench::{fmt_ratio, fmt_secs, graphs, min_time, reps, ExperimentCtx, ResultTable};
 use egraph_core::exec::ExecCtx;
@@ -74,10 +73,7 @@ fn main() {
         );
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "simd feature: {}; threads: {THREADS}; host cores: {cores}\n",
-        if cfg!(feature = "simd") { "on" } else { "off" }
-    );
+    println!("threads: {THREADS}; host cores: {cores}\n");
     if cores < THREADS {
         eprintln!(
             "note: only {cores} host core(s) for {THREADS} threads — decode \
@@ -236,7 +232,7 @@ fn main() {
     println!();
     println!(
         "expected shape: ccsr resident bytes <= 0.6x adj at RMAT-20; \
-         PageRank pull on ccsr (simd on) matches or beats adj at {THREADS} \
+         PageRank pull on ccsr matches or beats adj at {THREADS} \
          threads when the pull loop is memory-bandwidth-bound (one thread \
          per physical core). On fewer cores the serial decode cost \
          (~4 ns/edge here) is exposed instead of hidden behind DRAM stalls."

@@ -139,9 +139,6 @@ fn main() {
             .insert("pool.chunks".into(), pool.chunks as f64);
         trace
             .counters
-            .insert("pool.steals".into(), pool.steals as f64);
-        trace
-            .counters
             .insert("pool.tasks".into(), pool.tasks as f64);
         trace
             .counters

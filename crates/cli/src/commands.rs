@@ -640,7 +640,6 @@ fn cmd_run(args: &Args) -> CliResult {
             for (name, value) in [
                 ("pool.regions", pool.regions as f64),
                 ("pool.chunks", pool.chunks as f64),
-                ("pool.steals", pool.steals as f64),
                 ("pool.tasks", pool.tasks as f64),
                 ("pool.workers", pool.busy_seconds.len() as f64),
                 ("pool.busy_seconds_total", pool.total_busy_seconds()),

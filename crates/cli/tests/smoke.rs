@@ -281,7 +281,7 @@ fn trace_out_writes_full_document() {
     // Pool and storage counters.
     for key in [
         "engine.edges_examined",
-        "pool.steals",
+        "pool.regions",
         "pool.busy_seconds_total",
         "storage.bytes_read",
     ] {
@@ -589,7 +589,7 @@ fn run_with_metrics_addr_serves_and_matches_trace() {
     // them, so the totals must equal what the trace recorded.
     let text = egraph_metrics::global().render();
     for name in [
-        "egraph_pool_steals_total",
+        "egraph_pool_regions_total",
         "egraph_pool_busy_seconds_total",
         "egraph_storage_bytes_read_total",
         "egraph_alloc_live_bytes",

@@ -155,13 +155,6 @@ impl<E: EdgeRecord> PullOp<E> for BfsPull<'_> {
     }
 
     #[inline]
-    fn prefetch_src(&self, e: &E) {
-        // The hot random read of a BFS pull is the frontier bit of the
-        // providing neighbor.
-        self.in_frontier.prefetch(e.src() as usize);
-    }
-
-    #[inline]
     fn activated(&self, dst: VertexId) -> bool {
         self.activated.get(dst as usize)
     }

@@ -148,6 +148,29 @@ impl Stripes {
     }
 }
 
+/// Lanes of [`span_sum`]'s fixed association.
+const SPAN_LANES: usize = 8;
+
+/// Sums `term(e)` over one pull span (PageRank's `contrib[src]`,
+/// SpMV's `weight · x[src]`) with a fixed association: eight lane
+/// accumulators fed round-robin by edge position, the tail folded into
+/// lanes `0..tail`, then a fixed pairwise tree, with no FMA
+/// contraction. Changing the association changes results.
+#[inline]
+pub(crate) fn span_sum<E>(edges: &[E], term: impl Fn(&E) -> f32) -> f32 {
+    let mut l = [0.0f32; SPAN_LANES];
+    let mut groups = edges.chunks_exact(SPAN_LANES);
+    for group in &mut groups {
+        for (lane, e) in l.iter_mut().zip(group) {
+            *lane += term(e);
+        }
+    }
+    for (lane, e) in l.iter_mut().zip(groups.remainder()) {
+        *lane += term(e);
+    }
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +192,21 @@ mod tests {
             .map(|v| view.out().degree(v) as u32)
             .collect();
         (view, degrees)
+    }
+
+    #[test]
+    fn lane_association_is_order_sensitive_but_fixed() {
+        // The documented spec: lanes fed round-robin, fixed tree.
+        let table = [1.0f32, 2.0, 4.0, 8.0];
+        let edges: Vec<Edge> = (0..4).map(|s| Edge::new(s, 0)).collect();
+        // Tail of 4 folds into lanes 0..4: (1+2)+(4+8) = 15.
+        assert_eq!(span_sum(&edges, |e| table[e.src() as usize]), 15.0);
+        // Edge 8 lands in lane 0 beside edge 0 and cancels it, so the
+        // seven ones survive; a left-to-right sum absorbs them into 1e8.
+        let terms = [1e8f32, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1e8];
+        let edges: Vec<Edge> = (0..9).map(|s| Edge::new(s, 0)).collect();
+        assert_eq!(span_sum(&edges, |e| terms[e.src() as usize]), 7.0);
+        assert_eq!(terms.iter().sum::<f32>(), 0.0);
     }
 
     /// Every incremental engine reports each applied batch as one

@@ -7,7 +7,7 @@
 //! paper uses 10) with damping 0.85 and produce identical ranks up to
 //! floating-point reassociation.
 
-use super::Stripes;
+use super::{span_sum, Stripes};
 use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
@@ -206,11 +206,7 @@ pub(crate) fn pull_impl<E: EdgeRecord, F, L: PullLayout<E, F>>(
 
                     #[inline]
                     fn pull_span(&self, dst: VertexId, edges: &[E]) -> usize {
-                        // Vectorized inner loop: gather `contrib[src]`
-                        // over the whole span with a fixed 8-lane
-                        // association (bit-identical with or without
-                        // the `simd` feature — see `crate::simd`).
-                        let sum = crate::simd::gather_sum(self.contrib, edges);
+                        let sum = span_sum(edges, |e| self.contrib[e.src() as usize]);
                         // SAFETY: as in `pull` — single writer per `dst`.
                         unsafe {
                             self.acc.update(dst as usize, |a| *a += sum);

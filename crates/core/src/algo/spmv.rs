@@ -7,7 +7,7 @@
 //! execution is not amortized by any gains in algorithm execution
 //! time." (§4.2)
 
-use super::Stripes;
+use super::{span_sum, Stripes};
 use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
@@ -153,11 +153,7 @@ pub(crate) fn pull_impl<E: EdgeRecord, F, L: PullLayout<E, F>>(
 
             #[inline]
             fn pull_span(&self, dst: VertexId, edges: &[E]) -> usize {
-                // Vectorized inner loop: gather `x[src]` and multiply
-                // by the edge weight over the whole span with a fixed
-                // 8-lane association (bit-identical with or without
-                // the `simd` feature — see `crate::simd`).
-                let sum = crate::simd::gather_mul_sum(self.x, edges);
+                let sum = span_sum(edges, |e| e.weight() * self.x[e.src() as usize]);
                 // SAFETY: as in `pull` — single writer per `dst`.
                 unsafe {
                     self.y.update(dst as usize, |a| *a += sum);

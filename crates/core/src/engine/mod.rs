@@ -81,32 +81,19 @@ pub trait PullOp<E: EdgeRecord>: Sync {
     /// form of [`Self::pull`]'s early termination, so `i + 1` when
     /// edge `i` stopped).
     ///
-    /// The default forwards to [`Self::pull`] edge by edge, issuing
-    /// [`Self::prefetch_src`] for the edge [`prefetch distance`]
-    /// (crate::simd::prefetch_distance) ahead. Vectorized operators
-    /// (PageRank/SpMV pull) override it with a whole-span gather.
-    /// `vertex_pull` hands every neighbor list over through this alone.
+    /// The default forwards to [`Self::pull`] edge by edge. PageRank
+    /// and SpMV pull override it with one fixed-association sum over
+    /// the span. `vertex_pull` hands every neighbor list over through
+    /// this alone.
     #[inline]
     fn pull_span(&self, dst: VertexId, edges: &[E]) -> usize {
-        let dist = crate::simd::prefetch_distance();
         for (i, e) in edges.iter().enumerate() {
-            if dist != 0 {
-                if let Some(ahead) = edges.get(i + dist) {
-                    self.prefetch_src(ahead);
-                }
-            }
             if self.pull(dst, e) {
                 return i + 1;
             }
         }
         edges.len()
     }
-
-    /// Issues a software-prefetch hint for the source-side state this
-    /// operator will read when it processes `e` (e.g. `prev[e.src()]`).
-    /// Default: no hint.
-    #[inline]
-    fn prefetch_src(&self, _e: &E) {}
 
     /// After the scan: did `dst` activate for the next step?
     fn activated(&self, dst: VertexId) -> bool;
@@ -219,8 +206,7 @@ where
 /// every vertex that `wants_pull` scans its in-edges (with early
 /// termination) and updates only its own state — no synchronization
 /// required (§6.1.2). Each neighbor list is handed to the operator span
-/// by span through [`PullOp::pull_span`] — the vectorized/prefetched
-/// path, and the only one.
+/// by span through [`PullOp::pull_span`], the only path.
 pub fn vertex_pull<E, A, O>(
     incoming: &A,
     op: &O,

@@ -40,9 +40,9 @@ use crate::types::{EdgeList, EdgeRecord, VertexId};
 ///
 /// Every vertex-centric driver visits neighbor lists in spans of at
 /// most this many edges, for **every** layout — so float accumulations
-/// that reassociate at span boundaries (the vectorized PageRank/SpMV
-/// pull) produce bit-identical results on uncompressed and compressed
-/// adjacencies alike.
+/// that reassociate at span boundaries (PageRank/SpMV pull's
+/// `span_sum`) produce bit-identical results on uncompressed and
+/// compressed adjacencies alike.
 pub const SPAN_EDGES: usize = 64;
 
 /// Uniform per-vertex neighbor access for the vertex-centric engine

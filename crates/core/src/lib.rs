@@ -55,7 +55,6 @@ pub mod metrics;
 pub mod preprocess;
 pub mod roadmap;
 pub mod serve;
-pub mod simd;
 pub mod telemetry;
 pub mod trace_diff;
 pub mod types;

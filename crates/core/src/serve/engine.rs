@@ -21,12 +21,11 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use egraph_parallel::ThreadPool;
-use egraph_perf::{CounterKind, PerfCounters};
 
 use crate::engine::FrontierAlgo;
 use crate::exec::ExecCtx;
@@ -83,27 +82,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// Which hardware counters the engine samples per executed wave — the
-/// typed shape of graceful degradation: when a kind is unavailable its
-/// wave histograms are simply not registered (never a panic), and the
-/// reason is kept here for `/healthz`-style introspection.
-#[derive(Debug, Clone)]
-pub struct WavePerfStatus {
-    /// Kinds sampled on every wave and exported as histograms.
-    pub available: Vec<CounterKind>,
-    /// Kinds that could not be opened, with the OS-level reason.
-    pub unavailable: Vec<(CounterKind, String)>,
-}
-
-/// The counter kinds the wave sampler cares about (the paper's
-/// cache-sharing argument needs misses + refs; instructions anchor the
-/// work per wave).
-const WAVE_KINDS: [CounterKind; 3] = [
-    CounterKind::LlcLoadMisses,
-    CounterKind::LlcLoads,
-    CounterKind::Instructions,
-];
 
 /// The graph a serve engine answers queries about.
 #[derive(Debug)]
@@ -629,80 +607,6 @@ impl StageHists {
     }
 }
 
-/// Per-wave hardware-counter histograms for the kinds that opened.
-/// Each field is `None` when its counter is unavailable — the series
-/// then never appears on `/metrics`, the typed graceful degradation
-/// the batch path already uses.
-struct WaveCounterHists {
-    llc_misses: Option<[egraph_metrics::Histogram; 3]>,
-    llc_loads: Option<[egraph_metrics::Histogram; 3]>,
-    instructions: Option<[egraph_metrics::Histogram; 3]>,
-}
-
-impl WaveCounterHists {
-    fn new(status: &WavePerfStatus, layout: &'static str) -> Self {
-        let per_algo = |name: &'static str, help: &'static str, lo: i32, hi: i32| {
-            [QueryKind::Bfs, QueryKind::Sssp, QueryKind::KHop].map(|k| {
-                egraph_metrics::global().histogram_with_bounds(
-                    name,
-                    help,
-                    &[("algo", k.name()), ("layout", layout)],
-                    egraph_metrics::Histogram::log2_bounds(lo, hi),
-                )
-            })
-        };
-        let open = |kind: CounterKind| status.available.contains(&kind);
-        Self {
-            llc_misses: open(CounterKind::LlcLoadMisses).then(|| {
-                per_algo(
-                    "egraph_serve_wave_llc_misses",
-                    "Last-level-cache load misses per executed wave.",
-                    10,
-                    34,
-                )
-            }),
-            llc_loads: open(CounterKind::LlcLoads).then(|| {
-                per_algo(
-                    "egraph_serve_wave_llc_loads",
-                    "Last-level-cache load references per executed wave.",
-                    10,
-                    34,
-                )
-            }),
-            instructions: open(CounterKind::Instructions).then(|| {
-                per_algo(
-                    "egraph_serve_wave_instructions",
-                    "Instructions retired per executed wave.",
-                    16,
-                    40,
-                )
-            }),
-        }
-    }
-
-    /// A disabled set (metrics off): nothing registered, nothing observed.
-    fn disabled() -> Self {
-        Self {
-            llc_misses: None,
-            llc_loads: None,
-            instructions: None,
-        }
-    }
-
-    fn observe(&self, sample: &egraph_perf::CounterSample, algo_idx: usize) {
-        let pairs = [
-            (&self.llc_misses, CounterKind::LlcLoadMisses),
-            (&self.llc_loads, CounterKind::LlcLoads),
-            (&self.instructions, CounterKind::Instructions),
-        ];
-        for (hists, kind) in pairs {
-            if let (Some(hists), Some(value)) = (hists, sample.get(kind)) {
-                hists[algo_idx].observe(value as f64);
-            }
-        }
-    }
-}
-
 struct Metrics {
     queries_total: [egraph_metrics::Counter; 3],
     /// Queries answered by riding a lane another query opened.
@@ -808,7 +712,6 @@ pub struct ServeEngine {
     resident_bytes: Arc<AtomicU64>,
     ready: Arc<AtomicBool>,
     journal: Arc<QueryJournal>,
-    wave_perf: Arc<OnceLock<WavePerfStatus>>,
     next_id: AtomicU64,
 }
 
@@ -846,7 +749,6 @@ impl ServeEngine {
         let ready = Arc::new(AtomicBool::new(false));
         let resident_bytes = Arc::new(AtomicU64::new(0));
         let journal = Arc::new(QueryJournal::new(config.journal_capacity));
-        let wave_perf = Arc::new(OnceLock::new());
         let state = Arc::new(GraphState {
             num_vertices: graph.num_vertices(),
             mutated: Mutex::new(MutableGraph::new(graph)),
@@ -858,20 +760,11 @@ impl ServeEngine {
             let ready = Arc::clone(&ready);
             let resident_bytes = Arc::clone(&resident_bytes);
             let journal = Arc::clone(&journal);
-            let wave_perf = Arc::clone(&wave_perf);
             let config = ServeConfig { max_wave, ..config };
             std::thread::Builder::new()
                 .name("egraph-serve-sched".into())
                 .spawn(move || {
-                    scheduler_loop(
-                        &state,
-                        config,
-                        &shared,
-                        &ready,
-                        &resident_bytes,
-                        &journal,
-                        &wave_perf,
-                    )
+                    scheduler_loop(&state, config, &shared, &ready, &resident_bytes, &journal)
                 })
                 .expect("spawn serve scheduler")
         };
@@ -884,7 +777,6 @@ impl ServeEngine {
             resident_bytes,
             ready,
             journal,
-            wave_perf,
             next_id: AtomicU64::new(1),
         }
     }
@@ -996,13 +888,6 @@ impl ServeEngine {
         }
     }
 
-    /// Which hardware counters the engine samples per wave, with typed
-    /// per-kind reasons when unavailable. `None` until the scheduler
-    /// finished probing (i.e. until [`Self::ready`]).
-    pub fn wave_perf(&self) -> Option<&WavePerfStatus> {
-        self.wave_perf.get()
-    }
-
     /// Admits a query; the returned receiver yields its outcome once
     /// the wave it joined completes. Dropping the receiver mid-flight
     /// is fine — the wave still runs for its other lanes and the lost
@@ -1068,7 +953,6 @@ fn scheduler_loop(
     ready: &AtomicBool,
     resident_bytes: &AtomicU64,
     journal: &QueryJournal,
-    wave_perf: &OnceLock<WavePerfStatus>,
 ) {
     // The graph is loaded into a read-optimized layout and published at
     // epoch 1; compaction republishes at later epochs, and each wave
@@ -1084,38 +968,14 @@ fn scheduler_loop(
     } else {
         config.threads
     };
-    // Counters must open before the pool spawns its workers: the perf
-    // fds are inherited (`inherit=1`), so only threads created after
-    // `open` are covered — the same ordering the batch path uses.
-    let perf = PerfCounters::open();
-    let perf_status = WavePerfStatus {
-        available: perf
-            .available_kinds()
-            .into_iter()
-            .filter(|k| WAVE_KINDS.contains(k))
-            .collect(),
-        unavailable: perf
-            .unavailable_reasons()
-            .into_iter()
-            .filter(|(k, _)| WAVE_KINDS.contains(k))
-            .collect(),
-    };
     let pool = ThreadPool::new(threads);
     let metrics = config.metrics.then(|| Metrics::new(config.layout.name()));
-    let wave_counters = if config.metrics {
-        WaveCounterHists::new(&perf_status, config.layout.name())
-    } else {
-        WaveCounterHists::disabled()
-    };
-    let _ = wave_perf.set(perf_status);
     ready.store(true, Ordering::Release);
 
     let runner = WaveRunner {
         num_vertices: state.num_vertices,
         pool: &pool,
         metrics: metrics.as_ref(),
-        wave_counters: &wave_counters,
-        perf: &perf,
         journal,
         slow_query: config.slow_query,
         shared,
@@ -1183,8 +1043,6 @@ struct WaveRunner<'a> {
     num_vertices: usize,
     pool: &'a ThreadPool,
     metrics: Option<&'a Metrics>,
-    wave_counters: &'a WaveCounterHists,
-    perf: &'a PerfCounters,
     journal: &'a QueryJournal,
     slow_query: Option<Duration>,
     shared: &'a Shared,
@@ -1202,7 +1060,6 @@ impl WaveRunner<'_> {
             QueryKind::KHop => riders.iter().map(|(_, p)| p.query.depth).max().unwrap_or(0),
         };
         let ctx = ExecCtx::new(self.pool);
-        let phase = self.perf.phase();
         let started = Instant::now();
         let nv = self.num_vertices;
         let (results, iterations): (Vec<QueryValues>, _) = ctx.scoped(|| match kind {
@@ -1221,7 +1078,6 @@ impl WaveRunner<'_> {
         });
         let executed = Instant::now();
         let exec_seconds = (executed - started).as_secs_f64();
-        let sample = phase.finish();
 
         let mut fanout: Vec<LaneFanout> = results.into_iter().map(LaneFanout::new).collect();
         for (lane, pending) in &riders {
@@ -1306,7 +1162,6 @@ impl WaveRunner<'_> {
             };
             m.queue_depth.set(depth as f64);
         }
-        self.wave_counters.observe(&sample, algo_idx);
     }
 }
 
@@ -1880,29 +1735,6 @@ mod tests {
             outcomes.contains(&(0, EventOutcome::Answered)),
             "{outcomes:?}"
         );
-        engine.shutdown();
-    }
-
-    #[test]
-    fn wave_perf_status_is_typed_and_covers_every_wave_kind() {
-        let engine = ServeEngine::start(
-            ServeGraph::Unweighted(chain_graph(16)),
-            ServeConfig {
-                threads: 1,
-                metrics: false,
-                ..ServeConfig::default()
-            },
-        );
-        engine.wait_ready();
-        let status = engine.wave_perf().expect("status set once ready");
-        // Whatever the host allows, every wave kind is accounted for
-        // exactly once — available or unavailable-with-reason, never a
-        // panic.
-        for kind in WAVE_KINDS {
-            let open = status.available.contains(&kind);
-            let closed = status.unavailable.iter().any(|(k, _)| *k == kind);
-            assert!(open ^ closed, "{kind:?}: open={open} closed={closed}");
-        }
         engine.shutdown();
     }
 

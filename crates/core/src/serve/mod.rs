@@ -26,7 +26,6 @@ pub mod wave;
 pub use daemon::ServeDaemon;
 pub use engine::{
     Query, QueryKind, QueryOutcome, QueryValues, ServeConfig, ServeEngine, ServeGraph,
-    WavePerfStatus,
 };
 pub use journal::{EventOutcome, QueryEvent, QueryJournal};
 pub use wave::{multi_bfs, multi_sssp, MAX_WAVE};

@@ -54,16 +54,6 @@ impl AtomicBitmap {
         self.bits[i / 64].load(Ordering::Relaxed) & (1u64 << (i % 64)) != 0
     }
 
-    /// Software-prefetches the cache line holding bit `i` (a no-op
-    /// without the `simd` feature; see [`crate::simd::prefetch_read`]).
-    /// Out-of-range indices are ignored — it is only a hint.
-    #[inline]
-    pub fn prefetch(&self, i: usize) {
-        if let Some(word) = self.bits.get(i / 64) {
-            crate::simd::prefetch_read(word as *const AtomicU64);
-        }
-    }
-
     /// Counts set bits, in parallel.
     pub fn count_ones(&self) -> usize {
         egraph_parallel::parallel_reduce(

@@ -40,7 +40,7 @@ pub use registry::{
 pub use server::{health, healthz_response, serve, set_health, BindError, Health, MetricsServer};
 
 /// Register gauges/counters for the `egraph-parallel` pool telemetry
-/// (steals, busy seconds, regions, chunks, tasks, load imbalance).
+/// (busy seconds, regions, chunks, tasks, load imbalance).
 ///
 /// The callbacks read [`egraph_parallel::telemetry::snapshot`] on every
 /// scrape, so `/metrics` always reports exactly the totals that a final
@@ -48,11 +48,6 @@ pub use server::{health, healthz_response, serve, set_health, BindError, Health,
 /// reuse the existing registrations.
 pub fn register_pool_metrics() {
     let r = global();
-    r.counter_fn(
-        "egraph_pool_steals_total",
-        "Chunks obtained by stealing from another worker's deque.",
-        || egraph_parallel::telemetry::snapshot().steals as f64,
-    );
     r.counter_fn(
         "egraph_pool_regions_total",
         "Parallel regions executed by the pool.",

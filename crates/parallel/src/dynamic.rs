@@ -3,7 +3,7 @@
 //! The recursive MSD radix sort of §3.2 produces an unpredictable tree
 //! of bucket-sorting tasks; this module runs such workloads by letting
 //! every task spawn follow-up tasks into a shared [`crossbeam`] injector
-//! that all pool workers drain — the work-stealing equivalent of Cilk's
+//! that all pool workers drain — this runtime's equivalent of Cilk's
 //! `spawn`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -2,10 +2,9 @@
 //!
 //! The conformance harness (`egraph-testkit`) needs to prove that the
 //! runtime never hangs and never silently corrupts results when the
-//! schedule degenerates: workers that stall, workers that die, and
-//! steal-heavy schedules where every thief fights over one deque. This
-//! module provides a process-global [`FaultPlan`] that the pool and the
-//! stealing scheduler consult at region entry.
+//! schedule degenerates: workers that stall and workers that die. This
+//! module provides a process-global [`FaultPlan`] that the pool
+//! consults at region entry.
 //!
 //! The disabled-path cost is a single relaxed atomic load per region
 //! entry (the same pattern as [`crate::telemetry`]), so production runs
@@ -37,9 +36,6 @@ pub struct FaultPlan {
     /// which `panic_worker` fires. Lets a test run a few clean regions
     /// before the fault lands.
     pub panic_from_region: u64,
-    /// Seed all initial [`crate::stealing::stealing_for`] work into
-    /// worker 0's deque so every other worker is forced to steal.
-    pub steal_storm: bool,
 }
 
 impl FaultPlan {
@@ -50,7 +46,6 @@ impl FaultPlan {
             delay_workers: false,
             panic_worker: None,
             panic_from_region: 1,
-            steal_storm: false,
         }
     }
 
@@ -65,12 +60,6 @@ impl FaultPlan {
     pub fn panic_worker(mut self, worker: usize, from_region: u64) -> Self {
         self.panic_worker = Some(worker);
         self.panic_from_region = from_region.max(1);
-        self
-    }
-
-    /// Forces all initial stealing work onto worker 0's deque.
-    pub fn steal_storm(mut self) -> Self {
-        self.steal_storm = true;
         self
     }
 }
@@ -165,22 +154,6 @@ fn on_worker_run_slow(worker: usize) {
     }
 }
 
-/// Whether the stealing scheduler should skew all initial work onto
-/// one deque.
-#[inline]
-pub(crate) fn steal_storm() -> bool {
-    if !enabled() {
-        return false;
-    }
-    matches!(
-        *PLAN.lock(),
-        Some(FaultPlan {
-            steal_storm: true,
-            ..
-        })
-    )
-}
-
 /// SplitMix64 finalizer — decorrelates the (seed, region, worker) mix.
 fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -200,15 +173,11 @@ mod tests {
 
     #[test]
     fn builder_sets_fields() {
-        let plan = FaultPlan::new(7)
-            .delay_workers()
-            .panic_worker(3, 2)
-            .steal_storm();
+        let plan = FaultPlan::new(7).delay_workers().panic_worker(3, 2);
         assert_eq!(plan.seed, 7);
         assert!(plan.delay_workers);
         assert_eq!(plan.panic_worker, Some(3));
         assert_eq!(plan.panic_from_region, 2);
-        assert!(plan.steal_storm);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * chunked self-scheduling loops ([`parallel_for`], [`parallel_reduce`],
 //!   [`for_each_chunk`]) in which workers grab fixed-size chunks from a
 //!   shared queue — the paper's "work queue" model,
-//! * a dynamic task pool ([`dynamic_tasks`]) with work stealing semantics
+//! * a dynamic task pool ([`dynamic_tasks`]): one shared task queue
 //!   for irregular, recursive workloads (the recursive parallel radix
 //!   sort of §3.2 is its main client),
 //! * parallel prefix sums ([`scan`]) used by the count-sort and CSR
@@ -52,7 +52,6 @@ pub mod fault;
 pub mod ops;
 pub mod pool;
 pub mod scan;
-pub mod stealing;
 pub mod telemetry;
 pub mod timeline;
 pub mod worker_local;

@@ -1,5 +1,5 @@
 //! Opt-in runtime counters for the pool: parallel regions, chunks
-//! executed, steals, and per-worker busy time.
+//! executed, dynamic tasks, and per-worker busy time.
 //!
 //! The counters are process-global atomics behind a single `enabled`
 //! gate, so the instrumented fast paths pay one relaxed load when
@@ -21,7 +21,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGIONS: AtomicU64 = AtomicU64::new(0);
 static CHUNKS: AtomicU64 = AtomicU64::new(0);
 static TASKS: AtomicU64 = AtomicU64::new(0);
-static STEALS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
 static BUSY_NANOS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
 
 /// Turns the pool counters on and zeroes them, starting a fresh
@@ -29,7 +28,7 @@ static BUSY_NANOS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_
 ///
 /// The zeroing matters for pool reuse: the pool survives across runs
 /// (including after a worker panic), so without it a second
-/// instrumented run would report the first run's steals and busy time
+/// instrumented run would report the first run's regions and busy time
 /// on top of its own. Call [`reset`] instead to zero without changing
 /// the collection state.
 pub fn enable() {
@@ -53,9 +52,6 @@ pub fn reset() {
     REGIONS.store(0, Ordering::Relaxed);
     CHUNKS.store(0, Ordering::Relaxed);
     TASKS.store(0, Ordering::Relaxed);
-    for slot in &STEALS {
-        slot.store(0, Ordering::Relaxed);
-    }
     for slot in &BUSY_NANOS {
         slot.store(0, Ordering::Relaxed);
     }
@@ -72,16 +68,6 @@ pub(crate) fn on_region() {
 pub(crate) fn on_chunk() {
     if enabled() {
         CHUNKS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Credits one successful steal to the worker that performed it, so
-/// end-of-run reports can show *who* had to go stealing — an idle-time
-/// signal the aggregate count hides.
-#[inline]
-pub(crate) fn on_steal(worker: usize) {
-    if enabled() && worker < MAX_WORKERS {
-        STEALS[worker].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -104,19 +90,15 @@ pub(crate) fn on_busy(worker: usize, nanos: u64) {
 pub struct PoolSnapshot {
     /// Parallel regions broadcast to the pool.
     pub regions: u64,
-    /// Chunks grabbed from shared-counter loops plus pieces processed
-    /// by the stealing scheduler.
+    /// Chunks grabbed from shared-counter loops.
     pub chunks: u64,
-    /// Successful steals in the work-stealing scheduler, summed over
-    /// workers (see [`steals_per_worker`](Self::steals_per_worker) for
-    /// the split).
+    /// Always 0: the runtime has no stealing scheduler. Kept only
+    /// because the standing benchmark still reads it as
+    /// `parallel.steals`; ROADMAP item 2(b) removes that read, and
+    /// this field with it.
     pub steals: u64,
     /// Dynamic tasks executed.
     pub tasks: u64,
-    /// Successful steals per worker, indexed by `WorkerId`. A worker
-    /// with many steals ran out of local work early — the flip side of
-    /// a high [`load_imbalance`](Self::load_imbalance).
-    pub steals_per_worker: Vec<u64>,
     /// Busy seconds per worker, indexed by `WorkerId`; only workers
     /// that ran at least one region appear as non-zero.
     pub busy_seconds: Vec<f64>,
@@ -159,16 +141,11 @@ impl PoolSnapshot {
 /// intended use: snapshot after the instrumented run finishes).
 pub fn snapshot() -> PoolSnapshot {
     let workers = crate::current_num_threads().min(MAX_WORKERS);
-    let steals_per_worker: Vec<u64> = STEALS[..workers]
-        .iter()
-        .map(|n| n.load(Ordering::Relaxed))
-        .collect();
     PoolSnapshot {
         regions: REGIONS.load(Ordering::Relaxed),
         chunks: CHUNKS.load(Ordering::Relaxed),
-        steals: steals_per_worker.iter().sum(),
+        steals: 0,
         tasks: TASKS.load(Ordering::Relaxed),
-        steals_per_worker,
         busy_seconds: BUSY_NANOS[..workers]
             .iter()
             .map(|n| n.load(Ordering::Relaxed) as f64 * 1e-9)
@@ -199,7 +176,6 @@ mod tests {
             chunks: 4,
             steals: 0,
             tasks: 0,
-            steals_per_worker: vec![0, 0, 0, 0],
             busy_seconds: vec![2.0, 2.0, 2.0, 2.0],
         };
         assert!((snap.load_imbalance() - 1.0).abs() < 1e-12);
@@ -213,7 +189,6 @@ mod tests {
             chunks: 4,
             steals: 0,
             tasks: 0,
-            steals_per_worker: vec![0, 0, 0, 0],
             busy_seconds: vec![3.0, 1.0, 0.0, 0.0],
         };
         // max 3, mean over active workers (3+1)/2 = 2 -> 1.5.
@@ -227,7 +202,6 @@ mod tests {
             chunks: 0,
             steals: 0,
             tasks: 0,
-            steals_per_worker: vec![],
             busy_seconds: vec![],
         };
         assert!((snap.load_imbalance() - 1.0).abs() < 1e-12);

@@ -1,5 +1,5 @@
 //! Integration tests for the observability surface: timeline spans and
-//! per-worker steal counts.
+//! the pool counters (regions, per-worker busy time).
 //!
 //! These live in their own test binary (own process) because they flip
 //! the global telemetry/timeline gates, which the library's unit tests
@@ -7,7 +7,6 @@
 
 use std::sync::{Mutex, Once};
 
-use egraph_parallel::stealing::stealing_for;
 use egraph_parallel::telemetry;
 use egraph_parallel::timeline::{self, SpanKind};
 
@@ -99,16 +98,11 @@ fn chrome_trace_export_has_tracks_and_directions() {
     assert!(json.contains("\"dur\":"));
 }
 
-#[test]
-fn skewed_workload_shows_up_in_steals_and_imbalance() {
-    init();
-    let _gate = GATE.lock().unwrap();
-    telemetry::enable();
-    // All the real work sits in the first quarter of the range — the
-    // slice seeded to worker 0's deque — so the other workers run dry
-    // immediately and must steal to contribute.
+/// A `parallel_for` whose real work all sits in the first quarter of
+/// the range: uneven chunk costs, as on a power-law graph.
+fn skewed_parallel_for() {
     let n = 4_096;
-    stealing_for(0..n, 16, |piece| {
+    egraph_parallel::parallel_for(0..n, 16, |piece| {
         for i in piece {
             if i < n / 4 {
                 let mut x = i as u64 + 1;
@@ -119,78 +113,50 @@ fn skewed_workload_shows_up_in_steals_and_imbalance() {
             }
         }
     });
-    telemetry::disable();
-
-    let snap = telemetry::snapshot();
-    assert_eq!(snap.steals_per_worker.len(), 4);
-    assert_eq!(snap.steals_per_worker.iter().sum::<u64>(), snap.steals);
-    assert!(
-        snap.steals > 0,
-        "a skewed workload must force steals, got {:?}",
-        snap.steals_per_worker
-    );
-    // The thieves are the workers whose seeded slices were cheap, not
-    // the one that owned the heavy quarter from the start.
-    let thieves = snap
-        .steals_per_worker
-        .iter()
-        .skip(1)
-        .filter(|&&s| s > 0)
-        .count();
-    assert!(
-        thieves >= 1,
-        "expected at least one non-owner worker to steal, got {:?}",
-        snap.steals_per_worker
-    );
-    // Work stealing rebalances execution, but the imbalance metric is
-    // still well-formed over the same run.
-    assert!(snap.load_imbalance() >= 1.0);
-    assert!(snap.total_busy_seconds() > 0.0);
 }
 
 #[test]
-fn enable_resets_per_worker_steal_counters_between_runs() {
+fn skewed_workload_shows_up_in_busy_time_and_imbalance() {
+    init();
+    let _gate = GATE.lock().unwrap();
+    telemetry::enable();
+    skewed_parallel_for();
+    telemetry::disable();
+
+    let snap = telemetry::snapshot();
+    assert_eq!(snap.busy_seconds.len(), 4);
+    assert_eq!(snap.regions, 1);
+    assert!(snap.load_imbalance() >= 1.0, "{snap:?}");
+    assert!(snap.total_busy_seconds() > 0.0, "{snap:?}");
+}
+
+#[test]
+fn enable_opens_a_fresh_window_after_a_busy_one() {
     init();
     let _gate = GATE.lock().unwrap();
 
-    // Run 1: the same skewed workload as above forces steals. The pool
-    // is persistent (and reusable after panics since the fault-injection
-    // work), so these counts would survive into the next run if enable()
-    // did not open a fresh window.
+    // Run 1: three skewed regions. The pool is persistent (and reusable
+    // after panics), so these counts would survive into the next run if
+    // enable() did not open a fresh window.
     telemetry::enable();
-    let n = 4_096;
-    stealing_for(0..n, 16, |piece| {
-        for i in piece {
-            if i < n / 4 {
-                let mut x = i as u64 + 1;
-                for _ in 0..20_000 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                std::hint::black_box(x);
-            }
-        }
-    });
+    for _ in 0..3 {
+        skewed_parallel_for();
+    }
     telemetry::disable();
     let first = telemetry::snapshot();
-    assert!(
-        first.steals > 0,
-        "precondition: run 1 must record steals, got {:?}",
-        first.steals_per_worker
-    );
+    assert_eq!(first.regions, 3, "precondition: {first:?}");
 
-    // Run 2 on the SAME pool: a perfectly balanced workload. A fresh
-    // collection window must show zero steals — not run 1's leftovers.
+    // Run 2 on the SAME pool: one near-empty region. It must read its
+    // own region and busy time, not run 1's on top.
     telemetry::enable();
     egraph_parallel::parallel_for(0..1_000, 64, |_r| {
         std::hint::black_box(0u64);
     });
     telemetry::disable();
     let second = telemetry::snapshot();
-    assert_eq!(
-        second.steals_per_worker,
-        vec![0, 0, 0, 0],
-        "per-worker steal counters must reset between pool reuses"
+    assert_eq!(second.regions, 1, "regions must reset between windows");
+    assert!(
+        second.total_busy_seconds() < first.total_busy_seconds(),
+        "busy seconds must reset between windows: {first:?} then {second:?}"
     );
-    assert_eq!(second.steals, 0);
-    assert!(second.regions >= 1, "run 2's own activity is still counted");
 }

@@ -17,9 +17,9 @@
 //!   float accumulation order legitimately depends on the schedule).
 //!
 //! Fault injection lives next to the code it stresses —
-//! [`egraph_parallel::fault`] (steal storms, delayed workers, worker
-//!   panics) and [`egraph_storage::fault`] (short reads, truncation,
-//!   mid-stream I/O errors) — and this crate's integration tests drive
+//! [`egraph_parallel::fault`] (delayed workers, worker panics) and
+//! [`egraph_storage::fault`] (short reads, truncation, mid-stream I/O
+//! errors) — and this crate's integration tests drive
 //! both, asserting typed errors and clean panic propagation: never a
 //! hang, never a silently wrong result.
 //!

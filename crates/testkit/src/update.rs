@@ -20,7 +20,7 @@
 //! 3. after compaction the published snapshot is the merged graph at a
 //!    bumped epoch, and queries against it still agree.
 //!
-//! Scheduler fault injection (delayed workers + steal storms, seeded)
+//! Scheduler fault injection (delayed workers, seeded)
 //! runs underneath the variant sweep when enabled: update correctness
 //! must not depend on a benign schedule. The fault plan is
 //! process-global, so callers enabling it must serialize (see
@@ -55,8 +55,8 @@ pub struct UpdateConfig {
     pub batches: usize,
     /// Ops per batch.
     pub ops_per_batch: usize,
-    /// Install the seeded scheduler fault plan (delayed workers +
-    /// steal storms) around the variant sweep. Process-global: callers
+    /// Install the seeded scheduler fault plan (delayed workers)
+    /// around the variant sweep. Process-global: callers
     /// must serialize against other fault-installing tests.
     pub faults: bool,
 }
@@ -483,7 +483,7 @@ fn check_variants(
 ) {
     let _fault_guard = cfg
         .faults
-        .then(|| FaultGuard::install(FaultPlan::new(cfg.seed).delay_workers().steal_storm()));
+        .then(|| FaultGuard::install(FaultPlan::new(cfg.seed).delay_workers()));
 
     let wbase = weighted(base);
     let wlog = {

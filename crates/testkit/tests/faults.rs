@@ -2,10 +2,9 @@
 //!
 //! Storage faults (short reads, truncation, mid-stream I/O errors) must
 //! surface as typed errors — never a panic, never a silently corrupted
-//! graph. Scheduler faults (delayed workers, steal storms, worker
-//! panics) must either leave results bit-for-bit unchanged or propagate
-//! a panic cleanly to the caller, leaving the pool reusable — never a
-//! hang.
+//! graph. Scheduler faults (delayed workers, worker panics) must
+//! either leave results bit-for-bit unchanged or propagate a panic
+//! cleanly to the caller, leaving the pool reusable — never a hang.
 //!
 //! The scheduler fault plan is process-global, so every test that
 //! installs one serializes on [`FAULT_LOCK`].
@@ -183,20 +182,6 @@ fn mini_matrix() {
 fn delayed_workers_do_not_change_results() {
     let _lock = fault_lock();
     let _guard = FaultGuard::install(FaultPlan::new(test_seed()).delay_workers());
-    mini_matrix();
-}
-
-#[test]
-fn steal_storm_does_not_change_results() {
-    let _lock = fault_lock();
-    let _guard = FaultGuard::install(FaultPlan::new(test_seed()).steal_storm());
-    mini_matrix();
-}
-
-#[test]
-fn delayed_steal_storm_does_not_change_results() {
-    let _lock = fault_lock();
-    let _guard = FaultGuard::install(FaultPlan::new(test_seed()).delay_workers().steal_storm());
     mini_matrix();
 }
 

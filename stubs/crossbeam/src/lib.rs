@@ -1,12 +1,12 @@
-//! Offline stub of `crossbeam`: the `deque` module ([`deque::Worker`],
-//! [`deque::Stealer`], [`deque::Injector`], [`deque::Steal`]) backed by
-//! mutex-protected `VecDeque`s. Semantics match the real crate (owner
-//! pops LIFO, thieves steal FIFO); throughput is lower, which only
-//! matters for benchmarks, not correctness.
+//! Offline stub of `crossbeam`: the `deque` module's
+//! [`deque::Injector`] and [`deque::Steal`], backed by a
+//! mutex-protected `VecDeque`. Semantics match the real crate (FIFO);
+//! throughput is lower, which only matters for benchmarks, not
+//! correctness.
 
 pub mod deque {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex, PoisonError};
+    use std::sync::{Mutex, PoisonError};
 
     /// Outcome of a steal attempt.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,86 +17,6 @@ pub mod deque {
         Success(T),
         /// The attempt lost a race and should be retried.
         Retry,
-    }
-
-    /// A worker-owned deque: the owner pushes and pops LIFO at the
-    /// back, thieves steal FIFO from the front.
-    pub struct Worker<T> {
-        shared: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        /// Creates a LIFO worker deque.
-        pub fn new_lifo() -> Self {
-            Self {
-                shared: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Creates a FIFO worker deque. The stub's owner still pops at
-        /// the back; no workspace code relies on FIFO owner order.
-        pub fn new_fifo() -> Self {
-            Self::new_lifo()
-        }
-
-        /// Pushes a task onto the owner end.
-        pub fn push(&self, task: T) {
-            self.shared
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(task);
-        }
-
-        /// Pops a task from the owner end (LIFO).
-        pub fn pop(&self) -> Option<T> {
-            self.shared
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_back()
-        }
-
-        /// Whether the deque is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.shared
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty()
-        }
-
-        /// Creates a stealer handle onto this deque.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    /// A handle that steals from the front of a [`Worker`]'s deque.
-    pub struct Stealer<T> {
-        shared: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Stealer<T> {
-        /// Attempts to steal the oldest task.
-        pub fn steal(&self) -> Steal<T> {
-            match self
-                .shared
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front()
-            {
-                Some(task) => Steal::Success(task),
-                None => Steal::Empty,
-            }
-        }
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Self {
-                shared: Arc::clone(&self.shared),
-            }
-        }
     }
 
     /// A shared FIFO injector queue all workers push into and drain.
@@ -151,20 +71,6 @@ pub mod deque {
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn owner_pops_lifo_thief_steals_fifo() {
-            let w = Worker::new_lifo();
-            let s = w.stealer();
-            w.push(1);
-            w.push(2);
-            w.push(3);
-            assert_eq!(s.steal(), Steal::Success(1));
-            assert_eq!(w.pop(), Some(3));
-            assert_eq!(w.pop(), Some(2));
-            assert_eq!(w.pop(), None);
-            assert_eq!(s.steal(), Steal::Empty);
-        }
 
         #[test]
         fn injector_is_fifo() {
