@@ -3,32 +3,45 @@
 //! the work-queue grain size of the parallel runtime.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use egraph_core::algo::pagerank::{self, PagerankConfig};
-use egraph_core::layout::EdgeDirection;
+use egraph_core::algo::pagerank::PagerankConfig;
+use egraph_core::exec::ExecCtx;
 use egraph_core::metrics::SyncMode;
-use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
+use egraph_core::types::Edge;
+use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId};
 use std::hint::black_box;
+
+/// One PageRank iteration of `spec` under `sync` on `graph`, whose
+/// layout the first call builds, so call it once outside the timed loop.
+fn pagerank_step(spec: &str, graph: &PreparedGraph<'_, Edge>, sync: SyncMode) -> f32 {
+    let id: VariantId = spec.parse().expect("valid variant spec");
+    let params = RunParams {
+        pagerank: PagerankConfig {
+            iterations: 1,
+            ..Default::default()
+        },
+        sync,
+        ..RunParams::default()
+    };
+    let run = run_variant(&id, &ExecCtx::new(None), graph, &params).expect("supported variant");
+    run.output.as_pagerank().expect("a PageRank run").ranks[0]
+}
 
 fn bench_sync_strategies(c: &mut Criterion) {
     let graph = egraph_bench::graphs::rmat(14);
-    let degrees = egraph_bench::graphs::out_degrees_u32(&graph);
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&graph);
-    let cfg = PagerankConfig {
-        iterations: 1,
-        ..Default::default()
-    };
+    let prepared = PreparedGraph::new(&graph);
 
     let mut group = c.benchmark_group("sync_strategy_ablation");
     group.throughput(Throughput::Elements(graph.num_edges() as u64));
-    group.bench_function("push_locks", |b| {
-        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, SyncMode::Locks).ranks[0]))
-    });
-    group.bench_function("push_atomics", |b| {
-        b.iter(|| black_box(pagerank::push(adj.out(), &degrees, cfg, SyncMode::Atomics).ranks[0]))
-    });
-    group.bench_function("pull_no_sync", |b| {
-        b.iter(|| black_box(pagerank::pull(adj.incoming(), &degrees, cfg).ranks[0]))
-    });
+    for (name, spec, sync) in [
+        ("push_locks", "pagerank/adj/push", SyncMode::Locks),
+        ("push_atomics", "pagerank/adj/push", SyncMode::Atomics),
+        ("pull_no_sync", "pagerank/adj/pull", SyncMode::Atomics),
+    ] {
+        pagerank_step(spec, &prepared, sync);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(pagerank_step(spec, &prepared, sync)))
+        });
+    }
     group.finish();
 }
 
@@ -36,21 +49,14 @@ fn bench_grid_side(c: &mut Criterion) {
     // "The optimal number of cells in the grid depends on the graph
     // shape and size" (§5.1) — sweep P.
     let graph = egraph_bench::graphs::rmat(15);
-    let degrees = egraph_bench::graphs::out_degrees_u32(&graph);
-    let cfg = PagerankConfig {
-        iterations: 1,
-        ..Default::default()
-    };
     let mut group = c.benchmark_group("grid_side_ablation");
     group.throughput(Throughput::Elements(graph.num_edges() as u64));
     for side in [4usize, 16, 64, 256] {
-        let grid = GridBuilder::new(Strategy::RadixSort)
-            .side(side)
-            .build(&graph);
-        group.bench_with_input(BenchmarkId::new("pagerank_step", side), &grid, |b, grid| {
-            b.iter(|| {
-                black_box(pagerank::grid_push(grid, &degrees, cfg, SyncMode::Atomics).ranks[0])
-            })
+        let prepared = PreparedGraph::new(&graph).side(side);
+        let step = || pagerank_step("pagerank/grid/push", &prepared, SyncMode::Atomics);
+        step();
+        group.bench_with_input(BenchmarkId::new("pagerank_step", side), &side, |b, _| {
+            b.iter(|| black_box(step()))
         });
     }
     group.finish();

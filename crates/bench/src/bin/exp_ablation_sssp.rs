@@ -1,6 +1,6 @@
 //! Ablation: the bucket width of SSSP — one kernel from the paper's
 //! frontier Bellman-Ford (Δ = ∞, one bucket) down to near-Dijkstra
-//! small deltas, and the width `sssp::push` derives from the graph.
+//! small deltas, and the width `sssp/adj/push` derives from the graph.
 //!
 //! Bucketing bounds the wasted relaxations that make plain frontier
 //! SSSP re-process vertices "many times during the computation" (§8);

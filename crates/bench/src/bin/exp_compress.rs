@@ -17,15 +17,13 @@
 //! `<stem>_adj.<ext>` / `<stem>_ccsr.<ext>`, ready for `egraph trace
 //! diff` to compare phase peak-memory rows.
 
-use egraph_bench::{fmt_ratio, fmt_secs, graphs, min_time, reps, ExperimentCtx, ResultTable};
+use egraph_bench::{fmt_ratio, fmt_secs, graphs, measure, reps, ExperimentCtx, ResultTable};
 use egraph_core::exec::ExecCtx;
 use egraph_core::layout::EdgeDirection;
 use egraph_core::preprocess::{compress_sorted_csr, CsrBuilder, Strategy};
 use egraph_core::telemetry::{PhaseProfiler, RunTrace, TraceRecorder};
-use egraph_core::types::Edge;
 use egraph_core::variant::{
-    run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, VariantId, VariantOutput,
-    VariantRun,
+    Algo, Direction, Layout, PreparedGraph, RunParams, VariantId, VariantOutput,
 };
 use egraph_metrics::alloc;
 use egraph_parallel::pool::ThreadPool;
@@ -36,29 +34,6 @@ static ALLOC: alloc::TrackingAlloc = alloc::TrackingAlloc;
 
 /// The acceptance criterion runs at this thread count.
 const THREADS: usize = 8;
-
-fn run(
-    id: VariantId,
-    ctx: &ExecCtx<'_>,
-    graph: &PreparedGraph<'_, Edge>,
-    params: &RunParams<'_>,
-) -> VariantRun {
-    run_variant(&id, ctx, graph, params).expect("variant is in the support matrix")
-}
-
-/// Best-of-N algorithm seconds for one variant, returning the last
-/// output for the equality assertion.
-fn best_time(
-    id: VariantId,
-    ctx: &ExecCtx<'_>,
-    graph: &PreparedGraph<'_, Edge>,
-    params: &RunParams<'_>,
-) -> (VariantOutput, f64) {
-    min_time(reps(), || {
-        let r = run(id, ctx, graph, params);
-        (r.output, r.algorithm_seconds)
-    })
-}
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -129,9 +104,7 @@ fn main() {
 
         // Timed runs go through the unified resolver so layout builds,
         // caching and instrumentation match what `egraph run` does.
-        let prep = PreparedGraph::new(&graph)
-            .strategy(Strategy::RadixSort)
-            .sort_neighbors(true);
+        let prepare = || PreparedGraph::new(&graph).sort_neighbors(true);
         let pr_params = RunParams::default();
         let bfs_params = RunParams {
             root,
@@ -142,21 +115,23 @@ fn main() {
         let bfs_adj_id = VariantId::new(Algo::Bfs, Layout::Adjacency, Direction::Pull);
         let bfs_ccsr_id = VariantId::new(Algo::Bfs, Layout::Ccsr, Direction::Pull);
 
-        let (pr_adj_out, pr_adj_s) = best_time(pr_adj_id, &exec, &prep, &pr_params);
-        let (pr_ccsr_out, pr_ccsr_s) = best_time(pr_ccsr_id, &exec, &prep, &pr_params);
-        let (bfs_adj_out, bfs_adj_s) = best_time(bfs_adj_id, &exec, &prep, &bfs_params);
-        let (bfs_ccsr_out, bfs_ccsr_s) = best_time(bfs_ccsr_id, &exec, &prep, &bfs_params);
+        let time = |id, params| measure(&exec, prepare, &id, params, reps());
+        let (pr_adj, pr_ccsr) = (time(pr_adj_id, &pr_params), time(pr_ccsr_id, &pr_params));
+        let (bfs_adj, bfs_ccsr) = (
+            time(bfs_adj_id, &bfs_params),
+            time(bfs_ccsr_id, &bfs_params),
+        );
 
         // Conformance before timing rows: both layouts decode to the
         // same sorted adjacency, so deterministic pull kernels must
         // agree bit-for-bit.
-        match (&pr_adj_out, &pr_ccsr_out) {
+        match (&pr_adj.output, &pr_ccsr.output) {
             (VariantOutput::Pagerank(a), VariantOutput::Pagerank(c)) => {
                 assert_eq!(a.ranks, c.ranks, "RMAT{scale}: ccsr PageRank diverged");
             }
             _ => unreachable!("pagerank variants return ranks"),
         }
-        match (&bfs_adj_out, &bfs_ccsr_out) {
+        match (&bfs_adj.output, &bfs_ccsr.output) {
             (VariantOutput::Bfs(a), VariantOutput::Bfs(c)) => {
                 assert_eq!(a.level, c.level, "RMAT{scale}: ccsr BFS diverged");
             }
@@ -178,6 +153,8 @@ fn main() {
                 fmt_secs(bfs_s),
             ]);
         };
+        let (pr_adj_s, pr_ccsr_s) = (pr_adj.algorithm_seconds, pr_ccsr.algorithm_seconds);
+        let (bfs_adj_s, bfs_ccsr_s) = (bfs_adj.algorithm_seconds, bfs_ccsr.algorithm_seconds);
         row("adj", adj_bytes, adj_peak, pr_adj_s, bfs_adj_s);
         row("ccsr", ccsr_bytes, ccsr_peak, pr_ccsr_s, bfs_ccsr_s);
         println!(
@@ -198,15 +175,8 @@ fn main() {
             for (layout, id) in [("adj", pr_adj_id), ("ccsr", pr_ccsr_id)] {
                 let recorder = TraceRecorder::new();
                 let profiler = PhaseProfiler::enabled();
-                let fresh = PreparedGraph::new(&graph)
-                    .strategy(Strategy::RadixSort)
-                    .sort_neighbors(true);
-                run(
-                    id,
-                    &ExecCtx::new(&pool).recorder(&recorder).profiler(&profiler),
-                    &fresh,
-                    &pr_params,
-                );
+                let traced = ExecCtx::new(&pool).recorder(&recorder).profiler(&profiler);
+                measure(&traced, prepare, &id, &pr_params, 1);
                 let mut trace = RunTrace::new("pagerank");
                 trace
                     .config

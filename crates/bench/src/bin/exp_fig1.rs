@@ -3,13 +3,12 @@
 //! pre-processing (both edge directions) makes it ~1.5× slower
 //! end-to-end.
 
-use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
-use egraph_core::algo::bfs;
+use egraph_bench::{
+    fmt_ratio, graphs, measure, phase_row, total_seconds, ExperimentCtx, ResultTable,
+};
 use egraph_core::exec::ExecCtx;
-use egraph_core::layout::EdgeDirection;
-use egraph_core::preprocess::{CsrBuilder, Strategy};
 use egraph_core::telemetry::{PhaseProfiler, RunTrace, TraceRecorder};
-use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId};
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId, VariantRun};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -27,36 +26,27 @@ fn main() {
         root
     );
 
-    // Minimum of N runs to filter shared-host scheduling noise.
-    let reps = egraph_bench::reps();
-
-    // Push: only the out-direction is built.
-    let (adj_out, pre_push_secs) = egraph_bench::min_time(reps, || {
-        let (adj, stats) =
-            CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&graph);
-        (adj, stats.seconds)
+    // Push builds only the out-direction; push-pull builds both (the
+    // Fig. 1 penalty). Minimum of N runs filters shared-host noise.
+    let prepare = || PreparedGraph::new(&graph);
+    let params = RunParams {
+        root,
+        ..RunParams::default()
+    };
+    let [push_pull, push] = ["bfs/adj/push-pull", "bfs/adj/push"].map(|spec| {
+        let id: VariantId = spec.parse().expect("valid variant spec");
+        measure(
+            &ExecCtx::new(None),
+            prepare,
+            &id,
+            &params,
+            egraph_bench::reps(),
+        )
     });
-    let (push, _) = egraph_bench::min_time(reps, || {
-        let r = bfs::push(&adj_out, root);
-        let s = r.algorithm_seconds();
-        (r, s)
-    });
-
-    // Push-pull: both directions are built (the Fig. 1 penalty).
-    let (adj_both, pre_pp_secs) = egraph_bench::min_time(reps, || {
-        let (adj, stats) =
-            CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build_timed(&graph);
-        (adj, stats.seconds)
-    });
-    let (push_pull, _) = egraph_bench::min_time(reps, || {
-        let r = bfs::push_pull(&adj_both, root);
-        let s = r.algorithm_seconds();
-        (r, s)
-    });
-
+    let reachable = |run: &VariantRun| run.output.as_bfs().expect("a BFS run").reachable_count();
     assert_eq!(
-        push.reachable_count(),
-        push_pull.reachable_count(),
+        reachable(&push),
+        reachable(&push_pull),
         "variants must agree"
     );
 
@@ -64,35 +54,23 @@ fn main() {
         "fig1_bfs_push_vs_pushpull",
         &["config", "preprocess(s)", "algorithm(s)", "total(s)"],
     );
-    let rows = [
-        ("bfs push-pull", pre_pp_secs, push_pull.algorithm_seconds()),
-        ("bfs push", pre_push_secs, push.algorithm_seconds()),
-    ];
-    for (name, pre, algo) in rows {
-        table.add_row(vec![
-            name.into(),
-            fmt_secs(pre),
-            fmt_secs(algo),
-            fmt_secs(pre + algo),
-        ]);
+    for (name, run) in [("bfs push-pull", &push_pull), ("bfs push", &push)] {
+        table.add_row(phase_row(&[name], run));
     }
     table.print();
 
-    let algo_gain = push.algorithm_seconds() / push_pull.algorithm_seconds().max(1e-9);
-    let total_pp = pre_pp_secs + push_pull.algorithm_seconds();
-    let total_push = pre_push_secs + push.algorithm_seconds();
     println!();
     println!(
         "algorithm speedup of push-pull: {}   (paper: ~3x)",
-        fmt_ratio(algo_gain)
+        fmt_ratio(push.algorithm_seconds / push_pull.algorithm_seconds.max(1e-9))
     );
     println!(
         "end-to-end push-pull / push:    {}   (paper: ~1.5x worse)",
-        fmt_ratio(total_pp / total_push.max(1e-9))
+        fmt_ratio(total_seconds(&push_pull) / total_seconds(&push).max(1e-9))
     );
     println!(
         "pre-processing push-pull / push: {}  (paper: ~2x)",
-        fmt_ratio(pre_pp_secs / pre_push_secs.max(1e-9))
+        fmt_ratio(push_pull.preprocess_seconds / push.preprocess_seconds.max(1e-9))
     );
     ctx.save(&table);
 
@@ -105,19 +83,9 @@ fn main() {
         egraph_parallel::telemetry::enable();
         let recorder = TraceRecorder::new();
         let profiler = PhaseProfiler::enabled();
-        let prepared = PreparedGraph::new(&graph).strategy(Strategy::RadixSort);
         let id: VariantId = "bfs/adj/push-pull".parse().expect("valid variant spec");
-        let params = RunParams {
-            root,
-            ..RunParams::default()
-        };
-        run_variant(
-            &id,
-            &ExecCtx::new(None).recorder(&recorder).profiler(&profiler),
-            &prepared,
-            &params,
-        )
-        .expect("variant is in the support matrix");
+        let traced = ExecCtx::new(None).recorder(&recorder).profiler(&profiler);
+        measure(&traced, prepare, &id, &params, 1);
         egraph_parallel::telemetry::disable();
         let pool = egraph_parallel::telemetry::snapshot();
 

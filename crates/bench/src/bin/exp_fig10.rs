@@ -7,10 +7,9 @@
 //! a serial sequence of memory-controller hotspots.
 
 use egraph_bench::numa::{bfs_locality, partition_by_target, DataPolicy};
-use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
-use egraph_core::algo::bfs;
-use egraph_core::layout::EdgeDirection;
-use egraph_core::preprocess::{CsrBuilder, Strategy};
+use egraph_bench::{fmt_ratio, fmt_secs, graphs, measure, ExperimentCtx, ResultTable};
+use egraph_core::exec::ExecCtx;
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
 use egraph_numa::{CostModel, MemoryBoundness, Topology};
 
 fn main() {
@@ -29,8 +28,16 @@ fn main() {
 
     let topo = Topology::machine_b();
     let model = CostModel::new(topo.clone());
-    let (adj, pre) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build_timed(&graph);
-    let measured = bfs::push_pull(&adj, 0).algorithm_seconds();
+    let id: VariantId = "bfs/adj/push-pull".parse().expect("valid variant spec");
+    let prepare = || PreparedGraph::new(&graph);
+    let params = RunParams::default();
+    let bfs = measure(
+        &ExecCtx::new(None),
+        prepare,
+        &id,
+        &params,
+        egraph_bench::reps(),
+    );
     let partition = partition_by_target(&graph, topo.num_nodes);
 
     let mut table = ResultTable::new(
@@ -47,19 +54,19 @@ fn main() {
     let mut totals = Vec::new();
     for policy in [DataPolicy::Interleaved, DataPolicy::NumaAware] {
         let profile = bfs_locality(&graph, 0, policy, topo.num_nodes);
-        let modeled = profile.modeled(&model, measured, MemoryBoundness::TRAVERSAL);
+        let modeled = profile.modeled(&model, bfs.algorithm_seconds, MemoryBoundness::TRAVERSAL);
         let partition_s = match policy {
             DataPolicy::Interleaved => 0.0,
             DataPolicy::NumaAware => partition.seconds,
         };
-        let total = pre.seconds + partition_s + modeled.modeled_seconds;
+        let total = bfs.preprocess_seconds + partition_s + modeled.modeled_seconds;
         totals.push(total);
         table.add_row(vec![
             match policy {
                 DataPolicy::Interleaved => "B inter.".into(),
                 DataPolicy::NumaAware => "B NUMA".into(),
             },
-            fmt_secs(pre.seconds),
+            fmt_secs(bfs.preprocess_seconds),
             fmt_secs(partition_s),
             fmt_secs(modeled.modeled_seconds),
             fmt_secs(total),

@@ -6,11 +6,9 @@
 //! pre-processing); SpMV favours the edge array (single pass, nothing
 //! amortizes the pre-processing).
 
-use egraph_bench::{fmt_secs, graphs, ExperimentCtx, ResultTable};
-use egraph_core::algo::{bfs, pagerank, spmv};
-use egraph_core::layout::EdgeDirection;
-use egraph_core::metrics::SyncMode;
-use egraph_core::preprocess::{CsrBuilder, Strategy};
+use egraph_bench::{graphs, measure, phase_row, ExperimentCtx, ResultTable};
+use egraph_core::exec::ExecCtx;
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -21,9 +19,19 @@ fn main() {
 
     let graph = graphs::rmat(ctx.scale);
     let weighted = graphs::with_weights(&graph);
-    let degrees = graphs::out_degrees_u32(&graph);
-    let root = graphs::best_root(&graph);
-    let pr_cfg = pagerank::PagerankConfig::default();
+    let x: Vec<f32> = (0..graph.num_vertices())
+        .map(|i| (i % 7) as f32 / 7.0)
+        .collect();
+    let bfs = RunParams {
+        root: graphs::best_root(&graph),
+        ..RunParams::default()
+    };
+    // PageRank runs its default 10 iterations.
+    let pagerank = RunParams::default();
+    let spmv = RunParams {
+        x: Some(&x),
+        ..RunParams::default()
+    };
 
     let mut table = ResultTable::new(
         "fig3_vertex_vs_edge_centric",
@@ -35,71 +43,39 @@ fn main() {
             "total(s)",
         ],
     );
-    let push_row = |table: &mut ResultTable, algo: &str, layout: &str, pre: f64, alg: f64| {
-        table.add_row(vec![
-            algo.into(),
-            layout.into(),
-            fmt_secs(pre),
-            fmt_secs(alg),
-            fmt_secs(pre + alg),
-        ]);
-    };
 
     // Minimum-of-N timing filters the host's first-touch page-fault
     // penalty and scheduling noise (see EXPERIMENTS.md).
     let reps = egraph_bench::reps();
-
-    // --- BFS ---
-    let (adj, pre_secs) = egraph_bench::min_time(reps, || {
-        let (a, s) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&graph);
-        (a, s.seconds)
-    });
-    let (r, bfs_adj) = egraph_bench::min_time(reps, || {
-        let r = bfs::push(&adj, root);
-        let s = r.algorithm_seconds();
-        (r, s)
-    });
-    push_row(&mut table, "bfs", "adj", pre_secs, bfs_adj);
-    let reachable = r.reachable_count();
-    let (r, bfs_edge) = egraph_bench::min_time(reps, || {
-        let r = bfs::edge_centric(&graph, root);
-        let s = r.algorithm_seconds();
-        (r, s)
-    });
-    assert_eq!(r.reachable_count(), reachable);
-    push_row(&mut table, "bfs", "edge-array", 0.0, bfs_edge);
-
-    // --- PageRank (10 iterations) ---
-    let ((), pr_adj) = egraph_bench::min_time(reps, || {
-        let r = pagerank::push(adj.out(), &degrees, pr_cfg, SyncMode::Atomics);
-        ((), r.seconds)
-    });
-    push_row(&mut table, "pagerank", "adj", pre_secs, pr_adj);
-    let ((), pr_edge) = egraph_bench::min_time(reps, || {
-        let r = pagerank::edge_centric(&graph, &degrees, pr_cfg, SyncMode::Atomics);
-        ((), r.seconds)
-    });
-    push_row(&mut table, "pagerank", "edge-array", 0.0, pr_edge);
-
-    // --- SpMV ---
-    let x: Vec<f32> = (0..graph.num_vertices())
-        .map(|i| (i % 7) as f32 / 7.0)
-        .collect();
-    let (wadj, wpre_secs) = egraph_bench::min_time(reps, || {
-        let (a, s) =
-            CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&weighted);
-        (a, s.seconds)
-    });
-    let ((), spmv_adj) = egraph_bench::min_time(reps, || {
-        let r = spmv::push(wadj.out(), &x);
-        ((), r.seconds)
-    });
-    push_row(&mut table, "spmv", "adj", wpre_secs, spmv_adj);
-    let ((), spmv_edge) = egraph_bench::min_time(reps, || {
-        let r = spmv::edge_centric(&weighted, &x);
-        ((), r.seconds)
-    });
-    push_row(&mut table, "spmv", "edge-array", 0.0, spmv_edge);
+    let plain = ExecCtx::new(None);
+    let id = |spec: &str| -> VariantId { spec.parse().expect("valid variant spec") };
+    let unweighted = || PreparedGraph::new(&graph);
+    let mut reachable = None;
+    for (algo, layout, spec, params) in [
+        ("bfs", "adj", "bfs/adj/push", &bfs),
+        ("bfs", "edge-array", "bfs/edge/push", &bfs),
+        ("pagerank", "adj", "pagerank/adj/push", &pagerank),
+        ("pagerank", "edge-array", "pagerank/edge/push", &pagerank),
+    ] {
+        let run = measure(&plain, unweighted, &id(spec), params, reps);
+        if let Some(r) = run.output.as_bfs() {
+            assert_eq!(
+                *reachable.get_or_insert(r.reachable_count()),
+                r.reachable_count()
+            );
+        }
+        table.add_row(phase_row(&[algo, layout], &run));
+    }
+    for (layout, spec) in [("adj", "spmv/adj/push"), ("edge-array", "spmv/edge/push")] {
+        let run = measure(
+            &plain,
+            || PreparedGraph::new(&weighted),
+            &id(spec),
+            &spmv,
+            reps,
+        );
+        table.add_row(phase_row(&["spmv", layout], &run));
+    }
 
     table.print();
     println!();

@@ -12,36 +12,13 @@
 //! pre-processing).
 
 use egraph_bench::trace::ReplayLayout;
-use egraph_bench::{fmt_pct, fmt_secs, graphs, llc, ExperimentCtx, ResultTable};
+use egraph_bench::{fmt_pct, graphs, llc, measure, phase_row, ExperimentCtx, ResultTable};
 use egraph_core::algo::pagerank;
-use egraph_core::exec::ExecCtx;
+use egraph_core::exec::{ExecCtx, PHASE_ALGORITHM};
 use egraph_core::layout::EdgeDirection;
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use egraph_core::telemetry::{CounterKind, PhaseProfiler};
-use egraph_core::types::Edge;
-use egraph_core::variant::{
-    run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, VariantId, VariantRun,
-};
-
-/// Runs `f` under the profiler's hardware counters and returns the
-/// measured LLC miss ratio, when both LLC counters opened.
-fn hw_llc_ratio(prof: &PhaseProfiler, f: impl FnOnce()) -> Option<f64> {
-    prof.profile("hw", f);
-    prof.take_phases()
-        .pop()
-        .and_then(|p| p.hardware_llc_miss_ratio())
-}
-
-/// One variant run through the unified resolver; every combination
-/// this experiment asks for is in the support matrix.
-fn run(
-    id: VariantId,
-    ctx: &ExecCtx<'_>,
-    graph: &PreparedGraph<'_, Edge>,
-    params: &RunParams<'_>,
-) -> VariantRun {
-    run_variant(&id, ctx, graph, params).expect("variant is in the support matrix")
-}
+use egraph_core::variant::{default_grid_side, PreparedGraph, RunParams, VariantId};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -55,7 +32,7 @@ fn main() {
 
     let graph = graphs::rmat(ctx.scale);
     let root = graphs::best_root(&graph);
-    let side = graphs::grid_side(graph.num_vertices());
+    let side = default_grid_side(graph.num_vertices());
     let pr_cfg = pagerank::PagerankConfig::default();
     println!(
         "graph: RMAT{} ({} edges); grid {side}x{side}\n",
@@ -63,22 +40,19 @@ fn main() {
         graph.num_edges()
     );
 
-    // One PreparedGraph per build configuration; each caches its
-    // layouts so the timing and hardware passes share builds.
-    let prep = PreparedGraph::new(&graph).strategy(Strategy::RadixSort);
-    let prep_sorted = PreparedGraph::new(&graph)
-        .strategy(Strategy::RadixSort)
-        .sort_neighbors(true);
-    let prep_grid = PreparedGraph::new(&graph)
-        .strategy(Strategy::RadixSort)
-        .side(side);
-
-    let bfs_adj_id = VariantId::new(Algo::Bfs, Layout::Adjacency, Direction::Push);
-    let bfs_edge_id = VariantId::new(Algo::Bfs, Layout::EdgeList, Direction::Push);
-    let bfs_grid_id = VariantId::new(Algo::Bfs, Layout::Grid, Direction::Push);
-    let pr_adj_id = VariantId::new(Algo::Pagerank, Layout::Adjacency, Direction::Push);
-    let pr_edge_id = VariantId::new(Algo::Pagerank, Layout::EdgeList, Direction::Push);
-    let pr_grid_id = VariantId::new(Algo::Pagerank, Layout::Grid, Direction::Push);
+    // Each row: its label, whether neighbor lists are sorted, and the
+    // layout both algorithms push over (the grid at the default side).
+    let rows = [
+        ("adj. unsorted", false, "adj"),
+        ("adj. sorted", true, "adj"),
+        ("edge array", false, "edge"),
+        ("grid", false, "grid"),
+    ];
+    let id = |algo: &str, layout: &str| -> VariantId {
+        format!("{algo}/{layout}/push")
+            .parse()
+            .expect("valid variant spec")
+    };
 
     let bfs_params = RunParams {
         root,
@@ -106,37 +80,13 @@ fn main() {
 
     // --- timing runs ---
     let plain = ExecCtx::new(None);
-    let bfs_adj = run(bfs_adj_id, &plain, &prep, &bfs_params);
-    let bfs_sorted = run(bfs_adj_id, &plain, &prep_sorted, &bfs_params);
-    let bfs_edge = run(bfs_edge_id, &plain, &prep, &bfs_params);
-    let bfs_grid = run(bfs_grid_id, &plain, &prep_grid, &bfs_params);
-
-    let pr_adj = run(pr_adj_id, &plain, &prep, &pr_params);
-    let pr_sorted = run(pr_adj_id, &plain, &prep_sorted, &pr_params);
-    let pr_edge = run(pr_edge_id, &plain, &prep, &pr_params);
-    let pr_grid = run(pr_grid_id, &plain, &prep_grid, &pr_params);
-
-    let rows = [
-        ("adj. unsorted", &bfs_adj, &pr_adj),
-        ("adj. sorted", &bfs_sorted, &pr_sorted),
-        ("edge array", &bfs_edge, &pr_edge),
-        ("grid", &bfs_grid, &pr_grid),
-    ];
-    for (name, bfs_run, pr_run) in rows {
-        fig5.add_row(vec![
-            "bfs".into(),
-            name.into(),
-            fmt_secs(bfs_run.preprocess_seconds),
-            fmt_secs(bfs_run.algorithm_seconds),
-            fmt_secs(bfs_run.preprocess_seconds + bfs_run.algorithm_seconds),
-        ]);
-        fig5.add_row(vec![
-            "pagerank".into(),
-            name.into(),
-            fmt_secs(pr_run.preprocess_seconds),
-            fmt_secs(pr_run.algorithm_seconds),
-            fmt_secs(pr_run.preprocess_seconds + pr_run.algorithm_seconds),
-        ]);
+    let reps = egraph_bench::reps();
+    for (name, sorted, layout) in rows {
+        let prepare = || PreparedGraph::new(&graph).sort_neighbors(sorted);
+        let bfs_run = measure(&plain, prepare, &id("bfs", layout), &bfs_params, reps);
+        fig5.add_row(phase_row(&["bfs", name], &bfs_run));
+        let pr_run = measure(&plain, prepare, &id("pagerank", layout), &pr_params, reps);
+        fig5.add_row(phase_row(&["pagerank", name], &pr_run));
     }
     fig5.print();
 
@@ -186,20 +136,20 @@ fn main() {
     let kinds = prof.available_counters();
     if kinds.contains(&CounterKind::LlcLoads) && kinds.contains(&CounterKind::LlcLoadMisses) {
         println!("\nmeasuring LLC miss ratios (hardware counters)…");
-        let hw_rows = [
-            ("adj. unsorted", &prep, bfs_adj_id, pr_adj_id),
-            ("adj. sorted", &prep_sorted, bfs_adj_id, pr_adj_id),
-            ("edge array", &prep, bfs_edge_id, pr_edge_id),
-            ("grid", &prep_grid, bfs_grid_id, pr_grid_id),
-        ];
+        // The algorithm phase of one run under the profiler's counters,
+        // each on its own fresh build.
+        let traced = ExecCtx::new(None).profiler(&prof);
+        let hw_llc_ratio = |sorted: bool, id: VariantId, params: &RunParams| {
+            let prepare = || PreparedGraph::new(&graph).sort_neighbors(sorted);
+            measure(&traced, prepare, &id, params, 1);
+            let phases = prof.take_phases();
+            let algorithm = phases.iter().find(|p| p.name == PHASE_ALGORITHM);
+            algorithm.and_then(|p| p.hardware_llc_miss_ratio())
+        };
         let fmt_opt = |r: Option<f64>| r.map(fmt_pct).unwrap_or_else(|| "n/a".into());
-        for (name, g, bfs_id, pr_id) in hw_rows {
-            let bfs_hw = hw_llc_ratio(&prof, || {
-                run(bfs_id, &plain, g, &bfs_params);
-            });
-            let pr_hw = hw_llc_ratio(&prof, || {
-                run(pr_id, &plain, g, &pr_one_params);
-            });
+        for (name, sorted, layout) in rows {
+            let bfs_hw = hw_llc_ratio(sorted, id("bfs", layout), &bfs_params);
+            let pr_hw = hw_llc_ratio(sorted, id("pagerank", layout), &pr_one_params);
             table4.add_row(vec![
                 name.into(),
                 "hardware".into(),

@@ -4,21 +4,31 @@
 //! wins the middle iterations (2–3) where most of the graph is
 //! discovered and push does redundant work.
 
-use egraph_bench::{fmt_secs, graphs, ExperimentCtx, ResultTable};
-use egraph_core::algo::bfs;
-use egraph_core::layout::EdgeDirection;
-use egraph_core::preprocess::{CsrBuilder, Strategy};
+use egraph_bench::{fmt_secs, graphs, measure, ExperimentCtx, ResultTable};
+use egraph_core::exec::ExecCtx;
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
     ctx.banner("exp_fig6", "Figure 6 (per-iteration push vs pull BFS)");
 
     let graph = graphs::rmat(ctx.scale);
-    let root = graphs::best_root(&graph);
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&graph);
-
-    let push = bfs::push(&adj, root);
-    let pull = bfs::pull(&adj, root);
+    let params = RunParams {
+        root: graphs::best_root(&graph),
+        ..RunParams::default()
+    };
+    let [push, pull] = ["bfs/adj/push", "bfs/adj/pull"].map(|spec| {
+        let id: VariantId = spec.parse().expect("valid variant spec");
+        let prepare = || PreparedGraph::new(&graph);
+        let run = measure(
+            &ExecCtx::new(None),
+            prepare,
+            &id,
+            &params,
+            egraph_bench::reps(),
+        );
+        run.output.as_bfs().expect("a BFS run").clone()
+    });
     assert_eq!(push.reachable_count(), pull.reachable_count());
 
     let mut table = ResultTable::new(

@@ -6,10 +6,12 @@
 //! ~20% despite using locks, because only a small fraction of vertices
 //! is active per iteration.
 
-use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
-use egraph_core::algo::bfs;
-use egraph_core::layout::EdgeDirection;
-use egraph_core::preprocess::{CsrBuilder, Strategy};
+use egraph_bench::{
+    fmt_ratio, graphs, measure, phase_row, total_seconds, ExperimentCtx, ResultTable,
+};
+use egraph_core::exec::ExecCtx;
+use egraph_core::metrics::SyncMode;
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -20,72 +22,49 @@ fn main() {
 
     let graph = graphs::rmat(ctx.scale);
     let root = graphs::best_root(&graph);
+    let params = |sync| RunParams {
+        root,
+        sync,
+        ..RunParams::default()
+    };
 
     let reps = egraph_bench::reps();
-    let (adj_both, pre_both) = egraph_bench::min_time(reps, || {
-        let (a, s) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build_timed(&graph);
-        (a, s.seconds)
+    let [push_pull, push_locked, pull] = [
+        ("bfs/adj/push-pull", SyncMode::Atomics),
+        ("bfs/adj/push", SyncMode::Locks),
+        ("bfs/adj/pull", SyncMode::Atomics),
+    ]
+    .map(|(spec, sync)| {
+        let id: VariantId = spec.parse().expect("valid variant spec");
+        let prepare = || PreparedGraph::new(&graph);
+        measure(&ExecCtx::new(None), prepare, &id, &params(sync), reps)
     });
-    let (adj_out, pre_out) = egraph_bench::min_time(reps, || {
-        let (a, s) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&graph);
-        (a, s.seconds)
-    });
-    let (adj_in, pre_in) = egraph_bench::min_time(reps, || {
-        let (a, s) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::In).build_timed(&graph);
-        (a, s.seconds)
-    });
-
-    let (push_pull, _) = egraph_bench::min_time(reps, || {
-        let r = bfs::push_pull(&adj_both, root);
-        let s = r.algorithm_seconds();
-        (r, s)
-    });
-    let (push_locked, _) = egraph_bench::min_time(reps, || {
-        let r = bfs::push_locked(&adj_out, root);
-        let s = r.algorithm_seconds();
-        (r, s)
-    });
-    let (pull, _) = egraph_bench::min_time(reps, || {
-        let r = bfs::pull(&adj_in, root);
-        let s = r.algorithm_seconds();
-        (r, s)
-    });
-    assert_eq!(push_pull.reachable_count(), push_locked.reachable_count());
-    assert_eq!(push_pull.reachable_count(), pull.reachable_count());
+    let reachable = [&push_pull, &push_locked, &pull]
+        .map(|run| run.output.as_bfs().expect("a BFS run").reachable_count());
+    assert_eq!(reachable[0], reachable[1]);
+    assert_eq!(reachable[0], reachable[2]);
 
     let mut table = ResultTable::new(
         "fig7_bfs_flow_variants",
         &["config", "preprocess(s)", "algorithm(s)", "total(s)"],
     );
-    let rows = [
-        ("adj. push-pull", pre_both, push_pull.algorithm_seconds()),
-        (
-            "adj. push (locks)",
-            pre_out,
-            push_locked.algorithm_seconds(),
-        ),
-        ("adj. pull (no lock)", pre_in, pull.algorithm_seconds()),
-    ];
-    for (name, pre, algo) in rows {
-        table.add_row(vec![
-            name.into(),
-            fmt_secs(pre),
-            fmt_secs(algo),
-            fmt_secs(pre + algo),
-        ]);
+    for (name, run) in [
+        ("adj. push-pull", &push_pull),
+        ("adj. push (locks)", &push_locked),
+        ("adj. pull (no lock)", &pull),
+    ] {
+        table.add_row(phase_row(&[name], run));
     }
     table.print();
 
-    let total_pp = pre_both + push_pull.algorithm_seconds();
-    let total_push = pre_out + push_locked.algorithm_seconds();
     println!();
     println!(
         "push-pull end-to-end vs push: {} (paper: ~1.5x worse)",
-        fmt_ratio(total_pp / total_push.max(1e-9))
+        fmt_ratio(total_seconds(&push_pull) / total_seconds(&push_locked).max(1e-9))
     );
     println!(
         "pull vs push algorithm time:  {} (paper: push ~20% better)",
-        fmt_ratio(pull.algorithm_seconds() / push_locked.algorithm_seconds().max(1e-9))
+        fmt_ratio(pull.algorithm_seconds / push_locked.algorithm_seconds.max(1e-9))
     );
     ctx.save(&table);
 }

@@ -6,11 +6,12 @@
 //! no-lock (column/row ownership) version gains ~1.5× over the locked
 //! one.
 
-use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
-use egraph_core::algo::pagerank;
-use egraph_core::layout::EdgeDirection;
+use egraph_bench::{
+    fmt_ratio, graphs, measure, phase_row, total_seconds, ExperimentCtx, ResultTable,
+};
+use egraph_core::exec::ExecCtx;
 use egraph_core::metrics::SyncMode;
-use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -19,76 +20,53 @@ fn main() {
         "Figure 8 (PageRank: locks vs no locks, adj vs grid)",
     );
 
+    // PageRank runs its default 10 iterations on the default grid side.
     let graph = graphs::rmat(ctx.scale);
-    let degrees = graphs::out_degrees_u32(&graph);
-    let side = graphs::grid_side(graph.num_vertices());
-    let cfg = pagerank::PagerankConfig::default();
-
     let reps = egraph_bench::reps();
-    let (adj_out, pre_out) = egraph_bench::min_time(reps, || {
-        let (a, s) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&graph);
-        (a, s.seconds)
-    });
-    let (adj_in, pre_in) = egraph_bench::min_time(reps, || {
-        let (a, s) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::In).build_timed(&graph);
-        (a, s.seconds)
-    });
-    let (grid, pre_grid) = egraph_bench::min_time(reps, || {
-        let (g, s) = GridBuilder::new(Strategy::RadixSort)
-            .side(side)
-            .build_timed(&graph);
-        (g, s.seconds)
-    });
-
-    let (push_locks, _) = egraph_bench::min_time(reps, || {
-        let r = pagerank::push(adj_out.out(), &degrees, cfg, SyncMode::Locks);
-        let s = r.seconds;
-        (r, s)
-    });
-    let (pull_nolock, _) = egraph_bench::min_time(reps, || {
-        let r = pagerank::pull(adj_in.incoming(), &degrees, cfg);
-        let s = r.seconds;
-        (r, s)
-    });
-    let (grid_locks, _) = egraph_bench::min_time(reps, || {
-        let r = pagerank::grid_push(&grid, &degrees, cfg, SyncMode::Locks);
-        let s = r.seconds;
-        (r, s)
-    });
-    let (grid_nolock, _) = egraph_bench::min_time(reps, || {
-        let r = pagerank::grid_push(&grid, &degrees, cfg, SyncMode::Atomics);
-        let s = r.seconds;
-        (r, s)
+    let [push_locks, pull_nolock, grid_locks, grid_nolock] = [
+        ("pagerank/adj/push", SyncMode::Locks),
+        ("pagerank/adj/pull", SyncMode::Atomics),
+        ("pagerank/grid/push", SyncMode::Locks),
+        ("pagerank/grid/push", SyncMode::Atomics),
+    ]
+    .map(|(spec, sync)| {
+        let id: VariantId = spec.parse().expect("valid variant spec");
+        let params = RunParams {
+            sync,
+            ..RunParams::default()
+        };
+        measure(
+            &ExecCtx::new(None),
+            || PreparedGraph::new(&graph),
+            &id,
+            &params,
+            reps,
+        )
     });
 
     let mut table = ResultTable::new(
         "fig8_pagerank_sync",
         &["config", "preprocess(s)", "algorithm(s)", "total(s)"],
     );
-    let rows = [
-        ("adj. push (locks)", pre_out, push_locks.seconds),
-        ("adj. pull (no lock)", pre_in, pull_nolock.seconds),
-        ("grid (locks)", pre_grid, grid_locks.seconds),
-        ("grid (no lock)", pre_grid, grid_nolock.seconds),
-    ];
-    for (name, pre, algo) in rows {
-        table.add_row(vec![
-            name.into(),
-            fmt_secs(pre),
-            fmt_secs(algo),
-            fmt_secs(pre + algo),
-        ]);
+    for (name, run) in [
+        ("adj. push (locks)", &push_locks),
+        ("adj. pull (no lock)", &pull_nolock),
+        ("grid (locks)", &grid_locks),
+        ("grid (no lock)", &grid_nolock),
+    ] {
+        table.add_row(phase_row(&[name], run));
     }
     table.print();
 
+    let gain = |slow, fast| fmt_ratio(total_seconds(slow) / total_seconds(fast).max(1e-9));
     println!();
     println!(
         "adj: pull(no lock) end-to-end gain over push(locks): {} (paper: ~40%)",
-        fmt_ratio((pre_out + push_locks.seconds) / (pre_in + pull_nolock.seconds).max(1e-9))
+        gain(&push_locks, &pull_nolock)
     );
     println!(
         "grid: no-lock end-to-end gain over locks:            {} (paper: ~1.5x)",
-        fmt_ratio((pre_grid + grid_locks.seconds) / (pre_grid + grid_nolock.seconds).max(1e-9))
+        gain(&grid_locks, &grid_nolock)
     );
     ctx.save(&table);
 }

@@ -9,10 +9,9 @@
 //! concentration causes memory contention).
 
 use egraph_bench::numa::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
-use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
-use egraph_core::algo::{bfs, pagerank};
-use egraph_core::layout::EdgeDirection;
-use egraph_core::preprocess::{CsrBuilder, Strategy};
+use egraph_bench::{fmt_ratio, fmt_secs, graphs, measure, ExperimentCtx, ResultTable};
+use egraph_core::exec::ExecCtx;
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
 use egraph_numa::{CostModel, MemoryBoundness, Topology};
 
 fn main() {
@@ -23,19 +22,26 @@ fn main() {
     );
 
     let graph = graphs::rmat(ctx.scale);
-    let degrees = graphs::out_degrees_u32(&graph);
     let root = graphs::best_root(&graph);
 
     // Best algorithm configurations per the earlier sections:
-    // push-pull BFS, pull-without-locks PageRank.
-    let (adj, pre) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build_timed(&graph);
-    let bfs_measured = bfs::push_pull(&adj, root).algorithm_seconds();
-    let pr_measured = pagerank::pull(
-        adj.incoming(),
-        &degrees,
-        pagerank::PagerankConfig::default(),
-    )
-    .seconds;
+    // push-pull BFS (both directions built), pull-without-locks
+    // PageRank (the in-direction only).
+    let params = RunParams {
+        root,
+        ..RunParams::default()
+    };
+    let [bfs, pagerank] = ["bfs/adj/push-pull", "pagerank/adj/pull"].map(|spec| {
+        let id: VariantId = spec.parse().expect("valid variant spec");
+        let prepare = || PreparedGraph::new(&graph);
+        measure(
+            &ExecCtx::new(None),
+            prepare,
+            &id,
+            &params,
+            egraph_bench::reps(),
+        )
+    });
 
     let mut table = ResultTable::new(
         "fig9_numa",
@@ -65,28 +71,33 @@ fn main() {
             };
             // BFS.
             let profile = bfs_locality(&graph, root, policy, topo.num_nodes);
-            let modeled = profile.modeled(&model, bfs_measured, MemoryBoundness::TRAVERSAL);
-            let total = pre.seconds + partition_s + modeled.modeled_seconds;
+            let modeled =
+                profile.modeled(&model, bfs.algorithm_seconds, MemoryBoundness::TRAVERSAL);
+            let total = bfs.preprocess_seconds + partition_s + modeled.modeled_seconds;
             totals.insert(format!("bfs/{}/{policy_name}", topo.name), total);
             table.add_row(vec![
                 "bfs".into(),
                 topo.name.into(),
                 policy_name.into(),
-                fmt_secs(pre.seconds),
+                fmt_secs(bfs.preprocess_seconds),
                 fmt_secs(partition_s),
                 fmt_secs(modeled.modeled_seconds),
                 fmt_secs(total),
             ]);
             // PageRank.
             let profile = pagerank_locality(&graph, policy, topo.num_nodes);
-            let modeled = profile.modeled(&model, pr_measured, MemoryBoundness::PAGERANK);
-            let total = pre.seconds + partition_s + modeled.modeled_seconds;
+            let modeled = profile.modeled(
+                &model,
+                pagerank.algorithm_seconds,
+                MemoryBoundness::PAGERANK,
+            );
+            let total = pagerank.preprocess_seconds + partition_s + modeled.modeled_seconds;
             totals.insert(format!("pagerank/{}/{policy_name}", topo.name), total);
             table.add_row(vec![
                 "pagerank".into(),
                 topo.name.into(),
                 policy_name.into(),
-                fmt_secs(pre.seconds),
+                fmt_secs(pagerank.preprocess_seconds),
                 fmt_secs(partition_s),
                 fmt_secs(modeled.modeled_seconds),
                 fmt_secs(total),

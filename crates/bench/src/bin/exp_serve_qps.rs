@@ -131,7 +131,7 @@ fn zipf_lane_per_query(
 fn zipf_section(graph: &EdgeList<Edge>, table: &mut ResultTable) {
     // Candidates are the highest-degree vertices (all in the giant
     // component), most popular first.
-    let degree = graphs::out_degrees_u32(graph);
+    let degree = graph.out_degrees();
     let mut candidates: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     candidates.sort_by_key(|&v| (std::cmp::Reverse(degree[v as usize]), v));
     candidates.truncate(ZIPF_ROOTS);

@@ -13,6 +13,7 @@
 use egraph_bench::{graphs, ExperimentCtx, ResultTable};
 use egraph_core::layout::EdgeDirection;
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
+use egraph_core::variant::default_grid_side;
 use egraph_metrics::alloc;
 
 #[cfg(feature = "alloc-track")]
@@ -84,7 +85,7 @@ fn main() {
 
         let w = alloc::window("grid");
         let (grid, _) = GridBuilder::new(Strategy::RadixSort)
-            .side(graphs::grid_side(graph.num_vertices()))
+            .side(default_grid_side(graph.num_vertices()))
             .build_timed(&graph);
         record("grid", w.finish());
         drop(grid);

@@ -8,11 +8,9 @@
 //! the runner-up it beat, to verify the ordering holds. All timings
 //! are minimum-of-N (EGRAPH_REPS) to filter host noise.
 
-use egraph_bench::{fmt_secs, graphs, min_time, reps, ExperimentCtx, ResultTable};
-use egraph_core::algo::{bfs, pagerank};
-use egraph_core::layout::EdgeDirection;
-use egraph_core::metrics::SyncMode;
-use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
+use egraph_bench::{graphs, measure, phase_row, reps, ExperimentCtx, ResultTable};
+use egraph_core::exec::ExecCtx;
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -39,87 +37,56 @@ fn main() {
         ("Twitter", graphs::twitter_like(ctx.scale)),
         ("US-Road", graphs::road_like(ctx.scale)),
     ] {
-        let degrees = graphs::out_degrees_u32(&graph);
-        let root = graphs::best_root(&graph);
-        let side = graphs::grid_side(graph.num_vertices());
-        let cfg = pagerank::PagerankConfig::default();
-
-        // BFS best: adjacency list, push.
-        let (adj, pre) = min_time(reps, || {
-            let (a, s) =
-                CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&graph);
-            (a, s.seconds)
-        });
-        let (bfs_adj_result, bfs_adj) = min_time(reps, || {
-            let r = bfs::push(&adj, root);
-            let s = r.algorithm_seconds();
-            (r, s)
-        });
-        table.add_row(vec![
-            "BFS".into(),
-            graph_name.into(),
-            "Adj. list".into(),
-            "Push".into(),
-            fmt_secs(pre),
-            fmt_secs(bfs_adj),
-            fmt_secs(pre + bfs_adj),
-        ]);
-        // BFS runner-up: edge array (min-of-1 — this configuration can
-        // take minutes on the road graph; the comparison is lopsided
-        // enough that noise cannot change the verdict).
+        // PageRank runs its default 10 iterations on the default grid
+        // side.
+        let bfs = RunParams {
+            root: graphs::best_root(&graph),
+            ..RunParams::default()
+        };
+        let pagerank = RunParams::default();
+        // The BFS runner-up is min-of-1 on the road graph: it can take
+        // minutes there, and the comparison is lopsided enough that
+        // noise cannot change the verdict.
         let edge_reps = if graph_name == "US-Road" { 1 } else { reps };
-        let (bfs_edge_result, bfs_edge) = min_time(edge_reps, || {
-            let r = bfs::edge_centric(&graph, root);
-            let s = r.algorithm_seconds();
-            (r, s)
-        });
-        assert_eq!(
-            bfs_adj_result.reachable_count(),
-            bfs_edge_result.reachable_count()
-        );
-        table.add_row(vec![
-            "BFS".into(),
-            graph_name.into(),
-            "Edge array".into(),
-            "Push".into(),
-            fmt_secs(0.0),
-            fmt_secs(bfs_edge),
-            fmt_secs(bfs_edge),
-        ]);
-
-        // PageRank: grid pull (no lock) vs edge array.
-        let (grid, pre_grid) = min_time(reps, || {
-            let (g, s) = GridBuilder::new(Strategy::RadixSort)
-                .side(side)
-                .build_timed(&graph);
-            (g, s.seconds)
-        });
-        let ((), pr_grid) = min_time(reps, || {
-            let r = pagerank::grid_pull(&grid, &degrees, cfg);
-            ((), r.seconds)
-        });
-        table.add_row(vec![
-            "Pagerank".into(),
-            graph_name.into(),
-            "Grid".into(),
-            "Pull (no lock)".into(),
-            fmt_secs(pre_grid),
-            fmt_secs(pr_grid),
-            fmt_secs(pre_grid + pr_grid),
-        ]);
-        let ((), pr_edge) = min_time(reps, || {
-            let r = pagerank::edge_centric(&graph, &degrees, cfg, SyncMode::Atomics);
-            ((), r.seconds)
-        });
-        table.add_row(vec![
-            "Pagerank".into(),
-            graph_name.into(),
-            "Edge array".into(),
-            "Push (atomics)".into(),
-            fmt_secs(0.0),
-            fmt_secs(pr_edge),
-            fmt_secs(pr_edge),
-        ]);
+        let mut reachable = None;
+        for (algo, layout, model, spec, params, reps) in [
+            ("BFS", "Adj. list", "Push", "bfs/adj/push", &bfs, reps),
+            (
+                "BFS",
+                "Edge array",
+                "Push",
+                "bfs/edge/push",
+                &bfs,
+                edge_reps,
+            ),
+            (
+                "Pagerank",
+                "Grid",
+                "Pull (no lock)",
+                "pagerank/grid/pull",
+                &pagerank,
+                reps,
+            ),
+            (
+                "Pagerank",
+                "Edge array",
+                "Push (atomics)",
+                "pagerank/edge/push",
+                &pagerank,
+                reps,
+            ),
+        ] {
+            let id: VariantId = spec.parse().expect("valid variant spec");
+            let prepare = || PreparedGraph::new(&graph);
+            let run = measure(&ExecCtx::new(None), prepare, &id, params, reps);
+            if let Some(r) = run.output.as_bfs() {
+                assert_eq!(
+                    *reachable.get_or_insert(r.reachable_count()),
+                    r.reachable_count()
+                );
+            }
+            table.add_row(phase_row(&[algo, graph_name, layout, model], &run));
+        }
     }
     table.print();
 

@@ -15,10 +15,32 @@
 //! and the edge array wins end to end on both graphs (EXPERIMENTS.md
 //! "PR 16").
 
-use egraph_bench::{fmt_secs, graphs, min_time, reps, ExperimentCtx, ResultTable};
-use egraph_core::algo::{als, spmv, sssp, wcc};
+use egraph_bench::{
+    fmt_secs, graphs, measure, min_time, phase_row, reps, ExperimentCtx, ResultTable,
+};
+use egraph_core::algo::als;
+use egraph_core::exec::ExecCtx;
 use egraph_core::layout::EdgeDirection;
 use egraph_core::preprocess::{CsrBuilder, Strategy};
+use egraph_core::types::{EdgeList, EdgeRecord};
+use egraph_core::variant::{PreparedGraph, RunParams, VariantId, VariantRun};
+
+/// Times variant `spec` on `graph`, best of `reps`.
+fn time<E: EdgeRecord>(
+    spec: &str,
+    graph: &EdgeList<E>,
+    params: &RunParams,
+    reps: usize,
+) -> VariantRun {
+    let id: VariantId = spec.parse().expect("valid variant spec");
+    measure(
+        &ExecCtx::new(None),
+        || PreparedGraph::new(graph),
+        &id,
+        params,
+        reps,
+    )
+}
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -40,23 +62,6 @@ fn main() {
             "total(s)",
         ],
     );
-    let row = |t: &mut ResultTable,
-               algo: &str,
-               graph: &str,
-               layout: &str,
-               model: &str,
-               pre: f64,
-               alg: f64| {
-        t.add_row(vec![
-            algo.into(),
-            graph.into(),
-            layout.into(),
-            model.into(),
-            fmt_secs(pre),
-            fmt_secs(alg),
-            fmt_secs(pre + alg),
-        ]);
-    };
 
     // --- WCC on RMAT and road: one pass on either layout, so the
     // edge array (no pre-processing) should win on both. ---
@@ -64,37 +69,14 @@ fn main() {
         ("RMAT", graphs::rmat(ctx.scale)),
         ("US-Road", graphs::road_like(ctx.scale)),
     ] {
-        let (r, wcc_edge) = min_time(reps, || {
-            let r = wcc::edge_centric(&graph);
-            let s = r.algorithm_seconds();
-            (r, s)
-        });
-        row(&mut table, "WCC", name, "Edge array", "Push", 0.0, wcc_edge);
-
-        let (adj, wcc_pre) = min_time(reps, || {
-            let (a, s) =
-                CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&graph);
-            (a, s.seconds)
-        });
-        let (r2, wcc_adj) = min_time(reps, || {
-            let r = wcc::push(&adj);
-            let s = r.algorithm_seconds();
-            (r, s)
-        });
-        assert_eq!(
-            r.component_count(),
-            r2.component_count(),
-            "WCC variants agree"
-        );
-        row(
-            &mut table,
-            "WCC",
-            name,
-            "Adj. list",
-            "Push",
-            wcc_pre,
-            wcc_adj,
-        );
+        let params = RunParams::default();
+        let edge = time("wcc/edge/push", &graph, &params, reps);
+        table.add_row(phase_row(&["WCC", name, "Edge array", "Push"], &edge));
+        let adj = time("wcc/adj/push", &graph, &params, reps);
+        let components =
+            [&edge, &adj].map(|run| run.output.as_wcc().expect("a WCC run").component_count());
+        assert_eq!(components[0], components[1], "WCC variants agree");
+        table.add_row(phase_row(&["WCC", name, "Adj. list", "Push"], &adj));
     }
 
     // --- SpMV: edge array vs adjacency list on RMAT. ---
@@ -102,37 +84,17 @@ fn main() {
         let graph = graphs::rmat(ctx.scale);
         let weighted = graphs::with_weights(&graph);
         let x: Vec<f32> = (0..graph.num_vertices()).map(|i| (i % 13) as f32).collect();
-        let ((), spmv_edge) = min_time(reps, || {
-            let r = spmv::edge_centric(&weighted, &x);
-            ((), r.seconds)
-        });
-        row(
-            &mut table,
-            "SpMV",
-            "RMAT",
-            "Edge array",
-            "Push",
-            0.0,
-            spmv_edge,
-        );
-        let (wadj, wpre) = min_time(reps, || {
-            let (a, s) =
-                CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&weighted);
-            (a, s.seconds)
-        });
-        let ((), spmv_adj) = min_time(reps, || {
-            let r = spmv::push(wadj.out(), &x);
-            ((), r.seconds)
-        });
-        row(
-            &mut table,
-            "SpMV",
-            "RMAT",
-            "Adj. list",
-            "Push",
-            wpre,
-            spmv_adj,
-        );
+        let params = RunParams {
+            x: Some(&x),
+            ..RunParams::default()
+        };
+        for (layout, spec) in [
+            ("Edge array", "spmv/edge/push"),
+            ("Adj. list", "spmv/adj/push"),
+        ] {
+            let run = time(spec, &weighted, &params, reps);
+            table.add_row(phase_row(&["SpMV", "RMAT", layout, "Push"], &run));
+        }
     }
 
     // --- SSSP: adjacency push vs edge array on RMAT and road. ---
@@ -141,46 +103,18 @@ fn main() {
         ("US-Road", graphs::road_like(ctx.scale)),
     ] {
         let weighted = graphs::with_weights(&base);
-        let root = graphs::best_root(&base);
-        let (wadj, wpre) = min_time(reps, || {
-            let (a, s) =
-                CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&weighted);
-            (a, s.seconds)
-        });
-        let (r, sssp_adj) = min_time(reps, || {
-            let r = sssp::push(&wadj, root);
-            let s = r.algorithm_seconds();
-            (r, s)
-        });
-        row(
-            &mut table,
-            "SSSP",
-            name,
-            "Adj. list",
-            "Push",
-            wpre,
-            sssp_adj,
-        );
-        let sssp_reps = if name == "US-Road" { 1 } else { reps };
-        let (r2, sssp_edge) = min_time(sssp_reps, || {
-            let r = sssp::edge_centric(&weighted, root);
-            let s = r.algorithm_seconds();
-            (r, s)
-        });
-        assert_eq!(
-            r.reachable_count(),
-            r2.reachable_count(),
-            "SSSP variants agree"
-        );
-        row(
-            &mut table,
-            "SSSP",
-            name,
-            "Edge array",
-            "Push",
-            0.0,
-            sssp_edge,
-        );
+        let params = RunParams {
+            root: graphs::best_root(&base),
+            ..RunParams::default()
+        };
+        let adj = time("sssp/adj/push", &weighted, &params, reps);
+        table.add_row(phase_row(&["SSSP", name, "Adj. list", "Push"], &adj));
+        let edge_reps = if name == "US-Road" { 1 } else { reps };
+        let edge = time("sssp/edge/push", &weighted, &params, edge_reps);
+        let reachable =
+            [&adj, &edge].map(|run| run.output.as_sssp().expect("an SSSP run").reachable_count());
+        assert_eq!(reachable[0], reachable[1], "SSSP variants agree");
+        table.add_row(phase_row(&["SSSP", name, "Edge array", "Push"], &edge));
     }
 
     // --- ALS on the Netflix-shaped bipartite graph. ---
@@ -200,15 +134,12 @@ fn main() {
         let s = r.seconds;
         (r, s)
     });
-    row(
-        &mut table,
-        "ALS",
-        "Netflix",
-        "Adj. list",
-        "Pull (no lock)",
-        rpre,
-        als_secs,
-    );
+    // ALS has no `VariantId`: it times its own build and run.
+    let mut row = ["ALS", "Netflix", "Adj. list", "Pull (no lock)"]
+        .map(String::from)
+        .to_vec();
+    row.extend([rpre, als_secs, rpre + als_secs].map(fmt_secs));
+    table.add_row(row);
     println!(
         "(ALS trained to RMSE {:.3} over {} ratings)\n",
         r.rmse_history.last().copied().unwrap_or(f64::NAN),

@@ -51,7 +51,7 @@ fn main() {
 
     println!();
     println!("where each technique lives in this reproduction:");
-    println!("  push-pull (Ligra/Beamer)        -> egraph_core::algo::bfs::push_pull");
+    println!("  push-pull (Ligra/Beamer)        -> the bfs/adj/push-pull variant (run_variant)");
     println!("  radix-sort CSR building (Ligra) -> egraph_core::preprocess + egraph_sort::radix");
     println!("  edge-centric model (X-Stream)   -> egraph_core::engine::scan_push over EdgeList");
     println!("  grid layout (GridGraph)         -> egraph_core::layout::{{Grid, GridCells}}");

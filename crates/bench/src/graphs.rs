@@ -96,19 +96,6 @@ pub fn best_root<E: EdgeRecord>(graph: &EdgeList<E>) -> u32 {
         .unwrap_or(0)
 }
 
-/// Out-degrees as `u32` (PageRank input).
-pub fn out_degrees_u32<E: EdgeRecord>(graph: &EdgeList<E>) -> Vec<u32> {
-    graph.out_degrees().iter().map(|&d| d as u32).collect()
-}
-
-/// A grid side appropriate for the graph size: the paper's 256×256 at
-/// RMAT-26, scaled so each range holds a similar number of vertices,
-/// clamped to [8, 256].
-pub fn grid_side(num_vertices: usize) -> usize {
-    // 2^26 vertices / 256 ranges = 2^18 vertices per range.
-    (num_vertices / (1 << 18)).clamp(8, 256)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,12 +138,5 @@ mod tests {
     fn weights_are_positive() {
         let g = with_weights(&rmat(8));
         assert!(g.edges().iter().all(|e| e.weight > 0.0));
-    }
-
-    #[test]
-    fn grid_side_clamps() {
-        assert_eq!(grid_side(1 << 16), 8);
-        assert_eq!(grid_side(1 << 26), 256);
-        assert_eq!(grid_side(1 << 30), 256);
     }
 }

@@ -2,10 +2,15 @@
 //! binaries in `src/bin/` (see `DESIGN.md` §5 for the experiment
 //! index).
 //!
-//! Every binary follows the same shape: build the scaled dataset, run
-//! each configuration the paper compares, print the same rows/series
+//! Every binary follows the same shape: build the scaled dataset, list
+//! the configurations the paper compares as (label, [`VariantId`],
+//! [`RunParams`]) rows, time each with [`measure`] — load, fresh
+//! pre-processing and the algorithm, through the same [`run_variant`]
+//! the CLI and the standing benchmark call — print the same rows/series
 //! the paper reports (with the paper's own numbers alongside for shape
-//! comparison), and drop a CSV under `bench_results/`.
+//! comparison), and drop a CSV under `bench_results/`. The binaries
+//! whose axis is not a variant (sort strategies, the SSSP bucket width,
+//! ALS, the update stream, the serve tier) time their own code.
 //!
 //! # Scaling
 //!
@@ -24,7 +29,10 @@ pub mod trace;
 
 use std::path::PathBuf;
 
+use egraph_core::exec::ExecCtx;
 use egraph_core::telemetry::RunTrace;
+use egraph_core::types::EdgeRecord;
+use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId, VariantRun};
 
 pub use table::ResultTable;
 
@@ -167,6 +175,52 @@ pub fn min_time<T>(reps: usize, mut f: impl FnMut() -> (T, f64)) -> (T, f64) {
         }
     }
     best.expect("reps >= 1")
+}
+
+/// Runs variant `id` `reps` times under `ctx`, each time on a fresh
+/// graph from `prepare`, so every repetition pays its own
+/// pre-processing. Returns the run with the fastest algorithm, carrying
+/// the minimum pre-processing seconds of all repetitions: the two
+/// phases' best-of-N, the way the figures report them.
+///
+/// # Panics
+///
+/// If the variant is not supported on the graph — every figure asks
+/// for combinations of the support matrix.
+pub fn measure<'g, E: EdgeRecord>(
+    ctx: &ExecCtx<'_>,
+    prepare: impl Fn() -> PreparedGraph<'g, E>,
+    id: &VariantId,
+    params: &RunParams<'_>,
+    reps: usize,
+) -> VariantRun {
+    let mut preprocess = f64::INFINITY;
+    let (mut run, _) = min_time(reps, || {
+        let graph = prepare();
+        let run = run_variant(id, ctx, &graph, params).unwrap_or_else(|e| panic!("{id}: {e}"));
+        preprocess = preprocess.min(run.preprocess_seconds);
+        let seconds = run.algorithm_seconds;
+        (run, seconds)
+    });
+    run.preprocess_seconds = preprocess;
+    run
+}
+
+/// A run's end-to-end seconds: pre-processing plus algorithm.
+pub fn total_seconds(run: &VariantRun) -> f64 {
+    run.preprocess_seconds + run.algorithm_seconds
+}
+
+/// A table row: the `labels`, then the run's pre-processing, algorithm
+/// and end-to-end seconds.
+pub fn phase_row(labels: &[&str], run: &VariantRun) -> Vec<String> {
+    let times = [
+        run.preprocess_seconds,
+        run.algorithm_seconds,
+        total_seconds(run),
+    ];
+    let labels = labels.iter().map(|label| label.to_string());
+    labels.chain(times.map(fmt_secs)).collect()
 }
 
 /// Formats seconds with sensible precision for table cells.

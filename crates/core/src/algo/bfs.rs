@@ -14,9 +14,9 @@ use crate::engine::{
 };
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{Adjacency, Grid, NeighborAccess, VertexLayout};
+use crate::layout::{Adjacency, NeighborAccess, VertexLayout};
 use crate::metrics::{timed, Direction, IterStat, SyncMode};
-use crate::types::{EdgeList, EdgeRecord, VertexId, INVALID_VERTEX};
+use crate::types::{EdgeRecord, VertexId, INVALID_VERTEX};
 use crate::util::{AtomicBitmap, StripedLocks};
 
 /// The result of a BFS run.
@@ -192,9 +192,9 @@ impl<E: EdgeRecord> FrontierAlgo<E> for LockedBfs<'_> {
 }
 
 /// BFS from `root` under `policy` on any layout — the body behind every
-/// public entry point of this file: a [`Direction`] on a layout that
-/// can pull, [`PushOnly`] on any. `sync` picks the push rule; only pure
-/// push has a locked flavor.
+/// `bfs/*` variant and [`IncrementalBfs`]: a [`Direction`] on a layout
+/// that can pull, [`PushOnly`] on any. `sync` picks the push rule; only
+/// pure push has a locked flavor.
 pub(crate) fn run<E, F, L, P>(
     adj: &L,
     root: VertexId,
@@ -219,50 +219,6 @@ where
         engine::edge_map(adj, frontier, &state, policy, ctx)
     };
     state.into_result(iterations)
-}
-
-/// Vertex-centric push BFS with atomic parent claims (the baseline
-/// "adj. push" configuration). Runs on any [`VertexLayout`]
-/// (uncompressed CSR or ccsr).
-pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecCtx::default();
-    run(adj, root, Direction::Push, SyncMode::Atomics, &ctx)
-}
-
-/// Vertex-centric push BFS with per-vertex (striped) locks — the
-/// paper's "push (with locks)" configuration (§6.1.2).
-pub fn push_locked<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecCtx::default();
-    run(adj, root, Direction::Push, SyncMode::Locks, &ctx)
-}
-
-/// Vertex-centric pull BFS (lock free). Requires in-edges.
-pub fn pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecCtx::default();
-    run(adj, root, Direction::Pull, SyncMode::Atomics, &ctx)
-}
-
-/// Direction-optimizing BFS: starts pushing, switches to pull while the
-/// frontier is a large fraction of the graph, then back (Beamer \[2\],
-/// Ligra \[29\]). Requires both edge directions (hence the doubled
-/// pre-processing cost of Fig. 1).
-pub fn push_pull<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -> BfsResult {
-    let ctx = ExecCtx::default();
-    run(adj, root, Direction::PushPull, SyncMode::Atomics, &ctx)
-}
-
-/// Edge-centric BFS: every iteration streams the whole edge array and
-/// pushes from last round's discoveries (§4.1's "full scan" drawback).
-pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, root: VertexId) -> BfsResult {
-    let ctx = ExecCtx::default();
-    run(edges, root, PushOnly, SyncMode::Atomics, &ctx)
-}
-
-/// Grid BFS: push over grid cells with column ownership; sources are
-/// filtered to last round's discoveries.
-pub fn grid<E: EdgeRecord>(grid: &Grid<E>, root: VertexId) -> BfsResult {
-    let ctx = ExecCtx::default();
-    run(grid, root, PushOnly, SyncMode::Atomics, &ctx)
 }
 
 /// A serial reference BFS used by tests and result validation.
@@ -294,7 +250,7 @@ pub fn reference<E: EdgeRecord>(out: &Adjacency<E>, root: VertexId) -> Vec<u32> 
 /// the invalid region seeded from the still-valid boundary. The initial
 /// levels, and the levels after a batch over
 /// [`super::INCREMENTAL_FALLBACK_FRACTION`], are a direction-optimizing
-/// batch run ([`push_pull`]) on the merged view.
+/// batch run (the `bfs/*/push-pull` kernel) on the merged view.
 #[derive(Debug, Clone)]
 pub struct IncrementalBfs {
     root: VertexId,
@@ -529,10 +485,10 @@ pub fn validate<E: EdgeRecord>(out: &Adjacency<E>, root: VertexId, result: &BfsR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{AdjacencyList, EdgeDirection};
+    use crate::layout::{AdjacencyList, EdgeDirection, Grid};
     use crate::metrics::StepMode;
     use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
-    use crate::types::Edge;
+    use crate::types::{Edge, EdgeList};
 
     /// A deterministic pseudo-random graph with a giant component.
     fn test_graph(nv: usize, ne: usize, seed: u64) -> EdgeList<Edge> {
@@ -562,11 +518,20 @@ mod tests {
         (adj, grid)
     }
 
+    /// BFS from vertex 0 under the default context.
+    fn bfs0<F, L, P>(layout: &L, policy: P, sync: SyncMode) -> BfsResult
+    where
+        L: EngineLayout<Edge, F>,
+        P: Policy<Edge, F, L, BfsState>,
+    {
+        run(layout, 0, policy, sync, &ExecCtx::default())
+    }
+
     #[test]
     fn push_matches_reference() {
         let input = test_graph(500, 2000, 42);
         let (adj, _) = layouts(&input);
-        let result = push(&adj, 0);
+        let result = bfs0(&adj, Direction::Push, SyncMode::Atomics);
         let reachable = validate(adj.out(), 0, &result);
         assert!(reachable > 200);
         assert_eq!(result.reachable_count(), reachable);
@@ -576,7 +541,7 @@ mod tests {
     fn push_locked_matches_reference() {
         let input = test_graph(400, 1500, 7);
         let (adj, _) = layouts(&input);
-        let result = push_locked(&adj, 0);
+        let result = bfs0(&adj, Direction::Push, SyncMode::Locks);
         validate(adj.out(), 0, &result);
     }
 
@@ -584,7 +549,7 @@ mod tests {
     fn pull_matches_reference() {
         let input = test_graph(400, 1500, 11);
         let (adj, _) = layouts(&input);
-        let result = pull(&adj, 0);
+        let result = bfs0(&adj, Direction::Pull, SyncMode::Atomics);
         validate(adj.out(), 0, &result);
         assert!(result.iterations.iter().all(|s| s.mode == StepMode::Pull));
     }
@@ -593,7 +558,7 @@ mod tests {
     fn push_pull_matches_reference_and_switches() {
         let input = test_graph(2000, 30_000, 13);
         let (adj, _) = layouts(&input);
-        let result = push_pull(&adj, 0);
+        let result = bfs0(&adj, Direction::PushPull, SyncMode::Atomics);
         validate(adj.out(), 0, &result);
         // A dense random graph must trigger at least one pull step.
         assert!(result.iterations.iter().any(|s| s.mode == StepMode::Pull));
@@ -604,7 +569,7 @@ mod tests {
     fn edge_centric_matches_reference() {
         let input = test_graph(300, 1000, 17);
         let (adj, _) = layouts(&input);
-        let result = edge_centric(&input, 0);
+        let result = bfs0(&input, PushOnly, SyncMode::Atomics);
         validate(adj.out(), 0, &result);
     }
 
@@ -612,15 +577,26 @@ mod tests {
     fn grid_matches_reference() {
         let input = test_graph(300, 1000, 19);
         let (adj, grid_layout) = layouts(&input);
-        let result = grid(&grid_layout, 0);
+        let result = bfs0(&grid_layout, PushOnly, SyncMode::Atomics);
         validate(adj.out(), 0, &result);
+    }
+
+    #[test]
+    fn grid_side_larger_than_vertices() {
+        // A side past the vertex count, which `run_variant` refuses: the
+        // kernel itself copes with the empty rows and columns.
+        let graph = EdgeList::new(3, vec![Edge::new(0, 1), Edge::new(1, 2)]).unwrap();
+        let grid = GridBuilder::new(Strategy::CountSort).side(8).build(&graph);
+        assert_eq!(grid.num_edges(), 2);
+        let r = bfs0(&grid, PushOnly, SyncMode::Atomics);
+        assert_eq!(r.reachable_count(), 3);
     }
 
     #[test]
     fn disconnected_root_only() {
         let input = EdgeList::new(5, vec![Edge::new(1, 2)]).unwrap();
         let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&input);
-        let result = push(&adj, 0);
+        let result = bfs0(&adj, Direction::Push, SyncMode::Atomics);
         assert_eq!(result.reachable_count(), 1);
         assert_eq!(result.parent[0], 0);
         assert_eq!(result.parent[3], INVALID_VERTEX);
@@ -639,7 +615,11 @@ mod tests {
         )
         .unwrap();
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Both).build(&input);
-        for result in [push(&adj, 0), pull(&adj, 0), push_pull(&adj, 0)] {
+        for result in [
+            bfs0(&adj, Direction::Push, SyncMode::Atomics),
+            bfs0(&adj, Direction::Pull, SyncMode::Atomics),
+            bfs0(&adj, Direction::PushPull, SyncMode::Atomics),
+        ] {
             assert_eq!(result.reachable_count(), 3);
             assert_eq!(result.level[2], 2);
         }
@@ -651,12 +631,15 @@ mod tests {
         let (adj, grid_layout) = layouts(&input);
         let baseline = reference(adj.out(), 0);
         for (name, result) in [
-            ("push", push(&adj, 0)),
-            ("push_locked", push_locked(&adj, 0)),
-            ("pull", pull(&adj, 0)),
-            ("push_pull", push_pull(&adj, 0)),
-            ("edge", edge_centric(&input, 0)),
-            ("grid", grid(&grid_layout, 0)),
+            ("push", bfs0(&adj, Direction::Push, SyncMode::Atomics)),
+            ("push_locked", bfs0(&adj, Direction::Push, SyncMode::Locks)),
+            ("pull", bfs0(&adj, Direction::Pull, SyncMode::Atomics)),
+            (
+                "push_pull",
+                bfs0(&adj, Direction::PushPull, SyncMode::Atomics),
+            ),
+            ("edge", bfs0(&input, PushOnly, SyncMode::Atomics)),
+            ("grid", bfs0(&grid_layout, PushOnly, SyncMode::Atomics)),
         ] {
             assert_eq!(result.level, baseline, "{name}");
         }
@@ -705,7 +688,7 @@ mod tests {
         let (plain, traced) = egraph_parallel::with_pool(&pool, || {
             let ctx = ExecCtx::default().recorder(&recorder);
             let traced = run(&adj, 0, Direction::Push, SyncMode::Atomics, &ctx);
-            (push(&adj, 0), traced)
+            (bfs0(&adj, Direction::Push, SyncMode::Atomics), traced)
         });
         assert_eq!(plain.parent, traced.parent);
         assert_eq!(plain.level, traced.level);
@@ -716,7 +699,7 @@ mod tests {
     fn iteration_stats_recorded() {
         let input = test_graph(500, 3000, 29);
         let (adj, _) = layouts(&input);
-        let result = push(&adj, 0);
+        let result = bfs0(&adj, Direction::Push, SyncMode::Atomics);
         assert!(!result.iterations.is_empty());
         assert_eq!(result.iterations[0].frontier_size, 1);
         assert!(result.algorithm_seconds() >= 0.0);

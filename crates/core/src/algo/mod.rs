@@ -11,6 +11,12 @@
 //! | [`spmv`] | single pass | whole graph | adj push, edge array, adj pull |
 //! | [`als`] | machine learning (bipartite) | one side per half-step | adj pull |
 //!
+//! The kernels behind the variants are crate-private: a layout ×
+//! direction of BFS, WCC, SSSP, PageRank or SpMV runs through
+//! [`crate::variant::run_variant`] (`"pagerank/grid/pull"`, ...). Each
+//! module exports its result and configuration types and its serial
+//! `reference` oracle.
+//!
 //! Three algorithms additionally ship an **incremental** engine for the
 //! mutable delta layout (DESIGN.md §16): [`pagerank::IncrementalPagerank`]
 //! (residual propagation from the endpoints of changed edges),

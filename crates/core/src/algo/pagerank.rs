@@ -11,7 +11,7 @@ use super::{span_sum, Stripes};
 use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{Grid, NeighborAccess, OneWay};
+use crate::layout::NeighborAccess;
 use crate::metrics::{timed, IterStat, StepMode, SyncMode};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::{StripedLocks, UnsyncSlice};
@@ -148,19 +148,6 @@ where
     }
 }
 
-/// Vertex-centric pull without locks: each vertex sums the
-/// contributions of its in-neighbors and writes only its own
-/// accumulator (Fig. 8, "adj. pull (no lock)"). Runs on any
-/// [`NeighborAccess`] in-adjacency (uncompressed CSR or ccsr).
-pub fn pull<E: EdgeRecord, A: NeighborAccess<E>>(
-    incoming: &A,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-) -> PagerankResult {
-    let incoming = OneWay::incoming(incoming);
-    pull_impl(&incoming, out_degrees, cfg, &ExecCtx::default())
-}
-
 /// Pull PageRank on any layout that can pull: every power iteration is
 /// one pull round in which each vertex's accumulator has a single
 /// writer — the vertex's own task on an indexed layout, its column's on
@@ -277,23 +264,6 @@ impl<E: EdgeRecord> PushOp<E> for PrPushExclusive<'_> {
     }
 }
 
-/// Vertex-centric push PageRank over an out-adjacency (Fig. 8, "adj.
-/// push (locks)"). Runs on any [`NeighborAccess`] out-adjacency.
-pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(
-    out: &A,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-    sync: SyncMode,
-) -> PagerankResult {
-    push_impl(
-        &OneWay::out(out),
-        out_degrees,
-        cfg,
-        sync,
-        &ExecCtx::default(),
-    )
-}
-
 /// Push PageRank on any layout: every power iteration is one push
 /// round from the full vertex set. A layout whose rounds own their
 /// destinations ([`EngineLayout::DST_EXCLUSIVE`]) gets plain writes;
@@ -340,46 +310,6 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
             sums
         },
     )
-}
-
-/// Edge-centric PageRank over the raw edge array (Fig. 3b).
-pub fn edge_centric<E: EdgeRecord>(
-    edges: &EdgeList<E>,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-    sync: SyncMode,
-) -> PagerankResult {
-    push_impl(edges, out_degrees, cfg, sync, &ExecCtx::default())
-}
-
-/// Grid-push PageRank. [`SyncMode::Locks`] iterates cells in arbitrary
-/// parallel order with striped locks ("grid (locks)");
-/// [`SyncMode::Atomics`] uses column ownership and plain writes, which
-/// need no synchronization at all ("grid (no lock)") — Fig. 8.
-pub fn grid_push<E: EdgeRecord>(
-    grid: &Grid<E>,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-    sync: SyncMode,
-) -> PagerankResult {
-    let ctx = &ExecCtx::default();
-    match sync {
-        SyncMode::Locks => push_impl(&grid.cells(), out_degrees, cfg, sync, ctx),
-        SyncMode::Atomics => push_impl(grid, out_degrees, cfg, sync, ctx),
-    }
-}
-
-/// Grid-pull PageRank over the grid's columns: a column holds every
-/// edge into its vertex range, so its worker owns the receivers and no
-/// locks are needed ("grid pull (no lock)", Fig. 8). The same edges in
-/// the same order as unlocked [`grid_push`], so the same ranks bit for
-/// bit.
-pub fn grid_pull<E: EdgeRecord>(
-    grid: &Grid<E>,
-    out_degrees: &[u32],
-    cfg: PagerankConfig,
-) -> PagerankResult {
-    pull_impl(grid, out_degrees, cfg, &ExecCtx::default())
 }
 
 /// Serial reference PageRank for validation.
@@ -778,33 +708,34 @@ mod tests {
         let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&input);
         let grid = GridBuilder::new(Strategy::RadixSort).side(4).build(&input);
 
+        let ctx = ExecCtx::default();
         let variants: Vec<(&str, PagerankResult)> = vec![
-            ("pull", pull(adj.incoming(), &degrees, cfg)),
+            ("pull", pull_impl(&adj, &degrees, cfg, &ctx)),
             (
                 "push-locks",
-                push(adj.out(), &degrees, cfg, SyncMode::Locks),
+                push_impl(&adj, &degrees, cfg, SyncMode::Locks, &ctx),
             ),
             (
                 "push-atomics",
-                push(adj.out(), &degrees, cfg, SyncMode::Atomics),
+                push_impl(&adj, &degrees, cfg, SyncMode::Atomics, &ctx),
             ),
             (
                 "edge-atomics",
-                edge_centric(&input, &degrees, cfg, SyncMode::Atomics),
+                push_impl(&input, &degrees, cfg, SyncMode::Atomics, &ctx),
             ),
             (
                 "edge-locks",
-                edge_centric(&input, &degrees, cfg, SyncMode::Locks),
+                push_impl(&input, &degrees, cfg, SyncMode::Locks, &ctx),
             ),
             (
                 "grid-nolock",
-                grid_push(&grid, &degrees, cfg, SyncMode::Atomics),
+                push_impl(&grid, &degrees, cfg, SyncMode::Atomics, &ctx),
             ),
             (
                 "grid-locks",
-                grid_push(&grid, &degrees, cfg, SyncMode::Locks),
+                push_impl(&grid.cells(), &degrees, cfg, SyncMode::Locks, &ctx),
             ),
-            ("grid-pull", grid_pull(&grid, &degrees, cfg)),
+            ("grid-pull", pull_impl(&grid, &degrees, cfg, &ctx)),
         ];
         for (name, result) in variants {
             assert_eq!(result.iterations, 5);
@@ -818,7 +749,12 @@ mod tests {
         let input = test_graph(200, 1000, 5);
         let degrees: Vec<u32> = input.out_degrees().iter().map(|&d| d as u32).collect();
         let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::In).build(&input);
-        let result = pull(adj.incoming(), &degrees, PagerankConfig::default());
+        let result = pull_impl(
+            &adj,
+            &degrees,
+            PagerankConfig::default(),
+            &ExecCtx::default(),
+        );
         let total: f32 = result.ranks.iter().sum();
         assert!(total <= 1.0 + 1e-3, "total = {total}");
         assert!(total > 0.1);
@@ -831,7 +767,12 @@ mod tests {
         let input = EdgeList::new(100, edges).unwrap();
         let degrees: Vec<u32> = input.out_degrees().iter().map(|&d| d as u32).collect();
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::In).build(&input);
-        let result = pull(adj.incoming(), &degrees, PagerankConfig::default());
+        let result = pull_impl(
+            &adj,
+            &degrees,
+            PagerankConfig::default(),
+            &ExecCtx::default(),
+        );
         assert_eq!(result.top_k(1), vec![0]);
         assert!(result.ranks[0] > 10.0 * result.ranks[1]);
     }
@@ -841,22 +782,24 @@ mod tests {
         let input = test_graph(200, 2000, 12);
         let degrees: Vec<u32> = input.out_degrees().iter().map(|&d| d as u32).collect();
         let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::In).build(&input);
-        let exact = pull(
-            adj.incoming(),
+        let exact = pull_impl(
+            &adj,
             &degrees,
             PagerankConfig {
                 iterations: 100,
                 ..Default::default()
             },
+            &ExecCtx::default(),
         );
-        let tol = pull(
-            adj.incoming(),
+        let tol = pull_impl(
+            &adj,
             &degrees,
             PagerankConfig {
                 iterations: 100,
                 tolerance: Some(1e-7),
                 ..Default::default()
             },
+            &ExecCtx::default(),
         );
         assert!(
             tol.iterations < exact.iterations,
@@ -881,7 +824,10 @@ mod tests {
             iterations: 7,
             ..Default::default()
         };
-        assert_eq!(pull(adj.incoming(), &degrees, cfg).iterations, 7);
+        assert_eq!(
+            pull_impl(&adj, &degrees, cfg, &ExecCtx::default()).iterations,
+            7
+        );
     }
 
     #[test]
@@ -893,7 +839,7 @@ mod tests {
             iterations: 0,
             ..Default::default()
         };
-        let result = pull(adj.incoming(), &degrees, cfg);
+        let result = pull_impl(&adj, &degrees, cfg, &ExecCtx::default());
         assert!(result.ranks.iter().all(|&r| (r - 0.02).abs() < 1e-6));
     }
 

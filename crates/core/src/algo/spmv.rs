@@ -11,7 +11,6 @@ use super::{span_sum, Stripes};
 use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{NeighborAccess, OneWay};
 use crate::metrics::{timed, IterStat, StepMode};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::UnsyncSlice;
@@ -57,30 +56,6 @@ impl<E: EdgeRecord> PushOp<E> for SpmvPushExclusive<'_> {
     }
 }
 
-/// Edge-centric SpMV: one streaming pass over the edge array into
-/// per-worker stripes, then one pass summing them into `y`.
-///
-/// # Panics
-///
-/// Panics if `x.len() != edges.num_vertices()`.
-pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, x: &[f32]) -> SpmvResult {
-    push_impl(edges, x, &ExecCtx::default())
-}
-
-/// Vertex-centric push SpMV over an out-adjacency (the "adj" bar of
-/// Fig. 3c — its pre-processing is what never pays off). Runs on any
-/// [`NeighborAccess`] out-adjacency (uncompressed CSR or ccsr).
-pub fn push<E: EdgeRecord, A: NeighborAccess<E>>(out: &A, x: &[f32]) -> SpmvResult {
-    push_impl(&OneWay::out(out), x, &ExecCtx::default())
-}
-
-/// Grid SpMV: column-exclusive push with plain writes (no locks, no
-/// atomics) — the grid's structural synchronization applied to the
-/// single-pass kernel.
-pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>, x: &[f32]) -> SpmvResult {
-    push_impl(grid, x, &ExecCtx::default())
-}
-
 /// Push SpMV on any layout: one push round from the full vertex set,
 /// accumulating into per-worker [`Stripes`] reduced into `y` — or with
 /// plain writes into `y` where the layout's rounds own their
@@ -111,12 +86,6 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     };
     record_pass(ctx, nv, layout.num_edges(), seconds, StepMode::Push);
     SpmvResult { y, seconds }
-}
-
-/// Vertex-centric pull SpMV over an in-adjacency: each output element
-/// is summed by its own vertex — no synchronization at all.
-pub fn pull<E: EdgeRecord, A: NeighborAccess<E>>(incoming: &A, x: &[f32]) -> SpmvResult {
-    pull_impl(&OneWay::incoming(incoming), x, &ExecCtx::default())
 }
 
 /// Pull SpMV on any layout that can pull: one pull round in which each
@@ -229,10 +198,11 @@ mod tests {
         let g = crate::preprocess::GridBuilder::new(Strategy::RadixSort)
             .side(4)
             .build(&input);
-        assert_close(&edge_centric(&input, &x).y, &expected);
-        assert_close(&push(adj.out(), &x).y, &expected);
-        assert_close(&pull(adj.incoming(), &x).y, &expected);
-        assert_close(&grid(&g, &x).y, &expected);
+        let ctx = ExecCtx::default();
+        assert_close(&push_impl(&input, &x, &ctx).y, &expected);
+        assert_close(&push_impl(&adj, &x, &ctx).y, &expected);
+        assert_close(&pull_impl(&adj, &x, &ctx).y, &expected);
+        assert_close(&push_impl(&g, &x, &ctx).y, &expected);
     }
 
     #[test]
@@ -241,7 +211,7 @@ mod tests {
         let edges: Vec<WEdge> = (0..10u32).map(|v| WEdge::new(v, v, 2.0)).collect();
         let input = EdgeList::new(10, edges).unwrap();
         let x: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let y = edge_centric(&input, &x).y;
+        let y = push_impl(&input, &x, &ExecCtx::default()).y;
         for (i, &yi) in y.iter().enumerate() {
             assert_eq!(yi, 2.0 * i as f32);
         }
@@ -251,13 +221,13 @@ mod tests {
     #[should_panic(expected = "input vector length")]
     fn rejects_wrong_vector_size() {
         let input = test_matrix(10, 20, 9);
-        let _ = edge_centric(&input, &[1.0]);
+        let _ = push_impl(&input, &[1.0], &ExecCtx::default());
     }
 
     #[test]
     fn empty_matrix_gives_zero() {
         let input: EdgeList<WEdge> = EdgeList::new(4, vec![]).unwrap();
-        let y = edge_centric(&input, &[1.0; 4]).y;
+        let y = push_impl(&input, &[1.0; 4], &ExecCtx::default()).y;
         assert_eq!(y, vec![0.0; 4]);
     }
 }

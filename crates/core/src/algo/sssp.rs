@@ -170,15 +170,6 @@ impl<E: EdgeRecord> FrontierAlgo<E> for SsspState {
     }
 }
 
-/// Vertex-centric push SSSP over an out-adjacency, with the bucket
-/// width [`derive_delta`] reads off the graph.
-///
-/// Negative edge weights are a caller bug (the relaxation still
-/// terminates only for non-negative weights).
-pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, source: VertexId) -> SsspResult {
-    push_impl(adj, source, derive_delta(adj), &ExecCtx::default())
-}
-
 /// Bucketed SSSP on any layout with bucket width `delta`: an indexed
 /// layout relaxes the out-edges of the lowest bucket's members, a
 /// scanning one (which callers give `delta = ∞`) streams every edge and
@@ -208,17 +199,9 @@ pub(crate) fn push_impl<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     }
 }
 
-/// Edge-centric SSSP: every iteration streams the whole edge array,
-/// relaxing edges whose source improved last round. A round costs `|E|`
-/// however few vertices it serves, so there is one bucket (Δ = ∞) and
-/// the fewest rounds.
-pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>, source: VertexId) -> SsspResult {
-    push_impl(edges, source, f32::INFINITY, &ExecCtx::default())
-}
-
-/// [`push`] with an explicit bucket width, for the Δ ablation: small
-/// deltas approach Dijkstra (little wasted work, many rounds), large
-/// ones frontier Bellman-Ford. A width that is not a positive number
+/// The `sssp/adj/push` kernel with an explicit bucket width, for the Δ
+/// ablation: small deltas approach Dijkstra (little wasted work, many
+/// rounds), large ones frontier Bellman-Ford. A width that is not a positive number
 /// means no bucketing (Δ = ∞).
 pub fn delta_stepping<E: EdgeRecord>(
     adj: &AdjacencyList<E>,
@@ -366,6 +349,11 @@ mod tests {
         CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(input)
     }
 
+    /// SSSP from vertex 0 at the bucket width the graph derives.
+    fn derived(adj: &AdjacencyList<WEdge>) -> SsspResult {
+        push_impl(adj, 0, derive_delta(adj), &ExecCtx::default())
+    }
+
     fn assert_bit_equal(got: &[f32], expected: &[f32], what: &str) {
         assert_eq!(got.len(), expected.len(), "{what}");
         for (v, (g, e)) in got.iter().zip(expected).enumerate() {
@@ -377,12 +365,12 @@ mod tests {
     fn push_and_edge_centric_equal_dijkstra() {
         let input = weighted_graph(400, 3000, 77, tenths);
         let expected = reference(&input, 0);
-        let result = push(&out_csr(&input), 0);
+        let result = derived(&out_csr(&input));
         assert_bit_equal(&result.dist, &expected, "push");
         assert!(result.reachable_count() > 100);
         assert_eq!(result.buckets.len(), result.iterations.len());
         assert!(result.buckets.windows(2).all(|w| w[0] <= w[1]));
-        let scanned = edge_centric(&input, 0);
+        let scanned = push_impl(&input, 0, f32::INFINITY, &ExecCtx::default());
         assert_bit_equal(&scanned.dist, &expected, "edge_centric");
         assert!(scanned.buckets.iter().all(|&b| b == 0), "one bucket");
         let ne = input.num_edges();
@@ -392,7 +380,7 @@ mod tests {
     #[test]
     fn unreachable_vertices_stay_infinite() {
         let input = EdgeList::new(4, vec![WEdge::new(0, 1, 2.0)]).unwrap();
-        let result = push(&out_csr(&input), 0);
+        let result = derived(&out_csr(&input));
         assert_eq!(result.dist[1], 2.0);
         assert!(result.dist[2].is_infinite());
         assert_eq!(result.reachable_count(), 2);
@@ -410,7 +398,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(push(&out_csr(&input), 0).dist[2], 3.0);
+        assert_eq!(derived(&out_csr(&input)).dist[2], 3.0);
     }
 
     #[test]
@@ -461,7 +449,7 @@ mod tests {
             let result = delta_stepping(&adj, 0, delta);
             assert_bit_equal(&result.dist, &expected, &format!("delta {delta}"));
         }
-        assert_bit_equal(&push(&adj, 0).dist, &expected, "derived delta");
+        assert_bit_equal(&derived(&adj).dist, &expected, "derived delta");
 
         // All-equal weights with Δ above every distance: one bucket.
         let flat = weighted_graph(200, 800, 3, |_| 2.0);

@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use crate::engine::{self, EngineLayout, FrontierAlgo, PushOnly, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::VertexLayout;
 use crate::metrics::{
     direction_cutoff, frontier_density, timed, DirectionDecision, IterStat, StepMode,
 };
@@ -161,9 +160,9 @@ impl<E: EdgeRecord> FrontierAlgo<E> for UnionFind {
     const PUSH_NEXT: FrontierKind = FrontierKind::Sparse;
 }
 
-/// WCC on any layout — the body behind [`push`], [`edge_centric`],
-/// [`grid`] and every `wcc/*/push` variant. Stored edges are read as
-/// undirected, whichever way (and however many times) they are stored.
+/// WCC on any layout — the body behind every `wcc/*/push` variant and
+/// [`IncrementalWcc`]. Stored edges are read as undirected, whichever
+/// way (and however many times) they are stored.
 pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>>(
     layout: &L,
     ctx: &ExecCtx<'_>,
@@ -193,22 +192,6 @@ pub(crate) fn run<E: EdgeRecord, F, L: EngineLayout<E, F>>(
         ctx.recorder.record_counter(FIND_STEPS, steps.into_inner());
     }
     result
-}
-
-/// WCC over an adjacency's out-lists — of the directed input as it is:
-/// no symmetrized copy, no in-direction. Runs on any [`VertexLayout`].
-pub fn push<E: EdgeRecord, L: VertexLayout<E>>(adj: &L) -> WccResult {
-    run(adj, &ExecCtx::default())
-}
-
-/// WCC over the raw edge array: no pre-processing at all.
-pub fn edge_centric<E: EdgeRecord>(edges: &EdgeList<E>) -> WccResult {
-    run(edges, &ExecCtx::default())
-}
-
-/// WCC over a grid, cell by cell.
-pub fn grid<E: EdgeRecord>(grid: &crate::layout::Grid<E>) -> WccResult {
-    run(&grid.cells(), &ExecCtx::default())
 }
 
 /// Serial union-find reference for validation.
@@ -265,7 +248,7 @@ impl IncrementalWcc {
     /// variant).
     pub fn new<E: EdgeRecord>(edges: &EdgeList<E>) -> Self {
         Self {
-            labels: edge_centric(edges).label,
+            labels: run(edges, &ExecCtx::default()).label,
             batches_applied: 0,
         }
     }
@@ -295,7 +278,7 @@ impl IncrementalWcc {
         batch: &crate::layout::DeltaBatch<E>,
         ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome {
-        let (outcome, seconds) = timed(|| self.apply_inner(merged, batch));
+        let (outcome, seconds) = timed(|| self.apply_inner(merged, batch, ctx));
         super::record_repair(
             ctx,
             &mut self.batches_applied,
@@ -311,10 +294,13 @@ impl IncrementalWcc {
         &mut self,
         merged: &EdgeList<E>,
         batch: &crate::layout::DeltaBatch<E>,
+        ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome {
         let fraction = batch.len() as f64 / merged.num_edges().max(1) as f64;
         if batch.has_deletes() || fraction > super::INCREMENTAL_FALLBACK_FRACTION {
-            self.labels = edge_centric(merged).label;
+            // Unrecorded, so the batch stays one iteration record.
+            let quiet = ExecCtx::new(ctx.pool());
+            self.labels = quiet.scoped(|| run(merged, &quiet).label);
             return super::IncrementalOutcome {
                 fallback: true,
                 touched: merged.num_vertices(),
@@ -376,9 +362,9 @@ mod tests {
         let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(input);
         let cells = GridBuilder::new(Strategy::CountSort).side(4).build(input);
         for (layout, result) in [
-            ("adj", push(&adj)),
-            ("edge", edge_centric(input)),
-            ("grid", grid(&cells)),
+            ("adj", run(&adj, &ExecCtx::default())),
+            ("edge", run(input, &ExecCtx::default())),
+            ("grid", run(&cells.cells(), &ExecCtx::default())),
         ] {
             assert_eq!(result.label, expected, "{layout}");
             let passes: Vec<_> = (result.iterations.iter())
@@ -395,7 +381,7 @@ mod tests {
         // Component {0,1,2,3}, component {4,5}, isolated {6}.
         let input = graph(7, [(1, 0), (2, 1), (3, 2), (5, 4)]);
         assert_eq!(reference(&input), vec![0, 0, 0, 0, 4, 4, 6]);
-        let result = edge_centric(&input);
+        let result = run(&input, &ExecCtx::default());
         assert_eq!(result.label, reference(&input));
         assert_eq!(result.component_count(), 3);
     }
@@ -432,7 +418,7 @@ mod tests {
         // 10 000 vertices: pairs (4k, 4k+1) and singletons.
         let input = graph(10_000, (0..2_500u32).map(|k| (4 * k + 1, 4 * k)));
         let labels = check_all_layouts(&input);
-        let result = edge_centric(&input);
+        let result = run(&input, &ExecCtx::default());
         assert_eq!(result.component_count(), 7_500);
         assert_eq!(labels[4001], 4000);
         assert_eq!(labels[4002], 4002);
@@ -445,7 +431,7 @@ mod tests {
         let no_edges = graph(5, []);
         assert_eq!(check_all_layouts(&no_edges), vec![0, 1, 2, 3, 4]);
         let no_vertices = graph(0, []);
-        let result = edge_centric(&no_vertices);
+        let result = run(&no_vertices, &ExecCtx::default());
         assert!(result.label.is_empty());
         assert_eq!(result.component_count(), 0);
     }
@@ -470,7 +456,8 @@ mod tests {
         let input = graph(nv as usize, edges);
         let expected = reference(&input);
         for round in 0..50 {
-            let label = egraph_parallel::with_pool(&pool, || edge_centric(&input).label);
+            let label =
+                egraph_parallel::with_pool(&pool, || run(&input, &ExecCtx::default()).label);
             assert_eq!(label, expected, "round {round}");
         }
     }

@@ -17,8 +17,7 @@
 //! layout and per-edge rule ([`PushOp`] / [`PullOp`] stay
 //! monomorphized) and an uninstrumented run executes the same machine
 //! code as a traced one. Drivers read `recorder.enabled()` once per
-//! chunk, so the handle costs no virtual call per edge. The plain entry
-//! points (`bfs::push`, ...) pass `&ExecCtx::default()`. Nothing here
+//! chunk, so the handle costs no virtual call per edge. Nothing here
 //! feeds the cache model: `egraph-bench` replays the kernels' access
 //! order offline.
 //!

@@ -219,54 +219,3 @@ impl<E: EdgeRecord> VertexLayout<E> for AdjacencyList<E> {
         self.incoming_opt()
     }
 }
-
-/// A lone direction as a [`VertexLayout`], for the kernels whose public
-/// entry points take one [`NeighborAccess`]: the out-direction for the
-/// push kernels, the in-direction for the pull ones.
-#[derive(Debug)]
-pub struct OneWay<'a, A> {
-    dir: &'a A,
-    incoming: bool,
-}
-
-impl<'a, A> OneWay<'a, A> {
-    /// `dir` as a layout's out-direction.
-    pub fn out(dir: &'a A) -> Self {
-        Self {
-            dir,
-            incoming: false,
-        }
-    }
-
-    /// `dir` as a layout's in-direction.
-    pub fn incoming(dir: &'a A) -> Self {
-        Self {
-            dir,
-            incoming: true,
-        }
-    }
-}
-
-impl<E: EdgeRecord, A: NeighborAccess<E>> VertexLayout<E> for OneWay<'_, A> {
-    type Dir = A;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.dir.num_vertices()
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        self.dir.num_edges()
-    }
-
-    #[inline]
-    fn out_opt(&self) -> Option<&A> {
-        (!self.incoming).then_some(self.dir)
-    }
-
-    #[inline]
-    fn incoming_opt(&self) -> Option<&A> {
-        self.incoming.then_some(self.dir)
-    }
-}

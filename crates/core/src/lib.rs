@@ -29,16 +29,17 @@
 //!
 //! ```
 //! use egraph_core::prelude::*;
-//! use egraph_core::algo::bfs;
 //!
 //! // A tiny directed graph as an edge array…
 //! let input = EdgeList::new(4, vec![
 //!     Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3),
 //! ]).unwrap();
-//! // …pre-processed into an out-adjacency with radix sort…
-//! let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&input);
+//! // …pre-processed into an out-adjacency with radix sort on first use…
+//! let prepared = PreparedGraph::new(&input).strategy(Strategy::RadixSort);
 //! // …and traversed with push-mode BFS.
-//! let result = bfs::push(&adj, 0);
+//! let id: VariantId = "bfs/adj/push".parse().unwrap();
+//! let run = run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default()).unwrap();
+//! let result = run.output.as_bfs().unwrap();
 //! assert_eq!(result.reachable_count(), 4);
 //! assert_eq!(result.level[3], 3);
 //! ```

@@ -1169,10 +1169,22 @@ impl WaveRunner<'_> {
 mod tests {
     use super::*;
     use crate::algo::{bfs, sssp};
+    use crate::metrics::{Direction, SyncMode};
 
     fn chain_graph(nv: usize) -> EdgeList<Edge> {
         let edges = (0..nv as u32 - 1).map(|v| Edge::new(v, v + 1)).collect();
         EdgeList::new(nv, edges).unwrap()
+    }
+
+    /// The single push BFS from `source` a wave's lane must match.
+    fn single_bfs(adj: &AdjacencyList<Edge>, source: VertexId) -> bfs::BfsResult {
+        let ctx = ExecCtx::default();
+        bfs::run(adj, source, Direction::Push, SyncMode::Atomics, &ctx)
+    }
+
+    /// The single SSSP from `source` a wave's lane must match.
+    fn single_sssp(adj: &AdjacencyList<WEdge>, source: VertexId) -> sssp::SsspResult {
+        sssp::push_impl(adj, source, sssp::derive_delta(adj), &ExecCtx::default())
     }
 
     fn weighted_chain(nv: usize) -> EdgeList<WEdge> {
@@ -1208,7 +1220,7 @@ mod tests {
             .unwrap();
         for (i, rx) in receivers.into_iter().enumerate() {
             let outcome = rx.recv().expect("scheduler answers");
-            let single = bfs::push(&adj, (i as u32) * 7);
+            let single = single_bfs(&adj, (i as u32) * 7);
             assert_eq!(outcome.values, QueryValues::Levels(single.level));
         }
         engine.shutdown();
@@ -1278,7 +1290,7 @@ mod tests {
         let sssp_out = rx_sssp.recv().unwrap();
         assert_eq!(
             sssp_out.values,
-            QueryValues::Dists(sssp::push(&adj, 0).dist)
+            QueryValues::Dists(single_sssp(&adj, 0).dist)
         );
         let khop_out = rx_khop.recv().unwrap();
         match khop_out.values {
@@ -1423,7 +1435,7 @@ mod tests {
 
     /// Levels of a BFS from `source`, cut at `bound` hops.
     fn khop_levels(adj: &AdjacencyList<Edge>, source: VertexId, bound: u32) -> QueryValues {
-        let mut values = QueryValues::Levels(bfs::push(adj, source).level);
+        let mut values = QueryValues::Levels(single_bfs(adj, source).level);
         values.cut_levels(bound);
         values
     }
@@ -1457,7 +1469,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let want = QueryValues::Levels(bfs::push(&adj, 11).level);
+        let want = QueryValues::Levels(single_bfs(&adj, 11).level);
         for rx in receivers {
             let outcome = rx.recv().unwrap();
             assert_eq!(outcome.wave_size, N, "one wave answered all of them");
@@ -1573,8 +1585,8 @@ mod tests {
         let wadj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
             .sort_neighbors(true)
             .build(&weighted);
-        let want_levels = QueryValues::Levels(bfs::push(&adj, 5).level);
-        let want_dists = QueryValues::Dists(sssp::push(&wadj, 5).dist);
+        let want_levels = QueryValues::Levels(single_bfs(&adj, 5).level);
+        let want_dists = QueryValues::Dists(single_sssp(&wadj, 5).dist);
         for layout in [Layout::Grid, Layout::Ccsr] {
             let engine = ServeEngine::start(
                 ServeGraph::Unweighted(unweighted.clone()),

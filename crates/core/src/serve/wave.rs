@@ -320,8 +320,8 @@ pub fn multi_sssp<E: EdgeRecord, F, L: EngineLayout<E, F>>(
 mod tests {
     use super::*;
     use crate::algo::{bfs, sssp};
-    use crate::layout::EdgeDirection;
-    use crate::metrics::StepMode;
+    use crate::layout::{AdjacencyList, EdgeDirection};
+    use crate::metrics::{Direction, StepMode, SyncMode};
     use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
     use crate::types::{Edge, EdgeList, WEdge};
 
@@ -332,6 +332,17 @@ mod tests {
             edges.push(Edge::new(v, (v + 7) % nv as u32));
         }
         EdgeList::new(nv, edges).unwrap()
+    }
+
+    /// The single push BFS from `source` a wave's lane must match.
+    fn single_bfs(adj: &AdjacencyList<Edge>, source: VertexId) -> bfs::BfsResult {
+        let ctx = ExecCtx::default();
+        bfs::run(adj, source, Direction::Push, SyncMode::Atomics, &ctx)
+    }
+
+    /// The single SSSP from `source` a wave's lane must match.
+    fn single_sssp(adj: &AdjacencyList<WEdge>, source: VertexId) -> sssp::SsspResult {
+        sssp::push_impl(adj, source, sssp::derive_delta(adj), &ExecCtx::default())
     }
 
     fn weighted_ring(nv: usize) -> EdgeList<WEdge> {
@@ -353,7 +364,7 @@ mod tests {
         let waves = multi_bfs(&adj, &sources, u32::MAX, &ExecCtx::new(None));
         assert_eq!(waves.len(), sources.len());
         for (q, &s) in sources.iter().enumerate() {
-            let single = bfs::push(&adj, s);
+            let single = single_bfs(&adj, s);
             assert_eq!(waves[q], single.level, "lane {q} source {s}");
         }
     }
@@ -386,11 +397,11 @@ mod tests {
         let g = weighted_ring(60);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
         let waves = multi_sssp(&adj, &[9, 4, 9, 9], &ExecCtx::new(None));
-        let single = sssp::push(&adj, 9);
+        let single = single_sssp(&adj, 9);
         assert_eq!(waves[0], single.dist);
         assert_eq!(waves[2], single.dist);
         assert_eq!(waves[3], single.dist);
-        assert_eq!(waves[1], sssp::push(&adj, 4).dist);
+        assert_eq!(waves[1], single_sssp(&adj, 4).dist);
     }
 
     #[test]
@@ -400,7 +411,7 @@ mod tests {
         let sources: Vec<VertexId> = (0..32).map(|q| (q * 11) % 200).collect();
         let waves = multi_sssp(&adj, &sources, &ExecCtx::new(None));
         for (q, &s) in sources.iter().enumerate() {
-            let single = sssp::push(&adj, s);
+            let single = single_sssp(&adj, s);
             assert_eq!(waves[q], single.dist, "lane {q} source {s}");
         }
     }
@@ -410,7 +421,7 @@ mod tests {
         let g = ring_with_chords(64);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
         let sources = [0, 1, 2, 40];
-        let singles: Vec<_> = sources.iter().map(|&s| bfs::push(&adj, s)).collect();
+        let singles: Vec<_> = sources.iter().map(|&s| single_bfs(&adj, s)).collect();
         let recorder = crate::telemetry::TraceRecorder::new();
         let ctx = ExecCtx::new(None).recorder(&recorder);
         multi_bfs(&adj, &sources, u32::MAX, &ctx);

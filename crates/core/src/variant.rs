@@ -1,8 +1,10 @@
 //! The unified variant-dispatch API: one typed identifier per
 //! algorithm × layout × direction combination and one resolver,
-//! [`run_variant`], that every caller (CLI, bench, testkit, serve)
-//! goes through instead of hand-writing its own match-block dispatch
-//! over the ~25 algorithm entry points.
+//! [`run_variant`], the only public way to run one: the CLI, serve,
+//! the testkit, the bench binaries and the standing benchmark all go
+//! through it, and the kernels behind it are crate-private. Beside it
+//! only `sssp::delta_stepping` (an explicit bucket width) and the
+//! `Incremental*` engines reach a kernel.
 //!
 //! ```
 //! use egraph_core::exec::ExecCtx;
@@ -1077,6 +1079,10 @@ mod tests {
         for nv in [0, 1, 4, 1 << 20, 1 << 30] {
             assert!((1..=max_grid_side(nv)).contains(&default_grid_side(nv)));
         }
+        // The paper's 256x256 at RMAT-26, scaled, within [8, 256].
+        assert_eq!(default_grid_side(1 << 16), 8);
+        assert_eq!(default_grid_side(1 << 26), 256);
+        assert_eq!(default_grid_side(1 << 30), 256);
         assert!(run(PreparedGraph::new(&g)).is_ok());
         // A side only matters where a grid is built.
         let id = VariantId::new(Algo::Bfs, Layout::Adjacency, Direction::Push);

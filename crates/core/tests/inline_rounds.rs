@@ -8,12 +8,11 @@
 //! The pool counters are process-global, so this file is a test binary
 //! of its own and holds a single test.
 
-use egraph_core::algo::bfs;
 use egraph_core::engine::INLINE_GRAIN;
-use egraph_core::layout::EdgeDirection;
-use egraph_core::preprocess::{CsrBuilder, Strategy};
-use egraph_core::types::{Edge, EdgeList, VertexId};
-use egraph_parallel::{telemetry, with_pool, ThreadPool};
+use egraph_core::exec::ExecCtx;
+use egraph_core::types::{Edge, EdgeList};
+use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId};
+use egraph_parallel::{telemetry, ThreadPool};
 
 /// A `width × height` lattice with both directions of every 4-neighbor
 /// edge; vertex `(x, y)` is `y * width + x`.
@@ -37,16 +36,26 @@ fn lattice(width: u32, height: u32) -> EdgeList<Edge> {
 
 #[test]
 fn a_lattice_bfs_under_the_grain_opens_the_same_zero_regions_on_every_run() {
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&lattice(64, 1024));
+    let graph = lattice(64, 1024);
+    let prepared = PreparedGraph::new(&graph);
+    let id: VariantId = "bfs/adj/push".parse().unwrap();
     // From the middle two wavefronts of up to 64 vertices each travel
     // up and down: rounds of up to ~128 members, all under the grain.
-    let root: VertexId = 512 * 64 + 32;
+    let params = RunParams {
+        root: 512 * 64 + 32,
+        ..RunParams::default()
+    };
     let pool = ThreadPool::new(2);
+    let ctx = ExecCtx::new(&pool);
+    let bfs = || run_variant(&id, &ctx, &prepared, &params).unwrap().output;
+    // Builds the out-adjacency outside the counted window.
+    bfs();
     let regions: Vec<u64> = (0..5)
         .map(|_| {
             telemetry::enable();
-            let run = with_pool(&pool, || bfs::push(&adj, root));
+            let output = bfs();
             telemetry::disable();
+            let run = output.as_bfs().unwrap();
             assert!(run.iterations.len() > 500);
             assert!(run.iterations.iter().any(|s| s.frontier_size > 64));
             assert!(run

@@ -68,11 +68,14 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         // Connectivity is preserved (single component either way).
-        use egraph_core::algo::wcc;
-        assert_eq!(
-            wcc::edge_centric(&g).component_count(),
-            wcc::edge_centric(&p).component_count()
-        );
+        use egraph_core::prelude::*;
+        let components = |graph: &EdgeList<Edge>| {
+            let id: VariantId = "wcc/edge/push".parse().unwrap();
+            let prepared = PreparedGraph::new(graph);
+            let run = run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default());
+            run.unwrap().output.as_wcc().unwrap().component_count()
+        };
+        assert_eq!(components(&g), components(&p));
     }
 
     #[test]

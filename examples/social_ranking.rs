@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example social_ranking`
 
-use everything_graph::core::algo::{pagerank, wcc};
 use everything_graph::core::prelude::*;
 use everything_graph::graphgen;
 
@@ -26,16 +25,20 @@ fn main() {
 
     // --- Influence ranking: PageRank on a grid, pull mode, no locks
     // (Table 5's best configuration for Twitter-shaped graphs). ---
-    let degrees: Vec<u32> = followers.out_degrees().iter().map(|&d| d as u32).collect();
     let side = 16;
-    let (grid, pre) = GridBuilder::new(Strategy::RadixSort)
-        .side(side) // pull runs over the grid's columns, one owner each
-        .build_timed(&followers);
-    let ranks = pagerank::grid_pull(&grid, &degrees, pagerank::PagerankConfig::default());
+    // Pull runs over the grid's columns, one owner each.
+    let prepared = PreparedGraph::new(&followers).side(side);
+    let ctx = ExecCtx::new(None);
+    let run = |id: &str| {
+        let id: VariantId = id.parse().expect("a variant spec");
+        run_variant(&id, &ctx, &prepared, &RunParams::default()).expect("a supported variant")
+    };
+    let pagerank = run("pagerank/grid/pull");
+    let ranks = pagerank.output.as_pagerank().expect("a PageRank run");
     println!(
         "\ninfluence ranking (grid {side}x{side}, pull, no locks): \
          pre-process {:.3}s + rank {:.3}s",
-        pre.seconds, ranks.seconds
+        pagerank.preprocess_seconds, pagerank.algorithm_seconds
     );
     println!("top influencers:");
     for (i, v) in ranks.top_k(5).iter().enumerate() {
@@ -50,7 +53,8 @@ fn main() {
 
     // --- Community structure: WCC straight off the edge array (zero
     // pre-processing — the Table 6 winner for low-diameter graphs). ---
-    let components = wcc::edge_centric(&followers);
+    let wcc = run("wcc/edge/push");
+    let components = wcc.output.as_wcc().expect("a WCC run");
     let mut sizes = std::collections::HashMap::new();
     for &label in &components.label {
         *sizes.entry(label).or_insert(0usize) += 1;

@@ -398,6 +398,26 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# `run_variant` is the one public way to run an algorithm x layout x
+# direction; the kernels behind it are crate-private. A top-level public
+# per-layout wrapper in an algorithm file (`bfs::push`,
+# `pagerank::grid_pull`, ...) or the `OneWay` adapter that served them
+# is the second way coming back.
+echo "== one way to run a variant =="
+offenders=$(awk 'FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests &&
+        /^pub fn (push|push_locked|pull|push_pull|edge_centric|grid|grid_push|grid_pull)[<(]/ {
+        print FILENAME ":" FNR ": " $0
+    }' crates/core/src/algo/bfs.rs crates/core/src/algo/pagerank.rs \
+        crates/core/src/algo/spmv.rs crates/core/src/algo/sssp.rs crates/core/src/algo/wcc.rs
+    grep -rn 'OneWay' crates || true)
+if [ -n "$offenders" ]; then
+    echo "a public per-layout kernel wrapper or OneWay (run through run_variant):"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

@@ -25,7 +25,6 @@
 //! # Examples
 //!
 //! ```
-//! use everything_graph::core::algo::bfs;
 //! use everything_graph::core::prelude::*;
 //! use everything_graph::graphgen;
 //!
@@ -33,10 +32,10 @@
 //! // list in push mode — the paper's recommended configuration for
 //! // traversal algorithms (§9).
 //! let edges = graphgen::rmat(10, 16, 42);
-//! let graph = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out)
-//!     .build(&edges);
-//! let result = bfs::push(&graph, 0);
-//! assert!(result.reachable_count() > 0);
+//! let graph = PreparedGraph::new(&edges).strategy(Strategy::RadixSort);
+//! let id: VariantId = "bfs/adj/push".parse().unwrap();
+//! let run = run_variant(&id, &ExecCtx::new(None), &graph, &RunParams::default()).unwrap();
+//! assert!(run.output.as_bfs().unwrap().reachable_count() > 0);
 //! ```
 
 pub use egraph_cachesim as cachesim;

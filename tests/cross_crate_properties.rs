@@ -3,12 +3,25 @@
 //! must roundtrip exactly.
 
 use everything_graph::core::algo::{bfs, pagerank, sssp, wcc};
+use everything_graph::core::exec::ExecCtx;
 use everything_graph::core::layout::EdgeDirection;
-use everything_graph::core::metrics::SyncMode;
 use everything_graph::core::preprocess::{CsrBuilder, GridBuilder, Strategy as Build};
-use everything_graph::core::types::{Edge, EdgeList, WEdge};
+use everything_graph::core::types::{Edge, EdgeList, EdgeRecord, WEdge};
+use everything_graph::core::variant::{run_variant, PreparedGraph, RunParams, VariantOutput};
 use everything_graph::storage::{read_edge_list, write_edge_list};
 use proptest::prelude::*;
+
+/// Runs the variant `spec` (`algo/layout/direction`) on `graph`.
+fn run<E: EdgeRecord>(
+    spec: &str,
+    graph: &PreparedGraph<'_, E>,
+    params: &RunParams,
+) -> VariantOutput {
+    let id = spec.parse().unwrap();
+    run_variant(&id, &ExecCtx::new(None), graph, params)
+        .unwrap()
+        .output
+}
 
 /// An arbitrary small multigraph (self-loops and duplicates allowed).
 fn arb_graph() -> impl Strategy<Value = EdgeList<Edge>> {
@@ -99,33 +112,36 @@ proptest! {
     #[test]
     fn bfs_variants_agree(graph in arb_graph(), root_ix in any::<prop::sample::Index>()) {
         let root = root_ix.index(graph.num_vertices()) as u32;
-        let adj = CsrBuilder::new(Build::RadixSort, EdgeDirection::Both).build(&graph);
-        let grid = GridBuilder::new(Build::RadixSort).side(4).build(&graph);
+        let adj = CsrBuilder::new(Build::RadixSort, EdgeDirection::Out).build(&graph);
+        // A side past the vertex count only adds empty rows and columns.
+        let prepared = PreparedGraph::new(&graph).side(4.min(graph.num_vertices()));
         let expected = bfs::reference(adj.out(), root);
-        prop_assert_eq!(&bfs::push(&adj, root).level, &expected);
-        prop_assert_eq!(&bfs::pull(&adj, root).level, &expected);
-        prop_assert_eq!(&bfs::push_pull(&adj, root).level, &expected);
-        prop_assert_eq!(&bfs::edge_centric(&graph, root).level, &expected);
-        prop_assert_eq!(&bfs::grid(&grid, root).level, &expected);
+        let params = RunParams { root, ..RunParams::default() };
+        for spec in ["bfs/adj/push", "bfs/adj/pull", "bfs/adj/push-pull", "bfs/edge/push", "bfs/grid/push"] {
+            let out = run(spec, &prepared, &params);
+            prop_assert_eq!(&out.as_bfs().unwrap().level, &expected, "{}", spec);
+        }
     }
 
     #[test]
     fn wcc_equals_union_find(graph in arb_graph()) {
         let expected = wcc::reference(&graph);
-        prop_assert_eq!(&wcc::edge_centric(&graph).label, &expected);
-        let adj = CsrBuilder::new(Build::CountSort, EdgeDirection::Out).build(&graph);
-        prop_assert_eq!(&wcc::push(&adj).label, &expected);
+        let out = run("wcc/edge/push", &PreparedGraph::new(&graph), &RunParams::default());
+        prop_assert_eq!(&out.as_wcc().unwrap().label, &expected);
+        let prepared = PreparedGraph::new(&graph).strategy(Build::CountSort);
+        let out = run("wcc/adj/push", &prepared, &RunParams::default());
+        prop_assert_eq!(&out.as_wcc().unwrap().label, &expected);
     }
 
     #[test]
     fn sssp_equals_dijkstra(graph in arb_weighted(), root_ix in any::<prop::sample::Index>()) {
         let root = root_ix.index(graph.num_vertices()) as u32;
-        let adj = CsrBuilder::new(Build::RadixSort, EdgeDirection::Out).build(&graph);
+        let prepared = PreparedGraph::new(&graph);
         let expected = sssp::reference(&graph, root);
-        for (name, dist) in [
-            ("push", sssp::push(&adj, root).dist),
-            ("edge", sssp::edge_centric(&graph, root).dist),
-        ] {
+        let params = RunParams { root, ..RunParams::default() };
+        for (name, spec) in [("push", "sssp/adj/push"), ("edge", "sssp/edge/push")] {
+            let out = run(spec, &prepared, &params);
+            let dist = &out.as_sssp().unwrap().dist;
             for v in 0..dist.len() {
                 if expected[v].is_finite() {
                     prop_assert!(
@@ -141,11 +157,13 @@ proptest! {
 
     #[test]
     fn pagerank_mass_is_bounded_and_variants_agree(graph in arb_graph()) {
-        let degrees: Vec<u32> = graph.out_degrees().iter().map(|&d| d as u32).collect();
         let cfg = pagerank::PagerankConfig { iterations: 3, ..Default::default() };
-        let adj = CsrBuilder::new(Build::RadixSort, EdgeDirection::Both).build(&graph);
-        let pull = pagerank::pull(adj.incoming(), &degrees, cfg);
-        let push = pagerank::push(adj.out(), &degrees, cfg, SyncMode::Atomics);
+        let prepared = PreparedGraph::new(&graph);
+        let params = RunParams { pagerank: cfg, ..RunParams::default() };
+        let pull = run("pagerank/adj/pull", &prepared, &params);
+        let pull = pull.as_pagerank().unwrap();
+        let push = run("pagerank/adj/push", &prepared, &params);
+        let push = push.as_pagerank().unwrap();
         let total: f32 = pull.ranks.iter().sum();
         prop_assert!(total <= 1.0 + 1e-3, "rank mass {}", total);
         for v in 0..pull.ranks.len() {

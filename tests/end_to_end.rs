@@ -12,6 +12,18 @@ fn rmat_graph() -> EdgeList<Edge> {
     graphgen::rmat(12, 16, 99)
 }
 
+/// Runs the variant `spec` (`algo/layout/direction`) on `graph`.
+fn run<E: EdgeRecord>(
+    spec: &str,
+    graph: &PreparedGraph<'_, E>,
+    params: &RunParams,
+) -> VariantOutput {
+    let id: VariantId = spec.parse().unwrap();
+    run_variant(&id, &ExecCtx::new(None), graph, params)
+        .unwrap()
+        .output
+}
+
 #[test]
 fn store_load_preprocess_traverse() {
     let graph = rmat_graph();
@@ -28,9 +40,15 @@ fn store_load_preprocess_traverse() {
     let mut baselines = Vec::new();
     for strategy in Strategy::ALL {
         let adj = CsrBuilder::new(strategy, EdgeDirection::Both).build(&loaded);
-        let result = bfs::push(&adj, root);
-        bfs::validate(adj.out(), root, &result);
-        baselines.push(result.level);
+        let prepared = PreparedGraph::new(&loaded).strategy(strategy);
+        let params = RunParams {
+            root,
+            ..RunParams::default()
+        };
+        let out = run("bfs/adj/push", &prepared, &params);
+        let result = out.as_bfs().unwrap();
+        bfs::validate(adj.out(), root, result);
+        baselines.push(result.level.clone());
     }
     assert_eq!(baselines[0], baselines[1]);
     assert_eq!(baselines[1], baselines[2]);
@@ -44,16 +62,28 @@ fn every_bfs_variant_agrees_after_storage_roundtrip() {
     let graph: EdgeList<Edge> = read_edge_list(&file[..]).expect("read");
 
     let root = 0u32;
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&graph);
-    let grid = GridBuilder::new(Strategy::CountSort).side(8).build(&graph);
+    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
+    let prepared = PreparedGraph::new(&graph)
+        .grid_strategy(Strategy::CountSort)
+        .side(8);
     let expected = bfs::reference(adj.out(), root);
 
-    assert_eq!(bfs::push(&adj, root).level, expected, "push");
-    assert_eq!(bfs::push_locked(&adj, root).level, expected, "push_locked");
-    assert_eq!(bfs::pull(&adj, root).level, expected, "pull");
-    assert_eq!(bfs::push_pull(&adj, root).level, expected, "push_pull");
-    assert_eq!(bfs::edge_centric(&graph, root).level, expected, "edge");
-    assert_eq!(bfs::grid(&grid, root).level, expected, "grid");
+    for (name, spec, sync) in [
+        ("push", "bfs/adj/push", SyncMode::Atomics),
+        ("push_locked", "bfs/adj/push", SyncMode::Locks),
+        ("pull", "bfs/adj/pull", SyncMode::Atomics),
+        ("push_pull", "bfs/adj/push-pull", SyncMode::Atomics),
+        ("edge", "bfs/edge/push", SyncMode::Atomics),
+        ("grid", "bfs/grid/push", SyncMode::Atomics),
+    ] {
+        let params = RunParams {
+            root,
+            sync,
+            ..RunParams::default()
+        };
+        let out = run(spec, &prepared, &params);
+        assert_eq!(out.as_bfs().unwrap().level, expected, "{name}");
+    }
 }
 
 #[test]
@@ -66,26 +96,21 @@ fn pagerank_all_layouts_agree() {
     };
     let expected = pagerank::reference(&graph, &degrees, cfg);
 
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&graph);
-    let grid = GridBuilder::new(Strategy::RadixSort).side(8).build(&graph);
-
-    let variants = [
-        ("pull", pagerank::pull(adj.incoming(), &degrees, cfg).ranks),
-        (
-            "push-locks",
-            pagerank::push(adj.out(), &degrees, cfg, SyncMode::Locks).ranks,
-        ),
-        (
-            "edge",
-            pagerank::edge_centric(&graph, &degrees, cfg, SyncMode::Atomics).ranks,
-        ),
-        (
-            "grid-cols",
-            pagerank::grid_push(&grid, &degrees, cfg, SyncMode::Atomics).ranks,
-        ),
-        ("grid-pull", pagerank::grid_pull(&grid, &degrees, cfg).ranks),
-    ];
-    for (name, ranks) in variants {
+    let prepared = PreparedGraph::new(&graph).side(8);
+    for (name, spec, sync) in [
+        ("pull", "pagerank/adj/pull", SyncMode::Atomics),
+        ("push-locks", "pagerank/adj/push", SyncMode::Locks),
+        ("edge", "pagerank/edge/push", SyncMode::Atomics),
+        ("grid-cols", "pagerank/grid/push", SyncMode::Atomics),
+        ("grid-pull", "pagerank/grid/pull", SyncMode::Atomics),
+    ] {
+        let params = RunParams {
+            pagerank: cfg,
+            sync,
+            ..RunParams::default()
+        };
+        let out = run(spec, &prepared, &params);
+        let ranks = &out.as_pagerank().unwrap().ranks;
         for v in 0..expected.len() {
             assert!(
                 (ranks[v] - expected[v]).abs() < 1e-3 * (1.0 + expected[v].abs()),
@@ -107,8 +132,9 @@ fn weighted_pipeline_sssp_and_spmv() {
     write_edge_list(&mut file, &weighted).expect("write");
     let weighted: EdgeList<WEdge> = read_edge_list(&file[..]).expect("read");
 
-    let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Both).build(&weighted);
-    let dist = sssp::push(&adj, 0).dist;
+    let prepared = PreparedGraph::new(&weighted).strategy(Strategy::CountSort);
+    let out = run("sssp/adj/push", &prepared, &RunParams::default());
+    let dist = &out.as_sssp().unwrap().dist;
     let expected = sssp::reference(&weighted, 0);
     for v in 0..dist.len() {
         if expected[v].is_finite() {
@@ -122,11 +148,17 @@ fn weighted_pipeline_sssp_and_spmv() {
         .map(|i| (i % 5) as f32)
         .collect();
     let y_ref = spmv::reference(&weighted, &x);
-    for (name, y) in [
-        ("edge", spmv::edge_centric(&weighted, &x).y),
-        ("push", spmv::push(adj.out(), &x).y),
-        ("pull", spmv::pull(adj.incoming(), &x).y),
+    let params = RunParams {
+        x: Some(&x),
+        ..RunParams::default()
+    };
+    for (name, spec) in [
+        ("edge", "spmv/edge/push"),
+        ("push", "spmv/adj/push"),
+        ("pull", "spmv/adj/pull"),
     ] {
+        let out = run(spec, &prepared, &params);
+        let y = &out.as_spmv().unwrap().y;
         for v in 0..y.len() {
             assert!(
                 (y[v] - y_ref[v]).abs() < 1e-2 * (1.0 + y_ref[v].abs()),
@@ -140,9 +172,11 @@ fn weighted_pipeline_sssp_and_spmv() {
 fn wcc_push_and_edge_agree_with_union_find() {
     let graph = rmat_graph();
     let expected = wcc::reference(&graph);
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
-    assert_eq!(wcc::push(&adj).label, expected);
-    assert_eq!(wcc::edge_centric(&graph).label, expected);
+    let prepared = PreparedGraph::new(&graph);
+    for spec in ["wcc/adj/push", "wcc/edge/push"] {
+        let out = run(spec, &prepared, &RunParams::default());
+        assert_eq!(out.as_wcc().unwrap().label, expected, "{spec}");
+    }
 }
 
 #[test]
@@ -167,8 +201,9 @@ fn als_trains_on_generated_ratings() {
 #[test]
 fn road_graph_full_pipeline() {
     let roads = graphgen::road_like(60, 40);
-    let adj = CsrBuilder::new(Strategy::Dynamic, EdgeDirection::Both).build(&roads);
-    let result = bfs::push_pull(&adj, 0);
+    let prepared = PreparedGraph::new(&roads).strategy(Strategy::Dynamic);
+    let out = run("bfs/adj/push-pull", &prepared, &RunParams::default());
+    let result = out.as_bfs().unwrap();
     // Connected lattice: everything reachable; depth = w + h - 2.
     assert_eq!(result.reachable_count(), 60 * 40);
     let max_level = result.level.iter().max().copied().unwrap();

@@ -1,12 +1,19 @@
 //! Integration: real-world text dataset formats (SNAP, DIMACS) flow
 //! through the whole pipeline and agree with the binary path.
 
-use everything_graph::core::algo::{bfs, sssp};
-use everything_graph::core::layout::EdgeDirection;
-use everything_graph::core::preprocess::{CsrBuilder, Strategy};
-use everything_graph::core::types::{Edge, EdgeList, WEdge};
+use everything_graph::core::algo::sssp;
+use everything_graph::core::prelude::*;
 use everything_graph::graphgen;
 use everything_graph::storage::{read_dimacs, read_snap, write_edge_list, write_snap};
+
+/// Runs the variant `spec` (`algo/layout/direction`) on `graph` from
+/// vertex 0.
+fn run<E: EdgeRecord>(spec: &str, graph: &PreparedGraph<'_, E>) -> VariantOutput {
+    let id: VariantId = spec.parse().unwrap();
+    run_variant(&id, &ExecCtx::new(None), graph, &RunParams::default())
+        .unwrap()
+        .output
+}
 
 #[test]
 fn snap_text_agrees_with_binary_pipeline() {
@@ -24,11 +31,11 @@ fn snap_text_agrees_with_binary_pipeline() {
     let from_text: EdgeList<Edge> = read_snap(&text[..], Some(graph.num_vertices())).unwrap();
 
     assert_eq!(from_bin.edges(), from_text.edges());
-    let adj_a = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&from_bin);
-    let adj_b = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&from_text);
+    let a = PreparedGraph::new(&from_bin).strategy(Strategy::RadixSort);
+    let b = PreparedGraph::new(&from_text).strategy(Strategy::CountSort);
     assert_eq!(
-        bfs::push(&adj_a, 0).level,
-        bfs::push(&adj_b, 0).level,
+        run("bfs/adj/push", &a).as_bfs().unwrap().level,
+        run("bfs/adj/push", &b).as_bfs().unwrap().level,
         "both routes must compute identical BFS"
     );
 }
@@ -45,8 +52,8 @@ fn dimacs_route_runs_sssp() {
               a 1 3 10\n";
     let graph = read_dimacs(gr.as_bytes()).unwrap();
     assert_eq!(graph.num_vertices(), 4);
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
-    let result = sssp::push(&adj, 0);
+    let out = run("sssp/adj/push", &PreparedGraph::new(&graph));
+    let result = out.as_sssp().unwrap();
     // 0 -> 2 via the cycle (2.0) beats the chord (10.0).
     assert_eq!(result.dist[2], 2.0);
     let reference = sssp::reference(&graph, 0);
@@ -75,8 +82,8 @@ fn weighted_snap_roundtrip_preserves_weights() {
 #[test]
 fn small_world_through_the_pipeline() {
     let graph = graphgen::small_world(1000, 3, 0.05, 3);
-    let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&graph);
-    let result = bfs::push_pull(&adj, 0);
+    let out = run("bfs/adj/push-pull", &PreparedGraph::new(&graph));
+    let result = out.as_bfs().unwrap();
     // Small world: everything reachable, few levels.
     assert_eq!(result.reachable_count(), 1000);
     assert!(
