@@ -19,13 +19,13 @@
 //!
 //! Three algorithms additionally ship an **incremental** engine for the
 //! mutable delta layout (DESIGN.md §16): [`pagerank::IncrementalPagerank`]
-//! (residual propagation from the endpoints of changed edges),
+//! (the pull kernel re-solving from the previous ranks),
 //! [`wcc::IncrementalWcc`] (union-find over inserted edges) and
 //! [`bfs::IncrementalBfs`] (affected-subgraph invalidation + repair).
 //! Each solves from scratch with its batch kernel (pull PageRank to a
-//! tolerance, direction-optimizing BFS, the concurrent union-find) at
-//! construction and when the applied batch exceeds
-//! [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
+//! tolerance from the uniform vector, direction-optimizing BFS, the
+//! concurrent union-find) at construction and when the applied batch
+//! exceeds [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
 //! reporting which path ran via [`IncrementalOutcome`].
 
 use crate::engine::PushOp;
@@ -42,9 +42,9 @@ pub mod sssp;
 pub mod wcc;
 
 /// Delta fraction (batch ops / merged edges) above which the
-/// incremental engines recompute from scratch instead of repairing —
-/// past this point the affected subgraph approaches the whole graph and
-/// repair bookkeeping only adds overhead.
+/// incremental engines recompute from scratch instead of updating their
+/// previous answer (a repair; for PageRank a warm-started solve) — past
+/// this point the affected subgraph approaches the whole graph.
 pub const INCREMENTAL_FALLBACK_FRACTION: f64 = 0.05;
 
 /// What an incremental engine did with one applied batch.

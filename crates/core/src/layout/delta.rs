@@ -25,7 +25,7 @@
 //! an append-only log is, and makes `merge(base, log)` reproducible by
 //! any replayer.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -301,47 +301,79 @@ impl<E: EdgeRecord> DeltaLog<E> {
         }
     }
 
-    /// Folds the log into `base`, producing the merged edge list: base
-    /// edges surviving every delete, then the surviving inserts in log
-    /// order. Endpoints must already be validated against the base.
-    pub fn merge_into(&self, base: &EdgeList<E>) -> EdgeList<E> {
-        let mut deleted: HashSet<(VertexId, VertexId)> = HashSet::new();
-        let mut inserted: Vec<E> = Vec::new();
-        for op in &self.ops {
+    /// The log's net effect: the inserts no later delete names, in log
+    /// order, and every deleted `(src, dst)` key. One reverse pass: at
+    /// an insert, `deleted` holds exactly the keys deleted after it.
+    fn resolve(&self) -> (Vec<E>, HashSet<(VertexId, VertexId)>) {
+        let mut deleted = HashSet::new();
+        let mut inserts = Vec::new();
+        for op in self.ops.iter().rev() {
             match op {
-                DeltaOp::Insert(e) => inserted.push(*e),
+                DeltaOp::Insert(e) => {
+                    if !deleted.contains(&(e.src(), e.dst())) {
+                        inserts.push(*e);
+                    }
+                }
                 DeltaOp::Delete { src, dst } => {
-                    inserted.retain(|e| (e.src(), e.dst()) != (*src, *dst));
                     deleted.insert((*src, *dst));
                 }
             }
         }
-        let mut merged: Vec<E> = base
-            .edges()
-            .iter()
-            .filter(|e| !deleted.contains(&(e.src(), e.dst())))
-            .copied()
-            .collect();
-        merged.extend_from_slice(&inserted);
+        inserts.reverse();
+        (inserts, deleted)
+    }
+
+    /// Folds the log into `base`, producing the merged edge list: base
+    /// edges surviving every delete, then the surviving inserts in log
+    /// order. Endpoints must already be validated against the base.
+    pub fn merge_into(&self, base: &EdgeList<E>) -> EdgeList<E> {
+        let (inserts, deleted) = self.resolve();
+        // One bit per source with a delete: most base edges skip the
+        // set probe.
+        let mut sources = vec![0u64; base.num_vertices().div_ceil(64)];
+        for &(src, _) in &deleted {
+            sources[src as usize / 64] |= 1 << (src % 64);
+        }
+        let mut merged = Vec::with_capacity(base.num_edges() + inserts.len());
+        merged.extend(base.edges().iter().filter(|e| {
+            let src = e.src();
+            (sources[src as usize / 64] >> (src % 64)) & 1 == 0
+                || !deleted.contains(&(src, e.dst()))
+        }));
+        merged.extend_from_slice(&inserts);
         EdgeList::new(base.num_vertices(), merged)
             .expect("merged endpoints were validated against the base vertex range")
     }
 }
 
+/// Patch index of an owner the log leaves as it is in the base.
+const UNPATCHED: u32 = u32::MAX;
+
+/// What the log changes about one owner's neighbor list.
+#[derive(Debug, Clone)]
+struct Patch<E> {
+    /// Ascending positions in the owner's base neighbor list whose
+    /// edge a delete removed.
+    skips: Vec<u32>,
+    /// Inserted edges no later delete removed, in log order.
+    inserts: Vec<E>,
+}
+
 /// One direction of the delta layout: a frozen base [`Adjacency`] plus
-/// the log's per-vertex overlay (surviving inserts) and tombstones
-/// (deleted base neighbors). Implements [`NeighborAccess`], so every
-/// vertex-centric kernel runs on the mutated graph without rebuilding
-/// the CSR.
+/// the log's per-owner patches (deleted base positions, surviving
+/// inserts), resolved once when the view is built. Implements
+/// [`NeighborAccess`] without hashing: a read is one dense patch-index
+/// lookup, then base CSR slices between deleted positions (no copying)
+/// and the inserts. So every vertex-centric kernel runs on the mutated
+/// graph without rebuilding the CSR.
 #[derive(Debug, Clone)]
 pub struct DeltaAdjacency<E> {
     base: Adjacency<E>,
-    /// Surviving inserted edges, keyed by this direction's owner
-    /// vertex (src for out-adjacency, dst for in-adjacency).
-    added: Vec<Vec<E>>,
-    /// For owners with deleted *base* neighbors: how many base edges
-    /// are tombstoned and the set of deleted other-endpoints.
-    removed: HashMap<VertexId, (u32, HashSet<VertexId>)>,
+    /// Per vertex, its index into `patches` or [`UNPATCHED`]. Empty
+    /// when the log patches no owner, so an empty log reads the base
+    /// CSR alone.
+    patch_of: Vec<u32>,
+    patches: Vec<Patch<E>>,
     num_edges: usize,
 }
 
@@ -349,57 +381,68 @@ impl<E: EdgeRecord> DeltaAdjacency<E> {
     /// Layers `log` over `base`. Op endpoints must be in range.
     pub fn new(base: Adjacency<E>, log: &DeltaLog<E>) -> Self {
         let by_dst = base.is_by_dst();
+        // (owner, other endpoint): the owner is src for out-adjacency,
+        // dst for in-adjacency, whose records keep their orientation.
         let owner_other =
-            |src: VertexId, dst: VertexId| if by_dst { (dst, src) } else { (src, dst) };
-        let nv = base.num_vertices();
-        let mut added: Vec<Vec<E>> = vec![Vec::new(); nv];
-        let mut tombstones: HashMap<VertexId, HashSet<VertexId>> = HashMap::new();
-        let mut n_added = 0usize;
-        for op in log.ops() {
-            match op {
-                DeltaOp::Insert(e) => {
-                    let (owner, _) = owner_other(e.src(), e.dst());
-                    added[owner as usize].push(*e);
-                    n_added += 1;
-                }
-                DeltaOp::Delete { src, dst } => {
-                    let (owner, other) = owner_other(*src, *dst);
-                    let list = &mut added[owner as usize];
-                    let before = list.len();
-                    list.retain(|e| {
-                        let (_, o) = owner_other(e.src(), e.dst());
-                        o != other
-                    });
-                    n_added -= before - list.len();
-                    tombstones.entry(owner).or_default().insert(other);
-                }
-            }
-        }
-        // Count how many *base* edges each tombstone set actually
-        // covers; owners whose set hits nothing keep the copy-free
-        // iteration path.
-        let mut removed = HashMap::new();
-        let mut n_removed = 0usize;
-        for (owner, set) in tombstones {
-            let cnt = base
-                .neighbors(owner)
-                .iter()
-                .filter(|e| {
-                    let (_, o) = owner_other(e.src(), e.dst());
-                    set.contains(&o)
-                })
-                .count();
-            if cnt > 0 {
-                n_removed += cnt;
-                removed.insert(owner, (cnt as u32, set));
-            }
-        }
-        let num_edges = base.num_edges() - n_removed + n_added;
-        Self {
+            move |src: VertexId, dst: VertexId| if by_dst { (dst, src) } else { (src, dst) };
+        let (inserts, deleted) = log.resolve();
+        let mut view = Self {
             base,
-            added,
-            removed,
-            num_edges,
+            patch_of: Vec::new(),
+            patches: Vec::new(),
+            num_edges: 0,
+        };
+        for e in inserts {
+            view.patch(owner_other(e.src(), e.dst()).0).inserts.push(e);
+        }
+        let mut tombstones: Vec<(VertexId, VertexId)> = deleted
+            .into_iter()
+            .map(|(s, d)| owner_other(s, d))
+            .collect();
+        tombstones.sort_unstable();
+        for owner_tombs in tombstones.chunk_by(|a, b| a.0 == b.0) {
+            let owner = owner_tombs[0].0;
+            let skips: Vec<u32> = (0u32..)
+                .zip(view.base.neighbors(owner))
+                .filter(|(_, e)| {
+                    let other = owner_other(e.src(), e.dst()).1;
+                    owner_tombs.binary_search_by_key(&other, |t| t.1).is_ok()
+                })
+                .map(|(i, _)| i)
+                .collect();
+            if !skips.is_empty() {
+                view.patch(owner).skips = skips;
+            }
+        }
+        let (skipped, added) = view
+            .patches
+            .iter()
+            .fold((0, 0), |(s, a), p| (s + p.skips.len(), a + p.inserts.len()));
+        view.num_edges = view.base.num_edges() - skipped + added;
+        view
+    }
+
+    /// `owner`'s patch, created empty on first use.
+    fn patch(&mut self, owner: VertexId) -> &mut Patch<E> {
+        if self.patch_of.is_empty() {
+            self.patch_of = vec![UNPATCHED; self.base.num_vertices()];
+        }
+        let slot = &mut self.patch_of[owner as usize];
+        if *slot == UNPATCHED {
+            *slot = self.patches.len() as u32;
+            self.patches.push(Patch {
+                skips: Vec::new(),
+                inserts: Vec::new(),
+            });
+        }
+        &mut self.patches[*slot as usize]
+    }
+
+    #[inline]
+    fn patch_at(&self, v: VertexId) -> Option<&Patch<E>> {
+        match self.patch_of.get(v as usize) {
+            Some(&p) if p != UNPATCHED => Some(&self.patches[p as usize]),
+            _ => None,
         }
     }
 
@@ -413,39 +456,27 @@ impl<E: EdgeRecord> DeltaAdjacency<E> {
         &self.base
     }
 
-    /// Live neighbors of `v` as an owned list (test / repair helper).
-    pub fn neighbors_vec(&self, v: VertexId) -> Vec<E> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_span(v, |span| {
-            out.extend_from_slice(span);
-            span.len()
-        });
-        out
-    }
-
     /// Approximate resident bytes of base plus overlay.
     pub fn resident_bytes(&self) -> u64 {
-        let overlay: usize = self
-            .added
+        let patches: usize = self
+            .patches
             .iter()
-            .map(|l| l.len() * std::mem::size_of::<E>())
+            .map(|p| {
+                std::mem::size_of::<Patch<E>>()
+                    + p.skips.len() * std::mem::size_of::<u32>()
+                    + p.inserts.len() * std::mem::size_of::<E>()
+            })
             .sum();
-        let tombs: usize = self
-            .removed
-            .values()
-            .map(|(_, s)| s.len() * std::mem::size_of::<VertexId>() * 2)
-            .sum();
-        self.base.resident_bytes() + (overlay + tombs + self.added.len() * 24) as u64
+        let index = self.patch_of.len() * std::mem::size_of::<u32>();
+        self.base.resident_bytes() + (index + patches) as u64
     }
+}
 
-    #[inline]
-    fn other_endpoint(&self, e: &E) -> VertexId {
-        if self.base.is_by_dst() {
-            e.src()
-        } else {
-            e.dst()
-        }
-    }
+/// Hands `edges` to `f` in spans of at most [`SPAN_EDGES`]; `false`
+/// once `f` consumed less than a whole span (early termination).
+#[inline]
+fn spans<E>(edges: &[E], f: &mut impl FnMut(&[E]) -> usize) -> bool {
+    edges.chunks(SPAN_EDGES).all(|span| f(span) >= span.len())
 }
 
 impl<E: EdgeRecord> NeighborAccess<E> for DeltaAdjacency<E> {
@@ -461,53 +492,30 @@ impl<E: EdgeRecord> NeighborAccess<E> for DeltaAdjacency<E> {
 
     #[inline]
     fn degree(&self, v: VertexId) -> usize {
-        let removed = self
-            .removed
-            .get(&v)
-            .map(|(cnt, _)| *cnt as usize)
-            .unwrap_or(0);
-        self.base.degree(v) - removed + self.added[v as usize].len()
+        let base = self.base.degree(v);
+        match self.patch_at(v) {
+            None => base,
+            Some(p) => base - p.skips.len() + p.inserts.len(),
+        }
     }
 
+    #[inline]
     fn for_each_span<F: FnMut(&[E]) -> usize>(&self, v: VertexId, mut f: F) {
-        let added = &self.added[v as usize];
-        match self.removed.get(&v) {
-            // No tombstoned base edge: iterate base spans in place,
-            // then the overlay.
-            None => {
-                for span in self.base.neighbors(v).chunks(SPAN_EDGES) {
-                    if f(span) < span.len() {
-                        return;
-                    }
-                }
-                for span in added.chunks(SPAN_EDGES) {
-                    if f(span) < span.len() {
-                        return;
-                    }
-                }
+        let base = self.base.neighbors(v);
+        let Some(patch) = self.patch_at(v) else {
+            spans(base, &mut f);
+            return;
+        };
+        // The base slices between deleted positions, then the inserts.
+        let mut from = 0;
+        for &skip in &patch.skips {
+            if !spans(&base[from..skip as usize], &mut f) {
+                return;
             }
-            // Tombstones present: materialize live edges span by span.
-            Some((_, tombs)) => {
-                let mut buf: Vec<E> = Vec::with_capacity(SPAN_EDGES);
-                let live = self
-                    .base
-                    .neighbors(v)
-                    .iter()
-                    .filter(|e| !tombs.contains(&self.other_endpoint(e)))
-                    .chain(added.iter());
-                for e in live {
-                    buf.push(*e);
-                    if buf.len() == SPAN_EDGES {
-                        if f(&buf) < buf.len() {
-                            return;
-                        }
-                        buf.clear();
-                    }
-                }
-                if !buf.is_empty() {
-                    f(&buf);
-                }
-            }
+            from = skip as usize + 1;
+        }
+        if spans(&base[from..], &mut f) {
+            spans(&patch.inserts, &mut f);
         }
     }
 }
@@ -569,21 +577,6 @@ impl<E: EdgeRecord> VertexLayout<E> for DeltaList<E> {
     fn incoming_opt(&self) -> Option<&DeltaAdjacency<E>> {
         self.incoming.as_ref()
     }
-}
-
-/// Visits every live neighbor record of `v` (span iteration flattened;
-/// repair passes use this).
-pub fn for_each_neighbor<E: EdgeRecord, A: NeighborAccess<E>>(
-    access: &A,
-    v: VertexId,
-    mut f: impl FnMut(&E),
-) {
-    access.for_each_span(v, |span| {
-        for e in span {
-            f(e);
-        }
-        span.len()
-    });
 }
 
 /// The epoch-style publication cell (the arc-swap pattern, without the
@@ -808,7 +801,11 @@ mod tests {
     }
 
     fn sorted_neighbors(d: &DeltaAdjacency<Edge>, v: VertexId) -> Vec<(u32, u32)> {
-        let mut n: Vec<(u32, u32)> = d.neighbors_vec(v).iter().map(|e| (e.src, e.dst)).collect();
+        let mut n = Vec::new();
+        d.for_each_span(v, |span| {
+            n.extend(span.iter().map(|e| (e.src, e.dst)));
+            span.len()
+        });
         n.sort_unstable();
         n
     }
@@ -886,6 +883,148 @@ mod tests {
         });
         assert_eq!(spans, 1);
         assert_eq!(list.out().degree(0), 100);
+    }
+
+    /// The spans `for_each_span` hands out for `v`, as neighbor ids
+    /// (the non-owner endpoint), consuming each whole.
+    fn span_ids(d: &DeltaAdjacency<Edge>, v: VertexId) -> Vec<Vec<u32>> {
+        let mut spans = Vec::new();
+        d.for_each_span(v, |span| {
+            spans.push(span.iter().map(|e| d.other(e)).collect());
+            span.len()
+        });
+        spans
+    }
+
+    impl DeltaAdjacency<Edge> {
+        fn other(&self, e: &Edge) -> u32 {
+            if self.is_by_dst() {
+                e.src
+            } else {
+                e.dst
+            }
+        }
+    }
+
+    fn log_of(ops: impl IntoIterator<Item = DeltaOp<Edge>>) -> DeltaLog<Edge> {
+        let mut log = DeltaLog::new();
+        for op in ops {
+            log.push(op);
+        }
+        log
+    }
+
+    #[test]
+    fn tombstones_at_the_ends_in_runs_and_on_copies_skip_exactly_their_positions() {
+        // Vertex 0: 1..=10 with 5 twice; vertex 1: two base edges.
+        let mut edges: Vec<Edge> = (1..=10).map(|d| Edge::new(0, d)).collect();
+        edges.push(Edge::new(0, 5));
+        edges.extend([Edge::new(1, 2), Edge::new(1, 3)]);
+        let base = EdgeList::new(11, edges).unwrap();
+        let log = log_of([
+            DeltaOp::Delete { src: 0, dst: 1 },  // position 0
+            DeltaOp::Delete { src: 0, dst: 10 }, // the last position
+            DeltaOp::Insert(Edge::new(0, 4)),    // dies with the next delete
+            DeltaOp::Delete { src: 0, dst: 4 },  // a run with both copies of 5
+            DeltaOp::Delete { src: 0, dst: 5 },
+            DeltaOp::Insert(Edge::new(0, 1)), // re-inserted after its delete
+            DeltaOp::Delete { src: 1, dst: 2 }, // every base edge of vertex 1
+            DeltaOp::Delete { src: 1, dst: 3 },
+        ]);
+        let list = delta_list(&base, &log);
+        let out = list.out();
+        assert_eq!(
+            span_ids(out, 0),
+            vec![vec![2, 3], vec![6, 7, 8, 9], vec![1]]
+        );
+        assert_eq!(out.degree(0), 7);
+        assert!(span_ids(out, 1).is_empty(), "every base edge deleted");
+        assert_eq!(out.degree(1), 0);
+        assert_eq!(list.num_edges(), log.merge_into(&base).num_edges());
+        // The in-direction resolves the same ops by destination.
+        assert!(
+            span_ids(list.incoming(), 5).is_empty(),
+            "both copies of 0→5"
+        );
+        assert_eq!(span_ids(list.incoming(), 3), vec![vec![0]]);
+        assert_eq!(span_ids(list.incoming(), 1), vec![vec![0]]);
+    }
+
+    #[test]
+    fn spans_split_at_skips_and_stop_where_the_caller_stops() {
+        // 130 base neighbors of vertex 0; deleting 0→64 ends the first
+        // full span exactly at the skip.
+        let edges: Vec<Edge> = (1..=130).map(|d| Edge::new(0, d)).collect();
+        let base = EdgeList::new(131, edges).unwrap();
+        let log = log_of([
+            DeltaOp::Delete { src: 0, dst: 65 },
+            DeltaOp::Insert(Edge::new(0, 7)),
+        ]);
+        let list = delta_list(&base, &log);
+        let lens: Vec<usize> = span_ids(list.out(), 0).iter().map(Vec::len).collect();
+        assert_eq!(lens, vec![64, 64, 1, 1]);
+        for stop_at in 0..4 {
+            let mut calls = 0;
+            list.out().for_each_span(0, |span| {
+                calls += 1;
+                if calls > stop_at {
+                    span.len() - 1
+                } else {
+                    span.len()
+                }
+            });
+            assert_eq!(calls, stop_at + 1, "stopped in span {stop_at}");
+        }
+    }
+
+    #[test]
+    fn degree_equals_the_span_total_for_every_vertex() {
+        let edges: Vec<Edge> = (0..400u32)
+            .map(|i| Edge::new((i * 7) % 23, (i * 13) % 23))
+            .collect();
+        let base = EdgeList::new(23, edges).unwrap();
+        let log = log_of((0..60u32).map(|i| match i % 3 {
+            0 => DeltaOp::Delete {
+                src: (i * 7) % 23,
+                dst: (i * 13) % 23,
+            },
+            _ => DeltaOp::Insert(Edge::new((i * 5) % 23, (i * 11) % 23)),
+        }));
+        let list = delta_list(&base, &log);
+        for dir in [list.out(), list.incoming()] {
+            let mut total = 0;
+            for v in 0..23 {
+                let spanned: usize = span_ids(dir, v).iter().map(Vec::len).sum();
+                assert_eq!(dir.degree(v), spanned, "vertex {v}");
+                total += spanned;
+            }
+            assert_eq!(dir.num_edges(), total);
+        }
+        assert_eq!(list.num_edges(), log.merge_into(&base).num_edges());
+    }
+
+    #[test]
+    fn an_empty_log_hands_out_the_base_csr_slices() {
+        let edges: Vec<Edge> = (0..300u32).map(|i| Edge::new(i % 3, i % 5)).collect();
+        let base = EdgeList::new(5, edges).unwrap();
+        let list = delta_list(&base, &DeltaLog::new());
+        for dir in [list.out(), list.incoming()] {
+            assert_eq!(dir.resident_bytes(), dir.base().resident_bytes());
+            for v in 0..5 {
+                let mut got = Vec::new();
+                dir.for_each_span(v, |span| {
+                    got.push((span.as_ptr(), span.len()));
+                    span.len()
+                });
+                let want: Vec<_> = dir
+                    .base()
+                    .neighbors(v)
+                    .chunks(SPAN_EDGES)
+                    .map(|span| (span.as_ptr(), span.len()))
+                    .collect();
+                assert_eq!(got, want, "vertex {v}");
+            }
+        }
     }
 
     #[test]

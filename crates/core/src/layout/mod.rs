@@ -27,8 +27,8 @@ pub mod grid;
 pub use ccsr::{CcsrAdjacency, CcsrError, CcsrList};
 pub use csr::{Adjacency, AdjacencyList, EdgeDirection, Storage};
 pub use delta::{
-    for_each_neighbor, CompactStats, DeltaAdjacency, DeltaBatch, DeltaError, DeltaGraph, DeltaList,
-    DeltaLog, DeltaOp, EpochCell, GraphSnapshot,
+    CompactStats, DeltaAdjacency, DeltaBatch, DeltaError, DeltaGraph, DeltaList, DeltaLog, DeltaOp,
+    EpochCell, GraphSnapshot,
 };
 pub use grid::{Grid, GridCells};
 

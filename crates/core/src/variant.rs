@@ -829,6 +829,7 @@ fn execute<E: EdgeRecord>(
                     grid,
                     degrees(),
                     params.pagerank,
+                    None,
                     ctx,
                 )),
                 _ => run_streamed(id, grid, &grid.cells(), degrees, x, params, ctx),
@@ -863,7 +864,7 @@ where
             VariantOutput::Sssp(sssp::push_impl(layout, root, sssp::derive_delta(layout), c))
         }
         (Algo::Pagerank, Direction::Pull) => {
-            VariantOutput::Pagerank(pagerank::pull_impl(layout, degrees(), cfg, c))
+            VariantOutput::Pagerank(pagerank::pull_impl(layout, degrees(), cfg, None, c))
         }
         (Algo::Pagerank, _) => {
             VariantOutput::Pagerank(pagerank::push_impl(layout, degrees(), cfg, params.sync, c))

@@ -115,6 +115,38 @@ fn out_neighbors<E: EdgeRecord, L: VertexLayout<E>>(layout: &L) -> Vec<Vec<u32>>
         .collect()
 }
 
+/// The merge rule replayed op by op, as the log reads: a delete drops
+/// every copy present so far, base and inserted alike. Surviving base
+/// edges in base order, then surviving inserts in log order.
+fn naive_merge(base: &[Edge], ops: &[DeltaOp<Edge>]) -> Vec<(u32, u32)> {
+    let mut base = base.to_vec();
+    let mut inserted = Vec::new();
+    for op in ops {
+        match *op {
+            DeltaOp::Insert(e) => inserted.push(e),
+            DeltaOp::Delete { src, dst } => {
+                let live = |e: &Edge| (e.src(), e.dst()) != (src, dst);
+                base.retain(live);
+                inserted.retain(live);
+            }
+        }
+    }
+    base.iter()
+        .chain(&inserted)
+        .map(|e| (e.src(), e.dst()))
+        .collect()
+}
+
+/// `v`'s neighbor list as the overlay hands it out, in order.
+fn spanned<A: NeighborAccess<Edge>>(access: &A, v: VertexId) -> Vec<(u32, u32)> {
+    let mut edges = Vec::new();
+    access.for_each_span(v, |span| {
+        edges.extend(span.iter().map(|e| (e.src(), e.dst())));
+        span.len()
+    });
+    edges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -175,6 +207,50 @@ proptest! {
             prop_assert_eq!(dgraph.pending_ops(), 0);
         }
         prop_assert_eq!(canonical(dgraph.snapshot().edges.edges()), canonical(&expected));
+    }
+
+    /// `merge_into` keeps the order of the op-by-op replay — surviving
+    /// base edges in base order, then surviving inserts in log order —
+    /// and the overlay hands out each owner's list in the same order
+    /// over its CSR slice. Few vertices, so keys repeat: multi-copy
+    /// base edges, repeated deletes and delete-then-reinsert.
+    #[test]
+    fn merge_and_overlay_keep_the_order_of_a_naive_replay(
+        nv in 1usize..6,
+        base_raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
+        raw in proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u32>()), 0..40),
+    ) {
+        let key = |a: u32| a % nv as u32;
+        let base_edges: Vec<Edge> =
+            base_raw.iter().map(|&(s, d)| Edge::new(key(s), key(d))).collect();
+        let base = EdgeList::new(nv, base_edges.clone()).unwrap();
+        let ops: Vec<DeltaOp<Edge>> = raw
+            .iter()
+            .map(|&(delete, s, d)| match delete {
+                true => DeltaOp::Delete { src: key(s), dst: key(d) },
+                false => DeltaOp::Insert(Edge::new(key(s), key(d))),
+            })
+            .collect();
+        let mut log = DeltaLog::new();
+        for op in &ops {
+            log.push(*op);
+        }
+        let pairs = |edges: &[Edge]| edges.iter().map(|e| (e.src(), e.dst())).collect::<Vec<_>>();
+        prop_assert_eq!(pairs(log.merge_into(&base).edges()), naive_merge(&base_edges, &ops));
+
+        let (out, inc) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both)
+            .build(&base)
+            .into_parts();
+        let (out, inc) = (out.unwrap(), inc.unwrap());
+        let overlay = DeltaList::new(Some(out.clone()), Some(inc.clone()), &log);
+        for v in 0..nv as VertexId {
+            let by_src: Vec<DeltaOp<Edge>> =
+                ops.iter().filter(|op| op.endpoints().0 == v).copied().collect();
+            let by_dst: Vec<DeltaOp<Edge>> =
+                ops.iter().filter(|op| op.endpoints().1 == v).copied().collect();
+            prop_assert_eq!(spanned(overlay.out(), v), naive_merge(out.neighbors(v), &by_src));
+            prop_assert_eq!(spanned(overlay.incoming(), v), naive_merge(inc.neighbors(v), &by_dst));
+        }
     }
 
     /// Malformed NDJSON delta lines parse to a typed [`DeltaError`] —

@@ -139,6 +139,30 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# Delta reads hash nothing: `DeltaAdjacency::new` resolves every
+# tombstone into ascending skip positions once, when the view is built,
+# so a `HashMap`, `HashSet` or `.get(&` inside its `NeighborAccess` impl
+# is a hashed read coming back. PageRank has one solve path: a batch
+# re-solves with the pull kernel from the current ranks, so a
+# `VecDeque`, `RepairSlot`, `REPAIR_EPS` or `fn repair` in
+# algo/pagerank.rs is the residual-push repair coming back.
+echo "== delta reads hash nothing; one PageRank solve path =="
+offenders=$(awk '/^#\[cfg\(test\)\]/ { exit }
+        /^impl.* NeighborAccess<E> for DeltaAdjacency<E>/ { in_impl = 1 }
+        in_impl && /^}/ { in_impl = 0 }
+        in_impl && !/^[[:space:]]*\/\// && /HashMap|HashSet|\.get\(&/ {
+            print FILENAME ":" FNR ": " $0
+        }' crates/core/src/layout/delta.rs
+    awk '/^#\[cfg\(test\)\]/ { exit }
+        !/^[[:space:]]*\/\// && /VecDeque|RepairSlot|REPAIR_EPS|fn repair[<(]/ {
+            print FILENAME ":" FNR ": " $0
+        }' crates/core/src/algo/pagerank.rs)
+if [ -n "$offenders" ]; then
+    echo "a hashed delta read or the PageRank repair in non-test code:"
+    echo "$offenders"
+    exit 1
+fi
+
 # All-active push sums (PageRank, SpMV) add into per-worker stripes
 # with plain writes and reduce them once per round (`algo::Stripes`):
 # the CAS rules (`PrPushAtomic`, `SpmvPushOp`), a `.fetch_add(` whose
