@@ -15,7 +15,10 @@
 //! Fields: `algo` is `bfs` | `sssp` | `khop` (`khop` takes `depth`);
 //! `"values":true` asks for the full per-vertex array in the response
 //! (levels for bfs/khop, distances for sssp — large!). `id` is echoed
-//! verbatim so clients may pipeline. Errors come back on the same line
+//! verbatim so clients may pipeline. `checksum` is the hex
+//! [`QueryValues::checksum`](super::QueryValues::checksum) of the answer
+//! (a 64-bit word-parallel hash of its values in vertex order), so equal
+//! answers carry equal checksums in any wave. Errors come back on the same line
 //! slot: `{"id":1,"ok":false,"error":"..."}` — including a line that is
 //! not JSON or nests deeper than 128 arrays/objects. The connection stays
 //! open until the client closes it — or sends more than 1 MiB without a

@@ -17,6 +17,10 @@
 //! kind naming that source rides the lane. The lane's answer is cut
 //! and checksummed once and fanned out to its riders at demux, so N
 //! identical in-flight queries cost one traversal and one hash.
+//!
+//! A query's time is three stages: *queue* (admission to wave launch),
+//! *exec* (the wave's rounds) and *demux* (the lane split, each
+//! answer's cut and checksum, and the sends up to this query's).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -357,24 +361,52 @@ impl QueryValues {
         }
     }
 
-    /// FNV-1a 64 checksum over the raw value bits in vertex order —
-    /// the integration tests and the qps experiment compare this
-    /// against the single-query baseline.
+    /// A 64-bit, order-sensitive hash of the values' `u32` bits in
+    /// vertex order — the one checksum the daemon, the flight recorder,
+    /// the qps experiment and the benchmark compare answers by.
+    ///
+    /// Four independent streams each take two words per step as one
+    /// `u64` through an xxHash64-style multiply–rotate round, so the
+    /// streams' multiplies overlap; the length, the four streams and
+    /// the last `len % 8` words then fold into one word, and a final
+    /// avalanche mixes it. Every step is a bijection of the state for
+    /// a fixed input and of the input for a fixed state, so changing
+    /// any one value always changes the checksum.
     pub fn checksum(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |word: u32| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        match self {
-            QueryValues::Levels(l) => l.iter().for_each(|&x| eat(x)),
-            QueryValues::Dists(d) => d.iter().for_each(|&x| eat(x.to_bits())),
+        const P1: u64 = 0x9E37_79B1_85EB_CA87;
+        const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+        const P3: u64 = 0x1656_67B1_9E37_79F9;
+        fn round(acc: u64, input: u64) -> u64 {
+            acc.wrapping_add(input.wrapping_mul(P2))
+                .rotate_left(31)
+                .wrapping_mul(P1)
         }
-        h
+        fn hash<T>(values: &[T], bits: impl Fn(&T) -> u32) -> u64 {
+            let mut streams = [P1, P2, P3, !P1];
+            let mut chunks = values.chunks_exact(8);
+            for chunk in &mut chunks {
+                for (acc, pair) in streams.iter_mut().zip(chunk.chunks_exact(2)) {
+                    let word = u64::from(bits(&pair[0])) | u64::from(bits(&pair[1])) << 32;
+                    *acc = round(*acc, word);
+                }
+            }
+            let mut h = round(P3, values.len() as u64);
+            for acc in streams {
+                h = round(h, acc);
+            }
+            for value in chunks.remainder() {
+                h = round(h, u64::from(bits(value)));
+            }
+            h ^= h >> 33;
+            h = h.wrapping_mul(P2);
+            h ^= h >> 29;
+            h = h.wrapping_mul(P3);
+            h ^ h >> 32
+        }
+        match self {
+            QueryValues::Levels(l) => hash(l, |&x| x),
+            QueryValues::Dists(d) => hash(d, |x| x.to_bits()),
+        }
     }
 
     /// Marks every level beyond `bound` hops unreached: a lane runs to
@@ -399,19 +431,20 @@ impl QueryValues {
 pub struct QueryOutcome {
     /// The per-vertex answer.
     pub values: QueryValues,
-    /// FNV-1a checksum of `values` ([`QueryValues::checksum`]),
-    /// computed once at demux so the daemon and the flight recorder
-    /// agree without rehashing.
+    /// [`QueryValues::checksum`] of `values`, computed once at demux so
+    /// the daemon and the flight recorder agree without rehashing.
     pub checksum: u64,
     /// How many queries shared this wave's edge scan. Riders of one
     /// lane all count, so this may exceed [`MAX_WAVE`].
     pub wave_size: usize,
     /// Seconds spent queued before the wave launched.
     pub wait_seconds: f64,
-    /// Seconds of kernel execution for the whole wave.
+    /// Seconds of kernel execution for the whole wave: its rounds,
+    /// from launch to the last round's end.
     pub exec_seconds: f64,
-    /// Seconds between kernel completion and this query's result send
-    /// (k-hop truncation, checksumming and earlier riders' demux).
+    /// Seconds between kernel completion and this query's result send:
+    /// the split of the wave into lanes, k-hop truncation,
+    /// checksumming and earlier riders' demux.
     pub demux_seconds: f64,
 }
 
@@ -525,7 +558,7 @@ impl LaneFanout {
     }
 
     /// The values and checksum for the next rider with bound `bound`.
-    /// Truncation and the FNV pass run once per answer; every rider but
+    /// Truncation and the checksum run once per answer; every rider but
     /// the answer's last gets a clone made here, at send time, and the
     /// last takes the original — so a lane never holds more copies than
     /// it has distinct bounds.
@@ -1062,21 +1095,24 @@ impl WaveRunner<'_> {
         let ctx = ExecCtx::new(self.pool);
         let started = Instant::now();
         let nv = self.num_vertices;
-        let (results, iterations): (Vec<QueryValues>, _) = ctx.scoped(|| match kind {
+        // `executed` is stamped when the rounds end: the lane split
+        // after it is demux.
+        let (results, iterations, executed): (Vec<QueryValues>, _, _) = ctx.scoped(|| match kind {
             QueryKind::Sssp => {
                 let wave = SsspLanes::new(nv, &sources);
                 let iterations = resident.run_wave(&wave, &ctx);
+                let executed = Instant::now();
                 let dists = wave.into_lanes().into_iter().map(QueryValues::Dists);
-                (dists.collect(), iterations)
+                (dists.collect(), iterations, executed)
             }
             QueryKind::Bfs | QueryKind::KHop => {
                 let wave = BfsLanes::new(nv, &sources, max_depth);
                 let iterations = resident.run_wave(&wave, &ctx);
+                let executed = Instant::now();
                 let levels = wave.into_lanes().into_iter().map(QueryValues::Levels);
-                (levels.collect(), iterations)
+                (levels.collect(), iterations, executed)
             }
         });
-        let executed = Instant::now();
         let exec_seconds = (executed - started).as_secs_f64();
 
         let mut fanout: Vec<LaneFanout> = results.into_iter().map(LaneFanout::new).collect();
@@ -1655,6 +1691,81 @@ mod tests {
         let c = QueryValues::Levels(vec![0, 1, 3, u32::MAX]);
         assert_eq!(a.checksum(), b.checksum());
         assert_ne!(a.checksum(), c.checksum());
+    }
+
+    /// 37 values: four whole 8-word chunks and a 5-word tail.
+    fn sample_levels() -> Vec<u32> {
+        (0..37u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) >> 7)
+            .collect()
+    }
+
+    #[test]
+    fn one_flipped_bit_anywhere_changes_the_checksum() {
+        let levels = sample_levels();
+        let base = QueryValues::Levels(levels.clone()).checksum();
+        for i in 0..levels.len() {
+            for bit in 0..32 {
+                let mut flipped = levels.clone();
+                flipped[i] ^= 1 << bit;
+                let sum = QueryValues::Levels(flipped).checksum();
+                assert_ne!(sum, base, "value {i} bit {bit}");
+            }
+        }
+        let dists: Vec<f32> = levels.iter().map(|&l| l as f32 * 0.5).collect();
+        let base = QueryValues::Dists(dists.clone()).checksum();
+        for i in 0..dists.len() {
+            for bit in 0..32 {
+                let mut flipped = dists.clone();
+                flipped[i] = f32::from_bits(flipped[i].to_bits() ^ 1 << bit);
+                let sum = QueryValues::Dists(flipped).checksum();
+                assert_ne!(sum, base, "distance {i} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_two_values_1_to_8_apart_changes_the_checksum() {
+        let levels = sample_levels();
+        let base = QueryValues::Levels(levels.clone()).checksum();
+        for distance in 1..=8 {
+            for i in 0..levels.len() - distance {
+                let mut swapped = levels.clone();
+                swapped.swap(i, i + distance);
+                assert_ne!(swapped, levels);
+                let sum = QueryValues::Levels(swapped).checksum();
+                assert_ne!(sum, base, "values {i} and {}", i + distance);
+            }
+        }
+    }
+
+    #[test]
+    fn a_truncated_lane_changes_the_checksum() {
+        // Trailing unreached levels: a cut keeps every remaining value.
+        let mut levels = sample_levels();
+        levels.extend([u32::MAX; 9]);
+        let base = QueryValues::Levels(levels.clone()).checksum();
+        for len in 0..levels.len() {
+            let sum = QueryValues::Levels(levels[..len].to_vec()).checksum();
+            assert_ne!(sum, base, "cut to {len} values");
+        }
+        let dists = QueryValues::Dists(vec![f32::INFINITY; 16]).checksum();
+        assert_ne!(
+            QueryValues::Dists(vec![f32::INFINITY; 15]).checksum(),
+            dists
+        );
+        assert_ne!(QueryValues::Dists(Vec::new()).checksum(), dists);
+    }
+
+    #[test]
+    fn equal_values_give_an_equal_checksum_and_levels_hash_their_bits() {
+        let levels = sample_levels();
+        let a = QueryValues::Levels(levels.clone());
+        assert_eq!(a.checksum(), QueryValues::Levels(levels.clone()).checksum());
+        // The hash reads value bits: distances with a level's bits hash
+        // like the level.
+        let same_bits = levels.iter().map(|&l| f32::from_bits(l)).collect();
+        assert_eq!(a.checksum(), QueryValues::Dists(same_bits).checksum());
     }
 
     /// Polls until the journal holds `n` events (the scheduler records

@@ -73,11 +73,13 @@ pub struct QueryEvent {
     pub enqueued_us: u64,
     /// Wave launch stamp.
     pub started_us: u64,
-    /// Kernel completion stamp.
+    /// Kernel completion stamp: the wave's last round ended (the lane
+    /// split after it is demux).
     pub executed_us: u64,
     /// Demux completion stamp (after the result send).
     pub done_us: u64,
-    /// FNV-1a checksum of the per-vertex answer.
+    /// [`QueryValues::checksum`](super::QueryValues::checksum) of the
+    /// per-vertex answer.
     pub checksum: u64,
     /// Delivered or discarded.
     pub outcome: EventOutcome,

@@ -16,6 +16,11 @@
 //! frontiers, and it alone says which sources push: a lane word left
 //! standing from an earlier round is never read, so nothing clears it.
 //!
+//! The answers leave a wave in one pass. BFS levels are stored lane
+//! by lane, so each lane's vector *is* its answer; SSSP distances are
+//! stored by vertex (a relaxation reads a 64-lane row) and are split
+//! into lanes by one sequential pass over blocks of rows.
+//!
 //! Determinism: the per-lane results are bit-identical to the
 //! single-query kernels. BFS levels are exact hop distances (the round
 //! a bit first reaches a vertex), independent of scan order; SSSP
@@ -76,13 +81,14 @@ impl<V> Lanes<V> {
     /// duplicate queries ride one lane); a direct caller's duplicates
     /// coexist, each lane tracking its own bit.
     ///
-    /// `values` holds a wave's one large allocation, the `(vertex,
-    /// lane)`-major array, and the caller has made it before the lane
-    /// words are made here; `into_lanes` frees the words before [`demux`]
-    /// allocates the per-lane vectors. In that order the allocator
-    /// hands the next wave this wave's block back, where any other
-    /// order grows the heap by the block every wave (measured on
-    /// RMAT-15: 3 ms of page faults per 64-lane wave).
+    /// `values` holds a wave's large allocations and the caller has
+    /// made them before the lane words are made here; `into_lanes`
+    /// frees the words before it allocates anything (BFS allocates
+    /// nothing there: its level vectors leave as the answers). In that
+    /// order the allocator hands the next wave the blocks this wave
+    /// freed, where any other order grows the heap by a block every
+    /// wave (measured on RMAT-15: 3 ms of page faults per 64-lane
+    /// wave).
     fn with_values(nv: usize, sources: &[VertexId], values: V) -> Self {
         let lanes = sources.len();
         assert!(
@@ -133,14 +139,6 @@ impl<V> Lanes<V> {
     }
 }
 
-/// Splits the `(vertex, lane)`-major `flat` into per-lane vectors. Its
-/// callers free the lane words first (see [`Lanes::with_values`]).
-fn demux<A, T>(lanes: usize, flat: &[A], load: impl Fn(&A) -> T) -> Vec<Vec<T>> {
-    (0..lanes)
-        .map(|q| flat.iter().skip(q).step_by(lanes).map(&load).collect())
-        .collect()
-}
-
 impl<E: EdgeRecord, V> FrontierAlgo<E> for Lanes<V>
 where
     Self: PushOp<E>,
@@ -162,8 +160,8 @@ where
 pub(crate) struct Levels {
     /// Lanes that have reached each vertex.
     visited: Vec<AtomicU64>,
-    /// `(vertex, lane)`-major levels.
-    level: Vec<AtomicU32>,
+    /// Lane-major levels: `level[q]` is lane `q`'s answer.
+    level: Vec<Vec<AtomicU32>>,
     max_depth: u32,
 }
 
@@ -177,7 +175,10 @@ impl BfsLanes {
     /// contains a vertex `>= nv` — the serve engine validates queries
     /// before forming waves.
     pub(crate) fn new(nv: usize, sources: &[VertexId], max_depth: u32) -> Self {
-        let level = atomics(nv * sources.len(), || AtomicU32::new(u32::MAX));
+        let level = sources
+            .iter()
+            .map(|_| atomics(nv, || AtomicU32::new(u32::MAX)))
+            .collect();
         let visited = atomics(nv, || AtomicU64::new(0));
         let values = Levels {
             visited,
@@ -187,7 +188,7 @@ impl BfsLanes {
         let mut wave = Self::with_values(nv, sources, values);
         for (q, &s) in sources.iter().enumerate() {
             wave.values.visited[s as usize].fetch_or(1 << q, Ordering::Relaxed);
-            wave.values.level[s as usize * wave.lanes + q].store(0, Ordering::Relaxed);
+            wave.values.level[q][s as usize].store(0, Ordering::Relaxed);
         }
         if max_depth == 0 {
             wave.seeds.clear();
@@ -195,12 +196,12 @@ impl BfsLanes {
         wave
     }
 
-    /// One level vector per source.
+    /// One level vector per source: each lane's storage, handed out
+    /// as it is (`Vec<AtomicU32>` into `Vec<u32>` reuses the block).
     pub(crate) fn into_lanes(self) -> Vec<Vec<u32>> {
         drop((self.current, self.next, self.values.visited));
-        demux(self.lanes, &self.values.level, |l| {
-            l.load(Ordering::Relaxed)
-        })
+        let lane = |levels: Vec<AtomicU32>| levels.into_iter().map(AtomicU32::into_inner).collect();
+        self.values.level.into_iter().map(lane).collect()
     }
 }
 
@@ -223,7 +224,7 @@ impl<E: EdgeRecord> PushOp<E> for BfsLanes {
         let first = self.reach(v, won);
         while won != 0 {
             let q = won.trailing_zeros() as usize;
-            level[v * self.lanes + q].store(depth, Ordering::Relaxed);
+            level[q][v].store(depth, Ordering::Relaxed);
             won &= won - 1;
         }
         // The depth bound lives here, not in the driver: vertices found
@@ -233,6 +234,12 @@ impl<E: EdgeRecord> PushOp<E> for BfsLanes {
         first && depth < self.values.max_depth
     }
 }
+
+/// Rows per block of [`SsspLanes::into_lanes`]: 64 rows of 64 lanes
+/// are 16 KiB. Appending row by row instead, one value to each of 64
+/// vectors in turn, splits 64 lanes of 32 768 distances in 5–8 ms on
+/// a 2-vCPU VM, and blocks of rows in ~2 ms.
+const SPLIT_ROWS: usize = 64;
 
 impl SsspLanes {
     /// Lanes from `sources`.
@@ -249,10 +256,28 @@ impl SsspLanes {
         wave
     }
 
-    /// One distance vector per source (`f32::INFINITY` = unreachable).
+    /// One distance vector per source (`f32::INFINITY` = unreachable),
+    /// split from the rows in one sequential pass: a block of
+    /// [`SPLIT_ROWS`] rows stays in L1 while every lane appends its
+    /// column of it.
     pub(crate) fn into_lanes(self) -> Vec<Vec<f32>> {
-        drop((self.current, self.next));
-        demux(self.lanes, &self.values, |d| d.load(Ordering::Relaxed))
+        let Lanes {
+            lanes,
+            current,
+            next,
+            values: dist,
+            ..
+        } = self;
+        drop((current, next));
+        let nv = dist.len() / lanes;
+        let mut out: Vec<Vec<f32>> = (0..lanes).map(|_| Vec::with_capacity(nv)).collect();
+        for block in dist.chunks(SPLIT_ROWS * lanes) {
+            for (q, lane) in out.iter_mut().enumerate() {
+                let rows = block.chunks_exact(lanes);
+                lane.extend(rows.map(|row| row[q].load(Ordering::Relaxed)));
+            }
+        }
+        out
     }
 }
 
@@ -320,9 +345,9 @@ pub fn multi_sssp<E: EdgeRecord, F, L: EngineLayout<E, F>>(
 mod tests {
     use super::*;
     use crate::algo::{bfs, sssp};
-    use crate::layout::{AdjacencyList, EdgeDirection};
+    use crate::layout::{AdjacencyList, DeltaList, DeltaLog, DeltaOp, EdgeDirection};
     use crate::metrics::{Direction, StepMode, SyncMode};
-    use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
+    use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
     use crate::types::{Edge, EdgeList, WEdge};
 
     fn ring_with_chords(nv: usize) -> EdgeList<Edge> {
@@ -539,6 +564,217 @@ mod tests {
             assert_eq!(log.len(), depth as usize, "returned without a recorder too");
             assert!(log.iter().all(|it| it.edges_scanned == g.num_edges()));
             assert_eq!(rule.into_lanes(), on_adj);
+        }
+    }
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// A chain through every vertex plus `ne` random edges, weighted 0,
+    /// 1 or 2: zero-weight edges, and for the single-source kernel at
+    /// Δ = 1 every distance on a bucket boundary.
+    fn boundary_graph(nv: usize, ne: usize, seed: u64) -> EdgeList<WEdge> {
+        let mut state = seed | 1;
+        let mut edges: Vec<WEdge> = (0..nv as u32 - 1)
+            .map(|v| WEdge::new(v, v + 1, (lcg(&mut state) % 3) as f32))
+            .collect();
+        for _ in 0..ne {
+            let src = (lcg(&mut state) % nv as u64) as u32;
+            let dst = (lcg(&mut state) % nv as u64) as u32;
+            edges.push(WEdge::new(src, dst, (lcg(&mut state) % 3) as f32));
+        }
+        EdgeList::new(nv, edges).unwrap()
+    }
+
+    fn unweighted(g: &EdgeList<WEdge>) -> EdgeList<Edge> {
+        let edges = g.edges().iter().map(|e| Edge::new(e.src(), e.dst()));
+        EdgeList::new(g.num_vertices(), edges.collect()).unwrap()
+    }
+
+    /// A delta layout whose base CSR holds `g` minus its last ten edges
+    /// plus four edges `g` lacks, and whose log deletes the four and
+    /// inserts the ten: it answers for `g` through patched spans.
+    fn patched<E: EdgeRecord>(g: &EdgeList<E>, extra: impl Fn(VertexId) -> E) -> DeltaList<E> {
+        let (kept, removed) = g.edges().split_at(g.num_edges() - 10);
+        let ends = |e: &E| (e.src(), e.dst());
+        let missing = |e: &E| !g.edges().iter().any(|f| ends(f) == ends(e));
+        let extras: Vec<E> = (0..g.num_vertices() as u32)
+            .map(extra)
+            .filter(missing)
+            .take(4)
+            .collect();
+        assert_eq!(extras.len(), 4);
+        let mut base = kept.to_vec();
+        base.extend_from_slice(&extras);
+        let base = EdgeList::new(g.num_vertices(), base).unwrap();
+        let mut log = DeltaLog::new();
+        for e in &extras {
+            let (src, dst) = ends(e);
+            log.push(DeltaOp::Delete { src, dst });
+        }
+        for &e in removed {
+            log.push(DeltaOp::Insert(e));
+        }
+        let (out, inc) = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out)
+            .build(&base)
+            .into_parts();
+        DeltaList::new(out, inc, &log)
+    }
+
+    /// `n` sources on `nv` vertices where every third lane repeats the
+    /// lane before it (a 2-lane wave is one source twice).
+    fn wave_sources(n: usize, nv: usize) -> Vec<VertexId> {
+        let mut sources = Vec::with_capacity(n);
+        for q in 0..n {
+            let s = match sources.last() {
+                Some(&prev) if q % 3 == 1 => prev,
+                _ => (q * 37 % nv) as VertexId,
+            };
+            sources.push(s);
+        }
+        sources
+    }
+
+    /// What every lane from `source` must equal: the single-query BFS,
+    /// that BFS cut at depth 2, and the single-query SSSP.
+    struct Single {
+        levels: Vec<u32>,
+        two_hop: Vec<u32>,
+        dist: Vec<f32>,
+    }
+
+    fn bits(dist: &[f32]) -> Vec<u32> {
+        dist.iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// The single-query SSSP from `source` at its derived Δ, checked
+    /// against the same kernel at Δ = 1 and Δ = 2: on integer weights
+    /// those put distances exactly on bucket boundaries, where a
+    /// bucketed run can go wrong.
+    fn single_sssp_at_every_width(wadj: &AdjacencyList<WEdge>, source: VertexId) -> Vec<f32> {
+        let dist = single_sssp(wadj, source).dist;
+        for delta in [1.0, 2.0] {
+            let at = sssp::push_impl(wadj, source, delta, &ExecCtx::default());
+            assert_eq!(bits(&at.dist), bits(&dist), "source {source}, Δ = {delta}");
+        }
+        dist
+    }
+
+    fn singles(
+        adj: &AdjacencyList<Edge>,
+        wadj: &AdjacencyList<WEdge>,
+        sources: &[VertexId],
+    ) -> Vec<Single> {
+        let cut = |levels: &[u32]| -> Vec<u32> {
+            let cut = |&l: &u32| if l > 2 { u32::MAX } else { l };
+            levels.iter().map(cut).collect()
+        };
+        sources
+            .iter()
+            .map(|&s| {
+                let levels = single_bfs(adj, s).level;
+                Single {
+                    two_hop: cut(&levels),
+                    levels,
+                    dist: single_sssp_at_every_width(wadj, s),
+                }
+            })
+            .collect()
+    }
+
+    /// Runs BFS, 2-hop and SSSP waves of `sources` on one layout and
+    /// compares every lane bit for bit.
+    fn assert_lanes_match<FU, FW, LU, LW>(
+        what: &str,
+        (layout, wlayout): (&LU, &LW),
+        sources: &[VertexId],
+        want: &[Single],
+    ) where
+        LU: EngineLayout<Edge, FU>,
+        LW: EngineLayout<WEdge, FW>,
+    {
+        let ctx = ExecCtx::new(None);
+        let n = sources.len();
+        let bfs = multi_bfs(layout, sources, u32::MAX, &ctx);
+        let two_hop = multi_bfs(layout, sources, 2, &ctx);
+        let sssp = multi_sssp(wlayout, sources, &ctx);
+        let lens = (bfs.len(), two_hop.len(), sssp.len());
+        assert_eq!(lens, (n, n, n), "{what}");
+        for (q, single) in want.iter().enumerate() {
+            assert_eq!(bfs[q], single.levels, "{what} bfs, {n} lanes, lane {q}");
+            assert_eq!(
+                two_hop[q], single.two_hop,
+                "{what} 2-hop, {n} lanes, lane {q}"
+            );
+            assert_eq!(
+                bits(&sssp[q]),
+                bits(&single.dist),
+                "{what} sssp, {n} lanes, lane {q}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_lane_of_1_2_63_and_64_lane_waves_equals_its_single_query_kernel() {
+        let nv = 257;
+        let w = boundary_graph(nv, 900, 35);
+        let u = unweighted(&w);
+        let csr = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out);
+        let (adj, wadj) = (csr.build(&u), csr.build(&w));
+        let ccsr = CcsrBuilder::new(Strategy::CountSort, EdgeDirection::Out);
+        let (cc, wcc) = (ccsr.build(&u), ccsr.build(&w));
+        let (delta, wdelta) = (
+            patched(&u, |v| Edge::new(v, v)),
+            patched(&w, |v| WEdge::new(v, v, 1.0)),
+        );
+        let grid = GridBuilder::new(Strategy::CountSort).side(4);
+        let (grid, wgrid) = (grid.build(&u), grid.build(&w));
+        for n in [1, 2, 63, 64] {
+            let sources = wave_sources(n, nv);
+            let want = singles(&adj, &wadj, &sources);
+            assert_lanes_match("adj", (&adj, &wadj), &sources, &want);
+            assert_lanes_match("ccsr", (&cc, &wcc), &sources, &want);
+            assert_lanes_match("delta", (&delta, &wdelta), &sources, &want);
+            assert_lanes_match("grid", (&grid.cells(), &wgrid.cells()), &sources, &want);
+        }
+    }
+
+    #[test]
+    fn sssp_lanes_match_the_kernel_across_huge_finite_weights() {
+        // An update may insert any finite weight: at Δ = 1 the
+        // single-source kernel files a 1e30 distance past every `u64`
+        // bucket, and two 3e38 hops overflow to ∞, which is no
+        // improvement on an unreached vertex.
+        let mut w = boundary_graph(257, 900, 36);
+        let mut state = 7;
+        let edges: Vec<WEdge> = w
+            .edges()
+            .iter()
+            .map(|e| match lcg(&mut state) % 8 {
+                0 => WEdge::new(e.src(), e.dst(), 1e30),
+                1 => WEdge::new(e.src(), e.dst(), 3e38),
+                _ => *e,
+            })
+            .collect();
+        w = EdgeList::new(257, edges).unwrap();
+        let wadj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&w);
+        let wgrid = GridBuilder::new(Strategy::CountSort).side(4).build(&w);
+        let sources = wave_sources(64, 257);
+        let want: Vec<Vec<f32>> = sources
+            .iter()
+            .map(|&s| single_sssp_at_every_width(&wadj, s))
+            .collect();
+        assert!(want.iter().flatten().any(|&d| d >= 1e30 && d.is_finite()));
+        let ctx = ExecCtx::new(None);
+        let on_adj = multi_sssp(&wadj, &sources, &ctx);
+        let on_grid = multi_sssp(&wgrid.cells(), &sources, &ctx);
+        for (q, dist) in want.iter().enumerate() {
+            assert_eq!(bits(&on_adj[q]), bits(dist), "adj lane {q}");
+            assert_eq!(bits(&on_grid[q]), bits(dist), "grid lane {q}");
         }
     }
 }

@@ -163,6 +163,33 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# A served answer costs its traversal: BFS levels are stored lane by
+# lane and handed out as they are, SSSP rows are split into lanes in one
+# sequential pass, and the checksum hashes whole words in independent
+# streams. A `.step_by(` in non-test serve/wave.rs is the strided
+# per-lane transpose coming back; a byte loop (`to_le_bytes`,
+# `for byte`) inside `QueryValues::checksum` is the byte-serial hash
+# coming back.
+echo "== lanes leave a wave in one pass; answers hash by word =="
+offenders=$(awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// && /\.step_by\(/ {
+            print FILENAME ":" FNR ": " $0
+        }' crates/core/src/serve/wave.rs
+    awk '/^#\[cfg\(test\)\]/ { exit }
+        /^impl QueryValues/ { in_impl = 1 }
+        in_impl && /^}/ { in_impl = 0 }
+        in_impl && /fn checksum\(/ { in_fn = 1 }
+        in_fn && /^    }/ { in_fn = 0 }
+        in_fn && !/^[[:space:]]*\/\// && /to_(le|be|ne)_bytes|for byte/ {
+            print FILENAME ":" FNR ": " $0
+        }' crates/core/src/serve/engine.rs)
+if [ -n "$offenders" ]; then
+    echo "a strided lane split or a byte-serial checksum:"
+    echo "$offenders"
+    exit 1
+fi
+
 # All-active push sums (PageRank, SpMV) add into per-worker stripes
 # with plain writes and reduce them once per round (`algo::Stripes`):
 # the CAS rules (`PrPushAtomic`, `SpmvPushOp`), a `.fetch_add(` whose
