@@ -11,6 +11,7 @@ use egraph_core::metrics::{IterStat, StepMode, TimeBreakdown};
 use egraph_core::preprocess::Strategy;
 use egraph_core::roadmap;
 use egraph_core::serve::{ServeConfig, ServeDaemon, ServeGraph};
+use egraph_core::telemetry::json::{self, Value};
 use egraph_core::telemetry::{PhaseProfiler, Recorder, RunTrace, TraceRecorder};
 use egraph_core::trace_diff::{diff_traces, DiffOptions};
 use egraph_core::types::{Edge, EdgeList, EdgeRecord, WEdge};
@@ -1015,7 +1016,10 @@ fn cmd_update_stream(args: &Args, addr: &str) -> CliResult {
         if reader.read_line(&mut response)? == 0 {
             return Err("daemon closed the connection".into());
         }
-        if response.contains("\"error\"") {
+        // A reply is an acceptance only when its top-level `ok` is true:
+        // an accepted line may carry any id, `"error"` included.
+        let reply = json::parse(response.trim());
+        if reply.as_ref().ok().and_then(|r| r.get("ok")) != Some(&Value::Bool(true)) {
             return Err(format!("daemon rejected {line}: {}", response.trim()).into());
         }
         Ok(response)

@@ -561,6 +561,41 @@ fn update_trace_states_each_phase_once() {
     dispatch(&argv(&["trace", "diff", &trace, &trace])).expect("identical traces");
 }
 
+/// `update --to` reads each daemon reply as JSON and judges it by its
+/// `ok` field: an accepted line whose id is `"error"` is not a
+/// rejection, and a refused line still is.
+#[test]
+fn update_to_a_daemon_judges_each_reply_by_its_ok_field() {
+    use egraph_core::serve::{ServeConfig, ServeDaemon, ServeGraph};
+    use egraph_core::types::{Edge, EdgeList};
+    let edges = (0..7).map(|v| Edge::new(v, v + 1)).collect();
+    let daemon = ServeDaemon::start(
+        "127.0.0.1:0",
+        ServeGraph::Unweighted(EdgeList::new(8, edges).unwrap()),
+        ServeConfig {
+            threads: 1,
+            metrics: false,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind an ephemeral port");
+    daemon.wait_ready();
+    let addr = daemon.addr().to_string();
+    let ops = tmp("smoke_update_to.ndjson");
+    std::fs::write(
+        &ops,
+        "{\"id\":\"error\",\"op\":\"insert\",\"src\":1,\"dst\":2}\n",
+    )
+    .unwrap();
+    dispatch(&argv(&["update", "--to", &addr, "--deltas", &ops]))
+        .expect("an accepted line with id \"error\" is accepted");
+    std::fs::write(&ops, "{\"op\":\"insert\",\"src\":1,\"dst\":99}\n").unwrap();
+    let err = dispatch(&argv(&["update", "--to", &addr, "--deltas", &ops]))
+        .expect_err("an out-of-range vertex is refused");
+    assert!(err.to_string().contains("daemon rejected"), "{err}");
+    daemon.shutdown();
+}
+
 #[test]
 fn run_with_metrics_addr_serves_and_matches_trace() {
     let graph = tmp("smoke_metrics.egr");

@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::layout::csr::Adjacency;
 use crate::layout::{NeighborAccess, VertexLayout, SPAN_EDGES};
+use crate::telemetry::json;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 
 /// One edge mutation in a delta stream.
@@ -61,7 +62,8 @@ impl<E: EdgeRecord> DeltaOp<E> {
 /// these; it never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
-    /// The line is not a JSON object.
+    /// The line is not one JSON object (malformed, another JSON
+    /// value, or trailing data after the object).
     NotJson {
         /// 1-based line number in the stream.
         line: usize,
@@ -74,7 +76,8 @@ pub enum DeltaError {
         field: &'static str,
     },
     /// A field is present but not a representable value (negative,
-    /// fractional or overflowing vertex ids, unparsable numbers).
+    /// fractional or overflowing vertex ids, a non-finite weight) or
+    /// not of its JSON type (a quoted number, a numeric op).
     BadField {
         /// 1-based line number in the stream.
         line: usize,
@@ -126,35 +129,6 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// Scans `line` for `"key"` and returns the raw token after the colon
-/// (a quoted string's contents, or the bare number/word).
-fn json_token<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        let end = rest
-            .find(|c: char| !(c.is_ascii_alphanumeric() || "+-.eE_".contains(c)))
-            .unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-/// Parses a vertex-id field: a non-negative integer that fits in u32.
-fn json_vertex(line: &str, key: &'static str, line_no: usize) -> Result<VertexId, DeltaError> {
-    let tok = json_token(line, key).ok_or(DeltaError::MissingField {
-        line: line_no,
-        field: key,
-    })?;
-    tok.parse::<u32>().map_err(|_| DeltaError::BadField {
-        line: line_no,
-        field: key,
-    })
-}
-
 /// One batch of delta ops, in stream order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaBatch<E> {
@@ -187,36 +161,40 @@ impl<E: EdgeRecord> DeltaBatch<E> {
 
     /// Parses one NDJSON delta line, e.g.
     /// `{"op":"insert","src":3,"dst":9,"weight":0.5}` or
-    /// `{"op":"delete","src":3,"dst":9}`. `weight` is optional and
+    /// `{"op":"delete","src":3,"dst":9}`. The line is one JSON object,
+    /// read by [`json::parse`] — the reader the daemon routes request
+    /// lines with — and its fields are taken from the top level, the
+    /// first occurrence of a key winning. `weight` is optional and
     /// ignored by unweighted edge types.
     pub fn parse_line(line: &str, line_no: usize) -> Result<DeltaOp<E>, DeltaError> {
-        let trimmed = line.trim();
-        if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
+        let value = json::parse(line).map_err(|_| DeltaError::NotJson { line: line_no })?;
+        if value.as_object().is_none() {
             return Err(DeltaError::NotJson { line: line_no });
         }
-        let op = json_token(trimmed, "op").ok_or(DeltaError::MissingField {
+        let bad = |field| DeltaError::BadField {
             line: line_no,
-            field: "op",
-        })?;
-        let src = json_vertex(trimmed, "src", line_no)?;
-        let dst = json_vertex(trimmed, "dst", line_no)?;
+            field,
+        };
+        let field = |field: &'static str| {
+            value.get(field).ok_or(DeltaError::MissingField {
+                line: line_no,
+                field,
+            })
+        };
+        let vertex = |key| match field(key)?.as_number() {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= f64::from(VertexId::MAX) => {
+                Ok(n as VertexId)
+            }
+            _ => Err(bad(key)),
+        };
+        let op = field("op")?.as_str().ok_or(bad("op"))?;
+        let (src, dst) = (vertex("src")?, vertex("dst")?);
         match op {
             "insert" | "add" => {
-                let weight = match json_token(trimmed, "weight") {
-                    Some(tok) => {
-                        let w = tok.parse::<f32>().map_err(|_| DeltaError::BadField {
-                            line: line_no,
-                            field: "weight",
-                        })?;
-                        if !w.is_finite() {
-                            return Err(DeltaError::BadField {
-                                line: line_no,
-                                field: "weight",
-                            });
-                        }
-                        w
-                    }
+                let weight = match value.get("weight").map(|w| w.as_number().map(|w| w as f32)) {
                     None => 1.0,
+                    Some(Some(w)) if w.is_finite() => w,
+                    Some(_) => return Err(bad("weight")),
                 };
                 Ok(DeltaOp::Insert(E::new(src, dst, weight)))
             }
@@ -258,9 +236,16 @@ impl<E: EdgeRecord> DeltaBatch<E> {
 }
 
 /// The append-only op log layered over a frozen base snapshot.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DeltaLog<E> {
     ops: Vec<DeltaOp<E>>,
+}
+
+/// The empty log, for any edge type (a derive would ask `E: Default`).
+impl<E> Default for DeltaLog<E> {
+    fn default() -> Self {
+        Self { ops: Vec::new() }
+    }
 }
 
 impl<E: EdgeRecord> DeltaLog<E> {
@@ -776,7 +761,7 @@ mod tests {
     use super::*;
     use crate::layout::EdgeDirection;
     use crate::preprocess::{CsrBuilder, Strategy};
-    use crate::types::Edge;
+    use crate::types::{Edge, WEdge};
 
     fn base_graph() -> EdgeList<Edge> {
         EdgeList::new(
@@ -1072,6 +1057,78 @@ mod tests {
                 want,
                 "{text}"
             );
+        }
+    }
+
+    #[test]
+    fn fields_are_read_at_the_top_level_first_occurrence_winning() {
+        let parse = |line: &str| DeltaBatch::<Edge>::parse_line(line, 1);
+        for line in [
+            r#"{"meta":{"op":"delete"},"op":"insert","src":1,"dst":2}"#,
+            r#"{"x":{"src":7},"op":"insert","src":1,"dst":2}"#,
+            r#"{"op":"insert","src":1,"dst":2,"op":"delete","src":7}"#,
+            r#"{"id":"error","op":"insert","src":1,"dst":2}"#,
+        ] {
+            assert_eq!(parse(line), Ok(DeltaOp::Insert(Edge::new(1, 2))), "{line}");
+        }
+        let weighted = DeltaBatch::<WEdge>::parse_line(
+            r#"{"w":{"weight":9},"op":"add","src":1,"dst":2,"weight":0.5,"weight":3}"#,
+            1,
+        );
+        assert_eq!(weighted, Ok(DeltaOp::Insert(WEdge::new(1, 2, 0.5))));
+        for (line, want) in [
+            (
+                r#"{"op":"insert","src":1,"dst":2} trailing"#,
+                DeltaError::NotJson { line: 1 },
+            ),
+            (
+                r#"[{"op":"insert","src":1,"dst":2}]"#,
+                DeltaError::NotJson { line: 1 },
+            ),
+            (
+                r#"{"op":"insert","src":"1","dst":2}"#,
+                DeltaError::BadField {
+                    line: 1,
+                    field: "src",
+                },
+            ),
+            (
+                r#"{"op":"insert","src":1,"dst":2.5}"#,
+                DeltaError::BadField {
+                    line: 1,
+                    field: "dst",
+                },
+            ),
+            (
+                r#"{"op":"insert","src":4294967296,"dst":2}"#,
+                DeltaError::BadField {
+                    line: 1,
+                    field: "src",
+                },
+            ),
+            (
+                r#"{"op":"insert","src":1,"dst":2,"weight":"1"}"#,
+                DeltaError::BadField {
+                    line: 1,
+                    field: "weight",
+                },
+            ),
+            (
+                r#"{"op":"insert","src":1,"dst":2,"weight":1e39}"#,
+                DeltaError::BadField {
+                    line: 1,
+                    field: "weight",
+                },
+            ),
+            (
+                r#"{"op":7,"src":1,"dst":2}"#,
+                DeltaError::BadField {
+                    line: 1,
+                    field: "op",
+                },
+            ),
+        ] {
+            assert_eq!(parse(line), Err(want), "{line}");
         }
     }
 

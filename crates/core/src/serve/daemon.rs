@@ -319,10 +319,10 @@ fn answer(line: &str, engine: &ServeEngine) -> String {
         Ok(value) => value,
         Err(e) => return error_response("null", &format!("bad json: {e}")),
     };
-    let Some(obj) = value.as_object() else {
+    if value.as_object().is_none() {
         return error_response("null", "request must be a json object");
-    };
-    let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    }
+    let field = |name: &str| value.get(name);
     let id = match field("id") {
         Some(Value::Number(n)) => json::number(*n),
         Some(Value::String(s)) => json::string(s),
@@ -461,7 +461,10 @@ mod tests {
 
     fn daemon_on_chain(nv: usize) -> ServeDaemon {
         let edges = (0..nv as u32 - 1).map(|v| Edge::new(v, v + 1)).collect();
-        let graph = EdgeList::new(nv, edges).unwrap();
+        daemon_on(EdgeList::new(nv, edges).unwrap())
+    }
+
+    fn daemon_on(graph: EdgeList<Edge>) -> ServeDaemon {
         ServeDaemon::start(
             "127.0.0.1:0",
             ServeGraph::Unweighted(graph),
@@ -770,6 +773,34 @@ mod tests {
             .contains("unknown op"));
         let response = roundtrip(daemon.addr(), r#"{"id":5,"op":"insert","src":0}"#);
         assert_eq!(get_field(&response, "ok"), &Value::Bool(false));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn update_lines_apply_the_op_their_top_level_fields_name() {
+        // The chain 0 → 1 → … → 15 with 1 → 2 cut.
+        let edges = (0..15).filter(|&v| v != 1).map(|v| Edge::new(v, v + 1));
+        let daemon = daemon_on(EdgeList::new(16, edges.collect()).unwrap());
+        daemon.wait_ready();
+        // Nested `op` / `src` keys are data, not fields of the update:
+        // each line inserts 1 → 2, as the daemon routes it.
+        for line in [
+            r#"{"meta":{"op":"delete"},"op":"insert","src":1,"dst":2}"#,
+            r#"{"x":{"src":7},"op":"insert","src":1,"dst":2}"#,
+        ] {
+            let response = roundtrip(daemon.addr(), line);
+            assert_eq!(get_field(&response, "ok"), &Value::Bool(true), "{line}");
+            assert_eq!(get_field(&response, "applied").as_number(), Some(1.0));
+        }
+        let response = roundtrip(daemon.addr(), r#"{"op":"compact"}"#);
+        assert_eq!(get_field(&response, "merged_ops").as_number(), Some(2.0));
+
+        let reachable = |source: u32| {
+            let request = format!(r#"{{"algo":"bfs","source":{source}}}"#);
+            get_field(&roundtrip(daemon.addr(), &request), "reachable").as_number()
+        };
+        assert_eq!(reachable(0), Some(16.0), "1 → 2 inserted, nothing deleted");
+        assert_eq!(reachable(7), Some(9.0), "7 → 2 not inserted");
         daemon.shutdown();
     }
 

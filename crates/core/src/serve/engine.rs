@@ -25,7 +25,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,8 +34,8 @@ use egraph_parallel::ThreadPool;
 use crate::engine::FrontierAlgo;
 use crate::exec::ExecCtx;
 use crate::layout::{
-    AdjacencyList, CcsrList, DeltaBatch, DeltaError, DeltaList, DeltaLog, EdgeDirection, EpochCell,
-    Grid,
+    AdjacencyList, CcsrList, DeltaBatch, DeltaError, DeltaGraph, DeltaList, EdgeDirection,
+    EpochCell, Grid,
 };
 use crate::metrics::IterStat;
 use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
@@ -96,48 +96,6 @@ pub enum ServeGraph {
     Weighted(EdgeList<WEdge>),
 }
 
-impl ServeGraph {
-    fn num_vertices(&self) -> usize {
-        match self {
-            ServeGraph::Unweighted(g) => g.num_vertices(),
-            ServeGraph::Weighted(g) => g.num_vertices(),
-        }
-    }
-
-    fn weighted(&self) -> bool {
-        matches!(self, ServeGraph::Weighted(_))
-    }
-}
-
-/// The resident layout the engine traverses, built at start-up and
-/// rebuilt by [`ServeEngine::compact`] (published via an epoch flip so
-/// in-flight waves keep their snapshot).
-enum Resident {
-    Unweighted(ResidentLayout<Edge>),
-    Weighted(ResidentLayout<WEdge>),
-}
-
-impl Resident {
-    /// Resident heap bytes of the built layout — reported by
-    /// `/healthz`.
-    fn resident_bytes(&self) -> u64 {
-        match self {
-            Resident::Unweighted(layout) => layout.resident_bytes(),
-            Resident::Weighted(layout) => layout.resident_bytes(),
-        }
-    }
-
-    fn run_wave<V>(&self, wave: &Lanes<V>, ctx: &ExecCtx<'_>) -> Vec<IterStat>
-    where
-        Lanes<V>: FrontierAlgo<Edge> + FrontierAlgo<WEdge>,
-    {
-        match self {
-            Resident::Unweighted(layout) => layout.run_wave(wave, ctx),
-            Resident::Weighted(layout) => layout.run_wave(wave, ctx),
-        }
-    }
-}
-
 /// One servable layout over edges of type `E`.
 enum ResidentLayout<E: EdgeRecord> {
     Adj(AdjacencyList<E>),
@@ -167,8 +125,9 @@ impl<E: EdgeRecord> ResidentLayout<E> {
                 Self::Ccsr(CcsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(g))
             }
             Layout::Delta => {
+                // An empty overlay: the snapshot is already merged.
                 let (out, inc) = csr().into_parts();
-                Self::Delta(DeltaList::new(out, inc, &DeltaLog::new()))
+                Self::Delta(DeltaList::new(out, inc, &Default::default()))
             }
             Layout::EdgeList => unreachable!("ServeEngine::start rejects the edge layout"),
         }
@@ -197,89 +156,88 @@ impl<E: EdgeRecord> ResidentLayout<E> {
     }
 }
 
-/// The authoritative graph behind the resident layout: the merged edge
-/// array plus the pending (applied but not yet compacted) delta log.
-/// Updates lock this; query waves never do — they read the epoch cell.
-enum MutableGraph {
-    Unweighted(Merged<Edge>),
-    Weighted(Merged<WEdge>),
+/// The served graph for edges of type `E`: the library's mutable
+/// [`DeltaGraph`] (merged snapshot plus pending log) and the resident
+/// layout built from its snapshot. Updates append to the graph's log;
+/// waves only load the resident cell, so updates and compaction never
+/// block readers.
+struct Served<E: EdgeRecord> {
+    graph: DeltaGraph<E>,
+    layout: Layout,
+    resident: EpochCell<Option<ResidentLayout<E>>>,
+    /// Held across one merge-build-publish, so residents are published
+    /// in the order their snapshots were merged.
+    publishing: Mutex<()>,
 }
 
-/// The merged edge array and pending log for one edge type.
-struct Merged<E: EdgeRecord> {
-    edges: EdgeList<E>,
-    log: DeltaLog<E>,
+impl<E: EdgeRecord> Served<E> {
+    /// The one build-and-publish step, run under `publishing`. A
+    /// compaction (`merge`) first folds the pending log into the
+    /// snapshot and publishes nothing when the log was empty; the
+    /// initial build publishes the snapshot as it is.
+    fn publish(&self, merge: bool) -> ServeCompaction {
+        let _publishing = self
+            .publishing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let started = Instant::now();
+        let merged_ops = if merge {
+            self.graph.compact().merged_ops
+        } else {
+            0
+        };
+        if merge && merged_ops == 0 {
+            return ServeCompaction {
+                epoch: self.epoch(),
+                merged_ops,
+                resident_bytes: self.resident_bytes(),
+                seconds: 0.0,
+            };
+        }
+        let resident = ResidentLayout::build(&self.graph.snapshot().edges, self.layout);
+        let resident_bytes = resident.resident_bytes();
+        ServeCompaction {
+            epoch: self.resident.publish(Some(resident)),
+            merged_ops,
+            resident_bytes,
+            seconds: started.elapsed().as_secs_f64(),
+        }
+    }
 }
 
-impl<E: EdgeRecord> Merged<E> {
-    fn new(edges: EdgeList<E>) -> Self {
-        Self {
-            edges,
-            log: DeltaLog::new(),
-        }
-    }
-
-    /// Parses and appends an NDJSON delta stream; all-or-nothing — a
-    /// malformed or out-of-range line rejects the whole text.
-    fn apply(&mut self, ndjson: &str) -> Result<usize, DeltaError> {
-        let batch = DeltaBatch::<E>::parse_ndjson(ndjson)?;
-        batch.validate(self.edges.num_vertices())?;
-        self.log.append(&batch);
-        Ok(batch.len())
-    }
-
-    /// Replays the pending log into the edge array and clears it,
-    /// returning how many ops were merged.
-    fn merge_pending(&mut self) -> usize {
-        let merged_ops = self.log.len();
-        if merged_ops > 0 {
-            self.edges = self.log.merge_into(&self.edges);
-            self.log = DeltaLog::new();
-        }
-        merged_ops
-    }
+/// The engine handle's view of its [`Served`] graph, whatever the edge
+/// type: the update, compaction and status calls.
+trait ServedGraph: Send + Sync {
+    fn apply_update(&self, ndjson: &str) -> Result<usize, DeltaError>;
+    fn compact(&self) -> ServeCompaction;
+    fn pending_ops(&self) -> usize;
+    fn epoch(&self) -> u64;
+    fn resident_bytes(&self) -> u64;
 }
 
-impl MutableGraph {
-    fn new(graph: ServeGraph) -> Self {
-        match graph {
-            ServeGraph::Unweighted(edges) => MutableGraph::Unweighted(Merged::new(edges)),
-            ServeGraph::Weighted(edges) => MutableGraph::Weighted(Merged::new(edges)),
-        }
+impl<E: EdgeRecord> ServedGraph for Served<E> {
+    fn apply_update(&self, ndjson: &str) -> Result<usize, DeltaError> {
+        self.graph.apply(&DeltaBatch::parse_ndjson(ndjson)?)
+    }
+
+    fn compact(&self) -> ServeCompaction {
+        self.publish(true)
     }
 
     fn pending_ops(&self) -> usize {
-        match self {
-            MutableGraph::Unweighted(m) => m.log.len(),
-            MutableGraph::Weighted(m) => m.log.len(),
-        }
+        self.graph.pending_ops()
     }
 
-    fn apply(&mut self, ndjson: &str) -> Result<usize, DeltaError> {
-        match self {
-            MutableGraph::Unweighted(m) => m.apply(ndjson),
-            MutableGraph::Weighted(m) => m.apply(ndjson),
-        }
+    fn epoch(&self) -> u64 {
+        self.resident.epoch()
     }
 
-    fn merge_pending(&mut self) -> usize {
-        match self {
-            MutableGraph::Unweighted(m) => m.merge_pending(),
-            MutableGraph::Weighted(m) => m.merge_pending(),
-        }
-    }
-
-    /// Builds the resident layout of the *merged* graph (current edges,
-    /// pending log ignored — callers merge first).
-    fn build_resident(&self, layout: Layout) -> Resident {
-        match self {
-            MutableGraph::Unweighted(m) => {
-                Resident::Unweighted(ResidentLayout::build(&m.edges, layout))
-            }
-            MutableGraph::Weighted(m) => {
-                Resident::Weighted(ResidentLayout::build(&m.edges, layout))
-            }
-        }
+    fn resident_bytes(&self) -> u64 {
+        self.resident
+            .load()
+            .as_ref()
+            .as_ref()
+            .map_or(0, ResidentLayout::resident_bytes)
     }
 }
 
@@ -723,26 +681,16 @@ impl Metrics {
     }
 }
 
-/// The graph state shared between the engine handle (updates,
-/// compaction) and the scheduler (wave execution): the mutable merged
-/// graph plus the epoch-published resident snapshot. Waves only touch
-/// the epoch cell, so updates and compaction never block readers.
-struct GraphState {
-    /// Fixed for the engine's lifetime: deltas add and remove edges only.
-    num_vertices: usize,
-    mutated: Mutex<MutableGraph>,
-    resident: EpochCell<Option<Resident>>,
-}
-
 /// A running batched-query engine. Dropping it drains the admission
 /// queue and joins the scheduler.
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    state: Arc<GraphState>,
+    served: Arc<dyn ServedGraph>,
     scheduler: Option<JoinHandle<()>>,
+    /// Fixed for the engine's lifetime: deltas add and remove edges only.
+    num_vertices: usize,
     weighted: bool,
     layout: Layout,
-    resident_bytes: Arc<AtomicU64>,
     ready: Arc<AtomicBool>,
     journal: Arc<QueryJournal>,
     next_id: AtomicU64,
@@ -751,7 +699,7 @@ pub struct ServeEngine {
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
-            .field("num_vertices", &self.state.num_vertices)
+            .field("num_vertices", &self.num_vertices)
             .field("weighted", &self.weighted)
             .field("layout", &self.layout)
             .finish()
@@ -771,7 +719,16 @@ impl ServeEngine {
             config.layout != Layout::EdgeList,
             "the edge layout has no servable per-vertex index; use adj, grid, ccsr or delta"
         );
-        let weighted = graph.weighted();
+        match graph {
+            ServeGraph::Unweighted(edges) => Self::start_served(edges, config),
+            ServeGraph::Weighted(edges) => Self::start_served(edges, config),
+        }
+    }
+
+    /// [`Self::start`] once the edge type is known: everything past
+    /// this point is generic over it.
+    fn start_served<E: EdgeRecord>(edges: EdgeList<E>, config: ServeConfig) -> Self {
+        let num_vertices = edges.num_vertices();
         let layout = config.layout;
         let max_wave = config.max_wave.clamp(1, MAX_WAVE);
         let shared = Arc::new(Shared {
@@ -780,34 +737,31 @@ impl ServeEngine {
             inflight: AtomicU64::new(0),
         });
         let ready = Arc::new(AtomicBool::new(false));
-        let resident_bytes = Arc::new(AtomicU64::new(0));
         let journal = Arc::new(QueryJournal::new(config.journal_capacity));
-        let state = Arc::new(GraphState {
-            num_vertices: graph.num_vertices(),
-            mutated: Mutex::new(MutableGraph::new(graph)),
+        let served = Arc::new(Served {
+            graph: DeltaGraph::new(edges),
+            layout,
             resident: EpochCell::new(None),
+            publishing: Mutex::new(()),
         });
         let scheduler = {
             let shared = Arc::clone(&shared);
-            let state = Arc::clone(&state);
+            let served = Arc::clone(&served);
             let ready = Arc::clone(&ready);
-            let resident_bytes = Arc::clone(&resident_bytes);
             let journal = Arc::clone(&journal);
             let config = ServeConfig { max_wave, ..config };
             std::thread::Builder::new()
                 .name("egraph-serve-sched".into())
-                .spawn(move || {
-                    scheduler_loop(&state, config, &shared, &ready, &resident_bytes, &journal)
-                })
+                .spawn(move || scheduler_loop(&served, config, &shared, &ready, &journal))
                 .expect("spawn serve scheduler")
         };
         Self {
             shared,
-            state,
+            served,
             scheduler: Some(scheduler),
-            weighted,
+            num_vertices,
+            weighted: E::WEIGHTED,
             layout,
-            resident_bytes,
             ready,
             journal,
             next_id: AtomicU64::new(1),
@@ -816,7 +770,7 @@ impl ServeEngine {
 
     /// Number of vertices in the served graph.
     pub fn num_vertices(&self) -> usize {
-        self.state.num_vertices
+        self.num_vertices
     }
 
     /// Whether the served graph carries edge weights.
@@ -829,10 +783,10 @@ impl ServeEngine {
         self.layout.name()
     }
 
-    /// Resident heap bytes of the built layout; `0` until
-    /// [`Self::ready`] turns true.
+    /// Resident heap bytes of the built layout; `0` until the first
+    /// resident is published.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes.load(Ordering::Acquire)
+        self.served.resident_bytes()
     }
 
     /// Whether the resident layout build finished and waves can launch.
@@ -866,19 +820,19 @@ impl ServeEngine {
         &self.journal
     }
 
-    /// The epoch of the published resident snapshot: `0` while loading,
-    /// `1` after the initial build, `+1` per [`Self::compact`] that
-    /// merged a non-empty log. `/healthz` reports this so clients can
-    /// confirm an update stream actually landed.
+    /// The epoch of the published resident snapshot, counting resident
+    /// publishes: `0` while loading, `+1` for the initial build and per
+    /// [`Self::compact`] that merged a non-empty log (so `1` once ready
+    /// when nothing was compacted before). `/healthz` reports this so
+    /// clients can confirm an update stream actually landed.
     pub fn epoch(&self) -> u64 {
-        self.state.resident.epoch()
+        self.served.epoch()
     }
 
     /// Delta ops applied but not yet compacted into the resident
     /// snapshot.
     pub fn pending_ops(&self) -> usize {
-        let mutated = self.state.mutated.lock().expect("mutated poisoned");
-        mutated.pending_ops()
+        self.served.pending_ops()
     }
 
     /// Parses an NDJSON edge-delta stream and appends it to the pending
@@ -890,35 +844,17 @@ impl ServeEngine {
     ///
     /// The typed [`DeltaError`] naming the offending line.
     pub fn apply_update(&self, ndjson: &str) -> Result<usize, DeltaError> {
-        let mut mutated = self.state.mutated.lock().expect("mutated poisoned");
-        mutated.apply(ndjson)
+        self.served.apply_update(ndjson)
     }
 
     /// Merges the pending delta log into the graph, rebuilds the
     /// resident layout and publishes it with an epoch bump. In-flight
     /// waves keep the snapshot they loaded; the next wave sees the new
     /// one. An empty log is a no-op that keeps the current epoch.
+    /// Merges, builds and publishes run one at a time (the initial
+    /// build among them), so residents are published in merge order.
     pub fn compact(&self) -> ServeCompaction {
-        let mut mutated = self.state.mutated.lock().expect("mutated poisoned");
-        let merged_ops = mutated.merge_pending();
-        if merged_ops == 0 {
-            return ServeCompaction {
-                epoch: self.state.resident.epoch(),
-                merged_ops: 0,
-                resident_bytes: self.resident_bytes(),
-                seconds: 0.0,
-            };
-        }
-        let (resident, seconds) = crate::metrics::timed(|| mutated.build_resident(self.layout));
-        let resident_bytes = resident.resident_bytes();
-        let epoch = self.state.resident.publish(Some(resident));
-        self.resident_bytes.store(resident_bytes, Ordering::Release);
-        ServeCompaction {
-            epoch,
-            merged_ops,
-            resident_bytes,
-            seconds,
-        }
+        self.served.compact()
     }
 
     /// Admits a query; the returned receiver yields its outcome once
@@ -931,10 +867,10 @@ impl ServeEngine {
     /// [`VariantError::RootOutOfRange`] for a bad source and
     /// [`VariantError::NeedsWeights`] for SSSP on an unweighted graph.
     pub fn submit(&self, query: Query) -> Result<mpsc::Receiver<QueryOutcome>, VariantError> {
-        if (query.source as usize) >= self.state.num_vertices {
+        if (query.source as usize) >= self.num_vertices {
             return Err(VariantError::RootOutOfRange {
                 root: query.source,
-                num_vertices: self.state.num_vertices,
+                num_vertices: self.num_vertices,
             });
         }
         if query.kind == QueryKind::Sssp && !self.weighted {
@@ -979,23 +915,18 @@ impl Drop for ServeEngine {
     }
 }
 
-fn scheduler_loop(
-    state: &GraphState,
+fn scheduler_loop<E: EdgeRecord>(
+    served: &Served<E>,
     config: ServeConfig,
     shared: &Shared,
     ready: &AtomicBool,
-    resident_bytes: &AtomicU64,
     journal: &QueryJournal,
 ) {
-    // The graph is loaded into a read-optimized layout and published at
-    // epoch 1; compaction republishes at later epochs, and each wave
-    // loads whichever snapshot is current when it launches.
-    let resident = {
-        let mutated = state.mutated.lock().expect("mutated poisoned");
-        mutated.build_resident(config.layout)
-    };
-    resident_bytes.store(resident.resident_bytes(), Ordering::Release);
-    state.resident.publish(Some(resident));
+    // The graph is loaded into a read-optimized layout and published by
+    // the step compaction publishes through, so a compaction racing
+    // start-up is never overwritten by this older build. Each wave
+    // loads whichever resident is current when it launches.
+    served.publish(false);
     let threads = if config.threads == 0 {
         egraph_parallel::pool::default_num_threads()
     } else {
@@ -1006,7 +937,7 @@ fn scheduler_loop(
     ready.store(true, Ordering::Release);
 
     let runner = WaveRunner {
-        num_vertices: state.num_vertices,
+        num_vertices: served.graph.num_vertices(),
         pool: &pool,
         metrics: metrics.as_ref(),
         journal,
@@ -1060,7 +991,7 @@ fn scheduler_loop(
         // Pin this wave to the currently published snapshot; a compact
         // racing us flips the pointer for *later* waves only. The epoch
         // read with it stamps the wave's journal events.
-        let (snapshot, epoch) = state.resident.load_with_epoch();
+        let (snapshot, epoch) = served.resident.load_with_epoch();
         let resident = snapshot
             .as_ref()
             .as_ref()
@@ -1082,7 +1013,13 @@ struct WaveRunner<'a> {
 }
 
 impl WaveRunner<'_> {
-    fn run(&self, resident: &Resident, wave: Wave, wave_id: u64, epoch: u64) {
+    fn run<E: EdgeRecord>(
+        &self,
+        resident: &ResidentLayout<E>,
+        wave: Wave,
+        wave_id: u64,
+        epoch: u64,
+    ) {
         let metrics = self.metrics;
         let journal = self.journal;
         let Wave { sources, riders } = wave;
@@ -1997,6 +1934,45 @@ mod tests {
             "chain severed at 15→16"
         );
         engine.shutdown();
+    }
+
+    #[test]
+    fn a_compaction_racing_start_up_is_never_overwritten_by_the_initial_build() {
+        for round in 0..50u64 {
+            let engine = ServeEngine::start(
+                ServeGraph::Unweighted(chain_graph(16)),
+                ServeConfig {
+                    threads: 1,
+                    metrics: false,
+                    ..ServeConfig::default()
+                },
+            );
+            // Land the compaction at a different point of start-up
+            // each round: before, during and after the initial build.
+            std::thread::sleep(Duration::from_micros(round * 10));
+            engine
+                .apply_update("{\"op\":\"insert\",\"src\":0,\"dst\":15}\n")
+                .unwrap();
+            assert_eq!(engine.compact().merged_ops, 1);
+            engine.wait_ready();
+            let rx = engine
+                .submit(Query {
+                    kind: QueryKind::Bfs,
+                    source: 0,
+                    depth: 0,
+                })
+                .unwrap();
+            match rx.recv().unwrap().values {
+                QueryValues::Levels(levels) => {
+                    assert_eq!(
+                        levels[15], 1,
+                        "round {round}: the merged shortcut is served"
+                    )
+                }
+                other => panic!("expected levels, got {other:?}"),
+            }
+            engine.shutdown();
+        }
     }
 
     #[test]

@@ -725,6 +725,15 @@ pub mod json {
                 _ => None,
             }
         }
+
+        /// The value of this object's field `key`; a repeated key's
+        /// first occurrence wins. `None` for a missing key or a value
+        /// that is not an object. Daemon request lines and delta lines
+        /// are both read by this one rule.
+        pub fn get(&self, key: &str) -> Option<&Value> {
+            let pairs = self.as_object()?;
+            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        }
     }
 
     /// Renders a JSON string literal (with escaping).

@@ -1,10 +1,12 @@
 //! Delta-log properties: random interleavings of insert / delete /
 //! duplicate / self-loop batches round-trip through the log (overlay
 //! and compaction) to the same graph a direct build produces, and
-//! malformed NDJSON delta streams yield typed errors — never a panic.
+//! malformed NDJSON delta streams yield typed errors — never a panic —
+//! while an accepted line is the op its first top-level fields name.
 
 use egraph_core::layout::{DeltaBatch, DeltaError, DeltaGraph, DeltaList, DeltaLog, DeltaOp};
 use egraph_core::prelude::*;
+use egraph_core::telemetry::json;
 // Explicit: both glob imports export a `Strategy` (the preprocess enum
 // vs the proptest trait); the builder below means the enum, generator
 // signatures name the trait by its full path.
@@ -295,6 +297,81 @@ proptest! {
                 let _ = batch.validate(nv);
             }
             Err(_typed) => {}
+        }
+    }
+}
+
+/// One field of a generated update line: the four op fields, wrongly
+/// typed copies of them, and fields nesting the same keys one level
+/// down.
+fn fragment(tag: u8, n: u32) -> String {
+    let v = n % 20;
+    match tag % 14 {
+        0 => r#""op":"insert""#.to_string(),
+        1 => r#""op":"delete""#.to_string(),
+        2 => r#""op":"add""#.to_string(),
+        3 => r#""op":"remove""#.to_string(),
+        4 => r#""op":7"#.to_string(),
+        5 => format!(r#""src":{v}"#),
+        6 => format!(r#""dst":{v}"#),
+        7 => format!(r#""weight":{v}.5"#),
+        8 => format!(r#""src":"{v}""#),
+        9 => format!(r#""dst":-{v}.5"#),
+        10 => format!(r#""meta":{{"op":"delete","src":{v}}}"#),
+        11 => format!(r#""x":[{{"dst":{v},"weight":{v}}}]"#),
+        12 => r#""id":"error""#.to_string(),
+        _ => format!(r#""weight":"{v}""#),
+    }
+}
+
+/// The op a line's first top-level `op` / `src` / `dst` / `weight`
+/// fields name, read independently of the codec.
+fn op_of_first_fields(value: &json::Value) -> Option<DeltaOp<WEdge>> {
+    let vertex = |key| value.get(key)?.as_number().map(|n| n as u32);
+    let (src, dst) = (vertex("src")?, vertex("dst")?);
+    match value.get("op")?.as_str()? {
+        "insert" | "add" => {
+            let weight = value
+                .get("weight")
+                .map_or(Some(1.0), json::Value::as_number)?;
+            Some(DeltaOp::Insert(WEdge::new(src, dst, weight as f32)))
+        }
+        "delete" | "remove" => Some(DeltaOp::Delete { src, dst }),
+        _ => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every line the codec accepts is one JSON object, and the op it
+    /// parses is the one its first top-level fields name: a nested or
+    /// repeated key never changes the op — the daemon, which routes a
+    /// line by the same fields, and the codec cannot disagree.
+    #[test]
+    fn an_accepted_line_is_the_op_its_first_top_level_fields_name(
+        fields in proptest::collection::vec((any::<u8>(), any::<u32>()), 0..8),
+        valid_at in any::<usize>(),
+        with_valid in any::<bool>(),
+        trailer in 0u8..4,
+    ) {
+        let mut parts: Vec<String> = fields.iter().map(|&(tag, n)| fragment(tag, n)).collect();
+        if with_valid {
+            let at = valid_at % (parts.len() + 1);
+            parts.insert(at, r#""op":"insert","src":1,"dst":2"#.to_string());
+        }
+        let trailer = [" ", "", " x", "}"][trailer as usize];
+        let line = format!("{{{}}}{trailer}", parts.join(","));
+        if let Ok(op) = DeltaBatch::<WEdge>::parse_line(&line, 1) {
+            let value = json::parse(&line);
+            prop_assert!(
+                matches!(value, Ok(json::Value::Object(_))),
+                "accepted a line that is not one JSON object: {}", line
+            );
+            let value = value.unwrap();
+            prop_assert_eq!(Some(op), op_of_first_fields(&value), "{}", line);
+            let unweighted = DeltaBatch::<Edge>::parse_line(&line, 1).unwrap();
+            prop_assert_eq!(unweighted.endpoints(), op.endpoints(), "{}", line);
         }
     }
 }

@@ -469,6 +469,26 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# The serve tier mutates the library's `DeltaGraph`, and an update line
+# is read by the one JSON reader (`telemetry::json`), the way the daemon
+# routes it. A log or a merge of the serve tier's own, or a scan for a
+# quoted key outside that reader, is a second write path or a second
+# reader coming back.
+echo "== one mutable graph, one JSON reader =="
+offenders=$(find crates/core/src crates/cli/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            ((FILENAME ~ /^crates\/core\/src\/serve\// && /DeltaLog|merge_into/) ||
+             /(find|contains)\("\\"|format!\("\\"\{/) {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a delta log or merge under serve/, or a quoted-key scan outside telemetry::json:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -477,13 +497,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The parallel and sort crates carry the unsafe worker-local / scatter
 # kernels plus the scoped-pool pointers and lifetime-erased broadcast
-# jobs: always try to run their unit tests under Miri. If the component
-# is missing, attempt to install it; offline hosts fall back with a
-# warning (the nightly CI workflow runs the same stage unconditionally).
-if ! rustup component list --installed 2>/dev/null | grep -q '^miri'; then
-    echo "== miri not installed; attempting 'rustup component add miri' =="
-    rustup component add miri 2>/dev/null || true
-fi
+# jobs: run their unit tests under Miri when it is installed. A lint run
+# installs nothing; without Miri the stage warns and the nightly CI
+# workflow, which installs it, runs the stage unconditionally.
 if rustup component list --installed 2>/dev/null | grep -q '^miri'; then
     echo "== cargo miri test (egraph-parallel, egraph-sort) =="
     cargo miri test -p egraph-parallel -p egraph-sort
