@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release -p egraph-bench --example cache_explorer`
 
+use egraph_bench::llc::{AccessKind, CacheConfig, CacheHierarchy, HierarchyProbe};
 use egraph_bench::trace::{self, ReplayLayout};
-use egraph_cachesim::{AccessKind, CacheConfig, CacheHierarchy, HierarchyProbe};
 use egraph_core::prelude::*;
 
 fn probe() -> HierarchyProbe {

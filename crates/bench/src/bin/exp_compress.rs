@@ -11,9 +11,10 @@
 //! written, so every timing in the CSV is for a verified-identical
 //! answer.
 //!
-//! Build with `--features alloc-track` for real build-peak numbers.
-//! With `--trace-out FILE` the RMAT-20 PageRank-pull run on each layout
-//! is replayed under a trace recorder and written as
+//! The binary installs the tracking allocator, so the build-peak
+//! columns are real allocator peaks. With `--trace-out FILE` the
+//! RMAT-20 PageRank-pull run on each layout is replayed under a trace
+//! recorder and written as
 //! `<stem>_adj.<ext>` / `<stem>_ccsr.<ext>`, ready for `egraph trace
 //! diff` to compare phase peak-memory rows.
 
@@ -28,7 +29,6 @@ use egraph_core::variant::{
 use egraph_metrics::alloc;
 use egraph_parallel::pool::ThreadPool;
 
-#[cfg(feature = "alloc-track")]
 #[global_allocator]
 static ALLOC: alloc::TrackingAlloc = alloc::TrackingAlloc;
 
@@ -41,12 +41,6 @@ fn main() {
         "exp_compress",
         "compressed CSR: bytes/edge and pull-kernel speed vs adjacency",
     );
-    if !alloc::tracking_installed() {
-        eprintln!(
-            "note: tracking allocator not installed (build with \
-             --features alloc-track); build_peak columns will be 0"
-        );
-    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("threads: {THREADS}; host cores: {cores}\n");
     if cores < THREADS {

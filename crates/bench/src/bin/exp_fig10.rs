@@ -6,11 +6,12 @@
 //! BFS, and the localized wavefront turns the partitioned layout into
 //! a serial sequence of memory-controller hotspots.
 
-use egraph_bench::numa::{bfs_locality, partition_by_target, DataPolicy};
+use egraph_bench::numa::{
+    bfs_locality, partition_by_target, CostModel, DataPolicy, MemoryBoundness, Topology,
+};
 use egraph_bench::{fmt_ratio, fmt_secs, graphs, measure, ExperimentCtx, ResultTable};
 use egraph_core::exec::ExecCtx;
 use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
-use egraph_numa::{CostModel, MemoryBoundness, Topology};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();

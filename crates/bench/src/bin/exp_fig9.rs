@@ -8,11 +8,13 @@
 //! loses on both machines (partitioning dwarfs the run, and frontier
 //! concentration causes memory contention).
 
-use egraph_bench::numa::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
+use egraph_bench::numa::{
+    bfs_locality, pagerank_locality, partition_by_target, CostModel, DataPolicy, MemoryBoundness,
+    Topology,
+};
 use egraph_bench::{fmt_ratio, fmt_secs, graphs, measure, ExperimentCtx, ResultTable};
 use egraph_core::exec::ExecCtx;
 use egraph_core::variant::{PreparedGraph, RunParams, VariantId};
-use egraph_numa::{CostModel, MemoryBoundness, Topology};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();

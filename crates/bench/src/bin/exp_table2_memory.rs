@@ -6,9 +6,8 @@
 //! memory side with the tracking allocator: bytes allocated, the peak
 //! live over each build window, and the process RSS after it.
 //!
-//! Build with `--features alloc-track` for real allocator numbers —
-//! without it the peak/allocated columns read 0 and only the RSS
-//! fallback moves.
+//! The binary installs the tracking allocator as its global allocator,
+//! so the peak and allocated columns are real allocator numbers.
 
 use egraph_bench::{graphs, ExperimentCtx, ResultTable};
 use egraph_core::layout::EdgeDirection;
@@ -16,7 +15,6 @@ use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use egraph_core::variant::default_grid_side;
 use egraph_metrics::alloc;
 
-#[cfg(feature = "alloc-track")]
 #[global_allocator]
 static ALLOC: alloc::TrackingAlloc = alloc::TrackingAlloc;
 
@@ -30,12 +28,6 @@ fn main() {
         "exp_table2_memory",
         "Table 2 companion (peak memory per layout build)",
     );
-    if !alloc::tracking_installed() {
-        eprintln!(
-            "note: tracking allocator not installed (build with \
-             --features alloc-track); peak/allocated columns will be 0"
-        );
-    }
 
     let mut table = ResultTable::new(
         "table2_layout_memory",

@@ -5,13 +5,13 @@
 //!
 //! Pre-processing times are measured for real; loading times come from
 //! the storage medium's bandwidth and the overlap model of
-//! `egraph_storage::pipeline` (see DESIGN.md §4).
+//! `egraph_bench::loading` (see DESIGN.md §4).
 
+use egraph_bench::loading::{Medium, OverlapPlan};
 use egraph_bench::{fmt_secs, graphs, ExperimentCtx, ResultTable};
 use egraph_core::layout::EdgeDirection;
 use egraph_core::metrics::timed;
 use egraph_core::preprocess::{CsrBuilder, Strategy};
-use egraph_storage::{Medium, OverlapPlan};
 
 fn main() {
     let ctx = ExperimentCtx::from_args();

@@ -12,6 +12,16 @@
 //! whose axis is not a variant (sort strategies, the SSSP bucket width,
 //! ALS, the update stream, the serve tier) time their own code.
 //!
+//! # Models
+//!
+//! Three pieces of the paper's hardware are modelled here, beside the
+//! experiments that use them; no product crate links any of them:
+//!
+//! * [`llc`] (fed by [`trace`]'s access replays) — the LLC miss
+//!   counters of Tables 2 and 4 and Fig. 5;
+//! * [`numa`] — the 2- and 4-node machines of Figs. 9 and 10;
+//! * [`loading`] — the SSD and HDD of Table 3.
+//!
 //! # Scaling
 //!
 //! The paper's machines had 32 cores and 256 GB of RAM; experiments
@@ -23,6 +33,7 @@
 
 pub mod graphs;
 pub mod llc;
+pub mod loading;
 pub mod numa;
 pub mod table;
 pub mod trace;

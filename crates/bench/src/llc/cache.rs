@@ -12,16 +12,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// The LLC of the paper's machine A (2× Intel Xeon E5-2630, 20 MB
-    /// LLC per socket).
-    pub fn machine_a_llc() -> Self {
-        Self {
-            capacity: 20 * 1024 * 1024,
-            ways: 20,
-            line_size: 64,
-        }
-    }
-
     /// The LLC of the paper's machine B (4× AMD Opteron 6272, 16 MB
     /// LLC per socket) — the default measurement machine.
     pub fn machine_b_llc() -> Self {
@@ -107,11 +97,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Returns the cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// Simulates one access to byte address `addr`; returns `true` on a
     /// hit.
     pub fn access(&mut self, addr: u64) -> bool {
@@ -143,14 +128,6 @@ impl SetAssocCache {
     /// Returns the counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.clock = 0;
-        self.stats = CacheStats::default();
     }
 }
 
@@ -223,24 +200,6 @@ mod tests {
         assert!(!c.access(2 << 20)); // C evicts B
         assert!(c.access(0)); // A still resident
         assert!(!c.access(1 << 20)); // B was evicted
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = SetAssocCache::new(CacheConfig::tiny(4096, 4));
-        c.access(0);
-        c.access(0);
-        c.reset();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert!(!c.access(0));
-    }
-
-    #[test]
-    fn machine_presets_have_expected_geometry() {
-        let a = SetAssocCache::new(CacheConfig::machine_a_llc());
-        let b = SetAssocCache::new(CacheConfig::machine_b_llc());
-        assert_eq!(a.config().capacity, 20 * 1024 * 1024);
-        assert_eq!(b.config().capacity, 16 * 1024 * 1024);
     }
 
     #[test]

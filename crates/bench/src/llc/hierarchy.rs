@@ -14,7 +14,7 @@
 //!   "edges are streamed, they are prefetched efficiently and do not
 //!   incur cache misses", §5.1).
 
-use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
+use super::cache::{CacheConfig, SetAssocCache};
 
 /// Number of concurrent streams the prefetcher tracks.
 const PREFETCH_STREAMS: usize = 16;
@@ -23,34 +23,30 @@ const PREFETCH_DEGREE: u64 = 4;
 
 /// A sequential stream detector + next-line prefetcher.
 #[derive(Debug)]
-pub struct StreamPrefetcher {
+struct StreamPrefetcher {
     /// Last line seen per tracked stream (round-robin allocation).
     streams: [u64; PREFETCH_STREAMS],
     next_slot: usize,
     /// Lines that have been prefetched but not yet demanded.
     prefetched: Vec<u64>,
-    /// Statistics: demand accesses satisfied by a prefetch.
-    pub useful_prefetches: u64,
 }
 
 impl StreamPrefetcher {
     /// Creates an empty prefetcher.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             streams: [u64::MAX; PREFETCH_STREAMS],
             next_slot: 0,
             prefetched: Vec::with_capacity(PREFETCH_STREAMS * PREFETCH_DEGREE as usize),
-            useful_prefetches: 0,
         }
     }
 
     /// Observes a demand access to `line`; returns `true` if the line
     /// was covered by an outstanding prefetch. Detects ascending
     /// sequential streams and issues `PREFETCH_DEGREE` lines ahead.
-    pub fn access(&mut self, line: u64) -> bool {
+    fn access(&mut self, line: u64) -> bool {
         let covered = if let Some(pos) = self.prefetched.iter().position(|&l| l == line) {
             self.prefetched.swap_remove(pos);
-            self.useful_prefetches += 1;
             true
         } else {
             false
@@ -81,12 +77,6 @@ impl StreamPrefetcher {
     }
 }
 
-impl Default for StreamPrefetcher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Outcome of one hierarchy access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
@@ -105,7 +95,6 @@ pub struct CacheHierarchy {
     llc: SetAssocCache,
     prefetcher: StreamPrefetcher,
     line_shift: u32,
-    llc_stats: CacheStats,
 }
 
 impl CacheHierarchy {
@@ -122,21 +111,7 @@ impl CacheHierarchy {
             llc: SetAssocCache::new(llc),
             prefetcher: StreamPrefetcher::new(),
             line_shift,
-            llc_stats: CacheStats::default(),
         }
-    }
-
-    /// A hierarchy shaped like the paper's machine B: 2 MB L2 (the
-    /// Opteron module's L2) in front of the 16 MB LLC.
-    pub fn machine_b() -> Self {
-        Self::new(
-            CacheConfig {
-                capacity: 2 * 1024 * 1024,
-                ways: 16,
-                line_size: 64,
-            },
-            CacheConfig::machine_b_llc(),
-        )
     }
 
     /// Simulates one access; returns where it was satisfied.
@@ -147,37 +122,18 @@ impl CacheHierarchy {
         // Reached the LLC: demand access plus prefetcher lookup.
         let line = addr >> self.line_shift;
         let prefetched = self.prefetcher.access(line);
-        let hit = self.llc.access(addr) || prefetched;
-        self.llc_stats.accesses += 1;
-        if hit {
+        if self.llc.access(addr) || prefetched {
             AccessOutcome::LlcHit
         } else {
-            self.llc_stats.misses += 1;
             AccessOutcome::LlcMiss
         }
-    }
-
-    /// LLC-level counters — the quantity hardware "LLC miss %" reports.
-    pub fn llc_stats(&self) -> CacheStats {
-        self.llc_stats
-    }
-
-    /// Useful prefetches so far.
-    pub fn useful_prefetches(&self) -> u64 {
-        self.prefetcher.useful_prefetches
-    }
-
-    /// Clears both levels, the prefetcher and all counters.
-    pub fn reset(&mut self) {
-        self.l2.reset();
-        self.llc.reset();
-        self.prefetcher = StreamPrefetcher::new();
-        self.llc_stats = CacheStats::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::cache::CacheStats;
+    use super::super::probe::{AccessKind, HierarchyProbe, MemProbe};
     use super::*;
 
     fn small_hierarchy() -> CacheHierarchy {
@@ -187,6 +143,16 @@ mod tests {
         )
     }
 
+    /// Feeds `addrs` through `h` and counts what reached the LLC — the
+    /// quantity hardware "LLC miss %" reports.
+    fn llc_traffic(h: CacheHierarchy, addrs: impl IntoIterator<Item = u64>) -> CacheStats {
+        let probe = HierarchyProbe::new(h);
+        for addr in addrs {
+            probe.touch(AccessKind::Edge, addr);
+        }
+        probe.report().total()
+    }
+
     #[test]
     fn within_line_reuse_is_absorbed_by_l2() {
         let mut h = small_hierarchy();
@@ -194,68 +160,48 @@ mod tests {
         for b in 1..64u64 {
             assert_eq!(h.access(b), AccessOutcome::L2Hit, "byte {b}");
         }
-        assert_eq!(h.llc_stats().accesses, 1);
     }
 
     #[test]
     fn sequential_stream_gets_prefetched() {
-        let mut h = small_hierarchy();
         // Stream far beyond both capacities: after warmup, prefetches
         // cover the stream.
-        for i in 0..100_000u64 {
-            h.access(i * 64);
-        }
-        let stats = h.llc_stats();
+        let stats = llc_traffic(small_hierarchy(), (0..100_000u64).map(|i| i * 64));
         assert_eq!(stats.accesses, 100_000, "one LLC access per line");
         assert!(
             (stats.misses as f64) < 0.05 * stats.accesses as f64,
             "stream should be prefetched: {} misses",
             stats.misses
         );
-        assert!(h.useful_prefetches() > 90_000);
     }
 
     #[test]
     fn random_accesses_beyond_llc_miss() {
-        let mut h = small_hierarchy();
         let mut state = 1u64;
-        for _ in 0..50_000 {
+        let addrs = (0..50_000).map(|_| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            h.access((state >> 16) % (64 << 20));
-        }
-        let stats = h.llc_stats();
+            (state >> 16) % (64 << 20)
+        });
+        let stats = llc_traffic(small_hierarchy(), addrs);
         assert!(stats.miss_ratio() > 0.9, "ratio {}", stats.miss_ratio());
     }
 
     #[test]
     fn llc_resident_working_set_hits_at_llc() {
-        let mut h = small_hierarchy();
         // Working set: bigger than L2 (8K) but within LLC (64K); use a
         // non-sequential order so the prefetcher does not mask LLC hits
         // and within-line reuse does not pin it in L2.
         let lines = 48 * 1024 / 64; // 768 lines
-        for round in 0..20u64 {
-            for i in 0..lines as u64 {
-                let line = (i * 37) % lines as u64;
-                h.access(line * 64 + (round % 2) * 8);
-            }
-        }
-        let stats = h.llc_stats();
+        let addrs = (0..20u64).flat_map(|round| {
+            (0..lines as u64).map(move |i| (i * 37) % lines as u64 * 64 + (round % 2) * 8)
+        });
+        let stats = llc_traffic(small_hierarchy(), addrs);
         // After the cold round, LLC hits dominate.
         assert!(
             stats.miss_ratio() < 0.2,
             "llc-resident set should hit: {}",
             stats.miss_ratio()
         );
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut h = small_hierarchy();
-        h.access(0);
-        h.reset();
-        assert_eq!(h.llc_stats(), CacheStats::default());
-        assert_eq!(h.useful_prefetches(), 0);
     }
 
     #[test]

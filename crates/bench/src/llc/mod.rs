@@ -1,4 +1,31 @@
-//! LLC scaling for miss-ratio experiments.
+//! The LLC model: a last-level-cache simulator for graph-kernel
+//! miss-ratio measurements, and its scaling to the reproduction's
+//! graph sizes.
+//!
+//! The paper reports LLC miss percentages measured with hardware
+//! performance counters (Tables 2 and 4) and attributes them to the
+//! three memory accesses every graph kernel performs per edge: fetching
+//! the **edge** itself, fetching the **source vertex metadata** and
+//! fetching the **destination vertex metadata** (§5). This module is the
+//! software model that stands in for those counters, driven by replayed
+//! access streams — nothing in the engine is instrumented; the
+//! [`trace`](crate::trace) module walks a layout in the order a kernel
+//! touches memory and feeds each access to a probe:
+//!
+//! * [`SetAssocCache`] — a set-associative, LRU, 64-byte-line cache
+//!   sized like the evaluation machines' LLCs, and [`CacheHierarchy`] —
+//!   a private L2 in front of it plus a stream prefetcher,
+//! * [`MemProbe`] — the sink a replay feeds, one access at a time; an
+//!   [`LlcProbe`] (or a [`HierarchyProbe`], which counts only the
+//!   traffic that reaches the LLC, like `perf`) produces
+//!   per-access-kind hit/miss statistics.
+//!
+//! Address streams use real byte distances (`edge_index * edge_size`,
+//! `vertex_id * metadata_stride`) in disjoint address regions, so
+//! spatial and temporal locality — the whole point of the paper's §5 —
+//! are modelled faithfully.
+//!
+//! # Scaling
 //!
 //! The paper measures miss ratios with RMAT-26 metadata (hundreds of
 //! megabytes) against a 16 MB LLC — a footprint-to-cache ratio of
@@ -9,8 +36,29 @@
 //! behaviour of the layouts (grid halves the miss ratio, sorting
 //! neighbor arrays changes nothing) is preserved. Documented as a
 //! substitution in `DESIGN.md` §4.
+//!
+//! # Examples
+//!
+//! ```
+//! use egraph_bench::llc::{AccessKind, CacheConfig, LlcProbe, MemProbe};
+//!
+//! let probe = LlcProbe::new(CacheConfig::machine_b_llc());
+//! // A sequential scan mostly hits (one miss per 64-byte line).
+//! for i in 0..10_000u64 {
+//!     probe.touch(AccessKind::Edge, i * 8);
+//! }
+//! let report = probe.report();
+//! assert!(report.overall_miss_ratio() < 0.15);
+//! ```
 
-use egraph_cachesim::{CacheConfig, CacheHierarchy, HierarchyProbe, LlcProbe};
+pub mod cache;
+pub mod hierarchy;
+pub mod probe;
+
+pub use cache::{CacheConfig, CacheStats, SetAssocCache};
+pub use hierarchy::{AccessOutcome, CacheHierarchy};
+pub use probe::{AccessKind, HierarchyProbe, LlcProbe, MemProbe, MissReport};
+
 use egraph_core::types::{EdgeRecord, VertexId};
 
 use crate::trace::{self, ReplayLayout, BFS_STRIDE, PAGERANK_STRIDE};
@@ -28,8 +76,7 @@ pub fn scaled_machine_b(metadata_bytes: usize) -> CacheConfig {
         .clamp(8 * 1024, 16 * 1024 * 1024);
     CacheConfig {
         capacity,
-        ways: 16,
-        line_size: 64,
+        ..CacheConfig::machine_b_llc()
     }
 }
 
@@ -46,12 +93,6 @@ pub fn probe_for(num_vertices: usize, meta_bytes_per_vertex: usize) -> Hierarchy
         line_size: 64,
     };
     HierarchyProbe::new(CacheHierarchy::new(l2, llc))
-}
-
-/// A flat single-level probe over the scaled LLC (no L2 filtering);
-/// kept for ablations against [`probe_for`].
-pub fn flat_probe_for(num_vertices: usize, meta_bytes_per_vertex: usize) -> LlcProbe {
-    LlcProbe::new(scaled_machine_b(num_vertices * meta_bytes_per_vertex))
 }
 
 /// A grid side matched to the scaled LLC of a graph with `num_vertices`

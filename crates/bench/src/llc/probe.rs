@@ -4,7 +4,8 @@
 
 use parking_lot::Mutex;
 
-use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
+use super::cache::{CacheConfig, CacheStats, SetAssocCache};
+use super::hierarchy::{AccessOutcome, CacheHierarchy};
 
 /// The three access classes of a graph kernel (§5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,13 +101,6 @@ impl LlcProbe {
             per_kind: inner.per_kind,
         }
     }
-
-    /// Clears the cache contents and all counters.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.cache.reset();
-        inner.per_kind = [CacheStats::default(); 3];
-    }
 }
 
 impl MemProbe for LlcProbe {
@@ -121,7 +115,7 @@ impl MemProbe for LlcProbe {
     }
 }
 
-/// A probe that drives a two-level [`CacheHierarchy`](crate::hierarchy::CacheHierarchy) and reports
+/// A probe that drives a two-level [`CacheHierarchy`] and reports
 /// LLC-level statistics — the closest software analogue of the
 /// hardware counters the paper used.
 ///
@@ -132,13 +126,13 @@ pub struct HierarchyProbe {
 }
 
 struct HierarchyInner {
-    hierarchy: crate::hierarchy::CacheHierarchy,
+    hierarchy: CacheHierarchy,
     per_kind: [CacheStats; 3],
 }
 
 impl HierarchyProbe {
     /// Creates a probe over an empty hierarchy.
-    pub fn new(hierarchy: crate::hierarchy::CacheHierarchy) -> Self {
+    pub fn new(hierarchy: CacheHierarchy) -> Self {
         Self {
             inner: Mutex::new(HierarchyInner {
                 hierarchy,
@@ -154,23 +148,10 @@ impl HierarchyProbe {
             per_kind: inner.per_kind,
         }
     }
-
-    /// Useful prefetches observed at the LLC.
-    pub fn useful_prefetches(&self) -> u64 {
-        self.inner.lock().hierarchy.useful_prefetches()
-    }
-
-    /// Clears caches, prefetcher and counters.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.hierarchy.reset();
-        inner.per_kind = [CacheStats::default(); 3];
-    }
 }
 
 impl MemProbe for HierarchyProbe {
     fn touch(&self, kind: AccessKind, addr: u64) {
-        use crate::hierarchy::AccessOutcome;
         let mut inner = self.inner.lock();
         let outcome = inner.hierarchy.access(addr);
         let stats = &mut inner.per_kind[kind.index()];
@@ -238,14 +219,6 @@ mod tests {
         // 1/8 of accesses miss.
         assert!((seq.report().overall_miss_ratio() - 0.125).abs() < 1e-9);
         assert!(rand.report().overall_miss_ratio() > 0.5);
-    }
-
-    #[test]
-    fn reset_clears_report() {
-        let p = LlcProbe::new(CacheConfig::tiny(4096, 4));
-        p.touch(AccessKind::Edge, 0);
-        p.reset();
-        assert_eq!(p.report().total().accesses, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `max(load, overlapped work) + post work` — a two-stage pipeline with
 //! negligible per-chunk latency.
 
-use crate::medium::Medium;
+use super::medium::Medium;
 
 /// A construction technique's overlap structure.
 #[derive(Debug, Clone, Copy, PartialEq)]

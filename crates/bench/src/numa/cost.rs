@@ -25,8 +25,8 @@
 //! modeled_time      = measured_time · slowdown
 //! ```
 
-use crate::locality::LocalityStats;
-use crate::topology::Topology;
+use super::locality::LocalityStats;
+use super::topology::Topology;
 
 /// Fraction of an algorithm's execution time that stalls on DRAM.
 ///
@@ -44,11 +44,6 @@ impl MemoryBoundness {
     pub const TRAVERSAL: MemoryBoundness = MemoryBoundness(0.55);
     /// Single-pass numeric kernels (SpMV).
     pub const SPMV: MemoryBoundness = MemoryBoundness(0.65);
-
-    /// Clamps to the meaningful `[0, 1]` range.
-    pub fn clamped(self) -> f64 {
-        self.0.clamp(0.0, 1.0)
-    }
 }
 
 /// Result of applying the model to one measured run.
@@ -89,11 +84,6 @@ impl CostModel {
         Self { topology }
     }
 
-    /// The machine this model describes.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Scales `measured_seconds` (single-node execution) to the modeled
     /// topology, given the access-locality matrix recorded during that
     /// execution and the algorithm's memory boundness.
@@ -128,7 +118,7 @@ impl CostModel {
         peak_target_share: f64,
     ) -> ModeledTime {
         let nodes = self.topology.num_nodes as f64;
-        let m = boundness.clamped();
+        let m = boundness.0.clamp(0.0, 1.0);
         let latency_factor = 1.0 + remote_fraction * (self.topology.remote_penalty() - 1.0);
         let even_share = 1.0 / nodes;
         let excess = (peak_target_share - even_share).max(0.0);
@@ -176,7 +166,11 @@ mod tests {
 
     #[test]
     fn local_traffic_on_single_node_is_identity() {
-        let model = CostModel::new(Topology::single_node());
+        let one_node = Topology {
+            num_nodes: 1,
+            ..Topology::machine_a()
+        };
+        let model = CostModel::new(one_node);
         let t = model.model(10.0, MemoryBoundness::PAGERANK, &local_stats(1));
         assert!((t.slowdown() - 1.0).abs() < 1e-12);
         assert_eq!(t.modeled_seconds, 10.0);

@@ -30,11 +30,6 @@ impl LocalityStats {
         }
     }
 
-    /// Number of nodes this matrix covers.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
     /// Records `count` accesses issued by node `from` to memory owned
     /// by node `to`.
     #[inline]

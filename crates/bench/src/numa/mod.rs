@@ -1,35 +1,68 @@
-//! NUMA-aware partitioning and the locality model behind the §7
-//! experiments (Fig. 9 and 10).
+//! The NUMA model behind the §7 experiments (Fig. 9 and 10): machine
+//! topologies, NUMA-aware partitioning, locality accounting and the
+//! cost model.
+//!
+//! The paper evaluates NUMA-awareness on two machines: machine A (2
+//! NUMA nodes, 16 cores) and machine B (4 NUMA nodes, 32 cores). The
+//! host this reproduction runs on has a single node, so the problem is
+//! split the way the paper's analysis does.
 //!
 //! The **partitioning work is real**: [`partition_by_target`] splits
-//! vertices into edge-balanced contiguous ranges (one per NUMA node)
-//! and physically groups every edge with the node owning its *target*
-//! vertex — the Polymer/Gemini placement that turns push-mode writes
-//! into local writes. Its cost is measured with a wall clock and
-//! reported as the "Partitioning" bar of Fig. 9/10.
+//! vertices into edge-balanced contiguous ranges (one per NUMA node,
+//! [`edge_balanced_ranges`]) and physically groups every edge with the
+//! node owning its *target* vertex — the Polymer/Gemini placement that
+//! turns push-mode writes into local writes. Its cost is measured with
+//! a wall clock and reported as the "Partitioning" bar of Fig. 9/10.
 //!
 //! The **timing consequences are modeled**: a one-node host cannot time
 //! remote accesses, so they are *counted* instead.
 //! [`pagerank_locality`] and [`bfs_locality`] replay the exact access
 //! pattern of the respective algorithm against a [`Placement`] and
-//! produce the node-to-node traffic matrix that
-//! [`egraph_numa::CostModel`] converts into a modeled slowdown.
-//! Work stealing is modeled by a waterfall ([`waterfall_issue`]): each
-//! node first processes the work stored locally, then the overflow of
-//! busier nodes is spread over idle ones — which is how a concentrated
-//! BFS frontier ends up with every core hammering one memory
-//! controller (§7.2).
+//! produce the node-to-node traffic matrix ([`LocalityStats`]) that
+//! [`CostModel`] converts into a modeled slowdown (local vs. remote
+//! access latency, and the memory-controller contention that §7.2
+//! blames for the BFS slowdowns). Work stealing is modeled by a
+//! waterfall ([`waterfall_issue`]): each node first processes the work
+//! stored locally, then the overflow of busier nodes is spread over
+//! idle ones — which is how a concentrated BFS frontier ends up with
+//! every core hammering one memory controller (§7.2).
+//!
+//! The calibration constants in [`cost`] come from the public
+//! latency/bandwidth characteristics of the two machine classes, not
+//! from fitting the paper's result figures; see `DESIGN.md` §4.
 //!
 //! Like the LLC model ([`crate::llc`]), this is a modeled substrate: it
 //! lives with the experiments, and the product crates do not link it.
+//!
+//! # Examples
+//!
+//! ```
+//! use egraph_bench::numa::{edge_balanced_ranges, Topology};
+//!
+//! let topo = Topology::machine_b();
+//! assert_eq!(topo.num_nodes, 4);
+//!
+//! // Split 8 vertices with skewed degrees into 2 edge-balanced parts.
+//! let degrees = vec![100u64, 1, 1, 1, 1, 1, 1, 94];
+//! let parts = edge_balanced_ranges(&degrees, 2);
+//! assert_eq!(parts.len(), 2);
+//! assert_eq!(parts[0], 0..1); // the hub alone balances half the edges
+//! ```
+
+pub mod cost;
+pub mod locality;
+pub mod partition;
+pub mod topology;
+
+pub use cost::{CostModel, MemoryBoundness, ModeledTime};
+pub use locality::LocalityStats;
+pub use partition::{edge_balanced_ranges, Placement};
+pub use topology::Topology;
 
 use std::ops::Range;
 use std::time::Instant;
 
 use egraph_core::types::{EdgeList, EdgeRecord};
-use egraph_numa::{
-    edge_balanced_ranges, CostModel, LocalityStats, MemoryBoundness, ModeledTime, Placement,
-};
 
 /// The locality summary of one algorithm execution under a placement.
 ///
@@ -600,7 +633,6 @@ mod tests {
 
     #[test]
     fn localities_feed_cost_model_with_expected_ordering() {
-        use egraph_numa::Topology;
         let input = random_graph(4000, 60_000, 23);
         let model = CostModel::new(Topology::machine_b());
         let aware = pagerank_locality(&input, DataPolicy::NumaAware, 4).modeled(

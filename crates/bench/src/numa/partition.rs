@@ -14,30 +14,6 @@
 
 use std::ops::Range;
 
-/// Splits `0..num_items` into `num_parts` contiguous ranges whose
-/// lengths differ by at most one.
-///
-/// # Examples
-///
-/// ```
-/// let parts = egraph_numa::range_partition(10, 3);
-/// assert_eq!(parts, vec![0..4, 4..7, 7..10]);
-/// ```
-pub fn range_partition(num_items: usize, num_parts: usize) -> Vec<Range<usize>> {
-    let num_parts = num_parts.max(1);
-    let base = num_items / num_parts;
-    let extra = num_items % num_parts;
-    let mut out = Vec::with_capacity(num_parts);
-    let mut start = 0;
-    for p in 0..num_parts {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, num_items);
-    out
-}
-
 /// Splits vertices `0..degrees.len()` into `num_parts` contiguous
 /// ranges with approximately equal total degree (edge count), the
 /// Polymer/Gemini balance criterion.
@@ -49,7 +25,7 @@ pub fn range_partition(num_items: usize, num_parts: usize) -> Vec<Range<usize>> 
 ///
 /// ```
 /// let degrees = vec![8u64, 1, 1, 1, 1, 1, 1, 2];
-/// let parts = egraph_numa::edge_balanced_ranges(&degrees, 2);
+/// let parts = egraph_bench::numa::edge_balanced_ranges(&degrees, 2);
 /// assert_eq!(parts[0].end - parts[0].start + parts[1].end - parts[1].start, 8);
 /// ```
 pub fn edge_balanced_ranges(degrees: &[u64], num_parts: usize) -> Vec<Range<usize>> {
@@ -156,37 +132,11 @@ impl Placement {
             }
         }
     }
-
-    /// Number of nodes this placement spreads data over.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            Placement::Interleaved { num_nodes, .. } => *num_nodes,
-            Placement::Partitioned(ranges) => ranges.len(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn range_partition_covers_and_balances() {
-        for n in [0usize, 1, 7, 100, 1001] {
-            for p in [1usize, 2, 3, 8] {
-                let parts = range_partition(n, p);
-                assert_eq!(parts.len(), p);
-                assert_eq!(parts[0].start, 0);
-                assert_eq!(parts.last().unwrap().end, n);
-                for w in parts.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                }
-                let max = parts.iter().map(|r| r.len()).max().unwrap();
-                let min = parts.iter().map(|r| r.len()).min().unwrap();
-                assert!(max - min <= 1);
-            }
-        }
-    }
 
     #[test]
     fn edge_balanced_uniform_degrees() {
@@ -256,6 +206,5 @@ mod tests {
         assert_eq!(p.owner_of(14), 1);
         assert_eq!(p.owner_of(39), 2);
         assert_eq!(p.owner_of(1000), 2);
-        assert_eq!(p.num_nodes(), 3);
     }
 }

@@ -2,25 +2,19 @@
 
 /// A NUMA machine model.
 ///
-/// Latency and bandwidth figures are representative of the machine
-/// *class* (dual-socket Sandy Bridge Xeon; quad-socket Interlagos
-/// Opteron); they parameterize the cost model of [`crate::cost`].
+/// Latency figures are representative of the machine *class*
+/// (dual-socket Sandy Bridge Xeon; quad-socket Interlagos Opteron);
+/// they parameterize the cost model of [`super::cost`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Human-readable name used in experiment output.
     pub name: &'static str,
     /// Number of NUMA nodes (sockets).
     pub num_nodes: usize,
-    /// Cores per node.
-    pub cores_per_node: usize,
-    /// Last-level cache per node, in bytes.
-    pub llc_bytes: usize,
     /// DRAM latency for node-local accesses, nanoseconds.
     pub local_latency_ns: f64,
     /// DRAM latency for remote (cross-socket) accesses, nanoseconds.
     pub remote_latency_ns: f64,
-    /// Sustainable DRAM bandwidth of one memory controller, GB/s.
-    pub node_bandwidth_gbs: f64,
 }
 
 impl Topology {
@@ -30,11 +24,8 @@ impl Topology {
         Self {
             name: "machine-A",
             num_nodes: 2,
-            cores_per_node: 8,
-            llc_bytes: 20 * 1024 * 1024,
             local_latency_ns: 80.0,
             remote_latency_ns: 130.0,
-            node_bandwidth_gbs: 42.0,
         }
     }
 
@@ -44,31 +35,9 @@ impl Topology {
         Self {
             name: "machine-B",
             num_nodes: 4,
-            cores_per_node: 8,
-            llc_bytes: 16 * 1024 * 1024,
             local_latency_ns: 95.0,
             remote_latency_ns: 190.0,
-            node_bandwidth_gbs: 26.0,
         }
-    }
-
-    /// A single-node machine (NUMA effects absent); the identity
-    /// baseline of the cost model.
-    pub fn single_node() -> Self {
-        Self {
-            name: "single-node",
-            num_nodes: 1,
-            cores_per_node: 8,
-            llc_bytes: 16 * 1024 * 1024,
-            local_latency_ns: 90.0,
-            remote_latency_ns: 90.0,
-            node_bandwidth_gbs: 30.0,
-        }
-    }
-
-    /// Total core count of the machine.
-    pub fn total_cores(&self) -> usize {
-        self.num_nodes * self.cores_per_node
     }
 
     /// The latency penalty factor of a remote access relative to a
@@ -86,17 +55,8 @@ mod tests {
     fn presets_match_paper() {
         let a = Topology::machine_a();
         assert_eq!(a.num_nodes, 2);
-        assert_eq!(a.total_cores(), 16);
         let b = Topology::machine_b();
         assert_eq!(b.num_nodes, 4);
-        assert_eq!(b.total_cores(), 32);
         assert!(b.remote_penalty() > a.remote_penalty());
-    }
-
-    #[test]
-    fn single_node_has_no_remote_penalty() {
-        let s = Topology::single_node();
-        assert_eq!(s.num_nodes, 1);
-        assert!((s.remote_penalty() - 1.0).abs() < 1e-12);
     }
 }

@@ -1,5 +1,5 @@
 //! Offline replays of the kernels' memory-access order, the input of
-//! the LLC model (`egraph-cachesim`). Nothing in the product is
+//! the LLC model ([`crate::llc`]). Nothing in the product is
 //! instrumented: each function here walks a layout in the order the
 //! corresponding code touches memory and hands every access to a
 //! [`MemProbe`], serially — so a replay prints the same numbers at every
@@ -23,8 +23,8 @@
 //!   ([`replay_pagerank_round`]), each with its algorithm's metadata
 //!   stride (§5.2).
 
-use egraph_cachesim::probe::regions;
-use egraph_cachesim::{AccessKind, MemProbe};
+use crate::llc::probe::regions;
+use crate::llc::{AccessKind, MemProbe};
 use egraph_core::layout::{Adjacency, EdgeStream, Grid, Storage};
 use egraph_core::types::{EdgeList, EdgeRecord, VertexId};
 
@@ -309,7 +309,7 @@ pub fn trace_radix_sort<E: EdgeRecord, P: MemProbe>(edges: &[E], nv: usize, prob
 mod tests {
     use super::*;
     use crate::llc;
-    use egraph_cachesim::{CacheConfig, LlcProbe};
+    use crate::llc::{CacheConfig, LlcProbe};
     use egraph_core::algo::pagerank::PagerankConfig;
     use egraph_core::exec::ExecCtx;
     use egraph_core::layout::EdgeDirection;
@@ -460,10 +460,10 @@ mod tests {
         let nv = 1 << 14;
         let edges = skewed_edges(nv, 1 << 18);
         let ratios: Vec<f64> = [
-            trace_dynamic::<Edge, egraph_cachesim::HierarchyProbe>
-                as fn(&[Edge], usize, &egraph_cachesim::HierarchyProbe),
-            trace_count_sort::<Edge, egraph_cachesim::HierarchyProbe>,
-            trace_radix_sort::<Edge, egraph_cachesim::HierarchyProbe>,
+            trace_dynamic::<Edge, crate::llc::HierarchyProbe>
+                as fn(&[Edge], usize, &crate::llc::HierarchyProbe),
+            trace_count_sort::<Edge, crate::llc::HierarchyProbe>,
+            trace_radix_sort::<Edge, crate::llc::HierarchyProbe>,
         ]
         .iter()
         .map(|f| {

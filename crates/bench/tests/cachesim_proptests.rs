@@ -1,6 +1,8 @@
 //! Cache-model invariants for arbitrary access streams.
 
-use egraph_cachesim::{AccessKind, CacheConfig, CacheHierarchy, LlcProbe, MemProbe, SetAssocCache};
+use egraph_bench::llc::{
+    AccessKind, CacheConfig, CacheHierarchy, HierarchyProbe, LlcProbe, MemProbe, SetAssocCache,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -47,14 +49,14 @@ proptest! {
     fn hierarchy_llc_traffic_is_a_subset(
         addrs in proptest::collection::vec(any::<u32>(), 0..3000),
     ) {
-        let mut h = CacheHierarchy::new(
+        let probe = HierarchyProbe::new(CacheHierarchy::new(
             CacheConfig::tiny(4 * 1024, 8),
             CacheConfig::tiny(32 * 1024, 16),
-        );
+        ));
         for &a in &addrs {
-            h.access(a as u64);
+            probe.touch(AccessKind::Edge, a as u64);
         }
-        let llc = h.llc_stats();
+        let llc = probe.report().total();
         prop_assert!(llc.accesses <= addrs.len() as u64);
         prop_assert!(llc.misses <= llc.accesses);
     }

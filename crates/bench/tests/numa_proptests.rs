@@ -1,9 +1,8 @@
 //! NUMA model invariants for arbitrary degree distributions and
 //! traffic matrices.
 
-use egraph_numa::{
-    edge_balanced_ranges, range_partition, CostModel, LocalityStats, MemoryBoundness, Placement,
-    Topology,
+use egraph_bench::numa::{
+    edge_balanced_ranges, CostModel, LocalityStats, MemoryBoundness, Placement, Topology,
 };
 use proptest::prelude::*;
 
@@ -44,16 +43,6 @@ proptest! {
                 "part {:?} holds {} of ideal {}", r, sum, ideal
             );
         }
-    }
-
-    #[test]
-    fn range_partition_is_even(n in 0usize..10_000, parts in 1usize..17) {
-        let ranges = range_partition(n, parts);
-        let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        prop_assert_eq!(sizes.iter().sum::<usize>(), n);
-        let max = sizes.iter().max().copied().unwrap_or(0);
-        let min = sizes.iter().min().copied().unwrap_or(0);
-        prop_assert!(max - min <= 1);
     }
 
     #[test]

@@ -11,10 +11,8 @@ use std::process::ExitCode;
 
 use egraph_cli::commands;
 
-/// Heap accounting is opt-in at build time: `--features alloc-track`
-/// swaps the system allocator for the tracking wrapper, which fills the
-/// per-phase memory section of traces and the `egraph_alloc_*` metrics.
-#[cfg(feature = "alloc-track")]
+/// The tracking wrapper over the system allocator fills the per-phase
+/// memory section of traces and the `egraph_alloc_*` metrics.
 #[global_allocator]
 static ALLOC: egraph_metrics::alloc::TrackingAlloc = egraph_metrics::alloc::TrackingAlloc;
 

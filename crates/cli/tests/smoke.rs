@@ -427,9 +427,10 @@ fn trace_out_emits_v5_schema_with_memory_section() {
     );
     let parsed = egraph_core::telemetry::RunTrace::from_json(&text).unwrap();
     assert_eq!(parsed.schema, egraph_core::telemetry::TRACE_SCHEMA);
-    // Every profiled phase carries the memory section. Without the
-    // alloc-track build the allocator fields read zero, but the RSS
-    // fallback fills in on any Linux host.
+    // Every profiled phase carries the memory section. This test binary
+    // runs the CLI in-process without the tracking allocator, so its
+    // allocator fields read zero; the RSS fallback fills in on any
+    // Linux host. `egraph_binary_tracks_phase_heap` checks the binary.
     for phase in ["load", "algorithm"] {
         let p = parsed.phases.iter().find(|p| p.name == phase).unwrap();
         let mem = p
@@ -438,6 +439,34 @@ fn trace_out_emits_v5_schema_with_memory_section() {
         if std::path::Path::new("/proc/self/statm").exists() {
             assert!(mem.end_rss_bytes > 0, "rss fallback should be non-zero");
         }
+    }
+}
+
+/// The `egraph` binary installs the tracking allocator, so a traced run
+/// reports real heap numbers for each phase and `trace diff`'s memory
+/// gate is armed.
+#[test]
+fn egraph_binary_tracks_phase_heap() {
+    let graph = tmp("smoke_heap.egr");
+    let trace = tmp("smoke_heap.json");
+    dispatch(&argv(&[
+        "generate", "rmat", "--scale", "10", "--out", &graph,
+    ]))
+    .unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_egraph"))
+        .args(["run", "bfs", &graph, "--trace-out", &trace])
+        .output()
+        .expect("run egraph run bfs");
+    assert!(output.status.success(), "{output:?}");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let parsed = egraph_core::telemetry::RunTrace::from_json(&text).unwrap();
+    for phase in ["load", "algorithm"] {
+        let p = parsed.phases.iter().find(|p| p.name == phase).unwrap();
+        let mem = p
+            .memory
+            .unwrap_or_else(|| panic!("phase '{phase}' missing memory section: {text}"));
+        assert!(mem.peak_bytes > 0, "phase '{phase}': {mem:?}");
+        assert!(mem.allocated_bytes > 0, "phase '{phase}': {mem:?}");
     }
 }
 

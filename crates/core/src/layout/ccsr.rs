@@ -386,12 +386,6 @@ impl<E: EdgeRecord> CcsrAdjacency<E> {
         (self.edge_offsets[v as usize + 1] - self.edge_offsets[v as usize]) as usize
     }
 
-    /// Encoded stream length of vertex `v`, in bytes.
-    #[inline]
-    pub fn byte_len(&self, v: VertexId) -> usize {
-        (self.byte_offsets[v as usize + 1] - self.byte_offsets[v as usize]) as usize
-    }
-
     /// Resident heap bytes of this direction (offset tables + streams +
     /// weight side array) — the number the compression experiment and
     /// `/healthz` report.

@@ -90,14 +90,6 @@ impl<E: EdgeRecord> Grid<E> {
         (src as usize / self.range_len, dst as usize / self.range_len)
     }
 
-    /// The flat, row-major cell id of an edge — the radix key used to
-    /// build the grid.
-    #[inline]
-    pub fn cell_id_of(&self, src: VertexId, dst: VertexId) -> u64 {
-        let (r, c) = self.cell_of(src, dst);
-        (r * self.side + c) as u64
-    }
-
     /// Edges of cell (row, col).
     #[inline]
     pub fn cell(&self, row: usize, col: usize) -> &[E] {
@@ -118,16 +110,6 @@ impl<E: EdgeRecord> Grid<E> {
         let lo = (i * self.range_len).min(self.num_vertices);
         let hi = ((i + 1) * self.range_len).min(self.num_vertices);
         lo as VertexId..hi as VertexId
-    }
-
-    /// Total number of edges in column `col` (all rows).
-    pub fn column_edge_count(&self, col: usize) -> u64 {
-        (0..self.side)
-            .map(|row| {
-                let id = row * self.side + col;
-                self.cell_offsets[id + 1] - self.cell_offsets[id]
-            })
-            .sum()
     }
 
     /// All edges, grouped by cell (row-major).
@@ -257,7 +239,6 @@ mod tests {
         assert_eq!(g.cell_of(0, 1), (0, 0));
         assert_eq!(g.cell_of(0, 2), (0, 1));
         assert_eq!(g.cell_of(2, 3), (1, 1));
-        assert_eq!(g.cell_id_of(2, 1), 2);
     }
 
     #[test]
@@ -274,13 +255,6 @@ mod tests {
         assert_eq!(g.vertex_range(0), 0..2);
         assert_eq!(g.vertex_range(1), 2..4);
         assert_eq!(g.vertex_range(2), 4..5);
-    }
-
-    #[test]
-    fn column_counts() {
-        let g = figure4_grid();
-        assert_eq!(g.column_edge_count(0), 2);
-        assert_eq!(g.column_edge_count(1), 3);
     }
 
     #[test]

@@ -38,15 +38,6 @@ impl TimeBreakdown {
     pub fn total(&self) -> f64 {
         self.load + self.preprocess + self.algorithm + self.store
     }
-
-    /// A breakdown with only an algorithm component (edge-array runs on
-    /// in-memory inputs).
-    pub fn algorithm_only(algorithm: f64) -> Self {
-        Self {
-            algorithm,
-            ..Self::default()
-        }
-    }
 }
 
 /// Timing of one iteration (computation step) of a frontier algorithm,
@@ -266,14 +257,6 @@ mod tests {
             store: 0.25,
         };
         assert!((b.total() - 6.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn algorithm_only_zeroes_rest() {
-        let b = TimeBreakdown::algorithm_only(2.0);
-        assert_eq!(b.load, 0.0);
-        assert_eq!(b.preprocess, 0.0);
-        assert_eq!(b.total(), 2.0);
     }
 
     #[test]

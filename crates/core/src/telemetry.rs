@@ -607,11 +607,6 @@ impl PhaseProfiler {
         }
     }
 
-    /// Whether this profiler records phases at all.
-    pub fn is_enabled(&self) -> bool {
-        self.counters.is_some()
-    }
-
     /// The counter kinds that actually opened, in canonical order;
     /// empty on a disabled profiler or a fully restricted host.
     pub fn available_counters(&self) -> Vec<CounterKind> {
@@ -1197,7 +1192,6 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let profiler = PhaseProfiler::disabled();
-        assert!(!profiler.is_enabled());
         assert_eq!(profiler.profile("x", || 7), 7);
         assert!(profiler.take_phases().is_empty());
         assert!(profiler.available_counters().is_empty());

@@ -604,7 +604,9 @@ mod tests {
 
     #[test]
     fn untracked_zero_peaks_never_gate() {
-        // An alloc-track build vs a plain build: one side's peak is 0.
+        // A binary with the tracking allocator vs one without (any
+        // program that links the library but not the allocator): one
+        // side's peak is 0.
         let tracked = trace_with_peak(100 << 20);
         let untracked = trace_with_peak(0);
         for (old, new) in [(&tracked, &untracked), (&untracked, &tracked)] {

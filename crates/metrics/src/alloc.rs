@@ -31,14 +31,14 @@
 //! static ALLOC: egraph_metrics::alloc::TrackingAlloc = egraph_metrics::alloc::TrackingAlloc;
 //! ```
 //!
-//! Binaries in this workspace gate that line behind their `alloc-track`
-//! cargo feature. Every stats accessor is safe to call regardless and
-//! reads as zero when the allocator is not installed
-//! ([`tracking_installed`] distinguishes the cases).
+//! The `egraph` binary and the memory experiments (`exp_table2_memory`,
+//! `exp_compress`) install it unconditionally. Every stats accessor is
+//! safe to call in any binary and reads as zero when the allocator is
+//! not installed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Maximum number of distinct phase tags (slot 0 is the untagged
@@ -71,7 +71,6 @@ static PHASES: [PhaseSlot; MAX_PHASES] = [ZERO_SLOT; MAX_PHASES];
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_PEAK: AtomicU64 = AtomicU64::new(0);
-static INSTALLED: AtomicBool = AtomicBool::new(false);
 /// Process-wide current phase, published by [`window`].
 static CURRENT_PHASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -96,9 +95,6 @@ fn current_phase() -> usize {
 
 #[inline]
 fn on_alloc(size: usize) {
-    if !INSTALLED.load(Ordering::Relaxed) {
-        INSTALLED.store(true, Ordering::Relaxed);
-    }
     let size = size as u64;
     let slot = &PHASES[current_phase()];
     slot.allocated.fetch_add(size, Ordering::Relaxed);
@@ -157,12 +153,6 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         }
         p
     }
-}
-
-/// Whether [`TrackingAlloc`] is installed and has observed at least one
-/// allocation (in practice: immediately true at startup when installed).
-pub fn tracking_installed() -> bool {
-    INSTALLED.load(Ordering::Relaxed)
 }
 
 /// Heap bytes currently live (0 when not installed).
@@ -320,7 +310,6 @@ mod tests {
 
     #[test]
     fn uninstalled_stats_read_zero() {
-        assert!(!tracking_installed());
         assert_eq!(live_bytes(), 0);
         assert_eq!(peak_bytes(), 0);
         assert_eq!(totals(), AllocTotals::default());

@@ -23,10 +23,10 @@
 //! wrapper over the system allocator that attributes allocated / freed /
 //! peak-live bytes to the current telemetry phase, plus a
 //! `/proc/self/statm` RSS sampler as the always-available fallback.
-//! Binaries opt in by installing [`alloc::TrackingAlloc`] as their
-//! `#[global_allocator]` (conventionally behind an `alloc-track` cargo
-//! feature); the stats API is always safe to call and reads as zero when
-//! the allocator is not installed.
+//! A binary turns it on by installing [`alloc::TrackingAlloc`] as its
+//! `#[global_allocator]` (the `egraph` CLI always does); the stats API
+//! is always safe to call and reads as zero when the allocator is not
+//! installed.
 
 pub mod alloc;
 pub mod expose;

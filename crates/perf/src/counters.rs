@@ -91,11 +91,6 @@ impl CounterSample {
         self.values[kind.index()] = Some(value);
     }
 
-    /// Whether at least one counter produced a value.
-    pub fn any_available(&self) -> bool {
-        self.values.iter().any(Option::is_some)
-    }
-
     /// `(kind, value)` pairs for the available counters, in canonical
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (CounterKind, u64)> + '_ {
@@ -115,17 +110,6 @@ impl CounterSample {
             None
         } else {
             Some(misses as f64 / loads as f64)
-        }
-    }
-
-    /// Instructions per cycle, when both counters were available.
-    pub fn ipc(&self) -> Option<f64> {
-        let cycles = self.get(CounterKind::Cycles)?;
-        let instructions = self.get(CounterKind::Instructions)?;
-        if cycles == 0 {
-            None
-        } else {
-            Some(instructions as f64 / cycles as f64)
         }
     }
 }
@@ -419,7 +403,7 @@ mod tests {
         let counters = PerfCounters::disabled();
         assert!(!counters.is_available());
         let sample = counters.phase().finish();
-        assert!(!sample.any_available());
+        assert_eq!(sample.iter().count(), 0);
         assert_eq!(sample.llc_miss_ratio(), None);
     }
 
@@ -468,7 +452,7 @@ mod tests {
         // A disabled handle yields empty samples through the same path.
         let disabled = PerfCounters::disabled();
         let start = disabled.reading();
-        assert!(!disabled.delta_since(&start).any_available());
+        assert_eq!(disabled.delta_since(&start).iter().count(), 0);
     }
 
     #[test]
@@ -479,7 +463,6 @@ mod tests {
         s.set(CounterKind::Cycles, 1000);
         s.set(CounterKind::Instructions, 1500);
         assert_eq!(s.llc_miss_ratio(), Some(0.25));
-        assert_eq!(s.ipc(), Some(1.5));
         assert_eq!(s.iter().count(), 4);
     }
 

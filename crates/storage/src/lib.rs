@@ -1,12 +1,12 @@
-//! Storage: the binary edge-array format and the loading model.
+//! Storage: the binary edge-array format, text import and real
+//! throttled loading.
 //!
 //! §3.4–3.5 of the paper extend the pre-processing comparison to
 //! include the time to load the graph from storage: an SSD
-//! (380 MB/s) and a spinning disk (100 MB/s). The key observation is
-//! that construction techniques differ in how much of their work can
-//! *overlap* with loading — dynamic building overlaps fully, count
-//! sort's first pass overlaps, radix sort not at all — which flips the
-//! Table 2 ranking on slow media (Table 3).
+//! (380 MB/s) and a spinning disk (100 MB/s). This crate holds only the
+//! real I/O path; the medium presets and the load/pre-process overlap
+//! model behind Table 3 stand in for the paper's disks, and live with
+//! the experiment in `egraph-bench`'s `loading` module.
 //!
 //! This crate provides:
 //!
@@ -17,19 +17,15 @@
 //!   step), with whole-file and chunked readers that allocate for what
 //!   has arrived rather than for what the header claims;
 //! * [`results`] — per-vertex result arrays, the same way;
-//! * [`medium`] — storage-medium presets (memory / SSD / HDD);
+//! * [`text`] — SNAP / DIMACS text import and export;
 //! * [`throttle`] — a real token-bucket throttled reader, for
-//!   integration tests that exercise actual streaming;
-//! * [`pipeline`] — the virtual-clock overlap model used by the
-//!   Table 3 experiment at scales where real sleeping would dominate;
+//!   integration tests and examples that exercise actual streaming;
 //! * [`fault`] — deterministic I/O fault injection (short reads,
 //!   truncation, mid-stream errors) for the conformance harness.
 
 pub mod counters;
 pub mod fault;
 pub mod format;
-pub mod medium;
-pub mod pipeline;
 mod pod;
 pub mod results;
 pub mod text;
@@ -37,8 +33,6 @@ pub mod throttle;
 
 pub use fault::{FaultedReader, IoFault};
 pub use format::{read_edge_list, read_edge_list_chunked, write_edge_list, FormatError};
-pub use medium::Medium;
-pub use pipeline::OverlapPlan;
 pub use results::{read_f32_result, read_u32_result, write_f32_result, write_u32_result};
 pub use text::{read_dimacs, read_snap, write_snap, TextError};
 pub use throttle::ThrottledReader;

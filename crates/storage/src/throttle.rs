@@ -2,8 +2,9 @@
 //!
 //! Used by integration tests to exercise *real* streaming at a bounded
 //! rate; the large-scale Table 3 experiment uses the virtual-clock
-//! model in [`crate::pipeline`] instead (sleeping 60+ seconds per
-//! configuration would dominate bench time without adding fidelity).
+//! overlap model in `egraph-bench`'s `loading` module instead (sleeping
+//! 60+ seconds per configuration would dominate bench time without
+//! adding fidelity).
 
 use std::io::Read;
 use std::time::Instant;

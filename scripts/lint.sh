@@ -279,47 +279,49 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
-# The simulator is offline: the LLC model is fed by `egraph-bench`'s
-# replays of the kernels' access order, never from inside the product.
-# A probe handle, a simulated-address method, a metadata stride or a
-# touch call in the product is a probed branch beside a plain loop
-# coming back, and the core does not depend on the cache crate at all.
-echo "== the simulator is offline =="
+# Models live in egraph-bench: the LLC simulator, the NUMA machines and
+# the SSD/HDD loading model stand in for the paper's hardware, so
+# they sit beside the experiments that use them (`crates/bench/src/llc`,
+# `numa`, `loading`) and no product crate links them. The LLC model is
+# fed by `egraph-bench`'s replays of the kernels' access order: a probe
+# handle, a simulated-address method, a metadata stride or a touch call
+# in the product is a probed branch beside a plain loop coming back. A
+# dependency on a model crate, the NUMA model's types or a second set of
+# roadmap enums in the core, a non-dev dependency on `egraph-bench` in
+# any other manifest, the medium presets or the overlap plan in
+# `egraph-storage`, or a model re-exported by the umbrella crate is a
+# modeled substrate coming back into the product.
+echo "== models live in egraph-bench =="
 offenders=$(find crates/core/src crates/cli/src src examples -name '*.rs' ! -name tests.rs \
     -exec awk 'FNR == 1 { in_tests = 0 }
         /^#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests && /MemProbe|NullProbe|live_probe|edge_sim_addr|META_BYTES|touch_edge|touch_src|touch_dst|\.probe\(/ {
             print FILENAME ":" FNR ": " $0
         }' {} +
+    grep -n 'egraph-numa\|egraph-cachesim' crates/core/Cargo.toml | sed 's|^|crates/core/Cargo.toml:|'
     find crates/core/src -name '*.rs' ! -name tests.rs \
         -exec awk 'FNR == 1 { in_tests = 0 }
             /^#\[cfg\(test\)\]/ { in_tests = 1 }
-            !in_tests && /egraph_cachesim/ {
+            !in_tests && /egraph_cachesim|egraph_numa|numa_sim|Topology|LayoutChoice|FlowChoice/ {
                 print FILENAME ":" FNR ": " $0
-            }' {} +)
-if [ -n "$offenders" ]; then
-    echo "the cache model fed from inside the product (crates/core/src, crates/cli/src, src, examples):"
-    echo "$offenders"
-    exit 1
-fi
-
-# The NUMA model is offline: a one-node host has nothing to decide with
-# it, so the partitioner and locality model live with the Fig. 9/10
-# experiments in `egraph-bench` (`crates/bench/src/numa.rs`), and the
-# roadmap names its picks with the variant table's `VariantId`. A
-# dependency on the topology crate, the model's module or a second set
-# of layout / direction enums in the core is the modeled substrate
-# coming back into the product.
-echo "== the NUMA model is offline =="
-offenders=$(grep -n 'egraph-numa' crates/core/Cargo.toml | sed 's|^|crates/core/Cargo.toml:|'
-    find crates/core/src -name '*.rs' ! -name tests.rs \
+            }' {} +
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
+        [ "$manifest" = crates/bench/Cargo.toml ] && continue
+        awk '/^\[(target\..*\.)?dependencies\.egraph-bench\]$/ { print FILENAME ":" FNR ": " $0 }
+            /^\[/ { in_deps = ($0 == "[dependencies]" || $0 ~ /^\[target\..*\.dependencies\]$/); next }
+            in_deps && /^egraph-bench[[:space:]]*[.=]/ { print FILENAME ":" FNR ": " $0 }' "$manifest"
+    done
+    find crates/storage/src -name '*.rs' \
         -exec awk 'FNR == 1 { in_tests = 0 }
             /^#\[cfg\(test\)\]/ { in_tests = 1 }
-            !in_tests && /egraph_numa|numa_sim|Topology|LayoutChoice|FlowChoice/ {
+            !in_tests && !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])(Medium|OverlapPlan)([^[:alnum:]_]|$)/ {
                 print FILENAME ":" FNR ": " $0
-            }' {} +)
+            }' {} +
+    awk '!/^[[:space:]]*\/\// && /pub use .*(egraph_bench|egraph_cachesim|egraph_numa|cachesim|numa|llc|loading)/ {
+            print FILENAME ":" FNR ": " $0
+        }' src/lib.rs)
 if [ -n "$offenders" ]; then
-    echo "the NUMA model or a second set of roadmap enums in egraph-core:"
+    echo "a model in the product (crates/core, crates/cli, crates/storage, src, examples or a manifest):"
     echo "$offenders"
     exit 1
 fi
@@ -332,8 +334,8 @@ fi
 # encoding of the document (the CSV codec and the format switch), a
 # knob that decides whether a recorded number gates, and a second
 # ledger of the bench binaries' numbers beside their own tables.
-# (egraph-bench depends on egraph-cachesim by design: that pattern
-# applies to the product crates only.)
+# (The LLC model lives in egraph-bench: the cache-model pattern applies
+# to the product crates only.)
 echo "== a trace says each thing once =="
 offenders=$(find crates/core/src crates/cli/src crates/bench/src -name '*.rs' ! -name tests.rs \
     -exec awk 'FNR == 1 { in_tests = 0 }
@@ -409,7 +411,7 @@ offenders=$(awk 'FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && !/^[[:space:]]*\/\// && /edges\(\)\.to_vec\(\)|partition_point\(/ {
         print FILENAME ":" FNR ": " $0
-    }' crates/core/src/preprocess.rs crates/bench/src/numa.rs
+    }' crates/core/src/preprocess.rs crates/bench/src/numa/mod.rs
     find crates/sort/src -name '*.rs' \
         -exec awk '!/^[[:space:]]*\/\// &&
             /fn scatter_level_seq|fn sort_task|fn finish_small|fn copy_back_parallel/ {
@@ -422,10 +424,11 @@ if [ -n "$offenders" ]; then
 fi
 
 # A build switch is an option a workload must measure, so every cargo
-# feature is on this list: the test-only exhaustive tier and the two
-# binaries' tracking-allocator switch. A new feature needs a measured
-# reason and a line here. Architecture intrinsics and the deleted
-# work-stealing scheduler are the two paths that left for want of one.
+# feature is on this list, which holds one: the test-only exhaustive
+# tier. A new feature needs a measured reason and a line here.
+# Architecture intrinsics, the deleted work-stealing scheduler and the
+# tracking-allocator switch (the allocator is now always installed) are
+# the paths that left for want of one.
 echo "== every build switch is listed =="
 offenders=$(for manifest in crates/*/Cargo.toml; do
         awk -v krate="$(basename "$(dirname "$manifest")")" '
@@ -434,8 +437,7 @@ offenders=$(for manifest in crates/*/Cargo.toml; do
                 key = $0
                 sub(/[[:space:]]*=.*/, "", key)
                 key = krate "/" key
-                if (key != "testkit/exhaustive" && key != "cli/alloc-track" &&
-                    key != "bench/alloc-track")
+                if (key != "testkit/exhaustive")
                     print FILENAME ":" FNR ": " $0
             }' "$manifest"
     done

@@ -4,8 +4,8 @@
 //! This is the umbrella crate of a from-scratch Rust reproduction of
 //! *"Everything you always wanted to know about multicore graph
 //! processing but were afraid to ask"* (Malicevic, Lepers, Zwaenepoel —
-//! USENIX ATC 2017). It re-exports every sub-crate of the workspace so
-//! applications can depend on a single crate:
+//! USENIX ATC 2017). It re-exports the product crates of the workspace
+//! so applications can depend on a single crate:
 //!
 //! * [`core`] — graph layouts (edge array / adjacency list / grid),
 //!   pre-processing strategies (dynamic / count sort / radix sort), the
@@ -14,13 +14,13 @@
 //! * [`parallel`] — the fork-join work-queue runtime (Cilk substitute).
 //! * [`sort`] — parallel radix and count sorting kernels.
 //! * [`graphgen`] — RMAT, road-like, bipartite and uniform generators.
-//! * [`storage`] — the binary edge format and the storage-medium model
-//!   (SSD/HDD loading, overlap of loading with pre-processing).
-//! * [`cachesim`] — a set-associative LLC simulator for miss-ratio
-//!   measurements.
-//! * [`numa`] — NUMA topology models, edge-balanced range partitioning
-//!   and the locality cost model: the substrate of the Fig. 9/10 model,
-//!   whose partitioner and locality replay live in `egraph-bench`.
+//! * [`storage`] — the binary edge and result formats, SNAP/DIMACS text
+//!   import and a real throttled reader.
+//!
+//! The models that stand in for the paper's hardware — the LLC
+//! simulator for its hardware counters, the 2- and 4-node NUMA machines
+//! and the SSD/HDD loading model — are not part of the product: they
+//! live with the experiments that use them, in `egraph-bench`.
 //!
 //! # Examples
 //!
@@ -38,10 +38,8 @@
 //! assert!(run.output.as_bfs().unwrap().reachable_count() > 0);
 //! ```
 
-pub use egraph_cachesim as cachesim;
 pub use egraph_core as core;
 pub use egraph_graphgen as graphgen;
-pub use egraph_numa as numa;
 pub use egraph_parallel as parallel;
 pub use egraph_sort as sort;
 pub use egraph_storage as storage;

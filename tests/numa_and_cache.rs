@@ -3,10 +3,12 @@
 //! streams; its integration tests live with the replay, in
 //! `egraph-bench`'s `trace` module.)
 
-use egraph_bench::numa::{bfs_locality, pagerank_locality, partition_by_target, DataPolicy};
+use egraph_bench::numa::{
+    bfs_locality, pagerank_locality, partition_by_target, CostModel, DataPolicy, MemoryBoundness,
+    Topology,
+};
 use everything_graph::core::prelude::*;
 use everything_graph::graphgen;
-use everything_graph::numa::{CostModel, MemoryBoundness, Topology};
 
 fn test_graph() -> EdgeList<Edge> {
     graphgen::rmat(12, 16, 4)
