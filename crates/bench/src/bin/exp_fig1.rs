@@ -107,9 +107,6 @@ fn main() {
             .insert("pool.chunks".into(), pool.chunks as f64);
         trace
             .counters
-            .insert("pool.tasks".into(), pool.tasks as f64);
-        trace
-            .counters
             .insert("pool.busy_seconds_total".into(), pool.total_busy_seconds());
         trace
             .counters

@@ -15,7 +15,7 @@ use egraph_bench::trace::ReplayLayout;
 use egraph_bench::{fmt_pct, graphs, llc, measure, phase_row, ExperimentCtx, ResultTable};
 use egraph_core::algo::pagerank;
 use egraph_core::exec::{ExecCtx, PHASE_ALGORITHM};
-use egraph_core::layout::EdgeDirection;
+use egraph_core::layout::{EdgeDirection, VertexLayout};
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use egraph_core::telemetry::{CounterKind, PhaseProfiler};
 use egraph_core::variant::{default_grid_side, PreparedGraph, RunParams, VariantId};

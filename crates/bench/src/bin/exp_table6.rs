@@ -20,7 +20,7 @@ use egraph_bench::{
 };
 use egraph_core::algo::als;
 use egraph_core::exec::ExecCtx;
-use egraph_core::layout::EdgeDirection;
+use egraph_core::layout::{EdgeDirection, VertexLayout};
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 use egraph_core::types::{EdgeList, EdgeRecord};
 use egraph_core::variant::{PreparedGraph, RunParams, VariantId, VariantRun};

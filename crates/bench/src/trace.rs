@@ -312,7 +312,7 @@ mod tests {
     use crate::llc::{CacheConfig, LlcProbe};
     use egraph_core::algo::pagerank::PagerankConfig;
     use egraph_core::exec::ExecCtx;
-    use egraph_core::layout::EdgeDirection;
+    use egraph_core::layout::{EdgeDirection, VertexLayout};
     use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
     use egraph_core::telemetry::{TraceIteration, TraceRecorder};
     use egraph_core::types::Edge;

@@ -228,7 +228,7 @@ fn rmse(factors: &[f32], out: &Adjacency<WEdge>, k: usize, num_users: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::EdgeDirection;
+    use crate::layout::{EdgeDirection, VertexLayout};
     use crate::preprocess::{CsrBuilder, Strategy};
     use crate::types::EdgeList;
 

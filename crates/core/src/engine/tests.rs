@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use super::*;
-use crate::layout::EdgeDirection;
+use crate::layout::{EdgeDirection, VertexLayout};
 use crate::metrics::{Direction, DirectionDecision, IterStat, StepMode};
 use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use crate::telemetry::TraceRecorder;

@@ -45,7 +45,7 @@ use std::marker::PhantomData;
 
 use crate::types::{EdgeRecord, VertexId};
 
-use super::{NeighborAccess, SPAN_EDGES};
+use super::{NeighborAccess, Resident, Sides, SPAN_EDGES};
 
 /// A typed decode failure. Corrupt or truncated chunk bytes surface as
 /// one of these — never a panic — from the checked decode entry points
@@ -594,14 +594,14 @@ impl<E: EdgeRecord> NeighborAccess<E> for CcsrAdjacency<E> {
     }
 }
 
-/// A full compressed layout: out-direction, in-direction, or both —
-/// the ccsr counterpart of [`super::AdjacencyList`].
-#[derive(Debug, Clone)]
-pub struct CcsrList<E> {
-    num_vertices: usize,
-    out: Option<CcsrAdjacency<E>>,
-    inc: Option<CcsrAdjacency<E>>,
+impl<E: EdgeRecord> Resident for CcsrAdjacency<E> {
+    fn resident_bytes(&self) -> u64 {
+        CcsrAdjacency::resident_bytes(self)
+    }
 }
+
+/// A full compressed layout: out-direction, in-direction, or both.
+pub type CcsrList<E> = Sides<CcsrAdjacency<E>>;
 
 impl<E: EdgeRecord> CcsrList<E> {
     /// Assembles a layout from its directions.
@@ -611,106 +611,7 @@ impl<E: EdgeRecord> CcsrList<E> {
     /// Panics if both directions are absent or their vertex counts
     /// disagree.
     pub fn new(out: Option<CcsrAdjacency<E>>, inc: Option<CcsrAdjacency<E>>) -> Self {
-        let num_vertices = match (&out, &inc) {
-            (Some(o), Some(i)) => {
-                assert_eq!(
-                    o.num_vertices(),
-                    i.num_vertices(),
-                    "direction vertex counts"
-                );
-                o.num_vertices()
-            }
-            (Some(o), None) => o.num_vertices(),
-            (None, Some(i)) => i.num_vertices(),
-            (None, None) => panic!("ccsr list needs at least one direction"),
-        };
-        Self {
-            num_vertices,
-            out,
-            inc,
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of edges (from whichever direction is present).
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.out
-            .as_ref()
-            .or(self.inc.as_ref())
-            .map(CcsrAdjacency::num_edges)
-            .unwrap_or(0)
-    }
-
-    /// The out-direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout was built without out-edges.
-    #[inline]
-    pub fn out(&self) -> &CcsrAdjacency<E> {
-        self.out
-            .as_ref()
-            .expect("ccsr layout was built without out-edges (EdgeDirection::In)")
-    }
-
-    /// The in-direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout was built without in-edges.
-    #[inline]
-    pub fn incoming(&self) -> &CcsrAdjacency<E> {
-        self.inc
-            .as_ref()
-            .expect("ccsr layout was built without in-edges (EdgeDirection::Out)")
-    }
-
-    /// The out-direction, if present.
-    #[inline]
-    pub fn out_opt(&self) -> Option<&CcsrAdjacency<E>> {
-        self.out.as_ref()
-    }
-
-    /// The in-direction, if present.
-    #[inline]
-    pub fn incoming_opt(&self) -> Option<&CcsrAdjacency<E>> {
-        self.inc.as_ref()
-    }
-
-    /// Resident heap bytes across both directions.
-    pub fn resident_bytes(&self) -> u64 {
-        self.out.as_ref().map_or(0, CcsrAdjacency::resident_bytes)
-            + self.inc.as_ref().map_or(0, CcsrAdjacency::resident_bytes)
-    }
-}
-
-impl<E: EdgeRecord> super::VertexLayout<E> for CcsrList<E> {
-    type Dir = CcsrAdjacency<E>;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.num_vertices()
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        self.num_edges()
-    }
-
-    #[inline]
-    fn out_opt(&self) -> Option<&CcsrAdjacency<E>> {
-        self.out_opt()
-    }
-
-    #[inline]
-    fn incoming_opt(&self) -> Option<&CcsrAdjacency<E>> {
-        self.incoming_opt()
+        Self::pair(out, inc)
     }
 }
 

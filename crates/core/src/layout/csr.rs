@@ -16,6 +16,7 @@
 //! runs unchanged on either; what differs is construction cost and
 //! memory locality — exactly the trade-off the paper measures.
 
+use super::Sides;
 use crate::types::{EdgeRecord, VertexId};
 
 /// Which per-vertex arrays an adjacency list holds.
@@ -220,12 +221,7 @@ unsafe impl<E: Send> Send for EdgesPtr<E> {}
 unsafe impl<E: Send> Sync for EdgesPtr<E> {}
 
 /// A full adjacency-list layout: out-edges, in-edges, or both.
-#[derive(Debug, Clone)]
-pub struct AdjacencyList<E> {
-    num_vertices: usize,
-    out: Option<Adjacency<E>>,
-    inc: Option<Adjacency<E>>,
-}
+pub type AdjacencyList<E> = Sides<Adjacency<E>>;
 
 impl<E: EdgeRecord> AdjacencyList<E> {
     /// Assembles a layout from its directions.
@@ -235,99 +231,7 @@ impl<E: EdgeRecord> AdjacencyList<E> {
     /// Panics if both directions are absent or their vertex counts
     /// disagree.
     pub fn new(out: Option<Adjacency<E>>, inc: Option<Adjacency<E>>) -> Self {
-        let num_vertices = match (&out, &inc) {
-            (Some(o), Some(i)) => {
-                assert_eq!(
-                    o.num_vertices(),
-                    i.num_vertices(),
-                    "direction vertex counts"
-                );
-                o.num_vertices()
-            }
-            (Some(o), None) => o.num_vertices(),
-            (None, Some(i)) => i.num_vertices(),
-            (None, None) => panic!("adjacency list needs at least one direction"),
-        };
-        Self {
-            num_vertices,
-            out,
-            inc,
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of edges (from whichever direction is present).
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.out
-            .as_ref()
-            .or(self.inc.as_ref())
-            .map(Adjacency::num_edges)
-            .unwrap_or(0)
-    }
-
-    /// The out-adjacency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout was built without out-edges.
-    #[inline]
-    pub fn out(&self) -> &Adjacency<E> {
-        self.out
-            .as_ref()
-            .expect("layout was built without out-edges (EdgeDirection::In)")
-    }
-
-    /// The in-adjacency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout was built without in-edges.
-    #[inline]
-    pub fn incoming(&self) -> &Adjacency<E> {
-        self.inc
-            .as_ref()
-            .expect("layout was built without in-edges (EdgeDirection::Out)")
-    }
-
-    /// The out-adjacency, if present.
-    #[inline]
-    pub fn out_opt(&self) -> Option<&Adjacency<E>> {
-        self.out.as_ref()
-    }
-
-    /// The in-adjacency, if present.
-    #[inline]
-    pub fn incoming_opt(&self) -> Option<&Adjacency<E>> {
-        self.inc.as_ref()
-    }
-
-    /// Resident heap bytes across both directions.
-    pub fn resident_bytes(&self) -> u64 {
-        self.out.as_ref().map_or(0, Adjacency::resident_bytes)
-            + self.inc.as_ref().map_or(0, Adjacency::resident_bytes)
-    }
-
-    /// Mutable out-adjacency, if present (used by the neighbor-sorting
-    /// pre-processing variant).
-    pub fn out_mut(&mut self) -> Option<&mut Adjacency<E>> {
-        self.out.as_mut()
-    }
-
-    /// Mutable in-adjacency, if present.
-    pub fn incoming_mut(&mut self) -> Option<&mut Adjacency<E>> {
-        self.inc.as_mut()
-    }
-
-    /// Decomposes the layout into its owned directions (the delta
-    /// layout wraps them with a log overlay).
-    pub fn into_parts(self) -> (Option<Adjacency<E>>, Option<Adjacency<E>>) {
-        (self.out, self.inc)
+        Self::pair(out, inc)
     }
 }
 
@@ -379,22 +283,5 @@ mod tests {
         adj.sort_neighbor_arrays();
         let dsts: Vec<u32> = adj.neighbors(0).iter().map(|e| e.dst).collect();
         assert_eq!(dsts, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn adjacency_list_directions() {
-        let out = sample_csr();
-        let list = AdjacencyList::new(Some(out), None);
-        assert_eq!(list.num_vertices(), 3);
-        assert_eq!(list.num_edges(), 3);
-        assert!(list.out_opt().is_some());
-        assert!(list.incoming_opt().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "without in-edges")]
-    fn missing_direction_panics_with_message() {
-        let list = AdjacencyList::new(Some(sample_csr()), None);
-        let _ = list.incoming();
     }
 }

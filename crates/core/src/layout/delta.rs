@@ -10,9 +10,9 @@
 //! * [`DeltaLog`] — the append-only op log plus the merge rule that
 //!   folds it into an [`EdgeList`].
 //! * [`DeltaAdjacency`] / [`DeltaList`] — a [`NeighborAccess`] /
-//!   [`VertexLayout`] view of *base CSR + log overlay*, so every
-//!   vertex-centric kernel runs on the mutated graph without a CSR
-//!   rebuild.
+//!   [`VertexLayout`](super::VertexLayout) view of *base CSR + log
+//!   overlay*, so every vertex-centric kernel runs on the mutated graph
+//!   without a CSR rebuild.
 //! * [`EpochCell`] — the epoch-style publication point: a compactor
 //!   swaps in a fresh snapshot while in-flight readers keep the `Arc`
 //!   they loaded (they are pinned to the old epoch, never blocked).
@@ -29,8 +29,8 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::layout::csr::Adjacency;
-use crate::layout::{NeighborAccess, VertexLayout, SPAN_EDGES};
+use crate::layout::csr::{Adjacency, AdjacencyList};
+use crate::layout::{NeighborAccess, Resident, Sides, SPAN_EDGES};
 use crate::telemetry::json;
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 
@@ -505,62 +505,26 @@ impl<E: EdgeRecord> NeighborAccess<E> for DeltaAdjacency<E> {
     }
 }
 
-/// The two-direction delta layout: [`DeltaAdjacency`] per stored
-/// direction, pluggable everywhere a [`VertexLayout`] is accepted.
-#[derive(Debug, Clone)]
-pub struct DeltaList<E> {
-    out: Option<DeltaAdjacency<E>>,
-    incoming: Option<DeltaAdjacency<E>>,
+impl<E: EdgeRecord> Resident for DeltaAdjacency<E> {
+    fn resident_bytes(&self) -> u64 {
+        DeltaAdjacency::resident_bytes(self)
+    }
 }
+
+/// The two-direction delta layout: [`DeltaAdjacency`] per stored
+/// direction, pluggable everywhere a [`VertexLayout`](super::VertexLayout)
+/// is accepted.
+pub type DeltaList<E> = Sides<DeltaAdjacency<E>>;
 
 impl<E: EdgeRecord> DeltaList<E> {
     /// Wraps pre-built base directions with the same log overlay.
-    pub fn new(
-        out: Option<Adjacency<E>>,
-        incoming: Option<Adjacency<E>>,
-        log: &DeltaLog<E>,
-    ) -> Self {
-        Self {
-            out: out.map(|a| DeltaAdjacency::new(a, log)),
-            incoming: incoming.map(|a| DeltaAdjacency::new(a, log)),
-        }
-    }
-
-    /// Approximate resident bytes of both directions.
-    pub fn resident_bytes(&self) -> u64 {
-        self.out.as_ref().map_or(0, DeltaAdjacency::resident_bytes)
-            + self
-                .incoming
-                .as_ref()
-                .map_or(0, DeltaAdjacency::resident_bytes)
-    }
-}
-
-impl<E: EdgeRecord> VertexLayout<E> for DeltaList<E> {
-    type Dir = DeltaAdjacency<E>;
-
-    fn num_vertices(&self) -> usize {
-        self.out
-            .as_ref()
-            .or(self.incoming.as_ref())
-            .map_or(0, |d| d.num_vertices())
-    }
-
-    fn num_edges(&self) -> usize {
-        self.out
-            .as_ref()
-            .or(self.incoming.as_ref())
-            .map_or(0, |d| d.num_edges())
-    }
-
-    #[inline]
-    fn out_opt(&self) -> Option<&DeltaAdjacency<E>> {
-        self.out.as_ref()
-    }
-
-    #[inline]
-    fn incoming_opt(&self) -> Option<&DeltaAdjacency<E>> {
-        self.incoming.as_ref()
+    ///
+    /// # Panics
+    ///
+    /// Panics if both directions are absent or their vertex counts
+    /// disagree.
+    pub fn new(out: Option<Adjacency<E>>, inc: Option<Adjacency<E>>, log: &DeltaLog<E>) -> Self {
+        AdjacencyList::new(out, inc).map(|base| DeltaAdjacency::new(base, log))
     }
 }
 
@@ -759,7 +723,7 @@ impl<E: EdgeRecord> DeltaGraph<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::EdgeDirection;
+    use crate::layout::{EdgeDirection, VertexLayout};
     use crate::preprocess::{CsrBuilder, Strategy};
     use crate::types::{Edge, WEdge};
 

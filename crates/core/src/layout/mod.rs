@@ -18,6 +18,12 @@
 //!   frozen CSR plus an append-only insert/delete log overlay; the
 //!   mutable layout, compacted into fresh snapshots behind an
 //!   epoch-published pointer flip (DESIGN.md §16).
+//!
+//! Direction is an axis of its own: the three indexed layouts keep
+//! their out- and in-direction in one container, [`Sides`]
+//! (`AdjacencyList`, `CcsrList` and `DeltaList` are aliases of it), so
+//! its constructor rule, accessors and [`VertexLayout`] impl are written
+//! once, and a `Sides<&D>` borrows directions built apart.
 
 pub mod ccsr;
 pub mod csr;
@@ -92,6 +98,36 @@ impl<E: EdgeRecord> NeighborAccess<E> for Adjacency<E> {
     }
 }
 
+/// A borrowed direction reads as the direction itself, so a
+/// `Sides<&D>` view runs every kernel its owner runs.
+impl<E: EdgeRecord, T: NeighborAccess<E>> NeighborAccess<E> for &T {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        (**self).num_vertices()
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        (**self).num_edges()
+    }
+
+    #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        (**self).degree(v)
+    }
+
+    #[inline]
+    fn for_each_span<F: FnMut(&[E]) -> usize>(&self, v: VertexId, f: F) {
+        (**self).for_each_span(v, f)
+    }
+}
+
+impl<E: EdgeRecord> Resident for Adjacency<E> {
+    fn resident_bytes(&self) -> u64 {
+        Adjacency::resident_bytes(self)
+    }
+}
+
 /// Uniform streaming access for the scanning engine driver: a layout
 /// without a per-vertex index hands out its whole edge stream, cut into
 /// *units* that parallel tasks claim [`GRAIN`](Self::GRAIN) at a time.
@@ -156,9 +192,9 @@ impl<E: EdgeRecord> EdgeStream<E> for EdgeList<E> {
 }
 
 /// A vertex-centric layout holding up to two [`NeighborAccess`]
-/// directions — implemented by [`AdjacencyList`] (CSR) and
-/// [`ccsr::CcsrList`] (compressed), so the algorithm drivers run on
-/// either without per-call-site changes.
+/// directions — implemented once, by [`Sides`], so the algorithm
+/// drivers run on every indexed layout (and on borrowed views of one)
+/// without per-call-site changes.
 pub trait VertexLayout<E: EdgeRecord>: Sync {
     /// One direction of this layout.
     type Dir: NeighborAccess<E>;
@@ -196,26 +232,192 @@ pub trait VertexLayout<E: EdgeRecord>: Sync {
     fn incoming_opt(&self) -> Option<&Self::Dir>;
 }
 
-impl<E: EdgeRecord> VertexLayout<E> for AdjacencyList<E> {
-    type Dir = Adjacency<E>;
+/// Heap bytes one direction keeps resident.
+pub trait Resident {
+    /// Resident heap bytes.
+    fn resident_bytes(&self) -> u64;
+}
+
+/// The out- and in-direction of an indexed layout, either of which may
+/// be absent (push reads out-edges, pull in-edges, push-pull both;
+/// §6.1.3). The one pair container: [`AdjacencyList`],
+/// [`ccsr::CcsrList`] and [`delta::DeltaList`] are this over their
+/// direction type, and a `Sides<&D>` borrows directions built and
+/// cached apart. Every constructor holds one rule: at least one
+/// direction is present, and two present directions have the same
+/// vertex count.
+#[derive(Debug, Clone)]
+pub struct Sides<D> {
+    num_vertices: usize,
+    out: Option<D>,
+    inc: Option<D>,
+}
+
+impl<D> Sides<D> {
+    /// Pairs two directions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both directions are absent or their vertex counts
+    /// disagree.
+    pub(crate) fn pair<E: EdgeRecord>(out: Option<D>, inc: Option<D>) -> Self
+    where
+        D: NeighborAccess<E>,
+    {
+        let num_vertices = match (&out, &inc) {
+            (Some(o), Some(i)) => {
+                assert_eq!(
+                    o.num_vertices(),
+                    i.num_vertices(),
+                    "direction vertex counts"
+                );
+                o.num_vertices()
+            }
+            (Some(d), None) | (None, Some(d)) => d.num_vertices(),
+            (None, None) => panic!("a layout needs at least one direction"),
+        };
+        Self {
+            num_vertices,
+            out,
+            inc,
+        }
+    }
+
+    /// Builds the directions `direction` names, each by `side(by_dst)`
+    /// (`by_dst` is `true` for the in-direction).
+    pub(crate) fn build<E: EdgeRecord>(
+        direction: EdgeDirection,
+        mut side: impl FnMut(bool) -> D,
+    ) -> Self
+    where
+        D: NeighborAccess<E>,
+    {
+        let out = (direction != EdgeDirection::In).then(|| side(false));
+        let inc = (direction != EdgeDirection::Out).then(|| side(true));
+        Self::pair(out, inc)
+    }
+
+    /// Maps one per-direction build over the present directions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` changes the vertex count of one direction only.
+    pub(crate) fn map<E: EdgeRecord, T: NeighborAccess<E>>(
+        self,
+        mut f: impl FnMut(D) -> T,
+    ) -> Sides<T> {
+        Sides::pair(self.out.map(&mut f), self.inc.map(f))
+    }
+
+    /// Decomposes the layout into its owned directions.
+    pub fn into_parts(self) -> (Option<D>, Option<D>) {
+        (self.out, self.inc)
+    }
+}
+
+impl<D: Resident> Sides<D> {
+    /// Resident heap bytes across both directions.
+    pub fn resident_bytes(&self) -> u64 {
+        self.out.as_ref().map_or(0, D::resident_bytes)
+            + self.inc.as_ref().map_or(0, D::resident_bytes)
+    }
+}
+
+impl<E: EdgeRecord, D: NeighborAccess<E>> VertexLayout<E> for Sides<D> {
+    type Dir = D;
 
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.num_vertices()
+        self.num_vertices
     }
 
     #[inline]
     fn num_edges(&self) -> usize {
-        self.num_edges()
+        self.out
+            .as_ref()
+            .or(self.inc.as_ref())
+            .map_or(0, D::num_edges)
     }
 
     #[inline]
-    fn out_opt(&self) -> Option<&Adjacency<E>> {
-        self.out_opt()
+    fn out_opt(&self) -> Option<&D> {
+        self.out.as_ref()
     }
 
     #[inline]
-    fn incoming_opt(&self) -> Option<&Adjacency<E>> {
-        self.incoming_opt()
+    fn incoming_opt(&self) -> Option<&D> {
+        self.inc.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+    use crate::preprocess::compress_adjacency;
+    use crate::types::Edge;
+
+    /// `0 -> 1, 0 -> 2, 2 -> 0` over `nv` vertices, one direction.
+    fn sample(nv: usize, by_dst: bool) -> Adjacency<Edge> {
+        let mut offsets = vec![3u64; nv + 1];
+        offsets[..3].copy_from_slice(&[0, 2, 2]);
+        let edges = vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(2, 0)];
+        Adjacency::from_csr(nv, offsets, edges, by_dst)
+    }
+
+    /// The panic message of `f`, if it panics.
+    fn panic_of(f: impl FnOnce()) -> Option<String> {
+        let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+        Some(match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p
+                .downcast::<&str>()
+                .map_or_else(|_| String::new(), |s| s.to_string()),
+        })
+    }
+
+    /// The three pair layouts are one container: the same accessors,
+    /// the same missing-direction message and the same constructor
+    /// rule (at least one direction, equal vertex counts).
+    #[test]
+    fn every_pair_layout_follows_one_rule() {
+        fn check<D: NeighborAccess<Edge>>(
+            layout: &str,
+            new: impl Fn(Option<Adjacency<Edge>>, Option<Adjacency<Edge>>) -> Sides<D>,
+        ) {
+            let list = new(Some(sample(3, false)), None);
+            assert_eq!(list.num_vertices(), 3, "{layout}");
+            assert_eq!(list.num_edges(), 3, "{layout}");
+            assert_eq!(list.out().degree(0), 2, "{layout}");
+            assert!(list.incoming_opt().is_none(), "{layout}");
+            let missing = panic_of(|| {
+                list.incoming();
+            });
+            assert!(missing.unwrap().contains("without in-edges"), "{layout}");
+            let both = new(Some(sample(3, false)), Some(sample(3, true)));
+            assert_eq!(both.incoming().num_vertices(), 3, "{layout}");
+            let none = panic_of(|| {
+                new(None, None);
+            });
+            assert!(none.unwrap().contains("at least one direction"), "{layout}");
+            let mismatched = panic_of(|| {
+                new(Some(sample(3, false)), Some(sample(4, true)));
+            });
+            assert!(
+                mismatched.unwrap().contains("direction vertex counts"),
+                "{layout}"
+            );
+        }
+        check("adj", AdjacencyList::new);
+        check("ccsr", |out, inc| {
+            CcsrList::new(
+                out.as_ref().map(compress_adjacency),
+                inc.as_ref().map(compress_adjacency),
+            )
+        });
+        check("delta", |out, inc| {
+            DeltaList::new(out, inc, &DeltaLog::new())
+        });
     }
 }

@@ -10,7 +10,9 @@ use egraph_parallel::{
 };
 
 use crate::layout::ccsr::{encode_vertex, encoded_len};
-use crate::layout::{Adjacency, AdjacencyList, CcsrAdjacency, CcsrList, EdgeDirection, Grid};
+use crate::layout::{
+    Adjacency, AdjacencyList, CcsrAdjacency, CcsrList, EdgeDirection, Grid, Sides, VertexLayout,
+};
 use crate::types::{EdgeList, EdgeRecord};
 use crate::util::UnsyncSlice;
 
@@ -84,7 +86,7 @@ pub struct PreprocessStats {
 ///
 /// ```
 /// use egraph_core::preprocess::{CsrBuilder, Strategy};
-/// use egraph_core::layout::EdgeDirection;
+/// use egraph_core::layout::{EdgeDirection, VertexLayout};
 /// use egraph_core::types::{Edge, EdgeList};
 ///
 /// let edges = EdgeList::new(3, vec![Edge::new(0, 1), Edge::new(0, 2)]).unwrap();
@@ -134,32 +136,21 @@ impl CsrBuilder {
             self.strategy.name(),
         );
         let start = Instant::now();
-        let out = match self.direction {
-            EdgeDirection::Out | EdgeDirection::Both => {
-                Some(build_one_direction(input, self.strategy, false))
-            }
-            EdgeDirection::In => None,
-        };
-        let inc = match self.direction {
-            EdgeDirection::In | EdgeDirection::Both => {
-                Some(build_one_direction(input, self.strategy, true))
-            }
-            EdgeDirection::Out => None,
-        };
-        let mut list = AdjacencyList::new(out, inc);
-        if self.sort_neighbors {
-            if let Some(adj) = list.out_mut() {
-                adj.sort_neighbor_arrays();
-            }
-            if let Some(adj) = list.incoming_mut() {
-                adj.sort_neighbor_arrays();
-            }
-        }
+        let list = Sides::build(self.direction, |by_dst| self.side(input, by_dst));
         let stats = PreprocessStats {
             strategy: self.strategy,
             seconds: start.elapsed().as_secs_f64(),
         };
         (list, stats)
+    }
+
+    /// Builds one direction (`by_dst` for the in-direction).
+    fn side<E: EdgeRecord>(&self, input: &EdgeList<E>, by_dst: bool) -> Adjacency<E> {
+        let mut adj = build_one_direction(input, self.strategy, by_dst);
+        if self.sort_neighbors {
+            adj.sort_neighbor_arrays();
+        }
+        adj
     }
 }
 
@@ -448,8 +439,10 @@ impl GridBuilder {
 /// vertex without touching its neighbors' chunks.
 ///
 /// Neighbor lists are always sorted — gap encoding requires it — so a
-/// ccsr build is exactly a `CsrBuilder::sort_neighbors(true)` build
-/// followed by [`compress_adjacency`] on each direction. The weight
+/// ccsr build is, direction by direction, a
+/// `CsrBuilder::sort_neighbors(true)` build of that direction followed
+/// by [`compress_adjacency`]; only one uncompressed direction is
+/// resident at a time. The weight
 /// side array follows that sort: among parallel edges the weights keep
 /// no particular order, only a deterministic one.
 ///
@@ -457,7 +450,7 @@ impl GridBuilder {
 ///
 /// ```
 /// use egraph_core::preprocess::{CcsrBuilder, Strategy};
-/// use egraph_core::layout::EdgeDirection;
+/// use egraph_core::layout::{EdgeDirection, VertexLayout};
 /// use egraph_core::types::{Edge, EdgeList};
 ///
 /// let edges = EdgeList::new(3, vec![Edge::new(0, 2), Edge::new(0, 1)]).unwrap();
@@ -498,10 +491,10 @@ impl CcsrBuilder {
             self.strategy.name(),
         );
         let start = Instant::now();
-        let csr = CsrBuilder::new(self.strategy, self.direction)
-            .sort_neighbors(true)
-            .build(input);
-        let list = compress_sorted_csr(&csr);
+        let csr = CsrBuilder::new(self.strategy, self.direction).sort_neighbors(true);
+        let list = Sides::build(self.direction, |by_dst| {
+            compress_adjacency(&csr.side(input, by_dst))
+        });
         let stats = PreprocessStats {
             strategy: self.strategy,
             seconds: start.elapsed().as_secs_f64(),
@@ -514,10 +507,8 @@ impl CcsrBuilder {
 /// list. Panics (inside [`compress_adjacency`]) if a neighbor array is
 /// not sorted.
 pub fn compress_sorted_csr<E: EdgeRecord>(csr: &AdjacencyList<E>) -> CcsrList<E> {
-    CcsrList::new(
-        csr.out_opt().map(compress_adjacency),
-        csr.incoming_opt().map(compress_adjacency),
-    )
+    let (out, inc) = (csr.out_opt(), csr.incoming_opt());
+    CcsrList::new(out.map(compress_adjacency), inc.map(compress_adjacency))
 }
 
 /// Encodes one neighbor-sorted [`Adjacency`] into its compressed form,

@@ -345,7 +345,7 @@ pub fn multi_sssp<E: EdgeRecord, F, L: EngineLayout<E, F>>(
 mod tests {
     use super::*;
     use crate::algo::{bfs, sssp};
-    use crate::layout::{AdjacencyList, DeltaList, DeltaLog, DeltaOp, EdgeDirection};
+    use crate::layout::{AdjacencyList, DeltaList, DeltaLog, DeltaOp, EdgeDirection, VertexLayout};
     use crate::metrics::{Direction, StepMode, SyncMode};
     use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
     use crate::types::{Edge, EdgeList, WEdge};

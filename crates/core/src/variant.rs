@@ -39,8 +39,8 @@ use crate::algo::{bfs, pagerank, spmv, sssp, wcc};
 use crate::engine::PushOnly;
 use crate::exec::ExecCtx;
 use crate::layout::{
-    AdjacencyList, CcsrList, DeltaList, DeltaLog, EdgeDirection, EdgeStream, Grid, NeighborAccess,
-    VertexLayout,
+    Adjacency, AdjacencyList, CcsrAdjacency, DeltaAdjacency, DeltaList, DeltaLog, EdgeDirection,
+    EdgeStream, Grid, NeighborAccess, Sides, VertexLayout,
 };
 use crate::metrics::timed;
 pub use crate::metrics::{Direction, SyncMode};
@@ -446,34 +446,59 @@ pub struct RunParams<'a> {
     pub x: Option<&'a [f32]>,
 }
 
-/// The per-layout cache of a [`PreparedGraph`]: one lazily built
-/// `(layout, build seconds)` per traversal direction.
-struct SlotCache<T>([OnceLock<(T, f64)>; 3]);
+/// The per-family cache of a [`PreparedGraph`]: the out- and the
+/// in-direction of one indexed layout, each a lazily built
+/// one-direction `(layout, build seconds)`.
+struct DirCache<D>([OnceLock<(Sides<D>, f64)>; 2]);
 
-impl<T> Default for SlotCache<T> {
+impl<D> Default for DirCache<D> {
     fn default() -> Self {
-        Self(std::array::from_fn(|_| OnceLock::new()))
+        Self([OnceLock::new(), OnceLock::new()])
     }
 }
 
-impl<T> SlotCache<T> {
-    fn get(&self, dir: EdgeDirection, build: impl FnOnce() -> (T, f64)) -> &(T, f64) {
-        let index = match dir {
+impl<D> DirCache<D> {
+    /// The one-direction layout `side` names (`Out` or `In`), built by
+    /// `build(side)` on first use.
+    fn side(
+        &self,
+        side: EdgeDirection,
+        build: impl FnOnce(EdgeDirection) -> (Sides<D>, f64),
+    ) -> &(Sides<D>, f64) {
+        let index = match side {
             EdgeDirection::Out => 0,
             EdgeDirection::In => 1,
-            EdgeDirection::Both => 2,
+            EdgeDirection::Both => unreachable!("a cache slot holds one direction"),
         };
-        self.0[index].get_or_init(build)
+        self.0[index].get_or_init(|| build(side))
+    }
+
+    /// The directions `dir` names, borrowed from the cache (each built
+    /// on first use), and the sum of their build seconds.
+    fn view<E: EdgeRecord>(
+        &self,
+        dir: EdgeDirection,
+        build: impl Fn(EdgeDirection) -> (Sides<D>, f64),
+    ) -> (Sides<&D>, f64)
+    where
+        D: NeighborAccess<E>,
+    {
+        let out = (dir != EdgeDirection::In).then(|| self.side(EdgeDirection::Out, &build));
+        let inc = (dir != EdgeDirection::Out).then(|| self.side(EdgeDirection::In, &build));
+        let seconds = out.map_or(0.0, |o| o.1) + inc.map_or(0.0, |i| i.1);
+        let view = Sides::pair(out.map(|o| o.0.out()), inc.map(|i| i.0.incoming()));
+        (view, seconds)
     }
 }
 
-/// A graph plus lazily built, cached layouts. Each layout (per-
-/// direction CSR, the grid) is
-/// built at most once, on first use, under whatever pool/profiler the
-/// requesting [`run_variant`] call supplies — so one `PreparedGraph`
-/// can serve many variant runs without rebuilding, while a
+/// A graph plus lazily built, cached layouts. Each direction of an
+/// indexed layout (adj, ccsr, delta) and the grid is built at most
+/// once, on first use, under whatever pool/profiler the requesting
+/// [`run_variant`] call supplies — so one `PreparedGraph` can serve
+/// many variant runs without rebuilding (a push-pull run borrows the
+/// out- and in-direction that push and pull runs built), while a
 /// single-variant caller pays exactly the preprocessing cost of the
-/// layout it asked for.
+/// directions it asked for.
 pub struct PreparedGraph<'a, E: EdgeRecord> {
     edges: &'a EdgeList<E>,
     strategy: Strategy,
@@ -481,9 +506,9 @@ pub struct PreparedGraph<'a, E: EdgeRecord> {
     sorted: bool,
     side: Option<usize>,
     deltas: Option<&'a DeltaLog<E>>,
-    csr: SlotCache<AdjacencyList<E>>,
-    ccsr: SlotCache<CcsrList<E>>,
-    dcsr: SlotCache<DeltaList<E>>,
+    csr: DirCache<Adjacency<E>>,
+    ccsr: DirCache<CcsrAdjacency<E>>,
+    dcsr: DirCache<DeltaAdjacency<E>>,
     grid: OnceLock<(Grid<E>, f64)>,
     degrees: OnceLock<Vec<u32>>,
     delta_degrees: OnceLock<Vec<u32>>,
@@ -500,9 +525,9 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             sorted: false,
             side: None,
             deltas: None,
-            csr: SlotCache::default(),
-            ccsr: SlotCache::default(),
-            dcsr: SlotCache::default(),
+            csr: DirCache::default(),
+            ccsr: DirCache::default(),
+            dcsr: DirCache::default(),
             grid: OnceLock::new(),
             degrees: OnceLock::new(),
             delta_degrees: OnceLock::new(),
@@ -561,56 +586,58 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             .get_or_init(|| self.edges.out_degrees().iter().map(|&d| d as u32).collect())
     }
 
-    fn csr(&self, dir: EdgeDirection) -> &(AdjacencyList<E>, f64) {
-        self.csr.get(dir, || {
-            let (adj, stats) = CsrBuilder::new(self.strategy, dir)
-                .sort_neighbors(self.sorted)
-                .build_timed(self.edges);
-            (adj, stats.seconds)
-        })
+    /// Builds the one-direction CSR `side` names.
+    fn build_csr(&self, side: EdgeDirection) -> (AdjacencyList<E>, f64) {
+        let (adj, stats) = CsrBuilder::new(self.strategy, side)
+            .sort_neighbors(self.sorted)
+            .build_timed(self.edges);
+        (adj, stats.seconds)
     }
 
-    fn ccsr(&self, dir: EdgeDirection) -> &(CcsrList<E>, f64) {
-        self.ccsr.get(dir, || {
+    fn csr(&self, dir: EdgeDirection) -> (Sides<&Adjacency<E>>, f64) {
+        self.csr.view(dir, |side| self.build_csr(side))
+    }
+
+    fn ccsr(&self, dir: EdgeDirection) -> (Sides<&CcsrAdjacency<E>>, f64) {
+        self.ccsr.view(dir, |side| {
             if self.sorted {
                 // The cached CSR is already neighbor-sorted — compress
                 // it directly (and share one build between both
                 // layouts, which also guarantees identical neighbor
                 // order for the conformance oracle).
-                let (csr, csr_seconds) = self.csr(dir);
+                let (csr, csr_seconds) = self.csr.side(side, |side| self.build_csr(side));
                 let (list, compress_seconds) = timed(|| compress_sorted_csr(csr));
                 (list, csr_seconds + compress_seconds)
             } else {
-                let (list, stats) = CcsrBuilder::new(self.strategy, dir).build_timed(self.edges);
+                let (list, stats) = CcsrBuilder::new(self.strategy, side).build_timed(self.edges);
                 (list, stats.seconds)
             }
         })
     }
 
-    fn dcsr(&self, dir: EdgeDirection) -> &(DeltaList<E>, f64) {
-        self.dcsr.get(dir, || {
-            // The delta layout owns its base CSR (it outlives this
-            // call's borrows), so it builds one rather than borrowing
-            // the cached `csr` slot; base build plus overlay layering
-            // is the layout's preprocessing cost.
-            timed(|| {
-                let log = self
-                    .deltas
-                    .map_or_else(|| Cow::Owned(DeltaLog::new()), Cow::Borrowed);
-                let (out, inc) = CsrBuilder::new(self.strategy, dir)
-                    .sort_neighbors(self.sorted)
-                    .build(self.edges)
-                    .into_parts();
-                DeltaList::new(out, inc, &log)
-            })
+    /// Builds the one-direction delta layout `side` names. The delta
+    /// layout owns its base CSR (it outlives this call's borrows), so
+    /// it builds one rather than borrowing the cached `csr` slot; base
+    /// build plus overlay layering is the layout's preprocessing cost.
+    fn build_dcsr(&self, side: EdgeDirection) -> (DeltaList<E>, f64) {
+        timed(|| {
+            let log = self
+                .deltas
+                .map_or_else(|| Cow::Owned(DeltaLog::new()), Cow::Borrowed);
+            let (base, _) = self.build_csr(side);
+            base.map(|base| DeltaAdjacency::new(base, &log))
         })
+    }
+
+    fn dcsr(&self, dir: EdgeDirection) -> (Sides<&DeltaAdjacency<E>>, f64) {
+        self.dcsr.view(dir, |side| self.build_dcsr(side))
     }
 
     /// Out-degrees of the *merged* graph (base + attached delta log),
     /// the normalization input of the delta PageRank variants.
     pub fn delta_degrees(&self) -> &[u32] {
         self.delta_degrees.get_or_init(|| {
-            let out = self.dcsr(EdgeDirection::Out).0.out();
+            let out = *self.dcsr(EdgeDirection::Out).0.out();
             (0..self.num_vertices() as VertexId)
                 .map(|v| out.degree(v) as u32)
                 .collect()
@@ -957,6 +984,23 @@ mod tests {
     }
 
     #[test]
+    fn push_pull_borrows_the_directions_push_and_pull_built() {
+        let graph = diamond();
+        for layout in [Layout::Adjacency, Layout::Ccsr, Layout::Delta] {
+            let prepared = PreparedGraph::new(&graph);
+            let seconds = |direction| {
+                let id = VariantId::new(Algo::Bfs, layout, direction);
+                run_variant(&id, &ExecCtx::new(None), &prepared, &RunParams::default())
+                    .unwrap()
+                    .preprocess_seconds
+            };
+            let (push, pull) = (seconds(Direction::Push), seconds(Direction::Pull));
+            assert!(push > 0.0 && pull > 0.0, "{layout:?}");
+            assert_eq!(seconds(Direction::PushPull), push + pull, "{layout:?}");
+        }
+    }
+
+    #[test]
     fn wcc_has_one_direction_on_every_layout() {
         // One union-find pass: `push` is the only id per layout, the
         // other two are the typed error, and the table is 37 ids.
@@ -1155,13 +1199,15 @@ mod tests {
     fn prepared_graph_caches_layouts() {
         let g = diamond();
         let pg = PreparedGraph::new(&g);
-        let a = &pg.csr(EdgeDirection::Out).0 as *const _;
-        let b = &pg.csr(EdgeDirection::Out).0 as *const _;
-        assert_eq!(a, b);
-        // Each direction is its own build, shared by repeat calls.
-        let u = &pg.csr(EdgeDirection::In).0 as *const _;
-        assert_ne!(a, u);
-        assert_eq!(u, &pg.csr(EdgeDirection::In).0 as *const _);
+        let out = |dir| *pg.csr(dir).0.out() as *const Adjacency<Edge>;
+        let inc = |dir| *pg.csr(dir).0.incoming() as *const Adjacency<Edge>;
+        assert_eq!(out(EdgeDirection::Out), out(EdgeDirection::Out));
+        // Each direction is its own build, shared by repeat calls and
+        // borrowed by the two-direction view.
+        assert_eq!(inc(EdgeDirection::In), inc(EdgeDirection::In));
+        assert_ne!(out(EdgeDirection::Out), inc(EdgeDirection::In));
+        assert_eq!(out(EdgeDirection::Both), out(EdgeDirection::Out));
+        assert_eq!(inc(EdgeDirection::Both), inc(EdgeDirection::In));
         // Both PageRank grid variants run on one grid: each reports the
         // build seconds of the same cached build, to the bit.
         let ctx = ExecCtx::new(None);

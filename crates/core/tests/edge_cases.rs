@@ -4,7 +4,7 @@
 //! algorithm inputs.
 
 use egraph_core::exec::ExecCtx;
-use egraph_core::layout::EdgeDirection;
+use egraph_core::layout::{EdgeDirection, VertexLayout};
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
 use egraph_core::types::{Edge, EdgeList, EdgeRecord, VertexId, WEdge, INVALID_VERTEX};
 use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantOutput};

@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn high_diameter() {
         // BFS depth from corner to corner is width + height - 2.
-        use egraph_core::layout::EdgeDirection;
+        use egraph_core::layout::{EdgeDirection, VertexLayout};
         use egraph_core::preprocess::{CsrBuilder, Strategy};
         let (w, h) = (30, 20);
         let g = road_like(w, h);

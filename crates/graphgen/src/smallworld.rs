@@ -59,7 +59,7 @@ pub fn small_world(n: usize, k: usize, p: f64, seed: u64) -> EdgeList<Edge> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egraph_core::layout::EdgeDirection;
+    use egraph_core::layout::{EdgeDirection, VertexLayout};
     use egraph_core::preprocess::{CsrBuilder, Strategy};
 
     #[test]

@@ -59,11 +59,6 @@ pub fn register_pool_metrics() {
         || egraph_parallel::telemetry::snapshot().chunks as f64,
     );
     r.counter_fn(
-        "egraph_pool_tasks_total",
-        "Dynamic tasks executed by the pool.",
-        || egraph_parallel::telemetry::snapshot().tasks as f64,
-    );
-    r.counter_fn(
         "egraph_pool_busy_seconds_total",
         "Total worker busy time across all workers.",
         || egraph_parallel::telemetry::snapshot().total_busy_seconds(),

@@ -12,9 +12,6 @@
 //! * chunked self-scheduling loops ([`parallel_for`], [`parallel_reduce`],
 //!   [`for_each_chunk`]) in which workers grab fixed-size chunks from a
 //!   shared queue — the paper's "work queue" model,
-//! * a dynamic task pool ([`dynamic_tasks`]): one shared task queue
-//!   for irregular, recursive workloads (the recursive parallel radix
-//!   sort of §3.2 is its main client),
 //! * parallel prefix sums ([`scan`]) used by the count-sort and CSR
 //!   builders,
 //! * worker-local accumulation buffers ([`WorkerLocal`]) with a
@@ -47,7 +44,6 @@
 
 pub mod atomicf;
 pub mod buckets;
-pub mod dynamic;
 pub mod fault;
 pub mod ops;
 pub mod pool;
@@ -56,7 +52,6 @@ pub mod telemetry;
 pub mod timeline;
 pub mod worker_local;
 
-pub use dynamic::{dynamic_tasks, Spawner};
 pub use ops::{
     for_each_chunk, for_each_chunk_mut, parallel_for, parallel_init, parallel_reduce, DEFAULT_GRAIN,
 };

@@ -8,7 +8,7 @@
 //!
 //! A parallel region executes one `Fn(WorkerId)` closure once on every
 //! worker. All higher-level operations (chunked loops, reductions,
-//! dynamic task pools) are built from this single primitive plus shared
+//! prefix sums) are built from this single primitive plus shared
 //! atomics, mirroring how the paper's Cilk runtime distributes chunks of
 //! a shared work queue among threads.
 

@@ -1,5 +1,5 @@
 //! Opt-in runtime counters for the pool: parallel regions, chunks
-//! executed, dynamic tasks, and per-worker busy time.
+//! executed and per-worker busy time.
 //!
 //! The counters are process-global atomics behind a single `enabled`
 //! gate, so the instrumented fast paths pay one relaxed load when
@@ -20,7 +20,6 @@ const MAX_WORKERS: usize = 256;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGIONS: AtomicU64 = AtomicU64::new(0);
 static CHUNKS: AtomicU64 = AtomicU64::new(0);
-static TASKS: AtomicU64 = AtomicU64::new(0);
 static BUSY_NANOS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
 
 /// Turns the pool counters on and zeroes them, starting a fresh
@@ -51,7 +50,6 @@ pub fn enabled() -> bool {
 pub fn reset() {
     REGIONS.store(0, Ordering::Relaxed);
     CHUNKS.store(0, Ordering::Relaxed);
-    TASKS.store(0, Ordering::Relaxed);
     for slot in &BUSY_NANOS {
         slot.store(0, Ordering::Relaxed);
     }
@@ -68,13 +66,6 @@ pub(crate) fn on_region() {
 pub(crate) fn on_chunk() {
     if enabled() {
         CHUNKS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-#[inline]
-pub(crate) fn on_task() {
-    if enabled() {
-        TASKS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -97,8 +88,6 @@ pub struct PoolSnapshot {
     /// `parallel.steals`; ROADMAP item 2(b) removes that read, and
     /// this field with it.
     pub steals: u64,
-    /// Dynamic tasks executed.
-    pub tasks: u64,
     /// Busy seconds per worker, indexed by `WorkerId`; only workers
     /// that ran at least one region appear as non-zero.
     pub busy_seconds: Vec<f64>,
@@ -145,7 +134,6 @@ pub fn snapshot() -> PoolSnapshot {
         regions: REGIONS.load(Ordering::Relaxed),
         chunks: CHUNKS.load(Ordering::Relaxed),
         steals: 0,
-        tasks: TASKS.load(Ordering::Relaxed),
         busy_seconds: BUSY_NANOS[..workers]
             .iter()
             .map(|n| n.load(Ordering::Relaxed) as f64 * 1e-9)
@@ -175,7 +163,6 @@ mod tests {
             regions: 1,
             chunks: 4,
             steals: 0,
-            tasks: 0,
             busy_seconds: vec![2.0, 2.0, 2.0, 2.0],
         };
         assert!((snap.load_imbalance() - 1.0).abs() < 1e-12);
@@ -188,7 +175,6 @@ mod tests {
             regions: 1,
             chunks: 4,
             steals: 0,
-            tasks: 0,
             busy_seconds: vec![3.0, 1.0, 0.0, 0.0],
         };
         // max 3, mean over active workers (3+1)/2 = 2 -> 1.5.
@@ -201,7 +187,6 @@ mod tests {
             regions: 0,
             chunks: 0,
             steals: 0,
-            tasks: 0,
             busy_seconds: vec![],
         };
         assert!((snap.load_imbalance() - 1.0).abs() < 1e-12);

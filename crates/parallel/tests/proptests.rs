@@ -68,25 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn dynamic_tasks_recursive_sum(
-        n in 0u64..50_000,
-        fanout_threshold in 1u64..4_096,
-    ) {
-        let sum = AtomicU64::new(0);
-        egraph_parallel::dynamic_tasks(vec![(0u64, n)], |(lo, hi), spawner| {
-            if hi - lo <= fanout_threshold {
-                sum.fetch_add((lo..hi).sum::<u64>(), Ordering::Relaxed);
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                spawner.spawn((lo, mid));
-                spawner.spawn((mid, hi));
-            }
-        });
-        let expected: u64 = (0..n).sum();
-        prop_assert_eq!(sum.load(Ordering::Relaxed), expected);
-    }
-
-    #[test]
     fn parallel_init_equals_map(
         n in 0usize..30_000,
         grain in 1usize..4_096,

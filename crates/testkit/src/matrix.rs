@@ -24,7 +24,7 @@
 
 use egraph_core::algo::{als, bfs, pagerank, spmv, sssp, wcc};
 use egraph_core::exec::ExecCtx;
-use egraph_core::layout::EdgeDirection;
+use egraph_core::layout::{EdgeDirection, VertexLayout};
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 use egraph_core::types::{Edge, EdgeList, WEdge};
 use egraph_core::variant::{

@@ -491,6 +491,32 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# An indexed layout's out- and in-direction live in one container,
+# `layout::Sides` (`AdjacencyList`, `CcsrList` and `DeltaList` are
+# aliases of it), and `PreparedGraph` caches one build per layout family
+# and direction. An optional-direction field on another struct, or a
+# three-slot cache keyed by out / in / both, is the second pair type or
+# the rebuilt push-pull direction coming back.
+echo "== a direction is named once =="
+offenders=$(find crates/core/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0; in_struct = 0; in_sides = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*\/\// { next }
+        /^(pub(\([a-z]+\))? )?struct [A-Za-z_]+.*\{[[:space:]]*$/ {
+            in_struct = 1
+            in_sides = ($0 ~ /struct Sides</)
+        }
+        in_struct && !in_sides && /^[[:space:]]+(pub(\([a-z]+\))? )?(out|inc|incoming): Option</ {
+            print FILENAME ":" FNR ": " $0
+        }
+        /^}/ { in_struct = 0 }
+        /\[OnceLock<.*;[[:space:]]*3\]/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a per-direction Option field outside layout::Sides, or a three-slot direction cache:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

@@ -4,7 +4,7 @@
 
 use everything_graph::core::algo::{bfs, pagerank, sssp, wcc};
 use everything_graph::core::exec::ExecCtx;
-use everything_graph::core::layout::EdgeDirection;
+use everything_graph::core::layout::{EdgeDirection, VertexLayout};
 use everything_graph::core::preprocess::{CsrBuilder, GridBuilder, Strategy as Build};
 use everything_graph::core::types::{Edge, EdgeList, EdgeRecord, WEdge};
 use everything_graph::core::variant::{run_variant, PreparedGraph, RunParams, VariantOutput};
