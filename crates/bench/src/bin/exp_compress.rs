@@ -22,7 +22,7 @@ use egraph_bench::{fmt_ratio, fmt_secs, graphs, measure, reps, ExperimentCtx, Re
 use egraph_core::exec::ExecCtx;
 use egraph_core::layout::EdgeDirection;
 use egraph_core::preprocess::{compress_sorted_csr, CsrBuilder, Strategy};
-use egraph_core::telemetry::{PhaseProfiler, RunTrace, TraceRecorder};
+use egraph_core::telemetry::{RunTrace, TraceRecorder};
 use egraph_core::variant::{
     Algo, Direction, Layout, PreparedGraph, RunParams, VariantId, VariantOutput,
 };
@@ -162,14 +162,13 @@ fn main() {
         );
 
         // Trace evidence: replay the largest scale's PageRank-pull on
-        // each layout under a recorder and a phase profiler, one trace
+        // each layout under a trace recorder, one trace
         // file per layout, so `egraph trace diff <adj> <ccsr>` surfaces
         // the phase.*.peak_bytes rows of the build and the run.
         if ctx.tracing() && scale == ctx.scale + 4 {
             for (layout, id) in [("adj", pr_adj_id), ("ccsr", pr_ccsr_id)] {
-                let recorder = TraceRecorder::new();
-                let profiler = PhaseProfiler::enabled();
-                let traced = ExecCtx::new(&pool).recorder(&recorder).profiler(&profiler);
+                let recorder = TraceRecorder::with_hardware_counters();
+                let traced = ExecCtx::new(&pool).recorder(&recorder);
                 measure(&traced, prepare, &id, &pr_params, 1);
                 let mut trace = RunTrace::new("pagerank");
                 trace
@@ -179,7 +178,6 @@ fn main() {
                 trace.config.insert("scale".into(), scale.to_string());
                 trace.config.insert("threads".into(), THREADS.to_string());
                 trace.absorb(&recorder);
-                trace.phases = profiler.take_phases();
                 let suffixed = ExperimentCtx {
                     trace_out: ctx.trace_out.as_ref().map(|p| {
                         let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("json");

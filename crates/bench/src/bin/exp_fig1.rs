@@ -7,7 +7,7 @@ use egraph_bench::{
     fmt_ratio, graphs, measure, phase_row, total_seconds, ExperimentCtx, ResultTable,
 };
 use egraph_core::exec::ExecCtx;
-use egraph_core::telemetry::{PhaseProfiler, RunTrace, TraceRecorder};
+use egraph_core::telemetry::{RunTrace, TraceRecorder};
 use egraph_core::variant::{PreparedGraph, RunParams, VariantId, VariantRun};
 
 fn main() {
@@ -75,19 +75,17 @@ fn main() {
     ctx.save(&table);
 
     // With --trace-out, replay the winning push-pull run once more
-    // with a recorder and a phase profiler attached and emit the same
-    // machine-readable document the CLI's `run --trace-out` produces:
-    // its `preprocess` and `algorithm` phases, with memory.
+    // with a trace recorder attached and emit the same machine-readable
+    // document the CLI's `run --trace-out` produces: its `preprocess`
+    // and `algorithm` phases, with memory.
     if ctx.tracing() {
         egraph_parallel::telemetry::reset();
         egraph_parallel::telemetry::enable();
-        let recorder = TraceRecorder::new();
-        let profiler = PhaseProfiler::enabled();
+        let recorder = TraceRecorder::with_hardware_counters();
         let id: VariantId = "bfs/adj/push-pull".parse().expect("valid variant spec");
-        let traced = ExecCtx::new(None).recorder(&recorder).profiler(&profiler);
+        let traced = ExecCtx::new(None).recorder(&recorder);
         measure(&traced, prepare, &id, &params, 1);
         egraph_parallel::telemetry::disable();
-        let pool = egraph_parallel::telemetry::snapshot();
 
         let mut trace = RunTrace::new("bfs");
         trace.config.insert("experiment".into(), "exp_fig1".into());
@@ -98,19 +96,7 @@ fn main() {
             egraph_parallel::current_num_threads().to_string(),
         );
         trace.absorb(&recorder);
-        trace.phases = profiler.take_phases();
-        trace
-            .counters
-            .insert("pool.regions".into(), pool.regions as f64);
-        trace
-            .counters
-            .insert("pool.chunks".into(), pool.chunks as f64);
-        trace
-            .counters
-            .insert("pool.busy_seconds_total".into(), pool.total_busy_seconds());
-        trace
-            .counters
-            .insert("pool.load_imbalance".into(), pool.load_imbalance());
+        trace.absorb_pool(&egraph_parallel::telemetry::snapshot());
         ctx.save_trace(&trace);
     }
 }

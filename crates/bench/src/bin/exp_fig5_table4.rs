@@ -17,7 +17,7 @@ use egraph_core::algo::pagerank;
 use egraph_core::exec::{ExecCtx, PHASE_ALGORITHM};
 use egraph_core::layout::{EdgeDirection, VertexLayout};
 use egraph_core::preprocess::{CsrBuilder, GridBuilder, Strategy};
-use egraph_core::telemetry::{CounterKind, PhaseProfiler};
+use egraph_core::telemetry::{CounterKind, TraceRecorder};
 use egraph_core::variant::{default_grid_side, PreparedGraph, RunParams, VariantId};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     );
     // Opened before any parallel work: the counters only cover threads
     // spawned after them, and the first graph build creates the pool.
-    let prof = PhaseProfiler::enabled();
+    let recorder = TraceRecorder::with_hardware_counters();
 
     let graph = graphs::rmat(ctx.scale);
     let root = graphs::best_root(&graph);
@@ -133,17 +133,17 @@ fn main() {
     // LLC-load-misses instead of the cache model. On
     // hosts that restrict perf_event_open the table simply keeps its
     // simulated rows.
-    let kinds = prof.available_counters();
+    let kinds = recorder.available_counters();
     if kinds.contains(&CounterKind::LlcLoads) && kinds.contains(&CounterKind::LlcLoadMisses) {
         println!("\nmeasuring LLC miss ratios (hardware counters)…");
-        // The algorithm phase of one run under the profiler's counters,
-        // each on its own fresh build.
-        let traced = ExecCtx::new(None).profiler(&prof);
+        // The algorithm phase of one run under the recorder's counters,
+        // each on its own fresh build: the last algorithm phase recorded.
+        let traced = ExecCtx::new(None).recorder(&recorder);
         let hw_llc_ratio = |sorted: bool, id: VariantId, params: &RunParams| {
             let prepare = || PreparedGraph::new(&graph).sort_neighbors(sorted);
             measure(&traced, prepare, &id, params, 1);
-            let phases = prof.take_phases();
-            let algorithm = phases.iter().find(|p| p.name == PHASE_ALGORITHM);
+            let phases = recorder.phases();
+            let algorithm = phases.iter().rev().find(|p| p.name == PHASE_ALGORITHM);
             algorithm.and_then(|p| p.hardware_llc_miss_ratio())
         };
         let fmt_opt = |r: Option<f64>| r.map(fmt_pct).unwrap_or_else(|| "n/a".into());

@@ -12,7 +12,7 @@ use egraph_core::preprocess::Strategy;
 use egraph_core::roadmap;
 use egraph_core::serve::{ServeConfig, ServeDaemon, ServeGraph};
 use egraph_core::telemetry::json::{self, Value};
-use egraph_core::telemetry::{PhaseProfiler, Recorder, RunTrace, TraceRecorder};
+use egraph_core::telemetry::{NullRecorder, PhaseStart, Recorder, RunTrace, TraceRecorder};
 use egraph_core::trace_diff::{diff_traces, DiffOptions};
 use egraph_core::types::{Edge, EdgeList, EdgeRecord, WEdge};
 use egraph_core::variant::{
@@ -501,16 +501,25 @@ impl Recorder for MetricsRecorder<'_> {
         }
         self.inner.record_iteration(step, stat);
     }
+
+    fn begin_phase(&self, name: &str) -> PhaseStart {
+        self.inner.begin_phase(name)
+    }
+
+    fn end_phase(&self, start: PhaseStart) {
+        self.inner.end_phase(start);
+    }
 }
 
 /// Profiles the store phase only when a `--save` target exists, so
 /// traces do not grow a zero-length phase on runs without one.
 fn profiled_store(
     spec: &RunSpec<'_>,
+    ctx: &ExecCtx<'_>,
     f: impl FnOnce() -> Result<f64, Box<dyn Error>>,
 ) -> Result<f64, Box<dyn Error>> {
     if spec.save.is_some() {
-        spec.prof.profile("store", f)
+        ctx.profile("store", f)
     } else {
         f()
     }
@@ -539,20 +548,16 @@ fn cmd_run(args: &Args) -> CliResult {
     args.reject_unknown()?;
 
     // The hardware counters only cover threads spawned after they open,
-    // so the profiler must exist before anything creates the global
-    // pool — including `timeline::enable`, which sizes its per-worker
-    // tracks from the pool.
-    let profiler = if trace_out.is_some() {
-        PhaseProfiler::enabled()
-    } else {
-        PhaseProfiler::disabled()
-    };
-    // The per-iteration counter windows share the same constraint as
-    // the profiler: their handle must exist before the pool spawns so
-    // `inherit` covers every worker thread.
-    let mut iter_counters = trace_out
+    // so the trace recorder must exist before anything creates the
+    // global pool — including `timeline::enable`, which sizes its
+    // per-worker tracks from the pool.
+    let trace_recorder = trace_out
         .as_ref()
-        .map(|_| egraph_core::telemetry::PerfCounters::open());
+        .map(|out| (out, TraceRecorder::with_hardware_counters()));
+    let recorder: &dyn Recorder = match &trace_recorder {
+        Some((_, trace)) => trace,
+        None => &NullRecorder,
+    };
     if trace_out.is_some() || metrics_server.is_some() {
         // Counters must be collecting before the load phase starts.
         // enable() opens a fresh collection window (it zeroes first),
@@ -566,7 +571,9 @@ fn cmd_run(args: &Args) -> CliResult {
     }
 
     let load_start = Instant::now();
-    let any = profiler.profile("load", || load_any(&path))?;
+    let any = ExecCtx::new(None)
+        .recorder(recorder)
+        .profile("load", || load_any(&path))?;
     let load = load_start.elapsed().as_secs_f64();
 
     let spec = RunSpec {
@@ -580,83 +587,63 @@ fn cmd_run(args: &Args) -> CliResult {
         iters,
         load,
         save: save.as_deref(),
-        prof: &profiler,
         args,
     };
-    // With `--metrics-addr`, whatever recorder the run uses is teed
-    // into the live registry.
-    let live = metrics_server.is_some();
-    let run = |recorder: &dyn Recorder| {
-        if live {
-            dispatch_run(&spec, any, &MetricsRecorder::new(recorder))
-        } else {
-            dispatch_run(&spec, any, recorder)
+    // With `--metrics-addr`, the run's recorder is teed into the live
+    // registry.
+    if metrics_server.is_some() {
+        dispatch_run(&spec, any, &MetricsRecorder::new(recorder))?;
+    } else {
+        dispatch_run(&spec, any, recorder)?;
+    }
+    if let Some((out_path, recorder)) = &trace_recorder {
+        egraph_parallel::telemetry::disable();
+        egraph_storage::counters::disable();
+        let mut trace = RunTrace::new(&algo);
+        let available = recorder.available_counters();
+        trace.config.insert(
+            "hw_counters".to_string(),
+            if available.is_empty() {
+                "unavailable".to_string()
+            } else {
+                available
+                    .iter()
+                    .map(|k| k.name())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            },
+        );
+        for (key, value) in [
+            ("input", path.as_str()),
+            ("layout", layout.as_str()),
+            ("flow", flow.as_str()),
+            ("sync", sync.as_str()),
+            ("strategy", args.get_or("strategy", "radix")),
+            ("root", &root.to_string()),
+            ("iters", &iters.to_string()),
+            (
+                "threads",
+                &egraph_parallel::current_num_threads().to_string(),
+            ),
+        ] {
+            trace.config.insert(key.to_string(), value.to_string());
         }
-    };
-    match &trace_out {
-        None => {
-            run(&egraph_core::telemetry::NullRecorder)?;
+        trace.absorb(recorder);
+        trace.absorb_pool(&egraph_parallel::telemetry::snapshot());
+        let storage = egraph_storage::counters::snapshot();
+        for (name, value) in [
+            ("storage.bytes_read", storage.bytes_read as f64),
+            ("storage.records_parsed", storage.records_parsed as f64),
+            ("storage.read_seconds", storage.read_seconds),
+            (
+                "storage.throughput_bytes_per_sec",
+                storage.throughput_bytes_per_sec(),
+            ),
+        ] {
+            trace.counters.insert(name.to_string(), value);
         }
-        Some(out_path) => {
-            let recorder = match iter_counters.take() {
-                Some(counters) => TraceRecorder::with_iteration_perf(counters),
-                None => TraceRecorder::new(),
-            };
-            run(&recorder)?;
-            egraph_parallel::telemetry::disable();
-            egraph_storage::counters::disable();
-            let mut trace = RunTrace::new(&algo);
-            let available = profiler.available_counters();
-            trace.config.insert(
-                "hw_counters".to_string(),
-                if available.is_empty() {
-                    "unavailable".to_string()
-                } else {
-                    available
-                        .iter()
-                        .map(|k| k.name())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                },
-            );
-            for (key, value) in [
-                ("input", path.as_str()),
-                ("layout", layout.as_str()),
-                ("flow", flow.as_str()),
-                ("sync", sync.as_str()),
-                ("strategy", args.get_or("strategy", "radix")),
-                ("root", &root.to_string()),
-                ("iters", &iters.to_string()),
-                (
-                    "threads",
-                    &egraph_parallel::current_num_threads().to_string(),
-                ),
-            ] {
-                trace.config.insert(key.to_string(), value.to_string());
-            }
-            trace.absorb(&recorder);
-            trace.phases = profiler.take_phases();
-            let pool = egraph_parallel::telemetry::snapshot();
-            let storage = egraph_storage::counters::snapshot();
-            for (name, value) in [
-                ("pool.regions", pool.regions as f64),
-                ("pool.chunks", pool.chunks as f64),
-                ("pool.workers", pool.busy_seconds.len() as f64),
-                ("pool.busy_seconds_total", pool.total_busy_seconds()),
-                ("pool.load_imbalance", pool.load_imbalance()),
-                ("storage.bytes_read", storage.bytes_read as f64),
-                ("storage.records_parsed", storage.records_parsed as f64),
-                ("storage.read_seconds", storage.read_seconds),
-                (
-                    "storage.throughput_bytes_per_sec",
-                    storage.throughput_bytes_per_sec(),
-                ),
-            ] {
-                trace.counters.insert(name.to_string(), value);
-            }
-            std::fs::write(out_path, trace.to_json())?;
-            println!("wrote trace to {out_path}");
-        }
+        std::fs::write(out_path, trace.to_json())?;
+        println!("wrote trace to {out_path}");
     }
     if let Some(out_path) = &timeline_out {
         timeline::disable();
@@ -687,7 +674,6 @@ struct RunSpec<'a> {
     iters: usize,
     load: f64,
     save: Option<&'a str>,
-    prof: &'a PhaseProfiler,
     args: &'a Args,
 }
 
@@ -734,7 +720,7 @@ fn run_one<E: EdgeRecord>(
         sync,
         ..Default::default()
     };
-    let ctx = ExecCtx::new(None).recorder(recorder).profiler(spec.prof);
+    let ctx = ExecCtx::new(None).recorder(recorder);
     let run = run_variant(id, &ctx, &prepared, &params)?;
     let mut breakdown = TimeBreakdown {
         load: spec.load,
@@ -745,7 +731,7 @@ fn run_one<E: EdgeRecord>(
     let root = spec.root;
     match &run.output {
         VariantOutput::Bfs(r) => {
-            breakdown.store = profiled_store(spec, || save_u32(spec.save, &r.parent))?;
+            breakdown.store = profiled_store(spec, &ctx, || save_u32(spec.save, &r.parent))?;
             println!(
                 "bfs from {root}: {} reachable, {} iterations",
                 r.reachable_count(),
@@ -753,7 +739,7 @@ fn run_one<E: EdgeRecord>(
             );
         }
         VariantOutput::Pagerank(r) => {
-            breakdown.store = profiled_store(spec, || save_f32(spec.save, &r.ranks))?;
+            breakdown.store = profiled_store(spec, &ctx, || save_f32(spec.save, &r.ranks))?;
             println!(
                 "pagerank: {} iterations; top vertices {:?}",
                 r.iterations,
@@ -761,11 +747,11 @@ fn run_one<E: EdgeRecord>(
             );
         }
         VariantOutput::Wcc(r) => {
-            breakdown.store = profiled_store(spec, || save_u32(spec.save, &r.label))?;
+            breakdown.store = profiled_store(spec, &ctx, || save_u32(spec.save, &r.label))?;
             println!("wcc: {} components", r.component_count());
         }
         VariantOutput::Sssp(r) => {
-            breakdown.store = profiled_store(spec, || save_f32(spec.save, &r.dist))?;
+            breakdown.store = profiled_store(spec, &ctx, || save_f32(spec.save, &r.dist))?;
             println!(
                 "sssp from {root}: {} reachable, {} iterations",
                 r.reachable_count(),
@@ -773,7 +759,7 @@ fn run_one<E: EdgeRecord>(
             );
         }
         VariantOutput::Spmv(r) => {
-            breakdown.store = profiled_store(spec, || save_f32(spec.save, &r.y))?;
+            breakdown.store = profiled_store(spec, &ctx, || save_f32(spec.save, &r.y))?;
             let norm: f64 =
                 r.y.iter()
                     .map(|&v| (v as f64) * (v as f64))
@@ -933,15 +919,18 @@ fn cmd_update(args: &Args) -> CliResult {
     let trace_out = args.get("trace-out").map(str::to_string);
     args.reject_unknown()?;
 
-    let profiler = if trace_out.is_some() {
-        PhaseProfiler::enabled()
-    } else {
-        PhaseProfiler::disabled()
+    let trace_recorder = trace_out
+        .as_ref()
+        .map(|out| (out, TraceRecorder::with_hardware_counters()));
+    let recorder: &dyn Recorder = match &trace_recorder {
+        Some((_, trace)) => trace,
+        None => &NullRecorder,
     };
+    let ctx = ExecCtx::new(None).recorder(recorder);
     let started = Instant::now();
-    // Each phase is timed once, by the profiler: the graph and the delta
+    // Each phase is timed once, by the recorder: the graph and the delta
     // stream are both read under "load".
-    let (any, ndjson) = profiler.profile("load", || -> Result<_, Box<dyn Error>> {
+    let (any, ndjson) = ctx.profile("load", || -> Result<_, Box<dyn Error>> {
         Ok((load_any(&path)?, std::fs::read_to_string(&deltas_path)?))
     })?;
 
@@ -949,7 +938,7 @@ fn cmd_update(args: &Args) -> CliResult {
         graph: &EdgeList<E>,
         ndjson: &str,
         out: &str,
-        profiler: &PhaseProfiler,
+        ctx: &ExecCtx<'_>,
     ) -> Result<(usize, EdgeList<E>), Box<dyn Error>> {
         let batch = egraph_core::layout::DeltaBatch::<E>::parse_ndjson(ndjson)
             .map_err(|e| format!("delta stream: {e}"))?;
@@ -958,8 +947,8 @@ fn cmd_update(args: &Args) -> CliResult {
             .map_err(|e| format!("delta stream: {e}"))?;
         let mut log = egraph_core::layout::DeltaLog::new();
         log.append(&batch);
-        let merged = profiler.profile(egraph_core::exec::PHASE_COMPACT, || log.merge_into(graph));
-        profiler.profile("store", || -> Result<(), Box<dyn Error>> {
+        let merged = ctx.profile(egraph_core::exec::PHASE_COMPACT, || log.merge_into(graph));
+        ctx.profile("store", || -> Result<(), Box<dyn Error>> {
             let mut w = BufWriter::new(File::create(out)?);
             write_edge_list(&mut w, &merged)?;
             Ok(())
@@ -969,17 +958,17 @@ fn cmd_update(args: &Args) -> CliResult {
 
     let (applied, nv, ne) = match &any {
         AnyGraph::Unweighted(g) => {
-            let (applied, merged) = merge_and_store(g, &ndjson, &out, &profiler)?;
+            let (applied, merged) = merge_and_store(g, &ndjson, &out, &ctx)?;
             (applied, merged.num_vertices(), merged.num_edges())
         }
         AnyGraph::Weighted(g) => {
-            let (applied, merged) = merge_and_store(g, &ndjson, &out, &profiler)?;
+            let (applied, merged) = merge_and_store(g, &ndjson, &out, &ctx)?;
             (applied, merged.num_vertices(), merged.num_edges())
         }
     };
-    if let Some(out_path) = &trace_out {
+    if let Some((out_path, recorder)) = &trace_recorder {
         let mut trace = RunTrace::new("update");
-        trace.phases = profiler.take_phases();
+        trace.absorb(recorder);
         trace.config.insert("input".to_string(), path.to_string());
         trace.config.insert("deltas".to_string(), deltas_path);
         std::fs::write(out_path, trace.to_json())?;

@@ -678,6 +678,9 @@ fn run_with_metrics_addr_serves_and_matches_trace() {
         .map(|v| v.trim().parse().unwrap())
         .collect();
     assert_eq!(examined, [parsed.counters["engine.edges_examined"]]);
+    // The tee forwards phases to the trace recorder it wraps.
+    let phases: Vec<&str> = parsed.phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(phases, ["load", "preprocess", "algorithm"]);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use crate::engine::{
 };
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
-use crate::layout::{Adjacency, NeighborAccess, VertexLayout};
+use crate::layout::{Adjacency, NeighborAccess, Sides, VertexLayout};
 use crate::metrics::{timed, Direction, IterStat, SyncMode};
 use crate::types::{EdgeRecord, VertexId, INVALID_VERTEX};
 use crate::util::{AtomicBitmap, StripedLocks};
@@ -260,17 +260,18 @@ pub struct IncrementalBfs {
 
 impl IncrementalBfs {
     /// Runs the initial direction-optimizing BFS from `root` on
-    /// `merged` (any layout exposing both directions — the delta layout
-    /// in the intended use).
-    pub fn new<E, L>(merged: &L, root: VertexId) -> Self
+    /// `merged` (a layout with both directions — the delta layout in
+    /// the intended use).
+    pub fn new<E, D>(merged: &Sides<D>, root: VertexId) -> Self
     where
         E: EdgeRecord,
-        L: VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
         let ctx = ExecCtx::default();
+        let view = merged.as_ref();
         Self {
             root,
-            level: run(merged, root, Direction::PushPull, SyncMode::Atomics, &ctx).level,
+            level: run(&view, root, Direction::PushPull, SyncMode::Atomics, &ctx).level,
             batches_applied: 0,
         }
     }
@@ -282,14 +283,14 @@ impl IncrementalBfs {
 
     /// Repairs the levels after `batch` was applied; `merged` is the
     /// post-batch graph with both directions present.
-    pub fn apply<E, L>(
+    pub fn apply<E, D>(
         &mut self,
-        merged: &L,
+        merged: &Sides<D>,
         batch: &crate::layout::DeltaBatch<E>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
-        L: VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
         self.apply_ctx(merged, batch, &ExecCtx::default())
     }
@@ -298,15 +299,15 @@ impl IncrementalBfs {
     /// recorded as one iteration — the touched vertices as the
     /// frontier, the batch size as the scanned edges, and the
     /// repair-vs-fallback threshold as the decision log.
-    pub fn apply_ctx<E, L>(
+    pub fn apply_ctx<E, D>(
         &mut self,
-        merged: &L,
+        merged: &Sides<D>,
         batch: &crate::layout::DeltaBatch<E>,
         ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
-        L: VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
         let (outcome, seconds) = timed(|| self.apply_inner(merged, batch, ctx));
         super::record_repair(
@@ -314,35 +315,36 @@ impl IncrementalBfs {
             &mut self.batches_applied,
             outcome,
             batch.len(),
-            merged.num_edges(),
+            VertexLayout::num_edges(merged),
             seconds,
         );
         outcome
     }
 
-    fn apply_inner<E, L>(
+    fn apply_inner<E, D>(
         &mut self,
-        merged: &L,
+        merged: &Sides<D>,
         batch: &crate::layout::DeltaBatch<E>,
         ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
-        L: VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
-        let fraction = batch.len() as f64 / merged.num_edges().max(1) as f64;
+        let merged = merged.as_ref();
+        let fraction = batch.len() as f64 / VertexLayout::num_edges(&merged).max(1) as f64;
         if fraction > super::INCREMENTAL_FALLBACK_FRACTION {
             // Unrecorded, so the batch stays one iteration record.
             let quiet = ExecCtx::new(ctx.pool());
             let policy = Direction::PushPull;
             self.level =
-                quiet.scoped(|| run(merged, self.root, policy, SyncMode::Atomics, &quiet).level);
+                quiet.scoped(|| run(&merged, self.root, policy, SyncMode::Atomics, &quiet).level);
             return super::IncrementalOutcome {
                 fallback: true,
-                touched: merged.num_vertices(),
+                touched: VertexLayout::num_vertices(&merged),
             };
         }
-        let nv = merged.num_vertices();
+        let nv = VertexLayout::num_vertices(&merged);
         let mut invalid = vec![false; nv];
         let mut suspects = std::collections::VecDeque::new();
         for op in &batch.ops {

@@ -11,6 +11,7 @@ use super::{span_sum, Stripes};
 use crate::engine::{EngineLayout, PullLayout, PullOp, PushOp};
 use crate::exec::ExecCtx;
 use crate::frontier::{FrontierKind, VertexSubset};
+use crate::layout::{NeighborAccess, Sides, VertexLayout};
 use crate::metrics::{timed, IterStat, StepMode, SyncMode};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 use crate::util::{StripedLocks, UnsyncSlice};
@@ -419,10 +420,10 @@ impl IncrementalPagerank {
     /// Solves the initial graph with the pull kernel, to
     /// [`SOLVE_TOLERANCE`]. `merged` must expose both directions;
     /// `degrees` are its out-degrees.
-    pub fn new<E, L>(merged: &L, degrees: &[u32], damping: f32) -> Self
+    pub fn new<E, D>(merged: &Sides<D>, degrees: &[u32], damping: f32) -> Self
     where
         E: EdgeRecord,
-        L: crate::layout::VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
         Self {
             damping,
@@ -431,10 +432,10 @@ impl IncrementalPagerank {
         }
     }
 
-    /// The pull kernel on `merged` from `start` (or the uniform
-    /// vector), stopped at [`SOLVE_TOLERANCE`].
-    fn fixed_point<E, L>(
-        merged: &L,
+    /// The pull kernel on a borrowed view of `merged` from `start` (or
+    /// the uniform vector), stopped at [`SOLVE_TOLERANCE`].
+    fn fixed_point<E, D>(
+        merged: &Sides<D>,
         degrees: &[u32],
         damping: f32,
         start: Option<&[f32]>,
@@ -442,14 +443,14 @@ impl IncrementalPagerank {
     ) -> Vec<f32>
     where
         E: EdgeRecord,
-        L: crate::layout::VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
         let cfg = PagerankConfig {
             iterations: CONVERGED_MAX_ITERS,
             damping,
             tolerance: Some(SOLVE_TOLERANCE),
         };
-        ctx.scoped(|| pull_impl(merged, degrees, cfg, start, ctx).ranks)
+        ctx.scoped(|| pull_impl(&merged.as_ref(), degrees, cfg, start, ctx).ranks)
     }
 
     /// The current ranks.
@@ -461,15 +462,15 @@ impl IncrementalPagerank {
     /// `merged` is the post-batch graph (typically a
     /// [`crate::layout::DeltaList`] over the unchanged base CSR) and
     /// `degrees` its out-degrees.
-    pub fn apply<E, L>(
+    pub fn apply<E, D>(
         &mut self,
-        merged: &L,
+        merged: &Sides<D>,
         degrees: &[u32],
         batch: &crate::layout::DeltaBatch<E>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
-        L: crate::layout::VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
         self.apply_ctx(merged, degrees, batch, &ExecCtx::default())
     }
@@ -477,16 +478,16 @@ impl IncrementalPagerank {
     /// [`Self::apply`] with an execution context: each applied batch is
     /// reported to the recorder as one iteration (the decision log
     /// shows the batch size against the full-solve fallback cutoff).
-    pub fn apply_ctx<E, L>(
+    pub fn apply_ctx<E, D>(
         &mut self,
-        merged: &L,
+        merged: &Sides<D>,
         degrees: &[u32],
         batch: &crate::layout::DeltaBatch<E>,
         ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
-        L: crate::layout::VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
         let (outcome, seconds) = timed(|| self.apply_inner(merged, degrees, batch, ctx));
         super::record_repair(
@@ -494,24 +495,24 @@ impl IncrementalPagerank {
             &mut self.batches_applied,
             outcome,
             batch.len(),
-            merged.num_edges(),
+            VertexLayout::num_edges(merged),
             seconds,
         );
         outcome
     }
 
-    fn apply_inner<E, L>(
+    fn apply_inner<E, D>(
         &mut self,
-        merged: &L,
+        merged: &Sides<D>,
         degrees: &[u32],
         batch: &crate::layout::DeltaBatch<E>,
         ctx: &ExecCtx<'_>,
     ) -> super::IncrementalOutcome
     where
         E: EdgeRecord,
-        L: crate::layout::VertexLayout<E>,
+        D: NeighborAccess<E>,
     {
-        let fraction = batch.len() as f64 / merged.num_edges().max(1) as f64;
+        let fraction = batch.len() as f64 / VertexLayout::num_edges(merged).max(1) as f64;
         let fallback = fraction > super::INCREMENTAL_FALLBACK_FRACTION;
         let start = (!fallback).then_some(self.ranks.as_slice());
         // Unrecorded, so the batch stays one iteration record.
@@ -519,7 +520,7 @@ impl IncrementalPagerank {
         self.ranks = Self::fixed_point(merged, degrees, self.damping, start, &quiet);
         super::IncrementalOutcome {
             fallback,
-            touched: merged.num_vertices(),
+            touched: VertexLayout::num_vertices(merged),
         }
     }
 }

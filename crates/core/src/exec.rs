@@ -1,8 +1,9 @@
 //! The unified execution context for algorithm dispatch.
 //!
 //! Every driver, kernel and algorithm entry point takes one borrowed
-//! [`ExecCtx`]: an optional scoped pool, a telemetry recorder and an
-//! optional phase profiler, set through a builder:
+//! [`ExecCtx`]: an optional scoped pool and one telemetry recorder,
+//! which receives the run's phases, iterations and counters, set
+//! through a builder:
 //!
 //! ```
 //! use egraph_core::exec::ExecCtx;
@@ -26,7 +27,7 @@
 
 use egraph_parallel::{with_pool, ThreadPool};
 
-use crate::telemetry::{NullRecorder, PhaseProfiler, Recorder};
+use crate::telemetry::{NullRecorder, Recorder};
 
 /// Phase label for layout construction under [`ExecCtx::profile`].
 pub const PHASE_PREPROCESS: &str = "preprocess";
@@ -39,11 +40,11 @@ pub const PHASE_ALGORITHM: &str = "algorithm";
 /// baseline without gating.
 pub const PHASE_COMPACT: &str = "compact";
 
-/// The unified execution context: an optional scoped [`ThreadPool`], a
-/// telemetry recorder and an optional phase profiler.
+/// The unified execution context: an optional scoped [`ThreadPool`] and
+/// one telemetry recorder.
 ///
 /// Built with [`ExecCtx::new`] plus the builder methods; everything
-/// defaults to "off" (global pool, null recorder, no profiler).
+/// defaults to "off" (global pool, null recorder).
 ///
 /// # Examples
 ///
@@ -64,12 +65,14 @@ pub const PHASE_COMPACT: &str = "compact";
 /// let (plain, traced) = (plain.output.as_bfs().unwrap(), traced.output.as_bfs().unwrap());
 /// assert_eq!(plain.level, traced.level);
 /// assert_eq!(recorder.iterations().len(), traced.iterations.len());
+/// // The same recorder holds the run's phases.
+/// let phases: Vec<_> = recorder.phases().into_iter().map(|p| p.name).collect();
+/// assert_eq!(phases, ["preprocess", "algorithm"]);
 /// ```
 #[derive(Clone, Copy)]
 pub struct ExecCtx<'a> {
     pool: Option<&'a ThreadPool>,
     pub(crate) recorder: &'a dyn Recorder,
-    profiler: Option<&'a PhaseProfiler>,
 }
 
 impl std::fmt::Debug for ExecCtx<'_> {
@@ -77,7 +80,6 @@ impl std::fmt::Debug for ExecCtx<'_> {
         f.debug_struct("ExecCtx")
             .field("pool", &self.pool.map(ThreadPool::num_threads))
             .field("recorder_enabled", &self.recorder.enabled())
-            .field("profiler", &self.profiler.is_some())
             .finish()
     }
 }
@@ -89,21 +91,16 @@ impl<'a> ExecCtx<'a> {
         Self {
             pool: pool.into(),
             recorder: &NullRecorder,
-            profiler: None,
         }
     }
 
-    /// This context with a telemetry recorder.
+    /// This context with a telemetry recorder. A recorder that records
+    /// phases (a [`TraceRecorder`](crate::telemetry::TraceRecorder))
+    /// receives [`run_variant`](crate::variant::run_variant)'s layout
+    /// construction and algorithm run as `"preprocess"` /
+    /// `"algorithm"` phases.
     pub fn recorder(mut self, recorder: &'a dyn Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// This context with a phase profiler: layout construction and the
-    /// algorithm run are attributed to `"preprocess"` / `"algorithm"`
-    /// windows by [`run_variant`](crate::variant::run_variant).
-    pub fn profiler(mut self, profiler: &'a PhaseProfiler) -> Self {
-        self.profiler = Some(profiler);
         self
     }
 
@@ -121,12 +118,13 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Profiles `f` as phase `name` when a profiler is attached.
+    /// Runs `f` as phase `name` of the recorder (which may record
+    /// nothing: see [`Recorder::begin_phase`]).
     pub fn profile<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        match self.profiler {
-            Some(prof) => prof.profile(name, f),
-            None => f(),
-        }
+        let start = self.recorder.begin_phase(name);
+        let out = f();
+        self.recorder.end_phase(start);
+        out
     }
 }
 
@@ -157,6 +155,35 @@ mod tests {
         assert!(ctx.recorder.enabled());
         ctx.recorder.record_counter("x", 3);
         assert_eq!(recorder.counters().get("x"), Some(&3.0));
+    }
+
+    /// `run_variant`'s two phases reach the one recorder on the
+    /// context, in the order they ran, and `absorb` carries them into
+    /// the trace with the iterations.
+    #[test]
+    fn run_variant_records_its_phases_on_the_recorder() {
+        use crate::telemetry::RunTrace;
+        use crate::types::{Edge, EdgeList};
+        use crate::variant::{run_variant, PreparedGraph, RunParams, VariantId};
+
+        let edges = (0..7).map(|v| Edge::new(v, v + 1)).collect();
+        let input = EdgeList::new(8, edges).unwrap();
+        let prepared = PreparedGraph::new(&input);
+        let id: VariantId = "bfs/adj/push".parse().unwrap();
+        let recorder = TraceRecorder::new();
+        let ctx = ExecCtx::new(None).recorder(&recorder);
+        let run = run_variant(&id, &ctx, &prepared, &RunParams::default()).unwrap();
+
+        let names: Vec<String> = recorder.phases().into_iter().map(|p| p.name).collect();
+        assert_eq!(names, [PHASE_PREPROCESS, PHASE_ALGORITHM]);
+        let mut trace = RunTrace::new("bfs");
+        trace.absorb(&recorder);
+        assert_eq!(trace.phases, recorder.phases());
+        assert_eq!(
+            trace.iterations.len(),
+            run.output.as_bfs().unwrap().iterations.len()
+        );
+        assert!(trace.phases.iter().all(|p| p.memory.is_some()));
     }
 
     #[test]

@@ -136,14 +136,6 @@ impl<E: EdgeRecord> Adjacency<E> {
         self.neighbors(v).len()
     }
 
-    /// Degrees of all vertices, as `u64` (for partitioners). Computed
-    /// in parallel: each worker fills a disjoint range of the output.
-    pub fn degrees(&self) -> Vec<u64> {
-        egraph_parallel::ops::parallel_init(self.num_vertices, 4096, |v| {
-            self.degree(v as VertexId) as u64
-        })
-    }
-
     /// Resident heap bytes of this direction (offset table or
     /// per-vertex headers, plus edge arrays) — the uncompressed
     /// baseline the ccsr compression experiment compares against.

@@ -309,6 +309,17 @@ impl<D> Sides<D> {
         Sides::pair(self.out.map(&mut f), self.inc.map(f))
     }
 
+    /// A view borrowing both directions: a kernel run on it is the
+    /// copy [`run_variant`](crate::variant::run_variant) runs on its
+    /// cached builds.
+    pub fn as_ref(&self) -> Sides<&D> {
+        Sides {
+            num_vertices: self.num_vertices,
+            out: self.out.as_ref(),
+            inc: self.inc.as_ref(),
+        }
+    }
+
     /// Decomposes the layout into its owned directions.
     pub fn into_parts(self) -> (Option<D>, Option<D>) {
         (self.out, self.inc)

@@ -5,10 +5,10 @@
 //! be measured *end-to-end* (§1): load + pre-process + algorithm + store,
 //! not just the kernel. This module is the machinery that makes those
 //! measurements first-class: every engine driver and algorithm entry
-//! point takes an [`ExecCtx`](crate::exec::ExecCtx) carrying a
-//! [`Recorder`], phases are timed by a [`PhaseProfiler`], and a run can
-//! be serialized as one machine-readable JSON [`RunTrace`] document in
-//! which every fact is recorded once.
+//! point takes an [`ExecCtx`](crate::exec::ExecCtx) carrying one
+//! [`Recorder`], which receives the run's phases, iterations and
+//! counters, and a run can be serialized as one machine-readable JSON
+//! [`RunTrace`] document in which every fact is recorded once.
 //!
 //! Three recorder implementations matter:
 //!
@@ -23,14 +23,17 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-pub use egraph_perf::{CounterKind, CounterReading, PerfCounters};
+pub use egraph_perf::CounterKind;
+use egraph_perf::{CounterReading, PerfCounters};
+
+use egraph_parallel::telemetry::PoolSnapshot;
 
 use crate::metrics::{DirectionDecision, IterStat, StepMode};
 
 /// One entry of [`RunTrace::iterations`]: a computation step's
 /// [`IterStat`], its index, and the hardware-counter deltas sampled over
 /// that step's window (empty on hosts without counters and for
-/// recorders built without [`TraceRecorder::with_iteration_perf`]).
+/// recorders built without [`TraceRecorder::with_hardware_counters`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceIteration {
     /// Zero-based step index.
@@ -53,8 +56,8 @@ impl TraceIteration {
     }
 }
 
-/// Sink for run-wide telemetry: named counters and per-iteration
-/// records.
+/// Sink for run-wide telemetry: named counters, per-iteration records
+/// and run phases.
 ///
 /// # The `enabled()` contract
 ///
@@ -78,6 +81,36 @@ pub trait Recorder: Sync {
 
     /// Appends the record of computation step `step`.
     fn record_iteration(&self, step: usize, stat: &IterStat);
+
+    /// Opens the window of run phase `name` (`"load"`, `"preprocess"`,
+    /// ...); hand the returned start to [`end_phase`](Self::end_phase)
+    /// when the phase ends. The default opens nothing, so a recorder
+    /// that does not override the pair runs every phase unrecorded.
+    /// [`ExecCtx::profile`](crate::exec::ExecCtx::profile) brackets a
+    /// closure with the two calls.
+    #[inline]
+    fn begin_phase(&self, _name: &str) -> PhaseStart {
+        PhaseStart(None)
+    }
+
+    /// Closes a window opened by [`begin_phase`](Self::begin_phase)
+    /// and records the phase. The default records nothing.
+    #[inline]
+    fn end_phase(&self, _start: PhaseStart) {}
+}
+
+/// The open window of one run phase, from [`Recorder::begin_phase`].
+/// Opaque: only [`TraceRecorder`] opens one, so a recorder of its own
+/// records phases by forwarding the pair to a `TraceRecorder`.
+#[derive(Debug)]
+pub struct PhaseStart(Option<OpenPhase>);
+
+#[derive(Debug)]
+struct OpenPhase {
+    name: String,
+    hardware: Option<CounterReading>,
+    alloc: egraph_metrics::alloc::PhaseWindow,
+    started: Instant,
 }
 
 /// The recorder used when telemetry is off: `enabled()` is `false` and
@@ -99,13 +132,17 @@ impl Recorder for NullRecorder {
 }
 
 /// A recorder that collects everything into memory, for `--trace-out`
-/// and the bench reporter.
+/// and the bench reporter: counters, iteration records and phase
+/// profiles (wall time, memory accounting and, with counters, hardware
+/// deltas).
 ///
-/// Built with [`with_iteration_perf`](Self::with_iteration_perf) it
-/// also attributes hardware-counter deltas to each iteration window:
-/// the window for step *n* runs from the previous `record_iteration`
-/// call (or recorder construction) to step *n*'s own call, which
-/// matches how the kernels time their steps.
+/// Built with [`with_hardware_counters`](Self::with_hardware_counters)
+/// it owns one group of hardware counters and reads every window from
+/// it: a phase's from its [`begin_phase`](Recorder::begin_phase) to its
+/// [`end_phase`](Recorder::end_phase), and step *n*'s from the previous
+/// `record_iteration` call (or the start of the phase, or recorder
+/// construction) to step *n*'s own call, which matches how the kernels
+/// time their steps.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     inner: Mutex<TraceInner>,
@@ -116,36 +153,67 @@ pub struct TraceRecorder {
 struct TraceInner {
     iterations: Vec<TraceIteration>,
     counters: BTreeMap<&'static str, u64>,
+    phases: Vec<PhaseProfile>,
     last_reading: Option<CounterReading>,
 }
 
 impl TraceRecorder {
-    /// Creates an empty recorder.
+    /// Creates an empty recorder; its phases and iterations carry empty
+    /// hardware maps.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A recorder that additionally samples `counters` at every
-    /// `record_iteration` call, attributing the deltas to the iteration
-    /// window that just ended. Open the counters *before* the first
-    /// parallel operation so worker threads are covered (see the
-    /// `egraph-perf` crate docs).
-    pub fn with_iteration_perf(counters: PerfCounters) -> Self {
-        let first = counters.reading();
+    /// A recorder that opens the hardware counters (never fails; see
+    /// [`PerfCounters`]) and fills the hardware maps of every phase and
+    /// iteration from them. Build it *before* the first parallel
+    /// operation: the counters cover only threads spawned after they
+    /// open (see the `egraph-perf` crate docs), which is how the lazily
+    /// created worker pool gets counted.
+    pub fn with_hardware_counters() -> Self {
+        let counters = PerfCounters::open();
         Self {
             inner: Mutex::new(TraceInner {
-                last_reading: Some(first),
+                last_reading: Some(counters.reading()),
                 ..TraceInner::default()
             }),
             perf: Some(counters),
         }
     }
 
+    /// The counter kinds that actually opened, in canonical order;
+    /// empty for [`new`](Self::new) or on a fully restricted host.
+    pub fn available_counters(&self) -> Vec<CounterKind> {
+        self.perf
+            .as_ref()
+            .map(PerfCounters::available_kinds)
+            .unwrap_or_default()
+    }
+
     /// The per-iteration records collected so far; their hardware maps
-    /// are empty without [`with_iteration_perf`](Self::with_iteration_perf)
-    /// or on restricted hosts.
+    /// are empty without
+    /// [`with_hardware_counters`](Self::with_hardware_counters) or on
+    /// restricted hosts.
     pub fn iterations(&self) -> Vec<TraceIteration> {
         self.inner.lock().iterations.clone()
+    }
+
+    /// The phase profiles collected so far, in the order the phases
+    /// ended.
+    pub fn phases(&self) -> Vec<PhaseProfile> {
+        self.inner.lock().phases.clone()
+    }
+
+    /// Hardware counter deltas since `start`, by canonical name; empty
+    /// without counters.
+    fn hardware_since(&self, start: &CounterReading) -> BTreeMap<String, f64> {
+        let Some(perf) = &self.perf else {
+            return BTreeMap::new();
+        };
+        perf.delta_since(start)
+            .iter()
+            .map(|(kind, value)| (kind.name().to_string(), value as f64))
+            .collect()
     }
 
     /// The counters collected so far.
@@ -169,15 +237,53 @@ impl Recorder for TraceRecorder {
         let mut iteration = TraceIteration::new(step, *stat);
         if let Some(perf) = &self.perf {
             if let Some(prev) = &inner.last_reading {
-                for (kind, value) in perf.delta_since(prev).iter() {
-                    iteration
-                        .hardware
-                        .insert(kind.name().to_string(), value as f64);
-                }
+                iteration.hardware = self.hardware_since(prev);
             }
             inner.last_reading = Some(perf.reading());
         }
         inner.iterations.push(iteration);
+    }
+
+    fn begin_phase(&self, name: &str) -> PhaseStart {
+        // An iteration window never spans a phase boundary: the next
+        // step's window opens with the phase.
+        if let Some(perf) = &self.perf {
+            self.inner.lock().last_reading = Some(perf.reading());
+        }
+        PhaseStart(Some(OpenPhase {
+            name: name.to_string(),
+            hardware: self.perf.as_ref().map(PerfCounters::reading),
+            alloc: egraph_metrics::alloc::window(name),
+            started: Instant::now(),
+        }))
+    }
+
+    /// Records the phase's wall time, its memory accounting (allocator
+    /// attribution when `egraph_metrics::alloc::TrackingAlloc` is
+    /// installed, plus the end-of-phase RSS sample) and, with counters,
+    /// its hardware deltas.
+    fn end_phase(&self, start: PhaseStart) {
+        let Some(open) = start.0 else {
+            return;
+        };
+        let seconds = open.started.elapsed().as_secs_f64();
+        let alloc = open.alloc.finish();
+        let hardware = open
+            .hardware
+            .map(|reading| self.hardware_since(&reading))
+            .unwrap_or_default();
+        let profile = PhaseProfile {
+            name: open.name,
+            seconds,
+            hardware,
+            memory: Some(PhaseMemory {
+                allocated_bytes: alloc.allocated_bytes,
+                freed_bytes: alloc.freed_bytes,
+                peak_bytes: alloc.peak_bytes,
+                end_rss_bytes: egraph_metrics::alloc::rss_bytes().unwrap_or(0),
+            }),
+        };
+        self.inner.lock().phases.push(profile);
     }
 }
 
@@ -312,10 +418,27 @@ impl RunTrace {
         }
     }
 
-    /// Merges everything a [`TraceRecorder`] collected into this trace.
+    /// Merges everything a [`TraceRecorder`] collected into this trace:
+    /// its phases, iterations and counters.
     pub fn absorb(&mut self, recorder: &TraceRecorder) {
+        self.phases.extend(recorder.phases());
         self.iterations.extend(recorder.iterations());
         self.counters.extend(recorder.counters());
+    }
+
+    /// Writes the pool's counters (`pool.regions`, `pool.chunks`,
+    /// `pool.workers`, `pool.busy_seconds_total`, `pool.load_imbalance`)
+    /// from one snapshot: the one set every trace carries.
+    pub fn absorb_pool(&mut self, pool: &PoolSnapshot) {
+        for (name, value) in [
+            ("pool.regions", pool.regions as f64),
+            ("pool.chunks", pool.chunks as f64),
+            ("pool.workers", pool.busy_seconds.len() as f64),
+            ("pool.busy_seconds_total", pool.total_busy_seconds()),
+            ("pool.load_imbalance", pool.load_imbalance()),
+        ] {
+            self.counters.insert(name.to_string(), value);
+        }
     }
 
     /// Counts the direction flips in the iteration sequence: steps
@@ -568,93 +691,6 @@ fn num_field(obj: &[(String, json::Value)], key: &str) -> Result<f64, TraceError
     get(obj, key)?
         .as_number()
         .ok_or_else(|| err(&format!("field '{key}' is not a number")))
-}
-
-/// Profiles named run phases with hardware perf counters, producing
-/// the [`PhaseProfile`] records of a [`RunTrace`].
-///
-/// Construction follows the [`PerfCounters`] graceful-degradation
-/// contract: [`PhaseProfiler::enabled`] never fails — on a restricted
-/// host the profiled phases simply carry empty `hardware` maps. A
-/// [`PhaseProfiler::disabled`] profiler skips even the wall-clock
-/// bookkeeping and records nothing.
-///
-/// Open the profiler *before* the first parallel operation: the
-/// counters cover threads spawned after they open (see the
-/// `egraph-perf` crate docs), which is how the lazily-created worker
-/// pool gets counted.
-pub struct PhaseProfiler {
-    counters: Option<PerfCounters>,
-    phases: Mutex<Vec<PhaseProfile>>,
-}
-
-impl PhaseProfiler {
-    /// A profiler that records nothing; `profile` runs closures
-    /// directly.
-    pub fn disabled() -> Self {
-        Self {
-            counters: None,
-            phases: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Opens the hardware counters (never fails; see [`PerfCounters`])
-    /// and starts collecting phase profiles.
-    pub fn enabled() -> Self {
-        Self {
-            counters: Some(PerfCounters::open()),
-            phases: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The counter kinds that actually opened, in canonical order;
-    /// empty on a disabled profiler or a fully restricted host.
-    pub fn available_counters(&self) -> Vec<CounterKind> {
-        self.counters
-            .as_ref()
-            .map(|c| c.available_kinds())
-            .unwrap_or_default()
-    }
-
-    /// Runs `f` as the named phase, recording its wall time, hardware
-    /// counter deltas, and memory accounting (allocator attribution
-    /// when `egraph_metrics::alloc::TrackingAlloc` is installed, plus
-    /// the end-of-phase RSS sample).
-    pub fn profile<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        let Some(counters) = &self.counters else {
-            return f();
-        };
-        let window = counters.phase();
-        let alloc_window = egraph_metrics::alloc::window(name);
-        let start = Instant::now();
-        let out = f();
-        let seconds = start.elapsed().as_secs_f64();
-        let alloc_stats = alloc_window.finish();
-        let sample = window.finish();
-        let mut profile = PhaseProfile {
-            name: name.to_string(),
-            seconds,
-            ..PhaseProfile::default()
-        };
-        for (kind, value) in sample.iter() {
-            profile
-                .hardware
-                .insert(kind.name().to_string(), value as f64);
-        }
-        profile.memory = Some(PhaseMemory {
-            allocated_bytes: alloc_stats.allocated_bytes,
-            freed_bytes: alloc_stats.freed_bytes,
-            peak_bytes: alloc_stats.peak_bytes,
-            end_rss_bytes: egraph_metrics::alloc::rss_bytes().unwrap_or(0),
-        });
-        self.phases.lock().push(profile);
-        out
-    }
-
-    /// Takes the recorded phases, leaving the profiler empty.
-    pub fn take_phases(&self) -> Vec<PhaseProfile> {
-        std::mem::take(&mut *self.phases.lock())
-    }
 }
 
 pub mod json {
@@ -993,7 +1029,7 @@ mod tests {
         let pulled = stat(1, StepMode::Pull, DirectionDecision::heuristic(3, 2));
         r.record_iteration(0, &pulled);
         assert_eq!(r.counters()["edges"], 15.0);
-        // Without `with_iteration_perf` the hardware map exists but
+        // Without `with_hardware_counters` the hardware map exists but
         // stays empty.
         assert_eq!(r.iterations(), vec![TraceIteration::new(0, pulled)]);
         assert!(r.iterations()[0].stat.decision.says_pull());
@@ -1001,7 +1037,7 @@ mod tests {
 
     #[test]
     fn iteration_perf_recorder_samples_every_window() {
-        let r = TraceRecorder::with_iteration_perf(PerfCounters::open());
+        let r = TraceRecorder::with_hardware_counters();
         for step in 0..3 {
             let mut x = 1u64;
             for i in 0..200_000u64 {
@@ -1160,41 +1196,52 @@ mod tests {
     }
 
     #[test]
-    fn phase_profiler_records_phases() {
-        let profiler = PhaseProfiler::enabled();
-        let value = profiler.profile("algorithm", || {
-            let mut x = 1u64;
-            for i in 0..500_000u64 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            std::hint::black_box(x)
-        });
-        assert_ne!(value, 0);
-        let phases = profiler.take_phases();
+    fn trace_recorder_records_phases() {
+        let recorder = TraceRecorder::with_hardware_counters();
+        let start = recorder.begin_phase("algorithm");
+        let mut x = 1u64;
+        for i in 0..500_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+        }
+        recorder.end_phase(start);
+        assert_ne!(std::hint::black_box(x), 0);
+        let phases = recorder.phases();
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].name, "algorithm");
         assert!(phases[0].seconds > 0.0);
         // Hardware values only when the host grants counters — and then
         // the busy loop must have registered on every open counter.
-        for kind in profiler.available_counters() {
+        for kind in recorder.available_counters() {
             assert!(phases[0].hardware.contains_key(kind.name()));
         }
-        // An enabled profiler always attaches the memory section; the
+        // A recorded phase always carries the memory section; the
         // allocator fields are zero here (no TrackingAlloc in this test
         // binary) while end-RSS carries the statm fallback on Linux.
         let mem = phases[0].memory.expect("memory section present");
         if std::path::Path::new("/proc/self/statm").exists() {
             assert!(mem.end_rss_bytes > 0, "RSS fallback sampled: {mem:?}");
         }
-        assert!(profiler.take_phases().is_empty());
+        // `absorb` moves the phases into the trace with the rest.
+        let mut trace = RunTrace::new("bfs");
+        trace.absorb(&recorder);
+        assert_eq!(trace.phases, phases);
     }
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        let profiler = PhaseProfiler::disabled();
-        assert_eq!(profiler.profile("x", || 7), 7);
-        assert!(profiler.take_phases().is_empty());
-        assert!(profiler.available_counters().is_empty());
+    fn null_recorder_records_no_phase() {
+        let recorder = NullRecorder;
+        let start = recorder.begin_phase("x");
+        recorder.end_phase(start);
+        let ctx = crate::exec::ExecCtx::new(None).recorder(&recorder);
+        assert_eq!(ctx.profile("x", || 7), 7);
+        // A plain trace recorder records phases with empty hardware
+        // maps: it opened no counters.
+        let plain = TraceRecorder::new();
+        assert!(plain.available_counters().is_empty());
+        assert!(plain.phases().is_empty());
+        let start = plain.begin_phase("x");
+        plain.end_phase(start);
+        assert!(plain.phases()[0].hardware.is_empty());
     }
 
     #[test]

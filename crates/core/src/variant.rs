@@ -493,7 +493,7 @@ impl<D> DirCache<D> {
 
 /// A graph plus lazily built, cached layouts. Each direction of an
 /// indexed layout (adj, ccsr, delta) and the grid is built at most
-/// once, on first use, under whatever pool/profiler the requesting
+/// once, on first use, under whatever pool and recorder the requesting
 /// [`run_variant`] call supplies — so one `PreparedGraph` can serve
 /// many variant runs without rebuilding (a push-pull run borrows the
 /// out- and in-direction that push and pull runs built), while a
@@ -775,7 +775,7 @@ pub struct VariantRun {
 /// Resolves and runs one variant: builds (or reuses) the layouts the
 /// combination needs, then executes it under the context's pool with
 /// the context's instrumentation, attributing `"preprocess"` and
-/// `"algorithm"` phases to the context's profiler.
+/// `"algorithm"` phases to the context's recorder.
 ///
 /// This is the single algorithm × layout × direction match block in
 /// the workspace; everything else dispatches through it.

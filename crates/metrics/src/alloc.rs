@@ -16,8 +16,9 @@
 //! A phase *window* ([`window`]) publishes its phase id to a process-wide
 //! atomic; threads (including pool workers spawned inside the window)
 //! attribute to that phase unless they carry a thread-local override set
-//! with [`set_thread_phase`]. Windows are how `PhaseProfiler` brackets
-//! the load/preprocess/algorithm/store phases: entering a window
+//! with [`set_thread_phase`]. Windows are how the trace recorder
+//! (`egraph_core::telemetry::TraceRecorder`) brackets the
+//! load/preprocess/algorithm/store phases: entering a window
 //! re-baselines the phase's peak to the current live bytes, so the
 //! reported `peak_bytes` is the maximum *total live heap* observed while
 //! the window was open.
@@ -207,6 +208,7 @@ pub struct PhaseAllocStats {
 }
 
 /// An open phase attribution window; see [`window`].
+#[derive(Debug)]
 pub struct PhaseWindow {
     phase: usize,
     prev: usize,

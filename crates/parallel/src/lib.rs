@@ -14,9 +14,9 @@
 //!   shared queue — the paper's "work queue" model,
 //! * parallel prefix sums ([`scan`]) used by the count-sort and CSR
 //!   builders,
-//! * worker-local accumulation buffers ([`WorkerLocal`]) with a
-//!   prefix-sum [`parallel_collect`] and its order-preserving sibling
-//!   [`parallel_collect_ordered`], which replace shared locked
+//! * worker-local accumulation buffers ([`WorkerLocal`]) with an
+//!   order-preserving prefix-sum collector
+//!   ([`parallel_collect_ordered`]), which replace shared locked
 //!   collections on the frontier and pre-processing hot paths, and
 //! * atomic float cells ([`atomicf`]) whose `fetch_min` SSSP and the
 //!   serve tier's distance lanes relax through, and
@@ -59,7 +59,5 @@ pub use pool::{
     broadcast_current, current_num_threads, current_worker_index, global_pool, run_inline,
     with_pool, ThreadPool, WorkerId,
 };
-pub use scan::{exclusive_prefix_sum, inclusive_prefix_sum};
-pub use worker_local::{
-    parallel_collect, parallel_collect_ordered, OrderedBuf, WorkerGuard, WorkerLocal,
-};
+pub use scan::exclusive_prefix_sum;
+pub use worker_local::{parallel_collect_ordered, OrderedBuf, WorkerGuard, WorkerLocal};

@@ -80,27 +80,6 @@ pub fn exclusive_prefix_sum<T: ScanItem>(data: &mut [T]) -> T {
     total
 }
 
-/// In-place inclusive prefix sum; returns the total.
-///
-/// After the call, `data[i]` holds the sum of the original
-/// `data[..=i]`.
-pub fn inclusive_prefix_sum<T: ScanItem>(data: &mut [T]) -> T {
-    let total = exclusive_prefix_sum(data);
-    // Shift exclusive -> inclusive by adding the original values back;
-    // recompute from neighbors instead to avoid storing a copy.
-    // data_excl[i] = sum(orig[..i]); incl[i] = excl[i+1] for i < n-1,
-    // incl[n-1] = total.
-    if data.is_empty() {
-        return total;
-    }
-    for i in 0..data.len() - 1 {
-        data[i] = data[i + 1];
-    }
-    let last = data.len() - 1;
-    data[last] = total;
-    total
-}
-
 fn exclusive_scan_serial<T: ScanItem>(data: &mut [T]) -> T {
     let mut running = T::zero();
     for x in data.iter_mut() {
@@ -151,7 +130,6 @@ mod tests {
     fn empty_scan() {
         let mut v: Vec<u64> = vec![];
         assert_eq!(exclusive_prefix_sum(&mut v), 0);
-        assert_eq!(inclusive_prefix_sum(&mut v), 0);
     }
 
     #[test]
@@ -162,19 +140,6 @@ mod tests {
         let total = exclusive_prefix_sum(&mut got);
         assert_eq!(total, expected_total);
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn inclusive_scan_matches_reference() {
-        let v: Vec<u64> = (0..100_000).map(|i| i % 5).collect();
-        let mut got = v.clone();
-        let total = inclusive_prefix_sum(&mut got);
-        let mut run = 0;
-        for (i, &x) in v.iter().enumerate() {
-            run += x;
-            assert_eq!(got[i], run, "at {i}");
-        }
-        assert_eq!(total, run);
     }
 
     #[test]

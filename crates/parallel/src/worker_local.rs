@@ -8,9 +8,9 @@
 //! pool worker a private, cache-line-padded slot keyed by the
 //! [`WorkerId`](crate::WorkerId) of the running region, so the common
 //! case — a worker appending to its own buffer — touches no shared
-//! state at all. [`parallel_collect`] then concatenates the per-worker
-//! vectors into a single allocation with a size prefix sum plus a
-//! parallel copy, the frontier-collection scheme of Ligra/GBBS.
+//! state at all. [`parallel_collect_ordered`] then concatenates the
+//! per-worker buffers into a single allocation with a size prefix sum
+//! plus a parallel copy, the frontier-collection scheme of Ligra/GBBS.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
@@ -39,15 +39,16 @@ struct Slot<T> {
 /// # Examples
 ///
 /// ```
-/// use egraph_parallel::{parallel_for, WorkerLocal};
+/// use egraph_parallel::{parallel_for, OrderedBuf, WorkerLocal};
 ///
-/// let buffers: WorkerLocal<Vec<usize>> = WorkerLocal::new(Vec::new);
+/// let buffers: WorkerLocal<OrderedBuf<usize>> = WorkerLocal::new(OrderedBuf::new);
 /// parallel_for(0..1000, 64, |r| {
 ///     let mut buf = buffers.borrow();
-///     buf.extend(r);
+///     buf.begin_chunk(r.start as u64);
+///     r.for_each(|i| buf.push(i));
 /// });
-/// let all = egraph_parallel::parallel_collect(buffers);
-/// assert_eq!(all.len(), 1000);
+/// let all = egraph_parallel::parallel_collect_ordered(buffers);
+/// assert_eq!(all, (0..1000).collect::<Vec<_>>());
 /// ```
 pub struct WorkerLocal<T> {
     slots: Box<[Slot<T>]>,
@@ -176,80 +177,12 @@ impl<T> Drop for WorkerGuard<'_, T> {
     }
 }
 
-/// Concatenates per-worker vectors into one allocation: a size prefix
-/// sum assigns each buffer a disjoint output range, then all workers
-/// copy buffers in parallel. No locks, no atomics on the data path.
-///
-/// Buffer order is preserved (slot 0's elements first), so callers that
-/// fill slots from statically partitioned input keep a deterministic
-/// result.
-pub fn parallel_collect<T: Send>(locals: WorkerLocal<Vec<T>>) -> Vec<T> {
-    let mut buffers = locals.into_values();
-    let mut offsets = Vec::with_capacity(buffers.len());
-    let mut total = 0usize;
-    for buf in &buffers {
-        offsets.push(total);
-        total += buf.len();
-    }
-    if total == 0 {
-        return Vec::new();
-    }
-    // Fast path: exactly one non-empty buffer (serial runs, single
-    // worker) — reuse its allocation instead of copying.
-    if buffers.iter().filter(|b| !b.is_empty()).count() == 1 {
-        let index = buffers.iter().position(|b| !b.is_empty()).unwrap();
-        return std::mem::take(&mut buffers[index]);
-    }
-
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    {
-        let parts: Vec<Part<T>> = buffers
-            .iter()
-            .zip(&offsets)
-            .map(|(buf, &offset)| Part {
-                src: buf.as_ptr(),
-                len: buf.len(),
-                offset,
-            })
-            .collect();
-        let out_ptr = OutPtr(out.as_mut_ptr());
-        let cursor = AtomicUsize::new(0);
-        let parts = &parts;
-        // Buffers are handed out by a shared cursor rather than by
-        // worker id so a nested (inline-serialized) region still copies
-        // every buffer.
-        broadcast_current(&|_worker| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= parts.len() {
-                break;
-            }
-            let part = &parts[i];
-            // SAFETY: buffer `i` is copied exactly once into the range
-            // `offset..offset + len`, and those ranges are disjoint by
-            // the prefix sum; the reservation above covers `total`
-            // elements and the source vectors outlive the region.
-            unsafe {
-                std::ptr::copy_nonoverlapping(part.src, out_ptr.get().add(part.offset), part.len);
-            }
-        });
-    }
-    for buf in &mut buffers {
-        // SAFETY: the elements were moved (bit-copied) into `out`;
-        // truncating the length to zero forgets them in the source so
-        // they drop exactly once, via `out`.
-        unsafe { buf.set_len(0) };
-    }
-    // SAFETY: all `total` slots were initialized by the disjoint copies.
-    unsafe { out.set_len(total) };
-    out
-}
-
 /// A worker-local buffer whose contents are grouped into *chunks*
 /// carrying caller-supplied order keys.
 ///
 /// Dynamically scheduled regions hand chunks to whichever worker is
-/// free, so plain slot-order concatenation ([`parallel_collect`]) would
-/// make the output order depend on the schedule. Callers that tag each
+/// free, so plain slot-order concatenation would make the output order
+/// depend on the schedule. Callers that tag each
 /// chunk with a deterministic key (e.g. the chunk's start index) get
 /// the schedule back out of the result: [`parallel_collect_ordered`]
 /// reassembles chunks by key, producing the exact sequence a serial
@@ -322,9 +255,10 @@ impl<T> Default for OrderedBuf<T> {
 }
 
 /// Concatenates per-worker [`OrderedBuf`]s into one allocation with
-/// chunks sorted by `(order key, slot, position)` — the deterministic
-/// sibling of [`parallel_collect`]. With unique order keys the result
-/// is independent of how chunks were scheduled across workers.
+/// chunks sorted by `(order key, slot, position)`: a size prefix sum
+/// assigns each chunk a disjoint output range, then all workers copy
+/// chunks in parallel. With unique order keys the result is independent
+/// of how chunks were scheduled across workers.
 pub fn parallel_collect_ordered<T: Send>(locals: WorkerLocal<OrderedBuf<T>>) -> Vec<T> {
     let mut buffers = locals.into_values();
     let total: usize = buffers.iter().map(|b| b.items.len()).sum();
@@ -403,8 +337,8 @@ pub fn parallel_collect_ordered<T: Send>(locals: WorkerLocal<OrderedBuf<T>>) -> 
     out
 }
 
-/// One source buffer of a `parallel_collect`: where it starts, how many
-/// elements it holds, and its offset in the output.
+/// One source chunk of a `parallel_collect_ordered`: where it starts,
+/// how many elements it holds, and its offset in the output.
 struct Part<T> {
     src: *const T,
     len: usize,
@@ -418,7 +352,7 @@ unsafe impl<T: Send> Send for Part<T> {}
 unsafe impl<T: Send> Sync for Part<T> {}
 
 /// Raw output pointer that may cross thread boundaries (writes are to
-/// disjoint ranges, see `parallel_collect`).
+/// disjoint ranges, see `parallel_collect_ordered`).
 struct OutPtr<T>(*mut T);
 
 impl<T> OutPtr<T> {
@@ -457,41 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_collect_every_element_exactly_once() {
-        let n = 100_000usize;
-        let locals: WorkerLocal<Vec<usize>> = WorkerLocal::new(Vec::new);
-        parallel_for(0..n, 97, |r| {
-            let mut buf = locals.borrow();
-            buf.extend(r);
-        });
-        let mut all = parallel_collect(locals);
-        assert_eq!(all.len(), n);
-        all.sort_unstable();
-        for (i, &x) in all.iter().enumerate() {
-            assert_eq!(x, i);
-        }
-    }
-
-    #[test]
-    fn parallel_collect_empty() {
-        let locals: WorkerLocal<Vec<u64>> = WorkerLocal::new(Vec::new);
-        assert!(parallel_collect(locals).is_empty());
-    }
-
-    #[test]
-    fn parallel_collect_preserves_slot_order() {
-        let mut locals: WorkerLocal<Vec<u32>> = WorkerLocal::new(Vec::new);
-        for (i, buf) in locals.iter_mut().enumerate() {
-            buf.extend([i as u32 * 2, i as u32 * 2 + 1]);
-        }
-        let n = locals.num_slots();
-        let all = parallel_collect(locals);
-        let expected: Vec<u32> = (0..2 * n as u32).collect();
-        assert_eq!(all, expected);
-    }
-
-    #[test]
-    fn parallel_collect_drops_non_copy_values_once() {
+    fn ordered_collect_drops_non_copy_values_once() {
         use std::sync::atomic::AtomicUsize;
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         #[derive(Clone)]
@@ -501,14 +401,15 @@ mod tests {
                 DROPS.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let locals: WorkerLocal<Vec<Tracked>> = WorkerLocal::new(Vec::new);
+        let locals: WorkerLocal<OrderedBuf<Tracked>> = WorkerLocal::new(OrderedBuf::new);
         parallel_for(0..1000, 64, |r| {
             let mut buf = locals.borrow();
+            buf.begin_chunk(r.start as u64);
             for i in r {
                 buf.push(Tracked(Box::new(i as u64)));
             }
         });
-        let all = parallel_collect(locals);
+        let all = parallel_collect_ordered(locals);
         assert_eq!(all.len(), 1000);
         drop(all);
         assert_eq!(DROPS.load(Ordering::SeqCst), 1000);
@@ -571,17 +472,17 @@ mod tests {
     fn guard_amortizes_across_chunk() {
         // The guard pattern used by the engine drivers: one borrow per
         // chunk, many pushes.
-        let locals: WorkerLocal<Vec<u32>> = WorkerLocal::new(Vec::new);
+        let locals: WorkerLocal<OrderedBuf<u32>> = WorkerLocal::new(OrderedBuf::new);
         parallel_for(0..10_000, 256, |r| {
             let mut buf = locals.borrow();
+            buf.begin_chunk(r.start as u64);
             for i in r {
                 if i % 3 == 0 {
                     buf.push(i as u32);
                 }
             }
         });
-        let mut all = parallel_collect(locals);
-        all.sort_unstable();
+        let all = parallel_collect_ordered(locals);
         let expected: Vec<u32> = (0..10_000).filter(|i| i % 3 == 0).collect();
         assert_eq!(all, expected);
     }

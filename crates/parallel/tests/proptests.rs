@@ -54,20 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn inclusive_scan_matches_reference(
-        data in proptest::collection::vec(0u64..1_000, 0..50_000),
-    ) {
-        let mut got = data.clone();
-        let total = egraph_parallel::inclusive_prefix_sum(&mut got);
-        let mut run = 0u64;
-        for (i, &x) in data.iter().enumerate() {
-            run += x;
-            prop_assert_eq!(got[i], run);
-        }
-        prop_assert_eq!(total, run);
-    }
-
-    #[test]
     fn parallel_init_equals_map(
         n in 0usize..30_000,
         grain in 1usize..4_096,

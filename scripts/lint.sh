@@ -279,6 +279,27 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# One recorder on the context: a run's phases are records of the
+# recorder `ExecCtx` carries, and the trace recorder owns the one group
+# of hardware counters a traced run opens (`TraceRecorder::
+# with_hardware_counters`). A phase profiler beside the recorder, a
+# builder that attaches one, or a second `PerfCounters::open` is the
+# second instrumentation handle coming back.
+echo "== one recorder on the context =="
+offenders=$(find crates/*/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            (/PhaseProfiler|\.profiler\(/ ||
+             (/PerfCounters::open/ && FILENAME != "crates/core/src/telemetry.rs")) {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a phase profiler, or hardware counters opened outside telemetry.rs, in non-test crates/*/src:"
+    echo "$offenders"
+    exit 1
+fi
+
 # Models live in egraph-bench: the LLC simulator, the NUMA machines and
 # the SSD/HDD loading model stand in for the paper's hardware, so
 # they sit beside the experiments that use them (`crates/bench/src/llc`,
