@@ -164,11 +164,15 @@ fn main() {
         // Trace evidence: replay the largest scale's PageRank-pull on
         // each layout under a trace recorder, one trace
         // file per layout, so `egraph trace diff <adj> <ccsr>` surfaces
-        // the phase.*.peak_bytes rows of the build and the run.
+        // the phase.*.peak_bytes rows of the build and the run. Each
+        // replay runs on a pool built after its recorder's counters
+        // open, so they cover its workers.
         if ctx.tracing() && scale == ctx.scale + 4 {
             for (layout, id) in [("adj", pr_adj_id), ("ccsr", pr_ccsr_id)] {
                 let recorder = TraceRecorder::with_hardware_counters();
-                let traced = ExecCtx::new(&pool).recorder(&recorder);
+                let traced_pool = ThreadPool::new(THREADS);
+                traced_pool.counters().enable();
+                let traced = ExecCtx::new(&traced_pool).recorder(&recorder);
                 measure(&traced, prepare, &id, &pr_params, 1);
                 let mut trace = RunTrace::new("pagerank");
                 trace
@@ -178,6 +182,7 @@ fn main() {
                 trace.config.insert("scale".into(), scale.to_string());
                 trace.config.insert("threads".into(), THREADS.to_string());
                 trace.absorb(&recorder);
+                trace.absorb_pool(&traced_pool.counters().snapshot());
                 let suffixed = ExperimentCtx {
                     trace_out: ctx.trace_out.as_ref().map(|p| {
                         let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("json");

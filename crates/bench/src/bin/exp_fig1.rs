@@ -9,6 +9,7 @@ use egraph_bench::{
 use egraph_core::exec::ExecCtx;
 use egraph_core::telemetry::{RunTrace, TraceRecorder};
 use egraph_core::variant::{PreparedGraph, RunParams, VariantId, VariantRun};
+use egraph_parallel::ThreadPool;
 
 fn main() {
     let ctx = ExperimentCtx::from_args();
@@ -77,26 +78,26 @@ fn main() {
     // With --trace-out, replay the winning push-pull run once more
     // with a trace recorder attached and emit the same machine-readable
     // document the CLI's `run --trace-out` produces: its `preprocess`
-    // and `algorithm` phases, with memory.
+    // and `algorithm` phases, with memory. The replay runs on a pool
+    // built after the recorder's counters open, so they cover its
+    // workers.
     if ctx.tracing() {
-        egraph_parallel::telemetry::reset();
-        egraph_parallel::telemetry::enable();
         let recorder = TraceRecorder::with_hardware_counters();
+        let pool = ThreadPool::with_default_size();
+        pool.counters().enable();
         let id: VariantId = "bfs/adj/push-pull".parse().expect("valid variant spec");
-        let traced = ExecCtx::new(None).recorder(&recorder);
+        let traced = ExecCtx::new(&pool).recorder(&recorder);
         measure(&traced, prepare, &id, &params, 1);
-        egraph_parallel::telemetry::disable();
 
         let mut trace = RunTrace::new("bfs");
         trace.config.insert("experiment".into(), "exp_fig1".into());
         trace.config.insert("flow".into(), "push-pull".into());
         trace.config.insert("scale".into(), ctx.scale.to_string());
-        trace.config.insert(
-            "threads".into(),
-            egraph_parallel::current_num_threads().to_string(),
-        );
+        trace
+            .config
+            .insert("threads".into(), pool.num_threads().to_string());
         trace.absorb(&recorder);
-        trace.absorb_pool(&egraph_parallel::telemetry::snapshot());
+        trace.absorb_pool(&pool.counters().snapshot());
         ctx.save_trace(&trace);
     }
 }

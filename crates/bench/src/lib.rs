@@ -103,10 +103,10 @@ impl ExperimentCtx {
             }
         }
         let metrics = metrics_addr.map(|addr| {
-            egraph_metrics::register_pool_metrics();
+            egraph_metrics::register_pool_metrics(egraph_parallel::global_pool());
             egraph_metrics::register_alloc_metrics();
             egraph_storage::counters::register_metrics();
-            egraph_parallel::telemetry::enable();
+            egraph_parallel::global_pool().counters().enable();
             egraph_storage::counters::enable();
             // A typed BindError names the offending address; exit
             // cleanly instead of unwinding a panic through main.

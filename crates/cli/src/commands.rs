@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::sync::Arc;
 use std::time::Instant;
 
 use egraph_core::algo::pagerank;
@@ -19,7 +20,7 @@ use egraph_core::variant::{
     default_grid_side, run_variant, Algo, Direction, Layout, PreparedGraph, RunParams, SyncMode,
     VariantId, VariantOutput,
 };
-use egraph_parallel::timeline;
+use egraph_parallel::{timeline, ThreadPool};
 use egraph_storage::{read_edge_list, write_edge_list, FormatError};
 
 use crate::args::Args;
@@ -68,8 +69,9 @@ RUN OPTIONS:
                        phase's time and memory, per-iteration records,
                        pool and storage counters, per-phase hardware
                        counters when the host allows)
-  --timeline-out FILE  write per-worker timeline spans as Chrome
-                       trace-event JSON (open in about:tracing/Perfetto)
+  --timeline-out FILE  write timeline spans as Chrome trace-event JSON
+                       (open in about:tracing/Perfetto): one track per
+                       worker per pool
   --metrics-addr H:P   serve live Prometheus metrics at
                        http://H:P/metrics (plus /healthz) for the
                        duration of the run; port 0 picks a free port
@@ -99,9 +101,10 @@ SERVE OPTIONS:
                    HTTP GET /debug/queries?n=K with the last K
                    completed queries as NDJSON (each line carries the
                    graph epoch its wave executed against)
-  --timeline-out FILE  as for run: write per-worker timeline spans of
-                   the daemon's lifetime as Chrome trace-event JSON
-                   when the daemon shuts down
+  --timeline-out FILE  as for run: write the spans of the daemon's
+                   lifetime as Chrome trace-event JSON when it shuts
+                   down, one track per worker per pool (the global
+                   pool, which builds the layout, and the wave pool)
   The query-port /healthz line also reports queue_depth and inflight.
   The daemon answers newline-delimited JSON point queries
   ({\"id\":1,\"algo\":\"bfs|sssp|khop\",\"source\":N[,\"depth\":K][,\"values\":true]})
@@ -141,7 +144,9 @@ CONFORMANCE OPTIONS:
   against every corpus graph, with delta-layout and incremental
   results checked against from-scratch recompute after every batch
   and after compaction (--full adds scheduler fault injection)
-  --metrics-addr / --metrics-linger   as for run";
+  --metrics-addr / --metrics-linger   as for run, without the
+                   egraph_pool_* families (the matrix runs on pools of
+                   its own, one per thread count)";
 
 type CliResult = Result<(), Box<dyn Error>>;
 
@@ -362,9 +367,10 @@ fn save_f32(save: Option<&str>, values: &[f32]) -> Result<f64, Box<dyn Error>> {
 }
 
 /// Starts the opt-in `/metrics` endpoint when `--metrics-addr` was
-/// given, registering the scrape-time sources (pool, storage,
-/// allocator) first. Returns the server handle so the caller controls
-/// when it shuts down, plus the `--metrics-linger` grace period.
+/// given, registering the scrape-time storage and allocator sources
+/// first (the caller registers the pool it runs on). Returns the server
+/// handle so the caller controls when it shuts down, plus the
+/// `--metrics-linger` grace period.
 fn maybe_serve_metrics(
     args: &Args,
 ) -> Result<(Option<egraph_metrics::MetricsServer>, f64), Box<dyn Error>> {
@@ -373,12 +379,26 @@ fn maybe_serve_metrics(
     let Some(addr) = addr else {
         return Ok((None, linger));
     };
-    egraph_metrics::register_pool_metrics();
     egraph_metrics::register_alloc_metrics();
     egraph_storage::counters::register_metrics();
     let server = egraph_metrics::serve(addr.as_str())?;
     println!("serving metrics on http://{}/metrics", server.addr());
     Ok((Some(server), linger))
+}
+
+/// Writes the spans of `pools` to `path` as one Chrome trace-event
+/// document, one process per pool and one track per worker.
+fn write_timeline(path: &str, pools: &[(&str, &ThreadPool)]) -> CliResult {
+    std::fs::write(path, timeline::chrome_trace_json(pools))?;
+    let dropped: u64 = pools
+        .iter()
+        .map(|(_, p)| p.timeline().dropped_spans())
+        .sum();
+    if dropped > 0 {
+        eprintln!("warning: {dropped} timeline spans dropped (per-worker track full)");
+    }
+    println!("wrote timeline to {path}");
+    Ok(())
 }
 
 /// Holds the `/metrics` endpoint open for the `--metrics-linger` grace
@@ -549,8 +569,7 @@ fn cmd_run(args: &Args) -> CliResult {
 
     // The hardware counters only cover threads spawned after they open,
     // so the trace recorder must exist before anything creates the
-    // global pool — including `timeline::enable`, which sizes its
-    // per-worker tracks from the pool.
+    // global pool, which the run runs on.
     let trace_recorder = trace_out
         .as_ref()
         .map(|out| (out, TraceRecorder::with_hardware_counters()));
@@ -558,16 +577,20 @@ fn cmd_run(args: &Args) -> CliResult {
         Some((_, trace)) => trace,
         None => &NullRecorder,
     };
+    let pool = egraph_parallel::global_pool();
     if trace_out.is_some() || metrics_server.is_some() {
         // Counters must be collecting before the load phase starts.
         // enable() opens a fresh collection window (it zeroes first),
         // so a reused pool cannot leak a previous run's counts.
-        egraph_parallel::telemetry::enable();
+        pool.counters().enable();
         egraph_storage::counters::enable();
     }
+    if metrics_server.is_some() {
+        egraph_metrics::register_pool_metrics(pool);
+    }
     if timeline_out.is_some() {
-        timeline::reset();
-        timeline::enable();
+        pool.timeline().reset();
+        pool.timeline().enable();
     }
 
     let load_start = Instant::now();
@@ -597,7 +620,7 @@ fn cmd_run(args: &Args) -> CliResult {
         dispatch_run(&spec, any, recorder)?;
     }
     if let Some((out_path, recorder)) = &trace_recorder {
-        egraph_parallel::telemetry::disable();
+        pool.counters().disable();
         egraph_storage::counters::disable();
         let mut trace = RunTrace::new(&algo);
         let available = recorder.available_counters();
@@ -621,15 +644,12 @@ fn cmd_run(args: &Args) -> CliResult {
             ("strategy", args.get_or("strategy", "radix")),
             ("root", &root.to_string()),
             ("iters", &iters.to_string()),
-            (
-                "threads",
-                &egraph_parallel::current_num_threads().to_string(),
-            ),
+            ("threads", &pool.num_threads().to_string()),
         ] {
             trace.config.insert(key.to_string(), value.to_string());
         }
         trace.absorb(recorder);
-        trace.absorb_pool(&egraph_parallel::telemetry::snapshot());
+        trace.absorb_pool(&pool.counters().snapshot());
         let storage = egraph_storage::counters::snapshot();
         for (name, value) in [
             ("storage.bytes_read", storage.bytes_read as f64),
@@ -646,17 +666,12 @@ fn cmd_run(args: &Args) -> CliResult {
         println!("wrote trace to {out_path}");
     }
     if let Some(out_path) = &timeline_out {
-        timeline::disable();
-        std::fs::write(out_path, timeline::chrome_trace_json())?;
-        let dropped = timeline::dropped_spans();
-        if dropped > 0 {
-            eprintln!("warning: {dropped} timeline spans dropped (per-worker track full)");
-        }
-        println!("wrote timeline to {out_path}");
+        pool.timeline().disable();
+        write_timeline(out_path, &[("global pool", pool)])?;
     }
     // The counter values survive disable(), so scrapers that arrive
     // during the linger window still read the run's final totals.
-    egraph_parallel::telemetry::disable();
+    pool.counters().disable();
     egraph_storage::counters::disable();
     finish_metrics(metrics_server, metrics_linger);
     Ok(())
@@ -849,12 +864,10 @@ fn cmd_serve(args: &Args) -> CliResult {
     let (metrics_server, metrics_linger) = maybe_serve_metrics(args)?;
     args.reject_unknown()?;
 
-    // Same ordering constraint as `run`: the track count is fixed when
-    // recording first turns on, so enable before the daemon spawns its
-    // wave pool.
+    // The global pool builds the resident layout: its spans are
+    // recorded from the start.
     if timeline_out.is_some() {
-        timeline::reset();
-        timeline::enable();
+        egraph_parallel::global_pool().timeline().enable();
     }
 
     // Load balancers polling either /healthz (query port or metrics
@@ -874,6 +887,14 @@ fn cmd_serve(args: &Args) -> CliResult {
         slow_query,
     };
     let daemon = ServeDaemon::start(&listen, graph, config)?;
+    let waves = Arc::clone(daemon.pool());
+    if metrics_server.is_some() {
+        waves.counters().enable();
+        egraph_metrics::register_pool_metrics(Arc::clone(&waves));
+    }
+    if timeline_out.is_some() {
+        waves.timeline().enable();
+    }
     daemon.wait_ready();
     egraph_metrics::set_health(egraph_metrics::Health::Ready);
     // The integration tests and scripts parse this exact line to learn
@@ -888,13 +909,13 @@ fn cmd_serve(args: &Args) -> CliResult {
     println!("shutting down: draining in-flight queries");
     daemon.shutdown();
     if let Some(out_path) = &timeline_out {
-        timeline::disable();
-        std::fs::write(out_path, timeline::chrome_trace_json())?;
-        let dropped = timeline::dropped_spans();
-        if dropped > 0 {
-            eprintln!("warning: {dropped} timeline spans dropped (per-worker track full)");
-        }
-        println!("wrote timeline to {out_path}");
+        write_timeline(
+            out_path,
+            &[
+                ("global pool", egraph_parallel::global_pool()),
+                ("wave pool", &waves),
+            ],
+        )?;
     }
     finish_metrics(metrics_server, metrics_linger);
     println!("serve: clean shutdown");
@@ -1161,7 +1182,6 @@ fn cmd_conformance(args: &Args) -> CliResult {
     }
     let (metrics_server, metrics_linger) = maybe_serve_metrics(args)?;
     if metrics_server.is_some() {
-        egraph_parallel::telemetry::enable();
         egraph_storage::counters::enable();
     }
     args.reject_unknown()?;
@@ -1196,7 +1216,6 @@ fn cmd_conformance(args: &Args) -> CliResult {
         update_start.elapsed().as_secs_f64(),
     );
     if metrics_server.is_some() {
-        egraph_parallel::telemetry::disable();
         egraph_storage::counters::disable();
     }
     finish_metrics(metrics_server, metrics_linger);

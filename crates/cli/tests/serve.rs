@@ -3,6 +3,7 @@
 //! batched answers are bit-identical to single-query runs through the
 //! same `run_variant` resolver `egraph run` uses.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -35,11 +36,16 @@ struct Server {
 
 impl Server {
     fn spawn(path: &str, extra: &[&str]) -> Self {
+        Self::spawn_with_env(path, extra, &[])
+    }
+
+    fn spawn_with_env(path: &str, extra: &[&str], env: &[(&str, &str)]) -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_egraph"))
             .arg("serve")
             .arg(path)
             .args(["--listen", "127.0.0.1:0"])
             .args(extra)
+            .envs(env.iter().copied())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -227,6 +233,70 @@ fn mid_flight_disconnect_does_not_wedge_the_daemon() {
 
     let log = server.shutdown();
     assert!(log.contains("serve: clean shutdown"), "{log}");
+}
+
+/// `--timeline-out` writes each pool as its own process with one track
+/// per worker: the global pool, which builds the layout, and a wave
+/// pool wider than it. A wave worker records only onto its own track,
+/// so no two region spans overlap on any track.
+#[test]
+fn serve_timeline_has_one_track_per_worker_per_pool() {
+    let path = tmp("serve_rmat_timeline.egr");
+    dispatch(&argv(&[
+        "generate", "rmat", "--scale", "14", "--out", &path, "--seed", "5",
+    ]))
+    .expect("generate rmat");
+    let out = tmp("serve_timeline.json");
+    let server = Server::spawn_with_env(
+        &path,
+        &["--threads", "4", "--timeline-out", &out],
+        &[("EGRAPH_THREADS", "2")],
+    );
+    let mut stream = connect(&server.addr);
+    for source in 0..40 {
+        let request = format!("{{\"id\":{source},\"algo\":\"bfs\",\"source\":{source}}}");
+        let response = roundtrip(&mut stream, &request);
+        assert_eq!(field(&response, "ok"), &Value::Bool(true), "{response:?}");
+    }
+    let log = server.shutdown();
+    assert!(log.contains("wrote timeline"), "{log}");
+
+    let doc = json::parse(&std::fs::read_to_string(&out).unwrap()).expect("timeline is JSON");
+    let mut tracks: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    let mut regions: BTreeMap<(u64, u64), Vec<(f64, f64)>> = BTreeMap::new();
+    for event in field(&doc, "traceEvents").as_array().unwrap() {
+        let number = |key| field(event, key).as_number().unwrap_or(-1.0) as u64;
+        let (pid, tid) = (number("pid"), number("tid"));
+        match (field(event, "ph").as_str(), field(event, "name").as_str()) {
+            (Some("M"), Some("thread_name")) => {
+                tracks.entry(pid).or_default().insert(tid);
+            }
+            (Some("X"), _) if field(event, "cat").as_str() == Some("region") => {
+                let ts = field(event, "ts").as_number().unwrap();
+                let dur = field(event, "dur").as_number().unwrap();
+                regions.entry((pid, tid)).or_default().push((ts, ts + dur));
+            }
+            _ => {}
+        }
+    }
+    // pid 1 is the global pool, pid 2 the wave pool.
+    assert_eq!(tracks[&1], BTreeSet::from([0, 1]), "{tracks:?}");
+    assert_eq!(tracks[&2], BTreeSet::from([0, 1, 2, 3]), "{tracks:?}");
+    for worker in 0..4 {
+        assert!(
+            regions.contains_key(&(2, worker)),
+            "wave worker {worker} ran no region"
+        );
+    }
+    for ((pid, tid), spans) in &mut regions {
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for pair in spans.windows(2) {
+            assert!(
+                pair[1].0 + 1e-3 >= pair[0].1,
+                "overlapping region spans on pid {pid} tid {tid}: {pair:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -683,6 +683,74 @@ fn run_with_metrics_addr_serves_and_matches_trace() {
     assert_eq!(phases, ["load", "preprocess", "algorithm"]);
 }
 
+/// `serve --metrics-addr` reports the wave pool's counters: after the
+/// daemon answered queries, the pool families read what its waves ran.
+#[test]
+fn serve_metrics_count_the_wave_pool() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::process::{Command, Stdio};
+
+    let graph = tmp("smoke_serve_metrics.egr");
+    dispatch(&argv(&[
+        "generate", "rmat", "--scale", "14", "--out", &graph, "--seed", "5",
+    ]))
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_egraph"))
+        .args(["serve", &graph, "--listen", "127.0.0.1:0"])
+        .args(["--threads", "2", "--metrics-addr", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn egraph serve");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let (mut metrics, mut queries) = (None, None);
+    while queries.is_none() {
+        let mut line = String::new();
+        assert!(
+            stdout.read_line(&mut line).unwrap() > 0,
+            "serve exited early"
+        );
+        let line = line.trim();
+        if let Some(rest) = line.strip_prefix("serving metrics on http://") {
+            metrics = rest.strip_suffix("/metrics").map(str::to_string);
+        }
+        queries = line.strip_prefix("serving on ").map(str::to_string);
+    }
+    let mut stream = TcpStream::connect(queries.unwrap()).unwrap();
+    let mut replies = BufReader::new(stream.try_clone().unwrap());
+    for source in 0..20 {
+        writeln!(
+            stream,
+            "{{\"id\":{source},\"algo\":\"bfs\",\"source\":{source}}}"
+        )
+        .unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    let mut scrape = TcpStream::connect(metrics.expect("metrics address printed")).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut text = String::new();
+    scrape.read_to_string(&mut text).unwrap();
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success());
+
+    for family in [
+        "egraph_pool_regions_total",
+        "egraph_pool_busy_seconds_total",
+    ] {
+        let value: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(family)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("missing {family}:\n{text}"))
+            .trim()
+            .parse()
+            .unwrap();
+        assert!(value > 0.0, "{family} reads {value}");
+    }
+}
+
 #[test]
 fn timeline_out_writes_chrome_trace() {
     let graph = tmp("smoke_timeline.egr");

@@ -62,6 +62,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use egraph_metrics::BindError;
+use egraph_parallel::ThreadPool;
 
 use crate::telemetry::json::{self, Value};
 use crate::types::VertexId;
@@ -134,6 +135,11 @@ impl ServeDaemon {
     /// Blocks until the engine is ready.
     pub fn wait_ready(&self) {
         self.engine.wait_ready();
+    }
+
+    /// The engine's wave pool ([`ServeEngine::pool`]).
+    pub fn pool(&self) -> &Arc<ThreadPool> {
+        self.engine.pool()
     }
 
     /// Stops accepting connections, drains in-flight queries and joins
@@ -685,19 +691,20 @@ mod tests {
             );
             assert_eq!(get_field(&response, "ok"), &Value::Bool(true));
         }
-        // The journal deposit happens just after the result send; give
-        // the scheduler a beat before dumping.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let body = loop {
-            let response = http_get_raw(daemon.addr(), "/debug/queries?n=2");
+        // The journal deposit happens just after the result send: wait
+        // until all three queries are in the journal before dumping the
+        // last two.
+        let dump = |n: usize| {
+            let response = http_get_raw(daemon.addr(), &format!("/debug/queries?n={n}"));
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
             assert!(response.contains("application/x-ndjson"), "{response}");
-            let body = response.rsplit("\r\n\r\n").next().unwrap().to_string();
-            if body.lines().count() == 2 || std::time::Instant::now() >= deadline {
-                break body;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+            response.rsplit("\r\n\r\n").next().unwrap().to_string()
         };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while dump(3).lines().count() < 3 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let body = dump(2);
         let lines: Vec<&str> = body.lines().collect();
         assert_eq!(lines.len(), 2, "{body}");
         for line in &lines {

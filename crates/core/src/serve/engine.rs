@@ -693,6 +693,9 @@ pub struct ServeEngine {
     layout: Layout,
     ready: Arc<AtomicBool>,
     journal: Arc<QueryJournal>,
+    /// The pool waves run on, built at start with
+    /// [`ServeConfig::threads`] workers.
+    pool: Arc<ThreadPool>,
     next_id: AtomicU64,
 }
 
@@ -738,6 +741,10 @@ impl ServeEngine {
         });
         let ready = Arc::new(AtomicBool::new(false));
         let journal = Arc::new(QueryJournal::new(config.journal_capacity));
+        let pool = Arc::new(ThreadPool::new(match config.threads {
+            0 => egraph_parallel::pool::default_num_threads(),
+            threads => threads,
+        }));
         let served = Arc::new(Served {
             graph: DeltaGraph::new(edges),
             layout,
@@ -749,10 +756,11 @@ impl ServeEngine {
             let served = Arc::clone(&served);
             let ready = Arc::clone(&ready);
             let journal = Arc::clone(&journal);
+            let pool = Arc::clone(&pool);
             let config = ServeConfig { max_wave, ..config };
             std::thread::Builder::new()
                 .name("egraph-serve-sched".into())
-                .spawn(move || scheduler_loop(&served, config, &shared, &ready, &journal))
+                .spawn(move || scheduler_loop(&served, config, &pool, &shared, &ready, &journal))
                 .expect("spawn serve scheduler")
         };
         Self {
@@ -764,8 +772,15 @@ impl ServeEngine {
             layout,
             ready,
             journal,
+            pool,
             next_id: AtomicU64::new(1),
         }
+    }
+
+    /// The pool waves run on: its counters and timeline are the served
+    /// queries' (the layout builds on the ambient pool).
+    pub fn pool(&self) -> &Arc<ThreadPool> {
+        &self.pool
     }
 
     /// Number of vertices in the served graph.
@@ -918,6 +933,7 @@ impl Drop for ServeEngine {
 fn scheduler_loop<E: EdgeRecord>(
     served: &Served<E>,
     config: ServeConfig,
+    pool: &ThreadPool,
     shared: &Shared,
     ready: &AtomicBool,
     journal: &QueryJournal,
@@ -927,18 +943,12 @@ fn scheduler_loop<E: EdgeRecord>(
     // start-up is never overwritten by this older build. Each wave
     // loads whichever resident is current when it launches.
     served.publish(false);
-    let threads = if config.threads == 0 {
-        egraph_parallel::pool::default_num_threads()
-    } else {
-        config.threads
-    };
-    let pool = ThreadPool::new(threads);
     let metrics = config.metrics.then(|| Metrics::new(config.layout.name()));
     ready.store(true, Ordering::Release);
 
     let runner = WaveRunner {
         num_vertices: served.graph.num_vertices(),
-        pool: &pool,
+        pool,
         metrics: metrics.as_ref(),
         journal,
         slow_query: config.slow_query,

@@ -1,22 +1,14 @@
 //! An incremental engine's from-scratch fallback runs on the pool of
 //! the context it is given, not on the global pool.
-//!
-//! The pool counters are process-global, so this file is a test binary
-//! of its own and holds a single test.
 
 use egraph_core::algo::wcc::{self, IncrementalWcc};
 use egraph_core::exec::ExecCtx;
 use egraph_core::layout::{DeltaBatch, DeltaLog, DeltaOp};
 use egraph_core::types::{Edge, EdgeList};
-use egraph_parallel::{telemetry, with_pool, ThreadPool};
+use egraph_parallel::ThreadPool;
 
 #[test]
 fn a_wcc_fallback_runs_on_the_context_pool() {
-    // Two workers in the global pool, so a third worker can only be the
-    // context pool's. Set before anything in this process builds it.
-    std::env::set_var("EGRAPH_THREADS", "2");
-    assert_eq!(egraph_parallel::current_num_threads(), 2);
-
     // A chain long enough that the hook round is over the inline grain.
     let n = 20_000u32;
     let base = EdgeList::new(
@@ -35,11 +27,9 @@ fn a_wcc_fallback_runs_on_the_context_pool() {
     let merged = log.merge_into(&base);
 
     let pool = ThreadPool::new(3);
-    telemetry::reset();
-    telemetry::enable();
+    pool.counters().enable();
     let outcome = engine.apply_ctx(&merged, &batch, &ExecCtx::new(&pool));
-    telemetry::disable();
-    let busy = with_pool(&pool, telemetry::snapshot).busy_seconds;
+    let busy = pool.counters().snapshot().busy_seconds;
 
     assert!(outcome.fallback, "a delete forces the recompute");
     assert_eq!(engine.labels(), &wcc::reference(&merged)[..]);

@@ -5,14 +5,12 @@
 //! every round of more than 64 members, and a second one to collect the
 //! next frontier whenever the other worker happened to claim a chunk:
 //! the same levels took a different number of regions from run to run.
-//! The pool counters are process-global, so this file is a test binary
-//! of its own and holds a single test.
 
 use egraph_core::engine::INLINE_GRAIN;
 use egraph_core::exec::ExecCtx;
 use egraph_core::types::{Edge, EdgeList};
 use egraph_core::variant::{run_variant, PreparedGraph, RunParams, VariantId};
-use egraph_parallel::{telemetry, ThreadPool};
+use egraph_parallel::ThreadPool;
 
 /// A `width × height` lattice with both directions of every 4-neighbor
 /// edge; vertex `(x, y)` is `y * width + x`.
@@ -52,9 +50,8 @@ fn a_lattice_bfs_under_the_grain_opens_the_same_zero_regions_on_every_run() {
     bfs();
     let regions: Vec<u64> = (0..5)
         .map(|_| {
-            telemetry::enable();
+            pool.counters().enable();
             let output = bfs();
-            telemetry::disable();
             let run = output.as_bfs().unwrap();
             assert!(run.iterations.len() > 500);
             assert!(run.iterations.iter().any(|s| s.frontier_size > 64));
@@ -62,7 +59,7 @@ fn a_lattice_bfs_under_the_grain_opens_the_same_zero_regions_on_every_run() {
                 .iterations
                 .iter()
                 .all(|s| s.decision.observed <= INLINE_GRAIN));
-            telemetry::snapshot().regions
+            pool.counters().snapshot().regions
         })
         .collect();
     assert_eq!(regions, [0; 5]);

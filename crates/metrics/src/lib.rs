@@ -34,39 +34,54 @@ pub mod registry;
 pub mod server;
 pub mod sharded;
 
+use std::ops::Deref;
+
+use egraph_parallel::telemetry::PoolSnapshot;
+use egraph_parallel::ThreadPool;
+
 pub use registry::{
     global, sanitize_metric_name, Counter, Gauge, Histogram, MetricsRegistry, Unit,
 };
 pub use server::{health, healthz_response, serve, set_health, BindError, Health, MetricsServer};
 
-/// Register gauges/counters for the `egraph-parallel` pool telemetry
-/// (busy seconds, regions, chunks, tasks, load imbalance).
+/// Register gauges/counters for one `egraph-parallel` pool's counters
+/// (busy seconds, regions, chunks, load imbalance): the `pool` handle
+/// is the global pool (`egraph_parallel::global_pool()`) or an
+/// `Arc<ThreadPool>` such as a serve engine's wave pool.
 ///
-/// The callbacks read [`egraph_parallel::telemetry::snapshot`] on every
-/// scrape, so `/metrics` always reports exactly the totals that a final
-/// `RunTrace` records from the same source. Idempotent: repeated calls
-/// reuse the existing registrations.
-pub fn register_pool_metrics() {
+/// The callbacks read the pool's counter snapshot on every scrape, so
+/// `/metrics` always reports exactly the totals that a final `RunTrace`
+/// records from the same source. The pool counts only while its
+/// counters are enabled. Idempotent: repeated calls keep the first
+/// pool's registrations.
+pub fn register_pool_metrics<P>(pool: P)
+where
+    P: Deref<Target = ThreadPool> + Clone + Send + Sync + 'static,
+{
     let r = global();
+    let read = move |f: fn(&PoolSnapshot) -> f64| {
+        let pool = pool.clone();
+        move || f(&pool.counters().snapshot())
+    };
     r.counter_fn(
         "egraph_pool_regions_total",
         "Parallel regions executed by the pool.",
-        || egraph_parallel::telemetry::snapshot().regions as f64,
+        read(|s| s.regions as f64),
     );
     r.counter_fn(
         "egraph_pool_chunks_total",
         "Chunks claimed from shared work queues.",
-        || egraph_parallel::telemetry::snapshot().chunks as f64,
+        read(|s| s.chunks as f64),
     );
     r.counter_fn(
         "egraph_pool_busy_seconds_total",
         "Total worker busy time across all workers.",
-        || egraph_parallel::telemetry::snapshot().total_busy_seconds(),
+        read(PoolSnapshot::total_busy_seconds),
     );
     r.gauge_fn(
         "egraph_pool_load_imbalance",
         "Max worker busy time divided by mean worker busy time (1.0 = perfectly balanced).",
-        || egraph_parallel::telemetry::snapshot().load_imbalance(),
+        read(PoolSnapshot::load_imbalance),
     );
 }
 

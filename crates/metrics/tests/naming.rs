@@ -12,7 +12,7 @@ use egraph_metrics::{global, register_alloc_metrics, register_pool_metrics};
 
 #[test]
 fn built_in_metric_families_pass_the_naming_lint() {
-    register_pool_metrics();
+    register_pool_metrics(egraph_parallel::global_pool());
     register_alloc_metrics();
     let violations = global().lint_names();
     assert!(violations.is_empty(), "naming violations: {violations:?}");

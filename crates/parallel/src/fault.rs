@@ -3,8 +3,8 @@
 //! The conformance harness (`egraph-testkit`) needs to prove that the
 //! runtime never hangs and never silently corrupts results when the
 //! schedule degenerates: workers that stall and workers that die. This
-//! module provides a process-global [`FaultPlan`] that the pool
-//! consults at region entry.
+//! module provides a [`FaultPlan`] that [`FaultGuard::install`] puts on
+//! one pool, which consults it at region entry.
 //!
 //! The disabled-path cost is a single relaxed atomic load per region
 //! entry (the same pattern as [`crate::telemetry`]), so production runs
@@ -17,11 +17,13 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::ThreadPool;
+
 /// A deterministic schedule of pool-level faults.
 ///
-/// Install with [`install`], remove with [`clear`] (use
-/// [`FaultGuard`] to make removal panic-safe — injected panics unwind
-/// through caller code by design).
+/// Installed on a pool by [`FaultGuard::install`] and removed when the
+/// guard drops, which is panic-safe: injected panics unwind through
+/// caller code by design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed mixed into every injected decision.
@@ -32,7 +34,7 @@ pub struct FaultPlan {
     pub delay_workers: bool,
     /// Panic inside this worker's region-entry hook.
     pub panic_worker: Option<usize>,
-    /// First region ordinal (1-based, counted from [`install`]) at
+    /// First region ordinal (1-based, counted from the install) at
     /// which `panic_worker` fires. Lets a test run a few clean regions
     /// before the fault lands.
     pub panic_from_region: u64,
@@ -56,7 +58,7 @@ impl FaultPlan {
     }
 
     /// Panics `worker` in every region starting from `from_region`
-    /// (1-based ordinal counted from [`install`]).
+    /// (1-based ordinal counted from the install).
     pub fn panic_worker(mut self, worker: usize, from_region: u64) -> Self {
         self.panic_worker = Some(worker);
         self.panic_from_region = from_region.max(1);
@@ -64,93 +66,80 @@ impl FaultPlan {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static REGIONS: AtomicU64 = AtomicU64::new(0);
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-
-/// Installs `plan` process-wide and resets the region ordinal counter.
-///
-/// Fault injection is global state: tests that install plans must not
-/// run concurrently with each other (serialize them with a mutex or a
-/// single `#[test]`).
-pub fn install(plan: FaultPlan) {
-    let mut guard = PLAN.lock();
-    REGIONS.store(0, Ordering::SeqCst);
-    *guard = Some(plan);
-    ENABLED.store(true, Ordering::SeqCst);
+/// The fault plan of one pool: installed through [`FaultGuard`], consulted
+/// by the pool at region entry.
+#[derive(Debug, Default)]
+pub(crate) struct PoolFaults {
+    enabled: AtomicBool,
+    regions: AtomicU64,
+    plan: Mutex<Option<FaultPlan>>,
 }
 
-/// Removes any installed plan; subsequent regions run fault-free.
-pub fn clear() {
-    ENABLED.store(false, Ordering::SeqCst);
-    *PLAN.lock() = None;
+impl PoolFaults {
+    /// Called by `broadcast` once per top-level region.
+    #[inline]
+    pub(crate) fn on_region(&self) {
+        if self.enabled.load(Ordering::Relaxed) {
+            self.regions.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Called once per worker at region entry; applies delays and panics.
+    #[inline]
+    pub(crate) fn on_worker_run(&self, worker: usize) {
+        if self.enabled.load(Ordering::Relaxed) {
+            self.on_worker_run_slow(worker);
+        }
+    }
+
+    #[cold]
+    fn on_worker_run_slow(&self, worker: usize) {
+        let Some(plan) = *self.plan.lock() else {
+            return;
+        };
+        let region = self.regions.load(Ordering::SeqCst);
+        if let Some(target) = plan.panic_worker {
+            if worker == target && region >= plan.panic_from_region {
+                panic!(
+                    "injected fault (seed {}): worker {worker} panicked in region {region}",
+                    plan.seed
+                );
+            }
+        }
+        if plan.delay_workers {
+            let micros =
+                mix(plan.seed ^ region.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ worker as u64) % 200;
+            if micros > 0 {
+                std::thread::sleep(Duration::from_micros(micros));
+            }
+        }
+    }
 }
 
-/// Whether a fault plan is currently installed.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Clears the installed plan on drop, even when an injected panic
-/// unwinds through the test body.
+/// A fault plan installed on one pool; dropping the guard clears it,
+/// even when an injected panic unwinds through the test body.
 #[derive(Debug)]
-pub struct FaultGuard(());
+pub struct FaultGuard<'a>(&'a PoolFaults);
 
-impl FaultGuard {
-    /// Installs `plan` and returns a guard that clears it on drop.
+impl<'a> FaultGuard<'a> {
+    /// Installs `plan` on `pool`, restarting the region ordinal at 0,
+    /// and returns a guard that clears it on drop. Other pools run
+    /// fault-free.
     #[must_use]
-    pub fn install(plan: FaultPlan) -> Self {
-        install(plan);
-        Self(())
+    pub fn install(pool: &'a ThreadPool, plan: FaultPlan) -> Self {
+        let faults = &pool.shared.faults;
+        let mut guard = faults.plan.lock();
+        faults.regions.store(0, Ordering::SeqCst);
+        *guard = Some(plan);
+        faults.enabled.store(true, Ordering::SeqCst);
+        Self(faults)
     }
 }
 
-impl Drop for FaultGuard {
+impl Drop for FaultGuard<'_> {
     fn drop(&mut self) {
-        clear();
-    }
-}
-
-/// Called by `broadcast` once per top-level region.
-#[inline]
-pub(crate) fn on_region() {
-    if !enabled() {
-        return;
-    }
-    REGIONS.fetch_add(1, Ordering::SeqCst);
-}
-
-/// Called once per worker at region entry; applies delays and panics.
-#[inline]
-pub(crate) fn on_worker_run(worker: usize) {
-    if !enabled() {
-        return;
-    }
-    on_worker_run_slow(worker);
-}
-
-#[cold]
-fn on_worker_run_slow(worker: usize) {
-    let plan = match *PLAN.lock() {
-        Some(plan) => plan,
-        None => return,
-    };
-    let region = REGIONS.load(Ordering::SeqCst);
-    if let Some(target) = plan.panic_worker {
-        if worker == target && region >= plan.panic_from_region {
-            panic!(
-                "injected fault (seed {}): worker {worker} panicked in region {region}",
-                plan.seed
-            );
-        }
-    }
-    if plan.delay_workers {
-        let micros =
-            mix(plan.seed ^ region.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ worker as u64) % 200;
-        if micros > 0 {
-            std::thread::sleep(Duration::from_micros(micros));
-        }
+        self.0.enabled.store(false, Ordering::SeqCst);
+        *self.0.plan.lock() = None;
     }
 }
 
@@ -178,6 +167,19 @@ mod tests {
         assert!(plan.delay_workers);
         assert_eq!(plan.panic_worker, Some(3));
         assert_eq!(plan.panic_from_region, 2);
+    }
+
+    #[test]
+    fn a_plan_faults_only_its_own_pool() {
+        let (faulted, clean) = (ThreadPool::new(2), ThreadPool::new(2));
+        let guard = FaultGuard::install(&faulted, FaultPlan::new(1).panic_worker(1, 1));
+        clean.broadcast(&|_| {});
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            faulted.broadcast(&|_| {});
+        }));
+        assert!(hit.is_err(), "worker 1 of the faulted pool panics");
+        drop(guard);
+        faulted.broadcast(&|_| {});
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //!   vertices in priority order between parallel rounds (bucketed
 //!   SSSP).
 //!
+//! Each pool owns its instruments, off until asked for: its counters
+//! ([`telemetry`]), its fault plan ([`fault`]) and its timeline tracks
+//! ([`timeline`]), so code reads the numbers of the pool it ran on.
+//!
 //! The number of workers defaults to the machine's available parallelism
 //! and can be overridden with the `EGRAPH_THREADS` environment variable
 //! or per-pool with [`ThreadPool::new`].

@@ -10,6 +10,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::pool::{broadcast_current, current_num_threads};
+use crate::telemetry;
 
 /// Default chunk size for the self-scheduling loops.
 ///
@@ -42,20 +43,24 @@ where
         return;
     }
     if len <= grain {
-        crate::telemetry::on_chunk();
+        telemetry::on_chunks(1);
         f(range);
         return;
     }
     let base = range.start;
     let end = range.end;
     let cursor = AtomicUsize::new(base);
-    broadcast_current(&|_worker| loop {
-        let start = cursor.fetch_add(grain, Ordering::Relaxed);
-        if start >= end {
-            break;
+    broadcast_current(&|_worker| {
+        let mut chunks = 0;
+        loop {
+            let start = cursor.fetch_add(grain, Ordering::Relaxed);
+            if start >= end {
+                break;
+            }
+            chunks += 1;
+            f(start..end.min(start + grain));
         }
-        crate::telemetry::on_chunk();
-        f(start..end.min(start + grain));
+        telemetry::on_chunks(chunks);
     });
 }
 
@@ -96,7 +101,7 @@ where
         return identity();
     }
     if len <= grain {
-        crate::telemetry::on_chunk();
+        telemetry::on_chunks(1);
         return fold(identity(), range);
     }
     let end = range.end;
@@ -108,17 +113,17 @@ where
         let slots = SendPtr(partials.as_mut_ptr());
         broadcast_current(&|worker| {
             let mut acc = identity();
-            let mut did_work = false;
+            let mut chunks = 0;
             loop {
                 let start = cursor.fetch_add(grain, Ordering::Relaxed);
                 if start >= end {
                     break;
                 }
-                did_work = true;
-                crate::telemetry::on_chunk();
+                chunks += 1;
                 acc = fold(acc, start..end.min(start + grain));
             }
-            if did_work {
+            telemetry::on_chunks(chunks);
+            if chunks > 0 {
                 // SAFETY: worker ids are dense and unique within the
                 // region, so each slot has exactly one writer, and the
                 // borrow of `partials` outlives the blocking region.

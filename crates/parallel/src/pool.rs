@@ -20,6 +20,10 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::fault::PoolFaults;
+use crate::telemetry::PoolCounters;
+use crate::timeline::{SpanKind, Timeline};
+
 /// A panic payload carried from a worker back to the caller.
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
@@ -65,7 +69,7 @@ struct RegionSlot {
     panic: Option<PanicPayload>,
 }
 
-struct Shared {
+pub(crate) struct Shared {
     num_threads: usize,
     slot: Mutex<RegionSlot>,
     /// Workers sleep here between regions.
@@ -73,6 +77,11 @@ struct Shared {
     /// The caller sleeps here while workers drain the region.
     done_cv: Condvar,
     shutdown: AtomicBool,
+    /// The pool's own instruments, each sized to its width and off
+    /// until asked for.
+    pub(crate) counters: PoolCounters,
+    pub(crate) faults: PoolFaults,
+    pub(crate) timeline: Timeline,
 }
 
 thread_local! {
@@ -85,27 +94,31 @@ thread_local! {
     /// borrows the pool for the closure's duration and restores the
     /// previous value (panic-safe) before returning.
     static SCOPED_POOL: Cell<Option<*const ThreadPool>> = const { Cell::new(None) };
-    /// Thread count of the region currently executing on this thread
-    /// (0 outside any region). Nested operations on worker threads size
-    /// their per-worker scratch from this, so they match the pool that
-    /// is actually broadcasting rather than the global one.
-    static REGION_THREADS: Cell<usize> = const { Cell::new(0) };
+    /// The region currently executing on this thread: its thread count
+    /// (0 outside any region) and the shared state of the pool that
+    /// broadcast it (`None` for [`run_inline`]'s pool-less region).
+    /// Nested operations on worker threads size their per-worker
+    /// scratch from the count, and count and record onto that pool, so
+    /// they match the pool that is actually broadcasting rather than
+    /// the global one.
+    static REGION: Cell<(usize, Option<*const Shared>)> = const { Cell::new((0, None)) };
 }
 
 /// Restores the worker-identity thread-locals even if the region
 /// closure unwinds.
 struct WorkerScope {
     prev_worker: Option<usize>,
-    prev_threads: usize,
+    prev_region: (usize, Option<*const Shared>),
 }
 
 impl WorkerScope {
-    fn enter(index: usize, region_threads: usize) -> Self {
+    fn enter(index: usize, region_threads: usize, pool: Option<&Shared>) -> Self {
         let prev_worker = CURRENT_WORKER.with(|c| c.replace(Some(index)));
-        let prev_threads = REGION_THREADS.with(|c| c.replace(region_threads));
+        let region = (region_threads, pool.map(|shared| shared as *const Shared));
+        let prev_region = REGION.with(|c| c.replace(region));
         Self {
             prev_worker,
-            prev_threads,
+            prev_region,
         }
     }
 }
@@ -113,8 +126,34 @@ impl WorkerScope {
 impl Drop for WorkerScope {
     fn drop(&mut self) {
         CURRENT_WORKER.with(|c| c.set(self.prev_worker));
-        REGION_THREADS.with(|c| c.set(self.prev_threads));
+        REGION.with(|c| c.set(self.prev_region));
     }
+}
+
+/// The pool installed by [`with_pool`] on this thread, if any. The
+/// reference is valid for as long as that `with_pool` call lasts, and
+/// callers hold it no longer.
+fn scoped_pool<'a>() -> Option<&'a ThreadPool> {
+    // SAFETY: `with_pool` keeps the pool borrowed while the override is
+    // installed and uninstalls it before returning.
+    SCOPED_POOL.with(Cell::get).map(|ptr| unsafe { &*ptr })
+}
+
+/// The shared state — and so the instruments — of the pool that work
+/// started on this thread runs on: the broadcasting pool inside a
+/// region, otherwise the [`with_pool`] override, otherwise the global
+/// pool if it exists. The reference is valid while the region or
+/// override it was read in lasts, and callers hold it no longer.
+pub(crate) fn current_shared<'a>() -> Option<&'a Shared> {
+    if let (_, Some(shared)) = REGION.with(Cell::get) {
+        // SAFETY: a region's pool outlives the region: `broadcast`
+        // borrows the pool until it returns, and every background
+        // worker owns an `Arc` of the shared state.
+        return Some(unsafe { &*shared });
+    }
+    scoped_pool()
+        .or_else(|| POOL.get())
+        .map(|pool| &*pool.shared)
 }
 
 /// Runs `f` with `pool` installed as the calling thread's active pool:
@@ -152,16 +191,10 @@ pub fn with_pool<R>(pool: &ThreadPool, f: impl FnOnce() -> R) -> R {
 /// directly, so that scoped pools of any width stay in bounds.
 #[inline]
 pub fn current_num_threads() -> usize {
-    let region = REGION_THREADS.with(Cell::get);
-    if region > 0 {
-        return region;
+    match REGION.with(Cell::get) {
+        (0, _) => scoped_pool().unwrap_or_else(global_pool).num_threads(),
+        (threads, _) => threads,
     }
-    if let Some(ptr) = SCOPED_POOL.with(Cell::get) {
-        // SAFETY: `with_pool` keeps the pool borrowed while the
-        // override is installed and uninstalls it before returning.
-        return unsafe { (*ptr).num_threads() };
-    }
-    global_pool().num_threads()
 }
 
 /// Runs `f` once per worker on the calling thread's active pool (see
@@ -175,12 +208,7 @@ pub fn broadcast_current(f: &(dyn Fn(WorkerId) + Sync)) {
         f(WorkerId(current));
         return;
     }
-    if let Some(ptr) = SCOPED_POOL.with(Cell::get) {
-        // SAFETY: see `current_num_threads`.
-        unsafe { (*ptr).broadcast(f) };
-        return;
-    }
-    global_pool().broadcast(f);
+    scoped_pool().unwrap_or_else(global_pool).broadcast(f);
 }
 
 /// Runs `f` on the calling thread as worker 0 of a one-wide region that
@@ -207,7 +235,7 @@ pub fn run_inline<R>(f: impl FnOnce() -> R) -> R {
     if CURRENT_WORKER.with(Cell::get).is_some() {
         return f();
     }
-    let _scope = WorkerScope::enter(0, 1);
+    let _scope = WorkerScope::enter(0, 1, None);
     f()
 }
 
@@ -227,7 +255,7 @@ pub fn run_inline<R>(f: impl FnOnce() -> R) -> R {
 /// assert_eq!(hits.load(Ordering::Relaxed), 4);
 /// ```
 pub struct ThreadPool {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -248,6 +276,9 @@ impl ThreadPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            counters: PoolCounters::new(num_threads),
+            faults: PoolFaults::default(),
+            timeline: Timeline::new(num_threads),
         });
         let handles = (1..num_threads)
             .map(|index| {
@@ -274,6 +305,18 @@ impl ThreadPool {
         self.shared.num_threads
     }
 
+    /// This pool's counters: its regions, chunks and per-worker busy
+    /// time, off until [`PoolCounters::enable`].
+    pub fn counters(&self) -> &PoolCounters {
+        &self.shared.counters
+    }
+
+    /// This pool's span tracks, one per worker, off until
+    /// [`Timeline::enable`].
+    pub fn timeline(&self) -> &Timeline {
+        &self.shared.timeline
+    }
+
     /// Runs `f` once on every worker (including the calling thread as
     /// worker 0) and returns when all invocations have completed.
     ///
@@ -297,11 +340,12 @@ impl ThreadPool {
             f(WorkerId(current));
             return;
         }
-        crate::telemetry::on_region();
-        crate::fault::on_region();
-        if self.shared.num_threads == 1 {
-            let _scope = WorkerScope::enter(0, 1);
-            run_timed(f, WorkerId(0));
+        let shared = &*self.shared;
+        shared.counters.on_region();
+        shared.faults.on_region();
+        if shared.num_threads == 1 {
+            let _scope = WorkerScope::enter(0, 1, Some(shared));
+            run_timed(shared, f, WorkerId(0));
             return;
         }
 
@@ -336,8 +380,8 @@ impl ThreadPool {
         // job pointer stays published until every background worker has
         // finished with it, then re-throw.
         let caller_result = {
-            let _scope = WorkerScope::enter(0, self.shared.num_threads);
-            std::panic::catch_unwind(AssertUnwindSafe(|| run_timed(f, WorkerId(0))))
+            let _scope = WorkerScope::enter(0, shared.num_threads, Some(shared));
+            std::panic::catch_unwind(AssertUnwindSafe(|| run_timed(shared, f, WorkerId(0))))
         };
 
         let panic = {
@@ -371,17 +415,19 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Runs one worker's share of a region, attributing its wall time to
-/// the telemetry busy counters and the timeline (when they are
-/// collecting — each costs one relaxed load otherwise).
+/// Runs one worker's share of a region on `shared`'s pool, attributing
+/// its wall time to the pool's busy counters and timeline (when they
+/// are collecting — each costs one relaxed load otherwise).
 #[inline]
-fn run_timed(f: &(dyn Fn(WorkerId) + Sync), worker: WorkerId) {
-    let _span = crate::timeline::span(crate::timeline::SpanKind::Region, "region", "");
-    crate::fault::on_worker_run(worker.index());
-    if crate::telemetry::enabled() {
+fn run_timed(shared: &Shared, f: &(dyn Fn(WorkerId) + Sync), worker: WorkerId) {
+    let _span = shared.timeline.span(SpanKind::Region, "region", "");
+    shared.faults.on_worker_run(worker.index());
+    if shared.counters.enabled() {
         let start = std::time::Instant::now();
         f(worker);
-        crate::telemetry::on_busy(worker.index(), start.elapsed().as_nanos() as u64);
+        shared
+            .counters
+            .on_busy(worker.index(), start.elapsed().as_nanos() as u64);
     } else {
         f(worker);
     }
@@ -407,12 +453,12 @@ fn worker_loop(shared: &Shared, index: usize) {
         };
 
         let result = {
-            let _scope = WorkerScope::enter(index, shared.num_threads);
+            let _scope = WorkerScope::enter(index, shared.num_threads, Some(shared));
             // SAFETY: `broadcast` keeps the pointee alive until
             // `remaining` drops to zero, which happens strictly after
             // this call returns (or unwinds into the catch below).
             std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_timed(unsafe { &*job.0 }, WorkerId(index))
+                run_timed(shared, unsafe { &*job.0 }, WorkerId(index))
             }))
         };
 
@@ -457,9 +503,11 @@ pub fn default_num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The process-wide pool, created on first use by [`global_pool`].
+static POOL: OnceLock<ThreadPool> = OnceLock::new();
+
 /// Returns the process-wide pool, creating it on first use.
 pub fn global_pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(ThreadPool::with_default_size)
 }
 
@@ -617,7 +665,7 @@ mod tests {
         }));
         assert!(result.is_err());
         assert!(current_worker_index().is_none());
-        assert_eq!(REGION_THREADS.with(Cell::get), 0);
+        assert_eq!(REGION.with(Cell::get), (0, None));
     }
 
     #[test]

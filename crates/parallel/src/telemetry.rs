@@ -1,12 +1,20 @@
-//! Opt-in runtime counters for the pool: parallel regions, chunks
+//! Opt-in runtime counters of one pool: parallel regions, chunks
 //! executed and per-worker busy time.
 //!
-//! The counters are process-global atomics behind a single `enabled`
-//! gate, so the instrumented fast paths pay one relaxed load when
-//! telemetry is off — the same zero-cost contract as the
+//! Every [`ThreadPool`](crate::ThreadPool) owns one [`PoolCounters`],
+//! sized to its own width and read through
+//! [`ThreadPool::counters`](crate::ThreadPool::counters), so two pools
+//! never mix their numbers. The counters sit behind one `enabled` gate,
+//! so when counting is off a region pays one relaxed load and a chunk
+//! loop one per worker — the same zero-cost contract as the
 //! `NullRecorder` in the core crate, adapted to a crate that the core
-//! depends on (so it cannot use that trait directly). Enable with [`enable`], read a consistent-enough view
-//! with [`snapshot`], and clear between runs with [`reset`].
+//! depends on (so it cannot use that trait directly).
+//!
+//! The free functions [`enable`], [`disable`] and [`snapshot`] are
+//! shorthands for the [`global_pool`](crate::global_pool)'s counters.
+//! They stay for the standing benchmark, whose batch workloads run on
+//! the global pool, until ROADMAP item 2(e) reads the product's
+//! records instead.
 //!
 //! Relaxed orderings are deliberate: the counters feed end-of-run
 //! reports, not synchronization, and every `broadcast` joins all
@@ -14,69 +22,117 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Upper bound on tracked workers; matches the `ThreadPool` clamp.
-const MAX_WORKERS: usize = 256;
+/// The counters of one pool.
+#[derive(Debug)]
+pub struct PoolCounters {
+    enabled: AtomicBool,
+    regions: AtomicU64,
+    chunks: AtomicU64,
+    busy_nanos: Box<[AtomicU64]>,
+}
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static REGIONS: AtomicU64 = AtomicU64::new(0);
-static CHUNKS: AtomicU64 = AtomicU64::new(0);
-static BUSY_NANOS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
+impl PoolCounters {
+    /// Counters for a pool of `workers` threads, off.
+    pub(crate) fn new(workers: usize) -> Self {
+        Self {
+            enabled: AtomicBool::new(false),
+            regions: AtomicU64::new(0),
+            chunks: AtomicU64::new(0),
+            busy_nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
 
-/// Turns the pool counters on and zeroes them, starting a fresh
-/// collection window. Off by default.
-///
-/// The zeroing matters for pool reuse: the pool survives across runs
-/// (including after a worker panic), so without it a second
-/// instrumented run would report the first run's regions and busy time
-/// on top of its own. Call [`reset`] instead to zero without changing
-/// the collection state.
+    /// Turns the counters on and zeroes them, starting a fresh
+    /// collection window. Off by default.
+    ///
+    /// The zeroing matters for pool reuse: the pool survives across
+    /// runs (including after a worker panic), so without it a second
+    /// instrumented run would report the first run's regions and busy
+    /// time on top of its own.
+    pub fn enable(&self) {
+        self.reset();
+        self.enabled.store(true, Ordering::Relaxed);
+    }
+
+    /// Turns the counters off (the counts keep their values).
+    pub fn disable(&self) {
+        self.enabled.store(false, Ordering::Relaxed);
+    }
+
+    /// Whether the counters are currently collecting.
+    #[inline]
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Zeroes every counter (collection state is unchanged).
+    fn reset(&self) {
+        self.regions.store(0, Ordering::Relaxed);
+        self.chunks.store(0, Ordering::Relaxed);
+        for slot in self.busy_nanos.iter() {
+            slot.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Reads the current counter values, one busy entry per worker.
+    ///
+    /// The view is only guaranteed consistent when no region is in
+    /// flight on the pool (the intended use: snapshot after the
+    /// instrumented run finishes).
+    pub fn snapshot(&self) -> PoolSnapshot {
+        PoolSnapshot {
+            regions: self.regions.load(Ordering::Relaxed),
+            chunks: self.chunks.load(Ordering::Relaxed),
+            steals: 0,
+            busy_seconds: self
+                .busy_nanos
+                .iter()
+                .map(|n| n.load(Ordering::Relaxed) as f64 * 1e-9)
+                .collect(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn on_region(&self) {
+        if self.enabled() {
+            self.regions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    pub(crate) fn on_busy(&self, worker: usize, nanos: u64) {
+        self.busy_nanos[worker].fetch_add(nanos, Ordering::Relaxed);
+    }
+}
+
+/// Counts `chunks` chunks on the counters of the pool running this
+/// worker. A loop counts its chunks in a local and calls this once per
+/// worker per region, so a chunk costs no thread-local lookup and no
+/// atomic.
+pub(crate) fn on_chunks(chunks: u64) {
+    let counters = crate::pool::current_shared().map(|shared| &shared.counters);
+    if let Some(counters) = counters.filter(|c| c.enabled()) {
+        counters.chunks.fetch_add(chunks, Ordering::Relaxed);
+    }
+}
+
+/// Turns the [`global_pool`](crate::global_pool)'s counters on,
+/// zeroing them first ([`PoolCounters::enable`]).
 pub fn enable() {
-    reset();
-    ENABLED.store(true, Ordering::Relaxed);
+    crate::global_pool().counters().enable();
 }
 
-/// Turns the pool counters off (the counts keep their values).
+/// Turns the global pool's counters off ([`PoolCounters::disable`]).
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    crate::global_pool().counters().disable();
 }
 
-/// Whether the counters are currently collecting.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// Reads the global pool's counters ([`PoolCounters::snapshot`]).
+pub fn snapshot() -> PoolSnapshot {
+    crate::global_pool().counters().snapshot()
 }
 
-/// Zeroes every counter (collection state is unchanged).
-pub fn reset() {
-    REGIONS.store(0, Ordering::Relaxed);
-    CHUNKS.store(0, Ordering::Relaxed);
-    for slot in &BUSY_NANOS {
-        slot.store(0, Ordering::Relaxed);
-    }
-}
-
-#[inline]
-pub(crate) fn on_region() {
-    if enabled() {
-        REGIONS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-#[inline]
-pub(crate) fn on_chunk() {
-    if enabled() {
-        CHUNKS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-#[inline]
-pub(crate) fn on_busy(worker: usize, nanos: u64) {
-    if worker < MAX_WORKERS {
-        BUSY_NANOS[worker].fetch_add(nanos, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of the pool counters.
+/// A point-in-time copy of one pool's counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolSnapshot {
     /// Parallel regions broadcast to the pool.
@@ -85,7 +141,7 @@ pub struct PoolSnapshot {
     pub chunks: u64,
     /// Always 0: the runtime has no stealing scheduler. Kept only
     /// because the standing benchmark still reads it as
-    /// `parallel.steals`; ROADMAP item 2(b) removes that read, and
+    /// `parallel.steals`; ROADMAP item 2(e) removes that read, and
     /// this field with it.
     pub steals: u64,
     /// Busy seconds per worker, indexed by `WorkerId`; only workers
@@ -123,38 +179,32 @@ impl PoolSnapshot {
     }
 }
 
-/// Reads the current counter values.
-///
-/// `busy_seconds` covers the global pool's workers. The view is only
-/// guaranteed consistent when no parallel region is in flight (the
-/// intended use: snapshot after the instrumented run finishes).
-pub fn snapshot() -> PoolSnapshot {
-    let workers = crate::current_num_threads().min(MAX_WORKERS);
-    PoolSnapshot {
-        regions: REGIONS.load(Ordering::Relaxed),
-        chunks: CHUNKS.load(Ordering::Relaxed),
-        steals: 0,
-        busy_seconds: BUSY_NANOS[..workers]
-            .iter()
-            .map(|n| n.load(Ordering::Relaxed) as f64 * 1e-9)
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{with_pool, ThreadPool};
 
     #[test]
     fn disabled_counters_stay_zero() {
-        // Telemetry is off by default; instrumented ops must not count.
-        // (Runs first in the module namespace; other tests here are the
-        // only ones that enable the gate, and they reset after.)
-        reset();
-        crate::parallel_for(0..100_000, 1024, |_r| {});
-        let snap = snapshot();
+        // Counting is off by default; instrumented ops must not count.
+        let pool = ThreadPool::new(2);
+        with_pool(&pool, || crate::parallel_for(0..100_000, 1024, |_r| {}));
+        let snap = pool.counters().snapshot();
         assert_eq!(snap.regions, 0);
         assert_eq!(snap.chunks, 0);
+        assert_eq!(snap.busy_seconds, [0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_pool_counts_only_its_own_regions() {
+        let (counted, other) = (ThreadPool::new(3), ThreadPool::new(2));
+        counted.counters().enable();
+        with_pool(&counted, || crate::parallel_for(0..100, 10, |_r| {}));
+        with_pool(&other, || crate::parallel_for(0..100, 10, |_r| {}));
+        let snap = counted.counters().snapshot();
+        assert_eq!((snap.regions, snap.chunks), (1, 10));
+        assert_eq!(snap.busy_seconds.len(), 3);
+        assert_eq!(other.counters().snapshot().regions, 0);
     }
 
     #[test]

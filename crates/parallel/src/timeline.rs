@@ -1,46 +1,47 @@
 //! Per-worker timeline spans: who ran what, when, for how long.
 //!
-//! The pool's counter telemetry ([`crate::telemetry`]) answers "how
-//! much" — regions, chunks, steals, busy seconds. This module answers
-//! "when": each worker owns a fixed-capacity ring of span slots, and
-//! instrumented code records begin/end pairs for parallel regions,
-//! engine steps, and pre-processing phases. The result can be exported
-//! as Chrome trace-event JSON ([`chrome_trace_json`]) and opened in
-//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) to see the
-//! paper's push/pull step structure laid out on a per-worker time axis.
+//! The pool's counters ([`crate::telemetry`]) answer "how much" —
+//! regions, chunks, busy seconds. This module answers "when": every
+//! [`ThreadPool`] owns a [`Timeline`] with one bounded track per
+//! worker, sized when the pool is built, and instrumented code records
+//! begin/end pairs for parallel regions, engine steps, and
+//! pre-processing phases. The result can be exported as Chrome
+//! trace-event JSON ([`chrome_trace_json`]), one process per pool, and
+//! opened in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)
+//! to see the paper's push/pull step structure laid out on a per-worker
+//! time axis.
 //!
 //! # Recording model
 //!
-//! Recording is lock-free and allocation-free on the hot path:
+//! * One relaxed load of the running pool's gate when its timeline is
+//!   off (the same zero-cost gate contract as the counters).
+//! * When on, a span guard captures its start; on drop it locks the
+//!   current worker's track once and pushes the finished span.
 //!
-//! * one relaxed atomic load when the timeline is disabled (the same
-//!   zero-cost gate contract as the counter telemetry),
-//! * when enabled, a span guard captures the start offset; on drop it
-//!   claims a slot in the current worker's track with one `fetch_add`
-//!   and fills the slot with relaxed stores, publishing with a release
-//!   flag.
-//!
-//! Tracks never wrap: when a track's ring is full, further spans on
-//! that worker are counted in [`dropped_spans`] and discarded, so a
-//! long run degrades to a truncated timeline instead of a corrupted
+//! Tracks never wrap: when a track is full, further spans on that
+//! worker are counted in [`Timeline::dropped_spans`] and discarded, so
+//! a long run degrades to a truncated timeline instead of a corrupted
 //! one.
 //!
-//! Track assignment uses [`crate::current_worker_index`]; code running
-//! outside any parallel region (the driver thread between regions)
-//! records onto track 0, which is also the calling thread's worker id
-//! inside a region — one thread, one track.
+//! A span records on the pool that work started on its thread runs on:
+//! the broadcasting pool inside a region, otherwise the pool installed
+//! by [`crate::with_pool`], otherwise the global pool. Its track is the
+//! current worker id; code running outside any region (the calling
+//! thread between regions) records onto track 0, which is also the
+//! calling thread's worker id inside a region — one thread, one track.
 //!
 //! # Consistency
 //!
-//! [`snapshot`], [`chrome_trace_json`] and [`reset`] are meant to run
-//! when no instrumented work is in flight (after the parallel joins),
-//! exactly like `telemetry::snapshot`. A concurrent snapshot is safe —
-//! unpublished slots are simply skipped — it is just not guaranteed
-//! complete.
+//! [`Timeline::snapshot`] and [`chrome_trace_json`] are meant to run
+//! when no instrumented work is in flight on the pool (after the
+//! parallel joins), exactly like the counters' snapshot.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
+
+use parking_lot::Mutex;
+
+use crate::ThreadPool;
 
 /// Spans retained per worker track; later spans are dropped (and
 /// counted) once a track is full.
@@ -50,12 +51,12 @@ pub const TRACK_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// One worker's share of a fork-join parallel region.
-    Region = 0,
+    Region,
     /// One engine computation step (an iteration of an algorithm
     /// driver); its detail string carries the push/pull direction.
-    Step = 1,
+    Step,
     /// A coarse run phase: load, pre-processing, store, ...
-    Phase = 2,
+    Phase,
 }
 
 impl SpanKind {
@@ -67,180 +68,145 @@ impl SpanKind {
             SpanKind::Phase => "phase",
         }
     }
-
-    fn from_u8(v: u8) -> SpanKind {
-        match v {
-            0 => SpanKind::Region,
-            1 => SpanKind::Step,
-            _ => SpanKind::Phase,
-        }
-    }
 }
 
-/// One slot of a worker track. A slot is written by exactly one span
-/// guard (the `fetch_add` claim hands out each index once) and becomes
-/// visible to readers only after the release store to `ready`.
-struct Slot {
-    ready: AtomicBool,
-    kind: AtomicU8,
-    name_ptr: AtomicPtr<u8>,
-    name_len: AtomicUsize,
-    detail_ptr: AtomicPtr<u8>,
-    detail_len: AtomicUsize,
-    start_nanos: AtomicU64,
-    duration_nanos: AtomicU64,
-}
-
-impl Slot {
-    const fn empty() -> Self {
-        Self {
-            ready: AtomicBool::new(false),
-            kind: AtomicU8::new(0),
-            name_ptr: AtomicPtr::new(std::ptr::null_mut()),
-            name_len: AtomicUsize::new(0),
-            detail_ptr: AtomicPtr::new(std::ptr::null_mut()),
-            detail_len: AtomicUsize::new(0),
-            start_nanos: AtomicU64::new(0),
-            duration_nanos: AtomicU64::new(0),
-        }
-    }
-}
-
-struct Track {
-    claimed: AtomicUsize,
-    slots: Box<[Slot]>,
-}
-
-struct Timeline {
-    /// All span start offsets are measured from this instant.
+/// The span tracks of one pool, one per worker.
+#[derive(Debug)]
+pub struct Timeline {
+    enabled: AtomicBool,
+    /// Span start offsets are measured from this instant.
     origin: Instant,
-    tracks: Box<[Track]>,
+    tracks: Box<[Mutex<Vec<SpanRecord>>]>,
     dropped: AtomicU64,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static TIMELINE: OnceLock<Timeline> = OnceLock::new();
-
-fn timeline() -> &'static Timeline {
-    TIMELINE.get_or_init(|| {
-        let workers = crate::current_num_threads();
-        Timeline {
+impl Timeline {
+    /// An off timeline with one empty track per worker.
+    pub(crate) fn new(workers: usize) -> Self {
+        Self {
+            enabled: AtomicBool::new(false),
             origin: Instant::now(),
-            tracks: (0..workers)
-                .map(|_| Track {
-                    claimed: AtomicUsize::new(0),
-                    slots: (0..TRACK_CAPACITY).map(|_| Slot::empty()).collect(),
-                })
-                .collect(),
+            tracks: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             dropped: AtomicU64::new(0),
         }
-    })
-}
-
-/// Turns span recording on. Off by default.
-///
-/// The first call allocates one track per global-pool worker, so the
-/// memory cost is paid only by runs that ask for a timeline. Enable
-/// *after* any `EGRAPH_THREADS` handling but before the instrumented
-/// run; the track count is fixed at this point.
-pub fn enable() {
-    timeline();
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns span recording off (recorded spans are kept).
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether spans are currently being recorded.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Discards every recorded span. Call between runs, with no
-/// instrumented work in flight.
-pub fn reset() {
-    let Some(tl) = TIMELINE.get() else { return };
-    for track in &tl.tracks {
-        let claimed = track.claimed.swap(0, Ordering::Relaxed);
-        for slot in track.slots.iter().take(claimed.min(TRACK_CAPACITY)) {
-            slot.ready.store(false, Ordering::Relaxed);
-        }
     }
-    tl.dropped.store(0, Ordering::Relaxed);
+
+    /// Turns span recording on. Off by default.
+    pub fn enable(&self) {
+        self.enabled.store(true, Ordering::Relaxed);
+    }
+
+    /// Turns span recording off (recorded spans are kept).
+    pub fn disable(&self) {
+        self.enabled.store(false, Ordering::Relaxed);
+    }
+
+    /// Whether spans are currently being recorded.
+    #[inline]
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Discards every recorded span. Call between runs, with no
+    /// instrumented work in flight.
+    pub fn reset(&self) {
+        for track in self.tracks.iter() {
+            track.lock().clear();
+        }
+        self.dropped.store(0, Ordering::Relaxed);
+    }
+
+    /// Spans discarded because their worker's track was full.
+    pub fn dropped_spans(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Copies out every recorded span, ordered by worker then start
+    /// time.
+    pub fn snapshot(&self) -> Vec<SpanRecord> {
+        let mut out: Vec<SpanRecord> = self
+            .tracks
+            .iter()
+            .flat_map(|track| track.lock().clone())
+            .collect();
+        out.sort_by_key(|s| (s.worker, s.start_nanos));
+        out
+    }
+
+    /// Starts a span on this timeline: an inert guard when it is off.
+    #[inline]
+    pub(crate) fn span(
+        &self,
+        kind: SpanKind,
+        name: &'static str,
+        detail: &'static str,
+    ) -> TimelineSpan {
+        TimelineSpan(self.enabled().then(|| ActiveSpan {
+            kind,
+            name,
+            detail,
+            begun: Instant::now(),
+        }))
+    }
+
+    fn record(&self, worker: usize, span: ActiveSpan) {
+        let duration_nanos = span.begun.elapsed().as_nanos() as u64;
+        let mut track = self.tracks[worker].lock();
+        if track.len() >= TRACK_CAPACITY {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        track.push(SpanRecord {
+            worker,
+            kind: span.kind,
+            name: span.name,
+            detail: span.detail,
+            start_nanos: span.begun.saturating_duration_since(self.origin).as_nanos() as u64,
+            duration_nanos,
+        });
+    }
 }
 
-/// Spans discarded because their worker's track was full.
-pub fn dropped_spans() -> u64 {
-    TIMELINE
-        .get()
-        .map(|tl| tl.dropped.load(Ordering::Relaxed))
-        .unwrap_or(0)
-}
-
-/// Starts a span. Returns a guard that records the span into the
-/// current worker's track when dropped; a disabled timeline hands out
-/// an inert guard at the cost of one relaxed load.
+/// Starts a span on the running pool's timeline (see the module docs
+/// for which pool and track). Returns a guard that records the span
+/// when dropped; a pool whose timeline is off hands out an inert guard
+/// at the cost of one relaxed load.
 ///
 /// `name` labels the span ("region", "pagerank_step", "load", ...);
 /// `detail` carries an optional qualifier — the engine's push/pull
 /// direction for steps — and may be empty.
 #[inline]
 pub fn span(kind: SpanKind, name: &'static str, detail: &'static str) -> TimelineSpan {
-    if !enabled() {
-        return TimelineSpan(None);
+    match crate::pool::current_shared() {
+        Some(shared) => shared.timeline.span(kind, name, detail),
+        None => TimelineSpan(None),
     }
-    let tl = timeline();
-    TimelineSpan(Some(ActiveSpan {
-        kind,
-        name,
-        detail,
-        start_nanos: tl.origin.elapsed().as_nanos() as u64,
-        begun: Instant::now(),
-    }))
 }
 
+#[derive(Debug)]
 struct ActiveSpan {
     kind: SpanKind,
     name: &'static str,
     detail: &'static str,
-    start_nanos: u64,
     begun: Instant,
 }
 
-/// Guard returned by [`span`]; records the span on drop.
+/// Guard returned by [`span`]; records the span on drop, onto the
+/// running pool's track of the current worker.
+#[derive(Debug)]
 pub struct TimelineSpan(Option<ActiveSpan>);
 
 impl Drop for TimelineSpan {
     fn drop(&mut self) {
         let Some(span) = self.0.take() else { return };
-        let duration_nanos = span.begun.elapsed().as_nanos() as u64;
-        let Some(tl) = TIMELINE.get() else { return };
-        let worker = crate::current_worker_index().unwrap_or(0);
-        let track = &tl.tracks[worker.min(tl.tracks.len() - 1)];
-        let index = track.claimed.fetch_add(1, Ordering::Relaxed);
-        if index >= TRACK_CAPACITY {
-            tl.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        if let Some(shared) = crate::pool::current_shared() {
+            let worker = crate::current_worker_index().unwrap_or(0);
+            shared.timeline.record(worker, span);
         }
-        let slot = &track.slots[index];
-        slot.kind.store(span.kind as u8, Ordering::Relaxed);
-        slot.name_ptr
-            .store(span.name.as_ptr().cast_mut(), Ordering::Relaxed);
-        slot.name_len.store(span.name.len(), Ordering::Relaxed);
-        slot.detail_ptr
-            .store(span.detail.as_ptr().cast_mut(), Ordering::Relaxed);
-        slot.detail_len.store(span.detail.len(), Ordering::Relaxed);
-        slot.start_nanos.store(span.start_nanos, Ordering::Relaxed);
-        slot.duration_nanos.store(duration_nanos, Ordering::Relaxed);
-        // Publish: pairs with the acquire load in `snapshot`.
-        slot.ready.store(true, Ordering::Release);
     }
 }
 
-/// One recorded span, resolved back to its strings.
+/// One recorded span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Track (worker id) the span was recorded on.
@@ -257,101 +223,58 @@ pub struct SpanRecord {
     pub duration_nanos: u64,
 }
 
-/// Copies out every published span, ordered by worker then start time.
-pub fn snapshot() -> Vec<SpanRecord> {
-    let Some(tl) = TIMELINE.get() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (worker, track) in tl.tracks.iter().enumerate() {
-        let claimed = track.claimed.load(Ordering::Relaxed).min(TRACK_CAPACITY);
-        for slot in track.slots.iter().take(claimed) {
-            if !slot.ready.load(Ordering::Acquire) {
-                continue;
-            }
-            let name = load_str(&slot.name_ptr, &slot.name_len);
-            let detail = load_str(&slot.detail_ptr, &slot.detail_len);
-            out.push(SpanRecord {
-                worker,
-                kind: SpanKind::from_u8(slot.kind.load(Ordering::Relaxed)),
-                name,
-                detail,
-                start_nanos: slot.start_nanos.load(Ordering::Relaxed),
-                duration_nanos: slot.duration_nanos.load(Ordering::Relaxed),
-            });
-        }
-    }
-    out.sort_by_key(|s| (s.worker, s.start_nanos));
-    out
-}
-
-/// Reassembles the `&'static str` a span guard stored into a slot.
-fn load_str(ptr: &AtomicPtr<u8>, len: &AtomicUsize) -> &'static str {
-    let ptr = ptr.load(Ordering::Relaxed);
-    if ptr.is_null() {
-        return "";
-    }
-    let len = len.load(Ordering::Relaxed);
-    // SAFETY: ptr/len were stored together from one `&'static str` by
-    // the slot's unique writer (each claim index is handed out once),
-    // and the acquire load of `ready` ordered those stores before these
-    // loads. The pointee is 'static, so the reference never dangles.
-    let bytes = unsafe { std::slice::from_raw_parts(ptr, len) };
-    std::str::from_utf8(bytes).unwrap_or("")
-}
-
-/// Renders the recorded spans as a Chrome trace-event JSON document
+/// Renders the spans of `pools` as one Chrome trace-event JSON document
 /// (the `{"traceEvents": [...]}` format understood by `chrome://tracing`
-/// and Perfetto): one `ph:"X"` complete event per span on its worker's
-/// `tid`, preceded by `ph:"M"` thread-name metadata so tracks are
-/// labelled "worker 0", "worker 1", ... Step spans carry their
+/// and Perfetto). Pool `i` is process `i + 1`, named by its label, and
+/// each of its workers is a track labelled "worker 0", "worker 1", ...;
+/// every span is one `ph:"X"` complete event on its worker's `tid`,
+/// timed from the earliest pool's origin. Step spans carry their
 /// push/pull direction under `args`.
-pub fn chrome_trace_json() -> String {
-    let spans = snapshot();
-    let workers = TIMELINE.get().map(|tl| tl.tracks.len()).unwrap_or(0);
-    let mut out = String::with_capacity(256 + spans.len() * 160);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    for worker in 0..workers {
-        push_event_sep(&mut out, &mut first);
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{worker},\
-             \"args\":{{\"name\":\"worker {worker}\"}}}}"
+pub fn chrome_trace_json(pools: &[(&str, &ThreadPool)]) -> String {
+    let Some(base) = pools.iter().map(|(_, p)| p.timeline().origin).min() else {
+        return "{\"traceEvents\":[]}".to_string();
+    };
+    let mut events = Vec::new();
+    for (index, (label, pool)) in pools.iter().enumerate() {
+        let pid = index + 1;
+        let timeline = pool.timeline();
+        let offset = timeline.origin.duration_since(base).as_nanos() as u64;
+        events.push(format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            escape(label)
         ));
-    }
-    for span in &spans {
-        push_event_sep(&mut out, &mut first);
-        let ts = span.start_nanos as f64 / 1e3;
-        let dur = span.duration_nanos as f64 / 1e3;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{ts:.3},\"dur\":{dur:.3}",
-            escape(span.name),
-            span.kind.category(),
-            span.worker,
-        ));
-        if !span.detail.is_empty() {
-            let key = match span.kind {
-                SpanKind::Step => "direction",
-                _ => "detail",
-            };
-            out.push_str(&format!(
-                ",\"args\":{{\"{key}\":\"{}\"}}",
-                escape(span.detail)
+        for worker in 0..timeline.tracks.len() {
+            events.push(format!(
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{worker},\
+                 \"args\":{{\"name\":\"worker {worker}\"}}}}"
             ));
         }
-        out.push('}');
+        for span in timeline.snapshot() {
+            let ts = (offset + span.start_nanos) as f64 / 1e3;
+            let dur = span.duration_nanos as f64 / 1e3;
+            let mut event = format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
+                 \"ts\":{ts:.3},\"dur\":{dur:.3}",
+                escape(span.name),
+                span.kind.category(),
+                span.worker,
+            );
+            if !span.detail.is_empty() {
+                let key = match span.kind {
+                    SpanKind::Step => "direction",
+                    _ => "detail",
+                };
+                event.push_str(&format!(
+                    ",\"args\":{{\"{key}\":\"{}\"}}",
+                    escape(span.detail)
+                ));
+            }
+            event.push('}');
+            events.push(event);
+        }
     }
-    out.push_str("]}");
-    out
-}
-
-fn push_event_sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
+    format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
 
 /// Minimal JSON string escaping; span labels are static identifiers,
@@ -377,20 +300,31 @@ mod tests {
 
     #[test]
     fn disabled_span_is_inert() {
-        // The timeline gate is off unless a test below enabled it; an
-        // inert guard records nothing either way because this test
-        // never runs inside a region with the gate on.
-        let guard = TimelineSpan(None);
-        drop(guard);
+        let pool = ThreadPool::new(2);
+        crate::with_pool(&pool, || drop(span(SpanKind::Step, "off", "")));
+        assert!(pool.timeline().snapshot().is_empty());
         assert_eq!(escape("plain"), "plain");
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]
-    fn span_kind_round_trips() {
-        for kind in [SpanKind::Region, SpanKind::Step, SpanKind::Phase] {
-            assert_eq!(SpanKind::from_u8(kind as u8), kind);
-        }
+    fn a_full_track_drops_and_counts() {
+        let pool = ThreadPool::new(1);
+        pool.timeline().enable();
+        crate::with_pool(&pool, || {
+            for _ in 0..TRACK_CAPACITY + 3 {
+                drop(span(SpanKind::Step, "s", ""));
+            }
+        });
+        assert_eq!(pool.timeline().snapshot().len(), TRACK_CAPACITY);
+        assert_eq!(pool.timeline().dropped_spans(), 3);
+        pool.timeline().reset();
+        assert!(pool.timeline().snapshot().is_empty());
+        assert_eq!(pool.timeline().dropped_spans(), 0);
+    }
+
+    #[test]
+    fn span_kinds_name_their_category() {
         assert_eq!(SpanKind::Region.category(), "region");
         assert_eq!(SpanKind::Step.category(), "step");
         assert_eq!(SpanKind::Phase.category(), "phase");

@@ -1,8 +1,9 @@
 //! Opt-in storage counters: bytes read, records parsed, and time
 //! spent in the readers.
 //!
-//! Same shape as `egraph_parallel::telemetry` — process-global atomics
-//! behind one `enabled` gate so the read paths pay a single relaxed
+//! Process-global atomics behind one `enabled` gate (the shape of a
+//! pool's `egraph_parallel::telemetry::PoolCounters`, but global: the
+//! readers take no context yet) so the read paths pay a single relaxed
 //! load when collection is off. Enable with [`enable`] before loading,
 //! read with [`snapshot`] after, and [`reset`] between runs.
 
@@ -16,7 +17,7 @@ static READ_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Turns the storage counters on and zeroes them, starting a fresh
 /// collection window (same semantics as
-/// `egraph_parallel::telemetry::enable`). Off by default.
+/// `egraph_parallel::telemetry::PoolCounters::enable`). Off by default.
 pub fn enable() {
     reset();
     ENABLED.store(true, Ordering::Relaxed);

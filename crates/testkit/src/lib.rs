@@ -38,6 +38,16 @@ pub use corpus::{
 pub use matrix::{check_variant, run_matrix, MatrixConfig, MatrixReport, Mismatch};
 pub use update::{run_update_matrix, UpdateConfig, UpdateReport};
 
+/// Runs `f` on a fresh pool of `threads` workers; with `faults` set,
+/// under the seeded scheduler fault plan (delayed workers) installed
+/// on that pool alone.
+pub(crate) fn on_pool<R>(threads: usize, faults: bool, seed: u64, f: impl FnOnce() -> R) -> R {
+    let pool = egraph_parallel::ThreadPool::new(threads);
+    let plan = egraph_parallel::fault::FaultPlan::new(seed).delay_workers();
+    let _faults = faults.then(|| egraph_parallel::fault::FaultGuard::install(&pool, plan));
+    egraph_parallel::with_pool(&pool, f)
+}
+
 /// Thread counts exercised by the quick tier (inside `cargo test -q`).
 pub const QUICK_THREADS: &[usize] = &[1, 4, 8];
 

@@ -31,7 +31,6 @@ use egraph_core::variant::{
     cross_thread_deterministic, run_variant, supported_variants, sync_matters, Algo, Layout,
     PreparedGraph, RunParams, SyncMode, VariantId, VariantOutput,
 };
-use egraph_parallel::{with_pool, ThreadPool};
 
 use crate::corpus::{spmv_input, weighted, NamedGraph};
 
@@ -53,6 +52,9 @@ pub struct MatrixConfig {
     pub seed: u64,
     /// Power iterations for the PageRank variants.
     pub pagerank_iterations: usize,
+    /// Run every pool the matrix builds under the seeded scheduler
+    /// fault plan (delayed workers), installed on that pool alone.
+    pub faults: bool,
 }
 
 impl MatrixConfig {
@@ -62,6 +64,7 @@ impl MatrixConfig {
             thread_counts: crate::QUICK_THREADS.to_vec(),
             seed,
             pagerank_iterations: 5,
+            faults: false,
         }
     }
 
@@ -71,6 +74,7 @@ impl MatrixConfig {
             thread_counts: crate::EXHAUSTIVE_THREADS.to_vec(),
             seed,
             pagerank_iterations: 10,
+            faults: false,
         }
     }
 }
@@ -217,8 +221,7 @@ pub fn run_matrix(graphs: &[NamedGraph], cfg: &MatrixConfig) -> MatrixReport {
         let x = spmv_input(g.num_vertices());
         let refs = compute_references(g, &w, &x, pr_cfg);
 
-        let baseline_pool = ThreadPool::new(1);
-        let baseline = with_pool(&baseline_pool, || {
+        let baseline = crate::on_pool(1, cfg.faults, cfg.seed, || {
             run_variants(g, &w, &x, pr_cfg, Strategy::CountSort)
         });
         for v in &baseline {
@@ -230,9 +233,10 @@ pub fn run_matrix(graphs: &[NamedGraph], cfg: &MatrixConfig) -> MatrixReport {
             if threads == 1 {
                 continue; // already covered by the baseline run
             }
-            let pool = ThreadPool::new(threads);
             let strategy = csr_strategies[ti % csr_strategies.len()];
-            let outs = with_pool(&pool, || run_variants(g, &w, &x, pr_cfg, strategy));
+            let outs = crate::on_pool(threads, cfg.faults, cfg.seed, || {
+                run_variants(g, &w, &x, pr_cfg, strategy)
+            });
             for v in &outs {
                 report.combos_run += 1;
                 check_reference(&mut report, &named.name, threads, v, &refs);
@@ -466,8 +470,7 @@ fn run_als(report: &mut MatrixReport, cfg: &MatrixConfig) {
         iterations: 2,
     };
     let run = |threads: usize| -> Vec<f32> {
-        let pool = ThreadPool::new(threads);
-        with_pool(&pool, || {
+        crate::on_pool(threads, cfg.faults, cfg.seed, || {
             let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Both)
                 .sort_neighbors(true)
                 .build(&ratings);

@@ -22,9 +22,8 @@
 //!
 //! Scheduler fault injection (delayed workers, seeded)
 //! runs underneath the variant sweep when enabled: update correctness
-//! must not depend on a benign schedule. The fault plan is
-//! process-global, so callers enabling it must serialize (see
-//! `tests/updates.rs`).
+//! must not depend on a benign schedule. The fault plan is installed
+//! on each sweep pool alone, so callers need not serialize.
 
 use egraph_core::algo::{bfs, pagerank, wcc};
 use egraph_core::exec::ExecCtx;
@@ -38,7 +37,6 @@ use egraph_core::variant::{
     run_variant, supported_variants, sync_matters, Layout, PreparedGraph, RunParams, SyncMode,
     VariantId, VariantOutput,
 };
-use egraph_parallel::fault::{FaultGuard, FaultPlan};
 use egraph_parallel::{with_pool, ThreadPool};
 
 use crate::corpus::{edge_weight, spmv_input, weighted, NamedGraph};
@@ -55,9 +53,8 @@ pub struct UpdateConfig {
     pub batches: usize,
     /// Ops per batch.
     pub ops_per_batch: usize,
-    /// Install the seeded scheduler fault plan (delayed workers)
-    /// around the variant sweep. Process-global: callers
-    /// must serialize against other fault-installing tests.
+    /// Install the seeded scheduler fault plan (delayed workers) on
+    /// each pool of the variant sweep.
     pub faults: bool,
 }
 
@@ -481,10 +478,6 @@ fn check_variants(
     merged: &EdgeList<Edge>,
     cfg: &UpdateConfig,
 ) {
-    let _fault_guard = cfg
-        .faults
-        .then(|| FaultGuard::install(FaultPlan::new(cfg.seed).delay_workers()));
-
     let wbase = weighted(base);
     let wlog = {
         let mut l = DeltaLog::new();
@@ -495,8 +488,7 @@ fn check_variants(
     let x = spmv_input(base.num_vertices());
 
     for &threads in &cfg.thread_counts {
-        let pool = ThreadPool::new(threads);
-        with_pool(&pool, || {
+        crate::on_pool(threads, cfg.faults, cfg.seed, || {
             let delta_g = PreparedGraph::new(base).sort_neighbors(true).deltas(log);
             let delta_w = PreparedGraph::new(&wbase)
                 .sort_neighbors(true)

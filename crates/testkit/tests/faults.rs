@@ -6,11 +6,10 @@
 //! either leave results bit-for-bit unchanged or propagate a panic
 //! cleanly to the caller, leaving the pool reusable — never a hang.
 //!
-//! The scheduler fault plan is process-global, so every test that
-//! installs one serializes on [`FAULT_LOCK`].
+//! A scheduler fault plan is installed on one pool, so these tests
+//! share no state and run in parallel.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use egraph_core::types::{Edge, EdgeList, EdgeRecord, WEdge};
 use egraph_parallel::fault::{FaultGuard, FaultPlan};
@@ -22,13 +21,6 @@ use egraph_storage::{
 use egraph_testkit::{
     quick_corpus, run_matrix, test_seed, weighted, wide_rounds, MatrixConfig, NamedGraph,
 };
-
-/// Serializes tests that install the global scheduler fault plan.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn sample_graph() -> EdgeList<Edge> {
     egraph_graphgen::rmat(6, 8, test_seed())
@@ -158,10 +150,11 @@ fn dimacs_mid_stream_error_surfaces_as_io() {
 // -------------------------------------------------------------- scheduler
 
 /// A two-graph conformance matrix: the full oracle (serial reference +
-/// single-thread baseline) under whatever fault plan is installed. The
-/// second graph has rounds above the engine's inline grain, so the
-/// faults reach the parallel push path as well as the inline one.
-fn mini_matrix() {
+/// single-thread baseline), with every pool it builds under the seeded
+/// delay plan when `faults` is set. The second graph has rounds above
+/// the engine's inline grain, so the faults reach the parallel push
+/// path as well as the inline one.
+fn mini_matrix(faults: bool) {
     let seed = test_seed();
     let graphs = vec![
         NamedGraph {
@@ -174,23 +167,21 @@ fn mini_matrix() {
         thread_counts: vec![1, 4],
         seed,
         pagerank_iterations: 3,
+        faults,
     };
     run_matrix(&graphs, &cfg).assert_clean();
 }
 
 #[test]
 fn delayed_workers_do_not_change_results() {
-    let _lock = fault_lock();
-    let _guard = FaultGuard::install(FaultPlan::new(test_seed()).delay_workers());
-    mini_matrix();
+    mini_matrix(true);
 }
 
 #[test]
 fn injected_worker_panic_propagates_and_pool_remains_usable() {
-    let _lock = fault_lock();
     let pool = ThreadPool::new(4);
     {
-        let _guard = FaultGuard::install(FaultPlan::new(test_seed()).panic_worker(1, 1));
+        let _guard = FaultGuard::install(&pool, FaultPlan::new(test_seed()).panic_worker(1, 1));
         let result = catch_unwind(AssertUnwindSafe(|| {
             with_pool(&pool, || {
                 parallel_for(0..10_000, 64, |_| {});
@@ -223,17 +214,16 @@ fn injected_worker_panic_propagates_and_pool_remains_usable() {
 
 #[test]
 fn conformance_holds_after_panic_recovery() {
-    let _lock = fault_lock();
     {
-        let _guard = FaultGuard::install(FaultPlan::new(test_seed()).panic_worker(2, 1));
         let pool = ThreadPool::new(4);
+        let _guard = FaultGuard::install(&pool, FaultPlan::new(test_seed()).panic_worker(2, 1));
         let result = catch_unwind(AssertUnwindSafe(|| {
             with_pool(&pool, || parallel_for(0..4_096, 16, |_| {}))
         }));
         assert!(result.is_err());
     }
     // With the plan cleared, the full oracle must pass again.
-    mini_matrix();
+    mini_matrix(false);
 }
 
 // A cheap liveness check on the corpus itself: every fault test above

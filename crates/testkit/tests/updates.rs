@@ -12,17 +12,10 @@
 //! Override the corpus seed with `EGRAPH_TEST_SEED`; failure messages
 //! echo the seed in use.
 
-use std::sync::Mutex;
-
 use egraph_testkit::{quick_corpus, run_update_matrix, test_seed, UpdateConfig};
-
-/// The scheduler fault plan is process-global: tests in this file that
-/// enable `cfg.faults` serialize on this lock.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn quick_update_oracle_is_conformant() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let seed = test_seed();
     let graphs = quick_corpus(seed);
     let mut cfg = UpdateConfig::quick(seed);
@@ -40,7 +33,6 @@ fn quick_update_oracle_is_conformant() {
 /// conform — the oracle sees both the repair and the recompute paths.
 #[test]
 fn oversized_batches_take_the_fallback_path_and_still_conform() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let seed = test_seed();
     let graphs: Vec<_> = quick_corpus(seed)
         .into_iter()
@@ -59,7 +51,6 @@ fn oversized_batches_take_the_fallback_path_and_still_conform() {
 #[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_update_oracle_is_conformant() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let seed = test_seed();
     let graphs = egraph_testkit::exhaustive_corpus(seed);
     let report = run_update_matrix(&graphs, &UpdateConfig::exhaustive(seed));

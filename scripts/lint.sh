@@ -538,6 +538,28 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# A pool owns its instruments: its counters, fault plan and timeline
+# tracks live in the pool's shared state, so two pools never mix their
+# numbers and tests share no hidden state. The runtime keeps two kinds
+# of process static only: the global pool itself (`POOL`) and the three
+# thread-local cells that say which worker, region and scoped pool a
+# thread is in. Any other `static` in non-test `crates/parallel/src` is
+# process-wide instrument state coming back.
+echo "== a pool owns its instruments =="
+offenders=$(find crates/parallel/src -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?static[[:space:]]/ &&
+            !/^    static (CURRENT_WORKER|SCOPED_POOL|REGION): Cell</ &&
+            !/^static POOL: OnceLock<ThreadPool>/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a process static outside the allowlist in non-test crates/parallel/src:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
