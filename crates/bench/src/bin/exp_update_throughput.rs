@@ -8,18 +8,20 @@
 //! the log into a fresh published snapshot, and — for PageRank, BFS
 //! and WCC — the seconds the incremental engine spends updating its
 //! previous answer against the seconds a from-scratch solve of the
-//! same engine takes on the merged graph. PageRank's update is the
-//! pull kernel warm-started from the previous ranks (`pr_path` =
-//! `warm`), or a cold solve above the 5% fallback fraction
+//! same engine takes on the merged graph. PageRank's update is its
+//! block-ordered sweep warm-started from the previous ranks (`pr_path`
+//! = `warm`), or a cold solve above the 5% fallback fraction
 //! (`fallback`).
 //!
 //! The measured shape (RMAT-18, 2 vCPUs, EXPERIMENTS.md): the warm
-//! start only saves the iterations the previous ranks are ahead by —
-//! both solves stop at the same tolerance and converge geometrically —
-//! so PageRank gains ~1.5x at the 0.1% fraction and ~1x at 1%. BFS's
-//! repair gains ~6x and ~2x. WCC recomputes whenever a batch deletes,
-//! which every batch here does, so it sits at ~1x, and the 10% row
-//! falls back for every engine by design.
+//! start only saves the sweeps the previous ranks are ahead by — both
+//! solves are the same block sweep, stop at the same tolerance and
+//! converge geometrically — so PageRank gains ~1.5x at the 0.1%
+//! fraction and ~1x at 1% (both sides ~0.6x the seconds of the Jacobi
+//! sweeps they replaced). BFS's repair gains ~6x and ~2x. WCC
+//! recomputes whenever a batch deletes, which every batch here does, so
+//! it sits at ~1x, and the 10% row falls back for every engine by
+//! design.
 //!
 //! Every timed update is asserted equal to the from-scratch answer
 //! before its row is written (ranks within the testkit's reorder

@@ -20,9 +20,6 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
-    /// All access kinds, in report order.
-    pub const ALL: [AccessKind; 3] = [AccessKind::Edge, AccessKind::SrcMeta, AccessKind::DstMeta];
-
     fn index(self) -> usize {
         match self {
             AccessKind::Edge => 0,
@@ -228,10 +225,5 @@ mod tests {
         const { assert!(regions::SRC_META - regions::EDGES >= 1 << 40) };
         const { assert!(regions::DST_META - regions::SRC_META >= 1 << 40) };
         const { assert!(regions::INDEX - regions::DST_META >= 1 << 40) };
-    }
-
-    #[test]
-    fn all_kinds_iterable() {
-        assert_eq!(AccessKind::ALL.len(), 3);
     }
 }

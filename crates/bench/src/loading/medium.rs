@@ -11,14 +11,6 @@ pub struct Medium {
 }
 
 impl Medium {
-    /// Input already resident in memory (§3.3's assumption).
-    pub const fn memory() -> Self {
-        Self {
-            name: "memory",
-            bandwidth: None,
-        }
-    }
-
     /// The paper's SSD: 380 MB/s maximum bandwidth.
     pub const fn ssd() -> Self {
         Self {
@@ -49,8 +41,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memory_loads_instantly() {
-        assert_eq!(Medium::memory().load_seconds(1 << 30), 0.0);
+    fn a_medium_without_bandwidth_loads_instantly() {
+        let memory = Medium {
+            name: "memory",
+            bandwidth: None,
+        };
+        assert_eq!(memory.load_seconds(1 << 30), 0.0);
     }
 
     #[test]

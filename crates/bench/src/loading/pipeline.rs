@@ -72,6 +72,12 @@ mod tests {
         assert!((hdd_2gb - 20.0).abs() < 1e-9);
     }
 
+    /// Input already resident in memory (§3.3's assumption).
+    const MEMORY: Medium = Medium {
+        name: "memory",
+        bandwidth: None,
+    };
+
     #[test]
     fn radix_always_pays_in_full() {
         let plan = OverlapPlan::radix(4.0);
@@ -89,8 +95,8 @@ mod tests {
         let radix = OverlapPlan::radix(4.0);
         let bytes = 2 * GB;
 
-        let mem_dynamic = dynamic.makespan(Medium::memory(), bytes);
-        let mem_radix = radix.makespan(Medium::memory(), bytes);
+        let mem_dynamic = dynamic.makespan(MEMORY, bytes);
+        let mem_radix = radix.makespan(MEMORY, bytes);
         assert!(mem_radix < mem_dynamic);
 
         let hdd_dynamic = dynamic.makespan(Medium::hdd(), bytes);
@@ -112,6 +118,6 @@ mod tests {
     #[test]
     fn memory_medium_reduces_to_raw_preprocess() {
         let plan = OverlapPlan::count_sort(3.0, 5.0);
-        assert!((plan.makespan(Medium::memory(), GB) - 8.0).abs() < 1e-9);
+        assert!((plan.makespan(MEMORY, GB) - 8.0).abs() < 1e-9);
     }
 }

@@ -25,7 +25,6 @@
 //! modeled_time      = measured_time · slowdown
 //! ```
 
-use super::locality::LocalityStats;
 use super::topology::Topology;
 
 /// Fraction of an algorithm's execution time that stalls on DRAM.
@@ -42,8 +41,6 @@ impl MemoryBoundness {
     pub const PAGERANK: MemoryBoundness = MemoryBoundness(0.75);
     /// Frontier-driven traversals (BFS, SSSP, WCC).
     pub const TRAVERSAL: MemoryBoundness = MemoryBoundness(0.55);
-    /// Single-pass numeric kernels (SpMV).
-    pub const SPMV: MemoryBoundness = MemoryBoundness(0.65);
 }
 
 /// Result of applying the model to one measured run.
@@ -61,17 +58,6 @@ pub struct ModeledTime {
     pub remote_fraction: f64,
 }
 
-impl ModeledTime {
-    /// Overall modeled slowdown relative to the measured base.
-    pub fn slowdown(&self) -> f64 {
-        if self.base_seconds == 0.0 {
-            1.0
-        } else {
-            self.modeled_seconds / self.base_seconds
-        }
-    }
-}
-
 /// The analytic cost model for one machine.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -85,31 +71,12 @@ impl CostModel {
     }
 
     /// Scales `measured_seconds` (single-node execution) to the modeled
-    /// topology, given the access-locality matrix recorded during that
-    /// execution and the algorithm's memory boundness.
-    ///
-    /// The hotspot concentration is taken from the matrix aggregated
-    /// over the whole run; for phased algorithms whose hotspot moves
-    /// between iterations (BFS), use [`CostModel::model_parts`] with a
-    /// per-iteration-weighted peak share instead.
-    pub fn model(
-        &self,
-        measured_seconds: f64,
-        boundness: MemoryBoundness,
-        stats: &LocalityStats,
-    ) -> ModeledTime {
-        self.model_parts(
-            measured_seconds,
-            boundness,
-            stats.remote_fraction(),
-            stats.peak_target_share(),
-        )
-    }
-
-    /// [`CostModel::model`] with the locality summary passed
-    /// explicitly: `remote_fraction` of accesses pay the cross-socket
-    /// latency and `peak_target_share` of traffic converges on one
-    /// memory controller at a time.
+    /// topology, given the locality summary of that execution and the
+    /// algorithm's memory boundness: `remote_fraction` of accesses pay
+    /// the cross-socket latency and `peak_target_share` of traffic
+    /// converges on one memory controller at a time. For phased
+    /// algorithms whose hotspot moves between iterations (BFS), pass a
+    /// per-iteration-weighted peak share.
     pub fn model_parts(
         &self,
         measured_seconds: f64,
@@ -137,6 +104,22 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numa::locality::LocalityStats;
+
+    /// The model over a whole run's locality matrix.
+    fn modeled(
+        model: &CostModel,
+        seconds: f64,
+        boundness: MemoryBoundness,
+        stats: &LocalityStats,
+    ) -> ModeledTime {
+        model.model_parts(
+            seconds,
+            boundness,
+            stats.remote_fraction(),
+            stats.peak_target_share(),
+        )
+    }
 
     fn uniform_stats(nodes: usize) -> LocalityStats {
         let s = LocalityStats::new(nodes);
@@ -171,8 +154,8 @@ mod tests {
             ..Topology::machine_a()
         };
         let model = CostModel::new(one_node);
-        let t = model.model(10.0, MemoryBoundness::PAGERANK, &local_stats(1));
-        assert!((t.slowdown() - 1.0).abs() < 1e-12);
+        let t = modeled(&model, 10.0, MemoryBoundness::PAGERANK, &local_stats(1));
+        assert!((t.modeled_seconds / t.base_seconds - 1.0).abs() < 1e-12);
         assert_eq!(t.modeled_seconds, 10.0);
     }
 
@@ -181,8 +164,8 @@ mod tests {
         // The PageRank case of Fig. 9b: NUMA-aware placement (mostly
         // local) must model faster than interleaved (3/4 remote on B).
         let model = CostModel::new(Topology::machine_b());
-        let inter = model.model(10.0, MemoryBoundness::PAGERANK, &uniform_stats(4));
-        let aware = model.model(10.0, MemoryBoundness::PAGERANK, &local_stats(4));
+        let inter = modeled(&model, 10.0, MemoryBoundness::PAGERANK, &uniform_stats(4));
+        let aware = modeled(&model, 10.0, MemoryBoundness::PAGERANK, &local_stats(4));
         assert!(inter.modeled_seconds > aware.modeled_seconds * 1.3);
     }
 
@@ -191,8 +174,8 @@ mod tests {
         // The BFS case of Fig. 9a/10: all nodes hammering one target
         // node must model slower than evenly interleaved traffic.
         let model = CostModel::new(Topology::machine_b());
-        let inter = model.model(1.0, MemoryBoundness::TRAVERSAL, &uniform_stats(4));
-        let hotspot = model.model(1.0, MemoryBoundness::TRAVERSAL, &hotspot_stats(4));
+        let inter = modeled(&model, 1.0, MemoryBoundness::TRAVERSAL, &uniform_stats(4));
+        let hotspot = modeled(&model, 1.0, MemoryBoundness::TRAVERSAL, &hotspot_stats(4));
         assert!(hotspot.modeled_seconds > inter.modeled_seconds * 1.5);
         assert!(hotspot.contention_factor > 2.0);
     }
@@ -204,29 +187,22 @@ mod tests {
         let a = CostModel::new(Topology::machine_a());
         let b = CostModel::new(Topology::machine_b());
         let gain_a = {
-            let i = a.model(1.0, MemoryBoundness::PAGERANK, &uniform_stats(2));
-            let l = a.model(1.0, MemoryBoundness::PAGERANK, &local_stats(2));
+            let i = modeled(&a, 1.0, MemoryBoundness::PAGERANK, &uniform_stats(2));
+            let l = modeled(&a, 1.0, MemoryBoundness::PAGERANK, &local_stats(2));
             i.modeled_seconds / l.modeled_seconds
         };
         let gain_b = {
-            let i = b.model(1.0, MemoryBoundness::PAGERANK, &uniform_stats(4));
-            let l = b.model(1.0, MemoryBoundness::PAGERANK, &local_stats(4));
+            let i = modeled(&b, 1.0, MemoryBoundness::PAGERANK, &uniform_stats(4));
+            let l = modeled(&b, 1.0, MemoryBoundness::PAGERANK, &local_stats(4));
             i.modeled_seconds / l.modeled_seconds
         };
         assert!(gain_b > gain_a);
     }
 
     #[test]
-    fn zero_base_time_slowdown_is_one() {
-        let model = CostModel::new(Topology::machine_a());
-        let t = model.model(0.0, MemoryBoundness::SPMV, &uniform_stats(2));
-        assert_eq!(t.slowdown(), 1.0);
-    }
-
-    #[test]
     fn boundness_zero_means_no_penalty() {
         let model = CostModel::new(Topology::machine_b());
-        let t = model.model(5.0, MemoryBoundness(0.0), &hotspot_stats(4));
-        assert!((t.slowdown() - 1.0).abs() < 1e-12);
+        let t = modeled(&model, 5.0, MemoryBoundness(0.0), &hotspot_stats(4));
+        assert!((t.modeled_seconds / t.base_seconds - 1.0).abs() < 1e-12);
     }
 }

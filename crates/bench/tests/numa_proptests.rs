@@ -85,7 +85,12 @@ proptest! {
             stats.record(f, t, c);
         }
         let model = CostModel::new(Topology::machine_b());
-        let modeled = model.model(1.0, MemoryBoundness::TRAVERSAL, &stats);
-        prop_assert!(modeled.slowdown() >= 1.0 - 1e-12);
+        let modeled = model.model_parts(
+            1.0,
+            MemoryBoundness::TRAVERSAL,
+            stats.remote_fraction(),
+            stats.peak_target_share(),
+        );
+        prop_assert!(modeled.modeled_seconds >= 1.0 - 1e-12);
     }
 }

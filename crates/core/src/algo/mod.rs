@@ -19,14 +19,15 @@
 //!
 //! Three algorithms additionally ship an **incremental** engine for the
 //! mutable delta layout (DESIGN.md §16): [`pagerank::IncrementalPagerank`]
-//! (the pull kernel re-solving from the previous ranks),
+//! (block-ordered pull sweeps re-solving from the previous ranks),
 //! [`wcc::IncrementalWcc`] (union-find over inserted edges) and
 //! [`bfs::IncrementalBfs`] (affected-subgraph invalidation + repair).
-//! Each solves from scratch with its batch kernel (pull PageRank to a
-//! tolerance from the uniform vector, direction-optimizing BFS, the
-//! concurrent union-find) at construction and when the applied batch
-//! exceeds [`INCREMENTAL_FALLBACK_FRACTION`] of the merged edge count,
-//! reporting which path ran via [`IncrementalOutcome`].
+//! Each solves from scratch with its batch kernel (PageRank's pull rule
+//! swept block by block to a tolerance from the uniform vector,
+//! direction-optimizing BFS, the concurrent union-find) at construction
+//! and when the applied batch exceeds [`INCREMENTAL_FALLBACK_FRACTION`]
+//! of the merged edge count, reporting which path ran via
+//! [`IncrementalOutcome`].
 
 use crate::engine::PushOp;
 use crate::exec::ExecCtx;

@@ -130,7 +130,7 @@ impl<E: EdgeRecord, L: VertexLayout<E>> PullLayout<E, Indexed> for L {
         ctx: &ExecCtx<'_>,
         next_kind: FrontierKind,
     ) -> VertexSubset {
-        vertex_pull(self.incoming(), op, ctx, next_kind)
+        vertex_pull(self.incoming(), 0..self.num_vertices(), op, ctx, next_kind)
     }
 }
 

@@ -34,6 +34,8 @@ pub(crate) use edge_map::record_iter;
 pub use edge_map::{edge_map, Flow, FrontierAlgo, Policy, PullAlgo, PushOnly, INLINE_GRAIN};
 pub use layout::{EngineLayout, Indexed, PullLayout, Scanned};
 
+use std::ops::Range;
+
 use egraph_parallel::timeline;
 
 use crate::exec::ExecCtx;
@@ -203,12 +205,15 @@ where
 }
 
 /// Vertex-centric pull over an in-direction (uncompressed or ccsr):
-/// every vertex that `wants_pull` scans its in-edges (with early
-/// termination) and updates only its own state — no synchronization
-/// required (§6.1.2). Each neighbor list is handed to the operator span
-/// by span through [`PullOp::pull_span`], the only path.
+/// every vertex of `receivers` that `wants_pull` scans its in-edges
+/// (with early termination) and updates only its own state — no
+/// synchronization required (§6.1.2). Each neighbor list is handed to
+/// the operator span by span through [`PullOp::pull_span`], the only
+/// path. A pull round passes every vertex; PageRank's block-ordered
+/// solve passes one block at a time.
 pub fn vertex_pull<E, A, O>(
     incoming: &A,
+    receivers: Range<usize>,
     op: &O,
     ctx: &ExecCtx<'_>,
     next_kind: FrontierKind,
@@ -219,9 +224,8 @@ where
     O: PullOp<E>,
 {
     let _step = timeline::span(timeline::SpanKind::Step, "vertex_pull", "pull");
-    let nv = incoming.num_vertices();
-    let next = NextFrontier::new(next_kind, nv);
-    egraph_parallel::parallel_for(0..nv, 1024, |r| {
+    let next = NextFrontier::new(next_kind, incoming.num_vertices());
+    egraph_parallel::parallel_for(receivers, 1024, |r| {
         let mut sink = next.sink(r.start as u64);
         let mut examined = 0;
         for v in r {

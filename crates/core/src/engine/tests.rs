@@ -226,6 +226,7 @@ fn vertex_pull_early_termination_and_filtering() {
     };
     let next = vertex_pull(
         adj.incoming(),
+        0..4,
         &op,
         &ExecCtx::default(),
         FrontierKind::Sparse,
@@ -234,6 +235,17 @@ fn vertex_pull_early_termination_and_filtering() {
     assert_eq!(op.scanned.load(Ordering::Relaxed), 1);
     assert_eq!(next.len(), 1);
     assert!(next.contains(3));
+
+    // A receiver range leaves the vertices outside it alone.
+    let next = vertex_pull(
+        adj.incoming(),
+        0..3,
+        &op,
+        &ExecCtx::default(),
+        FrontierKind::Sparse,
+    );
+    assert_eq!(op.scanned.load(Ordering::Relaxed), 1);
+    assert!(next.is_empty());
 }
 
 #[test]

@@ -49,6 +49,49 @@ pub enum DeltaOp<E> {
 }
 
 impl<E: EdgeRecord> DeltaOp<E> {
+    /// Reads the op of one parsed delta line, `line_no` naming it in
+    /// errors. The line must be one JSON object; its fields are taken
+    /// from the top level, the first occurrence of a key winning.
+    /// `weight` is optional and ignored by unweighted edge types.
+    pub fn from_json(value: &json::Value, line_no: usize) -> Result<Self, DeltaError> {
+        if value.as_object().is_none() {
+            return Err(DeltaError::NotJson { line: line_no });
+        }
+        let bad = |field| DeltaError::BadField {
+            line: line_no,
+            field,
+        };
+        let field = |field: &'static str| {
+            value.get(field).ok_or(DeltaError::MissingField {
+                line: line_no,
+                field,
+            })
+        };
+        let vertex = |key| match field(key)?.as_number() {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= f64::from(VertexId::MAX) => {
+                Ok(n as VertexId)
+            }
+            _ => Err(bad(key)),
+        };
+        let op = field("op")?.as_str().ok_or(bad("op"))?;
+        let (src, dst) = (vertex("src")?, vertex("dst")?);
+        match op {
+            "insert" | "add" => {
+                let weight = match value.get("weight").map(|w| w.as_number().map(|w| w as f32)) {
+                    None => 1.0,
+                    Some(Some(w)) if w.is_finite() => w,
+                    Some(_) => return Err(bad("weight")),
+                };
+                Ok(DeltaOp::Insert(E::new(src, dst, weight)))
+            }
+            "delete" | "remove" => Ok(DeltaOp::Delete { src, dst }),
+            other => Err(DeltaError::UnknownOp {
+                line: line_no,
+                op: other.chars().take(32).collect(),
+            }),
+        }
+    }
+
     /// The `(src, dst)` endpoints this op touches.
     pub fn endpoints(&self) -> (VertexId, VertexId) {
         match self {
@@ -161,49 +204,12 @@ impl<E: EdgeRecord> DeltaBatch<E> {
 
     /// Parses one NDJSON delta line, e.g.
     /// `{"op":"insert","src":3,"dst":9,"weight":0.5}` or
-    /// `{"op":"delete","src":3,"dst":9}`. The line is one JSON object,
-    /// read by [`json::parse`] — the reader the daemon routes request
-    /// lines with — and its fields are taken from the top level, the
-    /// first occurrence of a key winning. `weight` is optional and
-    /// ignored by unweighted edge types.
+    /// `{"op":"delete","src":3,"dst":9}`: [`json::parse`] — the reader
+    /// the daemon routes request lines with — then
+    /// [`DeltaOp::from_json`].
     pub fn parse_line(line: &str, line_no: usize) -> Result<DeltaOp<E>, DeltaError> {
         let value = json::parse(line).map_err(|_| DeltaError::NotJson { line: line_no })?;
-        if value.as_object().is_none() {
-            return Err(DeltaError::NotJson { line: line_no });
-        }
-        let bad = |field| DeltaError::BadField {
-            line: line_no,
-            field,
-        };
-        let field = |field: &'static str| {
-            value.get(field).ok_or(DeltaError::MissingField {
-                line: line_no,
-                field,
-            })
-        };
-        let vertex = |key| match field(key)?.as_number() {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= f64::from(VertexId::MAX) => {
-                Ok(n as VertexId)
-            }
-            _ => Err(bad(key)),
-        };
-        let op = field("op")?.as_str().ok_or(bad("op"))?;
-        let (src, dst) = (vertex("src")?, vertex("dst")?);
-        match op {
-            "insert" | "add" => {
-                let weight = match value.get("weight").map(|w| w.as_number().map(|w| w as f32)) {
-                    None => 1.0,
-                    Some(Some(w)) if w.is_finite() => w,
-                    Some(_) => return Err(bad("weight")),
-                };
-                Ok(DeltaOp::Insert(E::new(src, dst, weight)))
-            }
-            "delete" | "remove" => Ok(DeltaOp::Delete { src, dst }),
-            other => Err(DeltaError::UnknownOp {
-                line: line_no,
-                op: other.chars().take(32).collect(),
-            }),
-        }
+        DeltaOp::from_json(&value, line_no)
     }
 
     /// Parses a whole NDJSON delta stream; blank lines are skipped.

@@ -335,7 +335,7 @@ fn answer(line: &str, engine: &ServeEngine) -> String {
         _ => "null".to_string(),
     };
     if let Some(op) = field("op").and_then(Value::as_str) {
-        return answer_update(op, &id, line, engine);
+        return answer_update(op, &id, &value, engine);
     }
     let (query, want_values) = match parse_query(field) {
         Ok(parsed) => parsed,
@@ -352,7 +352,7 @@ fn answer(line: &str, engine: &ServeEngine) -> String {
 }
 
 /// Handles a graph-mutation line whose `op` field is `op`.
-fn answer_update(op: &str, id: &str, line: &str, engine: &ServeEngine) -> String {
+fn answer_update(op: &str, id: &str, line: &Value, engine: &ServeEngine) -> String {
     if op == "compact" {
         let c = engine.compact();
         return format!(
@@ -361,9 +361,8 @@ fn answer_update(op: &str, id: &str, line: &str, engine: &ServeEngine) -> String
         );
     }
     // insert/delete lines (and unknown ops, which come back as the
-    // typed parse error) are handed to the engine's delta codec
-    // verbatim.
-    match engine.apply_update(line) {
+    // typed delta error) hand the parsed line to the engine.
+    match engine.apply_line(line) {
         Ok(applied) => format!(
             "{{\"id\":{id},\"ok\":true,\"op\":\"update\",\"applied\":{applied},\"pending\":{}}}",
             engine.pending_ops()
@@ -808,6 +807,75 @@ mod tests {
         };
         assert_eq!(reachable(0), Some(16.0), "1 → 2 inserted, nothing deleted");
         assert_eq!(reachable(7), Some(9.0), "7 → 2 not inserted");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn update_lines_answer_with_unchanged_error_texts() {
+        // The daemon hands the line it parsed to the delta codec; each
+        // answer carries the codec's text for that line, named line 1.
+        let daemon = daemon_on_chain(16);
+        daemon.wait_ready();
+        for (line, want) in [
+            (
+                r#"{"id":1,"op":"explode","src":0,"dst":1}"#,
+                r#"{"id":1,"ok":false,"error":"line 1: unknown op \"explode\" (expected insert|delete)"}"#,
+            ),
+            (
+                r#"{"id":2,"op":"insert","src":0}"#,
+                r#"{"id":2,"ok":false,"error":"line 1: missing field \"dst\""}"#,
+            ),
+            (
+                r#"{"id":3,"op":"insert","src":-1,"dst":2}"#,
+                r#"{"id":3,"ok":false,"error":"line 1: bad value for field \"src\""}"#,
+            ),
+            (
+                r#"{"id":4,"op":"insert","src":0,"dst":99}"#,
+                r#"{"id":4,"ok":false,"error":"vertex 99 out of range for a graph with 16 vertices"}"#,
+            ),
+            (
+                r#"{"id":5,"op":"insert","src":0,"dst":1,"weight":"x"}"#,
+                r#"{"id":5,"ok":false,"error":"line 1: bad value for field \"weight\""}"#,
+            ),
+            (
+                r#"{"id":6,"op":"delete","src":1.5,"dst":2}"#,
+                r#"{"id":6,"ok":false,"error":"line 1: bad value for field \"src\""}"#,
+            ),
+            (
+                r#"{"id":7,"op":"","src":0,"dst":1}"#,
+                r#"{"id":7,"ok":false,"error":"line 1: unknown op \"\" (expected insert|delete)"}"#,
+            ),
+            (
+                r#"{"op":"remove","dst":1}"#,
+                r#"{"id":null,"ok":false,"error":"line 1: missing field \"src\""}"#,
+            ),
+            (
+                r#"{"id":"u","op":"add","src":"0","dst":1}"#,
+                r#"{"id":"u","ok":false,"error":"line 1: bad value for field \"src\""}"#,
+            ),
+            (
+                r#"{"id":10,"op":7,"src":0,"dst":1}"#,
+                r#"{"id":10,"ok":false,"error":"missing field: algo"}"#,
+            ),
+            (
+                r#"{"id":11,"op":"insert","src":0,"dst":4294967296}"#,
+                r#"{"id":11,"ok":false,"error":"line 1: bad value for field \"dst\""}"#,
+            ),
+            (
+                r#"{"id":12,"op":"insert","src":0,"dst":1,"weight":1e999}"#,
+                r#"{"id":12,"ok":false,"error":"line 1: bad value for field \"weight\""}"#,
+            ),
+            (
+                r#"{"id":13,"op":"delete","dst":1,"src":null}"#,
+                r#"{"id":13,"ok":false,"error":"line 1: bad value for field \"src\""}"#,
+            ),
+            (
+                r#"{"id":14,"op":"insert","src":0,"dst":1}"#,
+                r#"{"id":14,"ok":true,"op":"update","applied":1,"pending":1}"#,
+            ),
+        ] {
+            assert_eq!(answer(line, &daemon.engine), want, "{line}");
+        }
         daemon.shutdown();
     }
 

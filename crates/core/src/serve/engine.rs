@@ -34,11 +34,12 @@ use egraph_parallel::ThreadPool;
 use crate::engine::FrontierAlgo;
 use crate::exec::ExecCtx;
 use crate::layout::{
-    AdjacencyList, CcsrList, DeltaBatch, DeltaError, DeltaGraph, DeltaList, EdgeDirection,
+    AdjacencyList, CcsrList, DeltaBatch, DeltaError, DeltaGraph, DeltaList, DeltaOp, EdgeDirection,
     EpochCell, Grid,
 };
 use crate::metrics::IterStat;
 use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
+use crate::telemetry::json;
 use crate::types::{Edge, EdgeList, EdgeRecord, VertexId, WEdge};
 use crate::variant::{default_grid_side, Algo, Layout, VariantError};
 
@@ -209,6 +210,7 @@ impl<E: EdgeRecord> Served<E> {
 /// type: the update, compaction and status calls.
 trait ServedGraph: Send + Sync {
     fn apply_update(&self, ndjson: &str) -> Result<usize, DeltaError>;
+    fn apply_line(&self, line: &json::Value) -> Result<usize, DeltaError>;
     fn compact(&self) -> ServeCompaction;
     fn pending_ops(&self) -> usize;
     fn epoch(&self) -> u64;
@@ -218,6 +220,11 @@ trait ServedGraph: Send + Sync {
 impl<E: EdgeRecord> ServedGraph for Served<E> {
     fn apply_update(&self, ndjson: &str) -> Result<usize, DeltaError> {
         self.graph.apply(&DeltaBatch::parse_ndjson(ndjson)?)
+    }
+
+    fn apply_line(&self, line: &json::Value) -> Result<usize, DeltaError> {
+        let op = DeltaOp::from_json(line, 1)?;
+        self.graph.apply(&DeltaBatch { ops: vec![op] })
     }
 
     fn compact(&self) -> ServeCompaction {
@@ -860,6 +867,13 @@ impl ServeEngine {
     /// The typed [`DeltaError`] naming the offending line.
     pub fn apply_update(&self, ndjson: &str) -> Result<usize, DeltaError> {
         self.served.apply_update(ndjson)
+    }
+
+    /// [`Self::apply_update`] for one request line the daemon has
+    /// already parsed: its one op, named line 1 in errors, as the same
+    /// line sent through `apply_update` would be.
+    pub(crate) fn apply_line(&self, line: &json::Value) -> Result<usize, DeltaError> {
+        self.served.apply_line(line)
     }
 
     /// Merges the pending delta log into the graph, rebuilds the

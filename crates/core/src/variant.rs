@@ -438,7 +438,7 @@ pub fn max_grid_side(nv: usize) -> usize {
 pub struct RunParams<'a> {
     /// BFS/SSSP source vertex.
     pub root: VertexId,
-    /// PageRank configuration (iterations, damping, tolerance).
+    /// PageRank configuration (iterations, damping).
     pub pagerank: pagerank::PagerankConfig,
     /// Push synchronization (ignored where [`sync_matters`] is false).
     pub sync: SyncMode,
@@ -856,7 +856,6 @@ fn execute<E: EdgeRecord>(
                     grid,
                     degrees(),
                     params.pagerank,
-                    None,
                     ctx,
                 )),
                 _ => run_streamed(id, grid, &grid.cells(), degrees, x, params, ctx),
@@ -891,7 +890,7 @@ where
             VariantOutput::Sssp(sssp::push_impl(layout, root, sssp::derive_delta(layout), c))
         }
         (Algo::Pagerank, Direction::Pull) => {
-            VariantOutput::Pagerank(pagerank::pull_impl(layout, degrees(), cfg, None, c))
+            VariantOutput::Pagerank(pagerank::pull_impl(layout, degrees(), cfg, c))
         }
         (Algo::Pagerank, _) => {
             VariantOutput::Pagerank(pagerank::push_impl(layout, degrees(), cfg, params.sync, c))

@@ -122,8 +122,9 @@ if [ -n "$others" ] || [ "$allowed" -ne 2 ]; then
 fi
 
 # The incremental engines solve from scratch with the batch kernels:
-# `IncrementalPagerank` runs the pull kernel (`pagerank::pull_impl`) to
-# a tolerance and `IncrementalBfs` runs `bfs::run`, for the initial
+# `IncrementalPagerank` sweeps block by block with PageRank's pull rule
+# through `engine::vertex_pull` until a sweep's change is under the
+# tolerance, and `IncrementalBfs` runs `bfs::run`, for the initial
 # answer and for a fallback alike. A private `solve` or `from_scratch`
 # in non-test code under algo/ is a serial second solver coming back.
 echo "== incremental engines solve with the batch kernels =="
