@@ -4,6 +4,7 @@
 
 use egraph_bench::{fmt_ratio, fmt_secs, graphs, ExperimentCtx, ResultTable};
 use egraph_core::layout::EdgeDirection;
+use egraph_core::metrics::timed;
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 
 fn main() {
@@ -30,8 +31,9 @@ fn main() {
             .enumerate()
         {
             let ((), best) = egraph_bench::min_time(reps, || {
-                let (_, stats) = CsrBuilder::new(strategy, EdgeDirection::Out).build_timed(&graph);
-                ((), stats.seconds)
+                let (_, secs) =
+                    timed(|| CsrBuilder::new(strategy, EdgeDirection::Out).build(&graph));
+                ((), secs)
             });
             secs[i] = best;
         }

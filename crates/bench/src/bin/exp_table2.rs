@@ -7,6 +7,7 @@
 
 use egraph_bench::{fmt_pct, fmt_ratio, fmt_secs, graphs, llc, trace, ExperimentCtx, ResultTable};
 use egraph_core::layout::EdgeDirection;
+use egraph_core::metrics::timed;
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 
 fn main() {
@@ -34,12 +35,12 @@ fn main() {
     let reps = egraph_bench::reps();
     for strategy in Strategy::ALL {
         let ((), out_secs) = egraph_bench::min_time(reps, || {
-            let (_, stats) = CsrBuilder::new(strategy, EdgeDirection::Out).build_timed(&graph);
-            ((), stats.seconds)
+            let (_, secs) = timed(|| CsrBuilder::new(strategy, EdgeDirection::Out).build(&graph));
+            ((), secs)
         });
         let ((), both_secs) = egraph_bench::min_time(reps, || {
-            let (_, stats) = CsrBuilder::new(strategy, EdgeDirection::Both).build_timed(&graph);
-            ((), stats.seconds)
+            let (_, secs) = timed(|| CsrBuilder::new(strategy, EdgeDirection::Both).build(&graph));
+            ((), secs)
         });
 
         // Replay the construction's access stream against the scaled

@@ -71,14 +71,14 @@ fn main() {
         // entry, so the peak column is the layout's own transient +
         // resident footprint on top of the edge list it reads.
         let w = alloc::window("csr");
-        let (csr, _) = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&graph);
+        let csr = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&graph);
         record("csr", w.finish());
         drop(csr);
 
         let w = alloc::window("grid");
-        let (grid, _) = GridBuilder::new(Strategy::RadixSort)
+        let grid = GridBuilder::new(Strategy::RadixSort)
             .side(default_grid_side(graph.num_vertices()))
-            .build_timed(&graph);
+            .build(&graph);
         record("grid", w.finish());
         drop(grid);
     }

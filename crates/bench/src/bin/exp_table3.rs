@@ -32,8 +32,8 @@ fn main() {
     // Measure each strategy's pure pre-processing, out and in-out.
     let mut measured = Vec::new();
     for direction in [EdgeDirection::Out, EdgeDirection::Both] {
-        let (_, dyn_stats) = CsrBuilder::new(Strategy::Dynamic, direction).build_timed(&graph);
-        let (_, radix_stats) = CsrBuilder::new(Strategy::RadixSort, direction).build_timed(&graph);
+        let (_, dyn_s) = timed(|| CsrBuilder::new(Strategy::Dynamic, direction).build(&graph));
+        let (_, radix_s) = timed(|| CsrBuilder::new(Strategy::RadixSort, direction).build(&graph));
         // Split count sort into its two passes: the counting pass (the
         // overlappable half) and the scatter.
         let (_, count_pass) = timed(|| {
@@ -42,17 +42,9 @@ fn main() {
                 let _ = graph.in_degrees();
             }
         });
-        let (_, count_total) = {
-            let (_, s) = CsrBuilder::new(Strategy::CountSort, direction).build_timed(&graph);
-            ((), s.seconds)
-        };
-        measured.push((
-            direction,
-            dyn_stats.seconds,
-            radix_stats.seconds,
-            count_pass,
-            count_total,
-        ));
+        let (_, count_total) =
+            timed(|| CsrBuilder::new(Strategy::CountSort, direction).build(&graph));
+        measured.push((direction, dyn_s, radix_s, count_pass, count_total));
     }
 
     let mut table = ResultTable::new(

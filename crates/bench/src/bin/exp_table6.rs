@@ -21,6 +21,7 @@ use egraph_bench::{
 use egraph_core::algo::als;
 use egraph_core::exec::ExecCtx;
 use egraph_core::layout::{EdgeDirection, VertexLayout};
+use egraph_core::metrics::timed;
 use egraph_core::preprocess::{CsrBuilder, Strategy};
 use egraph_core::types::{EdgeList, EdgeRecord};
 use egraph_core::variant::{PreparedGraph, RunParams, VariantId, VariantRun};
@@ -120,9 +121,7 @@ fn main() {
     // --- ALS on the Netflix-shaped bipartite graph. ---
     let (ratings, num_users) = graphs::netflix_like(ctx.scale.min(16));
     let (radj, rpre) = min_time(reps, || {
-        let (a, s) =
-            CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build_timed(&ratings);
-        (a, s.seconds)
+        timed(|| CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&ratings))
     });
     let (r, als_secs) = min_time(reps, || {
         let r = als::als(

@@ -105,9 +105,7 @@ impl ExperimentCtx {
         let metrics = metrics_addr.map(|addr| {
             egraph_metrics::register_pool_metrics(egraph_parallel::global_pool());
             egraph_metrics::register_alloc_metrics();
-            egraph_storage::counters::register_metrics();
             egraph_parallel::global_pool().counters().enable();
-            egraph_storage::counters::enable();
             // A typed BindError names the offending address; exit
             // cleanly instead of unwinding a panic through main.
             let server = egraph_metrics::serve(addr.as_str()).unwrap_or_else(|e| {

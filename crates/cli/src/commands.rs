@@ -367,8 +367,8 @@ fn save_f32(save: Option<&str>, values: &[f32]) -> Result<f64, Box<dyn Error>> {
 }
 
 /// Starts the opt-in `/metrics` endpoint when `--metrics-addr` was
-/// given, registering the scrape-time storage and allocator sources
-/// first (the caller registers the pool it runs on). Returns the server
+/// given, registering the scrape-time allocator sources first (the
+/// caller registers the pool it runs on). Returns the server
 /// handle so the caller controls when it shuts down, plus the
 /// `--metrics-linger` grace period.
 fn maybe_serve_metrics(
@@ -380,7 +380,6 @@ fn maybe_serve_metrics(
         return Ok((None, linger));
     };
     egraph_metrics::register_alloc_metrics();
-    egraph_storage::counters::register_metrics();
     let server = egraph_metrics::serve(addr.as_str())?;
     println!("serving metrics on http://{}/metrics", server.addr());
     Ok((Some(server), linger))
@@ -583,7 +582,6 @@ fn cmd_run(args: &Args) -> CliResult {
         // enable() opens a fresh collection window (it zeroes first),
         // so a reused pool cannot leak a previous run's counts.
         pool.counters().enable();
-        egraph_storage::counters::enable();
     }
     if metrics_server.is_some() {
         egraph_metrics::register_pool_metrics(pool);
@@ -598,6 +596,10 @@ fn cmd_run(args: &Args) -> CliResult {
         .recorder(recorder)
         .profile("load", || load_any(&path))?;
     let load = load_start.elapsed().as_secs_f64();
+    let storage = storage_counters(&path, &any, load)?;
+    if metrics_server.is_some() {
+        register_storage_metrics(storage);
+    }
 
     let spec = RunSpec {
         algo: &algo,
@@ -621,7 +623,6 @@ fn cmd_run(args: &Args) -> CliResult {
     }
     if let Some((out_path, recorder)) = &trace_recorder {
         pool.counters().disable();
-        egraph_storage::counters::disable();
         let mut trace = RunTrace::new(&algo);
         let available = recorder.available_counters();
         trace.config.insert(
@@ -650,17 +651,8 @@ fn cmd_run(args: &Args) -> CliResult {
         }
         trace.absorb(recorder);
         trace.absorb_pool(&pool.counters().snapshot());
-        let storage = egraph_storage::counters::snapshot();
-        for (name, value) in [
-            ("storage.bytes_read", storage.bytes_read as f64),
-            ("storage.records_parsed", storage.records_parsed as f64),
-            ("storage.read_seconds", storage.read_seconds),
-            (
-                "storage.throughput_bytes_per_sec",
-                storage.throughput_bytes_per_sec(),
-            ),
-        ] {
-            trace.counters.insert(name.to_string(), value);
+        for (name, value) in storage {
+            trace.counters.insert(format!("storage.{name}"), value);
         }
         std::fs::write(out_path, trace.to_json())?;
         println!("wrote trace to {out_path}");
@@ -672,9 +664,60 @@ fn cmd_run(args: &Args) -> CliResult {
     // The counter values survive disable(), so scrapers that arrive
     // during the linger window still read the run's final totals.
     pool.counters().disable();
-    egraph_storage::counters::disable();
     finish_metrics(metrics_server, metrics_linger);
     Ok(())
+}
+
+/// The storage numbers of one load, read off the load itself: the
+/// input file's length, the edges it held and the `load` seconds the
+/// breakdown prints. Throughput is bytes over seconds, 0 when the load
+/// took no time. Each pair is `(name, value)`; a trace records
+/// `storage.<name>`.
+fn storage_counters(
+    path: &str,
+    graph: &AnyGraph,
+    seconds: f64,
+) -> Result<[(&'static str, f64); 4], Box<dyn Error>> {
+    let bytes = std::fs::metadata(path)?.len() as f64;
+    let records = match graph {
+        AnyGraph::Unweighted(g) => g.num_edges(),
+        AnyGraph::Weighted(g) => g.num_edges(),
+    };
+    let throughput = if seconds > 0.0 { bytes / seconds } else { 0.0 };
+    Ok([
+        ("bytes_read", bytes),
+        ("records_parsed", records as f64),
+        ("read_seconds", seconds),
+        ("throughput_bytes_per_sec", throughput),
+    ])
+}
+
+/// Publishes one load's [`storage_counters`] as the four
+/// `egraph_storage_*` families. Registering again replaces the
+/// callbacks, so a second run in one process reports its own load.
+fn register_storage_metrics(storage: [(&'static str, f64); 4]) {
+    let r = egraph_metrics::global();
+    let [bytes, records, seconds, throughput] = storage.map(|(_, value)| value);
+    r.counter_fn(
+        "egraph_storage_bytes_read_total",
+        "Bytes of the input file the run loaded (its length).",
+        move || bytes,
+    );
+    r.counter_fn(
+        "egraph_storage_records_parsed_total",
+        "Edge records the run loaded.",
+        move || records,
+    );
+    r.counter_fn(
+        "egraph_storage_read_seconds_total",
+        "Wall seconds of the run's load phase.",
+        move || seconds,
+    );
+    r.gauge_fn(
+        "egraph_storage_throughput_bytes_per_sec",
+        "Load throughput: bytes over load seconds (0 when the load took no time).",
+        move || throughput,
+    );
 }
 
 /// Everything `run` needs besides the graph and the recorder.
@@ -1181,9 +1224,6 @@ fn cmd_conformance(args: &Args) -> CliResult {
         }
     }
     let (metrics_server, metrics_linger) = maybe_serve_metrics(args)?;
-    if metrics_server.is_some() {
-        egraph_storage::counters::enable();
-    }
     args.reject_unknown()?;
 
     let graphs = if full {
@@ -1215,9 +1255,6 @@ fn cmd_conformance(args: &Args) -> CliResult {
         update_cfg.ops_per_batch,
         update_start.elapsed().as_secs_f64(),
     );
-    if metrics_server.is_some() {
-        egraph_storage::counters::disable();
-    }
     finish_metrics(metrics_server, metrics_linger);
     if report.mismatches.is_empty() && update_report.mismatches.is_empty() {
         println!("all combinations conformant (static matrix + update oracle)");
@@ -1331,5 +1368,29 @@ mod tests {
         let seen = tee.counters.read().unwrap();
         assert!((1..=workers as usize).contains(&seen.len()));
         assert!(seen.iter().all(|(name, _)| *name == EDGES_EXAMINED));
+    }
+
+    /// A load's storage numbers are the file's length, its edges and
+    /// the load's seconds; throughput is bytes over seconds, and 0 when
+    /// the load took no time.
+    #[test]
+    fn storage_counters_read_the_load() {
+        let path = std::env::temp_dir().join("egraph-cli-unit-storage-counters.egr");
+        let graph = EdgeList::new(3, vec![Edge::new(0, 1), Edge::new(1, 2)]).unwrap();
+        write_edge_list(File::create(&path).unwrap(), &graph).unwrap();
+        let path = path.to_str().unwrap();
+        let any = AnyGraph::Unweighted(graph);
+        // A 32-byte header and two 8-byte records.
+        assert_eq!(
+            storage_counters(path, &any, 2.0).unwrap(),
+            [
+                ("bytes_read", 48.0),
+                ("records_parsed", 2.0),
+                ("read_seconds", 2.0),
+                ("throughput_bytes_per_sec", 24.0),
+            ]
+        );
+        let idle = storage_counters(path, &any, 0.0).unwrap();
+        assert_eq!(idle[3], ("throughput_bytes_per_sec", 0.0));
     }
 }

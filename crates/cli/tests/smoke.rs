@@ -65,6 +65,38 @@ fn weighted_pipeline() {
     dispatch(&argv(&["run", "spmv", &path, "--layout", "edge"])).expect("spmv");
 }
 
+/// A run's storage counters are read off its load: a weighted file's
+/// `storage.bytes_read` is the file's length, although telling weighted
+/// from unweighted reads its header twice, and
+/// `storage.records_parsed` is its edge count.
+#[test]
+fn storage_counters_are_the_file_the_run_loaded() {
+    let graph = tmp("smoke_storage_weighted.egr");
+    let trace = tmp("smoke_storage_weighted.json");
+    dispatch(&argv(&[
+        "generate",
+        "rmat",
+        "--scale",
+        "10",
+        "--weighted",
+        "true",
+        "--out",
+        &graph,
+    ]))
+    .unwrap();
+    dispatch(&argv(&["run", "sssp", &graph, "--trace-out", &trace])).expect("traced sssp");
+    let parsed =
+        egraph_core::telemetry::RunTrace::from_json(&std::fs::read_to_string(&trace).unwrap())
+            .unwrap();
+    let file = std::fs::File::open(&graph).unwrap();
+    let edges = egraph_storage::read_edge_list::<egraph_core::types::WEdge, _>(file)
+        .unwrap()
+        .num_edges();
+    let length = std::fs::metadata(&graph).unwrap().len();
+    assert_eq!(parsed.counters["storage.bytes_read"], length as f64);
+    assert_eq!(parsed.counters["storage.records_parsed"], edges as f64);
+}
+
 #[test]
 fn weightless_algorithms_run_on_a_weighted_file() {
     // The kernels are generic over the edge record: bfs, wcc and
@@ -681,6 +713,28 @@ fn run_with_metrics_addr_serves_and_matches_trace() {
     // The tee forwards phases to the trace recorder it wraps.
     let phases: Vec<&str> = parsed.phases.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(phases, ["load", "preprocess", "algorithm"]);
+    // The storage families publish the numbers the trace records.
+    for (family, key) in [
+        ("egraph_storage_bytes_read_total", "storage.bytes_read"),
+        (
+            "egraph_storage_records_parsed_total",
+            "storage.records_parsed",
+        ),
+        ("egraph_storage_read_seconds_total", "storage.read_seconds"),
+        (
+            "egraph_storage_throughput_bytes_per_sec",
+            "storage.throughput_bytes_per_sec",
+        ),
+    ] {
+        let sample: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(family)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("missing {family}:\n{text}"))
+            .trim()
+            .parse()
+            .unwrap();
+        assert_eq!(sample, parsed.counters[key], "{family}");
+    }
 }
 
 /// `serve --metrics-addr` reports the wave pool's counters: after the

@@ -73,7 +73,7 @@ pub mod prelude {
         GraphSnapshot, Grid, NeighborAccess, VertexLayout,
     };
     pub use crate::metrics::{timed, IterStat, StepMode, TimeBreakdown};
-    pub use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, PreprocessStats, Strategy};
+    pub use crate::preprocess::{CcsrBuilder, CsrBuilder, GridBuilder, Strategy};
     pub use crate::telemetry::{NullRecorder, Recorder, RunTrace, TraceRecorder};
     pub use crate::types::{Edge, EdgeList, EdgeRecord, VertexId, WEdge, INVALID_VERTEX};
     pub use crate::variant::{

@@ -1,8 +1,7 @@
 //! Pre-processing: converting the edge-array input into adjacency
-//! lists and grids, with the three construction strategies of §3.2 and
-//! wall-clock accounting for the paper's end-to-end view.
-
-use std::time::Instant;
+//! lists and grids, with the three construction strategies of §3.2.
+//! Callers time a `build` with [`crate::metrics::timed`] for the
+//! paper's end-to-end view.
 
 use egraph_parallel::ops::parallel_init;
 use egraph_parallel::{
@@ -71,15 +70,6 @@ impl Strategy {
     }
 }
 
-/// Wall-clock cost of one pre-processing run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreprocessStats {
-    /// The strategy that was used.
-    pub strategy: Strategy,
-    /// Total seconds spent building the layout.
-    pub seconds: f64,
-}
-
 /// Builder for adjacency-list layouts.
 ///
 /// # Examples
@@ -122,26 +112,12 @@ impl CsrBuilder {
 
     /// Builds the layout.
     pub fn build<E: EdgeRecord>(&self, input: &EdgeList<E>) -> AdjacencyList<E> {
-        self.build_timed(input).0
-    }
-
-    /// Builds the layout, returning the pre-processing cost alongside.
-    pub fn build_timed<E: EdgeRecord>(
-        &self,
-        input: &EdgeList<E>,
-    ) -> (AdjacencyList<E>, PreprocessStats) {
         let _span = egraph_parallel::timeline::span(
             egraph_parallel::timeline::SpanKind::Phase,
             "preprocess_csr",
             self.strategy.name(),
         );
-        let start = Instant::now();
-        let list = Sides::build(self.direction, |by_dst| self.side(input, by_dst));
-        let stats = PreprocessStats {
-            strategy: self.strategy,
-            seconds: start.elapsed().as_secs_f64(),
-        };
-        (list, stats)
+        Sides::build(self.direction, |by_dst| self.side(input, by_dst))
     }
 
     /// Builds one direction (`by_dst` for the in-direction).
@@ -392,17 +368,11 @@ impl GridBuilder {
 
     /// Builds the grid.
     pub fn build<E: EdgeRecord>(&self, input: &EdgeList<E>) -> Grid<E> {
-        self.build_timed(input).0
-    }
-
-    /// Builds the grid, returning the pre-processing cost alongside.
-    pub fn build_timed<E: EdgeRecord>(&self, input: &EdgeList<E>) -> (Grid<E>, PreprocessStats) {
         let _span = egraph_parallel::timeline::span(
             egraph_parallel::timeline::SpanKind::Phase,
             "preprocess_grid",
             self.strategy.name(),
         );
-        let start = Instant::now();
         let nv = input.num_vertices();
         let side = self.side;
         let range_len = nv.div_ceil(side).max(1);
@@ -411,7 +381,7 @@ impl GridBuilder {
             (e.src() as usize / range_len * side + e.dst() as usize / range_len) as u64
         };
 
-        let grid = match self.strategy {
+        match self.strategy {
             Strategy::RadixSort => {
                 let grouped = egraph_sort::radix_partition_by_key(input.edges(), num_cells, key);
                 Grid::from_parts(nv, side, grouped.offsets, grouped.sorted)
@@ -424,12 +394,7 @@ impl GridBuilder {
                 let (offsets, edges) = dynamic_cells(input.edges(), num_cells, |e| key(e) as usize);
                 Grid::from_parts(nv, side, offsets, edges)
             }
-        };
-        let stats = PreprocessStats {
-            strategy: self.strategy,
-            seconds: start.elapsed().as_secs_f64(),
-        };
-        (grid, stats)
+        }
     }
 }
 
@@ -472,34 +437,19 @@ impl CcsrBuilder {
         }
     }
 
-    /// Builds the layout.
+    /// Builds the layout: the intermediate sorted-CSR build and the
+    /// compression passes, so timing `build` counts both —
+    /// pre-processing is end-to-end, as everywhere else in the repo.
     pub fn build<E: EdgeRecord>(&self, input: &EdgeList<E>) -> CcsrList<E> {
-        self.build_timed(input).0
-    }
-
-    /// Builds the layout, returning the pre-processing cost alongside.
-    /// The cost covers both the intermediate sorted-CSR build and the
-    /// compression passes — pre-processing is end-to-end, as
-    /// everywhere else in the repo.
-    pub fn build_timed<E: EdgeRecord>(
-        &self,
-        input: &EdgeList<E>,
-    ) -> (CcsrList<E>, PreprocessStats) {
         let _span = egraph_parallel::timeline::span(
             egraph_parallel::timeline::SpanKind::Phase,
             "preprocess_ccsr",
             self.strategy.name(),
         );
-        let start = Instant::now();
         let csr = CsrBuilder::new(self.strategy, self.direction).sort_neighbors(true);
-        let list = Sides::build(self.direction, |by_dst| {
+        Sides::build(self.direction, |by_dst| {
             compress_adjacency(&csr.side(input, by_dst))
-        });
-        let stats = PreprocessStats {
-            strategy: self.strategy,
-            seconds: start.elapsed().as_secs_f64(),
-        };
-        (list, stats)
+        })
     }
 }
 
@@ -649,10 +599,8 @@ mod tests {
     #[test]
     fn both_directions_built_together() {
         let input = sample_input();
-        let (adj, stats) =
-            CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build_timed(&input);
+        let adj = CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&input);
         assert!(adj.out_opt().is_some() && adj.incoming_opt().is_some());
-        assert!(stats.seconds >= 0.0);
     }
 
     #[test]
@@ -809,8 +757,7 @@ mod tests {
     fn ccsr_roundtrips_sample_graph() {
         let input = sample_input();
         for strategy in Strategy::ALL {
-            let (ccsr, stats) = CcsrBuilder::new(strategy, EdgeDirection::Both).build_timed(&input);
-            assert!(stats.seconds >= 0.0);
+            let ccsr = CcsrBuilder::new(strategy, EdgeDirection::Both).build(&input);
             assert_eq!(ccsr.num_vertices(), 4);
             assert_eq!(ccsr.num_edges(), 5);
             assert_eq!(ccsr.out().decode_neighbors(0).unwrap(), vec![1, 2, 3]);

@@ -587,15 +587,14 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
     }
 
     /// Builds the one-direction CSR `side` names.
-    fn build_csr(&self, side: EdgeDirection) -> (AdjacencyList<E>, f64) {
-        let (adj, stats) = CsrBuilder::new(self.strategy, side)
+    fn build_csr(&self, side: EdgeDirection) -> AdjacencyList<E> {
+        CsrBuilder::new(self.strategy, side)
             .sort_neighbors(self.sorted)
-            .build_timed(self.edges);
-        (adj, stats.seconds)
+            .build(self.edges)
     }
 
     fn csr(&self, dir: EdgeDirection) -> (Sides<&Adjacency<E>>, f64) {
-        self.csr.view(dir, |side| self.build_csr(side))
+        self.csr.view(dir, |side| timed(|| self.build_csr(side)))
     }
 
     fn ccsr(&self, dir: EdgeDirection) -> (Sides<&CcsrAdjacency<E>>, f64) {
@@ -605,12 +604,11 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
                 // it directly (and share one build between both
                 // layouts, which also guarantees identical neighbor
                 // order for the conformance oracle).
-                let (csr, csr_seconds) = self.csr.side(side, |side| self.build_csr(side));
+                let (csr, csr_seconds) = self.csr.side(side, |side| timed(|| self.build_csr(side)));
                 let (list, compress_seconds) = timed(|| compress_sorted_csr(csr));
                 (list, csr_seconds + compress_seconds)
             } else {
-                let (list, stats) = CcsrBuilder::new(self.strategy, side).build_timed(self.edges);
-                (list, stats.seconds)
+                timed(|| CcsrBuilder::new(self.strategy, side).build(self.edges))
             }
         })
     }
@@ -624,8 +622,8 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             let log = self
                 .deltas
                 .map_or_else(|| Cow::Owned(DeltaLog::new()), Cow::Borrowed);
-            let (base, _) = self.build_csr(side);
-            base.map(|base| DeltaAdjacency::new(base, &log))
+            self.build_csr(side)
+                .map(|base| DeltaAdjacency::new(base, &log))
         })
     }
 
@@ -649,10 +647,11 @@ impl<'a, E: EdgeRecord> PreparedGraph<'a, E> {
             let side = self
                 .side
                 .unwrap_or_else(|| default_grid_side(self.num_vertices()));
-            let (grid, stats) = GridBuilder::new(self.grid_strategy.unwrap_or(self.strategy))
-                .side(side)
-                .build_timed(self.edges);
-            (grid, stats.seconds)
+            timed(|| {
+                GridBuilder::new(self.grid_strategy.unwrap_or(self.strategy))
+                    .side(side)
+                    .build(self.edges)
+            })
         })
     }
 

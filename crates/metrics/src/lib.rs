@@ -52,8 +52,8 @@ pub use server::{health, healthz_response, serve, set_health, BindError, Health,
 /// The callbacks read the pool's counter snapshot on every scrape, so
 /// `/metrics` always reports exactly the totals that a final `RunTrace`
 /// records from the same source. The pool counts only while its
-/// counters are enabled. Idempotent: repeated calls keep the first
-/// pool's registrations.
+/// counters are enabled. A repeated call re-points the families at the
+/// latest pool.
 pub fn register_pool_metrics<P>(pool: P)
 where
     P: Deref<Target = ThreadPool> + Clone + Send + Sync + 'static,
@@ -75,12 +75,12 @@ where
     );
     r.counter_fn(
         "egraph_pool_busy_seconds_total",
-        "Total worker busy time across all workers.",
+        "Total worker busy time across all workers, in wall seconds: a worker descheduled mid-task counts as busy.",
         read(PoolSnapshot::total_busy_seconds),
     );
     r.gauge_fn(
         "egraph_pool_load_imbalance",
-        "Max worker busy time divided by mean worker busy time (1.0 = perfectly balanced).",
+        "Max worker busy time divided by mean worker busy time (1.0 = perfectly balanced); busy time is wall time, so descheduling on a host narrower than the pool reads as imbalance.",
         read(PoolSnapshot::load_imbalance),
     );
 }

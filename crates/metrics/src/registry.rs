@@ -376,42 +376,39 @@ impl MetricsRegistry {
     }
 
     /// Register a counter whose value is computed at scrape time. The
-    /// callback must be monotonically non-decreasing. Idempotent: if the
-    /// `(name, labels=[])` pair exists, the existing callback is kept.
+    /// callback must be monotonically non-decreasing. If the
+    /// `(name, labels=[])` pair exists, the new callback replaces the
+    /// old one, so a source registered again (a second run in one
+    /// process) is read, not the first registration's.
     pub fn counter_fn<F>(&self, name: &str, help: &str, f: F)
     where
         F: Fn() -> f64 + Send + Sync + 'static,
     {
-        let mut entries = self.entries.lock();
-        if Self::position(&entries, name, &[]).is_some() {
-            return;
-        }
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: Vec::new(),
-            unit: Unit::None,
-            instrument: Instrument::CounterFn(Box::new(f)),
-        });
+        self.set_fn(name, help, Instrument::CounterFn(Box::new(f)));
     }
 
-    /// Register a gauge whose value is computed at scrape time.
-    /// Idempotent like [`MetricsRegistry::counter_fn`].
+    /// Register a gauge whose value is computed at scrape time,
+    /// replacing an existing callback like
+    /// [`MetricsRegistry::counter_fn`].
     pub fn gauge_fn<F>(&self, name: &str, help: &str, f: F)
     where
         F: Fn() -> f64 + Send + Sync + 'static,
     {
+        self.set_fn(name, help, Instrument::GaugeFn(Box::new(f)));
+    }
+
+    fn set_fn(&self, name: &str, help: &str, instrument: Instrument) {
         let mut entries = self.entries.lock();
-        if Self::position(&entries, name, &[]).is_some() {
-            return;
+        match Self::position(&entries, name, &[]) {
+            Some(i) => entries[i].instrument = instrument,
+            None => entries.push(Entry {
+                name: name.to_string(),
+                help: help.to_string(),
+                labels: Vec::new(),
+                unit: Unit::None,
+                instrument,
+            }),
         }
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: Vec::new(),
-            unit: Unit::None,
-            instrument: Instrument::GaugeFn(Box::new(f)),
-        });
     }
 
     /// Check every registered entry against the repo's metric-naming

@@ -164,3 +164,16 @@ fn scrape_time_callbacks_render_as_their_kind() {
     assert!(text.contains("# TYPE cb_gauge gauge"));
     assert!(text.contains("cb_gauge -1.5"));
 }
+
+#[test]
+fn registering_a_callback_again_replaces_it() {
+    let r = MetricsRegistry::new();
+    r.counter_fn("cb_total", "first run", || 1.0);
+    r.gauge_fn("cb_gauge", "first run", || 1.0);
+    r.counter_fn("cb_total", "second run", || 2.0);
+    r.gauge_fn("cb_gauge", "second run", || 2.0);
+    let text = r.render();
+    assert_eq!(text.matches("# TYPE cb_total counter").count(), 1);
+    assert!(text.contains("cb_total 2\n"), "{text}");
+    assert!(text.contains("cb_gauge 2\n"), "{text}");
+}

@@ -145,7 +145,10 @@ pub struct PoolSnapshot {
     /// this field with it.
     pub steals: u64,
     /// Busy seconds per worker, indexed by `WorkerId`; only workers
-    /// that ran at least one region appear as non-zero.
+    /// that ran at least one region appear as non-zero. This is wall
+    /// time from a region's start to its end on that worker, not CPU
+    /// time: a worker descheduled mid-region (a pool wider than the
+    /// host's cores) counts the time it waited as busy.
     pub busy_seconds: Vec<f64>,
 }
 

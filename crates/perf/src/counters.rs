@@ -1,5 +1,5 @@
-//! The portable counter surface: [`PerfCounters`], the scoped
-//! [`PhaseCounters`] guard, and [`CounterSample`] deltas.
+//! The portable counter surface: [`PerfCounters`], its
+//! [`CounterReading`] windows, and [`CounterSample`] deltas.
 
 use std::fmt;
 
@@ -131,45 +131,15 @@ impl PerfCounters {
         }
     }
 
-    /// A handle with every counter disabled (what [`open`](Self::open)
-    /// degrades to on non-Linux hosts).
-    pub fn disabled() -> Self {
-        Self {
-            inner: imp::Backend::disabled(),
-        }
-    }
-
-    /// Whether at least one counter is live.
-    pub fn is_available(&self) -> bool {
-        self.inner.available_kinds().next().is_some()
-    }
-
     /// The kinds that opened successfully, in canonical order.
     pub fn available_kinds(&self) -> Vec<CounterKind> {
         self.inner.available_kinds().collect()
     }
 
-    /// Why the host refused counters, for kinds that failed to open.
-    /// Empty when everything opened (or on a [`disabled`](Self::disabled)
-    /// handle, which never tried).
-    pub fn unavailable_reasons(&self) -> Vec<(CounterKind, String)> {
-        self.inner.unavailable_reasons()
-    }
-
-    /// Starts a phase window: records the current counter values so
-    /// [`PhaseCounters::finish`] (or drop) can compute deltas.
-    pub fn phase(&self) -> PhaseCounters<'_> {
-        PhaseCounters {
-            owner: self,
-            start: self.inner.read_raw(),
-        }
-    }
-
     /// Takes a point-in-time reading for later use with
-    /// [`delta_since`](Self::delta_since). Unlike [`phase`](Self::phase)
-    /// this does not borrow the handle, so a stream of back-to-back
-    /// windows (one per algorithm iteration) can keep the previous
-    /// reading around without self-referential lifetimes.
+    /// [`delta_since`](Self::delta_since). The reading does not borrow
+    /// the handle, so a stream of back-to-back windows (one per
+    /// algorithm iteration) can keep the previous reading around.
     pub fn reading(&self) -> CounterReading {
         CounterReading {
             raw: self.inner.read_raw(),
@@ -181,10 +151,6 @@ impl PerfCounters {
     /// yields meaningless (but safe) numbers.
     pub fn delta_since(&self, start: &CounterReading) -> CounterSample {
         self.inner.delta_since(&start.raw)
-    }
-
-    fn sample_since(&self, start: &imp::RawReading) -> CounterSample {
-        self.inner.delta_since(start)
     }
 }
 
@@ -206,23 +172,6 @@ impl fmt::Debug for PerfCounters {
         f.debug_struct("PerfCounters")
             .field("available", &self.available_kinds())
             .finish()
-    }
-}
-
-/// Scoped counter window over one named run phase. Obtain from
-/// [`PerfCounters::phase`]; call [`finish`](Self::finish) to get the
-/// deltas (dropping without finishing simply discards the window).
-pub struct PhaseCounters<'a> {
-    owner: &'a PerfCounters,
-    start: imp::RawReading,
-}
-
-impl PhaseCounters<'_> {
-    /// Ends the window and returns the multiplex-scaled counter deltas.
-    /// (Dropping without finishing needs no cleanup: counters free-run
-    /// and the start reading is just forgotten.)
-    pub fn finish(self) -> CounterSample {
-        self.owner.sample_since(&self.start)
     }
 }
 
@@ -262,14 +211,9 @@ mod imp {
         }
     }
 
-    enum Slot {
-        Open(sys::EventFd),
-        Failed(String),
-        NeverTried,
-    }
-
+    /// One slot per kind: `None` when the host refused that counter.
     pub(super) struct Backend {
-        slots: [Slot; CounterKind::ALL.len()],
+        slots: [Option<sys::EventFd>; CounterKind::ALL.len()],
     }
 
     pub(super) struct RawReading {
@@ -281,17 +225,8 @@ mod imp {
             Self {
                 slots: CounterKind::ALL.map(|kind| {
                     let (typ, config) = event_spec(kind);
-                    match sys::EventFd::open(typ, config) {
-                        Ok(fd) => Slot::Open(fd),
-                        Err(e) => Slot::Failed(e.to_string()),
-                    }
+                    sys::EventFd::open(typ, config).ok()
                 }),
-            }
-        }
-
-        pub(super) fn disabled() -> Self {
-            Self {
-                slots: [(); CounterKind::ALL.len()].map(|()| Slot::NeverTried),
             }
         }
 
@@ -299,25 +234,15 @@ mod imp {
             CounterKind::ALL
                 .into_iter()
                 .zip(&self.slots)
-                .filter_map(|(k, s)| matches!(s, Slot::Open(_)).then_some(k))
-        }
-
-        pub(super) fn unavailable_reasons(&self) -> Vec<(CounterKind, String)> {
-            CounterKind::ALL
-                .into_iter()
-                .zip(&self.slots)
-                .filter_map(|(k, s)| match s {
-                    Slot::Failed(reason) => Some((k, reason.clone())),
-                    _ => None,
-                })
-                .collect()
+                .filter_map(|(k, s)| s.is_some().then_some(k))
         }
 
         pub(super) fn read_raw(&self) -> RawReading {
             RawReading {
-                counts: CounterKind::ALL.map(|kind| match &self.slots[kind as usize] {
-                    Slot::Open(fd) => fd.read_counts().ok(),
-                    _ => None,
+                counts: CounterKind::ALL.map(|kind| {
+                    self.slots[kind as usize]
+                        .as_ref()
+                        .and_then(|fd| fd.read_counts().ok())
                 }),
             }
         }
@@ -363,16 +288,8 @@ mod imp {
             Backend
         }
 
-        pub(super) fn disabled() -> Self {
-            Backend
-        }
-
         pub(super) fn available_kinds(&self) -> impl Iterator<Item = CounterKind> + '_ {
             std::iter::empty()
-        }
-
-        pub(super) fn unavailable_reasons(&self) -> Vec<(CounterKind, String)> {
-            Vec::new()
         }
 
         pub(super) fn read_raw(&self) -> RawReading {
@@ -390,47 +307,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn open_never_panics_and_reports_availability() {
-        let counters = PerfCounters::open();
-        let available = counters.available_kinds();
-        let unavailable = counters.unavailable_reasons();
-        // Every kind is accounted for exactly once.
-        assert_eq!(available.len() + unavailable.len(), CounterKind::ALL.len());
-    }
-
-    #[test]
-    fn disabled_handle_yields_empty_samples() {
-        let counters = PerfCounters::disabled();
-        assert!(!counters.is_available());
-        let sample = counters.phase().finish();
-        assert_eq!(sample.iter().count(), 0);
-        assert_eq!(sample.llc_miss_ratio(), None);
-    }
-
-    #[test]
-    fn phase_deltas_are_nonzero_when_counting() {
-        let counters = PerfCounters::open();
-        let phase = counters.phase();
-        let mut x = 1u64;
-        for i in 0..2_000_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        std::hint::black_box(x);
-        let sample = phase.finish();
-        // On restricted hosts this is legitimately empty; when any
-        // counter opened, the spin loop must have registered on it.
-        if counters
-            .available_kinds()
-            .contains(&CounterKind::TaskClockNanos)
-        {
-            assert!(sample.get(CounterKind::TaskClockNanos).unwrap_or(0) > 0);
-        }
-        if counters.available_kinds().contains(&CounterKind::Cycles) {
-            assert!(sample.get(CounterKind::Cycles).unwrap_or(0) > 0);
-        }
-    }
-
-    #[test]
     fn reading_windows_chain_without_borrowing() {
         let counters = PerfCounters::open();
         let mut last = counters.reading();
@@ -442,17 +318,17 @@ mod tests {
             std::hint::black_box(x);
             let sample = counters.delta_since(&last);
             last = counters.reading();
-            if counters
-                .available_kinds()
-                .contains(&CounterKind::TaskClockNanos)
-            {
-                assert!(sample.get(CounterKind::TaskClockNanos).unwrap_or(0) > 0);
+            // On restricted hosts a kind is legitimately absent; each
+            // kind that opened must have registered the spin loop, and
+            // none that did not may report.
+            let available = counters.available_kinds();
+            for kind in [CounterKind::TaskClockNanos, CounterKind::Cycles] {
+                if available.contains(&kind) {
+                    assert!(sample.get(kind).unwrap_or(0) > 0, "{kind}");
+                }
             }
+            assert!(sample.iter().all(|(kind, _)| available.contains(&kind)));
         }
-        // A disabled handle yields empty samples through the same path.
-        let disabled = PerfCounters::disabled();
-        let start = disabled.reading();
-        assert_eq!(disabled.delta_since(&start).iter().count(), 0);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! footing: a thin, dependency-free wrapper over the Linux
 //! `perf_event_open(2)` syscall (invoked directly through the
 //! already-linked libc, no external crate) exposing the counter kinds
-//! the paper's methodology needs, plus a scoped [`PhaseCounters`] guard
-//! that attributes deltas to named run phases.
+//! the paper's methodology needs, read in windows: a
+//! [`PerfCounters::reading`] opens one and [`PerfCounters::delta_since`]
+//! closes it. A run's phases are its recorder's windows
+//! (`egraph_core::telemetry::TraceRecorder`), not a guard of this crate.
 //!
 //! # Graceful degradation — the central contract
 //!
@@ -17,18 +19,18 @@
 //! and virtual machines often expose no PMU at all (hardware events
 //! fail with `ENOENT` while software events still work). A
 //! [`PerfCounters`] handle therefore *never fails to construct* — each
-//! counter that cannot be opened is individually marked unavailable,
-//! and a fully disabled handle still hands out [`PhaseCounters`] guards
-//! whose samples simply carry no values. Callers write one code path;
+//! counter that cannot be opened is individually left out of
+//! [`PerfCounters::available_kinds`], and a window over a handle with no
+//! live counter simply carries no values. Callers write one code path;
 //! runs never abort because the host is restricted.
 //!
 //! # Multiplexing
 //!
 //! More counters than PMU slots means the kernel time-multiplexes them.
 //! Every counter is opened with `PERF_FORMAT_TOTAL_TIME_ENABLED |
-//! PERF_FORMAT_TOTAL_TIME_RUNNING`, and [`PhaseCounters::finish`]
-//! scales each delta by `enabled/running` for the phase window — the
-//! same estimate `perf stat` reports.
+//! PERF_FORMAT_TOTAL_TIME_RUNNING`, and [`PerfCounters::delta_since`]
+//! scales each delta by `enabled/running` for the window — the same
+//! estimate `perf stat` reports.
 //!
 //! # Worker-thread coverage
 //!
@@ -44,17 +46,18 @@
 //! use egraph_perf::{CounterKind, PerfCounters};
 //!
 //! let counters = PerfCounters::open();   // never fails
-//! let phase = counters.phase();
+//! let start = counters.reading();
 //! let mut acc = 0u64;
 //! for i in 0..100_000u64 {
 //!     acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
 //! }
 //! assert!(acc != 0);
-//! let sample = phase.finish();
-//! // On a permissive Linux host this records real cycles; on a
-//! // restricted host every kind reports None — never a panic.
-//! if counters.is_available() {
-//!     assert!(sample.get(CounterKind::TaskClockNanos).is_some());
+//! let sample = counters.delta_since(&start);
+//! // On a permissive Linux host this records real CPU time; on a
+//! // restricted host the kind reports None — never a panic.
+//! let kind = CounterKind::TaskClockNanos;
+//! if counters.available_kinds().contains(&kind) {
+//!     assert!(sample.get(kind).is_some());
 //! }
 //! ```
 
@@ -62,4 +65,4 @@ mod counters;
 #[cfg(target_os = "linux")]
 mod sys;
 
-pub use counters::{CounterKind, CounterReading, CounterSample, PerfCounters, PhaseCounters};
+pub use counters::{CounterKind, CounterReading, CounterSample, PerfCounters};

@@ -170,7 +170,6 @@ fn read_header<E: EdgeRecord, R: Read>(r: &mut R) -> Result<Header, FormatError>
             FormatError::Io(e)
         }
     })?;
-    crate::counters::on_read(HEADER_LEN as u64, 0);
     let magic: [u8; 4] = field(&header, 0);
     if magic != MAGIC {
         return Err(FormatError::BadMagic(magic));
@@ -208,10 +207,9 @@ pub(crate) fn field<const N: usize>(header: &[u8], at: usize) -> [u8; N] {
 /// Returns a [`FormatError`] on malformed input, including truncation
 /// and out-of-range vertex ids.
 pub fn read_edge_list<E: EdgeRecord, R: Read>(mut r: R) -> Result<EdgeList<E>, FormatError> {
-    let _timer = crate::counters::ReadTimer::start();
     let header = read_header::<E, R>(&mut r)?;
     let mut edges = Vec::new();
-    land_records(&mut r, header.num_edges, &mut edges, |_| {})?;
+    Pod::<E>::record().land(&mut r, header.num_edges, &mut edges, |_, _| {})?;
     EdgeList::new(header.num_vertices as usize, edges).map_err(FormatError::Graph)
 }
 
@@ -227,28 +225,13 @@ pub fn read_edge_list_chunked<E: EdgeRecord, R: Read>(
     mut r: R,
     mut sink: impl FnMut(&[E]),
 ) -> Result<Header, FormatError> {
-    let _timer = crate::counters::ReadTimer::start();
     let header = read_header::<E, R>(&mut r)?;
     let mut step = Vec::with_capacity(Pod::<E>::step_len());
-    land_records(&mut r, header.num_edges, &mut step, |step| {
+    Pod::<E>::record().land(&mut r, header.num_edges, &mut step, |step, _| {
         sink(step);
         step.clear();
     })?;
     Ok(header)
-}
-
-/// Lands `num_edges` records in `buf` a step at a time, counting each
-/// step and handing `buf` to `each_step` after it.
-fn land_records<E: EdgeRecord, R: Read>(
-    r: &mut R,
-    num_edges: u64,
-    buf: &mut Vec<E>,
-    mut each_step: impl FnMut(&mut Vec<E>),
-) -> Result<(), FormatError> {
-    Pod::<E>::record().land(r, num_edges, buf, |buf, n| {
-        crate::counters::on_read((n * record_len::<E>()) as u64, n as u64);
-        each_step(buf);
-    })
 }
 
 #[cfg(test)]

@@ -22,8 +22,12 @@
 //!   integration tests and examples that exercise actual streaming;
 //! * [`fault`] — deterministic I/O fault injection (short reads,
 //!   truncation, mid-stream errors) for the conformance harness.
+//!
+//! The readers keep no counters and no process state. A load is
+//! measured by its caller, which already has every number: the
+//! file's length, the edges returned and the seconds its own clock
+//! took (`egraph run` reports these as its `storage.*` counters).
 
-pub mod counters;
 pub mod fault;
 pub mod format;
 mod pod;

@@ -67,13 +67,10 @@ pub fn read_snap<E: EdgeRecord, R: Read>(
     r: R,
     num_vertices: Option<usize>,
 ) -> Result<EdgeList<E>, TextError> {
-    let _timer = crate::counters::ReadTimer::start();
     let mut edges: Vec<E> = Vec::new();
     let mut max_id = 0u32;
-    let mut bytes = 0u64;
     for (i, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
-        bytes += line.len() as u64 + 1;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -106,7 +103,6 @@ pub fn read_snap<E: EdgeRecord, R: Read>(
     } else {
         max_id as usize + 1
     });
-    crate::counters::on_read(bytes, edges.len() as u64);
     EdgeList::new(nv, edges).map_err(TextError::Graph)
 }
 
@@ -118,13 +114,10 @@ pub fn read_snap<E: EdgeRecord, R: Read>(
 /// Returns [`TextError`] on malformed lines, a missing problem line,
 /// or id/count mismatches.
 pub fn read_dimacs<R: Read>(r: R) -> Result<EdgeList<WEdge>, TextError> {
-    let _timer = crate::counters::ReadTimer::start();
     let mut edges: Vec<WEdge> = Vec::new();
     let mut declared: Option<(usize, usize)> = None;
-    let mut bytes = 0u64;
     for (i, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
-        bytes += line.len() as u64 + 1;
         let line = line.trim();
         if line.is_empty() || line.starts_with('c') {
             continue;
@@ -180,7 +173,6 @@ pub fn read_dimacs<R: Read>(r: R) -> Result<EdgeList<WEdge>, TextError> {
             format!("problem line declared {m} arcs, file has {}", edges.len()),
         ));
     }
-    crate::counters::on_read(bytes, edges.len() as u64);
     EdgeList::new(n, edges).map_err(TextError::Graph)
 }
 

@@ -63,13 +63,10 @@ fn main() {
     .expect("valid file");
     let load_s = start.elapsed().as_secs_f64();
     let loaded = EdgeList::new(graph.num_vertices(), edges).expect("validated above");
-    let (adj_radix, pre) =
-        CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build_timed(&loaded);
-    let radix_total = load_s + pre.seconds;
-    println!(
-        "radix (sequential):    load {load_s:.2}s + build {:.3}s = {radix_total:.2}s",
-        pre.seconds
-    );
+    let (adj_radix, pre_s) =
+        timed(|| CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Out).build(&loaded));
+    let radix_total = load_s + pre_s;
+    println!("radix (sequential):    load {load_s:.2}s + build {pre_s:.3}s = {radix_total:.2}s");
 
     // Same adjacency either way.
     for v in (0..graph.num_vertices() as u32).step_by(997) {

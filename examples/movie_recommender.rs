@@ -18,8 +18,8 @@ fn main() {
 
     // ALS is active one bipartite side per half-step, so adjacency
     // lists (both directions) are the right layout (Table 6).
-    let (adj, pre) =
-        CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build_timed(&ratings);
+    let (adj, pre_s) =
+        timed(|| CsrBuilder::new(Strategy::RadixSort, EdgeDirection::Both).build(&ratings));
     let model = als::als(
         adj.out(),
         adj.incoming(),
@@ -32,7 +32,7 @@ fn main() {
     );
     println!(
         "trained in {:.3}s (+{:.3}s pre-processing); RMSE per iteration:",
-        model.seconds, pre.seconds
+        model.seconds, pre_s
     );
     for (i, rmse) in model.rmse_history.iter().enumerate() {
         println!("  iteration {}: {:.4}", i + 1, rmse);

@@ -561,6 +561,33 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+# Each number is measured once, by the clock or record that already
+# takes it: a load's storage numbers come from the load `egraph run`
+# times, a build's seconds from `metrics::timed` around `build`, and a
+# counter window from `TraceRecorder`'s `reading`/`delta_since`. The
+# storage counters, `build_timed`/`PreprocessStats` and egraph-perf's
+# phase guard were second copies of those numbers (one of them wrong),
+# and a `static` in non-test storage code is process-wide state coming
+# back to hold one. egraph-perf's own `pub use counters::{` re-export is
+# the one allowed `counters::`.
+echo "== each number is measured once =="
+offenders=$(find crates examples tests -name '*.rs' ! -name tests.rs \
+    -exec awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// &&
+            ((/build_timed|PreprocessStats|PhaseCounters|ReadTimer|unavailable_reasons|counters::/ &&
+              !/^pub use counters::\{/) ||
+             (FILENAME ~ /^crates\/storage\/src\// &&
+              /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?static[[:space:]]/)) {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)
+if [ -n "$offenders" ]; then
+    echo "a second measurement of a load, a build or a counter window, or a"
+    echo "static in non-test crates/storage/src:"
+    echo "$offenders"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
